@@ -177,44 +177,17 @@ func (c *Cluster) RestartHost(i int) error { return c.sim.Hosts[i].Restart() }
 func (c *Cluster) HostDown(i int) bool { return c.sim.Hosts[i].Down() }
 
 // SyncStats summarizes propagation/reconciliation work.
-type SyncStats struct {
-	DirsVisited    int
-	DirsCreated    int
-	EntriesAdopted int
-	EntriesDeleted int
-	FilesPulled    int
-	Conflicts      int
-	NameRepairs    int
-}
-
-// Changed reports whether the pass modified any replica.
-func (s SyncStats) Changed() bool {
-	return s.DirsCreated > 0 || s.EntriesAdopted > 0 || s.EntriesDeleted > 0 || s.FilesPulled > 0
-}
-
-func fromRecon(s recon.Stats) SyncStats {
-	return SyncStats{
-		DirsVisited:    s.DirsVisited,
-		DirsCreated:    s.DirsCreated,
-		EntriesAdopted: s.EntriesAdopted,
-		EntriesDeleted: s.EntriesDeleted,
-		FilesPulled:    s.FilesPulled,
-		Conflicts:      s.Conflicts,
-		NameRepairs:    s.NameRepairs,
-	}
-}
+type SyncStats = recon.Stats
 
 // Propagate runs one update-propagation daemon pass on every host (paper
 // §3.2).
 func (c *Cluster) Propagate() (SyncStats, error) {
-	s, err := c.sim.PropagateAll()
-	return fromRecon(s), err
+	return c.sim.PropagateAll()
 }
 
 // Reconcile runs one reconciliation pass on every host (paper §3.3).
 func (c *Cluster) Reconcile() (SyncStats, error) {
-	s, err := c.sim.ReconcileAll()
-	return fromRecon(s), err
+	return c.sim.ReconcileAll()
 }
 
 // Settle reconciles until quiescent, up to maxRounds passes.
@@ -439,31 +412,11 @@ func (c *Cluster) ConfigureGossip(cfg GossipConfig) {
 }
 
 // GossipStats counts one host's gossip-plane activity.
-type GossipStats struct {
-	RumorsOriginated uint64 // updates this host's notifier announced
-	NoticesSent      uint64 // datagrams sent originating those rumors
-	RumorsRelayed    uint64 // datagrams sent relaying others' rumors
-	RumorsAccepted   uint64 // first-seen rumors fed into local caches
-	RumorsSuppressed uint64 // duplicates dropped by the seen-cache
-	RumorsForeign    uint64 // rumors for volumes this host doesn't store
-	RumorsExpired    uint64 // rumors that arrived with no hops left
-}
-
-func fromGossip(s core.GossipStats) GossipStats {
-	return GossipStats{
-		RumorsOriginated: s.RumorsOriginated,
-		NoticesSent:      s.NoticesSent,
-		RumorsRelayed:    s.RumorsRelayed,
-		RumorsAccepted:   s.RumorsAccepted,
-		RumorsSuppressed: s.RumorsSuppressed,
-		RumorsForeign:    s.RumorsForeign,
-		RumorsExpired:    s.RumorsExpired,
-	}
-}
+type GossipStats = core.GossipStats
 
 // GossipStatsFor returns host i's accumulated gossip counters.
 func (c *Cluster) GossipStatsFor(host int) GossipStats {
-	return fromGossip(c.sim.Hosts[host].GossipStats())
+	return c.sim.Hosts[host].GossipStats()
 }
 
 // PeerPriority is one entry of a host's anti-entropy plan: the order the
@@ -608,11 +561,11 @@ func (c *Cluster) DiskStatsFor(host int) DiskStats {
 	return out
 }
 
-// ScrubStats summarizes integrity-daemon work: the checksum sweep and the
+// ScrubStats summarizes integrity-daemon work: the verification sweep and the
 // quarantine-repair pass.
 type ScrubStats struct {
 	VerifiedFiles  int // file versions checked against a sealed sidecar
-	VerifiedBlocks int // block checksums compared
+	VerifiedBlocks int // block addresses compared
 	Resealed       int // unverifiable sidecars recomputed from local data
 	Corrupt        int // verification failures that entered quarantine
 	Cleared        int // quarantined files superseded in place
@@ -636,7 +589,7 @@ func fromScrub(r core.ScrubResult) ScrubStats {
 	}
 }
 
-// Scrub runs one integrity pass (checksum sweep + quarantine repair) on
+// Scrub runs one integrity pass (verification sweep + quarantine repair) on
 // every host.
 func (c *Cluster) Scrub() (ScrubStats, error) {
 	s, err := c.sim.ScrubAll()
@@ -651,70 +604,21 @@ func (c *Cluster) ScrubHost(host int) (ScrubStats, error) {
 
 // IntegrityStats reports the cumulative integrity counters of one host
 // (Quarantined is a gauge: files currently quarantined).
-type IntegrityStats struct {
-	ScrubbedFiles       uint64
-	ScrubbedBlocks      uint64
-	Resealed            uint64
-	CorruptionsDetected uint64
-	Repaired            uint64
-	Unrepairable        uint64
-	Quarantined         uint64
-
-	// Delta-propagation work (mirrored from the block layer): blocks this
-	// host shipped to peers that lacked them, blocks its own delta installs
-	// reassembled locally, and the payload bytes those reuses kept off the
-	// wire.
-	BlocksShipped   uint64
-	BlocksReused    uint64
-	DeltaBytesSaved uint64
-}
+type IntegrityStats = physical.IntegrityStats
 
 // IntegrityStatsFor returns host i's aggregate integrity counters.
 func (c *Cluster) IntegrityStatsFor(host int) IntegrityStats {
-	s := c.sim.Hosts[host].IntegrityStats()
-	return IntegrityStats{
-		ScrubbedFiles:       s.ScrubbedFiles,
-		ScrubbedBlocks:      s.ScrubbedBlocks,
-		Resealed:            s.Resealed,
-		CorruptionsDetected: s.CorruptionsDetected,
-		Repaired:            s.Repaired,
-		Unrepairable:        s.Unrepairable,
-		Quarantined:         s.Quarantined,
-		BlocksShipped:       s.BlocksShipped,
-		BlocksReused:        s.BlocksReused,
-		DeltaBytesSaved:     s.DeltaBytesSaved,
-	}
+	return c.sim.Hosts[host].IntegrityStats()
 }
 
 // BlockStats reports one host's content-addressed block layer: the shared
 // block pool backing delta propagation (PoolBlocks/PoolBytes are gauges;
 // the rest are cumulative).
-type BlockStats struct {
-	PoolBlocks       uint64 // blocks currently pooled across the host's replicas
-	PoolBytes        uint64 // bytes currently pooled
-	ManifestsSealed  uint64 // block manifests committed
-	OrphansReclaimed uint64 // unreferenced pool blocks removed at mount
-	BadBlocks        uint64 // pool blocks that failed their address on read
-	BlocksShipped    uint64 // blocks shipped to peers that lacked them
-	BlocksReused     uint64 // blocks delta installs reassembled from the local pool
-	BytesShipped     uint64 // payload bytes of shipped blocks
-	BytesSaved       uint64 // payload bytes delta installs kept off the wire
-}
+type BlockStats = physical.BlockStats
 
 // BlockStatsFor returns host i's aggregate block-layer counters.
 func (c *Cluster) BlockStatsFor(host int) BlockStats {
-	s := c.sim.Hosts[host].BlockStats()
-	return BlockStats{
-		PoolBlocks:       s.PoolBlocks,
-		PoolBytes:        s.PoolBytes,
-		ManifestsSealed:  s.ManifestsSealed,
-		OrphansReclaimed: s.OrphansReclaimed,
-		BadBlocks:        s.BadBlocks,
-		BlocksShipped:    s.BlocksShipped,
-		BlocksReused:     s.BlocksReused,
-		BytesShipped:     s.BytesShipped,
-		BytesSaved:       s.BytesSaved,
-	}
+	return c.sim.Hosts[host].BlockStats()
 }
 
 // InjectBitRot silently flips one bit of the stored data byte at off in

@@ -9,7 +9,7 @@ import (
 )
 
 // The background scrubber (integrity daemon): sweeps every local volume
-// replica verifying stored file data against its sealed block checksums,
+// replica verifying stored file data against its sealed block addresses,
 // quarantines versions that fail, and heals them by re-pulling a verified
 // copy from a peer replica.  It runs exactly like the propagation daemon —
 // driven by explicit passes on the virtual clock, health-gated toward
@@ -23,7 +23,7 @@ type ScrubResult struct {
 }
 
 // ScrubOnce runs one integrity pass over every local volume replica: a
-// full checksum sweep (detect + reseal + quarantine), then a repair pass
+// full verification sweep (detect + reseal + quarantine), then a repair pass
 // that re-pulls due quarantined versions from peer replicas.  A down
 // host's daemons do not run: the pass is a no-op.
 func (h *Host) ScrubOnce() (ScrubResult, error) {

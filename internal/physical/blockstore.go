@@ -1,74 +1,42 @@
 package physical
 
-// Content-addressed block store: the storage half of delta propagation.
+// Content-addressed block pool: the storage half of delta propagation.
 //
-// Every file version is summarized by a BLOCK MANIFEST — its length plus the
-// truncated SHA-256 address of each ChecksumBlockSize chunk — and the chunks
-// themselves live once in a per-store BLOCK POOL shared by every file of the
-// volume replica.  The data file "F<fid>" remains the canonical copy (the
-// shadow/rename commit and the checksum sidecar semantics are untouched);
-// the pool and manifests are a derived index that lets the wire protocol
-// ship only the blocks a peer does not already hold, from ANY local file —
-// cross-file dedup.
+// Every file version's sidecar (sidecar.go) lists the content address of
+// each of its ChecksumBlockSize chunks.  The chunks of POOLED versions also
+// live, once each, in a per-store block pool shared by every file of the
+// volume replica.  The data file "F<fid>" remains the canonical copy; the
+// pool is a derived index that lets the wire protocol ship only the blocks
+// a peer does not already hold, from ANY local file — cross-file dedup.
 //
-// Layout:
+// The pool is a UFS directory ("blocks") at the store root, beside the meta
+// file and the nvcj journal, invisible to the Check container walk.  Each
+// block is a file named by its 32-hex-digit address and committed by
+// atomicReplace, so a torn write can never leave a partially written block
+// under a name anything references.
 //
-//   - pool: a UFS directory ("blocks") at the store root, beside the meta
-//     file and the nvcj journal, invisible to the Check container walk.
-//     Each block is a file named by its 32-hex-digit address and committed
-//     via shadow + atomic rename, so a torn write can never leave a
-//     partially written block under a valid name.
-//
-//   - manifest: a per-file sidecar "M<fid>" in the directory container,
-//     sealed under a version vector exactly like the checksum sidecar:
-//     trusted only while the sealed vector equals the aux vector, so every
-//     crash window reads as "stale manifest", never as wrong blocks.
-//
-// Format (versioned, strict decode):
-//
-//	magic "FMAN" (4) | version u8 | sealed vv | length u64 | per-block address (16 each)
-//
-// The block count is derived from the length, so truncation or padding
-// fails to decode.
-//
-// Refcounts are in-memory only (blockRefs: pool block -> number of on-disk
-// manifests referencing it), rebuilt on every Open by scanning the
-// manifests.  The commit order makes the invariant "every manifest block is
-// present in the pool" crash-proof: blocks land in the pool BEFORE the
-// manifest that references them is sealed, so a crash can only leave
-// unreferenced blocks — reclaimed at the next mount — never a dangling
-// reference.  A block whose refcount drops to zero is reclaimed eagerly.
+// Refcounts are in-memory only (blockRefs: pool block -> number of pooled
+// sidecars referencing it), rebuilt on every Open by Recover.  The commit
+// order makes the invariant "every block a pooled sidecar names is present
+// in the pool" crash-proof: blocks land in the pool BEFORE the sidecar that
+// references them is sealed, so a crash can only leave unreferenced blocks —
+// reclaimed at the next mount — never a dangling reference.  A block whose
+// refcount drops to zero is reclaimed eagerly.  Local writes and whole-file
+// installs seal unpooled: they put nothing into the pool, and only release
+// what the sidecar they replace held.  EnsureBlocks and delta installs pool.
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/ids"
 	"repro/internal/vnode"
-	"repro/internal/vv"
 )
 
-// BlockAddrSize is the size of a content address: SHA-256 truncated to 128
-// bits, ample against accidental collision at volume scale.
-const BlockAddrSize = 16
-
-const (
-	poolDirName     = "blocks" // pool directory name at the store root
-	manifestVersion = 1
-)
-
-var manifestMagic = []byte("FMAN")
-
-// BlockAddr is the content address of one data block.
-type BlockAddr [BlockAddrSize]byte
-
-// String renders the address as the pool file name (32 hex digits).
-func (a BlockAddr) String() string { return hex.EncodeToString(a[:]) }
+const poolDirName = "blocks" // pool directory name at the store root
 
 // parseBlockName parses a pool file name back into an address.
 func parseBlockName(name string) (BlockAddr, bool) {
@@ -82,13 +50,7 @@ func parseBlockName(name string) (BlockAddr, bool) {
 	return a, true
 }
 
-// HashBlock computes the content address of one block.
-func HashBlock(p []byte) BlockAddr {
-	sum := sha256.Sum256(p)
-	var a BlockAddr
-	copy(a[:], sum[:BlockAddrSize])
-	return a
-}
+func addrLess(a, b BlockAddr) bool { return bytes.Compare(a[:], b[:]) < 0 }
 
 // Block pairs an address with its content: the wire unit of a delta pull.
 type Block struct {
@@ -96,96 +58,12 @@ type Block struct {
 	Data []byte
 }
 
-// BlockManifest represents one file version as content addresses: the exact
-// length plus one address per ChecksumBlockSize chunk (the final chunk may
-// be short; its address covers the short content).
-type BlockManifest struct {
-	Length uint64
-	Blocks []BlockAddr
-}
-
-// ComputeManifest summarizes data as a block manifest.
-func ComputeManifest(data []byte) *BlockManifest {
-	m := &BlockManifest{Length: uint64(len(data))}
-	for off := 0; off < len(data); off += ChecksumBlockSize {
-		end := off + ChecksumBlockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		m.Blocks = append(m.Blocks, HashBlock(data[off:end]))
-	}
-	return m
-}
-
-// encodeManifest renders a manifest image sealing m under vector sealed.
-func encodeManifest(sealed vv.Vector, m *BlockManifest) []byte {
-	out := append([]byte(nil), manifestMagic...)
-	out = append(out, manifestVersion)
-	out = sealed.AppendBinary(out)
-	out = binary.BigEndian.AppendUint64(out, m.Length)
-	for i := range m.Blocks {
-		out = append(out, m.Blocks[i][:]...)
-	}
-	return out
-}
-
-// decodeManifest parses a manifest image strictly: bad magic, unknown
-// version, truncation, a block count inconsistent with the length, or
-// trailing bytes all fail.
-func decodeManifest(p []byte) (vv.Vector, *BlockManifest, error) {
-	if len(p) < len(manifestMagic)+1 {
-		return nil, nil, fmt.Errorf("physical: short block manifest: %d bytes", len(p))
-	}
-	for i, c := range manifestMagic {
-		if p[i] != c {
-			return nil, nil, fmt.Errorf("physical: bad manifest magic %q", p[:len(manifestMagic)])
-		}
-	}
-	if p[len(manifestMagic)] != manifestVersion {
-		return nil, nil, fmt.Errorf("physical: unknown manifest version %d", p[len(manifestMagic)])
-	}
-	p = p[len(manifestMagic)+1:]
-	sealed, n, err := vv.DecodeFrom(p)
-	if err != nil {
-		return nil, nil, fmt.Errorf("physical: manifest vector: %w", err)
-	}
-	p = p[n:]
-	if len(p) < 8 {
-		return nil, nil, fmt.Errorf("physical: manifest truncated before length")
-	}
-	m := &BlockManifest{Length: binary.BigEndian.Uint64(p)}
-	p = p[8:]
-	blocks := checksumBlocks(m.Length)
-	if len(p) != BlockAddrSize*blocks {
-		return nil, nil, fmt.Errorf("physical: manifest has %d address bytes, length %d needs %d", len(p), m.Length, BlockAddrSize*blocks)
-	}
-	m.Blocks = make([]BlockAddr, blocks)
-	for i := range m.Blocks {
-		copy(m.Blocks[i][:], p[BlockAddrSize*i:])
-	}
-	return sealed, m, nil
-}
-
-// readManifest loads fid's block manifest from container cont.  Any error —
-// absent, torn, undecodable — means "no usable manifest", never "corrupt".
-func readManifest(storeRoot, cont vnode.Vnode, fid ids.FileID) (vv.Vector, *BlockManifest, error) {
-	f, err := lookupFollow(storeRoot, cont, prefixManifest+fid.String())
-	if err != nil {
-		return nil, nil, err
-	}
-	data, err := vnode.ReadFile(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	return decodeManifest(data)
-}
-
 // BlockStats counts the block subsystem's work on one volume replica.
 // PoolBlocks/PoolBytes are gauges; the rest are cumulative.
 type BlockStats struct {
 	PoolBlocks       uint64 // blocks currently in the pool
 	PoolBytes        uint64 // bytes currently in the pool
-	ManifestsSealed  uint64 // manifests committed (install- or index-time)
+	ManifestsSealed  uint64 // pooled sidecars committed (install- or index-time)
 	OrphansReclaimed uint64 // unreferenced pool files removed at mount
 	BadBlocks        uint64 // pool blocks that failed their address on read
 	BlocksShipped    uint64 // blocks this replica shipped because the puller lacked them
@@ -223,29 +101,70 @@ func (l *Layer) BlockStats() BlockStats {
 
 // ---- pool ---------------------------------------------------------------
 
-// ensurePoolLocked returns the pool directory, creating it on first use.
-func (l *Layer) ensurePoolLocked() (vnode.Vnode, error) {
+// poolLocked returns the pool directory; create says whether to make it on
+// first use.
+func (l *Layer) poolLocked(create bool) (vnode.Vnode, error) {
 	if l.pool != nil {
 		return l.pool, nil
 	}
 	p, err := l.root.Lookup(poolDirName)
+	if create && vnode.AsErrno(err) == vnode.ENOENT {
+		p, err = l.root.Mkdir(poolDirName)
+	}
 	if err != nil {
-		if vnode.AsErrno(err) != vnode.ENOENT {
-			return nil, err
-		}
-		if p, err = l.root.Mkdir(poolDirName); err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	l.pool = p
 	return p, nil
 }
 
-// poolPutLocked commits one block under its address via shadow + atomic
-// rename; a block already present is left untouched (content addressing
-// makes the bytes identical by construction).
+// openPoolLocked is Recover's pass over the pool: it settles leftover block
+// shadows, discards names that are no address, resets the gauges, and
+// returns the set of blocks present.
+func (l *Layer) openPoolLocked() (map[BlockAddr]bool, error) {
+	l.pool, l.bstats.PoolBlocks, l.bstats.PoolBytes = nil, 0, 0
+	pool, err := l.poolLocked(false)
+	if err != nil {
+		if vnode.AsErrno(err) == vnode.ENOENT {
+			return nil, nil // never used the block layer; nothing to rebuild
+		}
+		return nil, err
+	}
+	ents, err := pool.Readdir()
+	if err != nil {
+		return nil, err
+	}
+	names, discarded, err := settleDir(pool, ents)
+	if err != nil {
+		return nil, err
+	}
+	l.bstats.OrphansReclaimed += uint64(discarded)
+	present := make(map[BlockAddr]bool, len(names))
+	for _, name := range names {
+		addr, ok := parseBlockName(name)
+		if !ok {
+			if err := pool.Remove(name); err != nil {
+				return nil, err
+			}
+			l.bstats.OrphansReclaimed++
+			continue
+		}
+		present[addr] = true
+		if f, err := pool.Lookup(name); err == nil {
+			if a, err := f.Getattr(); err == nil {
+				l.bstats.PoolBlocks++
+				l.bstats.PoolBytes += a.Size
+			}
+		}
+	}
+	return present, nil
+}
+
+// poolPutLocked commits one block under its address; a block already
+// present is left untouched (content addressing makes the bytes identical
+// by construction).
 func (l *Layer) poolPutLocked(addr BlockAddr, data []byte) error {
-	pool, err := l.ensurePoolLocked()
+	pool, err := l.poolLocked(true)
 	if err != nil {
 		return err
 	}
@@ -255,15 +174,7 @@ func (l *Layer) poolPutLocked(addr BlockAddr, data []byte) error {
 	} else if vnode.AsErrno(err) != vnode.ENOENT {
 		return err
 	}
-	shadow := name + suffixShadow
-	f, err := pool.Create(shadow, false)
-	if err != nil {
-		return err
-	}
-	if err := vnode.WriteFile(f, data); err != nil {
-		return err
-	}
-	if err := pool.Rename(shadow, pool, name); err != nil {
+	if err := atomicReplace(pool, name, data); err != nil {
 		return err
 	}
 	l.bstats.PoolBlocks++
@@ -273,16 +184,15 @@ func (l *Layer) poolPutLocked(addr BlockAddr, data []byte) error {
 
 // poolGetLocked reads one block and verifies it against its address.  A
 // missing or unreadable block answers (nil, false); a block whose content
-// no longer hashes to its name is EVICTED — along with every manifest that
-// references it, since manifests are derived data — and also answers false,
-// so at-rest pool corruption degrades to re-shipping the block.
+// no longer hashes to its name is EVICTED — and every sidecar referencing
+// it demoted to unpooled — and also answers false, so at-rest pool
+// corruption degrades to re-shipping the block.
 func (l *Layer) poolGetLocked(addr BlockAddr) ([]byte, bool) {
-	if l.pool == nil {
-		if _, err := l.ensurePoolLocked(); err != nil {
-			return nil, false
-		}
+	pool, err := l.poolLocked(false)
+	if err != nil {
+		return nil, false
 	}
-	f, err := l.pool.Lookup(addr.String())
+	f, err := pool.Lookup(addr.String())
 	if err != nil {
 		return nil, false
 	}
@@ -299,14 +209,11 @@ func (l *Layer) poolGetLocked(addr BlockAddr) ([]byte, bool) {
 
 // poolHasLocked reports whether the pool stores addr (no content check).
 func (l *Layer) poolHasLocked(addr BlockAddr) bool {
-	if l.pool == nil {
-		p, err := l.root.Lookup(poolDirName)
-		if err != nil {
-			return false
-		}
-		l.pool = p
+	pool, err := l.poolLocked(false)
+	if err != nil {
+		return false
 	}
-	_, err := l.pool.Lookup(addr.String())
+	_, err = pool.Lookup(addr.String())
 	return err == nil
 }
 
@@ -332,14 +239,14 @@ func (l *Layer) poolRemoveLocked(addr BlockAddr) {
 
 // ---- refcounts ----------------------------------------------------------
 
-// refAddLocked records one manifest reference per listed address.
+// refAddLocked records one sidecar reference per listed address.
 func (l *Layer) refAddLocked(addrs []BlockAddr) {
 	for _, a := range addrs {
 		l.blockRefs[a]++
 	}
 }
 
-// refDropLocked releases one manifest reference per listed address; a block
+// refDropLocked releases one sidecar reference per listed address; a block
 // reaching zero references is reclaimed eagerly.
 func (l *Layer) refDropLocked(addrs []BlockAddr) {
 	for _, a := range addrs {
@@ -352,136 +259,62 @@ func (l *Layer) refDropLocked(addrs []BlockAddr) {
 	}
 }
 
-// ---- manifests ----------------------------------------------------------
-
-// sealManifestLocked commits fid's manifest sealed under vector sealed,
-// adjusting refcounts: new references are taken BEFORE the old manifest's
-// are released, so blocks shared between the versions never transiently
-// reach zero.  Every block m references must already be in the pool.
-func (l *Layer) sealManifestLocked(cont vnode.Vnode, fid ids.FileID, sealed vv.Vector, m *BlockManifest) error {
-	var oldAddrs []BlockAddr
-	hadOld := false
-	if _, old, err := readManifest(l.root, cont, fid); err == nil {
-		oldAddrs, hadOld = old.Blocks, true
+// eachSidecarLocked calls fn for every decodable sidecar among cont's
+// entries ents.
+func (l *Layer) eachSidecarLocked(cont vnode.Vnode, ents []vnode.Dirent, fn func(fid ids.FileID, sc *sidecar)) {
+	for _, e := range ents {
+		if fid, ok := sidecarFID(e.Name); ok {
+			if sc, err := readSidecar(l.root, cont, fid); err == nil {
+				fn(fid, &sc)
+			}
+		}
 	}
-	base := prefixManifest + fid.String()
-	shadow := base + suffixShadow
-	sf, err := cont.Create(shadow, false)
-	if err != nil {
-		return err
-	}
-	if err := vnode.WriteFile(sf, encodeManifest(sealed, m)); err != nil {
-		return err
-	}
-	if err := cont.Rename(shadow, cont, base); err != nil {
-		return err
-	}
-	l.refAddLocked(m.Blocks)
-	if hadOld {
-		l.refDropLocked(oldAddrs)
-	}
-	l.bstats.ManifestsSealed++
-	return nil
-}
-
-// removeManifestLocked discards fid's manifest if present, releasing its
-// block references (storage reclaim paths).
-func (l *Layer) removeManifestLocked(cont vnode.Vnode, fid ids.FileID) error {
-	if _, m, err := readManifest(l.root, cont, fid); err == nil {
-		l.refDropLocked(m.Blocks)
-	}
-	if err := cont.Remove(prefixManifest + fid.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
-		return err
-	}
-	return nil
 }
 
 // evictBadBlockLocked handles a pool block whose content fails its address:
-// the block file and every manifest referencing it are removed.  This is
-// safe because pool and manifests are derived from the canonical data
-// files — the next EnsureBlocks or delta install rebuilds them.
+// the block file is removed and every sidecar referencing it is demoted to
+// unpooled (its addresses still verify the canonical data file; the next
+// EnsureBlocks or delta install pools the version again).
 func (l *Layer) evictBadBlockLocked(addr BlockAddr) {
 	l.bstats.BadBlocks++
-	if cont, err := l.rootContainer(); err == nil {
-		l.dropManifestsReferencingLocked(cont, addr)
+	if root, err := l.rootContainer(); err == nil {
+		// Best-effort: the store is already surfacing bad bytes; a sidecar
+		// this fails to demote is reported by fsck and demoted by the next
+		// mount's recovery.
+		_ = walkContainers(root, func(cont vnode.Vnode, ents []vnode.Dirent) error {
+			l.eachSidecarLocked(cont, ents, func(fid ids.FileID, sc *sidecar) {
+				if sc.Pooled && slices.Contains(sc.Blocks, addr) {
+					_ = l.sealLocked(cont, fid, sc.Sealed, &sc.BlockManifest, false) //ficusvet:ignore duraberr
+				}
+			})
+			return nil
+		})
 	}
 	delete(l.blockRefs, addr)
 	l.poolRemoveLocked(addr)
 }
 
-// dropManifestsReferencingLocked walks the container tree removing every
-// manifest that references addr (releasing the references its other blocks
-// held).
-func (l *Layer) dropManifestsReferencingLocked(cont vnode.Vnode, addr BlockAddr) {
-	ents, err := cont.Readdir()
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		if e.Type == vnode.VDir && strings.HasPrefix(e.Name, prefixDir) {
-			if sub, err := cont.Lookup(e.Name); err == nil {
-				l.dropManifestsReferencingLocked(sub, addr)
+// dropRefsInTreeLocked releases the pool references held by every sidecar
+// in a container subtree that is about to be deleted wholesale (tombstone
+// collection of a whole directory).
+func (l *Layer) dropRefsInTreeLocked(cont vnode.Vnode) {
+	_ = walkContainers(cont, func(c vnode.Vnode, ents []vnode.Dirent) error {
+		l.eachSidecarLocked(c, ents, func(_ ids.FileID, sc *sidecar) {
+			if sc.Pooled {
+				l.refDropLocked(sc.Blocks)
 			}
-			continue
-		}
-		if !strings.HasPrefix(e.Name, prefixManifest) || strings.HasSuffix(e.Name, suffixShadow) {
-			continue
-		}
-		fid, err := ids.ParseFileID(e.Name[len(prefixManifest):])
-		if err != nil {
-			continue
-		}
-		_, m, err := readManifest(l.root, cont, fid)
-		if err != nil {
-			continue
-		}
-		for _, a := range m.Blocks {
-			if a == addr {
-				// Best-effort: the store is already surfacing bad bytes, and
-				// a manifest this fails to remove still loses its in-memory
-				// refs; fsck and the next mount's recovery catch the file.
-				_ = l.removeManifestLocked(cont, fid) //ficusvet:ignore duraberr
-				break
-			}
-		}
-	}
-}
-
-// dropManifestRefsInTreeLocked releases the block references held by every
-// manifest in a container subtree that is about to be deleted wholesale
-// (tombstone collection of a whole directory).
-func (l *Layer) dropManifestRefsInTreeLocked(cont vnode.Vnode) {
-	ents, err := cont.Readdir()
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		if e.Type == vnode.VDir {
-			if sub, err := cont.Lookup(e.Name); err == nil {
-				l.dropManifestRefsInTreeLocked(sub)
-			}
-			continue
-		}
-		if !strings.HasPrefix(e.Name, prefixManifest) || strings.HasSuffix(e.Name, suffixShadow) {
-			continue
-		}
-		fid, err := ids.ParseFileID(e.Name[len(prefixManifest):])
-		if err != nil {
-			continue
-		}
-		if _, m, err := readManifest(l.root, cont, fid); err == nil {
-			l.refDropLocked(m.Blocks)
-		}
-	}
+		})
+		return nil
+	})
 }
 
 // ---- indexing (the puller's Have set) -----------------------------------
 
-// EnsureBlocks indexes fid's current local version into the block layer:
-// the data is read (and verified when the checksum sidecar vouches for it),
-// its blocks are inserted into the pool, and the manifest is sealed under
-// the aux vector.  A manifest already sealed for the current version makes
-// this a cheap no-op, so the propagation daemon can call it every pass.
+// EnsureBlocks indexes fid's current local version into the block pool: the
+// data is read (and verified when the sidecar vouches for it), its blocks
+// are put into the pool, and the sidecar is resealed pooled under the aux
+// vector.  A sidecar already pooled for the current version makes this a
+// cheap no-op, so the propagation daemon can call it every pass.
 // Quarantined or failing data is never indexed — corrupt bytes must not
 // enter the pool under a valid address.
 func (l *Layer) EnsureBlocks(dirPath []ids.FileID, fid ids.FileID) error {
@@ -501,7 +334,9 @@ func (l *Layer) EnsureBlocks(dirPath []ids.FileID, fid ids.FileID) error {
 		}
 		return err
 	}
-	if sealed, _, err := readManifest(l.root, cont, fid); err == nil && sealed.Equal(aux.VV) {
+	sc, err := readSidecar(l.root, cont, fid)
+	current := err == nil && sc.Sealed.Equal(aux.VV)
+	if current && sc.Pooled {
 		return nil // already indexed for this exact version
 	}
 	df, err := lookupFollow(l.root, cont, prefixData+fid.String())
@@ -515,24 +350,19 @@ func (l *Layer) EnsureBlocks(dirPath []ids.FileID, fid ids.FileID) error {
 	if err != nil {
 		return err
 	}
-	if sealed, cs, serr := readSidecar(l.root, cont, fid); serr == nil && sealed.Equal(aux.VV) {
-		if !cs.Verify(data) {
-			l.quarantineLocked(dirPath, fid, aux.VV)
-			return fmt.Errorf("%w: file %s failed verification while indexing blocks", ErrCorrupt, fid)
-		}
+	m := &sc.BlockManifest
+	if !current {
+		m = ComputeManifest(data)
+	} else if !m.Verify(data) {
+		l.quarantineLocked(dirPath, fid, aux.VV)
+		return fmt.Errorf("%w: file %s failed verification while indexing blocks", ErrCorrupt, fid)
 	}
-	m := ComputeManifest(data)
 	for i, addr := range m.Blocks {
-		off := i * ChecksumBlockSize
-		end := off + ChecksumBlockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		if err := l.poolPutLocked(addr, data[off:end]); err != nil {
+		if err := l.poolPutLocked(addr, blockAt(data, i)); err != nil {
 			return err
 		}
 	}
-	return l.sealManifestLocked(cont, fid, aux.VV, m)
+	return l.sealLocked(cont, fid, aux.VV, m, true)
 }
 
 // PoolAddrs lists every pool block address this replica holds, sorted, for
@@ -544,124 +374,6 @@ func (l *Layer) PoolAddrs() []BlockAddr {
 	for a := range l.blockRefs {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
+	sort.Slice(out, func(i, j int) bool { return addrLess(out[i], out[j]) })
 	return out
-}
-
-// ---- mount-time rebuild and orphan reclaim ------------------------------
-
-// recoverBlocks rebuilds the in-memory refcounts from the on-disk manifests
-// and reclaims whatever a crash could have left behind: torn pool shadows,
-// blocks no manifest references, and (under external damage) manifests
-// referencing blocks that are gone.  Runs once from Open, after the generic
-// shadow recovery.
-func (l *Layer) recoverBlocks() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.blockRefs = make(map[BlockAddr]int)
-	if cont, err := l.rootContainer(); err == nil {
-		if err := l.collectManifestRefsLocked(cont); err != nil {
-			return err
-		}
-	}
-	pool, err := l.root.Lookup(poolDirName)
-	if err != nil {
-		if vnode.AsErrno(err) == vnode.ENOENT {
-			return nil // never used the block layer; nothing to rebuild
-		}
-		return err
-	}
-	l.pool = pool
-	ents, err := pool.Readdir()
-	if err != nil {
-		return err
-	}
-	present := make(map[BlockAddr]bool, len(ents))
-	for _, e := range ents {
-		addr, ok := parseBlockName(e.Name)
-		if !ok || strings.HasSuffix(e.Name, suffixShadow) {
-			// A torn (or merely uncommitted) shadow, or foreign junk: no
-			// manifest can reference it, so discard.
-			if err := pool.Remove(e.Name); err != nil {
-				return err
-			}
-			l.bstats.OrphansReclaimed++
-			continue
-		}
-		present[addr] = true
-		if f, err := pool.Lookup(e.Name); err == nil {
-			if a, err := f.Getattr(); err == nil {
-				l.bstats.PoolBlocks++
-				l.bstats.PoolBytes += a.Size
-			}
-		}
-	}
-	// A manifest referencing a missing block cannot happen through any crash
-	// of our own commit order (blocks land before the manifest), but external
-	// damage can produce it; the manifest is derived data, so drop it rather
-	// than serve a promise the pool cannot keep.
-	missing := make([]BlockAddr, 0)
-	for a := range l.blockRefs {
-		if !present[a] {
-			missing = append(missing, a)
-		}
-	}
-	sort.Slice(missing, func(i, j int) bool { return bytes.Compare(missing[i][:], missing[j][:]) < 0 })
-	for _, a := range missing {
-		if cont, err := l.rootContainer(); err == nil {
-			l.dropManifestsReferencingLocked(cont, a)
-		}
-		delete(l.blockRefs, a)
-	}
-	// Blocks no surviving manifest references are crash leftovers: reclaim.
-	orphans := make([]BlockAddr, 0)
-	for a := range present {
-		if l.blockRefs[a] == 0 {
-			orphans = append(orphans, a)
-		}
-	}
-	sort.Slice(orphans, func(i, j int) bool { return bytes.Compare(orphans[i][:], orphans[j][:]) < 0 })
-	for _, a := range orphans {
-		l.poolRemoveLocked(a)
-		l.bstats.OrphansReclaimed++
-	}
-	return nil
-}
-
-// collectManifestRefsLocked walks the container tree accumulating block
-// references from every decodable manifest; an undecodable manifest file is
-// removed (it is derived data and cannot be trusted).
-func (l *Layer) collectManifestRefsLocked(cont vnode.Vnode) error {
-	ents, err := cont.Readdir()
-	if err != nil {
-		return err
-	}
-	for _, e := range ents {
-		if e.Type == vnode.VDir && strings.HasPrefix(e.Name, prefixDir) {
-			sub, err := cont.Lookup(e.Name)
-			if err != nil {
-				return err
-			}
-			if err := l.collectManifestRefsLocked(sub); err != nil {
-				return err
-			}
-			continue
-		}
-		if !strings.HasPrefix(e.Name, prefixManifest) || strings.HasSuffix(e.Name, suffixShadow) {
-			continue
-		}
-		fid, err := ids.ParseFileID(e.Name[len(prefixManifest):])
-		if err != nil {
-			continue // Check reports unparsable names; leave for inspection
-		}
-		_, m, err := readManifest(l.root, cont, fid)
-		if err != nil {
-			if err := cont.Remove(e.Name); err != nil {
-				return err
-			}
-			continue
-		}
-		l.refAddLocked(m.Blocks)
-	}
-	return nil
 }

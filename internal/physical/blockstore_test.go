@@ -3,6 +3,9 @@ package physical
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -44,8 +47,20 @@ func newBlockLayer(t *testing.T, data []byte) (*disk.Device, *Layer, ids.FileID)
 	return dev, l, mustFid(t, f)
 }
 
-// remount recovers the store (ufs mount + Open, which runs shadow recovery
-// and recoverBlocks) and asserts both the ficus walk and the UFS fsck come
+// installWhole installs data as fid's next version the way a whole-file
+// pull answer arrives: m (may be nil) is the serving replica's manifest.
+func installWhole(l *Layer, fid ids.FileID, data []byte, newVV vv.Vector, m *BlockManifest) error {
+	return l.InstallPulled(RootPath(), fid, &PullResult{Status: PullData, Data: data, Manifest: m, Aux: Aux{Type: KFile, Nlink: 1, VV: newVV}})
+}
+
+// installDelta installs fid's next version the way a delta pull answer
+// arrives: the manifest plus the blocks the puller lacked.
+func installDelta(l *Layer, fid ids.FileID, m *BlockManifest, missing []Block, newVV vv.Vector) error {
+	return l.InstallPulled(RootPath(), fid, &PullResult{Status: PullData, Manifest: m, Missing: missing, Aux: Aux{Type: KFile, Nlink: 1, VV: newVV}})
+}
+
+// remount recovers the store (ufs mount + Open, which runs Recover) and
+// asserts both the ficus walk and the UFS fsck come
 // back clean.
 func remount(t *testing.T, dev *disk.Device, tag string) *Layer {
 	t.Helper()
@@ -93,11 +108,11 @@ func poolNames(t *testing.T, l *Layer) []string {
 }
 
 // TestBlockPoolTornCommitSweep crashes EnsureBlocks — the pool commit plus
-// manifest seal — after every device write, tearing the crashing write to a
+// the pooled reseal of the sidecar — after every device write, tearing the crashing write to a
 // 64-byte prefix.  The block layer is DERIVED data, so the invariant is
 // strictly stronger than old-or-new: the canonical file must be untouched at
 // every crash point, recovery must leave no torn shadow, no orphan block,
-// and no manifest referencing an absent block (Check verifies all three),
+// and no sidecar referencing an absent block (Check verifies all three),
 // and a post-recovery EnsureBlocks must complete the index from scratch.
 func TestBlockPoolTornCommitSweep(t *testing.T) {
 	data := append(append(blockOf('a'), blockOf('b')...), []byte("tail")...) // 3 blocks, short last
@@ -142,11 +157,11 @@ func TestBlockPoolTornCommitSweep(t *testing.T) {
 	}
 }
 
-// TestDeltaInstallCrashSweep crashes InstallFileVersionDelta after every
+// TestDeltaInstallCrashSweep crashes a delta InstallPulled after every
 // device write (torn).  The install covers the full commit chain — received
-// blocks into the pool, shadow/rename of the data file, sidecar, manifest
-// seal — and after every crash point the recovered replica must serve the
-// complete old or complete new version, with no manifest referencing a
+// blocks into the pool, the pooled sidecar seal, shadow/rename of the data
+// file, aux — and after every crash point the recovered replica must serve
+// the complete old or complete new version, with no sidecar referencing a
 // block the pool lacks (remount's Check would report it).
 func TestDeltaInstallCrashSweep(t *testing.T) {
 	oldData := append(blockOf('a'), blockOf('b')...)
@@ -165,11 +180,10 @@ func TestDeltaInstallCrashSweep(t *testing.T) {
 	}
 	man := ComputeManifest(newData)
 	missing := []Block{{Addr: HashBlock(blockOf('c')), Data: blockOf('c')}}
-	cs := ComputeChecksums(newData)
 
 	dev, l, fid, newVV := prep()
 	before := dev.Stats().Writes
-	if err := l.InstallFileVersionDelta(RootPath(), fid, KFile, man, missing, newVV, 1, cs); err != nil {
+	if err := installDelta(l, fid, man, missing, newVV); err != nil {
 		t.Fatal(err)
 	}
 	totalWrites := int(dev.Stats().Writes - before)
@@ -178,7 +192,7 @@ func TestDeltaInstallCrashSweep(t *testing.T) {
 		tag := fmt.Sprintf("crashAfter=%d", crashAfter)
 		dev, l, fid, newVV := prep()
 		dev.FaultAfterWritesTorn(crashAfter, 64)
-		installErr := l.InstallFileVersionDelta(RootPath(), fid, KFile, man, missing, newVV, 1, cs)
+		installErr := installDelta(l, fid, man, missing, newVV)
 		crashed := dev.Faulted()
 		dev.ClearFault()
 
@@ -213,7 +227,7 @@ func TestDeltaInstallCrashSweep(t *testing.T) {
 	}
 }
 
-// TestBlockPoolLeakReclaim injects the damage recoverBlocks exists for — an
+// TestBlockPoolLeakReclaim injects the damage Recover exists for — an
 // unreferenced (leaked) pool block and a torn pool shadow — checks that
 // fsck reports both, and that the next mount reclaims both.
 func TestBlockPoolLeakReclaim(t *testing.T) {
@@ -223,7 +237,7 @@ func TestBlockPoolLeakReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Inject a leak (a valid block no manifest references) and a torn shadow.
+	// Inject a leak (a valid block no sidecar references) and a torn shadow.
 	junk := blockOf('z')
 	pool, err := l.root.Lookup(poolDirName)
 	if err != nil {
@@ -272,7 +286,7 @@ func TestBlockPoolLeakReclaim(t *testing.T) {
 
 // TestBlockRefcountLifecycle drives the in-memory refcounts through sharing
 // and release: two files sharing a block keep it pooled while either
-// manifest lives, resealing a manifest over new content releases only the
+// pooled sidecar lives, resealing a sidecar over new content releases only the
 // blocks no longer referenced anywhere, and the released blocks' pool files
 // are reclaimed eagerly.
 func TestBlockRefcountLifecycle(t *testing.T) {
@@ -307,7 +321,7 @@ func TestBlockRefcountLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.InstallFileVersionSum(RootPath(), fid1, KFile, next, st.Aux.VV.Clone().Bump(2), 1, ComputeChecksums(next)); err != nil {
+	if err := installWhole(l, fid1, next, st.Aux.VV.Clone().Bump(2), ComputeManifest(next)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.EnsureBlocks(RootPath(), fid1); err != nil {
@@ -336,10 +350,10 @@ func TestBlockRefcountLifecycle(t *testing.T) {
 }
 
 // TestCheckReportsDanglingManifest removes a referenced pool block out from
-// under its manifest (external damage — no crash of our own commit order
+// under its pooled sidecar (external damage — no crash of our own commit order
 // can produce this).  fsck must report the dangling reference, and the next
-// mount must drop the manifest rather than advertise blocks it cannot
-// serve.
+// mount must demote the sidecar to unpooled rather than advertise blocks
+// it cannot serve.
 func TestCheckReportsDanglingManifest(t *testing.T) {
 	data := append(blockOf('a'), blockOf('b')...)
 	dev, l, fid := newBlockLayer(t, data)
@@ -365,10 +379,10 @@ func TestCheckReportsDanglingManifest(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("check missed the dangling manifest: %v", problems)
+		t.Fatalf("check missed the dangling sidecar: %v", problems)
 	}
 
-	// remount asserts Check is clean: the manifest is gone, and block 'b'
+	// remount asserts Check is clean: the sidecar no longer pools, and block 'b'
 	// (now unreferenced) was reclaimed with it.
 	l2 := remount(t, dev, "dangling")
 	if n := len(l2.PoolAddrs()); n != 0 {
@@ -389,9 +403,10 @@ func TestCheckReportsDanglingManifest(t *testing.T) {
 
 // TestPoolBadBlockEviction corrupts a pool block at rest.  A delta install
 // that tries to reuse it must detect the damage (the block no longer hashes
-// to its address), evict the block and its manifests, count a BadBlock, and
-// refuse with the transient ErrMissingBlock so the puller retries with an
-// honest advertisement — the corrupt bytes must never reach the file.
+// to its address), evict the block, demote the sidecars referencing it,
+// count a BadBlock, and refuse with the transient ErrMissingBlock so the
+// puller retries with an honest advertisement — the corrupt bytes must never
+// reach the file.
 func TestPoolBadBlockEviction(t *testing.T) {
 	oldData := append(blockOf('a'), blockOf('b')...)
 	newData := append(append(blockOf('a'), blockOf('b')...), blockOf('c')...)
@@ -421,7 +436,7 @@ func TestPoolBadBlockEviction(t *testing.T) {
 	}
 	man := ComputeManifest(newData)
 	missing := []Block{{Addr: HashBlock(blockOf('c')), Data: blockOf('c')}}
-	err = l.InstallFileVersionDelta(RootPath(), fid, KFile, man, missing, st.Aux.VV.Clone().Bump(2), 1, ComputeChecksums(newData))
+	err = installDelta(l, fid, man, missing, st.Aux.VV.Clone().Bump(2))
 	if !IsMissingBlock(err) {
 		t.Fatalf("install over rotten pool block: %v, want ErrMissingBlock", err)
 	}
@@ -435,13 +450,13 @@ func TestPoolBadBlockEviction(t *testing.T) {
 	if err != nil || !bytes.Equal(got, oldData) {
 		t.Fatalf("old version damaged by refused install: %v", err)
 	}
-	// The eviction unreferenced block 'b' too (the manifest died); after the
+	// The eviction unreferenced block 'b' too (its sidecar was demoted); after the
 	// next EnsureBlocks the advertisement is honest again and the same
 	// install succeeds.
 	if err := l.EnsureBlocks(RootPath(), fid); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.InstallFileVersionDelta(RootPath(), fid, KFile, man, missing, st.Aux.VV.Clone().Bump(2), 1, ComputeChecksums(newData)); err != nil {
+	if err := installDelta(l, fid, man, missing, st.Aux.VV.Clone().Bump(2)); err != nil {
 		t.Fatalf("retry after reindex: %v", err)
 	}
 	got, _, err = l.FileData(RootPath(), fid)
@@ -454,8 +469,8 @@ func TestPoolBadBlockEviction(t *testing.T) {
 }
 
 // TestRemoveDropsManifest pins the local-unlink reclaim path: removing the
-// last name of a file with a sealed manifest must also discard the manifest
-// and release its pool blocks, or Check reports a manifest with no data file
+// last name of a file with a pooled sidecar must also discard the sidecar
+// and release its pool blocks, or Check reports a sidecar with no data file
 // (the chaos convergence suites caught exactly this leak).
 func TestRemoveDropsManifest(t *testing.T) {
 	data := append(blockOf('a'), blockOf('b')...)
@@ -483,5 +498,295 @@ func TestRemoveDropsManifest(t *testing.T) {
 		t.Fatal(err)
 	} else if len(problems) != 0 {
 		t.Fatalf("check after remove found: %v", problems)
+	}
+}
+
+// recountRefs rebuilds the pool refcounts from the sidecars on disk,
+// independently of the layer's own walk (every test file lives in the root
+// container).
+func recountRefs(t *testing.T, l *Layer) map[BlockAddr]int {
+	t.Helper()
+	cont, err := l.rootContainer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := cont.Readdir()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := map[BlockAddr]int{}
+	for _, e := range ents {
+		if !strings.HasPrefix(e.Name, prefixSidecar) {
+			continue
+		}
+		f, err := cont.Lookup(e.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := vnode.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := decodeSidecar(img)
+		if err != nil {
+			t.Fatalf("sidecar %s: %v", e.Name, err)
+		}
+		for _, a := range sc.Blocks {
+			if sc.Pooled {
+				refs[a]++
+			}
+		}
+	}
+	return refs
+}
+
+// assertPoolExact checks the three things a pooled/unpooled transition must
+// preserve: the in-memory refcounts equal a from-scratch recount of the
+// sidecars, every referenced block is present, and no block is present
+// without a reference.
+func assertPoolExact(t *testing.T, l *Layer, tag string) {
+	t.Helper()
+	want := recountRefs(t, l)
+	l.mu.Lock()
+	got := make(map[BlockAddr]int, len(l.blockRefs))
+	for a, n := range l.blockRefs {
+		got[a] = n
+	}
+	l.mu.Unlock()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: refcounts %v, recount from disk %v", tag, got, want)
+	}
+	names := poolNames(t, l)
+	if len(names) != len(want) {
+		t.Fatalf("%s: pool holds %v, references are %v", tag, names, want)
+	}
+	for _, name := range names {
+		if addr, ok := parseBlockName(name); !ok || want[addr] == 0 {
+			t.Fatalf("%s: pool member %q is present but unreferenced", tag, name)
+		}
+	}
+}
+
+// TestPooledTransitionCrashSweep covers what one sidecar per file makes
+// new: a single commit now both changes what verifies the file AND takes or
+// releases pool references.  Three files share block 's'; A and B are
+// pooled, C is not.  The sweep crashes — tearing the crashing write — after
+// every device write of (1) a local overwrite of A, which reseals it
+// unpooled and releases its references, and (2) EnsureBlocks on C, which
+// puts its blocks and reseals it pooled.  After recovery the walk and the
+// substrate are clean (remount), the refcounts are exactly a recount with
+// no unreferenced block left behind, the untouched file B is intact and
+// still indexed, and the block layer still works.
+func TestPooledTransitionCrashSweep(t *testing.T) {
+	shared := blockOf('s')
+	dataB := append(append([]byte(nil), shared...), blockOf('b')...)
+	prep := func() (*disk.Device, *Layer, vnode.Vnode, ids.FileID, ids.FileID) {
+		dev, l, fidA := newBlockLayer(t, append(append([]byte(nil), shared...), blockOf('a')...))
+		root, err := l.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fA, err := root.Lookup("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fids [2]ids.FileID
+		for i, spec := range []struct {
+			name string
+			data []byte
+		}{{"b", dataB}, {"c", append(append([]byte(nil), shared...), blockOf('c')...)}} {
+			f, err := root.Create(spec.name, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := vnode.WriteFile(f, spec.data); err != nil {
+				t.Fatal(err)
+			}
+			fids[i] = mustFid(t, f)
+		}
+		for _, fid := range []ids.FileID{fidA, fids[0]} {
+			if err := l.EnsureBlocks(RootPath(), fid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		assertPoolExact(t, l, "prep")
+		return dev, l, fA, fids[0], fids[1]
+	}
+	ops := []struct {
+		name string
+		run  func(l *Layer, fA vnode.Vnode, fidC ids.FileID) error
+	}{
+		{"overwrite-pooled", func(_ *Layer, fA vnode.Vnode, _ ids.FileID) error {
+			_, err := fA.WriteAt(blockOf('A'), ChecksumBlockSize)
+			return err
+		}},
+		{"ensure-unpooled", func(l *Layer, _ vnode.Vnode, fidC ids.FileID) error {
+			return l.EnsureBlocks(RootPath(), fidC)
+		}},
+	}
+	for _, op := range ops {
+		dev, l, fA, _, fidC := prep()
+		before := dev.Stats().Writes
+		if err := op.run(l, fA, fidC); err != nil {
+			t.Fatal(err)
+		}
+		totalWrites := int(dev.Stats().Writes - before)
+		if totalWrites == 0 {
+			t.Fatalf("%s issued no writes", op.name)
+		}
+		assertPoolExact(t, l, op.name+" (no crash)")
+
+		for crashAfter := 0; crashAfter <= totalWrites; crashAfter++ {
+			tag := fmt.Sprintf("%s crashAfter=%d", op.name, crashAfter)
+			dev, l, fA, fidB, fidC := prep()
+			dev.FaultAfterWritesTorn(crashAfter, 64)
+			opErr := op.run(l, fA, fidC)
+			crashed := dev.Faulted()
+			dev.ClearFault()
+			if !crashed && opErr != nil {
+				t.Fatalf("%s: no crash but the operation failed: %v", tag, opErr)
+			}
+
+			l2 := remount(t, dev, tag)
+			assertPoolExact(t, l2, tag)
+			got, _, err := l2.FileData(RootPath(), fidB)
+			if err != nil || !bytes.Equal(got, dataB) {
+				t.Fatalf("%s: bystander file damaged: %v", tag, err)
+			}
+			sealedBefore := l2.BlockStats().ManifestsSealed
+			if err := l2.EnsureBlocks(RootPath(), fidB); err != nil || l2.BlockStats().ManifestsSealed != sealedBefore {
+				t.Fatalf("%s: bystander file lost its pooled seal: %v", tag, err)
+			}
+			if err := l2.EnsureBlocks(RootPath(), fidC); err != nil {
+				t.Fatalf("%s: post-recovery EnsureBlocks: %v", tag, err)
+			}
+			assertPoolExact(t, l2, tag+" after reindex")
+		}
+	}
+}
+
+// TestCheckReportsRefcountDrift: fsck recounts the references from the
+// sidecars and reports any block whose in-memory count disagrees.
+func TestCheckReportsRefcountDrift(t *testing.T) {
+	_, l, fid := newBlockLayer(t, append(blockOf('a'), blockOf('b')...))
+	if err := l.EnsureBlocks(RootPath(), fid); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	l.blockRefs[HashBlock(blockOf('a'))]++
+	delete(l.blockRefs, HashBlock(blockOf('b')))
+	l.mu.Unlock()
+	problems, err := l.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	drift := 0
+	for _, p := range problems {
+		if strings.Contains(p, "references in memory") {
+			drift++
+		}
+	}
+	if drift != 2 {
+		t.Fatalf("check reported %d drifting blocks, want 2: %v", drift, problems)
+	}
+}
+
+// TestOneSidecarPerStoredFile: whatever a store has been through — local
+// writes, an index pass, a delta install, a whole-file install, a scrub
+// pass, a cross-directory rename, a crash and restart — every stored file
+// is exactly three container members: data, aux and one sidecar.  A member
+// of the retired checksum-sidecar format is no longer a known name.
+func TestOneSidecarPerStoredFile(t *testing.T) {
+	oldData := append(blockOf('a'), blockOf('b')...)
+	newData := append(append(blockOf('a'), blockOf('b')...), blockOf('c')...)
+	dev, l, fidF := newBlockLayer(t, oldData)
+	root, err := l.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := root.Create("g", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vnode.WriteFile(g, blockOf('g')); err != nil {
+		t.Fatal(err)
+	}
+	fidG := mustFid(t, g)
+	if err := l.EnsureBlocks(RootPath(), fidF); err != nil {
+		t.Fatal(err)
+	}
+	st, err := l.FileInfo(RootPath(), fidF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := []Block{{Addr: HashBlock(blockOf('c')), Data: blockOf('c')}}
+	if err := installDelta(l, fidF, ComputeManifest(newData), missing, st.Aux.VV.Clone().Bump(2)); err != nil {
+		t.Fatal(err)
+	}
+	stG, err := l.FileInfo(RootPath(), fidG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := installWhole(l, fidG, blockOf('h'), stG.Aux.VV.Clone().Bump(2), ComputeManifest(blockOf('h'))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.WriteAt([]byte("local"), 0); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := root.Mkdir("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Rename("f", sub, "f"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.ScrubPass(); err != nil {
+		t.Fatal(err)
+	}
+	dev.Fault()
+	dev.ClearFault()
+	l2 := remount(t, dev, "restart")
+
+	files := 0
+	rootCont, err := l2.rootContainer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = walkContainers(rootCont, func(cont vnode.Vnode, ents []vnode.Dirent) error {
+		members := map[string][]string{} // fid -> member prefixes seen
+		for _, e := range ents {
+			if e.Type != vnode.VDir && e.Name != dirFileName && e.Name != dirAttrName {
+				members[e.Name[1:]] = append(members[e.Name[1:]], e.Name[:1])
+			}
+		}
+		for fid, prefixes := range members {
+			sort.Strings(prefixes)
+			if strings.Join(prefixes, "") != prefixAux+prefixData+prefixSidecar {
+				t.Errorf("file %s is stored as members %q, want exactly A, F and S", fid, prefixes)
+			}
+			files++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files != 2 {
+		t.Fatalf("walk saw %d stored files, want 2", files)
+	}
+
+	stray, err := rootCont.Create("C"+fidG.String(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vnode.WriteFile(stray, []byte("FSUM")); err != nil {
+		t.Fatal(err)
+	}
+	problems, err := l2.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 1 || !strings.Contains(problems[0], "unidentified container member") {
+		t.Fatalf("stray checksum sidecar: check says %v", problems)
 	}
 }

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/ids"
@@ -20,8 +21,9 @@ import (
 //   - no orphaned storage: every F/A/D member of a container is named by
 //     some entry (live or tombstone) of that directory
 //   - entry ids are unique within each directory
-//   - block refcounts: every block a manifest references is present in the
-//     pool, and every pool block is referenced by at least one manifest
+//   - block refcounts: every block a pooled sidecar references is present
+//     in the pool, every pool block is referenced by at least one pooled
+//     sidecar, and the in-memory refcounts equal a recount from disk
 func (l *Layer) Check() ([]string, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -30,7 +32,7 @@ func (l *Layer) Check() ([]string, error) {
 	if err != nil {
 		return []string{fmt.Sprintf("volume root container missing: %v", err)}, nil
 	}
-	poolRefs := make(map[BlockAddr]bool)
+	poolRefs := make(map[BlockAddr]int)
 	if err := l.checkContainerLocked(cont, ids.RootFileID, "/", &problems, poolRefs); err != nil {
 		return problems, err
 	}
@@ -40,11 +42,26 @@ func (l *Layer) Check() ([]string, error) {
 	return problems, nil
 }
 
-// checkPoolLocked audits the block pool against the references collected
-// from the manifests: an unreferenced pool block is a leak (mount-time
-// reclaim should have collected it), a torn shadow is incomplete recovery,
-// an unparsable name is foreign junk.
-func (l *Layer) checkPoolLocked(problems *[]string, poolRefs map[BlockAddr]bool) error {
+// checkPoolLocked audits the block pool and the in-memory refcounts against
+// the references collected from the pooled sidecars: an unreferenced pool
+// block is a leak (mount-time reclaim should have collected it), a torn
+// shadow is incomplete recovery, an unparsable name is foreign junk.
+func (l *Layer) checkPoolLocked(problems *[]string, poolRefs map[BlockAddr]int) error {
+	var drift []BlockAddr
+	for a, n := range l.blockRefs {
+		if poolRefs[a] != n {
+			drift = append(drift, a)
+		}
+	}
+	for a := range poolRefs {
+		if l.blockRefs[a] == 0 {
+			drift = append(drift, a)
+		}
+	}
+	sort.Slice(drift, func(i, j int) bool { return addrLess(drift[i], drift[j]) })
+	for _, a := range drift {
+		*problems = append(*problems, fmt.Sprintf("pool: block %s has %d references in memory, %d on disk", a, l.blockRefs[a], poolRefs[a]))
+	}
 	pool, err := l.root.Lookup(poolDirName)
 	if err != nil {
 		if vnode.AsErrno(err) == vnode.ENOENT {
@@ -57,7 +74,7 @@ func (l *Layer) checkPoolLocked(problems *[]string, poolRefs map[BlockAddr]bool)
 		return err
 	}
 	for _, e := range ents {
-		if strings.HasSuffix(e.Name, suffixShadow) {
+		if _, isShadow := shadowBase(e.Name); isShadow {
 			*problems = append(*problems, fmt.Sprintf("pool: leftover block shadow %q (crash recovery incomplete)", e.Name))
 			continue
 		}
@@ -66,14 +83,14 @@ func (l *Layer) checkPoolLocked(problems *[]string, poolRefs map[BlockAddr]bool)
 			*problems = append(*problems, fmt.Sprintf("pool: unparsable block name %q", e.Name))
 			continue
 		}
-		if !poolRefs[addr] {
-			*problems = append(*problems, fmt.Sprintf("pool: block %s referenced by no manifest (leaked)", addr))
+		if poolRefs[addr] == 0 {
+			*problems = append(*problems, fmt.Sprintf("pool: block %s referenced by no sidecar (leaked)", addr))
 		}
 	}
 	return nil
 }
 
-func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path string, problems *[]string, poolRefs map[BlockAddr]bool) error {
+func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path string, problems *[]string, poolRefs map[BlockAddr]int) error {
 	report := func(format string, args ...any) {
 		*problems = append(*problems, fmt.Sprintf("%s: ", path)+fmt.Sprintf(format, args...))
 	}
@@ -113,9 +130,10 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 		stored[m.Name] = true
 	}
 	for _, m := range members {
+		_, shadow := shadowBase(m.Name)
 		switch {
 		case m.Name == dirFileName || m.Name == dirAttrName || m.Name == metaFileName:
-		case strings.HasSuffix(m.Name, suffixShadow):
+		case shadow:
 			report("leftover shadow file %q (crash recovery incomplete)", m.Name)
 		case strings.HasPrefix(m.Name, prefixData):
 			fid, err := ids.ParseFileID(m.Name[len(prefixData):])
@@ -149,45 +167,34 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 			if !stored[prefixData+fid.String()] {
 				report("aux file %q has no data file", m.Name)
 			}
-		case strings.HasPrefix(m.Name, prefixSum):
-			fid, err := ids.ParseFileID(m.Name[len(prefixSum):])
-			if err != nil {
-				report("unparsable checksum sidecar name %q", m.Name)
+		case strings.HasPrefix(m.Name, prefixSidecar):
+			fid, ok := sidecarFID(m.Name)
+			if !ok {
+				report("unparsable sidecar name %q", m.Name)
 				continue
 			}
-			// A sidecar without its data file, or naming no entry, is an
-			// orphan.  A *missing* or stale sidecar is NOT a problem: crash
-			// windows legitimately leave one, and the scrubber reseals.
+			// A sidecar without its data file, naming no entry, undecodable
+			// or referencing a block the pool lacks is a problem.  A *missing*
+			// or stale one is NOT: crash windows legitimately leave one, and
+			// the scrubber (or EnsureBlocks) reseals.
 			if !named[fid] {
-				report("orphaned checksum sidecar %q", m.Name)
+				report("orphaned sidecar %q", m.Name)
 			}
 			if !stored[prefixData+fid.String()] {
-				report("checksum sidecar %q has no data file", m.Name)
+				report("sidecar %q has no data file", m.Name)
 			}
-		case strings.HasPrefix(m.Name, prefixManifest):
-			fid, err := ids.ParseFileID(m.Name[len(prefixManifest):])
+			sc, err := readSidecar(l.root, cont, fid)
 			if err != nil {
-				report("unparsable block manifest name %q", m.Name)
+				report("undecodable sidecar %q: %v", m.Name, err)
 				continue
 			}
-			// Like the checksum sidecar: an orphaned or dangling manifest is
-			// a problem, a missing or STALE one is not (crash windows leave
-			// stale seals; EnsureBlocks reseals).
-			if !named[fid] {
-				report("orphaned block manifest %q", m.Name)
-			}
-			if !stored[prefixData+fid.String()] {
-				report("block manifest %q has no data file", m.Name)
-			}
-			_, man, err := readManifest(l.root, cont, fid)
-			if err != nil {
-				report("undecodable block manifest %q: %v", m.Name, err)
+			if !sc.Pooled {
 				continue
 			}
-			for _, addr := range man.Blocks {
-				poolRefs[addr] = true
+			for _, addr := range sc.Blocks {
+				poolRefs[addr]++
 				if !l.poolHasLocked(addr) {
-					report("block manifest %v references missing pool block %s", fid, addr)
+					report("sidecar %v references missing pool block %s", fid, addr)
 				}
 			}
 		case strings.HasPrefix(m.Name, prefixDir):

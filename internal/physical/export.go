@@ -102,34 +102,43 @@ func (l *Layer) FileInfo(dirPath []ids.FileID, fid ids.FileID) (FileState, error
 // than ever letting wrong bytes propagate.  A stale or missing sidecar
 // cannot vouch either way and the data is served optimistically.
 func (l *Layer) FileData(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileState, error) {
+	data, st, _, err := l.readVerified(dirPath, fid)
+	return data, st, err
+}
+
+// readVerified is FileData, also returning the sealed manifest the bytes
+// were verified against (nil when the sidecar could not vouch for them).
+func (l *Layer) readVerified(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileState, *BlockManifest, error) {
 	st, err := l.FileInfo(dirPath, fid)
 	if err != nil {
-		return nil, FileState{}, err
+		return nil, FileState{}, nil, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.isQuarantinedLocked(fid) {
-		return nil, FileState{}, fmt.Errorf("%w: file %s is quarantined", ErrCorrupt, fid)
+		return nil, FileState{}, nil, fmt.Errorf("%w: file %s is quarantined", ErrCorrupt, fid)
 	}
 	cont, err := l.containerOf(dirPath)
 	if err != nil {
-		return nil, FileState{}, err
+		return nil, FileState{}, nil, err
 	}
 	df, err := lookupFollow(l.root, cont, prefixData+fid.String())
 	if err != nil {
-		return nil, FileState{}, err
+		return nil, FileState{}, nil, err
 	}
 	data, err := vnode.ReadFile(df)
 	if err != nil {
-		return nil, FileState{}, err
+		return nil, FileState{}, nil, err
 	}
-	if sealed, cs, serr := readSidecar(l.root, cont, fid); serr == nil && sealed.Equal(st.Aux.VV) {
-		if !cs.Verify(data) {
-			l.quarantineLocked(dirPath, fid, st.Aux.VV)
-			return nil, FileState{}, fmt.Errorf("%w: file %s failed verification on read", ErrCorrupt, fid)
-		}
+	sc, err := readSidecar(l.root, cont, fid)
+	if err != nil || !sc.Sealed.Equal(st.Aux.VV) {
+		return data, st, nil, nil
 	}
-	return data, st, nil
+	if !sc.Verify(data) {
+		l.quarantineLocked(dirPath, fid, st.Aux.VV)
+		return nil, FileState{}, nil, fmt.Errorf("%w: file %s failed verification on read", ErrCorrupt, fid)
+	}
+	return data, st, &sc.BlockManifest, nil
 }
 
 // HasDir reports whether this replica stores the directory at dirPath.
@@ -292,15 +301,23 @@ func (l *Layer) derefAfterMergeLocked(cont vnode.Vnode, entries []Entry, child i
 	if countLiveRefs(entries, child) > 0 {
 		return nil
 	}
-	if err := l.removeManifestLocked(cont, child); err != nil {
-		return err
-	}
-	for _, p := range []string{prefixData, prefixAux, prefixSum} {
-		if err := cont.Remove(p + child.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
+	return l.removeStorageLocked(cont, child)
+}
+
+// removeStorageLocked reclaims every container member of file fid — data,
+// aux and sidecar (releasing its pool references) — and whatever quarantine
+// its bytes were under.  Absent members are fine: a replica need not store
+// the file.
+func (l *Layer) removeStorageLocked(cont vnode.Vnode, fid ids.FileID) error {
+	for _, p := range []string{prefixData, prefixAux} {
+		if err := cont.Remove(p + fid.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
 			return err
 		}
 	}
-	l.clearQuarantineLocked(child, false)
+	if err := l.removeSidecarLocked(cont, fid); err != nil {
+		return err
+	}
+	l.clearQuarantineLocked(fid, false)
 	return nil
 }
 
@@ -349,23 +366,14 @@ func (l *Layer) EvictFileStorage(dirPath []ids.FileID, fid ids.FileID) error {
 	if !found {
 		return vnode.ENOENT
 	}
-	for _, p := range []string{prefixData, prefixAux} {
-		if err := cont.Remove(p + fid.String()); err != nil {
-			if vnode.AsErrno(err) == vnode.ENOENT {
-				return ErrNotStored
-			}
-			return err
+	if _, err := cont.Lookup(prefixData + fid.String()); err != nil {
+		if vnode.AsErrno(err) == vnode.ENOENT {
+			return ErrNotStored
 		}
-	}
-	if err := removeSidecar(cont, fid); err != nil {
 		return err
 	}
-	if err := l.removeManifestLocked(cont, fid); err != nil {
-		return err
-	}
-	// No local bytes, nothing left to distrust.
-	l.clearQuarantineLocked(fid, false)
-	return nil
+	// No local bytes, nothing left to distrust: the quarantine lifts too.
+	return l.removeStorageLocked(cont, fid)
 }
 
 // StoresFile reports whether this replica holds a local copy of fid.
@@ -422,15 +430,9 @@ func (l *Layer) DropTombstones(dirPath []ids.FileID, eids []ids.FileID) (int, er
 		if countAnyRefs(kept, child) > 0 {
 			continue
 		}
-		if err := l.removeManifestLocked(cont, child); err != nil {
+		if err := l.removeStorageLocked(cont, child); err != nil {
 			return removed, err
 		}
-		for _, p := range []string{prefixData, prefixAux, prefixSum} {
-			if err := cont.Remove(p + child.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
-				return removed, err
-			}
-		}
-		l.clearQuarantineLocked(child, false)
 	}
 	// Reclaim containers of collected directory entries, if stored here and
 	// no surviving entry still names the child.
@@ -440,7 +442,7 @@ func (l *Layer) DropTombstones(dirPath []ids.FileID, eids []ids.FileID) (int, er
 		}
 		name := prefixDir + child.String()
 		if sub, err := cont.Lookup(name); err == nil {
-			l.dropManifestRefsInTreeLocked(sub)
+			l.dropRefsInTreeLocked(sub)
 			if err := removeTree(cont, name); err != nil {
 				return removed, err
 			}

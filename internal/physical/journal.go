@@ -23,8 +23,8 @@ package physical
 // a failed journal write is counted (JournalErrors) but never fails the
 // note/drop itself — durability here is an optimization, not a correctness
 // requirement.  The journal is compacted (rewritten as a snapshot of the
-// live cache, via shadow + rename) when the record count outgrows the
-// cache, and normalized the same way on every open.
+// live cache, by atomicReplace) when the record count outgrows the cache,
+// and normalized the same way on every open.
 
 import (
 	"encoding/binary"
@@ -192,22 +192,17 @@ func (l *Layer) snapshotJournalLocked() []byte {
 }
 
 // rewriteJournalLocked replaces the journal with a snapshot of the live
-// cache via the store's usual shadow + atomic-rename commit.
+// cache via the store's usual atomic commit.
 func (l *Layer) rewriteJournalLocked() error {
-	shadowName := nvcjFileName + suffixShadow
-	sf, err := l.root.Create(shadowName, false)
+	data := l.snapshotJournalLocked()
+	if err := atomicReplace(l.root, nvcjFileName, data); err != nil {
+		return err
+	}
+	f, err := l.root.Lookup(nvcjFileName)
 	if err != nil {
 		return err
 	}
-	data := l.snapshotJournalLocked()
-	if err := vnode.WriteFile(sf, data); err != nil {
-		return err
-	}
-	if err := l.root.Rename(shadowName, l.root, nvcjFileName); err != nil {
-		return err
-	}
-	// The shadow's vnode is now the journal.
-	l.nvcj = sf
+	l.nvcj = f
 	l.nvcjSize = uint64(len(data))
 	l.nvcjRecs = len(l.nvc)
 	return nil
@@ -218,35 +213,11 @@ func (l *Layer) initJournalLocked() error {
 	return l.rewriteJournalLocked()
 }
 
-// openJournalLocked recovers and replays the journal while (re)opening a
-// volume replica: discard a leftover compaction shadow, replay the log into
-// the in-memory cache, then rewrite the normalized snapshot.  A missing
-// journal (store formatted before journaling existed) starts empty.
+// openJournalLocked replays the journal while (re)opening a volume replica
+// — Recover has already settled a shadow left by a crash mid-compaction —
+// then rewrites the normalized snapshot.  A missing journal (store formatted
+// before journaling existed) starts empty.
 func (l *Layer) openJournalLocked() error {
-	// A crash mid-compaction can leave nvcj.shadow behind; the root
-	// container recovery walk never visits the store root, so sort it out
-	// here.  Which copy to trust depends on whether the rename commit had
-	// removed the old journal name yet:
-	//
-	//   - nvcj still present: the rename never committed; the old log is
-	//     intact and the shadow is possibly torn — discard the shadow.
-	//   - nvcj gone: the crash landed inside the rename itself.  The
-	//     rename only begins after the shadow is fully written, so the
-	//     shadow IS the complete new snapshot — promote it.
-	shadowName := nvcjFileName + suffixShadow
-	if _, err := l.root.Lookup(shadowName); err == nil {
-		if _, jerr := l.root.Lookup(nvcjFileName); vnode.AsErrno(jerr) == vnode.ENOENT {
-			if err := l.root.Rename(shadowName, l.root, nvcjFileName); err != nil {
-				return err
-			}
-		} else if jerr != nil {
-			return jerr
-		} else if err := l.root.Remove(shadowName); err != nil {
-			return err
-		}
-	} else if vnode.AsErrno(err) != vnode.ENOENT {
-		return err
-	}
 	if f, err := l.root.Lookup(nvcjFileName); err == nil {
 		data, err := vnode.ReadFile(f)
 		if err != nil {

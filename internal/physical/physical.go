@@ -46,12 +46,11 @@ const (
 // file id (the paper's "encoding the Ficus file handle into a hexadecimal
 // string used by the UFS as a pathname").
 const (
-	prefixDir      = "D" // child directory container (UFS directory)
-	prefixData     = "F" // child file data (UFS file)
-	prefixAux      = "A" // child file auxiliary attributes (UFS file)
-	prefixSum      = "C" // child file block-checksum sidecar (UFS file)
-	prefixManifest = "M" // child file block-manifest sidecar (UFS file)
-	suffixShadow   = ".shadow"
+	prefixDir     = "D" // child directory container (UFS directory)
+	prefixData    = "F" // child file data (UFS file)
+	prefixAux     = "A" // child file auxiliary attributes (UFS file)
+	prefixSidecar = "S" // child file sealed block-manifest sidecar (UFS file)
+	suffixShadow  = ".shadow"
 )
 
 // Errors specific to the physical layer.
@@ -92,8 +91,8 @@ type Layer struct {
 	nvcjRecs    int
 	journalErrs uint64
 
-	// Content-addressed block layer (blockstore.go, delta.go).  Refcounts
-	// are in-memory, rebuilt from the on-disk manifests at every Open.
+	// Content-addressed block pool (blockstore.go).  Refcounts are
+	// in-memory, rebuilt from the pooled sidecars at every Open.
 	pool      vnode.Vnode
 	blockRefs map[BlockAddr]int
 	bstats    BlockStats
@@ -173,9 +172,9 @@ func Format(store vnode.VFS, vol ids.VolumeHandle, replica ids.ReplicaID) (*Laye
 	return l, nil
 }
 
-// Open mounts an existing volume replica, running crash recovery (shadow
-// cleanup) and replaying the durable new-version cache journal before
-// returning.
+// Open mounts an existing volume replica, running crash recovery (Recover:
+// shadow cleanup and the pool refcount rebuild) and replaying the durable
+// new-version cache journal before returning.
 func Open(store vnode.VFS) (*Layer, error) {
 	root, err := store.Root()
 	if err != nil {
@@ -192,13 +191,10 @@ func Open(store vnode.VFS) (*Layer, error) {
 	if err := l.readMetaLocked(); err != nil {
 		return nil, err
 	}
-	if err := l.openJournalLocked(); err != nil {
-		return nil, err
-	}
 	if err := l.Recover(); err != nil {
 		return nil, err
 	}
-	if err := l.recoverBlocks(); err != nil {
+	if err := l.openJournalLocked(); err != nil {
 		return nil, err
 	}
 	return l, nil

@@ -23,7 +23,7 @@ type PullStatus byte
 // Per-entry outcomes of a conditional pull.
 const (
 	// PullData: the remote version dominates (or the puller stores no
-	// copy); Data/Aux/Size carry the full version to install.
+	// copy); the answer carries the full version for InstallPulled.
 	PullData PullStatus = iota + 1
 	// PullStale: the puller's vector dominates or equals — stale news,
 	// nothing shipped.
@@ -80,19 +80,18 @@ type PullResult struct {
 	RemoteVV vv.Vector // PullConcurrent only
 	Err      error     // PullError only
 
-	// Sum carries the serving replica's sealed checksums for exactly the
-	// shipped version (PullData only; nil when the server cannot vouch).
-	// Receivers verify the payload against it before installing, so damage
-	// in flight — or a serving path whose verification was bypassed — is
-	// rejected rather than committed.
-	Sum *Checksums
-
-	// Delta answers (PullBatchDelta, delta.go): the version as a block
-	// manifest plus only the blocks absent from the puller's advertised
-	// holdings.  Data is nil when Manifest is set; the puller reassembles
-	// via InstallFileVersionDelta.
+	// Manifest is the serving replica's block manifest of exactly the shipped
+	// version (PullData only): taken from its sealed sidecar, or computed
+	// from the bytes it read when the seal is stale.  Receivers verify the
+	// payload against it before installing, so damage in flight — or a
+	// serving path whose verification was bypassed — is rejected rather than
+	// committed.
 	Manifest *BlockManifest
-	Missing  []Block
+
+	// A delta answer (PullBatchDelta) carries no Data: only the blocks absent
+	// from the puller's advertised holdings travel, in Missing, and the
+	// puller reassembles the version in InstallPulled.
+	Missing []Block
 }
 
 // PullBatch answers a batch of conditional pull requests against this
@@ -132,15 +131,76 @@ func (l *Layer) pullOne(req *PullRequest) PullResult {
 	// Ship the version that exists NOW: FileData re-reads the attributes
 	// with the data, so a file that advanced since the comparison above is
 	// shipped whole under its own (still dominating) vector.
-	data, dst, err := l.FileData(req.Dir, req.File)
+	data, dst, m, err := l.readVerified(req.Dir, req.File)
 	if err != nil {
 		if errors.Is(err, ErrNotStored) {
 			return PullResult{Status: PullNotStored}
 		}
 		return PullResult{Status: PullError, Err: err}
 	}
-	// Ship the sealed checksums alongside the data when the sidecar vouches
-	// for exactly this version, so the puller can verify before installing.
-	sum := l.FileChecksums(req.Dir, req.File, dst.Aux.VV)
-	return PullResult{Status: PullData, Data: data, Aux: dst.Aux, Size: dst.Size, Sum: sum}
+	if m == nil {
+		m = ComputeManifest(data) // stale seal: vouch for the bytes as read
+	}
+	return PullResult{Status: PullData, Data: data, Aux: dst.Aux, Size: dst.Size, Manifest: m}
+}
+
+// Delta pulls: the wire half of the block pool.
+//
+// A delta pull is a conditional batched pull in which the puller
+// additionally advertises the block addresses it already holds (its pool,
+// fed by EnsureBlocks from ANY local file — cross-file dedup).  The serving
+// side answers PullData entries with the version's manifest plus only the
+// blocks absent from the advertisement, and the puller reassembles the full
+// version from local pool blocks + received blocks before running the exact
+// same commit a whole-file install uses.  An append-one-block update or a
+// metadata touch therefore ships O(delta) bytes instead of O(file), and a
+// pass where the puller already dominates still ships zero data bytes.
+
+// ErrMissingBlock reports a delta install that could not be assembled: the
+// manifest references a block that was neither advertised-and-held locally
+// nor shipped.  It is TRANSIENT — the puller's pool may have changed between
+// advertisement and install (eviction, corruption) — so the entry retries
+// under backoff and the next advertisement no longer claims the block.
+var ErrMissingBlock error = transientError("physical: delta install needs a block neither held locally nor shipped")
+
+// IsMissingBlock reports whether err is the retriable missing-block refusal
+// of a delta install.
+func IsMissingBlock(err error) bool { return errors.Is(err, ErrMissingBlock) }
+
+// PullBatchDelta answers a batch of conditional pulls like PullBatch, but
+// entries whose version must ship are answered as (manifest, missing
+// blocks) against the puller's advertised holdings instead of as full data.
+// Serving never writes to this replica's own store.  Like PullBatch,
+// failures are strictly per-entry.
+func (l *Layer) PullBatchDelta(reqs []PullRequest, have []BlockAddr) ([]PullResult, error) {
+	haveSet := make(map[BlockAddr]bool, len(have))
+	for _, a := range have {
+		haveSet[a] = true
+	}
+	out := make([]PullResult, len(reqs))
+	var shipped, shippedBytes uint64
+	for i := range reqs {
+		out[i] = l.pullOne(&reqs[i])
+		r := &out[i]
+		if r.Status != PullData {
+			continue
+		}
+		sent := make(map[BlockAddr]bool)
+		for bi, addr := range r.Manifest.Blocks {
+			if haveSet[addr] || sent[addr] {
+				continue
+			}
+			b := blockAt(r.Data, bi)
+			r.Missing = append(r.Missing, Block{Addr: addr, Data: b})
+			sent[addr] = true
+			shipped++
+			shippedBytes += uint64(len(b))
+		}
+		r.Data = nil
+	}
+	l.mu.Lock()
+	l.bstats.BlocksShipped += shipped
+	l.bstats.BytesShipped += shippedBytes
+	l.mu.Unlock()
+	return out, nil
 }

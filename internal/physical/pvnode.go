@@ -270,12 +270,12 @@ func (v *pvnode) createKind(name string, excl bool, kind Kind, data string) (vno
 	if err := writeAuxFile(cont, prefixAux+fid.String(), &aux); err != nil {
 		return nil, err
 	}
-	// Seal the checksum sidecar after the aux: every crash window leaves a
-	// missing sidecar — merely unverifiable, resealed by the scrubber —
-	// never a seal vouching for bytes it does not cover.  (The sidecar's
-	// inode also lands after the open path's F/A inodes, preserving the
-	// paper's cold-open I/O count, §6.)
-	if err := writeSidecar(cont, fid, aux.VV, ComputeChecksums([]byte(data))); err != nil {
+	// Seal the sidecar after the aux: every crash window leaves a missing
+	// sidecar — merely unverifiable, resealed by the scrubber — never a seal
+	// vouching for bytes it does not cover.  (The sidecar's inode also lands
+	// after the open path's F/A inodes, preserving the paper's cold-open I/O
+	// count, §6.)
+	if err := v.l.sealLocked(cont, fid, aux.VV, ComputeManifest([]byte(data)), false); err != nil {
 		return nil, err
 	}
 	entries = append(entries, Entry{EID: eid, Name: name, Child: fid, Kind: kind})
@@ -440,11 +440,12 @@ func (v *pvnode) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // bumpFileLocked bumps this file's version vector: every local mutation is
-// an update this replica originated (§3.1).  The sidecar is resealed from
-// the just-written data under the bumped vector BEFORE the aux commits, so
-// a crash in between leaves the sidecar unverifiable (stale seal) rather
-// than the aux vouching for checksums that never covered the new bytes.
-func (v *pvnode) bumpFileLocked() error {
+// an update this replica originated (§3.1).  The sidecar is resealed —
+// unpooled: the foreground path never puts blocks into the pool — from the
+// just-written data file df under the bumped vector BEFORE the aux commits,
+// so a crash in between leaves the sidecar unverifiable (stale seal) rather
+// than the aux vouching for addresses that never covered the new bytes.
+func (v *pvnode) bumpFileLocked(df vnode.Vnode) error {
 	cont, err := v.container()
 	if err != nil {
 		return mapStoreErr(err)
@@ -466,7 +467,11 @@ func (v *pvnode) bumpFileLocked() error {
 		aux.VV = make(map[ids.ReplicaID]uint64)
 	}
 	aux.VV.Bump(v.l.replica)
-	if err := sealFile(v.l.root, cont, v.fid, aux.VV); err != nil {
+	stored, err := vnode.ReadFile(df)
+	if err != nil {
+		return err
+	}
+	if err := v.l.sealLocked(cont, v.fid, aux.VV, ComputeManifest(stored), false); err != nil {
 		return err
 	}
 	return writeAuxVnode(af, &aux)
@@ -491,7 +496,7 @@ func (v *pvnode) WriteAt(p []byte, off int64) (int, error) {
 	if err != nil {
 		return n, err
 	}
-	return n, v.bumpFileLocked()
+	return n, v.bumpFileLocked(df)
 }
 
 func (v *pvnode) Truncate(size uint64) error {
@@ -510,7 +515,7 @@ func (v *pvnode) Truncate(size uint64) error {
 	if err := df.Truncate(size); err != nil {
 		return err
 	}
-	return v.bumpFileLocked()
+	return v.bumpFileLocked(df)
 }
 
 func (v *pvnode) Fsync() error { return v.l.store.Sync() }
@@ -619,7 +624,7 @@ func (v *pvnode) Setattr(sa vnode.SetAttr) error {
 		}
 		v.l.mu.Lock()
 		defer v.l.mu.Unlock()
-		return v.bumpFileLocked()
+		return v.bumpFileLocked(df)
 	}
 	return nil
 }
@@ -681,20 +686,7 @@ func (v *pvnode) derefStorageLocked(cont vnode.Vnode, entries []Entry, child ids
 		return nil
 	}
 	// Last name gone: reclaim storage if present.
-	if err := cont.Remove(prefixData + child.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
-		return err
-	}
-	if err := cont.Remove(prefixAux + child.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
-		return err
-	}
-	if err := removeSidecar(cont, child); err != nil {
-		return err
-	}
-	if err := v.l.removeManifestLocked(cont, child); err != nil {
-		return err
-	}
-	v.l.clearQuarantineLocked(child, false)
-	return nil
+	return v.l.removeStorageLocked(cont, child)
 }
 
 func (v *pvnode) Rmdir(name string) error {
@@ -881,7 +873,7 @@ func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 				return err
 			}
 		} else {
-			for _, p := range []string{prefixData, prefixAux, prefixSum} {
+			for _, p := range []string{prefixData, prefixAux, prefixSidecar} {
 				if err := srcCont.Rename(p+e.Child.String(), dstCont, p+e.Child.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
 					return err
 				}

@@ -1,7 +1,7 @@
 package physical
 
 // Quarantine: the holding state for a stored file replica whose data fails
-// its sealed block checksums.  A quarantined replica keeps its directory
+// its sealed block addresses.  A quarantined replica keeps its directory
 // entry and aux attributes — the *version* still exists in the name space —
 // but its local bytes are untrusted:
 //
@@ -11,8 +11,8 @@ package physical
 //     error, so a puller defers and re-arms its new-version cache entry
 //     instead of dropping it — corruption is never propagated;
 //   - the scrub/repair daemon re-pulls the version from a peer whose vector
-//     dominates-or-equals the quarantined one, verifies the shipped
-//     checksums, and reinstalls, clearing the quarantine.
+//     dominates-or-equals the quarantined one, verifies the payload against
+//     the shipped manifest, and reinstalls, clearing the quarantine.
 
 import (
 	"fmt"
@@ -43,21 +43,13 @@ type QuarEntry struct {
 // replica.  Quarantined is a gauge (currently quarantined files); the rest
 // are cumulative.
 type IntegrityStats struct {
-	ScrubbedFiles       uint64 // file versions whose checksums were verified
-	ScrubbedBlocks      uint64 // block checksums verified
+	ScrubbedFiles       uint64 // file versions verified against their sealed sidecar
+	ScrubbedBlocks      uint64 // block addresses verified
 	Resealed            uint64 // unverifiable sidecars recomputed from local data
-	CorruptionsDetected uint64 // checksum failures that entered quarantine
+	CorruptionsDetected uint64 // verification failures that entered quarantine
 	Repaired            uint64 // quarantined versions healed from a peer
 	Unrepairable        uint64 // repair rounds where every known peer definitively refused
 	Quarantined         uint64 // files currently in quarantine
-
-	// Delta-propagation counters (mirrored from the block layer, delta.go):
-	// blocks this replica shipped to peers that lacked them, blocks its own
-	// delta installs reassembled from the local pool, and the payload bytes
-	// those reuses kept off the wire.
-	BlocksShipped   uint64
-	BlocksReused    uint64
-	DeltaBytesSaved uint64
 }
 
 // Add accumulates (aggregation across layers and hosts).
@@ -69,16 +61,12 @@ func (s *IntegrityStats) Add(t IntegrityStats) {
 	s.Repaired += t.Repaired
 	s.Unrepairable += t.Unrepairable
 	s.Quarantined += t.Quarantined
-	s.BlocksShipped += t.BlocksShipped
-	s.BlocksReused += t.BlocksReused
-	s.DeltaBytesSaved += t.DeltaBytesSaved
 }
 
 // String renders the stats compactly.
 func (s IntegrityStats) String() string {
-	return fmt.Sprintf("scrubbed=%d blocks=%d resealed=%d corrupt=%d repaired=%d unrepairable=%d quarantined=%d shipped=%d reused=%d saved=%dB",
-		s.ScrubbedFiles, s.ScrubbedBlocks, s.Resealed, s.CorruptionsDetected, s.Repaired, s.Unrepairable, s.Quarantined,
-		s.BlocksShipped, s.BlocksReused, s.DeltaBytesSaved)
+	return fmt.Sprintf("scrubbed=%d blocks=%d resealed=%d corrupt=%d repaired=%d unrepairable=%d quarantined=%d",
+		s.ScrubbedFiles, s.ScrubbedBlocks, s.Resealed, s.CorruptionsDetected, s.Repaired, s.Unrepairable, s.Quarantined)
 }
 
 // IntegrityStats returns a snapshot of this volume replica's counters.
@@ -87,9 +75,6 @@ func (l *Layer) IntegrityStats() IntegrityStats {
 	defer l.mu.Unlock()
 	s := l.integ
 	s.Quarantined = uint64(len(l.quar))
-	s.BlocksShipped = l.bstats.BlocksShipped
-	s.BlocksReused = l.bstats.BlocksReused
-	s.DeltaBytesSaved = l.bstats.BytesSaved
 	return s
 }
 

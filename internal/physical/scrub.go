@@ -19,7 +19,7 @@ import (
 // ScrubReport summarizes one scrub pass over a volume replica.
 type ScrubReport struct {
 	VerifiedFiles  int // file versions checked against a fresh sidecar
-	VerifiedBlocks int // block checksums compared
+	VerifiedBlocks int // block addresses compared
 	Resealed       int // unverifiable sidecars recomputed from local data
 	Corrupt        int // verification failures that entered quarantine this pass
 	Cleared        int // quarantined files that verify again (superseded in place)
@@ -95,24 +95,24 @@ func (l *Layer) scrubFileLocked(cont vnode.Vnode, dirPath []ids.FileID, fid ids.
 	if err != nil {
 		return // an I/O error is the fault plane's business; retried next pass
 	}
-	sealed, cs, err := readSidecar(l.root, cont, fid)
-	if err != nil || !sealed.Equal(aux.VV) {
+	sc, err := readSidecar(l.root, cont, fid)
+	if err != nil || !sc.Sealed.Equal(aux.VV) {
 		// Unverifiable — but never reseal a quarantined replica: that would
 		// launder bytes already known bad under a fresh seal.
 		if l.isQuarantinedLocked(fid) {
 			return
 		}
-		if err := writeSidecar(cont, fid, aux.VV, ComputeChecksums(data)); err == nil {
+		if err := l.sealLocked(cont, fid, aux.VV, ComputeManifest(data), false); err == nil {
 			rep.Resealed++
 			l.integ.Resealed++
 		}
 		return
 	}
 	rep.VerifiedFiles++
-	rep.VerifiedBlocks += len(cs.Sums)
+	rep.VerifiedBlocks += len(sc.Blocks)
 	l.integ.ScrubbedFiles++
-	l.integ.ScrubbedBlocks += uint64(len(cs.Sums))
-	if cs.Verify(data) {
+	l.integ.ScrubbedBlocks += uint64(len(sc.Blocks))
+	if sc.Verify(data) {
 		if l.isQuarantinedLocked(fid) {
 			l.clearQuarantineLocked(fid, false)
 			rep.Cleared++

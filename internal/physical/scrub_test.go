@@ -133,7 +133,7 @@ func TestScrubResealsUnverifiableSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate the crash window: the sidecar never landed.
-	if err := cont.Remove(prefixSum + fid.String()); err != nil {
+	if err := cont.Remove(prefixSidecar + fid.String()); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := l.ScrubPass()
@@ -168,7 +168,7 @@ func TestScrubNeverResealsQuarantined(t *testing.T) {
 	// Tear the sidecar off: without the quarantine guard the next pass would
 	// reseal the damaged bytes as if they were the version.
 	cont, _ := l.rootContainer()
-	if err := cont.Remove(prefixSum + fid.String()); err != nil {
+	if err := cont.Remove(prefixSidecar + fid.String()); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := l.ScrubPass()
@@ -201,10 +201,10 @@ func TestVerifiedInstallClearsQuarantine(t *testing.T) {
 		t.Fatal("not quarantined")
 	}
 
-	// A peer re-supplies the same version with matching checksums: the
+	// A peer re-supplies the same version with a matching manifest: the
 	// install verifies, lands, and lifts the quarantine as a repair.
 	data := []byte("original")
-	if err := l.InstallFileVersionSum(RootPath(), fid, KFile, data, goodVV, 1, ComputeChecksums(data)); err != nil {
+	if err := installWhole(l, fid, data, goodVV, ComputeManifest(data)); err != nil {
 		t.Fatal(err)
 	}
 	if l.IsQuarantined(fid) {
@@ -223,7 +223,7 @@ func TestVerifiedInstallClearsQuarantine(t *testing.T) {
 	}
 }
 
-func TestInstallRejectsMismatchedChecksums(t *testing.T) {
+func TestInstallRejectsMismatchedManifest(t *testing.T) {
 	// With invariants armed this condition panics instead (see the fire
 	// test below); here we pin the production path: a transient error.
 	defer invariant.ForceForTest(false)()
@@ -234,10 +234,10 @@ func TestInstallRejectsMismatchedChecksums(t *testing.T) {
 		t.Fatal(err)
 	}
 	newVV := st.Aux.VV.Clone().Bump(2)
-	// Checksums advertise different bytes than the payload: damage in
+	// The manifest advertises different bytes than the payload: damage in
 	// flight.  The install must refuse before touching disk.
-	wrong := ComputeChecksums([]byte("what the server promised"))
-	err = l.InstallFileVersionSum(RootPath(), fid, KFile, []byte("what arrived"), newVV, 1, wrong)
+	wrong := ComputeManifest([]byte("what the server promised"))
+	err = installWhole(l, fid, []byte("what arrived"), newVV, wrong)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mismatched install: got %v, want ErrCorrupt", err)
 	}
@@ -258,15 +258,15 @@ func TestInstallMismatchFiresInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrong := ComputeChecksums([]byte("promised"))
+	wrong := ComputeManifest([]byte("promised"))
 	mustViolate(t, func() {
-		_ = l.InstallFileVersionSum(RootPath(), fid, KFile, []byte("arrived"), vv.New().Bump(2), 1, wrong)
+		_ = installWhole(l, fid, []byte("arrived"), vv.New().Bump(2), wrong)
 	})
 }
 
-// TestInstallMatchingChecksumsPassesInvariant: the legitimate verified
+// TestInstallMatchingManifestPassesInvariant: the legitimate verified
 // install must not fire even with invariants armed.
-func TestInstallMatchingChecksumsPassesInvariant(t *testing.T) {
+func TestInstallMatchingManifestPassesInvariant(t *testing.T) {
 	defer invariant.ForceForTest(true)()
 	l, f := scrubLayerWithFile(t, "v1")
 	fid := mustFid(t, f)
@@ -275,7 +275,7 @@ func TestInstallMatchingChecksumsPassesInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("v2")
-	if err := l.InstallFileVersionSum(RootPath(), fid, KFile, data, st.Aux.VV.Clone().Bump(2), 1, ComputeChecksums(data)); err != nil {
+	if err := installWhole(l, fid, data, st.Aux.VV.Clone().Bump(2), ComputeManifest(data)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,8 @@ package physical
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/ids"
@@ -16,31 +18,235 @@ import (
 // replaces the original by changing a low-level directory reference.  If a
 // crash occurs before the shadow substitution, the original replica is
 // retained during recovery and the shadow discarded."
+//
+// This file is that service: atomicReplace is the commit, settleShadow the
+// recovery rule, and Recover the one mount-time walk that applies the rule
+// everywhere.  Every durable file the layer replaces as a whole — file
+// data, sidecars, pool blocks, the compacted journal — goes through them.
+
+// atomicReplace commits data as dir/name: the complete image is written to
+// a shadow beside name, and one rename substitutes it for the original.
+func atomicReplace(dir vnode.Vnode, name string, data []byte) error {
+	shadow := name + suffixShadow
+	f, err := dir.Create(shadow, false)
+	if err != nil {
+		return err
+	}
+	if err := vnode.WriteFile(f, data); err != nil {
+		return err
+	}
+	return dir.Rename(shadow, dir, name)
+}
+
+// shadowBase reports whether name is a commit shadow, and of which file.
+func shadowBase(name string) (string, bool) { return strings.CutSuffix(name, suffixShadow) }
+
+// settleShadow applies the recovery rule to one leftover shadow, of base, in
+// dir.  Original intact: the crash came before the substitution, the shadow
+// may be torn, discard it.  Original gone: the crash landed inside the
+// rename, which only begins once the shadow is complete, so promote it.  (A
+// shadow of a file that never existed is promoted too, torn or not; every
+// format committed this way is either strictly decoded or verified by
+// content address before it is trusted.)
+func settleShadow(dir vnode.Vnode, shadow, base string) (promoted bool, err error) {
+	if _, err := dir.Lookup(base); err == nil {
+		return false, dir.Remove(shadow)
+	} else if vnode.AsErrno(err) != vnode.ENOENT {
+		return false, err
+	}
+	return true, dir.Rename(shadow, dir, base)
+}
+
+// settleDir settles every leftover shadow among dir's entries ents,
+// returning the names of dir's surviving non-directory members and how many
+// shadows it discarded.
+func settleDir(dir vnode.Vnode, ents []vnode.Dirent) (names []string, discarded int, err error) {
+	for _, e := range ents {
+		if e.Type == vnode.VDir {
+			continue
+		}
+		base, isShadow := shadowBase(e.Name)
+		if !isShadow {
+			names = append(names, e.Name)
+			continue
+		}
+		promoted, err := settleShadow(dir, e.Name, base)
+		if err != nil {
+			return nil, 0, err
+		}
+		if promoted {
+			names = append(names, base)
+		} else {
+			discarded++
+		}
+	}
+	return names, discarded, nil
+}
+
+// walkContainers calls visit, with the container's entries, on cont and on
+// every directory container beneath it.
+func walkContainers(cont vnode.Vnode, visit func(vnode.Vnode, []vnode.Dirent) error) error {
+	ents, err := cont.Readdir()
+	if err != nil {
+		return err
+	}
+	if err := visit(cont, ents); err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if e.Type != vnode.VDir || !strings.HasPrefix(e.Name, prefixDir) {
+			continue
+		}
+		sub, err := cont.Lookup(e.Name)
+		if err != nil {
+			return err
+		}
+		if err := walkContainers(sub, visit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Recover is the mount-time crash recovery, run once from Open.  It settles
+// every leftover shadow — at the store root (a journal compaction), in the
+// block pool, and in every directory container — and, on the same single
+// walk of the container tree, rebuilds the in-memory pool refcounts from the
+// pooled sidecars.  The commit order (blocks before the sidecar that
+// references them) means a crash can only leave unreferenced pool blocks,
+// which are reclaimed here; a pooled sidecar naming an absent block can only
+// come from external damage and is demoted to unpooled rather than left
+// advertising a block the pool cannot serve.
+func (l *Layer) Recover() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ents, err := l.root.Readdir()
+	if err != nil {
+		return err
+	}
+	if _, _, err := settleDir(l.root, ents); err != nil {
+		return err
+	}
+	present, err := l.openPoolLocked()
+	if err != nil {
+		return err
+	}
+	l.blockRefs = make(map[BlockAddr]int)
+	cont, err := l.rootContainer()
+	if err == nil {
+		err = walkContainers(cont, func(c vnode.Vnode, ents []vnode.Dirent) error {
+			return l.recoverContainerLocked(c, ents, present)
+		})
+	} else if vnode.AsErrno(err) == vnode.ENOENT {
+		// A freshly formatted store that failed before creating the root
+		// container has nothing to recover.
+		err = nil
+	}
+	if err != nil {
+		return err
+	}
+	orphans := make([]BlockAddr, 0)
+	for a := range present {
+		if l.blockRefs[a] == 0 {
+			orphans = append(orphans, a)
+		}
+	}
+	sort.Slice(orphans, func(i, j int) bool { return addrLess(orphans[i], orphans[j]) })
+	for _, a := range orphans {
+		l.poolRemoveLocked(a)
+		l.bstats.OrphansReclaimed++
+	}
+	return nil
+}
+
+// recoverContainerLocked is Recover's visit of one container: settle its
+// shadows, then account for each sidecar.  An undecodable sidecar cannot
+// vouch for anything and is removed (the scrubber reseals).
+func (l *Layer) recoverContainerLocked(cont vnode.Vnode, ents []vnode.Dirent, present map[BlockAddr]bool) error {
+	names, _, err := settleDir(cont, ents)
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		fid, ok := sidecarFID(name)
+		if !ok {
+			continue // Check reports unparsable names; leave for inspection
+		}
+		sc, err := readSidecar(l.root, cont, fid)
+		if err != nil {
+			if err := cont.Remove(name); err != nil {
+				return err
+			}
+			continue
+		}
+		if !sc.Pooled {
+			continue
+		}
+		if !slices.ContainsFunc(sc.Blocks, func(a BlockAddr) bool { return !present[a] }) {
+			l.refAddLocked(sc.Blocks)
+		} else if err := atomicReplace(cont, name, encodeSidecar(sc.Sealed, false, &sc.BlockManifest)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sidecarFID parses a container member name as a sidecar's.
+func sidecarFID(name string) (ids.FileID, bool) {
+	rest, ok := strings.CutPrefix(name, prefixSidecar)
+	if !ok {
+		return ids.FileID{}, false
+	}
+	fid, err := ids.ParseFileID(rest)
+	return fid, err == nil
+}
 
 // InstallFileVersion atomically replaces the local replica of file fid in
 // directory dirPath with data, setting its version vector to newVV (the
-// caller — the propagation daemon or reconciliation — has already decided
-// that the remote version dominates, or has merged vectors after resolving
-// a conflict).  If the file is not stored locally, storage is created: this
-// is also how a replica acquires its first copy of a file during subtree
-// reconciliation.
+// caller — reconciliation, or a conflict resolution — has already decided
+// that the new version dominates, or has merged vectors).  If the file is
+// not stored locally, storage is created: this is also how a replica
+// acquires its first copy of a file during subtree reconciliation.  The
+// sidecar is sealed from the given bytes.
 func (l *Layer) InstallFileVersion(dirPath []ids.FileID, fid ids.FileID, kind Kind, data []byte, newVV vv.Vector, nlink uint32) error {
-	return l.InstallFileVersionSum(dirPath, fid, kind, data, newVV, nlink, nil)
+	return l.InstallPulled(dirPath, fid, &PullResult{Status: PullData, Data: data, Aux: Aux{Type: kind, Nlink: nlink, VV: newVV.Clone()}})
 }
 
-// InstallFileVersionSum is InstallFileVersion with an advertised checksum
-// summary: cs, when non-nil, is the serving replica's sealed sidecar for
-// exactly this version.  The payload is verified against it before anything
-// touches disk — a mismatch (damage in flight, or a serving replica whose
-// own verification was bypassed) rejects the install with ErrCorrupt and,
-// under FICUS_INVARIANTS=1, is an invariant violation.  nil cs installs
-// optimistically and the sidecar is sealed from the received bytes.
-func (l *Layer) InstallFileVersionSum(dirPath []ids.FileID, fid ids.FileID, kind Kind, data []byte, newVV vv.Vector, nlink uint32, cs *Checksums) error {
-	if cs != nil && !cs.Verify(data) {
-		invariant.Checkf(false,
-			"physical: install of %s rejected: payload (%d bytes) does not match advertised checksums (length %d)",
-			fid, len(data), cs.Length)
-		return fmt.Errorf("%w: install of %s rejected (payload does not match advertised sidecar)", ErrCorrupt, fid)
+// InstallPulled installs the version a pull answered with (r.Status is
+// PullData), whole-file or delta alike.  r.Manifest, when present, is the
+// serving replica's word for exactly this version, and nothing touches disk
+// unless the bytes agree with it: a whole-file answer's Data is verified
+// block by block; a delta answer (Data nil) is assembled from the shipped
+// blocks, each of which must hash to its address, plus blocks read back —
+// and re-verified — from the local pool.  A mismatch (damage in flight, or a
+// serving replica whose own verification was bypassed) is rejected with
+// ErrCorrupt and, under FICUS_INVARIANTS=1, is an invariant violation.  An
+// answer without a manifest installs optimistically, sealed from the
+// received bytes.  (An empty version is the same answer either way and is
+// handled as a delta.)
+//
+// A delta install puts the shipped blocks into the pool and seals the
+// sidecar pooled, so the next pull advertises them; a whole-file install
+// seals unpooled.
+func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResult) error {
+	m, data := r.Manifest, r.Data
+	delta := m != nil && data == nil
+	if m != nil && !m.wellFormed() {
+		return fmt.Errorf("%w: install of %s: manifest has %d blocks for length %d", ErrCorrupt, fid, len(m.Blocks), m.Length)
+	}
+	recv := make(map[BlockAddr][]byte, len(r.Missing))
+	for i := range r.Missing {
+		b := &r.Missing[i]
+		if HashBlock(b.Data) != b.Addr {
+			return rejectInstall(fid, "shipped block fails its address %s", b.Addr)
+		}
+		recv[b.Addr] = b.Data
+	}
+	switch {
+	case m == nil:
+		m = ComputeManifest(data)
+	case !delta && !m.Verify(data):
+		return rejectInstall(fid, "payload (%d bytes) does not match the shipped manifest (length %d)", len(data), m.Length)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -48,113 +254,95 @@ func (l *Layer) InstallFileVersionSum(dirPath []ids.FileID, fid ids.FileID, kind
 	if err != nil {
 		return err
 	}
-	return l.commitFileVersionLocked(cont, fid, kind, data, newVV, nlink, cs)
+	var reused, reusedBytes uint64
+	if delta {
+		// Assemble the full version: shipped blocks win (they are the bytes
+		// the server actually sent); everything else must come from the pool.
+		// Each block must also have the size its position implies, or the
+		// sealed addresses would not be those of the file's 4 KiB chunks.
+		parts := make([][]byte, len(m.Blocks))
+		for i, addr := range m.Blocks {
+			b, shipped := recv[addr]
+			if !shipped {
+				var ok bool
+				if b, ok = l.poolGetLocked(addr); !ok {
+					return fmt.Errorf("%w (file %s, block %s)", ErrMissingBlock, fid, addr)
+				}
+				reused++
+				reusedBytes += uint64(len(b))
+			}
+			if want := min(m.Length-uint64(i)*ChecksumBlockSize, ChecksumBlockSize); uint64(len(b)) != want {
+				return rejectInstall(fid, "block %d is %d bytes, manifest position needs %d", i, len(b), want)
+			}
+			parts[i] = b
+		}
+		data = make([]byte, 0, m.Length) // now backed by blocks actually held
+		for _, b := range parts {
+			data = append(data, b...)
+		}
+		// Shipped blocks enter the pool BEFORE the commit: once the sidecar is
+		// sealed pooled it must never reference a block the pool lacks, and
+		// this ordering makes that hold through any crash point.  Manifest
+		// order keeps the on-disk write sequence deterministic.
+		for _, addr := range m.Blocks {
+			if b, shipped := recv[addr]; shipped {
+				if err := l.poolPutLocked(addr, b); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if err := l.commitFileVersionLocked(cont, fid, &r.Aux, data, m, delta); err != nil {
+		return err
+	}
+	l.bstats.BlocksReused += reused
+	l.bstats.BytesSaved += reusedBytes
+	return nil
 }
 
-// commitFileVersionLocked is the shared single-file atomic commit sequence:
-// whole-file installs and delta installs (delta.go) both land here once
-// their payload is verified and fully assembled.  Caller holds l.mu.
-func (l *Layer) commitFileVersionLocked(cont vnode.Vnode, fid ids.FileID, kind Kind, data []byte, newVV vv.Vector, nlink uint32, cs *Checksums) error {
-	base := prefixData + fid.String()
-	shadow := base + suffixShadow
+// rejectInstall refuses a pulled version whose bytes disagree with the
+// manifest shipped beside them.
+func rejectInstall(fid ids.FileID, format string, args ...any) error {
+	why := fmt.Sprintf(format, args...)
+	invariant.Checkf(false, "physical: install of %s rejected: %s", fid, why)
+	return fmt.Errorf("%w: install of %s rejected (%s)", ErrCorrupt, fid, why)
+}
 
+// commitFileVersionLocked is the single-file atomic commit sequence every
+// install lands in once its payload is verified and fully assembled; m is
+// data's manifest and pooled says its blocks are all in the pool.  Caller
+// holds l.mu.
+func (l *Layer) commitFileVersionLocked(cont vnode.Vnode, fid ids.FileID, attrs *Aux, data []byte, m *BlockManifest, pooled bool) error {
 	// Per-replica counter monotonicity: the caller has decided the new
 	// vector dominates (or is a conflict resolution merged+bumped above)
 	// the stored one, so no component — in particular not our own update
 	// counter, which only we originate — may move backwards.
 	if invariant.Enabled() {
 		if old, err := readAuxFile(cont, prefixAux+fid.String()); err == nil {
-			invariant.Checkf(newVV.DominatesOrEqual(old.VV),
+			invariant.Checkf(attrs.VV.DominatesOrEqual(old.VV),
 				"physical: installing version vector %s that does not dominate stored %s for file %s (replica %d counter would regress)",
-				newVV, old.VV, fid, l.replica)
+				attrs.VV, old.VV, fid, l.replica)
 		}
 	}
-
-	// 1. Write the complete new version into the shadow.
-	sf, err := cont.Create(shadow, false)
-	if err != nil {
+	// 1. Commit the sidecar, sealed under the new vector.  It is stale
+	// (sealed vector != aux vector) until step 3 lands, so every crash window
+	// in between reads as "unverifiable" — the scrubber reseals — never as a
+	// false mismatch.
+	if err := l.sealLocked(cont, fid, attrs.VV, m, pooled); err != nil {
 		return err
 	}
-	if err := vnode.WriteFile(sf, data); err != nil {
+	// 2. Atomically substitute the complete new version for the original.
+	if err := atomicReplace(cont, prefixData+fid.String(), data); err != nil {
 		return err
 	}
-	// 2. Commit the sidecar, sealed under newVV.  It is stale (sealed vector
-	// != aux vector) until step 4 lands, so every crash window in between
-	// reads as "unverifiable" — the scrubber reseals — never as a false
-	// checksum mismatch.
-	if cs == nil {
-		cs = ComputeChecksums(data)
-	}
-	if err := writeSidecar(cont, fid, newVV, cs); err != nil {
-		return err
-	}
-	// 3. Atomically substitute the shadow for the original.
-	if err := cont.Rename(shadow, cont, base); err != nil {
-		return err
-	}
-	// 4. Record the new version vector.  A crash between 3 and 4 leaves
-	// new data under the old vector; the next propagation re-pulls and
+	// 3. Record the new version vector.  A crash between 2 and 3 leaves new
+	// data under the old vector; the next propagation re-pulls and
 	// re-installs — safe because installation is idempotent.
-	if nlink == 0 {
-		nlink = 1
-	}
-	aux := Aux{Type: kind, Nlink: nlink, VV: newVV.Clone()}
+	aux := Aux{Type: attrs.Type, Nlink: max(attrs.Nlink, 1), VV: attrs.VV.Clone()}
 	if err := writeAuxFile(cont, prefixAux+fid.String(), &aux); err != nil {
 		return err
 	}
 	// A verified install over a quarantined replica is its repair.
 	l.clearQuarantineLocked(fid, true)
-	return nil
-}
-
-// Recover scans every directory container for leftover shadow files and
-// applies the paper's recovery rule: if the original replica survives, the
-// shadow is discarded; if the crash landed mid-substitution (original gone,
-// complete shadow present), the shadow is promoted.
-func (l *Layer) Recover() error {
-	cont, err := l.rootContainer()
-	if err != nil {
-		// A freshly formatted store that failed before creating the root
-		// container has nothing to recover.
-		if vnode.AsErrno(err) == vnode.ENOENT {
-			return nil
-		}
-		return err
-	}
-	return l.recoverContainer(cont)
-}
-
-func (l *Layer) recoverContainer(cont vnode.Vnode) error {
-	ents, err := cont.Readdir()
-	if err != nil {
-		return err
-	}
-	for _, e := range ents {
-		switch {
-		case strings.HasSuffix(e.Name, suffixShadow):
-			base := strings.TrimSuffix(e.Name, suffixShadow)
-			if _, err := cont.Lookup(base); err == nil {
-				// Original intact: crash before substitution; discard.
-				if err := cont.Remove(e.Name); err != nil {
-					return err
-				}
-			} else if vnode.AsErrno(err) == vnode.ENOENT {
-				// Mid-substitution: the shadow is the complete new version.
-				if err := cont.Rename(e.Name, cont, base); err != nil {
-					return err
-				}
-			} else {
-				return err
-			}
-		case strings.HasPrefix(e.Name, prefixDir) && e.Type == vnode.VDir:
-			sub, err := cont.Lookup(e.Name)
-			if err != nil {
-				return err
-			}
-			if err := l.recoverContainer(sub); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }

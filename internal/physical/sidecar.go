@@ -1,52 +1,61 @@
 package physical
 
-// Per-file-version block-checksum sidecars.
+// The sealed sidecar: one per stored file version.
 //
 // The paper's availability argument (§1, §7) assumes a replica that has a
 // version can serve it; silent media corruption breaks that silently — a
 // flipped block would be served, and worse, *propagated*, as the sealed
-// version.  Each stored file replica therefore carries a sidecar file
-// ("C<fid>", beside the data "F<fid>" and aux "A<fid>" members) recording a
-// CRC32-Castagnoli per data block, sealed under the version vector the
-// checksums were computed for.
+// version.  Each stored file replica therefore carries ONE sidecar file
+// ("S<fid>", beside the data "F<fid>" and aux "A<fid>" members) recording
+// the file's block manifest — its exact length plus the content address
+// (SHA-256 truncated to 128 bits) of every ChecksumBlockSize chunk — sealed
+// under the version vector the addresses were computed for.  The same
+// addresses verify the data (scrub, serve, install) and name the chunks in
+// the block pool (blockstore.go), so delta propagation needs no second
+// summary of the same blocks.
 //
-// The seal rule is what makes verification safe across crashes: checksums
-// are trusted ONLY when the sidecar's sealed vector equals the file's aux
-// vector.  Every crash window in the commit sequences (install, local
-// write) leaves the sidecar sealed under a vector that differs from the aux
-// — an *unverifiable* state that the scrubber reseals from local data —
-// never a false mismatch.  A missing, torn, or undecodable sidecar is
-// likewise just unverifiable: old stores work unchanged and heal lazily.
+// The seal rule is what makes verification safe across crashes: the
+// manifest is trusted ONLY while the sidecar's sealed vector equals the
+// file's aux vector.  Every crash window in the commit sequences (install,
+// local write) leaves the sidecar sealed under a vector that differs from
+// the aux — an *unverifiable* state that the scrubber reseals from local
+// data — never a false mismatch.  A missing, torn, or undecodable sidecar is
+// likewise just unverifiable.
 //
 // Format (versioned, strict decode):
 //
-//	magic "FSUM" (4) | version u8 | sealed vv | length u64 | per-block CRC32C (u32 each)
+//	magic "FSDC" (4) | version u8 | flags u8 | sealed vv | length u64 | per-block address (16 each)
 //
-// The block count is derived from length, so a truncated or padded sidecar
-// fails to decode.  Sidecars are written via the same shadow + atomic-rename
-// commit as everything else; recovery handles "C<fid>.shadow" leftovers with
-// the generic shadow rule.
+// The one flag, sidecarPooled, says this sidecar holds a block-pool
+// reference on each of its addresses: every such block is present in the
+// pool.  The block count is derived from the length, so a truncated or
+// padded sidecar fails to decode.  Sidecars are committed by atomicReplace
+// like everything else.
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/ids"
 	"repro/internal/vnode"
 	"repro/internal/vv"
 )
 
-// ChecksumBlockSize is the checksumming granularity: one CRC per 4 KiB of
-// file data, matching the device block size.
-const ChecksumBlockSize = 4096
+const (
+	// ChecksumBlockSize is the verification and dedup granularity: one
+	// address per 4 KiB of file data, matching the device block size.
+	ChecksumBlockSize = 4096
+	// BlockAddrSize is the size of a content address: SHA-256 truncated to
+	// 128 bits, ample against accidental collision at volume scale.
+	BlockAddrSize = 16
 
-const sidecarVersion = 1
-
-var (
-	sidecarMagic = []byte("FSUM")
-	castagnoli   = crc32.MakeTable(crc32.Castagnoli)
+	sidecarVersion = 1
+	sidecarPooled  = 1 << 0 // flags: the sidecar holds pool references
 )
+
+var sidecarMagic = []byte("FSDC")
 
 // transientError is a sentinel error class the retry machinery treats as
 // retryable (it implements Transient).
@@ -55,180 +64,204 @@ type transientError string
 func (e transientError) Error() string   { return string(e) }
 func (e transientError) Transient() bool { return true }
 
-// ErrCorrupt reports that a stored file replica fails its block checksums.
-// It is TRANSIENT: the replica is quarantined, not gone — another replica
-// can serve the version now, and self-healing can restore this copy later —
-// so callers defer and retry rather than giving up.
-var ErrCorrupt error = transientError("physical: stored file data fails its block checksums")
+// ErrCorrupt reports that a stored or shipped file version fails its block
+// addresses.  It is TRANSIENT: the replica is quarantined, not gone —
+// another replica can serve the version now, and self-healing can restore
+// this copy later — so callers defer and retry rather than giving up.
+var ErrCorrupt error = transientError("physical: file data fails its block addresses")
 
-// Checksums is the verifiable content summary of one file version.
-type Checksums struct {
-	Length uint64   // exact data length in bytes
-	Sums   []uint32 // one CRC32C per ChecksumBlockSize chunk
+// BlockAddr is the content address of one data block.
+type BlockAddr [BlockAddrSize]byte
+
+// String renders the address as the pool file name (32 hex digits).
+func (a BlockAddr) String() string { return hex.EncodeToString(a[:]) }
+
+// HashBlock computes the content address of one block.
+func HashBlock(p []byte) BlockAddr {
+	sum := sha256.Sum256(p)
+	var a BlockAddr
+	copy(a[:], sum[:BlockAddrSize])
+	return a
 }
 
-// checksumBlocks returns how many block checksums cover length bytes.
-func checksumBlocks(length uint64) int {
-	return int((length + ChecksumBlockSize - 1) / ChecksumBlockSize)
+// BlockManifest is the verifiable content summary of one file version: the
+// exact length plus one address per ChecksumBlockSize chunk (the final chunk
+// may be short; its address covers the short content).
+type BlockManifest struct {
+	Length uint64
+	Blocks []BlockAddr
 }
 
-// ComputeChecksums summarizes data.
-func ComputeChecksums(data []byte) *Checksums {
-	cs := &Checksums{Length: uint64(len(data))}
-	for off := 0; off < len(data); off += ChecksumBlockSize {
-		end := off + ChecksumBlockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		cs.Sums = append(cs.Sums, crc32.Checksum(data[off:end], castagnoli))
+// blockCount returns how many blocks cover length bytes.  (Rounding up by
+// adding ChecksumBlockSize-1 first would wrap for lengths near 2^64.)
+func blockCount(length uint64) uint64 {
+	n := length / ChecksumBlockSize
+	if length%ChecksumBlockSize != 0 {
+		n++
 	}
-	return cs
+	return n
 }
 
-// Verify reports whether data matches the summary exactly: same length,
-// every block checksum equal.
-func (c *Checksums) Verify(data []byte) bool {
-	if c == nil || uint64(len(data)) != c.Length || len(c.Sums) != checksumBlocks(c.Length) {
+// blockAt returns the i'th ChecksumBlockSize chunk of data.
+func blockAt(data []byte, i int) []byte {
+	off := i * ChecksumBlockSize
+	return data[off:min(off+ChecksumBlockSize, len(data))]
+}
+
+// ComputeManifest summarizes data.
+func ComputeManifest(data []byte) *BlockManifest {
+	m := &BlockManifest{Length: uint64(len(data)), Blocks: make([]BlockAddr, blockCount(uint64(len(data))))}
+	for i := range m.Blocks {
+		m.Blocks[i] = HashBlock(blockAt(data, i))
+	}
+	return m
+}
+
+// wellFormed reports whether the manifest carries exactly the blocks its
+// length needs.  Manifests arrive from the wire and from disk; nothing may
+// index or allocate by Length before this holds.
+func (m *BlockManifest) wellFormed() bool {
+	return m != nil && uint64(len(m.Blocks)) == blockCount(m.Length)
+}
+
+// Verify reports whether data matches the manifest exactly: same length,
+// every block hashing to its address.
+func (m *BlockManifest) Verify(data []byte) bool {
+	if !m.wellFormed() || uint64(len(data)) != m.Length {
 		return false
 	}
-	for i, want := range c.Sums {
-		off := i * ChecksumBlockSize
-		end := off + ChecksumBlockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		if crc32.Checksum(data[off:end], castagnoli) != want {
+	for i, want := range m.Blocks {
+		if HashBlock(blockAt(data, i)) != want {
 			return false
 		}
 	}
 	return true
 }
 
-// Clone deep-copies the summary (nil stays nil).
-func (c *Checksums) Clone() *Checksums {
-	if c == nil {
-		return nil
-	}
-	return &Checksums{Length: c.Length, Sums: append([]uint32(nil), c.Sums...)}
+// sidecar is a decoded sidecar file.
+type sidecar struct {
+	Sealed vv.Vector
+	Pooled bool
+	BlockManifest
 }
 
-// encodeSidecar renders a sidecar image sealing cs under vector sealed.
-func encodeSidecar(sealed vv.Vector, cs *Checksums) []byte {
+// encodeSidecar renders a sidecar image sealing m under vector sealed.
+func encodeSidecar(sealed vv.Vector, pooled bool, m *BlockManifest) []byte {
+	var flags byte
+	if pooled {
+		flags = sidecarPooled
+	}
 	out := append([]byte(nil), sidecarMagic...)
-	out = append(out, sidecarVersion)
+	out = append(out, sidecarVersion, flags)
 	out = sealed.AppendBinary(out)
-	out = binary.BigEndian.AppendUint64(out, cs.Length)
-	for _, s := range cs.Sums {
-		out = binary.BigEndian.AppendUint32(out, s)
+	out = binary.BigEndian.AppendUint64(out, m.Length)
+	for i := range m.Blocks {
+		out = append(out, m.Blocks[i][:]...)
 	}
 	return out
 }
 
-// decodeSidecar parses a sidecar image strictly: bad magic, unknown
-// version, truncation, a block count inconsistent with the length, or
-// trailing bytes all fail.
-func decodeSidecar(p []byte) (vv.Vector, *Checksums, error) {
-	if len(p) < len(sidecarMagic)+1 {
-		return nil, nil, fmt.Errorf("physical: short sidecar: %d bytes", len(p))
+// decodeSidecar parses a sidecar image strictly: bad magic, unknown version
+// or flag bits, a non-canonical vector, truncation, a block count
+// inconsistent with the length, or trailing bytes all fail, so every image
+// it accepts re-encodes to the same bytes.
+func decodeSidecar(p []byte) (sidecar, error) {
+	var sc sidecar
+	hdr := len(sidecarMagic) + 2
+	if len(p) < hdr {
+		return sc, fmt.Errorf("physical: short sidecar: %d bytes", len(p))
 	}
-	for i, c := range sidecarMagic {
-		if p[i] != c {
-			return nil, nil, fmt.Errorf("physical: bad sidecar magic %q", p[:len(sidecarMagic)])
-		}
+	if string(p[:len(sidecarMagic)]) != string(sidecarMagic) {
+		return sc, fmt.Errorf("physical: bad sidecar magic %q", p[:len(sidecarMagic)])
 	}
-	if p[len(sidecarMagic)] != sidecarVersion {
-		return nil, nil, fmt.Errorf("physical: unknown sidecar version %d", p[len(sidecarMagic)])
+	if p[hdr-2] != sidecarVersion {
+		return sc, fmt.Errorf("physical: unknown sidecar version %d", p[hdr-2])
 	}
-	p = p[len(sidecarMagic)+1:]
+	if p[hdr-1]&^sidecarPooled != 0 {
+		return sc, fmt.Errorf("physical: unknown sidecar flags %#x", p[hdr-1])
+	}
+	sc.Pooled = p[hdr-1]&sidecarPooled != 0
+	p = p[hdr:]
 	sealed, n, err := vv.DecodeFrom(p)
 	if err != nil {
-		return nil, nil, fmt.Errorf("physical: sidecar vector: %w", err)
+		return sc, fmt.Errorf("physical: sidecar vector: %w", err)
 	}
+	if n != 4+12*len(sealed) {
+		return sc, fmt.Errorf("physical: sidecar vector carries zero counters")
+	}
+	sc.Sealed = sealed
 	p = p[n:]
 	if len(p) < 8 {
-		return nil, nil, fmt.Errorf("physical: sidecar truncated before length")
+		return sc, fmt.Errorf("physical: sidecar truncated before length")
 	}
-	cs := &Checksums{Length: binary.BigEndian.Uint64(p)}
+	sc.Length = binary.BigEndian.Uint64(p)
 	p = p[8:]
-	blocks := checksumBlocks(cs.Length)
-	if len(p) != 4*blocks {
-		return nil, nil, fmt.Errorf("physical: sidecar has %d checksum bytes, length %d needs %d", len(p), cs.Length, 4*blocks)
+	if blocks := blockCount(sc.Length); uint64(len(p)/BlockAddrSize) != blocks || len(p)%BlockAddrSize != 0 {
+		return sc, fmt.Errorf("physical: sidecar has %d address bytes, length %d needs %d blocks", len(p), sc.Length, blocks)
 	}
-	cs.Sums = make([]uint32, blocks)
-	for i := range cs.Sums {
-		cs.Sums[i] = binary.BigEndian.Uint32(p[4*i:])
+	sc.Blocks = make([]BlockAddr, len(p)/BlockAddrSize)
+	for i := range sc.Blocks {
+		copy(sc.Blocks[i][:], p[BlockAddrSize*i:])
 	}
-	return sealed, cs, nil
-}
-
-// writeSidecar commits a sidecar for fid in container cont via shadow +
-// atomic rename, sealing cs under vector sealed.
-func writeSidecar(cont vnode.Vnode, fid ids.FileID, sealed vv.Vector, cs *Checksums) error {
-	base := prefixSum + fid.String()
-	shadow := base + suffixShadow
-	sf, err := cont.Create(shadow, false)
-	if err != nil {
-		return err
-	}
-	if err := vnode.WriteFile(sf, encodeSidecar(sealed, cs)); err != nil {
-		return err
-	}
-	return cont.Rename(shadow, cont, base)
+	return sc, nil
 }
 
 // readSidecar loads fid's sidecar from container cont.  Any error — absent,
 // torn, undecodable — means "unverifiable", never "corrupt": the caller
 // skips verification (and the scrubber reseals).
-func readSidecar(storeRoot, cont vnode.Vnode, fid ids.FileID) (vv.Vector, *Checksums, error) {
-	f, err := lookupFollow(storeRoot, cont, prefixSum+fid.String())
+func readSidecar(storeRoot, cont vnode.Vnode, fid ids.FileID) (sidecar, error) {
+	f, err := lookupFollow(storeRoot, cont, prefixSidecar+fid.String())
 	if err != nil {
-		return nil, nil, err
+		return sidecar{}, err
 	}
 	data, err := vnode.ReadFile(f)
 	if err != nil {
-		return nil, nil, err
+		return sidecar{}, err
 	}
 	return decodeSidecar(data)
 }
 
-// removeSidecar discards fid's sidecar if present (reclaim paths).
-func removeSidecar(cont vnode.Vnode, fid ids.FileID) error {
-	if err := cont.Remove(prefixSum + fid.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
-		return err
+// heldRefsLocked returns the pool references fid's current sidecar holds.
+// While no reference is outstanding anywhere no sidecar can hold one, and
+// the sidecar is not read: local writes on a replica that never pulls pay
+// nothing for the pool.
+func (l *Layer) heldRefsLocked(cont vnode.Vnode, fid ids.FileID) []BlockAddr {
+	if len(l.blockRefs) == 0 {
+		return nil
+	}
+	if old, err := readSidecar(l.root, cont, fid); err == nil && old.Pooled {
+		return old.Blocks
 	}
 	return nil
 }
 
-// sealFile recomputes fid's checksums from the stored data and seals them
-// under vector sealed (the file's current aux vector).  Local mutations and
-// the scrubber's reseal of an unverifiable sidecar both land here.
-func sealFile(storeRoot, cont vnode.Vnode, fid ids.FileID, sealed vv.Vector) error {
-	df, err := lookupFollow(storeRoot, cont, prefixData+fid.String())
-	if err != nil {
+// sealLocked commits fid's sidecar, sealing m under vector sealed (the
+// file's aux vector, current or about to be).  pooled says the caller has
+// put every block of m into the pool and the sidecar takes a reference on
+// each; references are taken BEFORE those of the sidecar it replaces are
+// released, so blocks shared between the versions never transiently reach
+// zero.  Local mutations, installs, EnsureBlocks and the scrubber's reseal
+// of an unverifiable sidecar all land here.
+func (l *Layer) sealLocked(cont vnode.Vnode, fid ids.FileID, sealed vv.Vector, m *BlockManifest, pooled bool) error {
+	released := l.heldRefsLocked(cont, fid)
+	if err := atomicReplace(cont, prefixSidecar+fid.String(), encodeSidecar(sealed, pooled, m)); err != nil {
 		return err
 	}
-	data, err := vnode.ReadFile(df)
-	if err != nil {
-		return err
+	if pooled {
+		l.refAddLocked(m.Blocks)
+		l.bstats.ManifestsSealed++
 	}
-	return writeSidecar(cont, fid, sealed, ComputeChecksums(data))
+	l.refDropLocked(released)
+	return nil
 }
 
-// FileChecksums returns fid's sealed checksums when — and only when — the
-// sidecar's sealed vector equals want (the aux vector the caller is about
-// to ship).  A stale or unreadable sidecar returns nil: the server cannot
-// vouch for the bytes, so the puller installs optimistically without
-// verification rather than stalling propagation.
-func (l *Layer) FileChecksums(dirPath []ids.FileID, fid ids.FileID, want vv.Vector) *Checksums {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	cont, err := l.containerOf(dirPath)
-	if err != nil {
-		return nil
+// removeSidecarLocked discards fid's sidecar if present, releasing the pool
+// references it held (storage reclaim paths).
+func (l *Layer) removeSidecarLocked(cont vnode.Vnode, fid ids.FileID) error {
+	released := l.heldRefsLocked(cont, fid)
+	if err := cont.Remove(prefixSidecar + fid.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
+		return err
 	}
-	sealed, cs, err := readSidecar(l.root, cont, fid)
-	if err != nil || !sealed.Equal(want) {
-		return nil
-	}
-	return cs
+	l.refDropLocked(released)
+	return nil
 }

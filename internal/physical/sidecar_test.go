@@ -3,39 +3,47 @@ package physical
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
+	"repro/internal/invariant"
 	"repro/internal/vv"
 )
 
-func sampleSidecar() ([]byte, vv.Vector, *Checksums) {
+var sampleData = bytes.Repeat([]byte("ficus integrity "), 600) // ~9.4 KiB: 3 blocks
+
+func sampleSidecar(pooled bool) ([]byte, vv.Vector, *BlockManifest) {
 	sealed := vv.Vector{1: 4, 3: 9}
-	data := bytes.Repeat([]byte("ficus integrity "), 600) // ~9.4 KiB: 3 blocks
-	cs := ComputeChecksums(data)
-	return encodeSidecar(sealed, cs), sealed, cs
+	m := ComputeManifest(sampleData)
+	return encodeSidecar(sealed, pooled, m), sealed, m
 }
 
 func TestSidecarRoundTrip(t *testing.T) {
-	enc, sealed, cs := sampleSidecar()
-	gotVV, gotCS, err := decodeSidecar(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gotVV.Equal(sealed) {
-		t.Fatalf("sealed vector: got %s want %s", gotVV, sealed)
-	}
-	if gotCS.Length != cs.Length || len(gotCS.Sums) != len(cs.Sums) {
-		t.Fatalf("summary shape: got %+v want %+v", gotCS, cs)
-	}
-	for i := range cs.Sums {
-		if gotCS.Sums[i] != cs.Sums[i] {
-			t.Fatalf("sum %d: got %08x want %08x", i, gotCS.Sums[i], cs.Sums[i])
+	for _, pooled := range []bool{false, true} {
+		enc, sealed, m := sampleSidecar(pooled)
+		sc, err := decodeSidecar(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sc.Sealed.Equal(sealed) || sc.Pooled != pooled {
+			t.Fatalf("seal: got %s pooled=%v want %s pooled=%v", sc.Sealed, sc.Pooled, sealed, pooled)
+		}
+		if sc.Length != m.Length || len(sc.Blocks) != 3 {
+			t.Fatalf("manifest shape: got %+v want %+v", sc.BlockManifest, m)
+		}
+		for i := range m.Blocks {
+			if sc.Blocks[i] != m.Blocks[i] {
+				t.Fatalf("address %d: got %s want %s", i, sc.Blocks[i], m.Blocks[i])
+			}
+		}
+		if !bytes.Equal(encodeSidecar(sc.Sealed, sc.Pooled, &sc.BlockManifest), enc) {
+			t.Fatal("decode then encode changed the image")
 		}
 	}
-	// The empty file round-trips too: zero length, zero sums.
-	encEmpty := encodeSidecar(vv.New(), ComputeChecksums(nil))
-	if _, ecs, err := decodeSidecar(encEmpty); err != nil || ecs.Length != 0 || len(ecs.Sums) != 0 {
-		t.Fatalf("empty sidecar: %+v %v", ecs, err)
+	// The empty file round-trips too: zero length, zero blocks.
+	encEmpty := encodeSidecar(vv.New(), false, ComputeManifest(nil))
+	if sc, err := decodeSidecar(encEmpty); err != nil || sc.Length != 0 || len(sc.Blocks) != 0 {
+		t.Fatalf("empty sidecar: %+v %v", sc, err)
 	}
 }
 
@@ -43,94 +51,139 @@ func TestSidecarRoundTrip(t *testing.T) {
 // and the classic header corruptions fail with an error, never a panic or a
 // misparse (the decode is strict).
 func TestSidecarDecodeRejectsCorruption(t *testing.T) {
-	enc, _, _ := sampleSidecar()
+	enc, _, _ := sampleSidecar(true)
 	for n := 0; n < len(enc); n++ {
-		if _, _, err := decodeSidecar(enc[:n]); err == nil {
+		if _, err := decodeSidecar(enc[:n]); err == nil {
 			t.Fatalf("sidecar truncated to %d bytes decoded successfully", n)
 		}
 	}
-	// Trailing junk: the checksum area no longer matches the length.
-	if _, _, err := decodeSidecar(append(append([]byte(nil), enc...), 0xAA)); err == nil {
+	mutate := func(off int, b byte) []byte {
+		bad := append([]byte(nil), enc...)
+		bad[off] = b
+		return bad
+	}
+	// Padding: a trailing byte, or a whole spare address, no longer matches
+	// the length.
+	if _, err := decodeSidecar(append(append([]byte(nil), enc...), 0xAA)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	// Bad magic, each byte.
-	for i := 0; i < len(sidecarMagic); i++ {
-		bad := append([]byte(nil), enc...)
-		bad[i] ^= 0xFF
-		if _, _, err := decodeSidecar(bad); err == nil {
+	if _, err := decodeSidecar(append(append([]byte(nil), enc...), make([]byte, BlockAddrSize)...)); err == nil {
+		t.Fatal("trailing address accepted")
+	}
+	for i := range sidecarMagic {
+		if _, err := decodeSidecar(mutate(i, enc[i]^0xFF)); err == nil {
 			t.Fatalf("corrupt magic byte %d accepted", i)
 		}
 	}
-	// Unknown version.
-	bad := append([]byte(nil), enc...)
-	bad[len(sidecarMagic)] = sidecarVersion + 1
-	if _, _, err := decodeSidecar(bad); err == nil {
+	if _, err := decodeSidecar(mutate(len(sidecarMagic), sidecarVersion+1)); err == nil {
 		t.Fatal("unknown version accepted")
+	}
+	for bit := 1; bit < 8; bit++ {
+		if _, err := decodeSidecar(mutate(len(sidecarMagic)+1, sidecarPooled|1<<bit)); err == nil {
+			t.Fatalf("unknown flag bit %d accepted", bit)
+		}
+	}
+	// A vector entry with a zero counter decodes to a shorter vector, so the
+	// image would not re-encode to itself.
+	zero := append([]byte(nil), enc[:len(sidecarMagic)+2]...)
+	zero = append(zero, 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0) // {7: 0}
+	zero = binary.BigEndian.AppendUint64(zero, 0)
+	if _, err := decodeSidecar(zero); err == nil {
+		t.Fatal("zero-counter vector accepted")
 	}
 	// A flipped length field either desynchronizes the derived block count
 	// (decode fails) or — when the new length still needs the same number of
 	// blocks — survives decode but can no longer verify the data.
-	enc2, _, _ := sampleSidecar()
-	data := bytes.Repeat([]byte("ficus integrity "), 600)
-	lenOff := len(enc2) - 8 - 4*3 // length u64 sits before the 3 block sums
+	lenOff := len(enc) - 8 - BlockAddrSize*3 // length u64 sits before the 3 addresses
 	for bit := 0; bit < 64; bit++ {
-		bad := append([]byte(nil), enc2...)
-		bad[lenOff+bit/8] ^= 1 << (bit % 8)
-		_, cs, err := decodeSidecar(bad)
-		if err == nil && cs.Verify(data) {
+		sc, err := decodeSidecar(mutate(lenOff+bit/8, enc[lenOff+bit/8]^(1<<(bit%8))))
+		if err == nil && sc.Verify(sampleData) {
 			t.Fatalf("flipped length bit %d decoded AND verified", bit)
 		}
 	}
-	// An absurd length must fail before any huge allocation.
-	huge := append([]byte(nil), enc[:lenOff]...)
-	huge = binary.BigEndian.AppendUint64(huge, 1<<60)
-	huge = append(huge, enc[lenOff+8:]...)
-	if _, _, err := decodeSidecar(huge); err == nil {
-		t.Fatal("absurd length accepted")
+	// Absurd lengths fail before any allocation — including the lengths
+	// within a block of 2^64, whose rounded-up block count used to wrap to 0.
+	for _, length := range []uint64{1 << 60, ^uint64(0), ^uint64(0) - ChecksumBlockSize + 2} {
+		for _, tail := range [][]byte{enc[lenOff+8:], nil} {
+			huge := binary.BigEndian.AppendUint64(append([]byte(nil), enc[:lenOff]...), length)
+			if _, err := decodeSidecar(append(huge, tail...)); err == nil {
+				t.Fatalf("length %d with %d address bytes accepted", length, len(tail))
+			}
+		}
 	}
 }
 
-func TestChecksumsVerify(t *testing.T) {
+func TestManifestVerify(t *testing.T) {
 	data := bytes.Repeat([]byte{0x5A}, ChecksumBlockSize+100)
-	cs := ComputeChecksums(data)
-	if !cs.Verify(data) {
-		t.Fatal("fresh checksums must verify")
+	m := ComputeManifest(data)
+	if !m.Verify(data) {
+		t.Fatal("fresh manifest must verify")
 	}
 	// One flipped bit anywhere fails, in either block.
 	for _, off := range []int{0, ChecksumBlockSize - 1, ChecksumBlockSize, len(data) - 1} {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x01
-		if cs.Verify(mut) {
+		if m.Verify(mut) {
 			t.Fatalf("flipped bit at %d verified", off)
 		}
 	}
 	// Length changes fail even when the common prefix is intact.
-	if cs.Verify(data[:len(data)-1]) || cs.Verify(append(append([]byte(nil), data...), 0)) {
+	if m.Verify(data[:len(data)-1]) || m.Verify(append(append([]byte(nil), data...), 0)) {
 		t.Fatal("length change verified")
 	}
-	// nil summary never verifies; a tampered shape never verifies.
-	var nilCS *Checksums
-	if nilCS.Verify(nil) {
-		t.Fatal("nil summary verified")
+	// nil manifest never verifies; a tampered shape never verifies.
+	var nilM *BlockManifest
+	if nilM.Verify(nil) {
+		t.Fatal("nil manifest verified")
 	}
-	short := &Checksums{Length: cs.Length, Sums: cs.Sums[:1]}
+	short := &BlockManifest{Length: m.Length, Blocks: m.Blocks[:1]}
 	if short.Verify(data) {
-		t.Fatal("summary with missing block sums verified")
+		t.Fatal("manifest with missing addresses verified")
 	}
-	if !ComputeChecksums(nil).Verify(nil) {
-		t.Fatal("empty data must verify against its own summary")
+	if (&BlockManifest{Length: ^uint64(0)}).Verify(nil) {
+		t.Fatal("manifest whose block count wraps verified")
+	}
+	if !ComputeManifest(nil).Verify(nil) {
+		t.Fatal("empty data must verify against its own manifest")
 	}
 }
 
-func TestChecksumsClone(t *testing.T) {
-	cs := ComputeChecksums([]byte("abc"))
-	cp := cs.Clone()
-	cp.Sums[0]++
-	if cs.Sums[0] == cp.Sums[0] {
-		t.Fatal("Clone must deep-copy the sums")
+// TestInstallRejectsMalformedManifest: a pull answer is outside input.  A
+// manifest whose length disagrees with its block list — in particular one
+// within a block of 2^64, which used to round up to zero blocks, pass the
+// shape check with an empty list and panic sizing the assembly buffer — is
+// refused as corrupt before anything is allocated or touches disk.
+func TestInstallRejectsMalformedManifest(t *testing.T) {
+	defer invariant.ForceForTest(false)() // the mis-sized case below is a violation when armed
+	l, _ := newLayer(t, 1)
+	one := HashBlock(blockOf('x'))
+	for _, m := range []*BlockManifest{
+		{Length: ^uint64(0)},
+		{Length: ^uint64(0) - ChecksumBlockSize + 2},
+		{Length: 1},
+		{Length: 0, Blocks: []BlockAddr{one}},
+		{Length: 2 * ChecksumBlockSize, Blocks: []BlockAddr{one}},
+	} {
+		for _, data := range [][]byte{nil, []byte("x")} {
+			r := &PullResult{Status: PullData, Data: data, Manifest: m, Aux: Aux{Type: KFile, Nlink: 1, VV: vv.New().Bump(2)},
+				Missing: []Block{{Addr: one, Data: blockOf('x')}}}
+			err := l.InstallPulled(RootPath(), fid(2, 9), r)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("manifest {%d, %d blocks}, %d data bytes: %v, want ErrCorrupt", m.Length, len(m.Blocks), len(data), err)
+			}
+		}
 	}
-	var nilCS *Checksums
-	if nilCS.Clone() != nil {
-		t.Fatal("nil Clone must stay nil")
+	// A delta answer whose blocks have the right addresses but the wrong
+	// sizes for their positions would seal addresses that are not those of
+	// the file's 4 KiB chunks.
+	a, b := blockOf('a')[:100], append(blockOf('b'), blockOf('b')[:100]...)
+	r := &PullResult{Status: PullData, Aux: Aux{Type: KFile, Nlink: 1, VV: vv.New().Bump(2)},
+		Manifest: &BlockManifest{Length: uint64(len(a) + len(b)), Blocks: []BlockAddr{HashBlock(a), HashBlock(b)}},
+		Missing:  []Block{{Addr: HashBlock(a), Data: a}, {Addr: HashBlock(b), Data: b}}}
+	if err := l.InstallPulled(RootPath(), fid(2, 9), r); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("mis-sized blocks: %v, want ErrCorrupt", err)
+	}
+	if l.StoresFile(RootPath(), fid(2, 9)) || len(l.PoolAddrs()) != 0 {
+		t.Fatal("a refused install left storage behind")
 	}
 }

@@ -36,8 +36,7 @@ var _ BatchPuller = (*physical.Layer)(nil)
 // entries as (manifest, missing blocks) so unchanged blocks never ship.
 // *physical.Layer provides it directly; repl.Client provides it with
 // transparent per-peer downgrade, answering whole-file pulls when the far
-// side predates the delta op — so a DeltaPuller's results must be handled
-// both ways (Manifest set, or plain Data).
+// side predates the delta op; physical.InstallPulled takes either answer.
 type DeltaPuller interface {
 	BatchPuller
 	PullBatchDelta([]physical.PullRequest, []physical.BlockAddr) ([]physical.PullResult, error)
@@ -629,19 +628,14 @@ func applyBatch(local *physical.Layer, plan batchPlan, results []physical.PullRe
 		nv := entries[i]
 		switch r.Status {
 		case physical.PullData:
-			// Install under the origin's sealed checksums, when it could
-			// vouch for them: a payload damaged in flight (or served past a
-			// bypassed verification) is rejected as a transient failure
-			// before it touches disk, and the entry retries under backoff.
-			// A delta answer reassembles from pool + shipped blocks first;
-			// a missing block is transient (the pool moved under us) and
-			// the entry retries with a fresh advertisement.
-			var err error
-			if r.Manifest != nil {
-				err = local.InstallFileVersionDelta(nv.Dir, nv.File, r.Aux.Type, r.Manifest, r.Missing, r.Aux.VV, r.Aux.Nlink, r.Sum)
-			} else {
-				err = local.InstallFileVersionSum(nv.Dir, nv.File, r.Aux.Type, r.Data, r.Aux.VV, r.Aux.Nlink, r.Sum)
-			}
+			// Install under the origin's manifest: a payload damaged in
+			// flight (or served past a bypassed verification) is rejected as
+			// a transient failure before it touches disk, and the entry
+			// retries under backoff.  A delta answer reassembles from pool +
+			// shipped blocks first; a missing block is transient (the pool
+			// moved under us) and the entry retries with a fresh
+			// advertisement.
+			err := local.InstallPulled(nv.Dir, nv.File, r)
 			switch {
 			case err == nil:
 				outcomes[i] = entryOutcome{kind: outInstalled}

@@ -18,8 +18,8 @@ import (
 // only when its vector dominates-or-equals the quarantined vector (an older
 // version must not silently roll the file back; it will arrive through
 // normal reconciliation if it is genuinely the surviving history) and its
-// payload matches the shipped checksums — InstallFileVersionSum verifies
-// before anything touches disk, and a verified install lifts the quarantine.
+// payload matches the shipped manifest — InstallPulled verifies before
+// anything touches disk, and a verified install lifts the quarantine.
 //
 // Failure handling mirrors update propagation: a peer that is unreachable
 // or answers with a transient error leaves the entry queued under the
@@ -98,12 +98,7 @@ func repairOne(local *physical.Layer, find PeerFinder, peers []ids.ReplicaID, q 
 			if !res.Aux.VV.DominatesOrEqual(q.VV) {
 				continue // an older version cannot vouch for this one
 			}
-			if res.Manifest != nil {
-				err = local.InstallFileVersionDelta(q.Dir, q.File, res.Aux.Type, res.Manifest, res.Missing, res.Aux.VV, res.Aux.Nlink, res.Sum)
-			} else {
-				err = local.InstallFileVersionSum(q.Dir, q.File, res.Aux.Type, res.Data, res.Aux.VV, res.Aux.Nlink, res.Sum)
-			}
-			if err != nil {
+			if err := local.InstallPulled(q.Dir, q.File, &res); err != nil {
 				definitive = false // damaged in flight, or local trouble: retry
 				continue
 			}
@@ -124,7 +119,7 @@ func repairOne(local *physical.Layer, find PeerFinder, peers []ids.ReplicaID, q 
 // pool blocks — which are re-verified against their addresses on every read,
 // so a quarantined file's untrusted bytes can never slip into the repair),
 // the batched path otherwise, and the per-file protocol as the last resort
-// (a plain FileData ships no checksums; the install then seals from the
+// (a plain FileData ships no manifest; the install then seals from the
 // received bytes, which the serving side verified on read).
 func repairPull(local *physical.Layer, peer Peer, q physical.QuarEntry) (physical.PullResult, error) {
 	req := physical.PullRequest{Dir: q.Dir, File: q.File} // HasLocal=false: ship unconditionally

@@ -27,10 +27,10 @@ import (
 )
 
 // A wire version byte leads every message; an out-of-range version fails
-// loudly instead of misparsing.  Version 2 added the checksum summary to
-// pull results.  Version 3 adds block-delta pulls: requests may advertise
-// held block addresses, and pull answers may carry a manifest plus missing
-// blocks instead of full data.  Both ends accept the full range, and a
+// loudly instead of misparsing.  Every pull answer carries the version's
+// block manifest, the receiver's verifier.  Version 3 adds block-delta
+// pulls: requests may advertise held block addresses, and pull answers may
+// carry the missing blocks instead of full data.  Both ends accept the full range, and a
 // server answers at the version the request arrived with, so v3-only
 // traffic (the delta op) degrades cleanly against v2 peers.
 const (
@@ -168,23 +168,15 @@ func (r *response) encode(dst []byte) []byte {
 		dst = appendAux(dst, p.Aux)
 		dst = appendU64(dst, p.Size)
 		dst = p.RemoteVV.AppendBinary(dst)
-		dst = appendBool(dst, p.Sum != nil)
-		if p.Sum != nil {
-			dst = appendU64(dst, p.Sum.Length)
-			dst = appendCount(dst, len(p.Sum.Sums))
-			for _, s := range p.Sum.Sums {
-				dst = appendU32(dst, s)
+		dst = appendBool(dst, p.Manifest != nil)
+		if p.Manifest != nil {
+			dst = appendU64(dst, p.Manifest.Length)
+			dst = appendCount(dst, len(p.Manifest.Blocks))
+			for j := range p.Manifest.Blocks {
+				dst = append(dst, p.Manifest.Blocks[j][:]...)
 			}
 		}
 		if ver >= wireV3 {
-			dst = appendBool(dst, p.Manifest != nil)
-			if p.Manifest != nil {
-				dst = appendU64(dst, p.Manifest.Length)
-				dst = appendCount(dst, len(p.Manifest.Blocks))
-				for j := range p.Manifest.Blocks {
-					dst = append(dst, p.Manifest.Blocks[j][:]...)
-				}
-			}
 			dst = appendCount(dst, len(p.Missing))
 			for j := range p.Missing {
 				dst = append(dst, p.Missing[j].Addr[:]...)
@@ -422,7 +414,7 @@ func decodeResponse(b []byte) (*response, error) {
 		}
 	}
 	// A pull result is at least status(1) + class(1) + empty err(1) +
-	// empty data(1) + aux(13+4) + size(8) + empty vv(4) + sum flag(1).
+	// empty data(1) + aux(13+4) + size(8) + empty vv(4) + manifest flag(1).
 	n = d.count(34)
 	if n > 0 {
 		resp.Pulls = make([]wirePull, n)
@@ -436,26 +428,16 @@ func decodeResponse(b []byte) (*response, error) {
 			p.Size = d.u64()
 			p.RemoteVV = d.vvec()
 			if d.bool() {
-				cs := &physical.Checksums{Length: d.u64()}
-				if m := d.count(4); m > 0 {
-					cs.Sums = make([]uint32, m)
-					for j := range cs.Sums {
-						cs.Sums[j] = d.u32()
+				man := &physical.BlockManifest{Length: d.u64()}
+				if m := d.count(physical.BlockAddrSize); m > 0 {
+					man.Blocks = make([]physical.BlockAddr, m)
+					for j := range man.Blocks {
+						copy(man.Blocks[j][:], d.take(physical.BlockAddrSize))
 					}
 				}
-				p.Sum = cs
+				p.Manifest = man
 			}
 			if d.ver >= wireV3 {
-				if d.bool() {
-					man := &physical.BlockManifest{Length: d.u64()}
-					if m := d.count(physical.BlockAddrSize); m > 0 {
-						man.Blocks = make([]physical.BlockAddr, m)
-						for j := range man.Blocks {
-							copy(man.Blocks[j][:], d.take(physical.BlockAddrSize))
-						}
-					}
-					p.Manifest = man
-				}
 				if m := d.count(physical.BlockAddrSize + 1); m > 0 {
 					p.Missing = make([]physical.Block, m)
 					for j := range p.Missing {

@@ -42,7 +42,7 @@ func sampleResponse() *response {
 		Pulls: []wirePull{
 			{Status: byte(physical.PullData), Data: []byte("file contents"),
 				Aux: physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{1: 2, 3: 4}}, Size: 13,
-				Sum: &physical.Checksums{Length: 13, Sums: []uint32{0xdeadbeef}}},
+				Manifest: physical.ComputeManifest([]byte("file contents"))},
 			{Status: byte(physical.PullStale)},
 			{Status: byte(physical.PullConcurrent), RemoteVV: vv.Vector{4: 4}},
 			{Status: byte(physical.PullError), Class: classPermanent, Err: "disk exploded"},
@@ -101,11 +101,12 @@ func TestCodecResponseRoundTrip(t *testing.T) {
 		dec.Pulls[3].Err != "disk exploded" || !dec.Pulls[2].RemoteVV.Equal(vv.Vector{4: 4}) {
 		t.Fatalf("pulls: %+v", dec.Pulls)
 	}
-	if s := dec.Pulls[0].Sum; s == nil || s.Length != 13 || len(s.Sums) != 1 || s.Sums[0] != 0xdeadbeef {
-		t.Fatalf("pull checksum summary: %+v", dec.Pulls[0].Sum)
+	// The whole-file answer's verifier travels at every wire version.
+	if m := dec.Pulls[0].Manifest; !m.Verify([]byte("file contents")) {
+		t.Fatalf("pull manifest: %+v", m)
 	}
-	if dec.Pulls[1].Sum != nil {
-		t.Fatalf("absent checksum summary decoded as %+v", dec.Pulls[1].Sum)
+	if dec.Pulls[1].Manifest != nil {
+		t.Fatalf("absent manifest decoded as %+v", dec.Pulls[1].Manifest)
 	}
 	if enc2 := dec.encode(nil); !bytes.Equal(enc, enc2) {
 		t.Fatal("re-encoding differs")

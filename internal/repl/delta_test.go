@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -65,8 +66,8 @@ func TestCodecV3RoundTrip(t *testing.T) {
 		ver: wireV3,
 		Pulls: []wirePull{
 			{Status: byte(physical.PullData),
-				Aux:  physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{1: 2}},
-				Size: 9, Sum: &physical.Checksums{Length: 9, Sums: []uint32{7}},
+				Aux:      physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{1: 2}},
+				Size:     9,
 				Manifest: &physical.BlockManifest{Length: 9, Blocks: []physical.BlockAddr{a1}},
 				Missing:  []physical.Block{{Addr: a1, Data: []byte("block one")}}},
 			{Status: byte(physical.PullStale)},
@@ -138,8 +139,7 @@ func TestPullBatchDeltaOverWire(t *testing.T) {
 	if len(res.Missing) != 1 || string(res.Missing[0].Data) != tail {
 		t.Fatalf("missing blocks: %d, want exactly the appended tail", len(res.Missing))
 	}
-	if err := r.lA.InstallFileVersionDelta(physical.RootPath(), fid, res.Aux.Type,
-		res.Manifest, res.Missing, res.Aux.VV, res.Aux.Nlink, res.Sum); err != nil {
+	if err := r.lA.InstallPulled(physical.RootPath(), fid, res); err != nil {
 		t.Fatal(err)
 	}
 	rootA, _ := r.lA.Root()
@@ -174,7 +174,10 @@ func TestDeltaFallbackToV2Peer(t *testing.T) {
 	if s := r.net.Stats(); s.RPCs != 2 {
 		t.Fatalf("first delta call against v2 peer cost %d RPCs, want 2 (probe + fallback)", s.RPCs)
 	}
-	if results[0].Status != physical.PullData || string(results[0].Data) != "payload" || results[0].Manifest != nil {
+	// The fallback is a whole-file answer: the data, and the manifest that
+	// verifies it.
+	if results[0].Status != physical.PullData || !results[0].Manifest.Verify([]byte("payload")) ||
+		string(results[0].Data) != "payload" || results[0].Missing != nil {
 		t.Fatalf("fallback answer: %+v", results[0])
 	}
 	if !r.client.noDelta.Load() {
@@ -200,10 +203,36 @@ func TestDeltaFallbackToV2Peer(t *testing.T) {
 	c3 := NewClient(r.net.Host("a"), "b", r.lB.VolumeReplica())
 	r.net.ResetStats()
 	res3, err := c3.PullBatchDelta(reqs, nil)
-	if err != nil || res3[0].Manifest == nil {
+	if err != nil || res3[0].Data != nil || len(res3[0].Missing) != 1 {
 		t.Fatalf("v3 peer: %+v %v", res3, err)
 	}
 	if s := r.net.Stats(); s.RPCs != 1 {
 		t.Fatalf("v3 delta call cost %d RPCs, want 1", s.RPCs)
+	}
+}
+
+// TestMalformedManifestFromWire: the response decoder accepts any manifest
+// length, so a peer can answer a pull with one that disagrees with its block
+// list — at the extreme, a length within a block of 2^64 with no blocks at
+// all, which once sized the puller's assembly buffer and killed the host.
+// The puller must refuse the answer as a transient corrupt-payload error.
+func TestMalformedManifestFromWire(t *testing.T) {
+	r := newRig(t)
+	evil := response{ver: wireV3, Pulls: []wirePull{{
+		Status:   byte(physical.PullData),
+		Aux:      physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{2: 1}},
+		Manifest: &physical.BlockManifest{Length: ^uint64(0)},
+	}}}
+	resp, err := decodeResponse(evil.encode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := pullsFromWire(1, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = r.lA.InstallPulled(physical.RootPath(), ids.FileID{Issuer: 2, Seq: 99}, &results[0])
+	if !errors.Is(err, physical.ErrCorrupt) {
+		t.Fatalf("install of a wrapped-length manifest: %v, want ErrCorrupt", err)
 	}
 }

@@ -176,13 +176,11 @@ type wirePull struct {
 	Aux      physical.Aux
 	Size     uint64
 	RemoteVV vv.Vector
-	Sum      *physical.Checksums // serving replica's sealed checksums, if any
+	Manifest *physical.BlockManifest // the shipped version's verifier
 
-	// Delta answers (v3, opPullBatchDelta): the version's block manifest
-	// plus only the blocks the puller's advertisement lacked.  Data is nil
-	// when Manifest is set.
-	Manifest *physical.BlockManifest
-	Missing  []physical.Block
+	// Delta answers (v3, opPullBatchDelta): Data is nil and only the blocks
+	// the puller's advertisement lacked travel.
+	Missing []physical.Block
 }
 
 // Server exports the volume replicas registered on one host.
@@ -299,12 +297,12 @@ func (s *Server) dispatch(req *request) response {
 }
 
 // pullsToWire flattens a batch of pull results for the wire (shared by the
-// whole-file and delta pull ops; Manifest/Missing only travel on v3).
+// whole-file and delta pull ops; Missing only travels on v3).
 func pullsToWire(results []physical.PullResult) []wirePull {
 	wps := make([]wirePull, len(results))
 	for i := range results {
 		r := &results[i]
-		wps[i] = wirePull{Status: byte(r.Status), Data: r.Data, Aux: r.Aux, Size: r.Size, RemoteVV: r.RemoteVV, Sum: r.Sum, Manifest: r.Manifest, Missing: r.Missing}
+		wps[i] = wirePull{Status: byte(r.Status), Data: r.Data, Aux: r.Aux, Size: r.Size, RemoteVV: r.RemoteVV, Manifest: r.Manifest, Missing: r.Missing}
 		if r.Err != nil {
 			wps[i].Class = classOf(r.Err)
 			wps[i].Err = r.Err.Error()
@@ -328,7 +326,6 @@ func pullsFromWire(nreq int, resp *response) ([]physical.PullResult, error) {
 			Aux:      w.Aux,
 			Size:     w.Size,
 			RemoteVV: w.RemoteVV,
-			Sum:      w.Sum,
 			Manifest: w.Manifest,
 			Missing:  w.Missing,
 		}
@@ -502,8 +499,7 @@ func (c *Client) PullBatch(reqs []physical.PullRequest) ([]physical.PullResult, 
 
 // PullBatchDelta implements recon.DeltaPuller: like PullBatch, but the
 // request advertises the block addresses this replica already holds, and
-// answers for checksummed files come back as (manifest, missing blocks)
-// instead of full data.  A peer that predates the delta op answers it with
+// answers come back as (manifest, missing blocks) instead of full data.  A peer that predates the delta op answers it with
 // a permanent error; the client notes that once and degrades this and every
 // later batch to plain PullBatch, so mixed-version clusters converge at v2.
 func (c *Client) PullBatchDelta(reqs []physical.PullRequest, have []physical.BlockAddr) ([]physical.PullResult, error) {

@@ -2,8 +2,9 @@
 # ci.sh — the single CI gate for the repository.
 #
 # Runs, in order: build, ficusvet (repo-specific static analysis), go vet,
-# the race-enabled test suite, and the suite again with runtime invariants
-# armed (FICUS_INVARIANTS=1).  Any failure stops the gate.
+# three one-iteration bench smokes, the race-enabled test suite, the suite
+# again with runtime invariants armed (FICUS_INVARIANTS=1), and the four
+# chaos gates.  Each thing runs once.  Any failure stops the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -23,27 +24,6 @@ fi
 
 echo "==> go vet ./..."
 go vet ./...
-
-echo "==> go test -race ./internal/recon ./internal/repl"
-go test -race -count=1 ./internal/recon ./internal/repl
-
-echo "==> go test -race ./internal/core ./internal/physical"
-go test -race -count=1 ./internal/core ./internal/physical
-
-echo "==> go test -race (repair daemon / propagation interleaving)"
-go test -race -count=1 -run 'TestRepair|TestPropagat' ./internal/recon ./internal/physical ./internal/repl ./internal/sim
-
-echo "==> go test -race (scrubber path)"
-go test -race -count=1 -run 'TestScrub|TestJournalCompactionCrashSweep|TestRepair' ./internal/physical ./internal/recon ./internal/disk
-
-echo "==> go test -race (block store / delta propagation)"
-go test -race -count=1 -run 'TestBlock|TestDelta|TestPool|TestCodecV3|TestPullBatchDelta|TestCheckReportsDangling' ./internal/physical ./internal/repl ./internal/recon ./internal/core
-
-echo "==> go test -race (slow-peer plane: deadlines, hedging, backpressure)"
-go test -race -count=1 -run 'TestHedge|TestSlowShed|TestTickBudget|TestPackWaves|TestPropagateHedgedDeterministic|TestDeadline|TestLatency|TestHang|TestSlow' ./internal/recon ./internal/retry ./internal/simnet
-
-echo "==> go test -race (gossip plane: relay, suppression, scheduler)"
-go test -race -count=1 -run 'TestGossip|TestRumor|TestScheduler|TestLinkDatagram|TestDatagramBytes' ./internal/core ./internal/recon ./internal/simnet
 
 echo "==> bench smoke: E13 delta propagation"
 go test -count=1 -run 'xxx' -bench 'BenchmarkE13DeltaPropagation' -benchtime 1x .
