@@ -294,17 +294,15 @@ func benchWrite(b *testing.B, l *physical.Layer, name, data string) ids.FileID {
 	return fid
 }
 
-// BenchmarkE10BatchPropagation measures the batched conditional-pull
-// propagation pipeline against the sequential two-RPCs-per-file baseline
-// on a 4-host cluster with 256 pending entries spread over 3 origins.
+// BenchmarkE10BatchPropagation measures the conditional-pull propagation
+// pipeline on a 4-host cluster with 256 pending entries spread over 3
+// origins.  (The sequential two-RPCs-per-file pipeline it replaced lives on
+// as the recorded sequential/fresh row of EXPERIMENTS.md E10.)
 //
 //   - batch/fresh:         every entry dominated remotely — data must ship;
-//     one PullBatch RPC per origin replaces FileInfo+FileData per file.
+//     one pull RPC per origin.
 //   - batch/all-dominated:  every entry already local — the pass costs at
 //     most one RPC per origin and ships no file bytes.
-//   - sequential/fresh:     the pre-batching pipeline (per-entry RPCs, one
-//     worker) on the identical workload, for the wall-time and RPC deltas
-//     recorded in EXPERIMENTS.md row E10.
 func BenchmarkE10BatchPropagation(b *testing.B) {
 	const nFiles = 256
 	const nOrigins = 3 // hosts 1..3 originate; host 0 propagates
@@ -421,22 +419,18 @@ func BenchmarkE10BatchPropagation(b *testing.B) {
 	}
 
 	batchCfg := recon.PropagateConfig{Policy: retry.Default()}
-	seqCfg := recon.PropagateConfig{Policy: retry.Default(), DisableBatch: true, Workers: 1}
 	b.Run("batch/fresh", func(b *testing.B) { run(b, batchCfg, false) })
 	b.Run("batch/all-dominated", func(b *testing.B) { run(b, batchCfg, true) })
-	b.Run("sequential/fresh", func(b *testing.B) { run(b, seqCfg, false) })
 }
 
 // BenchmarkE13DeltaPropagation measures the content-addressed block-delta
-// propagation path (wire v3) against whole-file batched pulls on a 4-host
-// cluster: 128 files of 16 data blocks each, three origin hosts, host 0
-// propagating.
+// propagation path on a 4-host cluster: 128 files of 16 data blocks each,
+// three origin hosts, host 0 propagating.  (The whole-file pass the
+// wireBytes/file reduction is quoted against lives on as the recorded
+// whole/append-one-block row of EXPERIMENTS.md E13.)
 //
 //   - delta/append-one-block:  each pass appends one 4 KiB block to every
 //     file; only that block should cross the wire.
-//   - whole/append-one-block:  the identical workload with DisableDelta —
-//     the whole-file baseline the wireBytes/file reduction is quoted
-//     against.
 //   - delta/touch-metadata:    each pass rewrites every file byte-for-byte
 //     (the version bumps, the data does not); every block dedups and the
 //     pass ships no block data at all.
@@ -589,9 +583,7 @@ func BenchmarkE13DeltaPropagation(b *testing.B) {
 	}
 
 	deltaCfg := recon.PropagateConfig{Policy: retry.Default()}
-	wholeCfg := recon.PropagateConfig{Policy: retry.Default(), DisableDelta: true}
 	b.Run("delta/append-one-block", func(b *testing.B) { run(b, deltaCfg, appendContents, false) })
-	b.Run("whole/append-one-block", func(b *testing.B) { run(b, wholeCfg, appendContents, false) })
 	b.Run("delta/touch-metadata", func(b *testing.B) { run(b, deltaCfg, touchContents, false) })
 	b.Run("delta/all-dominated", func(b *testing.B) { run(b, deltaCfg, appendContents, true) })
 }
@@ -673,9 +665,10 @@ func BenchmarkE14HedgedPulls(b *testing.B) {
 
 // BenchmarkE15GossipScale measures what the epidemic notification plane
 // costs the origin as the cluster grows (E15).  For each cluster size the
-// same 4-update workload runs once with flat multicast (the paper's §2.5
-// one-datagram-per-replica) and once with gossip (fanout 3, TTL 6): the
-// flat origin pays n-1 notices per update, the gossip origin a constant
+// same 4-update workload runs once flat — GossipConfig{}: every holder, no
+// relay, the paper's §2.5 one-datagram-per-replica — and once with gossip
+// (fanout 3, TTL 6), as parameter values of the one notification path: the
+// flat origin pays n-1 notices per rumor, the gossip origin a constant
 // fanout, with the remaining coverage financed by relayers — O(k) at the
 // origin, O(n·k) spread across the cluster.  Convergence is then driven by
 // propagation plus budget-4 anti-entropy passes, and the passes-to-identical
@@ -737,18 +730,11 @@ func BenchmarkE15GossipScale(b *testing.B) {
 				}
 			}
 			ns := c.NetworkStats()
-			if cfg.Fanout > 0 {
-				if originated == 0 {
-					b.Fatal("gossip run originated no rumors")
-				}
-				b.ReportMetric(float64(origin.NoticesSent)/float64(updates), "originDatagrams/update")
-				b.ReportMetric(float64(origin.NoticesSent)/float64(origin.RumorsOriginated), "notices/rumor")
-			} else {
-				// Flat multicast: every notify datagram in the run was sent
-				// by the origin — one per peer replica host per rumor.
-				b.ReportMetric(float64(ns.Datagrams)/float64(updates), "originDatagrams/update")
-				b.ReportMetric(float64(n-1), "notices/rumor")
+			if originated == 0 {
+				b.Fatal("run originated no rumors")
 			}
+			b.ReportMetric(float64(origin.NoticesSent)/float64(updates), "originDatagrams/update")
+			b.ReportMetric(float64(origin.NoticesSent)/float64(origin.RumorsOriginated), "notices/rumor")
 			b.ReportMetric(float64(ns.Datagrams)/float64(updates), "totalDatagrams/update")
 			b.ReportMetric(float64(passes), "passesToConverge")
 		}

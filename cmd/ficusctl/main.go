@@ -41,7 +41,8 @@
 //	                                     epidemic update notification: rumor
 //	                                     fanout and relay hop budget, plus the
 //	                                     anti-entropy per-pass peer budget
-//	                                     (fanout 0 = flat multicast)
+//	                                     (fanout 0 = every holder, ttl 0 = no
+//	                                     relay, reconpeers 0 = every peer)
 //	gossip [host]                        gossip-plane counters: rumors
 //	                                     originated/relayed/suppressed and the
 //	                                     configured fanout and TTL
@@ -573,11 +574,7 @@ func (c *controller) exec(line string) error {
 			TTL:        vals[1],
 			ReconPeers: vals[2],
 		})
-		if vals[0] == 0 {
-			fmt.Println("gossip off: flat multicast notification")
-		} else {
-			fmt.Printf("gossip on: fanout=%d ttl=%d recon-peers=%d\n", vals[0], vals[1], vals[2])
-		}
+		fmt.Printf("gossip: fanout=%d ttl=%d recon-peers=%d\n", vals[0], vals[1], vals[2])
 		return nil
 	case "gossip":
 		lo, hi := 0, c.cluster.NumHosts()

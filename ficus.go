@@ -400,8 +400,9 @@ func (c *Cluster) UnhangHost(i int) {
 }
 
 // GossipConfig tunes the epidemic update-notification plane and the
-// anti-entropy scheduler's per-pass peer budget.  The zero value keeps the
-// paper's flat multicast and the full per-pass peer sweep.
+// anti-entropy scheduler's per-pass peer budget.  The zero value is the
+// paper's scheme: every other holder is told directly, nobody relays, and
+// every peer is swept each pass.
 type GossipConfig = core.GossipConfig
 
 // ConfigureGossip installs the gossip/scheduler settings on every host.
@@ -423,7 +424,7 @@ func (c *Cluster) GossipStatsFor(host int) GossipStats {
 // scheduler would visit the root volume's peers in right now, stalest and
 // least-healthy first.
 type PeerPriority struct {
-	Peer        int    // peer host index (-1 if the address maps to no host)
+	Peer        int // peer host index (-1 if the address maps to no host)
 	Replica     ids.ReplicaID
 	State       string // tracked health behind the priority
 	LastSync    uint64 // daemon tick of the last clean pass (0 = never)

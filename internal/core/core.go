@@ -154,14 +154,12 @@ type Host struct {
 // Hops are the gossip-plane envelope: Src+Seq identify the rumor for
 // duplicate suppression (standing in for the (origin, version-vector)
 // identity of the announced update) and Hops is the remaining relay budget.
-// An untagged message (Src == "") is a legacy flat-multicast notification:
-// never suppressed, never relayed.
 type notifyMsg struct {
 	Vol    ids.VolumeHandle
 	Dir    []ids.FileID
 	File   ids.FileID
 	Origin ids.ReplicaID
-	Src    simnet.Addr // originating notifier host; "" = flat multicast
+	Src    simnet.Addr // originating notifier host
 	Seq    uint64      // per-Src rumor sequence number
 	Hops   uint8       // remaining relay budget
 }
@@ -171,17 +169,17 @@ type notifyMsg struct {
 // each Ficus host is issued a unique value as its allocator-id").
 func NewHost(net *simnet.Network, addr simnet.Addr, alloc ids.AllocatorID) *Host {
 	h := &Host{
-		addr:      addr,
-		net:       net,
-		snHost:    net.Host(addr),
-		alloc:     alloc,
-		replicas:  make(map[ids.VolumeReplicaHandle]*localReplica),
-		locations: make(map[ids.VolumeHandle]map[ids.ReplicaID]simnet.Addr),
-		grafts:    make(map[ids.VolumeHandle]*graftEntry),
-		crashed:   make(map[ids.VolumeReplicaHandle]*crashedReplica),
-		rescan:    make(map[ids.VolumeHandle]bool),
-		nextVol:   1,
-		health:    retry.NewTracker(3, 4),
+		addr:       addr,
+		net:        net,
+		snHost:     net.Host(addr),
+		alloc:      alloc,
+		replicas:   make(map[ids.VolumeReplicaHandle]*localReplica),
+		locations:  make(map[ids.VolumeHandle]map[ids.ReplicaID]simnet.Addr),
+		grafts:     make(map[ids.VolumeHandle]*graftEntry),
+		crashed:    make(map[ids.VolumeReplicaHandle]*crashedReplica),
+		rescan:     make(map[ids.VolumeHandle]bool),
+		nextVol:    1,
+		health:     retry.NewTracker(3, 4),
 		gossipSeen: make(map[rumorKey]struct{}),
 		sched:      recon.NewScheduler(),
 	}
@@ -451,68 +449,59 @@ func (h *Host) Mount(vol ids.VolumeHandle, policy logical.Policy) (*logical.Laye
 }
 
 // notifier announces an update to the other hosts storing a replica of vol
-// (§2.5).  With gossip disabled this is the paper's flat multicast to every
-// replica holder; with a fanout configured the update becomes a rumor sent
-// to a rendezvous-chosen k-sample of the volume's replica set, which
-// receivers relay onward (see gossip.go and onNotify).
+// (§2.5): the update becomes a rumor sent to a rendezvous-chosen Fanout-sample
+// of the volume's replica set — every other holder when Fanout is 0, the
+// paper's one datagram per replica — which receivers relay onward while the
+// hop budget lasts (see gossip.go and onNotify).
 func (h *Host) notifier(vol ids.VolumeHandle) logical.Notifier {
 	return func(dir []ids.FileID, file ids.FileID, origin ids.ReplicaID) {
 		h.mu.Lock()
-		if h.gossip.Fanout <= 0 {
-			msg := notifyMsg{Vol: vol, Dir: dir, File: file, Origin: origin}
-			payload := encodeNotify(&msg)
-			seen := map[simnet.Addr]bool{}
-			var dsts []simnet.Addr
-			for _, addr := range h.locations[vol] {
-				if !seen[addr] {
-					seen[addr] = true
-					dsts = append(dsts, addr)
-				}
-			}
-			h.mu.Unlock()
-			sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-			h.snHost.Multicast(NotifyPort, payload, dsts)
-			return
-		}
 		h.gossipSeq++
 		msg := notifyMsg{
 			Vol: vol, Dir: dir, File: file, Origin: origin,
 			Src: h.addr, Seq: h.gossipSeq, Hops: uint8(h.gossip.TTL),
 		}
 		// Mark our own rumor seen so a relayed copy looping back is
-		// suppressed, and feed any other co-resident replicas directly —
-		// the self-delivery leg of the old multicast.
+		// suppressed, and feed any other co-resident replicas directly: a
+		// host sends itself no datagram.
 		h.markRumorLocked(rumorKey{h.addr, msg.Seq})
-		for vr, lr := range h.replicas {
-			if vr.Vol == vol && vr.Replica != origin {
-				lr.layer.NoteNewVersion(dir, file, origin)
-				h.notificationsSeen++
-			}
-		}
+		h.noteNewVersionLocked(&msg)
 		dsts := h.gossipPickLocked(vol, rumorHash(msg.Src, msg.Seq),
 			map[simnet.Addr]bool{h.addr: true}, h.gossip.Fanout)
 		h.gstats.RumorsOriginated++
 		h.gstats.NoticesSent += uint64(len(dsts))
 		h.mu.Unlock()
-		h.snHost.Multicast(NotifyPort, encodeNotify(&msg), dsts)
+		if len(dsts) > 0 {
+			h.snHost.Multicast(NotifyPort, encodeNotify(&msg), dsts)
+		}
 	}
 }
 
-// onNotify feeds an incoming update notification into the new-version cache
+// noteNewVersionLocked feeds an announced update into the new-version cache
 // of every local replica of the volume, except the originating replica
-// itself (it already has the new version).  A datagram that fails to decode
+// itself (it already has the new version).
+func (h *Host) noteNewVersionLocked(msg *notifyMsg) {
+	for vr, lr := range h.replicas {
+		if vr.Vol == msg.Vol && vr.Replica != msg.Origin {
+			lr.layer.NoteNewVersion(msg.Dir, msg.File, msg.Origin)
+			h.notificationsSeen++
+		}
+	}
+}
+
+// onNotify receives an update notification.  A datagram that fails to decode
 // is dropped — notifications are best-effort and reconciliation is the
-// backstop — but counted, never silently swallowed.
+// backstop — but counted, never silently swallowed.  Hosts storing no replica
+// of the volume drop the rumor — replica sets are partial, and only holders
+// carry a volume's traffic.
 //
-// A gossip-tagged notification (Src != "") additionally passes duplicate
-// suppression first — at-least-once links and overlapping relay paths must
-// not re-arm the caches — and, if its hop budget allows, is relayed to a
-// fresh fanout sample of the volume's replica set.  The relay happens after
-// h.mu is released: rumor paths can cycle back to this host synchronously
-// (simnet delivery runs in the sender's goroutine), and the seen-cache, not
-// the lock, is what terminates the cycle.  Hosts storing no replica of the
-// volume drop the rumor — replica sets are partial, and only holders carry
-// a volume's traffic.
+// The rumor first passes duplicate suppression — at-least-once links and
+// overlapping relay paths must not re-arm the caches — then feeds the local
+// new-version caches and, if its hop budget allows, is relayed to a fresh
+// fanout sample of the volume's replica set.  The relay happens after h.mu
+// is released: rumor paths can cycle back to this host synchronously (simnet
+// delivery runs in the sender's goroutine), and the seen-cache, not the
+// lock, is what terminates the cycle.
 func (h *Host) onNotify(from simnet.Addr, payload []byte) {
 	msg, err := decodeNotify(payload)
 	h.mu.Lock()
@@ -521,37 +510,20 @@ func (h *Host) onNotify(from simnet.Addr, payload []byte) {
 		h.mu.Unlock()
 		return
 	}
-	gossip := msg.Src != ""
-	if gossip {
-		holder := false
-		for vr := range h.replicas {
-			if vr.Vol == msg.Vol {
-				holder = true
-				break
-			}
-		}
-		if !holder {
-			h.gstats.RumorsForeign++
-			h.mu.Unlock()
-			return
-		}
-		if !h.markRumorLocked(rumorKey{msg.Src, msg.Seq}) {
-			h.gstats.RumorsSuppressed++
-			h.mu.Unlock()
-			return
-		}
-		h.gstats.RumorsAccepted++
+	if h.localReplicaLocked(msg.Vol) == nil {
+		h.gstats.RumorsForeign++
+		h.mu.Unlock()
+		return
 	}
-	for vr, lr := range h.replicas {
-		if vr.Vol == msg.Vol && vr.Replica != msg.Origin {
-			lr.layer.NoteNewVersion(msg.Dir, msg.File, msg.Origin)
-			h.notificationsSeen++
-		}
+	if !h.markRumorLocked(rumorKey{msg.Src, msg.Seq}) {
+		h.gstats.RumorsSuppressed++
+		h.mu.Unlock()
+		return
 	}
-	if !gossip || msg.Hops == 0 || h.gossip.Fanout <= 0 {
-		if gossip && msg.Hops == 0 {
-			h.gstats.RumorsExpired++
-		}
+	h.gstats.RumorsAccepted++
+	h.noteNewVersionLocked(&msg)
+	if msg.Hops == 0 {
+		h.gstats.RumorsExpired++
 		h.mu.Unlock()
 		return
 	}
@@ -559,12 +531,10 @@ func (h *Host) onNotify(from simnet.Addr, payload []byte) {
 		map[simnet.Addr]bool{h.addr: true, from: true, msg.Src: true}, h.gossip.Fanout)
 	h.gstats.RumorsRelayed += uint64(len(dsts))
 	h.mu.Unlock()
-	if len(dsts) == 0 {
-		return
+	if len(dsts) > 0 {
+		msg.Hops--
+		h.snHost.Multicast(NotifyPort, encodeNotify(&msg), dsts)
 	}
-	fwd := msg
-	fwd.Hops--
-	h.snHost.Multicast(NotifyPort, encodeNotify(&fwd), dsts)
 }
 
 // NotificationsSeen counts accepted update notifications.
@@ -604,7 +574,7 @@ type SlowPeerConfig struct {
 	// SlowAfter marks a peer Slow once its latency EWMA exceeds this many
 	// ticks, even while every exchange succeeds.  0 = off.
 	SlowAfter uint64
-	// HedgeAfter enables hedged batched pulls past this many ticks (see
+	// HedgeAfter enables hedged pulls past this many ticks (see
 	// recon.PropagateConfig.HedgeAfter).  0 = off.
 	HedgeAfter uint64
 	// TickBudget bounds one propagation pass's virtual makespan.  0 = off.
@@ -645,7 +615,7 @@ func (h *Host) PropagationStats() recon.Stats {
 // network traffic until their cool-down expires — the propagation daemon
 // uses this so a flapping or long-dead host is not hammered every pass —
 // and the peer is returned wrapped so the pulls themselves feed the
-// tracker: the batched pull is the probe, no separate Ping round trip.
+// tracker: the pull is the probe, no separate Ping round trip.
 // Reconciliation and GC pass gated=false: correctness there depends on
 // actual reachability (a skipped peer must mean an unreachable peer), so
 // they pay an explicit Ping, which is also what revives a recovered peer.
@@ -703,8 +673,6 @@ type healthPeer struct {
 
 var (
 	_ recon.Peer            = (*healthPeer)(nil)
-	_ recon.BatchPuller     = (*healthPeer)(nil)
-	_ recon.DeltaPuller     = (*healthPeer)(nil)
 	_ recon.LatencyReporter = (*healthPeer)(nil)
 	_ recon.SlowReporter    = (*healthPeer)(nil)
 	_ recon.AddrKeyer       = (*healthPeer)(nil)
@@ -747,24 +715,6 @@ func (p *healthPeer) DirEntries(dirPath []ids.FileID) (physical.DirState, error)
 	ds, err := p.c.DirEntries(dirPath)
 	p.note(err)
 	return ds, err
-}
-
-func (p *healthPeer) FileInfo(dirPath []ids.FileID, fid ids.FileID) (physical.FileState, error) {
-	st, err := p.c.FileInfo(dirPath, fid)
-	p.note(err)
-	return st, err
-}
-
-func (p *healthPeer) FileData(dirPath []ids.FileID, fid ids.FileID) ([]byte, physical.FileState, error) {
-	data, st, err := p.c.FileData(dirPath, fid)
-	p.note(err)
-	return data, st, err
-}
-
-func (p *healthPeer) PullBatch(reqs []physical.PullRequest) ([]physical.PullResult, error) {
-	res, err := p.c.PullBatch(reqs)
-	p.note(err)
-	return res, err
 }
 
 func (p *healthPeer) PullBatchDelta(reqs []physical.PullRequest, have []physical.BlockAddr) ([]physical.PullResult, error) {
@@ -871,8 +821,8 @@ func (h *Host) PropagateOnce() (recon.Stats, error) {
 }
 
 // PropagateOnceCfg is PropagateOnce under an explicit propagation
-// configuration (worker count, batch disable, retry policy) — used by the
-// benchmarks to compare pipeline shapes.  A down host's daemons do not run:
+// configuration (worker count, retry policy, hedging and backpressure) —
+// used by the benchmarks to compare pipeline shapes.  A down host's daemons do not run:
 // the pass is a no-op.  Any post-restart rescan obligation is paid first,
 // before the pull pass.
 func (h *Host) PropagateOnceCfg(cfg recon.PropagateConfig) (recon.Stats, error) {
@@ -998,7 +948,7 @@ func (h *Host) CollectGarbage() (int, error) {
 // replica pulls from known remote replicas of its volume (§3.3), visited in
 // the anti-entropy scheduler's priority order — longest-unattempted first,
 // Suspect/Slow peers boosted — and capped at the GossipConfig.ReconPeers
-// budget when one is set (0 keeps the legacy every-peer sweep).
+// budget when one is set (0 = every known peer).
 // Reconciliation is the safety net, so visits are never health-gated: a
 // scheduled peer is probed even if the tracker thinks it dead, which is also
 // how a recovered peer's health state resets; the budget only rotates who is

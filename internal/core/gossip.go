@@ -3,7 +3,7 @@ package core
 // Epidemic update notification (the gossip plane).  The paper sends one
 // best-effort datagram per update to every replica (§2.5) — an O(n) burst
 // per origin that stops scaling past a handful of hosts.  Here the origin
-// instead sends each new-version notice to a fanout-k sample of that
+// can instead send each new-version notice to a fanout-k sample of that
 // volume's replica set, and every first-time receiver relays it to its own
 // k-sample with a decrementing hop budget, so per-origin cost is O(k) and
 // network-wide cost is O(n·k) spread across the cluster, while k independent
@@ -40,12 +40,12 @@ import (
 const defaultSuppressionCap = 8192
 
 // GossipConfig tunes a host's epidemic notification plane and its
-// anti-entropy scheduling budget.  The zero value disables both: updates go
-// out as one flat multicast to every replica holder and reconciliation
-// sweeps every known peer each pass — the pre-gossip behavior exactly.
+// anti-entropy scheduling budget.  The zero value is the paper's scheme: an
+// update is announced to every other replica holder directly, nobody relays,
+// and reconciliation sweeps every known peer each pass.
 type GossipConfig struct {
 	// Fanout is how many replica-holder hosts a rumor is sent to at each
-	// step (origination and relay).  0 disables gossip: flat multicast.
+	// step (origination and relay).  0 = every holder.
 	Fanout int
 	// TTL is the relay hop budget: a rumor is forwarded by receivers until
 	// its budget is exhausted.  0 means direct fanout only, no relay.
@@ -56,7 +56,7 @@ type GossipConfig struct {
 	SuppressionCap int
 	// ReconPeers caps how many peers one reconciliation pass visits per
 	// volume, in the anti-entropy scheduler's priority order.  0 = every
-	// known peer (the legacy full sweep).
+	// known peer.
 	ReconPeers int
 }
 
@@ -147,13 +147,11 @@ func rumorHash(src simnet.Addr, seq uint64) uint64 {
 
 // gossipPickLocked chooses the fanout sample for one rumor step: the k
 // replica-holder hosts of vol (excluding excl) with the smallest rendezvous
-// scores under (rumor, this relayer).  Only addresses in the volume's
-// location table are candidates — the partial-replica-set property: rumors
-// for a volume travel exclusively among the hosts storing it.
+// scores under (rumor, this relayer), or all of them when k <= 0.  Only
+// addresses in the volume's location table are candidates — the
+// partial-replica-set property: rumors for a volume travel exclusively among
+// the hosts storing it.
 func (h *Host) gossipPickLocked(vol ids.VolumeHandle, rumor uint64, excl map[simnet.Addr]bool, k int) []simnet.Addr {
-	if k <= 0 {
-		return nil
-	}
 	seen := make(map[simnet.Addr]bool)
 	var cands []simnet.Addr
 	for _, addr := range h.locations[vol] {
@@ -174,7 +172,7 @@ func (h *Host) gossipPickLocked(vol ids.VolumeHandle, rumor uint64, excl map[sim
 		}
 		return cands[i] < cands[j]
 	})
-	if k < len(cands) {
+	if k > 0 && k < len(cands) {
 		cands = cands[:k]
 	}
 	// Deterministic send order by address (the scores are already

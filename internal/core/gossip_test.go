@@ -169,32 +169,67 @@ func TestGossipTTLZeroNoRelay(t *testing.T) {
 	}
 }
 
-// TestGossipDuplicateSuppressedOnWire injects the same tagged rumor twice:
-// the second copy must bump the suppression counter and leave the
-// notification count at first-seen.
+// TestGossipDuplicateSuppressedOnWire injects the same rumor three times: the
+// later copies must bump the suppression counter and leave the notification
+// count at first-seen — under a sampled fanout and under GossipConfig{} (every
+// holder, no relay) alike, because there is one notification path.
 func TestGossipDuplicateSuppressedOnWire(t *testing.T) {
-	c := newCluster(t, 2)
-	h0, h1 := c.hosts[0], c.hosts[1]
-	h1.ConfigureGossip(GossipConfig{Fanout: 1, TTL: 2})
+	for _, cfg := range []GossipConfig{{Fanout: 1, TTL: 2}, {}} {
+		c := newCluster(t, 2)
+		h0, h1 := c.hosts[0], c.hosts[1]
+		h1.ConfigureGossip(cfg)
 
-	msg := notifyMsg{
-		Vol:    c.vol,
-		File:   ids.FileID{Issuer: 1, Seq: 5},
-		Origin: 1,
-		Src:    h0.Addr(),
-		Seq:    77,
-		Hops:   2,
+		msg := notifyMsg{
+			Vol:    c.vol,
+			File:   ids.FileID{Issuer: 1, Seq: 5},
+			Origin: 1,
+			Src:    h0.Addr(),
+			Seq:    77,
+			Hops:   2,
+		}
+		payload := encodeNotify(&msg)
+		for i := 0; i < 3; i++ {
+			h0.SimHost().Multicast(NotifyPort, payload, []simnet.Addr{h1.Addr()})
+		}
+		if got := h1.NotificationsSeen(); got != 1 {
+			t.Fatalf("%+v: NotificationsSeen = %d after 3 copies, want 1", cfg, got)
+		}
+		gs := h1.GossipStats()
+		if gs.RumorsAccepted != 1 || gs.RumorsSuppressed != 2 {
+			t.Fatalf("%+v: accepted=%d suppressed=%d, want 1/2", cfg, gs.RumorsAccepted, gs.RumorsSuppressed)
+		}
 	}
-	payload := encodeNotify(&msg)
-	for i := 0; i < 3; i++ {
-		h0.SimHost().Multicast(NotifyPort, payload, []simnet.Addr{h1.Addr()})
-	}
-	if got := h1.NotificationsSeen(); got != 1 {
-		t.Fatalf("NotificationsSeen = %d after 3 copies, want 1", got)
-	}
-	gs := h1.GossipStats()
-	if gs.RumorsAccepted != 1 || gs.RumorsSuppressed != 2 {
-		t.Fatalf("accepted=%d suppressed=%d, want 1/2", gs.RumorsAccepted, gs.RumorsSuppressed)
+}
+
+// TestNotifyEveryHolderNoSelfDatagram: under GossipConfig{} an update is
+// announced with one stamped datagram to every OTHER holder, which accepts it
+// and relays nothing; the announcing host feeds its own replicas directly, so
+// a 1-host cluster puts nothing on the wire.
+func TestNotifyEveryHolderNoSelfDatagram(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		c := newCluster(t, n)
+		root := c.mount(t, 0)
+		c.net.ResetStats()
+		f, err := root.Create("f", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vnode.WriteFile(f, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		gs := c.hosts[0].GossipStats()
+		if gs.RumorsOriginated == 0 || gs.NoticesSent != gs.RumorsOriginated*uint64(n-1) {
+			t.Fatalf("n=%d: %d notices for %d rumors, want one per other holder", n, gs.NoticesSent, gs.RumorsOriginated)
+		}
+		if got := c.net.Stats().Datagrams; got != gs.NoticesSent {
+			t.Fatalf("n=%d: %d datagrams on the wire, want the %d notices (none to self, none relayed)", n, got, gs.NoticesSent)
+		}
+		for i := 1; i < n; i++ {
+			g := c.hosts[i].GossipStats()
+			if g.RumorsAccepted != gs.RumorsOriginated || g.RumorsRelayed != 0 || c.hosts[i].NotificationsSeen() == 0 {
+				t.Fatalf("n=%d host %d: %+v, seen %d", n, i, g, c.hosts[i].NotificationsSeen())
+			}
+		}
 	}
 }
 
@@ -226,30 +261,6 @@ func TestGossipForeignVolumeDropped(t *testing.T) {
 	}
 	if got := h1.NotificationsSeen(); got != 0 {
 		t.Fatalf("NotificationsSeen = %d for foreign rumor, want 0", got)
-	}
-}
-
-// TestGossipLegacyUntaggedBypassesSuppression: untagged (pre-gossip)
-// notifications are never suppressed or relayed, whatever the local config.
-func TestGossipLegacyUntaggedBypassesSuppression(t *testing.T) {
-	c := newCluster(t, 2)
-	h0, h1 := c.hosts[0], c.hosts[1]
-	h1.ConfigureGossip(GossipConfig{Fanout: 2, TTL: 2})
-
-	msg := notifyMsg{
-		Vol:    c.vol,
-		File:   ids.FileID{Issuer: 1, Seq: 5},
-		Origin: 1,
-	}
-	payload := encodeNotify(&msg)
-	h0.SimHost().Multicast(NotifyPort, payload, []simnet.Addr{h1.Addr()})
-	h0.SimHost().Multicast(NotifyPort, payload, []simnet.Addr{h1.Addr()})
-	if got := h1.NotificationsSeen(); got != 2 {
-		t.Fatalf("NotificationsSeen = %d, want 2 (legacy datagrams coalesce in the NVC, not the wire)", got)
-	}
-	gs := h1.GossipStats()
-	if gs.RumorsAccepted != 0 || gs.RumorsSuppressed != 0 || gs.RumorsRelayed != 0 {
-		t.Fatalf("legacy datagram touched gossip counters: %+v", gs)
 	}
 }
 

@@ -197,7 +197,7 @@ func (h *Host) schedPeers(vol ids.VolumeHandle, local *physical.Layer) ([]recon.
 // reconcileReplica reconciles one local replica against remote replicas of
 // its volume in the anti-entropy scheduler's priority order — stalest and
 // least-healthy peers first, capped at the configured ReconPeers budget
-// (0 = every peer, the legacy full sweep) — reporting whether the volume's
+// (0 = every peer) — reporting whether the volume's
 // rescan obligation (if any) is met: at least one remote peer completed a
 // clean pass, or no remote peer is known at all.  Every visit is recorded as
 // an attempt (so budgeted passes rotate through all peers — no starvation)

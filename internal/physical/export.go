@@ -95,8 +95,8 @@ func (l *Layer) FileInfo(dirPath []ids.FileID, fid ids.FileID) (FileState, error
 }
 
 // FileData returns the full contents and attributes of file fid in
-// directory dirPath.  It is the replication read path — what PullBatch and
-// reconciliation ship to peers — so it verifies the data against a fresh
+// directory dirPath.  It is the replication read path — what a conditional
+// pull ships to peers — so it verifies the data against a fresh
 // sealed sidecar before serving: a quarantined or freshly failing replica
 // answers ErrCorrupt (transient — retry elsewhere, repair pending) rather
 // than ever letting wrong bytes propagate.  A stale or missing sidecar

@@ -7,15 +7,14 @@ import (
 	"repro/internal/vv"
 )
 
-// Conditional batched pulls (the throughput path of update propagation).
+// The conditional pull: the one way a replica learns a file version from a
+// peer, whether a notification (update propagation), a periodic directory
+// visit (reconciliation) or a quarantined copy (repair) prompted it.
 //
-// The paper's propagation daemon pulls one announced version at a time,
-// costing a FileInfo and a FileData round trip per file.  PullBatch folds
-// both halves of the version-vector protocol into the serving side: the
-// puller ships its local vector along with each request, and the server
-// answers per entry with exactly one of {data, stale, concurrent,
-// not-stored} — file bytes cross the wire only when the remote version
-// actually dominates.
+// The puller ships its local vector with each request, and the serving side
+// folds both halves of the version-vector protocol into one answer per entry
+// — exactly one of {data, stale, concurrent, not-stored, is-dir, error} — so
+// file bytes cross the wire only when the remote version actually dominates.
 
 // PullStatus classifies one entry of a batched conditional pull.
 type PullStatus byte
@@ -88,23 +87,10 @@ type PullResult struct {
 	// committed.
 	Manifest *BlockManifest
 
-	// A delta answer (PullBatchDelta) carries no Data: only the blocks absent
-	// from the puller's advertised holdings travel, in Missing, and the
-	// puller reassembles the version in InstallPulled.
+	// A delta answer (to a pull that advertised holdings) carries no Data:
+	// only the blocks absent from the advertisement travel, in Missing, and
+	// the puller reassembles the version in InstallPulled.
 	Missing []Block
-}
-
-// PullBatch answers a batch of conditional pull requests against this
-// replica.  Failures are strictly per-entry (PullError); the call itself
-// never fails, so one unreadable file cannot starve the rest of a batch.
-// *physical.Layer and repl.Client both provide this, which is what lets
-// the propagation pipeline batch co-resident and remote origins alike.
-func (l *Layer) PullBatch(reqs []PullRequest) ([]PullResult, error) {
-	out := make([]PullResult, len(reqs))
-	for i := range reqs {
-		out[i] = l.pullOne(&reqs[i])
-	}
-	return out, nil
 }
 
 func (l *Layer) pullOne(req *PullRequest) PullResult {
@@ -144,16 +130,13 @@ func (l *Layer) pullOne(req *PullRequest) PullResult {
 	return PullResult{Status: PullData, Data: data, Aux: dst.Aux, Size: dst.Size, Manifest: m}
 }
 
-// Delta pulls: the wire half of the block pool.
-//
-// A delta pull is a conditional batched pull in which the puller
-// additionally advertises the block addresses it already holds (its pool,
-// fed by EnsureBlocks from ANY local file — cross-file dedup).  The serving
-// side answers PullData entries with the version's manifest plus only the
-// blocks absent from the advertisement, and the puller reassembles the full
-// version from local pool blocks + received blocks before running the exact
-// same commit a whole-file install uses.  An append-one-block update or a
-// metadata touch therefore ships O(delta) bytes instead of O(file), and a
+// A pull may advertise the block addresses the puller already holds (its
+// pool, fed by EnsureBlocks from ANY local file — cross-file dedup).  The
+// serving side then answers PullData entries with the version's manifest plus
+// only the blocks absent from the advertisement, and the puller reassembles
+// the full version from local pool blocks + received blocks before running
+// the exact same commit a whole-file install uses.  An append-one-block update
+// or a metadata touch therefore ships O(delta) bytes instead of O(file), and a
 // pass where the puller already dominates still ships zero data bytes.
 
 // ErrMissingBlock reports a delta install that could not be assembled: the
@@ -167,20 +150,27 @@ var ErrMissingBlock error = transientError("physical: delta install needs a bloc
 // of a delta install.
 func IsMissingBlock(err error) bool { return errors.Is(err, ErrMissingBlock) }
 
-// PullBatchDelta answers a batch of conditional pulls like PullBatch, but
-// entries whose version must ship are answered as (manifest, missing
-// blocks) against the puller's advertised holdings instead of as full data.
-// Serving never writes to this replica's own store.  Like PullBatch,
-// failures are strictly per-entry.
+// PullBatchDelta answers a batch of conditional pull requests against this
+// replica.  With no advertisement (have is empty) a version that must ship
+// travels whole, as Data beside its Manifest; with one it travels as
+// (Manifest, Missing blocks) against the advertised holdings.  Serving never
+// writes to this replica's own store.  Failures are strictly per-entry
+// (PullError); the call itself never fails, so one unreadable file cannot
+// starve the rest of a batch.
 func (l *Layer) PullBatchDelta(reqs []PullRequest, have []BlockAddr) ([]PullResult, error) {
+	out := make([]PullResult, len(reqs))
+	for i := range reqs {
+		out[i] = l.pullOne(&reqs[i])
+	}
+	if len(have) == 0 {
+		return out, nil
+	}
 	haveSet := make(map[BlockAddr]bool, len(have))
 	for _, a := range have {
 		haveSet[a] = true
 	}
-	out := make([]PullResult, len(reqs))
 	var shipped, shippedBytes uint64
-	for i := range reqs {
-		out[i] = l.pullOne(&reqs[i])
+	for i := range out {
 		r := &out[i]
 		if r.Status != PullData {
 			continue

@@ -95,7 +95,7 @@ func TestScrubDetectsBitRotAndQuarantines(t *testing.T) {
 		t.Fatalf("FileInfo on quarantined file: %v", err)
 	}
 	// The batched pull path refuses to ship the bytes.
-	res, _ := l.PullBatch([]PullRequest{{Dir: RootPath(), File: fid}})
+	res, _ := l.PullBatchDelta([]PullRequest{{Dir: RootPath(), File: fid}}, nil)
 	if res[0].Status != PullError || !retry.Transient(res[0].Err) {
 		t.Fatalf("pull of quarantined file: %+v", res[0])
 	}

@@ -207,33 +207,38 @@ func sidecarFID(name string) (ids.FileID, bool) {
 // that the new version dominates, or has merged vectors).  If the file is
 // not stored locally, storage is created: this is also how a replica
 // acquires its first copy of a file during subtree reconciliation.  The
-// sidecar is sealed from the given bytes.
+// bytes are local (a conflict resolution, a test), so the manifest they are
+// installed under is computed here.
 func (l *Layer) InstallFileVersion(dirPath []ids.FileID, fid ids.FileID, kind Kind, data []byte, newVV vv.Vector, nlink uint32) error {
-	return l.InstallPulled(dirPath, fid, &PullResult{Status: PullData, Data: data, Aux: Aux{Type: kind, Nlink: nlink, VV: newVV.Clone()}})
+	return l.InstallPulled(dirPath, fid, &PullResult{Status: PullData, Data: data, Manifest: ComputeManifest(data),
+		Aux: Aux{Type: kind, Nlink: nlink, VV: newVV.Clone()}})
 }
 
 // InstallPulled installs the version a pull answered with (r.Status is
-// PullData), whole-file or delta alike.  r.Manifest, when present, is the
-// serving replica's word for exactly this version, and nothing touches disk
-// unless the bytes agree with it: a whole-file answer's Data is verified
-// block by block; a delta answer (Data nil) is assembled from the shipped
-// blocks, each of which must hash to its address, plus blocks read back —
-// and re-verified — from the local pool.  A mismatch (damage in flight, or a
-// serving replica whose own verification was bypassed) is rejected with
-// ErrCorrupt and, under FICUS_INVARIANTS=1, is an invariant violation.  An
-// answer without a manifest installs optimistically, sealed from the
-// received bytes.  (An empty version is the same answer either way and is
-// handled as a delta.)
+// PullData), whole-file or delta alike.  r.Manifest is the serving replica's
+// word for exactly this version, and nothing touches disk unless the bytes
+// agree with it: a whole-file answer's Data is verified block by block; a
+// delta answer (Data nil) is assembled from the shipped blocks, each of which
+// must hash to its address, plus blocks read back — and re-verified — from
+// the local pool.  A mismatch (damage in flight, or a serving replica whose
+// own verification was bypassed) is rejected with ErrCorrupt and, under
+// FICUS_INVARIANTS=1, is an invariant violation.  An answer without a
+// manifest has nothing to be verified against and is refused the same way.
+// (An empty version is the same answer either way and is handled as a
+// delta.)
 //
 // A delta install puts the shipped blocks into the pool and seals the
 // sidecar pooled, so the next pull advertises them; a whole-file install
 // seals unpooled.
 func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResult) error {
 	m, data := r.Manifest, r.Data
-	delta := m != nil && data == nil
-	if m != nil && !m.wellFormed() {
+	if m == nil {
+		return fmt.Errorf("%w: install of %s: no manifest to verify the version against", ErrCorrupt, fid)
+	}
+	if !m.wellFormed() {
 		return fmt.Errorf("%w: install of %s: manifest has %d blocks for length %d", ErrCorrupt, fid, len(m.Blocks), m.Length)
 	}
+	delta := data == nil
 	recv := make(map[BlockAddr][]byte, len(r.Missing))
 	for i := range r.Missing {
 		b := &r.Missing[i]
@@ -242,10 +247,7 @@ func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResul
 		}
 		recv[b.Addr] = b.Data
 	}
-	switch {
-	case m == nil:
-		m = ComputeManifest(data)
-	case !delta && !m.Verify(data):
+	if !delta && !m.Verify(data) {
 		return rejectInstall(fid, "payload (%d bytes) does not match the shipped manifest (length %d)", len(data), m.Length)
 	}
 	l.mu.Lock()

@@ -11,12 +11,9 @@ import (
 
 // netPeer wraps a layer-backed peer in a fake network personality: a fixed
 // virtual latency per pull, a host key, a Slow verdict, and an optional
-// transit failure.  It deliberately implements BatchPuller by explicit
-// method (not by embedding *physical.Layer) so it is NOT a DeltaPuller and
-// the pulls run the plain batched path under test.
+// transit failure.
 type netPeer struct {
 	Peer
-	layer *physical.Layer
 	cost  uint64
 	key   string
 	slow  bool
@@ -25,15 +22,15 @@ type netPeer struct {
 }
 
 func newNetPeer(l *physical.Layer, cost uint64, key string) *netPeer {
-	return &netPeer{Peer: l, layer: l, cost: cost, key: key}
+	return &netPeer{Peer: l, cost: cost, key: key}
 }
 
-func (p *netPeer) PullBatch(reqs []physical.PullRequest) ([]physical.PullResult, error) {
+func (p *netPeer) PullBatchDelta(reqs []physical.PullRequest, have []physical.BlockAddr) ([]physical.PullResult, error) {
 	p.calls++
 	if p.fail != nil {
 		return nil, p.fail
 	}
-	return p.layer.PullBatch(reqs)
+	return p.Peer.PullBatchDelta(reqs, have)
 }
 
 func (p *netPeer) LastElapsed() uint64 { return p.cost }

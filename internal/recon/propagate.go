@@ -19,31 +19,6 @@ import (
 // (Ping) do so in deterministic order.
 type PeerFinder func(ids.ReplicaID) Peer
 
-// BatchPuller is the batched fast path of a propagation peer: one call
-// answers a whole batch of conditional pulls, shipping file data only for
-// entries whose remote version dominates the local vector.  *physical.Layer
-// (co-resident origin) and repl.Client (remote origin, one RPC per batch)
-// both provide it.  Peers without it — or passes with DisableBatch set —
-// fall back to the per-file FileInfo/FileData protocol.
-type BatchPuller interface {
-	PullBatch([]physical.PullRequest) ([]physical.PullResult, error)
-}
-
-var _ BatchPuller = (*physical.Layer)(nil)
-
-// DeltaPuller is the block-delta fast path (wire v3): the puller advertises
-// the block addresses it already holds, and the origin answers PullData
-// entries as (manifest, missing blocks) so unchanged blocks never ship.
-// *physical.Layer provides it directly; repl.Client provides it with
-// transparent per-peer downgrade, answering whole-file pulls when the far
-// side predates the delta op; physical.InstallPulled takes either answer.
-type DeltaPuller interface {
-	BatchPuller
-	PullBatchDelta([]physical.PullRequest, []physical.BlockAddr) ([]physical.PullResult, error)
-}
-
-var _ DeltaPuller = (*physical.Layer)(nil)
-
 // LatencyReporter is an optional peer capability: the virtual ticks the
 // peer's most recent operation spent on the wire.  repl.Client (and the
 // health wrappers around it) provide it; a co-resident physical.Layer does
@@ -75,15 +50,9 @@ type PropagateConfig struct {
 	// Results are always applied in sorted origin order, so the worker
 	// count affects wall time only, never the outcome.
 	Workers int
-	// DisableBatch forces the sequential per-file pull protocol even when
-	// the peer supports batched pulls (the benchmark baseline).
-	DisableBatch bool
-	// DisableDelta forces whole-file batched pulls even when the peer
-	// supports block-delta pulls (the benchmark baseline for E13).
-	DisableDelta bool
 
-	// HedgeAfter enables hedged batched pulls: when an origin's pull costs
-	// more than HedgeAfter virtual ticks (or fails in transit) and FindHedge
+	// HedgeAfter enables hedged pulls: when an origin's pull costs more
+	// than HedgeAfter virtual ticks (or fails in transit) and FindHedge
 	// knows another replica holding the same versions, a backup pull is
 	// issued to it — in virtual time, at tick HedgeAfter — and the first
 	// answer wins.  0 disables hedging.
@@ -126,8 +95,8 @@ func PropagateOnce(local *physical.Layer, find PeerFinder) (Stats, error) {
 //   - origin unreachable       -> keep the entry, backed off for later
 //
 // Due entries are grouped by origin: each origin is consulted once via the
-// finder and pulled with a single batched conditional pull (peers without
-// the batch op fall back to per-file pulls).  Origins run in waves through
+// finder and pulled with a single conditional pull that advertises the local
+// block pool, so only missing blocks ship.  Origins run in waves through
 // a bounded worker pool under the backpressure knobs (TickBudget,
 // PeerInflight), optionally hedged (HedgeAfter/FindHedge); but every state
 // change to the local replica's daemon machinery — drops, deferrals,
@@ -273,21 +242,16 @@ func Propagate(local *physical.Layer, find PeerFinder, cfg PropagateConfig) (Sta
 			case outInstalled:
 				stats.FilesPulled++
 				local.DropPending(nv.File)
-			case outDrop:
+			case outStale, outNotStored:
+				// Stale news, or the origin no longer stores the file (the
+				// tombstone will arrive through directory reconciliation).
 				local.DropPending(nv.File)
 			case outSkipped:
 				stats.Skipped++
 				local.DropPending(nv.File)
 			case outConflict:
 				stats.Conflicts++
-				local.ReportConflict(physical.Conflict{
-					File:     nv.File,
-					Dir:      append([]ids.FileID(nil), nv.Dir...),
-					LocalVV:  out.localVV.Clone(),
-					RemoteVV: out.remoteVV.Clone(),
-					Remote:   res.src.Replica(),
-					Note:     "concurrent update detected during update propagation",
-				})
+				reportConflict(local, nv.Dir, nv.File, out, res.src, "update propagation")
 				local.DropPending(nv.File)
 			case outIsDir:
 				childPath := append(append([]ids.FileID(nil), nv.Dir...), nv.File)
@@ -370,26 +334,6 @@ func propagationKey(nv physical.NewVersion) uint64 {
 	return nv.File.Seq ^ uint64(nv.File.Issuer)<<32 ^ uint64(nv.Origin)<<48
 }
 
-type outcomeKind byte
-
-const (
-	outFailed    outcomeKind = iota // attempt failed; err explains
-	outInstalled                    // version installed
-	outDrop                         // stale news or remote tombstone; just drop
-	outSkipped                      // data or container vanished; drop and count Skipped
-	outConflict                     // concurrent histories; report to the owner
-	outIsDir                        // directory: reconcile the subtree in the reduce
-)
-
-// entryOutcome is one entry's result as computed on the worker, applied
-// later by the sequential reduce.
-type entryOutcome struct {
-	kind     outcomeKind
-	err      error     // outFailed
-	localVV  vv.Vector // outConflict
-	remoteVV vv.Vector // outConflict
-}
-
 // originResult carries one origin's pull results back to the reduce.  A nil
 // peer means the finder had no route to the origin.
 type originResult struct {
@@ -418,302 +362,87 @@ func (hedgeInconclusiveError) Transient() bool { return true }
 
 // runOrigin pulls one origin's due entries on a worker goroutine.
 func runOrigin(local *physical.Layer, peer Peer, entries []physical.NewVersion, cfg PropagateConfig) originResult {
-	res := originResult{peer: peer, src: peer, outcomes: make([]entryOutcome, len(entries))}
-	bp, batched := peer.(BatchPuller)
-	if !batched || cfg.DisableBatch {
-		var cost uint64
-		for i, nv := range entries {
-			res.outcomes[i] = attemptSequential(local, peer, nv, &cost)
+	res := originResult{peer: peer, src: peer}
+	src := &hedgedSource{Peer: peer, after: cfg.HedgeAfter, res: &res}
+	if cfg.HedgeAfter > 0 && cfg.FindHedge != nil {
+		if b := cfg.FindHedge(entries[0].Origin); b != nil && !samePeer(b, peer) {
+			src.backup = b
 		}
-		res.cost, res.pulled = cost, true
-		return res
 	}
-	runOriginBatched(local, peer, bp, entries, cfg, &res)
+	items := make([]pullItem, len(entries))
+	for i, nv := range entries {
+		items[i] = pullItem{dir: nv.Dir, file: nv.File}
+	}
+	res.outcomes = pullAndApply(local, src, items, true)
 	return res
 }
 
-// batchPlan is one origin batch, built once and reusable by both the
-// primary and a hedged backup pull (the requests carry the same local
-// vectors either way).
-type batchPlan struct {
-	reqs   []physical.PullRequest
-	reqIdx []int
-	locals []vv.Vector
-	delta  bool // local versions were indexed for a delta advertisement
+// hedgedSource is one origin's pull source under the hedging config: a Peer
+// whose pull is a deterministic virtual-time race.  The primary pull runs
+// first; if its virtual cost exceeds HedgeAfter (or it failed in transit) a
+// backup pull is issued to the next-healthiest replica holding the same
+// versions, modeled as having started at tick HedgeAfter.  The source with
+// the earlier virtual completion wins and its answers are returned; the
+// loser's are discarded ("cancelled") — except that a backup's stale/not-
+// stored verdicts never override the origin's answer, and when only the
+// backup answered they defer the entry instead of dropping it.  What the race
+// came to is recorded in res.
+type hedgedSource struct {
+	Peer          // the origin
+	backup Peer   // nil: nothing to hedge with
+	after  uint64 // HedgeAfter
+	res    *originResult
 }
 
-// buildBatch assembles the conditional pull for one origin's entries,
-// filling early outcomes for entries that fail locally.  When a delta-
-// capable source will serve the batch, the local versions are indexed into
-// the block pool so the advertisement can dedup against their blocks.
-func buildBatch(local *physical.Layer, entries []physical.NewVersion, delta bool, outcomes []entryOutcome) batchPlan {
-	plan := batchPlan{
-		reqs:   make([]physical.PullRequest, 0, len(entries)),
-		reqIdx: make([]int, 0, len(entries)),
-		locals: make([]vv.Vector, len(entries)),
-		delta:  delta,
-	}
-	for i, nv := range entries {
-		linfo, err := local.FileInfo(nv.Dir, nv.File)
-		switch {
-		case err == nil:
-			plan.locals[i] = linfo.Aux.VV
-			plan.reqs = append(plan.reqs, physical.PullRequest{Dir: nv.Dir, File: nv.File, LocalVV: linfo.Aux.VV, HasLocal: true})
-			if delta && !linfo.Aux.Type.IsDir() {
-				// Best-effort — an entry that cannot be indexed (quarantined,
-				// racing eviction) simply gains nothing from the delta and
-				// pulls whole blocks; the install path verifies everything
-				// regardless.
-				_ = local.EnsureBlocks(nv.Dir, nv.File)
-			}
-		case errors.Is(err, physical.ErrNotStored):
-			plan.reqs = append(plan.reqs, physical.PullRequest{Dir: nv.Dir, File: nv.File})
-		default:
-			outcomes[i] = entryOutcome{kind: outFailed, err: err}
-			continue
-		}
-		plan.reqIdx = append(plan.reqIdx, i)
-	}
-	return plan
-}
-
-// doPull issues one batched conditional pull to src, preferring the delta
-// op when src supports it and the pass allows it.  Returns the per-entry
-// results and the pull's virtual latency.
-func doPull(local *physical.Layer, src Peer, bp BatchPuller, plan batchPlan, cfg PropagateConfig) ([]physical.PullResult, uint64, error) {
-	var results []physical.PullResult
-	var err error
-	if dp, ok := src.(DeltaPuller); ok && !cfg.DisableDelta {
-		results, err = dp.PullBatchDelta(plan.reqs, local.PoolAddrs())
-	} else {
-		results, err = bp.PullBatch(plan.reqs)
-	}
-	cost := elapsedOf(src)
-	if err == nil && len(results) != len(plan.reqs) {
-		err = fmt.Errorf("pull batch: %d answers for %d requests", len(results), len(plan.reqs))
-	}
-	return results, cost, err
-}
-
-// conclusiveFromBackup reports whether a backup replica's answer stands on
-// its own.  Data, a directory verdict, and a concurrent-history verdict are
-// facts about versions the backup holds; "stale" and "not stored" may just
-// mean the backup has not caught up, and must not drop the entry.
-func conclusiveFromBackup(r *physical.PullResult) bool {
-	switch r.Status {
-	case physical.PullData, physical.PullIsDir, physical.PullConcurrent:
-		return true
-	default:
-		return false
-	}
-}
-
-// runOriginBatched issues one conditional pull for the whole batch — and,
-// under the hedging config, a deterministic virtual-time race: the primary
-// pull runs first; if its virtual cost exceeds HedgeAfter (or it failed in
-// transit) a backup pull is issued to the next-healthiest replica holding
-// the same versions, modeled as having started at tick HedgeAfter.  The
-// source with the earlier virtual completion wins and its answers are
-// applied; the loser's are discarded ("cancelled") — except that a backup's
-// stale/not-stored verdicts never override the origin's answer, and when
-// only the backup answered they defer the entry instead of dropping it.
-func runOriginBatched(local *physical.Layer, peer Peer, bp BatchPuller, entries []physical.NewVersion, cfg PropagateConfig, res *originResult) {
-	// Pick a backup before building the batch so delta indexing can account
-	// for either source.
-	primary, primaryBP := peer, bp
-	var backup Peer
-	var backupBP BatchPuller
-	if cfg.HedgeAfter > 0 && cfg.FindHedge != nil {
-		if b := cfg.FindHedge(entries[0].Origin); b != nil && !samePeer(b, peer) {
-			if bbp, ok := b.(BatchPuller); ok {
-				backup, backupBP = b, bbp
-			}
-		}
-	}
-	delta := !cfg.DisableDelta
-	if _, ok := primary.(DeltaPuller); !ok {
-		if _, ok := backup.(DeltaPuller); !ok || backup == nil {
-			delta = false
-		}
-	}
-	plan := buildBatch(local, entries, delta, res.outcomes)
-	if len(plan.reqs) == 0 {
-		return
-	}
+func (h *hedgedSource) PullBatchDelta(reqs []physical.PullRequest, have []physical.BlockAddr) ([]physical.PullResult, error) {
+	res := h.res
 	res.pulled = true
-
+	primary, backup := h.Peer, h.backup
 	// Load shedding — the circuit-breaker half: a primary the health
 	// tracker rates Slow is swapped for a faster alternate up front, so a
 	// degrading peer loses traffic before it fails outright.
 	if backup != nil && isSlow(primary) && !isSlow(backup) {
 		primary, backup = backup, primary
-		primaryBP, backupBP = backupBP, primaryBP
 		res.shed = true
 	}
-
-	resP, costP, errP := doPull(local, primary, primaryBP, plan, cfg)
-	if backup == nil || (errP == nil && costP <= cfg.HedgeAfter) {
-		res.cost = costP
-		res.src = primary
-		if errP != nil {
-			failBatch(plan, res.outcomes, errP)
-			return
-		}
-		applyBatch(local, plan, resP, entries, res.outcomes)
-		return
+	resP, errP := pullFrom(primary, reqs, have)
+	costP := elapsedOf(primary)
+	res.cost, res.src = costP, primary
+	if backup == nil || (errP == nil && costP <= h.after) {
+		return resP, errP
 	}
 
 	// Hedge: the backup pull starts, in virtual time, at tick HedgeAfter.
 	res.hedged = true
-	resB, costB, errB := doPull(local, backup, backupBP, plan, cfg)
-	tB := cfg.HedgeAfter + costB
+	resB, errB := pullFrom(backup, reqs, have)
+	tB := h.after + elapsedOf(backup)
 	switch {
-	case errP == nil && errB == nil:
-		if tB < costP {
-			res.hedgeWon = true
-			res.cost, res.src = tB, backup
-			merged := make([]physical.PullResult, len(resP))
-			for k := range resP {
-				if conclusiveFromBackup(&resB[k]) {
-					merged[k] = resB[k]
-				} else {
-					merged[k] = resP[k] // origin's verdict stands for stale/not-stored
-				}
-			}
-			applyBatch(local, plan, merged, entries, res.outcomes)
-			return
+	case errB != nil:
+		// The backup failed in transit: the primary's answer stands, or the
+		// batch waited out both sources.
+		if errP != nil {
+			res.cost = max(costP, tB)
 		}
-		res.cost, res.src = costP, primary
-		applyBatch(local, plan, resP, entries, res.outcomes)
-	case errP == nil: // backup failed in transit; the primary answered
-		res.cost, res.src = costP, primary
-		applyBatch(local, plan, resP, entries, res.outcomes)
-	case errB == nil: // only the backup answered
-		res.hedgeWon = true
-		res.cost, res.src = tB, backup
-		guarded := make([]physical.PullResult, len(resB))
-		for k := range resB {
-			if conclusiveFromBackup(&resB[k]) {
-				guarded[k] = resB[k]
-			} else {
-				guarded[k] = physical.PullResult{Status: physical.PullError, Err: hedgeInconclusiveError{}}
-			}
+		return resP, errP
+	case errP == nil && tB >= costP:
+		return resP, nil // the primary still answered first
+	}
+	res.hedgeWon = true
+	res.cost, res.src = tB, backup
+	for k := range resB {
+		// Data, a directory verdict, and a concurrent-history verdict are
+		// facts about versions the backup holds; "stale" and "not stored" may
+		// just mean the backup has not caught up.
+		if s := resB[k].Status; s == physical.PullData || s == physical.PullIsDir || s == physical.PullConcurrent {
+			continue
 		}
-		applyBatch(local, plan, guarded, entries, res.outcomes)
-	default: // both failed: the batch waited out both sources
-		if tB > costP {
-			res.cost = tB
+		if errP == nil {
+			resB[k] = resP[k] // the origin's verdict stands
 		} else {
-			res.cost = costP
-		}
-		res.src = primary
-		failBatch(plan, res.outcomes, errP)
-	}
-}
-
-// failBatch fails every entry that made it into the batch (each keeps its
-// own backoff schedule).
-func failBatch(plan batchPlan, outcomes []entryOutcome, err error) {
-	for _, i := range plan.reqIdx {
-		outcomes[i] = entryOutcome{kind: outFailed, err: err}
-	}
-}
-
-// applyBatch maps the per-entry pull results onto outcomes, installing
-// shipped versions through the single-file atomic commit.
-func applyBatch(local *physical.Layer, plan batchPlan, results []physical.PullResult, entries []physical.NewVersion, outcomes []entryOutcome) {
-	for k := range results {
-		r := &results[k]
-		i := plan.reqIdx[k]
-		nv := entries[i]
-		switch r.Status {
-		case physical.PullData:
-			// Install under the origin's manifest: a payload damaged in
-			// flight (or served past a bypassed verification) is rejected as
-			// a transient failure before it touches disk, and the entry
-			// retries under backoff.  A delta answer reassembles from pool +
-			// shipped blocks first; a missing block is transient (the pool
-			// moved under us) and the entry retries with a fresh
-			// advertisement.
-			err := local.InstallPulled(nv.Dir, nv.File, r)
-			switch {
-			case err == nil:
-				outcomes[i] = entryOutcome{kind: outInstalled}
-			case errors.Is(err, physical.ErrNotStored):
-				// The containing directory is not stored locally (yet);
-				// subtree reconciliation will materialize it first.
-				outcomes[i] = entryOutcome{kind: outSkipped}
-			default:
-				outcomes[i] = entryOutcome{kind: outFailed, err: err}
-			}
-		case physical.PullStale, physical.PullNotStored:
-			// Stale news, or the origin no longer stores the file (the
-			// tombstone will arrive through directory reconciliation).
-			outcomes[i] = entryOutcome{kind: outDrop}
-		case physical.PullConcurrent:
-			outcomes[i] = entryOutcome{kind: outConflict, localVV: plan.locals[i].Clone(), remoteVV: r.RemoteVV.Clone()}
-		case physical.PullIsDir:
-			outcomes[i] = entryOutcome{kind: outIsDir}
-		case physical.PullError:
-			outcomes[i] = entryOutcome{kind: outFailed, err: r.Err}
-		default:
-			outcomes[i] = entryOutcome{kind: outFailed, err: fmt.Errorf("pull batch: invalid status %d", r.Status)}
+			resB[k] = physical.PullResult{Status: physical.PullError, Err: hedgeInconclusiveError{}}
 		}
 	}
-}
-
-// attemptSequential is the per-file protocol for peers without the batch
-// op: a FileInfo to compare vectors, then a FileData when the remote
-// dominates — the original two-round-trip pull.  cost accumulates the
-// virtual latency of each remote call.
-func attemptSequential(local *physical.Layer, peer Peer, nv physical.NewVersion, cost *uint64) entryOutcome {
-	rinfo, err := peer.FileInfo(nv.Dir, nv.File)
-	*cost += elapsedOf(peer)
-	if err != nil {
-		if errors.Is(err, physical.ErrNotStored) {
-			return entryOutcome{kind: outDrop}
-		}
-		return entryOutcome{kind: outFailed, err: err}
-	}
-	if rinfo.Aux.Type.IsDir() {
-		return entryOutcome{kind: outIsDir}
-	}
-	linfo, err := local.FileInfo(nv.Dir, nv.File)
-	if err != nil {
-		if errors.Is(err, physical.ErrNotStored) {
-			return pullOutcome(local, peer, nv, cost)
-		}
-		return entryOutcome{kind: outFailed, err: err}
-	}
-	switch linfo.Aux.VV.Compare(rinfo.Aux.VV) {
-	case vv.Dominated:
-		return pullOutcome(local, peer, nv, cost)
-	case vv.Concurrent:
-		return entryOutcome{kind: outConflict, localVV: linfo.Aux.VV.Clone(), remoteVV: rinfo.Aux.VV.Clone()}
-	default:
-		return entryOutcome{kind: outDrop} // stale news
-	}
-}
-
-// pullOutcome fetches and installs one file version via the per-file
-// protocol, installing under the attributes that came WITH the data (the
-// file may have advanced between FileInfo and FileData).
-func pullOutcome(local *physical.Layer, peer Peer, nv physical.NewVersion, cost *uint64) entryOutcome {
-	data, rst, err := peer.FileData(nv.Dir, nv.File)
-	*cost += elapsedOf(peer)
-	if err != nil {
-		if errors.Is(err, physical.ErrNotStored) {
-			return entryOutcome{kind: outSkipped}
-		}
-		return entryOutcome{kind: outFailed, err: err}
-	}
-	if err := local.InstallFileVersion(nv.Dir, nv.File, rst.Aux.Type, data, rst.Aux.VV, rst.Aux.Nlink); err != nil {
-		if errors.Is(err, physical.ErrNotStored) {
-			return entryOutcome{kind: outSkipped}
-		}
-		return entryOutcome{kind: outFailed, err: err}
-	}
-	return entryOutcome{kind: outInstalled}
+	return resB, nil
 }
 
 // Resolve installs a conflict resolution: newData becomes the file's

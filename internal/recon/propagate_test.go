@@ -11,28 +11,6 @@ import (
 	"repro/internal/vnode"
 )
 
-// faultyPeer wraps a real peer but fails FileInfo/FileData for one file id
-// with a fixed error.
-type faultyPeer struct {
-	Peer
-	bad ids.FileID
-	err error
-}
-
-func (p *faultyPeer) FileInfo(dir []ids.FileID, fid ids.FileID) (physical.FileState, error) {
-	if fid == p.bad {
-		return physical.FileState{}, p.err
-	}
-	return p.Peer.FileInfo(dir, fid)
-}
-
-func (p *faultyPeer) FileData(dir []ids.FileID, fid ids.FileID) ([]byte, physical.FileState, error) {
-	if fid == p.bad {
-		return nil, physical.FileState{}, p.err
-	}
-	return p.Peer.FileData(dir, fid)
-}
-
 // mkRemoteFiles creates n files on the remote replica and returns their
 // ids in PendingVersions order (ascending file id).
 func mkRemoteFiles(t *testing.T, remote *physical.Layer, names ...string) []ids.FileID {
@@ -74,7 +52,7 @@ func TestPropagatePassSurvivesEntryFailure(t *testing.T) {
 		local.NoteNewVersion(physical.RootPath(), fid, 2)
 	}
 	boom := errors.New("on-disk corruption reading replica")
-	peer := &faultyPeer{Peer: remote, bad: fids[0], err: boom}
+	peer := faultyPeer(remote, fids[0], boom)
 	find := func(ids.ReplicaID) Peer { return peer }
 
 	stats, err := PropagateOnce(local, find)
@@ -111,7 +89,7 @@ func TestPropagateAggregatesMultipleFailures(t *testing.T) {
 	}
 	boom := errors.New("permanent peer error")
 	// Both entries fail: one bad peer per file via nested wrappers.
-	peer := &faultyPeer{Peer: &faultyPeer{Peer: remote, bad: fids[1], err: boom}, bad: fids[0], err: boom}
+	peer := faultyPeer(faultyPeer(remote, fids[1], boom), fids[0], boom)
 	stats, err := PropagateOnce(local, func(ids.ReplicaID) Peer { return peer })
 	if stats.Failures != 2 {
 		t.Fatalf("stats %v", stats)
@@ -187,7 +165,7 @@ func TestPropagateTransientFailureNotAnError(t *testing.T) {
 	fids := mkRemoteFiles(t, remote, "f")
 	local.NoteNewVersion(physical.RootPath(), fids[0], 2)
 	transient := &transientErr{}
-	peer := &faultyPeer{Peer: remote, bad: fids[0], err: transient}
+	peer := faultyPeer(remote, fids[0], transient)
 	stats, err := PropagateOnce(local, func(ids.ReplicaID) Peer { return peer })
 	if err != nil {
 		t.Fatalf("transient failure surfaced as pass error: %v", err)

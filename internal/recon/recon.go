@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/physical"
-	"repro/internal/vv"
 )
 
 // Peer is the read-only view of a remote volume replica that reconciliation
@@ -35,13 +34,27 @@ type Peer interface {
 	Replica() ids.ReplicaID
 	// DirEntries returns a directory's entries and version vector.
 	DirEntries(dirPath []ids.FileID) (physical.DirState, error)
-	// FileInfo returns a file's auxiliary attributes.
-	FileInfo(dirPath []ids.FileID, fid ids.FileID) (physical.FileState, error)
-	// FileData returns a file's full contents and attributes.
-	FileData(dirPath []ids.FileID, fid ids.FileID) ([]byte, physical.FileState, error)
+	// PullBatchDelta is the conditional pull, the one way a file version is
+	// obtained from a peer: each request carries the puller's vector and is
+	// answered with exactly one physical.PullStatus, shipping the version
+	// only when it dominates.  have advertises block addresses the puller
+	// holds; when it is non-empty, shipped versions travel as (manifest,
+	// missing blocks) instead of whole.  Failures are per entry; an error
+	// means the exchange itself failed.
+	PullBatchDelta(reqs []physical.PullRequest, have []physical.BlockAddr) ([]physical.PullResult, error)
 }
 
 var _ Peer = (*physical.Layer)(nil)
+
+// BatchPuller and DeltaPuller were optional capabilities before the pull
+// became a required method of Peer.  The frozen bench/span.go names them,
+// which is the only reason they exist; the next benchmark PR deletes them.
+//
+// Deprecated: use Peer.
+type (
+	BatchPuller = Peer
+	DeltaPuller = Peer
+)
 
 // Stats summarizes one reconciliation or propagation pass.
 type Stats struct {
@@ -111,10 +124,8 @@ func ReconcileVolume(local *physical.Layer, remote Peer) (Stats, error) {
 // it.  The local replica must store dirPath.
 func ReconcileSubtree(local *physical.Layer, remote Peer, dirPath []ids.FileID) (Stats, error) {
 	var stats Stats
-	if err := reconcileDir(local, remote, dirPath, &stats); err != nil {
-		return stats, err
-	}
-	return stats, nil
+	err := reconcileDir(local, remote, dirPath, &stats)
+	return stats, err
 }
 
 func reconcileDir(local *physical.Layer, remote Peer, dirPath []ids.FileID, stats *Stats) error {
@@ -146,113 +157,71 @@ func reconcileDir(local *physical.Layer, remote Peer, dirPath []ids.FileID, stat
 	if err != nil {
 		return err
 	}
+	// The directory's files are compared and pulled with one conditional
+	// pull, before descending.
+	var files []pullItem
 	for _, e := range lstate.Entries {
-		if !e.Live() {
+		if e.Live() && !e.Kind.IsDir() {
+			files = append(files, pullItem{dir: dirPath, file: e.Child})
+		}
+	}
+	if err := reconcileFiles(local, remote, files, stats); err != nil {
+		return err
+	}
+	for _, e := range lstate.Entries {
+		if !e.Live() || !e.Kind.IsDir() {
 			continue
 		}
-		switch {
-		case e.Kind.IsDir():
-			childPath := append(append([]ids.FileID(nil), dirPath...), e.Child)
-			if !local.HasDir(childPath) {
-				// Materialize local storage for a directory learned from
-				// the peer, copying its kind/graft target.
-				raux, err := remote.DirEntries(childPath)
-				if err != nil {
-					if errors.Is(err, physical.ErrNotStored) {
-						stats.Skipped++
-						continue
-					}
-					return err
+		childPath := append(append([]ids.FileID(nil), dirPath...), e.Child)
+		if !local.HasDir(childPath) {
+			// Materialize local storage for a directory learned from
+			// the peer, copying its kind/graft target.
+			raux, err := remote.DirEntries(childPath)
+			if err != nil {
+				if errors.Is(err, physical.ErrNotStored) {
+					stats.Skipped++
+					continue
 				}
-				if err := local.EnsureDirStored(dirPath, e.Child, raux.Aux); err != nil {
-					return err
-				}
-				stats.DirsCreated++
-			}
-			if err := reconcileDir(local, remote, childPath, stats); err != nil {
 				return err
 			}
-		default:
-			if err := reconcileFile(local, remote, dirPath, e, stats); err != nil {
+			if err := local.EnsureDirStored(dirPath, e.Child, raux.Aux); err != nil {
 				return err
 			}
+			stats.DirsCreated++
 		}
-	}
-	return nil
-}
-
-// reconcileFile compares one file replica pair by version vector and pulls
-// the remote version when it dominates.  Concurrent versions are a
-// conflict: reported to the owner, data untouched (the owner resolves).
-func reconcileFile(local *physical.Layer, remote Peer, dirPath []ids.FileID, e physical.Entry, stats *Stats) error {
-	rinfo, err := remote.FileInfo(dirPath, e.Child)
-	if err != nil {
-		if errors.Is(err, physical.ErrNotStored) {
-			stats.Skipped++
-			return nil
-		}
-		return err
-	}
-	linfo, err := local.FileInfo(dirPath, e.Child)
-	if err != nil {
-		if errors.Is(err, physical.ErrNotStored) {
-			// First local copy: adopt the remote version wholesale.
-			return pullFile(local, remote, dirPath, e.Child, rinfo, stats)
-		}
-		return err
-	}
-	switch linfo.Aux.VV.Compare(rinfo.Aux.VV) {
-	case vv.Dominated:
-		if err := pullFile(local, remote, dirPath, e.Child, rinfo, stats); err != nil {
+		if err := reconcileDir(local, remote, childPath, stats); err != nil {
 			return err
 		}
-		// The replicas are comparable again: any logged conflict on this
-		// file has been superseded (e.g. by an owner's resolution).
-		local.ClearConflictsFor(e.Child)
-	case vv.Concurrent:
-		stats.Conflicts++
-		local.ReportConflict(physical.Conflict{
-			File:     e.Child,
-			Dir:      append([]ids.FileID(nil), dirPath...),
-			LocalVV:  linfo.Aux.VV.Clone(),
-			RemoteVV: rinfo.Aux.VV.Clone(),
-			Remote:   remote.Replica(),
-			Note:     "concurrent update detected during reconciliation",
-		})
-	default:
-		local.ClearConflictsFor(e.Child)
 	}
 	return nil
 }
 
-func pullFile(local *physical.Layer, remote Peer, dirPath []ids.FileID, fid ids.FileID, rinfo physical.FileState, stats *Stats) error {
-	data, rst, err := remote.FileData(dirPath, fid)
-	if err != nil {
-		if errors.Is(err, physical.ErrNotStored) {
+// reconcileFiles compares one directory's file replicas with the remote's by
+// version vector, in one pull with no advertisement (versions ship whole),
+// installing those the remote dominates.  Concurrent versions are a conflict:
+// reported to the owner, data untouched (the owner resolves).  Every answer
+// is applied; the first failure then ends the pass.
+func reconcileFiles(local *physical.Layer, remote Peer, files []pullItem, stats *Stats) error {
+	var first error
+	for i, out := range pullAndApply(local, remote, files, false) {
+		switch out.kind {
+		case outInstalled:
+			stats.FilesPulled++
+			// The replicas are comparable again: any logged conflict on this
+			// file has been superseded (e.g. by an owner's resolution).
+			local.ClearConflictsFor(files[i].file)
+		case outStale:
+			local.ClearConflictsFor(files[i].file)
+		case outConflict:
+			stats.Conflicts++
+			reportConflict(local, files[i].dir, files[i].file, out, remote, "reconciliation")
+		case outFailed:
+			if first == nil {
+				first = out.err
+			}
+		default: // not stored on one side (or not a file there): nothing to learn
 			stats.Skipped++
-			return nil
 		}
-		return err
 	}
-	// Install under the attributes that came WITH the data (the file may
-	// have advanced between FileInfo and FileData).
-	if err := local.InstallFileVersion(dirPath, fid, rst.Aux.Type, data, rst.Aux.VV, rst.Aux.Nlink); err != nil {
-		if errors.Is(err, physical.ErrNotStored) {
-			// The local replica does not store the containing directory
-			// (yet); subtree reconciliation will materialize it first.
-			stats.Skipped++
-			return nil
-		}
-		return err
-	}
-	_ = rinfo
-	stats.FilesPulled++
-	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return first
 }

@@ -1,8 +1,6 @@
 package recon
 
 import (
-	"errors"
-
 	"repro/internal/ids"
 	"repro/internal/physical"
 	"repro/internal/retry"
@@ -10,16 +8,17 @@ import (
 
 // Repair is the self-healing half of the integrity daemon: for every
 // quarantined file version that is due, it re-pulls the file from peer
-// replicas through the batched pull path and reinstalls a verified copy.
+// replicas through pullAndApply and reinstalls a verified copy.
 //
-// A repair pull sends HasLocal=false — the local bytes are untrusted, so
-// even a peer whose vector merely EQUALS the quarantined one must ship data
-// (a conditional pull would answer "stale").  A shipped version is accepted
-// only when its vector dominates-or-equals the quarantined vector (an older
-// version must not silently roll the file back; it will arrive through
-// normal reconciliation if it is genuinely the surviving history) and its
+// A repair pull is forced (HasLocal=false) — the local bytes are untrusted,
+// so even a peer whose vector merely EQUALS the quarantined one must ship
+// data (a conditional pull would answer "stale").  A shipped version is
+// accepted only when its vector dominates-or-equals the local one and its
 // payload matches the shipped manifest — InstallPulled verifies before
-// anything touches disk, and a verified install lifts the quarantine.
+// anything touches disk, and a verified install lifts the quarantine.  The
+// advertisement names only pool blocks, which are re-verified against their
+// addresses on every read, so the quarantined file's own bytes can never
+// slip into the repair.
 //
 // Failure handling mirrors update propagation: a peer that is unreachable
 // or answers with a transient error leaves the entry queued under the
@@ -88,72 +87,21 @@ func repairOne(local *physical.Layer, find PeerFinder, peers []ids.ReplicaID, q 
 			definitive = false // unreachable or health-gated: maybe later
 			continue
 		}
-		res, err := repairPull(local, peer, q)
-		if err != nil {
-			definitive = false
-			continue
-		}
-		switch res.Status {
-		case physical.PullData:
-			if !res.Aux.VV.DominatesOrEqual(q.VV) {
-				continue // an older version cannot vouch for this one
-			}
-			if err := local.InstallPulled(q.Dir, q.File, &res); err != nil {
-				definitive = false // damaged in flight, or local trouble: retry
-				continue
-			}
+		out := pullAndApply(local, peer, []pullItem{{dir: q.Dir, file: q.File, force: true}}, true)[0]
+		switch out.kind {
+		case outInstalled:
 			return true, false
-		case physical.PullNotStored, physical.PullIsDir:
-			// Definitive: this peer cannot supply the file's bytes.
+		case outStale, outNotStored, outIsDir:
+			// Definitive: this peer holds only an older version, or cannot
+			// supply the file's bytes at all.
 		default:
-			// PullError (the peer's own copy may be quarantined), or an
-			// unexpected status: not a verdict.
+			// The peer was unreachable or answered an error (its own copy
+			// may be quarantined), the payload was damaged in flight, or
+			// local trouble: not a verdict.
 			definitive = false
 		}
 	}
 	return false, definitive
-}
-
-// repairPull fetches one unconditional copy of q's file from peer, using the
-// delta pull path when the peer supports it (the advertisement names only
-// pool blocks — which are re-verified against their addresses on every read,
-// so a quarantined file's untrusted bytes can never slip into the repair),
-// the batched path otherwise, and the per-file protocol as the last resort
-// (a plain FileData ships no manifest; the install then seals from the
-// received bytes, which the serving side verified on read).
-func repairPull(local *physical.Layer, peer Peer, q physical.QuarEntry) (physical.PullResult, error) {
-	req := physical.PullRequest{Dir: q.Dir, File: q.File} // HasLocal=false: ship unconditionally
-	if dp, ok := peer.(DeltaPuller); ok {
-		results, err := dp.PullBatchDelta([]physical.PullRequest{req}, local.PoolAddrs())
-		if err != nil {
-			return physical.PullResult{}, err
-		}
-		if len(results) != 1 {
-			return physical.PullResult{Status: physical.PullError}, nil
-		}
-		return results[0], nil
-	}
-	if bp, ok := peer.(BatchPuller); ok {
-		results, err := bp.PullBatch([]physical.PullRequest{req})
-		if err != nil {
-			return physical.PullResult{}, err
-		}
-		if len(results) != 1 {
-			return physical.PullResult{Status: physical.PullError}, nil
-		}
-		return results[0], nil
-	}
-	data, st, err := peer.FileData(q.Dir, q.File)
-	if errors.Is(err, physical.ErrNotStored) {
-		return physical.PullResult{Status: physical.PullNotStored}, nil
-	}
-	if err != nil {
-		return physical.PullResult{}, err
-	}
-	if st.Aux.Type.IsDir() {
-		return physical.PullResult{Status: physical.PullIsDir, Aux: st.Aux}, nil
-	}
-	return physical.PullResult{Status: physical.PullData, Data: data, Aux: st.Aux, Size: st.Size}, nil
 }
 
 // repairKey seeds the backoff jitter (cf. propagationKey).

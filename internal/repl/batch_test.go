@@ -2,6 +2,7 @@ package repl
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/ids"
@@ -58,7 +59,7 @@ func TestPullBatchConditionalSemantics(t *testing.T) {
 		{Dir: physical.RootPath(), File: freshFID, HasLocal: false},
 	}
 	r.net.ResetStats()
-	results, err := r.client.PullBatch(reqs)
+	results, err := r.client.PullBatchDelta(reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,6 +221,36 @@ func TestErrorClassesCrossWire(t *testing.T) {
 		case classNoReplica:
 			if !errors.Is(back, ErrNoReplica) || !retry.Transient(back) {
 				t.Fatalf("noReplica class: %v", back)
+			}
+		}
+	}
+}
+
+// TestReconcileDirCostsTwoRPCs: reconciling a directory over the wire costs
+// one DirEntries and one conditional pull for all of its files — whether or
+// not any differ, and however many there are.  (It used to cost a FileInfo
+// per file plus a FileData per stale file.)
+func TestReconcileDirCostsTwoRPCs(t *testing.T) {
+	for _, n := range []int{1, 32} {
+		r := newRig(t)
+		for i := 0; i < n; i++ {
+			writeFile(t, r.lB, fmt.Sprintf("f%02d", i), "v1")
+		}
+		if _, err := recon.ReconcileVolume(r.lA, r.client); err != nil {
+			t.Fatal(err)
+		}
+		k := (n + 1) / 2
+		for _, differing := range []int{0, k} {
+			for i := 0; i < differing; i++ {
+				writeFile(t, r.lB, fmt.Sprintf("f%02d", i), "v2")
+			}
+			r.net.ResetStats()
+			stats, err := recon.ReconcileVolume(r.lA, r.client)
+			if err != nil || stats.FilesPulled != differing {
+				t.Fatalf("n=%d: stats %v err %v, want %d pulled", n, stats, err, differing)
+			}
+			if s := r.net.Stats(); s.RPCs != 2 {
+				t.Fatalf("n=%d, %d differing: %d RPCs, want 2", n, differing, s.RPCs)
 			}
 		}
 	}

@@ -26,29 +26,12 @@ import (
 	"repro/internal/vv"
 )
 
-// A wire version byte leads every message; an out-of-range version fails
-// loudly instead of misparsing.  Every pull answer carries the version's
-// block manifest, the receiver's verifier.  Version 3 adds block-delta
-// pulls: requests may advertise held block addresses, and pull answers may
-// carry the missing blocks instead of full data.  Both ends accept the full range, and a
-// server answers at the version the request arrived with, so v3-only
-// traffic (the delta op) degrades cleanly against v2 peers.
-const (
-	wireV2         = 2
-	wireV3         = 3
-	wireVersion    = wireV3 // newest version this build speaks
-	wireMinVersion = wireV2 // oldest version this build accepts
-)
-
-// wireVer normalizes a message's encode version: messages that never set
-// one (every pre-delta op) stay at the v2 layout, byte-identical to what
-// older builds emit.
-func wireVer(v byte) byte {
-	if v == 0 {
-		return wireV2
-	}
-	return v
-}
+// A wire version byte leads every message; any other version fails loudly
+// instead of misparsing.  Every pull answer carries the version's block
+// manifest, the receiver's verifier; a pull request carries the puller's
+// held-block advertisement (possibly empty), and an answer to a non-empty one
+// carries the missing blocks instead of full data.
+const wireVersion = 3
 
 // Error classes carried in responses so the client can rebuild an error of
 // the right kind (sentinel identity and transience survive the wire).
@@ -111,8 +94,7 @@ func appendAux(dst []byte, a physical.Aux) []byte {
 }
 
 func (r *request) encode(dst []byte) []byte {
-	ver := wireVer(r.ver)
-	dst = appendU8(dst, ver)
+	dst = appendU8(dst, wireVersion)
 	dst = appendU8(dst, byte(r.Op))
 	dst = appendVol(dst, r.Vol)
 	dst = appendU32(dst, uint32(r.Replica))
@@ -126,18 +108,15 @@ func (r *request) encode(dst []byte) []byte {
 		dst = appendBool(dst, p.HasLocal)
 		dst = p.LocalVV.AppendBinary(dst)
 	}
-	if ver >= wireV3 {
-		dst = appendCount(dst, len(r.Have))
-		for i := range r.Have {
-			dst = append(dst, r.Have[i][:]...)
-		}
+	dst = appendCount(dst, len(r.Have))
+	for i := range r.Have {
+		dst = append(dst, r.Have[i][:]...)
 	}
 	return dst
 }
 
 func (r *response) encode(dst []byte) []byte {
-	ver := wireVer(r.ver)
-	dst = appendU8(dst, ver)
+	dst = appendU8(dst, wireVersion)
 	dst = appendU8(dst, r.Class)
 	dst = appendString(dst, r.Err)
 	dst = appendCount(dst, len(r.Entries))
@@ -176,12 +155,10 @@ func (r *response) encode(dst []byte) []byte {
 				dst = append(dst, p.Manifest.Blocks[j][:]...)
 			}
 		}
-		if ver >= wireV3 {
-			dst = appendCount(dst, len(p.Missing))
-			for j := range p.Missing {
-				dst = append(dst, p.Missing[j].Addr[:]...)
-				dst = appendBytes(dst, p.Missing[j].Data)
-			}
+		dst = appendCount(dst, len(p.Missing))
+		for j := range p.Missing {
+			dst = append(dst, p.Missing[j].Addr[:]...)
+			dst = appendBytes(dst, p.Missing[j].Data)
 		}
 	}
 	return dst
@@ -194,7 +171,6 @@ func (r *response) encode(dst []byte) []byte {
 // full field sequence and check err once at the end.
 type decoder struct {
 	b   []byte
-	ver byte // wire version of the message being decoded
 	err error
 }
 
@@ -332,19 +308,15 @@ func (d *decoder) aux() physical.Aux {
 }
 
 func (d *decoder) version() {
-	v := d.u8()
-	if d.err == nil && (v < wireMinVersion || v > wireVersion) {
-		d.fail("wire version %d, want %d..%d", v, wireMinVersion, wireVersion)
-		return
+	if v := d.u8(); d.err == nil && v != wireVersion {
+		d.fail("wire version %d, want %d", v, wireVersion)
 	}
-	d.ver = v
 }
 
 func decodeRequest(b []byte) (*request, error) {
 	d := &decoder{b: b}
 	d.version()
 	var req request
-	req.ver = d.ver
 	req.Op = opCode(d.u8())
 	req.Vol = d.vol()
 	req.Replica = ids.ReplicaID(d.u32())
@@ -362,13 +334,10 @@ func decodeRequest(b []byte) (*request, error) {
 			p.LocalVV = d.vvec()
 		}
 	}
-	if d.ver >= wireV3 {
-		n = d.count(physical.BlockAddrSize)
-		if n > 0 {
-			req.Have = make([]physical.BlockAddr, n)
-			for i := range req.Have {
-				copy(req.Have[i][:], d.take(physical.BlockAddrSize))
-			}
+	if n = d.count(physical.BlockAddrSize); n > 0 {
+		req.Have = make([]physical.BlockAddr, n)
+		for i := range req.Have {
+			copy(req.Have[i][:], d.take(physical.BlockAddrSize))
 		}
 	}
 	if d.err != nil {
@@ -384,7 +353,6 @@ func decodeResponse(b []byte) (*response, error) {
 	d := &decoder{b: b}
 	d.version()
 	var resp response
-	resp.ver = d.ver
 	resp.Class = d.u8()
 	resp.Err = d.str()
 	// A directory entry is at least two fids(24) + kind(1) + deleted(1)
@@ -414,8 +382,9 @@ func decodeResponse(b []byte) (*response, error) {
 		}
 	}
 	// A pull result is at least status(1) + class(1) + empty err(1) +
-	// empty data(1) + aux(13+4) + size(8) + empty vv(4) + manifest flag(1).
-	n = d.count(34)
+	// empty data(1) + aux(13+4) + size(8) + empty vv(4) + manifest flag(1) +
+	// missing count(1).
+	n = d.count(35)
 	if n > 0 {
 		resp.Pulls = make([]wirePull, n)
 		for i := range resp.Pulls {
@@ -437,13 +406,11 @@ func decodeResponse(b []byte) (*response, error) {
 				}
 				p.Manifest = man
 			}
-			if d.ver >= wireV3 {
-				if m := d.count(physical.BlockAddrSize + 1); m > 0 {
-					p.Missing = make([]physical.Block, m)
-					for j := range p.Missing {
-						copy(p.Missing[j].Addr[:], d.take(physical.BlockAddrSize))
-						p.Missing[j].Data = d.bytes()
-					}
+			if m := d.count(physical.BlockAddrSize + 1); m > 0 {
+				p.Missing = make([]physical.Block, m)
+				for j := range p.Missing {
+					copy(p.Missing[j].Addr[:], d.take(physical.BlockAddrSize))
+					p.Missing[j].Data = d.bytes()
 				}
 			}
 		}

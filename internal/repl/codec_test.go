@@ -12,7 +12,7 @@ import (
 
 func sampleRequest() *request {
 	return &request{
-		Op:      opPullBatch,
+		Op:      opPullBatchDelta,
 		Vol:     ids.VolumeHandle{Allocator: 3, Volume: 9},
 		Replica: 2,
 		Dir:     []ids.FileID{ids.RootFileID, {Issuer: 1, Seq: 5}},
@@ -22,6 +22,7 @@ func sampleRequest() *request {
 				LocalVV: vv.Vector{1: 4, 2: 1}, HasLocal: true},
 			{Dir: nil, File: ids.FileID{Issuer: 3, Seq: 8}},
 		},
+		Have: []physical.BlockAddr{physical.HashBlock([]byte("held block"))},
 	}
 }
 
@@ -46,8 +47,31 @@ func sampleResponse() *response {
 			{Status: byte(physical.PullStale)},
 			{Status: byte(physical.PullConcurrent), RemoteVV: vv.Vector{4: 4}},
 			{Status: byte(physical.PullError), Class: classPermanent, Err: "disk exploded"},
+			deltaAnswer(),
 		},
 	}
+}
+
+// deltaAnswer is a pull answer to an advertisement: manifest plus the one
+// block the puller lacked, no whole-file data.
+func deltaAnswer() wirePull {
+	held, sent := []byte("held block"), []byte("shipped block")
+	return wirePull{Status: byte(physical.PullData),
+		Aux:  physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{1: 2}},
+		Size: uint64(len(held) + len(sent)),
+		Manifest: &physical.BlockManifest{Length: uint64(len(held) + len(sent)),
+			Blocks: []physical.BlockAddr{physical.HashBlock(held), physical.HashBlock(sent)}},
+		Missing: []physical.Block{{Addr: physical.HashBlock(sent), Data: sent}}}
+}
+
+// hugeManifestAnswer is the PR 13 seed: a manifest whose length is within a
+// block of 2^64 with no blocks at all.
+func hugeManifestAnswer() *response {
+	return &response{Pulls: []wirePull{{
+		Status:   byte(physical.PullData),
+		Aux:      physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{2: 1}},
+		Manifest: &physical.BlockManifest{Length: ^uint64(0)},
+	}}}
 }
 
 // TestCodecRequestRoundTrip: decode(encode(x)) re-encodes byte-identically
@@ -68,6 +92,9 @@ func TestCodecRequestRoundTrip(t *testing.T) {
 	if len(dec.Pulls) != 2 || !dec.Pulls[0].LocalVV.Equal(req.Pulls[0].LocalVV) ||
 		!dec.Pulls[0].HasLocal || dec.Pulls[1].HasLocal {
 		t.Fatalf("pulls: %+v", dec.Pulls)
+	}
+	if len(dec.Have) != 1 || dec.Have[0] != req.Have[0] {
+		t.Fatalf("advertisement: %v", dec.Have)
 	}
 	if enc2 := dec.encode(nil); !bytes.Equal(enc, enc2) {
 		t.Fatalf("re-encoding differs:\n%x\n%x", enc, enc2)
@@ -97,16 +124,22 @@ func TestCodecResponseRoundTrip(t *testing.T) {
 	if !dec.Aux.VV.Equal(resp.Aux.VV) || dec.Aux.GraftVol != resp.Aux.GraftVol {
 		t.Fatalf("aux: %+v", dec.Aux)
 	}
-	if len(dec.Pulls) != 4 || string(dec.Pulls[0].Data) != "file contents" ||
+	if len(dec.Pulls) != 5 || string(dec.Pulls[0].Data) != "file contents" ||
 		dec.Pulls[3].Err != "disk exploded" || !dec.Pulls[2].RemoteVV.Equal(vv.Vector{4: 4}) {
 		t.Fatalf("pulls: %+v", dec.Pulls)
 	}
-	// The whole-file answer's verifier travels at every wire version.
-	if m := dec.Pulls[0].Manifest; !m.Verify([]byte("file contents")) {
-		t.Fatalf("pull manifest: %+v", m)
+	// The whole-file answer travels with its verifier and no blocks.
+	if m := dec.Pulls[0].Manifest; !m.Verify([]byte("file contents")) || dec.Pulls[0].Missing != nil {
+		t.Fatalf("whole-file answer: %+v", dec.Pulls[0])
 	}
-	if dec.Pulls[1].Manifest != nil {
-		t.Fatalf("absent manifest decoded as %+v", dec.Pulls[1].Manifest)
+	if dec.Pulls[1].Manifest != nil || dec.Pulls[1].Missing != nil {
+		t.Fatalf("stale entry grew shipping fields: %+v", dec.Pulls[1])
+	}
+	// The delta answer travels as manifest + missing blocks, no data.
+	d, want := dec.Pulls[4], deltaAnswer()
+	if d.Data != nil || len(d.Manifest.Blocks) != 2 || d.Manifest.Blocks[1] != want.Manifest.Blocks[1] ||
+		len(d.Missing) != 1 || d.Missing[0].Addr != want.Missing[0].Addr || string(d.Missing[0].Data) != "shipped block" {
+		t.Fatalf("delta answer: %+v", d)
 	}
 	if enc2 := dec.encode(nil); !bytes.Equal(enc, enc2) {
 		t.Fatal("re-encoding differs")
@@ -128,10 +161,18 @@ func TestCodecRejectsCorruption(t *testing.T) {
 			t.Fatalf("response truncated to %d bytes decoded successfully", n)
 		}
 	}
-	// Wrong wire version.
-	bad := append([]byte{wireVersion + 1}, reqEnc[1:]...)
-	if _, err := decodeRequest(bad); err == nil {
-		t.Fatal("wrong version accepted")
+	// There is one wire version: a request or a response led by any other
+	// version byte is rejected.
+	for v := 0; v < 256; v++ {
+		if v == wireVersion {
+			continue
+		}
+		if _, err := decodeRequest(append([]byte{byte(v)}, reqEnc[1:]...)); err == nil {
+			t.Fatalf("request at wire version %d accepted", v)
+		}
+		if _, err := decodeResponse(append([]byte{byte(v)}, respEnc[1:]...)); err == nil {
+			t.Fatalf("response at wire version %d accepted", v)
+		}
 	}
 	// Trailing garbage.
 	if _, err := decodeResponse(append(respEnc[:len(respEnc):len(respEnc)], 0xff)); err == nil {
@@ -139,7 +180,7 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	}
 	// A count field inflated far past the message must fail before any
 	// huge allocation (the count/remaining cap).
-	huge := []byte{wireVersion, byte(opPullBatch)}
+	huge := []byte{wireVersion, byte(opPullBatchDelta)}
 	huge = appendVol(huge, ids.VolumeHandle{})
 	huge = appendU32(huge, 0)
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f) // dir count ~ 34 billion
@@ -165,7 +206,10 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 func FuzzDecodeResponse(f *testing.F) {
+	// sampleResponse carries a whole-file answer with its manifest and a
+	// delta answer.
 	f.Add(sampleResponse().encode(nil))
+	f.Add(hugeManifestAnswer().encode(nil))
 	f.Add((&response{}).encode(nil))
 	f.Add([]byte{wireVersion})
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -12,92 +11,6 @@ import (
 	"repro/internal/vnode"
 	"repro/internal/vv"
 )
-
-// TestCodecV3RoundTrip: the delta extensions (request Have, pull Manifest +
-// Missing) survive encode/decode canonically, and messages that never opt
-// into v3 still encode the exact v2 layout.
-func TestCodecV3RoundTrip(t *testing.T) {
-	a1 := physical.HashBlock([]byte("block one"))
-	a2 := physical.HashBlock([]byte("block two"))
-	req := &request{
-		ver:     wireV3,
-		Op:      opPullBatchDelta,
-		Vol:     ids.VolumeHandle{Allocator: 3, Volume: 9},
-		Replica: 2,
-		Pulls: []physical.PullRequest{
-			{Dir: []ids.FileID{ids.RootFileID}, File: ids.FileID{Issuer: 1, Seq: 2},
-				LocalVV: vv.Vector{1: 4}, HasLocal: true},
-		},
-		Have: []physical.BlockAddr{a1, a2},
-	}
-	enc := req.encode(nil)
-	dec, err := decodeRequest(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Op != opPullBatchDelta || len(dec.Have) != 2 || dec.Have[0] != a1 || dec.Have[1] != a2 {
-		t.Fatalf("decoded: %+v", dec)
-	}
-	if enc2 := dec.encode(nil); !bytes.Equal(enc, enc2) {
-		t.Fatal("v3 request re-encoding differs")
-	}
-	for n := 0; n < len(enc); n++ {
-		if _, err := decodeRequest(enc[:n]); err == nil {
-			t.Fatalf("v3 request truncated to %d bytes decoded successfully", n)
-		}
-	}
-
-	// A message that never sets ver encodes the v2 layout: Have does not
-	// travel, so old peers parse it exactly as before.
-	v2 := *req
-	v2.ver = 0
-	v2enc := v2.encode(nil)
-	noHave := v2
-	noHave.Have = nil
-	if !bytes.Equal(v2enc, noHave.encode(nil)) {
-		t.Fatal("v2-encoded request leaks the Have section")
-	}
-	d2, err := decodeRequest(v2enc)
-	if err != nil || len(d2.Have) != 0 {
-		t.Fatalf("v2 request: %+v %v", d2, err)
-	}
-
-	resp := &response{
-		ver: wireV3,
-		Pulls: []wirePull{
-			{Status: byte(physical.PullData),
-				Aux:      physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{1: 2}},
-				Size:     9,
-				Manifest: &physical.BlockManifest{Length: 9, Blocks: []physical.BlockAddr{a1}},
-				Missing:  []physical.Block{{Addr: a1, Data: []byte("block one")}}},
-			{Status: byte(physical.PullStale)},
-		},
-	}
-	renc := resp.encode(nil)
-	rdec, err := decodeResponse(renc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := rdec.Pulls[0].Manifest
-	if m == nil || m.Length != 9 || len(m.Blocks) != 1 || m.Blocks[0] != a1 {
-		t.Fatalf("manifest: %+v", m)
-	}
-	if len(rdec.Pulls[0].Missing) != 1 || rdec.Pulls[0].Missing[0].Addr != a1 ||
-		string(rdec.Pulls[0].Missing[0].Data) != "block one" {
-		t.Fatalf("missing: %+v", rdec.Pulls[0].Missing)
-	}
-	if rdec.Pulls[1].Manifest != nil || rdec.Pulls[1].Missing != nil {
-		t.Fatalf("stale entry grew delta fields: %+v", rdec.Pulls[1])
-	}
-	if renc2 := rdec.encode(nil); !bytes.Equal(renc, renc2) {
-		t.Fatal("v3 response re-encoding differs")
-	}
-	for n := 0; n < len(renc); n++ {
-		if _, err := decodeResponse(renc[:n]); err == nil {
-			t.Fatalf("v3 response truncated to %d bytes decoded successfully", n)
-		}
-	}
-}
 
 // TestPullBatchDeltaOverWire: an append-one-block update ships only the new
 // block across the wire, and the delta install reassembles the exact bytes.
@@ -157,57 +70,92 @@ func TestPullBatchDeltaOverWire(t *testing.T) {
 	}
 }
 
-// TestDeltaFallbackToV2Peer: a peer that speaks only wire v2 refuses the
-// delta op once; the client falls back to whole-file pulls, remembers, and
-// every copy sharing the client (WithRetry) sees the cached verdict.
-func TestDeltaFallbackToV2Peer(t *testing.T) {
+// TestAdvertisementSelectsAnswerShape: there is one pull op, and the serving
+// side picks the answer's shape from its input — no advertisement, the
+// version ships whole beside its manifest; an advertisement, it ships as
+// manifest + missing blocks.  One RPC either way.
+func TestAdvertisementSelectsAnswerShape(t *testing.T) {
 	r := newRig(t)
 	fid := writeFile(t, r.lB, "f", "payload")
-	r.server.SetMaxWireVersion(wireV2)
+	reqs := []physical.PullRequest{{Dir: physical.RootPath(), File: fid}}
 
-	reqs := []physical.PullRequest{{Dir: physical.RootPath(), File: fid, HasLocal: false}}
 	r.net.ResetStats()
-	results, err := r.client.PullBatchDelta(reqs, nil)
+	whole, err := r.client.PullBatchDelta(reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := r.net.Stats(); s.RPCs != 2 {
-		t.Fatalf("first delta call against v2 peer cost %d RPCs, want 2 (probe + fallback)", s.RPCs)
+	if whole[0].Status != physical.PullData || string(whole[0].Data) != "payload" ||
+		!whole[0].Manifest.Verify([]byte("payload")) || whole[0].Missing != nil {
+		t.Fatalf("answer to no advertisement: %+v", whole[0])
 	}
-	// The fallback is a whole-file answer: the data, and the manifest that
-	// verifies it.
-	if results[0].Status != physical.PullData || !results[0].Manifest.Verify([]byte("payload")) ||
-		string(results[0].Data) != "payload" || results[0].Missing != nil {
-		t.Fatalf("fallback answer: %+v", results[0])
-	}
-	if !r.client.noDelta.Load() {
-		t.Fatal("v2 verdict not cached")
-	}
-
-	// Cached: the next batch goes straight to v2, one RPC.
-	r.net.ResetStats()
-	if _, err := r.client.PullBatchDelta(reqs, nil); err != nil {
+	delta, err := r.client.PullBatchDelta(reqs, []physical.BlockAddr{physical.HashBlock([]byte("elsewhere"))})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s := r.net.Stats(); s.RPCs != 1 {
-		t.Fatalf("cached fallback cost %d RPCs, want 1", s.RPCs)
+	if delta[0].Status != physical.PullData || delta[0].Data != nil || delta[0].Manifest == nil ||
+		len(delta[0].Missing) != 1 || string(delta[0].Missing[0].Data) != "payload" {
+		t.Fatalf("answer to an advertisement: %+v", delta[0])
 	}
+	if s := r.net.Stats(); s.RPCs != 2 {
+		t.Fatalf("two pulls cost %d RPCs, want 2", s.RPCs)
+	}
+}
 
-	// Policy copies share the verdict.
-	if c2 := r.client.WithRetry(r.client.policy); !c2.noDelta.Load() {
-		t.Fatal("WithRetry copy lost the cached verdict")
+// TestServerRefusesOtherWireVersions: a request led by any other version byte
+// gets the permanent "bad request" answer and reaches no layer.
+func TestServerRefusesOtherWireVersions(t *testing.T) {
+	r := newRig(t)
+	enc := (&request{Op: opPing, Vol: testVol, Replica: 2}).encode(nil)
+	for _, v := range []byte{0, 2, wireVersion + 1, 255} {
+		raw, err := r.net.Host("a").Call("b", Service, append([]byte{v}, enc[1:]...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := decodeResponse(raw)
+		if err != nil || resp.Class != classPermanent || resp.Err != "bad request" {
+			t.Fatalf("wire version %d: %+v %v", v, resp, err)
+		}
 	}
+}
 
-	// A v3-capable peer answers the delta op directly again.
-	r.server.SetMaxWireVersion(0)
-	c3 := NewClient(r.net.Host("a"), "b", r.lB.VolumeReplica())
-	r.net.ResetStats()
-	res3, err := c3.PullBatchDelta(reqs, nil)
-	if err != nil || res3[0].Data != nil || len(res3[0].Missing) != 1 {
-		t.Fatalf("v3 peer: %+v %v", res3, err)
+// TestManifestlessDataNeverInstalls: a peer that answers a pull with data and
+// no manifest offers nothing to verify the bytes against.  The answer becomes
+// a per-entry error where it enters, nothing is installed, and the entry
+// stays pending under backoff.  (The bytes used to be installed and sealed as
+// good under the shipped vector.)
+func TestManifestlessDataNeverInstalls(t *testing.T) {
+	r := newRig(t)
+	r.net.Host("evil").HandleRPC(Service, func(b []byte) ([]byte, error) {
+		req, err := decodeRequest(b)
+		if err != nil {
+			return nil, err
+		}
+		resp := response{Pulls: make([]wirePull, len(req.Pulls))}
+		for i := range resp.Pulls {
+			resp.Pulls[i] = wirePull{Status: byte(physical.PullData), Data: []byte("whatever bytes arrived"), Size: 22,
+				Aux: physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{2: 1}}}
+		}
+		return resp.encode(nil), nil
+	})
+	evil := NewClient(r.net.Host("a"), "evil", r.lB.VolumeReplica())
+	fid := ids.FileID{Issuer: 2, Seq: 99}
+	r.lA.NoteNewVersion(physical.RootPath(), fid, 2)
+
+	stats, _ := recon.PropagateOnce(r.lA, func(ids.ReplicaID) recon.Peer { return evil })
+	if stats.FilesPulled != 0 || stats.Failures != 1 {
+		t.Fatalf("stats %v: want no install and one failure", stats)
 	}
-	if s := r.net.Stats(); s.RPCs != 1 {
-		t.Fatalf("v3 delta call cost %d RPCs, want 1", s.RPCs)
+	if _, err := r.lA.FileInfo(physical.RootPath(), fid); !errors.Is(err, physical.ErrNotStored) {
+		t.Fatalf("unverifiable bytes were installed: %v", err)
+	}
+	if pend := r.lA.PendingVersions(); len(pend) != 1 || pend[0].Attempts != 1 {
+		t.Fatalf("entry must stay pending under backoff: %+v", pend)
+	}
+	// The layer refuses on its own account too, before touching disk.
+	err := r.lA.InstallPulled(physical.RootPath(), fid, &physical.PullResult{Status: physical.PullData, Data: []byte("x"),
+		Aux: physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{2: 1}}})
+	if !errors.Is(err, physical.ErrCorrupt) {
+		t.Fatalf("InstallPulled without a manifest: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -218,12 +166,7 @@ func TestDeltaFallbackToV2Peer(t *testing.T) {
 // The puller must refuse the answer as a transient corrupt-payload error.
 func TestMalformedManifestFromWire(t *testing.T) {
 	r := newRig(t)
-	evil := response{ver: wireV3, Pulls: []wirePull{{
-		Status:   byte(physical.PullData),
-		Aux:      physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{2: 1}},
-		Manifest: &physical.BlockManifest{Length: ^uint64(0)},
-	}}}
-	resp, err := decodeResponse(evil.encode(nil))
+	resp, err := decodeResponse(hugeManifestAnswer().encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,23 +138,20 @@ const (
 	opFileInfo
 	opFileData
 	opListReplicas
-	opPullBatch
-	opPullBatchDelta // v3: pull with held-block advertisement, delta answers
+	opPullBatchDelta // the conditional pull, with the puller's held-block advertisement
 )
 
 type request struct {
-	ver     byte // wire version to encode at; 0 means wireV2 (see wireVer)
 	Op      opCode
 	Vol     ids.VolumeHandle
 	Replica ids.ReplicaID
 	Dir     []ids.FileID
 	File    ids.FileID
-	Pulls   []physical.PullRequest // opPullBatch / opPullBatchDelta
-	Have    []physical.BlockAddr   // opPullBatchDelta only (v3): blocks the puller holds
+	Pulls   []physical.PullRequest // opPullBatchDelta
+	Have    []physical.BlockAddr   // opPullBatchDelta: blocks the puller holds
 }
 
 type response struct {
-	ver      byte   // wire version to encode at; a server echoes the request's
 	Class    byte   // classOK = success; otherwise the error class
 	Err      string // message for classTransient/classPermanent
 	Entries  []physical.Entry
@@ -163,11 +160,11 @@ type response struct {
 	Size     uint64
 	Data     []byte
 	Replicas []ids.ReplicaID
-	Pulls    []wirePull // opPullBatch only; one per request entry
+	Pulls    []wirePull // opPullBatchDelta only; one per request entry
 }
 
-// wirePull is one batched-pull answer on the wire: physical.PullResult
-// with the error flattened to (class, message).
+// wirePull is one pull answer on the wire: physical.PullResult with the
+// error flattened to (class, message).
 type wirePull struct {
 	Status   byte
 	Class    byte
@@ -178,8 +175,8 @@ type wirePull struct {
 	RemoteVV vv.Vector
 	Manifest *physical.BlockManifest // the shipped version's verifier
 
-	// Delta answers (v3, opPullBatchDelta): Data is nil and only the blocks
-	// the puller's advertisement lacked travel.
+	// Delta answers (to a non-empty advertisement): Data is nil and only the
+	// blocks the advertisement lacked travel.
 	Missing []physical.Block
 }
 
@@ -187,7 +184,6 @@ type wirePull struct {
 type Server struct {
 	mu     sync.Mutex
 	layers map[ids.VolumeReplicaHandle]*physical.Layer
-	maxVer byte // 0 = wireVersion; lowered in tests to emulate an old peer
 }
 
 // NewServer installs a repl server on the host.
@@ -217,32 +213,13 @@ func (s *Server) layerFor(vol ids.VolumeHandle, r ids.ReplicaID) *physical.Layer
 	return s.layers[ids.VolumeReplicaHandle{Vol: vol, Replica: r}]
 }
 
-// SetMaxWireVersion caps the wire version this server accepts (testing the
-// mixed-version cluster path: a capped server behaves like an old build,
-// failing v3 requests at decode just as a genuine v2 peer would).
-func (s *Server) SetMaxWireVersion(v byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maxVer = v
-}
-
 func (s *Server) handle(reqBytes []byte) ([]byte, error) {
 	req, err := decodeRequest(reqBytes)
 	if err != nil {
 		bad := response{Class: classPermanent, Err: "bad request"}
 		return bad.encode(nil), nil
 	}
-	s.mu.Lock()
-	maxVer := s.maxVer
-	s.mu.Unlock()
-	if maxVer != 0 && wireVer(req.ver) > maxVer {
-		// An old build's decoder rejects the version byte outright; its
-		// answer is the same permanent "bad request" the decode path gives.
-		bad := response{Class: classPermanent, Err: "bad request"}
-		return bad.encode(nil), nil
-	}
 	resp := s.dispatch(req)
-	resp.ver = req.ver // answer at the version the request arrived with
 	return resp.encode(nil), nil
 }
 
@@ -272,23 +249,20 @@ func (s *Server) dispatch(req *request) response {
 			return errResponse(err)
 		}
 		return response{Entries: ds.Entries, VV: ds.VV, Aux: ds.Aux}
-	case opFileInfo:
+	case opFileInfo: // served only for bench/span.go; see Client.FileInfo
 		st, err := l.FileInfo(req.Dir, req.File)
 		if err != nil {
 			return errResponse(err)
 		}
 		return response{Aux: st.Aux, Size: st.Size}
-	case opFileData:
+	case opFileData: // served only for bench/span.go; see Client.FileData
 		data, st, err := l.FileData(req.Dir, req.File)
 		if err != nil {
 			return errResponse(err)
 		}
 		return response{Data: data, Aux: st.Aux, Size: st.Size}
-	case opPullBatch:
-		// The layer answers per entry and never fails the whole batch.
-		results, _ := l.PullBatch(req.Pulls)
-		return response{Pulls: pullsToWire(results)}
 	case opPullBatchDelta:
+		// The layer answers per entry and never fails the whole batch.
 		results, _ := l.PullBatchDelta(req.Pulls, req.Have)
 		return response{Pulls: pullsToWire(results)}
 	default:
@@ -296,8 +270,7 @@ func (s *Server) dispatch(req *request) response {
 	}
 }
 
-// pullsToWire flattens a batch of pull results for the wire (shared by the
-// whole-file and delta pull ops; Missing only travels on v3).
+// pullsToWire flattens a batch of pull results for the wire.
 func pullsToWire(results []physical.PullResult) []wirePull {
 	wps := make([]wirePull, len(results))
 	for i := range results {
@@ -311,8 +284,10 @@ func pullsToWire(results []physical.PullResult) []wirePull {
 	return wps
 }
 
-// pullsFromWire rebuilds the per-entry results of a batched pull, with each
-// entry's error reconstructed from its wire class.
+// pullsFromWire rebuilds the per-entry results of a pull, with each entry's
+// error reconstructed from its wire class.  The manifest is mandatory where
+// it enters: a PullData answer without one cannot be verified, so it becomes
+// a per-entry error and never reaches an install.
 func pullsFromWire(nreq int, resp *response) ([]physical.PullResult, error) {
 	if len(resp.Pulls) != nreq {
 		return nil, fmt.Errorf("repl: pull batch: sent %d entries, got %d answers", nreq, len(resp.Pulls))
@@ -335,6 +310,10 @@ func pullsFromWire(nreq int, resp *response) ([]physical.PullResult, error) {
 				out[i].Err = &peerError{msg: "unspecified pull error"}
 			}
 		}
+		if out[i].Status == physical.PullData && w.Manifest == nil {
+			out[i] = physical.PullResult{Status: physical.PullError,
+				Err: fmt.Errorf("%w: repl: pull answer ships data without a manifest", physical.ErrCorrupt)}
+		}
 	}
 	return out, nil
 }
@@ -348,8 +327,7 @@ func errResponse(err error) response {
 	return resp
 }
 
-// Client is a recon.Peer (and recon.BatchPuller) backed by RPC to a remote
-// host's repl server.
+// Client is a recon.Peer backed by RPC to a remote host's repl server.
 //
 // Every repl operation is an idempotent pull (reads of remote replica
 // state), so the client transparently retries transport failures under its
@@ -367,27 +345,19 @@ type Client struct {
 	// unbounded wait, surfacing as a transient ErrDeadline.
 	deadline uint64
 
-	// noDelta caches a peer's refusal of the v3 delta op, so a mixed-version
-	// cluster pays the downgrade probe once per peer, not once per batch.  A
-	// pointer: WithRetry copies the struct, and every copy must share the
-	// verdict.
-	noDelta *atomic.Bool
-
 	// lastElapsed records the summed virtual ticks of the most recent
 	// operation's attempts — the latency sample the caller's health EWMA
-	// feeds on.  Shared across copies, like noDelta.
+	// feeds on.  A pointer: WithRetry and WithDeadline copy the struct, and
+	// every copy must share the sample.
 	lastElapsed *atomic.Uint64
 }
 
-var (
-	_ recon.Peer        = (*Client)(nil)
-	_ recon.BatchPuller = (*Client)(nil)
-)
+var _ recon.Peer = (*Client)(nil)
 
 // NewClient builds a peer for the volume replica vr served at addr,
 // issuing calls from host, retrying under retry.Default().
 func NewClient(host *simnet.Host, addr simnet.Addr, vr ids.VolumeReplicaHandle) *Client {
-	return &Client{host: host, addr: addr, vr: vr, policy: retry.Default(), noDelta: new(atomic.Bool), lastElapsed: new(atomic.Uint64)}
+	return &Client{host: host, addr: addr, vr: vr, policy: retry.Default(), lastElapsed: new(atomic.Uint64)}
 }
 
 // WithRetry returns a copy of the client configured with a different retry
@@ -468,7 +438,10 @@ func (c *Client) DirEntries(dirPath []ids.FileID) (physical.DirState, error) {
 	return physical.DirState{Entries: resp.Entries, VV: resp.VV, Aux: resp.Aux}, nil
 }
 
-// FileInfo implements recon.Peer.
+// FileInfo is the first half of the retired per-file pull.  Nothing in recon
+// or core calls it; the frozen bench/span.go compiles against it, which is
+// the only reason it (and opFileInfo) exists — the next benchmark PR deletes
+// both.
 func (c *Client) FileInfo(dirPath []ids.FileID, fid ids.FileID) (physical.FileState, error) {
 	resp, err := c.call(&request{Op: opFileInfo, Dir: dirPath, File: fid})
 	if err != nil {
@@ -477,7 +450,8 @@ func (c *Client) FileInfo(dirPath []ids.FileID, fid ids.FileID) (physical.FileSt
 	return physical.FileState{Aux: resp.Aux, Size: resp.Size}, nil
 }
 
-// FileData implements recon.Peer.
+// FileData is the second half of the retired per-file pull; like FileInfo it
+// (and opFileData) exists only because bench/span.go compiles against it.
 func (c *Client) FileData(dirPath []ids.FileID, fid ids.FileID) ([]byte, physical.FileState, error) {
 	resp, err := c.call(&request{Op: opFileData, Dir: dirPath, File: fid})
 	if err != nil {
@@ -486,34 +460,19 @@ func (c *Client) FileData(dirPath []ids.FileID, fid ids.FileID) ([]byte, physica
 	return resp.Data, physical.FileState{Aux: resp.Aux, Size: resp.Size}, nil
 }
 
-// PullBatch implements recon.BatchPuller: one RPC answers the whole batch
-// of conditional pulls, with per-entry errors rebuilt from their wire
-// class.  A transport failure (after retries) fails the whole call.
+// PullBatch exists only because bench/span.go compiles against it; the next
+// benchmark PR deletes it.
 func (c *Client) PullBatch(reqs []physical.PullRequest) ([]physical.PullResult, error) {
-	resp, err := c.call(&request{Op: opPullBatch, Pulls: reqs})
-	if err != nil {
-		return nil, err
-	}
-	return pullsFromWire(len(reqs), resp)
+	return c.PullBatchDelta(reqs, nil)
 }
 
-// PullBatchDelta implements recon.DeltaPuller: like PullBatch, but the
-// request advertises the block addresses this replica already holds, and
-// answers come back as (manifest, missing blocks) instead of full data.  A peer that predates the delta op answers it with
-// a permanent error; the client notes that once and degrades this and every
-// later batch to plain PullBatch, so mixed-version clusters converge at v2.
+// PullBatchDelta implements recon.Peer: one RPC answers the whole batch of
+// conditional pulls, advertising the block addresses this replica already
+// holds; per-entry errors are rebuilt from their wire class.  A transport
+// failure (after retries) fails the whole call.
 func (c *Client) PullBatchDelta(reqs []physical.PullRequest, have []physical.BlockAddr) ([]physical.PullResult, error) {
-	if c.noDelta.Load() {
-		return c.PullBatch(reqs)
-	}
-	resp, err := c.call(&request{ver: wireV3, Op: opPullBatchDelta, Pulls: reqs, Have: have})
+	resp, err := c.call(&request{Op: opPullBatchDelta, Pulls: reqs, Have: have})
 	if err != nil {
-		var pe *peerError
-		if errors.As(err, &pe) && !pe.transient {
-			// "bad request" / "unknown op": the peer speaks no v3.
-			c.noDelta.Store(true)
-			return c.PullBatch(reqs)
-		}
 		return nil, err
 	}
 	return pullsFromWire(len(reqs), resp)

@@ -1,28 +1,25 @@
 #!/bin/sh
 # bench.sh — regenerate the committed benchmark records:
-#   BENCH_PR3.json — batched propagation (E10) and repl wire-codec micros.
-#   BENCH_PR9.json — hedged-pull tail latency (E14): p50/p99 pull ticks
-#                    with hedging on vs off over a slow, spiky link.
-#
-# E10 runs a fixed small iteration count (each pass is a full 256-file
-# propagation round on a 4-host cluster — the counting metrics are exact and
-# deterministic, only ns/op varies); the codec microbenchmarks use the normal
-# time-based iteration so ns/op is meaningful.
+#   BENCH_PR3.json  — propagation pulls (E10) and repl wire-codec micros.
+#   BENCH_PR9.json  — hedged-pull tail latency (E14): p50/p99 pull ticks
+#                     with hedging on vs off over a slow, spiky link.
+#   BENCH_PR10.json — gossip vs flat notification scaling (E15).
 set -eu
 
 cd "$(dirname "$0")/.."
 
-out="BENCH_PR3.json"
-tmp="$(mktemp)"
-trap 'rm -f "$tmp"' EXIT
+tmpdir="$(mktemp -d)"
+trap 'rm -rf "$tmpdir"' EXIT
 
-echo "==> go test -bench BenchmarkE10 -benchtime 3x ."
-go test -run '^$' -bench 'BenchmarkE10' -benchtime 3x . | tee -a "$tmp"
-
-echo "==> go test -bench BenchmarkCodec ./internal/repl"
-go test -run '^$' -bench 'BenchmarkCodec' ./internal/repl | tee -a "$tmp"
-
-awk '
+# record <out.json> <go test args…> runs the benchmarks and writes out.json
+# from their result lines; a second call naming the same file adds its lines
+# to the record.
+record() {
+	out="$1"
+	shift
+	echo "==> go test -run '^\$' $*"
+	go test -run '^$' "$@" | tee -a "$tmpdir/$out"
+	awk '
 BEGIN { print "{"; print "  \"benchmarks\": ["; sep = "" }
 /^Benchmark/ {
     printf "%s    {\"name\": \"%s\", \"iterations\": %s", sep, $1, $2
@@ -31,52 +28,23 @@ BEGIN { print "{"; print "  \"benchmarks\": ["; sep = "" }
     sep = ",\n"
 }
 END { print ""; print "  ]"; print "}" }
-' "$tmp" > "$out"
+' "$tmpdir/$out" > "$out"
+	echo "==> wrote $out"
+}
 
-echo "==> wrote $out"
+# E10 runs a fixed small iteration count (each pass is a full 256-file
+# propagation round on a 4-host cluster — the counting metrics are exact and
+# deterministic, only ns/op varies); the codec microbenchmarks use the normal
+# time-based iteration so ns/op is meaningful.
+record BENCH_PR3.json -bench 'BenchmarkE10' -benchtime 3x .
+record BENCH_PR3.json -bench 'BenchmarkCodec' ./internal/repl
 
-out9="BENCH_PR9.json"
-tmp9="$(mktemp)"
-trap 'rm -f "$tmp" "$tmp9"' EXIT
-
-echo "==> go test -bench BenchmarkE14 -benchtime 1x ."
 # One iteration is 128 full write→propagate rounds per variant; every
 # latency draw is virtual ticks from the seeded simnet RNG, so the reported
 # percentiles are exact and reproducible — only ns/op varies run to run.
-go test -run '^$' -bench 'BenchmarkE14' -benchtime 1x . | tee -a "$tmp9"
+record BENCH_PR9.json -bench 'BenchmarkE14' -benchtime 1x .
 
-awk '
-BEGIN { print "{"; print "  \"benchmarks\": ["; sep = "" }
-/^Benchmark/ {
-    printf "%s    {\"name\": \"%s\", \"iterations\": %s", sep, $1, $2
-    for (i = 3; i + 1 <= NF; i += 2) printf ", \"%s\": %s", $(i+1), $i
-    printf "}"
-    sep = ",\n"
-}
-END { print ""; print "  ]"; print "}" }
-' "$tmp9" > "$out9"
-
-echo "==> wrote $out9"
-
-out10="BENCH_PR10.json"
-tmp10="$(mktemp)"
-trap 'rm -f "$tmp" "$tmp9" "$tmp10"' EXIT
-
-echo "==> go test -bench BenchmarkE15 -benchtime 1x ."
 # Gossip vs flat notification at n = 8..256: one iteration per variant writes
 # 4 files and converges the cluster.  The per-update datagram counts come off
 # the seeded simnet, so they are exact; only ns/op varies run to run.
-go test -run '^$' -bench 'BenchmarkE15' -benchtime 1x -timeout 1200s . | tee -a "$tmp10"
-
-awk '
-BEGIN { print "{"; print "  \"benchmarks\": ["; sep = "" }
-/^Benchmark/ {
-    printf "%s    {\"name\": \"%s\", \"iterations\": %s", sep, $1, $2
-    for (i = 3; i + 1 <= NF; i += 2) printf ", \"%s\": %s", $(i+1), $i
-    printf "}"
-    sep = ",\n"
-}
-END { print ""; print "  ]"; print "}" }
-' "$tmp10" > "$out10"
-
-echo "==> wrote $out10"
+record BENCH_PR10.json -bench 'BenchmarkE15' -benchtime 1x -timeout 1200s .

@@ -2,7 +2,7 @@
 # ci.sh — the single CI gate for the repository.
 #
 # Runs, in order: build, ficusvet (repo-specific static analysis), go vet,
-# three one-iteration bench smokes, the race-enabled test suite, the suite
+# gofmt, three one-iteration bench smokes, the race-enabled test suite, the suite
 # again with runtime invariants armed (FICUS_INVARIANTS=1), and the four
 # chaos gates.  Each thing runs once.  Any failure stops the gate.
 set -eu
@@ -24,6 +24,11 @@ fi
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l"
+# The analyzers' testdata holds deliberately odd fixtures; everything else
+# tracked must be gofmt-clean.
+test -z "$(gofmt -l $(git ls-files '*.go' | grep -v /testdata/))"
 
 echo "==> bench smoke: E13 delta propagation"
 go test -count=1 -run 'xxx' -bench 'BenchmarkE13DeltaPropagation' -benchtime 1x .
