@@ -62,8 +62,9 @@
 //	scrub [host]                         one integrity pass (verify + repair);
 //	                                     all hosts when no host given
 //	integrity [host]                     per-host corruption/repair counters
-//	blocks [host]                        per-host block pool and delta-transfer
-//	                                     counters (dedup savings)
+//	blocks [host]                        per-host delta-transfer counters: blocks
+//	                                     shipped, and blocks reused from the
+//	                                     versions being replaced
 //	# comment                            ignored
 //
 // Example:
@@ -786,8 +787,6 @@ func (c *controller) exec(line string) error {
 		}
 		for h := lo; h < hi; h++ {
 			s := c.cluster.BlockStatsFor(h)
-			fmt.Printf("host %d pool: blocks=%d bytes=%d sealed=%d orphans=%d bad=%d\n",
-				h, s.PoolBlocks, s.PoolBytes, s.ManifestsSealed, s.OrphansReclaimed, s.BadBlocks)
 			fmt.Printf("host %d delta: shipped=%d (%d bytes) reused=%d (%d bytes saved)\n",
 				h, s.BlocksShipped, s.BytesShipped, s.BlocksReused, s.BytesSaved)
 		}

@@ -612,12 +612,12 @@ func (c *Cluster) IntegrityStatsFor(host int) IntegrityStats {
 	return c.sim.Hosts[host].IntegrityStats()
 }
 
-// BlockStats reports one host's content-addressed block layer: the shared
-// block pool backing delta propagation (PoolBlocks/PoolBytes are gauges;
-// the rest are cumulative).
+// BlockStats reports one host's delta-propagation work: blocks it shipped to
+// pullers, and blocks its own installs reused from the versions they
+// replaced.  Every counter is cumulative.
 type BlockStats = physical.BlockStats
 
-// BlockStatsFor returns host i's aggregate block-layer counters.
+// BlockStatsFor returns host i's aggregate delta-propagation counters.
 func (c *Cluster) BlockStatsFor(host int) BlockStats {
 	return c.sim.Hosts[host].BlockStats()
 }

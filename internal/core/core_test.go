@@ -439,7 +439,8 @@ func TestCreateGraftPointRequiresLocalReplica(t *testing.T) {
 // through the health-gated peer wrapper, so that wrapper must forward
 // PullBatchDelta — otherwise every pull silently degrades to whole-file and
 // the block layer never earns its keep.  An append-one-block update must
-// ship exactly the appended block and reassemble the rest from the pool.
+// ship exactly the appended block and reassemble the rest from the version
+// being replaced.
 func TestDeltaPropagationThroughHealthGate(t *testing.T) {
 	const bs = physical.ChecksumBlockSize
 	c := newCluster(t, 2)
@@ -473,7 +474,7 @@ func TestDeltaPropagationThroughHealthGate(t *testing.T) {
 		t.Fatalf("origin shipped %d blocks for an append-one-block update, want 1", got)
 	}
 	if got := c.hosts[1].BlockStats().BlocksReused; got != 2 {
-		t.Fatalf("puller reassembled %d blocks from its pool, want 2", got)
+		t.Fatalf("puller reused %d blocks of the old version, want 2", got)
 	}
 	root1 := c.mount(t, 1)
 	g, err := root1.Lookup("big")

@@ -64,8 +64,8 @@ func (h *Host) IntegrityStats() physical.IntegrityStats {
 	return total
 }
 
-// BlockStats aggregates the content-addressed block layer's counters of
-// every local volume replica (pool gauges plus delta-propagation work).
+// BlockStats aggregates the delta-propagation counters of every local volume
+// replica (blocks shipped to pullers, blocks reused by installs).
 func (h *Host) BlockStats() physical.BlockStats {
 	var total physical.BlockStats
 	for _, layer := range h.LocalReplicas() {

@@ -2,7 +2,6 @@ package physical
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/ids"
@@ -21,76 +20,33 @@ import (
 //   - no orphaned storage: every F/A/D member of a container is named by
 //     some entry (live or tombstone) of that directory
 //   - entry ids are unique within each directory
-//   - block refcounts: every block a pooled sidecar references is present
-//     in the pool, every pool block is referenced by at least one pooled
-//     sidecar, and the in-memory refcounts equal a recount from disk
+//   - the store root holds the meta file, the journal and the root
+//     container, and nothing else: every byte of file data is stored once
 func (l *Layer) Check() ([]string, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var problems []string
+	rootName := prefixDir + ids.RootFileID.String()
+	members, err := l.root.Readdir()
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range members {
+		if _, shadow := shadowBase(m.Name); shadow {
+			problems = append(problems, fmt.Sprintf("store root: leftover shadow file %q (crash recovery incomplete)", m.Name))
+		} else if m.Name != metaFileName && m.Name != nvcjFileName && m.Name != rootName {
+			problems = append(problems, fmt.Sprintf("store root: unidentified member %q", m.Name))
+		}
+	}
 	cont, err := l.rootContainer()
 	if err != nil {
-		return []string{fmt.Sprintf("volume root container missing: %v", err)}, nil
+		return append(problems, fmt.Sprintf("volume root container missing: %v", err)), nil
 	}
-	poolRefs := make(map[BlockAddr]int)
-	if err := l.checkContainerLocked(cont, ids.RootFileID, "/", &problems, poolRefs); err != nil {
-		return problems, err
-	}
-	if err := l.checkPoolLocked(&problems, poolRefs); err != nil {
-		return problems, err
-	}
-	return problems, nil
+	err = l.checkContainerLocked(cont, ids.RootFileID, "/", &problems)
+	return problems, err
 }
 
-// checkPoolLocked audits the block pool and the in-memory refcounts against
-// the references collected from the pooled sidecars: an unreferenced pool
-// block is a leak (mount-time reclaim should have collected it), a torn
-// shadow is incomplete recovery, an unparsable name is foreign junk.
-func (l *Layer) checkPoolLocked(problems *[]string, poolRefs map[BlockAddr]int) error {
-	var drift []BlockAddr
-	for a, n := range l.blockRefs {
-		if poolRefs[a] != n {
-			drift = append(drift, a)
-		}
-	}
-	for a := range poolRefs {
-		if l.blockRefs[a] == 0 {
-			drift = append(drift, a)
-		}
-	}
-	sort.Slice(drift, func(i, j int) bool { return addrLess(drift[i], drift[j]) })
-	for _, a := range drift {
-		*problems = append(*problems, fmt.Sprintf("pool: block %s has %d references in memory, %d on disk", a, l.blockRefs[a], poolRefs[a]))
-	}
-	pool, err := l.root.Lookup(poolDirName)
-	if err != nil {
-		if vnode.AsErrno(err) == vnode.ENOENT {
-			return nil // block layer never used on this store
-		}
-		return err
-	}
-	ents, err := pool.Readdir()
-	if err != nil {
-		return err
-	}
-	for _, e := range ents {
-		if _, isShadow := shadowBase(e.Name); isShadow {
-			*problems = append(*problems, fmt.Sprintf("pool: leftover block shadow %q (crash recovery incomplete)", e.Name))
-			continue
-		}
-		addr, ok := parseBlockName(e.Name)
-		if !ok {
-			*problems = append(*problems, fmt.Sprintf("pool: unparsable block name %q", e.Name))
-			continue
-		}
-		if poolRefs[addr] == 0 {
-			*problems = append(*problems, fmt.Sprintf("pool: block %s referenced by no sidecar (leaked)", addr))
-		}
-	}
-	return nil
-}
-
-func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path string, problems *[]string, poolRefs map[BlockAddr]int) error {
+func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path string, problems *[]string) error {
 	report := func(format string, args ...any) {
 		*problems = append(*problems, fmt.Sprintf("%s: ", path)+fmt.Sprintf(format, args...))
 	}
@@ -132,7 +88,7 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 	for _, m := range members {
 		_, shadow := shadowBase(m.Name)
 		switch {
-		case m.Name == dirFileName || m.Name == dirAttrName || m.Name == metaFileName:
+		case m.Name == dirFileName || m.Name == dirAttrName:
 		case shadow:
 			report("leftover shadow file %q (crash recovery incomplete)", m.Name)
 		case strings.HasPrefix(m.Name, prefixData):
@@ -173,29 +129,17 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 				report("unparsable sidecar name %q", m.Name)
 				continue
 			}
-			// A sidecar without its data file, naming no entry, undecodable
-			// or referencing a block the pool lacks is a problem.  A *missing*
-			// or stale one is NOT: crash windows legitimately leave one, and
-			// the scrubber (or EnsureBlocks) reseals.
+			// A sidecar without its data file, naming no entry or undecodable
+			// is a problem.  A *missing* or stale one is NOT: crash windows
+			// legitimately leave one, and the scrubber reseals.
 			if !named[fid] {
 				report("orphaned sidecar %q", m.Name)
 			}
 			if !stored[prefixData+fid.String()] {
 				report("sidecar %q has no data file", m.Name)
 			}
-			sc, err := readSidecar(l.root, cont, fid)
-			if err != nil {
+			if _, err := readSidecar(l.root, cont, fid); err != nil {
 				report("undecodable sidecar %q: %v", m.Name, err)
-				continue
-			}
-			if !sc.Pooled {
-				continue
-			}
-			for _, addr := range sc.Blocks {
-				poolRefs[addr]++
-				if !l.poolHasLocked(addr) {
-					report("sidecar %v references missing pool block %s", fid, addr)
-				}
 			}
 		case strings.HasPrefix(m.Name, prefixDir):
 			fid, err := ids.ParseFileID(m.Name[len(prefixDir):])
@@ -226,7 +170,7 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 				report("entry %q: container lookup failed: %v", e.Name, err)
 				continue
 			}
-			if err := l.checkContainerLocked(sub, e.Child, path+e.Name+"/", problems, poolRefs); err != nil {
+			if err := l.checkContainerLocked(sub, e.Child, path+e.Name+"/", problems); err != nil {
 				return err
 			}
 			continue

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,6 +118,72 @@ func TestCheckDetectsShadowLitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFicusClean(t, l)
+}
+
+// TestCheckReadsTheStoreRoot: the store root holds the meta file, the
+// journal and the root container, and fsck reports anything else — a leftover
+// journal-compaction shadow (which the next mount's Recover settles), foreign
+// junk, or a directory of block files from before the delta base replaced
+// the block pool.
+func TestCheckReadsTheStoreRoot(t *testing.T) {
+	l, _ := newLayer(t, 1)
+	checkFicusClean(t, l)
+	sf, err := l.root.Create(nvcjFileName+suffixShadow, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vnode.WriteFile(sf, []byte("torn compaction")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.root.Create("junk", true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.root.Mkdir("blocks"); err != nil {
+		t.Fatal(err)
+	}
+	probs, err := l.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		`leftover shadow file "nvcj.shadow" (crash recovery incomplete)`,
+		`unidentified member "junk"`,
+		`unidentified member "blocks"`,
+	}
+	for _, w := range want {
+		if !slices.ContainsFunc(probs, func(p string) bool { return strings.HasPrefix(p, "store root: ") && strings.Contains(p, w) }) {
+			t.Errorf("check did not report %s: %v", w, probs)
+		}
+	}
+	if len(probs) != len(want) {
+		t.Fatalf("check reported %d problems, want %d: %v", len(probs), len(want), probs)
+	}
+	if err := l.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if probs, _ := l.Check(); len(probs) != 2 {
+		t.Fatalf("after recovery only the two foreign members remain a problem: %v", probs)
+	}
+}
+
+// TestCheckRejectsMetaInsideContainer: the meta file lives at the store root
+// only; a member of that name inside a container is foreign.
+func TestCheckRejectsMetaInsideContainer(t *testing.T) {
+	l, _ := newLayer(t, 1)
+	cont, err := l.containerOf(RootPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cont.Create(metaFileName, true); err != nil {
+		t.Fatal(err)
+	}
+	probs, err := l.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probs) != 1 || !strings.Contains(probs[0], `unidentified container member "meta"`) {
+		t.Fatalf("check says %v", probs)
+	}
 }
 
 func TestCheckDetectsBadNlink(t *testing.T) {

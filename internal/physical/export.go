@@ -59,6 +59,10 @@ type FileState struct {
 func (l *Layer) FileInfo(dirPath []ids.FileID, fid ids.FileID) (FileState, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.fileInfoLocked(dirPath, fid)
+}
+
+func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState, error) {
 	cont, err := l.containerOf(dirPath)
 	if err != nil {
 		return FileState{}, err
@@ -109,12 +113,16 @@ func (l *Layer) FileData(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileStat
 // readVerified is FileData, also returning the sealed manifest the bytes
 // were verified against (nil when the sidecar could not vouch for them).
 func (l *Layer) readVerified(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileState, *BlockManifest, error) {
-	st, err := l.FileInfo(dirPath, fid)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.readVerifiedLocked(dirPath, fid)
+}
+
+func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileState, *BlockManifest, error) {
+	st, err := l.fileInfoLocked(dirPath, fid)
 	if err != nil {
 		return nil, FileState{}, nil, err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.isQuarantinedLocked(fid) {
 		return nil, FileState{}, nil, fmt.Errorf("%w: file %s is quarantined", ErrCorrupt, fid)
 	}
@@ -249,9 +257,16 @@ func (l *Layer) ApplyDirMerge(dirPath []ids.FileID, remote DirState) (MergeResul
 		return res, err
 	}
 	// Reclaim storage of children that no live entry names any more, as a
-	// local Remove of the last name would.
-	for child := range tombstoned {
-		if err := l.derefAfterMergeLocked(cont, merged, child); err != nil {
+	// local Remove of the last name would.  (Both passes below visit the
+	// children in merged's order, not map order: the order of the store
+	// operations decides what the UFS caches hold, and so every counter that
+	// depends on them, and must be the same from run to run.)
+	for _, e := range merged {
+		if !tombstoned[e.Child] {
+			continue
+		}
+		delete(tombstoned, e.Child)
+		if err := l.derefAfterMergeLocked(cont, merged, e.Child); err != nil {
 			return res, err
 		}
 	}
@@ -259,7 +274,12 @@ func (l *Layer) ApplyDirMerge(dirPath []ids.FileID, remote DirState) (MergeResul
 	// partitioned renames of one file both survive, leaving it with two
 	// names, §2.5 fn3); bring each touched child's stored link count in
 	// line with its live name count.
-	for child := range touched {
+	for _, e := range merged {
+		child := e.Child
+		if !touched[child] {
+			continue
+		}
+		delete(touched, child)
 		refs := countLiveRefs(merged, child)
 		if refs == 0 {
 			continue
@@ -305,17 +325,13 @@ func (l *Layer) derefAfterMergeLocked(cont vnode.Vnode, entries []Entry, child i
 }
 
 // removeStorageLocked reclaims every container member of file fid — data,
-// aux and sidecar (releasing its pool references) — and whatever quarantine
-// its bytes were under.  Absent members are fine: a replica need not store
-// the file.
+// aux and sidecar — and whatever quarantine its bytes were under.  Absent
+// members are fine: a replica need not store the file.
 func (l *Layer) removeStorageLocked(cont vnode.Vnode, fid ids.FileID) error {
-	for _, p := range []string{prefixData, prefixAux} {
+	for _, p := range []string{prefixData, prefixAux, prefixSidecar} {
 		if err := cont.Remove(p + fid.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
 			return err
 		}
-	}
-	if err := l.removeSidecarLocked(cont, fid); err != nil {
-		return err
 	}
 	l.clearQuarantineLocked(fid, false)
 	return nil
@@ -441,8 +457,7 @@ func (l *Layer) DropTombstones(dirPath []ids.FileID, eids []ids.FileID) (int, er
 			continue
 		}
 		name := prefixDir + child.String()
-		if sub, err := cont.Lookup(name); err == nil {
-			l.dropRefsInTreeLocked(sub)
+		if _, err := cont.Lookup(name); err == nil {
 			if err := removeTree(cont, name); err != nil {
 				return removed, err
 			}

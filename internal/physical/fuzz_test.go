@@ -13,12 +13,11 @@ import (
 // crash, bit rot or a foreign writer left behind.
 
 func FuzzDecodeSidecar(f *testing.F) {
-	for _, pooled := range []bool{false, true} {
-		enc, _, _ := sampleSidecar(pooled)
-		f.Add(enc)
-	}
-	f.Add(encodeSidecar(vv.New(), false, ComputeManifest(nil)))
-	f.Add(encodeSidecar(vv.Vector{2: 1}, true, &BlockManifest{Length: ^uint64(0)}))
+	enc, _, _ := sampleSidecar()
+	f.Add(enc)
+	f.Add(flagBitSet(enc, 0)) // rejected: no flag is defined
+	f.Add(encodeSidecar(vv.New(), ComputeManifest(nil)))
+	f.Add(encodeSidecar(vv.Vector{2: 1}, &BlockManifest{Length: ^uint64(0)}))
 	f.Add([]byte("FSDC"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sc, err := decodeSidecar(b)
@@ -30,7 +29,7 @@ func FuzzDecodeSidecar(f *testing.F) {
 		if !sc.wellFormed() {
 			t.Fatalf("accepted a manifest with %d blocks for length %d", len(sc.Blocks), sc.Length)
 		}
-		if enc := encodeSidecar(sc.Sealed, sc.Pooled, &sc.BlockManifest); !bytes.Equal(enc, b) {
+		if enc := encodeSidecar(sc.Sealed, &sc.BlockManifest); !bytes.Equal(enc, b) {
 			t.Fatalf("re-encoding differs:\n%x\n%x", b, enc)
 		}
 	})

@@ -91,11 +91,7 @@ type Layer struct {
 	nvcjRecs    int
 	journalErrs uint64
 
-	// Content-addressed block pool (blockstore.go).  Refcounts are
-	// in-memory, rebuilt from the pooled sidecars at every Open.
-	pool      vnode.Vnode
-	blockRefs map[BlockAddr]int
-	bstats    BlockStats
+	bstats BlockStats // delta propagation counters (pull.go)
 }
 
 type nvcKey struct {
@@ -138,15 +134,14 @@ func Format(store vnode.VFS, vol ids.VolumeHandle, replica ids.ReplicaID) (*Laye
 		return nil, err
 	}
 	l := &Layer{
-		store:     store,
-		root:      root,
-		vol:       vol,
-		replica:   replica,
-		seq:       ids.NewSequencer(replica, 2),
-		nvc:       make(map[nvcKey]NewVersion),
-		opens:     make(map[ids.FileID]int),
-		quar:      make(map[ids.FileID]QuarEntry),
-		blockRefs: make(map[BlockAddr]int),
+		store:   store,
+		root:    root,
+		vol:     vol,
+		replica: replica,
+		seq:     ids.NewSequencer(replica, 2),
+		nvc:     make(map[nvcKey]NewVersion),
+		opens:   make(map[ids.FileID]int),
+		quar:    make(map[ids.FileID]QuarEntry),
 	}
 	if err := l.writeMetaLocked(); err != nil {
 		return nil, err
@@ -172,21 +167,19 @@ func Format(store vnode.VFS, vol ids.VolumeHandle, replica ids.ReplicaID) (*Laye
 	return l, nil
 }
 
-// Open mounts an existing volume replica, running crash recovery (Recover:
-// shadow cleanup and the pool refcount rebuild) and replaying the durable
-// new-version cache journal before returning.
+// Open mounts an existing volume replica, running crash recovery (Recover)
+// and replaying the durable new-version cache journal before returning.
 func Open(store vnode.VFS) (*Layer, error) {
 	root, err := store.Root()
 	if err != nil {
 		return nil, err
 	}
 	l := &Layer{
-		store:     store,
-		root:      root,
-		nvc:       make(map[nvcKey]NewVersion),
-		opens:     make(map[ids.FileID]int),
-		quar:      make(map[ids.FileID]QuarEntry),
-		blockRefs: make(map[BlockAddr]int),
+		store: store,
+		root:  root,
+		nvc:   make(map[nvcKey]NewVersion),
+		opens: make(map[ids.FileID]int),
+		quar:  make(map[ids.FileID]QuarEntry),
 	}
 	if err := l.readMetaLocked(); err != nil {
 		return nil, err

@@ -1,7 +1,10 @@
 package physical
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/vv"
@@ -130,25 +133,154 @@ func (l *Layer) pullOne(req *PullRequest) PullResult {
 	return PullResult{Status: PullData, Data: data, Aux: dst.Aux, Size: dst.Size, Manifest: m}
 }
 
-// A pull may advertise the block addresses the puller already holds (its
-// pool, fed by EnsureBlocks from ANY local file — cross-file dedup).  The
+// A pull may advertise block addresses the puller already holds.  The
 // serving side then answers PullData entries with the version's manifest plus
 // only the blocks absent from the advertisement, and the puller reassembles
-// the full version from local pool blocks + received blocks before running
-// the exact same commit a whole-file install uses.  An append-one-block update
-// or a metadata touch therefore ships O(delta) bytes instead of O(file), and a
+// the full version from its base + received blocks before running the exact
+// same commit a whole-file install uses.  An append-one-block update or a
+// metadata touch therefore ships O(delta) bytes instead of O(file), and a
 // pass where the puller already dominates still ships zero data bytes.
 
+// Block pairs an address with its content: the wire unit of a delta pull.
+type Block struct {
+	Addr BlockAddr
+	Data []byte
+}
+
+// DeltaBase is what one delta pull is assembled against: for each block
+// address, where the sealed manifests of the requested files listed it when
+// the request was built — in practice inside the versions the pull replaces.
+// It is a value that lives for one pull; nothing about it is stored, so it
+// may have gone stale by the time an answer arrives, and InstallPulled trusts
+// none of it: every holder is read back through the verified read at the
+// moment of use.
+type DeltaBase map[BlockAddr][]baseBlock
+
+// baseBlock locates one holder of a base block: block number block of file
+// fid in directory dir.
+type baseBlock struct {
+	dir   []ids.FileID
+	fid   ids.FileID
+	block int
+}
+
+// AddToBase offers fid's local version to base: its addresses join when the
+// file has a local copy, is not quarantined and is sealed under its current
+// aux vector.  Anything else adds nothing, and the version is replaced by
+// whole blocks.  Only the aux and the sidecar are read; nothing is written.
+func (l *Layer) AddToBase(base DeltaBase, dirPath []ids.FileID, fid ids.FileID) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.isQuarantinedLocked(fid) {
+		return
+	}
+	cont, err := l.containerOf(dirPath)
+	if err != nil {
+		return
+	}
+	aux, err := readAuxFileFollow(l.root, cont, prefixAux+fid.String())
+	if err != nil {
+		return
+	}
+	sc, err := readSidecar(l.root, cont, fid)
+	if err != nil || !sc.Sealed.Equal(aux.VV) {
+		return
+	}
+	for i, addr := range sc.Blocks {
+		// One mention per file, however often the block repeats inside it.
+		if hs := base[addr]; len(hs) == 0 || hs[len(hs)-1].fid != fid {
+			base[addr] = append(hs, baseBlock{dir: dirPath, fid: fid, block: i})
+		}
+	}
+}
+
+// Have lists the base's distinct addresses, sorted: the advertisement of the
+// pull the base was built for.  An empty base advertises nothing, which asks
+// for whole-file answers.
+func (b DeltaBase) Have() []BlockAddr {
+	out := make([]BlockAddr, 0, len(b))
+	for a := range b {
+		out = append(out, a)
+	}
+	slices.SortFunc(out, func(a, b BlockAddr) int { return bytes.Compare(a[:], b[:]) })
+	return out
+}
+
+// heldVersion is one base file as the verified read found it during an
+// install: its bytes and the current seal they hash to.
+type heldVersion struct {
+	data []byte
+	m    *BlockManifest
+}
+
+// baseBlockLocked reads the block addressed addr back out of a base file that
+// listed it.  Each holder is read once per install (held remembers it, nil for
+// one that cannot serve) through readVerifiedLocked, so a block is used only
+// if its holder's bytes hash to the holder's current seal right now and that
+// seal still lists the address at the same place; a holder failing its
+// current seal is quarantined there, like every other failed verified read,
+// and so drops out of the next advertisement.  A holder rewritten, removed or
+// quarantined since the base was built is simply a miss.
+func (l *Layer) baseBlockLocked(base DeltaBase, addr BlockAddr, held map[ids.FileID]*heldVersion) ([]byte, bool) {
+	for _, h := range base[addr] {
+		v, seen := held[h.fid]
+		if !seen {
+			if data, _, m, err := l.readVerifiedLocked(h.dir, h.fid); err == nil && m != nil {
+				v = &heldVersion{data: data, m: m}
+			}
+			held[h.fid] = v
+		}
+		if v == nil {
+			continue
+		}
+		if h.block < len(v.m.Blocks) && v.m.Blocks[h.block] == addr {
+			return blockAt(v.data, h.block), true
+		}
+	}
+	return nil, false
+}
+
 // ErrMissingBlock reports a delta install that could not be assembled: the
-// manifest references a block that was neither advertised-and-held locally
-// nor shipped.  It is TRANSIENT — the puller's pool may have changed between
-// advertisement and install (eviction, corruption) — so the entry retries
-// under backoff and the next advertisement no longer claims the block.
+// manifest references a block that was neither shipped nor readable from the
+// base.  It is TRANSIENT — a base file may have been rewritten, removed or
+// quarantined between advertisement and install — so the entry retries under
+// backoff and the next advertisement no longer claims the block.
 var ErrMissingBlock error = transientError("physical: delta install needs a block neither held locally nor shipped")
 
-// IsMissingBlock reports whether err is the retriable missing-block refusal
-// of a delta install.
-func IsMissingBlock(err error) bool { return errors.Is(err, ErrMissingBlock) }
+// BlockStats counts delta propagation's work on one volume replica; every
+// counter is cumulative.
+type BlockStats struct {
+	// PoolBlocks and ManifestsSealed counted the block pool, which no longer
+	// exists.  Nothing writes them; they remain only because the frozen
+	// bench/run.go reads them, for the next benchmark PR to delete.
+	PoolBlocks      uint64
+	ManifestsSealed uint64
+
+	BlocksShipped uint64 // blocks this replica shipped because the puller lacked them
+	BlocksReused  uint64 // blocks delta installs read back from their base
+	BytesShipped  uint64 // payload bytes of shipped blocks
+	BytesSaved    uint64 // payload bytes delta installs did NOT pull over the wire
+}
+
+// Add accumulates (aggregation across layers and hosts).
+func (s *BlockStats) Add(t BlockStats) {
+	s.BlocksShipped += t.BlocksShipped
+	s.BlocksReused += t.BlocksReused
+	s.BytesShipped += t.BytesShipped
+	s.BytesSaved += t.BytesSaved
+}
+
+// String renders the stats compactly.
+func (s BlockStats) String() string {
+	return fmt.Sprintf("shipped=%d/%dB reused=%d saved=%dB", s.BlocksShipped, s.BytesShipped, s.BlocksReused, s.BytesSaved)
+}
+
+// BlockStats returns a snapshot of this volume replica's delta counters.
+func (l *Layer) BlockStats() BlockStats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.bstats
+}
 
 // PullBatchDelta answers a batch of conditional pull requests against this
 // replica.  With no advertisement (have is empty) a version that must ship

@@ -275,7 +275,7 @@ func (v *pvnode) createKind(name string, excl bool, kind Kind, data string) (vno
 	// vouching for bytes it does not cover.  (The sidecar's inode also lands
 	// after the open path's F/A inodes, preserving the paper's cold-open I/O
 	// count, §6.)
-	if err := v.l.sealLocked(cont, fid, aux.VV, ComputeManifest([]byte(data)), false); err != nil {
+	if err := v.l.sealLocked(cont, fid, aux.VV, ComputeManifest([]byte(data))); err != nil {
 		return nil, err
 	}
 	entries = append(entries, Entry{EID: eid, Name: name, Child: fid, Kind: kind})
@@ -440,8 +440,7 @@ func (v *pvnode) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // bumpFileLocked bumps this file's version vector: every local mutation is
-// an update this replica originated (§3.1).  The sidecar is resealed —
-// unpooled: the foreground path never puts blocks into the pool — from the
+// an update this replica originated (§3.1).  The sidecar is resealed from the
 // just-written data file df under the bumped vector BEFORE the aux commits,
 // so a crash in between leaves the sidecar unverifiable (stale seal) rather
 // than the aux vouching for addresses that never covered the new bytes.
@@ -471,7 +470,7 @@ func (v *pvnode) bumpFileLocked(df vnode.Vnode) error {
 	if err != nil {
 		return err
 	}
-	if err := v.l.sealLocked(cont, v.fid, aux.VV, ComputeManifest(stored), false); err != nil {
+	if err := v.l.sealLocked(cont, v.fid, aux.VV, ComputeManifest(stored)); err != nil {
 		return err
 	}
 	return writeAuxVnode(af, &aux)

@@ -102,7 +102,7 @@ func (l *Layer) scrubFileLocked(cont vnode.Vnode, dirPath []ids.FileID, fid ids.
 		if l.isQuarantinedLocked(fid) {
 			return
 		}
-		if err := l.sealLocked(cont, fid, aux.VV, ComputeManifest(data), false); err == nil {
+		if err := l.sealLocked(cont, fid, aux.VV, ComputeManifest(data)); err == nil {
 			rep.Resealed++
 			l.integ.Resealed++
 		}

@@ -2,8 +2,6 @@ package physical
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/ids"
@@ -22,7 +20,7 @@ import (
 // This file is that service: atomicReplace is the commit, settleShadow the
 // recovery rule, and Recover the one mount-time walk that applies the rule
 // everywhere.  Every durable file the layer replaces as a whole — file
-// data, sidecars, pool blocks, the compacted journal — goes through them.
+// data, sidecars, the compacted journal — goes through them.
 
 // atomicReplace commits data as dir/name: the complete image is written to
 // a shadow beside name, and one rename substitutes it for the original.
@@ -58,9 +56,8 @@ func settleShadow(dir vnode.Vnode, shadow, base string) (promoted bool, err erro
 }
 
 // settleDir settles every leftover shadow among dir's entries ents,
-// returning the names of dir's surviving non-directory members and how many
-// shadows it discarded.
-func settleDir(dir vnode.Vnode, ents []vnode.Dirent) (names []string, discarded int, err error) {
+// returning the names of dir's surviving non-directory members.
+func settleDir(dir vnode.Vnode, ents []vnode.Dirent) (names []string, err error) {
 	for _, e := range ents {
 		if e.Type == vnode.VDir {
 			continue
@@ -72,15 +69,13 @@ func settleDir(dir vnode.Vnode, ents []vnode.Dirent) (names []string, discarded 
 		}
 		promoted, err := settleShadow(dir, e.Name, base)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if promoted {
 			names = append(names, base)
-		} else {
-			discarded++
 		}
 	}
-	return names, discarded, nil
+	return names, nil
 }
 
 // walkContainers calls visit, with the container's entries, on cont and on
@@ -108,15 +103,11 @@ func walkContainers(cont vnode.Vnode, visit func(vnode.Vnode, []vnode.Dirent) er
 	return nil
 }
 
-// Recover is the mount-time crash recovery, run once from Open.  It settles
-// every leftover shadow — at the store root (a journal compaction), in the
-// block pool, and in every directory container — and, on the same single
-// walk of the container tree, rebuilds the in-memory pool refcounts from the
-// pooled sidecars.  The commit order (blocks before the sidecar that
-// references them) means a crash can only leave unreferenced pool blocks,
-// which are reclaimed here; a pooled sidecar naming an absent block can only
-// come from external damage and is demoted to unpooled rather than left
-// advertising a block the pool cannot serve.
+// Recover is the mount-time crash recovery, run once from Open: one walk
+// that settles every leftover shadow — at the store root (a journal
+// compaction) and in every directory container — and removes every sidecar
+// that does not decode, which cannot vouch for anything (the scrubber
+// reseals).
 func (l *Layer) Recover() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -124,71 +115,36 @@ func (l *Layer) Recover() error {
 	if err != nil {
 		return err
 	}
-	if _, _, err := settleDir(l.root, ents); err != nil {
+	if _, err := settleDir(l.root, ents); err != nil {
 		return err
 	}
-	present, err := l.openPoolLocked()
-	if err != nil {
-		return err
-	}
-	l.blockRefs = make(map[BlockAddr]int)
 	cont, err := l.rootContainer()
-	if err == nil {
-		err = walkContainers(cont, func(c vnode.Vnode, ents []vnode.Dirent) error {
-			return l.recoverContainerLocked(c, ents, present)
-		})
-	} else if vnode.AsErrno(err) == vnode.ENOENT {
-		// A freshly formatted store that failed before creating the root
-		// container has nothing to recover.
-		err = nil
-	}
 	if err != nil {
+		if vnode.AsErrno(err) == vnode.ENOENT {
+			// A freshly formatted store that failed before creating the root
+			// container has nothing to recover.
+			return nil
+		}
 		return err
 	}
-	orphans := make([]BlockAddr, 0)
-	for a := range present {
-		if l.blockRefs[a] == 0 {
-			orphans = append(orphans, a)
-		}
-	}
-	sort.Slice(orphans, func(i, j int) bool { return addrLess(orphans[i], orphans[j]) })
-	for _, a := range orphans {
-		l.poolRemoveLocked(a)
-		l.bstats.OrphansReclaimed++
-	}
-	return nil
-}
-
-// recoverContainerLocked is Recover's visit of one container: settle its
-// shadows, then account for each sidecar.  An undecodable sidecar cannot
-// vouch for anything and is removed (the scrubber reseals).
-func (l *Layer) recoverContainerLocked(cont vnode.Vnode, ents []vnode.Dirent, present map[BlockAddr]bool) error {
-	names, _, err := settleDir(cont, ents)
-	if err != nil {
-		return err
-	}
-	for _, name := range names {
-		fid, ok := sidecarFID(name)
-		if !ok {
-			continue // Check reports unparsable names; leave for inspection
-		}
-		sc, err := readSidecar(l.root, cont, fid)
+	return walkContainers(cont, func(c vnode.Vnode, ents []vnode.Dirent) error {
+		names, err := settleDir(c, ents)
 		if err != nil {
-			if err := cont.Remove(name); err != nil {
-				return err
-			}
-			continue
-		}
-		if !sc.Pooled {
-			continue
-		}
-		if !slices.ContainsFunc(sc.Blocks, func(a BlockAddr) bool { return !present[a] }) {
-			l.refAddLocked(sc.Blocks)
-		} else if err := atomicReplace(cont, name, encodeSidecar(sc.Sealed, false, &sc.BlockManifest)); err != nil {
 			return err
 		}
-	}
-	return nil
+		for _, name := range names {
+			fid, ok := sidecarFID(name)
+			if !ok {
+				continue // Check reports unparsable names; leave for inspection
+			}
+			if _, err := readSidecar(l.root, c, fid); err != nil {
+				if err := c.Remove(name); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // sidecarFID parses a container member name as a sidecar's.
@@ -211,26 +167,24 @@ func sidecarFID(name string) (ids.FileID, bool) {
 // installed under is computed here.
 func (l *Layer) InstallFileVersion(dirPath []ids.FileID, fid ids.FileID, kind Kind, data []byte, newVV vv.Vector, nlink uint32) error {
 	return l.InstallPulled(dirPath, fid, &PullResult{Status: PullData, Data: data, Manifest: ComputeManifest(data),
-		Aux: Aux{Type: kind, Nlink: nlink, VV: newVV.Clone()}})
+		Aux: Aux{Type: kind, Nlink: nlink, VV: newVV.Clone()}}, nil)
 }
 
 // InstallPulled installs the version a pull answered with (r.Status is
-// PullData), whole-file or delta alike.  r.Manifest is the serving replica's
-// word for exactly this version, and nothing touches disk unless the bytes
-// agree with it: a whole-file answer's Data is verified block by block; a
-// delta answer (Data nil) is assembled from the shipped blocks, each of which
-// must hash to its address, plus blocks read back — and re-verified — from
-// the local pool.  A mismatch (damage in flight, or a serving replica whose
-// own verification was bypassed) is rejected with ErrCorrupt and, under
-// FICUS_INVARIANTS=1, is an invariant violation.  An answer without a
-// manifest has nothing to be verified against and is refused the same way.
-// (An empty version is the same answer either way and is handled as a
-// delta.)
-//
-// A delta install puts the shipped blocks into the pool and seals the
-// sidecar pooled, so the next pull advertises them; a whole-file install
-// seals unpooled.
-func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResult) error {
+// PullData), whole-file or delta alike; base is the DeltaBase the pull
+// advertised (nil when it advertised nothing).  r.Manifest is the serving
+// replica's word for exactly this version, and nothing touches disk unless
+// the bytes agree with it: a whole-file answer's Data is verified block by
+// block; a delta answer (Data nil) is assembled from the shipped blocks, each
+// of which must hash to its address, plus blocks read back — and re-verified
+// — from the base files (baseBlockLocked).  A mismatch (damage in flight, or
+// a serving replica whose own verification was bypassed) is rejected with
+// ErrCorrupt and, under FICUS_INVARIANTS=1, is an invariant violation.  An
+// answer without a manifest has nothing to be verified against and is refused
+// the same way.  (An empty version is the same answer either way and is
+// handled as a delta.)  Once assembled, both answer shapes run the same
+// commit.
+func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResult, base DeltaBase) error {
 	m, data := r.Manifest, r.Data
 	if m == nil {
 		return fmt.Errorf("%w: install of %s: no manifest to verify the version against", ErrCorrupt, fid)
@@ -238,7 +192,6 @@ func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResul
 	if !m.wellFormed() {
 		return fmt.Errorf("%w: install of %s: manifest has %d blocks for length %d", ErrCorrupt, fid, len(m.Blocks), m.Length)
 	}
-	delta := data == nil
 	recv := make(map[BlockAddr][]byte, len(r.Missing))
 	for i := range r.Missing {
 		b := &r.Missing[i]
@@ -247,7 +200,7 @@ func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResul
 		}
 		recv[b.Addr] = b.Data
 	}
-	if !delta && !m.Verify(data) {
+	if data != nil && !m.Verify(data) {
 		return rejectInstall(fid, "payload (%d bytes) does not match the shipped manifest (length %d)", len(data), m.Length)
 	}
 	l.mu.Lock()
@@ -257,17 +210,18 @@ func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResul
 		return err
 	}
 	var reused, reusedBytes uint64
-	if delta {
+	if data == nil {
 		// Assemble the full version: shipped blocks win (they are the bytes
-		// the server actually sent); everything else must come from the pool.
+		// the server actually sent); everything else must come from the base.
 		// Each block must also have the size its position implies, or the
 		// sealed addresses would not be those of the file's 4 KiB chunks.
 		parts := make([][]byte, len(m.Blocks))
+		held := make(map[ids.FileID]*heldVersion)
 		for i, addr := range m.Blocks {
 			b, shipped := recv[addr]
 			if !shipped {
 				var ok bool
-				if b, ok = l.poolGetLocked(addr); !ok {
+				if b, ok = l.baseBlockLocked(base, addr, held); !ok {
 					return fmt.Errorf("%w (file %s, block %s)", ErrMissingBlock, fid, addr)
 				}
 				reused++
@@ -282,19 +236,8 @@ func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResul
 		for _, b := range parts {
 			data = append(data, b...)
 		}
-		// Shipped blocks enter the pool BEFORE the commit: once the sidecar is
-		// sealed pooled it must never reference a block the pool lacks, and
-		// this ordering makes that hold through any crash point.  Manifest
-		// order keeps the on-disk write sequence deterministic.
-		for _, addr := range m.Blocks {
-			if b, shipped := recv[addr]; shipped {
-				if err := l.poolPutLocked(addr, b); err != nil {
-					return err
-				}
-			}
-		}
 	}
-	if err := l.commitFileVersionLocked(cont, fid, &r.Aux, data, m, delta); err != nil {
+	if err := l.commitFileVersionLocked(cont, fid, &r.Aux, data, m); err != nil {
 		return err
 	}
 	l.bstats.BlocksReused += reused
@@ -312,9 +255,8 @@ func rejectInstall(fid ids.FileID, format string, args ...any) error {
 
 // commitFileVersionLocked is the single-file atomic commit sequence every
 // install lands in once its payload is verified and fully assembled; m is
-// data's manifest and pooled says its blocks are all in the pool.  Caller
-// holds l.mu.
-func (l *Layer) commitFileVersionLocked(cont vnode.Vnode, fid ids.FileID, attrs *Aux, data []byte, m *BlockManifest, pooled bool) error {
+// data's manifest.  Caller holds l.mu.
+func (l *Layer) commitFileVersionLocked(cont vnode.Vnode, fid ids.FileID, attrs *Aux, data []byte, m *BlockManifest) error {
 	// Per-replica counter monotonicity: the caller has decided the new
 	// vector dominates (or is a conflict resolution merged+bumped above)
 	// the stored one, so no component — in particular not our own update
@@ -330,7 +272,7 @@ func (l *Layer) commitFileVersionLocked(cont vnode.Vnode, fid ids.FileID, attrs 
 	// (sealed vector != aux vector) until step 3 lands, so every crash window
 	// in between reads as "unverifiable" — the scrubber reseals — never as a
 	// false mismatch.
-	if err := l.sealLocked(cont, fid, attrs.VV, m, pooled); err != nil {
+	if err := l.sealLocked(cont, fid, attrs.VV, m); err != nil {
 		return err
 	}
 	// 2. Atomically substitute the complete new version for the original.

@@ -10,9 +10,9 @@ package physical
 // the file's block manifest — its exact length plus the content address
 // (SHA-256 truncated to 128 bits) of every ChecksumBlockSize chunk — sealed
 // under the version vector the addresses were computed for.  The same
-// addresses verify the data (scrub, serve, install) and name the chunks in
-// the block pool (blockstore.go), so delta propagation needs no second
-// summary of the same blocks.
+// addresses verify the data (scrub, serve, install) and are what a delta pull
+// advertises and reassembles by (pull.go), so delta propagation needs no
+// second summary of the same blocks.
 //
 // The seal rule is what makes verification safe across crashes: the
 // manifest is trusted ONLY while the sidecar's sealed vector equals the
@@ -26,11 +26,9 @@ package physical
 //
 //	magic "FSDC" (4) | version u8 | flags u8 | sealed vv | length u64 | per-block address (16 each)
 //
-// The one flag, sidecarPooled, says this sidecar holds a block-pool
-// reference on each of its addresses: every such block is present in the
-// pool.  The block count is derived from the length, so a truncated or
-// padded sidecar fails to decode.  Sidecars are committed by atomicReplace
-// like everything else.
+// No flag is defined: the flags byte must be zero.  The block count is
+// derived from the length, so a truncated or padded sidecar fails to decode.
+// Sidecars are committed by atomicReplace like everything else.
 
 import (
 	"crypto/sha256"
@@ -52,7 +50,6 @@ const (
 	BlockAddrSize = 16
 
 	sidecarVersion = 1
-	sidecarPooled  = 1 << 0 // flags: the sidecar holds pool references
 )
 
 var sidecarMagic = []byte("FSDC")
@@ -73,7 +70,7 @@ var ErrCorrupt error = transientError("physical: file data fails its block addre
 // BlockAddr is the content address of one data block.
 type BlockAddr [BlockAddrSize]byte
 
-// String renders the address as the pool file name (32 hex digits).
+// String renders the address as 32 hex digits.
 func (a BlockAddr) String() string { return hex.EncodeToString(a[:]) }
 
 // HashBlock computes the content address of one block.
@@ -141,18 +138,13 @@ func (m *BlockManifest) Verify(data []byte) bool {
 // sidecar is a decoded sidecar file.
 type sidecar struct {
 	Sealed vv.Vector
-	Pooled bool
 	BlockManifest
 }
 
 // encodeSidecar renders a sidecar image sealing m under vector sealed.
-func encodeSidecar(sealed vv.Vector, pooled bool, m *BlockManifest) []byte {
-	var flags byte
-	if pooled {
-		flags = sidecarPooled
-	}
+func encodeSidecar(sealed vv.Vector, m *BlockManifest) []byte {
 	out := append([]byte(nil), sidecarMagic...)
-	out = append(out, sidecarVersion, flags)
+	out = append(out, sidecarVersion, 0) // no flag is defined
 	out = sealed.AppendBinary(out)
 	out = binary.BigEndian.AppendUint64(out, m.Length)
 	for i := range m.Blocks {
@@ -177,10 +169,9 @@ func decodeSidecar(p []byte) (sidecar, error) {
 	if p[hdr-2] != sidecarVersion {
 		return sc, fmt.Errorf("physical: unknown sidecar version %d", p[hdr-2])
 	}
-	if p[hdr-1]&^sidecarPooled != 0 {
+	if p[hdr-1] != 0 {
 		return sc, fmt.Errorf("physical: unknown sidecar flags %#x", p[hdr-1])
 	}
-	sc.Pooled = p[hdr-1]&sidecarPooled != 0
 	p = p[hdr:]
 	sealed, n, err := vv.DecodeFrom(p)
 	if err != nil {
@@ -221,47 +212,9 @@ func readSidecar(storeRoot, cont vnode.Vnode, fid ids.FileID) (sidecar, error) {
 	return decodeSidecar(data)
 }
 
-// heldRefsLocked returns the pool references fid's current sidecar holds.
-// While no reference is outstanding anywhere no sidecar can hold one, and
-// the sidecar is not read: local writes on a replica that never pulls pay
-// nothing for the pool.
-func (l *Layer) heldRefsLocked(cont vnode.Vnode, fid ids.FileID) []BlockAddr {
-	if len(l.blockRefs) == 0 {
-		return nil
-	}
-	if old, err := readSidecar(l.root, cont, fid); err == nil && old.Pooled {
-		return old.Blocks
-	}
-	return nil
-}
-
 // sealLocked commits fid's sidecar, sealing m under vector sealed (the
-// file's aux vector, current or about to be).  pooled says the caller has
-// put every block of m into the pool and the sidecar takes a reference on
-// each; references are taken BEFORE those of the sidecar it replaces are
-// released, so blocks shared between the versions never transiently reach
-// zero.  Local mutations, installs, EnsureBlocks and the scrubber's reseal
-// of an unverifiable sidecar all land here.
-func (l *Layer) sealLocked(cont vnode.Vnode, fid ids.FileID, sealed vv.Vector, m *BlockManifest, pooled bool) error {
-	released := l.heldRefsLocked(cont, fid)
-	if err := atomicReplace(cont, prefixSidecar+fid.String(), encodeSidecar(sealed, pooled, m)); err != nil {
-		return err
-	}
-	if pooled {
-		l.refAddLocked(m.Blocks)
-		l.bstats.ManifestsSealed++
-	}
-	l.refDropLocked(released)
-	return nil
-}
-
-// removeSidecarLocked discards fid's sidecar if present, releasing the pool
-// references it held (storage reclaim paths).
-func (l *Layer) removeSidecarLocked(cont vnode.Vnode, fid ids.FileID) error {
-	released := l.heldRefsLocked(cont, fid)
-	if err := cont.Remove(prefixSidecar + fid.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
-		return err
-	}
-	l.refDropLocked(released)
-	return nil
+// file's aux vector, current or about to be).  Local mutations, installs and
+// the scrubber's reseal of an unverifiable sidecar all land here.
+func (l *Layer) sealLocked(cont vnode.Vnode, fid ids.FileID, sealed vv.Vector, m *BlockManifest) error {
+	return atomicReplace(cont, prefixSidecar+fid.String(), encodeSidecar(sealed, m))
 }

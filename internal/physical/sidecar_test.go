@@ -12,36 +12,41 @@ import (
 
 var sampleData = bytes.Repeat([]byte("ficus integrity "), 600) // ~9.4 KiB: 3 blocks
 
-func sampleSidecar(pooled bool) ([]byte, vv.Vector, *BlockManifest) {
+func sampleSidecar() ([]byte, vv.Vector, *BlockManifest) {
 	sealed := vv.Vector{1: 4, 3: 9}
 	m := ComputeManifest(sampleData)
-	return encodeSidecar(sealed, pooled, m), sealed, m
+	return encodeSidecar(sealed, m), sealed, m
+}
+
+// flagBitSet returns a copy of sidecar image enc with flag bit set.
+func flagBitSet(enc []byte, bit int) []byte {
+	bad := append([]byte(nil), enc...)
+	bad[len(sidecarMagic)+1] |= 1 << bit
+	return bad
 }
 
 func TestSidecarRoundTrip(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
-		enc, sealed, m := sampleSidecar(pooled)
-		sc, err := decodeSidecar(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sc.Sealed.Equal(sealed) || sc.Pooled != pooled {
-			t.Fatalf("seal: got %s pooled=%v want %s pooled=%v", sc.Sealed, sc.Pooled, sealed, pooled)
-		}
-		if sc.Length != m.Length || len(sc.Blocks) != 3 {
-			t.Fatalf("manifest shape: got %+v want %+v", sc.BlockManifest, m)
-		}
-		for i := range m.Blocks {
-			if sc.Blocks[i] != m.Blocks[i] {
-				t.Fatalf("address %d: got %s want %s", i, sc.Blocks[i], m.Blocks[i])
-			}
-		}
-		if !bytes.Equal(encodeSidecar(sc.Sealed, sc.Pooled, &sc.BlockManifest), enc) {
-			t.Fatal("decode then encode changed the image")
+	enc, sealed, m := sampleSidecar()
+	sc, err := decodeSidecar(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sc.Sealed.Equal(sealed) {
+		t.Fatalf("seal: got %s want %s", sc.Sealed, sealed)
+	}
+	if sc.Length != m.Length || len(sc.Blocks) != 3 {
+		t.Fatalf("manifest shape: got %+v want %+v", sc.BlockManifest, m)
+	}
+	for i := range m.Blocks {
+		if sc.Blocks[i] != m.Blocks[i] {
+			t.Fatalf("address %d: got %s want %s", i, sc.Blocks[i], m.Blocks[i])
 		}
 	}
+	if !bytes.Equal(encodeSidecar(sc.Sealed, &sc.BlockManifest), enc) {
+		t.Fatal("decode then encode changed the image")
+	}
 	// The empty file round-trips too: zero length, zero blocks.
-	encEmpty := encodeSidecar(vv.New(), false, ComputeManifest(nil))
+	encEmpty := encodeSidecar(vv.New(), ComputeManifest(nil))
 	if sc, err := decodeSidecar(encEmpty); err != nil || sc.Length != 0 || len(sc.Blocks) != 0 {
 		t.Fatalf("empty sidecar: %+v %v", sc, err)
 	}
@@ -51,7 +56,7 @@ func TestSidecarRoundTrip(t *testing.T) {
 // and the classic header corruptions fail with an error, never a panic or a
 // misparse (the decode is strict).
 func TestSidecarDecodeRejectsCorruption(t *testing.T) {
-	enc, _, _ := sampleSidecar(true)
+	enc, _, _ := sampleSidecar()
 	for n := 0; n < len(enc); n++ {
 		if _, err := decodeSidecar(enc[:n]); err == nil {
 			t.Fatalf("sidecar truncated to %d bytes decoded successfully", n)
@@ -78,9 +83,11 @@ func TestSidecarDecodeRejectsCorruption(t *testing.T) {
 	if _, err := decodeSidecar(mutate(len(sidecarMagic), sidecarVersion+1)); err == nil {
 		t.Fatal("unknown version accepted")
 	}
-	for bit := 1; bit < 8; bit++ {
-		if _, err := decodeSidecar(mutate(len(sidecarMagic)+1, sidecarPooled|1<<bit)); err == nil {
-			t.Fatalf("unknown flag bit %d accepted", bit)
+	// No flag is defined — bit 0, which once marked block-pool references,
+	// included.
+	for bit := 0; bit < 8; bit++ {
+		if _, err := decodeSidecar(flagBitSet(enc, bit)); err == nil {
+			t.Fatalf("flag bit %d accepted", bit)
 		}
 	}
 	// A vector entry with a zero counter decodes to a shorter vector, so the
@@ -167,7 +174,7 @@ func TestInstallRejectsMalformedManifest(t *testing.T) {
 		for _, data := range [][]byte{nil, []byte("x")} {
 			r := &PullResult{Status: PullData, Data: data, Manifest: m, Aux: Aux{Type: KFile, Nlink: 1, VV: vv.New().Bump(2)},
 				Missing: []Block{{Addr: one, Data: blockOf('x')}}}
-			err := l.InstallPulled(RootPath(), fid(2, 9), r)
+			err := l.InstallPulled(RootPath(), fid(2, 9), r, nil)
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("manifest {%d, %d blocks}, %d data bytes: %v, want ErrCorrupt", m.Length, len(m.Blocks), len(data), err)
 			}
@@ -180,10 +187,10 @@ func TestInstallRejectsMalformedManifest(t *testing.T) {
 	r := &PullResult{Status: PullData, Aux: Aux{Type: KFile, Nlink: 1, VV: vv.New().Bump(2)},
 		Manifest: &BlockManifest{Length: uint64(len(a) + len(b)), Blocks: []BlockAddr{HashBlock(a), HashBlock(b)}},
 		Missing:  []Block{{Addr: HashBlock(a), Data: a}, {Addr: HashBlock(b), Data: b}}}
-	if err := l.InstallPulled(RootPath(), fid(2, 9), r); !errors.Is(err, ErrCorrupt) {
+	if err := l.InstallPulled(RootPath(), fid(2, 9), r, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mis-sized blocks: %v, want ErrCorrupt", err)
 	}
-	if l.StoresFile(RootPath(), fid(2, 9)) || len(l.PoolAddrs()) != 0 {
+	if l.StoresFile(RootPath(), fid(2, 9)) {
 		t.Fatal("a refused install left storage behind")
 	}
 }

@@ -95,9 +95,9 @@ func PropagateOnce(local *physical.Layer, find PeerFinder) (Stats, error) {
 //   - origin unreachable       -> keep the entry, backed off for later
 //
 // Due entries are grouped by origin: each origin is consulted once via the
-// finder and pulled with a single conditional pull that advertises the local
-// block pool, so only missing blocks ship.  Origins run in waves through
-// a bounded worker pool under the backpressure knobs (TickBudget,
+// finder and pulled with a single conditional pull that advertises the blocks
+// of the versions it replaces, so only missing blocks ship.  Origins run in
+// waves through a bounded worker pool under the backpressure knobs (TickBudget,
 // PeerInflight), optionally hedged (HedgeAfter/FindHedge); but every state
 // change to the local replica's daemon machinery — drops, deferrals,
 // conflict reports, stats, the error join — is applied by a sequential

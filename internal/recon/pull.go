@@ -47,14 +47,16 @@ type entryOutcome struct {
 // for the caller, which owns the bookkeeping (stats, conflict log, daemon
 // queues).  Outcomes are positional.
 //
-// With advertise set the pull advertises the local block pool, so versions
-// ship as deltas against it, and each local version is indexed into the pool
-// first so the advertisement can dedup against its blocks.  Indexing is
-// best-effort — an entry that cannot be indexed (quarantined, racing
-// eviction) simply gains nothing from the delta and pulls whole blocks; the
-// install path verifies everything regardless.
+// With advertise set the versions ship as deltas against the ones they
+// replace: the sealed manifest of each item's local copy joins a per-pull
+// base as its vector is read (reads only), the base's addresses are the
+// pull's advertisement, and installs read unshipped blocks back out of the
+// base files.  A local copy that cannot vouch for its bytes (quarantined,
+// stale seal) adds nothing and is replaced by whole blocks; the install path
+// re-verifies everything regardless.
 func pullAndApply(local *physical.Layer, src Peer, items []pullItem, advertise bool) []entryOutcome {
 	outcomes := make([]entryOutcome, len(items))
+	base := physical.DeltaBase{}
 	reqs := make([]physical.PullRequest, 0, len(items))
 	reqIdx := make([]int, 0, len(items))
 	for i, it := range items {
@@ -67,7 +69,7 @@ func pullAndApply(local *physical.Layer, src Peer, items []pullItem, advertise b
 				req.LocalVV, req.HasLocal = linfo.Aux.VV, true
 			}
 			if advertise && !linfo.Aux.Type.IsDir() {
-				_ = local.EnsureBlocks(it.dir, it.file)
+				local.AddToBase(base, it.dir, it.file)
 			}
 		case !errors.Is(err, physical.ErrNotStored):
 			outcomes[i].err = err
@@ -79,17 +81,13 @@ func pullAndApply(local *physical.Layer, src Peer, items []pullItem, advertise b
 	if len(reqs) == 0 {
 		return outcomes
 	}
-	var have []physical.BlockAddr
-	if advertise {
-		have = local.PoolAddrs()
-	}
-	results, err := pullFrom(src, reqs, have)
+	results, err := pullFrom(src, reqs, base.Have())
 	for k, i := range reqIdx {
 		if err != nil {
 			outcomes[i].err = err // each entry keeps its own backoff schedule
 			continue
 		}
-		applyPull(local, &items[i], &results[k], &outcomes[i])
+		applyPull(local, base, &items[i], &results[k], &outcomes[i])
 	}
 	return outcomes
 }
@@ -105,7 +103,7 @@ func pullFrom(src Peer, reqs []physical.PullRequest, have []physical.BlockAddr) 
 
 // applyPull maps one pull answer onto its outcome, installing a shipped
 // version.
-func applyPull(local *physical.Layer, it *pullItem, r *physical.PullResult, out *entryOutcome) {
+func applyPull(local *physical.Layer, base physical.DeltaBase, it *pullItem, r *physical.PullResult, out *entryOutcome) {
 	switch r.Status {
 	case physical.PullData:
 		if !r.Aux.VV.DominatesOrEqual(out.localVV) {
@@ -118,10 +116,10 @@ func applyPull(local *physical.Layer, it *pullItem, r *physical.PullResult, out 
 		}
 		// Install under the origin's manifest: a payload damaged in flight
 		// (or served past a bypassed verification) is rejected before it
-		// touches disk.  A delta answer reassembles from pool + shipped
-		// blocks first; a missing block is transient (the pool moved under
-		// us) and the entry retries with a fresh advertisement.
-		err := local.InstallPulled(it.dir, it.file, r)
+		// touches disk.  A delta answer reassembles from base + shipped
+		// blocks first; a missing block is transient (a base file moved
+		// under us) and the entry retries with a fresh advertisement.
+		err := local.InstallPulled(it.dir, it.file, r, base)
 		switch {
 		case err == nil:
 			out.kind = outInstalled

@@ -21,7 +21,14 @@ var testVol = ids.VolumeHandle{Allocator: 1, Volume: 1}
 
 func newReplica(t testing.TB, r ids.ReplicaID) *physical.Layer {
 	t.Helper()
-	fs, err := ufs.Mkfs(disk.New(16384), 4096, nil)
+	l, _ := newReplicaOnDevice(t, r)
+	return l
+}
+
+func newReplicaOnDevice(t testing.TB, r ids.ReplicaID) (*physical.Layer, *disk.Device) {
+	t.Helper()
+	dev := disk.New(16384)
+	fs, err := ufs.Mkfs(dev, 4096, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +36,7 @@ func newReplica(t testing.TB, r ids.ReplicaID) *physical.Layer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l
+	return l, dev
 }
 
 // reconcileBoth runs a pull in each direction, as the periodic protocol

@@ -16,9 +16,9 @@ import (
 // accepted only when its vector dominates-or-equals the local one and its
 // payload matches the shipped manifest — InstallPulled verifies before
 // anything touches disk, and a verified install lifts the quarantine.  The
-// advertisement names only pool blocks, which are re-verified against their
-// addresses on every read, so the quarantined file's own bytes can never
-// slip into the repair.
+// pull advertises nothing: the only local version it could be a delta
+// against is the quarantined one, which is never a base, so the answer is
+// the whole file.
 //
 // Failure handling mirrors update propagation: a peer that is unreachable
 // or answers with a transient error leaves the entry queued under the
@@ -87,7 +87,7 @@ func repairOne(local *physical.Layer, find PeerFinder, peers []ids.ReplicaID, q 
 			definitive = false // unreachable or health-gated: maybe later
 			continue
 		}
-		out := pullAndApply(local, peer, []pullItem{{dir: q.Dir, file: q.File, force: true}}, true)[0]
+		out := pullAndApply(local, peer, []pullItem{{dir: q.Dir, file: q.File, force: true}}, false)[0]
 		switch out.kind {
 		case outInstalled:
 			return true, false

@@ -16,23 +16,22 @@ import (
 // block across the wire, and the delta install reassembles the exact bytes.
 func TestPullBatchDeltaOverWire(t *testing.T) {
 	r := newRig(t)
-	base := strings.Repeat("a", physical.ChecksumBlockSize) + strings.Repeat("b", physical.ChecksumBlockSize)
-	fid := writeFile(t, r.lB, "big", base)
+	old := strings.Repeat("a", physical.ChecksumBlockSize) + strings.Repeat("b", physical.ChecksumBlockSize)
+	fid := writeFile(t, r.lB, "big", old)
 	if _, err := recon.ReconcileVolume(r.lA, r.client); err != nil {
 		t.Fatal(err)
 	}
-	// A chunks what it holds into the pool and advertises it.
-	if err := r.lA.EnsureBlocks(physical.RootPath(), fid); err != nil {
-		t.Fatal(err)
-	}
-	have := r.lA.PoolAddrs()
+	// A advertises the sealed manifest of the version it is about to replace.
+	base := physical.DeltaBase{}
+	r.lA.AddToBase(base, physical.RootPath(), fid)
+	have := base.Have()
 	if len(have) != 2 {
 		t.Fatalf("advertisement: %d blocks, want 2", len(have))
 	}
 
 	// B appends one block; A pulls the new version as a delta.
 	tail := strings.Repeat("c", 100)
-	writeFile(t, r.lB, "big", base+tail)
+	writeFile(t, r.lB, "big", old+tail)
 	reqs := []physical.PullRequest{localVVOf(t, r.lA, fid)}
 	r.net.ResetStats()
 	results, err := r.client.PullBatchDelta(reqs, have)
@@ -52,18 +51,20 @@ func TestPullBatchDeltaOverWire(t *testing.T) {
 	if len(res.Missing) != 1 || string(res.Missing[0].Data) != tail {
 		t.Fatalf("missing blocks: %d, want exactly the appended tail", len(res.Missing))
 	}
-	if err := r.lA.InstallPulled(physical.RootPath(), fid, res); err != nil {
+	if err := r.lA.InstallPulled(physical.RootPath(), fid, res, base); err != nil {
 		t.Fatal(err)
 	}
 	rootA, _ := r.lA.Root()
 	f, _ := rootA.Lookup("big")
 	data, _ := vnode.ReadFile(f)
-	if string(data) != base+tail {
-		t.Fatalf("delta install assembled %d bytes, want %d", len(data), len(base)+len(tail))
+	if string(data) != old+tail {
+		t.Fatalf("delta install assembled %d bytes, want %d", len(data), len(old)+len(tail))
 	}
-	// The installed version's blocks are now advertised for the next pull.
-	if n := len(r.lA.PoolAddrs()); n != 3 {
-		t.Fatalf("pool after install: %d blocks, want 3", n)
+	// The installed version is what the next pull of the file advertises.
+	next := physical.DeltaBase{}
+	r.lA.AddToBase(next, physical.RootPath(), fid)
+	if n := len(next.Have()); n != 3 {
+		t.Fatalf("advertisement after install: %d blocks, want 3", n)
 	}
 	if problems, err := r.lA.Check(); err != nil || len(problems) != 0 {
 		t.Fatalf("fsck after delta install: %v %v", problems, err)
@@ -153,7 +154,7 @@ func TestManifestlessDataNeverInstalls(t *testing.T) {
 	}
 	// The layer refuses on its own account too, before touching disk.
 	err := r.lA.InstallPulled(physical.RootPath(), fid, &physical.PullResult{Status: physical.PullData, Data: []byte("x"),
-		Aux: physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{2: 1}}})
+		Aux: physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{2: 1}}}, nil)
 	if !errors.Is(err, physical.ErrCorrupt) {
 		t.Fatalf("InstallPulled without a manifest: %v, want ErrCorrupt", err)
 	}
@@ -174,7 +175,7 @@ func TestMalformedManifestFromWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = r.lA.InstallPulled(physical.RootPath(), ids.FileID{Issuer: 2, Seq: 99}, &results[0])
+	err = r.lA.InstallPulled(physical.RootPath(), ids.FileID{Issuer: 2, Seq: 99}, &results[0], nil)
 	if !errors.Is(err, physical.ErrCorrupt) {
 		t.Fatalf("install of a wrapped-length manifest: %v, want ErrCorrupt", err)
 	}

@@ -2,9 +2,11 @@
 # ci.sh — the single CI gate for the repository.
 #
 # Runs, in order: build, ficusvet (repo-specific static analysis), go vet,
-# gofmt, three one-iteration bench smokes, the race-enabled test suite, the suite
-# again with runtime invariants armed (FICUS_INVARIANTS=1), and the four
-# chaos gates.  Each thing runs once.  Any failure stops the gate.
+# vet and smoke test of the benchmark module (bench/, a module of its own that
+# go vet ./... and go test ./... do not reach), gofmt, three one-iteration
+# bench smokes, the race-enabled test suite, the suite again with runtime
+# invariants armed (FICUS_INVARIANTS=1), and the four chaos gates.  Each thing
+# runs once.  Any failure stops the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,6 +26,11 @@ fi
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> bench module: go vet . && go test ."
+# The benchmark compiles against this module's exported and internal names;
+# this is what keeps a refactor from silently breaking it.
+(cd bench && go vet . && go test -count=1 .)
 
 echo "==> gofmt -l"
 # The analyzers' testdata holds deliberately odd fixtures; everything else
