@@ -13,9 +13,9 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint builds and runs ficusvet, the repo-specific suite of eight analyzers
-# (determinism, vvalias, errclass, lockedcall, heldlocks, lockorder, wiresym,
-# duraberr — see DESIGN.md §8 and §12).
+# lint builds and runs ficusvet, the repo-specific suite of seven analyzers
+# (determinism, vvalias, errclass, heldlocks, lockorder, wiresym, duraberr —
+# see DESIGN.md §8 and §12).
 lint:
 	$(GO) build -o /dev/null ./cmd/ficusvet
 	$(GO) run ./cmd/ficusvet ./...

@@ -17,10 +17,7 @@
 //     with errors.Is/errors.As; wrapping without %w or comparing errors
 //     with == severs the chain and turns transient faults permanent.
 //
-//   - lockedcall: the physical layer's *Locked suffix convention (a
-//     position-insensitive check kept as the cheap first line of defense).
-//
-//   - heldlocks: the flow-sensitive generalization of lockedcall across
+//   - heldlocks: the *Locked suffix convention, flow-sensitively, across
 //     the whole replication stack — which mutexes are held at each call
 //     site, *Locked callees reached only with the receiver's lock held,
 //     and no re-Lock of a mutex already held (self-deadlock).
@@ -30,10 +27,10 @@
 //     workers, scrub daemon, and repair daemon can deadlock against each
 //     other.
 //
-//   - wiresym: every encode function in the repl and notify codecs must
-//     write exactly the field sequence (same order, same wire widths) its
-//     decode counterpart reads, and every opcode constant must be
-//     dispatched somewhere.
+//   - wiresym: every encode function of the repl, notification and NFS
+//     formats must write exactly the field sequence (same order, same wire
+//     widths, in internal/wire's vocabulary) its decode counterpart reads,
+//     and every opcode constant must be dispatched somewhere.
 //
 //   - duraberr: on durable-write paths (device writes, sidecar/journal/
 //     shadow commits, renames) an error return must not be silently
@@ -165,7 +162,7 @@ func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ..
 // All returns every ficusvet analyzer.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Determinism, VVAlias, ErrClass, LockedCall,
+		Determinism, VVAlias, ErrClass,
 		HeldLocks, LockOrder, WireSym, DurabErr,
 	}
 }

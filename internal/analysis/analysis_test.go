@@ -75,10 +75,6 @@ func TestErrClassFixture(t *testing.T) {
 	runFixture(t, ErrClass, "errclass", "recon")
 }
 
-func TestLockedCallFixture(t *testing.T) {
-	runFixture(t, LockedCall, "lockedcall", "physical")
-}
-
 func TestHeldLocksFixture(t *testing.T) {
 	runFixture(t, HeldLocks, "heldlocks", "physical")
 }

@@ -6,9 +6,12 @@ import (
 	"strings"
 )
 
-// HeldLocks is the flow-sensitive generalization of lockedcall across the
-// whole replication stack.  Using the lockflow engine it tracks exactly
-// which mutexes are held at each statement and enforces the *Locked
+// HeldLocks enforces the repo's lock-suffix convention — a method named
+// *Locked requires its receiver's mutex — across the whole replication
+// stack.  The durable new-version cache journal made the convention
+// load-bearing: a journal append racing a compaction would interleave
+// records and corrupt the on-disk NVC.  Using the lockflow engine it tracks
+// exactly which mutexes are held at each statement and enforces the
 // convention positionally:
 //
 //   - a call to x.somethingLocked() must happen while a mutex rooted at x
@@ -18,9 +21,8 @@ import (
 //     self-deadlock, as is re-locking the receiver's own mutex from
 //     inside a *Locked function.
 //
-// Unlike lockedcall (kept as the cheap position-insensitive first line of
-// defense in physical), heldlocks notices when the lock was released
-// before the call, or taken only on some branches.
+// Being flow-sensitive, it notices when the lock was released before the
+// call, or taken only on some branches.
 var HeldLocks = &Analyzer{
 	Name: "heldlocks",
 	Doc: "flow-sensitive lock tracking: *Locked callees reached only with the " +

@@ -1,8 +1,10 @@
 // Package physical is a ficusvet test fixture for the heldlocks analyzer
-// (the "physical" path segment puts it in scope).  Unlike the lockedcall
-// fixture, these cases are position-sensitive: the lock is released before
-// the call, taken on only one branch, or re-taken on a path where it is
-// already held.
+// (the "physical" path segment puts it in scope): methods named *Locked
+// require the receiver's mutex.  The first cases are position-sensitive —
+// the lock is released before the call, taken on only one branch, or
+// re-taken on a path where it is already held; the convention cases after
+// them (no lock at all, a parameter, the wrong object's lock) are the ones
+// the journal append path makes load-bearing.
 package physical
 
 import (
@@ -92,6 +94,23 @@ func (v *vnode) rehashLocked() {
 	}()
 }
 
+func (v *vnode) refreshLocked() {
+	// *Locked calling *Locked: the outermost caller owns the lock.
+	_ = v.lookupLocked("seed")
+}
+
+func (v *vnode) goodLoop(name string) {
+	for i := 0; i < 2; i++ {
+		v.mu.Lock()
+		_ = v.lookupLocked(name)
+		v.mu.Unlock()
+	}
+}
+
+func (v *vnode) suppressed(name string) bool {
+	return v.lookupLocked(name) //ficusvet:ignore heldlocks
+}
+
 // --- known-bad -----------------------------------------------------------
 
 func (v *vnode) badAfterUnlock(name string) bool {
@@ -139,4 +158,18 @@ func (v *vnode) badGoroutine(name string) {
 	go func() {
 		_ = v.lookupLocked(name) // want: goroutine runs without the lock
 	}()
+}
+
+func (v *vnode) badNoLock(name string) bool {
+	return v.lookupLocked(name) // want: receiver's lock never taken
+}
+
+func badParam(v *vnode, name string) bool {
+	return v.lookupLocked(name) // want: parameter, not locally constructed
+}
+
+func (v *vnode) badOtherLock(other *vnode, name string) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return other.lookupLocked(name) // want: wrong object's lock
 }

@@ -3,74 +3,11 @@
 // counterpart reads, and every opcode constant must be dispatched.
 package repl
 
-import "encoding/binary"
+import (
+	"encoding/binary"
 
-// dec is a sticky-error decoder in the repo's codec convention; wiresym
-// maps its method names straight to wire tokens.
-type dec struct {
-	buf []byte
-	bad bool
-}
-
-func (d *dec) u8() uint8 {
-	if len(d.buf) < 1 {
-		d.bad = true
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *dec) u16() uint16 {
-	if len(d.buf) < 2 {
-		d.bad = true
-		return 0
-	}
-	v := binary.BigEndian.Uint16(d.buf)
-	d.buf = d.buf[2:]
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if len(d.buf) < 4 {
-		d.bad = true
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if len(d.buf) < 8 {
-		d.bad = true
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
-}
-
-func (d *dec) count() int {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.bad = true
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return int(v)
-}
-
-func (d *dec) take(n int) []byte {
-	if n < 0 || n > len(d.buf) {
-		d.bad = true
-		return nil
-	}
-	v := d.buf[:n]
-	d.buf = d.buf[n:]
-	return v
-}
+	"repro/internal/wire"
+)
 
 // --- known-good: symmetric pairs -----------------------------------------
 
@@ -88,12 +25,12 @@ func (p *ping) encode(b []byte) []byte {
 	return b
 }
 
-func decodePing(d *dec) ping {
+func decodePing(d *wire.Decoder) ping {
 	var p ping
-	p.seq = d.u32()
-	p.site = d.u64()
-	n := d.count()
-	p.note = d.take(n)
+	p.seq = d.U32()
+	p.site = d.U64()
+	n := d.Count(1)
+	p.note = d.Take(n)
 	return p
 }
 
@@ -109,11 +46,11 @@ func (r *roster) encode(b []byte) []byte {
 	return b
 }
 
-func decodeRoster(d *dec) roster {
+func decodeRoster(d *wire.Decoder) roster {
 	var r roster
-	n := d.count()
+	n := d.Count(1)
 	for i := 0; i < n; i++ {
-		r.ids = append(r.ids, d.u32())
+		r.ids = append(r.ids, d.U32())
 	}
 	return r
 }
@@ -131,10 +68,10 @@ func (s *summary) encode(b []byte) []byte {
 	return b
 }
 
-func decodeSummary(d *dec) summary {
+func decodeSummary(d *wire.Decoder) summary {
 	var s summary
-	s.gen = uint16(d.u32()) // drifted from u16 when the field widened
-	s.count = d.u32()
+	s.gen = uint16(d.U32()) // drifted from u16 when the field widened
+	s.count = d.U32()
 	return s
 }
 
@@ -144,8 +81,8 @@ func encodeTrailer(b []byte, gen, crc uint32) []byte {
 	return b
 }
 
-func decodeTrailer(d *dec) uint32 {
-	return d.u32()
+func decodeTrailer(d *wire.Decoder) uint32 {
+	return d.U32()
 }
 
 // --- known-bad: unpaired codecs ------------------------------------------
@@ -154,8 +91,8 @@ func encodeOrphan(b []byte, v uint8) []byte { // want: no decode counterpart
 	return append(b, v)
 }
 
-func decodeStray(d *dec) uint8 { // want: no encode counterpart
-	return d.u8()
+func decodeStray(d *wire.Decoder) uint8 { // want: no encode counterpart
+	return d.U8()
 }
 
 // --- block manifests: the delta-era codec shape ---------------------------
@@ -179,13 +116,13 @@ func (m *manifest) encode(b []byte) []byte {
 	return b
 }
 
-func decodeManifest(d *dec) manifest {
+func decodeManifest(d *wire.Decoder) manifest {
 	var m manifest
-	m.length = d.u64()
-	n := d.count()
+	m.length = d.U64()
+	n := d.Count(1)
 	for i := 0; i < n; i++ {
 		var a [16]byte
-		copy(a[:], d.take(16))
+		copy(a[:], d.Take(16))
 		m.addrs = append(m.addrs, a)
 	}
 	return m
@@ -205,16 +142,104 @@ func (l *blockList) encode(b []byte) []byte {
 	return b
 }
 
-func decodeBlockList(d *dec) blockList {
+func decodeBlockList(d *wire.Decoder) blockList {
 	var l blockList
-	l.length = uint64(d.u32()) // drifted when the length field narrowed
-	n := d.count()
+	l.length = uint64(d.U32()) // drifted when the length field narrowed
+	n := d.Count(1)
 	for i := 0; i < n; i++ {
 		var a [16]byte
-		copy(a[:], d.take(16))
+		copy(a[:], d.Take(16))
 		l.addrs = append(l.addrs, a)
 	}
 	return l
+}
+
+// --- NFS-shaped messages: one flat layout over the wire package ------------
+//
+// Both sides are written with the one codec's own names, and the attribute
+// block is a same-package helper inlined on the encode AND the decode side.
+// The symmetric pair must pass; the drifted pair models the read length
+// widening on the decode side only.
+
+type attr struct {
+	kind  uint8
+	mode  uint16
+	ctime uint64
+	id    string
+}
+
+func encodeAttr(b []byte, a attr) []byte {
+	b = wire.AppendU8(b, a.kind)
+	b = wire.AppendU16(b, a.mode)
+	b = wire.AppendU64(b, a.ctime)
+	return wire.AppendString(b, a.id)
+}
+
+func decodeAttr(d *wire.Decoder) attr {
+	return attr{kind: d.U8(), mode: d.U16(), ctime: d.U64(), id: d.Str()}
+}
+
+type reply struct {
+	errno uint32
+	attr  attr
+	eof   bool
+	data  []byte
+	names []string
+}
+
+func (r *reply) encode(b []byte) []byte {
+	b = wire.AppendU8(b, 1)
+	b = wire.AppendU32(b, r.errno)
+	b = encodeAttr(b, r.attr)
+	b = wire.AppendBool(b, r.eof)
+	b = wire.AppendBytes(b, r.data)
+	b = wire.AppendCount(b, len(r.names))
+	for _, n := range r.names {
+		b = wire.AppendString(b, n)
+	}
+	return b
+}
+
+func decodeReply(d *wire.Decoder) reply {
+	d.Version(1)
+	r := reply{errno: d.U32(), attr: decodeAttr(d), eof: d.Bool(), data: d.Bytes()}
+	if n := d.Count(1); n > 0 {
+		r.names = make([]string, n)
+		for i := range r.names {
+			r.names[i] = d.Str()
+		}
+	}
+	if d.Finish() != nil {
+		return reply{}
+	}
+	return r
+}
+
+type call struct {
+	op     uint8
+	handle string
+	excl   bool
+	off    uint64
+	length uint32
+}
+
+func (c *call) encode(b []byte) []byte {
+	b = wire.AppendU8(b, c.op)
+	b = wire.AppendString(b, c.handle)
+	b = wire.AppendBool(b, c.excl)
+	b = wire.AppendU64(b, c.off)
+	b = wire.AppendU32(b, c.length) // want: decode reads u64 here
+	return b
+}
+
+func decodeCall(d *wire.Decoder) call {
+	var c call
+	c.op = d.U8()
+	c.handle = d.Str()
+	c.excl = d.Bool()
+	c.off = d.U64()
+	c.length = uint32(d.U64()) // drifted when the length widened on one side
+	return c
 }
 
 // --- op tables -----------------------------------------------------------
@@ -227,7 +252,7 @@ const (
 	opStat opCode = 3 // want: never dispatched
 )
 
-func dispatch(op opCode, d *dec) int {
+func dispatch(op opCode, d *wire.Decoder) int {
 	switch op {
 	case opPing:
 		return int(decodePing(d).seq)

@@ -9,24 +9,29 @@ import (
 	"strings"
 )
 
-// WireSym verifies the hand-rolled wire codecs stay symmetric: every
-// encode function must write exactly the field sequence — same fields,
-// same order, same wire widths — that its decode counterpart reads, and
-// every opcode constant must be dispatched somewhere.  Wire-v2-style
-// drift (a field added to encode but not decode, a u32 read as u64, a
-// new opcode the server ignores) today only surfaces when a fuzz test
-// happens to cover it; this turns it into a commit gate.
+// WireSym verifies the wire formats stay symmetric: every encode function
+// must write exactly the field sequence — same fields, same order, same
+// wire widths — that its decode counterpart reads, and every opcode
+// constant must be dispatched somewhere.  Wire-v2-style drift (a field
+// added to encode but not decode, a u32 read as u64, a new opcode the
+// server ignores) otherwise only surfaces when a fuzz test happens to
+// cover it; this turns it into a commit gate.
 //
 // Both sides are normalized to a primitive token stream (u8/u16/u32/u64,
 // uvarint counts, raw byte runs, vv vectors) with loops kept as nested
 // repetition groups and if-statements flattened (a conditional field is
-// always guarded by a flag or count read on both sides).  Pairing:
-// method (t).encode ↔ function decodeT, function encodeX ↔ decodeX.
+// always guarded by a flag or count read on both sides).  The primitives
+// are the one codec's — internal/wire's Append functions and its Decoder's
+// methods, by exact name — plus encoding/binary, the builtin append and
+// vv's AppendBinary/DecodeFrom; a call to a same-package function is
+// inlined on either side, so composite helpers (encodeAux/decodeAux) need
+// no table entry.  Pairing: method (t).encode ↔ function decodeT, function
+// encodeX ↔ decodeX.
 var WireSym = &Analyzer{
 	Name: "wiresym",
 	Doc: "encode*/decode* pairs must read and write identical field sequences " +
 		"(order and wire widths), and op tables must be dispatched exhaustively",
-	InScope: segScope("repl", "core"),
+	InScope: segScope("repl", "core", "nfs"),
 	Run:     runWireSym,
 }
 
@@ -49,46 +54,65 @@ func (t wireTok) describe() string {
 	return t.kind
 }
 
-// encodeSuffixes expands the repo's append-helper naming convention to
-// primitive streams; unknown same-package helpers are inlined instead.
-var encodeSuffixes = map[string][]string{
-	"U8":     {"u8"},
-	"U16":    {"u16"},
-	"U32":    {"u32"},
-	"U64":    {"u64"},
-	"Bool":   {"u8"},
-	"Count":  {"count"},
-	"Bytes":  {"count", "raw"},
-	"String": {"count", "raw"},
-	"FID":    {"u32", "u64"},
-	"Vol":    {"u32", "u32"},
-	"Aux":    {"u8", "u32", "u32", "u32", "vv"},
+// wirePackageSuffix identifies the codec package by import-path suffix.
+const wirePackageSuffix = "internal/wire"
+
+// pathKind is a directory path on the wire: a count, then repeated fids.
+const pathKind = "path"
+
+// wireAppends maps the codec package's append functions to primitives.
+var wireAppends = map[string][]string{
+	"AppendU8":     {"u8"},
+	"AppendU16":    {"u16"},
+	"AppendU32":    {"u32"},
+	"AppendU64":    {"u64"},
+	"AppendBool":   {"u8"},
+	"AppendCount":  {"count"},
+	"AppendBytes":  {"count", "raw"},
+	"AppendString": {"count", "raw"},
+	"AppendFID":    {"u32", "u64"},
+	"AppendVol":    {"u32", "u32"},
+	"AppendPath":   {pathKind},
 }
 
-// encodePathSuffix is FID-path: count + repeated fid.
-func pathTokens(pos token.Pos) []wireTok {
-	return []wireTok{
-		{kind: "count", pos: pos},
-		{kind: "rep", pos: pos, sub: []wireTok{{kind: "u32", pos: pos}, {kind: "u64", pos: pos}}},
+// wireReads maps (*wire.Decoder)'s reading methods to primitives; its
+// other methods (Fail, Err, Len, Finish) touch no bytes.
+var wireReads = map[string][]string{
+	"U8":      {"u8"},
+	"U16":     {"u16"},
+	"U32":     {"u32"},
+	"U64":     {"u64"},
+	"Bool":    {"u8"},
+	"Version": {"u8"},
+	"Count":   {"count"},
+	"Bytes":   {"count", "raw"},
+	"Str":     {"count", "raw"},
+	"FID":     {"u32", "u64"},
+	"Vol":     {"u32", "u32"},
+	"Path":    {pathKind},
+	"VV":      {"vv"},
+	"Take":    {"raw"},
+}
+
+// wireTokens looks fn up in table when it belongs to the codec package.
+func wireTokens(fn *types.Func, table map[string][]string, pos token.Pos) ([]wireTok, bool) {
+	if fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), wirePackageSuffix) {
+		return nil, false
 	}
-}
-
-// decodeMethods maps the sticky-error decoder method convention.
-var decodeMethods = map[string][]string{
-	"u8":      {"u8"},
-	"u16":     {"u16"},
-	"u32":     {"u32"},
-	"u64":     {"u64"},
-	"bool":    {"u8"},
-	"count":   {"count"},
-	"bytes":   {"count", "raw"},
-	"str":     {"count", "raw"},
-	"fid":     {"u32", "u64"},
-	"vol":     {"u32", "u32"},
-	"aux":     {"u8", "u32", "u32", "u32", "vv"},
-	"vvec":    {"vv"},
-	"version": {"u8"},
-	"take":    {"raw"},
+	kinds, ok := table[fn.Name()]
+	if !ok {
+		return nil, false
+	}
+	var toks []wireTok
+	for _, k := range kinds {
+		if k == pathKind {
+			toks = append(toks, wireTok{kind: "count", pos: pos},
+				wireTok{kind: "rep", pos: pos, sub: []wireTok{{kind: "u32", pos: pos}, {kind: "u64", pos: pos}}})
+			continue
+		}
+		toks = append(toks, wireTok{kind: k, pos: pos})
+	}
+	return toks, true
 }
 
 func runWireSym(pass *Pass) {
@@ -211,7 +235,7 @@ func itoa(n int) string {
 }
 
 // tokenizer resolves one call expression to its wire tokens; inlining of
-// unknown same-package helpers carries a cycle guard.
+// same-package helpers carries a cycle guard.
 type tokenizer struct {
 	pass     *Pass
 	inlining map[*types.Func]bool
@@ -336,54 +360,22 @@ func (t *tokenizer) encodeCall(call *ast.CallExpr) ([]wireTok, bool) {
 		if fn.Name() == "AppendBinary" && isVVType(recvBase(fn)) {
 			return []wireTok{{kind: "vv", pos: pos}}, true
 		}
-		return nil, false
+		return wireTokens(fn, wireAppends, pos)
 	case *ast.Ident:
-		if fun.Name == "append" {
-			if _, isBuiltin := info.Uses[fun].(*types.Builtin); isBuiltin && len(call.Args) >= 2 {
-				if call.Ellipsis != token.NoPos {
-					return []wireTok{{kind: "raw", pos: pos}}, true
-				}
-				var toks []wireTok
-				for range call.Args[1:] {
-					toks = append(toks, wireTok{kind: "u8", pos: pos})
-				}
-				return toks, true
+		if _, isBuiltin := info.Uses[fun].(*types.Builtin); isBuiltin {
+			if fun.Name != "append" || len(call.Args) < 2 {
+				return nil, false
 			}
-			return nil, false
-		}
-		fn, _ := info.Uses[fun].(*types.Func)
-		if fn == nil || fn.Pkg() != t.pass.Pkg.Types {
-			return nil, false
-		}
-		if strings.HasSuffix(fn.Name(), "Path") {
-			return pathTokens(pos), true
-		}
-		for suffix, kinds := range encodeSuffixes {
-			if strings.HasSuffix(fn.Name(), suffix) {
-				var toks []wireTok
-				for _, k := range kinds {
-					toks = append(toks, wireTok{kind: k, pos: pos})
-				}
-				return toks, true
+			if call.Ellipsis != token.NoPos {
+				return []wireTok{{kind: "raw", pos: pos}}, true
 			}
-		}
-		// Unknown same-package helper: inline its body once.
-		if body := t.findBody(fn); body != nil {
-			if t.inlining == nil {
-				t.inlining = make(map[*types.Func]bool)
-			}
-			if t.inlining[fn] {
-				return []wireTok{{kind: "recursive:" + fn.Name(), pos: pos}}, true
-			}
-			t.inlining[fn] = true
-			toks := codecTokens(t.pass, body.List, t.encodeCall, nil)
-			delete(t.inlining, fn)
-			for i := range toks {
-				toks[i].pos = pos
+			var toks []wireTok
+			for range call.Args[1:] {
+				toks = append(toks, wireTok{kind: "u8", pos: pos})
 			}
 			return toks, true
 		}
-		return nil, false
+		return t.inline(fun, pos, t.encodeCall)
 	}
 	return nil, false
 }
@@ -414,22 +406,40 @@ func (t *tokenizer) decodeCall(call *ast.CallExpr) ([]wireTok, bool) {
 		if fn.Name() == "DecodeFrom" && fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), vvPackageSuffix) {
 			return []wireTok{{kind: "vv", pos: pos}}, true
 		}
-		// Sticky-decoder method on a same-package type.
-		if recv := recvBase(fn); recv != nil && fn.Pkg() == t.pass.Pkg.Types {
-			if kinds, ok := decodeMethods[fn.Name()]; ok {
-				var toks []wireTok
-				for _, k := range kinds {
-					toks = append(toks, wireTok{kind: k, pos: pos})
-				}
-				return toks, true
-			}
-			if strings.ToLower(fn.Name()) == "path" {
-				return pathTokens(pos), true
-			}
+		if named, ok := recvBase(fn).(*types.Named); ok && named.Obj().Name() == "Decoder" {
+			return wireTokens(fn, wireReads, pos)
 		}
 		return nil, false
+	case *ast.Ident:
+		return t.inline(fun, pos, t.decodeCall)
 	}
 	return nil, false
+}
+
+// inline expands a call to a same-package function into the tokens of its
+// body, once (a cycle yields a marker token that matches nothing).
+func (t *tokenizer) inline(fun *ast.Ident, pos token.Pos, resolve func(*ast.CallExpr) ([]wireTok, bool)) ([]wireTok, bool) {
+	fn, _ := t.pass.Pkg.Info.Uses[fun].(*types.Func)
+	if fn == nil || fn.Pkg() != t.pass.Pkg.Types {
+		return nil, false
+	}
+	body := t.findBody(fn)
+	if body == nil {
+		return nil, false
+	}
+	if t.inlining == nil {
+		t.inlining = make(map[*types.Func]bool)
+	}
+	if t.inlining[fn] {
+		return []wireTok{{kind: "recursive:" + fn.Name(), pos: pos}}, true
+	}
+	t.inlining[fn] = true
+	toks := codecTokens(t.pass, body.List, resolve, nil)
+	delete(t.inlining, fn)
+	for i := range toks {
+		toks[i].pos = pos
+	}
+	return toks, true
 }
 
 // findBody locates the declaration body of a same-package function.

@@ -1,20 +1,17 @@
 package core
 
-// Hand-rolled wire codec for update-notification datagrams, in the style of
-// the repl protocol codec (internal/repl/codec.go).  The previous gob
-// encoding re-shipped full type metadata on every datagram — a large fixed
-// tax on the smallest, most frequent message in the system (§2.5: one
-// best-effort datagram per update) — and both encode and decode failures
-// were silently swallowed.  The binary layout is a few dozen bytes, encoding
-// cannot fail, and decode failures (truncated or corrupt datagrams) are
-// counted by the receiving host instead of vanishing.
+// The update-notification datagram: one field sequence over internal/wire.
+// It is the smallest, most frequent message in the system (§2.5: one
+// best-effort datagram per update), a few dozen bytes; encoding cannot fail,
+// and a datagram that fails to decode (truncated or corrupt) is counted by
+// the receiving host instead of vanishing.
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/ids"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 // notifyWireVersion leads every notification; bumping it invalidates old
@@ -22,139 +19,34 @@ import (
 // (hop budget, rumor sequence, source address).
 const notifyWireVersion = 2
 
-func appendNotifyFID(dst []byte, f ids.FileID) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(f.Issuer))
-	return binary.BigEndian.AppendUint64(dst, f.Seq)
-}
-
 // encodeNotify renders msg: version u8, vol (u32+u32), origin u32,
 // file fid(12), hops u8, seq u64, src (uvarint length + bytes),
 // dir-path count uvarint + fids (12 each).
 func encodeNotify(msg *notifyMsg) []byte {
 	dst := make([]byte, 0, 40+len(msg.Src)+12*len(msg.Dir))
-	dst = append(dst, notifyWireVersion)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(msg.Vol.Allocator))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(msg.Vol.Volume))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(msg.Origin))
-	dst = appendNotifyFID(dst, msg.File)
-	dst = append(dst, msg.Hops)
-	dst = binary.BigEndian.AppendUint64(dst, msg.Seq)
-	dst = binary.AppendUvarint(dst, uint64(len(msg.Src)))
-	dst = append(dst, msg.Src...)
-	dst = binary.AppendUvarint(dst, uint64(len(msg.Dir)))
-	for _, f := range msg.Dir {
-		dst = appendNotifyFID(dst, f)
-	}
-	return dst
-}
-
-// notifyDecoder is a sticky-error bounds-checked reader (the repl decoder's
-// idiom): the first failure sticks and every later read returns zeros, so
-// decodeNotify runs the full field sequence and checks err once.
-type notifyDecoder struct {
-	b   []byte
-	err error
-}
-
-func (d *notifyDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("core: bad notification: "+format, args...)
-	}
-}
-
-func (d *notifyDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.b) < n {
-		d.fail("want %d bytes, have %d", n, len(d.b))
-		return nil
-	}
-	b := d.b[:n]
-	d.b = d.b[n:]
-	return b
-}
-
-func (d *notifyDecoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *notifyDecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *notifyDecoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *notifyDecoder) fid() ids.FileID {
-	return ids.FileID{Issuer: ids.ReplicaID(d.u32()), Seq: d.u64()}
-}
-
-func (d *notifyDecoder) count(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	n, used := binary.Uvarint(d.b)
-	if used <= 0 {
-		d.fail("bad %s", what)
-		return 0
-	}
-	d.b = d.b[used:]
-	return n
+	dst = wire.AppendU8(dst, notifyWireVersion)
+	dst = wire.AppendVol(dst, msg.Vol)
+	dst = wire.AppendU32(dst, uint32(msg.Origin))
+	dst = wire.AppendFID(dst, msg.File)
+	dst = wire.AppendU8(dst, msg.Hops)
+	dst = wire.AppendU64(dst, msg.Seq)
+	dst = wire.AppendString(dst, string(msg.Src))
+	return wire.AppendPath(dst, msg.Dir)
 }
 
 func decodeNotify(b []byte) (notifyMsg, error) {
-	d := &notifyDecoder{b: b}
-	if v := d.u8(); d.err == nil && v != notifyWireVersion {
-		d.fail("wire version %d, want %d", v, notifyWireVersion)
-	}
+	d := wire.NewDecoder(b)
+	d.Version(notifyWireVersion)
 	var msg notifyMsg
-	msg.Vol = ids.VolumeHandle{
-		Allocator: ids.AllocatorID(d.u32()),
-		Volume:    ids.VolumeID(d.u32()),
-	}
-	msg.Origin = ids.ReplicaID(d.u32())
-	msg.File = d.fid()
-	msg.Hops = d.u8()
-	msg.Seq = d.u64()
-	if n := d.count("src length"); d.err == nil {
-		// Cap against the bytes remaining before allocating, so a corrupt
-		// length cannot drive a huge allocation.
-		if n > uint64(len(d.b)) {
-			d.fail("src length %d exceeds %d remaining bytes", n, len(d.b))
-		} else if n > 0 {
-			msg.Src = simnet.Addr(d.take(int(n)))
-		}
-	}
-	if n := d.count("dir-path count"); d.err == nil {
-		// Same allocation cap: 12 bytes per fid must actually remain.
-		if n > uint64(len(d.b)/12) {
-			d.fail("dir-path count %d exceeds %d remaining bytes", n, len(d.b))
-		} else if n > 0 {
-			msg.Dir = make([]ids.FileID, n)
-			for i := range msg.Dir {
-				msg.Dir[i] = d.fid()
-			}
-		}
-	}
-	if d.err != nil {
-		return notifyMsg{}, d.err
-	}
-	if len(d.b) != 0 {
-		return notifyMsg{}, fmt.Errorf("core: bad notification: %d trailing bytes", len(d.b))
+	msg.Vol = d.Vol()
+	msg.Origin = ids.ReplicaID(d.U32())
+	msg.File = d.FID()
+	msg.Hops = d.U8()
+	msg.Seq = d.U64()
+	msg.Src = simnet.Addr(d.Str())
+	msg.Dir = d.Path()
+	if err := d.Finish(); err != nil {
+		return notifyMsg{}, fmt.Errorf("core: bad notification: %w", err)
 	}
 	return msg, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -91,6 +93,48 @@ func TestNotifyCodecRejectsCorruption(t *testing.T) {
 	if _, err := decodeNotify(hugeSrc); err == nil {
 		t.Fatal("overlong src length accepted")
 	}
+}
+
+// goldenNotify is a gossip-tagged notification with a two-component path.
+func goldenNotify() notifyMsg {
+	return notifyMsg{
+		Vol:    ids.VolumeHandle{Allocator: 3, Volume: 9},
+		File:   ids.FileID{Issuer: 5, Seq: 7},
+		Dir:    []ids.FileID{{Issuer: 1, Seq: 1}, {Issuer: 5, Seq: 2}},
+		Origin: 5,
+		Src:    simnet.Addr("h17"),
+		Seq:    1 << 40,
+		Hops:   3,
+	}
+}
+
+// TestNotifyGoldenBytes pins the layout: the image was recorded before the
+// codec moved onto internal/wire.
+func TestNotifyGoldenBytes(t *testing.T) {
+	const golden = "020000000300000009000000050000000500000000000000070300000100000000000368313702000000010000000000000001000000050000000000000002"
+	msg := goldenNotify()
+	if got := hex.EncodeToString(encodeNotify(&msg)); got != golden {
+		t.Fatalf("notification layout moved:\n got %s\nwant %s", got, golden)
+	}
+}
+
+// FuzzDecodeNotify: no datagram panics the decoder, and the decode is
+// strict — whatever it accepts is exactly what the encoder writes for it.
+func FuzzDecodeNotify(f *testing.F) {
+	msg := goldenNotify()
+	f.Add(encodeNotify(&msg))
+	f.Add(encodeNotify(&notifyMsg{}))
+	f.Add([]byte{notifyWireVersion})
+	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		msg, err := decodeNotify(b)
+		if err != nil {
+			return
+		}
+		if enc := encodeNotify(&msg); !bytes.Equal(enc, b) {
+			t.Fatalf("re-encoding differs:\n%x\n%x", b, enc)
+		}
+	})
 }
 
 // TestNotifyCorruptDatagramCounted injects a garbage datagram on the notify

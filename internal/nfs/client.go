@@ -107,25 +107,21 @@ func (c *Client) fresh(stamp uint64) bool {
 // logical layer can treat "server partitioned away" as "replica
 // inaccessible" and fail over.
 func (c *Client) call(req *Request) (*Response, error) {
-	reqBytes, err := encode(req)
-	if err != nil {
-		return nil, vnode.EINVAL
-	}
-	respBytes, err := c.host.Call(c.server, c.service, reqBytes)
+	respBytes, err := c.host.Call(c.server, c.service, req.encode())
 	if err != nil {
 		if errors.Is(err, simnet.ErrUnreachable) || errors.Is(err, simnet.ErrNoHost) {
 			return nil, vnode.EUNAVAIL
 		}
 		return nil, vnode.EIO
 	}
-	var resp Response
-	if err := decode(respBytes, &resp); err != nil {
+	resp, err := decodeResponse(respBytes)
+	if err != nil {
 		return nil, vnode.EIO
 	}
 	if resp.Errno != 0 {
 		return nil, errnoOf(resp.Errno)
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // Root fetches the server's root vnode.
@@ -279,7 +275,10 @@ func (v *cvnode) Close(vnode.OpenFlags) error { return nil }
 
 func (v *cvnode) ReadAt(p []byte, off int64) (int, error) {
 	v.c.tick()
-	resp, err := v.c.call(&Request{Op: OpRead, Handle: v.handle, Off: off, Len: len(p)})
+	if len(p) > maxRead {
+		return 0, vnode.EINVAL // the server would refuse it; uint32(len(p)) could also truncate
+	}
+	resp, err := v.c.call(&Request{Op: OpRead, Handle: v.handle, Off: off, Len: uint32(len(p))})
 	if err != nil {
 		return 0, err
 	}

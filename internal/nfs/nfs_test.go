@@ -253,15 +253,15 @@ func TestWireOpString(t *testing.T) {
 
 func TestServerRejectsGarbage(t *testing.T) {
 	r := newRig(t, nil)
-	respBytes, err := r.net.Host("client").Call("server", Service, []byte("not gob"))
+	respBytes, err := r.net.Host("client").Call("server", Service, []byte("not a request"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
-	if err := decode(respBytes, &resp); err != nil {
+	resp, err := decodeResponse(respBytes)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Errno == 0 {
-		t.Fatal("garbage request succeeded")
+	if resp.Errno != vnode.EINVAL.Code() {
+		t.Fatalf("garbage request answered errno %d, want EINVAL", resp.Errno)
 	}
 }

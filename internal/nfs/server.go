@@ -37,12 +37,13 @@ func ServeOn(host *simnet.Host, service string, fs vnode.VFS, res Resolver) *Ser
 }
 
 func (s *Server) handle(reqBytes []byte) ([]byte, error) {
-	var req Request
-	if err := decode(reqBytes, &req); err != nil {
-		return encode(respErr(vnode.EINVAL))
+	req, err := decodeRequest(reqBytes)
+	if err != nil {
+		resp := respErr(vnode.EINVAL)
+		return resp.encode(), nil
 	}
-	resp := s.dispatch(&req)
-	return encode(resp)
+	resp := s.dispatch(req)
+	return resp.encode(), nil
 }
 
 func (s *Server) subject(req *Request) (vnode.Vnode, *Response) {

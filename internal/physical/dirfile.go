@@ -64,6 +64,11 @@ func decodeEntries(p []byte) ([]Entry, error) {
 	}
 	n := int(binary.BigEndian.Uint32(p))
 	off := 4
+	// An entry occupies at least 30 bytes; a count the file cannot back
+	// must not size the allocation.
+	if n > (len(p)-off)/30 {
+		return nil, fmt.Errorf("physical: directory file of %d bytes claims %d entries", len(p), n)
+	}
 	out := make([]Entry, 0, n)
 	for i := 0; i < n; i++ {
 		if len(p)-off < 30 {

@@ -2,9 +2,11 @@ package physical
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/ids"
+	"repro/internal/vnode"
 	"repro/internal/vv"
 )
 
@@ -80,6 +82,51 @@ func FuzzReplayJournal(f *testing.F) {
 		again.replayJournal(l.snapshotJournalLocked())
 		if len(again.nvc) != len(l.nvc) {
 			t.Fatalf("snapshot of %d entries replays to %d", len(l.nvc), len(again.nvc))
+		}
+	})
+}
+
+func FuzzDecodeEntries(f *testing.F) {
+	f.Add(encodeEntries([]Entry{
+		{EID: fid(1, 2), Name: "hello", Child: fid(1, 3), Kind: KDir, Value: "v"},
+		{EID: fid(2, 9), Name: "gone", Child: fid(2, 10), Kind: KFile, Deleted: true},
+	}))
+	f.Add(encodeEntries(nil))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // a count no file could back
+	f.Fuzz(func(t *testing.T, b []byte) {
+		entries, err := decodeEntries(b)
+		if err != nil {
+			return
+		}
+		// Any non-zero byte reads as a tombstone mark, so only the value
+		// round-trips, not the bytes.
+		again, err := decodeEntries(encodeEntries(entries))
+		if err != nil || !reflect.DeepEqual(again, entries) {
+			t.Fatalf("re-decode: %+v %v, want %+v", again, err, entries)
+		}
+	})
+}
+
+// FuzzDecodeOpenLookup fuzzes the §2.3 overloaded lookup from both ends: no
+// name a client can send panics the parser, and every open or close the
+// logical layer can encode decodes to what was encoded.
+func FuzzDecodeOpenLookup(f *testing.F) {
+	f.Add(EncodeOpenLookup(true, vnode.OpenRead, ids.VolumeHandle{Allocator: 8, Volume: 1}, "name"), true, uint32(1), uint32(8), uint32(1))
+	f.Add(EncodeOpenLookup(false, 0, ids.VolumeHandle{}, "a:b:c"), false, uint32(0), uint32(0), uint32(0))
+	f.Add(encPrefix+"open.:zz", true, ^uint32(0), ^uint32(0), ^uint32(0))
+	f.Add("plain name", false, uint32(7), uint32(7), uint32(7))
+	f.Fuzz(func(t *testing.T, s string, open bool, flags, alloc, vol uint32) {
+		if _, _, _, _, err := DecodeOpenLookup(s); err == nil && !IsEncodedLookup(s) {
+			t.Fatalf("decoded %q, which does not carry the encoding", s)
+		}
+		issuer := ids.VolumeHandle{Allocator: ids.AllocatorID(alloc), Volume: ids.VolumeID(vol)}
+		enc := EncodeOpenLookup(open, vnode.OpenFlags(flags), issuer, s)
+		gotOpen, gotFlags, gotIssuer, gotName, err := DecodeOpenLookup(enc)
+		if err != nil || gotOpen != open || gotFlags != vnode.OpenFlags(flags) || gotIssuer != issuer || gotName != s {
+			t.Fatalf("%q decodes to (%v, %x, %v, %q, %v)", enc, gotOpen, gotFlags, gotIssuer, gotName, err)
+		}
+		if len(enc) != EncOverhead+len(s) {
+			t.Fatalf("%q: overhead %d, want the fixed %d", enc, len(enc)-len(s), EncOverhead)
 		}
 	})
 }

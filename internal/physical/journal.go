@@ -27,10 +27,11 @@ package physical
 // and normalized the same way on every open.
 
 import (
-	"encoding/binary"
+	"bytes"
 
 	"repro/internal/ids"
 	"repro/internal/vnode"
+	"repro/internal/wire"
 )
 
 const (
@@ -43,125 +44,44 @@ const (
 
 var nvcjMagic = []byte("NVCJ")
 
-// appendJournalFID mirrors the repl wire codec's fid layout.
-func appendJournalFID(dst []byte, f ids.FileID) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(f.Issuer))
-	return binary.BigEndian.AppendUint64(dst, f.Seq)
-}
-
 func encodeUpsert(dst []byte, nv NewVersion) []byte {
-	dst = append(dst, nvcjOpUpsert)
-	dst = appendJournalFID(dst, nv.File)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(nv.Origin))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(nv.Seen))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(nv.Attempts))
-	dst = binary.BigEndian.AppendUint64(dst, nv.NotBefore)
-	dst = binary.AppendUvarint(dst, uint64(len(nv.Dir)))
-	for _, f := range nv.Dir {
-		dst = appendJournalFID(dst, f)
-	}
-	return dst
+	dst = wire.AppendU8(dst, nvcjOpUpsert)
+	dst = wire.AppendFID(dst, nv.File)
+	dst = wire.AppendU32(dst, uint32(nv.Origin))
+	dst = wire.AppendU32(dst, uint32(nv.Seen))
+	dst = wire.AppendU32(dst, uint32(nv.Attempts))
+	dst = wire.AppendU64(dst, nv.NotBefore)
+	return wire.AppendPath(dst, nv.Dir)
 }
 
 func encodeDrop(dst []byte, file ids.FileID) []byte {
-	dst = append(dst, nvcjOpDrop)
-	return appendJournalFID(dst, file)
-}
-
-// jdec is a bounds-checked journal reader; short reads set eof instead of
-// erroring because a torn tail is expected after a crash.
-type jdec struct {
-	b   []byte
-	eof bool
-}
-
-func (d *jdec) take(n int) []byte {
-	if d.eof || len(d.b) < n {
-		d.eof = true
-		return nil
-	}
-	b := d.b[:n]
-	d.b = d.b[n:]
-	return b
-}
-
-func (d *jdec) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *jdec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *jdec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *jdec) fid() ids.FileID {
-	return ids.FileID{Issuer: ids.ReplicaID(d.u32()), Seq: d.u64()}
-}
-
-func (d *jdec) count() uint64 {
-	if d.eof {
-		return 0
-	}
-	n, used := binary.Uvarint(d.b)
-	if used <= 0 {
-		d.eof = true
-		return 0
-	}
-	d.b = d.b[used:]
-	return n
+	dst = wire.AppendU8(dst, nvcjOpDrop)
+	return wire.AppendFID(dst, file)
 }
 
 // replayJournal applies journal records to the (fresh) in-memory cache,
-// stopping at the first short or invalid record.  Records naming an origin
-// the cache may not hold (zero, or this replica itself) are skipped: they
-// can only come from corruption, and replaying them would trip the
-// NoteNewVersion invariant the daemons rely on.
+// stopping at the first short or invalid record: a torn tail is expected
+// after a crash, so the decoder's first failure ends the replay instead of
+// being reported.  Records naming an origin the cache may not hold (zero,
+// or this replica itself) are skipped: they can only come from corruption,
+// and replaying them would trip the NoteNewVersion invariant the daemons
+// rely on.
 func (l *Layer) replayJournal(data []byte) {
-	if len(data) < len(nvcjMagic)+1 {
+	d := wire.NewDecoder(data)
+	if !bytes.Equal(d.Take(len(nvcjMagic)), nvcjMagic) {
 		return
 	}
-	for i, c := range nvcjMagic {
-		if data[i] != c {
-			return
-		}
-	}
-	if data[len(nvcjMagic)] != nvcjVersion {
-		return
-	}
-	d := &jdec{b: data[len(nvcjMagic)+1:]}
-	for !d.eof && len(d.b) > 0 {
-		switch d.u8() {
+	d.Version(nvcjVersion)
+	for d.Err() == nil && d.Len() > 0 {
+		switch d.U8() {
 		case nvcjOpUpsert:
-			nv := NewVersion{File: d.fid()}
-			nv.Origin = ids.ReplicaID(d.u32())
-			nv.Seen = int(d.u32())
-			nv.Attempts = int(d.u32())
-			nv.NotBefore = d.u64()
-			n := d.count()
-			// Cap against remaining bytes before allocating.
-			if d.eof || n > uint64(len(d.b)/12) {
-				return
-			}
-			nv.Dir = make([]ids.FileID, n)
-			for i := range nv.Dir {
-				nv.Dir[i] = d.fid()
-			}
-			if d.eof {
+			nv := NewVersion{File: d.FID()}
+			nv.Origin = ids.ReplicaID(d.U32())
+			nv.Seen = int(d.U32())
+			nv.Attempts = int(d.U32())
+			nv.NotBefore = d.U64()
+			nv.Dir = d.Path()
+			if d.Err() != nil {
 				return
 			}
 			if nv.Origin == 0 || nv.Origin == l.replica {
@@ -169,8 +89,8 @@ func (l *Layer) replayJournal(data []byte) {
 			}
 			l.nvc[nvcKey{file: nv.File}] = nv
 		case nvcjOpDrop:
-			f := d.fid()
-			if d.eof {
+			f := d.FID()
+			if d.Err() != nil {
 				return
 			}
 			delete(l.nvc, nvcKey{file: f})

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -155,5 +156,31 @@ func TestJournalCompactionCrashRecovery(t *testing.T) {
 	}
 	if _, err := nl.root.Lookup(nvcjFileName + suffixShadow); vnode.AsErrno(err) != vnode.ENOENT {
 		t.Fatalf("compaction shadow must be discarded on open, lookup err = %v", err)
+	}
+}
+
+// TestJournalGoldenBytes pins the on-disk layout: the image — header, two
+// upserts in snapshot order, one appended drop — was recorded before the
+// record codec moved onto internal/wire, and replays to what it describes.
+func TestJournalGoldenBytes(t *testing.T) {
+	const golden = "4e56434a0101000000020000000000000064000000020000000300000001000000000000000901000000000000000000" +
+		"000001010000000300000000000000070000000300000001000000000000000000000000020000000000000000000000" +
+		"0100000001000000000000000502000000020000000000000064"
+	l := &Layer{replica: 1, nvc: make(map[nvcKey]NewVersion)}
+	kept := NewVersion{File: fid(3, 7), Dir: []ids.FileID{ids.RootFileID, fid(1, 5)}, Origin: 3, Seen: 1}
+	for _, nv := range []NewVersion{
+		{File: fid(2, 100), Dir: RootPath(), Origin: 2, Seen: 3, Attempts: 1, NotBefore: 9},
+		kept,
+	} {
+		l.nvc[nvcKey{file: nv.File}] = nv
+	}
+	img := encodeDrop(l.snapshotJournalLocked(), fid(2, 100))
+	if got := hex.EncodeToString(img); got != golden {
+		t.Fatalf("journal layout moved:\n got %s\nwant %s", got, golden)
+	}
+	again := &Layer{replica: 1, nvc: make(map[nvcKey]NewVersion)}
+	again.replayJournal(img)
+	if want := map[nvcKey]NewVersion{{file: kept.File}: kept}; !reflect.DeepEqual(again.nvc, want) {
+		t.Fatalf("replay of the golden image: %+v, want %+v", again.nvc, want)
 	}
 }

@@ -3,11 +3,13 @@ package repl
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/ids"
 	"repro/internal/physical"
 	"repro/internal/vv"
+	"repro/internal/wire"
 )
 
 func sampleRequest() *request {
@@ -146,6 +148,35 @@ func TestCodecResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecGoldenBytes pins the layout: the images below were recorded from
+// sampleRequest and sampleResponse (every field, a whole-file answer and a
+// delta answer) before the codec moved onto internal/wire, so "the layout did
+// not move" is a test and not only a benchmark's byte count.
+func TestCodecGoldenBytes(t *testing.T) {
+	const (
+		goldenRequest = "030500000003000000090000000202000000000000000000000001000000010000000000000005000000020000000000" +
+			"00004d020100000000000000000000000100000001000000000000000201000000020000000100000000000000040000" +
+			"00020000000000000001000000000300000000000000080000000000010cce9289a9b8cd80c9a2aa2e6bfd659c"
+		goldenResponse = "030000020000000100000000000000020568656c6c6f0000000100000000000000030200017600000002000000000000" +
+			"000904676f6e6500000002000000000000000a0101000000000100000001000000000000000704000000020000000800" +
+			"0000010000000100000002000000000000000300000000000010000d7061796c6f616420627974657303000000010000" +
+			"000200000005050100000d66696c6520636f6e74656e7473010000000100000000000000000000000200000001000000" +
+			"0000000002000000030000000000000004000000000000000d0000000001000000000000000d017bb6f9f7a47a63e684" +
+			"925af3608c059e0002000000000000000000000000000000000000000000000000000000000000000000000300000000" +
+			"00000000000000000000000000000000000000000000000000000001000000040000000000000004000006010d646973" +
+			"6b206578706c6f6465640000000000000000000000000000000000000000000000000000000000000000010000000100" +
+			"000001000000000000000000000001000000010000000000000002000000000000001700000000010000000000000017" +
+			"020cce9289a9b8cd80c9a2aa2e6bfd659c641aa84276691e4f6cd2f3885a77b8a501641aa84276691e4f6cd2f3885a77" +
+			"b8a50d7368697070656420626c6f636b"
+	)
+	if got := hex.EncodeToString(sampleRequest().encode(nil)); got != goldenRequest {
+		t.Errorf("request layout moved:\n got %s\nwant %s", got, goldenRequest)
+	}
+	if got := hex.EncodeToString(sampleResponse().encode(nil)); got != goldenResponse {
+		t.Errorf("response layout moved:\n got %s\nwant %s", got, goldenResponse)
+	}
+}
+
 // TestCodecRejectsCorruption: every truncation of a valid message and a few
 // corruptions fail with an error, never a panic or a hang.
 func TestCodecRejectsCorruption(t *testing.T) {
@@ -181,8 +212,8 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	// A count field inflated far past the message must fail before any
 	// huge allocation (the count/remaining cap).
 	huge := []byte{wireVersion, byte(opPullBatchDelta)}
-	huge = appendVol(huge, ids.VolumeHandle{})
-	huge = appendU32(huge, 0)
+	huge = wire.AppendVol(huge, ids.VolumeHandle{})
+	huge = wire.AppendU32(huge, 0)
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f) // dir count ~ 34 billion
 	if _, err := decodeRequest(huge); err == nil {
 		t.Fatal("absurd count accepted")
@@ -198,9 +229,10 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Anything that decodes must re-encode and decode again cleanly.
-		if _, err := decodeRequest(req.encode(nil)); err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+		// The decode is strict: whatever it accepts is exactly what the
+		// encoder writes for the decoded value.
+		if enc := req.encode(nil); !bytes.Equal(enc, b) {
+			t.Fatalf("re-encoding differs:\n%x\n%x", b, enc)
 		}
 	})
 }
@@ -217,8 +249,8 @@ func FuzzDecodeResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := decodeResponse(resp.encode(nil)); err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+		if enc := resp.encode(nil); !bytes.Equal(enc, b) {
+			t.Fatalf("re-encoding differs:\n%x\n%x", b, enc)
 		}
 	})
 }

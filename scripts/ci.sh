@@ -3,10 +3,11 @@
 #
 # Runs, in order: build, ficusvet (repo-specific static analysis), go vet,
 # vet and smoke test of the benchmark module (bench/, a module of its own that
-# go vet ./... and go test ./... do not reach), gofmt, three one-iteration
-# bench smokes, the race-enabled test suite, the suite again with runtime
-# invariants armed (FICUS_INVARIANTS=1), and the four chaos gates.  Each thing
-# runs once.  Any failure stops the gate.
+# go vet ./... and go test ./... do not reach), gofmt, the gate that keeps
+# encoding/gob out of non-test code, a two-second fuzz smoke of every decoder
+# fuzz target, three one-iteration bench smokes, the race-enabled test suite,
+# the suite again with runtime invariants armed (FICUS_INVARIANTS=1), and the
+# four chaos gates.  Each thing runs once.  Any failure stops the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -36,6 +37,20 @@ echo "==> gofmt -l"
 # The analyzers' testdata holds deliberately odd fixtures; everything else
 # tracked must be gofmt-clean.
 test -z "$(gofmt -l $(git ls-files '*.go' | grep -v /testdata/))"
+
+echo "==> no encoding/gob outside tests"
+# internal/wire is the one codec (DESIGN.md §9.2); gob survives only as the
+# recorded baseline of a test-only microbenchmark.
+test -z "$(grep -l '"encoding/gob"' $(git ls-files '*.go' | grep -v _test.go))"
+
+echo "==> fuzz smoke: every Fuzz* target, 2s each"
+# The seed corpora already run under go test; this catches an oracle that
+# only holds on the seeds.  go test -fuzz takes one target of one package.
+for pkg in wire repl nfs core physical; do
+	for target in $(go test -list '^Fuzz' "./internal/$pkg" | grep '^Fuzz'); do
+		go test -run '^$' -fuzz "^$target\$" -fuzztime 2s "./internal/$pkg"
+	done
+done
 
 echo "==> bench smoke: E13 delta propagation"
 go test -count=1 -run 'xxx' -bench 'BenchmarkE13DeltaPropagation' -benchtime 1x .
