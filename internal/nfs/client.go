@@ -1,11 +1,11 @@
 package nfs
 
 import (
-	"container/list"
 	"errors"
 	"io"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/simnet"
 	"repro/internal/vnode"
 )
@@ -22,20 +22,15 @@ type ClientOptions struct {
 	// stays fresh for (default 32).  NFS used wall-clock seconds; an
 	// operation count is the deterministic equivalent.
 	AttrTTLOps uint64
-	// CacheEntries bounds each cache (default 512).
-	CacheEntries int
 }
 
 func (o *ClientOptions) withDefaults() ClientOptions {
-	v := ClientOptions{AttrTTLOps: 32, CacheEntries: 512}
+	v := ClientOptions{AttrTTLOps: 32}
 	if o == nil {
 		return v
 	}
 	if o.AttrTTLOps > 0 {
 		v.AttrTTLOps = o.AttrTTLOps
-	}
-	if o.CacheEntries > 0 {
-		v.CacheEntries = o.CacheEntries
 	}
 	v.DisableCaches = o.DisableCaches
 	return v
@@ -50,9 +45,9 @@ type Client struct {
 	opts    ClientOptions
 
 	mu    sync.Mutex
-	clock uint64    // client operation counter, drives cache expiry
-	attrs *lruCache // handle -> attrEntry
-	names *lruCache // handle + "/" + name -> lookupEntry
+	clock uint64                          // client operation counter, drives cache expiry
+	attrs *lru.Cache[string, attrEntry]   // by handle
+	names *lru.Cache[string, lookupEntry] // by handle + "/" + name
 }
 
 type attrEntry struct {
@@ -62,7 +57,6 @@ type attrEntry struct {
 
 type lookupEntry struct {
 	handle string
-	attr   vnode.Attr
 	stamp  uint64
 }
 
@@ -79,8 +73,8 @@ func DialService(host *simnet.Host, addr simnet.Addr, service string, opts *Clie
 		server:  addr,
 		service: service,
 		opts:    o,
-		attrs:   newLRUCache(o.CacheEntries),
-		names:   newLRUCache(o.CacheEntries),
+		attrs:   lru.New[string, attrEntry](cacheEntries),
+		names:   lru.New[string, lookupEntry](cacheEntries),
 	}
 }
 
@@ -88,8 +82,8 @@ func DialService(host *simnet.Host, addr simnet.Addr, service string, opts *Clie
 func (c *Client) FlushCaches() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.attrs.flush()
-	c.names.flush()
+	c.attrs.Flush()
+	c.names.Flush()
 }
 
 func (c *Client) tick() uint64 {
@@ -148,7 +142,7 @@ func (c *Client) cacheAttr(handle string, a vnode.Attr) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.attrs.put(handle, &attrEntry{attr: a, stamp: c.clock})
+	c.attrs.Put(handle, attrEntry{attr: a, stamp: c.clock})
 }
 
 func (c *Client) cachedAttr(handle string) (vnode.Attr, bool) {
@@ -157,12 +151,11 @@ func (c *Client) cachedAttr(handle string) (vnode.Attr, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.attrs.get(handle); ok {
-		ae := e.(*attrEntry)
-		if c.fresh(ae.stamp) {
-			return ae.attr, true
+	if e, ok := c.attrs.Get(handle); ok {
+		if c.fresh(e.stamp) {
+			return e.attr, true
 		}
-		c.attrs.drop(handle)
+		c.attrs.Drop(handle)
 	}
 	return vnode.Attr{}, false
 }
@@ -170,16 +163,16 @@ func (c *Client) cachedAttr(handle string) (vnode.Attr, bool) {
 func (c *Client) invalidateAttr(handle string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.attrs.drop(handle)
+	c.attrs.Drop(handle)
 }
 
-func (c *Client) cacheLookup(dir, name, handle string, a vnode.Attr) {
+func (c *Client) cacheLookup(dir, name, handle string) {
 	if c.opts.DisableCaches {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.names.put(dir+"/"+name, &lookupEntry{handle: handle, attr: a, stamp: c.clock})
+	c.names.Put(dir+"/"+name, lookupEntry{handle: handle, stamp: c.clock})
 }
 
 func (c *Client) cachedLookup(dir, name string) (string, bool) {
@@ -188,12 +181,11 @@ func (c *Client) cachedLookup(dir, name string) (string, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.names.get(dir + "/" + name); ok {
-		le := e.(*lookupEntry)
-		if c.fresh(le.stamp) {
-			return le.handle, true
+	if e, ok := c.names.Get(dir + "/" + name); ok {
+		if c.fresh(e.stamp) {
+			return e.handle, true
 		}
-		c.names.drop(dir + "/" + name)
+		c.names.Drop(dir + "/" + name)
 	}
 	return "", false
 }
@@ -201,7 +193,7 @@ func (c *Client) cachedLookup(dir, name string) (string, bool) {
 func (c *Client) invalidateLookup(dir, name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.names.drop(dir + "/" + name)
+	c.names.Drop(dir + "/" + name)
 }
 
 // cvnode is a client-side vnode: a handle plus the client it belongs to.
@@ -221,7 +213,7 @@ func (v *cvnode) Lookup(name string) (vnode.Vnode, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.c.cacheLookup(v.handle, name, resp.Handle, resp.Attr)
+	v.c.cacheLookup(v.handle, name, resp.Handle)
 	v.c.cacheAttr(resp.Handle, resp.Attr)
 	return &cvnode{c: v.c, handle: resp.Handle}, nil
 }
@@ -232,7 +224,7 @@ func (v *cvnode) Create(name string, excl bool) (vnode.Vnode, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.c.cacheLookup(v.handle, name, resp.Handle, resp.Attr)
+	v.c.cacheLookup(v.handle, name, resp.Handle)
 	v.c.cacheAttr(resp.Handle, resp.Attr)
 	v.c.invalidateAttr(v.handle) // directory changed
 	return &cvnode{c: v.c, handle: resp.Handle}, nil
@@ -244,7 +236,7 @@ func (v *cvnode) Mkdir(name string) (vnode.Vnode, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.c.cacheLookup(v.handle, name, resp.Handle, resp.Attr)
+	v.c.cacheLookup(v.handle, name, resp.Handle)
 	v.c.cacheAttr(resp.Handle, resp.Attr)
 	v.c.invalidateAttr(v.handle)
 	return &cvnode{c: v.c, handle: resp.Handle}, nil
@@ -394,55 +386,4 @@ func (v *cvnode) Readdir() ([]vnode.Dirent, error) {
 		return nil, err
 	}
 	return resp.Ents, nil
-}
-
-// lruCache is a small string-keyed LRU used for both client caches.
-type lruCache struct {
-	cap   int
-	lru   *list.List
-	byKey map[string]*list.Element
-}
-
-type lruEntry struct {
-	key string
-	val any
-}
-
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{cap: capacity, lru: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-func (c *lruCache) flush() {
-	c.lru.Init()
-	c.byKey = make(map[string]*list.Element)
-}
-
-func (c *lruCache) get(key string) (any, bool) {
-	if e, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(e)
-		return e.Value.(*lruEntry).val, true
-	}
-	return nil, false
-}
-
-func (c *lruCache) put(key string, val any) {
-	if e, ok := c.byKey[key]; ok {
-		e.Value.(*lruEntry).val = val
-		c.lru.MoveToFront(e)
-		return
-	}
-	e := c.lru.PushFront(&lruEntry{key: key, val: val})
-	c.byKey[key] = e
-	for c.lru.Len() > c.cap {
-		old := c.lru.Back()
-		c.lru.Remove(old)
-		delete(c.byKey, old.Value.(*lruEntry).key)
-	}
-}
-
-func (c *lruCache) drop(key string) {
-	if e, ok := c.byKey[key]; ok {
-		c.lru.Remove(e)
-		delete(c.byKey, key)
-	}
 }

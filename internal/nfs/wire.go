@@ -102,6 +102,9 @@ type Response struct {
 // Service is the simnet RPC service name NFS traffic travels on.
 const Service = "nfs"
 
+// cacheEntries bounds each of the client's two caches.
+const cacheEntries = 512
+
 // maxRead is the most bytes one read request may ask for.  The server sizes
 // its read buffer from the request, so a longer length fails to decode, like
 // any other malformed request.

@@ -1,91 +1,135 @@
 package ufs
 
-import "fmt"
-
-// Bitmap selector for bmapSet/bmapTest.
-type bitmapKind int
-
-const (
-	inoBitmap bitmapKind = iota
-	blkBitmap
+import (
+	"fmt"
+	"math/bits"
 )
 
-func (fs *FS) bitmapLoc(kind bitmapKind, idx uint32) (bn uint32, byteOff int, mask byte, err error) {
-	var start, length, limit uint32
-	switch kind {
-	case inoBitmap:
-		start, length, limit = fs.sb.InoBmapStart, fs.sb.InoBmapLen, fs.sb.NInodes
-	case blkBitmap:
-		start, length, limit = fs.sb.BlkBmapStart, fs.sb.BlkBmapLen, fs.sb.NBlocks
-	}
-	if idx >= limit {
-		return 0, 0, 0, fmt.Errorf("ufs: bitmap index %d out of range %d", idx, limit)
-	}
-	bn = start + idx/(BlockSize*8)
-	if bn >= start+length {
-		return 0, 0, 0, fmt.Errorf("ufs: bitmap block overflow")
-	}
-	byteOff = int(idx % (BlockSize * 8) / 8)
-	mask = 1 << (idx % 8)
-	return bn, byteOff, mask, nil
+// bitsPerBlock is how many objects one bitmap block describes.
+const bitsPerBlock = BlockSize * 8
+
+// bitmap is one of the two allocation bitmaps: n bits, one per inode or per
+// block, stored little-end first from device block start on (1 = in use).
+// It is a value; fs.inoMap and fs.blkMap are the only two.
+type bitmap struct {
+	bc    *bufferCache
+	start uint32
+	n     uint32
 }
 
-func (fs *FS) bmapSet(kind bitmapKind, idx uint32, on bool) error {
-	bn, off, mask, err := fs.bitmapLoc(kind, idx)
-	if err != nil {
-		return err
+// block reads the bitmap block that holds bit i.
+func (m bitmap) block(i uint32) (bn uint32, blk []byte, err error) {
+	if i >= m.n {
+		return 0, nil, fmt.Errorf("ufs: bitmap index %d out of range %d", i, m.n)
 	}
-	blk, err := fs.bc.read(bn)
+	bn = m.start + i/bitsPerBlock
+	blk, err = m.bc.read(bn)
+	return bn, blk, err
+}
+
+func (m bitmap) test(i uint32) (bool, error) {
+	_, blk, err := m.block(i)
+	if err != nil {
+		return false, err
+	}
+	return blk[i%bitsPerBlock/8]&(1<<(i%8)) != 0, nil
+}
+
+func (m bitmap) set(i uint32, on bool) error {
+	bn, blk, err := m.block(i)
 	if err != nil {
 		return err
 	}
 	if on {
-		blk[off] |= mask
+		blk[i%bitsPerBlock/8] |= 1 << (i % 8)
 	} else {
-		blk[off] &^= mask
+		blk[i%bitsPerBlock/8] &^= 1 << (i % 8)
 	}
-	return fs.bc.write(bn, blk)
+	return m.bc.write(bn, blk)
 }
 
-func (fs *FS) bmapTest(kind bitmapKind, idx uint32) (bool, error) {
-	bn, off, mask, err := fs.bitmapLoc(kind, idx)
-	if err != nil {
-		return false, err
+// scan reads each bitmap block overlapping bits [from, to) once, in order,
+// and hands fn the bytes that cover the range, base being the index of their
+// first bit.  Every bit outside [from, to) or beyond n reads as in use, so fn
+// never has to look at a boundary.  fn returns true to stop.
+func (m bitmap) scan(from, to uint32, fn func(base uint32, b []byte) bool) error {
+	if to > m.n {
+		to = m.n
 	}
-	blk, err := fs.bc.read(bn)
-	if err != nil {
-		return false, err
+	for from < to {
+		end := to
+		if room := bitsPerBlock - from%bitsPerBlock; end-from > room {
+			end = from + room
+		}
+		blk, err := m.bc.read(m.start + from/bitsPerBlock)
+		if err != nil {
+			return err
+		}
+		lo := from % bitsPerBlock / 8
+		b := blk[lo : (end-1)%bitsPerBlock/8+1]
+		b[0] |= 1<<(from%8) - 1
+		if end%8 != 0 {
+			b[len(b)-1] |= 0xff << (end % 8)
+		}
+		if fn(from-from%8, b) {
+			return nil
+		}
+		from = end
 	}
-	return blk[off]&mask != 0, nil
+	return nil
+}
+
+// nextClear returns the lowest clear bit in [from, to), if there is one.
+func (m bitmap) nextClear(from, to uint32) (idx uint32, ok bool, err error) {
+	err = m.scan(from, to, func(base uint32, b []byte) bool {
+		for i, v := range b {
+			if v != 0xff {
+				idx, ok = base+uint32(i)*8+uint32(bits.TrailingZeros8(^v)), true
+				return true
+			}
+		}
+		return false
+	})
+	return idx, ok, err
+}
+
+// countClear returns the number of clear bits in [from, to).
+func (m bitmap) countClear(from, to uint32) (n uint32, err error) {
+	err = m.scan(from, to, func(_ uint32, b []byte) bool {
+		for _, v := range b {
+			n += uint32(bits.OnesCount8(^v))
+		}
+		return false
+	})
+	return n, err
 }
 
 // ballocLocked allocates a data block using a next-fit rotor, zero-fills it
 // and returns its number.
 func (fs *FS) ballocLocked() (uint32, error) {
-	n := fs.sb.NBlocks
 	start := fs.rotor
-	if start < fs.sb.DataStart || start >= n {
+	if start < fs.sb.DataStart || start >= fs.sb.NBlocks {
 		start = fs.sb.DataStart
 	}
-	for i := uint32(0); i < n-fs.sb.DataStart; i++ {
-		bn := fs.sb.DataStart + (start-fs.sb.DataStart+i)%(n-fs.sb.DataStart)
-		used, err := fs.bmapTest(blkBitmap, bn)
-		if err != nil {
-			return 0, err
-		}
-		if !used {
-			if err := fs.bmapSet(blkBitmap, bn, true); err != nil {
-				return 0, err
-			}
-			// Zero the block so stale contents never leak into new files.
-			if err := fs.bc.write(bn, make([]byte, BlockSize)); err != nil {
-				return 0, err
-			}
-			fs.rotor = bn + 1
-			return bn, nil
-		}
+	bn, ok, err := fs.blkMap.nextClear(start, fs.sb.NBlocks)
+	if err == nil && !ok {
+		bn, ok, err = fs.blkMap.nextClear(fs.sb.DataStart, start)
 	}
-	return 0, ErrNoSpace
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
+		return 0, ErrNoSpace
+	}
+	if err := fs.blkMap.set(bn, true); err != nil {
+		return 0, err
+	}
+	// Zero the block so stale contents never leak into new files.
+	if err := fs.bc.write(bn, make([]byte, BlockSize)); err != nil {
+		return 0, err
+	}
+	fs.rotor = bn + 1
+	return bn, nil
 }
 
 // bfreeLocked releases a data block.
@@ -93,37 +137,36 @@ func (fs *FS) bfreeLocked(bn uint32) error {
 	if bn < fs.sb.DataStart || bn >= fs.sb.NBlocks {
 		return fmt.Errorf("ufs: bfree of non-data block %d", bn)
 	}
-	used, err := fs.bmapTest(blkBitmap, bn)
+	used, err := fs.blkMap.test(bn)
 	if err != nil {
 		return err
 	}
 	if !used {
 		return fmt.Errorf("ufs: double free of block %d", bn)
 	}
-	fs.bc.evict(bn)
-	return fs.bmapSet(blkBitmap, bn, false)
+	fs.bc.drop(bn)
+	return fs.blkMap.set(bn, false)
 }
 
-// iallocLocked allocates an inode of the given type with nlink 0.
+// iallocLocked allocates the lowest free inode, of the given type and with
+// nlink 0.
 func (fs *FS) iallocLocked(t FileType) (Ino, error) {
-	for i := uint32(1); i < fs.sb.NInodes; i++ {
-		used, err := fs.bmapTest(inoBitmap, i)
-		if err != nil {
-			return 0, err
-		}
-		if !used {
-			if err := fs.bmapSet(inoBitmap, i, true); err != nil {
-				return 0, err
-			}
-			now := fs.tick()
-			din := dinode{Type: t, Ctime: now, Mtime: now}
-			if err := fs.writeInodeLocked(Ino(i), din); err != nil {
-				return 0, err
-			}
-			return Ino(i), nil
-		}
+	i, ok, err := fs.inoMap.nextClear(1, fs.sb.NInodes)
+	if err != nil {
+		return 0, err
 	}
-	return 0, ErrNoInodes
+	if !ok {
+		return 0, ErrNoInodes
+	}
+	if err := fs.inoMap.set(i, true); err != nil {
+		return 0, err
+	}
+	now := fs.tick()
+	din := dinode{Type: t, Ctime: now, Mtime: now}
+	if err := fs.writeInodeLocked(Ino(i), din); err != nil {
+		return 0, err
+	}
+	return Ino(i), nil
 }
 
 // ifreeLocked releases an inode and all its data blocks.
@@ -135,5 +178,5 @@ func (fs *FS) ifreeLocked(ino Ino) error {
 		return err
 	}
 	fs.ic.drop(ino)
-	return fs.bmapSet(inoBitmap, uint32(ino), false)
+	return fs.inoMap.set(uint32(ino), false)
 }

@@ -1,65 +1,76 @@
 package ufs
 
 import (
-	"container/list"
-
 	"repro/internal/disk"
+	"repro/internal/lru"
 )
 
-// bufferCache is a write-through LRU block cache.  Write-through keeps
-// crash semantics trivial (every completed write is on the device) while
-// still giving the read-path locality wins the paper's dual-mapping design
-// relies on (§2.6).
-type bufferCache struct {
-	dev     *disk.Device
-	cap     int
+// cache is what the three UFS caches share: the one LRU (internal/lru), a
+// switch, and hit/miss counters.  While it is off every get misses without
+// being counted and put keeps nothing, so experiment E3's cache-off row
+// sees every access reach the device and CacheStats stays at zero.
+type cache[K comparable, V any] struct {
+	lru     *lru.Cache[K, V]
 	enabled bool
-	lru     *list.List // of *bufEntry, front = most recent
-	byBlock map[uint32]*list.Element
 	hits    uint64
 	misses  uint64
 }
 
-type bufEntry struct {
-	bn   uint32
-	data []byte
+func newCache[K comparable, V any](capacity int, enabled bool) cache[K, V] {
+	return cache[K, V]{lru: lru.New[K, V](capacity), enabled: enabled}
 }
 
-func newBufferCache(dev *disk.Device, capacity int, enabled bool) *bufferCache {
-	return &bufferCache{
-		dev:     dev,
-		cap:     capacity,
-		enabled: enabled,
-		lru:     list.New(),
-		byBlock: make(map[uint32]*list.Element),
-	}
-}
-
-func (c *bufferCache) setEnabled(on bool) {
+func (c *cache[K, V]) setEnabled(on bool) {
 	c.enabled = on
 	if !on {
 		c.flush()
 	}
 }
 
-func (c *bufferCache) flush() {
-	c.lru.Init()
-	c.byBlock = make(map[uint32]*list.Element)
+func (c *cache[K, V]) flush() { c.lru.Flush() }
+
+func (c *cache[K, V]) get(k K) (V, bool) {
+	if !c.enabled {
+		var zero V
+		return zero, false
+	}
+	v, ok := c.lru.Get(k)
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	return v, ok
+}
+
+func (c *cache[K, V]) put(k K, v V) {
+	if c.enabled {
+		c.lru.Put(k, v)
+	}
+}
+
+func (c *cache[K, V]) drop(k K) { c.lru.Drop(k) }
+
+// bufferCache is a write-through LRU block cache.  Write-through keeps
+// crash semantics trivial (every completed write is on the device) while
+// still giving the read-path locality wins the paper's dual-mapping design
+// relies on (§2.6).
+type bufferCache struct {
+	cache[uint32, []byte]
+	dev *disk.Device
+}
+
+func newBufferCache(dev *disk.Device, capacity int, enabled bool) *bufferCache {
+	return &bufferCache{cache: newCache[uint32, []byte](capacity, enabled), dev: dev}
 }
 
 // read returns a copy of block bn, consulting the cache first.
 func (c *bufferCache) read(bn uint32) ([]byte, error) {
-	if c.enabled {
-		if e, ok := c.byBlock[bn]; ok {
-			c.hits++
-			c.lru.MoveToFront(e)
-			out := make([]byte, BlockSize)
-			copy(out, e.Value.(*bufEntry).data)
-			return out, nil
-		}
-		c.misses++
-	}
 	p := make([]byte, BlockSize)
+	if data, ok := c.get(bn); ok {
+		copy(p, data)
+		return p, nil
+	}
 	if err := c.dev.Read(int(bn), p); err != nil {
 		return nil, err
 	}
@@ -72,38 +83,22 @@ func (c *bufferCache) write(bn uint32, data []byte) error {
 	if err := c.dev.Write(int(bn), data); err != nil {
 		// Failed writes must not populate the cache: the bytes never
 		// reached the device, and serving them later would hide the crash.
-		c.evict(bn)
+		c.drop(bn)
 		return err
 	}
 	c.insert(bn, data)
 	return nil
 }
 
+// insert caches a private copy of data, so the caller may keep writing to
+// its buffer.
 func (c *bufferCache) insert(bn uint32, data []byte) {
 	if !c.enabled {
 		return
 	}
 	cp := make([]byte, BlockSize)
 	copy(cp, data)
-	if e, ok := c.byBlock[bn]; ok {
-		e.Value.(*bufEntry).data = cp
-		c.lru.MoveToFront(e)
-		return
-	}
-	e := c.lru.PushFront(&bufEntry{bn: bn, data: cp})
-	c.byBlock[bn] = e
-	for c.lru.Len() > c.cap {
-		old := c.lru.Back()
-		c.lru.Remove(old)
-		delete(c.byBlock, old.Value.(*bufEntry).bn)
-	}
-}
-
-func (c *bufferCache) evict(bn uint32) {
-	if e, ok := c.byBlock[bn]; ok {
-		c.lru.Remove(e)
-		delete(c.byBlock, bn)
-	}
+	c.put(bn, cp)
 }
 
 // inodeCache holds decoded inodes.  Because it sits above the buffer cache
@@ -111,50 +106,18 @@ func (c *bufferCache) evict(bn uint32) {
 // inode ... must be loaded" accounting of paper §6 and lets experiments
 // separate decode hits from block hits.
 type inodeCache struct {
-	fs      *FS
-	cap     int
-	enabled bool
-	lru     *list.List // of *icEntry
-	byIno   map[Ino]*list.Element
-	hits    uint64
-	misses  uint64
-}
-
-type icEntry struct {
-	ino Ino
-	din dinode
+	cache[Ino, dinode]
+	fs *FS
 }
 
 func newInodeCache(fs *FS, capacity int, enabled bool) *inodeCache {
-	return &inodeCache{
-		fs:      fs,
-		cap:     capacity,
-		enabled: enabled,
-		lru:     list.New(),
-		byIno:   make(map[Ino]*list.Element),
-	}
+	return &inodeCache{cache: newCache[Ino, dinode](capacity, enabled), fs: fs}
 }
 
-func (c *inodeCache) setEnabled(on bool) {
-	c.enabled = on
-	if !on {
-		c.flush()
-	}
-}
-
-func (c *inodeCache) flush() {
-	c.lru.Init()
-	c.byIno = make(map[Ino]*list.Element)
-}
-
+// get reads through: a miss decodes the inode from its table block.
 func (c *inodeCache) get(ino Ino) (dinode, error) {
-	if c.enabled {
-		if e, ok := c.byIno[ino]; ok {
-			c.hits++
-			c.lru.MoveToFront(e)
-			return e.Value.(*icEntry).din, nil
-		}
-		c.misses++
+	if din, ok := c.cache.get(ino); ok {
+		return din, nil
 	}
 	din, err := c.fs.readInodeFromDisk(ino)
 	if err != nil {
@@ -164,41 +127,11 @@ func (c *inodeCache) get(ino Ino) (dinode, error) {
 	return din, nil
 }
 
-func (c *inodeCache) put(ino Ino, din dinode) {
-	if !c.enabled {
-		return
-	}
-	if e, ok := c.byIno[ino]; ok {
-		e.Value.(*icEntry).din = din
-		c.lru.MoveToFront(e)
-		return
-	}
-	e := c.lru.PushFront(&icEntry{ino: ino, din: din})
-	c.byIno[ino] = e
-	for c.lru.Len() > c.cap {
-		old := c.lru.Back()
-		c.lru.Remove(old)
-		delete(c.byIno, old.Value.(*icEntry).ino)
-	}
-}
-
-func (c *inodeCache) drop(ino Ino) {
-	if e, ok := c.byIno[ino]; ok {
-		c.lru.Remove(e)
-		delete(c.byIno, ino)
-	}
-}
-
 // nameCache is the directory name lookup cache (DNLC).  Entries map
 // (directory inode, component name) to the child inode and are invalidated
 // on unlink/rename/rmdir of that name.
 type nameCache struct {
-	cap     int
-	enabled bool
-	lru     *list.List // of *ncEntry
-	byKey   map[ncKey]*list.Element
-	hits    uint64
-	misses  uint64
+	cache[ncKey, Ino]
 }
 
 type ncKey struct {
@@ -206,81 +139,12 @@ type ncKey struct {
 	name string
 }
 
-type ncEntry struct {
-	key   ncKey
-	child Ino
-}
-
 func newNameCache(capacity int, enabled bool) *nameCache {
-	return &nameCache{
-		cap:     capacity,
-		enabled: enabled,
-		lru:     list.New(),
-		byKey:   make(map[ncKey]*list.Element),
-	}
-}
-
-func (c *nameCache) setEnabled(on bool) {
-	c.enabled = on
-	if !on {
-		c.flush()
-	}
-}
-
-func (c *nameCache) flush() {
-	c.lru.Init()
-	c.byKey = make(map[ncKey]*list.Element)
-}
-
-func (c *nameCache) get(dir Ino, name string) (Ino, bool) {
-	if !c.enabled {
-		return 0, false
-	}
-	if e, ok := c.byKey[ncKey{dir, name}]; ok {
-		c.hits++
-		c.lru.MoveToFront(e)
-		return e.Value.(*ncEntry).child, true
-	}
-	c.misses++
-	return 0, false
-}
-
-func (c *nameCache) put(dir Ino, name string, child Ino) {
-	if !c.enabled {
-		return
-	}
-	k := ncKey{dir, name}
-	if e, ok := c.byKey[k]; ok {
-		e.Value.(*ncEntry).child = child
-		c.lru.MoveToFront(e)
-		return
-	}
-	e := c.lru.PushFront(&ncEntry{key: k, child: child})
-	c.byKey[k] = e
-	for c.lru.Len() > c.cap {
-		old := c.lru.Back()
-		c.lru.Remove(old)
-		delete(c.byKey, old.Value.(*ncEntry).key)
-	}
-}
-
-func (c *nameCache) drop(dir Ino, name string) {
-	if e, ok := c.byKey[ncKey{dir, name}]; ok {
-		c.lru.Remove(e)
-		delete(c.byKey, ncKey{dir, name})
-	}
+	return &nameCache{newCache[ncKey, Ino](capacity, enabled)}
 }
 
 // dropDir removes every entry under a directory (used by rmdir of the
 // directory itself, where its children entries are already gone).
 func (c *nameCache) dropDir(dir Ino) {
-	for e := c.lru.Front(); e != nil; {
-		next := e.Next()
-		ent := e.Value.(*ncEntry)
-		if ent.key.dir == dir || ent.child == dir {
-			c.lru.Remove(e)
-			delete(c.byKey, ent.key)
-		}
-		e = next
-	}
+	c.lru.DropFunc(func(k ncKey, child Ino) bool { return k.dir == dir || child == dir })
 }

@@ -20,12 +20,10 @@ func (fs *FS) Check() ([]string, error) {
 
 	var problems []string
 	blockRefs := make(map[uint32]int)
-	linkRefs := make(map[Ino]int)
-	reachable := make(map[Ino]bool)
 
 	// Pass 1: walk every allocated inode's block tree.
 	for i := uint32(1); i < fs.sb.NInodes; i++ {
-		used, err := fs.bmapTest(inoBitmap, i)
+		used, err := fs.inoMap.test(i)
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +48,7 @@ func (fs *FS) Check() ([]string, error) {
 		if n > 1 {
 			problems = append(problems, fmt.Sprintf("block %d: referenced %d times", bn, n))
 		}
-		used, err := fs.bmapTest(blkBitmap, bn)
+		used, err := fs.blkMap.test(bn)
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +57,7 @@ func (fs *FS) Check() ([]string, error) {
 		}
 	}
 	for bn := fs.sb.DataStart; bn < fs.sb.NBlocks; bn++ {
-		used, err := fs.bmapTest(blkBitmap, bn)
+		used, err := fs.blkMap.test(bn)
 		if err != nil {
 			return nil, err
 		}
@@ -69,13 +67,54 @@ func (fs *FS) Check() ([]string, error) {
 	}
 
 	// Pass 3: walk the directory tree from the root.
+	linkRefs, reachable, err := fs.walkTreeLocked(func(dir Ino, e Dirent, din dinode) (bool, error) {
+		if din.Type == TypeFree {
+			problems = append(problems, fmt.Sprintf("dir %d: entry %q points at free inode %d", dir, e.Name, e.Ino))
+			return false, nil
+		}
+		if e.Name == "." && e.Ino != dir {
+			problems = append(problems, fmt.Sprintf("dir %d: \".\" points at %d", dir, e.Ino))
+		}
+		return true, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Pass 4: link counts and reachability.
+	for i := uint32(1); i < fs.sb.NInodes; i++ {
+		din, err := fs.ic.get(Ino(i))
+		if err != nil {
+			return nil, err
+		}
+		if din.Type == TypeFree {
+			continue
+		}
+		if got, want := din.Nlink, linkRefs[Ino(i)]; got != want {
+			problems = append(problems, fmt.Sprintf("%s: nlink=%d but %d references", din.debugString(Ino(i)), got, want))
+		}
+		if !reachable[Ino(i)] {
+			problems = append(problems, fmt.Sprintf("%s: unreachable from root", din.debugString(Ino(i))))
+		}
+	}
+	return problems, nil
+}
+
+// walkTreeLocked walks the directory tree from the root, once per directory,
+// and returns how many entries name each inode (what its nlink should be) and
+// which inodes are reachable.  keep is asked about every entry, with the
+// inode it names; an entry it does not keep is neither counted nor followed.
+// Check and recoverLocked differ only in their keep.
+func (fs *FS) walkTreeLocked(keep func(dir Ino, e Dirent, din dinode) (bool, error)) (linkRefs map[Ino]uint16, reachable map[Ino]bool, err error) {
+	linkRefs = make(map[Ino]uint16)
+	reachable = make(map[Ino]bool)
 	var walk func(dir Ino) error
 	walk = func(dir Ino) error {
 		if reachable[dir] {
 			return nil
 		}
 		reachable[dir] = true
-		ents := make([]Dirent, 0, 8)
+		var ents []Dirent
 		if err := fs.dirScanLocked(dir, func(_ uint64, ino Ino, name string) bool {
 			ents = append(ents, Dirent{Name: name, Ino: ino})
 			return false
@@ -87,15 +126,13 @@ func (fs *FS) Check() ([]string, error) {
 			if err != nil {
 				return err
 			}
-			if din.Type == TypeFree {
-				problems = append(problems, fmt.Sprintf("dir %d: entry %q points at free inode %d", dir, e.Name, e.Ino))
+			if ok, err := keep(dir, e, din); err != nil {
+				return err
+			} else if !ok {
 				continue
 			}
 			switch e.Name {
 			case ".":
-				if e.Ino != dir {
-					problems = append(problems, fmt.Sprintf("dir %d: \".\" points at %d", dir, e.Ino))
-				}
 				linkRefs[dir]++
 			case "..":
 				linkRefs[e.Ino]++
@@ -112,27 +149,7 @@ func (fs *FS) Check() ([]string, error) {
 		}
 		return nil
 	}
-	if err := walk(rootIno); err != nil {
-		return nil, err
-	}
-
-	// Pass 4: link counts and reachability.
-	for i := uint32(1); i < fs.sb.NInodes; i++ {
-		din, err := fs.ic.get(Ino(i))
-		if err != nil {
-			return nil, err
-		}
-		if din.Type == TypeFree {
-			continue
-		}
-		if got, want := din.Nlink, uint16(linkRefs[Ino(i)]); got != want {
-			problems = append(problems, fmt.Sprintf("%s: nlink=%d but %d references", din.debugString(Ino(i)), got, want))
-		}
-		if !reachable[Ino(i)] {
-			problems = append(problems, fmt.Sprintf("%s: unreachable from root", din.debugString(Ino(i))))
-		}
-	}
-	return problems, nil
+	return linkRefs, reachable, walk(rootIno)
 }
 
 // walkBlocks calls fn for every device block owned by the inode, including

@@ -110,7 +110,7 @@ func (fs *FS) dirScanLocked(dir Ino, fn func(idx uint64, ino Ino, name string) b
 
 // dirLookupLocked finds name in dir (".", ".." included), using the DNLC.
 func (fs *FS) dirLookupLocked(dir Ino, name string) (Ino, error) {
-	if child, ok := fs.dnlc.get(dir, name); ok {
+	if child, ok := fs.dnlc.get(ncKey{dir, name}); ok {
 		return child, nil
 	}
 	var found Ino
@@ -127,7 +127,7 @@ func (fs *FS) dirLookupLocked(dir Ino, name string) (Ino, error) {
 	if found == 0 {
 		return 0, ErrNotExist
 	}
-	fs.dnlc.put(dir, name, found)
+	fs.dnlc.put(ncKey{dir, name}, found)
 	return found, nil
 }
 
@@ -197,7 +197,7 @@ func (fs *FS) dirAddLocked(dir Ino, name string, child Ino) error {
 	if err := fs.writeInodeLocked(dir, din); err != nil {
 		return err
 	}
-	fs.dnlc.put(dir, name, child)
+	fs.dnlc.put(ncKey{dir, name}, child)
 	return nil
 }
 
@@ -239,7 +239,7 @@ func (fs *FS) dirRemoveLocked(dir Ino, name string) (Ino, error) {
 	if err := fs.writeInodeLocked(dir, din); err != nil {
 		return 0, err
 	}
-	fs.dnlc.drop(dir, name)
+	fs.dnlc.drop(ncKey{dir, name})
 	return child, nil
 }
 
@@ -605,7 +605,7 @@ func (fs *FS) dirSetDotDotLocked(dir, parent Ino) error {
 	if err := fs.bc.write(bn, blk); err != nil {
 		return err
 	}
-	fs.dnlc.put(dir, "..", parent)
+	fs.dnlc.put(ncKey{dir, ".."}, parent)
 	return nil
 }
 

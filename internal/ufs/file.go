@@ -59,9 +59,6 @@ func (fs *FS) readAtLocked(ino Ino, p []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if din.Type == TypeDir {
-		// Directories are read through Readdir; raw reads support fsck only.
-	}
 	if uint64(off) >= din.Size {
 		return 0, io.EOF
 	}
@@ -293,26 +290,13 @@ func (fs *FS) Statfs() (StatFS, error) {
 	var out StatFS
 	out.TotalBlocks = fs.sb.NBlocks
 	out.DataBlocks = fs.sb.NBlocks - fs.sb.DataStart
-	for bn := fs.sb.DataStart; bn < fs.sb.NBlocks; bn++ {
-		used, err := fs.bmapTest(blkBitmap, bn)
-		if err != nil {
-			return out, err
-		}
-		if !used {
-			out.FreeBlocks++
-		}
-	}
 	out.TotalInodes = fs.sb.NInodes
-	for i := uint32(1); i < fs.sb.NInodes; i++ {
-		used, err := fs.bmapTest(inoBitmap, i)
-		if err != nil {
-			return out, err
-		}
-		if !used {
-			out.FreeInodes++
-		}
+	var err error
+	if out.FreeBlocks, err = fs.blkMap.countClear(fs.sb.DataStart, fs.sb.NBlocks); err != nil {
+		return out, err
 	}
-	return out, nil
+	out.FreeInodes, err = fs.inoMap.countClear(1, fs.sb.NInodes)
+	return out, err
 }
 
 // debugString renders an inode for error messages.

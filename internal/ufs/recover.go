@@ -21,55 +21,14 @@ package ufs
 func (fs *FS) recoverLocked() error {
 	// Pass 1: walk the tree from the root, dropping entries that name free
 	// inodes and collecting reference counts and reachability.
-	linkRefs := make(map[Ino]uint16)
-	reachable := make(map[Ino]bool)
-	var walk func(dir Ino) error
-	walk = func(dir Ino) error {
-		if reachable[dir] {
-			return nil
+	linkRefs, reachable, err := fs.walkTreeLocked(func(dir Ino, e Dirent, din dinode) (bool, error) {
+		if din.Type != TypeFree {
+			return true, nil
 		}
-		reachable[dir] = true
-		type ent struct {
-			name string
-			ino  Ino
-		}
-		var ents []ent
-		if err := fs.dirScanLocked(dir, func(_ uint64, ino Ino, name string) bool {
-			ents = append(ents, ent{name, ino})
-			return false
-		}); err != nil {
-			return err
-		}
-		for _, e := range ents {
-			din, err := fs.ic.get(e.ino)
-			if err != nil {
-				return err
-			}
-			if din.Type == TypeFree {
-				if _, err := fs.dirRemoveLocked(dir, e.name); err != nil {
-					return err
-				}
-				continue
-			}
-			switch e.name {
-			case ".":
-				linkRefs[dir]++
-			case "..":
-				linkRefs[e.ino]++
-			default:
-				linkRefs[e.ino]++
-				if din.Type == TypeDir {
-					if err := walk(e.ino); err != nil {
-						return err
-					}
-				} else {
-					reachable[e.ino] = true
-				}
-			}
-		}
-		return nil
-	}
-	if err := walk(rootIno); err != nil {
+		_, err := fs.dirRemoveLocked(dir, e.Name)
+		return false, err
+	})
+	if err != nil {
 		return err
 	}
 
@@ -96,12 +55,12 @@ func (fs *FS) recoverLocked() error {
 			}
 		}
 		want := din.Type != TypeFree
-		used, err := fs.bmapTest(inoBitmap, i)
+		used, err := fs.inoMap.test(i)
 		if err != nil {
 			return err
 		}
 		if used != want {
-			if err := fs.bmapSet(inoBitmap, i, want); err != nil {
+			if err := fs.inoMap.set(i, want); err != nil {
 				return err
 			}
 		}
@@ -124,12 +83,12 @@ func (fs *FS) recoverLocked() error {
 		}
 	}
 	for bn := fs.sb.DataStart; bn < fs.sb.NBlocks; bn++ {
-		used, err := fs.bmapTest(blkBitmap, bn)
+		used, err := fs.blkMap.test(bn)
 		if err != nil {
 			return err
 		}
 		if used != refs[bn] {
-			if err := fs.bmapSet(blkBitmap, bn, refs[bn]); err != nil {
+			if err := fs.blkMap.set(bn, refs[bn]); err != nil {
 				return err
 			}
 		}

@@ -1,6 +1,8 @@
 package ufs
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -26,7 +28,7 @@ func TestRecoverRepairsLeaks(t *testing.T) {
 	fs.mu.Lock()
 	// Ghost inode: bitmap bit set, inode never initialized (crash inside
 	// ialloc between the bitmap write and the inode write).
-	if err := fs.bmapSet(inoBitmap, 20, true); err != nil {
+	if err := fs.inoMap.set(20, true); err != nil {
 		t.Fatal(err)
 	}
 	// Leaked block: allocated in the bitmap, referenced by no inode (crash
@@ -75,18 +77,105 @@ func TestRecoverRepairsLeaks(t *testing.T) {
 	fs2.mu.Lock()
 	defer fs2.mu.Unlock()
 	for _, c := range []struct {
-		kind bitmapKind
+		name string
+		m    bitmap
 		idx  uint32
-	}{{inoBitmap, 20}, {inoBitmap, uint32(orphan)}, {blkBitmap, leaked}} {
-		used, err := fs2.bmapTest(c.kind, c.idx)
+	}{{"inode", fs2.inoMap, 20}, {"inode", fs2.inoMap, uint32(orphan)}, {"block", fs2.blkMap, leaked}} {
+		used, err := c.m.test(c.idx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if used {
-			t.Errorf("leak at bitmap %v idx %d not reclaimed", c.kind, c.idx)
+			t.Errorf("leak at %s bitmap idx %d not reclaimed", c.name, c.idx)
 		}
 	}
 	if st, err := fs2.readInodeLocked(ino); err != nil || st.Nlink != 1 {
 		t.Fatalf("nlink not repaired: %+v, %v", st, err)
+	}
+}
+
+// TestCheckAndRecoverAgreeOnDamagedTree damages the directory tree by hand —
+// an entry naming a free inode, a "." naming another directory, a stale link
+// count — and holds Check and Recover to one reading of it, the shared
+// walkTreeLocked: Check reports all three; Recover drops the dangling entry
+// and resets the count to the references Check counts, so a second Check is
+// left with exactly the one thing no crash can cause and Recover does not
+// touch, the wrong ".".
+func TestCheckAndRecoverAgreeOnDamagedTree(t *testing.T) {
+	fs, err := Mkfs(disk.New(512), 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := fs.Root()
+	sub, err := fs.Mkdir(root, "sub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := fs.Mkdir(root, "other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := fs.Create(sub, "file")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fs.mu.Lock()
+	if err := fs.dirAddLocked(sub, "dangling", 40); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.dirRemoveLocked(sub, "."); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.dirAddLocked(sub, ".", other); err != nil {
+		t.Fatal(err)
+	}
+	din, err := fs.readInodeLocked(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	din.Nlink = 5
+	if err := fs.writeInodeLocked(file, din); err != nil {
+		t.Fatal(err)
+	}
+	fs.mu.Unlock()
+
+	wrongDot := fmt.Sprintf("dir %d: \".\" points at %d", sub, other)
+	problems, err := fs.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("dir %d: entry \"dangling\" points at free inode 40", sub),
+		wrongDot,
+		"nlink=5 but 1 references",
+	} {
+		found := false
+		for _, p := range problems {
+			found = found || strings.Contains(p, want)
+		}
+		if !found {
+			t.Errorf("Check did not report %q; it reported %q", want, problems)
+		}
+	}
+	if len(problems) != 3 {
+		t.Errorf("Check reported %d problems, want the 3 planted: %q", len(problems), problems)
+	}
+
+	if err := fs.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	problems, err = fs.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 1 || problems[0] != wrongDot {
+		t.Fatalf("after Recover, Check reports %q, want only %q", problems, wrongDot)
+	}
+	if _, err := fs.Lookup(sub, "dangling"); err != ErrNotExist {
+		t.Fatalf("dangling entry survived Recover: %v", err)
+	}
+	if st, err := fs.Stat(file); err != nil || st.Nlink != 1 {
+		t.Fatalf("nlink after Recover: %+v, %v", st, err)
 	}
 }

@@ -161,6 +161,8 @@ type FS struct {
 	dnlc  *nameCache
 	rotor uint32 // next-fit hint for block allocation
 	clock uint64 // logical time for mtime/ctime
+
+	inoMap, blkMap bitmap // the two allocation bitmaps
 }
 
 // Options tunes cache sizes and enablement at mount time.
@@ -236,12 +238,12 @@ func Mkfs(dev *disk.Device, ninodes int, opts *Options) (*FS, error) {
 	fs := newFS(dev, sb, opts)
 	// Mark the metadata blocks (and block 0) allocated in the block bitmap.
 	for bn := 0; bn < dataStart; bn++ {
-		if err := fs.bmapSet(blkBitmap, uint32(bn), true); err != nil {
+		if err := fs.blkMap.set(uint32(bn), true); err != nil {
 			return nil, err
 		}
 	}
 	// Inode 0 is reserved/invalid.
-	if err := fs.bmapSet(inoBitmap, 0, true); err != nil {
+	if err := fs.inoMap.set(0, true); err != nil {
 		return nil, err
 	}
 	// Create the root directory.
@@ -272,6 +274,9 @@ func Mount(dev *disk.Device, opts *Options) (*FS, error) {
 	if int(sb.NBlocks) != dev.Blocks() {
 		return nil, fmt.Errorf("ufs: superblock says %d blocks, device has %d", sb.NBlocks, dev.Blocks())
 	}
+	if uint64(sb.NInodes) > uint64(sb.InoBmapLen)*bitsPerBlock || uint64(sb.NBlocks) > uint64(sb.BlkBmapLen)*bitsPerBlock {
+		return nil, fmt.Errorf("ufs: superblock bitmaps too short for %d inodes, %d blocks", sb.NInodes, sb.NBlocks)
+	}
 	fs := newFS(dev, sb, opts)
 	if err := fs.Recover(); err != nil {
 		return nil, fmt.Errorf("ufs: crash recovery: %w", err)
@@ -288,6 +293,8 @@ func newFS(dev *disk.Device, sb superblock, opts *Options) *FS {
 		dnlc: newNameCache(o.DNLCEntries, !o.DisableCaches),
 	}
 	fs.ic = newInodeCache(fs, o.InodeCacheEntries, !o.DisableCaches)
+	fs.inoMap = bitmap{fs.bc, sb.InoBmapStart, sb.NInodes}
+	fs.blkMap = bitmap{fs.bc, sb.BlkBmapStart, sb.NBlocks}
 	fs.rotor = sb.DataStart
 	return fs
 }

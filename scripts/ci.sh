@@ -3,11 +3,12 @@
 #
 # Runs, in order: build, ficusvet (repo-specific static analysis), go vet,
 # vet and smoke test of the benchmark module (bench/, a module of its own that
-# go vet ./... and go test ./... do not reach), gofmt, the gate that keeps
-# encoding/gob out of non-test code, a two-second fuzz smoke of every decoder
-# fuzz target, three one-iteration bench smokes, the race-enabled test suite,
-# the suite again with runtime invariants armed (FICUS_INVARIANTS=1), and the
-# four chaos gates.  Each thing runs once.  Any failure stops the gate.
+# go vet ./... and go test ./... do not reach), gofmt, the gates that keep
+# encoding/gob out of non-test code and container/list inside internal/lru, a
+# two-second fuzz smoke of every decoder fuzz target, three one-iteration
+# bench smokes, the race-enabled test suite, the suite again with runtime
+# invariants armed (FICUS_INVARIANTS=1), and the four chaos gates.  Each thing
+# runs once.  Any failure stops the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -42,6 +43,11 @@ echo "==> no encoding/gob outside tests"
 # internal/wire is the one codec (DESIGN.md §9.2); gob survives only as the
 # recorded baseline of a test-only microbenchmark.
 test -z "$(grep -l '"encoding/gob"' $(git ls-files '*.go' | grep -v _test.go))"
+
+echo "==> no container/list outside internal/lru"
+# internal/lru is the one LRU (DESIGN.md §16); a second list-and-map cache
+# body starts with this import.
+test -z "$(grep -l '"container/list"' $(git ls-files '*.go' | grep -v _test.go | grep -v '^internal/lru/'))"
 
 echo "==> fuzz smoke: every Fuzz* target, 2s each"
 # The seed corpora already run under go test; this catches an oracle that
