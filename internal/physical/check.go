@@ -112,7 +112,7 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 			if !named[fid] {
 				report("orphaned aux file %q", m.Name)
 			}
-			aux, err := readAuxFileFollow(l.root, cont, m.Name)
+			aux, err := readAuxFile(cont, m.Name)
 			if err != nil {
 				report("undecodable aux file %q: %v", m.Name, err)
 				continue
@@ -138,7 +138,7 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 			if !stored[prefixData+fid.String()] {
 				report("sidecar %q has no data file", m.Name)
 			}
-			if _, err := readSidecar(l.root, cont, fid); err != nil {
+			if _, err := readSidecar(cont, fid); err != nil {
 				report("undecodable sidecar %q: %v", m.Name, err)
 			}
 		case strings.HasPrefix(m.Name, prefixDir):
@@ -165,7 +165,7 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 			if !stored[prefixDir+e.Child.String()] {
 				continue // legitimately not stored here (§4.1)
 			}
-			sub, err := lookupFollow(l.root, cont, prefixDir+e.Child.String())
+			sub, err := cont.Lookup(prefixDir + e.Child.String())
 			if err != nil {
 				report("entry %q: container lookup failed: %v", e.Name, err)
 				continue

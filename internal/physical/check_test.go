@@ -192,7 +192,7 @@ func TestCheckDetectsBadNlink(t *testing.T) {
 	f, _ := root.Create("f", true)
 	fid := mustFid(t, f)
 	cont, _ := l.containerOf(RootPath())
-	aux, err := readAuxFileFollow(l.root, cont, prefixAux+fid.String())
+	aux, err := readAuxFile(cont, prefixAux+fid.String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,14 +67,14 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 	if err != nil {
 		return FileState{}, err
 	}
-	aux, err := readAuxFileFollow(l.root, cont, prefixAux+fid.String())
+	aux, err := readAuxFile(cont, prefixAux+fid.String())
 	if err != nil {
 		if vnode.AsErrno(err) != vnode.ENOENT {
 			return FileState{}, err
 		}
 		// Not a file here — it may be a child directory, whose attributes
 		// live inside its own container.
-		sub, serr := lookupFollow(l.root, cont, prefixDir+fid.String())
+		sub, serr := cont.Lookup(prefixDir + fid.String())
 		if serr != nil {
 			return FileState{}, ErrNotStored
 		}
@@ -84,7 +84,7 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 		}
 		return FileState{Aux: daux}, nil
 	}
-	df, err := lookupFollow(l.root, cont, prefixData+fid.String())
+	df, err := cont.Lookup(prefixData + fid.String())
 	if err != nil {
 		if vnode.AsErrno(err) == vnode.ENOENT {
 			return FileState{}, ErrNotStored
@@ -130,7 +130,7 @@ func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte
 	if err != nil {
 		return nil, FileState{}, nil, err
 	}
-	df, err := lookupFollow(l.root, cont, prefixData+fid.String())
+	df, err := cont.Lookup(prefixData + fid.String())
 	if err != nil {
 		return nil, FileState{}, nil, err
 	}
@@ -138,7 +138,7 @@ func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte
 	if err != nil {
 		return nil, FileState{}, nil, err
 	}
-	sc, err := readSidecar(l.root, cont, fid)
+	sc, err := readSidecar(cont, fid)
 	if err != nil || !sc.Sealed.Equal(st.Aux.VV) {
 		return data, st, nil, nil
 	}
@@ -285,7 +285,7 @@ func (l *Layer) ApplyDirMerge(dirPath []ids.FileID, remote DirState) (MergeResul
 			continue
 		}
 		auxName := prefixAux + child.String()
-		af, err := lookupFollow(l.root, cont, auxName)
+		af, err := cont.Lookup(auxName)
 		if err != nil {
 			continue // not stored here
 		}

@@ -264,7 +264,7 @@ func (l *Layer) rootContainer() (vnode.Vnode, error) {
 func (l *Layer) containerOf(dirPath []ids.FileID) (vnode.Vnode, error) {
 	c := l.root
 	for _, fid := range dirPath {
-		next, err := lookupFollow(l.root, c, prefixDir+fid.String())
+		next, err := c.Lookup(prefixDir + fid.String())
 		if err != nil {
 			if vnode.AsErrno(err) == vnode.ENOENT {
 				return nil, ErrNotStored
@@ -274,26 +274,4 @@ func (l *Layer) containerOf(dirPath []ids.FileID) (vnode.Vnode, error) {
 		c = next
 	}
 	return c, nil
-}
-
-// lookupFollow resolves name in dir, following one level of UFS symlink
-// aliasing (used for extra names of directories and cross-directory hard
-// links; targets are slash paths from the store root).
-func lookupFollow(storeRoot, dir vnode.Vnode, name string) (vnode.Vnode, error) {
-	v, err := dir.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	a, err := v.Getattr()
-	if err != nil {
-		return nil, err
-	}
-	if a.Type != vnode.VLnk {
-		return v, nil
-	}
-	target, err := v.Readlink()
-	if err != nil {
-		return nil, err
-	}
-	return vnode.Walk(storeRoot, target)
 }

@@ -178,11 +178,11 @@ func (l *Layer) AddToBase(base DeltaBase, dirPath []ids.FileID, fid ids.FileID) 
 	if err != nil {
 		return
 	}
-	aux, err := readAuxFileFollow(l.root, cont, prefixAux+fid.String())
+	aux, err := readAuxFile(cont, prefixAux+fid.String())
 	if err != nil {
 		return
 	}
-	sc, err := readSidecar(l.root, cont, fid)
+	sc, err := readSidecar(cont, fid)
 	if err != nil || !sc.Sealed.Equal(aux.VV) {
 		return
 	}

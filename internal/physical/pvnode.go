@@ -145,7 +145,7 @@ func (v *pvnode) lookupLocked(name string) (vnode.Vnode, error) {
 func (v *pvnode) childVnodeLocked(cont vnode.Vnode, e Entry) (vnode.Vnode, error) {
 	child := &pvnode{l: v.l, fid: e.Child, kind: e.Kind, dirPath: v.selfPath()}
 	if e.Kind.IsDir() {
-		if _, err := lookupFollow(v.l.root, cont, prefixDir+e.Child.String()); err != nil {
+		if _, err := cont.Lookup(prefixDir + e.Child.String()); err != nil {
 			if vnode.AsErrno(err) == vnode.ENOENT {
 				return nil, vnode.ENOSTOR
 			}
@@ -153,7 +153,7 @@ func (v *pvnode) childVnodeLocked(cont vnode.Vnode, e Entry) (vnode.Vnode, error
 		}
 		return child, nil
 	}
-	if _, err := lookupFollow(v.l.root, cont, prefixAux+e.Child.String()); err != nil {
+	if _, err := cont.Lookup(prefixAux + e.Child.String()); err != nil {
 		if vnode.AsErrno(err) == vnode.ENOENT {
 			return nil, vnode.ENOSTOR
 		}
@@ -398,7 +398,7 @@ func (v *pvnode) dataFile() (vnode.Vnode, error) {
 	if err != nil {
 		return nil, mapStoreErr(err)
 	}
-	df, err := lookupFollow(v.l.root, cont, prefixData+v.fid.String())
+	df, err := cont.Lookup(prefixData + v.fid.String())
 	if err != nil {
 		if vnode.AsErrno(err) == vnode.ENOENT {
 			return nil, vnode.ENOSTOR
@@ -450,7 +450,7 @@ func (v *pvnode) bumpFileLocked(df vnode.Vnode) error {
 		return mapStoreErr(err)
 	}
 	auxName := prefixAux + v.fid.String()
-	af, err := lookupFollow(v.l.root, cont, auxName)
+	af, err := cont.Lookup(auxName)
 	if err != nil {
 		return err
 	}
@@ -557,14 +557,14 @@ func (v *pvnode) getattrLocked() (vnode.Attr, error) {
 	if err != nil {
 		return vnode.Attr{}, mapStoreErr(err)
 	}
-	aux, err := readAuxFileFollow(v.l.root, cont, prefixAux+v.fid.String())
+	aux, err := readAuxFile(cont, prefixAux+v.fid.String())
 	if err != nil {
 		if vnode.AsErrno(err) == vnode.ENOENT {
 			return vnode.Attr{}, vnode.ENOSTOR
 		}
 		return vnode.Attr{}, err
 	}
-	df, err := lookupFollow(v.l.root, cont, prefixData+v.fid.String())
+	df, err := cont.Lookup(prefixData + v.fid.String())
 	if err != nil {
 		return vnode.Attr{}, err
 	}
@@ -585,21 +585,6 @@ func (v *pvnode) getattrLocked() (vnode.Attr, error) {
 		Ctime:  da.Ctime,
 		FileID: v.fid.String(),
 	}, nil
-}
-
-func readAuxFileFollow(storeRoot, dir vnode.Vnode, name string) (Aux, error) {
-	f, err := lookupFollow(storeRoot, dir, name)
-	if err != nil {
-		return Aux{}, err
-	}
-	data, err := vnode.ReadFile(f)
-	if err != nil {
-		return Aux{}, err
-	}
-	if len(data) == 0 {
-		return Aux{}, ErrNotStored
-	}
-	return decodeAux(data)
 }
 
 func (v *pvnode) Setattr(sa vnode.SetAttr) error {
@@ -670,13 +655,13 @@ func (v *pvnode) derefStorageLocked(cont vnode.Vnode, entries []Entry, child ids
 	if countLiveRefs(entries, child) > 0 {
 		// Still named: just decrement the aux link count.
 		auxName := prefixAux + child.String()
-		aux, err := readAuxFileFollow(v.l.root, cont, auxName)
+		aux, err := readAuxFile(cont, auxName)
 		if err != nil {
 			return nil // not stored here; nothing to do
 		}
 		if aux.Nlink > 1 {
 			aux.Nlink--
-			af, err := lookupFollow(v.l.root, cont, auxName)
+			af, err := cont.Lookup(auxName)
 			if err != nil {
 				return err
 			}
@@ -714,7 +699,7 @@ func (v *pvnode) Rmdir(name string) error {
 	}
 	// The child must be empty (no live entries) if we store it; an unstored
 	// child is deletable blindly — optimism, reconciliation cleans up.
-	if sub, err := lookupFollow(v.l.root, cont, prefixDir+e.Child.String()); err == nil {
+	if sub, err := cont.Lookup(prefixDir + e.Child.String()); err == nil {
 		subEntries, err := v.l.readDirFileLocked(sub)
 		if err != nil {
 			return err
@@ -767,12 +752,12 @@ func (v *pvnode) Link(name string, target vnode.Vnode) error {
 		return err
 	}
 	auxName := prefixAux + t.fid.String()
-	aux, err := readAuxFileFollow(v.l.root, cont, auxName)
+	aux, err := readAuxFile(cont, auxName)
 	if err != nil {
 		return err
 	}
 	aux.Nlink++
-	af, err := lookupFollow(v.l.root, cont, auxName)
+	af, err := cont.Lookup(auxName)
 	if err != nil {
 		return err
 	}

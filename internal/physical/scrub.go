@@ -66,7 +66,7 @@ func (l *Layer) scrubContainerLocked(cont vnode.Vnode, dirPath []ids.FileID, rep
 	}
 	for _, e := range liveSorted(entries) {
 		if e.Kind.IsDir() {
-			sub, err := lookupFollow(l.root, cont, prefixDir+e.Child.String())
+			sub, err := cont.Lookup(prefixDir + e.Child.String())
 			if err != nil {
 				continue // not stored here (§4.1)
 			}
@@ -83,11 +83,11 @@ func (l *Layer) scrubContainerLocked(cont vnode.Vnode, dirPath []ids.FileID, rep
 
 // scrubFileLocked verifies or reseals one stored file replica.
 func (l *Layer) scrubFileLocked(cont vnode.Vnode, dirPath []ids.FileID, fid ids.FileID, rep *ScrubReport) {
-	aux, err := readAuxFileFollow(l.root, cont, prefixAux+fid.String())
+	aux, err := readAuxFile(cont, prefixAux+fid.String())
 	if err != nil {
 		return // not stored here, or mid-materialization; nothing to vouch for
 	}
-	df, err := lookupFollow(l.root, cont, prefixData+fid.String())
+	df, err := cont.Lookup(prefixData + fid.String())
 	if err != nil {
 		return
 	}
@@ -95,7 +95,7 @@ func (l *Layer) scrubFileLocked(cont vnode.Vnode, dirPath []ids.FileID, fid ids.
 	if err != nil {
 		return // an I/O error is the fault plane's business; retried next pass
 	}
-	sc, err := readSidecar(l.root, cont, fid)
+	sc, err := readSidecar(cont, fid)
 	if err != nil || !sc.Sealed.Equal(aux.VV) {
 		// Unverifiable — but never reseal a quarantined replica: that would
 		// launder bytes already known bad under a fresh seal.
@@ -148,7 +148,7 @@ func (l *Layer) CorruptData(dirPath []ids.FileID, fid ids.FileID, off uint64) er
 	if err != nil {
 		return err
 	}
-	df, err := lookupFollow(l.root, cont, prefixData+fid.String())
+	df, err := cont.Lookup(prefixData + fid.String())
 	if err != nil {
 		if vnode.AsErrno(err) == vnode.ENOENT {
 			return ErrNotStored

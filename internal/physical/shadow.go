@@ -137,7 +137,7 @@ func (l *Layer) Recover() error {
 			if !ok {
 				continue // Check reports unparsable names; leave for inspection
 			}
-			if _, err := readSidecar(l.root, c, fid); err != nil {
+			if _, err := readSidecar(c, fid); err != nil {
 				if err := c.Remove(name); err != nil {
 					return err
 				}

@@ -200,8 +200,8 @@ func decodeSidecar(p []byte) (sidecar, error) {
 // readSidecar loads fid's sidecar from container cont.  Any error — absent,
 // torn, undecodable — means "unverifiable", never "corrupt": the caller
 // skips verification (and the scrubber reseals).
-func readSidecar(storeRoot, cont vnode.Vnode, fid ids.FileID) (sidecar, error) {
-	f, err := lookupFollow(storeRoot, cont, prefixSidecar+fid.String())
+func readSidecar(cont vnode.Vnode, fid ids.FileID) (sidecar, error) {
+	f, err := cont.Lookup(prefixSidecar + fid.String())
 	if err != nil {
 		return sidecar{}, err
 	}
