@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"repro/internal/vnode"
 )
 
 func newTestCluster(t *testing.T, n int, opts ...Option) *Cluster {
@@ -381,5 +383,72 @@ func TestStatRoot(t *testing.T) {
 	st, err := m.Stat("/")
 	if err != nil || !st.IsDir || st.Name != "/" {
 		t.Fatalf("%+v %v", st, err)
+	}
+}
+
+// TestHugeTruncateIsRefused: a truncate to a size no UFS inode can map used
+// to be accepted by the substrate, and the physical layer's reseal then sized
+// a buffer from it and took the process down — and the size arrives unchecked
+// in an NFS request, so a client could stop the serving host.  It must be an
+// error that leaves the file as it was, through a co-resident replica and
+// through one reached over NFS, and the host must keep serving.
+func TestHugeTruncateIsRefused(t *testing.T) {
+	c := newTestCluster(t, 2)
+	side, err := c.NewVolume(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := c.Mount(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := c.MountVolume(0, side) // host 0 stores no replica of side
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		m    *Mount
+	}{{"co-resident", local}, {"over NFS", remote}} {
+		m := tc.m
+		if err := m.WriteFile("/f", []byte("contents")); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		v, err := vnode.Walk(m.Root(), "/f")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		before, err := v.Getattr() // Mtime is the version vector's total
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		f, err := m.Open("/f", ReadWrite)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, size := range []uint64{1 << 62, 1 << 40} {
+			size := size
+			if err := f.Truncate(size); err == nil {
+				t.Errorf("%s: Truncate(%d) succeeded", tc.name, size)
+			}
+			if err := v.Setattr(vnode.SetAttr{Size: &size}); err == nil {
+				t.Errorf("%s: Setattr(size=%d) succeeded", tc.name, size)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if after, err := v.Getattr(); err != nil || after != before {
+			t.Errorf("%s: attributes moved: %+v -> %+v, %v", tc.name, before, after, err)
+		}
+		if data, err := m.ReadFile("/f"); err != nil || string(data) != "contents" {
+			t.Errorf("%s: contents after the refused truncates: %q, %v", tc.name, data, err)
+		}
+		if err := m.WriteFile("/g", []byte("still serving")); err != nil {
+			t.Errorf("%s: host stopped serving: %v", tc.name, err)
+		}
+	}
+	if problems, err := c.Fsck(); err != nil || len(problems) != 0 {
+		t.Fatalf("Fsck: %v, %v", problems, err)
 	}
 }

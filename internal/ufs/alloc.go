@@ -40,10 +40,11 @@ func (m bitmap) set(i uint32, on bool) error {
 	if err != nil {
 		return err
 	}
+	off, mask := i%bitsPerBlock/8, byte(1)<<(i%8)
 	if on {
-		blk[i%bitsPerBlock/8] |= 1 << (i % 8)
+		blk[off] |= mask
 	} else {
-		blk[i%bitsPerBlock/8] &^= 1 << (i % 8)
+		blk[off] &^= mask
 	}
 	return m.bc.write(bn, blk)
 }
@@ -61,12 +62,11 @@ func (m bitmap) scan(from, to uint32, fn func(base uint32, b []byte) bool) error
 		if room := bitsPerBlock - from%bitsPerBlock; end-from > room {
 			end = from + room
 		}
-		blk, err := m.bc.read(m.start + from/bitsPerBlock)
+		_, blk, err := m.block(from)
 		if err != nil {
 			return err
 		}
-		lo := from % bitsPerBlock / 8
-		b := blk[lo : (end-1)%bitsPerBlock/8+1]
+		b := blk[from%bitsPerBlock/8 : (end-1)%bitsPerBlock/8+1]
 		b[0] |= 1<<(from%8) - 1
 		if end%8 != 0 {
 			b[len(b)-1] |= 0xff << (end % 8)

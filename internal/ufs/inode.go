@@ -192,8 +192,13 @@ func (fs *FS) indirectSlot(ibn, idx uint32, alloc bool) (uint32, error) {
 }
 
 // itruncateLocked shrinks or grows (sparsely) the file to size bytes,
-// freeing blocks past the new end.
+// freeing blocks past the new end.  A size no inode can map is refused, as
+// blockmapLocked refuses a write there: the size reaches here unchecked from
+// the NFS wire, and whoever reads the file back sizes a buffer from it.
 func (fs *FS) itruncateLocked(ino Ino, size uint64) error {
+	if size > MaxFileBlocks*BlockSize {
+		return ErrFileTooBig
+	}
 	din, err := fs.ic.get(ino)
 	if err != nil {
 		return err
