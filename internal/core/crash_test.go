@@ -55,7 +55,11 @@ func runCrashSweepCase(t *testing.T, crashAfter int) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay1, err := h1.Mount(c.vol, logical.MostRecent)
+	// FirstAvailable puts the victim's own replica first, so its creates and
+	// renames land on the disk that is about to fail (under MostRecent they
+	// chase host 0's newer root and the victim's disk sees little but journal
+	// appends).
+	lay1, err := h1.Mount(c.vol, logical.FirstAvailable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +176,7 @@ func TestCrashAtEveryWrite(t *testing.T) {
 	if crashAfter > maxSweep {
 		t.Fatalf("sweep did not terminate within %d offsets", maxSweep)
 	}
-	if crashAfter < 10 {
+	if crashAfter < 400 {
 		t.Fatalf("workload performed only %d victim-disk writes; sweep is vacuous", crashAfter)
 	}
 	t.Logf("swept %d crash offsets", crashAfter)
