@@ -46,13 +46,16 @@ func (r OpenIOResult) WarmDelta() int64 {
 	return int64(r.FicusWarmReads) - int64(r.UFSWarmReads)
 }
 
-// spacerInodes allocates throwaway files until the next inode to be
-// allocated starts a fresh inode-table block, so that the interesting inode
-// groups neither share a block with earlier activity (which would let one
-// fetch warm another and distort the count) nor straddle a block boundary
-// (which would add a read).  UFS allocates inodes first-free from a linear
-// bitmap scan and this experiment never frees one, so the next inode number
-// is exactly the used-inode count.
+// spacerInodes creates throwaway files in root until the used-inode count is
+// a multiple of the inodes in one inode-table block, so that the interesting
+// inode groups neither share a block with earlier activity (which would let
+// one fetch warm another and distort the count) nor straddle a block boundary
+// (which would add a read).  UFS allocates the lowest free inode.  On the
+// plain-UFS side nothing is ever freed and the next inode is exactly the used
+// count.  On the Ficus side every shadow commit frees the inode it replaces
+// (a sidecar's, a directory contents file's), so a few holes trail the
+// high-water mark; the spacers refill them first, and the group created next
+// starts within a few inodes of the block boundary — inside the fresh block.
 func spacerInodes(fs *ufs.FS, root vnode.Vnode, tag string) error {
 	st, err := fs.Statfs()
 	if err != nil {
@@ -194,6 +197,17 @@ func ficusOpenIOs(cachesOn bool) (cold, warm uint64, err error) {
 		return 0, 0, err
 	}
 	if err := vnode.WriteFile(f, []byte("payload")); err != nil {
+		return 0, 0, err
+	}
+	// Every commit of the root directory gives its contents file a fresh
+	// inode — the lowest free one — so the last spacer above left it beside
+	// the target's inodes, and the sibling open below, which reads the root,
+	// would warm the target's inode-table block.  Pad to the next block and
+	// commit the root once more so its contents file moves there.
+	if err := spacerInodes(fs, root, "c"); err != nil {
+		return 0, 0, err
+	}
+	if _, err := root.Create("last", true); err != nil {
 		return 0, 0, err
 	}
 

@@ -148,23 +148,22 @@ var sweepGraftVol = ids.VolumeHandle{Allocator: 7, Volume: 9}
 // EnsureDirStored.
 var sweepGhost = ids.FileID{Issuer: 5, Seq: 77}
 
-// newSweepFixture builds the acknowledged state every case starts from —
+// sweepBase is the device image every case starts from, built once:
 //
 //	/f0 … /f4   five 5 000-byte files      /twin    a second name of /f1
 //	/sub/g      a file in a subdirectory   /sub/d/h a file two levels down
 //	/empty      an empty directory         /ghost   a directory not stored here
-//
-// — and returns it re-opened (a fresh Layer over the same store, so the
-// first id an op allocates also commits the sequencer's high-water mark).
-func newSweepFixture(t *testing.T) (*disk.Device, *Layer) {
+var sweepBase *disk.Device
+
+func buildSweepBase(t *testing.T) *disk.Device {
 	t.Helper()
-	dev := disk.New(2048)
-	fs, err := ufs.Mkfs(dev, 256, nil)
+	// A small device: mounting and checking cost a pass over both bitmaps.
+	dev := disk.New(512)
+	fs, err := ufs.Mkfs(dev, 128, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := ufsvn.New(fs)
-	l, err := Format(store, testVol, 1)
+	l, err := Format(ufsvn.New(fs), testVol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +198,26 @@ func newSweepFixture(t *testing.T) (*disk.Device, *Layer) {
 	_, err = root.Mkdir("empty")
 	must(err)
 	must(l.AppendEntry(RootPath(), Entry{Name: "ghost", Child: sweepGhost, Kind: KDir}))
-	l, err = Open(store)
-	must(err)
+	return dev
+}
+
+// newSweepFixture mounts a private copy of the acknowledged state.  (The
+// Layer is fresh, so the first id an op allocates also commits the
+// sequencer's next high-water mark.)
+func newSweepFixture(t *testing.T) (*disk.Device, *Layer) {
+	t.Helper()
+	if sweepBase == nil {
+		sweepBase = buildSweepBase(t)
+	}
+	dev := sweepBase.Snapshot()
+	fs, err := ufs.Mount(dev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(ufsvn.New(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return dev, l
 }
 
@@ -247,6 +264,16 @@ func sweepOps() []sweepOp {
 			return []sweepTree{before, after, before.with(newPath, after[newPath])}
 		}
 	}
+	// For a directory both names may be live, with the container — and so
+	// everything beneath — under exactly one of them.
+	eitherHolds := func(oldPath, newPath string) func(before, after sweepTree) []sweepTree {
+		return func(before, after sweepTree) []sweepTree {
+			ghost := func(n sweepNode) sweepNode { n.unstored = true; return n }
+			return []sweepTree{before, after,
+				before.with(newPath, ghost(after[newPath])),
+				after.with(oldPath, ghost(before[oldPath]))}
+		}
+	}
 	mode := uint16(0o600)
 	return []sweepOp{
 		{name: "Create", run: func(_ *Layer, root vnode.Vnode) error {
@@ -278,15 +305,10 @@ func sweepOps() []sweepOp {
 		{name: "RenameOverExisting", run: rename("/", "f3", "/", "f4")},
 		{name: "RenameCrossDirFile", run: rename("/", "f3", "/sub", "f3m"), allowed: bothNames("/sub/f3m")},
 		{name: "RenameCrossDirSecondName", run: rename("/", "twin", "/sub", "twinm"), allowed: bothNames("/sub/twinm")},
-		{name: "RenameCrossDirDirectory", run: rename("/sub", "d", "/", "d2"),
-			// Both names may be live, with the container — and so everything
-			// beneath — under exactly one of them.
-			allowed: func(before, after sweepTree) []sweepTree {
-				ghost := func(n sweepNode) sweepNode { n.unstored = true; return n }
-				return []sweepTree{before, after,
-					before.with("/d2", ghost(after["/d2"])),
-					after.with("/sub/d", ghost(before["/sub/d"]))}
-			}},
+		// Recover meets the destination first in one direction, the source
+		// first in the other.
+		{name: "RenameCrossDirDirectoryUp", run: rename("/sub", "d", "/", "d2"), allowed: eitherHolds("/sub/d", "/d2")},
+		{name: "RenameCrossDirDirectoryDown", run: rename("/", "empty", "/sub", "e2"), allowed: eitherHolds("/empty", "/sub/e2")},
 		{name: "AppendEntry", run: func(l *Layer, _ vnode.Vnode) error {
 			return l.AppendEntry(RootPath(), Entry{Name: "r00000002", Child: ids.FileID{Issuer: 9, Seq: 9}, Kind: KFile, Value: "host-b"})
 		}},

@@ -3,10 +3,12 @@ package physical
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ids"
 	"repro/internal/vnode"
+	"repro/internal/vv"
 )
 
 // Entry is one Ficus directory entry.  Beyond the Unix <name, file> pair it
@@ -117,13 +119,47 @@ func (l *Layer) readDirFileLocked(cont vnode.Vnode) ([]Entry, error) {
 	return decodeEntries(data)
 }
 
-// writeDirFileLocked replaces the directory contents file.
-func (l *Layer) writeDirFileLocked(cont vnode.Vnode, entries []Entry) error {
-	f, err := cont.Create(dirFileName, false)
+// commitDirLocked is how a directory changes: the complete new entry list
+// atomically replaces the contents file — the operation's commit point — and
+// then advance, unless nil, moves the directory's version vector in attr
+// (bumpVV for a local mutation, a merge for reconciliation).  A crash between
+// the two leaves the new entries under the old vector, which costs the next
+// reconciliation a look at a directory it would otherwise have skipped.
+func (l *Layer) commitDirLocked(cont vnode.Vnode, entries []Entry, advance func(vv.Vector) vv.Vector) error {
+	if err := atomicReplace(cont, dirFileName, encodeEntries(entries)); err != nil {
+		return err
+	}
+	if advance == nil {
+		return nil
+	}
+	aux, err := readAuxFile(cont, dirAttrName)
 	if err != nil {
 		return err
 	}
-	return vnode.WriteFile(f, encodeEntries(entries))
+	aux.VV = advance(aux.VV)
+	return writeAuxFile(cont, dirAttrName, &aux)
+}
+
+// bumpVV advances v by one update this replica originated (§3.1).
+func (l *Layer) bumpVV(v vv.Vector) vv.Vector {
+	if v == nil {
+		v = vv.New()
+	}
+	return v.Bump(l.replica)
+}
+
+// newContainerLocked creates directory fid's container under parent: the UFS
+// directory, an empty contents file, then aux as its attributes — last, so a
+// container without attr never finished materialising and Recover removes it.
+func (l *Layer) newContainerLocked(parent vnode.Vnode, fid ids.FileID, aux *Aux) error {
+	sub, err := parent.Mkdir(prefixDir + fid.String())
+	if err != nil {
+		return err
+	}
+	if err := l.commitDirLocked(sub, nil, nil); err != nil {
+		return err
+	}
+	return writeAuxFile(sub, dirAttrName, aux)
 }
 
 // eidLess orders entries by entry id, which is the deterministic order used
@@ -160,14 +196,12 @@ func RenderedName(entries []Entry, e Entry) string {
 	return fmt.Sprintf("%s#%d.%d", e.Name, e.EID.Issuer, e.EID.Seq)
 }
 
-// findByRenderedName locates the live entry whose rendered name matches.
-func findByRenderedName(entries []Entry, name string) (Entry, bool) {
-	for _, e := range entries {
-		if e.Live() && RenderedName(entries, e) == name {
-			return e, true
-		}
-	}
-	return Entry{}, false
+// findByRenderedName returns the index of the live entry whose rendered name
+// matches, or -1.
+func findByRenderedName(entries []Entry, name string) int {
+	return slices.IndexFunc(entries, func(e Entry) bool {
+		return e.Live() && RenderedName(entries, e) == name
+	})
 }
 
 // liveSorted returns live entries sorted by entry id (stable listing order).

@@ -175,15 +175,7 @@ func (l *Layer) EnsureDirStored(dirPath []ids.FileID, fid ids.FileID, aux Aux) e
 	} else if vnode.AsErrno(err) != vnode.ENOENT {
 		return err
 	}
-	sub, err := cont.Mkdir(name)
-	if err != nil {
-		return err
-	}
-	if err := l.writeDirFileLocked(sub, nil); err != nil {
-		return err
-	}
-	a := Aux{Type: aux.Type, Nlink: 1, VV: vv.New(), GraftVol: aux.GraftVol}
-	return writeAuxFile(sub, dirAttrName, &a)
+	return l.newContainerLocked(cont, fid, &Aux{Type: aux.Type, Nlink: 1, VV: vv.New(), GraftVol: aux.GraftVol})
 }
 
 // MergeResult reports what ApplyDirMerge changed.
@@ -227,101 +219,102 @@ func (l *Layer) ApplyDirMerge(dirPath []ids.FileID, remote DirState) (MergeResul
 		byEID[e.EID] = i
 	}
 	merged := append([]Entry(nil), local...)
-	tombstoned := make(map[ids.FileID]bool) // children losing a name
-	touched := make(map[ids.FileID]bool)    // children whose name count changed
+	touched := make(map[ids.FileID]bool) // children whose live-name count may have changed
 	for _, re := range remote.Entries {
 		if i, ok := byEID[re.EID]; ok {
 			if re.Deleted && merged[i].Live() {
 				merged[i].Deleted = true
 				res.Deleted++
-				tombstoned[merged[i].Child] = true
 				touched[merged[i].Child] = true
 			}
 			continue
 		}
 		merged = append(merged, re)
 		byEID[re.EID] = len(merged) - 1
+		// Also for an entry adopted already dead: local storage for its
+		// child may exist (the propagation daemon can install file data
+		// before the directory entry arrives) and must be reclaimed.
 		touched[re.Child] = true
 		if re.Live() {
 			res.Inserted++
-		} else {
-			// An entry adopted already dead: local storage for its child
-			// may exist (the propagation daemon can install file data
-			// before the directory entry arrives) and must be reclaimed.
-			tombstoned[re.Child] = true
 		}
 	}
 	// Deterministic on-disk order so converged replicas are byte-identical.
 	sort.Slice(merged, func(i, j int) bool { return eidLess(merged[i].EID, merged[j].EID) })
-	if err := l.writeDirFileLocked(cont, merged); err != nil {
+	// The merged state covers both histories: vv := merge(local, remote).
+	covers := func(v vv.Vector) vv.Vector { return vv.Merge(v, remote.VV) }
+	if err := l.commitDirLocked(cont, merged, covers); err != nil {
 		return res, err
 	}
-	// Reclaim storage of children that no live entry names any more, as a
-	// local Remove of the last name would.  (Both passes below visit the
-	// children in merged's order, not map order: the order of the store
-	// operations decides what the UFS caches hold, and so every counter that
-	// depends on them, and must be the same from run to run.)
+	// Settle each touched file as a local Remove or Link would: storage no
+	// live entry names any more is reclaimed, and a link count follows the
+	// number of live names (two partitioned renames of one file both survive,
+	// leaving it with two, §2.5 fn3).  The walk is in merged's order, not map
+	// order: the order of the store operations decides what the UFS caches
+	// hold, and so every counter that depends on them, and must be the same
+	// from run to run.
 	for _, e := range merged {
-		if !tombstoned[e.Child] {
+		if !touched[e.Child] || e.Kind.IsDir() {
 			continue
 		}
-		delete(tombstoned, e.Child)
-		if err := l.derefAfterMergeLocked(cont, merged, e.Child); err != nil {
+		delete(touched, e.Child)
+		if err := l.settleChildLocked(cont, merged, e.Child); err != nil {
 			return res, err
 		}
-	}
-	// The merge can change how many live names a child bears (e.g. two
-	// partitioned renames of one file both survive, leaving it with two
-	// names, §2.5 fn3); bring each touched child's stored link count in
-	// line with its live name count.
-	for _, e := range merged {
-		child := e.Child
-		if !touched[child] {
-			continue
-		}
-		delete(touched, child)
-		refs := countLiveRefs(merged, child)
-		if refs == 0 {
-			continue
-		}
-		auxName := prefixAux + child.String()
-		af, err := cont.Lookup(auxName)
-		if err != nil {
-			continue // not stored here
-		}
-		data, err := vnode.ReadFile(af)
-		if err != nil || len(data) == 0 {
-			continue
-		}
-		aux, err := decodeAux(data)
-		if err != nil {
-			continue
-		}
-		if int(aux.Nlink) != refs {
-			aux.Nlink = uint32(refs)
-			if err := writeAuxVnode(af, &aux); err != nil {
-				return res, err
-			}
-		}
-	}
-	// The merged state covers both histories: vv := merge(local, remote).
-	aux, err := readAuxFile(cont, dirAttrName)
-	if err != nil {
-		return res, err
-	}
-	aux.VV = vv.Merge(aux.VV, remote.VV)
-	if err := writeAuxFile(cont, dirAttrName, &aux); err != nil {
-		return res, err
 	}
 	res.NameConfls = countNameConflicts(merged)
 	return res, nil
 }
 
-func (l *Layer) derefAfterMergeLocked(cont vnode.Vnode, entries []Entry, child ids.FileID) error {
-	if countLiveRefs(entries, child) > 0 {
-		return nil
+// settleChildLocked is the one storage rule, applied after every commit of
+// entries that may have changed how many live names file child bears in the
+// directory whose container is cont, and by Recover to every stored file: no
+// live name, no storage; n live names, a stored link count of n.  (A file this
+// replica does not store has nothing to settle.)
+func (l *Layer) settleChildLocked(cont vnode.Vnode, entries []Entry, child ids.FileID) error {
+	n := countLiveRefs(entries, child)
+	if n == 0 {
+		return l.removeStorageLocked(cont, child)
 	}
-	return l.removeStorageLocked(cont, child)
+	auxName := prefixAux + child.String()
+	aux, err := readAuxFile(cont, auxName)
+	if err != nil || int(aux.Nlink) == n {
+		return nil // not stored here (or not readable: Check's to report), or already right
+	}
+	aux.Nlink = uint32(n)
+	return writeAuxFile(cont, auxName, &aux)
+}
+
+// unshareLocked gives cont its own copy of file fid's members while they are
+// hard links shared with another container — the transient state of a
+// cross-directory rename, which must not outlive it: two directories sharing
+// one aux would share one link count, and an install into either would move
+// the other's vector without its bytes.  The aux goes last, so a shared aux
+// marks an unshare still to do.
+func (l *Layer) unshareLocked(cont vnode.Vnode, fid ids.FileID) error {
+	af, err := cont.Lookup(prefixAux + fid.String())
+	if err != nil {
+		return nil // not stored here
+	}
+	if a, err := af.Getattr(); err != nil || a.Nlink < 2 {
+		return err
+	}
+	for _, p := range []string{prefixData, prefixSidecar, prefixAux} {
+		f, err := cont.Lookup(p + fid.String())
+		if vnode.AsErrno(err) == vnode.ENOENT {
+			continue
+		} else if err != nil {
+			return err
+		}
+		data, err := vnode.ReadFile(f)
+		if err != nil {
+			return err
+		}
+		if err := atomicReplace(cont, p+fid.String(), data); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // removeStorageLocked reclaims every container member of file fid — data,
@@ -421,49 +414,34 @@ func (l *Layer) DropTombstones(dirPath []ids.FileID, eids []ids.FileID) (int, er
 		drop[e] = true
 	}
 	kept := entries[:0]
-	removed := 0
-	var dirs, files []ids.FileID
+	var dropped []Entry
 	for _, e := range entries {
 		if e.Deleted && drop[e.EID] {
-			removed++
-			if e.Kind.IsDir() {
-				dirs = append(dirs, e.Child)
-			} else {
-				files = append(files, e.Child)
-			}
+			dropped = append(dropped, e)
 			continue
 		}
 		kept = append(kept, e)
 	}
-	if removed == 0 {
+	if len(dropped) == 0 {
 		return 0, nil
 	}
-	if err := l.writeDirFileLocked(cont, kept); err != nil {
-		return removed, err
+	if err := l.commitDirLocked(cont, kept, nil); err != nil {
+		return len(dropped), err
 	}
-	// Reclaim any leftover file storage no surviving entry names.
-	for _, child := range files {
-		if countAnyRefs(kept, child) > 0 {
-			continue
-		}
-		if err := l.removeStorageLocked(cont, child); err != nil {
-			return removed, err
-		}
-	}
-	// Reclaim containers of collected directory entries, if stored here and
-	// no surviving entry still names the child.
-	for _, child := range dirs {
-		if countAnyRefs(kept, child) > 0 {
-			continue
-		}
-		name := prefixDir + child.String()
-		if _, err := cont.Lookup(name); err == nil {
-			if err := removeTree(cont, name); err != nil {
-				return removed, err
+	// Reclaim what the collected tombstones were the last to name: a file's
+	// leftover storage, and the container of a directory stored here.
+	for _, e := range dropped {
+		if !e.Kind.IsDir() {
+			if err := l.settleChildLocked(cont, kept, e.Child); err != nil {
+				return len(dropped), err
+			}
+		} else if countAnyRefs(kept, e.Child) == 0 {
+			if err := removeTree(cont, prefixDir+e.Child.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
+				return len(dropped), err
 			}
 		}
 	}
-	return removed, nil
+	return len(dropped), nil
 }
 
 // countAnyRefs counts entries (live or tombstoned) naming child.
@@ -523,16 +501,7 @@ func (l *Layer) AppendEntry(dirPath []ids.FileID, e Entry) error {
 		}
 		e.EID = eid
 	}
-	entries = append(entries, e)
-	if err := l.writeDirFileLocked(cont, entries); err != nil {
-		return err
-	}
-	aux, err := readAuxFile(cont, dirAttrName)
-	if err != nil {
-		return err
-	}
-	aux.VV.Bump(l.replica)
-	return writeAuxFile(cont, dirAttrName, &aux)
+	return l.commitDirLocked(cont, append(entries, e), l.bumpVV)
 }
 
 // NextID allocates a fresh unique id from this replica's sequencer (for

@@ -53,6 +53,12 @@ const (
 	suffixShadow  = ".shadow"
 )
 
+// idBatch is how many ids one commit of meta reserves: meta records a
+// high-water mark this far ahead of the sequencer and is rewritten only when
+// the sequencer reaches it, so a crash skips at most idBatch ids and never
+// reissues one.
+const idBatch = 64
+
 // Errors specific to the physical layer.
 var (
 	// ErrNotStored reports a directory entry whose file this volume replica
@@ -72,6 +78,7 @@ type Layer struct {
 	vol     ids.VolumeHandle
 	replica ids.ReplicaID
 	seq     *ids.Sequencer
+	idHigh  uint64 // sequence numbers up to here are reserved in meta
 
 	nvc        map[nvcKey]NewVersion
 	conflicts  []Conflict
@@ -143,32 +150,25 @@ func Format(store vnode.VFS, vol ids.VolumeHandle, replica ids.ReplicaID) (*Laye
 		opens:   make(map[ids.FileID]int),
 		quar:    make(map[ids.FileID]QuarEntry),
 	}
-	if err := l.writeMetaLocked(); err != nil {
+	if err := l.writeMetaLocked(l.seq.Last()); err != nil {
 		return nil, err
 	}
 	if err := l.initJournalLocked(); err != nil {
 		return nil, err
 	}
-	// Root container with empty directory and fresh attributes.
-	cont, err := root.Mkdir(prefixDir + ids.RootFileID.String())
-	if err != nil {
-		return nil, err
-	}
-	if err := l.writeDirFileLocked(cont, nil); err != nil {
-		return nil, err
-	}
 	// The fresh root has performed no updates: an empty version vector.
 	// (A creation bump here would make a newly added replica's root look
 	// more recent than its seed after the histories merge.)
-	rootAux := Aux{Type: KDir, Nlink: 1, VV: vv.New()}
-	if err := writeAuxFile(cont, dirAttrName, &rootAux); err != nil {
+	if err := l.newContainerLocked(root, ids.RootFileID, &Aux{Type: KDir, Nlink: 1, VV: vv.New()}); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
 // Open mounts an existing volume replica, running crash recovery (Recover)
-// and replaying the durable new-version cache journal before returning.
+// — first, so that a crash inside a commit of meta is settled before meta is
+// read — and replaying the durable new-version cache journal before
+// returning.
 func Open(store vnode.VFS) (*Layer, error) {
 	root, err := store.Root()
 	if err != nil {
@@ -181,10 +181,10 @@ func Open(store vnode.VFS) (*Layer, error) {
 		opens: make(map[ids.FileID]int),
 		quar:  make(map[ids.FileID]QuarEntry),
 	}
-	if err := l.readMetaLocked(); err != nil {
+	if err := l.Recover(); err != nil {
 		return nil, err
 	}
-	if err := l.Recover(); err != nil {
+	if err := l.readMetaLocked(); err != nil {
 		return nil, err
 	}
 	if err := l.openJournalLocked(); err != nil {
@@ -207,14 +207,15 @@ func (l *Layer) VolumeReplica() ids.VolumeReplicaHandle {
 // Store exposes the backing vnode file system (for experiments).
 func (l *Layer) Store() vnode.VFS { return l.store }
 
-// metadata file: "<vol>\n<replica-hex>\n<last-seq-hex>\n"
-func (l *Layer) writeMetaLocked() error {
-	data := fmt.Sprintf("%s\n%08x\n%016x\n", l.vol, uint32(l.replica), l.seq.Last())
-	f, err := l.root.Create(metaFileName, false)
-	if err != nil {
+// writeMetaLocked commits the metadata file,
+// "<vol>\n<replica-hex>\n<id-high-water-hex>\n", reserving ids up to high.
+func (l *Layer) writeMetaLocked(high uint64) error {
+	data := fmt.Sprintf("%s\n%08x\n%016x\n", l.vol, uint32(l.replica), high)
+	if err := atomicReplace(l.root, metaFileName, []byte(data)); err != nil {
 		return err
 	}
-	return vnode.WriteFile(f, []byte(data))
+	l.idHigh = high
+	return nil
 }
 
 func (l *Layer) readMetaLocked() error {
@@ -228,8 +229,7 @@ func (l *Layer) readMetaLocked() error {
 	}
 	var volStr string
 	var rep uint32
-	var last uint64
-	if _, err := fmt.Sscanf(string(data), "%s\n%x\n%x\n", &volStr, &rep, &last); err != nil {
+	if _, err := fmt.Sscanf(string(data), "%s\n%x\n%x\n", &volStr, &rep, &l.idHigh); err != nil {
 		return fmt.Errorf("%w: bad meta: %w", ErrNotFicus, err)
 	}
 	vh, err := ids.ParseVolumeHandle(volStr)
@@ -239,18 +239,21 @@ func (l *Layer) readMetaLocked() error {
 	l.vol = vh
 	l.replica = ids.ReplicaID(rep)
 	l.seq = ids.NewSequencer(l.replica, 2)
-	l.seq.Resume(last)
+	// Every id the last run may have issued lies at or below the mark.
+	l.seq.Resume(l.idHigh)
 	return nil
 }
 
-// nextID allocates a fresh file/entry id and persists the sequencer so ids
-// are never reissued after a crash.
+// nextIDLocked allocates a fresh file/entry id, first reserving the next
+// batch in meta when the sequencer has used up the last one, so ids are never
+// reissued after a crash.
 func (l *Layer) nextIDLocked() (ids.FileID, error) {
-	id := l.seq.Next()
-	if err := l.writeMetaLocked(); err != nil {
-		return ids.FileID{}, err
+	if l.seq.Last() >= l.idHigh {
+		if err := l.writeMetaLocked(l.seq.Last() + idBatch); err != nil {
+			return ids.FileID{}, err
+		}
 	}
-	return id, nil
+	return l.seq.Next(), nil
 }
 
 // rootContainer returns the UFS directory containing the volume root's

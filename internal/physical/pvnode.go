@@ -3,6 +3,7 @@ package physical
 import (
 	"errors"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/ids"
@@ -134,11 +135,11 @@ func (v *pvnode) lookupLocked(name string) (vnode.Vnode, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, ok := findByRenderedName(entries, name)
-	if !ok {
+	i := findByRenderedName(entries, name)
+	if i < 0 {
 		return nil, vnode.ENOENT
 	}
-	return v.childVnodeLocked(cont, e)
+	return v.childVnodeLocked(cont, entries[i])
 }
 
 // childVnodeLocked builds the vnode for entry e, verifying local storage.
@@ -204,20 +205,6 @@ func mapStoreErr(err error) error {
 	return err
 }
 
-// bumpDirLocked bumps the directory's own version vector after an entry
-// change.
-func (v *pvnode) bumpDirLocked(cont vnode.Vnode) error {
-	aux, err := readAuxFile(cont, dirAttrName)
-	if err != nil {
-		return err
-	}
-	if aux.VV == nil {
-		aux.VV = make(map[ids.ReplicaID]uint64)
-	}
-	aux.VV.Bump(v.l.replica)
-	return writeAuxFile(cont, dirAttrName, &aux)
-}
-
 func (v *pvnode) Create(name string, excl bool) (vnode.Vnode, error) {
 	return v.createKind(name, excl, KFile, "")
 }
@@ -240,11 +227,11 @@ func (v *pvnode) createKind(name string, excl bool, kind Kind, data string) (vno
 	if err != nil {
 		return nil, err
 	}
-	if e, ok := findByRenderedName(entries, name); ok {
-		if excl || e.Kind != kind {
+	if i := findByRenderedName(entries, name); i >= 0 {
+		if excl || entries[i].Kind != kind {
 			return nil, vnode.EEXIST
 		}
-		return v.childVnodeLocked(cont, e)
+		return v.childVnodeLocked(cont, entries[i])
 	}
 	fid, err := v.l.nextIDLocked()
 	if err != nil {
@@ -254,8 +241,9 @@ func (v *pvnode) createKind(name string, excl bool, kind Kind, data string) (vno
 	if err != nil {
 		return nil, err
 	}
-	// Storage first, then the entry: a crash in between leaves an orphaned
-	// data file, never a dangling entry.
+	// Storage first — the data file, then its aux — then the entry: a crash in
+	// between leaves members no live entry names, which Recover reclaims,
+	// never a dangling entry.
 	df, err := cont.Create(prefixData+fid.String(), true)
 	if err != nil {
 		return nil, err
@@ -265,8 +253,7 @@ func (v *pvnode) createKind(name string, excl bool, kind Kind, data string) (vno
 			return nil, err
 		}
 	}
-	aux := Aux{Type: kind, Nlink: 1, VV: make(map[ids.ReplicaID]uint64)}
-	aux.VV.Bump(v.l.replica)
+	aux := Aux{Type: kind, Nlink: 1, VV: v.l.bumpVV(nil)}
 	if err := writeAuxFile(cont, prefixAux+fid.String(), &aux); err != nil {
 		return nil, err
 	}
@@ -279,10 +266,7 @@ func (v *pvnode) createKind(name string, excl bool, kind Kind, data string) (vno
 		return nil, err
 	}
 	entries = append(entries, Entry{EID: eid, Name: name, Child: fid, Kind: kind})
-	if err := v.l.writeDirFileLocked(cont, entries); err != nil {
-		return nil, err
-	}
-	if err := v.bumpDirLocked(cont); err != nil {
+	if err := v.l.commitDirLocked(cont, entries, v.l.bumpVV); err != nil {
 		return nil, err
 	}
 	return &pvnode{l: v.l, fid: fid, kind: kind, dirPath: v.selfPath()}, nil
@@ -312,7 +296,7 @@ func (v *pvnode) mkdirKind(name string, kind Kind, graftVol ids.VolumeHandle) (v
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := findByRenderedName(entries, name); ok {
+	if findByRenderedName(entries, name) >= 0 {
 		return nil, vnode.EEXIST
 	}
 	fid, err := v.l.nextIDLocked()
@@ -323,23 +307,12 @@ func (v *pvnode) mkdirKind(name string, kind Kind, graftVol ids.VolumeHandle) (v
 	if err != nil {
 		return nil, err
 	}
-	sub, err := cont.Mkdir(prefixDir + fid.String())
-	if err != nil {
-		return nil, err
-	}
-	if err := v.l.writeDirFileLocked(sub, nil); err != nil {
-		return nil, err
-	}
-	aux := Aux{Type: kind, Nlink: 1, VV: make(map[ids.ReplicaID]uint64), GraftVol: graftVol}
-	aux.VV.Bump(v.l.replica)
-	if err := writeAuxFile(sub, dirAttrName, &aux); err != nil {
+	aux := Aux{Type: kind, Nlink: 1, VV: v.l.bumpVV(nil), GraftVol: graftVol}
+	if err := v.l.newContainerLocked(cont, fid, &aux); err != nil {
 		return nil, err
 	}
 	entries = append(entries, Entry{EID: eid, Name: name, Child: fid, Kind: kind})
-	if err := v.l.writeDirFileLocked(cont, entries); err != nil {
-		return nil, err
-	}
-	if err := v.bumpDirLocked(cont); err != nil {
+	if err := v.l.commitDirLocked(cont, entries, v.l.bumpVV); err != nil {
 		return nil, err
 	}
 	return &pvnode{l: v.l, fid: fid, kind: kind, dirPath: v.selfPath()}, nil
@@ -439,18 +412,20 @@ func (v *pvnode) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// bumpFileLocked bumps this file's version vector: every local mutation is
-// an update this replica originated (§3.1).  The sidecar is resealed from the
-// just-written data file df under the bumped vector BEFORE the aux commits,
-// so a crash in between leaves the sidecar unverifiable (stale seal) rather
-// than the aux vouching for addresses that never covered the new bytes.
-func (v *pvnode) bumpFileLocked(df vnode.Vnode) error {
+// updateFileLocked is every local mutation of a stored file — an update this
+// replica originated, so its version vector is bumped (§3.1) — in the order
+// an install uses: the sidecar is sealed over the image the file is about to
+// hold (image of its current bytes), under the bumped vector; apply then
+// overwrites the data file df in place; the aux commits last.  Between the
+// first step and the last the seal is stale — unverifiable, the scrubber
+// reseals — so at no crash offset does a seal vouch for bytes it does not
+// cover, and never does the aux vouch for a seal that is not there.
+func (v *pvnode) updateFileLocked(df vnode.Vnode, image func(old []byte) []byte, apply func() error) error {
 	cont, err := v.container()
 	if err != nil {
 		return mapStoreErr(err)
 	}
-	auxName := prefixAux + v.fid.String()
-	af, err := cont.Lookup(auxName)
+	af, err := cont.Lookup(prefixAux + v.fid.String())
 	if err != nil {
 		return err
 	}
@@ -462,23 +437,37 @@ func (v *pvnode) bumpFileLocked(df vnode.Vnode) error {
 	if err != nil {
 		return err
 	}
-	if aux.VV == nil {
-		aux.VV = make(map[ids.ReplicaID]uint64)
-	}
-	aux.VV.Bump(v.l.replica)
+	aux.VV = v.l.bumpVV(aux.VV)
 	stored, err := vnode.ReadFile(df)
 	if err != nil {
 		return err
 	}
-	if err := v.l.sealLocked(cont, v.fid, aux.VV, ComputeManifest(stored)); err != nil {
+	if err := v.l.sealLocked(cont, v.fid, aux.VV, ComputeManifest(image(stored))); err != nil {
+		return err
+	}
+	if err := apply(); err != nil {
 		return err
 	}
 	return writeAuxVnode(af, &aux)
 }
 
+// resized returns data cut or zero-extended to size bytes.
+func resized(data []byte, size uint64) []byte {
+	if size <= uint64(len(data)) {
+		return data[:size]
+	}
+	return append(data, make([]byte, size-uint64(len(data)))...)
+}
+
 func (v *pvnode) WriteAt(p []byte, off int64) (int, error) {
 	if v.kind.IsDir() {
 		return 0, vnode.EISDIR
+	}
+	if off < 0 {
+		return 0, vnode.EINVAL
+	}
+	if uint64(off)+uint64(len(p)) > maxFileSize {
+		return 0, vnode.ENOSPC
 	}
 	v.l.mu.Lock()
 	defer v.l.mu.Unlock()
@@ -491,16 +480,24 @@ func (v *pvnode) WriteAt(p []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, err := df.WriteAt(p, off)
-	if err != nil {
-		return n, err
-	}
-	return n, v.bumpFileLocked(df)
+	n := 0
+	err = v.updateFileLocked(df, func(old []byte) []byte {
+		old = resized(old, max(uint64(len(old)), uint64(off)+uint64(len(p))))
+		copy(old[off:], p)
+		return old
+	}, func() (err error) {
+		n, err = df.WriteAt(p, off)
+		return err
+	})
+	return n, err
 }
 
 func (v *pvnode) Truncate(size uint64) error {
 	if v.kind.IsDir() {
 		return vnode.EISDIR
+	}
+	if size > maxFileSize {
+		return vnode.ENOSPC
 	}
 	v.l.mu.Lock()
 	defer v.l.mu.Unlock()
@@ -511,10 +508,8 @@ func (v *pvnode) Truncate(size uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := df.Truncate(size); err != nil {
-		return err
-	}
-	return v.bumpFileLocked(df)
+	return v.updateFileLocked(df, func(old []byte) []byte { return resized(old, size) },
+		func() error { return df.Truncate(size) })
 }
 
 func (v *pvnode) Fsync() error { return v.l.store.Sync() }
@@ -594,28 +589,34 @@ func (v *pvnode) Setattr(sa vnode.SetAttr) error {
 		}
 	}
 	if sa.Mode != nil && !v.kind.IsDir() {
-		// The bump below reseals the sidecar from stored data; on a
-		// quarantined replica that would launder known-bad bytes.
-		if v.l.IsQuarantined(v.fid) {
+		v.l.mu.Lock()
+		defer v.l.mu.Unlock()
+		// The update reseals the sidecar from stored data; on a quarantined
+		// replica that would launder known-bad bytes.
+		if v.l.isQuarantinedLocked(v.fid) {
 			return vnode.ENOSTOR
 		}
 		df, err := v.dataFile()
 		if err != nil {
 			return err
 		}
-		if err := df.Setattr(vnode.SetAttr{Mode: sa.Mode}); err != nil {
-			return err
-		}
-		v.l.mu.Lock()
-		defer v.l.mu.Unlock()
-		return v.bumpFileLocked(df)
+		return v.updateFileLocked(df, func(old []byte) []byte { return old },
+			func() error { return df.Setattr(vnode.SetAttr{Mode: sa.Mode}) })
 	}
 	return nil
 }
 
 func (v *pvnode) Access(uint16) error { return nil }
 
-func (v *pvnode) Remove(name string) error {
+func (v *pvnode) Remove(name string) error { return v.removeEntry(name, false) }
+
+func (v *pvnode) Rmdir(name string) error { return v.removeEntry(name, true) }
+
+// removeEntry tombstones the entry rendered as name — a directory's when
+// wantDir, a file's otherwise — in one directory commit, then settles the
+// storage of a file that may have lost its last name.  A removed directory's
+// container stays, named by the tombstone, until the tombstone is collected.
+func (v *pvnode) removeEntry(name string, wantDir bool) error {
 	if !v.kind.IsDir() {
 		return vnode.ENOTDIR
 	}
@@ -625,96 +626,35 @@ func (v *pvnode) Remove(name string) error {
 	if err != nil {
 		return err
 	}
-	idx := -1
-	for i, e := range entries {
-		if e.Live() && RenderedName(entries, e) == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	i := findByRenderedName(entries, name)
+	if i < 0 {
 		return vnode.ENOENT
 	}
-	e := entries[idx]
-	if e.Kind.IsDir() {
+	e := entries[i]
+	if e.Kind.IsDir() != wantDir {
+		if wantDir {
+			return vnode.ENOTDIR
+		}
 		return vnode.EISDIR
 	}
-	entries[idx].Deleted = true
-	if err := v.l.writeDirFileLocked(cont, entries); err != nil {
-		return err
-	}
-	if err := v.bumpDirLocked(cont); err != nil {
-		return err
-	}
-	return v.derefStorageLocked(cont, entries, e.Child)
-}
-
-// derefStorageLocked drops one reference to child's storage, deleting the
-// data and aux files when no live entry in this directory still names it.
-func (v *pvnode) derefStorageLocked(cont vnode.Vnode, entries []Entry, child ids.FileID) error {
-	if countLiveRefs(entries, child) > 0 {
-		// Still named: just decrement the aux link count.
-		auxName := prefixAux + child.String()
-		aux, err := readAuxFile(cont, auxName)
-		if err != nil {
-			return nil // not stored here; nothing to do
-		}
-		if aux.Nlink > 1 {
-			aux.Nlink--
-			af, err := cont.Lookup(auxName)
+	// A directory must be empty (no live entries) if we store it; an unstored
+	// one is deletable blindly — optimism, reconciliation cleans up.
+	if wantDir {
+		if sub, err := cont.Lookup(prefixDir + e.Child.String()); err == nil {
+			subEntries, err := v.l.readDirFileLocked(sub)
 			if err != nil {
 				return err
 			}
-			return writeAuxVnode(af, &aux)
-		}
-		return nil
-	}
-	// Last name gone: reclaim storage if present.
-	return v.l.removeStorageLocked(cont, child)
-}
-
-func (v *pvnode) Rmdir(name string) error {
-	if !v.kind.IsDir() {
-		return vnode.ENOTDIR
-	}
-	v.l.mu.Lock()
-	defer v.l.mu.Unlock()
-	cont, entries, err := v.dirStateLocked()
-	if err != nil {
-		return err
-	}
-	idx := -1
-	for i, e := range entries {
-		if e.Live() && RenderedName(entries, e) == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return vnode.ENOENT
-	}
-	e := entries[idx]
-	if !e.Kind.IsDir() {
-		return vnode.ENOTDIR
-	}
-	// The child must be empty (no live entries) if we store it; an unstored
-	// child is deletable blindly — optimism, reconciliation cleans up.
-	if sub, err := cont.Lookup(prefixDir + e.Child.String()); err == nil {
-		subEntries, err := v.l.readDirFileLocked(sub)
-		if err != nil {
-			return err
-		}
-		for _, se := range subEntries {
-			if se.Live() {
+			if slices.ContainsFunc(subEntries, Entry.Live) {
 				return vnode.ENOTEMPTY
 			}
 		}
 	}
-	entries[idx].Deleted = true
-	if err := v.l.writeDirFileLocked(cont, entries); err != nil {
+	entries[i].Deleted = true
+	if err := v.l.commitDirLocked(cont, entries, v.l.bumpVV); err != nil || wantDir {
 		return err
 	}
-	return v.bumpDirLocked(cont)
+	return v.l.settleChildLocked(cont, entries, e.Child)
 }
 
 // Link adds another name for target within this same directory — Ficus
@@ -744,31 +684,22 @@ func (v *pvnode) Link(name string, target vnode.Vnode) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := findByRenderedName(entries, name); ok {
+	if findByRenderedName(entries, name) >= 0 {
 		return vnode.EEXIST
+	}
+	if countLiveRefs(entries, t.fid) == 0 {
+		return vnode.ENOENT // the target lost its last name since it was looked up
 	}
 	eid, err := v.l.nextIDLocked()
 	if err != nil {
 		return err
 	}
-	auxName := prefixAux + t.fid.String()
-	aux, err := readAuxFile(cont, auxName)
-	if err != nil {
-		return err
-	}
-	aux.Nlink++
-	af, err := cont.Lookup(auxName)
-	if err != nil {
-		return err
-	}
-	if err := writeAuxVnode(af, &aux); err != nil {
-		return err
-	}
+	// The entry first, then the link count recounted from it.
 	entries = append(entries, Entry{EID: eid, Name: name, Child: t.fid, Kind: t.kind})
-	if err := v.l.writeDirFileLocked(cont, entries); err != nil {
+	if err := v.l.commitDirLocked(cont, entries, v.l.bumpVV); err != nil {
 		return err
 	}
-	return v.bumpDirLocked(cont)
+	return v.l.settleChildLocked(cont, entries, t.fid)
 }
 
 func samePath(a, b []ids.FileID) bool {
@@ -783,6 +714,18 @@ func samePath(a, b []ids.FileID) bool {
 	return true
 }
 
+// Rename commits the destination directory, then — across directories — the
+// source.  The destination's final entry list (a replaced name tombstoned,
+// the new entry in, and in one directory the old name tombstoned too) lands
+// in ONE commit, so within a directory the rename, over an existing name or
+// not, is atomic.  Across directories a crash between the two commits leaves
+// both names, never neither, and storage follows the entries in an order
+// under which Recover's reclaim of unnamed storage cannot take the only copy:
+// a file's members are hard-linked into the destination (aux last: until it
+// lands the new copy reads as never finished) before the destination names
+// them and unlinked from the source only after the source stops naming them;
+// a directory's container moves, by its one store rename, between the commits
+// — named by a live entry on both sides of the move.
 func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) error {
 	if !v.kind.IsDir() {
 		return vnode.ENOTDIR
@@ -800,98 +743,84 @@ func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 	if err != nil {
 		return err
 	}
-	srcIdx := -1
-	for i, e := range srcEntries {
-		if e.Live() && RenderedName(srcEntries, e) == oldName {
-			srcIdx = i
-			break
-		}
-	}
-	if srcIdx < 0 {
+	si := findByRenderedName(srcEntries, oldName)
+	if si < 0 {
 		return vnode.ENOENT
 	}
-	e := srcEntries[srcIdx]
+	e := srcEntries[si]
 	sameDir := samePath(v.selfPath(), d.selfPath())
 	if sameDir && oldName == newName {
 		return nil
 	}
-	// Destination handling.
-	dstCont := srcCont
-	dstEntries := srcEntries
+	dstCont, dstEntries := srcCont, srcEntries
 	if !sameDir {
 		dstCont, dstEntries, err = d.dirStateLocked()
 		if err != nil {
 			return err
 		}
 	}
-	if old, ok := findByRenderedName(dstEntries, newName); ok {
-		if old.Kind.IsDir() || e.Kind.IsDir() {
-			return vnode.EEXIST
-		}
-		// Replace: tombstone the old destination entry.
-		for i := range dstEntries {
-			if dstEntries[i].EID == old.EID {
-				dstEntries[i].Deleted = true
-			}
-		}
-		if err := v.l.writeDirFileLocked(dstCont, dstEntries); err != nil {
-			return err
-		}
-		dst := &pvnode{l: v.l, fid: d.fid, kind: d.kind, dirPath: d.dirPath}
-		if err := dst.derefStorageLocked(dstCont, dstEntries, old.Child); err != nil {
-			return err
-		}
-		// Re-read after the replace so the insert below sees fresh state.
-		dstEntries, err = v.l.readDirFileLocked(dstCont)
-		if err != nil {
-			return err
-		}
-		if sameDir {
-			srcEntries = dstEntries
-		}
+	replaced := findByRenderedName(dstEntries, newName)
+	if replaced >= 0 && (dstEntries[replaced].Kind.IsDir() || e.Kind.IsDir()) {
+		return vnode.EEXIST
 	}
-	// Move storage across containers.
-	if !sameDir {
-		if e.Kind.IsDir() {
-			if err := srcCont.Rename(prefixDir+e.Child.String(), dstCont, prefixDir+e.Child.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
-				return err
-			}
-		} else {
-			for _, p := range []string{prefixData, prefixAux, prefixSidecar} {
-				if err := srcCont.Rename(p+e.Child.String(), dstCont, p+e.Child.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
-					return err
-				}
-			}
-		}
-	}
-	// Tombstone the source entry; insert a fresh entry at the destination.
 	eid, err := v.l.nextIDLocked()
 	if err != nil {
 		return err
 	}
-	for i := range srcEntries {
-		if srcEntries[i].EID == e.EID {
-			srcEntries[i].Deleted = true
+	member := e.Child.String()
+	if !sameDir && !e.Kind.IsDir() {
+		for _, p := range []string{prefixData, prefixSidecar, prefixAux} {
+			m, err := srcCont.Lookup(p + member)
+			if vnode.AsErrno(err) == vnode.ENOENT {
+				continue // not stored here, or no sidecar yet
+			} else if err != nil {
+				return err
+			}
+			// EEXIST: the destination holds its own copy already (the file
+			// has a name there); it keeps it.
+			if err := dstCont.Link(p+member, m); err != nil && vnode.AsErrno(err) != vnode.EEXIST {
+				return err
+			}
+		}
+	}
+	if replaced >= 0 {
+		dstEntries[replaced].Deleted = true
+	}
+	if sameDir {
+		dstEntries[si].Deleted = true
+	}
+	dstEntries = append(dstEntries, Entry{EID: eid, Name: newName, Child: e.Child, Kind: e.Kind, Value: e.Value})
+	if err := v.l.commitDirLocked(dstCont, dstEntries, v.l.bumpVV); err != nil {
+		return err
+	}
+	if replaced >= 0 {
+		if err := v.l.settleChildLocked(dstCont, dstEntries, dstEntries[replaced].Child); err != nil {
+			return err
 		}
 	}
 	if sameDir {
-		srcEntries = append(srcEntries, Entry{EID: eid, Name: newName, Child: e.Child, Kind: e.Kind, Value: e.Value})
-		if err := v.l.writeDirFileLocked(srcCont, srcEntries); err != nil {
+		return nil
+	}
+	if e.Kind.IsDir() {
+		if err := srcCont.Rename(prefixDir+member, dstCont, prefixDir+member); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
 			return err
 		}
-		return v.bumpDirLocked(srcCont)
 	}
-	if err := v.l.writeDirFileLocked(srcCont, srcEntries); err != nil {
+	srcEntries[si].Deleted = true
+	if err := v.l.commitDirLocked(srcCont, srcEntries, v.l.bumpVV); err != nil || e.Kind.IsDir() {
 		return err
 	}
-	dstEntries = append(dstEntries, Entry{EID: eid, Name: newName, Child: e.Child, Kind: e.Kind, Value: e.Value})
-	if err := v.l.writeDirFileLocked(dstCont, dstEntries); err != nil {
+	// A source that still names the file keeps its copy, so the destination
+	// takes a private one; either way each side recounts its own names.
+	if countLiveRefs(srcEntries, e.Child) > 0 {
+		if err := v.l.unshareLocked(dstCont, e.Child); err != nil {
+			return err
+		}
+	}
+	if err := v.l.settleChildLocked(srcCont, srcEntries, e.Child); err != nil {
 		return err
 	}
-	if err := v.bumpDirLocked(srcCont); err != nil {
-		return err
-	}
-	return v.bumpDirLocked(dstCont)
+	return v.l.settleChildLocked(dstCont, dstEntries, e.Child)
 }
 
 func (v *pvnode) Readdir() ([]vnode.Dirent, error) {

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -19,8 +20,12 @@ import (
 //
 // This file is that service: atomicReplace is the commit, settleShadow the
 // recovery rule, and Recover the one mount-time walk that applies the rule
-// everywhere.  Every durable file the layer replaces as a whole — file
-// data, sidecars, the compacted journal — goes through them.
+// everywhere.  Every durable file the layer replaces as a whole — file data,
+// sidecars, directory contents files (which the paper stores as ordinary
+// files, §2.6), the volume metadata, the compacted journal — goes through
+// them; nothing is replaced by truncate-then-write.  What is overwritten in
+// place is only ever one block — an aux, a journal append — or a file's own
+// data under a seal made stale first (updateFileLocked).
 
 // atomicReplace commits data as dir/name: the complete image is written to
 // a shadow beside name, and one rename substitutes it for the original.
@@ -79,7 +84,7 @@ func settleDir(dir vnode.Vnode, ents []vnode.Dirent) (names []string, err error)
 }
 
 // walkContainers calls visit, with the container's entries, on cont and on
-// every directory container beneath it.
+// every directory container beneath it that visit left in place.
 func walkContainers(cont vnode.Vnode, visit func(vnode.Vnode, []vnode.Dirent) error) error {
 	ents, err := cont.Readdir()
 	if err != nil {
@@ -93,7 +98,9 @@ func walkContainers(cont vnode.Vnode, visit func(vnode.Vnode, []vnode.Dirent) er
 			continue
 		}
 		sub, err := cont.Lookup(e.Name)
-		if err != nil {
+		if vnode.AsErrno(err) == vnode.ENOENT {
+			continue // visit removed it
+		} else if err != nil {
 			return err
 		}
 		if err := walkContainers(sub, visit); err != nil {
@@ -103,11 +110,52 @@ func walkContainers(cont vnode.Vnode, visit func(vnode.Vnode, []vnode.Dirent) er
 	return nil
 }
 
+// unfinished reports whether err, from readAuxFile, says the aux was never
+// written.  Storage is created aux-last — a data file (and on an install the
+// sidecar) before its aux, a container's contents file before its attr — so
+// what an absent or empty aux belongs to never finished materialising.
+func unfinished(err error) bool {
+	return errors.Is(err, ErrNotStored) || vnode.AsErrno(err) == vnode.ENOENT
+}
+
+// alsoLinkedFrom returns the other store directory that holds sub, a child
+// container of c, under the same name — the one sub's ".." still points to —
+// or nil when c is sub's only parent.
+func alsoLinkedFrom(c, sub vnode.Vnode, name string) vnode.Vnode {
+	up, err := sub.Lookup("..")
+	if err != nil || up.Handle() == c.Handle() {
+		return nil
+	}
+	if twin, err := up.Lookup(name); err != nil || twin.Handle() != sub.Handle() {
+		return nil
+	}
+	return up
+}
+
+// memberFID parses a container member name as a file's data, aux or sidecar.
+func memberFID(name string) (ids.FileID, bool) {
+	if name == "" || !strings.Contains(prefixData+prefixAux+prefixSidecar, name[:1]) {
+		return ids.FileID{}, false
+	}
+	fid, err := ids.ParseFileID(name[1:])
+	return fid, err == nil
+}
+
 // Recover is the mount-time crash recovery, run once from Open: one walk
-// that settles every leftover shadow — at the store root (a journal
-// compaction) and in every directory container — and removes every sidecar
-// that does not decode, which cannot vouch for anything (the scrubber
-// reseals).
+// that settles every leftover shadow — at the store root (meta, a journal
+// compaction) and in every directory container — and then brings each
+// container's storage in line with its entries by the rules the running
+// layer maintains it with.  Per file with members in the container: a copy
+// without an aux never finished materialising and is dropped; a copy still
+// hard-linked from another container (a cross-directory rename was cut
+// between its two commits) is given its own members; settleChildLocked then
+// reclaims it if no live entry names it and corrects its link count if one
+// does; and a sidecar that does not decode, which cannot vouch for anything,
+// is removed (the scrubber reseals).  Per child container: one whose home is
+// another container goes back there, and one that no entry, live or
+// tombstone, names, or that never got its attr, is removed.  Each reclaim is
+// safe because every operation creates storage before the entry that names it
+// and removes it after the entry that stops naming it.
 func (l *Layer) Recover() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -127,24 +175,67 @@ func (l *Layer) Recover() error {
 		}
 		return err
 	}
-	return walkContainers(cont, func(c vnode.Vnode, ents []vnode.Dirent) error {
-		names, err := settleDir(c, ents)
+	return walkContainers(cont, l.recoverContainerLocked)
+}
+
+func (l *Layer) recoverContainerLocked(c vnode.Vnode, ents []vnode.Dirent) error {
+	names, err := settleDir(c, ents)
+	if err != nil {
+		return err
+	}
+	entries, err := l.readDirFileLocked(c)
+	if err != nil {
+		return nil // nothing here can be judged without the entries; Check reports
+	}
+	seen := make(map[ids.FileID]bool)
+	for _, name := range names {
+		fid, ok := memberFID(name)
+		if !ok || seen[fid] {
+			continue // Check reports unparsable names; leave for inspection
+		}
+		seen[fid] = true
+		if _, err := readAuxFile(c, prefixAux+fid.String()); unfinished(err) {
+			if err := l.removeStorageLocked(c, fid); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := l.unshareLocked(c, fid); err != nil {
+			return err
+		}
+		if err := l.settleChildLocked(c, entries, fid); err != nil {
+			return err
+		}
+		if _, err := readSidecar(c, fid); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
+			if err := c.Remove(prefixSidecar + fid.String()); err != nil {
+				return err
+			}
+		}
+	}
+	for _, e := range ents {
+		fid, err := ids.ParseFileID(strings.TrimPrefix(e.Name, prefixDir))
+		if e.Type != vnode.VDir || err != nil {
+			continue
+		}
+		sub, err := c.Lookup(e.Name)
 		if err != nil {
 			return err
 		}
-		for _, name := range names {
-			fid, ok := sidecarFID(name)
-			if !ok {
-				continue // Check reports unparsable names; leave for inspection
+		if home := alsoLinkedFrom(c, sub, e.Name); home != nil {
+			// The store move of a cross-directory rename was cut between its
+			// two directory slots (the substrate adds the new name before it
+			// drops the old, and moves ".." last): drop this second link,
+			// leaving the container where the source's entry still names it.
+			if err := c.Rename(e.Name, home, e.Name); err != nil {
+				return err
 			}
-			if _, err := readSidecar(c, fid); err != nil {
-				if err := c.Remove(name); err != nil {
-					return err
-				}
+		} else if _, err := readAuxFile(sub, dirAttrName); countAnyRefs(entries, fid) == 0 || unfinished(err) {
+			if err := removeTree(c, e.Name); err != nil {
+				return err
 			}
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // sidecarFID parses a container member name as a sidecar's.

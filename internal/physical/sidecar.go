@@ -50,6 +50,13 @@ const (
 	BlockAddrSize = 16
 
 	sidecarVersion = 1
+
+	// maxFileSize bounds a local write or truncate.  The seal is computed
+	// over the image the file is about to hold before the store sees the
+	// operation, and the size arrives unchecked from the wire, so it is
+	// bounded before it sizes that image (the UFS substrate maps no file
+	// much beyond 4 GiB either, and refuses with the same error).
+	maxFileSize = 1 << 32
 )
 
 var sidecarMagic = []byte("FSDC")
