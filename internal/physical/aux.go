@@ -1,12 +1,12 @@
 package physical
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/ids"
 	"repro/internal/vnode"
 	"repro/internal/vv"
+	"repro/internal/wire"
 )
 
 // Kind is a Ficus file kind, stored in the auxiliary attribute file.
@@ -58,32 +58,20 @@ type Aux struct {
 // encode: kind(1) nlink(4) graftAlloc(4) graftVol(4) vv(...)
 func (a *Aux) encode() []byte {
 	out := make([]byte, 0, 16+12*len(a.VV))
-	out = append(out, byte(a.Type))
-	out = binary.BigEndian.AppendUint32(out, a.Nlink)
-	out = binary.BigEndian.AppendUint32(out, uint32(a.GraftVol.Allocator))
-	out = binary.BigEndian.AppendUint32(out, uint32(a.GraftVol.Volume))
+	out = wire.AppendU8(out, byte(a.Type))
+	out = wire.AppendU32(out, a.Nlink)
+	out = wire.AppendVol(out, a.GraftVol)
 	return a.VV.AppendBinary(out)
 }
 
 func decodeAux(p []byte) (Aux, error) {
-	if len(p) < 13 {
-		return Aux{}, fmt.Errorf("physical: short aux file: %d bytes", len(p))
-	}
-	a := Aux{
-		Type:  Kind(p[0]),
-		Nlink: binary.BigEndian.Uint32(p[1:]),
-		GraftVol: ids.VolumeHandle{
-			Allocator: ids.AllocatorID(binary.BigEndian.Uint32(p[5:])),
-			Volume:    ids.VolumeID(binary.BigEndian.Uint32(p[9:])),
-		},
-	}
-	vec, _, err := vv.DecodeFrom(p[13:])
-	if err != nil {
-		return Aux{}, err
-	}
+	d := wire.NewDecoder(p)
+	a := Aux{Type: Kind(d.U8()), Nlink: d.U32(), GraftVol: d.Vol(), VV: d.VV()}
 	// Bytes past the vector are padding: aux files are written as one
 	// fixed-size block so an update is a single atomic block overwrite.
-	a.VV = vec
+	if err := d.Err(); err != nil {
+		return Aux{}, fmt.Errorf("physical: aux file: %w", err)
+	}
 	return a, nil
 }
 

@@ -1,7 +1,6 @@
 package physical
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -9,6 +8,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/vnode"
 	"repro/internal/vv"
+	"repro/internal/wire"
 )
 
 // Entry is one Ficus directory entry.  Beyond the Unix <name, file> pair it
@@ -38,69 +38,39 @@ type Entry struct {
 // Live reports whether the entry is visible (not a tombstone).
 func (e Entry) Live() bool { return !e.Deleted }
 
-// encodeEntries serializes a directory contents file.
+// encodeEntries serializes a directory contents file: a u32 entry count, then
+// per entry the entry id, the child id, the kind, the tombstone mark, and the
+// name and the value each behind a u16 length.
 func encodeEntries(entries []Entry) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(entries)))
+	out := wire.AppendU32(nil, uint32(len(entries)))
 	for _, e := range entries {
-		out = binary.BigEndian.AppendUint32(out, uint32(e.EID.Issuer))
-		out = binary.BigEndian.AppendUint64(out, e.EID.Seq)
-		out = binary.BigEndian.AppendUint32(out, uint32(e.Child.Issuer))
-		out = binary.BigEndian.AppendUint64(out, e.Child.Seq)
-		out = append(out, byte(e.Kind))
-		if e.Deleted {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
-		}
-		out = binary.BigEndian.AppendUint16(out, uint16(len(e.Name)))
-		out = append(out, e.Name...)
-		out = binary.BigEndian.AppendUint16(out, uint16(len(e.Value)))
-		out = append(out, e.Value...)
+		out = wire.AppendFID(out, e.EID)
+		out = wire.AppendFID(out, e.Child)
+		out = wire.AppendU8(out, byte(e.Kind))
+		out = wire.AppendBool(out, e.Deleted)
+		out = append(wire.AppendU16(out, uint16(len(e.Name))), e.Name...)
+		out = append(wire.AppendU16(out, uint16(len(e.Value))), e.Value...)
 	}
 	return out
 }
 
 func decodeEntries(p []byte) ([]Entry, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("physical: short directory file: %d bytes", len(p))
-	}
-	n := int(binary.BigEndian.Uint32(p))
-	off := 4
+	d := wire.NewDecoder(p)
+	n := int(d.U32())
 	// An entry occupies at least 30 bytes; a count the file cannot back
 	// must not size the allocation.
-	if n > (len(p)-off)/30 {
+	if n > d.Len()/30 {
 		return nil, fmt.Errorf("physical: directory file of %d bytes claims %d entries", len(p), n)
 	}
 	out := make([]Entry, 0, n)
 	for i := 0; i < n; i++ {
-		if len(p)-off < 30 {
-			return nil, fmt.Errorf("physical: truncated directory entry %d", i)
-		}
-		var e Entry
-		e.EID.Issuer = ids.ReplicaID(binary.BigEndian.Uint32(p[off:]))
-		e.EID.Seq = binary.BigEndian.Uint64(p[off+4:])
-		e.Child.Issuer = ids.ReplicaID(binary.BigEndian.Uint32(p[off+12:]))
-		e.Child.Seq = binary.BigEndian.Uint64(p[off+16:])
-		e.Kind = Kind(p[off+24])
-		e.Deleted = p[off+25] != 0
-		nameLen := int(binary.BigEndian.Uint16(p[off+26:]))
-		off += 28
-		if len(p)-off < nameLen+2 {
-			return nil, fmt.Errorf("physical: truncated name in entry %d", i)
-		}
-		e.Name = string(p[off : off+nameLen])
-		off += nameLen
-		valLen := int(binary.BigEndian.Uint16(p[off:]))
-		off += 2
-		if len(p)-off < valLen {
-			return nil, fmt.Errorf("physical: truncated value in entry %d", i)
-		}
-		e.Value = string(p[off : off+valLen])
-		off += valLen
+		e := Entry{EID: d.FID(), Child: d.FID(), Kind: Kind(d.U8()), Deleted: d.Bool()}
+		e.Name = string(d.Take(int(d.U16())))
+		e.Value = string(d.Take(int(d.U16())))
 		out = append(out, e)
 	}
-	if off != len(p) {
-		return nil, fmt.Errorf("physical: %d trailing bytes in directory file", len(p)-off)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("physical: directory file: %w", err)
 	}
 	return out, nil
 }

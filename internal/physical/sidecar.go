@@ -31,14 +31,15 @@ package physical
 // Sidecars are committed by atomicReplace like everything else.
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 
 	"repro/internal/ids"
 	"repro/internal/vnode"
 	"repro/internal/vv"
+	"repro/internal/wire"
 )
 
 const (
@@ -151,9 +152,10 @@ type sidecar struct {
 // encodeSidecar renders a sidecar image sealing m under vector sealed.
 func encodeSidecar(sealed vv.Vector, m *BlockManifest) []byte {
 	out := append([]byte(nil), sidecarMagic...)
-	out = append(out, sidecarVersion, 0) // no flag is defined
+	out = wire.AppendU8(out, sidecarVersion)
+	out = wire.AppendU8(out, 0) // no flag is defined
 	out = sealed.AppendBinary(out)
-	out = binary.BigEndian.AppendUint64(out, m.Length)
+	out = wire.AppendU64(out, m.Length)
 	for i := range m.Blocks {
 		out = append(out, m.Blocks[i][:]...)
 	}
@@ -166,40 +168,25 @@ func encodeSidecar(sealed vv.Vector, m *BlockManifest) []byte {
 // it accepts re-encodes to the same bytes.
 func decodeSidecar(p []byte) (sidecar, error) {
 	var sc sidecar
-	hdr := len(sidecarMagic) + 2
-	if len(p) < hdr {
-		return sc, fmt.Errorf("physical: short sidecar: %d bytes", len(p))
+	d := wire.NewDecoder(p)
+	if magic := d.Take(len(sidecarMagic)); !bytes.Equal(magic, sidecarMagic) {
+		d.Fail("bad sidecar magic %q", magic)
 	}
-	if string(p[:len(sidecarMagic)]) != string(sidecarMagic) {
-		return sc, fmt.Errorf("physical: bad sidecar magic %q", p[:len(sidecarMagic)])
+	d.Version(sidecarVersion)
+	if flags := d.U8(); flags != 0 {
+		d.Fail("unknown sidecar flags %#x", flags)
 	}
-	if p[hdr-2] != sidecarVersion {
-		return sc, fmt.Errorf("physical: unknown sidecar version %d", p[hdr-2])
+	sc.Sealed = d.VV()
+	sc.Length = d.U64()
+	if blocks := blockCount(sc.Length); uint64(d.Len()/BlockAddrSize) != blocks || d.Len()%BlockAddrSize != 0 {
+		d.Fail("%d address bytes, length %d needs %d blocks", d.Len(), sc.Length, blocks)
 	}
-	if p[hdr-1] != 0 {
-		return sc, fmt.Errorf("physical: unknown sidecar flags %#x", p[hdr-1])
+	if d.Err() != nil {
+		return sidecar{}, fmt.Errorf("physical: sidecar: %w", d.Err())
 	}
-	p = p[hdr:]
-	sealed, n, err := vv.DecodeFrom(p)
-	if err != nil {
-		return sc, fmt.Errorf("physical: sidecar vector: %w", err)
-	}
-	if n != 4+12*len(sealed) {
-		return sc, fmt.Errorf("physical: sidecar vector carries zero counters")
-	}
-	sc.Sealed = sealed
-	p = p[n:]
-	if len(p) < 8 {
-		return sc, fmt.Errorf("physical: sidecar truncated before length")
-	}
-	sc.Length = binary.BigEndian.Uint64(p)
-	p = p[8:]
-	if blocks := blockCount(sc.Length); uint64(len(p)/BlockAddrSize) != blocks || len(p)%BlockAddrSize != 0 {
-		return sc, fmt.Errorf("physical: sidecar has %d address bytes, length %d needs %d blocks", len(p), sc.Length, blocks)
-	}
-	sc.Blocks = make([]BlockAddr, len(p)/BlockAddrSize)
+	sc.Blocks = make([]BlockAddr, d.Len()/BlockAddrSize)
 	for i := range sc.Blocks {
-		copy(sc.Blocks[i][:], p[BlockAddrSize*i:])
+		copy(sc.Blocks[i][:], d.Take(BlockAddrSize))
 	}
 	return sc, nil
 }
