@@ -266,6 +266,117 @@ func TestRenameAcrossDirsMovesStorage(t *testing.T) {
 	_ = inner
 }
 
+// TestRenameAwayOneOfTwoNames: a file with two names in a directory, one of
+// them renamed into another directory.  The source used to lose its copy (all
+// three members moved away, the remaining name answered ENOSTOR); now each
+// directory ends with its own copy — no member shared between the two
+// containers — under a link count of its own names, and an update through one
+// name leaves the other copy and its vector alone.
+func TestRenameAwayOneOfTwoNames(t *testing.T) {
+	l, _ := newLayer(t, 1)
+	root, _ := l.Root()
+	d, _ := root.Mkdir("d")
+	f, _ := root.Create("a", true)
+	vnode.WriteFile(f, []byte("two names"))
+	fid := mustFid(t, f)
+	if err := root.Link("b", f); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Rename("b", d, "c"); err != nil {
+		t.Fatal(err)
+	}
+	dPath := append(RootPath(), mustFid(t, d))
+	for _, at := range []struct {
+		dir  vnode.Vnode
+		path []ids.FileID
+		name string
+	}{{root, RootPath(), "a"}, {d, dPath, "c"}} {
+		v, err := at.dir.Lookup(at.name)
+		if err != nil {
+			t.Fatalf("%s: %v", at.name, err)
+		}
+		if got, err := vnode.ReadFile(v); err != nil || string(got) != "two names" {
+			t.Fatalf("%s reads %q, %v", at.name, got, err)
+		}
+		if st, err := l.FileInfo(at.path, fid); err != nil || st.Aux.Nlink != 1 {
+			t.Fatalf("%s: link count %d, %v; want 1", at.name, st.Aux.Nlink, err)
+		}
+	}
+	checkStoreMembers(t, l, "after the rename") // nothing linked from two containers
+	before, _ := l.FileInfo(RootPath(), fid)
+	c, _ := d.Lookup("c")
+	if err := vnode.WriteFile(c, []byte("through c")); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := root.Lookup("a")
+	if got, _ := vnode.ReadFile(a); string(got) != "two names" {
+		t.Fatalf("a write through c changed a: %q", got)
+	}
+	if after, _ := l.FileInfo(RootPath(), fid); !after.Aux.VV.Equal(before.Aux.VV) {
+		t.Fatalf("a write through c moved a's vector %s -> %s", before.Aux.VV, after.Aux.VV)
+	}
+	if probs, err := l.Check(); err != nil || len(probs) != 0 {
+		t.Fatalf("Check: %v %v", probs, err)
+	}
+}
+
+// TestLinkCountIsRecounted: Link used to add one to the stored link count
+// before the entry committed and Remove to subtract one, so a count a crash
+// had left wrong stayed wrong.  Both now recount the live names, and so does
+// recovery at mount.
+func TestLinkCountIsRecounted(t *testing.T) {
+	l, dev := newLayer(t, 1)
+	root, _ := l.Root()
+	f, _ := root.Create("a", true)
+	fid := mustFid(t, f)
+	skew := func(l *Layer, n uint32) {
+		t.Helper()
+		cont, _ := l.rootContainer()
+		aux, err := readAuxFile(cont, prefixAux+fid.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		aux.Nlink = n
+		if err := writeAuxFile(cont, prefixAux+fid.String(), &aux); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nlink := func(l *Layer) uint32 {
+		t.Helper()
+		st, err := l.FileInfo(RootPath(), fid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Aux.Nlink
+	}
+	skew(l, 5) // as a crash between the old Link's two writes left it
+	if err := root.Link("b", f); err != nil {
+		t.Fatal(err)
+	}
+	if got := nlink(l); got != 2 {
+		t.Fatalf("after Link over a skewed count: %d, want 2", got)
+	}
+	skew(l, 7)
+	if err := root.Remove("a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := nlink(l); got != 1 {
+		t.Fatalf("after Remove over a skewed count: %d, want 1", got)
+	}
+	skew(l, 3)
+	fs2, err := ufs.Mount(dev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(ufsvn.New(fs2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nlink(l2); got != 1 {
+		t.Fatalf("after recovery over a skewed count: %d, want 1", got)
+	}
+}
+
 func TestOpenEncodingRoundTrip(t *testing.T) {
 	name := "some-file.txt"
 	s := EncodeOpenLookup(true, vnode.OpenRead|vnode.OpenWrite, testVol, name)

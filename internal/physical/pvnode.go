@@ -3,6 +3,7 @@ package physical
 import (
 	"errors"
 	"io"
+	"math"
 	"slices"
 	"strings"
 
@@ -415,12 +416,13 @@ func (v *pvnode) ReadAt(p []byte, off int64) (int, error) {
 // updateFileLocked is every local mutation of a stored file — an update this
 // replica originated, so its version vector is bumped (§3.1) — in the order
 // an install uses: the sidecar is sealed over the image the file is about to
-// hold (image of its current bytes), under the bumped vector; apply then
-// overwrites the data file df in place; the aux commits last.  Between the
-// first step and the last the seal is stale — unverifiable, the scrubber
-// reseals — so at no crash offset does a seal vouch for bytes it does not
-// cover, and never does the aux vouch for a seal that is not there.
-func (v *pvnode) updateFileLocked(df vnode.Vnode, image func(old []byte) []byte, apply func() error) error {
+// hold (image of the first keep of its current bytes — all the new image
+// depends on), under the bumped vector; apply then overwrites the data file
+// df in place; the aux commits last.  Between the first step and the last the
+// seal is stale — unverifiable, the scrubber reseals — so at no crash offset
+// does a seal vouch for bytes it does not cover, and never does the aux vouch
+// for a seal that is not there.
+func (v *pvnode) updateFileLocked(df vnode.Vnode, keep uint64, image func(kept []byte) []byte, apply func() error) error {
 	cont, err := v.container()
 	if err != nil {
 		return mapStoreErr(err)
@@ -438,11 +440,16 @@ func (v *pvnode) updateFileLocked(df vnode.Vnode, image func(old []byte) []byte,
 		return err
 	}
 	aux.VV = v.l.bumpVV(aux.VV)
-	stored, err := vnode.ReadFile(df)
+	da, err := df.Getattr()
 	if err != nil {
 		return err
 	}
-	if err := v.l.sealLocked(cont, v.fid, aux.VV, ComputeManifest(image(stored))); err != nil {
+	kept := make([]byte, min(da.Size, keep))
+	n, err := df.ReadAt(kept, 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return err
+	}
+	if err := v.l.sealLocked(cont, v.fid, aux.VV, ComputeManifest(image(kept[:n]))); err != nil {
 		return err
 	}
 	if err := apply(); err != nil {
@@ -481,7 +488,7 @@ func (v *pvnode) WriteAt(p []byte, off int64) (int, error) {
 		return 0, err
 	}
 	n := 0
-	err = v.updateFileLocked(df, func(old []byte) []byte {
+	err = v.updateFileLocked(df, math.MaxUint64, func(old []byte) []byte {
 		old = resized(old, max(uint64(len(old)), uint64(off)+uint64(len(p))))
 		copy(old[off:], p)
 		return old
@@ -508,7 +515,7 @@ func (v *pvnode) Truncate(size uint64) error {
 	if err != nil {
 		return err
 	}
-	return v.updateFileLocked(df, func(old []byte) []byte { return resized(old, size) },
+	return v.updateFileLocked(df, size, func(old []byte) []byte { return resized(old, size) },
 		func() error { return df.Truncate(size) })
 }
 
@@ -600,7 +607,7 @@ func (v *pvnode) Setattr(sa vnode.SetAttr) error {
 		if err != nil {
 			return err
 		}
-		return v.updateFileLocked(df, func(old []byte) []byte { return old },
+		return v.updateFileLocked(df, math.MaxUint64, func(old []byte) []byte { return old },
 			func() error { return df.Setattr(vnode.SetAttr{Mode: sa.Mode}) })
 	}
 	return nil
