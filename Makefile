@@ -36,9 +36,11 @@ chaos:
 # chaos-crash runs the crash–restart convergence test with the runtime
 # invariant checks armed: random hosts power-fail and reboot
 # mid-propagation under RPC faults, and every replica must converge from
-# its durable on-disk state (DESIGN.md §10).
+# its durable on-disk state (DESIGN.md §10) — and then the sweep that
+# power-fails one replica at every device write of every local mutating op.
 chaos-crash:
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestChaosCrashRestartConvergence' -v .
+	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryLocalOp' ./internal/physical
 
 # chaos-scrub runs the silent-corruption convergence test with invariants
 # armed: at-rest bit rot lands on random replicas while hosts crash under

@@ -117,20 +117,28 @@ func writeAuxVnode(f vnode.Vnode, a *Aux) error {
 	return err
 }
 
-// readAuxFile loads the named aux file from container dir.  An empty aux
-// file (a crash between creation and the first overwrite) reads as "not
-// stored": the file replica never finished materializing.
-func readAuxFile(dir vnode.Vnode, name string) (Aux, error) {
+// openAuxFile loads the named aux file from container dir, returning its
+// vnode as well for an in-place overwrite (writeAuxVnode).  An empty aux file
+// (a crash between creation and the first overwrite) reads as "not stored":
+// the file replica never finished materializing.
+func openAuxFile(dir vnode.Vnode, name string) (vnode.Vnode, Aux, error) {
 	f, err := dir.Lookup(name)
 	if err != nil {
-		return Aux{}, err
+		return nil, Aux{}, err
 	}
 	data, err := vnode.ReadFile(f)
 	if err != nil {
-		return Aux{}, err
+		return nil, Aux{}, err
 	}
 	if len(data) == 0 {
-		return Aux{}, ErrNotStored
+		return nil, Aux{}, ErrNotStored
 	}
-	return decodeAux(data)
+	a, err := decodeAux(data)
+	return f, a, err
+}
+
+// readAuxFile is openAuxFile for a caller that only reads.
+func readAuxFile(dir vnode.Vnode, name string) (Aux, error) {
+	_, a, err := openAuxFile(dir, name)
+	return a, err
 }

@@ -102,12 +102,12 @@ func (l *Layer) commitDirLocked(cont vnode.Vnode, entries []Entry, advance func(
 	if advance == nil {
 		return nil
 	}
-	aux, err := readAuxFile(cont, dirAttrName)
+	af, aux, err := openAuxFile(cont, dirAttrName)
 	if err != nil {
 		return err
 	}
 	aux.VV = advance(aux.VV)
-	return writeAuxFile(cont, dirAttrName, &aux)
+	return writeAuxVnode(af, &aux)
 }
 
 // bumpVV advances v by one update this replica originated (§3.1).

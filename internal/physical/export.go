@@ -276,13 +276,12 @@ func (l *Layer) settleChildLocked(cont vnode.Vnode, entries []Entry, child ids.F
 	if n == 0 {
 		return l.removeStorageLocked(cont, child)
 	}
-	auxName := prefixAux + child.String()
-	aux, err := readAuxFile(cont, auxName)
+	af, aux, err := openAuxFile(cont, prefixAux+child.String())
 	if err != nil || int(aux.Nlink) == n {
 		return nil // not stored here (or not readable: Check's to report), or already right
 	}
 	aux.Nlink = uint32(n)
-	return writeAuxFile(cont, auxName, &aux)
+	return writeAuxVnode(af, &aux)
 }
 
 // unshareLocked gives cont its own copy of file fid's members while they are

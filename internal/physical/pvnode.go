@@ -427,15 +427,7 @@ func (v *pvnode) updateFileLocked(df vnode.Vnode, keep uint64, image func(kept [
 	if err != nil {
 		return mapStoreErr(err)
 	}
-	af, err := cont.Lookup(prefixAux + v.fid.String())
-	if err != nil {
-		return err
-	}
-	data, err := vnode.ReadFile(af)
-	if err != nil {
-		return err
-	}
-	aux, err := decodeAux(data)
+	af, aux, err := openAuxFile(cont, prefixAux+v.fid.String())
 	if err != nil {
 		return err
 	}

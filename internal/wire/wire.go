@@ -24,6 +24,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/ids"
@@ -121,18 +122,22 @@ func (d *Decoder) Finish() error {
 }
 
 // Take returns the next n bytes without copying them, nil after a failure.
+// Running short is recorded as a fixed error, not a formatted one, so that
+// Take — and with it every fixed-width read — is small enough to inline: a
+// directory contents file is decoded on every lookup.
 func (d *Decoder) Take(n int) []byte {
-	if d.err != nil {
-		return nil
+	if d.err == nil && uint(n) <= uint(len(d.b)) {
+		b := d.b[:n]
+		d.b = d.b[n:]
+		return b
 	}
-	if n < 0 || len(d.b) < n {
-		d.Fail("want %d bytes, have %d", n, len(d.b))
-		return nil
+	if d.err == nil {
+		d.err = errShort
 	}
-	b := d.b[:n]
-	d.b = d.b[n:]
-	return b
+	return nil
 }
+
+var errShort = errors.New("wire: message truncated")
 
 // U8, U16, U32 and U64 read a big-endian fixed-width integer.
 func (d *Decoder) U8() byte {

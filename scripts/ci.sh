@@ -4,11 +4,13 @@
 # Runs, in order: build, ficusvet (repo-specific static analysis), go vet,
 # vet and smoke test of the benchmark module (bench/, a module of its own that
 # go vet ./... and go test ./... do not reach), gofmt, the gates that keep
-# encoding/gob out of non-test code and container/list inside internal/lru, a
-# two-second fuzz smoke of every decoder fuzz target, three one-iteration
-# bench smokes, the race-enabled test suite, the suite again with runtime
-# invariants armed (FICUS_INVARIANTS=1), and the four chaos gates.  Each thing
-# runs once.  Any failure stops the gate.
+# encoding/gob out of non-test code, container/list inside internal/lru and
+# whole-file writes in internal/physical behind atomicReplace, a two-second
+# fuzz smoke of every decoder fuzz target, three one-iteration bench smokes,
+# the race-enabled test suite, the suite again with runtime invariants armed
+# (FICUS_INVARIANTS=1), and the four chaos gates (chaos-crash includes the
+# crash-at-every-write sweep of the local mutating ops).  Each thing runs
+# once.  Any failure stops the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -49,6 +51,14 @@ echo "==> no container/list outside internal/lru"
 # body starts with this import.
 test -z "$(grep -l '"container/list"' $(git ls-files '*.go' | grep -v _test.go | grep -v '^internal/lru/'))"
 
+echo "==> one whole-file writer in internal/physical"
+# atomicReplace is the one way a store file is replaced (DESIGN.md §10): the
+# only other vnode.WriteFile fills the body of a symlink no entry names yet,
+# and dir and meta are never opened for rewriting.
+phys=$(git ls-files 'internal/physical/*.go' | grep -v _test.go)
+test "$(cat $phys | grep -c 'vnode\.WriteFile(')" -eq 2
+test -z "$(grep -lE 'Create\((dirFileName|metaFileName)' $phys)"
+
 echo "==> fuzz smoke: every Fuzz* target, 2s each"
 # The seed corpora already run under go test; this catches an oracle that
 # only holds on the seeds.  go test -fuzz takes one target of one package.
@@ -75,6 +85,7 @@ FICUS_INVARIANTS=1 go test -count=1 ./...
 
 echo "==> make chaos-crash"
 FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestChaosCrashRestartConvergence' .
+FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryLocalOp' ./internal/physical
 
 echo "==> make chaos-scrub"
 FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestChaosScrubConvergence' .
