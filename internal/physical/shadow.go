@@ -151,9 +151,9 @@ func memberFID(name string) (ids.FileID, bool) {
 // between its two commits) is given its own members; settleChildLocked then
 // reclaims it if no live entry names it and corrects its link count if one
 // does; and a sidecar that does not decode, which cannot vouch for anything,
-// is removed (the scrubber reseals).  Per child container: one whose home is
-// another container goes back there, and one that no entry, live or
-// tombstone, names, or that never got its attr, is removed.  Each reclaim is
+// is removed (the scrubber reseals).  Per child container: one also linked
+// from the container its ".." points to loses this second link, and one that
+// no entry, live or tombstone, names, or that never got its attr, is removed.  Each reclaim is
 // safe because every operation creates storage before the entry that names it
 // and removes it after the entry that stops naming it.
 func (l *Layer) Recover() error {
@@ -240,12 +240,8 @@ func (l *Layer) recoverContainerLocked(c vnode.Vnode, ents []vnode.Dirent) error
 
 // sidecarFID parses a container member name as a sidecar's.
 func sidecarFID(name string) (ids.FileID, bool) {
-	rest, ok := strings.CutPrefix(name, prefixSidecar)
-	if !ok {
-		return ids.FileID{}, false
-	}
-	fid, err := ids.ParseFileID(rest)
-	return fid, err == nil
+	fid, ok := memberFID(name)
+	return fid, ok && strings.HasPrefix(name, prefixSidecar)
 }
 
 // InstallFileVersion atomically replaces the local replica of file fid in
