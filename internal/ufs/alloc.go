@@ -1,12 +1,17 @@
 package ufs
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 )
 
 // bitsPerBlock is how many objects one bitmap block describes.
 const bitsPerBlock = BlockSize * 8
+
+// zeroBlock is what every freshly allocated block holds: cached blocks are
+// never written to (cache.go), so any number of them may share one buffer.
+var zeroBlock = make([]byte, BlockSize)
 
 // bitmap is one of the two allocation bitmaps: n bits, one per inode or per
 // block, stored little-end first from device block start on (1 = in use).
@@ -40,6 +45,7 @@ func (m bitmap) set(i uint32, on bool) error {
 	if err != nil {
 		return err
 	}
+	blk = bytes.Clone(blk)
 	off, mask := i%bitsPerBlock/8, byte(1)<<(i%8)
 	if on {
 		blk[off] |= mask
@@ -50,10 +56,10 @@ func (m bitmap) set(i uint32, on bool) error {
 }
 
 // scan reads each bitmap block overlapping bits [from, to) once, in order,
-// and hands fn the bytes that cover the range, base being the index of their
-// first bit.  Every bit outside [from, to) or beyond n reads as in use, so fn
-// never has to look at a boundary.  fn returns true to stop.
-func (m bitmap) scan(from, to uint32, fn func(base uint32, b []byte) bool) error {
+// and hands fn each byte that covers part of the range, base being the index
+// of the byte's first bit.  Every bit outside [from, to) or beyond n reads as
+// in use, so fn never has to look at a boundary.  fn returns true to stop.
+func (m bitmap) scan(from, to uint32, fn func(base uint32, v byte) bool) error {
 	if to > m.n {
 		to = m.n
 	}
@@ -66,13 +72,18 @@ func (m bitmap) scan(from, to uint32, fn func(base uint32, b []byte) bool) error
 		if err != nil {
 			return err
 		}
-		b := blk[from%bitsPerBlock/8 : (end-1)%bitsPerBlock/8+1]
-		b[0] |= 1<<(from%8) - 1
-		if end%8 != 0 {
-			b[len(b)-1] |= 0xff << (end % 8)
-		}
-		if fn(from-from%8, b) {
-			return nil
+		first, last := from/8, (end-1)/8
+		for i := first; i <= last; i++ {
+			v := blk[i%BlockSize]
+			if i == first {
+				v |= 1<<(from%8) - 1
+			}
+			if i == last && end%8 != 0 {
+				v |= 0xff << (end % 8)
+			}
+			if fn(i*8, v) {
+				return nil
+			}
 		}
 		from = end
 	}
@@ -81,24 +92,19 @@ func (m bitmap) scan(from, to uint32, fn func(base uint32, b []byte) bool) error
 
 // nextClear returns the lowest clear bit in [from, to), if there is one.
 func (m bitmap) nextClear(from, to uint32) (idx uint32, ok bool, err error) {
-	err = m.scan(from, to, func(base uint32, b []byte) bool {
-		for i, v := range b {
-			if v != 0xff {
-				idx, ok = base+uint32(i)*8+uint32(bits.TrailingZeros8(^v)), true
-				return true
-			}
+	err = m.scan(from, to, func(base uint32, v byte) bool {
+		if v != 0xff {
+			idx, ok = base+uint32(bits.TrailingZeros8(^v)), true
 		}
-		return false
+		return ok
 	})
 	return idx, ok, err
 }
 
 // countClear returns the number of clear bits in [from, to).
 func (m bitmap) countClear(from, to uint32) (n uint32, err error) {
-	err = m.scan(from, to, func(_ uint32, b []byte) bool {
-		for _, v := range b {
-			n += uint32(bits.OnesCount8(^v))
-		}
+	err = m.scan(from, to, func(_ uint32, v byte) bool {
+		n += uint32(bits.OnesCount8(^v))
 		return false
 	})
 	return n, err
@@ -125,7 +131,7 @@ func (fs *FS) ballocLocked() (uint32, error) {
 		return 0, err
 	}
 	// Zero the block so stale contents never leak into new files.
-	if err := fs.bc.write(bn, make([]byte, BlockSize)); err != nil {
+	if err := fs.bc.write(bn, zeroBlock); err != nil {
 		return 0, err
 	}
 	fs.rotor = bn + 1

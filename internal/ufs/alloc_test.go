@@ -1,6 +1,7 @@
 package ufs
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -221,6 +222,7 @@ func crowdedFS(t *testing.T) *FS {
 	if err != nil {
 		t.Fatal(err)
 	}
+	blk = bytes.Clone(blk)
 	for i := 2; i < 20002; i++ {
 		blk[i/8] |= 1 << (i % 8)
 	}

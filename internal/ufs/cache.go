@@ -1,7 +1,10 @@
 package ufs
 
 import (
+	"hash/crc32"
+
 	"repro/internal/disk"
+	"repro/internal/invariant"
 	"repro/internal/lru"
 )
 
@@ -55,22 +58,49 @@ func (c *cache[K, V]) drop(k K) { c.lru.Drop(k) }
 // crash semantics trivial (every completed write is on the device) while
 // still giving the read-path locality wins the paper's dual-mapping design
 // relies on (§2.6).
+//
+// One rule makes it copy-free: a block in the cache is never written to.
+// read lends the cached slice itself, so a reader may only look; a caller
+// that means to change a block takes a private copy first (bytes.Clone at the
+// read-modify-write sites) and hands it to write, which takes ownership — the
+// caller must not touch the buffer again.  A lent slice therefore stays a
+// faithful snapshot of the block as it was read, even after the block is
+// rewritten or evicted.  Mutating cached blocks in place would save the copy
+// but make every slice a reader holds change under it; the rule that would
+// replace this one (who may hold what across which call) is neither as short
+// nor checkable.  This one is checked in a cache made under FICUS_INVARIANTS:
+// each block is cached with a checksum, compared on every hit and before the
+// block is replaced or evicted.
 type bufferCache struct {
-	cache[uint32, []byte]
-	dev *disk.Device
+	cache[uint32, cachedBlock]
+	dev     *disk.Device
+	checked bool
+}
+
+// cachedBlock is a block and, in a checked cache, its checksum as cached.
+type cachedBlock struct {
+	data []byte
+	sum  uint32
 }
 
 func newBufferCache(dev *disk.Device, capacity int, enabled bool) *bufferCache {
-	return &bufferCache{cache: newCache[uint32, []byte](capacity, enabled), dev: dev}
+	return &bufferCache{cache: newCache[uint32, cachedBlock](capacity, enabled), dev: dev, checked: invariant.Enabled()}
 }
 
-// read returns a copy of block bn, consulting the cache first.
-func (c *bufferCache) read(bn uint32) ([]byte, error) {
-	p := make([]byte, BlockSize)
-	if data, ok := c.get(bn); ok {
-		copy(p, data)
-		return p, nil
+func (c *bufferCache) checkUnwritten(bn uint32, b cachedBlock) {
+	if c.checked {
+		invariant.Checkf(b.sum == crc32.ChecksumIEEE(b.data), "ufs: cached block %d was written to while lent", bn)
 	}
+}
+
+// read lends block bn, from the cache or, on a miss, from the device through
+// it.  The caller must not write to the slice.
+func (c *bufferCache) read(bn uint32) ([]byte, error) {
+	if b, ok := c.get(bn); ok {
+		c.checkUnwritten(bn, b)
+		return b.data, nil
+	}
+	p := make([]byte, BlockSize)
 	if err := c.dev.Read(int(bn), p); err != nil {
 		return nil, err
 	}
@@ -78,7 +108,8 @@ func (c *bufferCache) read(bn uint32) ([]byte, error) {
 	return p, nil
 }
 
-// write stores data as block bn, writing through to the device.
+// write stores data as block bn, writing through to the device, and takes
+// ownership of data.
 func (c *bufferCache) write(bn uint32, data []byte) error {
 	if err := c.dev.Write(int(bn), data); err != nil {
 		// Failed writes must not populate the cache: the bytes never
@@ -90,15 +121,28 @@ func (c *bufferCache) write(bn uint32, data []byte) error {
 	return nil
 }
 
-// insert caches a private copy of data, so the caller may keep writing to
-// its buffer.
+// insert caches data itself as block bn.
 func (c *bufferCache) insert(bn uint32, data []byte) {
 	if !c.enabled {
 		return
 	}
-	cp := make([]byte, BlockSize)
-	copy(cp, data)
-	c.put(bn, cp)
+	b := cachedBlock{data: data}
+	if c.checked {
+		// The put replaces block bn or may evict the coldest one, the last a
+		// walk visits: check both while they are still here.
+		var coldest uint32
+		var cold cachedBlock
+		c.lru.DropFunc(func(k uint32, old cachedBlock) bool {
+			if k == bn {
+				c.checkUnwritten(k, old)
+			}
+			coldest, cold = k, old
+			return false
+		})
+		c.checkUnwritten(coldest, cold)
+		b.sum = crc32.ChecksumIEEE(data)
+	}
+	c.put(bn, b)
 }
 
 // inodeCache holds decoded inodes.  Because it sits above the buffer cache

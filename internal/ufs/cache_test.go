@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/invariant"
 )
 
 // TestWarmLookupCostsNoIO reproduces the substrate half of paper §6:
@@ -166,4 +167,47 @@ func TestSetCachesEnabledToggle(t *testing.T) {
 	if dev.Stats().Total() != 0 {
 		t.Fatal("re-enabled caches not serving")
 	}
+}
+
+// TestWarmReadAtAllocatesNoBlock pins the lending rule's point: a cache hit
+// hands out the cached block, it does not copy it.
+func TestWarmReadAtAllocatesNoBlock(t *testing.T) {
+	fs, err := Mkfs(disk.New(1024), 256, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ino, _ := fs.Create(fs.Root(), "f")
+	if err := fs.WriteFile(ino, make([]byte, 8*BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, BlockSize)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := fs.ReadAt(ino, buf, 3*BlockSize); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a warm 4 KiB ReadAt made %v allocations, want 0", n)
+	}
+}
+
+// TestWriteToLentBlockFiresInvariant breaks the rule — a block in the cache is
+// never written to — and expects the armed check to say so on the next hit.
+func TestWriteToLentBlockFiresInvariant(t *testing.T) {
+	defer invariant.ForceForTest(true)()
+	fs, err := Mkfs(disk.New(1024), 256, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := fs.bc.read(fs.sb.ITableStart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk[0] ^= 0xff
+	defer func() {
+		if _, ok := recover().(*invariant.Violation); !ok {
+			t.Fatal("reading a block that was written to while lent raised no violation")
+		}
+		blk[0] ^= 0xff
+	}()
+	fs.bc.read(fs.sb.ITableStart)
 }

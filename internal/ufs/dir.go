@@ -1,6 +1,9 @@
 package ufs
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // Dirent is one directory entry as returned by Readdir.
 type Dirent struct {
@@ -186,6 +189,7 @@ func (fs *FS) dirAddLocked(dir Ino, name string, child Ino) error {
 	if err != nil {
 		return err
 	}
+	blk = bytes.Clone(blk)
 	encodeSlot(blk[off:], child, name)
 	if err := fs.bc.write(bn, blk); err != nil {
 		return err
@@ -231,6 +235,7 @@ func (fs *FS) dirRemoveLocked(dir Ino, name string) (Ino, error) {
 	if err != nil {
 		return 0, err
 	}
+	blk = bytes.Clone(blk)
 	encodeSlot(blk[off:], 0, "")
 	if err := fs.bc.write(bn, blk); err != nil {
 		return 0, err
@@ -601,6 +606,7 @@ func (fs *FS) dirSetDotDotLocked(dir, parent Ino) error {
 	if err != nil {
 		return err
 	}
+	blk = bytes.Clone(blk)
 	encodeSlot(blk[dirSlotSize:], parent, "..")
 	if err := fs.bc.write(bn, blk); err != nil {
 		return err

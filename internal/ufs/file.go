@@ -1,6 +1,7 @@
 package ufs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 )
@@ -139,6 +140,7 @@ func (fs *FS) writeAtLocked(ino Ino, p []byte, off int64) (int, error) {
 				_ = fs.writeInodeLocked(ino, din)
 				return written, err
 			}
+			blk = bytes.Clone(blk)
 		}
 		copy(blk[boff:], p[written:written+chunk])
 		if err := fs.bc.write(bn, blk); err != nil {

@@ -1,6 +1,7 @@
 package ufs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -104,6 +105,7 @@ func (fs *FS) writeInodeLocked(ino Ino, din dinode) error {
 	if err != nil {
 		return err
 	}
+	blk = bytes.Clone(blk)
 	din.encode(blk[off : off+InodeSize])
 	if err := fs.bc.write(bn, blk); err != nil {
 		return err
@@ -183,6 +185,7 @@ func (fs *FS) indirectSlot(ibn, idx uint32, alloc bool) (uint32, error) {
 		if err != nil {
 			return 0, err
 		}
+		blk = bytes.Clone(blk)
 		binary.BigEndian.PutUint32(blk[4*idx:], bn)
 		if err := fs.bc.write(ibn, blk); err != nil {
 			return 0, err
@@ -248,6 +251,7 @@ func (fs *FS) itruncateLocked(ino Ino, size uint64) error {
 		if err != nil {
 			return err
 		}
+		blk = bytes.Clone(blk)
 		changed := false
 		allEmpty := true
 		for o := uint32(0); o < PtrsPerBlock; o++ {
@@ -310,9 +314,8 @@ func (fs *FS) itruncateLocked(ino Ino, size uint64) error {
 			if err != nil {
 				return err
 			}
-			for i := tail; i < BlockSize; i++ {
-				blk[i] = 0
-			}
+			blk = bytes.Clone(blk)
+			clear(blk[tail:])
 			if err := fs.bc.write(bn, blk); err != nil {
 				return err
 			}
@@ -330,6 +333,7 @@ func (fs *FS) freeIndirectRange(ibn, start uint32) (empty bool, err error) {
 	if err != nil {
 		return false, err
 	}
+	blk = bytes.Clone(blk)
 	changed := false
 	empty = true
 	for i := uint32(0); i < PtrsPerBlock; i++ {
