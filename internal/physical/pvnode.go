@@ -415,14 +415,14 @@ func (v *pvnode) ReadAt(p []byte, off int64) (int, error) {
 
 // updateFileLocked is every local mutation of a stored file — an update this
 // replica originated, so its version vector is bumped (§3.1) — in the order
-// an install uses: the sidecar is sealed over the image the file is about to
-// hold (image of the first keep of its current bytes — all the new image
-// depends on), under the bumped vector; apply then overwrites the data file
-// df in place; the aux commits last.  Between the first step and the last the
-// seal is stale — unverifiable, the scrubber reseals — so at no crash offset
-// does a seal vouch for bytes it does not cover, and never does the aux vouch
-// for a seal that is not there.
-func (v *pvnode) updateFileLocked(df vnode.Vnode, keep uint64, image func(kept []byte) []byte, apply func() error) error {
+// an install uses: the sidecar is sealed, under the bumped vector, over the
+// image the file is about to hold (nextManifestLocked: its bytes cut or
+// zero-extended to the size in [lo, hi] nearest their own, p laid over them at
+// off); apply then overwrites the data file df in place; the aux commits last.
+// Between the first step and the last the seal is stale — unverifiable, the
+// scrubber reseals — so at no crash offset does a seal vouch for bytes it does
+// not cover, and never does the aux vouch for a seal that is not there.
+func (v *pvnode) updateFileLocked(df vnode.Vnode, lo, hi uint64, p []byte, off uint64, apply func() error) error {
 	cont, err := v.container()
 	if err != nil {
 		return mapStoreErr(err)
@@ -431,17 +431,21 @@ func (v *pvnode) updateFileLocked(df vnode.Vnode, keep uint64, image func(kept [
 	if err != nil {
 		return err
 	}
-	aux.VV = v.l.bumpVV(aux.VV)
 	da, err := df.Getattr()
 	if err != nil {
 		return err
 	}
-	kept := make([]byte, min(da.Size, keep))
-	n, err := df.ReadAt(kept, 0)
-	if err != nil && !errors.Is(err, io.EOF) {
+	// Only a seal made for exactly these bytes can vouch for the ones kept.
+	var seal *sidecar
+	if sc, err := readSidecar(cont, v.fid); err == nil && sc.Sealed.Equal(aux.VV) {
+		seal = &sc
+	}
+	m, err := v.nextManifestLocked(df, seal, da.Size, min(max(da.Size, lo), hi), p, off)
+	if err != nil {
 		return err
 	}
-	if err := v.l.sealLocked(cont, v.fid, aux.VV, ComputeManifest(image(kept[:n]))); err != nil {
+	aux.VV = v.l.bumpVV(aux.VV)
+	if err := v.l.sealLocked(cont, v.fid, aux.VV, m); err != nil {
 		return err
 	}
 	if err := apply(); err != nil {
@@ -450,12 +454,55 @@ func (v *pvnode) updateFileLocked(df vnode.Vnode, keep uint64, image func(kept [
 	return writeAuxVnode(af, &aux)
 }
 
-// resized returns data cut or zero-extended to size bytes.
-func resized(data []byte, size uint64) []byte {
-	if size <= uint64(len(data)) {
-		return data[:size]
+// nextManifestLocked summarises the image df, old bytes long, is about to
+// hold: those bytes cut or zero-extended to size, with p laid over them at
+// off.  Only the blocks that changes are read and hashed.  Under seal, the
+// file's current seal (nil when it has none that is current), every other
+// block keeps its sealed address — never a hash of what it reads back as now,
+// which would launder rot at rest under a newer vector — and the stored bytes a
+// changed block keeps must first hash to theirs: what fails is quarantined and
+// the update refused like any write to a quarantined replica.  Without a seal
+// every stored block is read and hashed on trust, as the scrubber's reseal
+// does.  A block wholly past the old end is zeros and is never materialised.
+func (v *pvnode) nextManifestLocked(df vnode.Vnode, seal *sidecar, old, size uint64, p []byte, off uint64) (*BlockManifest, error) {
+	if seal != nil && seal.Length != old {
+		v.l.quarantineLocked(v.dirPath, v.fid, seal.Sealed)
+		return nil, vnode.ENOSTOR
 	}
-	return append(data, make([]byte, size-uint64(len(data)))...)
+	m := &BlockManifest{Length: size, Blocks: make([]BlockAddr, blockCount(size))}
+	buf := make([]byte, ChecksumBlockSize)
+	for i := range m.Blocks {
+		s := uint64(i) * ChecksumBlockSize
+		// The block runs [s, e); its stored bytes, if any, [s, stored); p
+		// covers [from, to) of it, if anything.
+		e, stored := min(s+ChecksumBlockSize, size), min(s+ChecksumBlockSize, old)
+		from, to := max(s, off), min(e, off+uint64(len(p)))
+		switch {
+		case from >= to && stored == e && seal != nil:
+			m.Blocks[i] = seal.Blocks[i]
+		case from >= to && stored <= s && e-s == ChecksumBlockSize:
+			m.Blocks[i] = zeroBlockAddr
+		case from == s && to == e:
+			m.Blocks[i] = HashBlock(p[s-off : e-off])
+		default:
+			clear(buf)
+			if stored > s {
+				kept := buf[:stored-s]
+				if _, err := df.ReadAt(kept, int64(s)); err != nil && !errors.Is(err, io.EOF) {
+					return nil, err
+				}
+				if seal != nil && HashBlock(kept) != seal.Blocks[i] {
+					v.l.quarantineLocked(v.dirPath, v.fid, seal.Sealed)
+					return nil, vnode.ENOSTOR
+				}
+			}
+			if from < to {
+				copy(buf[from-s:], p[from-off:to-off])
+			}
+			m.Blocks[i] = HashBlock(buf[:e-s])
+		}
+	}
+	return m, nil
 }
 
 func (v *pvnode) WriteAt(p []byte, off int64) (int, error) {
@@ -480,11 +527,7 @@ func (v *pvnode) WriteAt(p []byte, off int64) (int, error) {
 		return 0, err
 	}
 	n := 0
-	err = v.updateFileLocked(df, math.MaxUint64, func(old []byte) []byte {
-		old = resized(old, max(uint64(len(old)), uint64(off)+uint64(len(p))))
-		copy(old[off:], p)
-		return old
-	}, func() (err error) {
+	err = v.updateFileLocked(df, uint64(off)+uint64(len(p)), math.MaxUint64, p, uint64(off), func() (err error) {
 		n, err = df.WriteAt(p, off)
 		return err
 	})
@@ -507,8 +550,7 @@ func (v *pvnode) Truncate(size uint64) error {
 	if err != nil {
 		return err
 	}
-	return v.updateFileLocked(df, size, func(old []byte) []byte { return resized(old, size) },
-		func() error { return df.Truncate(size) })
+	return v.updateFileLocked(df, size, size, nil, 0, func() error { return df.Truncate(size) })
 }
 
 func (v *pvnode) Fsync() error { return v.l.store.Sync() }
@@ -599,7 +641,7 @@ func (v *pvnode) Setattr(sa vnode.SetAttr) error {
 		if err != nil {
 			return err
 		}
-		return v.updateFileLocked(df, math.MaxUint64, func(old []byte) []byte { return old },
+		return v.updateFileLocked(df, 0, math.MaxUint64, nil, 0,
 			func() error { return df.Setattr(vnode.SetAttr{Mode: sa.Mode}) })
 	}
 	return nil

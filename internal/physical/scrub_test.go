@@ -3,8 +3,10 @@ package physical
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/ids"
 	"repro/internal/invariant"
 	"repro/internal/retry"
 	"repro/internal/vnode"
@@ -326,5 +328,80 @@ func TestRepairDueAndBackoffBookkeeping(t *testing.T) {
 	l.NoteUnrepairable(fid) // idempotent within one quarantine spell
 	if s := l.IntegrityStats(); s.Unrepairable != 1 {
 		t.Fatalf("unrepairable must count once per spell: %+v", s)
+	}
+}
+
+// rottedThreeBlockFile builds a layer holding one sealed three-block file
+// whose block 0 has silently rotted at rest.
+func rottedThreeBlockFile(t *testing.T) (*Layer, vnode.Vnode, ids.FileID) {
+	t.Helper()
+	l, f := scrubLayerWithFile(t, strings.Repeat("0123456789abcdef", 3*ChecksumBlockSize/16))
+	fid := mustFid(t, f)
+	if err := l.CorruptData(RootPath(), fid, 3); err != nil {
+		t.Fatal(err)
+	}
+	return l, f, fid
+}
+
+// TestLocalWriteDoesNotLaunderRot: a local write that leaves a rotted block
+// alone must not reseal that block from its bytes as read back — that would
+// launder the damage under a newer vector, which then propagates.  The block
+// keeps its sealed address and the next scrub still catches it.
+func TestLocalWriteDoesNotLaunderRot(t *testing.T) {
+	l, f, fid := rottedThreeBlockFile(t)
+	if _, err := f.WriteAt([]byte("hello"), 2*ChecksumBlockSize+10); err != nil {
+		t.Fatalf("write to a healthy block of the file: %v", err)
+	}
+	rep, err := l.ScrubPass()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Corrupt != 1 || !l.IsQuarantined(fid) {
+		t.Fatalf("the write laundered the rot in block 0: scrub %v, quarantined=%v", rep, l.IsQuarantined(fid))
+	}
+}
+
+// TestPartialOverwriteOfRottedBlockQuarantines: a write that lays new bytes
+// over part of a block keeps the rest of that block, so it verifies what it
+// keeps; rot there fails the write exactly as a write to an already
+// quarantined replica fails, and neither the vector nor the seal moves.
+func TestPartialOverwriteOfRottedBlockQuarantines(t *testing.T) {
+	l, f, fid := rottedThreeBlockFile(t)
+	sealImage := func() []byte {
+		t.Helper()
+		cont, err := l.containerOf(RootPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sf, err := cont.Lookup(prefixSidecar + fid.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := vnode.ReadFile(sf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	before, err := l.FileInfo(RootPath(), fid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seal := sealImage()
+	if _, err := f.WriteAt([]byte("hello"), 10); vnode.AsErrno(err) != vnode.ENOSTOR {
+		t.Fatalf("partial overwrite of a rotted block: got %v, want ENOSTOR", err)
+	}
+	if !l.IsQuarantined(fid) {
+		t.Fatal("the replica whose kept bytes failed their address is not quarantined")
+	}
+	after, err := l.FileInfo(RootPath(), fid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.Aux.VV.Equal(before.Aux.VV) {
+		t.Fatalf("refused write moved the vector: %s -> %s", before.Aux.VV, after.Aux.VV)
+	}
+	if !bytes.Equal(sealImage(), seal) {
+		t.Fatal("refused write moved the seal")
 	}
 }

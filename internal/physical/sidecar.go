@@ -89,6 +89,10 @@ func HashBlock(p []byte) BlockAddr {
 	return a
 }
 
+// zeroBlockAddr is the address of a whole block of zeros: what every block of
+// a hole holds.
+var zeroBlockAddr = HashBlock(make([]byte, ChecksumBlockSize))
+
 // BlockManifest is the verifiable content summary of one file version: the
 // exact length plus one address per ChecksumBlockSize chunk (the final chunk
 // may be short; its address covers the short content).
@@ -151,7 +155,8 @@ type sidecar struct {
 
 // encodeSidecar renders a sidecar image sealing m under vector sealed.
 func encodeSidecar(sealed vv.Vector, m *BlockManifest) []byte {
-	out := append([]byte(nil), sidecarMagic...)
+	out := make([]byte, 0, len(sidecarMagic)+2+4+12*len(sealed)+8+BlockAddrSize*len(m.Blocks))
+	out = append(out, sidecarMagic...)
 	out = wire.AppendU8(out, sidecarVersion)
 	out = wire.AppendU8(out, 0) // no flag is defined
 	out = sealed.AppendBinary(out)

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/invariant"
+	"repro/internal/vnode"
 	"repro/internal/vv"
 )
 
@@ -192,5 +195,64 @@ func TestInstallRejectsMalformedManifest(t *testing.T) {
 	}
 	if l.StoresFile(RootPath(), fid(2, 9)) {
 		t.Fatal("a refused install left storage behind")
+	}
+}
+
+// TestSparseGrowthSealsWithoutMaterialisingZeros: growing a ten-byte file by
+// a gibibyte — by truncate, or by a write far past its end — seals the hole
+// block by block from one constant address.  Neither the hole nor its hashes
+// are ever built (that was a gibibyte and 262 144 SHA-256s), and nothing but
+// the ten bytes kept is read from the device.
+func TestSparseGrowthSealsWithoutMaterialisingZeros(t *testing.T) {
+	tenByteFile := func() (*Layer, *disk.Device, vnode.Vnode) {
+		l, dev := newLayer(t, 1)
+		root, err := l.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := root.Create("f", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vnode.WriteFile(f, []byte("ten bytes.")); err != nil {
+			t.Fatal(err)
+		}
+		return l, dev, f
+	}
+	for _, grow := range []struct {
+		name string
+		op   func(f vnode.Vnode, by int64) error
+	}{
+		{"truncate", func(f vnode.Vnode, by int64) error { return f.Truncate(uint64(10 + by)) }},
+		{"write past the end", func(f vnode.Vnode, by int64) error {
+			_, err := f.WriteAt([]byte("far out"), 10+by-7)
+			return err
+		}},
+	} {
+		_, dev, f := tenByteFile()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		reads := dev.Stats().Reads
+		if err := grow.op(f, 1<<30); err != nil {
+			t.Fatalf("%s: %v", grow.name, err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
+			t.Errorf("%s by 1 GiB allocated %d MiB, want a small multiple of its 4 MiB manifest", grow.name, got>>20)
+		}
+		if got := dev.Stats().Reads - reads; got > 8 {
+			t.Errorf("%s by 1 GiB read %d device blocks, want a handful", grow.name, got)
+		}
+
+		// The same on a scale where a full read-back is affordable: the
+		// seal must be the one the whole image hashes to.
+		l, _, f := tenByteFile()
+		if err := grow.op(f, 64<<20); err != nil {
+			t.Fatalf("%s: %v", grow.name, err)
+		}
+		data, _, m, err := l.readVerifiedLocked(RootPath(), mustFid(t, f))
+		if err != nil || m == nil || len(data) != 10+64<<20 {
+			t.Fatalf("%s by 64 MiB: verified read-back: %d bytes, manifest %v, err %v", grow.name, len(data), m, err)
+		}
 	}
 }
