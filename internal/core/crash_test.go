@@ -90,6 +90,11 @@ func runCrashSweepCase(t *testing.T, crashAfter int) bool {
 		}
 		if g, err := root1.Create(fmt.Sprintf("b%d", i), false); err == nil {
 			_ = vnode.WriteFile(g, []byte(fmt.Sprintf("h1 v%d", i)))
+			// Local overwrites reseal in place: within a block, past the
+			// end across a hole, and a cut.
+			_, _ = g.WriteAt([]byte("again"), 3)
+			_, _ = g.WriteAt([]byte("far"), 3*4096)
+			_ = g.Truncate(4)
 		}
 		if i > 0 {
 			_ = root1.Rename(fmt.Sprintf("b%d", i-1), root1, fmt.Sprintf("c%d", i-1))

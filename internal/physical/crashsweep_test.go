@@ -224,6 +224,9 @@ func newSweepFixture(t *testing.T) (*disk.Device, *Layer) {
 // sweepOp is one mutating operation under test.
 type sweepOp struct {
 	name string
+	// prep, if set, runs to completion first: acknowledged state the shared
+	// fixture does not hold.
+	prep func(l *Layer, root vnode.Vnode) error
 	run  func(l *Layer, root vnode.Vnode) error
 	// allowed lists the states a crash may leave; nil means the op is
 	// all-or-nothing: exactly before or after.
@@ -323,6 +326,60 @@ func sweepOps() []sweepOp {
 		{name: "Setattr", inPlace: "/f0", run: onFile("/f0", func(f vnode.Vnode) error {
 			return f.Setattr(vnode.SetAttr{Mode: &mode})
 		})},
+		// The seal's address count moves both ways, one block at a time and
+		// across a hole.
+		{name: "WriteAtGrows", inPlace: "/f0", run: onFile("/f0", func(f vnode.Vnode) error {
+			_, err := f.WriteAt([]byte("GROWN"), 3*ChecksumBlockSize-2) // two blocks become four
+			return err
+		})},
+		{name: "TruncateGrows", inPlace: "/f0", run: onFile("/f0", func(f vnode.Vnode) error { return f.Truncate(20000) })},
+		{name: "TruncateToNothing", inPlace: "/f0", run: onFile("/f0", func(f vnode.Vnode) error { return f.Truncate(0) })},
+		// A sparse file a little over 1 MiB has a sidecar two device blocks
+		// long: its reseal in place is not one device write.  The vector
+		// changes in the first, this write's address in the second.
+		{name: "WriteAtUnderTwoBlockSidecar", inPlace: "/f0", prep: onFile("/f0", func(f vnode.Vnode) error { return f.Truncate(1<<20 + 9000) }),
+			run: onFile("/f0", func(f vnode.Vnode) error {
+				_, err := f.WriteAt([]byte("TAIL"), 1<<20+8000)
+				return err
+			})},
+		{name: "TruncateUnderTwoBlockSidecar", inPlace: "/f0", prep: onFile("/f0", func(f vnode.Vnode) error { return f.Truncate(1<<20 + 9000) }),
+			run: onFile("/f0", func(f vnode.Vnode) error { return f.Truncate(6000) })},
+		// A seal that is not current — here what an install that crashed after
+		// its sidecar leaves — vouches for nothing: the update hashes every
+		// block it keeps and replaces the sidecar.
+		{name: "WriteAtOverStaleSeal", inPlace: "/f0", prep: staleSeal("/f0"), run: onFile("/f0", func(f vnode.Vnode) error {
+			_, err := f.WriteAt([]byte("WRITE"), 4094)
+			return err
+		})},
+		{name: "TruncateOverStaleSeal", inPlace: "/f0", prep: staleSeal("/f0"), run: onFile("/f0", func(f vnode.Vnode) error { return f.Truncate(100) })},
+	}
+}
+
+// staleSeal leaves the root-directory file at path under the sidecar of an
+// install, from replica 2, that crashed before replacing the data.
+func staleSeal(path string) func(*Layer, vnode.Vnode) error {
+	return func(l *Layer, root vnode.Vnode) error {
+		f, err := vnode.Walk(root, path)
+		if err != nil {
+			return err
+		}
+		a, err := f.Getattr()
+		if err != nil {
+			return err
+		}
+		fid, err := ids.ParseFileID(a.FileID)
+		if err != nil {
+			return err
+		}
+		st, err := l.FileInfo(RootPath(), fid)
+		if err != nil {
+			return err
+		}
+		cont, err := l.containerOf(RootPath())
+		if err != nil {
+			return err
+		}
+		return l.sealLocked(cont, fid, st.Aux.VV.Clone().Bump(2), ComputeManifest(sweepPayload('z')))
 	}
 }
 
@@ -422,8 +479,13 @@ func TestCrashAtEveryWriteOfEveryLocalOp(t *testing.T) {
 			// A clean twin run gives the before and after states and the
 			// number of device writes to sweep.
 			dev, l := newSweepFixture(t)
-			before, _ := walkSweepTree(t, l, "before")
 			root, _ := l.Root()
+			if op.prep != nil {
+				if err := op.prep(l, root); err != nil {
+					t.Fatalf("clean run: prep: %v", err)
+				}
+			}
+			before, _ := walkSweepTree(t, l, "before")
 			w0 := dev.Stats().Writes
 			if err := op.run(l, root); err != nil {
 				t.Fatalf("clean run: %v", err)
@@ -448,6 +510,11 @@ func TestCrashAtEveryWriteOfEveryLocalOp(t *testing.T) {
 					tag := fmt.Sprintf("k=%d/%d torn=%v", k, writes, torn)
 					dev, l := newSweepFixture(t)
 					root, _ := l.Root()
+					if op.prep != nil {
+						if err := op.prep(l, root); err != nil {
+							t.Fatalf("%s: prep: %v", tag, err)
+						}
+					}
 					if torn {
 						dev.FaultAfterWritesTorn(k, 7)
 					} else {
@@ -512,4 +579,85 @@ func TestCrashAtEveryWriteOfEveryLocalOp(t *testing.T) {
 		})
 	}
 	t.Logf("swept %d crash cases", offsets)
+}
+
+// TestTornResealNeverSplicesACurrentSeal aims a torn write at the one place
+// an in-place reseal could forge a seal.  An install that crashed after its
+// sidecar left S<fid> sealed under a vector that differs from the aux's only
+// in a counter that precedes this replica's; a local write's new sidecar
+// differs from the aux's vector only in this replica's counter, which comes
+// later.  Torn between the two, new head over old tail would spell exactly
+// the aux's vector above the crashed install's addresses.  Swept over every
+// device write of the local write and every tear length that can end inside
+// the vector, the seal rule must hold: sealed == aux ⇒ the manifest verifies.
+func TestTornResealNeverSplicesACurrentSeal(t *testing.T) {
+	base := disk.New(512)
+	fs, err := ufs.Mkfs(base, 128, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := Format(ufsvn.New(fs), testVol, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := l.Root()
+	f, err := root.Create("f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vnode.WriteFile(f, sweepPayload('a')); err != nil {
+		t.Fatal(err)
+	}
+	fid := mustFid(t, f)
+	st, err := l.FileInfo(RootPath(), fid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	installed := st.Aux.VV.Clone().Bump(1)
+	if err := l.InstallFileVersion(RootPath(), fid, KFile, sweepPayload('b'), installed, 1); err != nil {
+		t.Fatal(err)
+	}
+	cont, err := l.containerOf(RootPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.sealLocked(cont, fid, installed.Clone().Bump(1), ComputeManifest(sweepPayload('c'))); err != nil {
+		t.Fatal(err)
+	}
+
+	open := func(dev *disk.Device) (*Layer, vnode.Vnode) {
+		t.Helper()
+		fs, err := ufs.Mount(dev, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(ufsvn.New(fs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, _ := l.Root()
+		f, err := root.Lookup("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l, f
+	}
+	dev := base.Snapshot()
+	_, f = open(dev)
+	w0 := dev.Stats().Writes
+	if _, err := f.WriteAt([]byte("WRITE"), 10); err != nil {
+		t.Fatal(err)
+	}
+	writes := int(dev.Stats().Writes - w0)
+	for k := 0; k < writes; k++ {
+		for torn := 1; torn <= 64; torn++ {
+			dev := base.Snapshot()
+			_, f := open(dev)
+			dev.FaultAfterWritesTorn(k, torn)
+			f.WriteAt([]byte("WRITE"), 10)
+			dev.ClearFault()
+			l2, _ := open(dev)
+			checkStoreMembers(t, l2, fmt.Sprintf("k=%d/%d torn=%d", k, writes, torn))
+		}
+	}
 }

@@ -677,3 +677,30 @@ func TestEnsureDirStored(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLocalOverwriteIsSixDeviceWrites pins what a small local overwrite costs
+// on the device, whatever the file's size: a block and the inode for each of
+// the sidecar (overwritten in place), the data and the aux.
+func TestLocalOverwriteIsSixDeviceWrites(t *testing.T) {
+	for _, size := range []int{5000, 16 * ChecksumBlockSize} {
+		l, dev := newLayer(t, 1)
+		root, err := l.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := root.Create("f", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vnode.WriteFile(f, bytes.Repeat([]byte("x"), size)); err != nil {
+			t.Fatal(err)
+		}
+		before := dev.Stats().Writes
+		if _, err := f.WriteAt([]byte("hello"), 100); err != nil {
+			t.Fatal(err)
+		}
+		if got := dev.Stats().Writes - before; got != 6 {
+			t.Errorf("a 5-byte overwrite of a %d-byte file made %d device writes, want 6", size, got)
+		}
+	}
+}

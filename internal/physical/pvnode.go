@@ -435,17 +435,22 @@ func (v *pvnode) updateFileLocked(df vnode.Vnode, lo, hi uint64, p []byte, off u
 	if err != nil {
 		return err
 	}
-	// Only a seal made for exactly these bytes can vouch for the ones kept.
+	// Only a current seal can vouch for the bytes kept.  Any other sidecar
+	// goes before the new one is written over it: torn inside the vector, the
+	// new head on that old tail could spell the aux's vector above addresses
+	// that were never its (resealInPlace has the argument for a current one).
 	var seal *sidecar
 	if sc, err := readSidecar(cont, v.fid); err == nil && sc.Sealed.Equal(aux.VV) {
 		seal = &sc
+	} else if err := cont.Remove(prefixSidecar + v.fid.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
+		return err
 	}
 	m, err := v.nextManifestLocked(df, seal, da.Size, min(max(da.Size, lo), hi), p, off)
 	if err != nil {
 		return err
 	}
 	aux.VV = v.l.bumpVV(aux.VV)
-	if err := v.l.sealLocked(cont, v.fid, aux.VV, m); err != nil {
+	if err := resealInPlace(cont, v.fid, aux.VV, m); err != nil {
 		return err
 	}
 	if err := apply(); err != nil {

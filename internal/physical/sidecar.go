@@ -212,8 +212,36 @@ func readSidecar(cont vnode.Vnode, fid ids.FileID) (sidecar, error) {
 }
 
 // sealLocked commits fid's sidecar, sealing m under vector sealed (the
-// file's aux vector, current or about to be).  Local mutations, installs and
-// the scrubber's reseal of an unverifiable sidecar all land here.
+// file's aux vector, current or about to be).  A first seal, installs and the
+// scrubber's reseal of an unverifiable sidecar land here.
 func (l *Layer) sealLocked(cont vnode.Vnode, fid ids.FileID, sealed vv.Vector, m *BlockManifest) error {
 	return atomicReplace(cont, prefixSidecar+fid.String(), encodeSidecar(sealed, m))
+}
+
+// resealInPlace overwrites fid's sidecar — a current seal, or absent — with
+// one sealing m under vector sealed, the file's aux vector bumped by this
+// replica: a local update's seal, made before the update touches the data (the
+// aux follows last).  It needs no shadow because the seal rule already makes
+// every prefix of the overwrite harmless.  A crash leaves the new image up to
+// some byte and the old one after it (a torn write lands a prefix of a block,
+// and blocks are written in order).  The two images first differ inside the
+// vector, which precedes the addresses: cut at or before that byte, what is
+// left is the old sidecar, byte for byte; cut anywhere after it, the image
+// carries a vector that is not the old one — which the aux still holds — or no
+// longer decodes (a changed entry count shifts every later field, an image not
+// yet cut down to its new size has trailing bytes).  Both read as unverifiable
+// and the scrubber reseals.  A seal under the vector the aux already holds must
+// never be written this way — its first block alone would make the old
+// addresses current — so the scrubber's reseal, like every seal but this one,
+// keeps sealLocked.
+func resealInPlace(cont vnode.Vnode, fid ids.FileID, sealed vv.Vector, m *BlockManifest) error {
+	sf, err := cont.Create(prefixSidecar+fid.String(), false)
+	if err != nil {
+		return err
+	}
+	img := encodeSidecar(sealed, m)
+	if _, err := sf.WriteAt(img, 0); err != nil {
+		return err
+	}
+	return sf.Truncate(uint64(len(img)))
 }
