@@ -45,9 +45,12 @@ chaos-crash:
 # chaos-scrub runs the silent-corruption convergence test with invariants
 # armed: at-rest bit rot lands on random replicas while hosts crash under
 # RPC faults, and the scrubber must detect, quarantine, and heal every
-# damaged copy from a peer with zero wrong-bytes files (DESIGN.md §11).
+# damaged copy from a peer with zero wrong-bytes files (DESIGN.md §11) — and
+# then the two tests that a local write neither launders rot it did not touch
+# nor builds on rot it did.
 chaos-scrub:
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestChaosScrubConvergence' -v .
+	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestLocalWriteDoesNotLaunderRot|TestPartialOverwriteOfRottedBlockQuarantines' ./internal/physical
 
 # chaos-slow runs the slow-peer convergence test with invariants armed:
 # heavy-tailed latency on every link, one persistently slow link forcing

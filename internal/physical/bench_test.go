@@ -24,12 +24,26 @@ func benchLayer(b *testing.B) *Layer {
 	return l
 }
 
+// BenchmarkCreate measures a create into a directory of at most 64 entries,
+// whatever b.N: a fresh subdirectory every 64 creates and a fresh store every
+// 4096 (three inodes a file, 16 384 to a store), both outside the timer.  In
+// one directory on one store each create rewrote an O(b.N) contents file and
+// a long enough run ran out of inodes.
 func BenchmarkCreate(b *testing.B) {
-	l := benchLayer(b)
-	root, _ := l.Root()
-	b.ResetTimer()
+	var root, dir vnode.Vnode
 	for i := 0; i < b.N; i++ {
-		if _, err := root.Create(fmt.Sprintf("f%08d", i), true); err != nil {
+		if i%64 == 0 {
+			b.StopTimer()
+			if i%4096 == 0 {
+				root, _ = benchLayer(b).Root()
+			}
+			var err error
+			if dir, err = root.Mkdir(fmt.Sprintf("d%02d", i%4096/64)); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := dir.Create(fmt.Sprintf("f%08d", i), true); err != nil {
 			b.Fatal(err)
 		}
 	}

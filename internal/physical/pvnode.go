@@ -461,7 +461,7 @@ func (v *pvnode) updateFileLocked(df vnode.Vnode, lo, hi uint64, p []byte, off u
 
 // nextManifestLocked summarises the image df, old bytes long, is about to
 // hold: those bytes cut or zero-extended to size, with p laid over them at
-// off.  Only the blocks that changes are read and hashed.  Under seal, the
+// off.  Only the blocks the update changes are read and hashed.  Under seal, the
 // file's current seal (nil when it has none that is current), every other
 // block keeps its sealed address — never a hash of what it reads back as now,
 // which would launder rot at rest under a newer vector — and the stored bytes a
@@ -470,12 +470,15 @@ func (v *pvnode) updateFileLocked(df vnode.Vnode, lo, hi uint64, p []byte, off u
 // every stored block is read and hashed on trust, as the scrubber's reseal
 // does.  A block wholly past the old end is zeros and is never materialised.
 func (v *pvnode) nextManifestLocked(df vnode.Vnode, seal *sidecar, old, size uint64, p []byte, off uint64) (*BlockManifest, error) {
-	if seal != nil && seal.Length != old {
+	failsSeal := func() (*BlockManifest, error) {
 		v.l.quarantineLocked(v.dirPath, v.fid, seal.Sealed)
 		return nil, vnode.ENOSTOR
 	}
+	if seal != nil && seal.Length != old {
+		return failsSeal()
+	}
 	m := &BlockManifest{Length: size, Blocks: make([]BlockAddr, blockCount(size))}
-	buf := make([]byte, ChecksumBlockSize)
+	var buf []byte
 	for i := range m.Blocks {
 		s := uint64(i) * ChecksumBlockSize
 		// The block runs [s, e); its stored bytes, if any, [s, stored); p
@@ -490,6 +493,9 @@ func (v *pvnode) nextManifestLocked(df vnode.Vnode, seal *sidecar, old, size uin
 		case from == s && to == e:
 			m.Blocks[i] = HashBlock(p[s-off : e-off])
 		default:
+			if buf == nil {
+				buf = make([]byte, ChecksumBlockSize)
+			}
 			clear(buf)
 			if stored > s {
 				kept := buf[:stored-s]
@@ -497,8 +503,7 @@ func (v *pvnode) nextManifestLocked(df vnode.Vnode, seal *sidecar, old, size uin
 					return nil, err
 				}
 				if seal != nil && HashBlock(kept) != seal.Blocks[i] {
-					v.l.quarantineLocked(v.dirPath, v.fid, seal.Sealed)
-					return nil, vnode.ENOSTOR
+					return failsSeal()
 				}
 			}
 			if from < to {

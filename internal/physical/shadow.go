@@ -24,8 +24,10 @@ import (
 // sidecars, directory contents files (which the paper stores as ordinary
 // files, §2.6), the volume metadata, the compacted journal — goes through
 // them; nothing is replaced by truncate-then-write.  What is overwritten in
-// place is only ever one block — an aux, a journal append — or a file's own
-// data under a seal made stale first (updateFileLocked).
+// place is only ever one block — an aux, a journal append — or, by a local
+// update (updateFileLocked), the file's current sidecar, whose every torn
+// prefix the seal rule makes merely unverifiable (resealInPlace), and then the
+// file's own data under the seal that made stale.
 
 // atomicReplace commits data as dir/name: the complete image is written to
 // a shadow beside name, and one rename substitutes it for the original.

@@ -28,7 +28,8 @@ package physical
 //
 // No flag is defined: the flags byte must be zero.  The block count is
 // derived from the length, so a truncated or padded sidecar fails to decode.
-// Sidecars are committed by atomicReplace like everything else.
+// Sidecars are committed by atomicReplace like everything else, except the one
+// a local update writes over the file's current seal (resealInPlace).
 
 import (
 	"bytes"

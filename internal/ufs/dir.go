@@ -92,7 +92,7 @@ func (fs *FS) dirScanLocked(dir Ino, fn func(idx uint64, ino Ino, name string) b
 				return err
 			}
 		} else {
-			blk = make([]byte, BlockSize)
+			blk = zeroBlock
 		}
 		for s := 0; s < dirSlotsPerBlock; s++ {
 			idx := fbn*dirSlotsPerBlock + uint64(s)

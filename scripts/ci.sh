@@ -4,13 +4,14 @@
 # Runs, in order: build, ficusvet (repo-specific static analysis), go vet,
 # vet and smoke test of the benchmark module (bench/, a module of its own that
 # go vet ./... and go test ./... do not reach), gofmt, the gates that keep
-# encoding/gob out of non-test code, container/list inside internal/lru and
-# whole-file writes in internal/physical behind atomicReplace, a two-second
-# fuzz smoke of every decoder fuzz target, three one-iteration bench smokes,
-# the race-enabled test suite, the suite again with runtime invariants armed
-# (FICUS_INVARIANTS=1), and the four chaos gates (chaos-crash includes the
-# crash-at-every-write sweep of the local mutating ops).  Each thing runs
-# once.  Any failure stops the gate.
+# encoding/gob out of non-test code, container/list inside internal/lru,
+# whole-file writes in internal/physical behind atomicReplace and the in-place
+# sidecar reseal behind its one caller, a two-second fuzz smoke of every
+# decoder fuzz target, three one-iteration bench smokes, the race-enabled test
+# suite, the suite again with runtime invariants armed (FICUS_INVARIANTS=1),
+# and the four chaos gates (chaos-crash includes the crash-at-every-write sweep
+# of the local mutating ops, chaos-scrub the two tests that a local write does
+# not launder rot).  Each thing runs once.  Any failure stops the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -59,6 +60,15 @@ phys=$(git ls-files 'internal/physical/*.go' | grep -v _test.go)
 test "$(cat $phys | grep -c 'vnode\.WriteFile(')" -eq 2
 test -z "$(grep -lE 'Create\((dirFileName|metaFileName)' $phys)"
 
+echo "==> one in-place reseal in internal/physical"
+# Only a local update may overwrite a sidecar in place (DESIGN.md §10.3):
+# resealInPlace has one caller, updateFileLocked, and sealLocked (atomicReplace)
+# keeps its three — the first seal in createKind, commitFileVersionLocked and
+# the scrubber.  An install or a scrub reseal must never take the in-place arm.
+test "$(cat $phys | grep -v '^func ' | grep -c 'resealInPlace(')" -eq 1
+test "$(sed -n '/^func (v \*pvnode) updateFileLocked(/,/^}/p' internal/physical/pvnode.go | grep -c 'resealInPlace(')" -eq 1
+test "$(cat $phys | grep -c '\.sealLocked(')" -eq 3
+
 echo "==> fuzz smoke: every Fuzz* target, 2s each"
 # The seed corpora already run under go test; this catches an oracle that
 # only holds on the seeds.  go test -fuzz takes one target of one package.
@@ -89,6 +99,7 @@ FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryLoca
 
 echo "==> make chaos-scrub"
 FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestChaosScrubConvergence' .
+FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestLocalWriteDoesNotLaunderRot|TestPartialOverwriteOfRottedBlockQuarantines' ./internal/physical
 
 echo "==> make chaos-slow"
 FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestChaosSlowPeerConvergence' .
