@@ -60,7 +60,15 @@ func (f FileID) IsNil() bool { return f == NilFileID }
 // String renders the file id in the fixed-width hexadecimal form used as a
 // UFS name component by the physical layer.
 func (f FileID) String() string {
-	return fmt.Sprintf("%08x%016x", uint32(f.Issuer), f.Seq)
+	const hex = "0123456789abcdef"
+	var b [24]byte
+	for i, v := 7, uint32(f.Issuer); i >= 0; i, v = i-1, v>>4 {
+		b[i] = hex[v&0xf]
+	}
+	for i, v := 23, f.Seq; i >= 8; i, v = i-1, v>>4 {
+		b[i] = hex[v&0xf]
+	}
+	return string(b[:])
 }
 
 // ParseFileID decodes the fixed-width hexadecimal form produced by String.

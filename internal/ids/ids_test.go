@@ -1,6 +1,7 @@
 package ids
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -38,6 +39,34 @@ func TestFileIDStringRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFileIDStringMatchesSprintf pins the hand-rolled hex rendering to the
+// format it replaced, which is also the UFS name of every stored file.
+func TestFileIDStringMatchesSprintf(t *testing.T) {
+	cases := []FileID{
+		{},
+		{Issuer: 0xffffffff},
+		{Seq: 0xffffffffffffffff},
+		{Issuer: 0xffffffff, Seq: 0xffffffffffffffff},
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 10000; i++ {
+		// Shifted so short and long values both occur.
+		cases = append(cases, FileID{
+			Issuer: ReplicaID(rng.Uint32() >> uint(rng.Intn(32))),
+			Seq:    rng.Uint64() >> uint(rng.Intn(64)),
+		})
+	}
+	for _, id := range cases {
+		s := id.String()
+		if want := fmt.Sprintf("%08x%016x", uint32(id.Issuer), id.Seq); s != want {
+			t.Fatalf("FileID %+v: String() = %q, want %q", id, s, want)
+		}
+		if got, err := ParseFileID(s); err != nil || got != id {
+			t.Fatalf("ParseFileID(%q) = %+v, %v; want %+v", s, got, err, id)
+		}
 	}
 }
 
