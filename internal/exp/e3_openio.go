@@ -168,7 +168,14 @@ func ficusOpenIOs(cachesOn bool) (cold, warm uint64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	lay := logical.New(ExpVol, []logical.Replica{{ID: 1, FS: phys}}, logical.Options{})
+	// Caches off means every locality cache off: the UFS's, the logical
+	// layer's resolution cache, and (flushed before each open below) the
+	// physical layer's decoded directories.
+	var lopts logical.Options
+	if !cachesOn {
+		lopts.CacheTTLOps = -1
+	}
+	lay := logical.New(ExpVol, []logical.Replica{{ID: 1, FS: phys}}, lopts)
 	root, err := lay.Root()
 	if err != nil {
 		return 0, 0, err
@@ -211,12 +218,18 @@ func ficusOpenIOs(cachesOn bool) (cold, warm uint64, err error) {
 		return 0, 0, err
 	}
 
-	open := func() error { return openPath(root, "dir", "file") }
+	open := func() error {
+		if !cachesOn {
+			phys.FlushCaches()
+		}
+		return openPath(root, "dir", "file")
+	}
 
 	// "Non-recently accessed directory": flush everything, then open a
 	// file in the SIBLING directory, which warms the path prefix (and the
 	// sibling) but leaves the target directory cold.
 	fs.FlushCaches()
+	phys.FlushCaches()
 	if err := openPath(root, "sibling", "file2"); err != nil {
 		return 0, 0, err
 	}

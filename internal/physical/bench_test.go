@@ -79,6 +79,58 @@ func BenchmarkLookupWarm(b *testing.B) {
 	}
 }
 
+// benchDeepDir makes /a/b/c with n files in c and returns c, a directory whose
+// handle is three containers below the root.
+func benchDeepDir(b *testing.B, n int) (*Layer, vnode.Vnode) {
+	b.Helper()
+	l := benchLayer(b)
+	dir, _ := l.Root()
+	for _, name := range []string{"a", "b", "c"} {
+		var err error
+		if dir, err = dir.Mkdir(name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if _, err := dir.Create(fmt.Sprintf("f%04d", i), true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return l, dir
+}
+
+// BenchmarkGetattrDirWarm is the Getattr of a directory just used: what the
+// NFS server pays to re-validate the subject of every request (Resolve).
+func BenchmarkGetattrDirWarm(b *testing.B) {
+	for _, n := range []int{32, 512} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			_, dir := benchDeepDir(b, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dir.Getattr(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkResolveWarm turns a depth-3 directory handle back into a vnode.
+func BenchmarkResolveWarm(b *testing.B) {
+	for _, n := range []int{32, 512} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			l, dir := benchDeepDir(b, n)
+			h := dir.Handle()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := l.Resolve(h); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkApplyDirMerge(b *testing.B) {
 	// Merge a 64-entry remote state into a replica that already has it:
 	// the steady-state (quiescent) reconciliation cost per directory.

@@ -1,0 +1,105 @@
+package physical
+
+import (
+	"fmt"
+	"hash/crc32"
+
+	"repro/internal/ids"
+	"repro/internal/invariant"
+	"repro/internal/vnode"
+)
+
+// Bounds of the layer's two caches of what the store says (DESIGN.md §16):
+// conts, fid path → container, and dirs, container → decoded directory.
+const contCacheSize, dirCacheSize = 4096, 1024
+
+// dirImage is one directory decoded.  The cache lends it: a reader, under
+// l.mu, must not change it, and a caller about to change the directory clones
+// entries.  commitDirLocked, the directory's one writer, is the image's too.
+type dirImage struct {
+	entries []Entry
+	least   map[string]ids.FileID // name → the least entry id among its live entries
+	byName  map[string]int        // nameOf(entries[i]) → i+1 (a miss reads 0); of two spelt alike, the first
+	live    int                   // how many entries are live
+	attr    *Aux                  // the directory's own attributes; nil until asked for (attrOf)
+	sum     uint32                // of the encoded entries as cached; FICUS_INVARIANTS only
+}
+
+// newDirImage indexes entries, which it keeps.
+func newDirImage(entries []Entry, attr *Aux) *dirImage {
+	d := &dirImage{entries: entries, attr: attr,
+		least: make(map[string]ids.FileID, len(entries)), byName: make(map[string]int, len(entries))}
+	for _, e := range entries {
+		if id, ok := d.least[e.Name]; e.Live() && (!ok || eidLess(e.EID, id)) {
+			d.least[e.Name] = e.EID
+		}
+	}
+	for i, e := range entries {
+		if !e.Live() {
+			continue
+		}
+		d.live++
+		if name := d.nameOf(e); d.find(name) < 0 {
+			d.byName[name] = i + 1
+		}
+	}
+	if invariant.Enabled() {
+		d.sum = crc32.ChecksumIEEE(encodeEntries(entries))
+	}
+	return d
+}
+
+// nameOf returns the client-visible name of live entry e.  Live entries sharing
+// a name (concurrent partitioned insertions: a directory update conflict) are
+// "automatically repaired": all but the least entry id show a #issuer.seq suffix.
+func (d *dirImage) nameOf(e Entry) string {
+	if d.least[e.Name] == e.EID {
+		return e.Name
+	}
+	return fmt.Sprintf("%s#%d.%d", e.Name, e.EID.Issuer, e.EID.Seq)
+}
+
+// find returns the index of the live entry shown as name, or -1.
+func (d *dirImage) find(name string) int { return d.byName[name] - 1 }
+
+// attrOf returns the attributes of the directory in container cont, read on
+// first use: a lookup does not need them, and the paper's cold open (§6) has
+// four I/Os to spend, not five.
+func (d *dirImage) attrOf(cont vnode.Vnode) (*Aux, error) {
+	if d.attr != nil {
+		return d.attr, nil
+	}
+	a, err := readAuxFile(cont, dirAttrName)
+	if err == nil {
+		d.attr = &a
+	}
+	return d.attr, err
+}
+
+// dirLocked lends the image of the directory in container cont.  The key is
+// the container's store handle: a moved container keeps it, and one made on a
+// removed one's inode starts with a commit (newContainerLocked), which drops it.
+func (l *Layer) dirLocked(cont vnode.Vnode) (*dirImage, error) {
+	key := cont.Handle()
+	d, ok := l.dirs.Get(key)
+	if !ok {
+		entries, err := l.readDirFileLocked(cont)
+		if err != nil {
+			return nil, err
+		}
+		d = newDirImage(entries, nil)
+		l.dirs.Put(key, d)
+	} else if invariant.Enabled() && crc32.ChecksumIEEE(encodeEntries(d.entries)) != d.sum {
+		// Never checked against a re-read: chaos-scrub garbles reads on purpose.
+		invariant.Failf("physical: a borrower changed the cached entries of container %s", key)
+	}
+	return d, nil
+}
+
+// FlushCaches empties the layer's caches; the next calls read the store.
+func (l *Layer) FlushCaches() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.conts.Flush()
+	l.dirs.Flush()
+}

@@ -2,7 +2,6 @@ package physical
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/ids"
@@ -76,7 +75,8 @@ func decodeEntries(p []byte) ([]Entry, error) {
 }
 
 // readDirFileLocked loads the entries of the directory whose container is
-// cont.
+// cont from the store: for dirLocked on a miss, and for the verifiers — Check,
+// Recover, the scrubber — whose word must be the store's, not the cache's.
 func (l *Layer) readDirFileLocked(cont vnode.Vnode) ([]Entry, error) {
 	f, err := cont.Lookup(dirFileName)
 	if err != nil {
@@ -94,8 +94,12 @@ func (l *Layer) readDirFileLocked(cont vnode.Vnode) ([]Entry, error) {
 // then advance, unless nil, moves the directory's version vector in attr
 // (bumpVV for a local mutation, a merge for reconciliation).  A crash between
 // the two leaves the new entries under the old vector, which costs the next
-// reconciliation a look at a directory it would otherwise have skipped.
+// reconciliation a look at a directory it would otherwise have skipped.  The
+// cached image goes first, and its successor (entries is the cache's from then
+// on) comes only once both writes are down: no failure leaves a stale cache.
 func (l *Layer) commitDirLocked(cont vnode.Vnode, entries []Entry, advance func(vv.Vector) vv.Vector) error {
+	key := cont.Handle()
+	l.dirs.Drop(key)
 	if err := atomicReplace(cont, dirFileName, encodeEntries(entries)); err != nil {
 		return err
 	}
@@ -107,7 +111,11 @@ func (l *Layer) commitDirLocked(cont vnode.Vnode, entries []Entry, advance func(
 		return err
 	}
 	aux.VV = advance(aux.VV)
-	return writeAuxVnode(af, &aux)
+	if err := writeAuxVnode(af, &aux); err != nil {
+		return err
+	}
+	l.dirs.Put(key, newDirImage(entries, &aux))
+	return nil
 }
 
 // bumpVV advances v by one update this replica originated (§3.1).
@@ -140,38 +148,6 @@ func eidLess(a, b ids.FileID) bool {
 		return a.Issuer < b.Issuer
 	}
 	return a.Seq < b.Seq
-}
-
-// RenderedName returns the client-visible name of entry e among its
-// directory's entries.  When concurrent partitioned insertions produced two
-// live entries with the same name — a directory update conflict — the
-// directory reconciliation keeps both and "automatically repairs" the
-// conflict by disambiguating every entry after the first (in entry-id
-// order) with a #issuer.seq suffix.
-func RenderedName(entries []Entry, e Entry) string {
-	first := true
-	var min ids.FileID
-	for _, o := range entries {
-		if !o.Live() || o.Name != e.Name {
-			continue
-		}
-		if first || eidLess(o.EID, min) {
-			min = o.EID
-			first = false
-		}
-	}
-	if e.EID == min {
-		return e.Name
-	}
-	return fmt.Sprintf("%s#%d.%d", e.Name, e.EID.Issuer, e.EID.Seq)
-}
-
-// findByRenderedName returns the index of the live entry whose rendered name
-// matches, or -1.
-func findByRenderedName(entries []Entry, name string) int {
-	return slices.IndexFunc(entries, func(e Entry) bool {
-		return e.Live() && RenderedName(entries, e) == name
-	})
 }
 
 // liveSorted returns live entries sorted by entry id (stable listing order).

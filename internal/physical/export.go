@@ -2,6 +2,7 @@ package physical
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ids"
@@ -37,15 +38,17 @@ func (l *Layer) DirEntries(dirPath []ids.FileID) (DirState, error) {
 	if err != nil {
 		return DirState{}, err
 	}
-	entries, err := l.readDirFileLocked(cont)
+	d, err := l.dirLocked(cont)
 	if err != nil {
 		return DirState{}, err
 	}
-	aux, err := readAuxFile(cont, dirAttrName)
+	attr, err := d.attrOf(cont)
 	if err != nil {
 		return DirState{}, err
 	}
-	return DirState{Entries: entries, VV: aux.VV, Aux: aux}, nil
+	aux := *attr // the caller's to keep and change: copies, not the image
+	aux.VV = aux.VV.Clone()
+	return DirState{Entries: slices.Clone(d.entries), VV: aux.VV, Aux: aux}, nil
 }
 
 // FileState is a file replica's reconciliation-relevant state.
@@ -210,10 +213,11 @@ func (l *Layer) ApplyDirMerge(dirPath []ids.FileID, remote DirState) (MergeResul
 	if err != nil {
 		return res, err
 	}
-	local, err := l.readDirFileLocked(cont)
+	d, err := l.dirLocked(cont)
 	if err != nil {
 		return res, err
 	}
+	local := d.entries
 	byEID := make(map[ids.FileID]int, len(local))
 	for i, e := range local {
 		byEID[e.EID] = i
@@ -360,12 +364,12 @@ func (l *Layer) EvictFileStorage(dirPath []ids.FileID, fid ids.FileID) error {
 	if err != nil {
 		return err
 	}
-	entries, err := l.readDirFileLocked(cont)
+	d, err := l.dirLocked(cont)
 	if err != nil {
 		return err
 	}
 	found := false
-	for _, e := range entries {
+	for _, e := range d.entries {
 		if e.Live() && e.Child == fid && !e.Kind.IsDir() {
 			found = true
 			break
@@ -404,10 +408,11 @@ func (l *Layer) DropTombstones(dirPath []ids.FileID, eids []ids.FileID) (int, er
 	if err != nil {
 		return 0, err
 	}
-	entries, err := l.readDirFileLocked(cont)
+	d, err := l.dirLocked(cont)
 	if err != nil {
 		return 0, err
 	}
+	entries := slices.Clone(d.entries)
 	drop := make(map[ids.FileID]bool, len(eids))
 	for _, e := range eids {
 		drop[e] = true
@@ -435,6 +440,7 @@ func (l *Layer) DropTombstones(dirPath []ids.FileID, eids []ids.FileID) (int, er
 				return len(dropped), err
 			}
 		} else if countAnyRefs(kept, e.Child) == 0 {
+			l.conts.Flush() // the container's inode is about to be free for reuse
 			if err := removeTree(cont, prefixDir+e.Child.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
 				return len(dropped), err
 			}
@@ -489,7 +495,7 @@ func (l *Layer) AppendEntry(dirPath []ids.FileID, e Entry) error {
 	if err != nil {
 		return err
 	}
-	entries, err := l.readDirFileLocked(cont)
+	d, err := l.dirLocked(cont)
 	if err != nil {
 		return err
 	}
@@ -500,7 +506,7 @@ func (l *Layer) AppendEntry(dirPath []ids.FileID, e Entry) error {
 		}
 		e.EID = eid
 	}
-	return l.commitDirLocked(cont, append(entries, e), l.bumpVV)
+	return l.commitDirLocked(cont, append(slices.Clone(d.entries), e), l.bumpVV)
 }
 
 // NextID allocates a fresh unique id from this replica's sequencer (for

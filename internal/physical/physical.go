@@ -31,8 +31,10 @@ import (
 	"sync"
 
 	"repro/internal/ids"
+	"repro/internal/lru"
 	"repro/internal/vnode"
 	"repro/internal/vv"
+	"repro/internal/wire"
 )
 
 // UFS names inside a directory container.
@@ -99,6 +101,9 @@ type Layer struct {
 	journalErrs uint64
 
 	bstats BlockStats // delta propagation counters (pull.go)
+
+	conts *lru.Cache[string, vnode.Vnode] // fid path → the directory's container (dircache.go)
+	dirs  *lru.Cache[string, *dirImage]   // container's store handle → the directory, decoded
 }
 
 type nvcKey struct {
@@ -149,6 +154,8 @@ func Format(store vnode.VFS, vol ids.VolumeHandle, replica ids.ReplicaID) (*Laye
 		nvc:     make(map[nvcKey]NewVersion),
 		opens:   make(map[ids.FileID]int),
 		quar:    make(map[ids.FileID]QuarEntry),
+		conts:   lru.New[string, vnode.Vnode](contCacheSize),
+		dirs:    lru.New[string, *dirImage](dirCacheSize),
 	}
 	if err := l.writeMetaLocked(l.seq.Last()); err != nil {
 		return nil, err
@@ -180,6 +187,8 @@ func Open(store vnode.VFS) (*Layer, error) {
 		nvc:   make(map[nvcKey]NewVersion),
 		opens: make(map[ids.FileID]int),
 		quar:  make(map[ids.FileID]QuarEntry),
+		conts: lru.New[string, vnode.Vnode](contCacheSize),
+		dirs:  lru.New[string, *dirImage](dirCacheSize),
 	}
 	if err := l.Recover(); err != nil {
 		return nil, err
@@ -262,9 +271,17 @@ func (l *Layer) rootContainer() (vnode.Vnode, error) {
 	return l.root.Lookup(prefixDir + ids.RootFileID.String())
 }
 
-// containerOf walks a full fid path (beginning with the root fid) down to
-// the container of the named directory.
+// containerOf returns the container of the directory a full fid path (beginning
+// with the root fid) names, remembered or walked down to.  Store handles are bare
+// inode numbers, reused: what removes or moves a container flushes conts.
 func (l *Layer) containerOf(dirPath []ids.FileID) (vnode.Vnode, error) {
+	key := make([]byte, 0, 128)
+	for _, fid := range dirPath {
+		key = wire.AppendFID(key, fid)
+	}
+	if c, ok := l.conts.Get(string(key)); ok {
+		return c, nil
+	}
 	c := l.root
 	for _, fid := range dirPath {
 		next, err := c.Lookup(prefixDir + fid.String())
@@ -276,5 +293,6 @@ func (l *Layer) containerOf(dirPath []ids.FileID) (vnode.Vnode, error) {
 		}
 		c = next
 	}
+	l.conts.Put(string(key), c)
 	return c, nil
 }

@@ -132,15 +132,15 @@ func (v *pvnode) lookupPlain(name string) (vnode.Vnode, error) {
 }
 
 func (v *pvnode) lookupLocked(name string) (vnode.Vnode, error) {
-	cont, entries, err := v.dirStateLocked()
+	cont, d, err := v.dirStateLocked()
 	if err != nil {
 		return nil, err
 	}
-	i := findByRenderedName(entries, name)
+	i := d.find(name)
 	if i < 0 {
 		return nil, vnode.ENOENT
 	}
-	return v.childVnodeLocked(cont, entries[i])
+	return v.childVnodeLocked(cont, d.entries[i])
 }
 
 // childVnodeLocked builds the vnode for entry e, verifying local storage.
@@ -186,17 +186,14 @@ func (v *pvnode) encodedLookup(name string) (vnode.Vnode, error) {
 	return child, nil
 }
 
-// dirStateLocked loads this directory's container and entries.
-func (v *pvnode) dirStateLocked() (vnode.Vnode, []Entry, error) {
+// dirStateLocked returns this directory's container and, on loan, its image.
+func (v *pvnode) dirStateLocked() (vnode.Vnode, *dirImage, error) {
 	cont, err := v.container()
 	if err != nil {
 		return nil, nil, mapStoreErr(err)
 	}
-	entries, err := v.l.readDirFileLocked(cont)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cont, entries, nil
+	d, err := v.l.dirLocked(cont)
+	return cont, d, err
 }
 
 func mapStoreErr(err error) error {
@@ -224,15 +221,15 @@ func (v *pvnode) createKind(name string, excl bool, kind Kind, data string) (vno
 	}
 	v.l.mu.Lock()
 	defer v.l.mu.Unlock()
-	cont, entries, err := v.dirStateLocked()
+	cont, d, err := v.dirStateLocked()
 	if err != nil {
 		return nil, err
 	}
-	if i := findByRenderedName(entries, name); i >= 0 {
-		if excl || entries[i].Kind != kind {
+	if i := d.find(name); i >= 0 {
+		if excl || d.entries[i].Kind != kind {
 			return nil, vnode.EEXIST
 		}
-		return v.childVnodeLocked(cont, entries[i])
+		return v.childVnodeLocked(cont, d.entries[i])
 	}
 	fid, err := v.l.nextIDLocked()
 	if err != nil {
@@ -266,7 +263,7 @@ func (v *pvnode) createKind(name string, excl bool, kind Kind, data string) (vno
 	if err := v.l.sealLocked(cont, fid, aux.VV, ComputeManifest([]byte(data))); err != nil {
 		return nil, err
 	}
-	entries = append(entries, Entry{EID: eid, Name: name, Child: fid, Kind: kind})
+	entries := append(slices.Clone(d.entries), Entry{EID: eid, Name: name, Child: fid, Kind: kind})
 	if err := v.l.commitDirLocked(cont, entries, v.l.bumpVV); err != nil {
 		return nil, err
 	}
@@ -293,11 +290,11 @@ func (v *pvnode) mkdirKind(name string, kind Kind, graftVol ids.VolumeHandle) (v
 	}
 	v.l.mu.Lock()
 	defer v.l.mu.Unlock()
-	cont, entries, err := v.dirStateLocked()
+	cont, d, err := v.dirStateLocked()
 	if err != nil {
 		return nil, err
 	}
-	if findByRenderedName(entries, name) >= 0 {
+	if d.find(name) >= 0 {
 		return nil, vnode.EEXIST
 	}
 	fid, err := v.l.nextIDLocked()
@@ -312,7 +309,7 @@ func (v *pvnode) mkdirKind(name string, kind Kind, graftVol ids.VolumeHandle) (v
 	if err := v.l.newContainerLocked(cont, fid, &aux); err != nil {
 		return nil, err
 	}
-	entries = append(entries, Entry{EID: eid, Name: name, Child: fid, Kind: kind})
+	entries := append(slices.Clone(d.entries), Entry{EID: eid, Name: name, Child: fid, Kind: kind})
 	if err := v.l.commitDirLocked(cont, entries, v.l.bumpVV); err != nil {
 		return nil, err
 	}
@@ -366,7 +363,7 @@ func (v *pvnode) Close(vnode.OpenFlags) error {
 	return nil
 }
 
-// dataFile locates this file's UFS data file.
+// dataFile locates this file's UFS data file.  Caller holds l.mu.
 func (v *pvnode) dataFile() (vnode.Vnode, error) {
 	cont, err := v.container()
 	if err != nil {
@@ -386,7 +383,9 @@ func (v *pvnode) readAll() ([]byte, error) {
 	if v.l.IsQuarantined(v.fid) {
 		return nil, vnode.ENOSTOR
 	}
+	v.l.mu.Lock() // to locate the file (the caches), not to read it
 	df, err := v.dataFile()
+	v.l.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +401,9 @@ func (v *pvnode) ReadAt(p []byte, off int64) (int, error) {
 	if v.l.IsQuarantined(v.fid) {
 		return 0, vnode.ENOSTOR
 	}
+	v.l.mu.Lock() // to locate the file (the caches), not for the copy
 	df, err := v.dataFile()
+	v.l.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
@@ -573,24 +574,18 @@ func (v *pvnode) Getattr() (vnode.Attr, error) {
 
 func (v *pvnode) getattrLocked() (vnode.Attr, error) {
 	if v.kind.IsDir() {
-		cont, entries, err := v.dirStateLocked()
+		cont, d, err := v.dirStateLocked()
 		if err != nil {
 			return vnode.Attr{}, err
 		}
-		aux, err := readAuxFile(cont, dirAttrName)
+		aux, err := d.attrOf(cont)
 		if err != nil {
 			return vnode.Attr{}, err
-		}
-		live := 0
-		for _, e := range entries {
-			if e.Live() {
-				live++
-			}
 		}
 		a := vnode.Attr{
 			Type:   vnode.VDir,
-			Nlink:  uint32(2 + live),
-			Size:   uint64(len(entries)),
+			Nlink:  uint32(2 + d.live),
+			Size:   uint64(len(d.entries)),
 			Mtime:  aux.VV.Total(),
 			FileID: v.fid.String(),
 		}
@@ -673,14 +668,15 @@ func (v *pvnode) removeEntry(name string, wantDir bool) error {
 	}
 	v.l.mu.Lock()
 	defer v.l.mu.Unlock()
-	cont, entries, err := v.dirStateLocked()
+	cont, d, err := v.dirStateLocked()
 	if err != nil {
 		return err
 	}
-	i := findByRenderedName(entries, name)
+	i := d.find(name)
 	if i < 0 {
 		return vnode.ENOENT
 	}
+	entries := slices.Clone(d.entries)
 	e := entries[i]
 	if e.Kind.IsDir() != wantDir {
 		if wantDir {
@@ -692,11 +688,11 @@ func (v *pvnode) removeEntry(name string, wantDir bool) error {
 	// one is deletable blindly — optimism, reconciliation cleans up.
 	if wantDir {
 		if sub, err := cont.Lookup(prefixDir + e.Child.String()); err == nil {
-			subEntries, err := v.l.readDirFileLocked(sub)
+			subDir, err := v.l.dirLocked(sub)
 			if err != nil {
 				return err
 			}
-			if slices.ContainsFunc(subEntries, Entry.Live) {
+			if subDir.live > 0 {
 				return vnode.ENOTEMPTY
 			}
 		}
@@ -731,13 +727,14 @@ func (v *pvnode) Link(name string, target vnode.Vnode) error {
 	}
 	v.l.mu.Lock()
 	defer v.l.mu.Unlock()
-	cont, entries, err := v.dirStateLocked()
+	cont, d, err := v.dirStateLocked()
 	if err != nil {
 		return err
 	}
-	if findByRenderedName(entries, name) >= 0 {
+	if d.find(name) >= 0 {
 		return vnode.EEXIST
 	}
+	entries := slices.Clone(d.entries)
 	if countLiveRefs(entries, t.fid) == 0 {
 		return vnode.ENOENT // the target lost its last name since it was looked up
 	}
@@ -790,27 +787,29 @@ func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 	}
 	v.l.mu.Lock()
 	defer v.l.mu.Unlock()
-	srcCont, srcEntries, err := v.dirStateLocked()
+	srcCont, src, err := v.dirStateLocked()
 	if err != nil {
 		return err
 	}
-	si := findByRenderedName(srcEntries, oldName)
+	si := src.find(oldName)
 	if si < 0 {
 		return vnode.ENOENT
 	}
+	srcEntries := slices.Clone(src.entries)
 	e := srcEntries[si]
 	sameDir := samePath(v.selfPath(), d.selfPath())
 	if sameDir && oldName == newName {
 		return nil
 	}
-	dstCont, dstEntries := srcCont, srcEntries
+	dstCont, dst, dstEntries := srcCont, src, srcEntries
 	if !sameDir {
-		dstCont, dstEntries, err = d.dirStateLocked()
+		dstCont, dst, err = d.dirStateLocked()
 		if err != nil {
 			return err
 		}
+		dstEntries = slices.Clone(dst.entries)
 	}
-	replaced := findByRenderedName(dstEntries, newName)
+	replaced := dst.find(newName)
 	if replaced >= 0 && (dstEntries[replaced].Kind.IsDir() || e.Kind.IsDir()) {
 		return vnode.EEXIST
 	}
@@ -853,6 +852,7 @@ func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 		return nil
 	}
 	if e.Kind.IsDir() {
+		v.l.conts.Flush() // every fid path through the container changes
 		if err := srcCont.Rename(prefixDir+member, dstCont, prefixDir+member); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
 			return err
 		}
@@ -880,11 +880,11 @@ func (v *pvnode) Readdir() ([]vnode.Dirent, error) {
 	}
 	v.l.mu.Lock()
 	defer v.l.mu.Unlock()
-	_, entries, err := v.dirStateLocked()
+	_, d, err := v.dirStateLocked()
 	if err != nil {
 		return nil, err
 	}
-	live := liveSorted(entries)
+	live := liveSorted(d.entries)
 	out := make([]vnode.Dirent, 0, len(live))
 	for _, e := range live {
 		t := vnode.VReg
@@ -895,7 +895,7 @@ func (v *pvnode) Readdir() ([]vnode.Dirent, error) {
 			t = vnode.VLnk
 		}
 		out = append(out, vnode.Dirent{
-			Name:   RenderedName(entries, e),
+			Name:   d.nameOf(e),
 			FileID: e.Child.String(),
 			Type:   t,
 			Value:  e.Value,

@@ -161,6 +161,9 @@ func memberFID(name string) (ids.FileID, bool) {
 func (l *Layer) Recover() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// The walk rewrites the store beneath both caches.
+	l.conts.Flush()
+	l.dirs.Flush()
 	ents, err := l.root.Readdir()
 	if err != nil {
 		return err

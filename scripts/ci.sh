@@ -10,8 +10,11 @@
 # decoder fuzz target, three one-iteration bench smokes, the race-enabled test
 # suite, the suite again with runtime invariants armed (FICUS_INVARIANTS=1),
 # and the four chaos gates (chaos-crash includes the crash-at-every-write sweep
-# of the local mutating ops, chaos-scrub the two tests that a local write does
-# not launder rot).  Each thing runs once.  Any failure stops the gate.
+# of the local mutating ops and the four tests that hold the physical layer's
+# caches to the store — a live layer across a failed device write, stale
+# directory handles, cached against flushed-before-every-op, readers racing
+# directory moves; chaos-scrub the two tests that a local write does not
+# launder rot).  Each thing runs once.  Any failure stops the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -96,6 +99,7 @@ FICUS_INVARIANTS=1 go test -count=1 ./...
 echo "==> make chaos-crash"
 FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestChaosCrashRestartConvergence' .
 FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryLocalOp' ./internal/physical
+FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestLiveLayerAnswersAsStoreAfterDiskFault|TestStaleDirectoryHandles|TestCachedLayerMatchesFlushedLayer|TestReadersRaceDirectoryMoves' ./internal/physical
 
 echo "==> make chaos-scrub"
 FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestChaosScrubConvergence' .
