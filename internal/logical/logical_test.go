@@ -48,13 +48,20 @@ type notifyRec struct {
 
 func newRig(t *testing.T, policy Policy) *rig {
 	t.Helper()
+	return newRigWith(t, policy, &nfs.ClientOptions{DisableCaches: true})
+}
+
+// newRigWith is newRig with the NFS client's caches as copts sets them (nil:
+// the defaults, caches on).
+func newRigWith(t *testing.T, policy Policy, copts *nfs.ClientOptions) *rig {
+	t.Helper()
 	r := &rig{net: simnet.New(1)}
 	hostA := r.net.Host("a")
 	hostB := r.net.Host("b")
 	r.lA = newPhysical(t, 1)
 	r.lB = newPhysical(t, 2)
 	nfs.Serve(hostB, r.lB, r.lB)
-	client := nfs.Dial(hostA, "b", &nfs.ClientOptions{DisableCaches: true})
+	client := nfs.Dial(hostA, "b", copts)
 	r.logical = New(testVol, []Replica{
 		{ID: 1, FS: r.lA},
 		{ID: 2, FS: client},
@@ -272,6 +279,39 @@ func TestOpenCloseReachPhysicalThroughNFS(t *testing.T) {
 	}
 	if got := r.lB.OpenFiles(); got != 0 {
 		t.Fatalf("open files after close: %d", got)
+	}
+}
+
+// TestEveryOpenReachesPhysicalThroughCachingNFS: with the client's caches on,
+// N open/close pairs inside the name cache's lifetime are N opens below.
+func TestEveryOpenReachesPhysicalThroughCachingNFS(t *testing.T) {
+	r := newRigWith(t, FirstAvailable, nil)
+	pb, _ := r.lB.Root()
+	if _, err := pb.Create("f", true); err != nil {
+		t.Fatal(err)
+	}
+	db, _ := r.lB.DirEntries(physical.RootPath())
+	if _, err := r.lA.ApplyDirMerge(physical.RootPath(), db); err != nil {
+		t.Fatal(err)
+	}
+	f, err := r.root(t).Lookup("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 5
+	for i := 0; i < pairs; i++ {
+		if err := f.Open(vnode.OpenRead); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(vnode.OpenRead); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := r.lB.TotalOpens(); got != pairs {
+		t.Fatalf("remote physical layer saw %d opens, want %d", got, pairs)
+	}
+	if got := r.lB.OpenFiles(); got != 0 {
+		t.Fatalf("open files after the last close: %d", got)
 	}
 }
 

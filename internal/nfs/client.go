@@ -3,6 +3,7 @@ package nfs
 import (
 	"errors"
 	"io"
+	"strings"
 	"sync"
 
 	"repro/internal/lru"
@@ -204,16 +205,24 @@ type cvnode struct {
 
 func (v *cvnode) Handle() string { return v.handle }
 
+// Lookup answers a name from the name cache when it can.  A lookup that
+// carries a request (vnode.EncodedLookupPrefix: an open or a close, §2.3)
+// always travels and leaves no entry: it exists to be seen by the server.
 func (v *cvnode) Lookup(name string) (vnode.Vnode, error) {
 	v.c.tick()
-	if h, ok := v.c.cachedLookup(v.handle, name); ok {
-		return &cvnode{c: v.c, handle: h}, nil
+	plain := !strings.HasPrefix(name, vnode.EncodedLookupPrefix)
+	if plain {
+		if h, ok := v.c.cachedLookup(v.handle, name); ok {
+			return &cvnode{c: v.c, handle: h}, nil
+		}
 	}
 	resp, err := v.c.call(&Request{Op: OpLookup, Handle: v.handle, Name: name})
 	if err != nil {
 		return nil, err
 	}
-	v.c.cacheLookup(v.handle, name, resp.Handle)
+	if plain {
+		v.c.cacheLookup(v.handle, name, resp.Handle)
+	}
 	v.c.cacheAttr(resp.Handle, resp.Attr)
 	return &cvnode{c: v.c, handle: resp.Handle}, nil
 }

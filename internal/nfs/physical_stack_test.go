@@ -35,3 +35,59 @@ func TestConformanceOverPhysicalLayer(t *testing.T) {
 			return Dial(net.Host("cli"), "srv", &ClientOptions{DisableCaches: true})
 		})
 }
+
+// TestEncodedLookupBypassesNameCache: a Lookup that carries an open or a
+// close (§2.3) is a request, not a name.  With the caches on, each one costs
+// an RPC and reaches the physical layer, and none of them enters the name
+// cache or is answered from it.
+func TestEncodedLookupBypassesNameCache(t *testing.T) {
+	vol := ids.VolumeHandle{Allocator: 5, Volume: 5}
+	fs, err := ufs.Mkfs(disk.New(8192), 2048, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys, err := physical.Format(ufsvn.New(fs), vol, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.New(1)
+	Serve(net.Host("srv"), phys, phys)
+	c := Dial(net.Host("cli"), "srv", nil)
+	root, err := c.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := root.Create("f", true); err != nil {
+		t.Fatal(err)
+	}
+	open := physical.EncodeOpenLookup(true, vnode.OpenRead, vol, "f")
+	shut := physical.EncodeOpenLookup(false, vnode.OpenRead, vol, "f")
+	const pairs = 4
+	net.ResetStats()
+	for i := 0; i < pairs; i++ {
+		for _, enc := range []string{open, shut} {
+			if _, err := root.Lookup(enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := net.Stats().RPCs; got != 2*pairs {
+		t.Fatalf("%d encoded lookups cost %d RPCs", 2*pairs, got)
+	}
+	if phys.TotalOpens() != pairs || phys.OpenFiles() != 0 {
+		t.Fatalf("server saw %d opens, %d still open; want %d, 0", phys.TotalOpens(), phys.OpenFiles(), pairs)
+	}
+	c.mu.Lock()
+	_, cached := c.names.Get(root.Handle() + "/" + open)
+	c.mu.Unlock()
+	if cached {
+		t.Fatal("an encoded lookup entered the name cache")
+	}
+	// The plain name beside it is cached as before.
+	if _, err := root.Lookup("f"); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.Stats().RPCs; got != 2*pairs {
+		t.Fatalf("the plain name, cached by Create, went to the wire: %d RPCs", got)
+	}
+}

@@ -28,7 +28,7 @@ import (
 
 // Encoding constants.
 const (
-	encPrefix = ".#ficus#:"
+	encPrefix = vnode.EncodedLookupPrefix // reserved in vnode so that nfs knows it too
 	opOpen    = "open."
 	opClose   = "close"
 

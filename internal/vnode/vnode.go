@@ -50,6 +50,14 @@ const (
 	OpenWrite                       // open for writing
 )
 
+// EncodedLookupPrefix begins every Lookup name that is not a name but a
+// request shipped through the Lookup service (the open and close of §2.3;
+// internal/physical owns the rest of the encoding).  Such a lookup acts on
+// the layer that decodes it each time it is issued, so a layer in between
+// must pass it on uninterpreted: it is never answered from, nor entered
+// into, a name cache.
+const EncodedLookupPrefix = ".#ficus#:"
+
 // Attr is the attribute block returned by Getattr.
 type Attr struct {
 	Type  VType

@@ -134,3 +134,37 @@ func TestSixLayerStackSideEffects(t *testing.T) {
 		t.Fatal("no device I/O recorded")
 	}
 }
+
+// TestEveryOpenCrossesTheSixLayerStack: the open shipped through Lookup
+// exists to get past NFS (§2.3), so the NFS client's name cache must not
+// answer it.  It did: the second and third open of one file inside the
+// cache's lifetime never left the client, and the bottom layer counted 1.
+func TestEveryOpenCrossesTheSixLayerStack(t *testing.T) {
+	m := buildMegaStack(t, "root", authfs.NewACL(authfs.PermAll))
+	root, err := m.top.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := root.Create("f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 3
+	for i := 0; i < pairs; i++ {
+		if err := f.Open(vnode.OpenRead); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.phys.OpenFiles(); got != 1 {
+			t.Fatalf("pair %d: %d files open at the bottom while the top holds one", i, got)
+		}
+		if err := f.Close(vnode.OpenRead); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.phys.TotalOpens(); got != pairs {
+		t.Fatalf("physical layer saw %d opens, want %d", got, pairs)
+	}
+	if got := m.phys.OpenFiles(); got != 0 {
+		t.Fatalf("%d files still open after the last close", got)
+	}
+}
