@@ -1,7 +1,6 @@
 package physical
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -51,7 +50,28 @@ func EncodeOpenLookup(open bool, f vnode.OpenFlags, issuer ids.VolumeHandle, nam
 	if open {
 		op = opOpen
 	}
-	return fmt.Sprintf("%s%s:%08x:%s:%s", encPrefix, op, uint32(f), issuer, name)
+	// Written out by hand, twice per file session on the read path; the
+	// bytes are those of Sprintf("%s%s:%08x:%s:%s", encPrefix, op, f, issuer, name).
+	var b strings.Builder
+	b.Grow(EncOverhead + len(name))
+	b.WriteString(encPrefix)
+	b.WriteString(op)
+	b.WriteByte(':')
+	writeHex32(&b, uint32(f))
+	b.WriteByte(':')
+	writeHex32(&b, uint32(issuer.Allocator))
+	b.WriteByte('.')
+	writeHex32(&b, uint32(issuer.Volume))
+	b.WriteByte(':')
+	b.WriteString(name)
+	return b.String()
+}
+
+// writeHex32 writes v as eight lower-case hex digits.
+func writeHex32(b *strings.Builder, v uint32) {
+	for shift := 28; shift >= 0; shift -= 4 {
+		b.WriteByte("0123456789abcdef"[v>>shift&0xf])
+	}
 }
 
 // IsEncodedLookup reports whether a lookup name carries an open/close.

@@ -3,6 +3,8 @@ package physical
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -701,6 +703,35 @@ func TestLocalOverwriteIsSixDeviceWrites(t *testing.T) {
 		}
 		if got := dev.Stats().Writes - before; got != 6 {
 			t.Errorf("a 5-byte overwrite of a %d-byte file made %d device writes, want 6", size, got)
+		}
+	}
+}
+
+// TestEncodeOpenLookupMatchesSprintf pins the hand-written encoder to the
+// format string it replaced, byte for byte, and to the decoder.
+func TestEncodeOpenLookupMatchesSprintf(t *testing.T) {
+	vols := []ids.VolumeHandle{{}, {Allocator: ^ids.AllocatorID(0), Volume: ^ids.VolumeID(0)}, testVol}
+	names := []string{"", "f", "a:b:c", strings.Repeat("n", MaxEncodedName)}
+	if len(names[3]) != 213 {
+		t.Fatalf("the longest client name is %d bytes, the issue said 213", len(names[3]))
+	}
+	flags := []vnode.OpenFlags{0, vnode.OpenRead, vnode.OpenWrite, vnode.OpenRead | vnode.OpenWrite, vnode.OpenFlags(^uint32(0))}
+	for _, open := range []bool{true, false} {
+		op := map[bool]string{true: "open.", false: "close"}[open]
+		for _, f := range flags {
+			for _, vol := range vols {
+				for _, name := range names {
+					got := EncodeOpenLookup(open, f, vol, name)
+					want := fmt.Sprintf("%s%s:%08x:%s:%s", ".#ficus#:", op, uint32(f), vol, name)
+					if got != want {
+						t.Fatalf("EncodeOpenLookup(%v, %#x, %v, %q) =\n%q, Sprintf form\n%q", open, f, vol, name, got, want)
+					}
+					o, df, dv, dn, err := DecodeOpenLookup(got)
+					if err != nil || o != open || uint32(df) != uint32(f) || dv != vol || dn != name {
+						t.Fatalf("round trip of %q: %v %#x %v %q %v", got, o, df, dv, dn, err)
+					}
+				}
+			}
 		}
 	}
 }
