@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"repro/internal/ids"
+	"repro/internal/lru"
 	"repro/internal/physical"
 	"repro/internal/vnode"
 )
@@ -80,9 +81,15 @@ type Layer struct {
 	cacheTTL uint64
 
 	mu     sync.Mutex
-	locks  map[string]*sync.Mutex // per-file concurrency control
-	clock  uint64                 // op counter driving cache expiry
-	rcache map[rcKey]rcEntry      // resolved-vnode cache (the layer's DNLC)
+	locks  map[string]*fileMutex      // per-file concurrency control, held or awaited
+	clock  uint64                     // op counter driving cache expiry
+	rcache *lru.Cache[rcKey, rcEntry] // resolved-vnode cache (the layer's DNLC)
+}
+
+// fileMutex is one logical file's lock, kept while refs goroutines hold or await it.
+type fileMutex struct {
+	sync.Mutex
+	refs int
 }
 
 // rcKey addresses one (logical path, replica) resolution.
@@ -128,8 +135,8 @@ func New(vol ids.VolumeHandle, replicas []Replica, opts Options) *Layer {
 		notify:   opts.Notify,
 		graft:    opts.Graft,
 		cacheTTL: ttl,
-		locks:    make(map[string]*sync.Mutex),
-		rcache:   make(map[rcKey]rcEntry),
+		locks:    make(map[string]*fileMutex),
+		rcache:   lru.New[rcKey, rcEntry](4096), // entries also age out by TTL
 	}
 }
 
@@ -147,9 +154,9 @@ func (l *Layer) cacheGet(path string, rep ids.ReplicaID) (vnode.Vnode, bool) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, ok := l.rcache[rcKey{path, rep}]
+	e, ok := l.rcache.Get(rcKey{path, rep})
 	if !ok || l.clock-e.stamp >= l.cacheTTL {
-		delete(l.rcache, rcKey{path, rep})
+		l.rcache.Drop(rcKey{path, rep})
 		return nil, false
 	}
 	return e.vn, true
@@ -161,16 +168,13 @@ func (l *Layer) cachePut(path string, rep ids.ReplicaID, vn vnode.Vnode) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.rcache) > 4096 { // crude bound; entries also age out by TTL
-		l.rcache = make(map[rcKey]rcEntry)
-	}
-	l.rcache[rcKey{path, rep}] = rcEntry{vn: vn, stamp: l.clock}
+	l.rcache.Put(rcKey{path, rep}, rcEntry{vn: vn, stamp: l.clock})
 }
 
 func (l *Layer) cacheDrop(path string, rep ids.ReplicaID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	delete(l.rcache, rcKey{path, rep})
+	l.rcache.Drop(rcKey{path, rep})
 }
 
 // cacheDropSubtree evicts a path and everything beneath it on all replicas
@@ -179,11 +183,9 @@ func (l *Layer) cacheDrop(path string, rep ids.ReplicaID) {
 func (l *Layer) cacheDropSubtree(path string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for k := range l.rcache {
-		if k.path == path || (len(k.path) > len(path) && k.path[:len(path)] == path && (path == "" || k.path[len(path)] == '/')) {
-			delete(l.rcache, k)
-		}
-	}
+	l.rcache.DropFunc(func(k rcKey, _ rcEntry) bool {
+		return k.path == path || (len(k.path) > len(path) && k.path[:len(path)] == path && (path == "" || k.path[len(path)] == '/'))
+	})
 }
 
 // Volume returns the volume this layer serves.
@@ -205,16 +207,26 @@ func (l *Layer) Sync() error {
 	return nil
 }
 
-// fileLock returns the concurrency-control lock for a logical file.
-func (l *Layer) fileLock(key string) *sync.Mutex {
+// lockFile takes the concurrency-control lock of a logical file and returns
+// its release; the entry goes with its last holder.
+func (l *Layer) lockFile(key string) (unlock func()) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	m, ok := l.locks[key]
-	if !ok {
-		m = &sync.Mutex{}
+	m := l.locks[key]
+	if m == nil {
+		m = &fileMutex{}
 		l.locks[key] = m
 	}
-	return m
+	m.refs++
+	l.mu.Unlock()
+	m.Lock()
+	return func() {
+		m.Unlock()
+		l.mu.Lock()
+		if m.refs--; m.refs == 0 {
+			delete(l.locks, key)
+		}
+		l.mu.Unlock()
+	}
 }
 
 // sendNotify emits an update notification if configured.

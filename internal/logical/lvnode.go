@@ -3,6 +3,7 @@ package logical
 import (
 	"io"
 	"strings"
+	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/vnode"
@@ -13,9 +14,15 @@ import (
 // physical replica under the active policy and forwards through the vnode
 // stack; retriable failures (replica unreachable, file not stored there,
 // stale handle) fall over to the next replica — one-copy availability.
+// Selection is per open (DESIGN.md §3.1): from Open to the last Close the
+// operations go to the copy chosen at Open, with no resolve and no poll.
 type lvnode struct {
 	l    *Layer
 	path []string
+
+	mu    sync.Mutex
+	opens int        // Opens not yet matched by a Close
+	pin   *candidate // the copy chosen at Open; nil: select per operation
 }
 
 // candidate is one resolved replica copy of this logical file.
@@ -47,15 +54,11 @@ func (v *lvnode) resolveOn(r Replica) (vnode.Vnode, error) {
 	return cur, nil
 }
 
-// candidates resolves this file on every accessible replica, ordered by the
-// selection policy: MostRecent polls each copy's update count (exposed as
-// Mtime, the version vector total) and puts the newest first — "the default
-// policy of one-copy availability is to select the most recent copy
-// available" (§2.5) — while FirstAvailable keeps configuration order.  The
-// returned error summarizes why replicas were skipped; a definite answer
-// (e.g. ENOENT from a reachable replica) outranks EUNAVAIL.
-func (v *lvnode) candidates() ([]candidate, error) {
-	var out []candidate
+// copies yields this file's copy on each replica that resolves it, in
+// configuration order, touching replica i+1 only if yield wants more than
+// replica i.  If it yields nothing it returns why: a definite answer (e.g.
+// ENOENT from a reachable replica) outranks EUNAVAIL.
+func (v *lvnode) copies(yield func(candidate) bool) error {
 	bestErr := error(vnode.EUNAVAIL)
 	for _, r := range v.l.replicas {
 		vn, err := v.resolveOn(r)
@@ -65,12 +68,26 @@ func (v *lvnode) candidates() ([]candidate, error) {
 			}
 			continue
 		}
-		out = append(out, candidate{rep: r, vn: vn})
+		if bestErr = nil; !yield(candidate{rep: r, vn: vn}) {
+			break
+		}
 	}
-	if len(out) == 0 {
-		return nil, bestErr
+	return bestErr
+}
+
+// candidates yields the copies in the selection policy's order, to a caller
+// about to use that order (Open, or an operation on a vnode that is not
+// open): MostRecent polls each copy's update count (exposed as Mtime, the
+// version vector total) and puts the newest first — "the default policy of
+// one-copy availability is to select the most recent copy available" (§2.5)
+// — while FirstAvailable is copies itself, lazy.  The error is that of copies.
+func (v *lvnode) candidates(yield func(candidate) bool) error {
+	if v.l.policy != MostRecent {
+		return v.copies(yield)
 	}
-	if v.l.policy == MostRecent && len(out) > 1 {
+	var out []candidate
+	err := v.copies(func(c candidate) bool { out = append(out, c); return true })
+	if len(out) > 1 {
 		best := 0
 		var bestM uint64
 		for i, c := range out {
@@ -84,81 +101,72 @@ func (v *lvnode) candidates() ([]candidate, error) {
 		}
 		out[0], out[best] = out[best], out[0]
 	}
-	return out, nil
-}
-
-// retryFresh drops the (possibly stale) cached resolution of v on replica
-// rep, resolves afresh, and hands the new vnode back for one retry.
-func (v *lvnode) retryFresh(rep Replica) (vnode.Vnode, bool) {
-	v.l.cacheDrop(v.key(), rep.ID)
-	vn, err := v.resolveOn(rep)
-	if err != nil {
-		return nil, false
-	}
-	return vn, true
-}
-
-// readOp runs fn against candidates until one succeeds; retriable failures
-// (unreachable, not stored here, stale) are retried once on a fresh
-// resolution — the cached vnode may simply be stale — and then fall over
-// to the next replica.
-func (v *lvnode) readOp(fn func(c candidate) error) error {
-	v.l.tick()
-	cands, err := v.candidates()
-	if err != nil {
-		return err
-	}
-	var last error
-	for _, c := range cands {
-		err := fn(c)
-		if err == nil || !retriable(err) {
-			return err
-		}
-		last = err
-		if vn, ok := v.retryFresh(c.rep); ok {
-			err = fn(candidate{rep: c.rep, vn: vn})
-			if err == nil || !retriable(err) {
-				return err
-			}
-			last = err
+	for _, c := range out {
+		if !yield(c) {
+			break
 		}
 	}
-	return last
+	return err
 }
 
-// writeOp runs fn against candidates until one succeeds, then notifies the
-// other replicas that the chosen copy advanced (§3.2: updates are applied
-// to a single replica and announced).
+// once runs fn on one copy and announces the update it names, if any; done
+// says the answer is final.
+func (v *lvnode) once(c candidate, fn func(candidate) (string, error)) (done bool, err error) {
+	h, err := fn(c)
+	if err == nil && h != "" {
+		v.l.sendNotify(h, c.rep.ID)
+	}
+	return err == nil || !retriable(err), err
+}
+
+// try is once and, after a retriable failure, once more on a fresh
+// resolution: the cached vnode may simply be stale.
+func (v *lvnode) try(c candidate, fn func(candidate) (string, error)) (done bool, err error) {
+	if done, err = v.once(c, fn); done {
+		return true, err
+	}
+	v.l.cacheDrop(v.key(), c.rep.ID)
+	vn, rerr := v.resolveOn(c.rep)
+	if rerr != nil {
+		return false, err
+	}
+	return v.once(candidate{rep: c.rep, vn: vn}, fn)
+}
+
+// writeOp runs fn on the pinned copy if there is one, else — or once that copy
+// fails retriably, which ends the pin — on the candidates until one succeeds,
+// then notifies the other replicas that the chosen copy advanced (§3.2:
+// updates are applied to a single replica and announced).
 func (v *lvnode) writeOp(fn func(c candidate) (notifyHandle string, err error)) error {
 	v.l.tick()
-	cands, err := v.candidates()
+	v.mu.Lock()
+	pin := v.pin
+	v.mu.Unlock()
+	if pin != nil {
+		if done, err := v.once(*pin, fn); done {
+			return err
+		}
+		v.mu.Lock()
+		if v.pin == pin {
+			v.pin = nil
+		}
+		v.mu.Unlock()
+	}
+	var last error
+	err := v.candidates(func(c candidate) bool {
+		var done bool
+		done, last = v.try(c, fn)
+		return !done
+	})
 	if err != nil {
 		return err
 	}
-	var last error
-	for _, c := range cands {
-		h, err := fn(c)
-		if err == nil {
-			v.l.sendNotify(h, c.rep.ID)
-			return nil
-		}
-		if !retriable(err) {
-			return err
-		}
-		last = err
-		if vn, ok := v.retryFresh(c.rep); ok {
-			h, err = fn(candidate{rep: c.rep, vn: vn})
-			if err == nil {
-				v.l.sendNotify(h, c.rep.ID)
-				return nil
-			}
-			if !retriable(err) {
-				return err
-			}
-			last = err
-		}
-	}
 	return last
+}
+
+// readOp is writeOp with nothing to announce.
+func (v *lvnode) readOp(fn func(c candidate) error) error {
+	return v.writeOp(func(c candidate) (string, error) { return "", fn(c) })
 }
 
 func (v *lvnode) key() string { return strings.Join(v.path, "/") }
@@ -189,40 +197,45 @@ func checkLogicalName(name string) error {
 	return nil
 }
 
+// Lookup asks, it does not vote: some reachable replica holds the name.
 func (v *lvnode) Lookup(name string) (vnode.Vnode, error) {
 	if err := checkLogicalName(name); err != nil {
 		return nil, err
 	}
 	child := v.child(name)
-	cands, err := child.candidates()
-	if err != nil {
+	var held candidate
+	if err := child.copies(func(c candidate) bool { held = c; return false }); err != nil {
 		return nil, err
 	}
 	// Graft interception (§4.4): if the child is a graft point and a hook
-	// is installed, return the grafted volume's root instead.
+	// is installed, return the grafted volume's root instead.  Only then is
+	// the policy run: the hook reads the graft table of the copy it is handed.
 	if v.l.graft != nil {
-		a, aerr := cands[0].vn.Getattr()
+		a, aerr := held.vn.Getattr()
 		if aerr == nil && a.GraftVol != "" {
 			target, perr := ids.ParseVolumeHandle(a.GraftVol)
 			if perr == nil {
-				return v.l.graft(target, cands[0].vn)
+				_ = child.candidates(func(c candidate) bool { held = c; return false })
+				return v.l.graft(target, held.vn)
 			}
 		}
 	}
 	return child, nil
 }
 
-func (v *lvnode) Create(name string, excl bool) (vnode.Vnode, error) {
+// makeChild is Create and Mkdir: op makes the child in one copy of this directory,
+// and the vnode that replica returned is kept as the child's resolution there.
+func (v *lvnode) makeChild(name string, op func(dir vnode.Vnode) (vnode.Vnode, error)) (vnode.Vnode, error) {
 	if err := checkLogicalName(name); err != nil {
 		return nil, err
 	}
-	lk := v.l.fileLock(v.key())
-	lk.Lock()
-	defer lk.Unlock()
+	defer v.l.lockFile(v.key())()
 	err := v.writeOp(func(c candidate) (string, error) {
-		if _, err := c.vn.Create(name, excl); err != nil {
+		vn, err := op(c.vn)
+		if err != nil {
 			return "", err
 		}
+		v.l.cachePut(v.childKey(name), c.rep.ID, vn)
 		return c.vn.Handle(), nil
 	})
 	if err != nil {
@@ -231,32 +244,19 @@ func (v *lvnode) Create(name string, excl bool) (vnode.Vnode, error) {
 	return v.child(name), nil
 }
 
+func (v *lvnode) Create(name string, excl bool) (vnode.Vnode, error) {
+	return v.makeChild(name, func(dir vnode.Vnode) (vnode.Vnode, error) { return dir.Create(name, excl) })
+}
+
 func (v *lvnode) Mkdir(name string) (vnode.Vnode, error) {
-	if err := checkLogicalName(name); err != nil {
-		return nil, err
-	}
-	lk := v.l.fileLock(v.key())
-	lk.Lock()
-	defer lk.Unlock()
-	err := v.writeOp(func(c candidate) (string, error) {
-		if _, err := c.vn.Mkdir(name); err != nil {
-			return "", err
-		}
-		return c.vn.Handle(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.child(name), nil
+	return v.makeChild(name, func(dir vnode.Vnode) (vnode.Vnode, error) { return dir.Mkdir(name) })
 }
 
 func (v *lvnode) Symlink(name, target string) error {
 	if err := checkLogicalName(name); err != nil {
 		return err
 	}
-	lk := v.l.fileLock(v.key())
-	lk.Lock()
-	defer lk.Unlock()
+	defer v.l.lockFile(v.key())()
 	return v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Symlink(name, target); err != nil {
 			return "", err
@@ -290,6 +290,9 @@ func (v *lvnode) Close(flags vnode.OpenFlags) error {
 	return v.shipOpenClose(false, flags)
 }
 
+// shipOpenClose is where the replica is chosen (§2.5): an open runs the
+// policy once, goes to the chosen copy's own parent directory and pins that
+// copy; the last matching close follows it there and ends the pin.
 func (v *lvnode) shipOpenClose(open bool, flags vnode.OpenFlags) error {
 	if len(v.path) == 0 {
 		return nil
@@ -297,10 +300,30 @@ func (v *lvnode) shipOpenClose(open bool, flags vnode.OpenFlags) error {
 	parent := &lvnode{l: v.l, path: v.path[:len(v.path)-1]}
 	name := v.path[len(v.path)-1]
 	enc := encodeOpen(open, flags, v.l.vol, name)
-	return parent.readOp(func(c candidate) error {
-		_, err := c.vn.Lookup(enc)
+	var chose candidate
+	err := v.readOp(func(c candidate) error {
+		chose = c
+		dir, err := parent.resolveOn(c.rep)
+		if err == nil {
+			_, err = dir.Lookup(enc)
+		}
+		if err != nil && retriable(err) {
+			v.l.cacheDrop(parent.key(), c.rep.ID) // the stale vnode may be the directory's
+		}
 		return err
 	})
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if !open {
+		if v.opens--; v.opens <= 0 {
+			v.opens, v.pin = 0, nil
+		}
+	} else if err == nil {
+		if v.opens++; v.pin == nil {
+			v.pin = &chose
+		}
+	}
+	return err
 }
 
 func (v *lvnode) ReadAt(p []byte, off int64) (int, error) {
@@ -328,9 +351,7 @@ func (v *lvnode) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (v *lvnode) WriteAt(p []byte, off int64) (int, error) {
-	lk := v.l.fileLock(v.key())
-	lk.Lock()
-	defer lk.Unlock()
+	defer v.l.lockFile(v.key())()
 	var n int
 	err := v.writeOp(func(c candidate) (string, error) {
 		m, err := c.vn.WriteAt(p, off)
@@ -344,9 +365,7 @@ func (v *lvnode) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (v *lvnode) Truncate(size uint64) error {
-	lk := v.l.fileLock(v.key())
-	lk.Lock()
-	defer lk.Unlock()
+	defer v.l.lockFile(v.key())()
 	return v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Truncate(size); err != nil {
 			return "", err
@@ -373,9 +392,7 @@ func (v *lvnode) Getattr() (vnode.Attr, error) {
 }
 
 func (v *lvnode) Setattr(sa vnode.SetAttr) error {
-	lk := v.l.fileLock(v.key())
-	lk.Lock()
-	defer lk.Unlock()
+	defer v.l.lockFile(v.key())()
 	return v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Setattr(sa); err != nil {
 			return "", err
@@ -392,9 +409,7 @@ func (v *lvnode) Remove(name string) error {
 	if err := checkLogicalName(name); err != nil {
 		return err
 	}
-	lk := v.l.fileLock(v.key())
-	lk.Lock()
-	defer lk.Unlock()
+	defer v.l.lockFile(v.key())()
 	err := v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Remove(name); err != nil {
 			return "", err
@@ -411,9 +426,7 @@ func (v *lvnode) Rmdir(name string) error {
 	if err := checkLogicalName(name); err != nil {
 		return err
 	}
-	lk := v.l.fileLock(v.key())
-	lk.Lock()
-	defer lk.Unlock()
+	defer v.l.lockFile(v.key())()
 	err := v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Rmdir(name); err != nil {
 			return "", err
@@ -434,9 +447,7 @@ func (v *lvnode) Link(name string, target vnode.Vnode) error {
 	if !ok || t.l != v.l {
 		return vnode.EXDEV
 	}
-	lk := v.l.fileLock(v.key())
-	lk.Lock()
-	defer lk.Unlock()
+	defer v.l.lockFile(v.key())()
 	return v.writeOp(func(c candidate) (string, error) {
 		tv, err := t.resolveOn(c.rep)
 		if err != nil {
@@ -460,9 +471,7 @@ func (v *lvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 	if !ok || d.l != v.l {
 		return vnode.EXDEV
 	}
-	lk := v.l.fileLock(v.key())
-	lk.Lock()
-	defer lk.Unlock()
+	defer v.l.lockFile(v.key())()
 	err := v.writeOp(func(c candidate) (string, error) {
 		// Both directories must be reached on the same replica: rename is
 		// a single-replica update like any other.

@@ -47,6 +47,7 @@ type Client struct {
 
 	mu    sync.Mutex
 	clock uint64                          // client operation counter, drives cache expiry
+	root  string                          // the server's root handle, once it has been asked for
 	attrs *lru.Cache[string, attrEntry]   // by handle
 	names *lru.Cache[string, lookupEntry] // by handle + "/" + name
 }
@@ -85,6 +86,7 @@ func (c *Client) FlushCaches() {
 	defer c.mu.Unlock()
 	c.attrs.Flush()
 	c.names.Flush()
+	c.root = ""
 }
 
 func (c *Client) tick() uint64 {
@@ -119,14 +121,27 @@ func (c *Client) call(req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// Root fetches the server's root vnode.
+// Root fetches the server's root vnode, once: the handle never changes and,
+// like every handle, holds no state at the server (one that has since gone
+// answers the first real RPC with EUNAVAIL).
 func (c *Client) Root() (vnode.Vnode, error) {
 	c.tick()
+	c.mu.Lock()
+	h := c.root
+	c.mu.Unlock()
+	if h != "" {
+		return &cvnode{c: c, handle: h}, nil
+	}
 	resp, err := c.call(&Request{Op: OpRoot})
 	if err != nil {
 		return nil, err
 	}
 	c.cacheAttr(resp.Handle, resp.Attr)
+	if !c.opts.DisableCaches {
+		c.mu.Lock()
+		c.root = resp.Handle
+		c.mu.Unlock()
+	}
 	return &cvnode{c: c, handle: resp.Handle}, nil
 }
 
@@ -205,9 +220,8 @@ type cvnode struct {
 
 func (v *cvnode) Handle() string { return v.handle }
 
-// Lookup answers a name from the name cache when it can.  A lookup that
-// carries a request (vnode.EncodedLookupPrefix: an open or a close, §2.3)
-// always travels and leaves no entry: it exists to be seen by the server.
+// Lookup answers a plain name from the name cache when it can; one that
+// carries an open or a close (§2.3) exists to be seen by the server.
 func (v *cvnode) Lookup(name string) (vnode.Vnode, error) {
 	v.c.tick()
 	plain := !strings.HasPrefix(name, vnode.EncodedLookupPrefix)

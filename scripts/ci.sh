@@ -8,7 +8,11 @@
 # whole-file writes in internal/physical behind atomicReplace and the in-place
 # sidecar reseal behind its one caller, a two-second fuzz smoke of every
 # decoder fuzz target, three one-iteration bench smokes, the race-enabled test
-# suite, the suite again with runtime invariants armed (FICUS_INVARIANTS=1),
+# suite (it holds the two RPC-economy gates of the root package —
+# TestRemoteReadRPCBudget, TestFirstAvailableAsksNobodyElse — and the session
+# tests of internal/logical), ten more rounds of the one that shares an opened
+# vnode between goroutines while its replica is cut off and healed,
+# the suite again with runtime invariants armed (FICUS_INVARIANTS=1),
 # and the four chaos gates (chaos-crash includes the crash-at-every-write sweep
 # of the local mutating ops and the four tests that hold the physical layer's
 # caches to the store — a live layer across a failed device write, stale
@@ -92,6 +96,8 @@ go test -count=1 -run 'xxx' -bench 'E15GossipScale/(gossip|flat)/n=(8|32)$' -ben
 
 echo "==> go test -race ./..."
 go test -race ./...
+# Selection is per open (DESIGN.md §3.1): the pin is shared state.
+go test -race -count=10 -run 'TestSharedOpenVnodeUnderChurn' ./internal/logical
 
 echo "==> FICUS_INVARIANTS=1 go test ./..."
 FICUS_INVARIANTS=1 go test -count=1 ./...
