@@ -109,9 +109,9 @@ func (v *lvnode) candidates(yield func(candidate) bool) error {
 	return err
 }
 
-// once runs fn on one copy and announces the update it names, if any; done
+// attempt runs fn on one copy and announces the update it names, if any; done
 // says the answer is final.
-func (v *lvnode) once(c candidate, fn func(candidate) (string, error)) (done bool, err error) {
+func (v *lvnode) attempt(c candidate, fn func(candidate) (string, error)) (done bool, err error) {
 	h, err := fn(c)
 	if err == nil && h != "" {
 		v.l.sendNotify(h, c.rep.ID)
@@ -119,10 +119,10 @@ func (v *lvnode) once(c candidate, fn func(candidate) (string, error)) (done boo
 	return err == nil || !retriable(err), err
 }
 
-// try is once and, after a retriable failure, once more on a fresh
+// try is attempt and, after a retriable failure, attempt again on a fresh
 // resolution: the cached vnode may simply be stale.
 func (v *lvnode) try(c candidate, fn func(candidate) (string, error)) (done bool, err error) {
-	if done, err = v.once(c, fn); done {
+	if done, err = v.attempt(c, fn); done {
 		return true, err
 	}
 	v.l.cacheDrop(v.key(), c.rep.ID)
@@ -130,7 +130,7 @@ func (v *lvnode) try(c candidate, fn func(candidate) (string, error)) (done bool
 	if rerr != nil {
 		return false, err
 	}
-	return v.once(candidate{rep: c.rep, vn: vn}, fn)
+	return v.attempt(candidate{rep: c.rep, vn: vn}, fn)
 }
 
 // writeOp runs fn on the pinned copy if there is one, else — or once that copy
@@ -143,7 +143,7 @@ func (v *lvnode) writeOp(fn func(c candidate) (notifyHandle string, err error)) 
 	pin := v.pin
 	v.mu.Unlock()
 	if pin != nil {
-		if done, err := v.once(*pin, fn); done {
+		if done, err := v.attempt(*pin, fn); done {
 			return err
 		}
 		v.mu.Lock()

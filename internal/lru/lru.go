@@ -1,8 +1,8 @@
 // Package lru is the one least-recently-used map of the repository: the UFS
-// buffer, inode and name caches, the NFS client's attribute and lookup caches
-// and the physical layer's container and directory caches are all instances of
-// it (DESIGN.md §16).  It holds at most a fixed
-// number of entries and evicts from the cold end; it does no locking and
+// buffer, inode and name caches, the NFS client's attribute and lookup caches,
+// the physical layer's container and directory caches and the logical layer's
+// resolution cache are all instances of it (DESIGN.md §16).  It holds at most a
+// fixed number of entries and evicts from the cold end; it does no locking and
 // keeps no counters — every caller already has a lock and its own idea of
 // what a hit is.
 package lru
