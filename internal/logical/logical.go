@@ -89,7 +89,9 @@ type Layer struct {
 // fileMutex is one logical file's lock, kept while refs goroutines hold or await it.
 type fileMutex struct {
 	sync.Mutex
-	refs int
+	l    *Layer
+	key  string
+	refs int // under l.mu
 }
 
 // rcKey addresses one (logical path, replica) resolution.
@@ -155,8 +157,7 @@ func (l *Layer) cacheGet(path string, rep ids.ReplicaID) (vnode.Vnode, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e, ok := l.rcache.Get(rcKey{path, rep})
-	if !ok || l.clock-e.stamp >= l.cacheTTL {
-		l.rcache.Drop(rcKey{path, rep})
+	if !ok || l.clock-e.stamp >= l.cacheTTL { // a stale entry waits for cachePut or eviction
 		return nil, false
 	}
 	return e.vn, true
@@ -207,26 +208,27 @@ func (l *Layer) Sync() error {
 	return nil
 }
 
-// lockFile takes the concurrency-control lock of a logical file and returns
-// its release; the entry goes with its last holder.
-func (l *Layer) lockFile(key string) (unlock func()) {
+// lockFile takes the concurrency-control lock of a logical file; its entry goes with the last unlock.
+func (l *Layer) lockFile(key string) *fileMutex {
 	l.mu.Lock()
 	m := l.locks[key]
 	if m == nil {
-		m = &fileMutex{}
+		m = &fileMutex{l: l, key: key}
 		l.locks[key] = m
 	}
 	m.refs++
 	l.mu.Unlock()
 	m.Lock()
-	return func() {
-		m.Unlock()
-		l.mu.Lock()
-		if m.refs--; m.refs == 0 {
-			delete(l.locks, key)
-		}
-		l.mu.Unlock()
+	return m
+}
+
+func (m *fileMutex) unlock() {
+	m.Unlock()
+	m.l.mu.Lock()
+	if m.refs--; m.refs == 0 {
+		delete(m.l.locks, m.key)
 	}
+	m.l.mu.Unlock()
 }
 
 // sendNotify emits an update notification if configured.

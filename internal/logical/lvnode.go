@@ -4,6 +4,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ids"
 	"repro/internal/vnode"
@@ -20,9 +21,9 @@ type lvnode struct {
 	l    *Layer
 	path []string
 
-	mu    sync.Mutex
-	opens int        // Opens not yet matched by a Close
-	pin   *candidate // the copy chosen at Open; nil: select per operation
+	sess  sync.Mutex                // held across an Open or Close: the next Open finds this one's pin
+	opens int                       // under sess: Opens not yet matched by a Close
+	pin   atomic.Pointer[candidate] // the copy chosen at Open; nil: select per operation
 }
 
 // candidate is one resolved replica copy of this logical file.
@@ -55,9 +56,8 @@ func (v *lvnode) resolveOn(r Replica) (vnode.Vnode, error) {
 }
 
 // copies yields this file's copy on each replica that resolves it, in
-// configuration order, touching replica i+1 only if yield wants more than
-// replica i.  If it yields nothing it returns why: a definite answer (e.g.
-// ENOENT from a reachable replica) outranks EUNAVAIL.
+// configuration order, touching replica i+1 only if yield wants more.  If it
+// yields nothing it returns why: a definite answer (ENOENT) outranks EUNAVAIL.
 func (v *lvnode) copies(yield func(candidate) bool) error {
 	bestErr := error(vnode.EUNAVAIL)
 	for _, r := range v.l.replicas {
@@ -76,11 +76,10 @@ func (v *lvnode) copies(yield func(candidate) bool) error {
 }
 
 // candidates yields the copies in the selection policy's order, to a caller
-// about to use that order (Open, or an operation on a vnode that is not
-// open): MostRecent polls each copy's update count (exposed as Mtime, the
-// version vector total) and puts the newest first — "the default policy of
-// one-copy availability is to select the most recent copy available" (§2.5)
-// — while FirstAvailable is copies itself, lazy.  The error is that of copies.
+// about to use that order (Open, or an operation on a vnode that is not open):
+// MostRecent polls each copy's update count (exposed as Mtime, the version
+// vector total) and puts the newest first — "select the most recent copy
+// available" (§2.5); FirstAvailable is copies itself, lazy.  Errors as copies.
 func (v *lvnode) candidates(yield func(candidate) bool) error {
 	if v.l.policy != MostRecent {
 		return v.copies(yield)
@@ -101,34 +100,30 @@ func (v *lvnode) candidates(yield func(candidate) bool) error {
 		}
 		out[0], out[best] = out[best], out[0]
 	}
-	for _, c := range out {
-		if !yield(c) {
-			break
-		}
+	for i := 0; i < len(out) && yield(out[i]); i++ {
 	}
 	return err
 }
 
-// attempt runs fn on one copy and announces the update it names, if any; done
-// says the answer is final.
-func (v *lvnode) attempt(c candidate, fn func(candidate) (string, error)) (done bool, err error) {
+// attempt runs fn on one copy and announces the update it names, if any;
+// retry says the failure is one another copy might not share.
+func (v *lvnode) attempt(c candidate, fn func(candidate) (string, error)) (retry bool, err error) {
 	h, err := fn(c)
 	if err == nil && h != "" {
 		v.l.sendNotify(h, c.rep.ID)
 	}
-	return err == nil || !retriable(err), err
+	return err != nil && retriable(err), err
 }
 
-// try is attempt and, after a retriable failure, attempt again on a fresh
-// resolution: the cached vnode may simply be stale.
-func (v *lvnode) try(c candidate, fn func(candidate) (string, error)) (done bool, err error) {
-	if done, err = v.attempt(c, fn); done {
-		return true, err
+// try is attempt, made once more on a fresh resolution if the cached vnode may be stale.
+func (v *lvnode) try(c candidate, fn func(candidate) (string, error)) (retry bool, err error) {
+	if retry, err = v.attempt(c, fn); !retry {
+		return false, err
 	}
 	v.l.cacheDrop(v.key(), c.rep.ID)
 	vn, rerr := v.resolveOn(c.rep)
 	if rerr != nil {
-		return false, err
+		return true, err
 	}
 	return v.attempt(candidate{rep: c.rep, vn: vn}, fn)
 }
@@ -139,24 +134,16 @@ func (v *lvnode) try(c candidate, fn func(candidate) (string, error)) (done bool
 // updates are applied to a single replica and announced).
 func (v *lvnode) writeOp(fn func(c candidate) (notifyHandle string, err error)) error {
 	v.l.tick()
-	v.mu.Lock()
-	pin := v.pin
-	v.mu.Unlock()
-	if pin != nil {
-		if done, err := v.attempt(*pin, fn); done {
+	if pin := v.pin.Load(); pin != nil {
+		if retry, err := v.attempt(*pin, fn); !retry {
 			return err
 		}
-		v.mu.Lock()
-		if v.pin == pin {
-			v.pin = nil
-		}
-		v.mu.Unlock()
+		v.pin.CompareAndSwap(pin, nil)
 	}
 	var last error
-	err := v.candidates(func(c candidate) bool {
-		var done bool
-		done, last = v.try(c, fn)
-		return !done
+	err := v.candidates(func(c candidate) (retry bool) {
+		retry, last = v.try(c, fn)
+		return retry
 	})
 	if err != nil {
 		return err
@@ -203,22 +190,31 @@ func (v *lvnode) Lookup(name string) (vnode.Vnode, error) {
 		return nil, err
 	}
 	child := v.child(name)
+	// Graft interception (§4.4): if the child is a graft point and a hook
+	// is installed, return the grafted volume's root instead.
+	// Only Getattr tells a graft point, so with a hook the walk asks on until a
+	// copy answers; only at a graft point is the policy run, to hand the hook
+	// the table of the first copy in the policy's order that answers.
 	var held candidate
-	if err := child.copies(func(c candidate) bool { held = c; return false }); err != nil {
+	var a vnode.Attr
+	ask := func(c candidate) bool {
+		var aerr error
+		held = c
+		a, aerr = c.vn.Getattr()
+		return aerr != nil
+	}
+	if v.l.graft == nil {
+		ask = func(candidate) bool { return false }
+	}
+	if err := child.copies(ask); err != nil {
 		return nil, err
 	}
-	// Graft interception (§4.4): if the child is a graft point and a hook
-	// is installed, return the grafted volume's root instead.  Only then is
-	// the policy run: the hook reads the graft table of the copy it is handed.
-	if v.l.graft != nil {
-		a, aerr := held.vn.Getattr()
-		if aerr == nil && a.GraftVol != "" {
-			target, perr := ids.ParseVolumeHandle(a.GraftVol)
-			if perr == nil {
-				_ = child.candidates(func(c candidate) bool { held = c; return false })
-				return v.l.graft(target, held.vn)
-			}
-		}
+	if a.GraftVol == "" {
+		return child, nil
+	}
+	if target, perr := ids.ParseVolumeHandle(a.GraftVol); perr == nil {
+		_ = child.candidates(ask)
+		return v.l.graft(target, held.vn)
 	}
 	return child, nil
 }
@@ -229,7 +225,7 @@ func (v *lvnode) makeChild(name string, op func(dir vnode.Vnode) (vnode.Vnode, e
 	if err := checkLogicalName(name); err != nil {
 		return nil, err
 	}
-	defer v.l.lockFile(v.key())()
+	defer v.l.lockFile(v.key()).unlock()
 	err := v.writeOp(func(c candidate) (string, error) {
 		vn, err := op(c.vn)
 		if err != nil {
@@ -256,7 +252,7 @@ func (v *lvnode) Symlink(name, target string) error {
 	if err := checkLogicalName(name); err != nil {
 		return err
 	}
-	defer v.l.lockFile(v.key())()
+	defer v.l.lockFile(v.key()).unlock()
 	return v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Symlink(name, target); err != nil {
 			return "", err
@@ -300,6 +296,8 @@ func (v *lvnode) shipOpenClose(open bool, flags vnode.OpenFlags) error {
 	parent := &lvnode{l: v.l, path: v.path[:len(v.path)-1]}
 	name := v.path[len(v.path)-1]
 	enc := encodeOpen(open, flags, v.l.vol, name)
+	v.sess.Lock()
+	defer v.sess.Unlock()
 	var chose candidate
 	err := v.readOp(func(c candidate) error {
 		chose = c
@@ -312,16 +310,13 @@ func (v *lvnode) shipOpenClose(open bool, flags vnode.OpenFlags) error {
 		}
 		return err
 	})
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if !open {
-		if v.opens--; v.opens <= 0 {
-			v.opens, v.pin = 0, nil
+		if v.opens = max(v.opens-1, 0); v.opens == 0 {
+			v.pin.Store(nil)
 		}
 	} else if err == nil {
-		if v.opens++; v.pin == nil {
-			v.pin = &chose
-		}
+		v.opens++
+		v.pin.CompareAndSwap(nil, &chose)
 	}
 	return err
 }
@@ -351,7 +346,7 @@ func (v *lvnode) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (v *lvnode) WriteAt(p []byte, off int64) (int, error) {
-	defer v.l.lockFile(v.key())()
+	defer v.l.lockFile(v.key()).unlock()
 	var n int
 	err := v.writeOp(func(c candidate) (string, error) {
 		m, err := c.vn.WriteAt(p, off)
@@ -365,7 +360,7 @@ func (v *lvnode) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (v *lvnode) Truncate(size uint64) error {
-	defer v.l.lockFile(v.key())()
+	defer v.l.lockFile(v.key()).unlock()
 	return v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Truncate(size); err != nil {
 			return "", err
@@ -392,7 +387,7 @@ func (v *lvnode) Getattr() (vnode.Attr, error) {
 }
 
 func (v *lvnode) Setattr(sa vnode.SetAttr) error {
-	defer v.l.lockFile(v.key())()
+	defer v.l.lockFile(v.key()).unlock()
 	return v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Setattr(sa); err != nil {
 			return "", err
@@ -409,7 +404,7 @@ func (v *lvnode) Remove(name string) error {
 	if err := checkLogicalName(name); err != nil {
 		return err
 	}
-	defer v.l.lockFile(v.key())()
+	defer v.l.lockFile(v.key()).unlock()
 	err := v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Remove(name); err != nil {
 			return "", err
@@ -426,7 +421,7 @@ func (v *lvnode) Rmdir(name string) error {
 	if err := checkLogicalName(name); err != nil {
 		return err
 	}
-	defer v.l.lockFile(v.key())()
+	defer v.l.lockFile(v.key()).unlock()
 	err := v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Rmdir(name); err != nil {
 			return "", err
@@ -447,7 +442,7 @@ func (v *lvnode) Link(name string, target vnode.Vnode) error {
 	if !ok || t.l != v.l {
 		return vnode.EXDEV
 	}
-	defer v.l.lockFile(v.key())()
+	defer v.l.lockFile(v.key()).unlock()
 	return v.writeOp(func(c candidate) (string, error) {
 		tv, err := t.resolveOn(c.rep)
 		if err != nil {
@@ -471,7 +466,7 @@ func (v *lvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 	if !ok || d.l != v.l {
 		return vnode.EXDEV
 	}
-	defer v.l.lockFile(v.key())()
+	defer v.l.lockFile(v.key()).unlock()
 	err := v.writeOp(func(c candidate) (string, error) {
 		// Both directories must be reached on the same replica: rename is
 		// a single-replica update like any other.

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/ids"
@@ -30,15 +32,19 @@ type call struct {
 
 // countFS is a vnode.VFS that logs every call crossing it.
 type countFS struct {
-	lower vnode.VFS
-	mu    sync.Mutex
-	log   []call
+	lower  vnode.VFS
+	onCall func(call) // if set, runs before each call is forwarded; it may block
+	mu     sync.Mutex
+	log    []call
 }
 
 func (f *countFS) note(op, name string) {
 	f.mu.Lock()
 	f.log = append(f.log, call{op, name})
 	f.mu.Unlock()
+	if f.onCall != nil {
+		f.onCall(call{op, name})
+	}
 }
 
 // count reports how many logged calls were one of ops.
@@ -165,9 +171,15 @@ func newSessionRig(t *testing.T, n int) *sessionRig {
 
 // layer is a fresh logical layer over the rig: nothing resolved, nothing open.
 func (r *sessionRig) layer(policy Policy, graft GraftHook) vnode.Vnode {
+	return r.layerOver(policy, graft, 0)
+}
+
+// layerOver is layer without the replicas before first: first > 0 gives a
+// client with no co-resident copy, whose every replica can be cut off.
+func (r *sessionRig) layerOver(policy Policy, graft GraftHook, first int) vnode.Vnode {
 	var reps []Replica
-	for i, c := range r.counts {
-		reps = append(reps, Replica{ID: ids.ReplicaID(i + 1), FS: c})
+	for i, c := range r.counts[first:] {
+		reps = append(reps, Replica{ID: ids.ReplicaID(first + i + 1), FS: c})
 	}
 	root, _ := New(testVol, reps, Options{Policy: policy, Graft: graft}).Root()
 	return root
@@ -467,6 +479,51 @@ func TestGraftHookGetsTheSelectedCopy(t *testing.T) {
 	}
 }
 
+// TestGraftPointFoundBehindALostReplica: a walk that has crossed a graft point
+// keeps crossing it after the first-configured replica is partitioned away.
+// That replica's copy still resolves — from the layer's resolution cache, no
+// RPC — but once the NFS attributes cached for it have run out (32 operations)
+// it cannot say that the name is a graft point; Lookup must ask on, not hand
+// back the graft point's own directory.  While those attributes last they
+// vouch for the lost server (§2.2, as they did for the poll before this
+// change) and the hook may be handed its copy; afterwards, under either
+// policy, the hook gets a copy whose graft table it can read.
+func TestGraftPointFoundBehindALostReplica(t *testing.T) {
+	for _, policy := range []Policy{MostRecent, FirstAvailable} {
+		r := newSessionRig(t, 3)
+		root0, _ := r.phys[0].Root()
+		target := ids.VolumeHandle{Allocator: 3, Volume: 2}
+		if _, err := root0.(interface {
+			MkGraft(string, ids.VolumeHandle) (vnode.Vnode, error)
+		}).MkGraft("mnt", target); err != nil {
+			t.Fatal(err)
+		}
+		r.sync(t)
+		grafted, _ := r.phys[0].Root() // stands in for the grafted volume's root
+		hooked := 0
+		var tableErr error
+		hook := func(vol ids.VolumeHandle, gp vnode.Vnode) (vnode.Vnode, error) {
+			hooked++
+			_, tableErr = gp.Readdir()
+			return grafted, nil
+		}
+		root := r.layerOver(policy, hook, 1) // replicas 1 and 2, both across NFS
+		if got, err := root.Lookup("mnt"); err != nil || got != grafted {
+			t.Fatalf("policy %d, before the cut: %v, %v", policy, got, err)
+		}
+		r.cut(1)
+		for i := 0; i < 48; i++ { // each one ages client 1's caches by an operation or two
+			got, err := root.Lookup("mnt")
+			if err != nil || got != grafted {
+				t.Fatalf("policy %d, lookup %d after the cut: got %v, %v; want the grafted root", policy, i, got, err)
+			}
+		}
+		if hooked != 49 || tableErr != nil {
+			t.Errorf("policy %d: the hook ran %d times in 49 lookups of the graft point; reading the last table it was handed: %v", policy, hooked, tableErr)
+		}
+	}
+}
+
 // TestPinnedReplicaLostMidSession: one-copy availability inside a session is
 // what it was between sessions.  The pinned copy's server is cut off after
 // Open; the next read comes from the other copy, later operations keep
@@ -619,6 +676,57 @@ func TestNestedOpensUnpinAtTheLastClose(t *testing.T) {
 	if r.phys[0].TotalOpens() != 2 || r.phys[0].OpenCount(fid) != 0 || r.phys[1].TotalOpens() != 0 {
 		t.Fatalf("replica 0: %d opens, %d outstanding; replica 1: %d opens; want 2, 0, 0",
 			r.phys[0].TotalOpens(), r.phys[0].OpenCount(fid), r.phys[1].TotalOpens())
+	}
+}
+
+// TestConcurrentFirstOpensShareOnePin: two goroutines open a shared vnode
+// that nobody holds open yet, and the newest copy changes while the first open
+// is still on its way.  Both closes follow the one pin, so both opens must
+// have gone where it points: the second Open waits for the first and takes
+// its choice.  (Selecting independently, the second went to replica 1, which
+// then kept the file open for ever, and replica 0 was sent two closes for one
+// open.)
+func TestConcurrentFirstOpensShareOnePin(t *testing.T) {
+	r := newSessionRig(t, 2)
+	r.populate(t, "v1")
+	fid := r.fidOf(t, 0, "a/b/f")
+	v, err := vnode.Walk(r.layer(MostRecent, nil), "a/b/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	r.counts[0].onCall = func(c call) {
+		if c.op == "open" && first.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+	}
+	errs := make(chan error, 2)
+	go func() { errs <- v.Open(vnode.OpenRead) }()
+	<-entered
+	r.physWrite(t, 1, "a/b/f", "v2") // a poll taken now would choose replica 1
+	go func() { errs <- v.Open(vnode.OpenRead) }()
+	time.Sleep(50 * time.Millisecond) // long enough for an Open that does not wait to finish
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := r.phys[0].OpenCount(fid), r.phys[1].OpenCount(fid); a != 2 || b != 0 {
+		t.Errorf("after both opens: %d open at replica 0, %d at replica 1; want 2, 0", a, b)
+	}
+	for i := 0; i < 2; i++ {
+		if err := v.Close(vnode.OpenRead); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := r.phys[0].OpenCount(fid), r.phys[1].OpenCount(fid); a != 0 || b != 0 {
+		t.Errorf("after both closes: %d still open at replica 0, %d at replica 1", a, b)
+	}
+	if r.counts[0].count("open") != 2 || r.counts[0].count("close") != 2 || r.counts[1].count("open", "close") != 0 {
+		t.Errorf("replica 0 was sent %s\nreplica 1 was sent %s", r.counts[0].calls(), r.counts[1].calls())
 	}
 }
 

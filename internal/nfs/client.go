@@ -121,9 +121,8 @@ func (c *Client) call(req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// Root fetches the server's root vnode, once: the handle never changes and,
-// like every handle, holds no state at the server (one that has since gone
-// answers the first real RPC with EUNAVAIL).
+// Root fetches the server's root vnode, once: the handle never changes and holds
+// no state at the server (one that has gone answers the next RPC with EUNAVAIL).
 func (c *Client) Root() (vnode.Vnode, error) {
 	c.tick()
 	c.mu.Lock()

@@ -38,8 +38,9 @@ func TestConformanceOverPhysicalLayer(t *testing.T) {
 
 // TestEncodedLookupBypassesNameCache: a Lookup that carries an open or a
 // close (§2.3) is a request, not a name.  With the caches on, each one costs
-// an RPC and reaches the physical layer, and none of them enters the name
-// cache or is answered from it.
+// an RPC, and none of them enters the name cache or is answered from it.
+// (That each reaches the physical layer is the logical rig's and the root
+// package's test.)
 func TestEncodedLookupBypassesNameCache(t *testing.T) {
 	vol := ids.VolumeHandle{Allocator: 5, Volume: 5}
 	fs, err := ufs.Mkfs(disk.New(8192), 2048, nil)
@@ -73,9 +74,6 @@ func TestEncodedLookupBypassesNameCache(t *testing.T) {
 	}
 	if got := net.Stats().RPCs; got != 2*pairs {
 		t.Fatalf("%d encoded lookups cost %d RPCs", 2*pairs, got)
-	}
-	if phys.TotalOpens() != pairs || phys.OpenFiles() != 0 {
-		t.Fatalf("server saw %d opens, %d still open; want %d, 0", phys.TotalOpens(), phys.OpenFiles(), pairs)
 	}
 	c.mu.Lock()
 	_, cached := c.names.Get(root.Handle() + "/" + open)
