@@ -22,12 +22,12 @@ lint:
 
 # race runs the suite under the race detector — the RPC-economy gates
 # (TestRemoteReadRPCBudget, TestFirstAvailableAsksNobodyElse) and the session
-# tests of internal/logical are in it — then ten more rounds of the test that
-# shares one opened vnode between goroutines while its pinned replica is cut
-# off and healed (DESIGN.md §3.1).
+# tests of internal/logical are in it — then ten more rounds of the tests that
+# share one vnode between goroutines: readers while its pinned replica is cut
+# off and healed, and two first opens at once (DESIGN.md §3.1).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestSharedOpenVnodeUnderChurn' ./internal/logical
+	$(GO) test -race -count=10 -run 'TestSharedOpenVnodeUnderChurn|TestConcurrentFirstOpensShareOnePin' ./internal/logical
 
 # invariants re-runs the suite with the runtime invariant checks armed
 # (internal/invariant; free when the env var is unset).

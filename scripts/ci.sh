@@ -97,7 +97,7 @@ go test -count=1 -run 'xxx' -bench 'E15GossipScale/(gossip|flat)/n=(8|32)$' -ben
 echo "==> go test -race ./..."
 go test -race ./...
 # Selection is per open (DESIGN.md §3.1): the pin is shared state.
-go test -race -count=10 -run 'TestSharedOpenVnodeUnderChurn' ./internal/logical
+go test -race -count=10 -run 'TestSharedOpenVnodeUnderChurn|TestConcurrentFirstOpensShareOnePin' ./internal/logical
 
 echo "==> FICUS_INVARIANTS=1 go test ./..."
 FICUS_INVARIANTS=1 go test -count=1 ./...
