@@ -7,12 +7,10 @@
 //
 // Usage:
 //
-//	ficusvet [-list] [-run name,name] [-json] [-fix [-diff]] [patterns]
+//	ficusvet [-list] [-run name,name] [-json] [patterns]
 //
 // Patterns default to ./... (the whole module, testdata excluded).
 // -json emits one JSON object with the findings for editors and CI.
-// -fix applies every suggested fix in place; -fix -diff prints the
-// unified diff instead of writing.
 package main
 
 import (
@@ -42,8 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := flags.Bool("list", false, "list analyzers and exit")
 	only := flags.String("run", "", "comma-separated analyzers to run (default: all)")
 	asJSON := flags.Bool("json", false, "emit findings as JSON")
-	fix := flags.Bool("fix", false, "apply suggested fixes in place")
-	diff := flags.Bool("diff", false, "with -fix: print a unified diff instead of writing files")
 	if err := flags.Parse(args); err != nil {
 		return exitLoadFail
 	}
@@ -84,23 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	diags := analysis.Run(pkgs, analyzers)
 
-	if *fix {
-		fixed, err := analysis.ApplyFixes(diags)
-		if err != nil {
-			return loadFail(err)
-		}
-		for _, f := range fixed {
-			if *diff {
-				fmt.Fprint(stdout, analysis.UnifiedDiff(relPath(ld, f.Path), f.Old, f.New))
-				continue
-			}
-			if err := os.WriteFile(f.Path, f.New, 0o644); err != nil {
-				return loadFail(err)
-			}
-			fmt.Fprintf(stdout, "fixed %s\n", relPath(ld, f.Path))
-		}
-	}
-
 	if *asJSON {
 		out := struct {
 			Findings []analysis.Diagnostic
@@ -128,15 +107,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 func relDiags(ld *analysis.Loader, diags []analysis.Diagnostic) []analysis.Diagnostic {
 	out := make([]analysis.Diagnostic, len(diags))
 	for i, d := range diags {
-		d.Pos.Filename = relPath(ld, d.Pos.Filename)
+		if rel, err := filepath.Rel(ld.ModRoot(), d.Pos.Filename); err == nil && !filepath.IsAbs(rel) {
+			d.Pos.Filename = rel
+		}
 		out[i] = d
 	}
 	return out
-}
-
-func relPath(ld *analysis.Loader, path string) string {
-	if rel, err := filepath.Rel(ld.ModRoot(), path); err == nil && !filepath.IsAbs(rel) {
-		return rel
-	}
-	return path
 }

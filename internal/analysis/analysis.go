@@ -17,8 +17,8 @@
 //     with errors.Is/errors.As; wrapping without %w or comparing errors
 //     with == severs the chain and turns transient faults permanent.
 //
-//   - heldlocks: the *Locked suffix convention, flow-sensitively, across
-//     the whole replication stack — which mutexes are held at each call
+//   - heldlocks: the *Locked suffix convention, flow-sensitively, in every
+//     package that takes a lock — which mutexes are held at each call
 //     site, *Locked callees reached only with the receiver's lock held,
 //     and no re-Lock of a mutex already held (self-deadlock).
 //
@@ -27,17 +27,12 @@
 //     workers, scrub daemon, and repair daemon can deadlock against each
 //     other.
 //
-//   - wiresym: every encode function of the repl, notification and NFS
-//     formats must write exactly the field sequence (same order, same wire
-//     widths, in internal/wire's vocabulary) its decode counterpart reads,
-//     and every opcode constant must be dispatched somewhere.
-//
 //   - duraberr: on durable-write paths (device writes, sidecar/journal/
 //     shadow commits, renames) an error return must not be silently
 //     discarded, overwritten unchecked, or wrapped without %w.
 //
-// Analyzers may attach suggested fixes (concrete text edits) to their
-// diagnostics; "ficusvet -fix" applies them mechanically (see fix.go).
+// Each analyzer stays only while it catches a seeded bug no test catches
+// (DESIGN.md §12); every message names its one-token repair.
 //
 // Diagnostics can be suppressed with a trailing or immediately preceding
 // comment: //ficusvet:ignore silences every analyzer on that line,
@@ -56,27 +51,11 @@ import (
 	"sync"
 )
 
-// TextEdit is one replacement of a source range, resolved to byte offsets
-// so the fix engine needs no file set.  Start == End inserts.
-type TextEdit struct {
-	File       string // absolute path of the file
-	Start, End int    // byte offsets within the file
-	NewText    string
-}
-
-// SuggestedFix is a mechanical repair for one diagnostic: applying every
-// edit resolves the finding.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
 // Diagnostic is one finding.
 type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	Fixes    []SuggestedFix `json:",omitempty"`
 }
 
 // String renders the diagnostic as path:line:col: analyzer: message.
@@ -106,37 +85,7 @@ type Pass struct {
 // Reportf records a diagnostic at pos unless a ficusvet comment suppresses
 // this analyzer on that line or the line above it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportFixf is Reportf with an attached suggested fix.
-func (p *Pass) ReportFixf(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
-	var fixes []SuggestedFix
-	if fix != nil && len(fix.Edits) > 0 {
-		fixes = []SuggestedFix{*fix}
-	}
-	p.report(pos, fixes, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fixes []SuggestedFix, format string, args ...any) {
-	position := p.Pkg.Fset.Position(pos)
-	if p.Pkg.suppressedAt(p.Analyzer.Name, position) {
-		return
-	}
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      position,
-		Message:  fmt.Sprintf(format, args...),
-		Fixes:    fixes,
-	})
-}
-
-// Edit builds a TextEdit replacing the source range [pos, end) with text,
-// resolving token positions to file byte offsets.
-func (p *Pass) Edit(pos, end token.Pos, text string) TextEdit {
-	from := p.Pkg.Fset.Position(pos)
-	to := p.Pkg.Fset.Position(end)
-	return TextEdit{File: from.Filename, Start: from.Offset, End: to.Offset, NewText: text}
+	report(p.diags, p.Analyzer, p.Pkg, pos, format, args...)
 }
 
 // ModulePass couples a module-level analyzer with every in-scope package.
@@ -148,12 +97,16 @@ type ModulePass struct {
 
 // Reportf records a diagnostic at pos within pkg, honoring suppressions.
 func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
+	report(p.diags, p.Analyzer, pkg, pos, format, args...)
+}
+
+func report(diags *[]Diagnostic, a *Analyzer, pkg *Package, pos token.Pos, format string, args ...any) {
 	position := pkg.Fset.Position(pos)
-	if pkg.suppressedAt(p.Analyzer.Name, position) {
+	if pkg.suppressedAt(a.Name, position) {
 		return
 	}
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
+	*diags = append(*diags, Diagnostic{
+		Analyzer: a.Name,
 		Pos:      position,
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -163,7 +116,7 @@ func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ..
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism, VVAlias, ErrClass,
-		HeldLocks, LockOrder, WireSym, DurabErr,
+		HeldLocks, LockOrder, DurabErr,
 	}
 }
 

@@ -86,10 +86,6 @@ func TestLockOrderFixture(t *testing.T) {
 	runFixture(t, LockOrder, "lockorder", "core", "physical")
 }
 
-func TestWireSymFixture(t *testing.T) {
-	runFixture(t, WireSym, "wiresym", "repl")
-}
-
 func TestDurabErrFixture(t *testing.T) {
 	runFixture(t, DurabErr, "duraberr", "disk")
 }

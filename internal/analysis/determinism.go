@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -137,79 +136,8 @@ func checkOneMapRange(pass *Pass, rng *ast.RangeStmt, rest []ast.Stmt) {
 	case sinkName != "":
 		pass.Reportf(rng.Pos(), "map iteration order reaches %s; sort the keys first (or mark //ficusvet:sorted)", sinkName)
 	case len(appendTargets) > 0 && !sortedLater(info, rest, appendTargets):
-		pass.ReportFixf(rng.Pos(), sortInsertFix(pass, rng, appendTargets),
-			"slice collected from map iteration is never sorted; iteration order leaks into output (sort it or mark //ficusvet:sorted)")
+		pass.Reportf(rng.Pos(), "slice collected from map iteration is never sorted; iteration order leaks into output (sort it or mark //ficusvet:sorted)")
 	}
-}
-
-// sortInsertFix proposes a sort.Slice call right after the range when the
-// collected slice has an ordered element type; the fix also adds the sort
-// import if the file lacks it.
-func sortInsertFix(pass *Pass, rng *ast.RangeStmt, targets map[types.Object]bool) *SuggestedFix {
-	if len(targets) != 1 {
-		return nil
-	}
-	var obj types.Object
-	for o := range targets {
-		obj = o
-	}
-	sl, ok := obj.Type().Underlying().(*types.Slice)
-	if !ok {
-		return nil
-	}
-	basic, ok := sl.Elem().Underlying().(*types.Basic)
-	if !ok || basic.Info()&types.IsOrdered == 0 {
-		return nil
-	}
-	name := obj.Name()
-	end := pass.Pkg.Fset.Position(rng.End())
-	start := pass.Pkg.Fset.Position(rng.Pos())
-	indent := strings.Repeat("\t", start.Column-1)
-	text := "\n" + indent + "sort.Slice(" + name + ", func(i, j int) bool { return " +
-		name + "[i] < " + name + "[j] })"
-	edits := []TextEdit{{File: end.Filename, Start: end.Offset, End: end.Offset, NewText: text}}
-	if imp, needed, ok := sortImportEdit(pass, rng.Pos()); ok {
-		if needed {
-			edits = append(edits, imp)
-		}
-	} else {
-		return nil // nowhere safe to add the import
-	}
-	return &SuggestedFix{Message: "sort the collected slice after the range", Edits: edits}
-}
-
-// sortImportEdit returns the edit adding `"sort"` to the imports of the
-// file containing pos (needed=false when already imported).
-func sortImportEdit(pass *Pass, pos token.Pos) (TextEdit, bool, bool) {
-	var file *ast.File
-	for _, f := range pass.Pkg.Files {
-		if f.Pos() <= pos && pos <= f.End() {
-			file = f
-			break
-		}
-	}
-	if file == nil {
-		return TextEdit{}, false, false
-	}
-	for _, imp := range file.Imports {
-		if imp.Path.Value == `"sort"` {
-			return TextEdit{}, false, true
-		}
-	}
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok.String() != "import" {
-			continue
-		}
-		if gd.Lparen.IsValid() && len(gd.Specs) > 0 {
-			last := pass.Pkg.Fset.Position(gd.Specs[len(gd.Specs)-1].End())
-			return TextEdit{File: last.Filename, Start: last.Offset, End: last.Offset, NewText: "\n\t\"sort\""}, true, true
-		}
-		declEnd := pass.Pkg.Fset.Position(gd.End())
-		return TextEdit{File: declEnd.Filename, Start: declEnd.Offset, End: declEnd.Offset, NewText: "\nimport \"sort\""}, true, true
-	}
-	nameEnd := pass.Pkg.Fset.Position(file.Name.End())
-	return TextEdit{File: nameEnd.Filename, Start: nameEnd.Offset, End: nameEnd.Offset, NewText: "\n\nimport \"sort\""}, true, true
 }
 
 // calleeName extracts the called function or method name.

@@ -110,50 +110,12 @@ func checkDurabErrs(pass *Pass, fn *ast.FuncDecl) {
 
 	// %v/%s/%q wrapping of a durable-originated error.
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Errorf" {
-			return true
-		}
-		fnObj, _ := info.Uses[sel.Sel].(*types.Func)
-		if fnObj == nil || fnObj.Pkg() == nil || fnObj.Pkg().Path() != "fmt" {
-			return true
-		}
-		if len(call.Args) < 2 {
-			return true
-		}
-		lit, ok := call.Args[0].(*ast.BasicLit)
-		if !ok {
-			return true
-		}
-		verbs := formatVerbOffsets(lit.Value)
-		for i, v := range verbs {
-			argIdx := 1 + i
-			if argIdx >= len(call.Args) {
-				break
-			}
-			if v.verb != 'v' && v.verb != 's' && v.verb != 'q' {
-				continue
-			}
-			obj := rootObject(info, call.Args[argIdx])
-			if obj == nil || !durableErrVars[obj] {
-				continue
-			}
-			litPos := pass.Pkg.Fset.Position(lit.Pos())
-			fix := &SuggestedFix{
-				Message: "wrap with %w to preserve the error chain",
-				Edits: []TextEdit{{
-					File:    litPos.Filename,
-					Start:   litPos.Offset + v.offset,
-					End:     litPos.Offset + v.offset + 1,
-					NewText: "w",
-				}},
-			}
-			pass.ReportFixf(call.Args[argIdx].Pos(), fix,
-				"durable-write error wrapped with %%%c; use %%w so retry.Transient classification survives errors.Is", v.verb)
+		if call, ok := n.(*ast.CallExpr); ok {
+			errorfFlattened(info, call, func(arg ast.Expr, verb byte) {
+				if obj := rootObject(info, arg); obj != nil && durableErrVars[obj] {
+					pass.Reportf(arg.Pos(), "durable-write error wrapped with %%%c; use %%w so retry.Transient classification survives errors.Is", verb)
+				}
+			})
 		}
 		return true
 	})
@@ -314,38 +276,4 @@ func checkShadowedErrs(pass *Pass, info *types.Info, stmts []ast.Stmt, fn *ast.F
 // sameStmts reports whether the two slices are the same statement list.
 func sameStmts(a, b []ast.Stmt) bool {
 	return len(a) == len(b) && len(a) > 0 && a[0] == b[0]
-}
-
-// formatVerb is one verb occurrence in a format string literal, with the
-// byte offset of the verb character within the literal's source text.
-type formatVerb struct {
-	verb   byte
-	offset int
-}
-
-// formatVerbOffsets scans a format string literal's source text (quotes
-// included) and returns the argument-consuming verbs in order, with the
-// offset of each verb character.  %% is skipped; flags, width, and
-// precision are stepped over.  Indexed arguments (%[n]d) are not handled.
-func formatVerbOffsets(lit string) []formatVerb {
-	var out []formatVerb
-	for i := 0; i < len(lit); i++ {
-		if lit[i] != '%' {
-			continue
-		}
-		j := i + 1
-		for j < len(lit) && strings.IndexByte("+-# 0123456789.", lit[j]) >= 0 {
-			j++
-		}
-		if j >= len(lit) {
-			break
-		}
-		if lit[j] == '%' {
-			i = j
-			continue
-		}
-		out = append(out, formatVerb{verb: lit[j], offset: j})
-		i = j
-	}
-	return out
 }

@@ -76,57 +76,40 @@ func isErrorInterface(t types.Type) bool {
 // longer classify the cause.
 func checkErrorfWrap(pass *Pass, call *ast.CallExpr) {
 	info := pass.Pkg.Info
+	errorfFlattened(info, call, func(arg ast.Expr, verb byte) {
+		t := info.TypeOf(arg)
+		if t == nil || !implementsError(t) {
+			return
+		}
+		if basic, ok := t.Underlying().(*types.Basic); ok && basic.Kind() == types.UntypedNil {
+			return
+		}
+		pass.Reportf(arg.Pos(), "error formatted with %%%c loses the error chain; use %%w so retry can classify the cause with errors.Is/As", verb)
+	})
+}
+
+// errorfFlattened calls flat for each argument of a fmt.Errorf call whose
+// verb (%v, %s or %q) flattens it to text.
+func errorfFlattened(info *types.Info, call *ast.CallExpr, flat func(arg ast.Expr, verb byte)) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	if !ok || len(call.Args) < 2 {
 		return
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" {
 		return
 	}
-	if len(call.Args) < 2 {
-		return
-	}
 	format, ok := stringConstant(info, call.Args[0])
 	if !ok {
 		return
 	}
-	verbs := formatVerbs(format)
-	for i, verb := range verbs {
-		argIdx := 1 + i
-		if argIdx >= len(call.Args) {
+	for i, verb := range formatVerbs(format) {
+		if 1+i >= len(call.Args) {
 			break
 		}
-		arg := call.Args[argIdx]
-		if verb != 'v' && verb != 's' && verb != 'q' {
-			continue
+		if verb == 'v' || verb == 's' || verb == 'q' {
+			flat(call.Args[1+i], verb)
 		}
-		t := info.TypeOf(arg)
-		if t == nil || !implementsError(t) {
-			continue
-		}
-		if basic, ok := t.Underlying().(*types.Basic); ok && basic.Kind() == types.UntypedNil {
-			continue
-		}
-		// When the format is a plain literal the repair is mechanical:
-		// rewrite this verb to %w.
-		var fix *SuggestedFix
-		if lit, ok := call.Args[0].(*ast.BasicLit); ok {
-			offs := formatVerbOffsets(lit.Value)
-			if len(offs) == len(verbs) && i < len(offs) && offs[i].verb == verb {
-				litPos := pass.Pkg.Fset.Position(lit.Pos())
-				fix = &SuggestedFix{
-					Message: "wrap with %w to preserve the error chain",
-					Edits: []TextEdit{{
-						File:    litPos.Filename,
-						Start:   litPos.Offset + offs[i].offset,
-						End:     litPos.Offset + offs[i].offset + 1,
-						NewText: "w",
-					}},
-				}
-			}
-		}
-		pass.ReportFixf(arg.Pos(), fix, "error formatted with %%%c loses the error chain; use %%w so retry can classify the cause with errors.Is/As", verb)
 	}
 }
 

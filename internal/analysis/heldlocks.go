@@ -7,8 +7,8 @@ import (
 )
 
 // HeldLocks enforces the repo's lock-suffix convention — a method named
-// *Locked requires its receiver's mutex — across the whole replication
-// stack.  The durable new-version cache journal made the convention
+// *Locked requires its receiver's mutex — in every package that takes a
+// lock.  The durable new-version cache journal made the convention
 // load-bearing: a journal append racing a compaction would interleave
 // records and corrupt the on-disk NVC.  Using the lockflow engine it tracks
 // exactly which mutexes are held at each statement and enforces the
@@ -27,9 +27,14 @@ var HeldLocks = &Analyzer{
 	Name: "heldlocks",
 	Doc: "flow-sensitive lock tracking: *Locked callees reached only with the " +
 		"receiver's mutex held, and no Lock() on a mutex already held (self-deadlock)",
-	InScope: segScope("core", "physical", "recon", "repl", "disk", "simnet"),
+	InScope: lockScope,
 	Run:     runHeldLocks,
 }
+
+// lockScope is every package that takes a mutex: the replication stack and
+// the storage and transport layers under it.
+var lockScope = segScope("core", "physical", "recon", "repl", "disk", "simnet",
+	"logical", "nfs", "lru", "ufs")
 
 // assumedPath marks the synthetic hold a *Locked function's receiver gets
 // on entry; it matches any lock rooted at the receiver.

@@ -27,7 +27,7 @@ var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "cross-package lock-acquisition graph (edge = acquired B while holding A) " +
 		"must be acyclic; a cycle is a latent deadlock between daemons",
-	InScope:   segScope("core", "physical", "recon", "repl", "disk", "simnet"),
+	InScope:   lockScope,
 	RunModule: runLockOrder,
 }
 

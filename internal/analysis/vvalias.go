@@ -113,16 +113,16 @@ func checkFuncAliases(pass *Pass, fn *ast.FuncDecl) {
 						continue
 					}
 					if v, ok := obj.(*types.Var); ok && v.Parent() == pass.Pkg.Types.Scope() {
-						pass.ReportFixf(rhs.Pos(), cloneFix(pass, rhs), "vv.Vector parameter stored into package variable %s without Clone; aliased map mutation corrupts dominance comparisons", l.Name)
+						pass.Reportf(rhs.Pos(), "vv.Vector parameter stored into package variable %s without Clone; aliased map mutation corrupts dominance comparisons", l.Name)
 					} else {
 						tainted[obj] = true // local rebinding keeps the taint
 					}
 				case *ast.SelectorExpr:
 					if isFieldSelector(info, l) {
-						pass.ReportFixf(rhs.Pos(), cloneFix(pass, rhs), "vv.Vector parameter stored into field %s without Clone; aliased map mutation corrupts dominance comparisons", l.Sel.Name)
+						pass.Reportf(rhs.Pos(), "vv.Vector parameter stored into field %s without Clone; aliased map mutation corrupts dominance comparisons", l.Sel.Name)
 					}
 				case *ast.IndexExpr:
-					pass.ReportFixf(rhs.Pos(), cloneFix(pass, rhs), "vv.Vector parameter stored into a container element without Clone; aliased map mutation corrupts dominance comparisons")
+					pass.Reportf(rhs.Pos(), "vv.Vector parameter stored into a container element without Clone; aliased map mutation corrupts dominance comparisons")
 				}
 			}
 		case *ast.CompositeLit:
@@ -149,9 +149,9 @@ func checkFuncAliases(pass *Pass, fn *ast.FuncDecl) {
 				}
 				if taintedVV(val) {
 					if field != "" {
-						pass.ReportFixf(val.Pos(), cloneFix(pass, val), "vv.Vector parameter stored into composite literal field %s without Clone; aliased map mutation corrupts dominance comparisons", field)
+						pass.Reportf(val.Pos(), "vv.Vector parameter stored into composite literal field %s without Clone; aliased map mutation corrupts dominance comparisons", field)
 					} else {
-						pass.ReportFixf(val.Pos(), cloneFix(pass, val), "vv.Vector parameter stored into composite literal without Clone; aliased map mutation corrupts dominance comparisons")
+						pass.Reportf(val.Pos(), "vv.Vector parameter stored into composite literal without Clone; aliased map mutation corrupts dominance comparisons")
 					}
 				}
 			}
@@ -172,12 +172,4 @@ func isFieldSelector(info *types.Info, sel *ast.SelectorExpr) bool {
 		return true
 	}
 	return false
-}
-
-// cloneFix proposes appending .Clone() to the stored expression.
-func cloneFix(pass *Pass, e ast.Expr) *SuggestedFix {
-	return &SuggestedFix{
-		Message: "clone the vector before storing it",
-		Edits:   []TextEdit{pass.Edit(e.End(), e.End(), ".Clone()")},
-	}
 }

@@ -265,3 +265,27 @@ func TestServerRejectsGarbage(t *testing.T) {
 		t.Fatalf("garbage request answered errno %d, want EINVAL", resp.Errno)
 	}
 }
+
+// TestEveryOpIsDispatched sends every op constant to a real server: an op
+// added without a case in dispatch comes back ENOTSUP.
+func TestEveryOpIsDispatched(t *testing.T) {
+	r := newRig(t, nil)
+	root, err := r.client.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for op := OpRoot; op < opEnd; op++ {
+		req := &Request{Op: op, Handle: root.Handle(), Handle2: root.Handle(), Name: "f", Name2: "g", Target: "t", Len: 1}
+		respBytes, err := r.net.Host("client").Call("server", Service, req.encode())
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		resp, err := decodeResponse(respBytes)
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if resp.Errno == vnode.ENOTSUP.Code() {
+			t.Errorf("op %s is not dispatched by the server", op)
+		}
+	}
+}

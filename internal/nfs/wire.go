@@ -50,6 +50,7 @@ const (
 	OpLink
 	OpRename
 	OpReaddir
+	opEnd // one past the last op: a test sends every op below it to a server
 )
 
 var opNames = map[Op]string{

@@ -3,6 +3,7 @@ package nfs
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -52,6 +53,29 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 		if again := dec.encode(); !bytes.Equal(again, enc) {
 			t.Fatalf("response re-encoding differs:\n%x\n%x", enc, again)
+		}
+	}
+}
+
+// TestCodecGoldenBytes pins the layout: the images below were recorded from
+// sampleRequest, sampleResponse and the empty messages.  A width changed on
+// both sides at once still round-trips; only a fixed image catches it.
+func TestCodecGoldenBytes(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		got        []byte
+	}{
+		{"request", "011005682f312e32036f6c64036e657705682f312e33042e2e2f7401000000020000000000002000077061796c6f6164" +
+			"00000100000000000101a001", sampleRequest().encode()},
+		{"response", "010000000105682f312e390201ed00000003000000000000100000000000000000110000010000000000" +
+			"03312e3903382e3100000005010562797465730b6c696e6b2074617267657402016104312e3130010005677261667404" +
+			"312e313102026832", sampleResponse().encode()},
+		{"empty request", "010000000000000000000000000000000000000000000000000000000000000000", (&Request{}).encode()},
+		{"empty response", "0100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+			(&Response{}).encode()},
+	} {
+		if got := hex.EncodeToString(c.got); got != c.want {
+			t.Errorf("%s layout moved:\n got %s\nwant %s", c.name, got, c.want)
 		}
 	}
 }

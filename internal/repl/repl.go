@@ -139,6 +139,7 @@ const (
 	opFileData
 	opListReplicas
 	opPullBatchDelta // the conditional pull, with the puller's held-block advertisement
+	opEnd            // one past the last op: a test sends every op below it to a server
 )
 
 type request struct {

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -223,6 +224,18 @@ func TestPropagationDaemonOverWire(t *testing.T) {
 	data, _ := vnode.ReadFile(f)
 	if string(data) != "v2" {
 		t.Fatalf("%q", data)
+	}
+}
+
+// TestEveryOpIsDispatched sends every op constant, with a volume and
+// replica the server holds, to a real server: an op added without a case in
+// dispatch comes back "unknown op".
+func TestEveryOpIsDispatched(t *testing.T) {
+	r := newRig(t)
+	for op := opPing; op < opEnd; op++ {
+		if _, err := r.client.call(&request{Op: op}); err != nil && strings.Contains(err.Error(), "unknown op") {
+			t.Errorf("op %d is not dispatched by the server: %v", op, err)
+		}
 	}
 }
 

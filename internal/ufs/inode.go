@@ -149,7 +149,7 @@ func (fs *FS) blockmapLocked(din *dinode, fbn uint64, alloc bool) (uint32, error
 			}
 			din.Indirect = bn
 		}
-		return fs.indirectSlot(din.Indirect, uint32(fbn), alloc)
+		return fs.indirectSlotLocked(din.Indirect, uint32(fbn), alloc)
 	}
 	fbn -= PtrsPerBlock
 	// Double indirect.
@@ -165,16 +165,16 @@ func (fs *FS) blockmapLocked(din *dinode, fbn uint64, alloc bool) (uint32, error
 	}
 	outer := uint32(fbn / PtrsPerBlock)
 	inner := uint32(fbn % PtrsPerBlock)
-	mid, err := fs.indirectSlot(din.DblIndirect, outer, alloc)
+	mid, err := fs.indirectSlotLocked(din.DblIndirect, outer, alloc)
 	if err != nil || mid == 0 {
 		return 0, err
 	}
-	return fs.indirectSlot(mid, inner, alloc)
+	return fs.indirectSlotLocked(mid, inner, alloc)
 }
 
-// indirectSlot reads slot idx of indirect block ibn, allocating a fresh
+// indirectSlotLocked reads slot idx of indirect block ibn, allocating a fresh
 // block into the slot when alloc is true and the slot is empty.
-func (fs *FS) indirectSlot(ibn, idx uint32, alloc bool) (uint32, error) {
+func (fs *FS) indirectSlotLocked(ibn, idx uint32, alloc bool) (uint32, error) {
 	blk, err := fs.bc.read(ibn)
 	if err != nil {
 		return 0, err
@@ -230,7 +230,7 @@ func (fs *FS) itruncateLocked(ino Ino, size uint64) error {
 		if keep > NDirect {
 			start = keep - NDirect
 		}
-		empty, err := fs.freeIndirectRange(din.Indirect, uint32(min64(start, PtrsPerBlock)))
+		empty, err := fs.freeIndirectRangeLocked(din.Indirect, uint32(min64(start, PtrsPerBlock)))
 		if err != nil {
 			return err
 		}
@@ -266,7 +266,7 @@ func (fs *FS) itruncateLocked(ino Ino, size uint64) error {
 				allEmpty = false // fully kept
 			case start <= lo:
 				// Fully freed mid-block.
-				if _, err := fs.freeIndirectRange(mid, 0); err != nil {
+				if _, err := fs.freeIndirectRangeLocked(mid, 0); err != nil {
 					return err
 				}
 				if err := fs.bfreeLocked(mid); err != nil {
@@ -275,7 +275,7 @@ func (fs *FS) itruncateLocked(ino Ino, size uint64) error {
 				binary.BigEndian.PutUint32(blk[4*o:], 0)
 				changed = true
 			default:
-				empty, err := fs.freeIndirectRange(mid, uint32(start-lo))
+				empty, err := fs.freeIndirectRangeLocked(mid, uint32(start-lo))
 				if err != nil {
 					return err
 				}
@@ -326,9 +326,9 @@ func (fs *FS) itruncateLocked(ino Ino, size uint64) error {
 	return fs.writeInodeLocked(ino, din)
 }
 
-// freeIndirectRange frees slots [start, PtrsPerBlock) of an indirect block,
+// freeIndirectRangeLocked frees slots [start, PtrsPerBlock) of an indirect block,
 // reporting whether the block is now entirely empty.
-func (fs *FS) freeIndirectRange(ibn, start uint32) (empty bool, err error) {
+func (fs *FS) freeIndirectRangeLocked(ibn, start uint32) (empty bool, err error) {
 	blk, err := fs.bc.read(ibn)
 	if err != nil {
 		return false, err

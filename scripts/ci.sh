@@ -1,16 +1,18 @@
 #!/bin/sh
 # ci.sh — the single CI gate for the repository.
 #
-# Runs, in order: build, ficusvet (repo-specific static analysis), go vet,
+# Runs, in order: build, ficusvet (the six repo-specific analyzers —
+# determinism, vvalias, errclass, heldlocks, lockorder, duraberr), go vet,
 # vet and smoke test of the benchmark module (bench/, a module of its own that
 # go vet ./... and go test ./... do not reach), gofmt, the gates that keep
 # encoding/gob out of non-test code, container/list inside internal/lru,
 # whole-file writes in internal/physical behind atomicReplace and the in-place
 # sidecar reseal behind its one caller, a two-second fuzz smoke of every
-# decoder fuzz target, three one-iteration bench smokes, the race-enabled test
-# suite (it holds the two RPC-economy gates of the root package —
-# TestRemoteReadRPCBudget, TestFirstAvailableAsksNobodyElse — and the session
-# tests of internal/logical), ten more rounds of the one that shares an opened
+# decoder fuzz target (a package left with none fails), three one-iteration
+# bench smokes, the race-enabled test suite (it holds the two RPC-economy
+# gates of the root package — TestRemoteReadRPCBudget,
+# TestFirstAvailableAsksNobodyElse — and the session tests of
+# internal/logical), ten more rounds of the one that shares an opened
 # vnode between goroutines while its replica is cut off and healed,
 # the suite again with runtime invariants armed (FICUS_INVARIANTS=1),
 # and the four chaos gates (chaos-crash includes the crash-at-every-write sweep
@@ -79,8 +81,15 @@ test "$(cat $phys | grep -c '\.sealLocked(')" -eq 3
 echo "==> fuzz smoke: every Fuzz* target, 2s each"
 # The seed corpora already run under go test; this catches an oracle that
 # only holds on the seeds.  go test -fuzz takes one target of one package.
+# A listed package with no target fails: these targets are half of what pins
+# the wire formats (the goldens are the other half).
 for pkg in wire repl nfs core physical; do
-	for target in $(go test -list '^Fuzz' "./internal/$pkg" | grep '^Fuzz'); do
+	targets=$(go test -list '^Fuzz' "./internal/$pkg" | grep '^Fuzz' || true)
+	if [ -z "$targets" ]; then
+		echo "no Fuzz target in internal/$pkg" >&2
+		exit 1
+	fi
+	for target in $targets; do
 		go test -run '^$' -fuzz "^$target\$" -fuzztime 2s "./internal/$pkg"
 	done
 done
