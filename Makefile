@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race vet lint invariants chaos chaos-crash chaos-scrub chaos-slow chaos-gossip bench ci
+.PHONY: all build test check race vet lint invariants chaos chaos-crash chaos-scrub chaos-slow chaos-gossip ci
 
 all: build test
 
@@ -78,12 +78,6 @@ chaos-slow:
 # tree with origin notification cost held at O(fanout) (DESIGN.md §15).
 chaos-gossip:
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -timeout 2400s -run 'TestChaosGossipChurnConvergence' -v .
-
-# bench regenerates BENCH_PR3.json (batched propagation E10, wire-codec
-# micros), BENCH_PR9.json (hedged-pull tail latency E14), and
-# BENCH_PR10.json (gossip vs flat notification scaling E15).
-bench:
-	sh scripts/bench.sh
 
 # check is the full gate: static analysis plus the race-enabled suite.
 check: vet lint race invariants

@@ -56,7 +56,7 @@ func main() {
 	must(m1.WriteFile("/only-on-road", []byte("b")))
 
 	// Heal; the periodic reconciliation protocol converges the replicas.
-	cluster.HealAll()
+	cluster.Heal()
 	fmt.Println("\n-- partition healed; reconciling --")
 	if err := cluster.Settle(10); err != nil {
 		log.Fatal(err)

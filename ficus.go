@@ -38,7 +38,7 @@ import (
 	"repro/internal/logical"
 	"repro/internal/physical"
 	"repro/internal/recon"
-	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 // Policy selects how the logical layer picks among accessible replicas.
@@ -82,12 +82,18 @@ func WithStorage(diskBlocks, inodes int) Option {
 // Cluster is a set of Ficus hosts on one simulated network, sharing a root
 // volume replicated on every host.
 type Cluster struct {
-	sim    *sim.Cluster
-	policy Policy
+	net     *simnet.Network
+	hosts   []*core.Host
+	root    ids.VolumeHandle
+	policy  Policy
+	storage *core.StorageOptions
 
 	volumes map[Volume][]core.ReplicaLoc
 	nextRep map[Volume]ids.ReplicaID
 }
+
+// hostName renders host i's network address.
+func hostName(i int) simnet.Addr { return simnet.Addr(fmt.Sprintf("h%d", i)) }
 
 // NewCluster builds a cluster of n hosts with the root volume replicated on
 // all of them.
@@ -96,31 +102,52 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s, err := sim.New(sim.Config{Hosts: n, Seed: cfg.seed, Storage: cfg.storage})
-	if err != nil {
-		return nil, err
+	if n < 1 {
+		return nil, errors.New("ficus: need at least one host")
 	}
 	c := &Cluster{
-		sim:     s,
+		net:     simnet.New(cfg.seed),
 		policy:  cfg.policy,
+		storage: cfg.storage,
 		volumes: make(map[Volume][]core.ReplicaLoc),
 		nextRep: make(map[Volume]ids.ReplicaID),
 	}
-	rootVol := Volume{h: s.Vol}
-	c.volumes[rootVol] = s.Locs
-	c.nextRep[rootVol] = ids.ReplicaID(n + 1)
+	for i := 0; i < n; i++ {
+		c.hosts = append(c.hosts, core.NewHost(c.net, hostName(i), ids.AllocatorID(i+1)))
+	}
+	// Replica i+1 on host i, each seeded from host 0's; the hosts learn the
+	// placement once, after the last replica is seeded.
+	root, err := c.NewVolume(0)
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < n; i++ {
+		if err := c.addReplica(root, i); err != nil {
+			return nil, err
+		}
+	}
+	c.setLocations(root)
+	c.root = root.h
 	return c, nil
 }
 
 // NumHosts returns the cluster size.
-func (c *Cluster) NumHosts() int { return len(c.sim.Hosts) }
+func (c *Cluster) NumHosts() int { return len(c.hosts) }
 
 // RootVolume returns the shared root volume.
-func (c *Cluster) RootVolume() Volume { return Volume{h: c.sim.Vol} }
+func (c *Cluster) RootVolume() Volume { return Volume{h: c.root} }
 
 // Partition splits the network into groups of host indices; unlisted hosts
 // end up isolated.
-func (c *Cluster) Partition(groups ...[]int) { c.sim.Partition(groups...) }
+func (c *Cluster) Partition(groups ...[]int) {
+	addrGroups := make([][]simnet.Addr, len(groups))
+	for i, g := range groups {
+		for _, idx := range g {
+			addrGroups[i] = append(addrGroups[i], hostName(idx))
+		}
+	}
+	c.net.Partition(addrGroups...)
+}
 
 // PartitionSplit cuts the cluster in two at index k: hosts [0, k) in one
 // group, hosts [k, n) in the other.  The hand-enumerated Partition call gets
@@ -145,25 +172,19 @@ func (c *Cluster) PartitionFunc(pred func(host int) bool) {
 }
 
 // Heal reconnects every host.
-func (c *Cluster) Heal() { c.sim.Heal() }
-
-// HealAll reconnects every host — the companion to PartitionSplit and
-// PartitionFunc.  Identical to Heal; the name exists so churn scripts that
-// partition repeatedly read as cut/heal pairs.  Injected faults (loss,
-// latency) are separate: clear those with ClearFaults.
-func (c *Cluster) HealAll() { c.Heal() }
+func (c *Cluster) Heal() { c.net.Heal() }
 
 // SetHostDown crashes or revives host i's *network* presence only: services
 // and in-memory state survive.  For the full power-failure model — state
 // lost, disks kept, remount on reboot — use CrashHost/RestartHost.
 func (c *Cluster) SetHostDown(i int, down bool) {
-	c.sim.Hosts[i].SimHost().SetDown(down)
+	c.hosts[i].SimHost().SetDown(down)
 }
 
 // CrashHost power-fails host i: every service stops answering and all
 // in-memory state (mounts, caches, peer health) is lost, while its disks
 // survive for RestartHost.  Idempotent.
-func (c *Cluster) CrashHost(i int) { c.sim.Hosts[i].Crash() }
+func (c *Cluster) CrashHost(i int) { c.hosts[i].Crash() }
 
 // RestartHost reboots a crashed host: each volume replica is remounted from
 // its surviving disk (UFS crash recovery, then physical-layer recovery
@@ -171,10 +192,10 @@ func (c *Cluster) CrashHost(i int) { c.sim.Hosts[i].Crash() }
 // re-exported, and every remounted volume is flagged for one anti-entropy
 // rescan on the next daemon pass.  Mounts taken before the crash are dead;
 // call Mount again.
-func (c *Cluster) RestartHost(i int) error { return c.sim.Hosts[i].Restart() }
+func (c *Cluster) RestartHost(i int) error { return c.hosts[i].Restart() }
 
 // HostDown reports whether host i is currently crashed.
-func (c *Cluster) HostDown(i int) bool { return c.sim.Hosts[i].Down() }
+func (c *Cluster) HostDown(i int) bool { return c.hosts[i].Down() }
 
 // SyncStats summarizes propagation/reconciliation work.
 type SyncStats = recon.Stats
@@ -182,18 +203,40 @@ type SyncStats = recon.Stats
 // Propagate runs one update-propagation daemon pass on every host (paper
 // §3.2).
 func (c *Cluster) Propagate() (SyncStats, error) {
-	return c.sim.PropagateAll()
+	return c.eachHost((*core.Host).PropagateOnce)
 }
 
 // Reconcile runs one reconciliation pass on every host (paper §3.3).
 func (c *Cluster) Reconcile() (SyncStats, error) {
-	return c.sim.ReconcileAll()
+	return c.eachHost((*core.Host).ReconcileOnce)
+}
+
+// eachHost runs pass on every host in order and sums the stats, stopping at
+// the first error.
+func (c *Cluster) eachHost(pass func(*core.Host) (recon.Stats, error)) (SyncStats, error) {
+	var total SyncStats
+	for _, h := range c.hosts {
+		s, err := pass(h)
+		total.Add(s)
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 // Settle reconciles until quiescent, up to maxRounds passes.
 func (c *Cluster) Settle(maxRounds int) error {
-	_, err := c.sim.Settle(maxRounds)
-	return err
+	for round := 0; round < maxRounds; round++ {
+		s, err := c.Reconcile()
+		if err != nil {
+			return err
+		}
+		if !s.Changed() {
+			return nil
+		}
+	}
+	return fmt.Errorf("ficus: not quiescent after %d rounds", maxRounds)
 }
 
 // CollectGarbage runs tombstone garbage collection on every host.  A
@@ -202,7 +245,7 @@ func (c *Cluster) Settle(maxRounds int) error {
 // Returns the number of tombstones collected.
 func (c *Cluster) CollectGarbage() (int, error) {
 	total := 0
-	for _, h := range c.sim.Hosts {
+	for _, h := range c.hosts {
 		n, err := h.CollectGarbage()
 		total += n
 		if err != nil {
@@ -217,7 +260,7 @@ func (c *Cluster) CollectGarbage() (int, error) {
 // from that host transparently fail over to another replica; a later
 // reconciliation or propagation pass may re-materialize the local copy.
 func (c *Cluster) Evict(host int, path string) error {
-	return c.sim.Hosts[host].EvictFile(c.sim.Vol, path)
+	return c.hosts[host].EvictFile(c.root, path)
 }
 
 // Fsck runs the UFS and Ficus consistency checkers over every replica on
@@ -225,7 +268,7 @@ func (c *Cluster) Evict(host int, path string) error {
 // clean.
 func (c *Cluster) Fsck() ([]string, error) {
 	var out []string
-	for i, h := range c.sim.Hosts {
+	for i, h := range c.hosts {
 		probs, err := h.Fsck()
 		if err != nil {
 			return out, err
@@ -239,7 +282,7 @@ func (c *Cluster) Fsck() ([]string, error) {
 
 // Tick advances every host's graft-pruning idle clock.
 func (c *Cluster) Tick() {
-	for _, h := range c.sim.Hosts {
+	for _, h := range c.hosts {
 		h.Tick()
 	}
 }
@@ -247,7 +290,7 @@ func (c *Cluster) Tick() {
 // PruneGrafts prunes idle grafts on every host, returning the total pruned.
 func (c *Cluster) PruneGrafts(maxIdle uint64) int {
 	n := 0
-	for _, h := range c.sim.Hosts {
+	for _, h := range c.hosts {
 		n += h.PruneGrafts(maxIdle)
 	}
 	return n
@@ -269,8 +312,8 @@ type Conflict struct {
 // Conflicts gathers every host's conflict log for the root volume.
 func (c *Cluster) Conflicts() []Conflict {
 	var out []Conflict
-	for i, h := range c.sim.Hosts {
-		l := h.LocalReplica(c.sim.Vol)
+	for i, h := range c.hosts {
+		l := h.LocalReplica(c.root)
 		if l == nil {
 			continue
 		}
@@ -307,7 +350,7 @@ func (c *Cluster) Resolve(conf Conflict, newData []byte) error {
 }
 
 // Host returns low-level access to host i (for experiments).
-func (c *Cluster) Host(i int) *core.Host { return c.sim.Hosts[i] }
+func (c *Cluster) Host(i int) *core.Host { return c.hosts[i] }
 
 // FaultConfig programs steady-state fault injection on the simulated
 // network.  All rates are probabilities in [0, 1] and draw from the
@@ -333,7 +376,7 @@ type FaultConfig struct {
 // idempotent pulls, propagation backs off and re-queues failed entries,
 // and reconciliation remains the lossless safety net.
 func (c *Cluster) InjectFaults(f FaultConfig) {
-	n := c.sim.Net
+	n := c.net
 	n.SetRPCFaultRate(f.RPCFailRate)
 	n.SetReplyLossRate(f.ReplyLossRate)
 	n.SetDatagramLossRate(f.DatagramLossRate)
@@ -343,7 +386,7 @@ func (c *Cluster) InjectFaults(f FaultConfig) {
 
 // ClearFaults removes every injected fault, global and per-link — including
 // latency profiles and hang rates.
-func (c *Cluster) ClearFaults() { c.sim.Net.ClearFaults() }
+func (c *Cluster) ClearFaults() { c.net.ClearFaults() }
 
 // LatencyConfig programs the network's virtual-latency plane.  Every RPC
 // leg (request and reply) draws base + jitter ticks from the cluster's
@@ -362,7 +405,7 @@ type LatencyConfig struct {
 
 // InjectLatency applies the latency profile to every link.
 func (c *Cluster) InjectLatency(l LatencyConfig) {
-	n := c.sim.Net
+	n := c.net
 	n.SetLatency(l.BaseTicks, l.JitterTicks)
 	n.SetLatencySpikes(l.SpikeRate, l.SpikeTicks)
 	n.SetHangRate(l.HangRate)
@@ -371,8 +414,8 @@ func (c *Cluster) InjectLatency(l LatencyConfig) {
 // InjectLinkLatency applies a latency profile to the directed link from
 // host `from` to host `to`, overriding the global profile there.
 func (c *Cluster) InjectLinkLatency(from, to int, l LatencyConfig) {
-	n := c.sim.Net
-	a, b := sim.HostName(from), sim.HostName(to)
+	n := c.net
+	a, b := hostName(from), hostName(to)
 	n.SetLinkLatency(a, b, l.BaseTicks, l.JitterTicks)
 	n.SetLinkLatencySpikes(a, b, l.SpikeRate, l.SpikeTicks)
 	n.SetLinkHangRate(a, b, l.HangRate)
@@ -383,18 +426,18 @@ func (c *Cluster) InjectLinkLatency(from, to int, l LatencyConfig) {
 // cannot produce and deadlines exist for.  Datagrams and the host's own
 // outbound traffic still flow.  Undo with UnhangHost.
 func (c *Cluster) HangHost(i int) {
-	for j := range c.sim.Hosts {
+	for j := range c.hosts {
 		if j != i {
-			c.sim.Net.SetLinkHangRate(sim.HostName(j), sim.HostName(i), 1)
+			c.net.SetLinkHangRate(hostName(j), hostName(i), 1)
 		}
 	}
 }
 
 // UnhangHost removes the hang injected by HangHost.
 func (c *Cluster) UnhangHost(i int) {
-	for j := range c.sim.Hosts {
+	for j := range c.hosts {
 		if j != i {
-			c.sim.Net.SetLinkHangRate(sim.HostName(j), sim.HostName(i), 0)
+			c.net.SetLinkHangRate(hostName(j), hostName(i), 0)
 		}
 	}
 }
@@ -407,7 +450,7 @@ type GossipConfig = core.GossipConfig
 
 // ConfigureGossip installs the gossip/scheduler settings on every host.
 func (c *Cluster) ConfigureGossip(cfg GossipConfig) {
-	for _, h := range c.sim.Hosts {
+	for _, h := range c.hosts {
 		h.ConfigureGossip(cfg)
 	}
 }
@@ -417,7 +460,7 @@ type GossipStats = core.GossipStats
 
 // GossipStatsFor returns host i's accumulated gossip counters.
 func (c *Cluster) GossipStatsFor(host int) GossipStats {
-	return c.sim.Hosts[host].GossipStats()
+	return c.hosts[host].GossipStats()
 }
 
 // PeerPriority is one entry of a host's anti-entropy plan: the order the
@@ -435,11 +478,11 @@ type PeerPriority struct {
 // StalePeersFor reports host i's current anti-entropy priority order over
 // the root volume — what its next reconcile pass would visit first.
 func (c *Cluster) StalePeersFor(host int) []PeerPriority {
-	byAddr := make(map[string]int, len(c.sim.Hosts))
-	for j := range c.sim.Hosts {
-		byAddr[string(sim.HostName(j))] = j
+	byAddr := make(map[string]int, len(c.hosts))
+	for j := range c.hosts {
+		byAddr[string(hostName(j))] = j
 	}
-	plan := c.sim.Hosts[host].AntiEntropyPlan(c.sim.Vol)
+	plan := c.hosts[host].AntiEntropyPlan(c.root)
 	out := make([]PeerPriority, 0, len(plan))
 	for _, p := range plan {
 		peer, ok := byAddr[string(p.Addr)]
@@ -463,7 +506,7 @@ func (c *Cluster) StalePeersFor(host int) []PeerPriority {
 // link's own seeded RNG — rumor loss for the gossip chaos runs, without
 // perturbing any other link's fault sequence.
 func (c *Cluster) SetLinkDatagramLoss(from, to int, rate float64) {
-	c.sim.Net.SetLinkDatagramLossRate(sim.HostName(from), sim.HostName(to), rate)
+	c.net.SetLinkDatagramLossRate(hostName(from), hostName(to), rate)
 }
 
 // SlowPeerConfig tunes the hosts' slow-peer tolerance: RPC deadlines, the
@@ -473,7 +516,7 @@ type SlowPeerConfig = core.SlowPeerConfig
 // ConfigureSlowPeers installs the slow-peer tolerance settings on every
 // host; they govern all subsequent daemon passes.
 func (c *Cluster) ConfigureSlowPeers(cfg SlowPeerConfig) {
-	for _, h := range c.sim.Hosts {
+	for _, h := range c.hosts {
 		h.ConfigureSlowPeers(cfg)
 	}
 }
@@ -491,7 +534,7 @@ type SlowStats struct {
 
 // SlowStatsFor returns host i's accumulated slow-peer counters.
 func (c *Cluster) SlowStatsFor(host int) SlowStats {
-	h := c.sim.Hosts[host]
+	h := c.hosts[host]
 	ps := h.PropagationStats()
 	out := SlowStats{
 		Hedges:         ps.Hedges,
@@ -500,9 +543,9 @@ func (c *Cluster) SlowStatsFor(host int) SlowStats {
 		BudgetDeferred: ps.BudgetDeferred,
 		PassTicks:      ps.PassTicks,
 	}
-	for j := range c.sim.Hosts {
+	for j := range c.hosts {
 		if j != host {
-			out.DeadlineMisses += h.PeerHealthInfo(sim.HostName(j)).DeadlineMisses
+			out.DeadlineMisses += h.PeerHealthInfo(hostName(j)).DeadlineMisses
 		}
 	}
 	return out
@@ -530,7 +573,7 @@ func (c *Cluster) InjectDiskFaults(host int, f DiskFaultConfig) {
 		Seed: f.Seed, ReadErrRate: f.ReadErrRate, WriteErrRate: f.WriteErrRate,
 		CorruptReadRate: f.CorruptReadRate, CorruptWriteRate: f.CorruptWriteRate,
 	}
-	for _, d := range c.sim.Hosts[host].Devices() {
+	for _, d := range c.hosts[host].Devices() {
 		d.InjectFaults(p)
 	}
 }
@@ -549,7 +592,7 @@ type DiskStats struct {
 // DiskStatsFor returns host i's aggregate disk counters.
 func (c *Cluster) DiskStatsFor(host int) DiskStats {
 	var out DiskStats
-	for _, d := range c.sim.Hosts[host].Devices() {
+	for _, d := range c.hosts[host].Devices() {
 		s := d.Stats()
 		out.Reads += s.Reads
 		out.Writes += s.Writes
@@ -593,13 +636,21 @@ func fromScrub(r core.ScrubResult) ScrubStats {
 // Scrub runs one integrity pass (verification sweep + quarantine repair) on
 // every host.
 func (c *Cluster) Scrub() (ScrubStats, error) {
-	s, err := c.sim.ScrubAll()
-	return fromScrub(s), err
+	var total core.ScrubResult
+	for _, h := range c.hosts {
+		s, err := h.ScrubOnce()
+		total.Scrub.Add(s.Scrub)
+		total.Repair.Add(s.Repair)
+		if err != nil {
+			return fromScrub(total), err
+		}
+	}
+	return fromScrub(total), nil
 }
 
 // ScrubHost runs one integrity pass on host i alone.
 func (c *Cluster) ScrubHost(host int) (ScrubStats, error) {
-	s, err := c.sim.Hosts[host].ScrubOnce()
+	s, err := c.hosts[host].ScrubOnce()
 	return fromScrub(s), err
 }
 
@@ -609,7 +660,7 @@ type IntegrityStats = physical.IntegrityStats
 
 // IntegrityStatsFor returns host i's aggregate integrity counters.
 func (c *Cluster) IntegrityStatsFor(host int) IntegrityStats {
-	return c.sim.Hosts[host].IntegrityStats()
+	return c.hosts[host].IntegrityStats()
 }
 
 // BlockStats reports one host's delta-propagation work: blocks it shipped to
@@ -619,7 +670,7 @@ type BlockStats = physical.BlockStats
 
 // BlockStatsFor returns host i's aggregate delta-propagation counters.
 func (c *Cluster) BlockStatsFor(host int) BlockStats {
-	return c.sim.Hosts[host].BlockStats()
+	return c.hosts[host].BlockStats()
 }
 
 // InjectBitRot silently flips one bit of the stored data byte at off in
@@ -627,7 +678,7 @@ func (c *Cluster) BlockStatsFor(host int) BlockStats {
 // version vector and sealed sidecar untouched — at-rest damage for the
 // scrubber to detect and heal.
 func (c *Cluster) InjectBitRot(host int, path string, off uint64) error {
-	return c.sim.Hosts[host].CorruptFile(c.sim.Vol, path, off)
+	return c.hosts[host].CorruptFile(c.root, path, off)
 }
 
 // PendingVersion is one durable new-version cache entry: a version this
@@ -648,7 +699,7 @@ type PendingVersion struct {
 // on in the on-disk journal and reappear after RestartHost).
 func (c *Cluster) PendingVersionsFor(host int) []PendingVersion {
 	var out []PendingVersion
-	for _, l := range c.sim.Hosts[host].LocalReplicas() {
+	for _, l := range c.hosts[host].LocalReplicas() {
 		for _, nv := range l.PendingVersions() {
 			out = append(out, PendingVersion{
 				Volume:    l.Volume().String(),
@@ -678,11 +729,11 @@ type PeerHealth struct {
 // PeerHealthFor reports host i's health verdict for every other host.
 func (c *Cluster) PeerHealthFor(host int) []PeerHealth {
 	var out []PeerHealth
-	for j := range c.sim.Hosts {
+	for j := range c.hosts {
 		if j == host {
 			continue
 		}
-		info := c.sim.Hosts[host].PeerHealthInfo(sim.HostName(j))
+		info := c.hosts[host].PeerHealthInfo(hostName(j))
 		out = append(out, PeerHealth{
 			Peer:           j,
 			State:          info.State.String(),
@@ -735,10 +786,10 @@ type NetStats struct {
 
 // NetworkStats returns the simulated network's counters.
 func (c *Cluster) NetworkStats() NetStats {
-	s := c.sim.Net.Stats()
+	s := c.net.Stats()
 	var codecErrs uint64
 	var gs core.GossipStats
-	for _, h := range c.sim.Hosts {
+	for _, h := range c.hosts {
 		codecErrs += h.NotifyCodecErrors()
 		hg := h.GossipStats()
 		gs.NoticesSent += hg.NoticesSent
@@ -771,7 +822,7 @@ func (c *Cluster) NetworkStats() NetStats {
 }
 
 // ResetNetworkStats zeroes the counters.
-func (c *Cluster) ResetNetworkStats() { c.sim.Net.ResetStats() }
+func (c *Cluster) ResetNetworkStats() { c.net.ResetStats() }
 
 // Volume names a Ficus volume.
 type Volume struct {
@@ -781,36 +832,52 @@ type Volume struct {
 // String renders the volume handle.
 func (v Volume) String() string { return v.h.String() }
 
-// NewVolume creates a fresh volume with its first replica on host i.
+// NewVolume creates a fresh volume with its first replica on host i, on a
+// disk of its own sized like the cluster's (WithStorage).
 func (c *Cluster) NewVolume(host int) (Volume, error) {
-	vol, rid, err := c.sim.Hosts[host].CreateVolume(nil)
+	vol, rid, err := c.hosts[host].CreateVolume(c.storage)
 	if err != nil {
 		return Volume{}, err
 	}
 	v := Volume{h: vol}
-	c.volumes[v] = []core.ReplicaLoc{{ID: rid, Addr: sim.HostName(host)}}
+	c.volumes[v] = []core.ReplicaLoc{{ID: rid, Addr: hostName(host)}}
 	c.nextRep[v] = rid + 1
 	return v, nil
 }
 
-// ReplicateVolume adds a replica of vol on host i, seeded from an existing
-// replica (which must be reachable — §3.1 allows changing the replica set
-// "whenever a file replica is available").
+// ReplicateVolume adds a replica of vol on host i, on a disk of its own sized
+// like the cluster's (WithStorage), seeded from an existing replica (which
+// must be reachable — §3.1 allows changing the replica set "whenever a file
+// replica is available").
 func (c *Cluster) ReplicateVolume(vol Volume, host int) error {
+	if err := c.addReplica(vol, host); err != nil {
+		return err
+	}
+	c.setLocations(vol)
+	return nil
+}
+
+// addReplica seeds a replica of vol on host from vol's first replica and
+// records its location; the hosts' location tables are left to setLocations.
+func (c *Cluster) addReplica(vol Volume, host int) error {
 	locs := c.volumes[vol]
 	if len(locs) == 0 {
 		return fmt.Errorf("ficus: unknown volume %v", vol)
 	}
 	rid := c.nextRep[vol]
-	if err := c.sim.Hosts[host].AddReplica(vol.h, rid, locs[0], nil); err != nil {
+	if err := c.hosts[host].AddReplica(vol.h, rid, locs[0], c.storage); err != nil {
 		return err
 	}
 	c.nextRep[vol] = rid + 1
-	c.volumes[vol] = append(locs, core.ReplicaLoc{ID: rid, Addr: sim.HostName(host)})
-	for i := range c.sim.Hosts {
-		c.sim.Hosts[i].SetLocations(vol.h, c.volumes[vol])
-	}
+	c.volumes[vol] = append(locs, core.ReplicaLoc{ID: rid, Addr: hostName(host)})
 	return nil
+}
+
+// setLocations tells every host where vol's replicas live.
+func (c *Cluster) setLocations(vol Volume) {
+	for _, h := range c.hosts {
+		h.SetLocations(vol.h, c.volumes[vol])
+	}
 }
 
 // DropReplica removes host i's replica of vol and updates every host's
@@ -825,7 +892,7 @@ func (c *Cluster) DropReplica(vol Volume, host int) error {
 	if len(locs) == 1 {
 		return fmt.Errorf("ficus: refusing to drop the last replica of %v", vol)
 	}
-	addr := sim.HostName(host)
+	addr := hostName(host)
 	idx := -1
 	for i, l := range locs {
 		if l.Addr == addr {
@@ -838,13 +905,13 @@ func (c *Cluster) DropReplica(vol Volume, host int) error {
 	}
 	rid := locs[idx].ID
 	vr := volumeReplicaHandle(vol, rid)
-	if err := c.sim.Hosts[host].RemoveReplica(vr); err != nil {
+	if err := c.hosts[host].RemoveReplica(vr); err != nil {
 		return err
 	}
 	c.volumes[vol] = append(locs[:idx:idx], locs[idx+1:]...)
-	for i := range c.sim.Hosts {
-		c.sim.Hosts[i].ForgetLocation(vol.h, rid)
-		c.sim.Hosts[i].SetLocations(vol.h, c.volumes[vol])
+	for i := range c.hosts {
+		c.hosts[i].ForgetLocation(vol.h, rid)
+		c.hosts[i].SetLocations(vol.h, c.volumes[vol])
 	}
 	return nil
 }
@@ -862,7 +929,7 @@ func (c *Cluster) Graft(host int, dirPath, name string, vol Volume) error {
 	if len(locs) == 0 {
 		return fmt.Errorf("ficus: unknown volume %v", vol)
 	}
-	return c.sim.Hosts[host].CreateGraftPoint(c.sim.Vol, dirPath, name, vol.h, locs)
+	return c.hosts[host].CreateGraftPoint(c.root, dirPath, name, vol.h, locs)
 }
 
 // Mount returns a path-based view of the root volume from host i, using the
@@ -883,9 +950,9 @@ func (c *Cluster) MountVolume(host int, vol Volume) (*Mount, error) {
 
 func (c *Cluster) mountVol(host int, vol Volume, p Policy) (*Mount, error) {
 	if locs, ok := c.volumes[vol]; ok {
-		c.sim.Hosts[host].SetLocations(vol.h, locs)
+		c.hosts[host].SetLocations(vol.h, locs)
 	}
-	lay, err := c.sim.Hosts[host].Mount(vol.h, p)
+	lay, err := c.hosts[host].Mount(vol.h, p)
 	if err != nil {
 		return nil, err
 	}

@@ -375,6 +375,22 @@ func TestClusterOptions(t *testing.T) {
 	if err := m.WriteFile("/x", []byte("y")); err != nil {
 		t.Fatal(err)
 	}
+	// Every replica's disk is the size WithStorage asked for, a side
+	// volume's as well as the root volume's.
+	side, err := c.NewVolume(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReplicateVolume(side, 0); err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < 2; h++ {
+		for _, l := range c.Host(h).LocalReplicas() {
+			if got := c.Host(h).Device(l.VolumeReplica()).Blocks(); got != 8192 {
+				t.Fatalf("host %d replica %v: %d-block disk, want 8192", h, l.VolumeReplica(), got)
+			}
+		}
+	}
 }
 
 func TestStatRoot(t *testing.T) {

@@ -375,7 +375,7 @@ func TestChaosGossipChurnConvergence(t *testing.T) {
 						k := rng.Intn(7) + 2
 						c.PartitionFunc(func(h int) bool { return h%k == 0 })
 					case 2:
-						c.HealAll()
+						c.Heal()
 					}
 				case 9: // replica-set churn on the side volume, up hosts only
 					if rng.Intn(2) == 0 {
@@ -426,7 +426,7 @@ func TestChaosGossipChurnConvergence(t *testing.T) {
 					}
 				}
 			}
-			c.HealAll()
+			c.Heal()
 			c.ClearFaults()
 
 			// Converge by budgeted anti-entropy: each pass visits only

@@ -822,7 +822,7 @@ func (h *Host) PropagateOnce() (recon.Stats, error) {
 
 // PropagateOnceCfg is PropagateOnce under an explicit propagation
 // configuration (worker count, retry policy, hedging and backpressure) —
-// used by the benchmarks to compare pipeline shapes.  A down host's daemons do not run:
+// used by the experiments to compare pipeline shapes.  A down host's daemons do not run:
 // the pass is a no-op.  Any post-restart rescan obligation is paid first,
 // before the pull pass.
 func (h *Host) PropagateOnceCfg(cfg recon.PropagateConfig) (recon.Stats, error) {

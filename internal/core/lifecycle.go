@@ -215,7 +215,7 @@ func (h *Host) reconcileReplica(layer *physical.Layer) (recon.Stats, bool) {
 		rids[i] = p.Replica
 		h.sched.NoteAttempt(vol, p.Replica, now)
 	}
-	stats, clean := recon.RescanEach(layer, h.peerFinder(layer, false), rids,
+	stats, clean := recon.Rescan(layer, h.peerFinder(layer, false), rids,
 		func(rid ids.ReplicaID, reached bool, err error) {
 			if reached && err == nil {
 				h.sched.NoteSync(vol, rid, now)

@@ -3,8 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/logical"
-	"repro/internal/sim"
+	ficus "repro"
 	"repro/internal/vnode"
 	"repro/internal/workload"
 )
@@ -45,7 +44,7 @@ type PropagationConfig struct {
 	Seed     int64
 }
 
-// DefaultPropagationConfig is the configuration the benchmark suite uses.
+// DefaultPropagationConfig is the configuration EXPERIMENTS.md records.
 func DefaultPropagationConfig() PropagationConfig {
 	return PropagationConfig{Files: 8, BurstLen: 8, GapSteps: 4, Bursts: 12, Delay: 12, Seed: 1}
 }
@@ -53,11 +52,11 @@ func DefaultPropagationConfig() PropagationConfig {
 // RunPropagation measures one daemon schedule; period=1 is immediate.
 func RunPropagation(cfg PropagationConfig, period int, label string) (PropagationRow, error) {
 	row := PropagationRow{Policy: label}
-	c, err := sim.New(sim.Config{Hosts: 2, Seed: cfg.Seed})
+	c, err := ficus.NewCluster(2, ficus.WithSeed(cfg.Seed), ficus.WithPolicy(ficus.FirstAvailable))
 	if err != nil {
 		return row, err
 	}
-	root, err := c.Mount(0, logical.FirstAvailable)
+	root, err := mountRoot(c, 0)
 	if err != nil {
 		return row, err
 	}
@@ -71,7 +70,7 @@ func RunPropagation(cfg PropagationConfig, period int, label string) (Propagatio
 			return row, err
 		}
 	}
-	if _, err := c.Settle(8); err != nil {
+	if err := c.Settle(8); err != nil {
 		return row, err
 	}
 	ups, err := workload.Bursts(workload.BurstConfig{
@@ -81,7 +80,7 @@ func RunPropagation(cfg PropagationConfig, period int, label string) (Propagatio
 	if err != nil {
 		return row, err
 	}
-	c.Net.ResetStats()
+	c.ResetNetworkStats()
 
 	// Replay, tracking per-file dirtiness at the remote replica.
 	dirtySince := map[int]int{}
@@ -108,7 +107,7 @@ func RunPropagation(cfg PropagationConfig, period int, label string) (Propagatio
 		}
 		if period > 0 && (u.Step+1)%period == 0 {
 			stalePulse(u.Step + 1)
-			stats, err := c.Hosts[1].PropagateOnce()
+			stats, err := c.Host(1).PropagateOnce()
 			if err != nil {
 				return row, err
 			}
@@ -119,12 +118,12 @@ func RunPropagation(cfg PropagationConfig, period int, label string) (Propagatio
 	}
 	// Final drain so both policies end converged.
 	stalePulse(lastStep + 1)
-	stats, err := c.Hosts[1].PropagateOnce()
+	stats, err := c.Host(1).PropagateOnce()
 	if err != nil {
 		return row, err
 	}
 	row.Pulls += stats.FilesPulled
-	ns := c.Net.Stats()
+	ns := c.NetworkStats()
 	row.RPCBytes = ns.RPCBytes
 	row.Datagrams = ns.Datagrams
 	return row, nil

@@ -3,9 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/logical"
-	"repro/internal/recon"
-	"repro/internal/sim"
+	ficus "repro"
 	"repro/internal/vnode"
 )
 
@@ -31,11 +29,11 @@ type ReconcileResult struct {
 // reconciles to quiescence.
 func RunReconcileChurn(hosts, updatesPerSide int, seed int64) (ReconcileResult, error) {
 	res := ReconcileResult{Hosts: hosts, UpdatesPerSide: updatesPerSide}
-	c, err := sim.New(sim.Config{Hosts: hosts, Seed: seed})
+	c, err := ficus.NewCluster(hosts, ficus.WithSeed(seed), ficus.WithPolicy(ficus.FirstAvailable))
 	if err != nil {
 		return res, err
 	}
-	root0, err := c.Mount(0, logical.FirstAvailable)
+	root0, err := mountRoot(c, 0)
 	if err != nil {
 		return res, err
 	}
@@ -49,7 +47,7 @@ func RunReconcileChurn(hosts, updatesPerSide int, seed int64) (ReconcileResult, 
 			return res, err
 		}
 	}
-	if _, err := c.Settle(8); err != nil {
+	if err := c.Settle(8); err != nil {
 		return res, err
 	}
 
@@ -65,7 +63,7 @@ func RunReconcileChurn(hosts, updatesPerSide int, seed int64) (ReconcileResult, 
 	c.Partition(left, right)
 
 	churn := func(host int, tag string) error {
-		root, err := c.Mount(host, logical.FirstAvailable)
+		root, err := mountRoot(c, host)
 		if err != nil {
 			return err
 		}
@@ -107,7 +105,7 @@ func RunReconcileChurn(hosts, updatesPerSide int, seed int64) (ReconcileResult, 
 	// Heal and reconcile to quiescence.
 	c.Heal()
 	for round := 1; round <= 20; round++ {
-		stats, err := c.ReconcileAll()
+		stats, err := c.Reconcile()
 		if err != nil {
 			return res, err
 		}
@@ -117,19 +115,17 @@ func RunReconcileChurn(hosts, updatesPerSide int, seed int64) (ReconcileResult, 
 			res.NameRepairs = stats.NameRepairs
 		}
 		res.Rounds = round
-		if !statsChanged(stats) {
+		if !stats.Changed() {
 			res.Converged = true
 			break
 		}
 	}
-	for _, confs := range c.Conflicts() {
-		res.FileConflicts += len(confs)
-	}
+	res.FileConflicts = len(c.Conflicts())
 	// Convergence check: identical directory listings everywhere.
 	if res.Converged {
 		var ref string
 		for i := 0; i < hosts; i++ {
-			root, err := c.Mount(i, logical.FirstAvailable)
+			root, err := mountRoot(c, i)
 			if err != nil {
 				return res, err
 			}
@@ -147,7 +143,14 @@ func RunReconcileChurn(hosts, updatesPerSide int, seed int64) (ReconcileResult, 
 	return res, nil
 }
 
-func statsChanged(s recon.Stats) bool { return s.Changed() }
+// mountRoot is the root volume's root vnode as host i sees it.
+func mountRoot(c *ficus.Cluster, i int) (vnode.Vnode, error) {
+	m, err := c.Mount(i)
+	if err != nil {
+		return nil, err
+	}
+	return m.Root(), nil
+}
 
 func listingOf(root vnode.Vnode) (string, error) {
 	ents, err := root.Readdir()

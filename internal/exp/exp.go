@@ -1,19 +1,13 @@
 // Package exp implements the experiment harnesses that regenerate the
-// paper's evaluation (DESIGN.md experiments E1–E9).  Each harness is pure
-// setup + measurement and returns structured rows, so both the benchmark
-// suite (bench_test.go) and the cmd/ficusbench table printer drive the same
-// code.
+// paper's evaluation (DESIGN.md experiments E2, E3, E5, E6, E8 and E9).  Each
+// harness is pure setup + measurement and returns structured rows: the
+// assertions of exp_test.go and the timed rig of bench/ (bench/rig.go) drive
+// the same code.
 package exp
 
 import (
-	"fmt"
-
 	"repro/internal/disk"
 	"repro/internal/ids"
-	"repro/internal/logical"
-	"repro/internal/nfs"
-	"repro/internal/physical"
-	"repro/internal/simnet"
 	"repro/internal/ufs"
 	"repro/internal/ufsvn"
 	"repro/internal/vnode"
@@ -22,108 +16,10 @@ import (
 // ExpVol is the volume handle experiments use.
 var ExpVol = ids.VolumeHandle{Allocator: 1, Volume: 1}
 
-// --- E1/E2: stack composition and layer-crossing cost --------------------
-
-// StackKind selects a stack shape for E1.
-type StackKind int
-
-// Stack shapes (paper Figures 1 and 2).
-const (
-	StackUFS              StackKind = iota // bare substrate
-	StackFicusLocal                        // logical -> physical -> UFS (co-resident), resolution cache off
-	StackFicusNFS                          // logical -> NFS -> physical -> UFS, resolution cache off
-	StackFicusTwoRepl                      // logical -> {physical, NFS->physical}, resolution cache off
-	StackFicusLocalCached                  // co-resident with the logical resolution cache on
-)
-
-// String names the stack.
-func (k StackKind) String() string {
-	switch k {
-	case StackUFS:
-		return "UFS only"
-	case StackFicusLocal:
-		return "logical+physical (co-resident)"
-	case StackFicusNFS:
-		return "logical+NFS+physical"
-	case StackFicusTwoRepl:
-		return "logical+{physical, NFS+physical}"
-	case StackFicusLocalCached:
-		return "logical+physical (cached)"
-	default:
-		return fmt.Sprintf("StackKind(%d)", int(k))
-	}
-}
-
-func newStore() (*ufs.FS, *disk.Device, error) {
-	dev := disk.New(16384)
-	fs, err := ufs.Mkfs(dev, 4096, nil)
-	return fs, dev, err
-}
-
-// BuildStack assembles one of the E1 stacks and returns its root.
-func BuildStack(kind StackKind) (vnode.Vnode, error) {
-	fs, _, err := newStore()
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case StackUFS:
-		return ufsvn.New(fs).Root()
-	case StackFicusLocal, StackFicusLocalCached:
-		phys, err := physical.Format(ufsvn.New(fs), ExpVol, 1)
-		if err != nil {
-			return nil, err
-		}
-		opts := logical.Options{CacheTTLOps: -1}
-		if kind == StackFicusLocalCached {
-			opts.CacheTTLOps = 0 // default cache
-		}
-		lay := logical.New(ExpVol, []logical.Replica{{ID: 1, FS: phys}}, opts)
-		return lay.Root()
-	case StackFicusNFS:
-		phys, err := physical.Format(ufsvn.New(fs), ExpVol, 1)
-		if err != nil {
-			return nil, err
-		}
-		net := simnet.New(1)
-		server := net.Host("server")
-		client := net.Host("client")
-		nfs.Serve(server, phys, phys)
-		cl := nfs.Dial(client, "server", nil)
-		lay := logical.New(ExpVol, []logical.Replica{{ID: 1, FS: cl}}, logical.Options{CacheTTLOps: -1})
-		return lay.Root()
-	case StackFicusTwoRepl:
-		phys, err := physical.Format(ufsvn.New(fs), ExpVol, 1)
-		if err != nil {
-			return nil, err
-		}
-		fs2, _, err := newStore()
-		if err != nil {
-			return nil, err
-		}
-		phys2, err := physical.Format(ufsvn.New(fs2), ExpVol, 2)
-		if err != nil {
-			return nil, err
-		}
-		net := simnet.New(1)
-		server := net.Host("server")
-		client := net.Host("client")
-		nfs.Serve(server, phys2, phys2)
-		cl := nfs.Dial(client, "server", nil)
-		lay := logical.New(ExpVol, []logical.Replica{
-			{ID: 1, FS: phys},
-			{ID: 2, FS: cl},
-		}, logical.Options{CacheTTLOps: -1})
-		return lay.Root()
-	default:
-		return nil, fmt.Errorf("exp: unknown stack kind %d", kind)
-	}
-}
-
 // BuildNullStack returns a UFS root wrapped in depth pass-through layers
 // (E2: per-crossing cost).
 func BuildNullStack(depth int) (vnode.Vnode, error) {
-	fs, _, err := newStore()
+	fs, err := ufs.Mkfs(disk.New(16384), 4096, nil)
 	if err != nil {
 		return nil, err
 	}

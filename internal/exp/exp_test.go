@@ -4,27 +4,6 @@ import (
 	"testing"
 )
 
-func TestBuildStacksAllWork(t *testing.T) {
-	for _, kind := range []StackKind{StackUFS, StackFicusLocal, StackFicusNFS, StackFicusTwoRepl, StackFicusLocalCached} {
-		root, err := BuildStack(kind)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if err := PrepareFile(root); err != nil {
-			t.Fatalf("%v prepare: %v", kind, err)
-		}
-		if err := TouchOp(root); err != nil {
-			t.Fatalf("%v touch: %v", kind, err)
-		}
-		if kind.String() == "" {
-			t.Fatal("unnamed stack")
-		}
-	}
-	if _, err := BuildStack(StackKind(99)); err == nil {
-		t.Fatal("bogus stack kind accepted")
-	}
-}
-
 func TestBuildNullStackDepths(t *testing.T) {
 	for _, depth := range []int{0, 1, 4, 8} {
 		root, err := BuildNullStack(depth)

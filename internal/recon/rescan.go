@@ -10,21 +10,16 @@ import (
 // failures: reconciliation is the anti-entropy safety net, so an
 // unreachable or mid-pass-failing peer is normal life, not an error.
 //
+// each is invoked once per non-self peer with whether the peer was reachable
+// at all (the finder returned it) and, if so, how its pass ended; the
+// anti-entropy scheduler records from it which peers completed a clean pass.
+//
 // It returns the accumulated stats and how many peers completed a full
 // pass cleanly.  The caller uses the clean count to decide whether an
 // obligation to rescan — e.g. the sweep a restarted host owes for update
 // notifications that arrived while it was down (§3.3: reconciliation
 // covers lost notifications) — has been met.
-func Rescan(local *physical.Layer, find PeerFinder, peers []ids.ReplicaID) (Stats, int) {
-	return RescanEach(local, find, peers, nil)
-}
-
-// RescanEach is Rescan with a per-peer completion callback: each is invoked
-// once per non-self peer with whether the peer was reachable at all (the
-// finder returned it) and, if so, how its pass ended.  The anti-entropy
-// scheduler uses this to record which peers actually completed a clean pass,
-// without changing Rescan's contract for existing callers (each may be nil).
-func RescanEach(local *physical.Layer, find PeerFinder, peers []ids.ReplicaID, each func(rid ids.ReplicaID, reached bool, err error)) (Stats, int) {
+func Rescan(local *physical.Layer, find PeerFinder, peers []ids.ReplicaID, each func(rid ids.ReplicaID, reached bool, err error)) (Stats, int) {
 	var total Stats
 	clean := 0
 	for _, rid := range peers {
@@ -33,9 +28,7 @@ func RescanEach(local *physical.Layer, find PeerFinder, peers []ids.ReplicaID, e
 		}
 		peer := find(rid)
 		if peer == nil {
-			if each != nil {
-				each(rid, false, nil)
-			}
+			each(rid, false, nil)
 			continue
 		}
 		stats, err := ReconcileVolume(local, peer)
@@ -43,9 +36,7 @@ func RescanEach(local *physical.Layer, find PeerFinder, peers []ids.ReplicaID, e
 		if err == nil {
 			clean++
 		}
-		if each != nil {
-			each(rid, true, err)
-		}
+		each(rid, true, err)
 	}
 	return total, clean
 }
