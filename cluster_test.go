@@ -117,6 +117,27 @@ func TestHostName(t *testing.T) {
 	}
 }
 
+// TestResetNetworkStatsZeroesEveryCounter: NetworkStats reports the network's
+// own record and nothing else, so a reset leaves no counter behind — not
+// even after an update was gossiped to the other hosts.
+func TestResetNetworkStatsZeroesEveryCounter(t *testing.T) {
+	c := newTestCluster(t, 3)
+	m, err := c.Mount(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteFile("/f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if c.NetworkStats().Datagrams == 0 {
+		t.Fatal("the write sent no notification: the test proves nothing")
+	}
+	c.ResetNetworkStats()
+	if got := c.NetworkStats(); got != (NetStats{}) {
+		t.Fatalf("counters survive ResetNetworkStats: %+v", got)
+	}
+}
+
 // TestReconciliationSafetyNetUnderDatagramLoss: update notifications are
 // best-effort datagrams (here 70% of them are dropped), so propagation alone
 // may miss updates — but the periodic reconciliation protocol guarantees
@@ -229,10 +250,10 @@ func TestDuplicateNotificationsAreIdempotent(t *testing.T) {
 	for i := 1; i < 3; i++ {
 		seen := make(map[string]bool)
 		for _, pv := range c.PendingVersionsFor(i) {
-			if seen[pv.File] {
+			if seen[pv.File.String()] {
 				t.Fatalf("host %d: file %v queued twice — duplicates must coalesce", i, pv.File)
 			}
-			seen[pv.File] = true
+			seen[pv.File.String()] = true
 		}
 		if !seen[st.FileID] {
 			t.Fatalf("host %d: no pending entry for %v", i, fid)
@@ -260,7 +281,7 @@ func TestDuplicateNotificationsAreIdempotent(t *testing.T) {
 	}
 	for i := 1; i < 3; i++ {
 		for _, pv := range c.PendingVersionsFor(i) {
-			if pv.File == st.FileID {
+			if pv.File == fid {
 				t.Fatalf("host %d: stale entry for %v not drained", i, fid)
 			}
 		}

@@ -43,14 +43,16 @@
 //	                                     anti-entropy per-pass peer budget
 //	                                     (fanout 0 = every holder, ttl 0 = no
 //	                                     relay, reconpeers 0 = every peer)
-//	gossip [host]                        gossip-plane counters: rumors
-//	                                     originated/relayed/suppressed and the
+//	gossip [host]                        notification-plane counters: rumors
+//	                                     originated/relayed/suppressed, cache
+//	                                     feeds, undecodable datagrams, and the
 //	                                     configured fanout and TTL
 //	peers [--stale] [host]               per-host peer view; with --stale, the
 //	                                     anti-entropy scheduler's current
 //	                                     priority order (stalest first)
 //	health                               per-peer health state, latency EWMA,
-//	                                     deadline misses and hedge counters
+//	                                     deadline misses, and each host's
+//	                                     propagation totals (hedges included)
 //	crash <host>                         power-fail a host (disks survive)
 //	restart <host>                       remount a crashed host from its disks
 //	pending                              dump each replica's new-version cache
@@ -59,8 +61,10 @@
 //	                                     transient disk I/O error rates and
 //	                                     silent-corruption rates (0..1)
 //	bitrot <host> <path> <off>           silently flip a stored data bit
-//	scrub [host]                         one integrity pass (verify + repair);
-//	                                     all hosts when no host given
+//	scrub [host]                         one integrity pass (verify + repair):
+//	                                     what it changed in the integrity
+//	                                     counters, and the repair stats; all
+//	                                     hosts when no host given
 //	integrity [host]                     per-host corruption/repair counters
 //	blocks [host]                        per-host delta-transfer counters: blocks
 //	                                     shipped, and blocks reused from the
@@ -142,6 +146,40 @@ func (c *controller) host(arg string) (int, error) {
 		return 0, fmt.Errorf("bad host %q", arg)
 	}
 	return h, nil
+}
+
+// hostRange returns the hosts [lo, hi) a command addresses: the one named by
+// args[0], or every host when args is empty.
+func (c *controller) hostRange(args []string) (lo, hi int, err error) {
+	if len(args) == 0 {
+		return 0, c.cluster.NumHosts(), nil
+	}
+	h, err := c.host(args[0])
+	return h, h + 1, err
+}
+
+// integrity sums the cumulative integrity counters of hosts [lo, hi).
+func (c *controller) integrity(lo, hi int) ficus.IntegrityStats {
+	var s ficus.IntegrityStats
+	for h := lo; h < hi; h++ {
+		s.Add(c.cluster.IntegrityStatsFor(h))
+	}
+	return s
+}
+
+// integrityDelta is what happened between two snapshots of the cumulative
+// integrity counters; Quarantined, a gauge, keeps its later value.
+func integrityDelta(before, after ficus.IntegrityStats) ficus.IntegrityStats {
+	return ficus.IntegrityStats{
+		ScrubbedFiles:       after.ScrubbedFiles - before.ScrubbedFiles,
+		ScrubbedBlocks:      after.ScrubbedBlocks - before.ScrubbedBlocks,
+		Resealed:            after.Resealed - before.Resealed,
+		CorruptionsDetected: after.CorruptionsDetected - before.CorruptionsDetected,
+		Cleared:             after.Cleared - before.Cleared,
+		Repaired:            after.Repaired - before.Repaired,
+		Unrepairable:        after.Unrepairable - before.Unrepairable,
+		Quarantined:         after.Quarantined,
+	}
 }
 
 func (c *controller) mount(hostArg string) (*ficus.Mount, int, error) {
@@ -578,26 +616,27 @@ func (c *controller) exec(line string) error {
 		fmt.Printf("gossip: fanout=%d ttl=%d recon-peers=%d\n", vals[0], vals[1], vals[2])
 		return nil
 	case "gossip":
-		lo, hi := 0, c.cluster.NumHosts()
-		if len(args) > 0 {
-			h, err := c.host(args[0])
-			if err != nil {
-				return err
-			}
-			lo, hi = h, h+1
+		lo, hi, err := c.hostRange(args)
+		if err != nil {
+			return err
 		}
 		cfg := c.cluster.Host(lo).GossipSettings()
 		fmt.Printf("gossip config: fanout=%d ttl=%d recon-peers=%d\n",
 			cfg.Fanout, cfg.TTL, cfg.ReconPeers)
-		for h := lo; h < hi; h++ {
+		var total ficus.GossipStats
+		for h := 0; h < c.cluster.NumHosts(); h++ {
 			g := c.cluster.GossipStatsFor(h)
-			fmt.Printf("host %d gossip: originated=%d sent=%d relayed=%d accepted=%d suppressed=%d foreign=%d expired=%d\n",
-				h, g.RumorsOriginated, g.NoticesSent, g.RumorsRelayed,
-				g.RumorsAccepted, g.RumorsSuppressed, g.RumorsForeign, g.RumorsExpired)
+			total.Add(g)
+			if h < lo || h >= hi {
+				continue
+			}
+			fmt.Printf("host %d gossip: originated=%d sent=%d relayed=%d accepted=%d suppressed=%d foreign=%d expired=%d seen=%d codec-errors=%d\n",
+				h, g.RumorsOriginated, g.NoticesSent, g.RumorsRelayed, g.RumorsAccepted,
+				g.RumorsSuppressed, g.RumorsForeign, g.RumorsExpired, g.NotificationsSeen, g.NotifyCodecErrors)
 		}
-		ns := c.cluster.NetworkStats()
 		fmt.Printf("cluster gossip: sent=%d relayed=%d accepted=%d suppressed=%d datagram-bytes=%d\n",
-			ns.GossipNoticesSent, ns.GossipRelayed, ns.GossipAccepted, ns.GossipSuppressed, ns.DatagramBytes)
+			total.NoticesSent, total.RumorsRelayed, total.RumorsAccepted, total.RumorsSuppressed,
+			c.cluster.NetworkStats().DatagramBytes)
 		return nil
 	case "peers":
 		stale := false
@@ -606,13 +645,9 @@ func (c *controller) exec(line string) error {
 			stale = true
 			rest = rest[1:]
 		}
-		lo, hi := 0, c.cluster.NumHosts()
-		if len(rest) > 0 {
-			h, err := c.host(rest[0])
-			if err != nil {
-				return err
-			}
-			lo, hi = h, h+1
+		lo, hi, err := c.hostRange(rest)
+		if err != nil {
+			return err
 		}
 		for h := lo; h < hi; h++ {
 			if c.cluster.HostDown(h) {
@@ -627,7 +662,7 @@ func (c *controller) exec(line string) error {
 			}
 			for rank, p := range c.cluster.StalePeersFor(h) {
 				fmt.Printf("host %d #%d: host %d replica=%d %s score=%d last-sync=%d last-attempt=%d\n",
-					h, rank, p.Peer, p.Replica, p.State, p.Score, p.LastSync, p.LastAttempt)
+					h, rank, p.Peer, p.Replica, p.Health, p.Score, p.LastSync, p.LastAttempt)
 			}
 		}
 		return nil
@@ -645,9 +680,7 @@ func (c *controller) exec(line string) error {
 				}
 				fmt.Println(line)
 			}
-			ss := c.cluster.SlowStatsFor(h)
-			fmt.Printf("host %d propagation: hedges=%d hedge-wins=%d sheds=%d budget-deferred=%d pass-ticks=%d\n",
-				h, ss.Hedges, ss.HedgeWins, ss.SlowSheds, ss.BudgetDeferred, ss.PassTicks)
+			fmt.Printf("host %d propagation: %s\n", h, c.cluster.PropagationStatsFor(h))
 		}
 		return nil
 	case "crash":
@@ -685,8 +718,8 @@ func (c *controller) exec(line string) error {
 				fmt.Printf("host %d: nvc empty\n", h)
 			}
 			for _, pv := range pvs {
-				fmt.Printf("host %d vol=%s replica=%d file=%s origin=%d seen=%d attempts=%d notbefore=%d\n",
-					h, pv.Volume, pv.Replica, pv.File, pv.Origin, pv.Seen, pv.Attempts, pv.NotBefore)
+				fmt.Printf("host %d replica=%s file=%s origin=%d seen=%d attempts=%d notbefore=%d\n",
+					h, pv.Replica, pv.File, pv.Origin, pv.Seen, pv.Attempts, pv.NotBefore)
 			}
 			for _, ph := range c.cluster.PeerHealthFor(h) {
 				fmt.Printf("host %d sees host %d: %s\n", h, ph.Peer, ph.State)
@@ -738,52 +771,38 @@ func (c *controller) exec(line string) error {
 		fmt.Printf("host %d %s: bit flipped at offset %d (silently)\n", h, args[1], off)
 		return nil
 	case "scrub":
-		var s ficus.ScrubStats
-		var err error
-		if len(args) > 0 {
-			var h int
-			if h, err = c.host(args[0]); err != nil {
-				return err
-			}
-			s, err = c.cluster.ScrubHost(h)
-		} else {
-			s, err = c.cluster.Scrub()
-		}
+		lo, hi, err := c.hostRange(args)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("scrubbed: verified %d files (%d blocks), resealed %d, corrupt %d, cleared %d\n",
-			s.VerifiedFiles, s.VerifiedBlocks, s.Resealed, s.Corrupt, s.Cleared)
-		fmt.Printf("repair: attempted %d, repaired %d, deferred %d, gave up %d\n",
-			s.RepairAttempts, s.Repaired, s.RepairDeferred, s.GaveUp)
+		scrub := c.cluster.Scrub
+		if len(args) > 0 {
+			scrub = func() (ficus.SyncStats, error) { return c.cluster.ScrubHost(lo) }
+		}
+		before := c.integrity(lo, hi)
+		s, err := scrub()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("scrub: %s\n", integrityDelta(before, c.integrity(lo, hi)))
+		fmt.Printf("repair: %s\n", s)
 		return nil
 	case "integrity":
-		lo, hi := 0, c.cluster.NumHosts()
-		if len(args) > 0 {
-			h, err := c.host(args[0])
-			if err != nil {
-				return err
-			}
-			lo, hi = h, h+1
+		lo, hi, err := c.hostRange(args)
+		if err != nil {
+			return err
 		}
 		for h := lo; h < hi; h++ {
 			d := c.cluster.DiskStatsFor(h)
-			s := c.cluster.IntegrityStatsFor(h)
 			fmt.Printf("host %d disk: corrupt-reads=%d corrupt-writes=%d torn=%d\n",
 				h, d.CorruptReads, d.CorruptWrites, d.TornWrites)
-			fmt.Printf("host %d scrub: scrubbed=%d blocks=%d resealed=%d detected=%d repaired=%d unrepairable=%d quarantined=%d\n",
-				h, s.ScrubbedFiles, s.ScrubbedBlocks, s.Resealed, s.CorruptionsDetected,
-				s.Repaired, s.Unrepairable, s.Quarantined)
+			fmt.Printf("host %d scrub: %s\n", h, c.cluster.IntegrityStatsFor(h))
 		}
 		return nil
 	case "blocks":
-		lo, hi := 0, c.cluster.NumHosts()
-		if len(args) > 0 {
-			h, err := c.host(args[0])
-			if err != nil {
-				return err
-			}
-			lo, hi = h, h+1
+		lo, hi, err := c.hostRange(args)
+		if err != nil {
+			return err
 		}
 		for h := lo; h < hi; h++ {
 			s := c.cluster.BlockStatsFor(h)

@@ -38,6 +38,7 @@ import (
 	"repro/internal/logical"
 	"repro/internal/physical"
 	"repro/internal/recon"
+	"repro/internal/retry"
 	"repro/internal/simnet"
 )
 
@@ -455,50 +456,45 @@ func (c *Cluster) ConfigureGossip(cfg GossipConfig) {
 	}
 }
 
-// GossipStats counts one host's gossip-plane activity.
+// GossipStats counts one host's update-notification activity: rumors sent,
+// relayed, accepted and suppressed, new-version cache feeds, and datagrams
+// that failed to decode.
 type GossipStats = core.GossipStats
 
-// GossipStatsFor returns host i's accumulated gossip counters.
+// GossipStatsFor returns host i's accumulated notification-plane counters.
 func (c *Cluster) GossipStatsFor(host int) GossipStats {
 	return c.hosts[host].GossipStats()
 }
 
 // PeerPriority is one entry of a host's anti-entropy plan: the order the
 // scheduler would visit the root volume's peers in right now, stalest and
-// least-healthy first.
+// least-healthy first.  Peer is the peer's host index (-1 if the address maps
+// to no host).
 type PeerPriority struct {
-	Peer        int // peer host index (-1 if the address maps to no host)
-	Replica     ids.ReplicaID
-	State       string // tracked health behind the priority
-	LastSync    uint64 // daemon tick of the last clean pass (0 = never)
-	LastAttempt uint64 // daemon tick of the last attempt (0 = never)
-	Score       uint64 // effective staleness driving the order
+	core.PeerPriority
+	Peer int
 }
 
 // StalePeersFor reports host i's current anti-entropy priority order over
 // the root volume — what its next reconcile pass would visit first.
 func (c *Cluster) StalePeersFor(host int) []PeerPriority {
-	byAddr := make(map[string]int, len(c.hosts))
-	for j := range c.hosts {
-		byAddr[string(hostName(j))] = j
-	}
 	plan := c.hosts[host].AntiEntropyPlan(c.root)
-	out := make([]PeerPriority, 0, len(plan))
-	for _, p := range plan {
-		peer, ok := byAddr[string(p.Addr)]
-		if !ok {
-			peer = -1
-		}
-		out = append(out, PeerPriority{
-			Peer:        peer,
-			Replica:     p.Replica,
-			State:       p.Health,
-			LastSync:    p.LastSync,
-			LastAttempt: p.LastAttempt,
-			Score:       p.Score,
-		})
+	out := make([]PeerPriority, len(plan))
+	for i, p := range plan {
+		out[i] = PeerPriority{PeerPriority: p, Peer: c.hostIndex(p.Addr)}
 	}
 	return out
+}
+
+// hostIndex maps a host address back to the host's index, -1 if no host has
+// it.
+func (c *Cluster) hostIndex(addr simnet.Addr) int {
+	for i, h := range c.hosts {
+		if h.Addr() == addr {
+			return i
+		}
+	}
+	return -1
 }
 
 // SetLinkDatagramLoss makes update-notification datagrams on the directed
@@ -521,34 +517,12 @@ func (c *Cluster) ConfigureSlowPeers(cfg SlowPeerConfig) {
 	}
 }
 
-// SlowStats summarizes one host's slow-peer tolerance work across all of
-// its propagation passes so far.
-type SlowStats struct {
-	Hedges         int    // backup pulls issued after the hedging threshold
-	HedgeWins      int    // hedged pulls whose backup answered first
-	SlowSheds      int    // pulls redirected away from a Slow primary
-	BudgetDeferred int    // due entries pushed to a later pass by the tick budget
-	PassTicks      uint64 // summed virtual makespan of the host's passes
-	DeadlineMisses uint64 // peer exchanges abandoned at their RPC deadline
-}
-
-// SlowStatsFor returns host i's accumulated slow-peer counters.
-func (c *Cluster) SlowStatsFor(host int) SlowStats {
-	h := c.hosts[host]
-	ps := h.PropagationStats()
-	out := SlowStats{
-		Hedges:         ps.Hedges,
-		HedgeWins:      ps.HedgeWins,
-		SlowSheds:      ps.SlowSheds,
-		BudgetDeferred: ps.BudgetDeferred,
-		PassTicks:      ps.PassTicks,
-	}
-	for j := range c.hosts {
-		if j != host {
-			out.DeadlineMisses += h.PeerHealthInfo(hostName(j)).DeadlineMisses
-		}
-	}
-	return out
+// PropagationStatsFor returns host i's propagation stats summed over every
+// pass so far, the slow-peer tolerance work (hedges, sheds, budget
+// deferrals, pass ticks) included.  Per-peer deadline misses are in
+// PeerHealthFor.
+func (c *Cluster) PropagationStatsFor(host int) SyncStats {
+	return c.hosts[host].PropagationStats()
 }
 
 // DiskFaultConfig programs steady-state disk fault injection on one host:
@@ -558,100 +532,40 @@ func (c *Cluster) SlowStatsFor(host int) SlowStats {
 // Failed operations return a typed transient error, so the replication
 // stack's retry machinery treats a flaky platter like a flaky link;
 // corrupted operations are what the checksum scrubber exists to catch.
-type DiskFaultConfig struct {
-	Seed             int64
-	ReadErrRate      float64
-	WriteErrRate     float64
-	CorruptReadRate  float64 // silent garbling of a successful read
-	CorruptWriteRate float64 // silent garbling of the stored block on write
-}
+type DiskFaultConfig = disk.FaultProfile
 
 // InjectDiskFaults applies the profile to every disk behind host i's
 // replicas (crashed or mounted).  A zero config clears injection.
 func (c *Cluster) InjectDiskFaults(host int, f DiskFaultConfig) {
-	p := disk.FaultProfile{
-		Seed: f.Seed, ReadErrRate: f.ReadErrRate, WriteErrRate: f.WriteErrRate,
-		CorruptReadRate: f.CorruptReadRate, CorruptWriteRate: f.CorruptWriteRate,
-	}
 	for _, d := range c.hosts[host].Devices() {
-		d.InjectFaults(p)
+		d.InjectFaults(f)
 	}
 }
 
-// DiskStats sums I/O and fault counters across every disk of host i.
-type DiskStats struct {
-	Reads         uint64
-	Writes        uint64
-	ReadFaults    uint64 // reads failed with an injected transient error
-	WriteFaults   uint64 // writes failed with an injected transient error
-	TornWrites    uint64 // crashing writes that persisted a partial block
-	CorruptReads  uint64 // reads silently garbled by injection
-	CorruptWrites uint64 // writes whose stored block was silently garbled
-}
+// DiskStats counts disk I/O and injected faults.
+type DiskStats = disk.Stats
 
-// DiskStatsFor returns host i's aggregate disk counters.
+// DiskStatsFor sums the counters of every disk of host i.
 func (c *Cluster) DiskStatsFor(host int) DiskStats {
 	var out DiskStats
 	for _, d := range c.hosts[host].Devices() {
-		s := d.Stats()
-		out.Reads += s.Reads
-		out.Writes += s.Writes
-		out.ReadFaults += s.ReadFaults
-		out.WriteFaults += s.WriteFaults
-		out.TornWrites += s.TornWrites
-		out.CorruptReads += s.CorruptReads
-		out.CorruptWrites += s.CorruptWrites
+		out.Add(d.Stats())
 	}
 	return out
 }
 
-// ScrubStats summarizes integrity-daemon work: the verification sweep and the
-// quarantine-repair pass.
-type ScrubStats struct {
-	VerifiedFiles  int // file versions checked against a sealed sidecar
-	VerifiedBlocks int // block addresses compared
-	Resealed       int // unverifiable sidecars recomputed from local data
-	Corrupt        int // verification failures that entered quarantine
-	Cleared        int // quarantined files superseded in place
-	RepairAttempts int // due quarantined versions repair was attempted for
-	Repaired       int // versions healed from a peer this pass
-	RepairDeferred int // versions re-queued under backoff
-	GaveUp         int // rounds where every known peer definitively refused
-}
-
-func fromScrub(r core.ScrubResult) ScrubStats {
-	return ScrubStats{
-		VerifiedFiles:  r.Scrub.VerifiedFiles,
-		VerifiedBlocks: r.Scrub.VerifiedBlocks,
-		Resealed:       r.Scrub.Resealed,
-		Corrupt:        r.Scrub.Corrupt,
-		Cleared:        r.Scrub.Cleared,
-		RepairAttempts: r.Repair.Attempted,
-		Repaired:       r.Repair.Repaired,
-		RepairDeferred: r.Repair.Deferred,
-		GaveUp:         r.Repair.GaveUp,
-	}
-}
-
 // Scrub runs one integrity pass (verification sweep + quarantine repair) on
-// every host.
-func (c *Cluster) Scrub() (ScrubStats, error) {
-	var total core.ScrubResult
-	for _, h := range c.hosts {
-		s, err := h.ScrubOnce()
-		total.Scrub.Add(s.Scrub)
-		total.Repair.Add(s.Repair)
-		if err != nil {
-			return fromScrub(total), err
-		}
-	}
-	return fromScrub(total), nil
+// every host and sums the repair passes' stats: a healed version counts as
+// FilesPulled, a re-queued one as Deferred.  What the sweeps verified,
+// resealed and quarantined is the difference of IntegrityStatsFor taken
+// around the call.
+func (c *Cluster) Scrub() (SyncStats, error) {
+	return c.eachHost((*core.Host).ScrubOnce)
 }
 
 // ScrubHost runs one integrity pass on host i alone.
-func (c *Cluster) ScrubHost(host int) (ScrubStats, error) {
-	s, err := c.hosts[host].ScrubOnce()
-	return fromScrub(s), err
+func (c *Cluster) ScrubHost(host int) (SyncStats, error) {
+	return c.hosts[host].ScrubOnce()
 }
 
 // IntegrityStats reports the cumulative integrity counters of one host
@@ -681,17 +595,12 @@ func (c *Cluster) InjectBitRot(host int, path string, off uint64) error {
 	return c.hosts[host].CorruptFile(c.root, path, off)
 }
 
-// PendingVersion is one durable new-version cache entry: a version this
+// PendingVersion is one durable new-version cache entry: a version a
 // replica has been told about but not yet pulled, with the propagation
-// daemon's retry bookkeeping.
+// daemon's retry bookkeeping.  Replica is the local replica holding it.
 type PendingVersion struct {
-	Volume    string
-	Replica   ids.ReplicaID // local replica holding the entry
-	File      string
-	Origin    ids.ReplicaID
-	Seen      int // coalesced re-announcements
-	Attempts  int // failed pull attempts so far
-	NotBefore uint64
+	physical.NewVersion
+	Replica ids.VolumeReplicaHandle
 }
 
 // PendingVersionsFor dumps every replica's new-version cache on host i, in
@@ -701,127 +610,40 @@ func (c *Cluster) PendingVersionsFor(host int) []PendingVersion {
 	var out []PendingVersion
 	for _, l := range c.hosts[host].LocalReplicas() {
 		for _, nv := range l.PendingVersions() {
-			out = append(out, PendingVersion{
-				Volume:    l.Volume().String(),
-				Replica:   l.Replica(),
-				File:      nv.File.String(),
-				Origin:    nv.Origin,
-				Seen:      nv.Seen,
-				Attempts:  nv.Attempts,
-				NotBefore: nv.NotBefore,
-			})
+			out = append(out, PendingVersion{NewVersion: nv, Replica: l.VolumeReplica()})
 		}
 	}
 	return out
 }
 
 // PeerHealth is host i's view of one peer: healthy, slow, suspect, or
-// dead, plus the latency profile behind the verdict.
+// dead, plus the latency profile behind the verdict.  Peer is the peer's
+// host index.
 type PeerHealth struct {
-	Peer           int // peer host index
-	State          string
-	Fails          int    // consecutive failed exchanges
-	EWMATicks      uint64 // latency EWMA in virtual ticks (valid iff HasLatency)
-	HasLatency     bool
-	DeadlineMisses uint64 // exchanges abandoned at their RPC deadline
+	retry.HealthInfo
+	Peer int
 }
 
 // PeerHealthFor reports host i's health verdict for every other host.
 func (c *Cluster) PeerHealthFor(host int) []PeerHealth {
 	var out []PeerHealth
 	for j := range c.hosts {
-		if j == host {
-			continue
+		if j != host {
+			out = append(out, PeerHealth{HealthInfo: c.hosts[host].PeerHealthInfo(hostName(j)), Peer: j})
 		}
-		info := c.hosts[host].PeerHealthInfo(hostName(j))
-		out = append(out, PeerHealth{
-			Peer:           j,
-			State:          info.State.String(),
-			Fails:          info.Fails,
-			EWMATicks:      info.EWMATicks,
-			HasLatency:     info.HasLatency,
-			DeadlineMisses: info.DeadlineMisses,
-		})
 	}
 	return out
 }
 
-// NetStats summarizes network traffic.
-type NetStats struct {
-	RPCs               uint64
-	RPCFailures        uint64
-	RPCBytes           uint64
-	Datagrams          uint64
-	DatagramsDropped   uint64
-	DatagramsDelivered uint64
-
-	// Fault-plane counters: injected failures are also included in the
-	// totals above (an injected request loss counts as an RPCFailure).
-	RPCFaultsInjected   uint64
-	RPCRepliesLost      uint64
-	DatagramsDuplicated uint64
-	MulticastsReordered uint64
-
-	// NotifyCodecErrors counts update-notification datagrams dropped by
-	// receiving hosts because they failed to decode (truncated or corrupt
-	// payloads), summed across the cluster.
-	NotifyCodecErrors uint64
-
-	// Gossip-plane counters, summed across the cluster: rumor datagrams
-	// sent by origins and relayers, first-seen acceptances, and duplicates
-	// killed by suppression.  DatagramBytes is the wire cost of everything
-	// delivered on the datagram plane.
-	GossipNoticesSent uint64
-	GossipRelayed     uint64
-	GossipAccepted    uint64
-	GossipSuppressed  uint64
-	DatagramBytes     uint64
-
-	// Latency-plane counters.
-	RPCHangs          uint64 // RPCs whose reply was injected away forever
-	RPCDeadlineMisses uint64 // RPCs abandoned at the caller's deadline
-	RPCLatencySpikes  uint64 // latency spikes drawn on RPC legs
-	RPCVirtualTicks   uint64 // total virtual ticks RPCs spent on the wire
-}
+// NetStats counts the simulated network's traffic, injected faults and
+// virtual latency.  The notification plane's own counters are per host, in
+// GossipStatsFor.
+type NetStats = simnet.Stats
 
 // NetworkStats returns the simulated network's counters.
-func (c *Cluster) NetworkStats() NetStats {
-	s := c.net.Stats()
-	var codecErrs uint64
-	var gs core.GossipStats
-	for _, h := range c.hosts {
-		codecErrs += h.NotifyCodecErrors()
-		hg := h.GossipStats()
-		gs.NoticesSent += hg.NoticesSent
-		gs.RumorsRelayed += hg.RumorsRelayed
-		gs.RumorsAccepted += hg.RumorsAccepted
-		gs.RumorsSuppressed += hg.RumorsSuppressed
-	}
-	return NetStats{
-		NotifyCodecErrors:   codecErrs,
-		GossipNoticesSent:   gs.NoticesSent,
-		GossipRelayed:       gs.RumorsRelayed,
-		GossipAccepted:      gs.RumorsAccepted,
-		GossipSuppressed:    gs.RumorsSuppressed,
-		DatagramBytes:       s.DatagramBytes,
-		RPCs:                s.RPCs,
-		RPCFailures:         s.RPCFailures,
-		RPCBytes:            s.RPCBytes,
-		Datagrams:           s.Datagrams,
-		DatagramsDropped:    s.DatagramsDropped,
-		DatagramsDelivered:  s.DatagramsDelivered,
-		RPCFaultsInjected:   s.RPCFaultsInjected,
-		RPCRepliesLost:      s.RPCRepliesLost,
-		DatagramsDuplicated: s.DatagramsDuplicated,
-		MulticastsReordered: s.MulticastsReordered,
-		RPCHangs:            s.RPCHangs,
-		RPCDeadlineMisses:   s.RPCDeadlineMisses,
-		RPCLatencySpikes:    s.RPCLatencySpikes,
-		RPCVirtualTicks:     s.RPCVirtualTicks,
-	}
-}
+func (c *Cluster) NetworkStats() NetStats { return c.net.Stats() }
 
-// ResetNetworkStats zeroes the counters.
+// ResetNetworkStats zeroes the network's counters.
 func (c *Cluster) ResetNetworkStats() { c.net.ResetStats() }
 
 // Volume names a Ficus volume.

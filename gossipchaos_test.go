@@ -79,6 +79,15 @@ func gossipAll(c *Cluster, cfg GossipConfig) {
 	c.ConfigureGossip(cfg)
 }
 
+// sumGossip totals per-host gossip counters into cluster-wide ones.
+func sumGossip(per []GossipStats) GossipStats {
+	var total GossipStats
+	for _, g := range per {
+		total.Add(g)
+	}
+	return total
+}
+
 // nvcSnapshot renders every host's pending new-version cache — (file,
 // origin, seen) per entry — as one deterministic string.
 func nvcSnapshot(c *Cluster) string {
@@ -109,7 +118,7 @@ func nvcSnapshot(c *Cluster) string {
 // actually hitting the suppression cache instead of the NVC.
 func TestGossipStormIdempotence(t *testing.T) {
 	const hosts = 64
-	run := func(faults FaultConfig) (string, string, NetStats, []GossipStats, []uint64) {
+	run := func(faults FaultConfig) (string, string, NetStats, []GossipStats) {
 		c, err := NewCluster(hosts, WithSeed(5), WithPolicy(FirstAvailable))
 		if err != nil {
 			t.Fatal(err)
@@ -130,21 +139,19 @@ func TestGossipStormIdempotence(t *testing.T) {
 		}
 		var seen []string
 		gs := make([]GossipStats, hosts)
-		vals := make([]uint64, hosts)
 		for i := 0; i < hosts; i++ {
-			vals[i] = c.Host(i).NotificationsSeen()
-			seen = append(seen, fmt.Sprintf("h%d seen=%d", i, vals[i]))
 			gs[i] = c.GossipStatsFor(i)
+			seen = append(seen, fmt.Sprintf("h%d seen=%d", i, gs[i].NotificationsSeen))
 		}
-		return strings.Join(seen, "\n"), nvcSnapshot(c), c.NetworkStats(), gs, vals
+		return strings.Join(seen, "\n"), nvcSnapshot(c), c.NetworkStats(), gs
 	}
 
-	cleanSeen, cleanNVC, _, _, _ := run(FaultConfig{})
-	dupSeen, dupNVC, dupNS, _, _ := run(FaultConfig{DatagramDupRate: 1.0})
+	cleanSeen, cleanNVC, _, _ := run(FaultConfig{})
+	dupSeen, dupNVC, dupNS, dupGS := run(FaultConfig{DatagramDupRate: 1.0})
 	if dupNS.DatagramsDuplicated == 0 {
 		t.Fatalf("fault plane idle: %+v", dupNS)
 	}
-	if dupNS.GossipSuppressed == 0 {
+	if sumGossip(dupGS).RumorsSuppressed == 0 {
 		t.Fatal("no duplicate rumor was ever suppressed under dup-rate 1.0")
 	}
 	if dupSeen != cleanSeen {
@@ -154,22 +161,20 @@ func TestGossipStormIdempotence(t *testing.T) {
 		t.Fatalf("new-version caches diverged under duplication:\n--- clean:\n%s\n--- noisy:\n%s", cleanNVC, dupNVC)
 	}
 
-	_, _, stormNS, stormGS, stormSeen := run(FaultConfig{DatagramDupRate: 1.0, ReorderRate: 1.0})
-	if stormNS.MulticastsReordered == 0 || stormNS.GossipSuppressed == 0 {
-		t.Fatalf("storm plane idle: %+v", stormNS)
+	_, _, stormNS, stormGS := run(FaultConfig{DatagramDupRate: 1.0, ReorderRate: 1.0})
+	storm := sumGossip(stormGS)
+	if stormNS.MulticastsReordered == 0 || storm.RumorsSuppressed == 0 {
+		t.Fatalf("storm plane idle: %+v %+v", stormNS, storm)
 	}
-	var originated uint64
-	for _, g := range stormGS {
-		originated += g.RumorsOriginated
-	}
+	originated := storm.RumorsOriginated
 	for i, g := range stormGS {
 		// One NVC feed per accepted rumor (one replica per host, no
 		// co-resident or legacy traffic in this rig) — a duplicate that
 		// leaked past suppression would break the equality — and no host
 		// can accept a rumor more than once however many copies arrive.
-		if stormSeen[i] != g.RumorsAccepted {
+		if g.NotificationsSeen != g.RumorsAccepted {
 			t.Fatalf("host %d: NotificationsSeen=%d but RumorsAccepted=%d under the storm",
-				i, stormSeen[i], g.RumorsAccepted)
+				i, g.NotificationsSeen, g.RumorsAccepted)
 		}
 		if g.RumorsAccepted > originated {
 			t.Fatalf("host %d accepted %d rumors of %d originated", i, g.RumorsAccepted, originated)
@@ -214,7 +219,7 @@ func TestGossipPartialReplicaSets(t *testing.T) {
 		if gs.RumorsAccepted != 0 || gs.RumorsForeign != 0 || gs.RumorsRelayed != 0 {
 			t.Fatalf("bystander %d touched by gossip: %+v", h, gs)
 		}
-		if n := c.Host(h).NotificationsSeen(); n != 0 {
+		if n := c.Host(h).GossipStats().NotificationsSeen; n != 0 {
 			t.Fatalf("bystander %d saw %d notifications", h, n)
 		}
 	}
@@ -506,12 +511,14 @@ func TestChaosGossipChurnConvergence(t *testing.T) {
 			// The gossip plane actually carried the load, and origin cost
 			// stayed at O(fanout): every host sent at most fanout notices per
 			// rumor it originated — never the flat n-1.
-			ns := c.NetworkStats()
-			if ns.GossipNoticesSent == 0 || ns.GossipRelayed == 0 {
-				t.Fatalf("gossip plane idle: %+v", ns)
-			}
+			var all []GossipStats
 			for i := 0; i < hosts; i++ {
-				gs := c.GossipStatsFor(i)
+				all = append(all, c.GossipStatsFor(i))
+			}
+			if total := sumGossip(all); total.NoticesSent == 0 || total.RumorsRelayed == 0 {
+				t.Fatalf("gossip plane idle: %+v", total)
+			}
+			for i, gs := range all {
 				if gs.NoticesSent > 3*gs.RumorsOriginated {
 					t.Fatalf("host %d sent %d notices for %d rumors: origin cost above fanout",
 						i, gs.NoticesSent, gs.RumorsOriginated)

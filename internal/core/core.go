@@ -131,13 +131,8 @@ type Host struct {
 	propStats  recon.Stats // accumulated propagation stats (hedges, sheds, budget)
 	daemonTick uint64      // one tick per daemon pass (propagate or reconcile)
 
-	// NotificationsSeen counts datagrams accepted into new-version caches;
-	// notifyCodecErrs counts datagrams dropped because they failed to decode.
-	notificationsSeen uint64
-	notifyCodecErrs   uint64
-
-	// Gossip plane (see gossip.go): configuration survives crashes like
-	// slowCfg; the seen-rumor cache and counters are in-memory state.
+	// Notification plane (see gossip.go): configuration survives crashes
+	// like slowCfg; the seen-rumor cache and counters are in-memory state.
 	gossip     GossipConfig
 	gossipSeq  uint64 // per-host rumor sequence, stamps originated rumors
 	gossipSeen map[rumorKey]struct{}
@@ -285,7 +280,7 @@ func (h *Host) AddReplica(vol ids.VolumeHandle, rid ids.ReplicaID, seed ReplicaL
 // hosts' location tables).
 func (h *Host) RemoveReplica(vr ids.VolumeReplicaHandle) error {
 	h.mu.Lock()
-	lr, ok := h.replicas[vr]
+	_, ok := h.replicas[vr]
 	if ok {
 		delete(h.replicas, vr)
 		if m := h.locations[vr.Vol]; m != nil {
@@ -298,7 +293,6 @@ func (h *Host) RemoveReplica(vr ids.VolumeReplicaHandle) error {
 	}
 	h.replSrv.Unregister(vr)
 	h.snHost.RemoveRPC(nfsService(vr))
-	_ = lr
 	return nil
 }
 
@@ -484,7 +478,7 @@ func (h *Host) noteNewVersionLocked(msg *notifyMsg) {
 	for vr, lr := range h.replicas {
 		if vr.Vol == msg.Vol && vr.Replica != msg.Origin {
 			lr.layer.NoteNewVersion(msg.Dir, msg.File, msg.Origin)
-			h.notificationsSeen++
+			h.gstats.NotificationsSeen++
 		}
 	}
 }
@@ -506,7 +500,7 @@ func (h *Host) onNotify(from simnet.Addr, payload []byte) {
 	msg, err := decodeNotify(payload)
 	h.mu.Lock()
 	if err != nil {
-		h.notifyCodecErrs++
+		h.gstats.NotifyCodecErrors++
 		h.mu.Unlock()
 		return
 	}
@@ -535,21 +529,6 @@ func (h *Host) onNotify(from simnet.Addr, payload []byte) {
 		msg.Hops--
 		h.snHost.Multicast(NotifyPort, encodeNotify(&msg), dsts)
 	}
-}
-
-// NotificationsSeen counts accepted update notifications.
-func (h *Host) NotificationsSeen() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.notificationsSeen
-}
-
-// NotifyCodecErrors counts notification datagrams dropped because they
-// failed to decode (truncated or corrupt payloads).
-func (h *Host) NotifyCodecErrors() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.notifyCodecErrs
 }
 
 // advanceTick steps the host's virtual daemon clock (one tick per daemon
@@ -592,13 +571,6 @@ func (h *Host) ConfigureSlowPeers(cfg SlowPeerConfig) {
 	h.slowCfg = cfg
 	h.mu.Unlock()
 	h.health.SetSlowThreshold(cfg.SlowAfter)
-}
-
-// SlowPeerSettings returns the host's current slow-peer configuration.
-func (h *Host) SlowPeerSettings() SlowPeerConfig {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.slowCfg
 }
 
 // PropagationStats returns the host's accumulated propagation-pass stats —
@@ -721,11 +693,6 @@ func (p *healthPeer) PullBatchDelta(reqs []physical.PullRequest, have []physical
 	res, err := p.c.PullBatchDelta(reqs, have)
 	p.note(err)
 	return res, err
-}
-
-// PeerHealth reports the tracked health of the host at addr.
-func (h *Host) PeerHealth(addr simnet.Addr) retry.State {
-	return h.health.State(string(addr))
 }
 
 // PeerHealthInfo reports the full tracked health profile of the host at

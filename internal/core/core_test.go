@@ -124,8 +124,8 @@ func TestNotificationAndPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Hosts b and c received notifications into their new-version caches.
-	if c.hosts[1].NotificationsSeen() == 0 || c.hosts[2].NotificationsSeen() == 0 {
-		t.Fatalf("notifications: b=%d c=%d", c.hosts[1].NotificationsSeen(), c.hosts[2].NotificationsSeen())
+	if gb, gc := c.hosts[1].GossipStats(), c.hosts[2].GossipStats(); gb.NotificationsSeen == 0 || gc.NotificationsSeen == 0 {
+		t.Fatalf("notifications: b=%d c=%d", gb.NotificationsSeen, gc.NotificationsSeen)
 	}
 	pending := c.hosts[1].LocalReplicas()[0].PendingVersions()
 	if len(pending) == 0 {

@@ -60,15 +60,31 @@ type GossipConfig struct {
 	ReconPeers int
 }
 
-// GossipStats counts a host's gossip-plane activity.
+// GossipStats counts a host's update-notification activity: the rumors it
+// sends and receives, and what they fed into its new-version caches.
 type GossipStats struct {
-	RumorsOriginated uint64 // updates announced by this host's notifier
-	NoticesSent      uint64 // datagrams sent originating those rumors
-	RumorsRelayed    uint64 // datagrams sent relaying others' rumors
-	RumorsAccepted   uint64 // first-seen rumors fed into local caches
-	RumorsSuppressed uint64 // duplicate rumors dropped by the seen-cache
-	RumorsForeign    uint64 // rumors for volumes this host stores no replica of
-	RumorsExpired    uint64 // rumors accepted with an exhausted hop budget
+	RumorsOriginated  uint64 // updates announced by this host's notifier
+	NoticesSent       uint64 // datagrams sent originating those rumors
+	RumorsRelayed     uint64 // datagrams sent relaying others' rumors
+	RumorsAccepted    uint64 // first-seen rumors fed into local caches
+	RumorsSuppressed  uint64 // duplicate rumors dropped by the seen-cache
+	RumorsForeign     uint64 // rumors for volumes this host stores no replica of
+	RumorsExpired     uint64 // rumors accepted with an exhausted hop budget
+	NotificationsSeen uint64 // new-version cache feeds, one per local replica told
+	NotifyCodecErrors uint64 // datagrams dropped because they failed to decode
+}
+
+// Add accumulates (aggregation across hosts).
+func (s *GossipStats) Add(t GossipStats) {
+	s.RumorsOriginated += t.RumorsOriginated
+	s.NoticesSent += t.NoticesSent
+	s.RumorsRelayed += t.RumorsRelayed
+	s.RumorsAccepted += t.RumorsAccepted
+	s.RumorsSuppressed += t.RumorsSuppressed
+	s.RumorsForeign += t.RumorsForeign
+	s.RumorsExpired += t.RumorsExpired
+	s.NotificationsSeen += t.NotificationsSeen
+	s.NotifyCodecErrors += t.NotifyCodecErrors
 }
 
 // rumorKey identifies one rumor for duplicate suppression.
@@ -93,7 +109,7 @@ func (h *Host) GossipSettings() GossipConfig {
 	return h.gossip
 }
 
-// GossipStats returns the host's accumulated gossip counters.
+// GossipStats returns the host's accumulated notification-plane counters.
 func (h *Host) GossipStats() GossipStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -118,7 +118,7 @@ func TestGossipRelayReachesAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < 4; i++ {
-		if got := c.hosts[i].NotificationsSeen(); got == 0 {
+		if got := c.hosts[i].GossipStats().NotificationsSeen; got == 0 {
 			t.Fatalf("host %d saw no notification through the relay chain", i)
 		}
 	}
@@ -191,7 +191,7 @@ func TestGossipDuplicateSuppressedOnWire(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			h0.SimHost().Multicast(NotifyPort, payload, []simnet.Addr{h1.Addr()})
 		}
-		if got := h1.NotificationsSeen(); got != 1 {
+		if got := h1.GossipStats().NotificationsSeen; got != 1 {
 			t.Fatalf("%+v: NotificationsSeen = %d after 3 copies, want 1", cfg, got)
 		}
 		gs := h1.GossipStats()
@@ -226,8 +226,8 @@ func TestNotifyEveryHolderNoSelfDatagram(t *testing.T) {
 		}
 		for i := 1; i < n; i++ {
 			g := c.hosts[i].GossipStats()
-			if g.RumorsAccepted != gs.RumorsOriginated || g.RumorsRelayed != 0 || c.hosts[i].NotificationsSeen() == 0 {
-				t.Fatalf("n=%d host %d: %+v, seen %d", n, i, g, c.hosts[i].NotificationsSeen())
+			if g.RumorsAccepted != gs.RumorsOriginated || g.RumorsRelayed != 0 || g.NotificationsSeen == 0 {
+				t.Fatalf("n=%d host %d: %+v", n, i, g)
 			}
 		}
 	}
@@ -259,7 +259,7 @@ func TestGossipForeignVolumeDropped(t *testing.T) {
 		t.Fatalf("foreign=%d accepted=%d relayed=%d, want 1/0/0",
 			gs.RumorsForeign, gs.RumorsAccepted, gs.RumorsRelayed)
 	}
-	if got := h1.NotificationsSeen(); got != 0 {
+	if got := h1.GossipStats().NotificationsSeen; got != 0 {
 		t.Fatalf("NotificationsSeen = %d for foreign rumor, want 0", got)
 	}
 }

@@ -169,7 +169,7 @@ func TestRestartDrainsDurableNVC(t *testing.T) {
 
 	// Drain by pulling only: no notifications may arrive (host 0 is not
 	// writing), so NotificationsSeen must stay flat.
-	seen := h1.NotificationsSeen()
+	seen := h1.GossipStats().NotificationsSeen
 	for i := 0; i < 10 && len(pendingSet(h1, c.vol)) > 0; i++ {
 		if _, err := h1.PropagateOnce(); err != nil {
 			t.Fatal(err)
@@ -178,7 +178,7 @@ func TestRestartDrainsDurableNVC(t *testing.T) {
 	if remaining := pendingSet(h1, c.vol); len(remaining) != 0 {
 		t.Fatalf("NVC not drained: %v", remaining)
 	}
-	if got := h1.NotificationsSeen(); got != seen {
+	if got := h1.GossipStats().NotificationsSeen; got != seen {
 		t.Fatalf("NotificationsSeen moved during drain: %d -> %d", seen, got)
 	}
 

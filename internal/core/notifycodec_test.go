@@ -145,10 +145,10 @@ func TestNotifyCorruptDatagramCounted(t *testing.T) {
 	h0, h1 := c.hosts[0], c.hosts[1]
 
 	h0.SimHost().Multicast(NotifyPort, []byte{0xde, 0xad, 0xbe, 0xef}, []simnet.Addr{h1.Addr()})
-	if got := h1.NotifyCodecErrors(); got != 1 {
+	if got := h1.GossipStats().NotifyCodecErrors; got != 1 {
 		t.Fatalf("NotifyCodecErrors = %d, want 1", got)
 	}
-	if got := h1.NotificationsSeen(); got != 0 {
+	if got := h1.GossipStats().NotificationsSeen; got != 0 {
 		t.Fatalf("NotificationsSeen = %d, want 0", got)
 	}
 
@@ -161,10 +161,10 @@ func TestNotifyCorruptDatagramCounted(t *testing.T) {
 	if err := vnode.WriteFile(f, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if got := h1.NotificationsSeen(); got == 0 {
+	if got := h1.GossipStats().NotificationsSeen; got == 0 {
 		t.Fatal("valid notification not seen after corrupt datagram")
 	}
-	if got := h1.NotifyCodecErrors(); got != 1 {
+	if got := h1.GossipStats().NotifyCodecErrors; got != 1 {
 		t.Fatalf("NotifyCodecErrors = %d after valid traffic, want 1", got)
 	}
 }

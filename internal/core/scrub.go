@@ -16,30 +16,24 @@ import (
 // peers, a no-op while the host is down — so simulations stay
 // deterministic.
 
-// ScrubResult summarizes one scrub pass over a host.
-type ScrubResult struct {
-	Scrub  physical.ScrubReport
-	Repair recon.RepairStats
-}
-
 // ScrubOnce runs one integrity pass over every local volume replica: a
 // full verification sweep (detect + reseal + quarantine), then a repair pass
-// that re-pulls due quarantined versions from peer replicas.  A down
-// host's daemons do not run: the pass is a no-op.
-func (h *Host) ScrubOnce() (ScrubResult, error) {
+// that re-pulls due quarantined versions from peer replicas.  It returns the
+// repair passes' stats; what the sweeps did is the difference of
+// IntegrityStats taken around the call.  A down host's daemons do not run:
+// the pass is a no-op.
+func (h *Host) ScrubOnce() (recon.Stats, error) {
 	if h.Down() {
-		return ScrubResult{}, nil
+		return recon.Stats{}, nil
 	}
 	h.advanceTick()
-	var total ScrubResult
+	var total recon.Stats
 	for _, layer := range h.LocalReplicas() {
-		rep, err := layer.ScrubPass()
-		total.Scrub.Add(rep)
-		if err != nil {
+		if err := layer.ScrubPass(); err != nil {
 			return total, err
 		}
 		peers := h.replicaIDs(layer.Volume())
-		total.Repair.Add(recon.Repair(layer, h.peerFinder(layer, true), peers, retry.Default()))
+		total.Add(recon.Repair(layer, h.peerFinder(layer, true), peers, retry.Default()))
 	}
 	return total, nil
 }

@@ -66,6 +66,17 @@ type Stats struct {
 // Total returns Reads + Writes.
 func (s Stats) Total() uint64 { return s.Reads + s.Writes }
 
+// Add accumulates (aggregation across the devices of a host).
+func (s *Stats) Add(t Stats) {
+	s.Reads += t.Reads
+	s.Writes += t.Writes
+	s.ReadFaults += t.ReadFaults
+	s.WriteFaults += t.WriteFaults
+	s.TornWrites += t.TornWrites
+	s.CorruptReads += t.CorruptReads
+	s.CorruptWrites += t.CorruptWrites
+}
+
 // Sub returns s - t componentwise; used to measure the I/O cost of a single
 // operation by snapshotting stats before and after.
 func (s Stats) Sub(t Stats) Stats {

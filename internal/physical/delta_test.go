@@ -448,7 +448,7 @@ func TestOneSidecarPerStoredFile(t *testing.T) {
 	if err := root.Rename("f", sub, "f"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.ScrubPass(); err != nil {
+	if err := l.ScrubPass(); err != nil {
 		t.Fatal(err)
 	}
 	dev.Fault()

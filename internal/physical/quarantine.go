@@ -47,6 +47,7 @@ type IntegrityStats struct {
 	ScrubbedBlocks      uint64 // block addresses verified
 	Resealed            uint64 // unverifiable sidecars recomputed from local data
 	CorruptionsDetected uint64 // verification failures that entered quarantine
+	Cleared             uint64 // quarantined files a scrub found verifying again (superseded in place)
 	Repaired            uint64 // quarantined versions healed from a peer
 	Unrepairable        uint64 // repair rounds where every known peer definitively refused
 	Quarantined         uint64 // files currently in quarantine
@@ -58,6 +59,7 @@ func (s *IntegrityStats) Add(t IntegrityStats) {
 	s.ScrubbedBlocks += t.ScrubbedBlocks
 	s.Resealed += t.Resealed
 	s.CorruptionsDetected += t.CorruptionsDetected
+	s.Cleared += t.Cleared
 	s.Repaired += t.Repaired
 	s.Unrepairable += t.Unrepairable
 	s.Quarantined += t.Quarantined
@@ -65,8 +67,8 @@ func (s *IntegrityStats) Add(t IntegrityStats) {
 
 // String renders the stats compactly.
 func (s IntegrityStats) String() string {
-	return fmt.Sprintf("scrubbed=%d blocks=%d resealed=%d corrupt=%d repaired=%d unrepairable=%d quarantined=%d",
-		s.ScrubbedFiles, s.ScrubbedBlocks, s.Resealed, s.CorruptionsDetected, s.Repaired, s.Unrepairable, s.Quarantined)
+	return fmt.Sprintf("scrubbed=%d blocks=%d resealed=%d detected=%d cleared=%d repaired=%d unrepairable=%d quarantined=%d",
+		s.ScrubbedFiles, s.ScrubbedBlocks, s.Resealed, s.CorruptionsDetected, s.Cleared, s.Repaired, s.Unrepairable, s.Quarantined)
 }
 
 // IntegrityStats returns a snapshot of this volume replica's counters.

@@ -16,49 +16,25 @@ import (
 	"repro/internal/vnode"
 )
 
-// ScrubReport summarizes one scrub pass over a volume replica.
-type ScrubReport struct {
-	VerifiedFiles  int // file versions checked against a fresh sidecar
-	VerifiedBlocks int // block addresses compared
-	Resealed       int // unverifiable sidecars recomputed from local data
-	Corrupt        int // verification failures that entered quarantine this pass
-	Cleared        int // quarantined files that verify again (superseded in place)
-}
-
-// Add accumulates.
-func (r *ScrubReport) Add(t ScrubReport) {
-	r.VerifiedFiles += t.VerifiedFiles
-	r.VerifiedBlocks += t.VerifiedBlocks
-	r.Resealed += t.Resealed
-	r.Corrupt += t.Corrupt
-	r.Cleared += t.Cleared
-}
-
-// String renders the report compactly.
-func (r ScrubReport) String() string {
-	return fmt.Sprintf("verified=%d blocks=%d resealed=%d corrupt=%d cleared=%d",
-		r.VerifiedFiles, r.VerifiedBlocks, r.Resealed, r.Corrupt, r.Cleared)
-}
-
 // ScrubPass sweeps the whole volume replica once.  It is deterministic
 // (container entries are visited in stored order) and safe to run at any
-// time; the layer lock is held for the duration, like Check.
-func (l *Layer) ScrubPass() (ScrubReport, error) {
+// time; the layer lock is held for the duration, like Check, so the
+// difference of two IntegrityStats snapshots taken around it is exactly what
+// the pass did.
+func (l *Layer) ScrubPass() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var rep ScrubReport
 	cont, err := l.rootContainer()
 	if err != nil {
 		if vnode.AsErrno(err) == vnode.ENOENT {
-			return rep, nil
+			return nil
 		}
-		return rep, err
+		return err
 	}
-	err = l.scrubContainerLocked(cont, []ids.FileID{ids.RootFileID}, &rep)
-	return rep, err
+	return l.scrubContainerLocked(cont, []ids.FileID{ids.RootFileID})
 }
 
-func (l *Layer) scrubContainerLocked(cont vnode.Vnode, dirPath []ids.FileID, rep *ScrubReport) error {
+func (l *Layer) scrubContainerLocked(cont vnode.Vnode, dirPath []ids.FileID) error {
 	entries, err := l.readDirFileLocked(cont)
 	if err != nil {
 		// An unreadable contents file is Check's problem, not the scrubber's.
@@ -71,18 +47,18 @@ func (l *Layer) scrubContainerLocked(cont vnode.Vnode, dirPath []ids.FileID, rep
 				continue // not stored here (§4.1)
 			}
 			childPath := append(append([]ids.FileID(nil), dirPath...), e.Child)
-			if err := l.scrubContainerLocked(sub, childPath, rep); err != nil {
+			if err := l.scrubContainerLocked(sub, childPath); err != nil {
 				return err
 			}
 			continue
 		}
-		l.scrubFileLocked(cont, dirPath, e.Child, rep)
+		l.scrubFileLocked(cont, dirPath, e.Child)
 	}
 	return nil
 }
 
 // scrubFileLocked verifies or reseals one stored file replica.
-func (l *Layer) scrubFileLocked(cont vnode.Vnode, dirPath []ids.FileID, fid ids.FileID, rep *ScrubReport) {
+func (l *Layer) scrubFileLocked(cont vnode.Vnode, dirPath []ids.FileID, fid ids.FileID) {
 	aux, err := readAuxFile(cont, prefixAux+fid.String())
 	if err != nil {
 		return // not stored here, or mid-materialization; nothing to vouch for
@@ -103,25 +79,21 @@ func (l *Layer) scrubFileLocked(cont vnode.Vnode, dirPath []ids.FileID, fid ids.
 			return
 		}
 		if err := l.sealLocked(cont, fid, aux.VV, ComputeManifest(data)); err == nil {
-			rep.Resealed++
 			l.integ.Resealed++
 		}
 		return
 	}
-	rep.VerifiedFiles++
-	rep.VerifiedBlocks += len(sc.Blocks)
 	l.integ.ScrubbedFiles++
 	l.integ.ScrubbedBlocks += uint64(len(sc.Blocks))
 	if sc.Verify(data) {
 		if l.isQuarantinedLocked(fid) {
 			l.clearQuarantineLocked(fid, false)
-			rep.Cleared++
+			l.integ.Cleared++
 		}
 		return
 	}
 	if !l.isQuarantinedLocked(fid) {
 		l.quarantineLocked(dirPath, fid, aux.VV)
-		rep.Corrupt++
 	}
 }
 

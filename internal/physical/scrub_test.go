@@ -32,13 +32,32 @@ func scrubLayerWithFile(t *testing.T, contents string) (*Layer, vnode.Vnode) {
 	return l, f
 }
 
-func TestScrubCleanPassVerifies(t *testing.T) {
-	l, f := scrubLayerWithFile(t, "healthy bytes")
-	rep, err := l.ScrubPass()
-	if err != nil {
+// scrubPass runs one scrub pass and returns what it did: the difference of
+// the layer's cumulative integrity counters around it (Quarantined, a gauge,
+// is the value after the pass).
+func scrubPass(t *testing.T, l *Layer) IntegrityStats {
+	t.Helper()
+	before := l.IntegrityStats()
+	if err := l.ScrubPass(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.VerifiedFiles != 1 || rep.VerifiedBlocks != 1 || rep.Corrupt != 0 || rep.Resealed != 0 {
+	after := l.IntegrityStats()
+	return IntegrityStats{
+		ScrubbedFiles:       after.ScrubbedFiles - before.ScrubbedFiles,
+		ScrubbedBlocks:      after.ScrubbedBlocks - before.ScrubbedBlocks,
+		Resealed:            after.Resealed - before.Resealed,
+		CorruptionsDetected: after.CorruptionsDetected - before.CorruptionsDetected,
+		Cleared:             after.Cleared - before.Cleared,
+		Repaired:            after.Repaired - before.Repaired,
+		Unrepairable:        after.Unrepairable - before.Unrepairable,
+		Quarantined:         after.Quarantined,
+	}
+}
+
+func TestScrubCleanPassVerifies(t *testing.T) {
+	l, f := scrubLayerWithFile(t, "healthy bytes")
+	rep := scrubPass(t, l)
+	if rep.ScrubbedFiles != 1 || rep.ScrubbedBlocks != 1 || rep.CorruptionsDetected != 0 || rep.Resealed != 0 {
 		t.Fatalf("clean pass: %+v", rep)
 	}
 	if l.IsQuarantined(mustFid(t, f)) {
@@ -65,11 +84,8 @@ func TestScrubDetectsBitRotAndQuarantines(t *testing.T) {
 		t.Fatal("CorruptData changed nothing")
 	}
 
-	rep, err := l.ScrubPass()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Corrupt != 1 {
+	rep := scrubPass(t, l)
+	if rep.CorruptionsDetected != 1 {
 		t.Fatalf("scrub missed the rot: %+v", rep)
 	}
 	if !l.IsQuarantined(fid) {
@@ -103,9 +119,7 @@ func TestScrubDetectsBitRotAndQuarantines(t *testing.T) {
 	}
 
 	// Detection counts once, not per pass.
-	if _, err := l.ScrubPass(); err != nil {
-		t.Fatal(err)
-	}
+	scrubPass(t, l)
 	if s := l.IntegrityStats(); s.CorruptionsDetected != 1 || s.Quarantined != 1 {
 		t.Fatalf("re-detection must not double count: %+v", s)
 	}
@@ -138,19 +152,13 @@ func TestScrubResealsUnverifiableSidecar(t *testing.T) {
 	if err := cont.Remove(prefixSidecar + fid.String()); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := l.ScrubPass()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Resealed != 1 || rep.Corrupt != 0 {
+	rep := scrubPass(t, l)
+	if rep.Resealed != 1 || rep.CorruptionsDetected != 0 {
 		t.Fatalf("missing sidecar must reseal, not quarantine: %+v", rep)
 	}
 	// The reseal is trusted: the next pass verifies.
-	rep, err = l.ScrubPass()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.VerifiedFiles != 1 || rep.Resealed != 0 {
+	rep = scrubPass(t, l)
+	if rep.ScrubbedFiles != 1 || rep.Resealed != 0 {
 		t.Fatalf("second pass: %+v", rep)
 	}
 }
@@ -161,9 +169,7 @@ func TestScrubNeverResealsQuarantined(t *testing.T) {
 	if err := l.CorruptData(RootPath(), fid, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.ScrubPass(); err != nil {
-		t.Fatal(err)
-	}
+	scrubPass(t, l)
 	if !l.IsQuarantined(fid) {
 		t.Fatal("not quarantined")
 	}
@@ -173,10 +179,7 @@ func TestScrubNeverResealsQuarantined(t *testing.T) {
 	if err := cont.Remove(prefixSidecar + fid.String()); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := l.ScrubPass()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := scrubPass(t, l)
 	if rep.Resealed != 0 {
 		t.Fatal("scrub resealed a quarantined replica (laundered the damage)")
 	}
@@ -196,9 +199,7 @@ func TestVerifiedInstallClearsQuarantine(t *testing.T) {
 	if err := l.CorruptData(RootPath(), fid, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.ScrubPass(); err != nil {
-		t.Fatal(err)
-	}
+	scrubPass(t, l)
 	if !l.IsQuarantined(fid) {
 		t.Fatal("not quarantined")
 	}
@@ -219,9 +220,8 @@ func TestVerifiedInstallClearsQuarantine(t *testing.T) {
 		t.Fatalf("repair not counted: %+v", s)
 	}
 	// And it survives another scrub cleanly.
-	rep, err := l.ScrubPass()
-	if err != nil || rep.Corrupt != 0 {
-		t.Fatalf("post-repair scrub: %+v %v", rep, err)
+	if rep := scrubPass(t, l); rep.CorruptionsDetected != 0 {
+		t.Fatalf("post-repair scrub: %+v", rep)
 	}
 }
 
@@ -288,9 +288,7 @@ func TestEvictionClearsQuarantineWithoutRepairCredit(t *testing.T) {
 	if err := l.CorruptData(RootPath(), fid, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.ScrubPass(); err != nil {
-		t.Fatal(err)
-	}
+	scrubPass(t, l)
 	if !l.IsQuarantined(fid) {
 		t.Fatal("not quarantined")
 	}
@@ -311,9 +309,7 @@ func TestRepairDueAndBackoffBookkeeping(t *testing.T) {
 	if err := l.CorruptData(RootPath(), fid, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.ScrubPass(); err != nil {
-		t.Fatal(err)
-	}
+	scrubPass(t, l)
 	if due := l.RepairDue(0); len(due) != 1 || due[0].File != fid {
 		t.Fatalf("due list: %+v", due)
 	}
@@ -352,11 +348,8 @@ func TestLocalWriteDoesNotLaunderRot(t *testing.T) {
 	if _, err := f.WriteAt([]byte("hello"), 2*ChecksumBlockSize+10); err != nil {
 		t.Fatalf("write to a healthy block of the file: %v", err)
 	}
-	rep, err := l.ScrubPass()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Corrupt != 1 || !l.IsQuarantined(fid) {
+	rep := scrubPass(t, l)
+	if rep.CorruptionsDetected != 1 || !l.IsQuarantined(fid) {
 		t.Fatalf("the write laundered the rot in block 0: scrub %v, quarantined=%v", rep, l.IsQuarantined(fid))
 	}
 }

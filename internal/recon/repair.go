@@ -24,40 +24,25 @@ import (
 // or answers with a transient error leaves the entry queued under the
 // policy's backoff.  Only a round in which EVERY peer replica was reached
 // and gave a definitive refusal (no copy stored, or only a dominated
-// version) is counted as unrepairable — and even then the entry stays
-// queued, because optimistic replication says a healthy replica may yet
-// reappear.
-type RepairStats struct {
-	Attempted int // due quarantined versions a repair was attempted for
-	Repaired  int // versions healed this pass
-	Deferred  int // versions re-queued under backoff
-	GaveUp    int // rounds where every known peer definitively refused
-}
-
-// Add accumulates (aggregation across layers and hosts).
-func (s *RepairStats) Add(t RepairStats) {
-	s.Attempted += t.Attempted
-	s.Repaired += t.Repaired
-	s.Deferred += t.Deferred
-	s.GaveUp += t.GaveUp
-}
-
-// Repair runs one repair pass over local's due quarantined versions.  The
+// version) is counted as GaveUp — and even then the entry stays queued,
+// because optimistic replication says a healthy replica may yet reappear.
+//
+// In the returned Stats a healed version counts as FilesPulled and a
+// re-queued one as Deferred, so every due version is one or the other.  The
 // peers list names the volume's other replicas (self entries are skipped).
-// Like Propagate, it advances the layer's virtual daemon clock by one tick;
-// backoff schedules are measured on it.
-func Repair(local *physical.Layer, find PeerFinder, peers []ids.ReplicaID, policy retry.Policy) RepairStats {
+// Like Propagate, Repair advances the layer's virtual daemon clock by one
+// tick; backoff schedules are measured on it.
+func Repair(local *physical.Layer, find PeerFinder, peers []ids.ReplicaID, policy retry.Policy) Stats {
 	if policy.MaxAttempts == 0 && policy.BaseBackoff == 0 {
 		policy = retry.Default()
 	}
 	now := local.AdvanceDaemonTick()
-	var stats RepairStats
+	var stats Stats
 	for _, q := range local.RepairDue(now) {
-		stats.Attempted++
 		repaired, definitive := repairOne(local, find, peers, q)
 		switch {
 		case repaired:
-			stats.Repaired++
+			stats.FilesPulled++
 		case definitive:
 			// Every peer answered, none can help: note it once, keep waiting.
 			local.NoteUnrepairable(q.File)

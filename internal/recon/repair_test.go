@@ -22,7 +22,7 @@ func quarantinedReplica(t *testing.T) (local, remote *physical.Layer, fid ids.Fi
 	if err := local.CorruptData(physical.RootPath(), fid, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := local.ScrubPass(); err != nil {
+	if err := local.ScrubPass(); err != nil {
 		t.Fatal(err)
 	}
 	if !local.IsQuarantined(fid) {
@@ -36,7 +36,7 @@ func TestRepairHealsFromPeer(t *testing.T) {
 	find := func(ids.ReplicaID) Peer { return remote }
 
 	stats := Repair(local, find, []ids.ReplicaID{1, 2}, retry.Policy{})
-	if stats.Attempted != 1 || stats.Repaired != 1 || stats.Deferred != 0 || stats.GaveUp != 0 {
+	if stats.FilesPulled+stats.Deferred != 1 || stats.FilesPulled != 1 || stats.Deferred != 0 || stats.GaveUp != 0 {
 		t.Fatalf("repair stats: %+v", stats)
 	}
 	if local.IsQuarantined(fid) {
@@ -57,7 +57,7 @@ func TestRepairUnreachablePeerDefersNotGivesUp(t *testing.T) {
 	policy := retry.Policy{MaxAttempts: 3, BaseBackoff: 10, MaxBackoff: 10}
 
 	stats := Repair(local, find, []ids.ReplicaID{1, 2}, policy)
-	if stats.Attempted != 1 || stats.Deferred != 1 || stats.GaveUp != 0 || stats.Repaired != 0 {
+	if stats.FilesPulled+stats.Deferred != 1 || stats.Deferred != 1 || stats.GaveUp != 0 || stats.FilesPulled != 0 {
 		t.Fatalf("repair stats: %+v", stats)
 	}
 	if !local.IsQuarantined(fid) {
@@ -69,7 +69,7 @@ func TestRepairUnreachablePeerDefersNotGivesUp(t *testing.T) {
 	}
 	// The entry backs off: an immediately following pass skips it.
 	stats = Repair(local, find, []ids.ReplicaID{1, 2}, policy)
-	if stats.Attempted != 0 {
+	if stats.FilesPulled+stats.Deferred != 0 {
 		t.Fatalf("deferred entry re-attempted before its backoff: %+v", stats)
 	}
 }
@@ -101,7 +101,7 @@ func TestRepairDefinitiveRefusalCountsOnce(t *testing.T) {
 	if err := local.CorruptData(physical.RootPath(), fid, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := local.ScrubPass(); err != nil {
+	if err := local.ScrubPass(); err != nil {
 		t.Fatal(err)
 	}
 	find := func(ids.ReplicaID) Peer { return remote }
@@ -109,7 +109,7 @@ func TestRepairDefinitiveRefusalCountsOnce(t *testing.T) {
 	// Two rounds with backoff disabled by brute force: re-arm after each.
 	policy := retry.Policy{MaxAttempts: 1, BaseBackoff: 1}
 	stats := Repair(local, find, []ids.ReplicaID{1, 2}, policy)
-	if stats.GaveUp != 1 || stats.Deferred != 1 || stats.Repaired != 0 {
+	if stats.GaveUp != 1 || stats.Deferred != 1 || stats.FilesPulled != 0 {
 		t.Fatalf("first round: %+v", stats)
 	}
 	if !local.IsQuarantined(fid) {
@@ -133,7 +133,7 @@ func TestRepairDefersWhenPeerCopyCorruptToo(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := Repair(local, find, []ids.ReplicaID{1, 2}, retry.Policy{})
-	if stats.Repaired != 0 || stats.GaveUp != 0 || stats.Deferred != 1 {
+	if stats.FilesPulled != 0 || stats.GaveUp != 0 || stats.Deferred != 1 {
 		t.Fatalf("corrupt peer must defer, not heal or give up: %+v", stats)
 	}
 	if !local.IsQuarantined(fid) {

@@ -138,7 +138,6 @@ func (p latencyProfile) active() bool {
 // linkFaults is the per-link fault script and rates; zero value = no faults.
 type linkFaults struct {
 	failRate      float64     // probabilistic request loss
-	replyLossRate float64     // probabilistic reply loss
 	hangRate      float64     // probabilistic hung reply
 	dgramLossRate float64     // probabilistic datagram loss on this link
 	script        []FaultKind // one-shot faults, consumed FIFO by matching calls
@@ -299,14 +298,6 @@ func (n *Network) SetLinkRPCFaultRate(from, to Addr, p float64) {
 	n.linkFor(from, to).failRate = p
 }
 
-// SetLinkReplyLossRate sets a reply-loss probability for the directed link
-// from -> to, in addition to the global rate.
-func (n *Network) SetLinkReplyLossRate(from, to Addr, p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.linkFor(from, to).replyLossRate = p
-}
-
 // ScriptFaults appends one-shot faults to the directed link from -> to:
 // each subsequent matching RPC consumes (and suffers) the next scheduled
 // fault until the script is exhausted.  Deterministic by construction —
@@ -387,7 +378,7 @@ func (n *Network) rpcFaultLocked(from, to Addr) (bool, FaultKind) {
 	}
 	anyRate := n.rpcFailRate > 0 || n.replyLossRate > 0 || n.hangRate > 0
 	if lf, ok := n.links[link{from, to}]; ok {
-		anyRate = anyRate || lf.failRate > 0 || lf.replyLossRate > 0 || lf.hangRate > 0
+		anyRate = anyRate || lf.failRate > 0 || lf.hangRate > 0
 	}
 	if !anyRate {
 		return false, 0
@@ -396,9 +387,6 @@ func (n *Network) rpcFaultLocked(from, to Addr) (bool, FaultKind) {
 	lf := n.links[link{from, to}]
 	if lf.failRate > 0 && rng.Float64() < lf.failRate {
 		return true, FaultRequestLost
-	}
-	if lf.replyLossRate > 0 && rng.Float64() < lf.replyLossRate {
-		return true, FaultReplyLost
 	}
 	if n.rpcFailRate > 0 && rng.Float64() < n.rpcFailRate {
 		return true, FaultRequestLost

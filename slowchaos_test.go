@@ -110,9 +110,10 @@ func TestChaosSlowPeerConvergence(t *testing.T) {
 	}
 	var hedges, misses int
 	for h := 0; h < hosts; h++ {
-		ss := c.SlowStatsFor(h)
-		hedges += ss.Hedges
-		misses += int(ss.DeadlineMisses)
+		hedges += c.PropagationStatsFor(h).Hedges
+		for _, ph := range c.PeerHealthFor(h) {
+			misses += int(ph.DeadlineMisses)
+		}
 	}
 	if hedges == 0 {
 		t.Fatal("no hedged pulls despite a persistently slow link")
