@@ -43,11 +43,12 @@ chaos:
 # invariant checks armed: random hosts power-fail and reboot
 # mid-propagation under RPC faults, and every replica must converge from
 # its durable on-disk state (DESIGN.md §10) — and then the sweep that
-# power-fails one replica at every device write of every local mutating op,
-# and the tests that hold the physical layer's caches (DESIGN.md §16) to the
-# store: a layer kept running across a failed device write, stale directory
-# handles, a cached layer against one flushed before every op, and readers
-# racing directory moves.
+# power-fails one replica at every device write of every local mutating op
+# (among them an append that compacts the directory journal and a first
+# install), and the tests that hold the physical layer's caches (DESIGN.md
+# §16) to the store: a layer kept running across a failed device write, stale
+# directory handles, a cached layer against one flushed before every op, and
+# readers racing directory moves.
 chaos-crash:
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestChaosCrashRestartConvergence' -v .
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryLocalOp' ./internal/physical

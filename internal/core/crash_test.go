@@ -79,14 +79,18 @@ func runCrashSweepCase(t *testing.T, crashAfter int) bool {
 	// failure — so their errors are expected, not checked.  Host 0's
 	// notifications keep arriving and keep (best-effort) journaling into
 	// host 1's dying disk.  No daemon passes run in the window, so no
-	// entry is dropped and the durable-subset property must hold.
-	for i := 0; i < 4; i++ {
-		f, err := root0.Create(fmt.Sprintf("a%d", i), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := vnode.WriteFile(f, []byte(fmt.Sprintf("h0 v%d", i))); err != nil {
-			t.Fatal(err)
+	// entry is dropped and the durable-subset property must hold.  Host 1
+	// goes on for two rounds after host 0's last write: a naming op is one
+	// append, and the sweep needs its 400 offsets.
+	for i := 0; i < 6; i++ {
+		if i < 4 {
+			f, err := root0.Create(fmt.Sprintf("a%d", i), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := vnode.WriteFile(f, []byte(fmt.Sprintf("h0 v%d", i))); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if g, err := root1.Create(fmt.Sprintf("b%d", i), false); err == nil {
 			_ = vnode.WriteFile(g, []byte(fmt.Sprintf("h1 v%d", i)))

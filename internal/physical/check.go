@@ -52,7 +52,7 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 	}
 
 	// The directory's own metadata.
-	entries, err := l.readDirFileLocked(cont)
+	entries, _, err := l.readDirFileLocked(cont)
 	if err != nil {
 		report("unreadable directory contents file: %v", err)
 		return nil

@@ -1,11 +1,14 @@
 package physical
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/ids"
+	"repro/internal/ufs"
+	"repro/internal/ufsvn"
 	"repro/internal/vnode"
 	"repro/internal/vv"
 )
@@ -210,6 +213,83 @@ func TestCheckDetectsBadNlink(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("bad nlink not flagged: %v", probs)
+	}
+}
+
+// TestCorruptDirectoryRecordRemovesNothing: one flipped byte in a middle
+// record of a directory's journal fails the whole file — Check reports it and
+// names stop resolving — and Recover, which cannot judge storage without the
+// entries, removes none of it: not the files of the entries after the bad
+// record, not a subdirectory's tree.
+func TestCorruptDirectoryRecordRemovesNothing(t *testing.T) {
+	l, dev := newLayer(t, 1)
+	root, _ := l.Root()
+	for _, name := range []string{"a", "b", "c"} {
+		f, err := root.Create(name, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vnode.WriteFile(f, []byte(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub, err := root.Mkdir("sub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sub.Create("g", true); err != nil {
+		t.Fatal(err)
+	}
+	members := func(l *Layer) []string {
+		t.Helper()
+		cont, err := l.rootContainer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		err = walkContainers(cont, func(_ vnode.Vnode, ents []vnode.Dirent) error {
+			for _, e := range ents {
+				names = append(names, e.Name)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(names)
+		return names
+	}
+	before := members(l)
+
+	// b's record — name length 1, "b", no value — is the second of five.
+	cont, _ := l.containerOf(RootPath())
+	df, _ := cont.Lookup(dirFileName)
+	data, _ := vnode.ReadFile(df)
+	at := bytes.Index(data, []byte{0, 1, 'b', 0, 0}) + 2
+	if at < 2 {
+		t.Fatal("b's record is not in the root journal")
+	}
+	if _, err := df.WriteAt([]byte{'B'}, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+
+	fs, err := ufs.Mount(dev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(ufsvn.New(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := members(l2); !slices.Equal(after, before) {
+		t.Errorf("Recover changed the store:\nbefore %v\nafter  %v", before, after)
+	}
+	if probs, err := l2.Check(); err != nil || !slices.ContainsFunc(probs, func(p string) bool { return strings.Contains(p, "unreadable directory contents file") }) {
+		t.Errorf("Check of the damaged journal: %v %v", probs, err)
+	}
+	root2, _ := l2.Root()
+	if _, err := root2.Lookup("c"); err == nil {
+		t.Error("a name after the bad record resolves from a journal that does not replay")
 	}
 }
 

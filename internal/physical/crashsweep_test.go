@@ -2,6 +2,7 @@ package physical
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/ufs"
 	"repro/internal/ufsvn"
 	"repro/internal/vnode"
+	"repro/internal/vv"
 )
 
 // The crash gate for local mutations (ROADMAP item 1a): every mutating op of
@@ -352,7 +354,77 @@ func sweepOps() []sweepOp {
 			return err
 		})},
 		{name: "TruncateOverStaleSeal", inPlace: "/f0", prep: staleSeal("/f0"), run: onFile("/f0", func(f vnode.Vnode) error { return f.Truncate(100) })},
+		// The directory journal: an append that would take it past its
+		// compaction threshold replaces it with a snapshot instead; a first
+		// install writes the copy's members in place, the aux last.
+		{name: "CreateCompactsJournal", prep: fillRootJournal, run: func(l *Layer, root vnode.Vnode) error {
+			if _, err := root.Create("new", true); err != nil {
+				return err
+			}
+			return rootCompacted(l)
+		}},
+		{name: "InstallFirstCopy", prep: func(l *Layer, _ vnode.Vnode) error {
+			return l.AppendEntry(RootPath(), Entry{Name: "far", Child: sweepFar, Kind: KFile})
+		}, run: func(l *Layer, _ vnode.Vnode) error {
+			return l.InstallFileVersion(RootPath(), sweepFar, KFile, sweepPayload('x'), vv.Vector{5: 1}, 1)
+		}},
 	}
+}
+
+// sweepFar is a file the root names once InstallFirstCopy's prep has run, and
+// this replica does not store until its install.
+var sweepFar = ids.FileID{Issuer: 5, Seq: 88}
+
+// fillRootJournal churns the root directory — an entry naming a file stored
+// elsewhere, then its tombstone — until one more record the size of
+// Create("new")'s would take its journal past the compaction threshold.
+func fillRootJournal(l *Layer, _ vnode.Vnode) error {
+	cont, err := l.containerOf(RootPath())
+	if err != nil {
+		return err
+	}
+	next := len(appendRecord(nil, []Entry{{Name: "new"}}))
+	var e Entry
+	for i := 0; i < 200; i++ {
+		d, err := l.dirLocked(cont)
+		if err != nil {
+			return err
+		}
+		if d.end+next > max(2*d.snap, 4096) { // commitDirLocked's compaction rule
+			return nil
+		}
+		// Odd steps tombstone the entry the step before added, under a name
+		// as long as "new": each record is as long as the op's.
+		if i%2 == 1 {
+			e.Deleted = true
+		} else {
+			id, err := l.NextID()
+			if err != nil {
+				return err
+			}
+			e = Entry{EID: id, Name: fmt.Sprintf("g%02d", i/2), Child: ids.FileID{Issuer: 5, Seq: uint64(1000 + i)}, Kind: KFile}
+		}
+		if err := l.AppendEntry(RootPath(), e); err != nil {
+			return err
+		}
+	}
+	return errors.New("the root journal never reached its compaction threshold")
+}
+
+// rootCompacted fails unless the root directory's journal is a bare snapshot.
+func rootCompacted(l *Layer) error {
+	cont, err := l.containerOf(RootPath())
+	if err != nil {
+		return err
+	}
+	d, err := l.dirLocked(cont)
+	if err != nil {
+		return err
+	}
+	if d.end != d.snap {
+		return fmt.Errorf("the root journal is %d bytes on a %d-byte snapshot: the op did not compact it", d.end, d.snap)
+	}
+	return nil
 }
 
 // staleSeal leaves the root-directory file at path under the sidecar of an

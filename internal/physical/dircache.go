@@ -14,20 +14,23 @@ import (
 const contCacheSize, dirCacheSize = 4096, 1024
 
 // dirImage is one directory decoded.  The cache lends it: a reader, under
-// l.mu, must not change it, and a caller about to change the directory clones
-// entries.  commitDirLocked, the directory's one writer, is the image's too.
+// l.mu, must not change it, and a caller about to change the directory hands
+// commitDirLocked — the directory's one writer, and the image's — the entries
+// it changed.
 type dirImage struct {
 	entries []Entry
 	least   map[string]ids.FileID // name → the least entry id among its live entries
 	byName  map[string]int        // nameOf(entries[i]) → i+1 (a miss reads 0); of two spelt alike, the first
 	live    int                   // how many entries are live
 	attr    *Aux                  // the directory's own attributes; nil until asked for (attrOf)
+	end     int                   // the contents file's length: where the next record goes
+	snap    int                   // the length of the entries' snapshot (commitDirLocked compacts past 2×)
 	sum     uint32                // of the encoded entries as cached; FICUS_INVARIANTS only
 }
 
-// newDirImage indexes entries, which it keeps.
-func newDirImage(entries []Entry, attr *Aux) *dirImage {
-	d := &dirImage{entries: entries, attr: attr,
+// newDirImage indexes entries, which it keeps, of a contents file end bytes long.
+func newDirImage(entries []Entry, attr *Aux, end int) *dirImage {
+	d := &dirImage{entries: entries, attr: attr, end: end, snap: snapshotLen(entries),
 		least: make(map[string]ids.FileID, len(entries)), byName: make(map[string]int, len(entries))}
 	for _, e := range entries {
 		if id, ok := d.least[e.Name]; e.Live() && (!ok || eidLess(e.EID, id)) {
@@ -78,16 +81,16 @@ func (d *dirImage) attrOf(cont vnode.Vnode) (*Aux, error) {
 
 // dirLocked lends the image of the directory in container cont.  The key is
 // the container's store handle: a moved container keeps it, and one made on a
-// removed one's inode starts with a commit (newContainerLocked), which drops it.
+// removed one's inode starts by dropping it (newContainerLocked).
 func (l *Layer) dirLocked(cont vnode.Vnode) (*dirImage, error) {
 	key := cont.Handle()
 	d, ok := l.dirs.Get(key)
 	if !ok {
-		entries, err := l.readDirFileLocked(cont)
+		entries, size, err := l.readDirFileLocked(cont)
 		if err != nil {
 			return nil, err
 		}
-		d = newDirImage(entries, nil)
+		d = newDirImage(entries, nil, size)
 		l.dirs.Put(key, d)
 	} else if invariant.Enabled() && crc32.ChecksumIEEE(encodeEntries(d.entries)) != d.sum {
 		// Never checked against a re-read: chaos-scrub garbles reads on purpose.

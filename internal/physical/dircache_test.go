@@ -67,7 +67,7 @@ func TestDirImageIndexMatchesReference(t *testing.T) {
 			}
 			entries = append(entries, e)
 		}
-		d := newDirImage(entries, nil)
+		d := newDirImage(entries, nil, 0)
 		ask := slices.Clone(names)
 		live := 0
 		for i, e := range entries {

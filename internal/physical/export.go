@@ -217,24 +217,26 @@ func (l *Layer) ApplyDirMerge(dirPath []ids.FileID, remote DirState) (MergeResul
 	if err != nil {
 		return res, err
 	}
-	local := d.entries
-	byEID := make(map[ids.FileID]int, len(local))
-	for i, e := range local {
+	byEID := make(map[ids.FileID]int, len(d.entries))
+	for i, e := range d.entries {
 		byEID[e.EID] = i
 	}
-	merged := append([]Entry(nil), local...)
+	merged := slices.Clone(d.entries)
+	var changed []Entry                  // what the merge inserts or tombstones, as it meets them
 	touched := make(map[ids.FileID]bool) // children whose live-name count may have changed
 	for _, re := range remote.Entries {
 		if i, ok := byEID[re.EID]; ok {
 			if re.Deleted && merged[i].Live() {
 				merged[i].Deleted = true
 				res.Deleted++
+				changed = append(changed, merged[i])
 				touched[merged[i].Child] = true
 			}
 			continue
 		}
 		merged = append(merged, re)
 		byEID[re.EID] = len(merged) - 1
+		changed = append(changed, re)
 		// Also for an entry adopted already dead: local storage for its
 		// child may exist (the propagation daemon can install file data
 		// before the directory entry arrives) and must be reclaimed.
@@ -243,11 +245,9 @@ func (l *Layer) ApplyDirMerge(dirPath []ids.FileID, remote DirState) (MergeResul
 			res.Inserted++
 		}
 	}
-	// Deterministic on-disk order so converged replicas are byte-identical.
-	sort.Slice(merged, func(i, j int) bool { return eidLess(merged[i].EID, merged[j].EID) })
 	// The merged state covers both histories: vv := merge(local, remote).
 	covers := func(v vv.Vector) vv.Vector { return vv.Merge(v, remote.VV) }
-	if err := l.commitDirLocked(cont, merged, covers); err != nil {
+	if d, err = l.commitDirLocked(cont, d, changed, covers); err != nil {
 		return res, err
 	}
 	// Settle each touched file as a local Remove or Link would: storage no
@@ -257,16 +257,16 @@ func (l *Layer) ApplyDirMerge(dirPath []ids.FileID, remote DirState) (MergeResul
 	// order: the order of the store operations decides what the UFS caches
 	// hold, and so every counter that depends on them, and must be the same
 	// from run to run.
-	for _, e := range merged {
+	for _, e := range d.entries {
 		if !touched[e.Child] || e.Kind.IsDir() {
 			continue
 		}
 		delete(touched, e.Child)
-		if err := l.settleChildLocked(cont, merged, e.Child); err != nil {
+		if err := l.settleChildLocked(cont, d.entries, e.Child); err != nil {
 			return res, err
 		}
 	}
-	res.NameConfls = countNameConflicts(merged)
+	res.NameConfls = countNameConflicts(d.entries)
 	return res, nil
 }
 
@@ -412,14 +412,13 @@ func (l *Layer) DropTombstones(dirPath []ids.FileID, eids []ids.FileID) (int, er
 	if err != nil {
 		return 0, err
 	}
-	entries := slices.Clone(d.entries)
 	drop := make(map[ids.FileID]bool, len(eids))
 	for _, e := range eids {
 		drop[e] = true
 	}
-	kept := entries[:0]
+	kept := make([]Entry, 0, len(d.entries))
 	var dropped []Entry
-	for _, e := range entries {
+	for _, e := range d.entries {
 		if e.Deleted && drop[e.EID] {
 			dropped = append(dropped, e)
 			continue
@@ -429,7 +428,7 @@ func (l *Layer) DropTombstones(dirPath []ids.FileID, eids []ids.FileID) (int, er
 	if len(dropped) == 0 {
 		return 0, nil
 	}
-	if err := l.commitDirLocked(cont, kept, nil); err != nil {
+	if _, err := l.writeDirLocked(cont, d, kept, nil, true, nil); err != nil {
 		return len(dropped), err
 	}
 	// Reclaim what the collected tombstones were the last to name: a file's
@@ -506,7 +505,8 @@ func (l *Layer) AppendEntry(dirPath []ids.FileID, e Entry) error {
 		}
 		e.EID = eid
 	}
-	return l.commitDirLocked(cont, append(slices.Clone(d.entries), e), l.bumpVV)
+	_, err = l.commitDirLocked(cont, d, []Entry{e}, l.bumpVV)
+	return err
 }
 
 // NextID allocates a fresh unique id from this replica's sequencer (for

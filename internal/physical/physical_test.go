@@ -707,6 +707,66 @@ func TestLocalOverwriteIsSixDeviceWrites(t *testing.T) {
 	}
 }
 
+// TestNamingOpDeviceWrites pins the device writes of every naming op on
+// DESIGN.md §10.3's fixture — a fresh store, five 5 000-byte files and a
+// subdirectory, then the one op — to the table there.  The directory's share
+// is a block and the inode for the append, and as much again for attr; the
+// rest is the storage the op makes or reclaims.
+func TestNamingOpDeviceWrites(t *testing.T) {
+	for _, op := range []struct {
+		name string
+		want uint64
+		run  func(root vnode.Vnode) error
+	}{
+		{"Create", 24, func(root vnode.Vnode) error { _, err := root.Create("new", true); return err }},
+		{"Symlink", 28, func(root vnode.Vnode) error { return root.Symlink("sym", "f0") }},
+		{"Mkdir", 29, func(root vnode.Vnode) error { _, err := root.Mkdir("newdir"); return err }},
+		{"Link", 6, func(root vnode.Vnode) error {
+			f, err := root.Lookup("f0")
+			if err != nil {
+				return err
+			}
+			return root.Link("f0b", f)
+		}},
+		{"Remove", 20, func(root vnode.Vnode) error { return root.Remove("f2") }},
+		{"Rmdir", 4, func(root vnode.Vnode) error { return root.Rmdir("sub") }},
+		{"Rename within a directory", 4, func(root vnode.Vnode) error { return root.Rename("f3", root, "f3r") }},
+		{"Rename over an existing name", 20, func(root vnode.Vnode) error { return root.Rename("f3", root, "f4") }},
+		{"Rename across directories", 26, func(root vnode.Vnode) error {
+			sub, err := root.Lookup("sub")
+			if err != nil {
+				return err
+			}
+			return root.Rename("f3", sub, "f3m")
+		}},
+	} {
+		l, dev := newLayer(t, 1)
+		root, err := l.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			f, err := root.Create(fmt.Sprintf("f%d", i), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := vnode.WriteFile(f, bytes.Repeat([]byte{'a' + byte(i)}, 5000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := root.Mkdir("sub"); err != nil {
+			t.Fatal(err)
+		}
+		before := dev.Stats().Writes
+		if err := op.run(root); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if got := dev.Stats().Writes - before; got != op.want {
+			t.Errorf("%s made %d device writes, want %d", op.name, got, op.want)
+		}
+	}
+}
+
 // TestEncodeOpenLookupMatchesSprintf pins the hand-written encoder to the
 // format string it replaced, byte for byte, and to the decoder.
 func TestEncodeOpenLookupMatchesSprintf(t *testing.T) {

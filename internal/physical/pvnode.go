@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"slices"
 	"strings"
 
 	"repro/internal/ids"
@@ -241,30 +240,23 @@ func (v *pvnode) createKind(name string, excl bool, kind Kind, data string) (vno
 	}
 	// Storage first — the data file, then its aux — then the entry: a crash in
 	// between leaves members no live entry names, which Recover reclaims,
-	// never a dangling entry.
-	df, err := cont.Create(prefixData+fid.String(), true)
-	if err != nil {
+	// never a dangling entry.  So none of them needs a shadow.
+	if err := writeFresh(cont, prefixData+fid.String(), []byte(data)); err != nil {
 		return nil, err
-	}
-	if data != "" {
-		if err := vnode.WriteFile(df, []byte(data)); err != nil {
-			return nil, err
-		}
 	}
 	aux := Aux{Type: kind, Nlink: 1, VV: v.l.bumpVV(nil)}
 	if err := writeAuxFile(cont, prefixAux+fid.String(), &aux); err != nil {
 		return nil, err
 	}
-	// Seal the sidecar after the aux: every crash window leaves a missing
-	// sidecar — merely unverifiable, resealed by the scrubber — never a seal
-	// vouching for bytes it does not cover.  (The sidecar's inode also lands
-	// after the open path's F/A inodes, preserving the paper's cold-open I/O
-	// count, §6.)
-	if err := v.l.sealLocked(cont, fid, aux.VV, ComputeManifest([]byte(data))); err != nil {
+	// Seal the sidecar after the aux: every crash window leaves a missing or
+	// short sidecar — merely unverifiable, removed by Recover and resealed by
+	// the scrubber — never a seal vouching for bytes it does not cover.  (The
+	// sidecar's inode also lands after the open path's F/A inodes, preserving
+	// the paper's cold-open I/O count, §6.)
+	if err := writeFresh(cont, prefixSidecar+fid.String(), encodeSidecar(aux.VV, ComputeManifest([]byte(data)))); err != nil {
 		return nil, err
 	}
-	entries := append(slices.Clone(d.entries), Entry{EID: eid, Name: name, Child: fid, Kind: kind})
-	if err := v.l.commitDirLocked(cont, entries, v.l.bumpVV); err != nil {
+	if _, err := v.l.commitDirLocked(cont, d, []Entry{{EID: eid, Name: name, Child: fid, Kind: kind}}, v.l.bumpVV); err != nil {
 		return nil, err
 	}
 	return &pvnode{l: v.l, fid: fid, kind: kind, dirPath: v.selfPath()}, nil
@@ -309,8 +301,7 @@ func (v *pvnode) mkdirKind(name string, kind Kind, graftVol ids.VolumeHandle) (v
 	if err := v.l.newContainerLocked(cont, fid, &aux); err != nil {
 		return nil, err
 	}
-	entries := append(slices.Clone(d.entries), Entry{EID: eid, Name: name, Child: fid, Kind: kind})
-	if err := v.l.commitDirLocked(cont, entries, v.l.bumpVV); err != nil {
+	if _, err := v.l.commitDirLocked(cont, d, []Entry{{EID: eid, Name: name, Child: fid, Kind: kind}}, v.l.bumpVV); err != nil {
 		return nil, err
 	}
 	return &pvnode{l: v.l, fid: fid, kind: kind, dirPath: v.selfPath()}, nil
@@ -676,8 +667,7 @@ func (v *pvnode) removeEntry(name string, wantDir bool) error {
 	if i < 0 {
 		return vnode.ENOENT
 	}
-	entries := slices.Clone(d.entries)
-	e := entries[i]
+	e := d.entries[i]
 	if e.Kind.IsDir() != wantDir {
 		if wantDir {
 			return vnode.ENOTDIR
@@ -697,11 +687,11 @@ func (v *pvnode) removeEntry(name string, wantDir bool) error {
 			}
 		}
 	}
-	entries[i].Deleted = true
-	if err := v.l.commitDirLocked(cont, entries, v.l.bumpVV); err != nil || wantDir {
+	e.Deleted = true
+	if d, err = v.l.commitDirLocked(cont, d, []Entry{e}, v.l.bumpVV); err != nil || wantDir {
 		return err
 	}
-	return v.l.settleChildLocked(cont, entries, e.Child)
+	return v.l.settleChildLocked(cont, d.entries, e.Child)
 }
 
 // Link adds another name for target within this same directory — Ficus
@@ -734,8 +724,7 @@ func (v *pvnode) Link(name string, target vnode.Vnode) error {
 	if d.find(name) >= 0 {
 		return vnode.EEXIST
 	}
-	entries := slices.Clone(d.entries)
-	if countLiveRefs(entries, t.fid) == 0 {
+	if countLiveRefs(d.entries, t.fid) == 0 {
 		return vnode.ENOENT // the target lost its last name since it was looked up
 	}
 	eid, err := v.l.nextIDLocked()
@@ -743,11 +732,11 @@ func (v *pvnode) Link(name string, target vnode.Vnode) error {
 		return err
 	}
 	// The entry first, then the link count recounted from it.
-	entries = append(entries, Entry{EID: eid, Name: name, Child: t.fid, Kind: t.kind})
-	if err := v.l.commitDirLocked(cont, entries, v.l.bumpVV); err != nil {
+	d, err = v.l.commitDirLocked(cont, d, []Entry{{EID: eid, Name: name, Child: t.fid, Kind: t.kind}}, v.l.bumpVV)
+	if err != nil {
 		return err
 	}
-	return v.l.settleChildLocked(cont, entries, t.fid)
+	return v.l.settleChildLocked(cont, d.entries, t.fid)
 }
 
 func samePath(a, b []ids.FileID) bool {
@@ -763,10 +752,10 @@ func samePath(a, b []ids.FileID) bool {
 }
 
 // Rename commits the destination directory, then — across directories — the
-// source.  The destination's final entry list (a replaced name tombstoned,
-// the new entry in, and in one directory the old name tombstoned too) lands
-// in ONE commit, so within a directory the rename, over an existing name or
-// not, is atomic.  Across directories a crash between the two commits leaves
+// source.  The destination's changes (a replaced name tombstoned, the new
+// entry in, and in one directory the old name tombstoned too) land in ONE
+// append, so within a directory the rename, over an existing name or not, is
+// atomic.  Across directories a crash between the two commits leaves
 // both names, never neither, and storage follows the entries in an order
 // under which Recover's reclaim of unnamed storage cannot take the only copy:
 // a file's members are hard-linked into the destination (aux last: until it
@@ -795,22 +784,20 @@ func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 	if si < 0 {
 		return vnode.ENOENT
 	}
-	srcEntries := slices.Clone(src.entries)
-	e := srcEntries[si]
+	e := src.entries[si]
 	sameDir := samePath(v.selfPath(), d.selfPath())
 	if sameDir && oldName == newName {
 		return nil
 	}
-	dstCont, dst, dstEntries := srcCont, src, srcEntries
+	dstCont, dst := srcCont, src
 	if !sameDir {
 		dstCont, dst, err = d.dirStateLocked()
 		if err != nil {
 			return err
 		}
-		dstEntries = slices.Clone(dst.entries)
 	}
 	replaced := dst.find(newName)
-	if replaced >= 0 && (dstEntries[replaced].Kind.IsDir() || e.Kind.IsDir()) {
+	if replaced >= 0 && (dst.entries[replaced].Kind.IsDir() || e.Kind.IsDir()) {
 		return vnode.EEXIST
 	}
 	eid, err := v.l.nextIDLocked()
@@ -833,18 +820,24 @@ func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 			}
 		}
 	}
+	old := e
+	old.Deleted = true
+	var changed []Entry
+	var gone Entry
 	if replaced >= 0 {
-		dstEntries[replaced].Deleted = true
+		gone = dst.entries[replaced]
+		gone.Deleted = true
+		changed = append(changed, gone)
 	}
 	if sameDir {
-		dstEntries[si].Deleted = true
+		changed = append(changed, old)
 	}
-	dstEntries = append(dstEntries, Entry{EID: eid, Name: newName, Child: e.Child, Kind: e.Kind, Value: e.Value})
-	if err := v.l.commitDirLocked(dstCont, dstEntries, v.l.bumpVV); err != nil {
+	changed = append(changed, Entry{EID: eid, Name: newName, Child: e.Child, Kind: e.Kind, Value: e.Value})
+	if dst, err = v.l.commitDirLocked(dstCont, dst, changed, v.l.bumpVV); err != nil {
 		return err
 	}
 	if replaced >= 0 {
-		if err := v.l.settleChildLocked(dstCont, dstEntries, dstEntries[replaced].Child); err != nil {
+		if err := v.l.settleChildLocked(dstCont, dst.entries, gone.Child); err != nil {
 			return err
 		}
 	}
@@ -857,21 +850,20 @@ func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 			return err
 		}
 	}
-	srcEntries[si].Deleted = true
-	if err := v.l.commitDirLocked(srcCont, srcEntries, v.l.bumpVV); err != nil || e.Kind.IsDir() {
+	if src, err = v.l.commitDirLocked(srcCont, src, []Entry{old}, v.l.bumpVV); err != nil || e.Kind.IsDir() {
 		return err
 	}
 	// A source that still names the file keeps its copy, so the destination
 	// takes a private one; either way each side recounts its own names.
-	if countLiveRefs(srcEntries, e.Child) > 0 {
+	if countLiveRefs(src.entries, e.Child) > 0 {
 		if err := v.l.unshareLocked(dstCont, e.Child); err != nil {
 			return err
 		}
 	}
-	if err := v.l.settleChildLocked(srcCont, srcEntries, e.Child); err != nil {
+	if err := v.l.settleChildLocked(srcCont, src.entries, e.Child); err != nil {
 		return err
 	}
-	return v.l.settleChildLocked(dstCont, dstEntries, e.Child)
+	return v.l.settleChildLocked(dstCont, dst.entries, e.Child)
 }
 
 func (v *pvnode) Readdir() ([]vnode.Dirent, error) {
@@ -884,9 +876,11 @@ func (v *pvnode) Readdir() ([]vnode.Dirent, error) {
 	if err != nil {
 		return nil, err
 	}
-	live := liveSorted(d.entries)
-	out := make([]vnode.Dirent, 0, len(live))
-	for _, e := range live {
+	out := make([]vnode.Dirent, 0, d.live)
+	for _, e := range d.entries {
+		if !e.Live() {
+			continue
+		}
 		t := vnode.VReg
 		switch e.Kind {
 		case KDir, KGraft:

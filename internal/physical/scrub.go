@@ -35,12 +35,15 @@ func (l *Layer) ScrubPass() error {
 }
 
 func (l *Layer) scrubContainerLocked(cont vnode.Vnode, dirPath []ids.FileID) error {
-	entries, err := l.readDirFileLocked(cont)
+	entries, _, err := l.readDirFileLocked(cont)
 	if err != nil {
 		// An unreadable contents file is Check's problem, not the scrubber's.
 		return nil
 	}
-	for _, e := range liveSorted(entries) {
+	for _, e := range entries {
+		if !e.Live() {
+			continue
+		}
 		if e.Kind.IsDir() {
 			sub, err := cont.Lookup(prefixDir + e.Child.String())
 			if err != nil {

@@ -21,13 +21,14 @@ import (
 // This file is that service: atomicReplace is the commit, settleShadow the
 // recovery rule, and Recover the one mount-time walk that applies the rule
 // everywhere.  Every durable file the layer replaces as a whole — file data,
-// sidecars, directory contents files (which the paper stores as ordinary
-// files, §2.6), the volume metadata, the compacted journal — goes through
-// them; nothing is replaced by truncate-then-write.  What is overwritten in
-// place is only ever one block — an aux, a journal append — or, by a local
-// update (updateFileLocked), the file's current sidecar, whose every torn
-// prefix the seal rule makes merely unverifiable (resealInPlace), and then the
-// file's own data under the seal that made stale.
+// sidecars, a compacted directory contents file, the volume metadata, the
+// compacted journal — goes through them; nothing is replaced by
+// truncate-then-write.  What is written in place is storage no finished file
+// depends on yet (writeFresh), a directory's record appended at its end
+// (commitDirLocked), one block — an aux, a journal append — or, by a local
+// update (updateFileLocked), the file's current sidecar, whose every torn prefix
+// the seal rule makes merely unverifiable (resealInPlace), and then the file's
+// own data under the seal that made stale.
 
 // atomicReplace commits data as dir/name: the complete image is written to
 // a shadow beside name, and one rename substitutes it for the original.
@@ -41,6 +42,20 @@ func atomicReplace(dir vnode.Vnode, name string, data []byte) error {
 		return err
 	}
 	return dir.Rename(shadow, dir, name)
+}
+
+// writeFresh writes data in place as dir/name, a member of storage made aux-last
+// (attr-last): until that lands Recover disposes of it, so a shadow saves nothing.
+// A name that exists after all (a leftover, maybe a shared link) is replaced.
+func writeFresh(dir vnode.Vnode, name string, data []byte) error {
+	f, err := dir.Create(name, true)
+	if vnode.AsErrno(err) == vnode.EEXIST {
+		return atomicReplace(dir, name, data)
+	} else if err != nil || len(data) == 0 {
+		return err
+	}
+	_, err = f.WriteAt(data, 0)
+	return err
 }
 
 // shadowBase reports whether name is a commit shadow, and of which file.
@@ -188,7 +203,7 @@ func (l *Layer) recoverContainerLocked(c vnode.Vnode, ents []vnode.Dirent) error
 	if err != nil {
 		return err
 	}
-	entries, err := l.readDirFileLocked(c)
+	entries, _, err := l.readDirFileLocked(c)
 	if err != nil {
 		return nil // nothing here can be judged without the entries; Check reports
 	}
@@ -360,15 +375,20 @@ func (l *Layer) commitFileVersionLocked(cont vnode.Vnode, fid ids.FileID, attrs 
 				attrs.VV, old.VV, fid, l.replica)
 		}
 	}
+	// A first install (no aux yet) is written in place: Recover drops it until 3.
+	put := atomicReplace
+	if _, err := cont.Lookup(prefixAux + fid.String()); vnode.AsErrno(err) == vnode.ENOENT {
+		put = writeFresh
+	}
 	// 1. Commit the sidecar, sealed under the new vector.  It is stale
 	// (sealed vector != aux vector) until step 3 lands, so every crash window
 	// in between reads as "unverifiable" — the scrubber reseals — never as a
 	// false mismatch.
-	if err := l.sealLocked(cont, fid, attrs.VV, m); err != nil {
+	if err := put(cont, prefixSidecar+fid.String(), encodeSidecar(attrs.VV, m)); err != nil {
 		return err
 	}
 	// 2. Atomically substitute the complete new version for the original.
-	if err := atomicReplace(cont, prefixData+fid.String(), data); err != nil {
+	if err := put(cont, prefixData+fid.String(), data); err != nil {
 		return err
 	}
 	// 3. Record the new version vector.  A crash between 2 and 3 leaves new

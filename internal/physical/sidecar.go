@@ -28,8 +28,9 @@ package physical
 //
 // No flag is defined: the flags byte must be zero.  The block count is
 // derived from the length, so a truncated or padded sidecar fails to decode.
-// Sidecars are committed by atomicReplace like everything else, except the one
-// a local update writes over the file's current seal (resealInPlace).
+// Sidecars are committed by atomicReplace like everything else, except the
+// first of a copy, which no aux vouches for yet (writeFresh), and the one a
+// local update writes over the file's current seal (resealInPlace).
 
 import (
 	"bytes"
@@ -213,8 +214,7 @@ func readSidecar(cont vnode.Vnode, fid ids.FileID) (sidecar, error) {
 }
 
 // sealLocked commits fid's sidecar, sealing m under vector sealed (the
-// file's aux vector, current or about to be).  A first seal, installs and the
-// scrubber's reseal of an unverifiable sidecar land here.
+// file's aux vector): the scrubber's reseal of an unverifiable sidecar.
 func (l *Layer) sealLocked(cont vnode.Vnode, fid ids.FileID, sealed vv.Vector, m *BlockManifest) error {
 	return atomicReplace(cont, prefixSidecar+fid.String(), encodeSidecar(sealed, m))
 }
@@ -233,8 +233,8 @@ func (l *Layer) sealLocked(cont vnode.Vnode, fid ids.FileID, sealed vv.Vector, m
 // yet cut down to its new size has trailing bytes).  Both read as unverifiable
 // and the scrubber reseals.  A seal under the vector the aux already holds must
 // never be written this way — its first block alone would make the old
-// addresses current — so the scrubber's reseal, like every seal but this one,
-// keeps sealLocked.
+// addresses current — so the scrubber's reseal keeps sealLocked, and an
+// install over a stored copy atomicReplace.
 func resealInPlace(cont vnode.Vnode, fid ids.FileID, sealed vv.Vector, m *BlockManifest) error {
 	sf, err := cont.Create(prefixSidecar+fid.String(), false)
 	if err != nil {

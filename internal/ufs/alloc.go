@@ -155,7 +155,8 @@ func (fs *FS) bfreeLocked(bn uint32) error {
 }
 
 // iallocLocked allocates the lowest free inode, of the given type and with
-// nlink 0.
+// nlink 1 for the name its caller gives it next (dirInit sets a directory's);
+// until that lands it is unreachable, which recovery reclaims whatever nlink.
 func (fs *FS) iallocLocked(t FileType) (Ino, error) {
 	i, ok, err := fs.inoMap.nextClear(1, fs.sb.NInodes)
 	if err != nil {
@@ -168,16 +169,22 @@ func (fs *FS) iallocLocked(t FileType) (Ino, error) {
 		return 0, err
 	}
 	now := fs.tick()
-	din := dinode{Type: t, Ctime: now, Mtime: now}
+	din := dinode{Type: t, Nlink: 1, Ctime: now, Mtime: now}
 	if err := fs.writeInodeLocked(Ino(i), din); err != nil {
 		return 0, err
 	}
 	return Ino(i), nil
 }
 
-// ifreeLocked releases an inode and all its data blocks.
+// ifreeLocked releases an inode no entry names any more and its data blocks,
+// whose pointers stay on the device until the inode is zeroed: recovery
+// rebuilds the block bitmap without the unreachable inode.
 func (fs *FS) ifreeLocked(ino Ino) error {
-	if err := fs.itruncateLocked(ino, 0); err != nil {
+	din, err := fs.ic.get(ino)
+	if err != nil {
+		return err
+	}
+	if err := fs.freeBlocksLocked(&din, 0); err != nil {
 		return err
 	}
 	if err := fs.writeInodeLocked(ino, dinode{}); err != nil {

@@ -1,6 +1,7 @@
 package ufs
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/disk"
@@ -187,6 +188,27 @@ func TestWarmReadAtAllocatesNoBlock(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("a warm 4 KiB ReadAt made %v allocations, want 0", n)
+	}
+}
+
+// TestLookupMissAllocatesNoName: a lookup the DNLC cannot answer scans every
+// slot of the directory, and compares each name where it lies.
+func TestLookupMissAllocatesNoName(t *testing.T) {
+	fs, err := Mkfs(disk.New(1024), 256, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := fs.Create(fs.Root(), fmt.Sprintf("entry-%03d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := fs.Lookup(fs.Root(), "absent"); err != ErrNotExist {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a lookup that scans a 100-entry directory made %v allocations, want 0", n)
 	}
 }
 

@@ -115,8 +115,8 @@ func (fs *FS) walkTreeLocked(keep func(dir Ino, e Dirent, din dinode) (bool, err
 		}
 		reachable[dir] = true
 		var ents []Dirent
-		if err := fs.dirScanLocked(dir, func(_ uint64, ino Ino, name string) bool {
-			ents = append(ents, Dirent{Name: name, Ino: ino})
+		if err := fs.dirScanLocked(dir, func(_ uint64, ino Ino, name []byte) bool {
+			ents = append(ents, Dirent{Name: string(name), Ino: ino})
 			return false
 		}); err != nil {
 			return err

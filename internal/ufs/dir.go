@@ -20,13 +20,14 @@ type Dirent struct {
 // Slots never span blocks (dirSlotsPerBlock per block; the block tail is
 // unused), so one directory data page read resolves all names in it.
 
-func decodeSlot(p []byte) (Ino, string) {
+// decodeSlot returns the slot's inode and its name, in place: a scan passes
+// every slot, and only a caller that keeps a name makes a string of it.
+func decodeSlot(p []byte) (Ino, []byte) {
 	ino := Ino(binary.BigEndian.Uint32(p))
 	if ino == 0 {
-		return 0, ""
+		return 0, nil
 	}
-	n := int(p[4])
-	return ino, string(p[5 : 5+n])
+	return ino, p[5 : 5+int(p[4])]
 }
 
 func encodeSlot(p []byte, ino Ino, name string) {
@@ -70,8 +71,9 @@ func (fs *FS) dirInitLocked(dir, parent Ino) error {
 }
 
 // dirScanLocked iterates allocated slots, calling fn with (slotIndex, ino,
-// name); fn returns true to stop early.
-func (fs *FS) dirScanLocked(dir Ino, fn func(idx uint64, ino Ino, name string) bool) error {
+// name); fn returns true to stop early.  name is the slot's bytes, lent for
+// the call.
+func (fs *FS) dirScanLocked(dir Ino, fn func(idx uint64, ino Ino, name []byte) bool) error {
 	din, err := fs.readInodeLocked(dir)
 	if err != nil {
 		return err
@@ -117,8 +119,8 @@ func (fs *FS) dirLookupLocked(dir Ino, name string) (Ino, error) {
 		return child, nil
 	}
 	var found Ino
-	err := fs.dirScanLocked(dir, func(_ uint64, ino Ino, n string) bool {
-		if n == name {
+	err := fs.dirScanLocked(dir, func(_ uint64, ino Ino, n []byte) bool {
+		if string(n) == name {
 			found = ino
 			return true
 		}
@@ -213,8 +215,8 @@ func (fs *FS) dirRemoveLocked(dir Ino, name string) (Ino, error) {
 	}
 	var at uint64
 	var child Ino
-	err = fs.dirScanLocked(dir, func(idx uint64, ino Ino, n string) bool {
-		if n == name {
+	err = fs.dirScanLocked(dir, func(idx uint64, ino Ino, n []byte) bool {
+		if string(n) == name {
 			at, child = idx, ino
 			return true
 		}
@@ -251,8 +253,8 @@ func (fs *FS) dirRemoveLocked(dir Ino, name string) (Ino, error) {
 // dirEmptyLocked reports whether dir contains only "." and "..".
 func (fs *FS) dirEmptyLocked(dir Ino) (bool, error) {
 	empty := true
-	err := fs.dirScanLocked(dir, func(_ uint64, _ Ino, name string) bool {
-		if name != "." && name != ".." {
+	err := fs.dirScanLocked(dir, func(_ uint64, _ Ino, name []byte) bool {
+		if string(name) != "." && string(name) != ".." {
 			empty = false
 			return true
 		}
@@ -295,14 +297,6 @@ func (fs *FS) Create(dir Ino, name string) (Ino, error) {
 	}
 	ino, err := fs.iallocLocked(TypeFile)
 	if err != nil {
-		return 0, err
-	}
-	din, err := fs.readInodeLocked(ino)
-	if err != nil {
-		return 0, err
-	}
-	din.Nlink = 1
-	if err := fs.writeInodeLocked(ino, din); err != nil {
 		return 0, err
 	}
 	if err := fs.dirAddLocked(dir, name, ino); err != nil {
@@ -620,9 +614,9 @@ func (fs *FS) Readdir(dir Ino) ([]Dirent, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	var out []Dirent
-	err := fs.dirScanLocked(dir, func(_ uint64, ino Ino, name string) bool {
-		if name != "." && name != ".." {
-			out = append(out, Dirent{Name: name, Ino: ino})
+	err := fs.dirScanLocked(dir, func(_ uint64, ino Ino, name []byte) bool {
+		if string(name) != "." && string(name) != ".." {
+			out = append(out, Dirent{Name: string(name), Ino: ino})
 		}
 		return false
 	})
@@ -634,8 +628,8 @@ func (fs *FS) ReaddirAll(dir Ino) ([]Dirent, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	var out []Dirent
-	err := fs.dirScanLocked(dir, func(_ uint64, ino Ino, name string) bool {
-		out = append(out, Dirent{Name: name, Ino: ino})
+	err := fs.dirScanLocked(dir, func(_ uint64, ino Ino, name []byte) bool {
+		out = append(out, Dirent{Name: string(name), Ino: ino})
 		return false
 	})
 	return out, err

@@ -239,14 +239,6 @@ func (fs *FS) Symlink(dir Ino, name, target string) (Ino, error) {
 	if _, err := fs.writeAtLocked(ino, []byte(target), 0); err != nil {
 		return 0, err
 	}
-	din, err := fs.readInodeLocked(ino)
-	if err != nil {
-		return 0, err
-	}
-	din.Nlink = 1
-	if err := fs.writeInodeLocked(ino, din); err != nil {
-		return 0, err
-	}
 	if err := fs.dirAddLocked(dir, name, ino); err != nil {
 		_ = fs.ifreeLocked(ino)
 		return 0, err

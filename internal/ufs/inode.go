@@ -214,7 +214,35 @@ func (fs *FS) itruncateLocked(ino Ino, size uint64) error {
 		din.Mtime = fs.tick()
 		return fs.writeInodeLocked(ino, din)
 	}
-	keep := (size + BlockSize - 1) / BlockSize // file blocks to keep
+	if err := fs.freeBlocksLocked(&din, (size+BlockSize-1)/BlockSize); err != nil {
+		return err
+	}
+	// Zero the tail of the partial last block so stale bytes never
+	// resurface if the file is later extended past the new size.
+	if tail := size % BlockSize; tail != 0 {
+		bn, err := fs.blockmapLocked(&din, size/BlockSize, false)
+		if err != nil {
+			return err
+		}
+		if bn != 0 {
+			blk, err := fs.bc.read(bn)
+			if err != nil {
+				return err
+			}
+			blk = bytes.Clone(blk)
+			clear(blk[tail:])
+			if err := fs.bc.write(bn, blk); err != nil {
+				return err
+			}
+		}
+	}
+	din.Size = size
+	din.Mtime = fs.tick()
+	return fs.writeInodeLocked(ino, din)
+}
+
+// freeBlocksLocked frees din's blocks past file block keep; the caller writes din.
+func (fs *FS) freeBlocksLocked(din *dinode, keep uint64) error {
 	// Free direct blocks.
 	for i := keep; i < NDirect; i++ {
 		if din.Direct[i] != 0 {
@@ -302,28 +330,7 @@ func (fs *FS) itruncateLocked(ino Ino, size uint64) error {
 			din.DblIndirect = 0
 		}
 	}
-	// Zero the tail of the partial last block so stale bytes never
-	// resurface if the file is later extended past the new size.
-	if tail := size % BlockSize; tail != 0 {
-		bn, err := fs.blockmapLocked(&din, size/BlockSize, false)
-		if err != nil {
-			return err
-		}
-		if bn != 0 {
-			blk, err := fs.bc.read(bn)
-			if err != nil {
-				return err
-			}
-			blk = bytes.Clone(blk)
-			clear(blk[tail:])
-			if err := fs.bc.write(bn, blk); err != nil {
-				return err
-			}
-		}
-	}
-	din.Size = size
-	din.Mtime = fs.tick()
-	return fs.writeInodeLocked(ino, din)
+	return nil
 }
 
 // freeIndirectRangeLocked frees slots [start, PtrsPerBlock) of an indirect block,

@@ -6,9 +6,10 @@
 # vet and smoke test of the benchmark module (bench/, a module of its own that
 # go vet ./... and go test ./... do not reach), gofmt, the gates that keep
 # encoding/gob out of non-test code, container/list inside internal/lru,
-# whole-file writes in internal/physical behind atomicReplace and the in-place
-# sidecar reseal behind its one caller, a two-second fuzz smoke of every
-# decoder fuzz target (a package left with none fails), the gates that keep
+# whole-file writes in internal/physical behind atomicReplace, the directory
+# journal's append behind its one writer, the in-place sidecar reseal behind
+# its one caller and fresh storage behind writeFresh, a two-second fuzz smoke
+# of every decoder fuzz target (a package left with none fails), the gates that keep
 # timed benchmarks and mirrored Stats structs out of the root package, the
 # race-enabled test suite (it holds the two RPC-economy gates of the root
 # package — TestRemoteReadRPCBudget, TestFirstAvailableAsksNobodyElse — the experiment
@@ -17,8 +18,9 @@
 # vnode between goroutines while its replica is cut off and healed,
 # the suite again with runtime invariants armed (FICUS_INVARIANTS=1),
 # and the four chaos gates (chaos-crash includes the crash-at-every-write sweep
-# of the local mutating ops and the four tests that hold the physical layer's
-# caches to the store — a live layer across a failed device write, stale
+# of the local mutating ops — among them an append that compacts the directory
+# journal and a first install — and the four tests that hold the physical
+# layer's caches to the store — a live layer across a failed device write, stale
 # directory handles, cached against flushed-before-every-op, readers racing
 # directory moves; chaos-scrub the two tests that a local write does not
 # launder rot).  Each thing runs once.  Any failure stops the gate.
@@ -62,22 +64,32 @@ echo "==> no container/list outside internal/lru"
 # body starts with this import.
 test -z "$(grep -l '"container/list"' $(git ls-files '*.go' | grep -v _test.go | grep -v '^internal/lru/'))"
 
-echo "==> one whole-file writer in internal/physical"
-# atomicReplace is the one way a store file is replaced (DESIGN.md §10): the
-# only other vnode.WriteFile fills the body of a symlink no entry names yet,
-# and dir and meta are never opened for rewriting.
+echo "==> one whole-file writer and one directory append in internal/physical"
+# atomicReplace is the one way a store file is replaced (DESIGN.md §10.3): its
+# shadow is the one vnode.WriteFile.  dir is appended to by writeDirLocked
+# alone, replaced only by its atomicReplace, and written whole once more, empty,
+# by newContainerLocked as fresh storage; it is looked up only to be read and
+# appended to, and neither it nor meta is ever Created.
 phys=$(git ls-files 'internal/physical/*.go' | grep -v _test.go)
-test "$(cat $phys | grep -c 'vnode\.WriteFile(')" -eq 2
+test "$(cat $phys | grep -c 'vnode\.WriteFile(')" -eq 1
+test "$(cat $phys | grep -c 'WriteAt(rec, int64(d\.end))')" -eq 1
+test "$(sed -n '/^func (l \*Layer) writeDirLocked(/,/^}/p' internal/physical/dirfile.go | grep -c 'WriteAt(rec, int64(d\.end))\|atomicReplace(cont, dirFileName')" -eq 2
+test "$(cat $phys | grep -c 'dirFileName, ')" -eq 2
+test "$(cat $phys | grep -c 'Lookup(dirFileName)')" -eq 2
 test -z "$(grep -lE 'Create\((dirFileName|metaFileName)' $phys)"
 
-echo "==> one in-place reseal in internal/physical"
+echo "==> one in-place reseal and one fresh-storage writer in internal/physical"
 # Only a local update may overwrite a sidecar in place (DESIGN.md §10.3):
 # resealInPlace has one caller, updateFileLocked, and sealLocked (atomicReplace)
-# keeps its three — the first seal in createKind, commitFileVersionLocked and
-# the scrubber.  An install or a scrub reseal must never take the in-place arm.
+# one, the scrubber.  Storage no aux or attr vouches for yet skips the shadow
+# through writeFresh: createKind's data and first seal, newContainerLocked's
+# empty dir and commitFileVersionLocked's first install.  An install over a
+# stored copy or a scrub reseal must never take an in-place arm.
 test "$(cat $phys | grep -v '^func ' | grep -c 'resealInPlace(')" -eq 1
 test "$(sed -n '/^func (v \*pvnode) updateFileLocked(/,/^}/p' internal/physical/pvnode.go | grep -c 'resealInPlace(')" -eq 1
-test "$(cat $phys | grep -c '\.sealLocked(')" -eq 3
+test "$(cat $phys | grep -c '\.sealLocked(')" -eq 1
+test "$(cat $phys | grep -v '^func \|^\s*//' | grep -c 'writeFresh')" -eq 4
+test "$(sed -n '/^func (l \*Layer) commitFileVersionLocked(/,/^}/p' internal/physical/shadow.go | grep -c 'put = writeFresh')" -eq 1
 
 echo "==> fuzz smoke: every Fuzz* target, 2s each"
 # The seed corpora already run under go test; this catches an oracle that
