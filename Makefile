@@ -45,13 +45,16 @@ chaos:
 # its durable on-disk state (DESIGN.md §10) — and then the sweep that
 # power-fails one replica at every device write of every local mutating op
 # (among them an append that compacts the directory journal and a first
-# install), and the tests that hold the physical layer's caches (DESIGN.md
+# install), the UFS sweeps that do the same to every exported mutating call
+# and to a torn workload (DESIGN.md §16), and the tests that hold the physical
+# layer's caches (DESIGN.md
 # §16) to the store: a layer kept running across a failed device write, stale
 # directory handles, a cached layer against one flushed before every op, and
 # readers racing directory moves.
 chaos-crash:
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestChaosCrashRestartConvergence' -v .
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryLocalOp' ./internal/physical
+	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryCall|TestTornWriteAtEveryOffset' ./internal/ufs
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestLiveLayerAnswersAsStoreAfterDiskFault|TestStaleDirectoryHandles|TestCachedLayerMatchesFlushedLayer|TestReadersRaceDirectoryMoves' ./internal/physical
 
 # chaos-scrub runs the silent-corruption convergence test with invariants

@@ -315,8 +315,8 @@ func (c *controller) exec(line string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("reconciled: adopted %d entries, pulled %d files, %d conflicts\n",
-			s.EntriesAdopted, s.FilesPulled, s.Conflicts)
+		fmt.Printf("reconciled: adopted %d entries, pulled %d files, %d conflicts, %d failed passes\n",
+			s.EntriesAdopted, s.FilesPulled, s.Conflicts, s.Failures)
 		return nil
 	case "settle":
 		if err := c.cluster.Settle(20); err != nil {

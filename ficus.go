@@ -335,7 +335,7 @@ func (c *Cluster) Conflicts() []Conflict {
 
 // Resolve installs newData as the resolution of a conflict, under a version
 // vector dominating both histories so the resolution propagates like any
-// other update; the conflict log entry is cleared.  Several hosts may
+// other update; installing it clears the conflict log entry.  Several hosts may
 // report the same logical conflict: resolve each file ONCE and let the
 // resolution propagate (Settle) — issuing independent resolutions from two
 // hosts is itself a pair of concurrent updates and will re-conflict.
@@ -343,11 +343,7 @@ func (c *Cluster) Resolve(conf Conflict, newData []byte) error {
 	if conf.layer == nil {
 		return errors.New("ficus: conflict not obtained from Conflicts()")
 	}
-	if err := recon.Resolve(conf.layer, conf.inner, newData); err != nil {
-		return err
-	}
-	conf.layer.ClearConflictsFor(conf.inner.File)
-	return nil
+	return recon.Resolve(conf.layer, conf.inner, newData)
 }
 
 // Host returns low-level access to host i (for experiments).

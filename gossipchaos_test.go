@@ -444,25 +444,29 @@ func TestChaosGossipChurnConvergence(t *testing.T) {
 				t.Fatal(err)
 			}
 			rootVol := c.RootVolume()
-			treesEqual := func() bool {
-				ref := replicaTreeOf(t, c, 0, rootVol, false)
+			treesEqual := func(contents bool) bool {
+				ref := replicaTreeOf(t, c, 0, rootVol, contents)
 				for i := 1; i < hosts; i++ {
-					if replicaTreeOf(t, c, i, rootVol, false) != ref {
+					if replicaTreeOf(t, c, i, rootVol, contents) != ref {
 						return false
 					}
 				}
 				return true
 			}
-			converged := false
-			for pass := 0; pass < 240 && !converged; pass++ {
-				if _, err := c.Reconcile(); err != nil {
-					t.Fatalf("reconcile: %v", err)
+			// reconcileUntil runs budgeted passes, checking every eighth, until
+			// the trees agree by name (contents false) or by name and bytes.
+			reconcileUntil := func(contents bool) bool {
+				for pass := 0; pass < 240; pass++ {
+					if _, err := c.Reconcile(); err != nil {
+						t.Fatalf("reconcile: %v", err)
+					}
+					if pass%8 == 7 && treesEqual(contents) {
+						return true
+					}
 				}
-				if pass%8 == 7 {
-					converged = treesEqual()
-				}
+				return false
 			}
-			if !converged {
+			if !reconcileUntil(false) {
 				t.Fatalf("namespaces still diverged after 240 budgeted passes (crashes=%d)", crashes)
 			}
 
@@ -488,6 +492,9 @@ func TestChaosGossipChurnConvergence(t *testing.T) {
 			if n := len(c.Conflicts()); n != 0 {
 				t.Fatalf("%d conflicts survived resolution", n)
 			}
+			// Agreeing names do not make agreeing bytes: a host that holds a
+			// name may not have pulled its newest version yet.
+			reconcileUntil(true)
 			refFull := replicaTreeOf(t, c, 0, rootVol, true)
 			for i := 1; i < hosts; i++ {
 				if got := replicaTreeOf(t, c, i, rootVol, true); got != refFull {

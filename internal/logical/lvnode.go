@@ -221,17 +221,21 @@ func (v *lvnode) Lookup(name string) (vnode.Vnode, error) {
 
 // makeChild is Create and Mkdir: op makes the child in one copy of this directory,
 // and the vnode that replica returned is kept as the child's resolution there.
-func (v *lvnode) makeChild(name string, op func(dir vnode.Vnode) (vnode.Vnode, error)) (vnode.Vnode, error) {
+// The directory is announced only if op changed it.
+func (v *lvnode) makeChild(name string, op func(dir vnode.Vnode) (child vnode.Vnode, changed bool, err error)) (vnode.Vnode, error) {
 	if err := checkLogicalName(name); err != nil {
 		return nil, err
 	}
 	defer v.l.lockFile(v.key()).unlock()
 	err := v.writeOp(func(c candidate) (string, error) {
-		vn, err := op(c.vn)
+		vn, changed, err := op(c.vn)
 		if err != nil {
 			return "", err
 		}
 		v.l.cachePut(v.childKey(name), c.rep.ID, vn)
+		if !changed {
+			return "", nil
+		}
 		return c.vn.Handle(), nil
 	})
 	if err != nil {
@@ -240,12 +244,31 @@ func (v *lvnode) makeChild(name string, op func(dir vnode.Vnode) (vnode.Vnode, e
 	return v.child(name), nil
 }
 
+// Create without excl reuses an existing regular file, as the layers below do,
+// but asks for it on the copy that refused the exclusive create: the directory
+// did not change, so nothing is announced.
 func (v *lvnode) Create(name string, excl bool) (vnode.Vnode, error) {
-	return v.makeChild(name, func(dir vnode.Vnode) (vnode.Vnode, error) { return dir.Create(name, excl) })
+	return v.makeChild(name, func(dir vnode.Vnode) (vnode.Vnode, bool, error) {
+		vn, err := dir.Create(name, true)
+		if excl || vnode.AsErrno(err) != vnode.EEXIST {
+			return vn, true, err
+		}
+		if vn, err = dir.Lookup(name); err != nil {
+			return nil, false, err
+		}
+		a, err := vn.Getattr()
+		if err == nil && a.Type != vnode.VReg {
+			err = vnode.EEXIST
+		}
+		return vn, false, err
+	})
 }
 
 func (v *lvnode) Mkdir(name string) (vnode.Vnode, error) {
-	return v.makeChild(name, func(dir vnode.Vnode) (vnode.Vnode, error) { return dir.Mkdir(name) })
+	return v.makeChild(name, func(dir vnode.Vnode) (vnode.Vnode, bool, error) {
+		vn, err := dir.Mkdir(name)
+		return vn, true, err
+	})
 }
 
 func (v *lvnode) Symlink(name, target string) error {

@@ -625,16 +625,15 @@ func (l *Layer) ReportConflict(c Conflict) {
 	l.conflicts = append(l.conflicts, c)
 }
 
-// ClearConflictsFor drops logged conflicts on one file: reconciliation
-// calls it when the file's replicas have become comparable again (a
-// resolution dominating both histories has arrived), so the owner's log
-// reflects only live conflicts.
-func (l *Layer) ClearConflictsFor(fid ids.FileID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// settleConflictsLocked drops the logged conflicts on fid that the version it
+// now holds, under now, settles: those whose remote history it dominates (a
+// resolution, or a later version of the remote side).  The commit of a
+// version is the one place a conflict leaves the log; agreeing with some
+// other replica does not settle a conflict with this one.
+func (l *Layer) settleConflictsLocked(fid ids.FileID, now vv.Vector) {
 	kept := l.conflicts[:0]
 	for _, c := range l.conflicts {
-		if c.File != fid {
+		if c.File != fid || !now.DominatesOrEqual(c.RemoteVV) {
 			kept = append(kept, c)
 		}
 	}

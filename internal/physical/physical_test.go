@@ -718,9 +718,9 @@ func TestNamingOpDeviceWrites(t *testing.T) {
 		want uint64
 		run  func(root vnode.Vnode) error
 	}{
-		{"Create", 24, func(root vnode.Vnode) error { _, err := root.Create("new", true); return err }},
-		{"Symlink", 28, func(root vnode.Vnode) error { return root.Symlink("sym", "f0") }},
-		{"Mkdir", 29, func(root vnode.Vnode) error { _, err := root.Mkdir("newdir"); return err }},
+		{"Create", 19, func(root vnode.Vnode) error { _, err := root.Create("new", true); return err }},
+		{"Symlink", 22, func(root vnode.Vnode) error { return root.Symlink("sym", "f0") }},
+		{"Mkdir", 21, func(root vnode.Vnode) error { _, err := root.Mkdir("newdir"); return err }},
 		{"Link", 6, func(root vnode.Vnode) error {
 			f, err := root.Lookup("f0")
 			if err != nil {
@@ -728,11 +728,11 @@ func TestNamingOpDeviceWrites(t *testing.T) {
 			}
 			return root.Link("f0b", f)
 		}},
-		{"Remove", 20, func(root vnode.Vnode) error { return root.Remove("f2") }},
+		{"Remove", 16, func(root vnode.Vnode) error { return root.Remove("f2") }},
 		{"Rmdir", 4, func(root vnode.Vnode) error { return root.Rmdir("sub") }},
 		{"Rename within a directory", 4, func(root vnode.Vnode) error { return root.Rename("f3", root, "f3r") }},
-		{"Rename over an existing name", 20, func(root vnode.Vnode) error { return root.Rename("f3", root, "f4") }},
-		{"Rename across directories", 26, func(root vnode.Vnode) error {
+		{"Rename over an existing name", 16, func(root vnode.Vnode) error { return root.Rename("f3", root, "f4") }},
+		{"Rename across directories", 20, func(root vnode.Vnode) error {
 			sub, err := root.Lookup("sub")
 			if err != nil {
 				return err

@@ -400,5 +400,6 @@ func (l *Layer) commitFileVersionLocked(cont vnode.Vnode, fid ids.FileID, attrs 
 	}
 	// A verified install over a quarantined replica is its repair.
 	l.clearQuarantineLocked(fid, true)
+	l.settleConflictsLocked(fid, aux.VV)
 	return nil
 }

@@ -102,15 +102,45 @@ func TestEvictAndStoresFile(t *testing.T) {
 	checkFicusClean(t, l)
 }
 
+// TestClearConflictsFor: a logged conflict leaves the log when a version
+// committed over its file dominates the remote history it was logged against
+// (a resolution), and only then.  Both files were created here, then updated
+// here and, concurrently, at replica 2; a's resolution is installed, and b
+// gets a newer version from replica 3 that is still concurrent with 2's.
 func TestClearConflictsFor(t *testing.T) {
 	l, _ := newLayer(t, 1)
-	a := ids.FileID{Issuer: 1, Seq: 10}
-	b := ids.FileID{Issuer: 1, Seq: 11}
-	l.ReportConflict(Conflict{File: a, LocalVV: vv.New().Bump(1), RemoteVV: vv.New().Bump(2)})
-	l.ReportConflict(Conflict{File: b, LocalVV: vv.New().Bump(1), RemoteVV: vv.New().Bump(2)})
-	l.ClearConflictsFor(a)
+	root, _ := l.Root()
+	var fids []ids.FileID
+	var locals []vv.Vector
+	for _, name := range []string{"a", "b"} {
+		f, err := root.Create(name, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fid := mustFid(t, f)
+		created, err := l.FileInfo(RootPath(), fid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte("local edit"), 0); err != nil {
+			t.Fatal(err)
+		}
+		st, err := l.FileInfo(RootPath(), fid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.ReportConflict(Conflict{File: fid, Dir: RootPath(), LocalVV: st.Aux.VV, RemoteVV: created.Aux.VV.Clone().Bump(2)})
+		fids, locals = append(fids, fid), append(locals, st.Aux.VV)
+	}
+	resolution := vv.Merge(locals[0], l.Conflicts()[0].RemoteVV).Bump(1)
+	if err := l.InstallFileVersion(RootPath(), fids[0], KFile, []byte("resolved"), resolution, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.InstallFileVersion(RootPath(), fids[1], KFile, []byte("third"), locals[1].Clone().Bump(3), 1); err != nil {
+		t.Fatal(err)
+	}
 	got := l.Conflicts()
-	if len(got) != 1 || got[0].File != b {
+	if len(got) != 1 || got[0].File != fids[1] {
 		t.Fatalf("%+v", got)
 	}
 }

@@ -41,7 +41,9 @@ func faultyPeer(peer Peer, bad ids.FileID, err error) Peer {
 // outcome, and the Stats delta and conflict-log effect for an origin batch
 // (Propagate) and for a directory batch (ReconcileSubtree).  The file exists
 // on both sides, the remote holds a newer version, and an older conflict on
-// the file is already logged.
+// the file is already logged: the two sides edited it concurrently, and the
+// remote's newer version is the owner's resolution.  Only an install of that
+// version clears the conflict.
 func TestPullAndApplyEveryStatus(t *testing.T) {
 	boom := errors.New("peer-side failure")
 	theirs := vv.Vector{2: 9}
@@ -59,11 +61,11 @@ func TestPullAndApplyEveryStatus(t *testing.T) {
 		reconErr       error
 	}{
 		{name: "data", rewrite: func(*physical.PullResult) {}, kind: outInstalled,
-			propagate: Stats{FilesPulled: 1}, propConflicts: 1,
+			propagate: Stats{FilesPulled: 1}, propConflicts: 0,
 			reconcile: Stats{DirsVisited: 1, FilesPulled: 1}, reconConflicts: 0},
 		{name: "stale", rewrite: func(r *physical.PullResult) { *r = physical.PullResult{Status: physical.PullStale} }, kind: outStale,
 			propagate: Stats{}, propConflicts: 1,
-			reconcile: Stats{DirsVisited: 1}, reconConflicts: 0},
+			reconcile: Stats{DirsVisited: 1}, reconConflicts: 1},
 		{name: "concurrent", rewrite: func(r *physical.PullResult) {
 			*r = physical.PullResult{Status: physical.PullConcurrent, RemoteVV: theirs}
 		}, kind: outConflict,
@@ -87,10 +89,16 @@ func TestPullAndApplyEveryStatus(t *testing.T) {
 		local, remote := newReplica(t, 1), newReplica(t, 2)
 		write(t, remote, "f", "v1")
 		reconcileBoth(t, local, remote)
-		write(t, remote, "f", "v2")
-		fid := fidOf(t, remote, "f")
-		local.ReportConflict(physical.Conflict{File: fid, Dir: physical.RootPath(), LocalVV: vv.Vector{1: 7}, RemoteVV: vv.Vector{3: 7}})
-		return local, &scriptedPeer{Peer: remote, rewrite: rewrite}, fid
+		write(t, local, "f", "local edit")
+		write(t, remote, "f", "remote edit")
+		reconcileBoth(t, local, remote)
+		if len(local.Conflicts()) != 1 || len(remote.Conflicts()) != 1 {
+			t.Fatalf("conflict logs: local %d, remote %d", len(local.Conflicts()), len(remote.Conflicts()))
+		}
+		if err := Resolve(remote, remote.Conflicts()[0], []byte("v2")); err != nil {
+			t.Fatal(err)
+		}
+		return local, &scriptedPeer{Peer: remote, rewrite: rewrite}, fidOf(t, remote, "f")
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -67,7 +67,7 @@ type Stats struct {
 	NameRepairs    int // same-name entry pairs coexisting after auto-repair
 	Skipped        int // subtrees skipped (not stored on one side)
 	Deferred       int // propagation entries postponed (backoff or origin unavailable)
-	Failures       int // per-entry propagation attempts that failed this pass
+	Failures       int // failed this pass: per-entry pulls, or (Rescan) passes that reached their peer
 	GaveUp         int // repair rounds where every known peer definitively refused
 
 	// Slow-peer tolerance (propagation only).  All fields are scalars on
@@ -212,11 +212,7 @@ func reconcileFiles(local *physical.Layer, remote Peer, files []pullItem, stats 
 		switch out.kind {
 		case outInstalled:
 			stats.FilesPulled++
-			// The replicas are comparable again: any logged conflict on this
-			// file has been superseded (e.g. by an owner's resolution).
-			local.ClearConflictsFor(files[i].file)
-		case outStale:
-			local.ClearConflictsFor(files[i].file)
+		case outStale: // the local copy is as new: nothing to learn
 		case outConflict:
 			stats.Conflicts++
 			reportConflict(local, files[i].dir, files[i].file, out, remote, "reconciliation")

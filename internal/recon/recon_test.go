@@ -221,6 +221,77 @@ func TestConflictResolution(t *testing.T) {
 	}
 }
 
+// TestConflictOutlivesAnInSyncPeer: A's edit conflicts with B's, and C holds
+// A's.  Reconciling A with B logs the conflict; reconciling A with C, which
+// agrees with A, must leave it logged — agreeing with one replica settles
+// nothing with another.  B's owner then resolves it, and the resolution
+// clears A's log whichever way it arrives.
+func TestConflictOutlivesAnInSyncPeer(t *testing.T) {
+	for _, via := range []string{"propagation", "reconciliation"} {
+		a, b, c := newReplica(t, 1), newReplica(t, 2), newReplica(t, 3)
+		write(t, a, "f", "base")
+		reconcileBoth(t, a, b)
+		reconcileBoth(t, a, c)
+		write(t, a, "f", "a's edit")
+		write(t, b, "f", "b's edit")
+		reconcileBoth(t, c, a)
+		reconcileBoth(t, a, b)
+		if _, err := ReconcileVolume(a, c); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(a.Conflicts()); n != 1 {
+			t.Fatalf("%s: A logs %d conflicts after reconciling with an in-sync peer, want 1", via, n)
+		}
+		if err := Resolve(b, b.Conflicts()[0], []byte("resolved")); err != nil {
+			t.Fatal(err)
+		}
+		if via == "propagation" {
+			a.NoteNewVersion(physical.RootPath(), fidOf(t, b, "f"), b.Replica())
+			if _, err := PropagateOnce(a, func(ids.ReplicaID) Peer { return b }); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := ReconcileVolume(a, b); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(a.Conflicts()); n != 0 {
+			t.Fatalf("%s: A still logs %d conflicts after the resolution arrived", via, n)
+		}
+		if got, _ := read(t, a, "f"); got != "resolved" {
+			t.Fatalf("%s: A reads %q", via, got)
+		}
+	}
+}
+
+// TestRescanCountsAFailedPass: a pass that reaches its peer and then fails —
+// the peer's file does not fit the local disk — counts one in Failures and
+// none in the clean count, so a caller does not take the round for a quiet one.
+func TestRescanCountsAFailedPass(t *testing.T) {
+	fs, err := ufs.Mkfs(disk.New(256), 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := physical.Format(ufsvn.New(fs), testVol, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := newReplica(t, 2)
+	write(t, remote, "big", strings.Repeat("x", 300*ufs.BlockSize))
+	var passErr error
+	stats, clean := Rescan(local, func(ids.ReplicaID) Peer { return remote }, []ids.ReplicaID{1, 2},
+		func(_ ids.ReplicaID, reached bool, err error) {
+			if !reached {
+				t.Fatal("the peer was not reached")
+			}
+			passErr = err
+		})
+	if vnode.AsErrno(passErr) != vnode.ENOSPC {
+		t.Fatalf("pass error %v, want ENOSPC", passErr)
+	}
+	if clean != 0 || stats.Failures != 1 {
+		t.Fatalf("clean passes %d, stats %v; want 0 clean and 1 failure", clean, stats)
+	}
+}
+
 func TestDirectoryConflictAutoRepaired(t *testing.T) {
 	a, b := newReplica(t, 1), newReplica(t, 2)
 	write(t, a, "report", "from a")

@@ -14,7 +14,8 @@ import (
 // at all (the finder returned it) and, if so, how its pass ended; the
 // anti-entropy scheduler records from it which peers completed a clean pass.
 //
-// It returns the accumulated stats and how many peers completed a full
+// It returns the accumulated stats, in which each pass that reached its peer
+// and then failed counts one in Failures, and how many peers completed a full
 // pass cleanly.  The caller uses the clean count to decide whether an
 // obligation to rescan — e.g. the sweep a restarted host owes for update
 // notifications that arrived while it was down (§3.3: reconciliation
@@ -35,6 +36,8 @@ func Rescan(local *physical.Layer, find PeerFinder, peers []ids.ReplicaID, each 
 		total.Add(stats)
 		if err == nil {
 			clean++
+		} else {
+			total.Failures++
 		}
 		each(rid, true, err)
 	}

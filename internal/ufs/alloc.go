@@ -1,7 +1,6 @@
 package ufs
 
 import (
-	"bytes"
 	"fmt"
 	"math/bits"
 )
@@ -9,17 +8,21 @@ import (
 // bitsPerBlock is how many objects one bitmap block describes.
 const bitsPerBlock = BlockSize * 8
 
-// zeroBlock is what every freshly allocated block holds: cached blocks are
-// never written to (cache.go), so any number of them may share one buffer.
+// zeroBlock is what every freshly allocated block reads as until it is
+// written: cached blocks are never written to (cache.go), so any number of
+// them may share one buffer.
 var zeroBlock = make([]byte, BlockSize)
 
 // bitmap is one of the two allocation bitmaps: n bits, one per inode or per
 // block, stored little-end first from device block start on (1 = in use).
-// It is a value; fs.inoMap and fs.blkMap are the only two.
+// fs.inoMap and fs.blkMap are the only two.  A bit is set in the call's staged
+// copy of its block; a bit the call clears waits in freed until the flush, so
+// a call never reuses what it freed.
 type bitmap struct {
-	bc    *bufferCache
+	st    *stage
 	start uint32
 	n     uint32
+	freed []uint32
 }
 
 // block reads the bitmap block that holds bit i.
@@ -28,7 +31,7 @@ func (m bitmap) block(i uint32) (bn uint32, blk []byte, err error) {
 		return 0, nil, fmt.Errorf("ufs: bitmap index %d out of range %d", i, m.n)
 	}
 	bn = m.start + i/bitsPerBlock
-	blk, err = m.bc.read(bn)
+	blk, err = m.st.read(bn)
 	return bn, blk, err
 }
 
@@ -40,19 +43,34 @@ func (m bitmap) test(i uint32) (bool, error) {
 	return blk[i%bitsPerBlock/8]&(1<<(i%8)) != 0, nil
 }
 
-func (m bitmap) set(i uint32, on bool) error {
-	bn, blk, err := m.block(i)
-	if err != nil {
-		return err
+// set sets bit i now, or clears it at the flush.
+func (m *bitmap) set(i uint32, on bool) error {
+	if i >= m.n {
+		return fmt.Errorf("ufs: bitmap index %d out of range %d", i, m.n)
 	}
-	blk = bytes.Clone(blk)
-	off, mask := i%bitsPerBlock/8, byte(1)<<(i%8)
-	if on {
-		blk[off] |= mask
-	} else {
-		blk[off] &^= mask
+	if !on {
+		m.freed = append(m.freed, i)
+		return nil
 	}
-	return m.bc.write(bn, blk)
+	blk, err := m.st.modify(m.start + i/bitsPerBlock)
+	if err == nil {
+		blk[i%bitsPerBlock/8] |= 1 << (i % 8)
+	}
+	return err
+}
+
+// applyFrees clears the bits freed so far in their staged blocks.
+func (m *bitmap) applyFrees() error {
+	for len(m.freed) > 0 {
+		i := m.freed[len(m.freed)-1]
+		blk, err := m.st.modify(m.start + i/bitsPerBlock)
+		if err != nil {
+			return err
+		}
+		blk[i%bitsPerBlock/8] &^= 1 << (i % 8)
+		m.freed = m.freed[:len(m.freed)-1]
+	}
+	return nil
 }
 
 // scan reads each bitmap block overlapping bits [from, to) once, in order,
@@ -110,8 +128,8 @@ func (m bitmap) countClear(from, to uint32) (n uint32, err error) {
 	return n, err
 }
 
-// ballocLocked allocates a data block using a next-fit rotor, zero-fills it
-// and returns its number.
+// ballocLocked allocates a data block using a next-fit rotor and returns its
+// number.  The block reads as zeros until the call writes it (stage).
 func (fs *FS) ballocLocked() (uint32, error) {
 	start := fs.rotor
 	if start < fs.sb.DataStart || start >= fs.sb.NBlocks {
@@ -130,10 +148,7 @@ func (fs *FS) ballocLocked() (uint32, error) {
 	if err := fs.blkMap.set(bn, true); err != nil {
 		return 0, err
 	}
-	// Zero the block so stale contents never leak into new files.
-	if err := fs.bc.write(bn, zeroBlock); err != nil {
-		return 0, err
-	}
+	fs.st.fresh[bn] = true
 	fs.rotor = bn + 1
 	return bn, nil
 }

@@ -54,10 +54,10 @@ func (c *cache[K, V]) put(k K, v V) {
 
 func (c *cache[K, V]) drop(k K) { c.lru.Drop(k) }
 
-// bufferCache is a write-through LRU block cache.  Write-through keeps
-// crash semantics trivial (every completed write is on the device) while
-// still giving the read-path locality wins the paper's dual-mapping design
-// relies on (§2.6).
+// bufferCache is a write-through LRU block cache: what it holds is on the
+// device (a call's metadata waits in its stage, stage.go, until the call's
+// end), while the read path gets the locality wins the paper's dual-mapping
+// design relies on (§2.6).
 //
 // One rule makes it copy-free: a block in the cache is never written to.
 // read lends the cached slice itself, so a reader may only look; a caller

@@ -168,7 +168,7 @@ func (fs *FS) walkBlocks(din *dinode, fn func(bn uint32)) error {
 	}
 	if din.DblIndirect != 0 {
 		fn(din.DblIndirect)
-		blk, err := fs.bc.read(din.DblIndirect)
+		blk, err := fs.st.read(din.DblIndirect)
 		if err != nil {
 			return err
 		}
@@ -187,7 +187,7 @@ func (fs *FS) walkBlocks(din *dinode, fn func(bn uint32)) error {
 }
 
 func (fs *FS) walkIndirect(ibn uint32, fn func(bn uint32)) error {
-	blk, err := fs.bc.read(ibn)
+	blk, err := fs.st.read(ibn)
 	if err != nil {
 		return err
 	}

@@ -61,7 +61,7 @@ func (fs *FS) dirInitLocked(dir, parent Ino) error {
 	if err != nil {
 		return err
 	}
-	if err := fs.bc.write(bn, blk); err != nil {
+	if err := fs.st.write(bn, blk); err != nil {
 		return err
 	}
 	din.Size = 2 * dirSlotSize
@@ -89,7 +89,7 @@ func (fs *FS) dirScanLocked(dir Ino, fn func(idx uint64, ino Ino, name []byte) b
 		}
 		var blk []byte
 		if bn != 0 {
-			blk, err = fs.bc.read(bn)
+			blk, err = fs.st.read(bn)
 			if err != nil {
 				return err
 			}
@@ -157,7 +157,7 @@ func (fs *FS) dirAddLocked(dir Ino, name string, child Ino) error {
 				foundFree = true
 				return nil
 			}
-			blk, err := fs.bc.read(bn)
+			blk, err := fs.st.read(bn)
 			if err != nil {
 				return err
 			}
@@ -187,13 +187,13 @@ func (fs *FS) dirAddLocked(dir Ino, name string, child Ino) error {
 	if err != nil {
 		return err
 	}
-	blk, err := fs.bc.read(bn)
+	blk, err := fs.st.read(bn)
 	if err != nil {
 		return err
 	}
 	blk = bytes.Clone(blk)
 	encodeSlot(blk[off:], child, name)
-	if err := fs.bc.write(bn, blk); err != nil {
+	if err := fs.st.write(bn, blk); err != nil {
 		return err
 	}
 	if end := (idx + 1) * dirSlotSize; end > din.Size {
@@ -209,15 +209,22 @@ func (fs *FS) dirAddLocked(dir Ino, name string, child Ino) error {
 
 // dirRemoveLocked deletes the entry for name, returning the child it named.
 func (fs *FS) dirRemoveLocked(dir Ino, name string) (Ino, error) {
+	return fs.dirRepointLocked(dir, name, 0)
+}
+
+// dirRepointLocked points dir's entry for name at child, or deletes it if
+// child is 0, and returns the inode the entry named.  It rewrites the slot in
+// place, so a name it repoints is never absent, even at a crash.
+func (fs *FS) dirRepointLocked(dir Ino, name string, child Ino) (Ino, error) {
 	din, err := fs.readInodeLocked(dir)
 	if err != nil {
 		return 0, err
 	}
 	var at uint64
-	var child Ino
+	var old Ino
 	err = fs.dirScanLocked(dir, func(idx uint64, ino Ino, n []byte) bool {
 		if string(n) == name {
-			at, child = idx, ino
+			at, old = idx, ino
 			return true
 		}
 		return false
@@ -225,7 +232,7 @@ func (fs *FS) dirRemoveLocked(dir Ino, name string) (Ino, error) {
 	if err != nil {
 		return 0, err
 	}
-	if child == 0 {
+	if old == 0 {
 		return 0, ErrNotExist
 	}
 	fbn, off := slotAddr(at)
@@ -233,21 +240,29 @@ func (fs *FS) dirRemoveLocked(dir Ino, name string) (Ino, error) {
 	if err != nil {
 		return 0, err
 	}
-	blk, err := fs.bc.read(bn)
+	blk, err := fs.st.read(bn)
 	if err != nil {
 		return 0, err
 	}
 	blk = bytes.Clone(blk)
-	encodeSlot(blk[off:], 0, "")
-	if err := fs.bc.write(bn, blk); err != nil {
+	if child == 0 {
+		encodeSlot(blk[off:], 0, "")
+	} else {
+		encodeSlot(blk[off:], child, name)
+	}
+	if err := fs.st.write(bn, blk); err != nil {
 		return 0, err
 	}
 	din.Mtime = fs.tick()
 	if err := fs.writeInodeLocked(dir, din); err != nil {
 		return 0, err
 	}
-	fs.dnlc.drop(ncKey{dir, name})
-	return child, nil
+	if child == 0 {
+		fs.dnlc.drop(ncKey{dir, name})
+	} else {
+		fs.dnlc.put(ncKey{dir, name}, child)
+	}
+	return old, nil
 }
 
 // dirEmptyLocked reports whether dir contains only "." and "..".
@@ -277,9 +292,9 @@ func (fs *FS) Lookup(dir Ino, name string) (Ino, error) {
 }
 
 // Create makes a new regular file named name in dir.
-func (fs *FS) Create(dir Ino, name string) (Ino, error) {
+func (fs *FS) Create(dir Ino, name string) (_ Ino, err error) {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	defer fs.endCallLocked(&err)
 	if err := validName(name); err != nil {
 		return 0, err
 	}
@@ -307,9 +322,9 @@ func (fs *FS) Create(dir Ino, name string) (Ino, error) {
 }
 
 // Mkdir makes a new directory named name in dir.
-func (fs *FS) Mkdir(dir Ino, name string) (Ino, error) {
+func (fs *FS) Mkdir(dir Ino, name string) (_ Ino, err error) {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	defer fs.endCallLocked(&err)
 	if err := validName(name); err != nil {
 		return 0, err
 	}
@@ -351,9 +366,9 @@ func (fs *FS) Mkdir(dir Ino, name string) (Ino, error) {
 
 // Link creates a hard link to target as name in dir.  Hard links to
 // directories are rejected, as in Unix.
-func (fs *FS) Link(dir Ino, name string, target Ino) error {
+func (fs *FS) Link(dir Ino, name string, target Ino) (err error) {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	defer fs.endCallLocked(&err)
 	if err := validName(name); err != nil {
 		return err
 	}
@@ -386,9 +401,9 @@ func (fs *FS) Link(dir Ino, name string, target Ino) error {
 
 // Remove unlinks a non-directory name; when the link count drops to zero
 // the inode and its blocks are freed.
-func (fs *FS) Remove(dir Ino, name string) error {
+func (fs *FS) Remove(dir Ino, name string) (err error) {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	defer fs.endCallLocked(&err)
 	if err := validName(name); err != nil {
 		return err
 	}
@@ -415,9 +430,9 @@ func (fs *FS) Remove(dir Ino, name string) error {
 }
 
 // Rmdir removes an empty directory.
-func (fs *FS) Rmdir(dir Ino, name string) error {
+func (fs *FS) Rmdir(dir Ino, name string) (err error) {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	defer fs.endCallLocked(&err)
 	if err := validName(name); err != nil {
 		return err
 	}
@@ -458,9 +473,9 @@ func (fs *FS) Rmdir(dir Ino, name string) error {
 
 // Rename moves sdir/sname to ddir/dname.  A non-directory destination is
 // replaced atomically; directory destinations must not exist.
-func (fs *FS) Rename(sdir Ino, sname string, ddir Ino, dname string) error {
+func (fs *FS) Rename(sdir Ino, sname string, ddir Ino, dname string) (err error) {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	defer fs.endCallLocked(&err)
 	if err := validName(sname); err != nil {
 		return err
 	}
@@ -497,23 +512,24 @@ func (fs *FS) Rename(sdir Ino, sname string, ddir Ino, dname string) error {
 			p = up
 		}
 	}
-	// Handle an existing destination.
-	if old, err := fs.dirLookupLocked(ddir, dname); err == nil {
+	// An existing destination is repointed at child in place, so the name is
+	// never absent.
+	old, err := fs.dirLookupLocked(ddir, dname)
+	if err != nil && err != ErrNotExist {
+		return err
+	}
+	var odin dinode
+	if old != 0 {
+		if odin, err = fs.readInodeLocked(old); err != nil {
+			return err
+		}
 		if old == child {
 			// Same inode under both names: just drop the source entry.
 			if _, err := fs.dirRemoveLocked(sdir, sname); err != nil {
 				return err
 			}
-			odin, err := fs.readInodeLocked(old)
-			if err != nil {
-				return err
-			}
 			odin.Nlink--
 			return fs.writeInodeLocked(old, odin)
-		}
-		odin, err := fs.readInodeLocked(old)
-		if err != nil {
-			return err
 		}
 		if odin.Type == TypeDir {
 			return ErrExist
@@ -521,40 +537,34 @@ func (fs *FS) Rename(sdir Ino, sname string, ddir Ino, dname string) error {
 		if cdin.Type == TypeDir {
 			return ErrNotDir
 		}
-		if _, err := fs.dirRemoveLocked(ddir, dname); err != nil {
-			return err
-		}
-		odin.Nlink--
-		if odin.Nlink == 0 {
-			if err := fs.ifreeLocked(old); err != nil {
-				return err
-			}
-		} else if err := fs.writeInodeLocked(old, odin); err != nil {
-			return err
-		}
-	} else if err != ErrNotExist {
-		return err
 	}
-	// Keep nlink >= on-disk reference count at every crash point: bump
-	// before adding the second name, drop only after the first is gone.
-	// Otherwise recovery code removing one name would free an inode the
-	// other name still references.
-	cdin, err = fs.readInodeLocked(child)
-	if err != nil {
-		return err
-	}
+	// Count the new name before adding it, and uncount the old one only after
+	// it is gone: a rename cut short in between leaves both names, and a
+	// link count that frees the inode when one of them is removed would
+	// leave the other naming recycled storage.  (Recovery recounts what a
+	// crash leaves on the device.)
 	cdin.Nlink++
 	if err := fs.writeInodeLocked(child, cdin); err != nil {
 		return err
 	}
-	if err := fs.dirAddLocked(ddir, dname, child); err != nil {
+	if old == 0 {
+		err = fs.dirAddLocked(ddir, dname, child)
+	} else if _, err = fs.dirRepointLocked(ddir, dname, child); err == nil {
+		if odin.Nlink--; odin.Nlink == 0 {
+			err = fs.ifreeLocked(old)
+		} else {
+			err = fs.writeInodeLocked(old, odin)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	// The new name, and the directory size that shows it, reach the device
+	// before the old name is removed: a crash in between leaves both names.
+	if err := fs.flushLocked(); err != nil {
 		return err
 	}
 	if _, err := fs.dirRemoveLocked(sdir, sname); err != nil {
-		return err
-	}
-	cdin, err = fs.readInodeLocked(child)
-	if err != nil {
 		return err
 	}
 	cdin.Nlink--
@@ -563,7 +573,7 @@ func (fs *FS) Rename(sdir Ino, sname string, ddir Ino, dname string) error {
 	}
 	// Fix ".." and parent link counts when a directory changes parents.
 	if cdin.Type == TypeDir && sdir != ddir {
-		if err := fs.dirSetDotDotLocked(child, ddir); err != nil {
+		if _, err := fs.dirRepointLocked(child, "..", ddir); err != nil {
 			return err
 		}
 		sdin, err := fs.readInodeLocked(sdir)
@@ -583,29 +593,6 @@ func (fs *FS) Rename(sdir Ino, sname string, ddir Ino, dname string) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// dirSetDotDotLocked repoints the ".." entry of dir at parent.
-func (fs *FS) dirSetDotDotLocked(dir, parent Ino) error {
-	din, err := fs.readInodeLocked(dir)
-	if err != nil {
-		return err
-	}
-	bn, err := fs.blockmapLocked(&din, 0, false)
-	if err != nil {
-		return err
-	}
-	blk, err := fs.bc.read(bn)
-	if err != nil {
-		return err
-	}
-	blk = bytes.Clone(blk)
-	encodeSlot(blk[dirSlotSize:], parent, "..")
-	if err := fs.bc.write(bn, blk); err != nil {
-		return err
-	}
-	fs.dnlc.put(ncKey{dir, ".."}, parent)
 	return nil
 }
 

@@ -32,9 +32,9 @@ func (fs *FS) Stat(ino Ino) (Stat, error) {
 }
 
 // SetMode updates the informational permission bits.
-func (fs *FS) SetMode(ino Ino, mode uint16) error {
+func (fs *FS) SetMode(ino Ino, mode uint16) (err error) {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	defer fs.endCallLocked(&err)
 	din, err := fs.readInodeLocked(ino)
 	if err != nil {
 		return err
@@ -85,7 +85,7 @@ func (fs *FS) readAtLocked(ino Ino, p []byte, off int64) (int, error) {
 				p[read+i] = 0
 			}
 		} else {
-			blk, err := fs.bc.read(bn)
+			blk, err := fs.st.read(bn)
 			if err != nil {
 				return read, err
 			}
@@ -100,9 +100,9 @@ func (fs *FS) readAtLocked(ino Ino, p []byte, off int64) (int, error) {
 }
 
 // WriteAt writes p at offset off, extending the file as needed.
-func (fs *FS) WriteAt(ino Ino, p []byte, off int64) (int, error) {
+func (fs *FS) WriteAt(ino Ino, p []byte, off int64) (_ int, err error) {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	defer fs.endCallLocked(&err)
 	return fs.writeAtLocked(ino, p, off)
 }
 
@@ -135,7 +135,7 @@ func (fs *FS) writeAtLocked(ino Ino, p []byte, off int64) (int, error) {
 		if boff == 0 && chunk == BlockSize {
 			blk = make([]byte, BlockSize)
 		} else {
-			blk, err = fs.bc.read(bn)
+			blk, err = fs.st.read(bn)
 			if err != nil {
 				_ = fs.writeInodeLocked(ino, din)
 				return written, err
@@ -143,7 +143,7 @@ func (fs *FS) writeAtLocked(ino Ino, p []byte, off int64) (int, error) {
 			blk = bytes.Clone(blk)
 		}
 		copy(blk[boff:], p[written:written+chunk])
-		if err := fs.bc.write(bn, blk); err != nil {
+		if err := fs.st.write(bn, blk); err != nil {
 			_ = fs.writeInodeLocked(ino, din)
 			return written, err
 		}
@@ -160,9 +160,9 @@ func (fs *FS) writeAtLocked(ino Ino, p []byte, off int64) (int, error) {
 }
 
 // Truncate sets the file size, freeing blocks past the new end.
-func (fs *FS) Truncate(ino Ino, size uint64) error {
+func (fs *FS) Truncate(ino Ino, size uint64) (err error) {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	defer fs.endCallLocked(&err)
 	din, err := fs.readInodeLocked(ino)
 	if err != nil {
 		return err
@@ -192,10 +192,11 @@ func (fs *FS) ReadFile(ino Ino) ([]byte, error) {
 	return p[:n], nil
 }
 
-// WriteFile replaces the whole file contents.
-func (fs *FS) WriteFile(ino Ino, data []byte) error {
+// WriteFile replaces the whole file contents: data is written over the old
+// bytes, in place, and the file is cut only if it was longer.
+func (fs *FS) WriteFile(ino Ino, data []byte) (err error) {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	defer fs.endCallLocked(&err)
 	din, err := fs.readInodeLocked(ino)
 	if err != nil {
 		return err
@@ -203,20 +204,16 @@ func (fs *FS) WriteFile(ino Ino, data []byte) error {
 	if din.Type == TypeDir {
 		return ErrIsDir
 	}
-	if err := fs.itruncateLocked(ino, 0); err != nil {
+	if _, err := fs.writeAtLocked(ino, data, 0); err != nil {
 		return err
 	}
-	if len(data) == 0 {
-		return nil
-	}
-	_, err = fs.writeAtLocked(ino, data, 0)
-	return err
+	return fs.itruncateLocked(ino, uint64(len(data)))
 }
 
 // Symlink creates a symbolic link named name in dir whose target is target.
-func (fs *FS) Symlink(dir Ino, name, target string) (Ino, error) {
+func (fs *FS) Symlink(dir Ino, name, target string) (_ Ino, err error) {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	defer fs.endCallLocked(&err)
 	if err := validName(name); err != nil {
 		return 0, err
 	}
@@ -264,8 +261,7 @@ func (fs *FS) Readlink(ino Ino) (string, error) {
 	return string(p), nil
 }
 
-// Sync is a no-op: the buffer cache is write-through, so every completed
-// operation is already on the device.
+// Sync is a no-op: every completed operation is already on the device.
 func (fs *FS) Sync() error { return nil }
 
 // StatFS summarizes usage.

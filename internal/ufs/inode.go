@@ -74,7 +74,7 @@ func (fs *FS) readInodeFromDisk(ino Ino) (dinode, error) {
 	if err != nil {
 		return dinode{}, err
 	}
-	blk, err := fs.bc.read(bn)
+	blk, err := fs.st.read(bn)
 	if err != nil {
 		return dinode{}, err
 	}
@@ -95,21 +95,18 @@ func (fs *FS) readInodeLocked(ino Ino) (dinode, error) {
 	return din, nil
 }
 
-// writeInodeLocked persists the inode and refreshes the cache.
+// writeInodeLocked stages the inode for the call's flush and refreshes the
+// cache.
 func (fs *FS) writeInodeLocked(ino Ino, din dinode) error {
 	bn, off, err := fs.inodeLoc(ino)
 	if err != nil {
 		return err
 	}
-	blk, err := fs.bc.read(bn)
+	blk, err := fs.st.modify(bn)
 	if err != nil {
 		return err
 	}
-	blk = bytes.Clone(blk)
 	din.encode(blk[off : off+InodeSize])
-	if err := fs.bc.write(bn, blk); err != nil {
-		return err
-	}
 	fs.ic.put(ino, din)
 	return nil
 }
@@ -175,23 +172,28 @@ func (fs *FS) blockmapLocked(din *dinode, fbn uint64, alloc bool) (uint32, error
 // indirectSlotLocked reads slot idx of indirect block ibn, allocating a fresh
 // block into the slot when alloc is true and the slot is empty.
 func (fs *FS) indirectSlotLocked(ibn, idx uint32, alloc bool) (uint32, error) {
-	blk, err := fs.bc.read(ibn)
+	blk, err := fs.st.read(ibn)
 	if err != nil {
 		return 0, err
 	}
 	bn := binary.BigEndian.Uint32(blk[4*idx:])
 	if bn == 0 && alloc {
 		bn, err = fs.ballocLocked()
-		if err != nil {
-			return 0, err
-		}
-		blk = bytes.Clone(blk)
-		binary.BigEndian.PutUint32(blk[4*idx:], bn)
-		if err := fs.bc.write(ibn, blk); err != nil {
-			return 0, err
+		if err == nil {
+			err = fs.setSlotLocked(ibn, idx, bn)
 		}
 	}
-	return bn, nil
+	return bn, err
+}
+
+// setSlotLocked points slot idx of indirect block ibn at bn, in the call's
+// copy of the block.
+func (fs *FS) setSlotLocked(ibn, idx, bn uint32) error {
+	blk, err := fs.st.modify(ibn)
+	if err == nil {
+		binary.BigEndian.PutUint32(blk[4*idx:], bn)
+	}
+	return err
 }
 
 // itruncateLocked shrinks or grows (sparsely) the file to size bytes,
@@ -225,13 +227,13 @@ func (fs *FS) itruncateLocked(ino Ino, size uint64) error {
 			return err
 		}
 		if bn != 0 {
-			blk, err := fs.bc.read(bn)
+			blk, err := fs.st.read(bn)
 			if err != nil {
 				return err
 			}
 			blk = bytes.Clone(blk)
 			clear(blk[tail:])
-			if err := fs.bc.write(bn, blk); err != nil {
+			if err := fs.st.write(bn, blk); err != nil {
 				return err
 			}
 		}
@@ -275,12 +277,10 @@ func (fs *FS) freeBlocksLocked(din *dinode, keep uint64) error {
 		if keep > NDirect+PtrsPerBlock {
 			start = keep - NDirect - PtrsPerBlock
 		}
-		blk, err := fs.bc.read(din.DblIndirect)
+		blk, err := fs.st.read(din.DblIndirect)
 		if err != nil {
 			return err
 		}
-		blk = bytes.Clone(blk)
-		changed := false
 		allEmpty := true
 		for o := uint32(0); o < PtrsPerBlock; o++ {
 			mid := binary.BigEndian.Uint32(blk[4*o:])
@@ -300,8 +300,9 @@ func (fs *FS) freeBlocksLocked(din *dinode, keep uint64) error {
 				if err := fs.bfreeLocked(mid); err != nil {
 					return err
 				}
-				binary.BigEndian.PutUint32(blk[4*o:], 0)
-				changed = true
+				if err := fs.setSlotLocked(din.DblIndirect, o, 0); err != nil {
+					return err
+				}
 			default:
 				empty, err := fs.freeIndirectRangeLocked(mid, uint32(start-lo))
 				if err != nil {
@@ -311,16 +312,12 @@ func (fs *FS) freeBlocksLocked(din *dinode, keep uint64) error {
 					if err := fs.bfreeLocked(mid); err != nil {
 						return err
 					}
-					binary.BigEndian.PutUint32(blk[4*o:], 0)
-					changed = true
+					if err := fs.setSlotLocked(din.DblIndirect, o, 0); err != nil {
+						return err
+					}
 				} else {
 					allEmpty = false
 				}
-			}
-		}
-		if changed {
-			if err := fs.bc.write(din.DblIndirect, blk); err != nil {
-				return err
 			}
 		}
 		if allEmpty && start == 0 {
@@ -334,14 +331,13 @@ func (fs *FS) freeBlocksLocked(din *dinode, keep uint64) error {
 }
 
 // freeIndirectRangeLocked frees slots [start, PtrsPerBlock) of an indirect block,
-// reporting whether the block is now entirely empty.
+// reporting whether the block is now entirely empty.  From start 0 the caller
+// frees the block itself, so its slots are left as they are.
 func (fs *FS) freeIndirectRangeLocked(ibn, start uint32) (empty bool, err error) {
-	blk, err := fs.bc.read(ibn)
+	blk, err := fs.st.read(ibn)
 	if err != nil {
 		return false, err
 	}
-	blk = bytes.Clone(blk)
-	changed := false
 	empty = true
 	for i := uint32(0); i < PtrsPerBlock; i++ {
 		bn := binary.BigEndian.Uint32(blk[4*i:])
@@ -352,15 +348,13 @@ func (fs *FS) freeIndirectRangeLocked(ibn, start uint32) (empty bool, err error)
 			if err := fs.bfreeLocked(bn); err != nil {
 				return false, err
 			}
-			binary.BigEndian.PutUint32(blk[4*i:], 0)
-			changed = true
+			if start > 0 {
+				if err := fs.setSlotLocked(ibn, i, 0); err != nil {
+					return false, err
+				}
+			}
 		} else {
 			empty = false
-		}
-	}
-	if changed {
-		if err := fs.bc.write(ibn, blk); err != nil {
-			return false, err
 		}
 	}
 	return empty, nil

@@ -1,19 +1,26 @@
 package ufs
 
-// Mount-time crash recovery.  The allocator write orderings guarantee that
-// a crash can only leak resources or leave counters stale — never corrupt
-// reachable data:
+// Mount-time crash recovery.  A call writes its data and directory blocks
+// first, then, once each at its end (stage.go), the blocks it allocated,
+// its indirect blocks, its inode-table blocks and last its bitmaps.  So a
+// crash can leave entries naming inodes not yet written, inodes and blocks
+// the bitmaps do not show yet, bits of storage already let go, and link
+// counts behind their names — never reachable data pointing at a block that
+// does not hold its contents:
 //
-//   - ialloc sets the inode bitmap bit before initializing the inode, so a
-//     crash between the two leaves an allocated-but-free ghost bit;
-//   - balloc grabs the block bitmap bit before the block is attached to any
-//     inode, so a crash leaves allocated-but-unreferenced blocks;
-//   - the remove/free paths detach directory entries before releasing the
-//     inode and zero the inode before clearing its bitmap bit, so a crash
-//     leaves unreachable inodes or ghost bits — never a live entry naming
-//     recycled storage.
+//   - a directory entry lands before the inode it names is initialized, so
+//     a crash between the two leaves an entry naming a free inode;
+//   - a block's contents (zeros for one nothing wrote) land before any
+//     indirect block or inode points at it, and its bitmap bit after, so a
+//     crash leaves referenced blocks marked free or, with the pointer not yet
+//     written either, nothing at all;
+//   - the remove/free paths detach directory entries before the inode is
+//     zeroed and zero the inode before its bits are cleared, so a crash
+//     leaves unreachable inodes or bits set for storage nothing uses — never
+//     a live entry naming recycled storage; and a call never reuses what it
+//     freed, because the bits are cleared only at its end.
 //
-// recoverLocked undoes exactly those leaks, in the same order fsck would:
+// recoverLocked repairs exactly those states, in the same order fsck would:
 // drop directory entries that point at free inodes, reclaim inodes
 // unreachable from the root, reset link counts to the surviving reference
 // counts, and rebuild both allocation bitmaps from the inode table.  After
@@ -98,8 +105,8 @@ func (fs *FS) recoverLocked() error {
 
 // Recover runs crash recovery on a mounted filesystem (see recoverLocked).
 // Mount invokes it automatically; it is exported so tests can re-run it.
-func (fs *FS) Recover() error {
+func (fs *FS) Recover() (err error) {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	defer fs.endCallLocked(&err)
 	return fs.recoverLocked()
 }

@@ -53,7 +53,10 @@ func TestRecoverRepairsLeaks(t *testing.T) {
 	if err := fs.writeInodeLocked(ino, din); err != nil {
 		t.Fatal(err)
 	}
-	fs.mu.Unlock()
+	fs.endCallLocked(&err)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if problems, err := fs.Check(); err != nil || len(problems) == 0 {
 		t.Fatalf("planted corruption not visible to Check: %v, %v", problems, err)
@@ -138,7 +141,10 @@ func TestCheckAndRecoverAgreeOnDamagedTree(t *testing.T) {
 	if err := fs.writeInodeLocked(file, din); err != nil {
 		t.Fatal(err)
 	}
-	fs.mu.Unlock()
+	fs.endCallLocked(&err)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	wrongDot := fmt.Sprintf("dir %d: \".\" points at %d", sub, other)
 	problems, err := fs.Check()

@@ -157,6 +157,7 @@ type FS struct {
 	dev   *disk.Device
 	sb    superblock
 	bc    *bufferCache
+	st    *stage // what the current call has changed (stage.go)
 	ic    *inodeCache
 	dnlc  *nameCache
 	rotor uint32 // next-fit hint for block allocation
@@ -257,6 +258,9 @@ func Mkfs(dev *disk.Device, ninodes int, opts *Options) (*FS, error) {
 	if err := fs.dirInitLocked(ino, ino); err != nil {
 		return nil, err
 	}
+	if err := fs.flushLocked(); err != nil {
+		return nil, err
+	}
 	return fs, nil
 }
 
@@ -292,9 +296,10 @@ func newFS(dev *disk.Device, sb superblock, opts *Options) *FS {
 		bc:   newBufferCache(dev, o.BufferCacheBlocks, !o.DisableCaches),
 		dnlc: newNameCache(o.DNLCEntries, !o.DisableCaches),
 	}
+	fs.st = newStage(fs.bc, sb.DataStart)
 	fs.ic = newInodeCache(fs, o.InodeCacheEntries, !o.DisableCaches)
-	fs.inoMap = bitmap{fs.bc, sb.InoBmapStart, sb.NInodes}
-	fs.blkMap = bitmap{fs.bc, sb.BlkBmapStart, sb.NBlocks}
+	fs.inoMap = bitmap{st: fs.st, start: sb.InoBmapStart, n: sb.NInodes}
+	fs.blkMap = bitmap{st: fs.st, start: sb.BlkBmapStart, n: sb.NBlocks}
 	fs.rotor = sb.DataStart
 	return fs
 }

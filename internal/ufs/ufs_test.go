@@ -218,7 +218,7 @@ func TestTruncateGrowIsSparse(t *testing.T) {
 	before, _ := fs.Statfs()
 	fs.mu.Lock()
 	err = fs.itruncateLocked(ino, 50*BlockSize)
-	fs.mu.Unlock()
+	fs.endCallLocked(&err)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -788,8 +788,11 @@ func TestCheckDetectsCorruption(t *testing.T) {
 	fs.mu.Lock()
 	din, _ := fs.readInodeLocked(ino)
 	din.Nlink = 7
-	fs.writeInodeLocked(ino, din)
-	fs.mu.Unlock()
+	err := fs.writeInodeLocked(ino, din)
+	fs.endCallLocked(&err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	probs, err := fs.Check()
 	if err != nil {
 		t.Fatal(err)

@@ -93,14 +93,21 @@ func ReadFile(v Vnode) ([]byte, error) {
 	return p[:n], nil
 }
 
-// WriteFile replaces the entire contents of a file vnode.
+// WriteFile replaces the entire contents of a file vnode with one update: the
+// data is written over the old bytes, and the file is cut only if it was
+// longer.
 func WriteFile(v Vnode, data []byte) error {
-	if err := v.Truncate(0); err != nil {
+	a, err := v.Getattr()
+	if err != nil {
 		return err
 	}
-	if len(data) == 0 {
-		return nil
+	if len(data) > 0 {
+		if _, err := v.WriteAt(data, 0); err != nil {
+			return err
+		}
 	}
-	_, err := v.WriteAt(data, 0)
-	return err
+	if a.Size > uint64(len(data)) {
+		return v.Truncate(uint64(len(data)))
+	}
+	return nil
 }

@@ -8,7 +8,8 @@
 # encoding/gob out of non-test code, container/list inside internal/lru,
 # whole-file writes in internal/physical behind atomicReplace, the directory
 # journal's append behind its one writer, the in-place sidecar reseal behind
-# its one caller and fresh storage behind writeFresh, a two-second fuzz smoke
+# its one caller and fresh storage behind writeFresh, internal/ufs's metadata
+# blocks behind the end-of-call flush, a two-second fuzz smoke
 # of every decoder fuzz target (a package left with none fails), the gates that keep
 # timed benchmarks and mirrored Stats structs out of the root package, the
 # race-enabled test suite (it holds the two RPC-economy gates of the root
@@ -19,7 +20,8 @@
 # the suite again with runtime invariants armed (FICUS_INVARIANTS=1),
 # and the four chaos gates (chaos-crash includes the crash-at-every-write sweep
 # of the local mutating ops — among them an append that compacts the directory
-# journal and a first install — and the four tests that hold the physical
+# journal and a first install — the UFS sweeps of every exported mutating call
+# and of a torn workload, and the four tests that hold the physical
 # layer's caches to the store — a live layer across a failed device write, stale
 # directory handles, cached against flushed-before-every-op, readers racing
 # directory moves; chaos-scrub the two tests that a local write does not
@@ -91,6 +93,18 @@ test "$(cat $phys | grep -c '\.sealLocked(')" -eq 1
 test "$(cat $phys | grep -v '^func \|^\s*//' | grep -c 'writeFresh')" -eq 4
 test "$(sed -n '/^func (l \*Layer) commitFileVersionLocked(/,/^}/p' internal/physical/shadow.go | grep -c 'put = writeFresh')" -eq 1
 
+echo "==> metadata blocks written only by the end-of-call flush in internal/ufs"
+# A call changes bitmap, inode-table and indirect blocks in its stage, and the
+# flush writes each once at its end (DESIGN.md §16): bc.write has two callers,
+# the flush and the write-through of data and directory blocks (held by
+# FICUS_INVARIANTS to blocks that are neither metadata nor staged), and each
+# of the twelve exported mutating calls ends in the flush.
+ufs=$(git ls-files 'internal/ufs/*.go' | grep -v _test.go)
+test "$(cat $ufs | grep -c 'bc\.write(')" -eq 2
+test "$(sed -n '/^func (s \*stage) flush(/,/^}/p' internal/ufs/stage.go | grep -c 'bc\.write(')" -eq 1
+test "$(sed -n '/^func (s \*stage) write(/,/^}/p' internal/ufs/stage.go | grep -c 'bc\.write(')" -eq 1
+test "$(cat $ufs | grep -c 'defer fs\.endCallLocked(&err)')" -eq 12
+
 echo "==> fuzz smoke: every Fuzz* target, 2s each"
 # The seed corpora already run under go test; this catches an oracle that
 # only holds on the seeds.  go test -fuzz takes one target of one package.
@@ -129,6 +143,7 @@ FICUS_INVARIANTS=1 go test -count=1 ./...
 echo "==> make chaos-crash"
 FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestChaosCrashRestartConvergence' .
 FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryLocalOp' ./internal/physical
+FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryCall|TestTornWriteAtEveryOffset' ./internal/ufs
 FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestLiveLayerAnswersAsStoreAfterDiskFault|TestStaleDirectoryHandles|TestCachedLayerMatchesFlushedLayer|TestReadersRaceDirectoryMoves' ./internal/physical
 
 echo "==> make chaos-scrub"
