@@ -34,54 +34,57 @@ race:
 invariants:
 	FICUS_INVARIANTS=1 $(GO) test -count=1 ./...
 
-# chaos runs the whole-system property tests, including the flaky-link
-# variant that keeps the fault plane enabled through final convergence.
+# chaos runs the rows of TestChaos (scenario_test.go, DESIGN.md §7.1) that
+# have no target of their own — convergence under partitions, flaky-links
+# with the fault plane kept on through final convergence, and composed, every
+# fault plane at once — with invariants armed, plus the tests that the event
+# lists replay deterministically and that the shrinker finds a minimal list.
 chaos:
-	$(GO) test -race -run 'TestChaos' -v .
+	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run '^TestChaos$$/^(convergence|flaky-links|composed)$$' -v .
+	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run '^(TestChaosDeterministic|TestShrinkFindsThePair)$$' -v .
 
-# chaos-crash runs the crash–restart convergence test with the runtime
-# invariant checks armed: random hosts power-fail and reboot
-# mid-propagation under RPC faults, and every replica must converge from
-# its durable on-disk state (DESIGN.md §10) — and then the sweep that
-# power-fails one replica at every device write of every local mutating op
-# (among them an append that compacts the directory journal and a first
-# install), the UFS sweeps that do the same to every exported mutating call
-# and to a torn workload (DESIGN.md §16), and the tests that hold the physical
-# layer's caches (DESIGN.md
-# §16) to the store: a layer kept running across a failed device write, stale
-# directory handles, a cached layer against one flushed before every op, and
-# readers racing directory moves.
+# chaos-crash runs TestChaos's crash row with the runtime invariant checks
+# armed: random hosts power-fail and reboot mid-propagation under RPC
+# faults, and every replica must converge from its durable on-disk state
+# (DESIGN.md §10) — and then the sweep that power-fails one replica at every
+# device write of every local mutating op (among them an append that
+# compacts the directory journal and a first install), the UFS sweeps that
+# do the same to every exported mutating call and to a torn workload
+# (DESIGN.md §16), and the tests that hold the physical layer's caches
+# (DESIGN.md §16) to the store: a layer kept running across a failed device
+# write, stale directory handles, a cached layer against one flushed before
+# every op, and readers racing directory moves.
 chaos-crash:
-	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestChaosCrashRestartConvergence' -v .
+	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run '^TestChaos$$/^crash$$' -v .
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryLocalOp' ./internal/physical
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryCall|TestTornWriteAtEveryOffset' ./internal/ufs
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestLiveLayerAnswersAsStoreAfterDiskFault|TestStaleDirectoryHandles|TestCachedLayerMatchesFlushedLayer|TestReadersRaceDirectoryMoves' ./internal/physical
 
-# chaos-scrub runs the silent-corruption convergence test with invariants
-# armed: at-rest bit rot lands on random replicas while hosts crash under
-# RPC faults, and the scrubber must detect, quarantine, and heal every
+# chaos-scrub runs TestChaos's scrub row with invariants armed: at-rest bit
+# rot lands on random replicas while hosts crash under RPC faults, and the
+# scrubber must detect, quarantine, and heal every
 # damaged copy from a peer with zero wrong-bytes files (DESIGN.md §11) — and
 # then the two tests that a local write neither launders rot it did not touch
 # nor builds on rot it did.
 chaos-scrub:
-	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestChaosScrubConvergence' -v .
+	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run '^TestChaos$$/^scrub$$' -v .
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestLocalWriteDoesNotLaunderRot|TestPartialOverwriteOfRottedBlockQuarantines' ./internal/physical
 
-# chaos-slow runs the slow-peer convergence test with invariants armed:
+# chaos-slow runs TestChaos's slow row with invariants armed:
 # heavy-tailed latency on every link, one persistently slow link forcing
 # hedged pulls, and one peer that hangs mid-run — accepts RPCs, runs the
 # handlers, never replies.  Propagation must stay within its per-pass tick
 # budget throughout and converge once the peer answers (DESIGN.md §14).
 chaos-slow:
-	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestChaosSlowPeerConvergence' -v .
+	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run '^TestChaos$$/^slow$$' -v .
 
-# chaos-gossip runs the large-cluster churn test with invariants armed:
+# chaos-gossip runs TestChaos's gossip row with invariants armed:
 # 256 hosts on the epidemic notification plane (fanout 3, TTL 6) under
 # crashes, shifting partitions, lossy links, and replica-set churn, three
 # seeds; budgeted anti-entropy must converge every replica to the identical
 # tree with origin notification cost held at O(fanout) (DESIGN.md §15).
 chaos-gossip:
-	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -timeout 2400s -run 'TestChaosGossipChurnConvergence' -v .
+	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -timeout 2400s -run '^TestChaos$$/^gossip$$' -v .
 
 # check is the full gate: static analysis plus the race-enabled suite.
 check: vet lint race invariants

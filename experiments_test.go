@@ -315,9 +315,9 @@ func TestE15GossipScale(t *testing.T) {
 					}
 				}
 				converged := func() bool {
-					ref := replicaTreeOf(t, c, 0, c.RootVolume(), false)
+					ref := treeOf(t, c, 0, false)
 					for h := 1; h < n; h++ {
-						if replicaTreeOf(t, c, h, c.RootVolume(), false) != ref {
+						if treeOf(t, c, h, false) != ref {
 							return false
 						}
 					}

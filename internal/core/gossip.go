@@ -29,6 +29,7 @@ package core
 // first-seen semantics under at-least-once links.
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/ids"
@@ -96,7 +97,11 @@ type rumorKey struct {
 // ConfigureGossip installs the gossip/scheduler settings; they govern every
 // subsequent update announcement and reconciliation pass.  Like the
 // slow-peer settings this is kernel configuration, so it survives a crash.
+// TTL is clamped here, once, to what a notification's one-byte Hops field
+// carries, so the notifier's stamp can neither wrap a large budget to zero
+// nor a negative one to 255.
 func (h *Host) ConfigureGossip(cfg GossipConfig) {
+	cfg.TTL = min(max(cfg.TTL, 0), math.MaxUint8)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.gossip = cfg

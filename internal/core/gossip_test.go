@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -103,11 +104,18 @@ func TestRumorSuppression(t *testing.T) {
 
 // TestGossipRelayReachesAll drives a real update through a fanout-1 relay
 // chain: with 4 hosts, fanout 1 and TTL 3, the origin notifies one peer and
-// relays must carry the rumor to the remaining two.
+// relays must carry the rumor to the remaining two.  A TTL past the one-byte
+// hop field (256) is clamped to 255, not wrapped to 0.
 func TestGossipRelayReachesAll(t *testing.T) {
+	for _, ttl := range []int{3, 256} {
+		t.Run(fmt.Sprintf("ttl=%d", ttl), func(t *testing.T) { testGossipRelayReachesAll(t, ttl) })
+	}
+}
+
+func testGossipRelayReachesAll(t *testing.T, ttl int) {
 	c := newCluster(t, 4)
 	for _, h := range c.hosts {
-		h.ConfigureGossip(GossipConfig{Fanout: 1, TTL: 3})
+		h.ConfigureGossip(GossipConfig{Fanout: 1, TTL: ttl})
 	}
 	root := c.mount(t, 0)
 	f, err := root.Create("f", true)
@@ -140,11 +148,18 @@ func TestGossipRelayReachesAll(t *testing.T) {
 }
 
 // TestGossipTTLZeroNoRelay: TTL 0 means direct fanout only — receivers
-// record the expired budget and relay nothing.
+// record the expired budget and relay nothing.  A negative TTL is clamped to
+// 0, not wrapped to 255.
 func TestGossipTTLZeroNoRelay(t *testing.T) {
+	for _, ttl := range []int{0, -1} {
+		t.Run(fmt.Sprintf("ttl=%d", ttl), func(t *testing.T) { testGossipTTLZeroNoRelay(t, ttl) })
+	}
+}
+
+func testGossipTTLZeroNoRelay(t *testing.T, ttl int) {
 	c := newCluster(t, 4)
 	for _, h := range c.hosts {
-		h.ConfigureGossip(GossipConfig{Fanout: 1, TTL: 0})
+		h.ConfigureGossip(GossipConfig{Fanout: 1, TTL: ttl})
 	}
 	root := c.mount(t, 0)
 	f, err := root.Create("f", true)

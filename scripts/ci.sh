@@ -3,9 +3,8 @@
 #
 # Runs, in order: build, ficusvet (the six repo-specific analyzers —
 # determinism, vvalias, errclass, heldlocks, lockorder, duraberr), go vet,
-# vet and smoke test of the benchmark module (bench/, a module of its own that
-# go vet ./... and go test ./... do not reach), gofmt, the gates that keep
-# encoding/gob out of non-test code, container/list inside internal/lru,
+# gofmt, the gates that keep encoding/gob out of non-test code,
+# container/list inside internal/lru,
 # whole-file writes in internal/physical behind atomicReplace, the directory
 # journal's append behind its one writer, the in-place sidecar reseal behind
 # its one caller and fresh storage behind writeFresh, internal/ufs's metadata
@@ -18,14 +17,20 @@
 # internal/logical), ten more rounds of the one that shares an opened
 # vnode between goroutines while its replica is cut off and healed,
 # the suite again with runtime invariants armed (FICUS_INVARIANTS=1),
-# and the four chaos gates (chaos-crash includes the crash-at-every-write sweep
+# the chaos rows of make chaos (convergence, flaky-links and the composed row
+# that turns every fault plane on at once, with the shrinker's and the
+# determinism tests), the four chaos gates — each a row of TestChaos,
+# selected by subtest name (chaos-crash includes the crash-at-every-write sweep
 # of the local mutating ops — among them an append that compacts the directory
 # journal and a first install — the UFS sweeps of every exported mutating call
 # and of a torn workload, and the four tests that hold the physical
 # layer's caches to the store — a live layer across a failed device write, stale
 # directory handles, cached against flushed-before-every-op, readers racing
 # directory moves; chaos-scrub the two tests that a local write does not
-# launder rot).  Each thing runs once.  Any failure stops the gate.
+# launder rot) — and last the vet and smoke test of the benchmark module
+# (bench/, a module of its own that go vet ./... and go test ./... do not
+# reach), so that a red benchmark smoke test stops no product gate.  Each
+# thing runs once.  Any failure stops the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -45,11 +50,6 @@ fi
 
 echo "==> go vet ./..."
 go vet ./...
-
-echo "==> bench module: go vet . && go test ."
-# The benchmark compiles against this module's exported and internal names;
-# this is what keeps a refactor from silently breaking it.
-(cd bench && go vet . && go test -count=1 .)
 
 echo "==> gofmt -l"
 # The analyzers' testdata holds deliberately odd fixtures; everything else
@@ -140,20 +140,29 @@ go test -race -count=10 -run 'TestSharedOpenVnodeUnderChurn|TestConcurrentFirstO
 echo "==> FICUS_INVARIANTS=1 go test ./..."
 FICUS_INVARIANTS=1 go test -count=1 ./...
 
+echo "==> make chaos"
+FICUS_INVARIANTS=1 go test -race -count=1 -run '^TestChaos$/^(convergence|flaky-links|composed)$' .
+FICUS_INVARIANTS=1 go test -race -count=1 -run '^(TestChaosDeterministic|TestShrinkFindsThePair)$' .
+
 echo "==> make chaos-crash"
-FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestChaosCrashRestartConvergence' .
+FICUS_INVARIANTS=1 go test -race -count=1 -run '^TestChaos$/^crash$' .
 FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryLocalOp' ./internal/physical
 FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryCall|TestTornWriteAtEveryOffset' ./internal/ufs
 FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestLiveLayerAnswersAsStoreAfterDiskFault|TestStaleDirectoryHandles|TestCachedLayerMatchesFlushedLayer|TestReadersRaceDirectoryMoves' ./internal/physical
 
 echo "==> make chaos-scrub"
-FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestChaosScrubConvergence' .
+FICUS_INVARIANTS=1 go test -race -count=1 -run '^TestChaos$/^scrub$' .
 FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestLocalWriteDoesNotLaunderRot|TestPartialOverwriteOfRottedBlockQuarantines' ./internal/physical
 
 echo "==> make chaos-slow"
-FICUS_INVARIANTS=1 go test -race -count=1 -run 'TestChaosSlowPeerConvergence' .
+FICUS_INVARIANTS=1 go test -race -count=1 -run '^TestChaos$/^slow$' .
 
 echo "==> make chaos-gossip"
-FICUS_INVARIANTS=1 go test -race -count=1 -timeout 2400s -run 'TestChaosGossipChurnConvergence' .
+FICUS_INVARIANTS=1 go test -race -count=1 -timeout 2400s -run '^TestChaos$/^gossip$' .
+
+echo "==> bench module: go vet . && go test ."
+# The benchmark compiles against this module's exported and internal names;
+# this is what keeps a refactor from silently breaking it.
+(cd bench && go vet . && go test -count=1 .)
 
 echo "==> ci gate passed"
