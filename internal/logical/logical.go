@@ -103,6 +103,7 @@ type rcKey struct {
 type rcEntry struct {
 	vn    vnode.Vnode
 	stamp uint64
+	plain bool // a Getattr of vn said it is no graft point, which its fid keeps (§4.3)
 }
 
 // Options configures a logical layer.
@@ -170,6 +171,27 @@ func (l *Layer) cachePut(path string, rep ids.ReplicaID, vn vnode.Vnode) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.rcache.Put(rcKey{path, rep}, rcEntry{vn: vn, stamp: l.clock})
+}
+
+// cachePlain reports whether vn is path's cached resolution on rep and known
+// to be no graft point.
+func (l *Layer) cachePlain(path string, rep ids.ReplicaID, vn vnode.Vnode) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	e, ok := l.rcache.Get(rcKey{path, rep})
+	return ok && e.plain && e.vn == vn
+}
+
+// cacheMarkPlain records that vn, if it is still path's cached resolution on
+// rep, is no graft point; a cachePut of another vnode forgets it.
+func (l *Layer) cacheMarkPlain(path string, rep ids.ReplicaID, vn vnode.Vnode) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	k := rcKey{path, rep}
+	if e, ok := l.rcache.Get(k); ok && e.vn == vn {
+		e.plain = true
+		l.rcache.Put(k, e)
+	}
 }
 
 func (l *Layer) cacheDrop(path string, rep ids.ReplicaID) {

@@ -32,27 +32,69 @@ type candidate struct {
 	vn  vnode.Vnode
 }
 
-// resolveOn walks this vnode's path on one replica, consulting the layer's
-// resolution cache first (the vnodes the 1990 kernel would simply have kept
+// resolveOn resolves this vnode's path on one replica from the layer's
+// resolution cache (the vnodes the 1990 kernel would simply have kept
 // referenced).
 func (v *lvnode) resolveOn(r Replica) (vnode.Vnode, error) {
-	if vn, ok := v.l.cacheGet(v.key(), r.ID); ok {
-		return vn, nil
+	vn, _, err := v.l.resolve(v.path, r)
+	return vn, err
+}
+
+// resolve resolves path on replica r and caches the answer.  A miss looks
+// the last name up in the parent's resolution, itself cached or resolved the
+// same way, not from the replica root; cached reports that the answer rests on
+// a cached resolution.  Such a resolution may be stale, so a lookup that fails
+// below one is checked against a walk from the root to the parent: unless the
+// walk reaches the same directory, the name is looked up again in the one it
+// reaches.  Every failure answers what a walk from the root answers.
+func (l *Layer) resolve(path []string, r Replica) (vn vnode.Vnode, cached bool, err error) {
+	key := strings.Join(path, "/")
+	if vn, ok := l.cacheGet(key, r.ID); ok {
+		return vn, true, nil
 	}
-	root, err := r.FS.Root()
+	if len(path) == 0 {
+		vn, err = r.FS.Root()
+	} else {
+		parent, name := path[:len(path)-1], path[len(path)-1]
+		var dir vnode.Vnode
+		if dir, cached, err = l.resolve(parent, r); err != nil {
+			return nil, cached, err // checked where it failed
+		}
+		if vn, err = dir.Lookup(name); err != nil && cached {
+			fresh, werr := l.walk(parent, r)
+			switch {
+			case werr != nil:
+				err = werr
+			case fresh.Handle() != dir.Handle():
+				vn, err = fresh.Lookup(name)
+			} // the same directory: its answer stands
+		}
+	}
 	if err != nil {
-		return nil, err
+		return nil, cached, err
 	}
-	cur := root
-	for _, name := range v.path {
-		next, err := cur.Lookup(name)
+	l.cachePut(key, r.ID, vn)
+	return vn, cached, nil
+}
+
+// walk resolves path on replica r from its root, caching each prefix it
+// resolves.  Where it fails, that prefix's entry and the longer ones on path,
+// which rested on it, are dropped.
+func (l *Layer) walk(path []string, r Replica) (vnode.Vnode, error) {
+	vn, err := r.FS.Root()
+	for i := 0; ; i++ {
 		if err != nil {
+			for ; i <= len(path); i++ {
+				l.cacheDrop(strings.Join(path[:i], "/"), r.ID)
+			}
 			return nil, err
 		}
-		cur = next
+		l.cachePut(strings.Join(path[:i], "/"), r.ID, vn)
+		if i == len(path) {
+			return vn, nil
+		}
+		vn, err = vn.Lookup(path[i])
 	}
-	v.l.cachePut(v.key(), r.ID, cur)
-	return cur, nil
 }
 
 // copies yields this file's copy on each replica that resolves it, in
@@ -193,14 +235,24 @@ func (v *lvnode) Lookup(name string) (vnode.Vnode, error) {
 	// Graft interception (§4.4): if the child is a graft point and a hook
 	// is installed, return the grafted volume's root instead.
 	// Only Getattr tells a graft point, so with a hook the walk asks on until a
-	// copy answers; only at a graft point is the policy run, to hand the hook
-	// the table of the first copy in the policy's order that answers.
+	// copy answers, unless the resolution cache holds that copy as no graft
+	// point; only at a graft point is the policy run, to hand the hook the
+	// table of the first copy in the policy's order that answers.  A graft
+	// point is asked every time: a copy that cannot answer must not be handed
+	// to the hook.
 	var held candidate
 	var a vnode.Attr
 	ask := func(c candidate) bool {
-		var aerr error
 		held = c
-		a, aerr = c.vn.Getattr()
+		key := child.key()
+		if v.l.cachePlain(key, c.rep.ID, c.vn) {
+			a = vnode.Attr{}
+			return false
+		}
+		var aerr error
+		if a, aerr = c.vn.Getattr(); aerr == nil && a.GraftVol == "" {
+			v.l.cacheMarkPlain(key, c.rep.ID, c.vn)
+		}
 		return aerr != nil
 	}
 	if v.l.graft == nil {

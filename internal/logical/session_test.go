@@ -177,12 +177,17 @@ func (r *sessionRig) layer(policy Policy, graft GraftHook) vnode.Vnode {
 // layerOver is layer without the replicas before first: first > 0 gives a
 // client with no co-resident copy, whose every replica can be cut off.
 func (r *sessionRig) layerOver(policy Policy, graft GraftHook, first int) vnode.Vnode {
+	root, _ := r.logicalOver(policy, graft, first).Root()
+	return root
+}
+
+// logicalOver is layerOver's Layer itself.
+func (r *sessionRig) logicalOver(policy Policy, graft GraftHook, first int) *Layer {
 	var reps []Replica
 	for i, c := range r.counts[first:] {
 		reps = append(reps, Replica{ID: ids.ReplicaID(first + i + 1), FS: c})
 	}
-	root, _ := New(testVol, reps, Options{Policy: policy, Graft: graft}).Root()
-	return root
+	return New(testVol, reps, Options{Policy: policy, Graft: graft})
 }
 
 // sync reconciles every replica against every other until all hold the same.
@@ -429,6 +434,88 @@ func TestLookupDoesNotPoll(t *testing.T) {
 		if c := r.counts[i]; len(c.log) != 0 {
 			t.Errorf("hook installed: the walk touched replica %d: %s", i, c.calls())
 		}
+	}
+}
+
+// TestWarmWalkAsksNothing: what a walk learned it keeps.  A copy once found
+// to be no graft point is not asked again while its resolution is cached — a
+// file id's graft-ness is fixed when it is made (§4.3) — so a warm walk of
+// a/b/f over two replicas reached through NFS, hook installed, sends nothing
+// at all.  And once f's resolution has aged out while its parent's has not,
+// re-resolving f is one Lookup RPC from the parent, not a walk from the root.
+func TestWarmWalkAsksNothing(t *testing.T) {
+	r := newSessionRig(t, 3)
+	r.populate(t, "v1")
+	hook := func(ids.VolumeHandle, vnode.Vnode) (vnode.Vnode, error) {
+		t.Error("graft hook called where there is no graft point")
+		return nil, vnode.EINVAL
+	}
+	lay := r.logicalOver(MostRecent, hook, 1) // replicas 2 and 3, both across NFS
+	root, _ := lay.Root()
+	walk := func(path string) (rpcs uint64) {
+		t.Helper()
+		r.resetCounts()
+		before := r.net.Stats().RPCs
+		if _, err := vnode.Walk(root, path); err != nil {
+			t.Fatal(err)
+		}
+		return r.net.Stats().RPCs - before
+	}
+	walk("a/b/f")
+	if rpcs := walk("a/b/f"); rpcs != 0 || r.counts[1].count("getattr") != 0 {
+		t.Errorf("a warm walk sent %d RPCs: %s", rpcs, r.counts[1].calls())
+	}
+	for range lay.cacheTTL {
+		lay.tick()
+	}
+	walk("a/b") // the parent resolves afresh; f's resolution stays aged out
+	r.clients[1].FlushCaches()
+	if rpcs := walk("a/b/f"); rpcs != 1 || r.counts[1].count("lookup") != 1 || r.counts[1].count("root") != 0 {
+		t.Errorf("re-resolving f below a cached parent cost %d RPCs, want one Lookup: %s", rpcs, r.counts[1].calls())
+	}
+	if c := r.counts[2]; len(c.log) != 0 {
+		t.Errorf("the walks touched replica 3: %s", c.calls())
+	}
+}
+
+// TestWalkBelowAMovedParentAnswersAsFromTheRoot: a parent's cached resolution
+// can outlive the parent's place in the replica's tree.  A name looked up
+// below it that fails is looked up once more from the root, so the walk fails
+// as a walk from the root would, and the stale parent is forgotten.
+func TestWalkBelowAMovedParentAnswersAsFromTheRoot(t *testing.T) {
+	r := newSessionRig(t, 2)
+	r.populate(t, "v1")
+	lay := r.logicalOver(MostRecent, nil, 1) // replica 2 alone, across NFS
+	root, _ := lay.Root()
+	if _, err := vnode.Walk(root, "a/b/f"); err != nil {
+		t.Fatal(err)
+	}
+	lay.cacheDrop("a/b/f", 2)
+	// b moves out of a on the replica, behind the layer's back.
+	proot, _ := r.phys[1].Root()
+	c, err := proot.Mkdir("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := proot.Lookup("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Rename("b", c, "b"); err != nil {
+		t.Fatal(err)
+	}
+	r.clients[1].FlushCaches()
+	_, err = vnode.Walk(root, "a/b/f")
+	fresh, _ := r.layerOver(MostRecent, nil, 1).Lookup("a")
+	_, want := vnode.Walk(fresh, "b/f")
+	if want == nil || vnode.AsErrno(err) != vnode.AsErrno(want) {
+		t.Fatalf("the walk below the moved parent said %v; from the root: %v", err, want)
+	}
+	if _, ok := lay.cacheGet("a/b", 2); ok {
+		t.Error("the moved parent's resolution is still cached")
+	}
+	if _, err := vnode.Walk(root, "c/b/f"); err != nil {
+		t.Errorf("the file at its new path: %v", err)
 	}
 }
 

@@ -287,20 +287,25 @@ func (v *cvnode) Open(vnode.OpenFlags) error { return nil }
 // Close is likewise swallowed.
 func (v *cvnode) Close(vnode.OpenFlags) error { return nil }
 
+// ReadAt asks for at most maxRead bytes a request, which the server refuses
+// above, until p is full, a reply comes back short, or one reaches the end.
 func (v *cvnode) ReadAt(p []byte, off int64) (int, error) {
 	v.c.tick()
-	if len(p) > maxRead {
-		return 0, vnode.EINVAL // the server would refuse it; uint32(len(p)) could also truncate
+	n := 0
+	for {
+		ask := min(len(p)-n, maxRead)
+		resp, err := v.c.call(&Request{Op: OpRead, Handle: v.handle, Off: off + int64(n), Len: uint32(ask)})
+		if err != nil {
+			return n, err
+		}
+		n += copy(p[n:], resp.Data)
+		if resp.EOF {
+			return n, io.EOF
+		}
+		if n == len(p) || len(resp.Data) < ask {
+			return n, nil
+		}
 	}
-	resp, err := v.c.call(&Request{Op: OpRead, Handle: v.handle, Off: off, Len: uint32(len(p))})
-	if err != nil {
-		return 0, err
-	}
-	copy(p, resp.Data)
-	if resp.EOF {
-		return resp.N, io.EOF
-	}
-	return resp.N, nil
 }
 
 func (v *cvnode) WriteAt(p []byte, off int64) (int, error) {

@@ -1,6 +1,7 @@
 package nfs
 
 import (
+	"errors"
 	"io"
 
 	"repro/internal/simnet"
@@ -42,8 +43,26 @@ func (s *Server) handle(reqBytes []byte) ([]byte, error) {
 		resp := respErr(vnode.EINVAL)
 		return resp.encode(), nil
 	}
+	if req.Op == OpRead {
+		return s.read(req), nil
+	}
 	resp := s.dispatch(req)
 	return resp.encode(), nil
+}
+
+// read answers a read with its data read straight into the reply.
+func (s *Server) read(req *Request) []byte {
+	v, errResp := s.subject(req)
+	if errResp != nil {
+		return errResp.encode()
+	}
+	buf := make([]byte, readReplyRoom+int(req.Len)+readReplyTail)
+	n, err := v.ReadAt(buf[readReplyRoom:readReplyRoom+int(req.Len)], req.Off)
+	if err != nil && !errors.Is(err, io.EOF) {
+		resp := respErr(err)
+		return resp.encode()
+	}
+	return encodeReadReply(buf, n, err != nil)
 }
 
 func (s *Server) subject(req *Request) (vnode.Vnode, *Response) {
@@ -110,16 +129,6 @@ func (s *Server) dispatch(req *Request) Response {
 			return respErr(err)
 		}
 		return Response{Str: t}
-	case OpRead:
-		p := make([]byte, req.Len)
-		n, err := v.ReadAt(p, req.Off)
-		if err == io.EOF {
-			return Response{N: n, EOF: true, Data: p[:n]}
-		}
-		if err != nil {
-			return respErr(err)
-		}
-		return Response{N: n, Data: p[:n]}
 	case OpWrite:
 		n, err := v.WriteAt(req.Data, req.Off)
 		if err != nil {

@@ -218,7 +218,9 @@ func decodeResponse(b []byte) (*Response, error) {
 	r.Attr = decodeAttr(d)
 	r.N = int(d.U32())
 	r.EOF = d.Bool()
-	r.Data = d.Bytes()
+	if data := d.Take(d.Count(1)); len(data) > 0 {
+		r.Data = data // a view of b, which the caller owns: read data is copied once, into the reader's buffer
+	}
 	r.Str = d.Str()
 	// A directory entry is at least three empty strings(3) + type(1).
 	if n := d.Count(4); n > 0 {
@@ -235,6 +237,39 @@ func decodeResponse(b []byte) (*Response, error) {
 		return nil, fmt.Errorf("nfs: bad response: %w", err)
 	}
 	return &r, nil
+}
+
+// A read reply is built around its data, which the server reads straight into
+// the reply buffer at readReplyRoom: the header goes in front once the count
+// is known, the empty fields after.  The bytes are Response.encode's.
+var readReplyRoom = len(readReplyHead(nil, maxRead, false))
+
+// readReplyHead appends what the reply to a read of n bytes carries before them.
+func readReplyHead(dst []byte, n int, eof bool) []byte {
+	dst = wire.AppendU8(dst, wireVersion)
+	dst = wire.AppendU32(dst, 0)
+	dst = wire.AppendString(dst, "")
+	dst = encodeAttr(dst, vnode.Attr{})
+	dst = wire.AppendU32(dst, uint32(n))
+	dst = wire.AppendBool(dst, eof)
+	return wire.AppendCount(dst, n)
+}
+
+// readReplyTail is what a read reply carries after its data: an empty Str and
+// no directory entries.
+const readReplyTail = 2
+
+// encodeReadReply finishes the reply to a read whose n bytes are at
+// buf[readReplyRoom:]; buf has room for readReplyTail more.  It returns, in
+// place, the encoding of the Response carrying N = n, EOF = eof and those
+// bytes as Data.
+func encodeReadReply(buf []byte, n int, eof bool) []byte {
+	var head [64]byte
+	h := readReplyHead(head[:0], n, eof)
+	start := readReplyRoom - len(h)
+	copy(buf[start:], h)
+	out := wire.AppendString(buf[start:readReplyRoom+n], "")
+	return wire.AppendCount(out, 0)
 }
 
 // errnoOf converts a response code back into a Go error (nil on success).

@@ -80,6 +80,25 @@ func TestCodecGoldenBytes(t *testing.T) {
 	}
 }
 
+// TestReadReplyIsAResponse: the reply the server builds around data read in
+// place is, byte for byte, what Response.encode makes of the same fields —
+// at every length where the data's uvarint count grows a byte, and both ends.
+func TestReadReplyIsAResponse(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 4095, 4096, 16383, 16384, maxRead} {
+		for _, eof := range []bool{false, true} {
+			buf := make([]byte, readReplyRoom+n+readReplyTail)
+			data := buf[readReplyRoom : readReplyRoom+n]
+			for i := range data {
+				data[i] = byte(i*7 + n)
+			}
+			want := (&Response{N: n, EOF: eof, Data: bytes.Clone(data)}).encode()
+			if got := encodeReadReply(buf, n, eof); !bytes.Equal(got, want) {
+				t.Fatalf("n=%d eof=%v: the read reply differs from Response.encode", n, eof)
+			}
+		}
+	}
+}
+
 // TestCodecRejectsCorruption: every truncation, any other version byte and
 // trailing bytes fail with an error.
 func TestCodecRejectsCorruption(t *testing.T) {
@@ -141,7 +160,8 @@ func readFrame(t *testing.T, handle string, n uint32) []byte {
 // TestReadLengthIsBounded: the server sizes its read buffer from the wire,
 // so a request asking for more than maxRead — including the all-ones length
 // a negative int becomes — is refused with EINVAL before anything is
-// allocated, and the server keeps serving.
+// allocated, and the server keeps serving; a client asked for more reads in
+// requests of at most maxRead.
 func TestReadLengthIsBounded(t *testing.T) {
 	r := newRig(t, nil)
 	root, err := r.client.Root()
@@ -171,12 +191,20 @@ func TestReadLengthIsBounded(t *testing.T) {
 	if _, err := decodeRequest(readFrame(t, f.Handle(), maxRead)); err != nil {
 		t.Fatalf("length maxRead refused: %v", err)
 	}
-	// The client refuses the same reads without asking.
-	if _, err := f.ReadAt(make([]byte, maxRead+1), 0); vnode.AsErrno(err) != vnode.EINVAL {
-		t.Fatalf("oversized client read: %v, want EINVAL", err)
-	}
 	if got, err := vnode.ReadFile(f); err != nil || string(got) != "contents" {
 		t.Fatalf("read after the refused requests: %q %v", got, err)
+	}
+	// The client asks for a longer read in pieces the server accepts.
+	if err := f.Truncate(maxRead + 1); err != nil {
+		t.Fatal(err)
+	}
+	before := r.net.Stats().RPCs
+	p := make([]byte, maxRead+1)
+	if n, err := f.ReadAt(p, 0); n != len(p) || err != nil || !bytes.HasPrefix(p, []byte("contents")) {
+		t.Fatalf("a read of maxRead+1 bytes: %d bytes, %v, starting %q", n, err, p[:8])
+	}
+	if got := r.net.Stats().RPCs - before; got != 2 {
+		t.Fatalf("a read of maxRead+1 bytes took %d RPCs, want 2", got)
 	}
 }
 
@@ -216,6 +244,7 @@ func FuzzDecodeRequest(f *testing.F) {
 func FuzzDecodeResponse(f *testing.F) {
 	f.Add(sampleResponse().encode())
 	f.Add((&Response{}).encode())
+	f.Add(encodeReadReply(append(make([]byte, readReplyRoom), "read data\x00\x00"...), 9, true))
 	f.Add([]byte{wireVersion})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		resp, err := decodeResponse(b)

@@ -1,7 +1,9 @@
 package physical
 
 import (
+	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/ids"
 	"repro/internal/vnode"
@@ -126,15 +128,28 @@ func openAuxFile(dir vnode.Vnode, name string) (vnode.Vnode, Aux, error) {
 	if err != nil {
 		return nil, Aux{}, err
 	}
-	data, err := vnode.ReadFile(f)
+	st, err := f.Getattr()
 	if err != nil {
 		return nil, Aux{}, err
 	}
-	if len(data) == 0 {
-		return nil, Aux{}, ErrNotStored
+	a, err := loadAux(f, st.Size)
+	if err != nil {
+		return nil, Aux{}, err
 	}
-	a, err := decodeAux(data)
-	return f, a, err
+	return f, a, nil
+}
+
+// loadAux reads and decodes aux file f, size bytes long.
+func loadAux(f vnode.Vnode, size uint64) (Aux, error) {
+	if size == 0 {
+		return Aux{}, ErrNotStored
+	}
+	data := make([]byte, size)
+	n, err := f.ReadAt(data, 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return Aux{}, err
+	}
+	return decodeAux(data[:n])
 }
 
 // readAuxFile is openAuxFile for a caller that only reads.

@@ -9,9 +9,18 @@ import (
 	"repro/internal/vnode"
 )
 
-// Bounds of the layer's two caches of what the store says (DESIGN.md §16):
-// conts, fid path → container, and dirs, container → decoded directory.
-const contCacheSize, dirCacheSize = 4096, 1024
+// Bounds of the layer's three caches of what the store says (DESIGN.md §16):
+// conts, fid path → container; dirs, container → decoded directory; and auxs,
+// a file's aux member → its decoded attributes.
+const contCacheSize, dirCacheSize, auxCacheSize = 4096, 1024, 4096
+
+// auxEntry is a file's aux as decoded, with the stamp of the store file it
+// was read from.  The store ticks Mtime or Ctime on every change of a file
+// and never reuses a stamp, so a stamp that still matches vouches for the bytes.
+type auxEntry struct {
+	aux                Aux
+	mtime, ctime, size uint64
+}
 
 // dirImage is one directory decoded.  The cache lends it: a reader, under
 // l.mu, must not change it, and a caller about to change the directory hands
@@ -99,10 +108,37 @@ func (l *Layer) dirLocked(cont vnode.Vnode) (*dirImage, error) {
 	return d, nil
 }
 
+// fileAuxLocked reads the aux member name of container cont through the aux
+// cache.  The key is the member's store handle, its inode — so an install by
+// rename, a link or unlink and a reused inode all change the key or the stamp,
+// and no writer needs to drop an entry; the caller must not change the result.
+// A hit still asks the store for the member and its stamp, both answered from
+// the store's caches; it skips the block read and the decode.
+func (l *Layer) fileAuxLocked(cont vnode.Vnode, name string) (Aux, error) {
+	f, err := cont.Lookup(name)
+	if err != nil {
+		return Aux{}, err
+	}
+	st, err := f.Getattr()
+	if err != nil {
+		return Aux{}, err
+	}
+	key := f.Handle()
+	if e, ok := l.auxs.Get(key); ok && e.mtime == st.Mtime && e.ctime == st.Ctime && e.size == st.Size {
+		return e.aux, nil
+	}
+	a, err := loadAux(f, st.Size)
+	if err == nil {
+		l.auxs.Put(key, auxEntry{aux: a, mtime: st.Mtime, ctime: st.Ctime, size: st.Size})
+	}
+	return a, err
+}
+
 // FlushCaches empties the layer's caches; the next calls read the store.
 func (l *Layer) FlushCaches() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.conts.Flush()
 	l.dirs.Flush()
+	l.auxs.Flush()
 }

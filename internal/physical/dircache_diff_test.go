@@ -173,7 +173,7 @@ func (g *diffGen) next() diffStep {
 		return inDir(path, "rename "+name+" to "+name2, func(_ *Layer, dir vnode.Vnode, _ []ids.FileID) string {
 			return errStr(dir.Rename(name, dir, name2))
 		})
-	case k < 71:
+	case k < 70:
 		to := g.randomDir()
 		return inDir(path, fmt.Sprintf("rename %s to /%s/%s", name, strings.Join(to, "/"), name2), func(l *Layer, dir vnode.Vnode, _ []ids.FileID) string {
 			dst, dfids, said := diffWalk(l, to)
@@ -184,7 +184,7 @@ func (g *diffGen) next() diffStep {
 			ds, derr := l.DirEntries(dfids)
 			return fmt.Sprintf("%s; destination then %+v vv=%s %s", errStr(err), ds.Entries, ds.VV, errStr(derr))
 		})
-	case k < 78:
+	case k < 75:
 		off, data := int64(g.rng.Intn(9000)), []byte(fmt.Sprintf("written-%d", g.rng.Int()))
 		return inDir(path, fmt.Sprintf("write %s at %d", name, off), func(_ *Layer, dir vnode.Vnode, _ []ids.FileID) string {
 			f, err := dir.Lookup(name)
@@ -194,6 +194,24 @@ func (g *diffGen) next() diffStep {
 			n, err := f.WriteAt(data, off)
 			body, rerr := vnode.ReadFile(f)
 			return fmt.Sprintf("%d %s; now %d bytes %s; %s", n, errStr(err), len(body), errStr(rerr), describe(f, nil))
+		})
+	case k < 77:
+		size := uint64(g.rng.Intn(9000))
+		return inDir(path, fmt.Sprintf("truncate %s to %d", name, size), func(_ *Layer, dir vnode.Vnode, _ []ids.FileID) string {
+			f, err := dir.Lookup(name)
+			if err != nil {
+				return "file: " + errStr(err)
+			}
+			return fmt.Sprintf("%s; %s", errStr(f.Truncate(size)), describe(f, nil))
+		})
+	case k < 79:
+		mode := uint16(g.rng.Intn(0o1000))
+		return inDir(path, fmt.Sprintf("chmod %s %o", name, mode), func(_ *Layer, dir vnode.Vnode, _ []ids.FileID) string {
+			f, err := dir.Lookup(name)
+			if err != nil {
+				return "file: " + errStr(err)
+			}
+			return fmt.Sprintf("%s; %s", errStr(f.Setattr(vnode.SetAttr{Mode: &mode})), describe(f, nil))
 		})
 	case k < 83:
 		// An install from a pretended peer: over a stored copy under a
@@ -215,7 +233,7 @@ func (g *diffGen) next() diffStep {
 			err = l.InstallFileVersion(fids, fid, ds.Entries[i].Kind, data, to.Bump(2), 1)
 			return fmt.Sprintf("%s; %s", errStr(err), describe(dir.Lookup(name)))
 		})
-	case k < 92:
+	case k < 91:
 		// A peer's view of the directory: some of ours deleted there, and
 		// insertions of its own — under names we also hold (conflicts), under
 		// a name spelt like a conflict rendering, and directories, which the
@@ -252,11 +270,23 @@ func (g *diffGen) next() diffStep {
 			}
 			return out
 		})
-	case k < 95:
+	case k < 94:
 		g.rseq++
 		e := Entry{Name: fmt.Sprintf("r%08x", g.rseq), Child: ids.FileID{Issuer: 9, Seq: g.rseq}, Kind: KFile, Value: "site-" + name}
 		return inDir(path, "append "+e.Name, func(l *Layer, _ vnode.Vnode, fids []ids.FileID) string {
 			return errStr(l.AppendEntry(fids, e))
+		})
+	case k < 96:
+		// The scrubber reseals every stale sidecar, then every file's
+		// attributes are asked for again.
+		return inDir(path, "scrub", func(l *Layer, dir vnode.Vnode, _ []ids.FileID) string {
+			err := l.ScrubPass()
+			out := fmt.Sprintf("%s %+v", errStr(err), l.IntegrityStats())
+			ents, _ := dir.Readdir()
+			for _, e := range ents {
+				out += "; " + describe(dir.Lookup(e.Name))
+			}
+			return out
 		})
 	default:
 		keep := g.rng.Intn(3)
@@ -278,7 +308,8 @@ func (g *diffGen) next() diffStep {
 }
 
 // TestCachedLayerMatchesFlushedLayer drives one seeded sequence of every
-// operation that reads or commits a directory against two layers on equal
+// operation that reads or commits a directory, or writes a file's aux or
+// sidecar (WriteAt, Truncate, Setattr, installs, scrubs), against two layers on equal
 // disks, one of which has its caches flushed before every operation and so
 // answers from the store each time: results, errnos, handles, the directory
 // afterwards, and every so often the whole tree and Check's findings, must be

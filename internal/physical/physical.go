@@ -104,6 +104,7 @@ type Layer struct {
 
 	conts *lru.Cache[string, vnode.Vnode] // fid path → the directory's container (dircache.go)
 	dirs  *lru.Cache[string, *dirImage]   // container's store handle → the directory, decoded
+	auxs  *lru.Cache[string, auxEntry]    // aux member's store handle → its attributes, decoded
 }
 
 type nvcKey struct {
@@ -156,6 +157,7 @@ func Format(store vnode.VFS, vol ids.VolumeHandle, replica ids.ReplicaID) (*Laye
 		quar:    make(map[ids.FileID]QuarEntry),
 		conts:   lru.New[string, vnode.Vnode](contCacheSize),
 		dirs:    lru.New[string, *dirImage](dirCacheSize),
+		auxs:    lru.New[string, auxEntry](auxCacheSize),
 	}
 	if err := l.writeMetaLocked(l.seq.Last()); err != nil {
 		return nil, err
@@ -189,6 +191,7 @@ func Open(store vnode.VFS) (*Layer, error) {
 		quar:  make(map[ids.FileID]QuarEntry),
 		conts: lru.New[string, vnode.Vnode](contCacheSize),
 		dirs:  lru.New[string, *dirImage](dirCacheSize),
+		auxs:  lru.New[string, auxEntry](auxCacheSize),
 	}
 	if err := l.Recover(); err != nil {
 		return nil, err

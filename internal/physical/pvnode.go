@@ -589,7 +589,7 @@ func (v *pvnode) getattrLocked() (vnode.Attr, error) {
 	if err != nil {
 		return vnode.Attr{}, mapStoreErr(err)
 	}
-	aux, err := readAuxFile(cont, prefixAux+v.fid.String())
+	aux, err := v.l.fileAuxLocked(cont, prefixAux+v.fid.String())
 	if err != nil {
 		if vnode.AsErrno(err) == vnode.ENOENT {
 			return vnode.Attr{}, vnode.ENOSTOR

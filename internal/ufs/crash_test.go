@@ -391,6 +391,47 @@ func TestFailedWriteIntoHoleReadsZeros(t *testing.T) {
 	}
 }
 
+// TestFailedAppendKeepsWhatItWrote: a WriteAt that fails partway has changed
+// the file as far as it got.  The size covers the block it wrote, so those
+// bytes are not hidden past the end, and Mtime has moved, so an (Mtime,
+// Ctime, Size) stamp taken before the call no longer vouches for the file.
+func TestFailedAppendKeepsWhatItWrote(t *testing.T) {
+	dev := disk.New(256)
+	fs, err := Mkfs(dev, 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ino, err := fs.Create(fs.Root(), "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.WriteAt(ino, fill('a', BlockSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	before, err := fs.Stat(ino)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.FaultAfterWrites(1) // the append's first block lands, its second is lost
+	n, err := fs.WriteAt(ino, fill('b', 3*BlockSize), BlockSize)
+	if err == nil || n != BlockSize {
+		t.Fatalf("the append wrote %d bytes, %v; want %d and an error", n, err, BlockSize)
+	}
+	dev.ClearFault()
+	after, err := fs.Stat(ino)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size != 2*BlockSize || after.Mtime <= before.Mtime {
+		t.Fatalf("after the failed append: size %d, mtime %d; want %d and past %d", after.Size, after.Mtime, 2*BlockSize, before.Mtime)
+	}
+	checkClean(t, fs)
+	p := make([]byte, BlockSize)
+	if _, err := fs.ReadAt(ino, p, BlockSize); err != nil || !bytes.Equal(p, fill('b', BlockSize)) {
+		t.Fatalf("the block the append wrote reads % x..., %v", p[:8], err)
+	}
+}
+
 // TestSixteenBlockWriteAtDeviceWrites pins what a write of sixteen blocks into
 // a fresh file costs: the sixteen data blocks, then once each the indirect
 // block, the inode's table block and the block bitmap's block.

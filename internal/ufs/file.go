@@ -117,7 +117,7 @@ func (fs *FS) writeAtLocked(ino Ino, p []byte, off int64) (int, error) {
 	if din.Type == TypeDir {
 		return 0, ErrIsDir
 	}
-	written := 0
+	written, tried := 0, false
 	for written < len(p) {
 		fbn := uint64(off+int64(written)) / BlockSize
 		boff := int(uint64(off+int64(written)) % BlockSize)
@@ -125,38 +125,40 @@ func (fs *FS) writeAtLocked(ino Ino, p []byte, off int64) (int, error) {
 		if chunk > len(p)-written {
 			chunk = len(p) - written
 		}
-		bn, err := fs.blockmapLocked(&din, fbn, true)
-		if err != nil {
-			// Persist pointer changes made so far before reporting.
-			_ = fs.writeInodeLocked(ino, din)
-			return written, err
+		var bn uint32
+		if bn, err = fs.blockmapLocked(&din, fbn, true); err != nil {
+			break
 		}
 		var blk []byte
 		if boff == 0 && chunk == BlockSize {
 			blk = make([]byte, BlockSize)
 		} else {
-			blk, err = fs.st.read(bn)
-			if err != nil {
-				_ = fs.writeInodeLocked(ino, din)
-				return written, err
+			if blk, err = fs.st.read(bn); err != nil {
+				break
 			}
 			blk = bytes.Clone(blk)
 		}
 		copy(blk[boff:], p[written:written+chunk])
-		if err := fs.st.write(bn, blk); err != nil {
-			_ = fs.writeInodeLocked(ino, din)
-			return written, err
+		tried = true
+		if err = fs.st.write(bn, blk); err != nil {
+			break
 		}
 		written += chunk
 	}
+	// A call that fails partway keeps what it did: the pointers it set, the
+	// size over the bytes it wrote and — once it tried a block write, which may
+	// have changed the block — a new Mtime, so no (Mtime, Ctime, Size) stamp
+	// vouches for bytes that changed under it.
 	if end := uint64(off) + uint64(written); end > din.Size {
 		din.Size = end
 	}
-	din.Mtime = fs.tick()
-	if err := fs.writeInodeLocked(ino, din); err != nil {
-		return written, err
+	if err == nil || tried {
+		din.Mtime = fs.tick()
 	}
-	return written, nil
+	if werr := fs.writeInodeLocked(ino, din); err == nil {
+		err = werr
+	}
+	return written, err
 }
 
 // Truncate sets the file size, freeing blocks past the new end.

@@ -40,13 +40,15 @@ func (fs *FS) recoverLocked() error {
 	}
 
 	// Pass 2: reclaim unreachable inodes, reset stale link counts, and
-	// rebuild the inode bitmap from the table.
+	// rebuild the inode bitmap from the table.  The clock resumes past every
+	// stamp on the device, so no stamp is ever given out twice.
 	for i := uint32(1); i < fs.sb.NInodes; i++ {
 		ino := Ino(i)
 		din, err := fs.ic.get(ino)
 		if err != nil {
 			return err
 		}
+		fs.clock = max(fs.clock, din.Mtime, din.Ctime)
 		if din.Type != TypeFree {
 			if !reachable[ino] {
 				if err := fs.writeInodeLocked(ino, dinode{}); err != nil {

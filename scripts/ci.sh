@@ -8,11 +8,14 @@
 # whole-file writes in internal/physical behind atomicReplace, the directory
 # journal's append behind its one writer, the in-place sidecar reseal behind
 # its one caller and fresh storage behind writeFresh, internal/ufs's metadata
-# blocks behind the end-of-call flush, a two-second fuzz smoke
+# blocks behind the end-of-call flush, a physical file's attributes behind the
+# one cached aux reader, one NFS read-reply encoder, a two-second fuzz smoke
 # of every decoder fuzz target (a package left with none fails), the gates that keep
 # timed benchmarks and mirrored Stats structs out of the root package, the
-# race-enabled test suite (it holds the two RPC-economy gates of the root
-# package — TestRemoteReadRPCBudget, TestFirstAvailableAsksNobodyElse — the experiment
+# race-enabled test suite (it holds the RPC-economy gates — of the root
+# package TestRemoteReadRPCBudget, TestFirstAvailableAsksNobodyElse, and of
+# internal/logical TestLookupDoesNotPoll, TestWarmWalkAsksNothing,
+# TestWalkBelowAMovedParentAnswersAsFromTheRoot — the experiment
 # assertions of experiments_test.go, and the session tests of
 # internal/logical), ten more rounds of the one that shares an opened
 # vnode between goroutines while its replica is cut off and healed,
@@ -104,6 +107,21 @@ test "$(cat $ufs | grep -c 'bc\.write(')" -eq 2
 test "$(sed -n '/^func (s \*stage) flush(/,/^}/p' internal/ufs/stage.go | grep -c 'bc\.write(')" -eq 1
 test "$(sed -n '/^func (s \*stage) write(/,/^}/p' internal/ufs/stage.go | grep -c 'bc\.write(')" -eq 1
 test "$(cat $ufs | grep -c 'defer fs\.endCallLocked(&err)')" -eq 12
+
+echo "==> a file's attributes through the one cached aux reader in internal/physical"
+# Getattr's file arm — and through it Resolve, for the subject of every NFS
+# request — reads the aux through the aux cache (DESIGN.md §16), not the store.
+test "$(sed -n '/^func (v \*pvnode) getattrLocked(/,/^}/p' internal/physical/pvnode.go | grep -c 'fileAuxLocked(')" -eq 1
+test "$(sed -n '/^func (v \*pvnode) getattrLocked(/,/^}/p' internal/physical/pvnode.go | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(')" -eq 0
+
+echo "==> one read-reply encoder in internal/nfs"
+# The server reads straight into the reply (DESIGN.md §9.2): Server.read is
+# encodeReadReply's one caller, whose bytes TestReadReplyIsAResponse holds to
+# Response.encode's, and no Response is built around read data.
+nfs=$(git ls-files 'internal/nfs/*.go' | grep -v _test.go)
+test "$(cat $nfs | grep -v '^func ' | grep -c 'encodeReadReply(')" -eq 1
+test "$(sed -n '/^func (s \*Server) read(/,/^}/p' internal/nfs/server.go | grep -c 'encodeReadReply(')" -eq 1
+test "$(cat $nfs | grep -c 'Response{[^}]*Data:')" -eq 0
 
 echo "==> fuzz smoke: every Fuzz* target, 2s each"
 # The seed corpora already run under go test; this catches an oracle that
