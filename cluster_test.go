@@ -287,3 +287,67 @@ func TestDuplicateNotificationsAreIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// TestLostFileNoticeConvergesAtReconcile: a directory's notice merges that
+// directory and pulls the files the replica lacks; it does not re-pull the
+// stored files beside them.  An update whose own notice was dropped therefore
+// stays behind through propagation, whatever else its directory announces,
+// and the periodic reconciliation — the backstop for a lost notice — brings it.
+func TestLostFileNoticeConvergesAtReconcile(t *testing.T) {
+	c := newTestCluster(t, 2, WithSeed(14), WithPolicy(FirstAvailable))
+	m0, err := c.Mount(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m0.MkdirAll("/d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m0.WriteFile("/d/x", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Settle(10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Host(1).PropagateOnce(); err != nil { // drops the notices settling made stale
+		t.Fatal(err)
+	}
+	c.SetLinkDatagramLoss(0, 1, 1)
+	if err := m0.WriteFile("/d/x", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if c.NetworkStats().DatagramsDropped == 0 {
+		t.Fatal("the update's notice was not dropped")
+	}
+	c.SetLinkDatagramLoss(0, 1, 0)
+	if err := m0.WriteFile("/d/y", []byte("y1")); err != nil {
+		t.Fatal(err)
+	}
+	readAt1 := func(path string) string {
+		t.Helper()
+		v, err := vnode.Walk(replicaRoot(t, c, 1), path)
+		if err != nil {
+			t.Fatalf("host 1 %s: %v", path, err)
+		}
+		data, err := vnode.ReadFile(v)
+		if err != nil {
+			t.Fatalf("host 1 %s: %v", path, err)
+		}
+		return string(data)
+	}
+
+	if _, err := c.Host(1).PropagateOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c.PendingVersionsFor(1)); n != 0 {
+		t.Fatalf("host 1: %d notices left after propagation", n)
+	}
+	if y, x := readAt1("d/y"), readAt1("d/x"); y != "y1" || x != "v1" {
+		t.Fatalf("after propagation host 1 has d/y=%q d/x=%q, want y1 and the old v1", y, x)
+	}
+	if _, err := c.Host(1).ReconcileOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if x := readAt1("d/x"); x != "v2" {
+		t.Fatalf("after reconciliation host 1 has d/x=%q, want v2", x)
+	}
+}

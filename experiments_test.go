@@ -240,7 +240,7 @@ func TestE14HedgedPulls(t *testing.T) {
 		p50, p99 uint64
 	}{
 		{"hedged", 30, 40, 42},
-		{"unhedged", 0, 94, 894},
+		{"unhedged", 0, 95, 894},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newTestCluster(t, 3, WithSeed(11))

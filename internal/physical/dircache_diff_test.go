@@ -126,9 +126,61 @@ func inDir(path []string, what string, op func(l *Layer, dir vnode.Vnode, fids [
 	}
 }
 
+// fileAnswer is what the replication read path says of file fid in dirPath:
+// FileInfo, and what AddToBase would advertise of its version.
+func fileAnswer(l *Layer, dirPath []ids.FileID, fid ids.FileID) string {
+	st, err := l.FileInfo(dirPath, fid)
+	base := DeltaBase{}
+	l.AddToBase(base, dirPath, fid)
+	return fmt.Sprintf("%s: info %+v %s; advertises %v", fid, st, errStr(err), base.Have())
+}
+
+// fileAnswers is fileAnswer of every live entry of every stored directory.
+func fileAnswers(l *Layer) []string {
+	var out []string
+	var walk func(dirPath []ids.FileID)
+	walk = func(dirPath []ids.FileID) {
+		ds, err := l.DirEntries(dirPath)
+		if err != nil {
+			return
+		}
+		for _, e := range ds.Entries {
+			if !e.Live() {
+				continue
+			}
+			out = append(out, fileAnswer(l, dirPath, e.Child))
+			if e.Kind.IsDir() {
+				walk(append(slices.Clone(dirPath), e.Child))
+			}
+		}
+	}
+	walk(RootPath())
+	return out
+}
+
+// next is one operation, followed by what the replication read path says of
+// the files it was about (fileAnswer of each live entry named name or name2).
 func (g *diffGen) next() diffStep {
 	path := g.randomDir()
 	name, name2 := g.aName(path), g.aName(path)
+	op := g.op(path, name, name2)
+	return func(l *Layer) string {
+		lines := []string{op(l)}
+		base, _, _ := strings.Cut(name, "#")
+		base2, _, _ := strings.Cut(name2, "#")
+		if _, fids, _ := diffWalk(l, path); fids != nil {
+			ds, _ := l.DirEntries(fids)
+			for _, e := range ds.Entries {
+				if e.Live() && (e.Name == base || e.Name == base2) {
+					lines = append(lines, fileAnswer(l, fids, e.Child))
+				}
+			}
+		}
+		return strings.Join(lines, "\n  ")
+	}
+}
+
+func (g *diffGen) op(path []string, name, name2 string) diffStep {
 	switch k := g.rng.Intn(100); {
 	case k < 12:
 		return inDir(path, "lookup "+name, func(_ *Layer, dir vnode.Vnode, _ []ids.FileID) string {
@@ -312,10 +364,12 @@ func (g *diffGen) next() diffStep {
 // sidecar (WriteAt, Truncate, Setattr, installs, scrubs), against two layers on equal
 // disks, one of which has its caches flushed before every operation and so
 // answers from the store each time: results, errnos, handles, the directory
-// afterwards, and every so often the whole tree and Check's findings, must be
-// the same.  Whatever the caches remember wrongly — a name rendered before the
-// conflict that renames it, an entry list a failed or refused operation had
-// begun to change, a container since removed — shows as a difference.
+// afterwards, FileInfo and AddToBase's advertisement of the files the
+// operation named, and every so often the whole tree, every entry's FileInfo
+// and advertisement and Check's findings, must be the same.  Whatever the
+// caches remember wrongly — a name rendered before the conflict that renames
+// it, an entry list a failed or refused operation had begun to change, a
+// container since removed — shows as a difference.
 func TestCachedLayerMatchesFlushedLayer(t *testing.T) {
 	ops := 6000
 	if testing.Short() {
@@ -329,6 +383,10 @@ func TestCachedLayerMatchesFlushedLayer(t *testing.T) {
 		flushed.FlushCaches()
 		if d := firstDiff(nameAnswers(cached), nameAnswers(flushed), "cached", "flushed"); d != "" {
 			t.Fatalf("after %d ops the trees differ: %s", at, d)
+		}
+		flushed.FlushCaches()
+		if d := firstDiff(fileAnswers(cached), fileAnswers(flushed), "cached", "flushed"); d != "" {
+			t.Fatalf("after %d ops the files' attributes differ: %s", at, d)
 		}
 		pc, errc := cached.Check()
 		pf, errf := flushed.Check()

@@ -258,3 +258,44 @@ func TestReadersRaceDirectoryMoves(t *testing.T) {
 		t.Fatalf("Check: %v %v", probs, err)
 	}
 }
+
+// TestFileInfoLendsNoCachedVector: FileInfo reads a file's aux, and a child
+// directory's attributes, through the aux cache, and what it returns is the
+// caller's: changing the returned vector leaves the next answer — FileInfo's,
+// and Getattr's, which reads the same cache — as it was.
+func TestFileInfoLendsNoCachedVector(t *testing.T) {
+	l, _ := newLayer(t, 1)
+	root, _ := l.Root()
+	f, err := root.Create("f", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vnode.WriteFile(f, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	d, err := root.Mkdir("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []vnode.Vnode{f, d} {
+		a, err := v.Getattr()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fid, _ := ids.ParseFileID(a.FileID)
+		st, err := l.FileInfo(RootPath(), fid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := st.Aux.VV.Clone()
+		st.Aux.VV[1] += 1000
+		st.Aux.VV[9] = 1
+		again, err := l.FileInfo(RootPath(), fid)
+		if err != nil || !again.Aux.VV.Equal(want) {
+			t.Fatalf("%s: FileInfo after changing a returned vector: %v %v, want %v", fid, again.Aux.VV, err, want)
+		}
+		if b, err := v.Getattr(); err != nil || b.Mtime != a.Mtime {
+			t.Fatalf("%s: Getattr after changing a returned vector: Mtime %d %v, want %d", fid, b.Mtime, err, a.Mtime)
+		}
+	}
+}

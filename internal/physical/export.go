@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/ids"
 	"repro/internal/invariant"
@@ -70,7 +71,9 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 	if err != nil {
 		return FileState{}, err
 	}
-	aux, err := readAuxFile(cont, prefixAux+fid.String())
+	// The aux is read through the aux cache, which lends it: the vector is
+	// cloned, so no caller can reach the cached map.
+	aux, err := l.fileAuxLocked(cont, prefixAux+fid.String())
 	if err != nil {
 		if vnode.AsErrno(err) != vnode.ENOENT {
 			return FileState{}, err
@@ -81,12 +84,14 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 		if serr != nil {
 			return FileState{}, ErrNotStored
 		}
-		daux, serr := readAuxFile(sub, dirAttrName)
+		daux, serr := l.fileAuxLocked(sub, dirAttrName)
 		if serr != nil {
 			return FileState{}, serr
 		}
+		daux.VV = daux.VV.Clone()
 		return FileState{Aux: daux}, nil
 	}
+	aux.VV = aux.VV.Clone()
 	df, err := cont.Lookup(prefixData + fid.String())
 	if err != nil {
 		if vnode.AsErrno(err) == vnode.ENOENT {
@@ -392,6 +397,42 @@ func (l *Layer) EvictFileStorage(dirPath []ids.FileID, fid ids.FileID) error {
 func (l *Layer) StoresFile(dirPath []ids.FileID, fid ids.FileID) bool {
 	_, err := l.FileInfo(dirPath, fid)
 	return err == nil
+}
+
+// StoredFiles lists the files of the directory at dirPath that this replica
+// stores a copy of, from one listing of the directory's container: a file
+// counts when both its aux and its data are there.  It reads no attribute, so
+// a copy FileInfo would refuse — an aux a crash left empty, say — still
+// counts: a caller that skips a file on its word must leave it to a pass that
+// asks FileInfo.
+func (l *Layer) StoredFiles(dirPath []ids.FileID) (map[ids.FileID]bool, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	cont, err := l.containerOf(dirPath)
+	if err != nil {
+		return nil, err
+	}
+	members, err := cont.Readdir()
+	if err != nil {
+		return nil, err
+	}
+	data := make(map[string]bool, len(members)/3)
+	for _, m := range members {
+		if s, ok := strings.CutPrefix(m.Name, prefixData); ok {
+			data[s] = true
+		}
+	}
+	stored := make(map[ids.FileID]bool, len(data))
+	for _, m := range members {
+		s, ok := strings.CutPrefix(m.Name, prefixAux)
+		if !ok || !data[s] {
+			continue
+		}
+		if fid, err := ids.ParseFileID(s); err == nil {
+			stored[fid] = true
+		}
+	}
+	return stored, nil
 }
 
 // DropTombstones removes the tombstoned entries with the given entry ids

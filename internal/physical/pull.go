@@ -178,7 +178,7 @@ func (l *Layer) AddToBase(base DeltaBase, dirPath []ids.FileID, fid ids.FileID) 
 	if err != nil {
 		return
 	}
-	aux, err := readAuxFile(cont, prefixAux+fid.String())
+	aux, err := l.fileAuxLocked(cont, prefixAux+fid.String())
 	if err != nil {
 		return
 	}

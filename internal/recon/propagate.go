@@ -116,8 +116,12 @@ func PropagateOnce(local *physical.Layer, find PeerFinder) (Stats, error) {
 //
 // Directories are propagated by replaying operations, not by copying
 // ("simply copying directory contents is incorrect"), so a notification
-// about a directory triggers a directory reconciliation against the origin
-// (run in the sequential reduce, since it mutates shared subtrees).
+// about a directory merges that one directory from the origin (run in the
+// sequential reduce, since it mutates shared subtrees): one DirEntries, the
+// merge, and one pull of the files it names that this replica stores no copy
+// of.  A child directory not stored here yet is reconciled whole; a stored
+// file or child directory that changed has its own notice, and the periodic
+// reconciliation is the backstop for a notice that was lost.
 func Propagate(local *physical.Layer, find PeerFinder, cfg PropagateConfig) (Stats, error) {
 	if cfg.Policy.MaxAttempts == 0 && cfg.Policy.BaseBackoff == 0 {
 		cfg.Policy = retry.Default()
@@ -255,7 +259,7 @@ func Propagate(local *physical.Layer, find PeerFinder, cfg PropagateConfig) (Sta
 				local.DropPending(nv.File)
 			case outIsDir:
 				childPath := append(append([]ids.FileID(nil), nv.Dir...), nv.File)
-				sub, err := ReconcileSubtree(local, res.src, childPath)
+				sub, err := reconcile(local, res.src, childPath, notice)
 				stats.Add(sub)
 				if err != nil {
 					fail(nv, err)

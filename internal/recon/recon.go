@@ -128,12 +128,40 @@ func ReconcileVolume(local *physical.Layer, remote Peer) (Stats, error) {
 // ReconcileSubtree reconciles the directory at dirPath and everything below
 // it.  The local replica must store dirPath.
 func ReconcileSubtree(local *physical.Layer, remote Peer, dirPath []ids.FileID) (Stats, error) {
+	return reconcile(local, remote, dirPath, wholeSubtree)
+}
+
+// scope is how far below the directory it merges a reconciliation goes.
+type scope byte
+
+const (
+	// wholeSubtree compares every file and visits every directory below:
+	// the periodic traversal "of an entire subgraph" (§3.3), and the backstop
+	// for every notice that was lost.
+	wholeSubtree scope = iota
+	// notice is what a directory's new-version notice costs (§3.2): the
+	// merge, the files it named that this replica stores no copy of, and any
+	// child directory this replica does not store yet, reconciled whole.  A
+	// stored file or child directory that changed has its own notice.
+	notice
+)
+
+// reconcile merges the directory at dirPath from remote and goes below it as
+// far as sc says.
+func reconcile(local *physical.Layer, remote Peer, dirPath []ids.FileID, sc scope) (Stats, error) {
 	var stats Stats
-	err := reconcileDir(local, remote, dirPath, &stats)
+	var pullErr error
+	err := reconcileDir(local, remote, dirPath, sc, &stats, &pullErr)
+	if pullErr != nil {
+		err = pullErr
+	}
 	return stats, err
 }
 
-func reconcileDir(local *physical.Layer, remote Peer, dirPath []ids.FileID, stats *Stats) error {
+// reconcileDir merges one directory, pulls its files and descends.  A failed
+// file pull is kept in *pullErr, the first one only, and the walk goes on: it
+// must not keep the directories below out of reconciliation.
+func reconcileDir(local *physical.Layer, remote Peer, dirPath []ids.FileID, sc scope, stats *Stats, pullErr *error) error {
 	rstate, err := remote.DirEntries(dirPath)
 	if err != nil {
 		if errors.Is(err, physical.ErrNotStored) {
@@ -162,23 +190,34 @@ func reconcileDir(local *physical.Layer, remote Peer, dirPath []ids.FileID, stat
 	if err != nil {
 		return err
 	}
+	// Under a notice, a file this replica stores is left to its own notice.
+	var stored map[ids.FileID]bool
+	if sc == notice {
+		if stored, err = local.StoredFiles(dirPath); err != nil {
+			return err
+		}
+	}
 	// The directory's files are compared and pulled with one conditional
-	// pull, before descending.
+	// pull, before descending; none to ask about, no pull.
 	var files []pullItem
 	for _, e := range lstate.Entries {
-		if e.Live() && !e.Kind.IsDir() {
+		if e.Live() && !e.Kind.IsDir() && !stored[e.Child] {
 			files = append(files, pullItem{dir: dirPath, file: e.Child})
 		}
 	}
-	if err := reconcileFiles(local, remote, files, stats); err != nil {
-		return err
+	if err := reconcileFiles(local, remote, files, stats); err != nil && *pullErr == nil {
+		*pullErr = err
 	}
 	for _, e := range lstate.Entries {
 		if !e.Live() || !e.Kind.IsDir() {
 			continue
 		}
 		childPath := append(append([]ids.FileID(nil), dirPath...), e.Child)
-		if !local.HasDir(childPath) {
+		if local.HasDir(childPath) {
+			if sc == notice {
+				continue // a change below it has its own notice
+			}
+		} else {
 			// Materialize local storage for a directory learned from
 			// the peer, copying its kind/graft target.
 			raux, err := remote.DirEntries(childPath)
@@ -194,7 +233,7 @@ func reconcileDir(local *physical.Layer, remote Peer, dirPath []ids.FileID, stat
 			}
 			stats.DirsCreated++
 		}
-		if err := reconcileDir(local, remote, childPath, stats); err != nil {
+		if err := reconcileDir(local, remote, childPath, wholeSubtree, stats, pullErr); err != nil {
 			return err
 		}
 	}
@@ -205,7 +244,7 @@ func reconcileDir(local *physical.Layer, remote Peer, dirPath []ids.FileID, stat
 // version vector, in one pull with no advertisement (versions ship whole),
 // installing those the remote dominates.  Concurrent versions are a conflict:
 // reported to the owner, data untouched (the owner resolves).  Every answer
-// is applied; the first failure then ends the pass.
+// is applied, and the first failure is returned.
 func reconcileFiles(local *physical.Layer, remote Peer, files []pullItem, stats *Stats) error {
 	var first error
 	for i, out := range pullAndApply(local, remote, files, false) {

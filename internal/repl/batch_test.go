@@ -3,6 +3,7 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -253,5 +254,65 @@ func TestReconcileDirCostsTwoRPCs(t *testing.T) {
 				t.Fatalf("n=%d, %d differing: %d RPCs, want 2", n, differing, s.RPCs)
 			}
 		}
+	}
+}
+
+// pullSizes wraps a client and records how many files each pull asks for.
+type pullSizes struct {
+	*Client
+	sizes []int
+}
+
+func (p *pullSizes) PullBatchDelta(reqs []physical.PullRequest, have []physical.BlockAddr) ([]physical.PullResult, error) {
+	p.sizes = append(p.sizes, len(reqs))
+	return p.Client.PullBatchDelta(reqs, have)
+}
+
+// TestDirectoryNoticeCostsItsDirectory: over the wire, a directory's notice
+// costs the one directory it names, however many files that holds.  A create
+// announces the new file and its directory: the pass is one pull of both (the
+// file ships, the directory answers is-dir) and the directory's DirEntries.
+// With the file's own notice lost, one more pull carries exactly that file.  A
+// remove leaves nothing to pull.
+func TestDirectoryNoticeCostsItsDirectory(t *testing.T) {
+	root := ids.RootFileID
+	for _, n := range []int{1, 128} {
+		r := newRig(t)
+		for i := 0; i < n; i++ {
+			writeFile(t, r.lB, fmt.Sprintf("f%03d", i), "v1")
+		}
+		if _, err := recon.ReconcileVolume(r.lA, r.client); err != nil {
+			t.Fatal(err)
+		}
+		peer := &pullSizes{Client: r.client}
+		find := func(ids.ReplicaID) recon.Peer { return peer }
+		pass := func(what string, rpcs int, sizes []int, check func(recon.Stats) bool) {
+			t.Helper()
+			r.net.ResetStats()
+			peer.sizes = nil
+			stats, err := recon.PropagateOnce(r.lA, find)
+			if err != nil || !check(stats) {
+				t.Fatalf("n=%d %s: stats %v err %v", n, what, stats, err)
+			}
+			if s := r.net.Stats(); s.RPCs != uint64(rpcs) || !slices.Equal(peer.sizes, sizes) {
+				t.Fatalf("n=%d %s: %d RPCs, pulls of %v files; want %d and %v", n, what, s.RPCs, peer.sizes, rpcs, sizes)
+			}
+		}
+
+		fid := writeFile(t, r.lB, "new1", "fresh")
+		r.lA.NoteNewVersion(physical.RootPath(), fid, 2)
+		r.lA.NoteNewVersion([]ids.FileID{}, root, 2)
+		pass("create", 2, []int{2}, func(s recon.Stats) bool { return s.FilesPulled == 1 && s.EntriesAdopted == 1 })
+
+		writeFile(t, r.lB, "new2", "fresh")
+		r.lA.NoteNewVersion([]ids.FileID{}, root, 2)
+		pass("create, file notice lost", 3, []int{1, 1}, func(s recon.Stats) bool { return s.FilesPulled == 1 && s.EntriesAdopted == 1 })
+
+		rootB, _ := r.lB.Root()
+		if err := rootB.Remove("f000"); err != nil {
+			t.Fatal(err)
+		}
+		r.lA.NoteNewVersion([]ids.FileID{}, root, 2)
+		pass("remove", 2, []int{1}, func(s recon.Stats) bool { return s.FilesPulled == 0 && s.EntriesDeleted == 1 })
 	}
 }

@@ -6,7 +6,8 @@
 // fixed cost per message is what matters.  Requests are encoded into pooled
 // buffers (the bytes are fully consumed by the transport before Call
 // returns, so the buffer is safe to recycle); responses are encoded into
-// fresh buffers because ownership transfers to the simnet delivery path.
+// fresh buffers, sized once from their payloads, because ownership transfers
+// to the simnet delivery path.
 //
 // Decoding is wire.Decoder's: sticky-error, strict, and every element count
 // capped against the bytes remaining before any allocation (fuzzed in
@@ -15,10 +16,12 @@ package repl
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/physical"
+	"repro/internal/vv"
 	"repro/internal/wire"
 )
 
@@ -121,6 +124,40 @@ func (r *response) encode(dst []byte) []byte {
 	}
 	return dst
 }
+
+// encodedLen is how many bytes response.encode appends for r, so a reply is
+// encoded into a buffer allocated once.  It is exact but for a version vector
+// holding a zero counter, which the encoding drops: then it is a bound.
+func (r *response) encodedLen() int {
+	n := 2 + stringLen(len(r.Err)) + countLen(len(r.Entries))
+	for i := range r.Entries {
+		e := &r.Entries[i]
+		n += 12 + stringLen(len(e.Name)) + 12 + 2 + stringLen(len(e.Value))
+	}
+	n += vvLen(r.VV) + auxLen(r.Aux) + 8 + stringLen(len(r.Data))
+	n += countLen(len(r.Replicas)) + 4*len(r.Replicas) + countLen(len(r.Pulls))
+	for i := range r.Pulls {
+		p := &r.Pulls[i]
+		n += 2 + stringLen(len(p.Err)) + stringLen(len(p.Data)) + auxLen(p.Aux) + 8 + vvLen(p.RemoteVV) + 1
+		if p.Manifest != nil {
+			n += 8 + countLen(len(p.Manifest.Blocks)) + physical.BlockAddrSize*len(p.Manifest.Blocks)
+		}
+		n += countLen(len(p.Missing))
+		for j := range p.Missing {
+			n += physical.BlockAddrSize + stringLen(len(p.Missing[j].Data))
+		}
+	}
+	return n
+}
+
+// countLen is the length of n as a uvarint count; stringLen, of a payload of
+// n bytes with its length in front.
+func countLen(n int) int  { return (bits.Len64(uint64(n)|1) + 6) / 7 }
+func stringLen(n int) int { return countLen(n) + n }
+
+// vvLen bounds a version vector's canonical encoding; auxLen, encodeAux's.
+func vvLen(v vv.Vector) int     { return 4 + 12*len(v) }
+func auxLen(a physical.Aux) int { return 1 + 4 + 8 + vvLen(a.VV) }
 
 // ---- decoding ----------------------------------------------------------
 

@@ -177,6 +177,31 @@ func TestCodecGoldenBytes(t *testing.T) {
 	}
 }
 
+// TestEncodedLenIsExact: a reply is encoded into a buffer sized once from its
+// payloads (Server.handle), so the size must be the encoding's — at every
+// uvarint length boundary of a count, a string and a payload.
+func TestEncodedLenIsExact(t *testing.T) {
+	resps := []*response{sampleResponse(), hugeManifestAnswer(), {}}
+	for _, n := range []int{127, 128, 16383, 16384} {
+		big := bytes.Repeat([]byte{'x'}, n)
+		resp := &response{Err: string(big), Data: big, VV: vv.Vector{1: 2, 3: 4},
+			Entries:  make([]physical.Entry, n%256),
+			Replicas: make([]ids.ReplicaID, n%200),
+			Pulls: []wirePull{{Err: string(big[:n%300]), Data: big, RemoteVV: vv.Vector{2: 1},
+				Manifest: &physical.BlockManifest{Length: uint64(n), Blocks: make([]physical.BlockAddr, n%130)},
+				Missing:  []physical.Block{{Data: big}, {}}}}}
+		for i := range resp.Entries {
+			resp.Entries[i] = physical.Entry{Name: string(big[:i]), Value: string(big[:n%131])}
+		}
+		resps = append(resps, resp)
+	}
+	for i, resp := range resps {
+		if got, want := resp.encodedLen(), len(resp.encode(nil)); got != want {
+			t.Errorf("response %d: encodedLen %d, encoding %d bytes", i, got, want)
+		}
+	}
+}
+
 // TestCodecRejectsCorruption: every truncation of a valid message and a few
 // corruptions fail with an error, never a panic or a hang.
 func TestCodecRejectsCorruption(t *testing.T) {

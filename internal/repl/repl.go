@@ -221,7 +221,7 @@ func (s *Server) handle(reqBytes []byte) ([]byte, error) {
 		return bad.encode(nil), nil
 	}
 	resp := s.dispatch(req)
-	return resp.encode(nil), nil
+	return resp.encode(make([]byte, 0, resp.encodedLen())), nil
 }
 
 func (s *Server) dispatch(req *request) response {

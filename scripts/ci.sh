@@ -8,14 +8,17 @@
 # whole-file writes in internal/physical behind atomicReplace, the directory
 # journal's append behind its one writer, the in-place sidecar reseal behind
 # its one caller and fresh storage behind writeFresh, internal/ufs's metadata
-# blocks behind the end-of-call flush, a physical file's attributes behind the
-# one cached aux reader, one NFS read-reply encoder, a two-second fuzz smoke
+# blocks behind the end-of-call flush, a physical file's attributes — for
+# Getattr and for the replication read path — behind the one cached aux
+# reader, one NFS read-reply encoder, a directory notice that merges its one
+# directory instead of a whole subtree, a two-second fuzz smoke
 # of every decoder fuzz target (a package left with none fails), the gates that keep
 # timed benchmarks and mirrored Stats structs out of the root package, the
 # race-enabled test suite (it holds the RPC-economy gates — of the root
 # package TestRemoteReadRPCBudget, TestFirstAvailableAsksNobodyElse, and of
 # internal/logical TestLookupDoesNotPoll, TestWarmWalkAsksNothing,
-# TestWalkBelowAMovedParentAnswersAsFromTheRoot — the experiment
+# TestWalkBelowAMovedParentAnswersAsFromTheRoot, and of internal/repl
+# TestDirectoryNoticeCostsItsDirectory — the experiment
 # assertions of experiments_test.go, and the session tests of
 # internal/logical), ten more rounds of the one that shares an opened
 # vnode between goroutines while its replica is cut off and healed,
@@ -113,6 +116,12 @@ echo "==> a file's attributes through the one cached aux reader in internal/phys
 # request — reads the aux through the aux cache (DESIGN.md §16), not the store.
 test "$(sed -n '/^func (v \*pvnode) getattrLocked(/,/^}/p' internal/physical/pvnode.go | grep -c 'fileAuxLocked(')" -eq 1
 test "$(sed -n '/^func (v \*pvnode) getattrLocked(/,/^}/p' internal/physical/pvnode.go | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(')" -eq 0
+# So do FileInfo — and through it pullOne and the verified read — for a file
+# and a child directory, and AddToBase for a pull's advertisement.
+test "$(sed -n '/^func (l \*Layer) fileInfoLocked(/,/^}/p' internal/physical/export.go | grep -c 'fileAuxLocked(')" -eq 2
+test "$(sed -n '/^func (l \*Layer) fileInfoLocked(/,/^}/p' internal/physical/export.go | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(')" -eq 0
+test "$(sed -n '/^func (l \*Layer) AddToBase(/,/^}/p' internal/physical/pull.go | grep -c 'fileAuxLocked(')" -eq 1
+test "$(sed -n '/^func (l \*Layer) AddToBase(/,/^}/p' internal/physical/pull.go | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(')" -eq 0
 
 echo "==> one read-reply encoder in internal/nfs"
 # The server reads straight into the reply (DESIGN.md §9.2): Server.read is
@@ -122,6 +131,13 @@ nfs=$(git ls-files 'internal/nfs/*.go' | grep -v _test.go)
 test "$(cat $nfs | grep -v '^func ' | grep -c 'encodeReadReply(')" -eq 1
 test "$(sed -n '/^func (s \*Server) read(/,/^}/p' internal/nfs/server.go | grep -c 'encodeReadReply(')" -eq 1
 test "$(cat $nfs | grep -c 'Response{[^}]*Data:')" -eq 0
+
+echo "==> a directory notice merges its one directory in internal/recon"
+# Propagate's is-dir outcome reconciles under the notice scope (DESIGN.md
+# §9.1): one DirEntries, the merge, one pull of what the replica lacks.  The
+# whole-subtree walk is the periodic pass's, the backstop for a lost notice.
+test "$(grep -c 'ReconcileSubtree(' internal/recon/propagate.go)" -eq 0
+test "$(grep -c 'reconcile(local, res.src, childPath, notice)' internal/recon/propagate.go)" -eq 1
 
 echo "==> fuzz smoke: every Fuzz* target, 2s each"
 # The seed corpora already run under go test; this catches an oracle that
