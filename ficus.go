@@ -585,8 +585,8 @@ func (c *Cluster) BlockStatsFor(host int) BlockStats {
 
 // InjectBitRot silently flips one bit of the stored data byte at off in
 // host i's local copy of the file at path in the root volume, leaving the
-// version vector and sealed sidecar untouched — at-rest damage for the
-// scrubber to detect and heal.
+// version vector and the seal in the copy's aux untouched — at-rest damage for
+// the scrubber to detect and heal.
 func (c *Cluster) InjectBitRot(host int, path string, off uint64) error {
 	return c.hosts[host].CorruptFile(c.root, path, off)
 }

@@ -27,7 +27,7 @@
 //     workers, scrub daemon, and repair daemon can deadlock against each
 //     other.
 //
-//   - duraberr: on durable-write paths (device writes, sidecar/journal/
+//   - duraberr: on durable-write paths (device writes, seal/journal/
 //     shadow commits, renames) an error return must not be silently
 //     discarded, overwritten unchecked, or wrapped without %w.
 //

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// DurabErr audits durable-write paths: device writes, sidecar/journal/
+// DurabErr audits durable-write paths: device writes, seal/journal/
 // shadow commits, renames, truncates.  An error from one of these calls
 // is the only evidence a commit did not reach the disk; discarding it,
 // overwriting it before anyone looks, or wrapping it with %v (which

@@ -80,10 +80,10 @@ func runCrashSweepCase(t *testing.T, crashAfter int) bool {
 	// notifications keep arriving and keep (best-effort) journaling into
 	// host 1's dying disk.  No daemon passes run in the window, so no
 	// entry is dropped and the durable-subset property must hold.  Host 1
-	// goes on for four rounds after host 0's last write: a naming op is one
-	// append, a whole-file write one version, and the sweep needs its 400
-	// offsets.
-	for i := 0; i < 8; i++ {
+	// goes on for five rounds after host 0's last write: a naming op is one
+	// append, a whole-file write one version, a file two members, and the
+	// sweep needs its 400 offsets.
+	for i := 0; i < 9; i++ {
 		if i < 4 {
 			f, err := root0.Create(fmt.Sprintf("a%d", i), false)
 			if err != nil {

@@ -70,8 +70,8 @@ func (h *Host) BlockStats() physical.BlockStats {
 
 // CorruptFile injects silent at-rest bit rot into the local replica's copy
 // of the file at slash path within vol, flipping one bit of the stored
-// data byte at off without touching the version vector or the sealed
-// sidecar — exactly the damage profile the scrubber exists to catch.  Test
+// data byte at off without touching the version vector or the seal in the
+// copy's aux — exactly the damage profile the scrubber exists to catch.  Test
 // and experiment instrumentation.
 func (h *Host) CorruptFile(vol ids.VolumeHandle, path string, off uint64) error {
 	layer := h.LocalReplica(vol)

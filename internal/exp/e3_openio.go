@@ -46,24 +46,33 @@ func (r OpenIOResult) WarmDelta() int64 {
 	return int64(r.FicusWarmReads) - int64(r.UFSWarmReads)
 }
 
-// spacerInodes creates throwaway files in root until the used-inode count is
-// a multiple of the inodes in one inode-table block, so that the interesting
-// inode groups neither share a block with earlier activity (which would let
-// one fetch warm another and distort the count) nor straddle a block boundary
-// (which would add a read).  UFS allocates the lowest free inode.  On the
-// plain-UFS side nothing is ever freed and the next inode is exactly the used
-// count.  On the Ficus side every shadow commit frees the inode it replaces
-// (a sidecar's, a directory contents file's), so a few holes trail the
-// high-water mark; the spacers refill them first, and the group created next
-// starts within a few inodes of the block boundary — inside the fresh block.
-func spacerInodes(fs *ufs.FS, root vnode.Vnode, tag string) error {
+// spacerInodes creates throwaway files in root until the used-inode count of
+// plain UFS fs is a multiple of the inodes in one inode-table block, so that
+// the interesting inode groups neither share a block with earlier activity
+// (which would let one fetch warm another and distort the count) nor straddle
+// a block boundary (which would add a read), and returns how many it made.
+// UFS allocates the lowest free inode, and on the plain-UFS side nothing is
+// ever freed, so the next inode is exactly the used count.
+func spacerInodes(fs *ufs.FS, root vnode.Vnode, tag string) (int, error) {
 	st, err := fs.Statfs()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	next := int(st.TotalInodes - st.FreeInodes)
-	pad := (ufs.InodesPerBlock - next%ufs.InodesPerBlock) % ufs.InodesPerBlock
-	for i := 0; i < pad; i++ {
+	n := (ufs.InodesPerBlock - next%ufs.InodesPerBlock) % ufs.InodesPerBlock
+	return n, spacers(root, tag, n)
+}
+
+// spacers creates n throwaway files in root.  The Ficus run creates as many as
+// the plain-UFS run did at the same point, so both open the target in the same
+// tree: the spacers sit in the root between the sibling and the target, and
+// how many there are sets how much of the root's directory the cold lookup
+// scans.  A Ficus spacer is two container members and two inodes, so the Ficus
+// run pads its inode table past the sibling's block too, though not to a
+// block boundary: the cold open's device reads (EXPERIMENTS.md E3) show which
+// inode-table blocks it fetches.
+func spacers(root vnode.Vnode, tag string, n int) error {
+	for i := 0; i < n; i++ {
 		if _, err := root.Create(fmt.Sprintf("spacer-%s-%03d", tag, i), true); err != nil {
 			return err
 		}
@@ -91,43 +100,44 @@ func openPath(root vnode.Vnode, dir, name string) error {
 	return g.Close(vnode.OpenRead)
 }
 
-// ufsOpenIOs measures the plain-UFS side.
-func ufsOpenIOs(cachesOn bool) (cold, warm uint64, err error) {
+// ufsOpenIOs measures the plain-UFS side, returning the spacer counts it used
+// before and after the target directory.
+func ufsOpenIOs(cachesOn bool) (cold, warm uint64, pads [2]int, err error) {
 	dev := disk.New(16384)
 	opts := &ufs.Options{DisableCaches: !cachesOn}
 	fs, err := ufs.Mkfs(dev, 4096, opts)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, pads, err
 	}
 	root, err := ufsvn.New(fs).Root()
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, pads, err
 	}
 	// Sibling directory whose open warms the path prefix; spacer inodes
 	// keep the interesting inodes out of the warmed inode-table blocks.
 	sib, err := root.Mkdir("sibling")
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, pads, err
 	}
 	if _, err := sib.Create("file2", true); err != nil {
-		return 0, 0, err
+		return 0, 0, pads, err
 	}
-	if err := spacerInodes(fs, root, "a"); err != nil {
-		return 0, 0, err
+	if pads[0], err = spacerInodes(fs, root, "a"); err != nil {
+		return 0, 0, pads, err
 	}
 	dir, err := root.Mkdir("dir")
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, pads, err
 	}
-	if err := spacerInodes(fs, root, "b"); err != nil {
-		return 0, 0, err
+	if pads[1], err = spacerInodes(fs, root, "b"); err != nil {
+		return 0, 0, pads, err
 	}
 	f, err := dir.Create("file", true)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, pads, err
 	}
 	if err := vnode.WriteFile(f, []byte("payload")); err != nil {
-		return 0, 0, err
+		return 0, 0, pads, err
 	}
 
 	open := func() error { return openPath(root, "dir", "file") }
@@ -137,27 +147,28 @@ func ufsOpenIOs(cachesOn bool) (cold, warm uint64, err error) {
 	// sibling) but leaves the target directory cold.
 	fs.FlushCaches()
 	if err := openPath(root, "sibling", "file2"); err != nil {
-		return 0, 0, err
+		return 0, 0, pads, err
 	}
 	dev.ResetStats()
 	if err := open(); err != nil {
-		return 0, 0, err
+		return 0, 0, pads, err
 	}
 	cold = dev.Stats().Reads
 
 	// Recently accessed: repeat immediately.
 	dev.ResetStats()
 	if err := open(); err != nil {
-		return 0, 0, err
+		return 0, 0, pads, err
 	}
 	warm = dev.Stats().Reads
-	return cold, warm, nil
+	return cold, warm, pads, nil
 }
 
 // ficusOpenIOs measures the Ficus stack (logical over a co-resident
 // physical layer; the disk I/O count is the same with NFS interposed, which
-// adds messages, not disk traffic).
-func ficusOpenIOs(cachesOn bool) (cold, warm uint64, err error) {
+// adds messages, not disk traffic) in the tree the plain-UFS run built, pads
+// being its spacer counts.
+func ficusOpenIOs(cachesOn bool, pads [2]int) (cold, warm uint64, err error) {
 	dev := disk.New(16384)
 	opts := &ufs.Options{DisableCaches: !cachesOn}
 	fs, err := ufs.Mkfs(dev, 4096, opts)
@@ -189,14 +200,14 @@ func ficusOpenIOs(cachesOn bool) (cold, warm uint64, err error) {
 	if _, err := sib.Create("file2", true); err != nil {
 		return 0, 0, err
 	}
-	if err := spacerInodes(fs, root, "a"); err != nil {
+	if err := spacers(root, "a", pads[0]); err != nil {
 		return 0, 0, err
 	}
 	dir, err := root.Mkdir("dir")
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := spacerInodes(fs, root, "b"); err != nil {
+	if err := spacers(root, "b", pads[1]); err != nil {
 		return 0, 0, err
 	}
 	f, err := dir.Create("file", true)
@@ -211,7 +222,7 @@ func ficusOpenIOs(cachesOn bool) (cold, warm uint64, err error) {
 	// the target's inodes, and the sibling open below, which reads the root,
 	// would warm the target's inode-table block.  Pad to the next block and
 	// commit the root once more so its contents file moves there.
-	if err := spacerInodes(fs, root, "c"); err != nil {
+	if _, err := spacerInodes(fs, root, "c"); err != nil {
 		return 0, 0, err
 	}
 	if _, err := root.Create("last", true); err != nil {
@@ -251,10 +262,11 @@ func ficusOpenIOs(cachesOn bool) (cold, warm uint64, err error) {
 func OpenIOCounts(cachesOn bool) (OpenIOResult, error) {
 	r := OpenIOResult{CachesOn: cachesOn}
 	var err error
-	if r.UFSColdReads, r.UFSWarmReads, err = ufsOpenIOs(cachesOn); err != nil {
+	var pads [2]int
+	if r.UFSColdReads, r.UFSWarmReads, pads, err = ufsOpenIOs(cachesOn); err != nil {
 		return r, err
 	}
-	if r.FicusColdReads, r.FicusWarmReads, err = ficusOpenIOs(cachesOn); err != nil {
+	if r.FicusColdReads, r.FicusWarmReads, err = ficusOpenIOs(cachesOn, pads); err != nil {
 		return r, err
 	}
 	return r, nil

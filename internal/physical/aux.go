@@ -69,7 +69,7 @@ func (a *Aux) encode() []byte {
 func decodeAux(p []byte) (Aux, error) {
 	d := wire.NewDecoder(p)
 	a := Aux{Type: Kind(d.U8()), Nlink: d.U32(), GraftVol: d.Vol(), VV: d.VV()}
-	// Bytes past the vector are padding: aux files are written as one
+	// Bytes past the vector are padding: the header is written as one
 	// fixed-size block so an update is a single atomic block overwrite.
 	if err := d.Err(); err != nil {
 		return Aux{}, fmt.Errorf("physical: aux file: %w", err)
@@ -77,11 +77,26 @@ func decodeAux(p []byte) (Aux, error) {
 	return a, nil
 }
 
-// auxFileSize is the fixed on-disk size of an auxiliary attribute file.
-// Keeping the size constant makes every aux update a single-block in-place
-// overwrite — atomic on the device — so crash recovery never sees a torn
-// attribute block.  It bounds the version vector at ~40 replica entries,
-// far beyond the experiments' replication factors.
+// decodeAuxMember decodes an aux member: its header, and after it a file's seal
+// (sidecar.go), returned only when the tail decodes and is sealed under the
+// header's vector.  A tail that is absent, stale or undecodable is no seal —
+// unverifiable — and never makes the header unreadable.
+func decodeAuxMember(p []byte) (Aux, *sidecar, error) {
+	a, err := decodeAux(p[:min(len(p), auxFileSize)])
+	if err != nil || len(p) <= auxFileSize {
+		return a, nil, err
+	}
+	if sc, err := decodeSidecar(p[auxFileSize:]); err == nil && sc.Sealed.Equal(a.VV) {
+		return a, &sc, nil
+	}
+	return a, nil, nil
+}
+
+// auxFileSize is the fixed on-disk size of an aux header, and where a file's
+// seal starts.  Keeping the size constant makes every header update a
+// single-block in-place overwrite — atomic on the device — so crash recovery
+// never sees a torn attribute block.  It bounds the version vector at ~40
+// replica entries, far beyond the experiments' replication factors.
 const auxFileSize = 512
 
 func auxBytes(a *Aux) ([]byte, error) {
@@ -94,22 +109,22 @@ func auxBytes(a *Aux) ([]byte, error) {
 	return out, nil
 }
 
-// writeAuxFile stores a into the named UFS file in container dir as one
-// atomic fixed-size overwrite.
-func writeAuxFile(dir vnode.Vnode, name string, a *Aux) error {
-	f, err := dir.Create(name, false)
+// writeAuxFile commits, by put (writeFresh or atomicReplace), a whole aux
+// member as the named UFS file in container dir: header a then, unless m is nil
+// (a directory's attr), the seal of m under a's vector.
+func writeAuxFile(put func(vnode.Vnode, string, []byte) error, dir vnode.Vnode, name string, a *Aux, m *BlockManifest) error {
+	img, err := auxBytes(a)
 	if err != nil {
 		return err
 	}
-	data, err := auxBytes(a)
-	if err != nil {
-		return err
+	if m != nil {
+		img = append(img, encodeSidecar(a.VV, m)...)
 	}
-	_, err = f.WriteAt(data, 0)
-	return err
+	return put(dir, name, img)
 }
 
-// writeAuxVnode overwrites an already-resolved aux file vnode.
+// writeAuxVnode overwrites the header of an already-resolved aux member,
+// leaving its seal as it is.
 func writeAuxVnode(f vnode.Vnode, a *Aux) error {
 	data, err := auxBytes(a)
 	if err != nil {
@@ -119,41 +134,46 @@ func writeAuxVnode(f vnode.Vnode, a *Aux) error {
 	return err
 }
 
-// openAuxFile loads the named aux file from container dir, returning its
-// vnode as well for an in-place overwrite (writeAuxVnode).  An empty aux file
-// (a crash between creation and the first overwrite) reads as "not stored":
-// the file replica never finished materializing.
-func openAuxFile(dir vnode.Vnode, name string) (vnode.Vnode, Aux, error) {
+// openAuxFile loads the named aux member from container dir — its header and
+// current seal — returning its vnode as well for an in-place overwrite
+// (writeAuxVnode, resealInPlace).  An empty aux member (a crash between
+// creation and the first write) reads as "not stored": the file replica never
+// finished materializing.
+func openAuxFile(dir vnode.Vnode, name string) (vnode.Vnode, Aux, *sidecar, error) {
 	f, err := dir.Lookup(name)
 	if err != nil {
-		return nil, Aux{}, err
+		return nil, Aux{}, nil, err
 	}
 	st, err := f.Getattr()
 	if err != nil {
-		return nil, Aux{}, err
+		return nil, Aux{}, nil, err
 	}
-	a, err := loadAux(f, st.Size)
+	a, sc, err := loadAux(f, st.Size, true)
 	if err != nil {
-		return nil, Aux{}, err
+		return nil, Aux{}, nil, err
 	}
-	return f, a, nil
+	return f, a, sc, nil
 }
 
-// loadAux reads and decodes aux file f, size bytes long.
-func loadAux(f vnode.Vnode, size uint64) (Aux, error) {
+// loadAux reads and decodes aux member f, size bytes long: only the header's
+// block unless seal asks for the seal too.
+func loadAux(f vnode.Vnode, size uint64, seal bool) (Aux, *sidecar, error) {
 	if size == 0 {
-		return Aux{}, ErrNotStored
+		return Aux{}, nil, ErrNotStored
+	}
+	if !seal {
+		size = min(size, auxFileSize)
 	}
 	data := make([]byte, size)
 	n, err := f.ReadAt(data, 0)
 	if err != nil && !errors.Is(err, io.EOF) {
-		return Aux{}, err
+		return Aux{}, nil, err
 	}
-	return decodeAux(data[:n])
+	return decodeAuxMember(data[:n])
 }
 
-// readAuxFile is openAuxFile for a caller that only reads.
+// readAuxFile is openAuxFile for a caller that only reads the header.
 func readAuxFile(dir vnode.Vnode, name string) (Aux, error) {
-	_, a, err := openAuxFile(dir, name)
+	_, a, _, err := openAuxFile(dir, name)
 	return a, err
 }

@@ -18,7 +18,8 @@ import (
 //   - every live directory entry's container (if stored) is well-formed
 //   - no leftover shadow files (recovery should have consumed them)
 //   - no orphaned storage: every F/A/D member of a container is named by
-//     some entry (live or tombstone) of that directory
+//     some entry (live or tombstone) of that directory, and a container
+//     holds nothing but dir, attr and such members
 //   - entry ids are unique within each directory
 //   - the store root holds the meta file, the journal and the root
 //     container, and nothing else: every byte of file data is stored once
@@ -122,24 +123,6 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 			}
 			if !stored[prefixData+fid.String()] {
 				report("aux file %q has no data file", m.Name)
-			}
-		case strings.HasPrefix(m.Name, prefixSidecar):
-			fid, ok := sidecarFID(m.Name)
-			if !ok {
-				report("unparsable sidecar name %q", m.Name)
-				continue
-			}
-			// A sidecar without its data file, naming no entry or undecodable
-			// is a problem.  A *missing* or stale one is NOT: crash windows
-			// legitimately leave one, and the scrubber reseals.
-			if !named[fid] {
-				report("orphaned sidecar %q", m.Name)
-			}
-			if !stored[prefixData+fid.String()] {
-				report("sidecar %q has no data file", m.Name)
-			}
-			if _, err := readSidecar(cont, fid); err != nil {
-				report("undecodable sidecar %q: %v", m.Name, err)
 			}
 		case strings.HasPrefix(m.Name, prefixDir):
 			fid, err := ids.ParseFileID(m.Name[len(prefixDir):])

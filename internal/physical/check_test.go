@@ -61,7 +61,7 @@ func TestCheckDetectsOrphanedStorage(t *testing.T) {
 	df, _ := cont.Create(prefixData+ghost.String(), true)
 	vnode.WriteFile(df, []byte("orphan"))
 	aux := Aux{Type: KFile, Nlink: 1, VV: vv.New()}
-	writeAuxFile(cont, prefixAux+ghost.String(), &aux)
+	writeAuxFile(writeFresh, cont, prefixAux+ghost.String(), &aux, nil)
 	probs, err := l.Check()
 	if err != nil {
 		t.Fatal(err)

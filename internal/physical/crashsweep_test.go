@@ -336,7 +336,7 @@ func sweepOps() []sweepOp {
 		})},
 		{name: "TruncateGrows", inPlace: "/f0", run: onFile("/f0", func(f vnode.Vnode) error { return f.Truncate(20000) })},
 		{name: "TruncateToNothing", inPlace: "/f0", run: onFile("/f0", func(f vnode.Vnode) error { return f.Truncate(0) })},
-		// A sparse file a little over 1 MiB has a sidecar two device blocks
+		// A sparse file a little over 1 MiB has an aux two device blocks
 		// long: its reseal in place is not one device write.  The vector
 		// changes in the first, this write's address in the second.
 		{name: "WriteAtUnderTwoBlockSidecar", inPlace: "/f0", prep: onFile("/f0", func(f vnode.Vnode) error { return f.Truncate(1<<20 + 9000) }),
@@ -347,8 +347,8 @@ func sweepOps() []sweepOp {
 		{name: "TruncateUnderTwoBlockSidecar", inPlace: "/f0", prep: onFile("/f0", func(f vnode.Vnode) error { return f.Truncate(1<<20 + 9000) }),
 			run: onFile("/f0", func(f vnode.Vnode) error { return f.Truncate(6000) })},
 		// A seal that is not current — here what an install that crashed after
-		// its sidecar leaves — vouches for nothing: the update hashes every
-		// block it keeps and replaces the sidecar.
+		// its seal leaves — vouches for nothing: the update hashes every
+		// block it keeps and replaces the seal.
 		{name: "WriteAtOverStaleSeal", inPlace: "/f0", prep: staleSeal("/f0"), run: onFile("/f0", func(f vnode.Vnode) error {
 			_, err := f.WriteAt([]byte("WRITE"), 4094)
 			return err
@@ -427,7 +427,7 @@ func rootCompacted(l *Layer) error {
 	return nil
 }
 
-// staleSeal leaves the root-directory file at path under the sidecar of an
+// staleSeal leaves the root-directory file at path under the seal of an
 // install, from replica 2, that crashed before replacing the data.
 func staleSeal(path string) func(*Layer, vnode.Vnode) error {
 	return func(l *Layer, root vnode.Vnode) error {
@@ -451,8 +451,22 @@ func staleSeal(path string) func(*Layer, vnode.Vnode) error {
 		if err != nil {
 			return err
 		}
-		return l.sealLocked(cont, fid, st.Aux.VV.Clone().Bump(2), ComputeManifest(sweepPayload('z')))
+		return plantSeal(cont, fid, st.Aux.VV.Clone().Bump(2), ComputeManifest(sweepPayload('z')))
 	}
+}
+
+// plantSeal replaces fid's aux member in cont by its header and a tail sealing
+// m under sealed.
+func plantSeal(cont vnode.Vnode, fid ids.FileID, sealed vv.Vector, m *BlockManifest) error {
+	aux, err := readAuxFile(cont, prefixAux+fid.String())
+	if err != nil {
+		return err
+	}
+	img, err := auxBytes(&aux)
+	if err != nil {
+		return err
+	}
+	return atomicReplace(cont, prefixAux+fid.String(), append(img, encodeSidecar(sealed, m)...))
 }
 
 // blockwiseOldOrNew reports whether every 4 KiB block of got, zero-padded,
@@ -477,9 +491,10 @@ func blockwiseOldOrNew(got, old, new string) bool {
 }
 
 // checkStoreMembers walks the store's containers asserting what Check does
-// not: a seal vouches only for bytes it covers (sealed vector == aux vector
-// ⇒ the manifest verifies), and no member is hard-linked from two containers
-// (the transient state of a cross-directory rename never survives a mount).
+// not: every aux header decodes, a seal vouches only for bytes it covers
+// (sealed vector == header vector ⇒ the manifest verifies), and no member is
+// hard-linked from two containers (the transient state of a cross-directory
+// rename never survives a mount).
 func checkStoreMembers(t *testing.T, l *Layer, tag string) {
 	t.Helper()
 	cont, err := l.rootContainer()
@@ -500,17 +515,17 @@ func checkStoreMembers(t *testing.T, l *Layer, tag string) {
 			} else if a.Nlink != 1 {
 				t.Errorf("%s: store member %s is linked %d times", tag, e.Name, a.Nlink)
 			}
-			fid, ok := sidecarFID(e.Name)
-			if !ok {
+			fid, ok := memberFID(e.Name)
+			if !ok || !strings.HasPrefix(e.Name, prefixAux) {
 				continue
 			}
-			sc, err := readSidecar(c, fid)
+			_, aux, sc, err := openAuxFile(c, e.Name)
 			if err != nil {
-				continue // unverifiable, never wrong
-			}
-			aux, err := readAuxFile(c, prefixAux+fid.String())
-			if err != nil || !sc.Sealed.Equal(aux.VV) {
+				t.Errorf("%s: aux %s does not decode: %v", tag, e.Name, err)
 				continue
+			}
+			if sc == nil {
+				continue // unverifiable, never wrong
 			}
 			df, err := c.Lookup(prefixData + fid.String())
 			if err != nil {
@@ -521,7 +536,7 @@ func checkStoreMembers(t *testing.T, l *Layer, tag string) {
 				return err
 			}
 			if !sc.Verify(data) {
-				t.Errorf("%s: sidecar %s is sealed under the current vector %s but does not verify the data", tag, e.Name, aux.VV)
+				t.Errorf("%s: the seal of %s is sealed under the current vector %s but does not verify the data", tag, e.Name, aux.VV)
 			}
 		}
 		return nil
@@ -655,13 +670,15 @@ func TestCrashAtEveryWriteOfEveryLocalOp(t *testing.T) {
 
 // TestTornResealNeverSplicesACurrentSeal aims a torn write at the one place
 // an in-place reseal could forge a seal.  An install that crashed after its
-// sidecar left S<fid> sealed under a vector that differs from the aux's only
-// in a counter that precedes this replica's; a local write's new sidecar
-// differs from the aux's vector only in this replica's counter, which comes
-// later.  Torn between the two, new head over old tail would spell exactly
-// the aux's vector above the crashed install's addresses.  Swept over every
-// device write of the local write and every tear length that can end inside
-// the vector, the seal rule must hold: sealed == aux ⇒ the manifest verifies.
+// seal left the aux's tail sealed under a vector that differs from the
+// header's only in a counter that precedes this replica's; a local write's
+// new seal differs from the header's vector only in this replica's counter,
+// which comes later.  Torn between the two, new head over old tail would spell
+// exactly the header's vector above the crashed install's addresses.  An
+// install over the stored copy writes its seal in place over the same stale
+// tail.  Swept over every device write of each and every tear length that can
+// end inside the tail's vector, the seal rule must hold (sealed == header ⇒
+// the manifest verifies) and every header must decode.
 func TestTornResealNeverSplicesACurrentSeal(t *testing.T) {
 	base := disk.New(512)
 	fs, err := ufs.Mkfs(base, 128, nil)
@@ -693,7 +710,7 @@ func TestTornResealNeverSplicesACurrentSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.sealLocked(cont, fid, installed.Clone().Bump(1), ComputeManifest(sweepPayload('c'))); err != nil {
+	if err := plantSeal(cont, fid, installed.Clone().Bump(1), ComputeManifest(sweepPayload('c'))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -714,22 +731,32 @@ func TestTornResealNeverSplicesACurrentSeal(t *testing.T) {
 		}
 		return l, f
 	}
-	dev := base.Snapshot()
-	_, f = open(dev)
-	w0 := dev.Stats().Writes
-	if _, err := f.WriteAt([]byte("WRITE"), 10); err != nil {
-		t.Fatal(err)
-	}
-	writes := int(dev.Stats().Writes - w0)
-	for k := 0; k < writes; k++ {
-		for torn := 1; torn <= 64; torn++ {
-			dev := base.Snapshot()
-			_, f := open(dev)
-			dev.FaultAfterWritesTorn(k, torn)
-			f.WriteAt([]byte("WRITE"), 10)
-			dev.ClearFault()
-			l2, _ := open(dev)
-			checkStoreMembers(t, l2, fmt.Sprintf("k=%d/%d torn=%d", k, writes, torn))
+	for _, op := range []struct {
+		name string
+		run  func(*Layer, vnode.Vnode) error
+	}{
+		{"WriteAt", func(_ *Layer, f vnode.Vnode) error { _, err := f.WriteAt([]byte("WRITE"), 10); return err }},
+		{"InstallOverStoredCopy", func(l *Layer, _ vnode.Vnode) error {
+			return l.InstallFileVersion(RootPath(), fid, KFile, sweepPayload('d'), installed.Clone().Bump(3), 1)
+		}},
+	} {
+		dev := base.Snapshot()
+		l, f := open(dev)
+		w0 := dev.Stats().Writes
+		if err := op.run(l, f); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		writes := int(dev.Stats().Writes - w0)
+		for k := 0; k < writes; k++ {
+			for torn := auxFileSize + 1; torn <= auxFileSize+64; torn++ {
+				dev := base.Snapshot()
+				l, f := open(dev)
+				dev.FaultAfterWritesTorn(k, torn)
+				op.run(l, f)
+				dev.ClearFault()
+				l2, _ := open(dev)
+				checkStoreMembers(t, l2, fmt.Sprintf("%s k=%d/%d torn=%d", op.name, k, writes, torn))
+			}
 		}
 	}
 }

@@ -122,16 +122,16 @@ func remount(t *testing.T, dev *disk.Device, tag string) *Layer {
 	return l
 }
 
-// fileMembers returns the raw images of fid's three container members — data,
-// aux and sidecar — in the root container.
-func fileMembers(t *testing.T, l *Layer, fid ids.FileID) [3][]byte {
+// fileMembers returns the raw images of fid's two container members — data
+// and aux, the seal its tail — in the root container.
+func fileMembers(t *testing.T, l *Layer, fid ids.FileID) [2][]byte {
 	t.Helper()
 	cont, err := l.rootContainer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out [3][]byte
-	for i, prefix := range []string{prefixData, prefixAux, prefixSidecar} {
+	var out [2][]byte
+	for i, prefix := range []string{prefixData, prefixAux} {
 		f, err := cont.Lookup(prefix + fid.String())
 		if err != nil {
 			t.Fatalf("member %s%s: %v", prefix, fid, err)
@@ -245,7 +245,7 @@ func randomVersion(rng *rand.Rand) []byte {
 // TestDeltaInstallEqualsWholeInstall: the answer's shape is a transfer
 // detail.  On two identical stores, installing new over old from the delta
 // answer (against the base the pull would advertise) and from the whole-file
-// answer must leave byte-identical data, aux and sidecar members, cost the
+// answer must leave byte-identical data and aux members, cost the
 // same number of device writes, and pass fsck; and the delta must have read
 // every unshipped block back from the version it replaced.
 func TestDeltaInstallEqualsWholeInstall(t *testing.T) {
@@ -282,7 +282,7 @@ func TestDeltaInstallEqualsWholeInstall(t *testing.T) {
 			t.Errorf("%s: delta install cost %d device writes, whole install %d", sh.name, deltaWrites, wholeWrites)
 		}
 		membersD, membersW := fileMembers(t, lD, fid), fileMembers(t, lW, fid)
-		for i, member := range []string{"data", "aux", "sidecar"} {
+		for i, member := range []string{"data", "aux"} {
 			if !bytes.Equal(membersD[i], membersW[i]) {
 				t.Errorf("%s: delta and whole installs left different %s members", sh.name, member)
 			}
@@ -382,17 +382,16 @@ func TestStaleBaseIsBenign(t *testing.T) {
 }
 
 // TestRemoveDropsManifest pins the local-unlink reclaim path: removing the
-// last name of a file must also discard its sidecar, or Check reports a
-// sidecar with no data file (the chaos convergence suites caught exactly
-// this leak).
+// last name of a file must also discard its aux, and the seal with it, or the
+// file would still offer its blocks to a delta pull.
 func TestRemoveDropsManifest(t *testing.T) {
 	_, l, fid := newBlockLayer(t, append(blockOf('a'), blockOf('b')...))
 	cont, err := l.rootContainer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cont.Lookup(prefixSidecar + fid.String()); err != nil {
-		t.Fatalf("stored file has no sidecar: %v", err)
+	if _, seal, err := l.fileAuxLocked(cont, prefixAux+fid.String(), true); err != nil || seal == nil {
+		t.Fatalf("stored file has no current seal: %v", err)
 	}
 	root, err := l.Root()
 	if err != nil {
@@ -401,8 +400,8 @@ func TestRemoveDropsManifest(t *testing.T) {
 	if err := root.Remove("f"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cont.Lookup(prefixSidecar + fid.String()); vnode.AsErrno(err) != vnode.ENOENT {
-		t.Fatalf("sidecar after removing the last name: %v, want ENOENT", err)
+	if _, err := cont.Lookup(prefixAux + fid.String()); vnode.AsErrno(err) != vnode.ENOENT {
+		t.Fatalf("aux after removing the last name: %v, want ENOENT", err)
 	}
 	if base := baseOf(l, fid); len(base) != 0 {
 		t.Fatalf("a removed file still offers %d base blocks", len(base))
@@ -413,8 +412,9 @@ func TestRemoveDropsManifest(t *testing.T) {
 // TestOneSidecarPerStoredFile: whatever a store has been through — local
 // writes, a delta install, a whole-file install, a scrub pass, a
 // cross-directory rename, a crash and restart — every stored file is exactly
-// three container members: data, aux and one sidecar.  A member of the
-// retired checksum-sidecar format is no longer a known name.
+// two container members: data, and an aux whose tail is its one current
+// seal.  A member of a retired format — the checksum sidecar C<fid>, the
+// sealed sidecar S<fid> — is no longer a known name.
 func TestOneSidecarPerStoredFile(t *testing.T) {
 	oldData := append(blockOf('a'), blockOf('b')...)
 	newData := append(append(blockOf('a'), blockOf('b')...), blockOf('c')...)
@@ -469,8 +469,11 @@ func TestOneSidecarPerStoredFile(t *testing.T) {
 		}
 		for fid, prefixes := range members {
 			sort.Strings(prefixes)
-			if strings.Join(prefixes, "") != prefixAux+prefixData+prefixSidecar {
-				t.Errorf("file %s is stored as members %q, want exactly A, F and S", fid, prefixes)
+			if strings.Join(prefixes, "") != prefixAux+prefixData {
+				t.Errorf("file %s is stored as members %q, want exactly A and F", fid, prefixes)
+			}
+			if _, seal, err := l2.fileAuxLocked(cont, prefixAux+fid, true); err != nil || seal == nil {
+				t.Errorf("file %s has no current seal (%v)", fid, err)
 			}
 			files++
 		}
@@ -483,18 +486,26 @@ func TestOneSidecarPerStoredFile(t *testing.T) {
 		t.Fatalf("walk saw %d stored files, want 2", files)
 	}
 
-	stray, err := rootCont.Create("C"+fidG.String(), true)
+	// A sealed sidecar that decodes and is current under the file's vector
+	// is as foreign as the checksum one.
+	st, err := l2.FileInfo(RootPath(), fidG)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vnode.WriteFile(stray, []byte("FSUM")); err != nil {
-		t.Fatal(err)
+	for prefix, img := range map[string][]byte{"C": []byte("FSUM"), "S": encodeSidecar(st.Aux.VV, ComputeManifest(blockOf('h')))} {
+		stray, err := rootCont.Create(prefix+fidG.String(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vnode.WriteFile(stray, img); err != nil {
+			t.Fatal(err)
+		}
 	}
 	problems, err := l2.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(problems) != 1 || !strings.Contains(problems[0], "unidentified container member") {
-		t.Fatalf("stray checksum sidecar: check says %v", problems)
+	if len(problems) != 2 || !strings.Contains(problems[0], "unidentified container member") || !strings.Contains(problems[1], "unidentified container member") {
+		t.Fatalf("stray retired sidecars: check says %v", problems)
 	}
 }

@@ -14,11 +14,14 @@ import (
 // a file's aux member → its decoded attributes.
 const contCacheSize, dirCacheSize, auxCacheSize = 4096, 1024, 4096
 
-// auxEntry is a file's aux as decoded, with the stamp of the store file it
-// was read from.  The store ticks Mtime or Ctime on every change of a file
-// and never reuses a stamp, so a stamp that still matches vouches for the bytes.
+// auxEntry is a file's aux as decoded — its header, and once asked for its
+// seal (nil when it has no current one) — with the stamp of the store file it
+// was read from.  The store ticks Mtime or Ctime on every change of a file and
+// never reuses a stamp, so a stamp that still matches vouches for the bytes.
 type auxEntry struct {
 	aux                Aux
+	seal               *sidecar
+	sealRead           bool
 	mtime, ctime, size uint64
 }
 
@@ -109,29 +112,31 @@ func (l *Layer) dirLocked(cont vnode.Vnode) (*dirImage, error) {
 }
 
 // fileAuxLocked reads the aux member name of container cont through the aux
-// cache.  The key is the member's store handle, its inode — so an install by
-// rename, a link or unlink and a reused inode all change the key or the stamp,
-// and no writer needs to drop an entry; the caller must not change the result.
-// A hit still asks the store for the member and its stamp, both answered from
-// the store's caches; it skips the block read and the decode.
-func (l *Layer) fileAuxLocked(cont vnode.Vnode, name string) (Aux, error) {
+// cache: its header and, with seal, its current seal (sidecar.go).  The key is
+// the member's store handle, its inode — so an install by rename, a link or
+// unlink and a reused inode all change the key or the stamp, and no writer
+// needs to drop an entry; the caller must not change the results, whose vector
+// and blocks are lent.  A hit still asks the store for the member and its
+// stamp, both answered from the store's caches; it skips the block read and the
+// decode.  Without seal only the header's block is read.
+func (l *Layer) fileAuxLocked(cont vnode.Vnode, name string, seal bool) (Aux, *sidecar, error) {
 	f, err := cont.Lookup(name)
 	if err != nil {
-		return Aux{}, err
+		return Aux{}, nil, err
 	}
 	st, err := f.Getattr()
 	if err != nil {
-		return Aux{}, err
+		return Aux{}, nil, err
 	}
 	key := f.Handle()
-	if e, ok := l.auxs.Get(key); ok && e.mtime == st.Mtime && e.ctime == st.Ctime && e.size == st.Size {
-		return e.aux, nil
+	if e, ok := l.auxs.Get(key); ok && e.mtime == st.Mtime && e.ctime == st.Ctime && e.size == st.Size && (e.sealRead || !seal) {
+		return e.aux, e.seal, nil
 	}
-	a, err := loadAux(f, st.Size)
+	a, sc, err := loadAux(f, st.Size, seal)
 	if err == nil {
-		l.auxs.Put(key, auxEntry{aux: a, mtime: st.Mtime, ctime: st.Ctime, size: st.Size})
+		l.auxs.Put(key, auxEntry{aux: a, seal: sc, sealRead: seal, mtime: st.Mtime, ctime: st.Ctime, size: st.Size})
 	}
-	return a, err
+	return a, sc, err
 }
 
 // FlushCaches empties the layer's caches; the next calls read the store.

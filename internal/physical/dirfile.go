@@ -187,7 +187,7 @@ func (l *Layer) writeDirLocked(cont vnode.Vnode, d *dirImage, entries []Entry, r
 	}
 	attr := d.attr
 	if advance != nil {
-		af, aux, err := openAuxFile(cont, dirAttrName)
+		af, aux, _, err := openAuxFile(cont, dirAttrName)
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +223,7 @@ func (l *Layer) newContainerLocked(parent vnode.Vnode, fid ids.FileID, aux *Aux)
 	if err := writeFresh(sub, dirFileName, encodeEntries(nil)); err != nil {
 		return err
 	}
-	return writeAuxFile(sub, dirAttrName, aux)
+	return writeAuxFile(writeFresh, sub, dirAttrName, aux, nil)
 }
 
 // cmpEID orders entries by entry id: the order a directory keeps its entries

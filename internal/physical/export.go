@@ -73,7 +73,7 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 	}
 	// The aux is read through the aux cache, which lends it: the vector is
 	// cloned, so no caller can reach the cached map.
-	aux, err := l.fileAuxLocked(cont, prefixAux+fid.String())
+	aux, _, err := l.fileAuxLocked(cont, prefixAux+fid.String(), false)
 	if err != nil {
 		if vnode.AsErrno(err) != vnode.ENOENT {
 			return FileState{}, err
@@ -84,7 +84,7 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 		if serr != nil {
 			return FileState{}, ErrNotStored
 		}
-		daux, serr := l.fileAuxLocked(sub, dirAttrName)
+		daux, _, serr := l.fileAuxLocked(sub, dirAttrName, false)
 		if serr != nil {
 			return FileState{}, serr
 		}
@@ -94,10 +94,7 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 	aux.VV = aux.VV.Clone()
 	df, err := cont.Lookup(prefixData + fid.String())
 	if err != nil {
-		if vnode.AsErrno(err) == vnode.ENOENT {
-			return FileState{}, ErrNotStored
-		}
-		return FileState{}, err
+		return FileState{}, mapNotStored(err)
 	}
 	da, err := df.Getattr()
 	if err != nil {
@@ -108,53 +105,65 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 
 // FileData returns the full contents and attributes of file fid in
 // directory dirPath.  It is the replication read path — what a conditional
-// pull ships to peers — so it verifies the data against a fresh
-// sealed sidecar before serving: a quarantined or freshly failing replica
-// answers ErrCorrupt (transient — retry elsewhere, repair pending) rather
-// than ever letting wrong bytes propagate.  A stale or missing sidecar
-// cannot vouch either way and the data is served optimistically.
+// pull ships to peers — so it verifies the data against its current seal
+// before serving: a quarantined or freshly failing replica answers ErrCorrupt
+// (transient — retry elsewhere, repair pending) rather than ever letting wrong
+// bytes propagate.  A stale or missing seal cannot vouch either way and the
+// data is served optimistically.
 func (l *Layer) FileData(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileState, error) {
 	data, st, _, err := l.readVerified(dirPath, fid)
 	return data, st, err
 }
 
 // readVerified is FileData, also returning the sealed manifest the bytes
-// were verified against (nil when the sidecar could not vouch for them).
+// were verified against (nil when no current seal could vouch for them).
 func (l *Layer) readVerified(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileState, *BlockManifest, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.readVerifiedLocked(dirPath, fid)
 }
 
+// readVerifiedLocked reads the aux and its seal through the aux cache, which
+// lends them: the vector is cloned, and the manifest returned is the cache's,
+// read-only.
 func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileState, *BlockManifest, error) {
-	st, err := l.fileInfoLocked(dirPath, fid)
-	if err != nil {
-		return nil, FileState{}, nil, err
-	}
-	if l.isQuarantinedLocked(fid) {
-		return nil, FileState{}, nil, fmt.Errorf("%w: file %s is quarantined", ErrCorrupt, fid)
-	}
 	cont, err := l.containerOf(dirPath)
 	if err != nil {
 		return nil, FileState{}, nil, err
 	}
+	aux, seal, err := l.fileAuxLocked(cont, prefixAux+fid.String(), true)
+	if err != nil {
+		return nil, FileState{}, nil, mapNotStored(err)
+	}
+	if l.isQuarantinedLocked(fid) {
+		return nil, FileState{}, nil, fmt.Errorf("%w: file %s is quarantined", ErrCorrupt, fid)
+	}
 	df, err := cont.Lookup(prefixData + fid.String())
 	if err != nil {
-		return nil, FileState{}, nil, err
+		return nil, FileState{}, nil, mapNotStored(err)
 	}
 	data, err := vnode.ReadFile(df)
 	if err != nil {
 		return nil, FileState{}, nil, err
 	}
-	sc, err := readSidecar(cont, fid)
-	if err != nil || !sc.Sealed.Equal(st.Aux.VV) {
+	aux.VV = aux.VV.Clone()
+	st := FileState{Aux: aux, Size: uint64(len(data))}
+	if seal == nil {
 		return data, st, nil, nil
 	}
-	if !sc.Verify(data) {
-		l.quarantineLocked(dirPath, fid, st.Aux.VV)
+	if !seal.Verify(data) {
+		l.quarantineLocked(dirPath, fid, aux.VV)
 		return nil, FileState{}, nil, fmt.Errorf("%w: file %s failed verification on read", ErrCorrupt, fid)
 	}
-	return data, st, &sc.BlockManifest, nil
+	return data, st, &seal.BlockManifest, nil
+}
+
+// mapNotStored reports a member that is not there as the file not stored.
+func mapNotStored(err error) error {
+	if vnode.AsErrno(err) == vnode.ENOENT {
+		return ErrNotStored
+	}
+	return err
 }
 
 // HasDir reports whether this replica stores the directory at dirPath.
@@ -285,7 +294,7 @@ func (l *Layer) settleChildLocked(cont vnode.Vnode, entries []Entry, child ids.F
 	if n == 0 {
 		return l.removeStorageLocked(cont, child)
 	}
-	af, aux, err := openAuxFile(cont, prefixAux+child.String())
+	af, aux, _, err := openAuxFile(cont, prefixAux+child.String())
 	if err != nil || int(aux.Nlink) == n {
 		return nil // not stored here (or not readable: Check's to report), or already right
 	}
@@ -307,7 +316,7 @@ func (l *Layer) unshareLocked(cont vnode.Vnode, fid ids.FileID) error {
 	if a, err := af.Getattr(); err != nil || a.Nlink < 2 {
 		return err
 	}
-	for _, p := range []string{prefixData, prefixSidecar, prefixAux} {
+	for _, p := range []string{prefixData, prefixAux} {
 		f, err := cont.Lookup(p + fid.String())
 		if vnode.AsErrno(err) == vnode.ENOENT {
 			continue
@@ -325,11 +334,11 @@ func (l *Layer) unshareLocked(cont vnode.Vnode, fid ids.FileID) error {
 	return nil
 }
 
-// removeStorageLocked reclaims every container member of file fid — data,
-// aux and sidecar — and whatever quarantine its bytes were under.  Absent
-// members are fine: a replica need not store the file.
+// removeStorageLocked reclaims both container members of file fid — data and
+// aux — and whatever quarantine its bytes were under.  Absent members are
+// fine: a replica need not store the file.
 func (l *Layer) removeStorageLocked(cont vnode.Vnode, fid ids.FileID) error {
-	for _, p := range []string{prefixData, prefixAux, prefixSidecar} {
+	for _, p := range []string{prefixData, prefixAux} {
 		if err := cont.Remove(p + fid.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
 			return err
 		}

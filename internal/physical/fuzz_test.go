@@ -61,6 +61,39 @@ func FuzzDecodeAux(f *testing.F) {
 	})
 }
 
+// FuzzAuxMemberTail appends arbitrary bytes to an aux header as its seal tail:
+// the header decodes to the same Aux whatever follows it, and a seal comes
+// back only when the tail is a canonical one sealed under the header's vector.
+func FuzzAuxMemberTail(f *testing.F) {
+	a := Aux{Type: KFile, Nlink: 1, VV: vv.Vector{1: 4, 3: 9}}
+	header, err := auxBytes(&a)
+	if err != nil {
+		f.Fatal(err)
+	}
+	m := ComputeManifest([]byte("some data"))
+	current := encodeSidecar(a.VV, m)
+	f.Add(current)
+	f.Add(encodeSidecar(vv.Vector{1: 4, 3: 10}, m)) // stale
+	f.Add(current[:len(current)-1])                 // torn
+	f.Add(append(slices.Clone(current), 0))         // padded
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		got, seal, err := decodeAuxMember(append(slices.Clone(header), tail...))
+		if err != nil {
+			t.Fatalf("a valid header followed by %x does not decode: %v", tail, err)
+		}
+		if got.Type != a.Type || got.Nlink != a.Nlink || got.GraftVol != a.GraftVol || !got.VV.Equal(a.VV) {
+			t.Fatalf("header decodes to %+v behind tail %x, want %+v", got, tail, a)
+		}
+		if seal == nil {
+			return
+		}
+		if !seal.Sealed.Equal(a.VV) || !bytes.Equal(encodeSidecar(seal.Sealed, &seal.BlockManifest), tail) {
+			t.Fatalf("tail %x was taken as the current seal %+v", tail, seal)
+		}
+	})
+}
+
 func FuzzReplayJournal(f *testing.F) {
 	header := append(append([]byte(nil), nvcjMagic...), nvcjVersion)
 	log := encodeUpsert(header, NewVersion{File: fid(2, 100), Dir: RootPath(), Origin: 2, Seen: 3, Attempts: 1, NotBefore: 9})

@@ -48,11 +48,10 @@ const (
 // file id (the paper's "encoding the Ficus file handle into a hexadecimal
 // string used by the UFS as a pathname").
 const (
-	prefixDir     = "D" // child directory container (UFS directory)
-	prefixData    = "F" // child file data (UFS file)
-	prefixAux     = "A" // child file auxiliary attributes (UFS file)
-	prefixSidecar = "S" // child file sealed block-manifest sidecar (UFS file)
-	suffixShadow  = ".shadow"
+	prefixDir    = "D" // child directory container (UFS directory)
+	prefixData   = "F" // child file data (UFS file)
+	prefixAux    = "A" // child file auxiliary attributes and seal (UFS file)
+	suffixShadow = ".shadow"
 )
 
 // idBatch is how many ids one commit of meta reserves: meta records a

@@ -339,7 +339,7 @@ func TestLinkCountIsRecounted(t *testing.T) {
 			t.Fatal(err)
 		}
 		aux.Nlink = n
-		if err := writeAuxFile(cont, prefixAux+fid.String(), &aux); err != nil {
+		if err := writeAuxFile(atomicReplace, cont, prefixAux+fid.String(), &aux, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -681,8 +681,8 @@ func TestEnsureDirStored(t *testing.T) {
 }
 
 // TestLocalOverwriteIsSixDeviceWrites pins what a small local overwrite costs
-// on the device, whatever the file's size: a block and the inode for each of
-// the sidecar (overwritten in place), the data and the aux.
+// on the device, whatever the file's size: a block and the inode for the aux's
+// seal (overwritten in place), for the data, and for the aux's header.
 func TestLocalOverwriteIsSixDeviceWrites(t *testing.T) {
 	for _, size := range []int{5000, 16 * ChecksumBlockSize} {
 		l, dev := newLayer(t, 1)
@@ -718,8 +718,8 @@ func TestNamingOpDeviceWrites(t *testing.T) {
 		want uint64
 		run  func(root vnode.Vnode) error
 	}{
-		{"Create", 19, func(root vnode.Vnode) error { _, err := root.Create("new", true); return err }},
-		{"Symlink", 22, func(root vnode.Vnode) error { return root.Symlink("sym", "f0") }},
+		{"Create", 14, func(root vnode.Vnode) error { _, err := root.Create("new", true); return err }},
+		{"Symlink", 17, func(root vnode.Vnode) error { return root.Symlink("sym", "f0") }},
 		{"Mkdir", 21, func(root vnode.Vnode) error { _, err := root.Mkdir("newdir"); return err }},
 		{"Link", 6, func(root vnode.Vnode) error {
 			f, err := root.Lookup("f0")
@@ -728,11 +728,11 @@ func TestNamingOpDeviceWrites(t *testing.T) {
 			}
 			return root.Link("f0b", f)
 		}},
-		{"Remove", 16, func(root vnode.Vnode) error { return root.Remove("f2") }},
+		{"Remove", 12, func(root vnode.Vnode) error { return root.Remove("f2") }},
 		{"Rmdir", 4, func(root vnode.Vnode) error { return root.Rmdir("sub") }},
 		{"Rename within a directory", 4, func(root vnode.Vnode) error { return root.Rename("f3", root, "f3r") }},
-		{"Rename over an existing name", 16, func(root vnode.Vnode) error { return root.Rename("f3", root, "f4") }},
-		{"Rename across directories", 20, func(root vnode.Vnode) error {
+		{"Rename over an existing name", 12, func(root vnode.Vnode) error { return root.Rename("f3", root, "f4") }},
+		{"Rename across directories", 16, func(root vnode.Vnode) error {
 			sub, err := root.Lookup("sub")
 			if err != nil {
 				return err

@@ -83,7 +83,7 @@ type PullResult struct {
 	Err      error     // PullError only
 
 	// Manifest is the serving replica's block manifest of exactly the shipped
-	// version (PullData only): taken from its sealed sidecar, or computed
+	// version (PullData only): taken from its current seal, or computed
 	// from the bytes it read when the seal is stale.  Receivers verify the
 	// payload against it before installing, so damage in flight — or a
 	// serving path whose verification was bypassed — is rejected rather than
@@ -167,7 +167,8 @@ type baseBlock struct {
 // AddToBase offers fid's local version to base: its addresses join when the
 // file has a local copy, is not quarantined and is sealed under its current
 // aux vector.  Anything else adds nothing, and the version is replaced by
-// whole blocks.  Only the aux and the sidecar are read; nothing is written.
+// whole blocks.  Only the aux member is read, through the aux cache; nothing
+// is written.
 func (l *Layer) AddToBase(base DeltaBase, dirPath []ids.FileID, fid ids.FileID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -178,15 +179,11 @@ func (l *Layer) AddToBase(base DeltaBase, dirPath []ids.FileID, fid ids.FileID) 
 	if err != nil {
 		return
 	}
-	aux, err := l.fileAuxLocked(cont, prefixAux+fid.String())
-	if err != nil {
+	_, seal, err := l.fileAuxLocked(cont, prefixAux+fid.String(), true)
+	if err != nil || seal == nil {
 		return
 	}
-	sc, err := readSidecar(cont, fid)
-	if err != nil || !sc.Sealed.Equal(aux.VV) {
-		return
-	}
-	for i, addr := range sc.Blocks {
+	for i, addr := range seal.Blocks {
 		// One mention per file, however often the block repeats inside it.
 		if hs := base[addr]; len(hs) == 0 || hs[len(hs)-1].fid != fid {
 			base[addr] = append(hs, baseBlock{dir: dirPath, fid: fid, block: i})

@@ -238,22 +238,14 @@ func (v *pvnode) createKind(name string, excl bool, kind Kind, data string) (vno
 	if err != nil {
 		return nil, err
 	}
-	// Storage first — the data file, then its aux — then the entry: a crash in
-	// between leaves members no live entry names, which Recover reclaims,
-	// never a dangling entry.  So none of them needs a shadow.
+	// Storage first — the data file, then its aux with its seal — then the
+	// entry: a crash in between leaves members no live entry names, which
+	// Recover reclaims, never a dangling entry.  So none of them needs a shadow.
 	if err := writeFresh(cont, prefixData+fid.String(), []byte(data)); err != nil {
 		return nil, err
 	}
 	aux := Aux{Type: kind, Nlink: 1, VV: v.l.bumpVV(nil)}
-	if err := writeAuxFile(cont, prefixAux+fid.String(), &aux); err != nil {
-		return nil, err
-	}
-	// Seal the sidecar after the aux: every crash window leaves a missing or
-	// short sidecar — merely unverifiable, removed by Recover and resealed by
-	// the scrubber — never a seal vouching for bytes it does not cover.  (The
-	// sidecar's inode also lands after the open path's F/A inodes, preserving
-	// the paper's cold-open I/O count, §6.)
-	if err := writeFresh(cont, prefixSidecar+fid.String(), encodeSidecar(aux.VV, ComputeManifest([]byte(data)))); err != nil {
+	if err := writeAuxFile(writeFresh, cont, prefixAux+fid.String(), &aux, ComputeManifest([]byte(data))); err != nil {
 		return nil, err
 	}
 	if _, err := v.l.commitDirLocked(cont, d, []Entry{{EID: eid, Name: name, Child: fid, Kind: kind}}, v.l.bumpVV); err != nil {
@@ -407,19 +399,19 @@ func (v *pvnode) ReadAt(p []byte, off int64) (int, error) {
 
 // updateFileLocked is every local mutation of a stored file — an update this
 // replica originated, so its version vector is bumped (§3.1) — in the order
-// an install uses: the sidecar is sealed, under the bumped vector, over the
+// an install uses: the aux's seal is written, under the bumped vector, over the
 // image the file is about to hold (nextManifestLocked: its bytes cut or
 // zero-extended to the size in [lo, hi] nearest their own, p laid over them at
-// off); apply then overwrites the data file df in place; the aux commits last.
-// Between the first step and the last the seal is stale — unverifiable, the
-// scrubber reseals — so at no crash offset does a seal vouch for bytes it does
-// not cover, and never does the aux vouch for a seal that is not there.
+// off); apply then overwrites the data file df in place; the aux header commits
+// last.  Between the first step and the last the seal is stale — unverifiable,
+// the scrubber reseals — so at no crash offset does a seal vouch for bytes it
+// does not cover.
 func (v *pvnode) updateFileLocked(df vnode.Vnode, lo, hi uint64, p []byte, off uint64, apply func() error) error {
 	cont, err := v.container()
 	if err != nil {
 		return mapStoreErr(err)
 	}
-	af, aux, err := openAuxFile(cont, prefixAux+v.fid.String())
+	af, aux, seal, err := openAuxFile(cont, prefixAux+v.fid.String())
 	if err != nil {
 		return err
 	}
@@ -427,22 +419,13 @@ func (v *pvnode) updateFileLocked(df vnode.Vnode, lo, hi uint64, p []byte, off u
 	if err != nil {
 		return err
 	}
-	// Only a current seal can vouch for the bytes kept.  Any other sidecar
-	// goes before the new one is written over it: torn inside the vector, the
-	// new head on that old tail could spell the aux's vector above addresses
-	// that were never its (resealInPlace has the argument for a current one).
-	var seal *sidecar
-	if sc, err := readSidecar(cont, v.fid); err == nil && sc.Sealed.Equal(aux.VV) {
-		seal = &sc
-	} else if err := cont.Remove(prefixSidecar + v.fid.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
-		return err
-	}
+	// Only a current seal can vouch for the bytes kept.
 	m, err := v.nextManifestLocked(df, seal, da.Size, min(max(da.Size, lo), hi), p, off)
 	if err != nil {
 		return err
 	}
 	aux.VV = v.l.bumpVV(aux.VV)
-	if err := resealInPlace(cont, v.fid, aux.VV, m); err != nil {
+	if err := resealInPlace(af, seal, aux.VV, m); err != nil {
 		return err
 	}
 	if err := apply(); err != nil {
@@ -589,7 +572,7 @@ func (v *pvnode) getattrLocked() (vnode.Attr, error) {
 	if err != nil {
 		return vnode.Attr{}, mapStoreErr(err)
 	}
-	aux, err := v.l.fileAuxLocked(cont, prefixAux+v.fid.String())
+	aux, _, err := v.l.fileAuxLocked(cont, prefixAux+v.fid.String(), false)
 	if err != nil {
 		if vnode.AsErrno(err) == vnode.ENOENT {
 			return vnode.Attr{}, vnode.ENOSTOR
@@ -628,7 +611,7 @@ func (v *pvnode) Setattr(sa vnode.SetAttr) error {
 	if sa.Mode != nil && !v.kind.IsDir() {
 		v.l.mu.Lock()
 		defer v.l.mu.Unlock()
-		// The update reseals the sidecar from stored data; on a quarantined
+		// The update reseals the file from stored data; on a quarantined
 		// replica that would launder known-bad bytes.
 		if v.l.isQuarantinedLocked(v.fid) {
 			return vnode.ENOSTOR
@@ -806,10 +789,10 @@ func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 	}
 	member := e.Child.String()
 	if !sameDir && !e.Kind.IsDir() {
-		for _, p := range []string{prefixData, prefixSidecar, prefixAux} {
+		for _, p := range []string{prefixData, prefixAux} {
 			m, err := srcCont.Lookup(p + member)
 			if vnode.AsErrno(err) == vnode.ENOENT {
-				continue // not stored here, or no sidecar yet
+				continue // not stored here
 			} else if err != nil {
 				return err
 			}

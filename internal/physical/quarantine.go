@@ -43,9 +43,9 @@ type QuarEntry struct {
 // replica.  Quarantined is a gauge (currently quarantined files); the rest
 // are cumulative.
 type IntegrityStats struct {
-	ScrubbedFiles       uint64 // file versions verified against their sealed sidecar
+	ScrubbedFiles       uint64 // file versions verified against their seal
 	ScrubbedBlocks      uint64 // block addresses verified
-	Resealed            uint64 // unverifiable sidecars recomputed from local data
+	Resealed            uint64 // unverifiable seals recomputed from local data
 	CorruptionsDetected uint64 // verification failures that entered quarantine
 	Cleared             uint64 // quarantined files a scrub found verifying again (superseded in place)
 	Repaired            uint64 // quarantined versions healed from a peer

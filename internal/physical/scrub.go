@@ -3,9 +3,9 @@ package physical
 // The volume-replica scrub pass: the storage-side half of the background
 // scrubber daemon (core.Host drives passes and repairs).  One pass walks
 // every container, and for every locally stored file replica either
-// verifies the data against its sealed sidecar, or — when the sidecar is
-// missing, torn, or sealed under a vector that no longer matches the aux —
-// reseals it from the local data.  Verification failures enter quarantine;
+// verifies the data against its seal, or — when the aux's seal is missing,
+// torn, or sealed under a vector that no longer matches the header — reseals
+// it from the local data.  Verification failures enter quarantine;
 // a quarantined replica that verifies again (a newer version was installed
 // over it) leaves quarantine.
 
@@ -62,7 +62,7 @@ func (l *Layer) scrubContainerLocked(cont vnode.Vnode, dirPath []ids.FileID) err
 
 // scrubFileLocked verifies or reseals one stored file replica.
 func (l *Layer) scrubFileLocked(cont vnode.Vnode, dirPath []ids.FileID, fid ids.FileID) {
-	aux, err := readAuxFile(cont, prefixAux+fid.String())
+	_, aux, sc, err := openAuxFile(cont, prefixAux+fid.String())
 	if err != nil {
 		return // not stored here, or mid-materialization; nothing to vouch for
 	}
@@ -74,14 +74,13 @@ func (l *Layer) scrubFileLocked(cont vnode.Vnode, dirPath []ids.FileID, fid ids.
 	if err != nil {
 		return // an I/O error is the fault plane's business; retried next pass
 	}
-	sc, err := readSidecar(cont, fid)
-	if err != nil || !sc.Sealed.Equal(aux.VV) {
+	if sc == nil {
 		// Unverifiable — but never reseal a quarantined replica: that would
 		// launder bytes already known bad under a fresh seal.
 		if l.isQuarantinedLocked(fid) {
 			return
 		}
-		if err := l.sealLocked(cont, fid, aux.VV, ComputeManifest(data)); err == nil {
+		if err := l.sealLocked(cont, fid, &aux, ComputeManifest(data)); err == nil {
 			l.integ.Resealed++
 		}
 		return
@@ -113,9 +112,9 @@ func (l *Layer) RepairDue(now uint64) []QuarEntry {
 }
 
 // CorruptData flips one byte of fid's stored data file in place, bypassing
-// the version bump and sidecar reseal every legitimate write performs —
-// at-rest bit rot, as a deterministic test injection.  The aux and sidecar
-// are untouched, so the damage is exactly what the scrubber must detect.
+// the version bump and reseal every legitimate write performs — at-rest bit
+// rot, as a deterministic test injection.  The aux and its seal are
+// untouched, so the damage is exactly what the scrubber must detect.
 func (l *Layer) CorruptData(dirPath []ids.FileID, fid ids.FileID, off uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

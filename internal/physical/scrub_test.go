@@ -125,6 +125,35 @@ func TestScrubDetectsBitRotAndQuarantines(t *testing.T) {
 	}
 }
 
+// TestScrubConvictsAFlippedAddress: rot in the seal is caught like rot in the
+// data.  One bit flipped in the address the aux's tail holds for the file's
+// only block leaves a tail that still decodes under the current vector, so the
+// scrubber verifies against it, convicts the copy and does not reseal it.
+func TestScrubConvictsAFlippedAddress(t *testing.T) {
+	l, f := scrubLayerWithFile(t, "healthy bytes, rotten seal")
+	fid := mustFid(t, f)
+	cont, err := l.rootContainer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	af, err := cont.Lookup(prefixAux + fid.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := vnode.ReadFile(af)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(img) - 1 // the last byte of the last address
+	if _, err := af.WriteAt([]byte{img[last] ^ 0x10}, int64(last)); err != nil {
+		t.Fatal(err)
+	}
+	rep := scrubPass(t, l)
+	if rep.CorruptionsDetected != 1 || rep.Resealed != 0 || !l.IsQuarantined(fid) {
+		t.Fatalf("a flipped address: scrub %+v, quarantined=%v", rep, l.IsQuarantined(fid))
+	}
+}
+
 func TestScrubReadDetectsCorruption(t *testing.T) {
 	// The replication read path verifies on its own, without waiting for a
 	// scrub pass.
@@ -141,20 +170,30 @@ func TestScrubReadDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestScrubResealsUnverifiableSidecar(t *testing.T) {
-	l, f := scrubLayerWithFile(t, "lost my sidecar")
-	fid := mustFid(t, f)
+// cutSeal cuts fid's aux member, in the root container, down to its header.
+func cutSeal(t *testing.T, l *Layer, fid ids.FileID) {
+	t.Helper()
 	cont, err := l.rootContainer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the crash window: the sidecar never landed.
-	if err := cont.Remove(prefixSidecar + fid.String()); err != nil {
+	af, err := cont.Lookup(prefixAux + fid.String())
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := af.Truncate(auxFileSize); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestScrubResealsUnverifiableSidecar(t *testing.T) {
+	l, f := scrubLayerWithFile(t, "lost my seal")
+	fid := mustFid(t, f)
+	// Simulate the crash window: the seal was cut off and never rewritten.
+	cutSeal(t, l, fid)
 	rep := scrubPass(t, l)
 	if rep.Resealed != 1 || rep.CorruptionsDetected != 0 {
-		t.Fatalf("missing sidecar must reseal, not quarantine: %+v", rep)
+		t.Fatalf("missing seal must reseal, not quarantine: %+v", rep)
 	}
 	// The reseal is trusted: the next pass verifies.
 	rep = scrubPass(t, l)
@@ -173,12 +212,9 @@ func TestScrubNeverResealsQuarantined(t *testing.T) {
 	if !l.IsQuarantined(fid) {
 		t.Fatal("not quarantined")
 	}
-	// Tear the sidecar off: without the quarantine guard the next pass would
+	// Tear the seal off: without the quarantine guard the next pass would
 	// reseal the damaged bytes as if they were the version.
-	cont, _ := l.rootContainer()
-	if err := cont.Remove(prefixSidecar + fid.String()); err != nil {
-		t.Fatal(err)
-	}
+	cutSeal(t, l, fid)
 	rep := scrubPass(t, l)
 	if rep.Resealed != 0 {
 		t.Fatal("scrub resealed a quarantined replica (laundered the damage)")
@@ -366,7 +402,7 @@ func TestPartialOverwriteOfRottedBlockQuarantines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sf, err := cont.Lookup(prefixSidecar + fid.String())
+		sf, err := cont.Lookup(prefixAux + fid.String())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,14 +21,15 @@ import (
 // This file is that service: atomicReplace is the commit, settleShadow the
 // recovery rule, and Recover the one mount-time walk that applies the rule
 // everywhere.  Every durable file the layer replaces as a whole — file data,
-// sidecars, a compacted directory contents file, the volume metadata, the
-// compacted journal — goes through them; nothing is replaced by
-// truncate-then-write.  What is written in place is storage no finished file
-// depends on yet (writeFresh), a directory's record appended at its end
-// (commitDirLocked), one block — an aux, a journal append — or, by a local
-// update (updateFileLocked), the file's current sidecar, whose every torn prefix
-// the seal rule makes merely unverifiable (resealInPlace), and then the file's
-// own data under the seal that made stale.
+// an aux member resealed under its own vector, a compacted directory contents
+// file, the volume metadata, the compacted journal — goes through them;
+// nothing is replaced by truncate-then-write.  What is written in place is
+// storage no finished file depends on yet (writeFresh, writeAuxFile), a
+// directory's record appended at its end (commitDirLocked), one block — an aux
+// header, a journal append — or, by an update under a new vector, the aux's
+// current seal, whose every torn prefix the seal rule makes merely
+// unverifiable (resealInPlace), and then, by a local update, the file's own
+// data under the seal that made stale.
 
 // atomicReplace commits data as dir/name: the complete image is written to
 // a shadow beside name, and one rename substitutes it for the original.
@@ -128,9 +129,9 @@ func walkContainers(cont vnode.Vnode, visit func(vnode.Vnode, []vnode.Dirent) er
 }
 
 // unfinished reports whether err, from readAuxFile, says the aux was never
-// written.  Storage is created aux-last — a data file (and on an install the
-// sidecar) before its aux, a container's contents file before its attr — so
-// what an absent or empty aux belongs to never finished materialising.
+// written.  Storage is created aux-last — a data file before its aux, a
+// container's contents file before its attr — so what an absent or empty aux
+// belongs to never finished materialising.
 func unfinished(err error) bool {
 	return errors.Is(err, ErrNotStored) || vnode.AsErrno(err) == vnode.ENOENT
 }
@@ -149,9 +150,9 @@ func alsoLinkedFrom(c, sub vnode.Vnode, name string) vnode.Vnode {
 	return up
 }
 
-// memberFID parses a container member name as a file's data, aux or sidecar.
+// memberFID parses a container member name as a file's data or aux.
 func memberFID(name string) (ids.FileID, bool) {
-	if name == "" || !strings.Contains(prefixData+prefixAux+prefixSidecar, name[:1]) {
+	if name == "" || !strings.Contains(prefixData+prefixAux, name[:1]) {
 		return ids.FileID{}, false
 	}
 	fid, err := ids.ParseFileID(name[1:])
@@ -165,10 +166,10 @@ func memberFID(name string) (ids.FileID, bool) {
 // layer maintains it with.  Per file with members in the container: a copy
 // without an aux never finished materialising and is dropped; a copy still
 // hard-linked from another container (a cross-directory rename was cut
-// between its two commits) is given its own members; settleChildLocked then
-// reclaims it if no live entry names it and corrects its link count if one
-// does; and a sidecar that does not decode, which cannot vouch for anything,
-// is removed (the scrubber reseals).  Per child container: one also linked
+// between its two commits) is given its own members; and settleChildLocked
+// then reclaims it if no live entry names it and corrects its link count if
+// one does.  A seal that does not decode needs no rule: it vouches for
+// nothing, and the scrubber reseals.  Per child container: one also linked
 // from the container its ".." points to loses this second link, and one that
 // no entry, live or tombstone, names, or that never got its attr, is removed.  Each reclaim is
 // safe because every operation creates storage before the entry that names it
@@ -226,11 +227,6 @@ func (l *Layer) recoverContainerLocked(c vnode.Vnode, ents []vnode.Dirent) error
 		if err := l.settleChildLocked(c, entries, fid); err != nil {
 			return err
 		}
-		if _, err := readSidecar(c, fid); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
-			if err := c.Remove(prefixSidecar + fid.String()); err != nil {
-				return err
-			}
-		}
 	}
 	for _, e := range ents {
 		fid, err := ids.ParseFileID(strings.TrimPrefix(e.Name, prefixDir))
@@ -256,12 +252,6 @@ func (l *Layer) recoverContainerLocked(c vnode.Vnode, ents []vnode.Dirent) error
 		}
 	}
 	return nil
-}
-
-// sidecarFID parses a container member name as a sidecar's.
-func sidecarFID(name string) (ids.FileID, bool) {
-	fid, ok := memberFID(name)
-	return fid, ok && strings.HasPrefix(name, prefixSidecar)
 }
 
 // InstallFileVersion atomically replaces the local replica of file fid in
@@ -364,38 +354,49 @@ func rejectInstall(fid ids.FileID, format string, args ...any) error {
 // install lands in once its payload is verified and fully assembled; m is
 // data's manifest.  Caller holds l.mu.
 func (l *Layer) commitFileVersionLocked(cont vnode.Vnode, fid ids.FileID, attrs *Aux, data []byte, m *BlockManifest) error {
+	name := prefixAux + fid.String()
+	aux := Aux{Type: attrs.Type, Nlink: max(attrs.Nlink, 1), VV: attrs.VV.Clone()}
+	af, old, seal, err := openAuxFile(cont, name)
 	// Per-replica counter monotonicity: the caller has decided the new
 	// vector dominates (or is a conflict resolution merged+bumped above)
 	// the stored one, so no component — in particular not our own update
 	// counter, which only we originate — may move backwards.
-	if invariant.Enabled() {
-		if old, err := readAuxFile(cont, prefixAux+fid.String()); err == nil {
-			invariant.Checkf(attrs.VV.DominatesOrEqual(old.VV),
-				"physical: installing version vector %s that does not dominate stored %s for file %s (replica %d counter would regress)",
-				attrs.VV, old.VV, fid, l.replica)
-		}
+	if invariant.Enabled() && err == nil {
+		invariant.Checkf(attrs.VV.DominatesOrEqual(old.VV),
+			"physical: installing version vector %s that does not dominate stored %s for file %s (replica %d counter would regress)",
+			attrs.VV, old.VV, fid, l.replica)
 	}
-	// A first install (no aux yet) is written in place: Recover drops it until 3.
+	// A first copy (no aux yet) is written in place: Recover drops it until 3.
 	put := atomicReplace
-	if _, err := cont.Lookup(prefixAux + fid.String()); vnode.AsErrno(err) == vnode.ENOENT {
+	if unfinished(err) {
 		put = writeFresh
 	}
-	// 1. Commit the sidecar, sealed under the new vector.  It is stale
-	// (sealed vector != aux vector) until step 3 lands, so every crash window
+	// 1. Over a stored copy whose header holds another vector, seal the new
+	// one in the aux's tail.  It is stale until 3 lands, so every crash window
 	// in between reads as "unverifiable" — the scrubber reseals — never as a
 	// false mismatch.
-	if err := put(cont, prefixSidecar+fid.String(), encodeSidecar(attrs.VV, m)); err != nil {
-		return err
+	inPlace := err == nil && !old.VV.Equal(aux.VV)
+	if inPlace {
+		if err := resealInPlace(af, seal, aux.VV, m); err != nil {
+			return err
+		}
 	}
 	// 2. Atomically substitute the complete new version for the original.
 	if err := put(cont, prefixData+fid.String(), data); err != nil {
 		return err
 	}
-	// 3. Record the new version vector.  A crash between 2 and 3 leaves new
-	// data under the old vector; the next propagation re-pulls and
-	// re-installs — safe because installation is idempotent.
-	aux := Aux{Type: attrs.Type, Nlink: max(attrs.Nlink, 1), VV: attrs.VV.Clone()}
-	if err := writeAuxFile(cont, prefixAux+fid.String(), &aux); err != nil {
+	// 3. Record the new version vector: over the header, or — a first copy,
+	// the vector the header already holds (a repair), a header that does not
+	// decode — with the seal as one whole member, which no seal may be written
+	// under in place.  A crash between 2 and 3 leaves new data under the old
+	// vector; the next propagation re-pulls and re-installs — safe because
+	// installation is idempotent.
+	if inPlace {
+		err = writeAuxVnode(af, &aux)
+	} else {
+		err = writeAuxFile(put, cont, name, &aux, m)
+	}
+	if err != nil {
 		return err
 	}
 	// A verified install over a quarantined replica is its repair.

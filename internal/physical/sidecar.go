@@ -1,36 +1,36 @@
 package physical
 
-// The sealed sidecar: one per stored file version.
+// The seal: the tail of every file copy's aux member.
 //
 // The paper's availability argument (§1, §7) assumes a replica that has a
 // version can serve it; silent media corruption breaks that silently — a
 // flipped block would be served, and worse, *propagated*, as the sealed
-// version.  Each stored file replica therefore carries ONE sidecar file
-// ("S<fid>", beside the data "F<fid>" and aux "A<fid>" members) recording
-// the file's block manifest — its exact length plus the content address
-// (SHA-256 truncated to 128 bits) of every ChecksumBlockSize chunk — sealed
-// under the version vector the addresses were computed for.  The same
-// addresses verify the data (scrub, serve, install) and are what a delta pull
-// advertises and reassembles by (pull.go), so delta propagation needs no
-// second summary of the same blocks.
+// version.  Each stored file replica's aux member "A<fid>" therefore carries,
+// after its fixed-size header (aux.go), the file's block manifest — its exact
+// length plus the content address (SHA-256 truncated to 128 bits) of every
+// ChecksumBlockSize chunk — sealed under the version vector the addresses were
+// computed for.  The same addresses verify the data (scrub, serve, install) and
+// are what a delta pull advertises and reassembles by (pull.go), so delta
+// propagation needs no second summary of the same blocks.
 //
 // The seal rule is what makes verification safe across crashes: the
-// manifest is trusted ONLY while the sidecar's sealed vector equals the
-// file's aux vector.  Every crash window in the commit sequences (install,
-// local write) leaves the sidecar sealed under a vector that differs from
-// the aux — an *unverifiable* state that the scrubber reseals from local
-// data — never a false mismatch.  A missing, torn, or undecodable sidecar is
-// likewise just unverifiable.
+// manifest is trusted ONLY while its sealed vector equals the header's vector.
+// Every crash window in the commit sequences (install, local write) leaves
+// the tail sealed under a vector that differs from the header's — an
+// *unverifiable* state that the scrubber reseals from local data — never a
+// false mismatch.  An absent, torn, or undecodable tail is likewise just
+// unverifiable; it never makes the header unreadable.
 //
-// Format (versioned, strict decode):
+// Format of the tail, at offset auxFileSize (versioned, strict decode):
 //
 //	magic "FSDC" (4) | version u8 | flags u8 | sealed vv | length u64 | per-block address (16 each)
 //
 // No flag is defined: the flags byte must be zero.  The block count is
-// derived from the length, so a truncated or padded sidecar fails to decode.
-// Sidecars are committed by atomicReplace like everything else, except the
-// first of a copy, which no aux vouches for yet (writeFresh), and the one a
-// local update writes over the file's current seal (resealInPlace).
+// derived from the length, so a truncated or padded tail fails to decode.
+// The first tail of a copy is written with its header (writeAuxFile); an
+// update with a new vector writes it in place (resealInPlace); a seal under
+// the vector the header already holds commits the whole member by
+// atomicReplace (writeAuxFile again).
 
 import (
 	"bytes"
@@ -149,13 +149,14 @@ func (m *BlockManifest) Verify(data []byte) bool {
 	return true
 }
 
-// sidecar is a decoded sidecar file.
+// sidecar is a decoded seal tail; the format keeps the name of the separate
+// member it was stored in before it became the aux's tail.
 type sidecar struct {
 	Sealed vv.Vector
 	BlockManifest
 }
 
-// encodeSidecar renders a sidecar image sealing m under vector sealed.
+// encodeSidecar renders a seal tail sealing m under vector sealed.
 func encodeSidecar(sealed vv.Vector, m *BlockManifest) []byte {
 	out := make([]byte, 0, len(sidecarMagic)+2+4+12*len(sealed)+8+BlockAddrSize*len(m.Blocks))
 	out = append(out, sidecarMagic...)
@@ -169,7 +170,7 @@ func encodeSidecar(sealed vv.Vector, m *BlockManifest) []byte {
 	return out
 }
 
-// decodeSidecar parses a sidecar image strictly: bad magic, unknown version
+// decodeSidecar parses a seal tail strictly: bad magic, unknown version
 // or flag bits, a non-canonical vector, truncation, a block count
 // inconsistent with the length, or trailing bytes all fail, so every image
 // it accepts re-encodes to the same bytes.
@@ -198,51 +199,40 @@ func decodeSidecar(p []byte) (sidecar, error) {
 	return sc, nil
 }
 
-// readSidecar loads fid's sidecar from container cont.  Any error — absent,
-// torn, undecodable — means "unverifiable", never "corrupt": the caller
-// skips verification (and the scrubber reseals).
-func readSidecar(cont vnode.Vnode, fid ids.FileID) (sidecar, error) {
-	f, err := cont.Lookup(prefixSidecar + fid.String())
-	if err != nil {
-		return sidecar{}, err
-	}
-	data, err := vnode.ReadFile(f)
-	if err != nil {
-		return sidecar{}, err
-	}
-	return decodeSidecar(data)
+// sealLocked commits fid's aux member whole, header a and a tail sealing m
+// under a's vector: the scrubber's reseal of an unverifiable copy.
+func (l *Layer) sealLocked(cont vnode.Vnode, fid ids.FileID, a *Aux, m *BlockManifest) error {
+	return writeAuxFile(atomicReplace, cont, prefixAux+fid.String(), a, m)
 }
 
-// sealLocked commits fid's sidecar, sealing m under vector sealed (the
-// file's aux vector): the scrubber's reseal of an unverifiable sidecar.
-func (l *Layer) sealLocked(cont vnode.Vnode, fid ids.FileID, sealed vv.Vector, m *BlockManifest) error {
-	return atomicReplace(cont, prefixSidecar+fid.String(), encodeSidecar(sealed, m))
-}
-
-// resealInPlace overwrites fid's sidecar — a current seal, or absent — with
-// one sealing m under vector sealed, the file's aux vector bumped by this
-// replica: a local update's seal, made before the update touches the data (the
-// aux follows last).  It needs no shadow because the seal rule already makes
-// every prefix of the overwrite harmless.  A crash leaves the new image up to
-// some byte and the old one after it (a torn write lands a prefix of a block,
-// and blocks are written in order).  The two images first differ inside the
-// vector, which precedes the addresses: cut at or before that byte, what is
-// left is the old sidecar, byte for byte; cut anywhere after it, the image
-// carries a vector that is not the old one — which the aux still holds — or no
-// longer decodes (a changed entry count shifts every later field, an image not
-// yet cut down to its new size has trailing bytes).  Both read as unverifiable
-// and the scrubber reseals.  A seal under the vector the aux already holds must
-// never be written this way — its first block alone would make the old
-// addresses current — so the scrubber's reseal keeps sealLocked, and an
-// install over a stored copy atomicReplace.
-func resealInPlace(cont vnode.Vnode, fid ids.FileID, sealed vv.Vector, m *BlockManifest) error {
-	sf, err := cont.Create(prefixSidecar+fid.String(), false)
-	if err != nil {
-		return err
+// resealInPlace overwrites the tail of aux member af, whose current seal is cur
+// (nil when it has none), with one sealing m under vector sealed, which differs
+// from the header's: a local update's or an install's seal, made before the
+// data changes (the header follows last).  A tail that is not current is cut
+// off first: torn inside the vector, the new head on that old tail could spell
+// the header's vector above addresses that were never its.  Over a current
+// seal, or none, the write needs no shadow, because the seal rule already makes
+// every prefix of it harmless.  A crash leaves the new image up to some byte
+// and the old one after it (a torn write lands a prefix of a block, blocks are
+// written in order, and the header before the tail is rewritten unchanged).
+// The two tails first differ inside the vector, which precedes the addresses:
+// cut at or before that byte, what is left is the old tail, byte for byte; cut
+// anywhere after it, the tail carries a vector that is not the old one — which
+// the header still holds — or no longer decodes (a changed entry count shifts
+// every later field, a member not yet cut down to its new size has trailing
+// bytes).  Both read as unverifiable and the scrubber reseals.  A seal under
+// the vector the header already holds must never be written this way — its
+// first block alone would make the old addresses current — so the scrubber's
+// reseal and an equal-vector install replace the whole member.
+func resealInPlace(af vnode.Vnode, cur *sidecar, sealed vv.Vector, m *BlockManifest) error {
+	if cur == nil {
+		if err := af.Truncate(auxFileSize); err != nil {
+			return err
+		}
 	}
 	img := encodeSidecar(sealed, m)
-	if _, err := sf.WriteAt(img, 0); err != nil {
+	if _, err := af.WriteAt(img, auxFileSize); err != nil {
 		return err
 	}
-	return sf.Truncate(uint64(len(img)))
+	return af.Truncate(auxFileSize + uint64(len(img)))
 }

@@ -3,6 +3,7 @@ package ufs
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Check performs an fsck-style consistency scan and returns a list of
@@ -12,6 +13,7 @@ import (
 //     referenced exactly once
 //   - every allocated data block is referenced by some inode
 //   - every directory entry points at an allocated inode
+//   - every directory's ".." names a directory that names it
 //   - link counts match the number of directory references
 //   - every allocated inode is reachable from the root
 func (fs *FS) Check() ([]string, error) {
@@ -67,6 +69,7 @@ func (fs *FS) Check() ([]string, error) {
 	}
 
 	// Pass 3: walk the directory tree from the root.
+	links := parentLinks{namedBy: make(map[Ino][]Ino)}
 	linkRefs, reachable, err := fs.walkTreeLocked(func(dir Ino, e Dirent, din dinode) (bool, error) {
 		if din.Type == TypeFree {
 			problems = append(problems, fmt.Sprintf("dir %d: entry %q points at free inode %d", dir, e.Name, e.Ino))
@@ -75,10 +78,14 @@ func (fs *FS) Check() ([]string, error) {
 		if e.Name == "." && e.Ino != dir {
 			problems = append(problems, fmt.Sprintf("dir %d: \".\" points at %d", dir, e.Ino))
 		}
+		links.see(dir, e, din)
 		return true, nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	for _, s := range links.stale() {
+		problems = append(problems, fmt.Sprintf("dir %d: \"..\" points at %d, which does not name it", s.dir, s.up))
 	}
 
 	// Pass 4: link counts and reachability.
@@ -150,6 +157,41 @@ func (fs *FS) walkTreeLocked(keep func(dir Ino, e Dirent, din dinode) (bool, err
 		return nil
 	}
 	return linkRefs, reachable, walk(rootIno)
+}
+
+// parentLinks collects, along walkTreeLocked, the directories that name each
+// directory and where each directory's ".." points.  A rename that moves a
+// directory to a new parent and is cut after dropping the old name but before
+// rewriting ".." leaves a ".." naming a directory that no longer names it.
+type parentLinks struct {
+	namedBy   map[Ino][]Ino
+	dirs, ups []Ino // each walked directory but the root, and its ".."
+}
+
+func (p *parentLinks) see(dir Ino, e Dirent, din dinode) {
+	switch {
+	case e.Name == "..":
+		if dir != rootIno {
+			p.dirs, p.ups = append(p.dirs, dir), append(p.ups, e.Ino)
+		}
+	case e.Name != "." && din.Type == TypeDir:
+		p.namedBy[e.Ino] = append(p.namedBy[e.Ino], dir)
+	}
+}
+
+// staleParent is a directory whose ".." names up, a directory that does not
+// name it; parent is the first directory that does.
+type staleParent struct{ dir, up, parent Ino }
+
+// stale lists, in walk order, every directory whose ".." is stale.
+func (p *parentLinks) stale() []staleParent {
+	var out []staleParent
+	for i, dir := range p.dirs {
+		if named := p.namedBy[dir]; len(named) > 0 && !slices.Contains(named, p.ups[i]) {
+			out = append(out, staleParent{dir, p.ups[i], named[0]})
+		}
+	}
+	return out
 }
 
 // walkBlocks calls fn for every device block owned by the inode, including

@@ -453,3 +453,68 @@ func TestSixteenBlockWriteAtDeviceWrites(t *testing.T) {
 		t.Fatalf("a 16-block WriteAt made %d device writes, want 19", got)
 	}
 }
+
+// TestCrossDirectoryRenameLeavesNoStaleDotDot: a directory moved to a new
+// parent has its ".." rewritten only after its old name is dropped.  Crashed
+// at every device write of the move, lost or torn, the mounted volume names
+// the directory from the parent its ".." points at, and Check is clean.
+func TestCrossDirectoryRenameLeavesNoStaleDotDot(t *testing.T) {
+	setup := func() (*disk.Device, *FS, Ino, Ino) {
+		t.Helper()
+		dev := disk.New(256)
+		fs, err := Mkfs(dev, 64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := fs.Mkdir(fs.Root(), "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fs.Mkdir(fs.Root(), "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Mkdir(a, "c"); err != nil {
+			t.Fatal(err)
+		}
+		return dev, fs, a, b
+	}
+	for _, torn := range []bool{false, true} {
+		cases := 0
+		for fired := true; fired; cases++ {
+			dev, fs, a, b := setup()
+			if torn {
+				dev.FaultAfterWritesTorn(cases, 100)
+			} else {
+				dev.FaultAfterWrites(cases)
+			}
+			_ = fs.Rename(a, "c", b, "c")
+			fired = dev.Faulted()
+			dev.ClearFault()
+			tag := fmt.Sprintf("torn=%v crash after %d writes", torn, cases)
+			fs2, err := Mount(dev, nil)
+			if err != nil {
+				t.Fatalf("%s: remount: %v", tag, err)
+			}
+			if probs, err := fs2.Check(); err != nil || len(probs) != 0 {
+				t.Fatalf("%s: Check: %v %v", tag, probs, err)
+			}
+			c, err := fs2.Lookup(b, "c")
+			if err != nil {
+				if c, err = fs2.Lookup(a, "c"); err != nil {
+					t.Fatalf("%s: the directory is named from neither parent", tag)
+				}
+			}
+			up, err := fs2.Lookup(c, "..")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if named, err := fs2.Lookup(up, "c"); err != nil || named != c {
+				t.Fatalf("%s: the directory's \"..\" is %d, which does not name it (%d, %v)", tag, up, named, err)
+			}
+		}
+		if cases < 3 {
+			t.Fatalf("torn=%v: the rename made %d device writes", torn, cases-1)
+		}
+	}
+}

@@ -20,16 +20,22 @@ package ufs
 //     a live entry naming recycled storage; and a call never reuses what it
 //     freed, because the bits are cleared only at its end.
 //
+// A directory moved to a new parent has its ".." rewritten after its old name
+// is dropped, so a crash in between leaves a ".." naming the old parent.
+//
 // recoverLocked repairs exactly those states, in the same order fsck would:
-// drop directory entries that point at free inodes, reclaim inodes
-// unreachable from the root, reset link counts to the surviving reference
-// counts, and rebuild both allocation bitmaps from the inode table.  After
-// it runs, Check reports a clean volume.
+// drop directory entries that point at free inodes, repoint a ".." at the
+// directory that names it, reclaim inodes unreachable from the root, reset
+// link counts to the surviving reference counts, and rebuild both allocation
+// bitmaps from the inode table.  After it runs, Check reports a clean volume.
 func (fs *FS) recoverLocked() error {
 	// Pass 1: walk the tree from the root, dropping entries that name free
-	// inodes and collecting reference counts and reachability.
+	// inodes and collecting reference counts and reachability, then repoint
+	// every stale "..", moving the reference it counted.
+	links := parentLinks{namedBy: make(map[Ino][]Ino)}
 	linkRefs, reachable, err := fs.walkTreeLocked(func(dir Ino, e Dirent, din dinode) (bool, error) {
 		if din.Type != TypeFree {
+			links.see(dir, e, din)
 			return true, nil
 		}
 		_, err := fs.dirRemoveLocked(dir, e.Name)
@@ -37,6 +43,13 @@ func (fs *FS) recoverLocked() error {
 	})
 	if err != nil {
 		return err
+	}
+	for _, s := range links.stale() {
+		if _, err := fs.dirRepointLocked(s.dir, "..", s.parent); err != nil {
+			return err
+		}
+		linkRefs[s.up]--
+		linkRefs[s.parent]++
 	}
 
 	// Pass 2: reclaim unreachable inodes, reset stale link counts, and

@@ -6,11 +6,13 @@
 # gofmt, the gates that keep encoding/gob out of non-test code,
 # container/list inside internal/lru,
 # whole-file writes in internal/physical behind atomicReplace, the directory
-# journal's append behind its one writer, the in-place sidecar reseal behind
-# its one caller and fresh storage behind writeFresh, internal/ufs's metadata
+# journal's append behind its one writer, the in-place reseal of an aux's seal
+# behind its two callers and fresh storage behind writeFresh, one metadata
+# member per file copy (no sidecar member), internal/ufs's metadata
 # blocks behind the end-of-call flush, a physical file's attributes — for
-# Getattr and for the replication read path — behind the one cached aux
-# reader, one NFS read-reply encoder, a directory notice that merges its one
+# Getattr and for the replication read path — and its seal, for the verified
+# read and a pull's advertisement, behind the one cached aux reader, one NFS
+# read-reply encoder, a directory notice that merges its one
 # directory instead of a whole subtree, a two-second fuzz smoke
 # of every decoder fuzz target (a package left with none fails), the gates that keep
 # timed benchmarks and mirrored Stats structs out of the root package, the
@@ -87,17 +89,26 @@ test "$(cat $phys | grep -c 'Lookup(dirFileName)')" -eq 2
 test -z "$(grep -lE 'Create\((dirFileName|metaFileName)' $phys)"
 
 echo "==> one in-place reseal and one fresh-storage writer in internal/physical"
-# Only a local update may overwrite a sidecar in place (DESIGN.md §10.3):
-# resealInPlace has one caller, updateFileLocked, and sealLocked (atomicReplace)
-# one, the scrubber.  Storage no aux or attr vouches for yet skips the shadow
-# through writeFresh: createKind's data and first seal, newContainerLocked's
-# empty dir and commitFileVersionLocked's first install.  An install over a
-# stored copy or a scrub reseal must never take an in-place arm.
-test "$(cat $phys | grep -v '^func ' | grep -c 'resealInPlace(')" -eq 1
+# Only an update under a new vector may overwrite an aux's seal in place
+# (DESIGN.md §10.3): resealInPlace has two callers, updateFileLocked and
+# commitFileVersionLocked, once each, and sealLocked (atomicReplace of the
+# whole aux) one, the scrubber.  Storage no aux or attr vouches for yet skips
+# the shadow through writeFresh: createKind's data and aux, newContainerLocked's
+# empty dir and attr, and commitFileVersionLocked's first copy.  A reseal under
+# the vector the header already holds must never take an in-place arm.
+test "$(cat $phys | grep -v '^func ' | grep -c 'resealInPlace(')" -eq 2
 test "$(sed -n '/^func (v \*pvnode) updateFileLocked(/,/^}/p' internal/physical/pvnode.go | grep -c 'resealInPlace(')" -eq 1
+test "$(sed -n '/^func (l \*Layer) commitFileVersionLocked(/,/^}/p' internal/physical/shadow.go | grep -c 'resealInPlace(')" -eq 1
 test "$(cat $phys | grep -c '\.sealLocked(')" -eq 1
-test "$(cat $phys | grep -v '^func \|^\s*//' | grep -c 'writeFresh')" -eq 4
+test "$(sed -n '/^func (l \*Layer) scrubFileLocked(/,/^}/p' internal/physical/scrub.go | grep -c '\.sealLocked(')" -eq 1
+test "$(cat $phys | grep -v '^func \|^\s*//' | grep -c 'writeFresh')" -eq 5
 test "$(sed -n '/^func (l \*Layer) commitFileVersionLocked(/,/^}/p' internal/physical/shadow.go | grep -c 'put = writeFresh')" -eq 1
+
+echo "==> one metadata member per file copy in internal/physical"
+# A file copy is its data F<fid> and its aux A<fid>, whose tail is the seal
+# (DESIGN.md §11): no sidecar member prefix, no reader of one, and no "S"
+# name prefix anywhere in the layer.
+test -z "$(grep -lE 'prefixSidecar|readSidecar\(|"S"' $phys)"
 
 echo "==> metadata blocks written only by the end-of-call flush in internal/ufs"
 # A call changes bitmap, inode-table and indirect blocks in its stage, and the
@@ -116,12 +127,19 @@ echo "==> a file's attributes through the one cached aux reader in internal/phys
 # request — reads the aux through the aux cache (DESIGN.md §16), not the store.
 test "$(sed -n '/^func (v \*pvnode) getattrLocked(/,/^}/p' internal/physical/pvnode.go | grep -c 'fileAuxLocked(')" -eq 1
 test "$(sed -n '/^func (v \*pvnode) getattrLocked(/,/^}/p' internal/physical/pvnode.go | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(')" -eq 0
-# So do FileInfo — and through it pullOne and the verified read — for a file
-# and a child directory, and AddToBase for a pull's advertisement.
+# So do FileInfo — and through it pullOne — for a file and a child
+# directory, and AddToBase for a pull's advertisement.
 test "$(sed -n '/^func (l \*Layer) fileInfoLocked(/,/^}/p' internal/physical/export.go | grep -c 'fileAuxLocked(')" -eq 2
 test "$(sed -n '/^func (l \*Layer) fileInfoLocked(/,/^}/p' internal/physical/export.go | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(')" -eq 0
 test "$(sed -n '/^func (l \*Layer) AddToBase(/,/^}/p' internal/physical/pull.go | grep -c 'fileAuxLocked(')" -eq 1
 test "$(sed -n '/^func (l \*Layer) AddToBase(/,/^}/p' internal/physical/pull.go | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(')" -eq 0
+# The verified read and AddToBase take the seal from that same cached read
+# of the aux member, and from nothing else.
+for fn in 'l \*Layer) readVerifiedLocked' 'l \*Layer) AddToBase'; do
+	body=$(sed -n "/^func ($fn(/,/^}/p" $phys)
+	test "$(echo "$body" | grep -c 'fileAuxLocked(.*, true)')" -eq 1
+	test "$(echo "$body" | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(\|decodeAuxMember(\|decodeSidecar(\|Lookup(prefixAux')" -eq 0
+done
 
 echo "==> one read-reply encoder in internal/nfs"
 # The server reads straight into the reply (DESIGN.md §9.2): Server.read is
