@@ -257,8 +257,8 @@ func TestPropagationDiskFullRecovers(t *testing.T) {
 
 	// Fill host 1's disk underneath Ficus: raw UFS files that never enter
 	// the replicated namespace.  "spare" is freed again right away so the
-	// daemons' own bookkeeping (journal appends) still fits, while the
-	// incoming file payload does not.
+	// daemons' own small writes (the root directory's new record, an aux
+	// header) still fit, while the incoming file payload does not.
 	vr := c.Host(1).LocalReplicas()[0].VolumeReplica()
 	fs := c.Host(1).UFS(vr)
 	spare, err := fs.Create(fs.Root(), "zz-spare")

@@ -188,11 +188,11 @@ func (c *Cluster) SetHostDown(i int, down bool) {
 func (c *Cluster) CrashHost(i int) { c.hosts[i].Crash() }
 
 // RestartHost reboots a crashed host: each volume replica is remounted from
-// its surviving disk (UFS crash recovery, then physical-layer recovery
-// including the durable new-version cache journal), services are
-// re-exported, and every remounted volume is flagged for one anti-entropy
-// rescan on the next daemon pass.  Mounts taken before the crash are dead;
-// call Mount again.
+// its surviving disk (UFS crash recovery, then physical-layer recovery),
+// services are re-exported, and every remounted volume is flagged for one
+// anti-entropy rescan on the next daemon pass — which also finds again every
+// version the lost new-version cache was waiting to pull.  Mounts taken
+// before the crash are dead; call Mount again.
 func (c *Cluster) RestartHost(i int) error { return c.hosts[i].Restart() }
 
 // HostDown reports whether host i is currently crashed.
@@ -591,7 +591,7 @@ func (c *Cluster) InjectBitRot(host int, path string, off uint64) error {
 	return c.hosts[host].CorruptFile(c.root, path, off)
 }
 
-// PendingVersion is one durable new-version cache entry: a version a
+// PendingVersion is one new-version cache entry: a version a
 // replica has been told about but not yet pulled, with the propagation
 // daemon's retry bookkeeping.  Replica is the local replica holding it.
 type PendingVersion struct {
@@ -600,8 +600,8 @@ type PendingVersion struct {
 }
 
 // PendingVersionsFor dumps every replica's new-version cache on host i, in
-// deterministic order.  Empty while the host is crashed (the entries live
-// on in the on-disk journal and reappear after RestartHost).
+// deterministic order.  The cache is volatile: a crash empties it, and after
+// RestartHost the first daemon pass's rescan installs what it held.
 func (c *Cluster) PendingVersionsFor(host int) []PendingVersion {
 	var out []PendingVersion
 	for _, l := range c.hosts[host].LocalReplicas() {

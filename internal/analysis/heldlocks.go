@@ -8,9 +8,9 @@ import (
 
 // HeldLocks enforces the repo's lock-suffix convention — a method named
 // *Locked requires its receiver's mutex — in every package that takes a
-// lock.  The durable new-version cache journal made the convention
-// load-bearing: a journal append racing a compaction would interleave
-// records and corrupt the on-disk NVC.  Using the lockflow engine it tracks
+// lock.  The directory journal makes the convention load-bearing: a record
+// appended racing a compaction of the same contents file would interleave
+// records and corrupt the directory.  Using the lockflow engine it tracks
 // exactly which mutexes are held at each statement and enforces the
 // convention positionally:
 //

@@ -25,7 +25,7 @@ func newUFS(t testing.TB) vnode.VFS {
 // TestConformanceFullAccess: with an all-granting ACL the layer is a pure
 // pass-through — the whole suite must hold.
 func TestConformanceFullAccess(t *testing.T) {
-	vntest.Run(t, vntest.Config{SupportsHardLinks: true, MaxName: ufs.MaxNameLen},
+	vntest.Run(t, vntest.Config{MaxName: ufs.MaxNameLen},
 		func(t *testing.T) vnode.VFS {
 			return New(newUFS(t), NewACL(PermAll), Credential{User: "root"})
 		})
@@ -35,7 +35,7 @@ func TestConformanceFullAccess(t *testing.T) {
 // logical layer.
 func TestConformanceOverFicusStack(t *testing.T) {
 	vol := ids.VolumeHandle{Allocator: 6, Volume: 6}
-	vntest.Run(t, vntest.Config{SupportsHardLinks: true, MaxName: logical.MaxName},
+	vntest.Run(t, vntest.Config{MaxName: logical.MaxName},
 		func(t *testing.T) vnode.VFS {
 			fs, err := ufs.Mkfs(disk.New(8192), 2048, nil)
 			if err != nil {

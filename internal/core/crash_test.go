@@ -57,8 +57,7 @@ func runCrashSweepCase(t *testing.T, crashAfter int) bool {
 	}
 	// FirstAvailable puts the victim's own replica first, so its creates and
 	// renames land on the disk that is about to fail (under MostRecent they
-	// chase host 0's newer root and the victim's disk sees little but journal
-	// appends).
+	// chase host 0's newer root and the victim's disk sees little).
 	lay1, err := h1.Mount(c.vol, logical.FirstAvailable)
 	if err != nil {
 		t.Fatal(err)
@@ -77,12 +76,10 @@ func runCrashSweepCase(t *testing.T, crashAfter int) bool {
 	// Mixed create/write/rename workload on both hosts.  Host 1's local
 	// ops die mid-flight once the disk crashes — exactly like a power
 	// failure — so their errors are expected, not checked.  Host 0's
-	// notifications keep arriving and keep (best-effort) journaling into
-	// host 1's dying disk.  No daemon passes run in the window, so no
-	// entry is dropped and the durable-subset property must hold.  Host 1
-	// goes on for five rounds after host 0's last write: a naming op is one
-	// append, a whole-file write one version, a file two members, and the
-	// sweep needs its 400 offsets.
+	// notifications keep arriving into host 1's new-version cache, which the
+	// crash then drops.  Host 1 goes on for five rounds after host 0's last
+	// write: a naming op is one append, a whole-file write one version, a
+	// file two members, and the sweep needs its 400 offsets.
 	for i := 0; i < 9; i++ {
 		if i < 4 {
 			f, err := root0.Create(fmt.Sprintf("a%d", i), false)
@@ -106,7 +103,6 @@ func runCrashSweepCase(t *testing.T, crashAfter int) bool {
 		}
 	}
 
-	pre := pendingSet(h1, c.vol)
 	fired := dev.Faulted()
 
 	h1.Crash()
@@ -121,18 +117,9 @@ func runCrashSweepCase(t *testing.T, crashAfter int) bool {
 		t.Fatalf("crashAfter=%d: fsck found: %v", crashAfter, probs)
 	}
 
-	// Contract 2: the journal-recovered NVC is a subset of the pre-crash
-	// in-memory cache (appends are best-effort; a lost tail loses entries,
-	// never invents them — reconciliation re-finds anything lost).
-	for k := range pendingSet(h1, c.vol) {
-		if !pre[k] {
-			t.Fatalf("crashAfter=%d: recovered NVC entry %s never existed pre-crash (pre=%v)", crashAfter, k, pre)
-		}
-	}
-
-	// Contract 3: the cluster still converges.  (The rescan flag makes the
-	// first propagation pass reconcile, covering anything the dying journal
-	// dropped.)
+	// Contract 2: the cluster still converges.  (The rescan flag makes the
+	// first propagation pass reconcile, covering every notice the crash
+	// dropped from the volatile new-version cache.)
 	for round := 0; round < 8; round++ {
 		if _, err := h0.PropagateOnce(); err != nil {
 			t.Fatal(err)
@@ -172,9 +159,9 @@ func runCrashSweepCase(t *testing.T, crashAfter int) bool {
 }
 
 // TestCrashAtEveryWrite power-fails host 1's disk after every possible
-// write count in a mixed workload, then restarts and verifies: clean fsck,
-// durable NVC ⊆ pre-crash NVC, and full convergence.  The sweep ends when
-// the armed countdown outlives the whole workload.
+// write count in a mixed workload, then restarts and verifies: clean fsck
+// and full convergence.  The sweep ends when the armed countdown outlives
+// the whole workload.
 func TestCrashAtEveryWrite(t *testing.T) {
 	const maxSweep = 3000
 	crashAfter := 0

@@ -280,8 +280,9 @@ func TestGossipForeignVolumeDropped(t *testing.T) {
 }
 
 // TestGossipCrashClearsSeenCache: the seen-rumor cache dies with the kernel,
-// so a post-restart replay of an old rumor is accepted again (and coalesced
-// by the durable NVC, not the wire filter).
+// so a post-restart replay of an old rumor is accepted again: it feeds the
+// new-version cache, which the crash emptied too, instead of being dropped
+// by the wire filter.
 func TestGossipCrashClearsSeenCache(t *testing.T) {
 	c := newCluster(t, 2)
 	h0, h1 := c.hosts[0], c.hosts[1]

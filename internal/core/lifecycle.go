@@ -5,11 +5,11 @@ package core
 // is that failure model.  Crash kills the "kernel": every service endpoint
 // disappears and all in-memory state — mounts, grafts, peer health, the
 // volume layers — is lost, while the disks survive.  Restart remounts each
-// volume from its device (UFS recovery first, then physical-layer recovery
-// including the durable new-version cache journal) and re-exports it, and
-// flags each remounted volume for one anti-entropy rescan: notifications
-// that arrived while the host was down are gone forever, and the paper's
-// answer is that "reconciliation covers lost notifications".
+// volume from its device (UFS recovery first, then physical-layer recovery)
+// and re-exports it, and flags each remounted volume for one anti-entropy
+// rescan: the new-version cache died with the kernel, notifications that
+// arrived while the host was down are gone forever, and the paper's answer
+// is that "reconciliation covers lost notifications".
 
 import (
 	"fmt"
@@ -66,8 +66,8 @@ func (h *Host) Crash() {
 
 // Restart reboots a crashed host: every volume replica is remounted from
 // its surviving device — UFS crash recovery runs under Mount, then the
-// physical layer is rebuilt from on-disk state, replaying the durable
-// new-version cache journal — and its replication services are re-exported.
+// physical layer is rebuilt from on-disk state with an empty new-version
+// cache — and its replication services are re-exported.
 // Each restored volume is flagged for an anti-entropy rescan, performed by
 // the next daemon pass.  A replica that fails to remount stays crashed and
 // the host stays down; the error reports why.

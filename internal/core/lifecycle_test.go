@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/ids"
@@ -131,17 +130,14 @@ func TestRestartRemountsAndRescans(t *testing.T) {
 	}
 }
 
-// TestRestartDrainsDurableNVC is the ISSUE's acceptance scenario: a host
-// that crashed with a populated new-version cache must, after restart,
-// drain the journal-recovered entries by pulling — without re-receiving a
-// single notification (NotificationsSeen stays flat during the drain).
-func TestRestartDrainsDurableNVC(t *testing.T) {
+// crashWithPending builds a 2-host cluster whose host 1 holds notices of
+// five un-propagated versions from host 0, then crashes and restarts host 1.
+// It returns the cluster and the new-version cache host 1 lost.
+func crashWithPending(t *testing.T) (*cluster, map[string]bool) {
+	t.Helper()
 	c := newCluster(t, 2)
 	h1 := c.hosts[1]
 	root := c.mount(t, 0)
-
-	// Updates on host 0 announce into host 1's NVC (journaled as they
-	// arrive) but are deliberately never propagated before the crash.
 	for i := 0; i < 5; i++ {
 		f, err := root.Create(fmt.Sprintf("f%d", i), true)
 		if err != nil {
@@ -151,38 +147,57 @@ func TestRestartDrainsDurableNVC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := pendingSet(h1, c.vol)
-	if len(before) == 0 {
-		t.Fatal("no pending versions accumulated on host 1")
-	}
-
+	lost := pendingSet(h1, c.vol)
 	h1.Crash()
 	if err := h1.Restart(); err != nil {
 		t.Fatal(err)
 	}
+	return c, lost
+}
 
-	// The journal restored the cache across the reboot.
-	after := pendingSet(h1, c.vol)
-	if !reflect.DeepEqual(after, before) {
-		t.Fatalf("durable NVC mismatch:\npre-crash %v\nrecovered %v", before, after)
+// TestRestartRescanDrainsLostNotices: a host that crashed with notices it
+// had not yet acted on restarts with an empty new-version cache, and its
+// first daemon pass — the owed rescan, run before the pull pass — installs
+// every announced version.  It does so by pulling alone (NotificationsSeen
+// stays flat) and with the RPCs of the rescan alone: a twin cluster whose
+// first pass after the same restart is a bare ReconcileOnce makes exactly as
+// many.
+func TestRestartRescanDrainsLostNotices(t *testing.T) {
+	c, lost := crashWithPending(t)
+	h1 := c.hosts[1]
+	if len(lost) != 6 {
+		t.Fatalf("host 1 held %d notices before the crash, want 6 (five files and the root): %v", len(lost), lost)
+	}
+	if after := pendingSet(h1, c.vol); len(after) != 0 {
+		t.Fatalf("new-version cache survived the crash: %v", after)
 	}
 
-	// Drain by pulling only: no notifications may arrive (host 0 is not
-	// writing), so NotificationsSeen must stay flat.
 	seen := h1.GossipStats().NotificationsSeen
-	for i := 0; i < 10 && len(pendingSet(h1, c.vol)) > 0; i++ {
-		if _, err := h1.PropagateOnce(); err != nil {
-			t.Fatal(err)
-		}
+	rpcs := c.net.Stats().RPCs
+	stats, err := h1.PropagateOnce()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if remaining := pendingSet(h1, c.vol); len(remaining) != 0 {
-		t.Fatalf("NVC not drained: %v", remaining)
+	passRPCs := c.net.Stats().RPCs - rpcs
+	if stats.FilesPulled != 5 {
+		t.Fatalf("first pass after restart installed %d versions, want 5: %+v", stats.FilesPulled, stats)
 	}
 	if got := h1.GossipStats().NotificationsSeen; got != seen {
-		t.Fatalf("NotificationsSeen moved during drain: %d -> %d", seen, got)
+		t.Fatalf("NotificationsSeen moved during the drain: %d -> %d", seen, got)
 	}
 
-	// The drained versions are really here: read every file locally.
+	twin, _ := crashWithPending(t)
+	rpcs = twin.net.Stats().RPCs
+	if _, err := twin.hosts[1].ReconcileOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if rescanRPCs := twin.net.Stats().RPCs - rpcs; passRPCs != rescanRPCs {
+		t.Fatalf("first pass after restart made %d RPCs, the rescan alone %d", passRPCs, rescanRPCs)
+	}
+
+	// The versions are really here: with host 0 down, host 1 reads them
+	// from its own replica.
+	c.hosts[0].Crash()
 	root1 := c.mount(t, 1)
 	for i := 0; i < 5; i++ {
 		v, err := root1.Lookup(fmt.Sprintf("f%d", i))

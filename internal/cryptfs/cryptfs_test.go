@@ -27,7 +27,7 @@ func newUFS(t *testing.T) vnode.VFS {
 // TestConformance: the encryption layer is just another layer — the full
 // suite must pass through it unchanged.
 func TestConformance(t *testing.T) {
-	vntest.Run(t, vntest.Config{SupportsHardLinks: true, MaxName: ufs.MaxNameLen},
+	vntest.Run(t, vntest.Config{MaxName: ufs.MaxNameLen},
 		func(t *testing.T) vnode.VFS { return New(newUFS(t), []byte("secret")) })
 }
 
@@ -35,7 +35,7 @@ func TestConformance(t *testing.T) {
 // logical layer: the §1 "slip in a layer" claim end to end.
 func TestConformanceOverFicus(t *testing.T) {
 	vol := ids.VolumeHandle{Allocator: 8, Volume: 8}
-	vntest.Run(t, vntest.Config{SupportsHardLinks: true, MaxName: logical.MaxName},
+	vntest.Run(t, vntest.Config{MaxName: logical.MaxName},
 		func(t *testing.T) vnode.VFS {
 			fs, err := ufs.Mkfs(disk.New(8192), 2048, nil)
 			if err != nil {

@@ -98,7 +98,7 @@ func (r *rig) sync(t *testing.T) {
 // TestConformanceSingleReplica runs the suite over a logical layer with one
 // co-resident replica.
 func TestConformanceSingleReplica(t *testing.T) {
-	vntest.Run(t, vntest.Config{SupportsHardLinks: true, MaxName: MaxName},
+	vntest.Run(t, vntest.Config{MaxName: MaxName},
 		func(t *testing.T) vnode.VFS {
 			return New(testVol, []Replica{{ID: 1, FS: newPhysical(t, 1)}}, Options{})
 		})
@@ -108,7 +108,7 @@ func TestConformanceSingleReplica(t *testing.T) {
 // stack of Figure 1 — logical over {physical, NFS->physical} — proving the
 // replication service composes transparently from the same vnode interface.
 func TestConformanceFullStack(t *testing.T) {
-	vntest.Run(t, vntest.Config{SupportsHardLinks: true, MaxName: MaxName},
+	vntest.Run(t, vntest.Config{MaxName: MaxName},
 		func(t *testing.T) vnode.VFS { return newRig(t, MostRecent).logical })
 }
 

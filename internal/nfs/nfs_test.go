@@ -45,14 +45,14 @@ func newRig(t testing.TB, copts *ClientOptions) *rig {
 // single-client workload would not notice anyway — but disabling makes the
 // pass unambiguous.
 func TestConformance(t *testing.T) {
-	vntest.Run(t, vntest.Config{SupportsHardLinks: true, MaxName: ufs.MaxNameLen},
+	vntest.Run(t, vntest.Config{MaxName: ufs.MaxNameLen},
 		func(t *testing.T) vnode.VFS {
 			return newRig(t, &ClientOptions{DisableCaches: true}).client
 		})
 }
 
 func TestConformanceWithCaches(t *testing.T) {
-	vntest.Run(t, vntest.Config{SupportsHardLinks: true, MaxName: ufs.MaxNameLen},
+	vntest.Run(t, vntest.Config{MaxName: ufs.MaxNameLen},
 		func(t *testing.T) vnode.VFS { return newRig(t, nil).client })
 }
 

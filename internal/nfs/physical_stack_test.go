@@ -20,7 +20,7 @@ import (
 // physical.Resolve under every operation.
 func TestConformanceOverPhysicalLayer(t *testing.T) {
 	vol := ids.VolumeHandle{Allocator: 5, Volume: 5}
-	vntest.Run(t, vntest.Config{SupportsHardLinks: true, MaxName: physical.SubstrateMaxName - 1},
+	vntest.Run(t, vntest.Config{MaxName: physical.SubstrateMaxName - 1},
 		func(t *testing.T) vnode.VFS {
 			fs, err := ufs.Mkfs(disk.New(8192), 2048, nil)
 			if err != nil {

@@ -21,8 +21,8 @@ import (
 //     some entry (live or tombstone) of that directory, and a container
 //     holds nothing but dir, attr and such members
 //   - entry ids are unique within each directory
-//   - the store root holds the meta file, the journal and the root
-//     container, and nothing else: every byte of file data is stored once
+//   - the store root holds the meta file and the root container, and
+//     nothing else: every byte of file data is stored once
 func (l *Layer) Check() ([]string, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -35,7 +35,7 @@ func (l *Layer) Check() ([]string, error) {
 	for _, m := range members {
 		if _, shadow := shadowBase(m.Name); shadow {
 			problems = append(problems, fmt.Sprintf("store root: leftover shadow file %q (crash recovery incomplete)", m.Name))
-		} else if m.Name != metaFileName && m.Name != nvcjFileName && m.Name != rootName {
+		} else if m.Name != metaFileName && m.Name != rootName {
 			problems = append(problems, fmt.Sprintf("store root: unidentified member %q", m.Name))
 		}
 	}

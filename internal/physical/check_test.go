@@ -123,23 +123,25 @@ func TestCheckDetectsShadowLitter(t *testing.T) {
 	checkFicusClean(t, l)
 }
 
-// TestCheckReadsTheStoreRoot: the store root holds the meta file, the
-// journal and the root container, and fsck reports anything else — a leftover
-// journal-compaction shadow (which the next mount's Recover settles), foreign
-// junk, or a directory of block files from before the delta base replaced
-// the block pool.
+// TestCheckReadsTheStoreRoot: the store root holds the meta file and the root
+// container, and fsck reports anything else — a leftover commit shadow of
+// meta (which the next mount's Recover settles), foreign junk, a directory of
+// block files from before the delta base replaced the block pool, or the
+// new-version cache journal from before the cache became volatile.
 func TestCheckReadsTheStoreRoot(t *testing.T) {
 	l, _ := newLayer(t, 1)
 	checkFicusClean(t, l)
-	sf, err := l.root.Create(nvcjFileName+suffixShadow, true)
+	sf, err := l.root.Create(metaFileName+suffixShadow, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vnode.WriteFile(sf, []byte("torn compaction")); err != nil {
+	if err := vnode.WriteFile(sf, []byte("torn commit")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.root.Create("junk", true); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"junk", "nvcj"} {
+		if _, err := l.root.Create(name, true); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := l.root.Mkdir("blocks"); err != nil {
 		t.Fatal(err)
@@ -149,8 +151,9 @@ func TestCheckReadsTheStoreRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		`leftover shadow file "nvcj.shadow" (crash recovery incomplete)`,
+		`leftover shadow file "meta.shadow" (crash recovery incomplete)`,
 		`unidentified member "junk"`,
+		`unidentified member "nvcj"`,
 		`unidentified member "blocks"`,
 	}
 	for _, w := range want {
@@ -164,8 +167,8 @@ func TestCheckReadsTheStoreRoot(t *testing.T) {
 	if err := l.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if probs, _ := l.Check(); len(probs) != 2 {
-		t.Fatalf("after recovery only the two foreign members remain a problem: %v", probs)
+	if probs, _ := l.Check(); len(probs) != 3 {
+		t.Fatalf("after recovery only the three foreign members remain a problem: %v", probs)
 	}
 }
 

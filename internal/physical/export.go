@@ -595,7 +595,6 @@ func (l *Layer) NoteNewVersion(dirPath []ids.FileID, file ids.FileID, origin ids
 	// backoff step high if the origin is flapping).
 	nv.NotBefore = 0
 	l.nvc[k] = nv
-	l.journalAppendLocked(encodeUpsert(nil, nv))
 }
 
 // DeferPending records a failed propagation attempt for file: the attempt
@@ -609,7 +608,6 @@ func (l *Layer) DeferPending(file ids.FileID, notBefore uint64) {
 		nv.Attempts++
 		nv.NotBefore = notBefore
 		l.nvc[k] = nv
-		l.journalAppendLocked(encodeUpsert(nil, nv))
 	}
 }
 
@@ -635,10 +633,6 @@ func (l *Layer) DaemonTick() uint64 {
 func (l *Layer) PendingVersions() []NewVersion {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.pendingVersionsLocked()
-}
-
-func (l *Layer) pendingVersionsLocked() []NewVersion {
 	out := make([]NewVersion, 0, len(l.nvc))
 	for _, nv := range l.nvc {
 		out = append(out, nv)
@@ -651,11 +645,7 @@ func (l *Layer) pendingVersionsLocked() []NewVersion {
 func (l *Layer) DropPending(file ids.FileID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.nvc[nvcKey{file: file}]; !ok {
-		return
-	}
 	delete(l.nvc, nvcKey{file: file})
-	l.journalAppendLocked(encodeDrop(nil, file))
 }
 
 // ReportConflict appends to the conflict log ("conflicting updates to

@@ -94,32 +94,6 @@ func FuzzAuxMemberTail(f *testing.F) {
 	})
 }
 
-func FuzzReplayJournal(f *testing.F) {
-	header := append(append([]byte(nil), nvcjMagic...), nvcjVersion)
-	log := encodeUpsert(header, NewVersion{File: fid(2, 100), Dir: RootPath(), Origin: 2, Seen: 3, Attempts: 1, NotBefore: 9})
-	log = encodeDrop(log, fid(2, 100))
-	log = encodeUpsert(log, NewVersion{File: fid(3, 7), Dir: []ids.FileID{ids.RootFileID, fid(1, 5)}, Origin: 3, Seen: 1})
-	f.Add(log)
-	f.Add(log[:len(log)-5]) // torn tail
-	f.Add(header)
-	f.Add([]byte("NVCJ"))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		l := &Layer{replica: 1, nvc: make(map[nvcKey]NewVersion)}
-		l.replayJournal(b)
-		for k, nv := range l.nvc {
-			if nv.File != k.file || nv.Origin == 0 || nv.Origin == l.replica {
-				t.Fatalf("replay admitted entry %+v under key %v", nv, k)
-			}
-		}
-		// What replay kept must survive the snapshot the next open writes.
-		again := &Layer{replica: 1, nvc: make(map[nvcKey]NewVersion)}
-		again.replayJournal(l.snapshotJournalLocked())
-		if len(again.nvc) != len(l.nvc) {
-			t.Fatalf("snapshot of %d entries replays to %d", len(l.nvc), len(again.nvc))
-		}
-	})
-}
-
 // FuzzDecodeEntries replays arbitrary bytes as a directory contents file.
 // Whatever replays is a fold — one entry per id, in id order, each backed by
 // the 30 fixed bytes of an entry, so nothing was sized by a count the bytes

@@ -93,12 +93,6 @@ type Layer struct {
 	quar  map[ids.FileID]QuarEntry
 	integ IntegrityStats
 
-	// Durable new-version cache journal (journal.go).
-	nvcj        vnode.Vnode
-	nvcjSize    uint64
-	nvcjRecs    int
-	journalErrs uint64
-
 	bstats BlockStats // delta propagation counters (pull.go)
 
 	conts *lru.Cache[string, vnode.Vnode] // fid path → the directory's container (dircache.go)
@@ -161,9 +155,6 @@ func Format(store vnode.VFS, vol ids.VolumeHandle, replica ids.ReplicaID) (*Laye
 	if err := l.writeMetaLocked(l.seq.Last()); err != nil {
 		return nil, err
 	}
-	if err := l.initJournalLocked(); err != nil {
-		return nil, err
-	}
 	// The fresh root has performed no updates: an empty version vector.
 	// (A creation bump here would make a newly added replica's root look
 	// more recent than its seed after the histories merge.)
@@ -174,9 +165,9 @@ func Format(store vnode.VFS, vol ids.VolumeHandle, replica ids.ReplicaID) (*Laye
 }
 
 // Open mounts an existing volume replica, running crash recovery (Recover)
-// — first, so that a crash inside a commit of meta is settled before meta is
-// read — and replaying the durable new-version cache journal before
-// returning.
+// first, so that a crash inside a commit of meta is settled before meta is
+// read.  The new-version cache starts empty: it is a hint (§3.2), and what a
+// crash dropped from it the restart's reconciliation pass finds again.
 func Open(store vnode.VFS) (*Layer, error) {
 	root, err := store.Root()
 	if err != nil {
@@ -196,9 +187,6 @@ func Open(store vnode.VFS) (*Layer, error) {
 		return nil, err
 	}
 	if err := l.readMetaLocked(); err != nil {
-		return nil, err
-	}
-	if err := l.openJournalLocked(); err != nil {
 		return nil, err
 	}
 	return l, nil

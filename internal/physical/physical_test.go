@@ -32,8 +32,12 @@ func newLayer(t *testing.T, replica ids.ReplicaID) (*Layer, *disk.Device) {
 	return l, dev
 }
 
+func fid(issuer ids.ReplicaID, seq uint64) ids.FileID {
+	return ids.FileID{Issuer: issuer, Seq: seq}
+}
+
 func TestConformance(t *testing.T) {
-	vntest.Run(t, vntest.Config{SupportsHardLinks: true, MaxName: SubstrateMaxName - 1},
+	vntest.Run(t, vntest.Config{MaxName: SubstrateMaxName - 1},
 		func(t *testing.T) vnode.VFS {
 			l, _ := newLayer(t, 1)
 			return l

@@ -22,14 +22,13 @@ import (
 // recovery rule, and Recover the one mount-time walk that applies the rule
 // everywhere.  Every durable file the layer replaces as a whole — file data,
 // an aux member resealed under its own vector, a compacted directory contents
-// file, the volume metadata, the compacted journal — goes through them;
-// nothing is replaced by truncate-then-write.  What is written in place is
-// storage no finished file depends on yet (writeFresh, writeAuxFile), a
-// directory's record appended at its end (commitDirLocked), one block — an aux
-// header, a journal append — or, by an update under a new vector, the aux's
-// current seal, whose every torn prefix the seal rule makes merely
-// unverifiable (resealInPlace), and then, by a local update, the file's own
-// data under the seal that made stale.
+// file, the volume metadata — goes through them; nothing is replaced by
+// truncate-then-write.  What is written in place is storage no finished file
+// depends on yet (writeFresh, writeAuxFile), a directory's record appended at
+// its end (commitDirLocked), one block — an aux header — or, by an update
+// under a new vector, the aux's current seal, whose every torn prefix the
+// seal rule makes merely unverifiable (resealInPlace), and then, by a local
+// update, the file's own data under the seal that made stale.
 
 // atomicReplace commits data as dir/name: the complete image is written to
 // a shadow beside name, and one rename substitutes it for the original.
@@ -159,21 +158,21 @@ func memberFID(name string) (ids.FileID, bool) {
 	return fid, err == nil
 }
 
-// Recover is the mount-time crash recovery, run once from Open: one walk
-// that settles every leftover shadow — at the store root (meta, a journal
-// compaction) and in every directory container — and then brings each
-// container's storage in line with its entries by the rules the running
-// layer maintains it with.  Per file with members in the container: a copy
-// without an aux never finished materialising and is dropped; a copy still
-// hard-linked from another container (a cross-directory rename was cut
-// between its two commits) is given its own members; and settleChildLocked
-// then reclaims it if no live entry names it and corrects its link count if
-// one does.  A seal that does not decode needs no rule: it vouches for
-// nothing, and the scrubber reseals.  Per child container: one also linked
-// from the container its ".." points to loses this second link, and one that
-// no entry, live or tombstone, names, or that never got its attr, is removed.  Each reclaim is
-// safe because every operation creates storage before the entry that names it
-// and removes it after the entry that stops naming it.
+// Recover is the mount-time crash recovery, run once from Open: one walk that
+// settles every leftover shadow — at the store root (meta) and in every
+// directory container — and then brings each container's storage in line with
+// its entries by the rules the running layer maintains it with.  Per file
+// with members in the container: a copy without an aux never finished
+// materialising and is dropped; a copy still hard-linked from another
+// container (a cross-directory rename was cut between its two commits) is
+// given its own members; and settleChildLocked then reclaims it if no live
+// entry names it and corrects its link count if one does.  A seal that does
+// not decode needs no rule: it vouches for nothing, and the scrubber
+// reseals.  Per child container: one also linked from the container its ".."
+// points to loses this second link, and one that no entry, live or
+// tombstone, names, or that never got its attr, is removed.  Each reclaim is
+// safe because every operation creates storage before the entry that names
+// it and removes it after the entry that stops naming it.
 func (l *Layer) Recover() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -21,7 +21,7 @@ func newVFS(t *testing.T) *VFS {
 }
 
 func TestConformance(t *testing.T) {
-	vntest.Run(t, vntest.Config{SupportsHardLinks: true, MaxName: ufs.MaxNameLen},
+	vntest.Run(t, vntest.Config{MaxName: ufs.MaxNameLen},
 		func(t *testing.T) vnode.VFS { return newVFS(t) })
 }
 

@@ -25,7 +25,7 @@ func baseVFS(t *testing.T) vnode.VFS {
 // of 3 null layers: transparent interposition is the paper's core
 // architectural claim (Fig. 1, §7).
 func TestNullStackConformance(t *testing.T) {
-	vntest.Run(t, vntest.Config{SupportsHardLinks: true, MaxName: ufs.MaxNameLen},
+	vntest.Run(t, vntest.Config{MaxName: ufs.MaxNameLen},
 		func(t *testing.T) vnode.VFS {
 			var fs vnode.VFS = baseVFS(t)
 			for i := 0; i < 3; i++ {

@@ -16,9 +16,6 @@ import (
 
 // Config tunes the suite for layer-specific quirks.
 type Config struct {
-	// SupportsHardLinks is false for layers that reject Link (the Ficus
-	// logical layer maps hard links onto its DAG naming instead).
-	SupportsHardLinks bool
 	// MaxName is the longest name the layer accepts (the Ficus logical
 	// layer shrinks this, paper §2.3 fn2).
 	MaxName int
@@ -371,31 +368,29 @@ func Run(t *testing.T, cfg Config, mk func(t *testing.T) vnode.VFS) {
 		}
 	})
 
-	if cfg.SupportsHardLinks {
-		sub("HardLink", func(t *testing.T, root vnode.Vnode) {
-			f, err := root.Create("a", true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := vnode.WriteFile(f, []byte("shared")); err != nil {
-				t.Fatal(err)
-			}
-			if err := root.Link("b", f); err != nil {
-				t.Fatal(err)
-			}
-			b, err := root.Lookup("b")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := root.Remove("a"); err != nil {
-				t.Fatal(err)
-			}
-			got, err := vnode.ReadFile(b)
-			if err != nil || string(got) != "shared" {
-				t.Fatalf("after unlink a: %q, %v", got, err)
-			}
-		})
-	}
+	sub("HardLink", func(t *testing.T, root vnode.Vnode) {
+		f, err := root.Create("a", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vnode.WriteFile(f, []byte("shared")); err != nil {
+			t.Fatal(err)
+		}
+		if err := root.Link("b", f); err != nil {
+			t.Fatal(err)
+		}
+		b, err := root.Lookup("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := root.Remove("a"); err != nil {
+			t.Fatal(err)
+		}
+		got, err := vnode.ReadFile(b)
+		if err != nil || string(got) != "shared" {
+			t.Fatalf("after unlink a: %q, %v", got, err)
+		}
+	})
 
 	if cfg.MaxName > 0 {
 		sub("NameLengthLimit", func(t *testing.T, root vnode.Vnode) {

@@ -1,4 +1,4 @@
-// Package wire is the one codec every message and journal record in the
+// Package wire is the one codec every message and on-disk record in the
 // tree is written and read with.  A format is nothing but a field sequence
 // over it: the append family writes big-endian fixed-width integers, one
 // byte per bool, uvarint element counts and the canonical vv encoding, and

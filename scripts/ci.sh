@@ -8,7 +8,8 @@
 # whole-file writes in internal/physical behind atomicReplace, the directory
 # journal's append behind its one writer, the in-place reseal of an aux's seal
 # behind its two callers and fresh storage behind writeFresh, one metadata
-# member per file copy (no sidecar member), internal/ufs's metadata
+# member per file copy (no sidecar member), a new-version cache kept in
+# memory only (no NVC journal in internal/physical), internal/ufs's metadata
 # blocks behind the end-of-call flush, a physical file's attributes — for
 # Getattr and for the replication read path — and its seal, for the verified
 # read and a pull's advertisement, behind the one cached aux reader, one NFS
@@ -109,6 +110,12 @@ echo "==> one metadata member per file copy in internal/physical"
 # (DESIGN.md §11): no sidecar member prefix, no reader of one, and no "S"
 # name prefix anywhere in the layer.
 test -z "$(grep -lE 'prefixSidecar|readSidecar\(|"S"' $phys)"
+
+echo "==> a volatile new-version cache in internal/physical"
+# The cache is a hint (DESIGN.md §10.1): a crash forgets it and the restart's
+# rescan, run before the first pull pass, finds again what it held, so the
+# layer writes it nowhere — no journal file, append, replay or error count.
+test -z "$(grep -lE 'nvcj|journalAppendLocked|replayJournal|JournalErrors' $phys)"
 
 echo "==> metadata blocks written only by the end-of-call flush in internal/ufs"
 # A call changes bitmap, inode-table and indirect blocks in its stage, and the

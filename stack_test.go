@@ -60,7 +60,7 @@ func buildMegaStack(t testing.TB, cred string, acl *authfs.ACL) *megaStack {
 }
 
 func TestSixLayerStackConformance(t *testing.T) {
-	vntest.Run(t, vntest.Config{SupportsHardLinks: true, MaxName: logical.MaxName},
+	vntest.Run(t, vntest.Config{MaxName: logical.MaxName},
 		func(t *testing.T) vnode.VFS {
 			return buildMegaStack(t, "root", authfs.NewACL(authfs.PermAll)).top
 		})
