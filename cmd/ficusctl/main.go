@@ -61,11 +61,14 @@
 //	                                     transient disk I/O error rates and
 //	                                     silent-corruption rates (0..1)
 //	bitrot <host> <path> <off>           silently flip a stored data bit
-//	scrub [host]                         one integrity pass (verify + repair):
-//	                                     what it changed in the integrity
-//	                                     counters, and the repair stats; all
-//	                                     hosts when no host given
-//	integrity [host]                     per-host corruption/repair counters
+//	scrub [host]                         one integrity pass (verify, then
+//	                                     reconcile a replica left holding a
+//	                                     quarantined copy): what it changed in
+//	                                     the integrity counters, and that
+//	                                     reconciliation's stats (a healed copy
+//	                                     is pulled); all hosts when no host given
+//	integrity [host]                     per-host cumulative integrity
+//	                                     counters (repaired = healed by a pull)
 //	blocks [host]                        per-host delta-transfer counters: blocks
 //	                                     shipped, and blocks reused from the
 //	                                     versions being replaced
@@ -177,7 +180,6 @@ func integrityDelta(before, after ficus.IntegrityStats) ficus.IntegrityStats {
 		CorruptionsDetected: after.CorruptionsDetected - before.CorruptionsDetected,
 		Cleared:             after.Cleared - before.Cleared,
 		Repaired:            after.Repaired - before.Repaired,
-		Unrepairable:        after.Unrepairable - before.Unrepairable,
 		Quarantined:         after.Quarantined,
 	}
 }

@@ -250,12 +250,10 @@ func TestE14HedgedPulls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Each of host 1's passes pulls from its one origin, host 0, so a
+			// pass's makespan is that pull's effective latency.
 			var ticks []uint64
-			cfg := recon.PropagateConfig{
-				Policy:      retry.Default(),
-				HedgeAfter:  tc.hedge,
-				OnPullTicks: func(n uint64) { ticks = append(ticks, n) },
-			}
+			cfg := recon.PropagateConfig{Policy: retry.Default(), HedgeAfter: tc.hedge}
 			for r := 0; r < rounds; r++ {
 				if err := m0.WriteFile(fmt.Sprintf("/e14-%d", r), []byte(fmt.Sprintf("tail %d", r))); err != nil {
 					t.Fatal(err)
@@ -263,9 +261,11 @@ func TestE14HedgedPulls(t *testing.T) {
 				if _, err := c.Host(2).PropagateOnce(); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := c.Host(1).PropagateOnceCfg(cfg); err != nil {
+				s, err := c.Host(1).PropagateOnceCfg(cfg)
+				if err != nil {
 					t.Fatal(err)
 				}
+				ticks = append(ticks, s.PassTicks)
 			}
 			if n := len(c.PendingVersionsFor(1)); n != 0 {
 				t.Fatalf("%d entries still pending on host 1", n)

@@ -550,16 +550,18 @@ func (c *Cluster) DiskStatsFor(host int) DiskStats {
 	return out
 }
 
-// Scrub runs one integrity pass (verification sweep + quarantine repair) on
-// every host and sums the repair passes' stats: a healed version counts as
-// FilesPulled, a re-queued one as Deferred.  What the sweeps verified,
-// resealed and quarantined is the difference of IntegrityStatsFor taken
-// around the call.
+// Scrub runs one integrity pass on every host: a verification sweep, then,
+// on a host left holding a quarantined copy, the reconciliation pass whose
+// pulls heal it (a pull of a quarantined copy asks unconditionally).  It
+// sums those reconciliation passes' stats: a healed version counts as
+// FilesPulled.  What the sweeps verified, resealed and quarantined, and what
+// the pulls repaired, is the difference of IntegrityStatsFor taken around
+// the call.
 func (c *Cluster) Scrub() (SyncStats, error) {
 	return c.eachHost((*core.Host).ScrubOnce)
 }
 
-// ScrubHost runs one integrity pass on host i alone.
+// ScrubHost runs one integrity pass (sweep, then heal) on host i alone.
 func (c *Cluster) ScrubHost(host int) (SyncStats, error) {
 	return c.hosts[host].ScrubOnce()
 }

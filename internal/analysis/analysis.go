@@ -24,7 +24,7 @@
 //
 //   - lockorder: the cross-package lock-acquisition graph (an edge means
 //     "acquired B while holding A") must stay acyclic, or the propagation
-//     workers, scrub daemon, and repair daemon can deadlock against each
+//     workers, reconciliation and scrub daemons can deadlock against each
 //     other.
 //
 //   - duraberr: on durable-write paths (device writes, seal/journal/

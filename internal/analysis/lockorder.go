@@ -12,7 +12,7 @@ import (
 // cycles.  Nodes are lock classes — one per mutex field per type (e.g.
 // core.Host.mu) or per package-level mutex variable (e.g. repl.tracemu);
 // an edge A→B means some code path acquires B while holding A.  With the
-// propagation workers, the scrub daemon, and the repair daemon all
+// propagation workers, the reconciliation and the scrub daemons all
 // interleaving over the same hosts, any cycle in this graph is a latent
 // deadlock that only needs the right two goroutines to line up.
 //

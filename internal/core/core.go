@@ -931,13 +931,7 @@ func (h *Host) ReconcileOnce() (recon.Stats, error) {
 	h.advanceTick()
 	var total recon.Stats
 	for _, layer := range h.LocalReplicas() {
-		stats, rescanMet := h.reconcileReplica(layer)
-		total.Add(stats)
-		if rescanMet {
-			h.mu.Lock()
-			delete(h.rescan, layer.Volume())
-			h.mu.Unlock()
-		}
+		total.Add(h.reconcileReplica(layer))
 	}
 	return total, nil
 }

@@ -197,12 +197,12 @@ func (h *Host) schedPeers(vol ids.VolumeHandle, local *physical.Layer) ([]recon.
 // reconcileReplica reconciles one local replica against remote replicas of
 // its volume in the anti-entropy scheduler's priority order — stalest and
 // least-healthy peers first, capped at the configured ReconPeers budget
-// (0 = every peer) — reporting whether the volume's
-// rescan obligation (if any) is met: at least one remote peer completed a
-// clean pass, or no remote peer is known at all.  Every visit is recorded as
-// an attempt (so budgeted passes rotate through all peers — no starvation)
-// and every clean pass as a sync.
-func (h *Host) reconcileReplica(layer *physical.Layer) (recon.Stats, bool) {
+// (0 = every peer) — and discharges the volume's rescan obligation (if any)
+// once it is met: at least one remote peer completed a clean pass, or no
+// remote peer is known at all.  Every visit is recorded as an attempt (so
+// budgeted passes rotate through all peers — no starvation) and every clean
+// pass as a sync.
+func (h *Host) reconcileReplica(layer *physical.Layer) recon.Stats {
 	vol := layer.Volume()
 	peers, now := h.schedPeers(vol, layer)
 	remotes := len(peers)
@@ -221,7 +221,12 @@ func (h *Host) reconcileReplica(layer *physical.Layer) (recon.Stats, bool) {
 				h.sched.NoteSync(vol, rid, now)
 			}
 		})
-	return stats, clean > 0 || remotes == 0
+	if clean > 0 || remotes == 0 {
+		h.mu.Lock()
+		delete(h.rescan, vol)
+		h.mu.Unlock()
+	}
+	return stats
 }
 
 // recoveryRescan runs the reconcile pass each freshly restarted volume owes.
@@ -244,13 +249,7 @@ func (h *Host) recoveryRescan() recon.Stats {
 		if !flagged[layer.Volume()] {
 			continue
 		}
-		stats, met := h.reconcileReplica(layer)
-		total.Add(stats)
-		if met {
-			h.mu.Lock()
-			delete(h.rescan, layer.Volume())
-			h.mu.Unlock()
-		}
+		total.Add(h.reconcileReplica(layer))
 	}
 	return total
 }

@@ -4,24 +4,25 @@ import (
 	"repro/internal/ids"
 	"repro/internal/physical"
 	"repro/internal/recon"
-	"repro/internal/retry"
 	"repro/internal/vnode"
 )
 
 // The background scrubber (integrity daemon): sweeps every local volume
-// replica verifying stored file data against its sealed block addresses,
-// quarantines versions that fail, and heals them by re-pulling a verified
-// copy from a peer replica.  It runs exactly like the propagation daemon —
-// driven by explicit passes on the virtual clock, health-gated toward
-// peers, a no-op while the host is down — so simulations stay
-// deterministic.
+// replica verifying stored file data against its sealed block addresses and
+// quarantines versions that fail.  The heal is no daemon of its own: every
+// pull of a quarantined copy asks its peer unconditionally and installs a
+// verified copy, so the scrubber follows a sweep that leaves damage behind
+// with the reconciliation pass.  It runs exactly like the other daemons —
+// driven by explicit passes on the virtual clock, a no-op while the host is
+// down — so simulations stay deterministic.
 
-// ScrubOnce runs one integrity pass over every local volume replica: a
-// full verification sweep (detect + reseal + quarantine), then a repair pass
-// that re-pulls due quarantined versions from peer replicas.  It returns the
-// repair passes' stats; what the sweeps did is the difference of
-// IntegrityStats taken around the call.  A down host's daemons do not run:
-// the pass is a no-op.
+// ScrubOnce runs one integrity pass over every local volume replica: a full
+// verification sweep (detect + reseal + quarantine), then, for a replica
+// left holding a quarantined copy, the reconciliation pass ReconcileOnce
+// runs, whose pulls heal it from peer replicas.  It returns those passes'
+// stats (a healed version counts as FilesPulled); what the sweeps did is the
+// difference of IntegrityStats taken around the call.  A down host's daemons
+// do not run: the pass is a no-op.
 func (h *Host) ScrubOnce() (recon.Stats, error) {
 	if h.Down() {
 		return recon.Stats{}, nil
@@ -32,20 +33,11 @@ func (h *Host) ScrubOnce() (recon.Stats, error) {
 		if err := layer.ScrubPass(); err != nil {
 			return total, err
 		}
-		peers := h.replicaIDs(layer.Volume())
-		total.Add(recon.Repair(layer, h.peerFinder(layer, true), peers, retry.Default()))
+		if layer.IntegrityStats().Quarantined > 0 {
+			total.Add(h.reconcileReplica(layer))
+		}
 	}
 	return total, nil
-}
-
-// replicaIDs lists the known replicas of vol in deterministic order.
-func (h *Host) replicaIDs(vol ids.VolumeHandle) []ids.ReplicaID {
-	locs := h.Locations(vol)
-	out := make([]ids.ReplicaID, 0, len(locs))
-	for _, loc := range locs {
-		out = append(out, loc.ID)
-	}
-	return out
 }
 
 // IntegrityStats aggregates the integrity counters of every local volume

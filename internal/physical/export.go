@@ -107,9 +107,9 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 // directory dirPath.  It is the replication read path — what a conditional
 // pull ships to peers — so it verifies the data against its current seal
 // before serving: a quarantined or freshly failing replica answers ErrCorrupt
-// (transient — retry elsewhere, repair pending) rather than ever letting wrong
-// bytes propagate.  A stale or missing seal cannot vouch either way and the
-// data is served optimistically.
+// (transient — retry elsewhere, or once a pull has healed it) rather than
+// ever letting wrong bytes propagate.  A stale or missing seal cannot vouch
+// either way and the data is served optimistically.
 func (l *Layer) FileData(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileState, error) {
 	data, st, _, err := l.readVerified(dirPath, fid)
 	return data, st, err
@@ -152,7 +152,7 @@ func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte
 		return data, st, nil, nil
 	}
 	if !seal.Verify(data) {
-		l.quarantineLocked(dirPath, fid, aux.VV)
+		l.quarantineLocked(fid)
 		return nil, FileState{}, nil, fmt.Errorf("%w: file %s failed verification on read", ErrCorrupt, fid)
 	}
 	return data, st, &seal.BlockManifest, nil
@@ -695,8 +695,8 @@ func (l *Layer) ClearConflicts() {
 }
 
 // OpenCount reports how many opens of fid are outstanding (fed by direct
-// Open calls and by the open-over-lookup encoding).  Autografting uses it
-// to decide when a graft is no longer needed (§4.4).
+// Open calls and by the open-over-lookup encoding).  Graft pruning reads the
+// per-replica total, OpenFiles, instead (§4.4).
 func (l *Layer) OpenCount(fid ids.FileID) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -90,7 +90,7 @@ type Layer struct {
 	// Integrity state (sidecar.go, quarantine.go, scrub.go).  The quarantine
 	// set is in-memory only: after a restart the scrubber re-detects what is
 	// still corrupt, so durability would buy nothing.
-	quar  map[ids.FileID]QuarEntry
+	quar  map[ids.FileID]bool
 	integ IntegrityStats
 
 	bstats BlockStats // delta propagation counters (pull.go)
@@ -147,7 +147,7 @@ func Format(store vnode.VFS, vol ids.VolumeHandle, replica ids.ReplicaID) (*Laye
 		seq:     ids.NewSequencer(replica, 2),
 		nvc:     make(map[nvcKey]NewVersion),
 		opens:   make(map[ids.FileID]int),
-		quar:    make(map[ids.FileID]QuarEntry),
+		quar:    make(map[ids.FileID]bool),
 		conts:   lru.New[string, vnode.Vnode](contCacheSize),
 		dirs:    lru.New[string, *dirImage](dirCacheSize),
 		auxs:    lru.New[string, auxEntry](auxCacheSize),
@@ -178,7 +178,7 @@ func Open(store vnode.VFS) (*Layer, error) {
 		root:  root,
 		nvc:   make(map[nvcKey]NewVersion),
 		opens: make(map[ids.FileID]int),
-		quar:  make(map[ids.FileID]QuarEntry),
+		quar:  make(map[ids.FileID]bool),
 		conts: lru.New[string, vnode.Vnode](contCacheSize),
 		dirs:  lru.New[string, *dirImage](dirCacheSize),
 		auxs:  lru.New[string, auxEntry](auxCacheSize),

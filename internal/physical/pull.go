@@ -12,7 +12,8 @@ import (
 
 // The conditional pull: the one way a replica learns a file version from a
 // peer, whether a notification (update propagation), a periodic directory
-// visit (reconciliation) or a quarantined copy (repair) prompted it.
+// visit (reconciliation) or the restart rescan prompted it.  A pull of a
+// quarantined copy is also its repair (quarantine.go).
 //
 // The puller ships its local vector with each request, and the serving side
 // folds both halves of the version-vector protocol into one answer per entry

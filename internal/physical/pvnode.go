@@ -446,7 +446,7 @@ func (v *pvnode) updateFileLocked(df vnode.Vnode, lo, hi uint64, p []byte, off u
 // does.  A block wholly past the old end is zeros and is never materialised.
 func (v *pvnode) nextManifestLocked(df vnode.Vnode, seal *sidecar, old, size uint64, p []byte, off uint64) (*BlockManifest, error) {
 	failsSeal := func() (*BlockManifest, error) {
-		v.l.quarantineLocked(v.dirPath, v.fid, seal.Sealed)
+		v.l.quarantineLocked(v.fid)
 		return nil, vnode.ENOSTOR
 	}
 	if seal != nil && seal.Length != old {

@@ -10,34 +10,17 @@ package physical
 //   - the replication read path (FileData) answers ErrCorrupt, a TRANSIENT
 //     error, so a puller defers and re-arms its new-version cache entry
 //     instead of dropping it — corruption is never propagated;
-//   - the scrub/repair daemon re-pulls the version from a peer whose vector
-//     dominates-or-equals the quarantined one, verifies the payload against
-//     the shipped manifest, and reinstalls, clearing the quarantine.
+//   - a pull of the file, whichever pass runs it (propagation, a directory
+//     notice, reconciliation, the restart rescan), asks the peer
+//     unconditionally, so even a peer holding the very same version ships
+//     it; the install verifies the payload against the shipped manifest and
+//     clears the quarantine.
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ids"
-	"repro/internal/vv"
 )
-
-// QuarEntry is one quarantined file replica awaiting repair.
-type QuarEntry struct {
-	File ids.FileID
-	Dir  []ids.FileID // fid path of the containing directory
-	VV   vv.Vector    // aux vector of the corrupt version (repair must dominate-or-equal it)
-
-	// Repair bookkeeping, mirroring NewVersion: failed attempts back off on
-	// the virtual daemon clock instead of hammering an unreachable peer.
-	Attempts  int
-	NotBefore uint64
-
-	// Unrepairable records that at least one repair round got a definitive
-	// refusal from every known peer (counted once, for stats); repair keeps
-	// retrying regardless — a peer may yet reappear with a good copy.
-	Unrepairable bool
-}
 
 // IntegrityStats counts the integrity subsystem's work on one volume
 // replica.  Quarantined is a gauge (currently quarantined files); the rest
@@ -48,8 +31,7 @@ type IntegrityStats struct {
 	Resealed            uint64 // unverifiable seals recomputed from local data
 	CorruptionsDetected uint64 // verification failures that entered quarantine
 	Cleared             uint64 // quarantined files a scrub found verifying again (superseded in place)
-	Repaired            uint64 // quarantined versions healed from a peer
-	Unrepairable        uint64 // repair rounds where every known peer definitively refused
+	Repaired            uint64 // quarantined versions healed by a verified install
 	Quarantined         uint64 // files currently in quarantine
 }
 
@@ -61,14 +43,13 @@ func (s *IntegrityStats) Add(t IntegrityStats) {
 	s.CorruptionsDetected += t.CorruptionsDetected
 	s.Cleared += t.Cleared
 	s.Repaired += t.Repaired
-	s.Unrepairable += t.Unrepairable
 	s.Quarantined += t.Quarantined
 }
 
 // String renders the stats compactly.
 func (s IntegrityStats) String() string {
-	return fmt.Sprintf("scrubbed=%d blocks=%d resealed=%d detected=%d cleared=%d repaired=%d unrepairable=%d quarantined=%d",
-		s.ScrubbedFiles, s.ScrubbedBlocks, s.Resealed, s.CorruptionsDetected, s.Cleared, s.Repaired, s.Unrepairable, s.Quarantined)
+	return fmt.Sprintf("scrubbed=%d blocks=%d resealed=%d detected=%d cleared=%d repaired=%d quarantined=%d",
+		s.ScrubbedFiles, s.ScrubbedBlocks, s.Resealed, s.CorruptionsDetected, s.Cleared, s.Repaired, s.Quarantined)
 }
 
 // IntegrityStats returns a snapshot of this volume replica's counters.
@@ -80,18 +61,14 @@ func (l *Layer) IntegrityStats() IntegrityStats {
 	return s
 }
 
-// quarantineLocked places fid in quarantine under vector vvec (a no-op when
-// already quarantined, so repeated detections of the same damage count
-// once).  Caller holds l.mu.
-func (l *Layer) quarantineLocked(dirPath []ids.FileID, fid ids.FileID, vvec vv.Vector) {
-	if _, ok := l.quar[fid]; ok {
+// quarantineLocked places fid in quarantine (a no-op when already
+// quarantined, so repeated detections of the same damage count once).
+// Caller holds l.mu.
+func (l *Layer) quarantineLocked(fid ids.FileID) {
+	if l.quar[fid] {
 		return
 	}
-	l.quar[fid] = QuarEntry{
-		File: fid,
-		Dir:  append([]ids.FileID(nil), dirPath...),
-		VV:   vvec.Clone(),
-	}
+	l.quar[fid] = true
 	l.integ.CorruptionsDetected++
 }
 
@@ -99,7 +76,7 @@ func (l *Layer) quarantineLocked(dirPath []ids.FileID, fid ids.FileID, vvec vv.V
 // verified replacement landed (counted) or the quarantine simply became
 // moot (e.g. the storage was evicted).  Caller holds l.mu.
 func (l *Layer) clearQuarantineLocked(fid ids.FileID, repaired bool) {
-	if _, ok := l.quar[fid]; !ok {
+	if !l.quar[fid] {
 		return
 	}
 	delete(l.quar, fid)
@@ -110,8 +87,7 @@ func (l *Layer) clearQuarantineLocked(fid ids.FileID, repaired bool) {
 
 // isQuarantinedLocked reports whether fid is quarantined.  Caller holds l.mu.
 func (l *Layer) isQuarantinedLocked(fid ids.FileID) bool {
-	_, ok := l.quar[fid]
-	return ok
+	return l.quar[fid]
 }
 
 // IsQuarantined reports whether fid's local copy is quarantined.
@@ -119,45 +95,4 @@ func (l *Layer) IsQuarantined(fid ids.FileID) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.isQuarantinedLocked(fid)
-}
-
-// QuarantinedVersions lists the quarantine set in deterministic file-id
-// order.
-func (l *Layer) QuarantinedVersions() []QuarEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]QuarEntry, 0, len(l.quar))
-	for _, q := range l.quar {
-		out = append(out, q)
-	}
-	sort.Slice(out, func(i, j int) bool { return eidLess(out[i].File, out[j].File) })
-	return out
-}
-
-// DeferRepair records a failed repair attempt for file: the attempt count
-// grows and the entry is not due again before daemon tick notBefore.
-func (l *Layer) DeferRepair(file ids.FileID, notBefore uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if q, ok := l.quar[file]; ok {
-		q.Attempts++
-		q.NotBefore = notBefore
-		l.quar[file] = q
-	}
-}
-
-// NoteUnrepairable records a repair round in which every known peer
-// definitively refused (no copy, or only dominated/unverifiable versions).
-// Counted once per quarantine spell; the entry stays queued — optimism says
-// a healthy replica may yet reappear.
-func (l *Layer) NoteUnrepairable(file ids.FileID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	q, ok := l.quar[file]
-	if !ok || q.Unrepairable {
-		return
-	}
-	q.Unrepairable = true
-	l.quar[file] = q
-	l.integ.Unrepairable++
 }

@@ -1,7 +1,7 @@
 package physical
 
 // The volume-replica scrub pass: the storage-side half of the background
-// scrubber daemon (core.Host drives passes and repairs).  One pass walks
+// scrubber daemon (core.Host drives the passes; the pulls heal).  One pass walks
 // every container, and for every locally stored file replica either
 // verifies the data against its seal, or — when the aux's seal is missing,
 // torn, or sealed under a vector that no longer matches the header — reseals
@@ -31,10 +31,10 @@ func (l *Layer) ScrubPass() error {
 		}
 		return err
 	}
-	return l.scrubContainerLocked(cont, []ids.FileID{ids.RootFileID})
+	return l.scrubContainerLocked(cont)
 }
 
-func (l *Layer) scrubContainerLocked(cont vnode.Vnode, dirPath []ids.FileID) error {
+func (l *Layer) scrubContainerLocked(cont vnode.Vnode) error {
 	entries, _, err := l.readDirFileLocked(cont)
 	if err != nil {
 		// An unreadable contents file is Check's problem, not the scrubber's.
@@ -49,19 +49,18 @@ func (l *Layer) scrubContainerLocked(cont vnode.Vnode, dirPath []ids.FileID) err
 			if err != nil {
 				continue // not stored here (§4.1)
 			}
-			childPath := append(append([]ids.FileID(nil), dirPath...), e.Child)
-			if err := l.scrubContainerLocked(sub, childPath); err != nil {
+			if err := l.scrubContainerLocked(sub); err != nil {
 				return err
 			}
 			continue
 		}
-		l.scrubFileLocked(cont, dirPath, e.Child)
+		l.scrubFileLocked(cont, e.Child)
 	}
 	return nil
 }
 
 // scrubFileLocked verifies or reseals one stored file replica.
-func (l *Layer) scrubFileLocked(cont vnode.Vnode, dirPath []ids.FileID, fid ids.FileID) {
+func (l *Layer) scrubFileLocked(cont vnode.Vnode, fid ids.FileID) {
 	_, aux, sc, err := openAuxFile(cont, prefixAux+fid.String())
 	if err != nil {
 		return // not stored here, or mid-materialization; nothing to vouch for
@@ -94,21 +93,7 @@ func (l *Layer) scrubFileLocked(cont vnode.Vnode, dirPath []ids.FileID, fid ids.
 		}
 		return
 	}
-	if !l.isQuarantinedLocked(fid) {
-		l.quarantineLocked(dirPath, fid, aux.VV)
-	}
-}
-
-// RepairDue lists the quarantined entries eligible for a repair attempt at
-// daemon tick now, in deterministic file-id order.
-func (l *Layer) RepairDue(now uint64) []QuarEntry {
-	var due []QuarEntry
-	for _, q := range l.QuarantinedVersions() {
-		if q.NotBefore <= now {
-			due = append(due, q)
-		}
-	}
-	return due
+	l.quarantineLocked(fid)
 }
 
 // CorruptData flips one byte of fid's stored data file in place, bypassing

@@ -49,7 +49,6 @@ func scrubPass(t *testing.T, l *Layer) IntegrityStats {
 		CorruptionsDetected: after.CorruptionsDetected - before.CorruptionsDetected,
 		Cleared:             after.Cleared - before.Cleared,
 		Repaired:            after.Repaired - before.Repaired,
-		Unrepairable:        after.Unrepairable - before.Unrepairable,
 		Quarantined:         after.Quarantined,
 	}
 }
@@ -336,30 +335,6 @@ func TestEvictionClearsQuarantineWithoutRepairCredit(t *testing.T) {
 	}
 	if s := l.IntegrityStats(); s.Repaired != 0 {
 		t.Fatalf("eviction is not a repair: %+v", s)
-	}
-}
-
-func TestRepairDueAndBackoffBookkeeping(t *testing.T) {
-	l, f := scrubLayerWithFile(t, "backoff")
-	fid := mustFid(t, f)
-	if err := l.CorruptData(RootPath(), fid, 0); err != nil {
-		t.Fatal(err)
-	}
-	scrubPass(t, l)
-	if due := l.RepairDue(0); len(due) != 1 || due[0].File != fid {
-		t.Fatalf("due list: %+v", due)
-	}
-	l.DeferRepair(fid, 10)
-	if due := l.RepairDue(9); len(due) != 0 {
-		t.Fatalf("deferred entry still due: %+v", due)
-	}
-	if due := l.RepairDue(10); len(due) != 1 || due[0].Attempts != 1 {
-		t.Fatalf("entry not due again at its tick: %+v", due)
-	}
-	l.NoteUnrepairable(fid)
-	l.NoteUnrepairable(fid) // idempotent within one quarantine spell
-	if s := l.IntegrityStats(); s.Unrepairable != 1 {
-		t.Fatalf("unrepairable must count once per spell: %+v", s)
 	}
 }
 

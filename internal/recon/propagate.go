@@ -70,10 +70,6 @@ type PropagateConfig struct {
 	// concurrently (per wave) — backpressure that keeps one slow host from
 	// absorbing the whole worker pool.  0 = no cap.
 	PeerInflight int
-	// OnPullTicks, when set, receives each origin pull's effective virtual
-	// latency (after hedging), in deterministic sorted-origin order — the
-	// benchmarks' percentile probe.
-	OnPullTicks func(uint64)
 }
 
 // PropagateOnce runs one pass of the update propagation daemon under the
@@ -237,9 +233,6 @@ func Propagate(local *physical.Layer, find PeerFinder, cfg PropagateConfig) (Sta
 		if res.hedgeWon {
 			stats.HedgeWins++
 		}
-		if res.pulled && cfg.OnPullTicks != nil {
-			cfg.OnPullTicks(res.cost)
-		}
 		for i, nv := range entries {
 			out := res.outcomes[i]
 			switch out.kind {
@@ -346,7 +339,6 @@ type originResult struct {
 	outcomes []entryOutcome
 
 	cost          uint64 // effective virtual ticks of this origin's pull
-	pulled        bool   // a pull was actually attempted on the wire
 	shed          bool   // Slow primary swapped for a faster alternate
 	hedged        bool   // a backup pull was issued
 	hedgeWon      bool   // ...and answered first
@@ -400,7 +392,6 @@ type hedgedSource struct {
 
 func (h *hedgedSource) PullBatchDelta(reqs []physical.PullRequest, have []physical.BlockAddr) ([]physical.PullResult, error) {
 	res := h.res
-	res.pulled = true
 	primary, backup := h.Peer, h.backup
 	// Load shedding — the circuit-breaker half: a primary the health
 	// tracker rates Slow is swapped for a faster alternate up front, so a

@@ -26,9 +26,6 @@ const (
 type pullItem struct {
 	dir  []ids.FileID
 	file ids.FileID
-	// force asks unconditionally: the local bytes are untrusted (repair), so
-	// even a peer whose vector merely equals the local one must ship.
-	force bool
 }
 
 // entryOutcome is what one pullItem came to.
@@ -40,12 +37,18 @@ type entryOutcome struct {
 }
 
 // pullAndApply is the one way a replica obtains file versions from a peer;
-// update propagation, directory reconciliation and repair all come through
-// here.  It builds one conditional pull from the local vectors of items,
-// issues it to src, and applies each answer: a shipped version is installed
-// through the single-file atomic commit, every other answer is classified
-// for the caller, which owns the bookkeeping (stats, conflict log, daemon
-// queues).  Outcomes are positional.
+// update propagation, directory reconciliation and the restart rescan all
+// come through here.  It builds one conditional pull from the local vectors
+// of items, issues it to src, and applies each answer: a shipped version is
+// installed through the single-file atomic commit, every other answer is
+// classified for the caller, which owns the bookkeeping (stats, conflict
+// log, daemon queues).  Outcomes are positional.
+//
+// A quarantined local copy is also the repair: its bytes are untrusted, so
+// its request is unconditional and even a peer holding the very same
+// version ships it.  applyPull then compares the shipped vector with the
+// local one as the serving side would have, and the install of an equal or
+// newer version clears the quarantine.
 //
 // With advertise set the versions ship as deltas against the ones they
 // replace: the sealed manifest of each item's local copy joins a per-pull
@@ -65,7 +68,7 @@ func pullAndApply(local *physical.Layer, src Peer, items []pullItem, advertise b
 		switch {
 		case err == nil:
 			outcomes[i].localVV = linfo.Aux.VV
-			if !it.force {
+			if !local.IsQuarantined(it.file) {
 				req.LocalVV, req.HasLocal = linfo.Aux.VV, true
 			}
 			if advertise && !linfo.Aux.Type.IsDir() {
@@ -106,12 +109,15 @@ func pullFrom(src Peer, reqs []physical.PullRequest, have []physical.BlockAddr) 
 func applyPull(local *physical.Layer, base physical.DeltaBase, it *pullItem, r *physical.PullResult, out *entryOutcome) {
 	switch r.Status {
 	case physical.PullData:
-		if !r.Aux.VV.DominatesOrEqual(out.localVV) {
-			// Only a forced pull can be answered with an older version; it
-			// must not silently roll the file back (it will arrive through
-			// normal reconciliation if it is genuinely the surviving
-			// history).
+		// Only an unconditional pull of a quarantined copy can be answered
+		// with a version that does not dominate: an older one must not roll
+		// the file back, and concurrent histories are the owner's conflict.
+		switch out.localVV.Compare(r.Aux.VV) {
+		case vv.Dominates:
 			out.kind = outStale
+			return
+		case vv.Concurrent:
+			out.kind, out.remoteVV = outConflict, r.Aux.VV.Clone()
 			return
 		}
 		// Install under the origin's manifest: a payload damaged in flight

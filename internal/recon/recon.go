@@ -56,7 +56,7 @@ type (
 	DeltaPuller = Peer
 )
 
-// Stats summarizes one reconciliation, propagation or repair pass.
+// Stats summarizes one reconciliation or propagation pass.
 type Stats struct {
 	DirsVisited    int // directories compared
 	DirsCreated    int // local containers materialized for remote dirs
@@ -68,7 +68,6 @@ type Stats struct {
 	Skipped        int // subtrees skipped (not stored on one side)
 	Deferred       int // propagation entries postponed (backoff or origin unavailable)
 	Failures       int // failed this pass: per-entry pulls, or (Rescan) passes that reached their peer
-	GaveUp         int // repair rounds where every known peer definitively refused
 
 	// Slow-peer tolerance (propagation only).  All fields are scalars on
 	// purpose: Stats must stay comparable for the determinism tests.
@@ -91,7 +90,6 @@ func (s *Stats) Add(t Stats) {
 	s.Skipped += t.Skipped
 	s.Deferred += t.Deferred
 	s.Failures += t.Failures
-	s.GaveUp += t.GaveUp
 	s.Hedges += t.Hedges
 	s.HedgeWins += t.HedgeWins
 	s.SlowSheds += t.SlowSheds
@@ -108,9 +106,6 @@ func (s Stats) Changed() bool {
 func (s Stats) String() string {
 	out := fmt.Sprintf("dirs=%d created=%d adopted=%d deleted=%d pulled=%d conflicts=%d repairs=%d skipped=%d deferred=%d failures=%d",
 		s.DirsVisited, s.DirsCreated, s.EntriesAdopted, s.EntriesDeleted, s.FilesPulled, s.Conflicts, s.NameRepairs, s.Skipped, s.Deferred, s.Failures)
-	if s.GaveUp > 0 {
-		out += fmt.Sprintf(" gaveup=%d", s.GaveUp)
-	}
 	if s.Hedges > 0 || s.SlowSheds > 0 || s.BudgetDeferred > 0 || s.PassTicks > 0 {
 		out += fmt.Sprintf(" hedges=%d hedgewins=%d sheds=%d budgetdeferred=%d passticks=%d",
 			s.Hedges, s.HedgeWins, s.SlowSheds, s.BudgetDeferred, s.PassTicks)

@@ -741,9 +741,6 @@ func (w *world) exercised() {
 			w.fail("gossip", "host %d sent %d notices for %d rumors: origin cost above fanout", h, g.NoticesSent, g.RumorsOriginated)
 		}
 	}
-	if integrity.Unrepairable != 0 {
-		w.fail("integrity", "Unrepairable = %d with host 0 always pristine", integrity.Unrepairable)
-	}
 	hang := r.has(evHang)
 	for _, p := range []struct {
 		on   bool

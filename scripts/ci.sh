@@ -9,7 +9,9 @@
 # journal's append behind its one writer, the in-place reseal of an aux's seal
 # behind its two callers and fresh storage behind writeFresh, one metadata
 # member per file copy (no sidecar member), a new-version cache kept in
-# memory only (no NVC journal in internal/physical), internal/ufs's metadata
+# memory only (no NVC journal in internal/physical), one pull that also
+# repairs a quarantined copy (no repair daemon, queue or give-up counter
+# under internal/), internal/ufs's metadata
 # blocks behind the end-of-call flush, a physical file's attributes — for
 # Getattr and for the replication read path — and its seal, for the verified
 # read and a pull's advertisement, behind the one cached aux reader, one NFS
@@ -116,6 +118,13 @@ echo "==> a volatile new-version cache in internal/physical"
 # rescan, run before the first pull pass, finds again what it held, so the
 # layer writes it nowhere — no journal file, append, replay or error count.
 test -z "$(grep -lE 'nvcj|journalAppendLocked|replayJournal|JournalErrors' $phys)"
+
+echo "==> one pull repairs"
+# A quarantined copy is healed by whichever pull visits it (DESIGN.md §11):
+# its request is forced and a verified install lifts the quarantine, so the
+# integrity plane keeps no repair daemon, queue, backoff or give-up verdict.
+internal=$(git ls-files 'internal/*.go' | grep -v _test.go | grep -v /testdata/)
+test -z "$(grep -lE 'QuarEntry|RepairDue|DeferRepair|NoteUnrepairable|GaveUp|Unrepairable|func Repair\(' $internal)"
 
 echo "==> metadata blocks written only by the end-of-call flush in internal/ufs"
 # A call changes bitmap, inode-table and indirect blocks in its stage, and the
