@@ -21,7 +21,6 @@ package ids
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -57,32 +56,62 @@ var (
 // IsNil reports whether the file id is the absent sentinel.
 func (f FileID) IsNil() bool { return f == NilFileID }
 
+// FileIDLen is the length of a file id's rendering: 8 hex digits of issuer
+// and 16 of sequence number.
+const FileIDLen = 24
+
 // String renders the file id in the fixed-width hexadecimal form used as a
 // UFS name component by the physical layer.
 func (f FileID) String() string {
-	const hex = "0123456789abcdef"
-	var b [24]byte
-	for i, v := 7, uint32(f.Issuer); i >= 0; i, v = i-1, v>>4 {
-		b[i] = hex[v&0xf]
+	var b [FileIDLen]byte
+	return string(AppendFileID(b[:0], f))
+}
+
+// AppendFileID appends the rendering String returns to dst, so a caller can
+// build a longer name around it in one allocation.
+func AppendFileID(dst []byte, f FileID) []byte {
+	return AppendHex(AppendHex(dst, uint64(f.Issuer), 8), f.Seq, 16)
+}
+
+const hexDigits = "0123456789abcdef"
+
+// AppendHex appends the low 4·n bits of v as n lower-case hex digits: the
+// fields of every rendering here, and of the physical layer's names.
+func AppendHex(dst []byte, v uint64, n int) []byte {
+	for shift := 4 * (n - 1); shift >= 0; shift -= 4 {
+		dst = append(dst, hexDigits[v>>uint(shift)&0xf])
 	}
-	for i, v := 23, f.Seq; i >= 8; i, v = i-1, v>>4 {
-		b[i] = hex[v&0xf]
+	return dst
+}
+
+// ParseHex decodes s, at most 16 lower-case hex digits, as AppendHex writes
+// them: it accepts no digit AppendHex would not have written.
+func ParseHex(s string) (uint64, bool) {
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		default:
+			return 0, false
+		}
+		v = v<<4 | uint64(c)
 	}
-	return string(b[:])
+	return v, true
 }
 
 // ParseFileID decodes the fixed-width hexadecimal form produced by String.
 func ParseFileID(s string) (FileID, error) {
-	if len(s) != 24 {
-		return FileID{}, fmt.Errorf("ids: file id %q: want 24 hex digits, have %d", s, len(s))
+	if len(s) != FileIDLen {
+		return FileID{}, fmt.Errorf("ids: file id %q: want %d hex digits, have %d", s, FileIDLen, len(s))
 	}
-	issuer, err := strconv.ParseUint(s[:8], 16, 32)
-	if err != nil {
-		return FileID{}, fmt.Errorf("ids: file id %q: %v", s, err)
-	}
-	seq, err := strconv.ParseUint(s[8:], 16, 64)
-	if err != nil {
-		return FileID{}, fmt.Errorf("ids: file id %q: %v", s, err)
+	issuer, ok1 := ParseHex(s[:8])
+	seq, ok2 := ParseHex(s[8:])
+	if !ok1 || !ok2 {
+		return FileID{}, fmt.Errorf("ids: file id %q: not lower-case hex", s)
 	}
 	return FileID{Issuer: ReplicaID(issuer), Seq: seq}, nil
 }
@@ -93,24 +122,30 @@ type VolumeHandle struct {
 	Volume    VolumeID
 }
 
+// VolumeHandleLen is the length of a volume handle's rendering.
+const VolumeHandleLen = 17
+
 // String renders the volume handle as dotted hex, e.g. "0000000a.00000001".
 func (v VolumeHandle) String() string {
-	return fmt.Sprintf("%08x.%08x", uint32(v.Allocator), uint32(v.Volume))
+	var b [VolumeHandleLen]byte
+	return string(AppendVolumeHandle(b[:0], v))
 }
 
-// ParseVolumeHandle decodes the form produced by VolumeHandle.String.
+// AppendVolumeHandle appends the rendering String returns to dst.
+func AppendVolumeHandle(dst []byte, v VolumeHandle) []byte {
+	return AppendHex(append(AppendHex(dst, uint64(v.Allocator), 8), '.'), uint64(v.Volume), 8)
+}
+
+// ParseVolumeHandle decodes the form produced by VolumeHandle.String, by
+// offset: two fields of eight lower-case hex digits around a dot.
 func ParseVolumeHandle(s string) (VolumeHandle, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 2 {
-		return VolumeHandle{}, fmt.Errorf("ids: volume handle %q: want two dotted fields", s)
+	if len(s) != VolumeHandleLen || s[8] != '.' {
+		return VolumeHandle{}, fmt.Errorf("ids: volume handle %q: want %d bytes, dotted at 8", s, VolumeHandleLen)
 	}
-	a, err := strconv.ParseUint(parts[0], 16, 32)
-	if err != nil {
-		return VolumeHandle{}, fmt.Errorf("ids: volume handle %q: %v", s, err)
-	}
-	v, err := strconv.ParseUint(parts[1], 16, 32)
-	if err != nil {
-		return VolumeHandle{}, fmt.Errorf("ids: volume handle %q: %v", s, err)
+	a, ok1 := ParseHex(s[:8])
+	v, ok2 := ParseHex(s[9:])
+	if !ok1 || !ok2 {
+		return VolumeHandle{}, fmt.Errorf("ids: volume handle %q: not lower-case hex", s)
 	}
 	return VolumeHandle{Allocator: AllocatorID(a), Volume: VolumeID(v)}, nil
 }

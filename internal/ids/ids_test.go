@@ -79,6 +79,8 @@ func TestParseFileIDErrors(t *testing.T) {
 		"g0000001000000000000001",            // non-hex, 23 chars
 		strings.Repeat("g", 24),              // non-hex issuer
 		"00000001" + strings.Repeat("g", 16), // non-hex seq
+		"00000001000000000000000A",           // not what String writes
+		"+0000001000000000000000a",           // a sign
 	}
 	for _, s := range bad {
 		if _, err := ParseFileID(s); err == nil {
@@ -99,7 +101,8 @@ func TestVolumeHandleRoundTrip(t *testing.T) {
 }
 
 func TestParseVolumeHandleErrors(t *testing.T) {
-	bad := []string{"", "0", "xx.yy", "1.2.3", "00000001", "0000000z.00000001", "00000001.0000000z"}
+	bad := []string{"", "0", "xx.yy", "1.2.3", "00000001", "0000000z.00000001", "00000001.0000000z",
+		"1.2", "0000000A.00000001", "00000001:00000001", "00000001.000000010"} // not what String writes
 	for _, s := range bad {
 		if _, err := ParseVolumeHandle(s); err == nil {
 			t.Errorf("ParseVolumeHandle(%q): expected error", s)

@@ -11,7 +11,8 @@ import (
 )
 
 // lvnode is the logical layer's vnode: one logical file identified by its
-// rendered name path from the volume root.  Every operation selects a
+// rendered name path from the volume root, which is also its key in the
+// resolution cache and the lock table.  Every operation selects a
 // physical replica under the active policy and forwards through the vnode
 // stack; retriable failures (replica unreachable, file not stored there,
 // stale handle) fall over to the next replica — one-copy availability.
@@ -19,7 +20,7 @@ import (
 // operations go to the copy chosen at Open, with no resolve and no poll.
 type lvnode struct {
 	l    *Layer
-	path []string
+	path string // the names from the root joined by "/"; "" is the root
 
 	sess  sync.Mutex                // held across an Open or Close: the next Open finds this one's pin
 	opens int                       // under sess: Opens not yet matched by a Close
@@ -40,6 +41,25 @@ func (v *lvnode) resolveOn(r Replica) (vnode.Vnode, error) {
 	return vn, err
 }
 
+// splitPath splits a path other than the root's into its parent's path and
+// its last name.  Names hold no "/", so a parent's path — its cache key — is a
+// prefix of its child's, and resolving one makes no key.
+func splitPath(path string) (parent, name string) {
+	i := strings.LastIndexByte(path, '/')
+	if i < 0 {
+		return "", path
+	}
+	return path[:i], path[i+1:]
+}
+
+// childPath is the path of the child name of the directory at path.
+func childPath(path, name string) string {
+	if path == "" {
+		return name
+	}
+	return path + "/" + name
+}
+
 // resolve resolves path on replica r and caches the answer.  A miss looks
 // the last name up in the parent's resolution, itself cached or resolved the
 // same way, not from the replica root; cached reports that the answer rests on
@@ -47,15 +67,14 @@ func (v *lvnode) resolveOn(r Replica) (vnode.Vnode, error) {
 // below one is checked against a walk from the root to the parent: unless the
 // walk reaches the same directory, the name is looked up again in the one it
 // reaches.  Every failure answers what a walk from the root answers.
-func (l *Layer) resolve(path []string, r Replica) (vn vnode.Vnode, cached bool, err error) {
-	key := strings.Join(path, "/")
-	if vn, ok := l.cacheGet(key, r.ID); ok {
+func (l *Layer) resolve(path string, r Replica) (vn vnode.Vnode, cached bool, err error) {
+	if vn, ok := l.cacheGet(path, r.ID); ok {
 		return vn, true, nil
 	}
-	if len(path) == 0 {
+	if path == "" {
 		vn, err = r.FS.Root()
 	} else {
-		parent, name := path[:len(path)-1], path[len(path)-1]
+		parent, name := splitPath(path)
 		var dir vnode.Vnode
 		if dir, cached, err = l.resolve(parent, r); err != nil {
 			return nil, cached, err // checked where it failed
@@ -73,28 +92,45 @@ func (l *Layer) resolve(path []string, r Replica) (vn vnode.Vnode, cached bool, 
 	if err != nil {
 		return nil, cached, err
 	}
-	l.cachePut(key, r.ID, vn)
+	l.cachePut(path, r.ID, vn)
 	return vn, cached, nil
 }
 
 // walk resolves path on replica r from its root, caching each prefix it
 // resolves.  Where it fails, that prefix's entry and the longer ones on path,
 // which rested on it, are dropped.
-func (l *Layer) walk(path []string, r Replica) (vnode.Vnode, error) {
+func (l *Layer) walk(path string, r Replica) (vnode.Vnode, error) {
 	vn, err := r.FS.Root()
-	for i := 0; ; i++ {
-		if err != nil {
-			for ; i <= len(path); i++ {
-				l.cacheDrop(strings.Join(path[:i], "/"), r.ID)
-			}
-			return nil, err
-		}
-		l.cachePut(strings.Join(path[:i], "/"), r.ID, vn)
-		if i == len(path) {
+	end := 0 // vn and err answer the prefix path[:end]
+	for err == nil {
+		l.cachePut(path[:end], r.ID, vn)
+		if end == len(path) {
 			return vn, nil
 		}
-		vn, err = vn.Lookup(path[i])
+		var name string
+		name, end = nextName(path, end)
+		vn, err = vn.Lookup(name)
 	}
+	for {
+		l.cacheDrop(path[:end], r.ID)
+		if end == len(path) {
+			return nil, err
+		}
+		_, end = nextName(path, end)
+	}
+}
+
+// nextName returns the name that follows the prefix path[:end] of path, and
+// the end of the prefix that ends with it.
+func nextName(path string, end int) (string, int) {
+	if end > 0 {
+		end++ // past the "/"
+	}
+	n := strings.IndexByte(path[end:], '/')
+	if n < 0 {
+		n = len(path) - end
+	}
+	return path[end : end+n], end + n
 }
 
 // copies yields this file's copy on each replica that resolves it, in
@@ -122,6 +158,10 @@ func (v *lvnode) copies(yield func(candidate) bool) error {
 // MostRecent polls each copy's update count (exposed as Mtime, the version
 // vector total) and puts the newest first — "select the most recent copy
 // available" (§2.5); FirstAvailable is copies itself, lazy.  Errors as copies.
+// Only copies of one file are ranked: replicas that have not all seen a rename
+// bind the name to different files, so MostRecent keeps the copies whose
+// FileID is the first answering copy's — the file FirstAvailable would use —
+// in configuration order, before it puts the newest first.
 func (v *lvnode) candidates(yield func(candidate) bool) error {
 	if v.l.policy != MostRecent {
 		return v.copies(yield)
@@ -129,16 +169,23 @@ func (v *lvnode) candidates(yield func(candidate) bool) error {
 	var out []candidate
 	err := v.copies(func(c candidate) bool { out = append(out, c); return true })
 	if len(out) > 1 {
-		best := 0
+		kept, best := out[:0], 0
+		var file string
 		var bestM uint64
-		for i, c := range out {
+		for _, c := range out {
 			a, err := c.vn.Getattr()
-			if err != nil {
+			switch {
+			case err != nil || (len(kept) > 0 && a.FileID != file):
 				continue
+			case len(kept) == 0:
+				file, bestM = a.FileID, a.Mtime
+			case a.Mtime > bestM:
+				best, bestM = len(kept), a.Mtime
 			}
-			if i == 0 || a.Mtime > bestM {
-				best, bestM = i, a.Mtime
-			}
+			kept = append(kept, c)
+		}
+		if len(kept) > 0 { // else no copy answered: all of them, as they came
+			out = kept
 		}
 		out[0], out[best] = out[best], out[0]
 	}
@@ -162,7 +209,7 @@ func (v *lvnode) try(c candidate, fn func(candidate) (string, error)) (retry boo
 	if retry, err = v.attempt(c, fn); !retry {
 		return false, err
 	}
-	v.l.cacheDrop(v.key(), c.rep.ID)
+	v.l.cacheDrop(v.path, c.rep.ID)
 	vn, rerr := v.resolveOn(c.rep)
 	if rerr != nil {
 		return true, err
@@ -198,25 +245,9 @@ func (v *lvnode) readOp(fn func(c candidate) error) error {
 	return v.writeOp(func(c candidate) (string, error) { return "", fn(c) })
 }
 
-func (v *lvnode) key() string { return strings.Join(v.path, "/") }
-
-// childKey is the cache key of a child of this directory.
-func (v *lvnode) childKey(name string) string {
-	if len(v.path) == 0 {
-		return name
-	}
-	return v.key() + "/" + name
-}
-
-func (v *lvnode) child(name string) *lvnode {
-	p := make([]string, 0, len(v.path)+1)
-	p = append(p, v.path...)
-	return &lvnode{l: v.l, path: append(p, name)}
-}
-
 // Handle identifies the logical file by volume and path.
 func (v *lvnode) Handle() string {
-	return "ficus:" + v.l.vol.String() + ":/" + strings.Join(v.path, "/")
+	return "ficus:" + v.l.vol.String() + ":/" + v.path
 }
 
 func checkLogicalName(name string) error {
@@ -226,12 +257,16 @@ func checkLogicalName(name string) error {
 	return nil
 }
 
-// Lookup asks, it does not vote: some reachable replica holds the name.
+// Lookup asks, it does not vote: some reachable replica holds the name.  No
+// replica holds the empty name or one with a "/" in it.
 func (v *lvnode) Lookup(name string) (vnode.Vnode, error) {
 	if err := checkLogicalName(name); err != nil {
 		return nil, err
 	}
-	child := v.child(name)
+	if name == "" || strings.IndexByte(name, '/') >= 0 {
+		return nil, vnode.ENOENT
+	}
+	child := &lvnode{l: v.l, path: childPath(v.path, name)}
 	// Graft interception (§4.4): if the child is a graft point and a hook
 	// is installed, return the grafted volume's root instead.
 	// Only Getattr tells a graft point, so with a hook the walk asks on until a
@@ -244,14 +279,13 @@ func (v *lvnode) Lookup(name string) (vnode.Vnode, error) {
 	var a vnode.Attr
 	ask := func(c candidate) bool {
 		held = c
-		key := child.key()
-		if v.l.cachePlain(key, c.rep.ID, c.vn) {
+		if v.l.cachePlain(child.path, c.rep.ID, c.vn) {
 			a = vnode.Attr{}
 			return false
 		}
 		var aerr error
 		if a, aerr = c.vn.Getattr(); aerr == nil && a.GraftVol == "" {
-			v.l.cacheMarkPlain(key, c.rep.ID, c.vn)
+			v.l.cacheMarkPlain(child.path, c.rep.ID, c.vn)
 		}
 		return aerr != nil
 	}
@@ -278,13 +312,13 @@ func (v *lvnode) makeChild(name string, op func(dir vnode.Vnode) (child vnode.Vn
 	if err := checkLogicalName(name); err != nil {
 		return nil, err
 	}
-	defer v.l.lockFile(v.key()).unlock()
+	defer v.l.lockFile(v.path).unlock()
 	err := v.writeOp(func(c candidate) (string, error) {
 		vn, changed, err := op(c.vn)
 		if err != nil {
 			return "", err
 		}
-		v.l.cachePut(v.childKey(name), c.rep.ID, vn)
+		v.l.cachePut(childPath(v.path, name), c.rep.ID, vn)
 		if !changed {
 			return "", nil
 		}
@@ -293,7 +327,7 @@ func (v *lvnode) makeChild(name string, op func(dir vnode.Vnode) (child vnode.Vn
 	if err != nil {
 		return nil, err
 	}
-	return v.child(name), nil
+	return &lvnode{l: v.l, path: childPath(v.path, name)}, nil
 }
 
 // Create without excl reuses an existing regular file, as the layers below do,
@@ -327,7 +361,7 @@ func (v *lvnode) Symlink(name, target string) error {
 	if err := checkLogicalName(name); err != nil {
 		return err
 	}
-	defer v.l.lockFile(v.key()).unlock()
+	defer v.l.lockFile(v.path).unlock()
 	return v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Symlink(name, target); err != nil {
 			return "", err
@@ -362,27 +396,29 @@ func (v *lvnode) Close(flags vnode.OpenFlags) error {
 }
 
 // shipOpenClose is where the replica is chosen (§2.5): an open runs the
-// policy once, goes to the chosen copy's own parent directory and pins that
-// copy; the last matching close follows it there and ends the pin.
+// policy once, goes to the chosen copy's own parent directory and pins the
+// vnode the open returned there — the file the replica counted the open
+// against, whatever this layer's resolution of the name said; the last
+// matching close follows it there and ends the pin.
 func (v *lvnode) shipOpenClose(open bool, flags vnode.OpenFlags) error {
-	if len(v.path) == 0 {
+	if v.path == "" {
 		return nil
 	}
-	parent := &lvnode{l: v.l, path: v.path[:len(v.path)-1]}
-	name := v.path[len(v.path)-1]
+	parent, name := splitPath(v.path)
 	enc := encodeOpen(open, flags, v.l.vol, name)
 	v.sess.Lock()
 	defer v.sess.Unlock()
 	var chose candidate
 	err := v.readOp(func(c candidate) error {
-		chose = c
-		dir, err := parent.resolveOn(c.rep)
+		dir, _, err := v.l.resolve(parent, c.rep)
+		var opened vnode.Vnode
 		if err == nil {
-			_, err = dir.Lookup(enc)
+			opened, err = dir.Lookup(enc)
 		}
 		if err != nil && retriable(err) {
-			v.l.cacheDrop(parent.key(), c.rep.ID) // the stale vnode may be the directory's
+			v.l.cacheDrop(parent, c.rep.ID) // the stale vnode may be the directory's
 		}
+		chose = candidate{rep: c.rep, vn: opened}
 		return err
 	})
 	if !open {
@@ -421,7 +457,7 @@ func (v *lvnode) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (v *lvnode) WriteAt(p []byte, off int64) (int, error) {
-	defer v.l.lockFile(v.key()).unlock()
+	defer v.l.lockFile(v.path).unlock()
 	var n int
 	err := v.writeOp(func(c candidate) (string, error) {
 		m, err := c.vn.WriteAt(p, off)
@@ -435,7 +471,7 @@ func (v *lvnode) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (v *lvnode) Truncate(size uint64) error {
-	defer v.l.lockFile(v.key()).unlock()
+	defer v.l.lockFile(v.path).unlock()
 	return v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Truncate(size); err != nil {
 			return "", err
@@ -462,7 +498,7 @@ func (v *lvnode) Getattr() (vnode.Attr, error) {
 }
 
 func (v *lvnode) Setattr(sa vnode.SetAttr) error {
-	defer v.l.lockFile(v.key()).unlock()
+	defer v.l.lockFile(v.path).unlock()
 	return v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Setattr(sa); err != nil {
 			return "", err
@@ -479,7 +515,7 @@ func (v *lvnode) Remove(name string) error {
 	if err := checkLogicalName(name); err != nil {
 		return err
 	}
-	defer v.l.lockFile(v.key()).unlock()
+	defer v.l.lockFile(v.path).unlock()
 	err := v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Remove(name); err != nil {
 			return "", err
@@ -487,7 +523,7 @@ func (v *lvnode) Remove(name string) error {
 		return c.vn.Handle(), nil
 	})
 	if err == nil {
-		v.l.cacheDropSubtree(v.childKey(name))
+		v.l.cacheDropSubtree(childPath(v.path, name))
 	}
 	return err
 }
@@ -496,7 +532,7 @@ func (v *lvnode) Rmdir(name string) error {
 	if err := checkLogicalName(name); err != nil {
 		return err
 	}
-	defer v.l.lockFile(v.key()).unlock()
+	defer v.l.lockFile(v.path).unlock()
 	err := v.writeOp(func(c candidate) (string, error) {
 		if err := c.vn.Rmdir(name); err != nil {
 			return "", err
@@ -504,7 +540,7 @@ func (v *lvnode) Rmdir(name string) error {
 		return c.vn.Handle(), nil
 	})
 	if err == nil {
-		v.l.cacheDropSubtree(v.childKey(name))
+		v.l.cacheDropSubtree(childPath(v.path, name))
 	}
 	return err
 }
@@ -517,7 +553,7 @@ func (v *lvnode) Link(name string, target vnode.Vnode) error {
 	if !ok || t.l != v.l {
 		return vnode.EXDEV
 	}
-	defer v.l.lockFile(v.key()).unlock()
+	defer v.l.lockFile(v.path).unlock()
 	return v.writeOp(func(c candidate) (string, error) {
 		tv, err := t.resolveOn(c.rep)
 		if err != nil {
@@ -541,7 +577,7 @@ func (v *lvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 	if !ok || d.l != v.l {
 		return vnode.EXDEV
 	}
-	defer v.l.lockFile(v.key()).unlock()
+	defer v.l.lockFile(v.path).unlock()
 	err := v.writeOp(func(c candidate) (string, error) {
 		// Both directories must be reached on the same replica: rename is
 		// a single-replica update like any other.
@@ -558,8 +594,8 @@ func (v *lvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 		return c.vn.Handle(), nil
 	})
 	if err == nil {
-		v.l.cacheDropSubtree(v.childKey(oldName))
-		v.l.cacheDropSubtree(d.childKey(newName))
+		v.l.cacheDropSubtree(childPath(v.path, oldName))
+		v.l.cacheDropSubtree(childPath(d.path, newName))
 	}
 	return err
 }

@@ -5,56 +5,79 @@
 // fixed number of entries and evicts from the cold end; it does no locking and
 // keeps no counters — every caller already has a lock and its own idea of
 // what a hit is.
+//
+// The entries live in one slab, linked by index into a recency list; a slot
+// that Drop or DropFunc frees goes on a free chain, and an eviction hands the
+// victim's slot straight to the new entry, so a Put at capacity allocates
+// nothing.
 package lru
-
-import "container/list"
 
 // Cache maps K to V, keeping the capacity most recently used entries.
 type Cache[K comparable, V any] struct {
-	capacity int
-	order    *list.List // of *entry[K, V], front = most recently used
-	byKey    map[K]*list.Element
+	capacity   int
+	nodes      []node[K, V] // the slab; grows up to capacity
+	byKey      map[K]int32  // key → its slot in nodes
+	head, tail int32        // most and least recently used slots; none when the cache is empty
+	free       int32        // first slot of the free chain, linked through next
 }
 
-type entry[K comparable, V any] struct {
-	key K
-	val V
+const none = -1
+
+type node[K comparable, V any] struct {
+	key        K
+	val        V
+	prev, next int32 // neighbours in the recency list (or next free slot)
 }
 
 // New returns an empty cache holding at most capacity entries.
 func New[K comparable, V any](capacity int) *Cache[K, V] {
-	return &Cache[K, V]{capacity: capacity, order: list.New(), byKey: make(map[K]*list.Element)}
+	return &Cache[K, V]{capacity: capacity, byKey: make(map[K]int32), head: none, tail: none, free: none}
 }
 
 // Get returns the value stored under k and marks it most recently used.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
-	e, ok := c.byKey[k]
+	i, ok := c.byKey[k]
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	c.order.MoveToFront(e)
-	return e.Value.(*entry[K, V]).val, true
+	c.moveToFront(i)
+	return c.nodes[i].val, true
 }
 
 // Put stores v under k, replacing any previous value, marks it most recently
 // used, and evicts least recently used entries beyond the capacity.
 func (c *Cache[K, V]) Put(k K, v V) {
-	if e, ok := c.byKey[k]; ok {
-		e.Value.(*entry[K, V]).val = v
-		c.order.MoveToFront(e)
+	if i, ok := c.byKey[k]; ok {
+		c.nodes[i].val = v
+		c.moveToFront(i)
 		return
 	}
-	c.byKey[k] = c.order.PushFront(&entry[K, V]{k, v})
-	for c.order.Len() > c.capacity {
-		c.remove(c.order.Back())
+	if c.capacity <= 0 {
+		return
 	}
+	var i int32
+	switch {
+	case c.free != none:
+		i = c.free
+		c.free = c.nodes[i].next
+	case len(c.nodes) < c.capacity:
+		i = int32(len(c.nodes))
+		c.nodes = append(c.nodes, node[K, V]{})
+	default: // full: the victim's slot is the new entry's
+		i = c.tail
+		c.unlink(i)
+		delete(c.byKey, c.nodes[i].key)
+	}
+	c.nodes[i].key, c.nodes[i].val = k, v
+	c.byKey[k] = i
+	c.pushFront(i)
 }
 
 // Drop removes k if present.
 func (c *Cache[K, V]) Drop(k K) {
-	if e, ok := c.byKey[k]; ok {
-		c.remove(e)
+	if i, ok := c.byKey[k]; ok {
+		c.remove(i)
 	}
 }
 
@@ -62,22 +85,59 @@ func (c *Cache[K, V]) Drop(k K) {
 // from most to least recently used (never in map order, so a run is
 // deterministic).
 func (c *Cache[K, V]) DropFunc(drop func(K, V) bool) {
-	for e := c.order.Front(); e != nil; {
-		next := e.Next()
-		if ent := e.Value.(*entry[K, V]); drop(ent.key, ent.val) {
-			c.remove(e)
+	for i := c.head; i != none; {
+		next := c.nodes[i].next
+		if drop(c.nodes[i].key, c.nodes[i].val) {
+			c.remove(i)
 		}
-		e = next
+		i = next
 	}
 }
 
 // Flush removes every entry.
 func (c *Cache[K, V]) Flush() {
-	c.order.Init()
-	c.byKey = make(map[K]*list.Element)
+	clear(c.nodes) // what the slots held is garbage now
+	c.nodes = c.nodes[:0]
+	clear(c.byKey)
+	c.head, c.tail, c.free = none, none, none
 }
 
-func (c *Cache[K, V]) remove(e *list.Element) {
-	c.order.Remove(e)
-	delete(c.byKey, e.Value.(*entry[K, V]).key)
+// remove unlinks slot i, forgets its key and puts it on the free chain.
+func (c *Cache[K, V]) remove(i int32) {
+	c.unlink(i)
+	delete(c.byKey, c.nodes[i].key)
+	c.nodes[i] = node[K, V]{next: c.free}
+	c.free = i
+}
+
+func (c *Cache[K, V]) moveToFront(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+}
+
+func (c *Cache[K, V]) pushFront(i int32) {
+	n := &c.nodes[i]
+	n.prev, n.next = none, c.head
+	if c.head != none {
+		c.nodes[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+func (c *Cache[K, V]) unlink(i int32) {
+	n := &c.nodes[i]
+	if n.prev != none {
+		c.nodes[n.prev].next = n.next
+	} else {
+		c.head = n.next
+	}
+	if n.next != none {
+		c.nodes[n.next].prev = n.prev
+	} else {
+		c.tail = n.prev
+	}
 }

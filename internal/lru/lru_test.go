@@ -126,14 +126,15 @@ func TestDropFuncWhileWalking(t *testing.T) {
 	}
 }
 
-// model is the reference the differential test compares against: a slice of
-// entries, most recently used first.
-type model struct {
+// recencyList is the reference the property test holds the cache to: the
+// entries in a slice, most recently used first, and every operation the
+// obvious walk over it.
+type recencyList struct {
 	capacity int
-	ents     [][2]int
+	ents     [][2]int // key, value
 }
 
-func (m *model) find(k int) int {
+func (m *recencyList) find(k int) int {
 	for i, e := range m.ents {
 		if e[0] == k {
 			return i
@@ -142,65 +143,118 @@ func (m *model) find(k int) int {
 	return -1
 }
 
-func (m *model) remove(i int) { m.ents = append(m.ents[:i:i], m.ents[i+1:]...) }
+// get answers k and, on a hit, moves it to the front.
+func (m *recencyList) get(k int) (int, bool) {
+	i := m.find(k)
+	if i < 0 {
+		return 0, false
+	}
+	e := m.ents[i]
+	m.ents = append([][2]int{e}, append(m.ents[:i:i], m.ents[i+1:]...)...)
+	return e[1], true
+}
 
-func (m *model) touch(k, v int) {
+// put stores k at the front and returns the key it evicted, if any.
+func (m *recencyList) put(k, v int) (victim int, evicted bool) {
+	m.drop(k)
 	m.ents = append([][2]int{{k, v}}, m.ents...)
-	if len(m.ents) > m.capacity {
-		m.ents = m.ents[:m.capacity]
+	if len(m.ents) <= m.capacity {
+		return 0, false
+	}
+	victim = m.ents[len(m.ents)-1][0]
+	m.ents = m.ents[:len(m.ents)-1]
+	return victim, true
+}
+
+func (m *recencyList) drop(k int) {
+	if i := m.find(k); i >= 0 {
+		m.ents = append(m.ents[:i:i], m.ents[i+1:]...)
 	}
 }
 
+// TestDifferentialAgainstSliceModel runs random Get, Put, Drop, DropFunc and
+// Flush sequences against the recency list and checks, after every step, the
+// values answered, which keys are members, the victim of each eviction, the
+// order DropFunc visits in and the recency order left behind.  Capacity 1
+// exercises the slot an eviction hands straight to the new entry on every Put.
 func TestDifferentialAgainstSliceModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	const capacity, keySpace = 8, 24
-	c := New[int, int](capacity)
-	m := &model{capacity: capacity}
-	for step := 0; step < 10000; step++ {
-		k := rng.Intn(keySpace)
-		switch op := rng.Intn(100); {
-		case op < 45:
-			got, ok := c.Get(k)
-			i := m.find(k)
-			if ok != (i >= 0) || (ok && got != m.ents[i][1]) {
-				t.Fatalf("step %d: Get(%d) = %d, %v; model index %d", step, k, got, ok, i)
+	for _, capacity := range []int{1, 3, 8} {
+		rng := rand.New(rand.NewSource(19))
+		keySpace := 3 * capacity
+		c := New[int, int](capacity)
+		m := &recencyList{capacity: capacity}
+		for step := 0; step < 10000; step++ {
+			k := rng.Intn(keySpace)
+			switch op := rng.Intn(100); {
+			case op < 45:
+				got, ok := c.Get(k)
+				want, wantOK := m.get(k)
+				if ok != wantOK || got != want {
+					t.Fatalf("cap %d step %d: Get(%d) = %d, %v; model %d, %v", capacity, step, k, got, ok, want, wantOK)
+				}
+			case op < 85:
+				before := keys(c)
+				c.Put(k, step)
+				victim, evicted := m.put(k, step)
+				var gone []int
+				for _, b := range before {
+					if _, ok := c.byKey[b]; !ok {
+						gone = append(gone, b)
+					}
+				}
+				if want := []int{victim}; evicted != (len(gone) > 0) || (evicted && !reflect.DeepEqual(gone, want)) {
+					t.Fatalf("cap %d step %d: Put(%d) evicted %v; model evicted %d (%v)", capacity, step, k, gone, victim, evicted)
+				}
+			case op < 93:
+				c.Drop(k)
+				m.drop(k)
+			case op < 99:
+				mod := rng.Intn(4) + 2
+				var visited, want []int
+				c.DropFunc(func(k, _ int) bool { visited = append(visited, k); return k%mod == 0 })
+				kept := m.ents[:0:0]
+				for _, e := range m.ents {
+					want = append(want, e[0])
+					if e[0]%mod != 0 {
+						kept = append(kept, e)
+					}
+				}
+				m.ents = kept
+				if !reflect.DeepEqual(visited, want) {
+					t.Fatalf("cap %d step %d: DropFunc visited %v, model order %v", capacity, step, visited, want)
+				}
+			default:
+				c.Flush()
+				m.ents = nil
 			}
-			if i >= 0 {
-				v := m.ents[i][1]
-				m.remove(i)
-				m.touch(k, v)
-			}
-		case op < 85:
-			c.Put(k, step)
-			if i := m.find(k); i >= 0 {
-				m.remove(i)
-			}
-			m.touch(k, step)
-		case op < 93:
-			c.Drop(k)
-			if i := m.find(k); i >= 0 {
-				m.remove(i)
-			}
-		case op < 99:
-			mod := rng.Intn(4) + 2
-			c.DropFunc(func(k, _ int) bool { return k%mod == 0 })
-			kept := m.ents[:0:0]
+			var want []int
 			for _, e := range m.ents {
-				if e[0]%mod != 0 {
-					kept = append(kept, e)
+				want = append(want, e[0])
+			}
+			if got := keys(c); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cap %d step %d: recency order %v, model %v", capacity, step, got, want)
+			}
+			for k := 0; k < keySpace; k++ {
+				if _, ok := c.byKey[k]; ok != (m.find(k) >= 0) {
+					t.Fatalf("cap %d step %d: key %d member %v, model %v", capacity, step, k, ok, !ok)
 				}
 			}
-			m.ents = kept
-		default:
-			c.Flush()
-			m.ents = nil
 		}
-		var want []int
-		for _, e := range m.ents {
-			want = append(want, e[0])
-		}
-		if got := keys(c); !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: recency order %v, model %v", step, got, want)
-		}
+	}
+}
+
+// TestPutAtCapacityAllocatesNothing pins the slab: once the cache is full, a
+// Put of a new key takes the victim's slot, so it allocates nothing.
+func TestPutAtCapacityAllocatesNothing(t *testing.T) {
+	c := New[int, string](64)
+	for i := 0; i < 64; i++ {
+		c.Put(i, "")
+	}
+	next := 64
+	if n := testing.AllocsPerRun(1000, func() {
+		c.Put(next, "")
+		next++
+	}); n != 0 {
+		t.Errorf("a Put at capacity allocates %v times, want 0", n)
 	}
 }

@@ -46,10 +46,15 @@ type Client struct {
 	opts    ClientOptions
 
 	mu    sync.Mutex
-	clock uint64                          // client operation counter, drives cache expiry
-	root  string                          // the server's root handle, once it has been asked for
-	attrs *lru.Cache[string, attrEntry]   // by handle
-	names *lru.Cache[string, lookupEntry] // by handle + "/" + name
+	clock uint64                           // client operation counter, drives cache expiry
+	root  string                           // the server's root handle, once it has been asked for
+	attrs *lru.Cache[string, attrEntry]    // by handle
+	names *lru.Cache[nameKey, lookupEntry] // by directory handle and name
+}
+
+// nameKey addresses one name in one directory: a probe builds no string.
+type nameKey struct {
+	dir, name string
 }
 
 type attrEntry struct {
@@ -76,7 +81,7 @@ func DialService(host *simnet.Host, addr simnet.Addr, service string, opts *Clie
 		service: service,
 		opts:    o,
 		attrs:   lru.New[string, attrEntry](cacheEntries),
-		names:   lru.New[string, lookupEntry](cacheEntries),
+		names:   lru.New[nameKey, lookupEntry](cacheEntries),
 	}
 }
 
@@ -187,7 +192,7 @@ func (c *Client) cacheLookup(dir, name, handle string) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.names.Put(dir+"/"+name, lookupEntry{handle: handle, stamp: c.clock})
+	c.names.Put(nameKey{dir, name}, lookupEntry{handle: handle, stamp: c.clock})
 }
 
 func (c *Client) cachedLookup(dir, name string) (string, bool) {
@@ -196,11 +201,11 @@ func (c *Client) cachedLookup(dir, name string) (string, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.names.Get(dir + "/" + name); ok {
+	if e, ok := c.names.Get(nameKey{dir, name}); ok {
 		if c.fresh(e.stamp) {
 			return e.handle, true
 		}
-		c.names.Drop(dir + "/" + name)
+		c.names.Drop(nameKey{dir, name})
 	}
 	return "", false
 }
@@ -208,7 +213,7 @@ func (c *Client) cachedLookup(dir, name string) (string, bool) {
 func (c *Client) invalidateLookup(dir, name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.names.Drop(dir + "/" + name)
+	c.names.Drop(nameKey{dir, name})
 }
 
 // cvnode is a client-side vnode: a handle plus the client it belongs to.

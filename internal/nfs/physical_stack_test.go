@@ -76,7 +76,7 @@ func TestEncodedLookupBypassesNameCache(t *testing.T) {
 		t.Fatalf("%d encoded lookups cost %d RPCs", 2*pairs, got)
 	}
 	c.mu.Lock()
-	_, cached := c.names.Get(root.Handle() + "/" + open)
+	_, cached := c.names.Get(nameKey{root.Handle(), open})
 	c.mu.Unlock()
 	if cached {
 		t.Fatal("an encoded lookup entered the name cache")

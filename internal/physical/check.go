@@ -27,7 +27,7 @@ func (l *Layer) Check() ([]string, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var problems []string
-	rootName := prefixDir + ids.RootFileID.String()
+	rootName := memberName(prefixDir, ids.RootFileID)
 	members, err := l.root.Readdir()
 	if err != nil {
 		return nil, err
@@ -101,7 +101,7 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 			if !named[fid] {
 				report("orphaned data file %q (no entry names %v)", m.Name, fid)
 			}
-			if !stored[prefixAux+fid.String()] {
+			if !stored[memberName(prefixAux, fid)] {
 				report("data file %q has no auxiliary attribute file", m.Name)
 			}
 		case strings.HasPrefix(m.Name, prefixAux):
@@ -121,7 +121,7 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 			if refs := liveRefs[fid]; refs > 0 && int(aux.Nlink) != refs {
 				report("aux %v nlink=%d but %d live entries name it", fid, aux.Nlink, refs)
 			}
-			if !stored[prefixData+fid.String()] {
+			if !stored[memberName(prefixData, fid)] {
 				report("aux file %q has no data file", m.Name)
 			}
 		case strings.HasPrefix(m.Name, prefixDir):
@@ -145,10 +145,10 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 			continue
 		}
 		if e.Kind.IsDir() {
-			if !stored[prefixDir+e.Child.String()] {
+			if !stored[memberName(prefixDir, e.Child)] {
 				continue // legitimately not stored here (§4.1)
 			}
-			sub, err := cont.Lookup(prefixDir + e.Child.String())
+			sub, err := cont.Lookup(memberName(prefixDir, e.Child))
 			if err != nil {
 				report("entry %q: container lookup failed: %v", e.Name, err)
 				continue
@@ -158,8 +158,8 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 			}
 			continue
 		}
-		hasData := stored[prefixData+e.Child.String()]
-		hasAux := stored[prefixAux+e.Child.String()]
+		hasData := stored[memberName(prefixData, e.Child)]
+		hasAux := stored[memberName(prefixAux, e.Child)]
 		if hasData != hasAux {
 			report("entry %q: partial storage (data=%v aux=%v)", e.Name, hasData, hasAux)
 		}

@@ -215,7 +215,7 @@ func (l *Layer) bumpVV(v vv.Vector) vv.Vector {
 // container without attr never finished materialising and Recover removes it
 // (so dir is written in place).  A reused inode's cached image goes first.
 func (l *Layer) newContainerLocked(parent vnode.Vnode, fid ids.FileID, aux *Aux) error {
-	sub, err := parent.Mkdir(prefixDir + fid.String())
+	sub, err := parent.Mkdir(memberName(prefixDir, fid))
 	if err != nil {
 		return err
 	}

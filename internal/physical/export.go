@@ -73,14 +73,14 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 	}
 	// The aux is read through the aux cache, which lends it: the vector is
 	// cloned, so no caller can reach the cached map.
-	aux, _, err := l.fileAuxLocked(cont, prefixAux+fid.String(), false)
+	aux, _, err := l.fileAuxLocked(cont, memberName(prefixAux, fid), false)
 	if err != nil {
 		if vnode.AsErrno(err) != vnode.ENOENT {
 			return FileState{}, err
 		}
 		// Not a file here — it may be a child directory, whose attributes
 		// live inside its own container.
-		sub, serr := cont.Lookup(prefixDir + fid.String())
+		sub, serr := cont.Lookup(memberName(prefixDir, fid))
 		if serr != nil {
 			return FileState{}, ErrNotStored
 		}
@@ -92,7 +92,7 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 		return FileState{Aux: daux}, nil
 	}
 	aux.VV = aux.VV.Clone()
-	df, err := cont.Lookup(prefixData + fid.String())
+	df, err := cont.Lookup(memberName(prefixData, fid))
 	if err != nil {
 		return FileState{}, mapNotStored(err)
 	}
@@ -131,14 +131,14 @@ func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte
 	if err != nil {
 		return nil, FileState{}, nil, err
 	}
-	aux, seal, err := l.fileAuxLocked(cont, prefixAux+fid.String(), true)
+	aux, seal, err := l.fileAuxLocked(cont, memberName(prefixAux, fid), true)
 	if err != nil {
 		return nil, FileState{}, nil, mapNotStored(err)
 	}
 	if l.isQuarantinedLocked(fid) {
 		return nil, FileState{}, nil, fmt.Errorf("%w: file %s is quarantined", ErrCorrupt, fid)
 	}
-	df, err := cont.Lookup(prefixData + fid.String())
+	df, err := cont.Lookup(memberName(prefixData, fid))
 	if err != nil {
 		return nil, FileState{}, nil, mapNotStored(err)
 	}
@@ -186,7 +186,7 @@ func (l *Layer) EnsureDirStored(dirPath []ids.FileID, fid ids.FileID, aux Aux) e
 	if err != nil {
 		return err
 	}
-	name := prefixDir + fid.String()
+	name := memberName(prefixDir, fid)
 	if _, err := cont.Lookup(name); err == nil {
 		return nil
 	} else if vnode.AsErrno(err) != vnode.ENOENT {
@@ -294,7 +294,7 @@ func (l *Layer) settleChildLocked(cont vnode.Vnode, entries []Entry, child ids.F
 	if n == 0 {
 		return l.removeStorageLocked(cont, child)
 	}
-	af, aux, _, err := openAuxFile(cont, prefixAux+child.String())
+	af, aux, _, err := openAuxFile(cont, memberName(prefixAux, child))
 	if err != nil || int(aux.Nlink) == n {
 		return nil // not stored here (or not readable: Check's to report), or already right
 	}
@@ -309,7 +309,7 @@ func (l *Layer) settleChildLocked(cont vnode.Vnode, entries []Entry, child ids.F
 // the other's vector without its bytes.  The aux goes last, so a shared aux
 // marks an unshare still to do.
 func (l *Layer) unshareLocked(cont vnode.Vnode, fid ids.FileID) error {
-	af, err := cont.Lookup(prefixAux + fid.String())
+	af, err := cont.Lookup(memberName(prefixAux, fid))
 	if err != nil {
 		return nil // not stored here
 	}
@@ -392,7 +392,7 @@ func (l *Layer) EvictFileStorage(dirPath []ids.FileID, fid ids.FileID) error {
 	if !found {
 		return vnode.ENOENT
 	}
-	if _, err := cont.Lookup(prefixData + fid.String()); err != nil {
+	if _, err := cont.Lookup(memberName(prefixData, fid)); err != nil {
 		if vnode.AsErrno(err) == vnode.ENOENT {
 			return ErrNotStored
 		}
@@ -490,7 +490,7 @@ func (l *Layer) DropTombstones(dirPath []ids.FileID, eids []ids.FileID) (int, er
 			}
 		} else if countAnyRefs(kept, e.Child) == 0 {
 			l.conts.Flush() // the container's inode is about to be free for reuse
-			if err := removeTree(cont, prefixDir+e.Child.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
+			if err := removeTree(cont, memberName(prefixDir, e.Child)); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
 				return len(dropped), err
 			}
 		}

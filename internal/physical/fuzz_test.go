@@ -129,16 +129,20 @@ func FuzzDecodeEntries(f *testing.F) {
 }
 
 // FuzzDecodeOpenLookup fuzzes the §2.3 overloaded lookup from both ends: no
-// name a client can send panics the parser, and every open or close the
-// logical layer can encode decodes to what was encoded.
+// name a client can send panics the parser, what it accepts is exactly what
+// EncodeOpenLookup writes for the decoded fields (anything else is EINVAL),
+// and every open or close the logical layer can encode decodes to what was
+// encoded.
 func FuzzDecodeOpenLookup(f *testing.F) {
 	f.Add(EncodeOpenLookup(true, vnode.OpenRead, ids.VolumeHandle{Allocator: 8, Volume: 1}, "name"), true, uint32(1), uint32(8), uint32(1))
 	f.Add(EncodeOpenLookup(false, 0, ids.VolumeHandle{}, "a:b:c"), false, uint32(0), uint32(0), uint32(0))
 	f.Add(encPrefix+"open.:zz", true, ^uint32(0), ^uint32(0), ^uint32(0))
 	f.Add("plain name", false, uint32(7), uint32(7), uint32(7))
 	f.Fuzz(func(t *testing.T, s string, open bool, flags, alloc, vol uint32) {
-		if _, _, _, _, err := DecodeOpenLookup(s); err == nil && !IsEncodedLookup(s) {
-			t.Fatalf("decoded %q, which does not carry the encoding", s)
+		if o, fl, iss, name, err := DecodeOpenLookup(s); err != nil && err != vnode.EINVAL {
+			t.Fatalf("%q: %v, want EINVAL", s, err)
+		} else if err == nil && EncodeOpenLookup(o, fl, iss, name) != s {
+			t.Fatalf("%q decodes to (%v, %x, %v, %q), which encode to %q", s, o, fl, iss, name, EncodeOpenLookup(o, fl, iss, name))
 		}
 		issuer := ids.VolumeHandle{Allocator: ids.AllocatorID(alloc), Volume: ids.VolumeID(vol)}
 		enc := EncodeOpenLookup(open, vnode.OpenFlags(flags), issuer, s)
@@ -148,6 +152,36 @@ func FuzzDecodeOpenLookup(f *testing.F) {
 		}
 		if len(enc) != EncOverhead+len(s) {
 			t.Fatalf("%q: overhead %d, want the fixed %d", enc, len(enc)-len(s), EncOverhead)
+		}
+	})
+}
+
+// FuzzParseHandle: Handle's rendering round-trips through ParseHandle, and
+// whatever else a client sends as a handle is ESTALE or parses to a value
+// that renders back to exactly the bytes sent — never a panic.
+func FuzzParseHandle(f *testing.F) {
+	f.Add("d|"+ids.RootFileID.String(), uint32(3), uint64(9), uint8(1))
+	f.Add(handleOf(KFile, []ids.FileID{ids.RootFileID, fid(2, 7)}, fid(2, 8)), uint32(0), uint64(0), uint8(0))
+	f.Add("l|"+ids.RootFileID.String()+"|", ^uint32(0), ^uint64(0), uint8(2))
+	f.Add("f|00000001000000000000000A", uint32(1), uint64(10), uint8(5))
+	f.Fuzz(func(t *testing.T, h string, issuer uint32, seq uint64, depth uint8) {
+		kind, dirPath, id, err := ParseHandle(h)
+		if err != nil && err != vnode.ESTALE {
+			t.Fatalf("%q: %v, want ESTALE", h, err)
+		} else if err == nil && handleOf(kind, dirPath, id) != h {
+			t.Fatalf("%q parses to (%v, %v, %v), which renders %q", h, kind, dirPath, id, handleOf(kind, dirPath, id))
+		}
+		path := []ids.FileID{ids.RootFileID}
+		for i := 0; i < int(depth%8); i++ {
+			path = append(path, fid(ids.ReplicaID(issuer)+ids.ReplicaID(i), seq^uint64(i)))
+		}
+		for _, k := range []Kind{KDir, KFile, KSymlink} {
+			n := len(path) - 1
+			h := handleOf(k, path[:n], path[n])
+			gotKind, gotDir, gotID, err := ParseHandle(h)
+			if err != nil || handleLetter(gotKind) != handleLetter(k) || !slices.Equal(gotDir, path[:n]) || gotID != path[n] {
+				t.Fatalf("%q parses to (%v, %v, %v, %v)", h, gotKind, gotDir, gotID, err)
+			}
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package physical
 
 import (
-	"strconv"
 	"strings"
 
 	"repro/internal/ids"
@@ -57,37 +56,27 @@ func EncodeOpenLookup(open bool, f vnode.OpenFlags, issuer ids.VolumeHandle, nam
 	b.WriteString(encPrefix)
 	b.WriteString(op)
 	b.WriteByte(':')
-	writeHex32(&b, uint32(f))
+	var field [8 + 1 + ids.VolumeHandleLen + 1]byte
+	b.Write(ids.AppendHex(field[:0], uint64(f), 8))
 	b.WriteByte(':')
-	writeHex32(&b, uint32(issuer.Allocator))
-	b.WriteByte('.')
-	writeHex32(&b, uint32(issuer.Volume))
-	b.WriteByte(':')
+	b.Write(append(ids.AppendVolumeHandle(field[:0], issuer), ':'))
 	b.WriteString(name)
 	return b.String()
-}
-
-// writeHex32 writes v as eight lower-case hex digits.
-func writeHex32(b *strings.Builder, v uint32) {
-	for shift := 28; shift >= 0; shift -= 4 {
-		b.WriteByte("0123456789abcdef"[v>>shift&0xf])
-	}
 }
 
 // IsEncodedLookup reports whether a lookup name carries an open/close.
 func IsEncodedLookup(name string) bool { return strings.HasPrefix(name, encPrefix) }
 
-// DecodeOpenLookup parses an encoded lookup.
+// DecodeOpenLookup parses an encoded lookup, by offset: it accepts exactly
+// what EncodeOpenLookup writes.
 func DecodeOpenLookup(s string) (open bool, f vnode.OpenFlags, issuer ids.VolumeHandle, name string, err error) {
-	if !IsEncodedLookup(s) {
+	const opAt = len(encPrefix)
+	const flagsAt = opAt + len(opOpen) + 1
+	const volAt = flagsAt + 8 + 1
+	if len(s) < EncOverhead || !IsEncodedLookup(s) || s[flagsAt-1] != ':' || s[volAt-1] != ':' || s[EncOverhead-1] != ':' {
 		return false, 0, ids.VolumeHandle{}, "", vnode.EINVAL
 	}
-	rest := s[len(encPrefix):]
-	parts := strings.SplitN(rest, ":", 4)
-	if len(parts) != 4 {
-		return false, 0, ids.VolumeHandle{}, "", vnode.EINVAL
-	}
-	switch parts[0] {
+	switch s[opAt : flagsAt-1] {
 	case opOpen:
 		open = true
 	case opClose:
@@ -95,13 +84,10 @@ func DecodeOpenLookup(s string) (open bool, f vnode.OpenFlags, issuer ids.Volume
 	default:
 		return false, 0, ids.VolumeHandle{}, "", vnode.EINVAL
 	}
-	fl, perr := strconv.ParseUint(parts[1], 16, 32)
-	if perr != nil {
+	fl, ok := ids.ParseHex(s[flagsAt : volAt-1])
+	vh, verr := ids.ParseVolumeHandle(s[volAt : EncOverhead-1])
+	if !ok || verr != nil {
 		return false, 0, ids.VolumeHandle{}, "", vnode.EINVAL
 	}
-	vh, perr := ids.ParseVolumeHandle(parts[2])
-	if perr != nil {
-		return false, 0, ids.VolumeHandle{}, "", vnode.EINVAL
-	}
-	return open, vnode.OpenFlags(fl), vh, parts[3], nil
+	return open, vnode.OpenFlags(fl), vh, s[EncOverhead:], nil
 }

@@ -54,6 +54,13 @@ const (
 	suffixShadow = ".shadow"
 )
 
+// memberName is the container member prefix names for file id fid, built in
+// one allocation.
+func memberName(prefix string, fid ids.FileID) string {
+	var b [1 + ids.FileIDLen]byte
+	return string(ids.AppendFileID(append(b[:0], prefix...), fid))
+}
+
 // idBatch is how many ids one commit of meta reserves: meta records a
 // high-water mark this far ahead of the sequencer and is rewritten only when
 // the sequencer reaches it, so a crash skips at most idBatch ids and never
@@ -258,7 +265,7 @@ func (l *Layer) nextIDLocked() (ids.FileID, error) {
 // rootContainer returns the UFS directory containing the volume root's
 // storage.
 func (l *Layer) rootContainer() (vnode.Vnode, error) {
-	return l.root.Lookup(prefixDir + ids.RootFileID.String())
+	return l.root.Lookup(memberName(prefixDir, ids.RootFileID))
 }
 
 // containerOf returns the container of the directory a full fid path (beginning
@@ -274,7 +281,7 @@ func (l *Layer) containerOf(dirPath []ids.FileID) (vnode.Vnode, error) {
 	}
 	c := l.root
 	for _, fid := range dirPath {
-		next, err := c.Lookup(prefixDir + fid.String())
+		next, err := c.Lookup(memberName(prefixDir, fid))
 		if err != nil {
 			if vnode.AsErrno(err) == vnode.ENOENT {
 				return nil, ErrNotStored

@@ -180,7 +180,7 @@ func (l *Layer) AddToBase(base DeltaBase, dirPath []ids.FileID, fid ids.FileID) 
 	if err != nil {
 		return
 	}
-	_, seal, err := l.fileAuxLocked(cont, prefixAux+fid.String(), true)
+	_, seal, err := l.fileAuxLocked(cont, memberName(prefixAux, fid), true)
 	if err != nil || seal == nil {
 		return
 	}

@@ -14,101 +14,98 @@ import (
 // its storage by a fid path from the volume root (dirPath is the containing
 // directory's full fid path, always starting with the root fid), preserving
 // the parallel between the logical name space and on-disk layout (§2.6).
+// The paths are shared, never changed: a child's dirPath is its directory's
+// self.
 type pvnode struct {
 	l       *Layer
 	fid     ids.FileID
 	kind    Kind
-	dirPath []ids.FileID // fid path of the containing directory; nil for the root itself
+	dirPath []ids.FileID // fid path of the containing directory; empty for the root itself
+	self    []ids.FileID // a directory's own fid path, dirPath then fid; nil for any other kind
 }
+
+// rootPath is the volume root's fid path.
+var rootPath = []ids.FileID{ids.RootFileID}
 
 // Root returns the volume root directory vnode.
 func (l *Layer) Root() (vnode.Vnode, error) {
-	return &pvnode{l: l, fid: ids.RootFileID, kind: KDir}, nil
+	return &pvnode{l: l, fid: ids.RootFileID, kind: KDir, self: rootPath}, nil
 }
 
 // Sync is a no-op: the substrate is write-through.
 func (l *Layer) Sync() error { return nil }
 
-// selfPath is the fid path of this node when it is a directory.
-func (v *pvnode) selfPath() []ids.FileID {
-	if v.dirPath == nil && v.fid == ids.RootFileID {
-		return []ids.FileID{ids.RootFileID}
+// childOf returns the vnode of fid, of kind k, in directory v.  Only a
+// directory's own path is made; the rest is v's.
+func (v *pvnode) childOf(fid ids.FileID, k Kind) *pvnode {
+	c := &pvnode{l: v.l, fid: fid, kind: k, dirPath: v.self}
+	if k.IsDir() {
+		c.self = append(v.self[:len(v.self):len(v.self)], fid)
 	}
-	p := make([]ids.FileID, 0, len(v.dirPath)+1)
-	p = append(p, v.dirPath...)
-	return append(p, v.fid)
+	return c
 }
 
 // container returns the UFS directory holding this node's storage: its own
 // container for directories, the parent's container for files.
 func (v *pvnode) container() (vnode.Vnode, error) {
 	if v.kind.IsDir() {
-		return v.l.containerOf(v.selfPath())
+		return v.l.containerOf(v.self)
 	}
 	return v.l.containerOf(v.dirPath)
 }
 
 // Handle encodes kind and fid path; Resolve reverses it.
-func (v *pvnode) Handle() string {
-	var sb strings.Builder
-	if v.kind.IsDir() {
-		sb.WriteString("d")
-	} else if v.kind == KSymlink {
-		sb.WriteString("l")
-	} else {
-		sb.WriteString("f")
-	}
-	for _, f := range v.dirPath {
-		sb.WriteString("|")
-		sb.WriteString(f.String())
-	}
-	sb.WriteString("|")
-	sb.WriteString(v.fid.String())
-	return sb.String()
-}
+func (v *pvnode) Handle() string { return handleOf(v.kind, v.dirPath, v.fid) }
 
-// Resolve recovers a vnode from a handle (the nfs.Resolver contract).
+// Resolve recovers a vnode from a handle (the nfs.Resolver contract).  Before
+// it returns one it applies the test a lookup applies (storedLocked), so a
+// handle whose storage has gone is ESTALE, or ENOSTOR when this replica does
+// not store it; the root, which every replica stores, is not asked.
 func (l *Layer) Resolve(handle string) (vnode.Vnode, error) {
-	parts := strings.Split(handle, "|")
-	if len(parts) < 2 {
+	kind, path, err := parseHandle(handle)
+	if err != nil {
 		return nil, vnode.ESTALE
 	}
-	var kind Kind
-	switch parts[0] {
-	case "d":
-		kind = KDir
-	case "f":
-		kind = KFile
-	case "l":
-		kind = KSymlink
+	n := len(path) - 1
+	if n == 0 && path[0] == ids.RootFileID {
+		return l.Root()
+	}
+	v := &pvnode{l: l, fid: path[n], kind: kind, dirPath: path[:n:n]}
+	if kind.IsDir() {
+		v.self = path
+	}
+	l.mu.Lock()
+	err = v.storedLocked()
+	l.mu.Unlock()
+	switch vnode.AsErrno(err) {
+	case vnode.EOK:
+		return v, nil
+	case vnode.ENOSTOR:
+		return nil, vnode.ENOSTOR
 	default:
 		return nil, vnode.ESTALE
 	}
-	fids := make([]ids.FileID, 0, len(parts)-1)
-	for _, p := range parts[1:] {
-		f, err := ids.ParseFileID(p)
-		if err != nil {
-			return nil, vnode.ESTALE
-		}
-		fids = append(fids, f)
+}
+
+// storedLocked is the test a lookup applies before it returns a vnode: a
+// directory's container is stored, and so is any other kind's aux member.
+func (v *pvnode) storedLocked() error {
+	cont, err := v.container()
+	if err != nil || v.kind.IsDir() {
+		return mapStoreErr(err)
 	}
-	fid := fids[len(fids)-1]
-	dirPath := fids[:len(fids)-1]
-	if len(dirPath) == 0 && fid == ids.RootFileID {
-		return &pvnode{l: l, fid: fid, kind: KDir}, nil
+	_, err = lookupMember(cont, prefixAux, v.fid)
+	return err
+}
+
+// lookupMember looks up the member prefix names for fid in container cont;
+// one that is not there is not stored (ENOSTOR).
+func lookupMember(cont vnode.Vnode, prefix string, fid ids.FileID) (vnode.Vnode, error) {
+	m, err := cont.Lookup(memberName(prefix, fid))
+	if vnode.AsErrno(err) == vnode.ENOENT {
+		return nil, vnode.ENOSTOR
 	}
-	v := &pvnode{l: l, fid: fid, kind: kind, dirPath: dirPath}
-	// Verify the node still exists (stateless re-resolution).
-	if _, err := v.Getattr(); err != nil {
-		if vnode.AsErrno(err) == vnode.ENOSTOR {
-			return nil, vnode.ENOSTOR
-		}
-		return nil, vnode.ESTALE
-	}
-	// Refresh the kind from storage (a handle may have been minted before a
-	// graft point's aux was readable, and clients can't tell KDir from
-	// KGraft anyway).
-	return v, nil
+	return m, err
 }
 
 func (v *pvnode) Lookup(name string) (vnode.Vnode, error) {
@@ -142,25 +139,18 @@ func (v *pvnode) lookupLocked(name string) (vnode.Vnode, error) {
 	return v.childVnodeLocked(cont, d.entries[i])
 }
 
-// childVnodeLocked builds the vnode for entry e, verifying local storage.
+// childVnodeLocked builds the vnode for entry e of this directory, whose
+// container is cont, verifying local storage: a directory's container, any
+// other kind's aux member.
 func (v *pvnode) childVnodeLocked(cont vnode.Vnode, e Entry) (vnode.Vnode, error) {
-	child := &pvnode{l: v.l, fid: e.Child, kind: e.Kind, dirPath: v.selfPath()}
+	prefix := prefixAux
 	if e.Kind.IsDir() {
-		if _, err := cont.Lookup(prefixDir + e.Child.String()); err != nil {
-			if vnode.AsErrno(err) == vnode.ENOENT {
-				return nil, vnode.ENOSTOR
-			}
-			return nil, err
-		}
-		return child, nil
+		prefix = prefixDir
 	}
-	if _, err := cont.Lookup(prefixAux + e.Child.String()); err != nil {
-		if vnode.AsErrno(err) == vnode.ENOENT {
-			return nil, vnode.ENOSTOR
-		}
+	if _, err := lookupMember(cont, prefix, e.Child); err != nil {
 		return nil, err
 	}
-	return child, nil
+	return v.childOf(e.Child, e.Kind), nil
 }
 
 // encodedLookup executes an open or close shipped through Lookup (§2.3).
@@ -241,17 +231,17 @@ func (v *pvnode) createKind(name string, excl bool, kind Kind, data string) (vno
 	// Storage first — the data file, then its aux with its seal — then the
 	// entry: a crash in between leaves members no live entry names, which
 	// Recover reclaims, never a dangling entry.  So none of them needs a shadow.
-	if err := writeFresh(cont, prefixData+fid.String(), []byte(data)); err != nil {
+	if err := writeFresh(cont, memberName(prefixData, fid), []byte(data)); err != nil {
 		return nil, err
 	}
 	aux := Aux{Type: kind, Nlink: 1, VV: v.l.bumpVV(nil)}
-	if err := writeAuxFile(writeFresh, cont, prefixAux+fid.String(), &aux, ComputeManifest([]byte(data))); err != nil {
+	if err := writeAuxFile(writeFresh, cont, memberName(prefixAux, fid), &aux, ComputeManifest([]byte(data))); err != nil {
 		return nil, err
 	}
 	if _, err := v.l.commitDirLocked(cont, d, []Entry{{EID: eid, Name: name, Child: fid, Kind: kind}}, v.l.bumpVV); err != nil {
 		return nil, err
 	}
-	return &pvnode{l: v.l, fid: fid, kind: kind, dirPath: v.selfPath()}, nil
+	return v.childOf(fid, kind), nil
 }
 
 func (v *pvnode) Mkdir(name string) (vnode.Vnode, error) {
@@ -296,7 +286,7 @@ func (v *pvnode) mkdirKind(name string, kind Kind, graftVol ids.VolumeHandle) (v
 	if _, err := v.l.commitDirLocked(cont, d, []Entry{{EID: eid, Name: name, Child: fid, Kind: kind}}, v.l.bumpVV); err != nil {
 		return nil, err
 	}
-	return &pvnode{l: v.l, fid: fid, kind: kind, dirPath: v.selfPath()}, nil
+	return v.childOf(fid, kind), nil
 }
 
 func checkName(name string) error {
@@ -352,14 +342,7 @@ func (v *pvnode) dataFile() (vnode.Vnode, error) {
 	if err != nil {
 		return nil, mapStoreErr(err)
 	}
-	df, err := cont.Lookup(prefixData + v.fid.String())
-	if err != nil {
-		if vnode.AsErrno(err) == vnode.ENOENT {
-			return nil, vnode.ENOSTOR
-		}
-		return nil, err
-	}
-	return df, nil
+	return lookupMember(cont, prefixData, v.fid)
 }
 
 func (v *pvnode) readAll() ([]byte, error) {
@@ -411,7 +394,7 @@ func (v *pvnode) updateFileLocked(df vnode.Vnode, lo, hi uint64, p []byte, off u
 	if err != nil {
 		return mapStoreErr(err)
 	}
-	af, aux, seal, err := openAuxFile(cont, prefixAux+v.fid.String())
+	af, aux, seal, err := openAuxFile(cont, memberName(prefixAux, v.fid))
 	if err != nil {
 		return err
 	}
@@ -572,14 +555,14 @@ func (v *pvnode) getattrLocked() (vnode.Attr, error) {
 	if err != nil {
 		return vnode.Attr{}, mapStoreErr(err)
 	}
-	aux, _, err := v.l.fileAuxLocked(cont, prefixAux+v.fid.String(), false)
+	aux, _, err := v.l.fileAuxLocked(cont, memberName(prefixAux, v.fid), false)
 	if err != nil {
 		if vnode.AsErrno(err) == vnode.ENOENT {
 			return vnode.Attr{}, vnode.ENOSTOR
 		}
 		return vnode.Attr{}, err
 	}
-	df, err := cont.Lookup(prefixData + v.fid.String())
+	df, err := cont.Lookup(memberName(prefixData, v.fid))
 	if err != nil {
 		return vnode.Attr{}, err
 	}
@@ -660,7 +643,7 @@ func (v *pvnode) removeEntry(name string, wantDir bool) error {
 	// A directory must be empty (no live entries) if we store it; an unstored
 	// one is deletable blindly — optimism, reconciliation cleans up.
 	if wantDir {
-		if sub, err := cont.Lookup(prefixDir + e.Child.String()); err == nil {
+		if sub, err := cont.Lookup(memberName(prefixDir, e.Child)); err == nil {
 			subDir, err := v.l.dirLocked(sub)
 			if err != nil {
 				return err
@@ -695,7 +678,7 @@ func (v *pvnode) Link(name string, target vnode.Vnode) error {
 	if err := checkName(name); err != nil {
 		return err
 	}
-	if len(v.selfPath()) != len(t.dirPath) || !samePath(v.selfPath(), t.dirPath) {
+	if !samePath(v.self, t.dirPath) {
 		return vnode.EXDEV
 	}
 	v.l.mu.Lock()
@@ -768,7 +751,7 @@ func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 		return vnode.ENOENT
 	}
 	e := src.entries[si]
-	sameDir := samePath(v.selfPath(), d.selfPath())
+	sameDir := samePath(v.self, d.self)
 	if sameDir && oldName == newName {
 		return nil
 	}

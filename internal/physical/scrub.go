@@ -45,7 +45,7 @@ func (l *Layer) scrubContainerLocked(cont vnode.Vnode) error {
 			continue
 		}
 		if e.Kind.IsDir() {
-			sub, err := cont.Lookup(prefixDir + e.Child.String())
+			sub, err := cont.Lookup(memberName(prefixDir, e.Child))
 			if err != nil {
 				continue // not stored here (§4.1)
 			}
@@ -61,11 +61,11 @@ func (l *Layer) scrubContainerLocked(cont vnode.Vnode) error {
 
 // scrubFileLocked verifies or reseals one stored file replica.
 func (l *Layer) scrubFileLocked(cont vnode.Vnode, fid ids.FileID) {
-	_, aux, sc, err := openAuxFile(cont, prefixAux+fid.String())
+	_, aux, sc, err := openAuxFile(cont, memberName(prefixAux, fid))
 	if err != nil {
 		return // not stored here, or mid-materialization; nothing to vouch for
 	}
-	df, err := cont.Lookup(prefixData + fid.String())
+	df, err := cont.Lookup(memberName(prefixData, fid))
 	if err != nil {
 		return
 	}
@@ -107,7 +107,7 @@ func (l *Layer) CorruptData(dirPath []ids.FileID, fid ids.FileID, off uint64) er
 	if err != nil {
 		return err
 	}
-	df, err := cont.Lookup(prefixData + fid.String())
+	df, err := cont.Lookup(memberName(prefixData, fid))
 	if err != nil {
 		if vnode.AsErrno(err) == vnode.ENOENT {
 			return ErrNotStored

@@ -214,7 +214,7 @@ func (l *Layer) recoverContainerLocked(c vnode.Vnode, ents []vnode.Dirent) error
 			continue // Check reports unparsable names; leave for inspection
 		}
 		seen[fid] = true
-		if _, err := readAuxFile(c, prefixAux+fid.String()); unfinished(err) {
+		if _, err := readAuxFile(c, memberName(prefixAux, fid)); unfinished(err) {
 			if err := l.removeStorageLocked(c, fid); err != nil {
 				return err
 			}
@@ -353,7 +353,7 @@ func rejectInstall(fid ids.FileID, format string, args ...any) error {
 // install lands in once its payload is verified and fully assembled; m is
 // data's manifest.  Caller holds l.mu.
 func (l *Layer) commitFileVersionLocked(cont vnode.Vnode, fid ids.FileID, attrs *Aux, data []byte, m *BlockManifest) error {
-	name := prefixAux + fid.String()
+	name := memberName(prefixAux, fid)
 	aux := Aux{Type: attrs.Type, Nlink: max(attrs.Nlink, 1), VV: attrs.VV.Clone()}
 	af, old, seal, err := openAuxFile(cont, name)
 	// Per-replica counter monotonicity: the caller has decided the new
@@ -381,7 +381,7 @@ func (l *Layer) commitFileVersionLocked(cont vnode.Vnode, fid ids.FileID, attrs 
 		}
 	}
 	// 2. Atomically substitute the complete new version for the original.
-	if err := put(cont, prefixData+fid.String(), data); err != nil {
+	if err := put(cont, memberName(prefixData, fid), data); err != nil {
 		return err
 	}
 	// 3. Record the new version vector: over the header, or — a first copy,

@@ -202,7 +202,7 @@ func decodeSidecar(p []byte) (sidecar, error) {
 // sealLocked commits fid's aux member whole, header a and a tail sealing m
 // under a's vector: the scrubber's reseal of an unverifiable copy.
 func (l *Layer) sealLocked(cont vnode.Vnode, fid ids.FileID, a *Aux, m *BlockManifest) error {
-	return writeAuxFile(atomicReplace, cont, prefixAux+fid.String(), a, m)
+	return writeAuxFile(atomicReplace, cont, memberName(prefixAux, fid), a, m)
 }
 
 // resealInPlace overwrites the tail of aux member af, whose current seal is cur

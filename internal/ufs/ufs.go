@@ -307,6 +307,10 @@ func newFS(dev *disk.Device, sb superblock, opts *Options) *FS {
 // Root returns the root directory inode.
 func (fs *FS) Root() Ino { return rootIno }
 
+// NumInodes returns how many inode numbers the file system has, 0 (never a
+// valid inode) among them: every inode is below it.
+func (fs *FS) NumInodes() int { return int(fs.sb.NInodes) }
+
 // Device returns the underlying block device (for I/O accounting).
 func (fs *FS) Device() *disk.Device { return fs.dev }
 

@@ -15,13 +15,22 @@ import (
 	"repro/internal/vnode"
 )
 
-// VFS wraps a mounted ufs.FS as a vnode.VFS.
+// VFS wraps a mounted ufs.FS as a vnode.VFS.  It keeps one vnode per inode,
+// made here once, and every call that names an inode returns that one — as
+// the kernel's in-core inode table does — so a lookup allocates nothing.
 type VFS struct {
-	fs *ufs.FS
+	fs  *ufs.FS
+	vns []vn // indexed by inode number
 }
 
 // New wraps fs.
-func New(fs *ufs.FS) *VFS { return &VFS{fs: fs} }
+func New(fs *ufs.FS) *VFS {
+	v := &VFS{fs: fs, vns: make([]vn, fs.NumInodes())}
+	for i := range v.vns {
+		v.vns[i] = vn{vfs: v, ino: ufs.Ino(i)}
+	}
+	return v
+}
 
 // FS exposes the underlying UFS (used by experiments that need I/O
 // accounting or cache control).
@@ -29,7 +38,7 @@ func (v *VFS) FS() *ufs.FS { return v.fs }
 
 // Root returns the root vnode.
 func (v *VFS) Root() (vnode.Vnode, error) {
-	return &vn{fs: v.fs, ino: v.fs.Root()}, nil
+	return &v.vns[v.fs.Root()], nil
 }
 
 // Sync flushes the (write-through) substrate.
@@ -46,20 +55,20 @@ func (v *VFS) Resolve(handle string) (vnode.Vnode, error) {
 	if _, err := v.fs.Stat(ino); err != nil {
 		return nil, vnode.ESTALE
 	}
-	return &vn{fs: v.fs, ino: ino}, nil
+	return &v.vns[ino], nil
 }
 
 type vn struct {
-	fs  *ufs.FS
+	vfs *VFS
 	ino ufs.Ino
 }
 
-func (v *vn) child(ino ufs.Ino) vnode.Vnode { return &vn{fs: v.fs, ino: ino} }
+func (v *vn) child(ino ufs.Ino) vnode.Vnode { return &v.vfs.vns[ino] }
 
 func (v *vn) Handle() string { return strconv.FormatUint(uint64(v.ino), 10) }
 
 func (v *vn) Lookup(name string) (vnode.Vnode, error) {
-	ino, err := v.fs.Lookup(v.ino, name)
+	ino, err := v.vfs.fs.Lookup(v.ino, name)
 	if err != nil {
 		return nil, mapErr(err)
 	}
@@ -67,7 +76,7 @@ func (v *vn) Lookup(name string) (vnode.Vnode, error) {
 }
 
 func (v *vn) Create(name string, excl bool) (vnode.Vnode, error) {
-	ino, err := v.fs.Create(v.ino, name)
+	ino, err := v.vfs.fs.Create(v.ino, name)
 	if err != nil {
 		if errors.Is(err, ufs.ErrExist) && !excl {
 			return v.Lookup(name)
@@ -78,7 +87,7 @@ func (v *vn) Create(name string, excl bool) (vnode.Vnode, error) {
 }
 
 func (v *vn) Mkdir(name string) (vnode.Vnode, error) {
-	ino, err := v.fs.Mkdir(v.ino, name)
+	ino, err := v.vfs.fs.Mkdir(v.ino, name)
 	if err != nil {
 		return nil, mapErr(err)
 	}
@@ -86,12 +95,12 @@ func (v *vn) Mkdir(name string) (vnode.Vnode, error) {
 }
 
 func (v *vn) Symlink(name, target string) error {
-	_, err := v.fs.Symlink(v.ino, name, target)
+	_, err := v.vfs.fs.Symlink(v.ino, name, target)
 	return mapErr(err)
 }
 
 func (v *vn) Readlink() (string, error) {
-	s, err := v.fs.Readlink(v.ino)
+	s, err := v.vfs.fs.Readlink(v.ino)
 	return s, mapErr(err)
 }
 
@@ -101,7 +110,7 @@ func (v *vn) Open(vnode.OpenFlags) error  { return nil }
 func (v *vn) Close(vnode.OpenFlags) error { return nil }
 
 func (v *vn) ReadAt(p []byte, off int64) (int, error) {
-	n, err := v.fs.ReadAt(v.ino, p, off)
+	n, err := v.vfs.fs.ReadAt(v.ino, p, off)
 	if err == io.EOF {
 		return n, io.EOF
 	}
@@ -109,15 +118,15 @@ func (v *vn) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (v *vn) WriteAt(p []byte, off int64) (int, error) {
-	n, err := v.fs.WriteAt(v.ino, p, off)
+	n, err := v.vfs.fs.WriteAt(v.ino, p, off)
 	return n, mapErr(err)
 }
 
-func (v *vn) Truncate(size uint64) error { return mapErr(v.fs.Truncate(v.ino, size)) }
-func (v *vn) Fsync() error               { return mapErr(v.fs.Sync()) }
+func (v *vn) Truncate(size uint64) error { return mapErr(v.vfs.fs.Truncate(v.ino, size)) }
+func (v *vn) Fsync() error               { return mapErr(v.vfs.fs.Sync()) }
 
 func (v *vn) Getattr() (vnode.Attr, error) {
-	st, err := v.fs.Stat(v.ino)
+	st, err := v.vfs.fs.Stat(v.ino)
 	if err != nil {
 		return vnode.Attr{}, mapErr(err)
 	}
@@ -134,12 +143,12 @@ func (v *vn) Getattr() (vnode.Attr, error) {
 
 func (v *vn) Setattr(sa vnode.SetAttr) error {
 	if sa.Mode != nil {
-		if err := v.fs.SetMode(v.ino, *sa.Mode); err != nil {
+		if err := v.vfs.fs.SetMode(v.ino, *sa.Mode); err != nil {
 			return mapErr(err)
 		}
 	}
 	if sa.Size != nil {
-		if err := v.fs.Truncate(v.ino, *sa.Size); err != nil {
+		if err := v.vfs.fs.Truncate(v.ino, *sa.Size); err != nil {
 			return mapErr(err)
 		}
 	}
@@ -150,33 +159,33 @@ func (v *vn) Setattr(sa vnode.SetAttr) error {
 // reproduction (the paper defers authentication to a future layer, §1).
 func (v *vn) Access(uint16) error { return nil }
 
-func (v *vn) Remove(name string) error { return mapErr(v.fs.Remove(v.ino, name)) }
-func (v *vn) Rmdir(name string) error  { return mapErr(v.fs.Rmdir(v.ino, name)) }
+func (v *vn) Remove(name string) error { return mapErr(v.vfs.fs.Remove(v.ino, name)) }
+func (v *vn) Rmdir(name string) error  { return mapErr(v.vfs.fs.Rmdir(v.ino, name)) }
 
 func (v *vn) Link(name string, target vnode.Vnode) error {
 	t, ok := target.(*vn)
-	if !ok || t.fs != v.fs {
+	if !ok || t.vfs.fs != v.vfs.fs {
 		return vnode.EXDEV
 	}
-	return mapErr(v.fs.Link(v.ino, name, t.ino))
+	return mapErr(v.vfs.fs.Link(v.ino, name, t.ino))
 }
 
 func (v *vn) Rename(oldName string, dstDir vnode.Vnode, newName string) error {
 	d, ok := dstDir.(*vn)
-	if !ok || d.fs != v.fs {
+	if !ok || d.vfs.fs != v.vfs.fs {
 		return vnode.EXDEV
 	}
-	return mapErr(v.fs.Rename(v.ino, oldName, d.ino, newName))
+	return mapErr(v.vfs.fs.Rename(v.ino, oldName, d.ino, newName))
 }
 
 func (v *vn) Readdir() ([]vnode.Dirent, error) {
-	ents, err := v.fs.Readdir(v.ino)
+	ents, err := v.vfs.fs.Readdir(v.ino)
 	if err != nil {
 		return nil, mapErr(err)
 	}
 	out := make([]vnode.Dirent, 0, len(ents))
 	for _, e := range ents {
-		st, err := v.fs.Stat(e.Ino)
+		st, err := v.vfs.fs.Stat(e.Ino)
 		if err != nil {
 			return nil, mapErr(err)
 		}

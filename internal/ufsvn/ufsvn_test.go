@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/invariant"
 	"repro/internal/retry"
 	"repro/internal/ufs"
 	"repro/internal/vnode"
@@ -125,5 +126,33 @@ func TestTransientDiskFaultStaysTransient(t *testing.T) {
 	// One-shot: the retry succeeds.
 	if data, err := vnode.ReadFile(f2); err != nil || string(data) != "data" {
 		t.Fatalf("retry after transient fault: %q %v", data, err)
+	}
+}
+
+// TestLookupReturnsTheInodesVnode pins the per-inode table: every call that
+// names an inode returns its one vnode, so a warm lookup allocates nothing.
+// Invariants are disarmed: a check may allocate.
+func TestLookupReturnsTheInodesVnode(t *testing.T) {
+	defer invariant.ForceForTest(false)()
+	fs := newVFS(t)
+	root, _ := fs.Root()
+	f, err := root.Create("f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _ := root.Lookup("f")
+	byHandle, _ := fs.Resolve(f.Handle())
+	if again != f || byHandle != f {
+		t.Fatal("one inode, several vnodes")
+	}
+	if r, _ := fs.Root(); r != root {
+		t.Fatal("two root vnodes")
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := root.Lookup("f"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a warm Lookup allocates %v times, want 0", n)
 	}
 }

@@ -3,8 +3,8 @@
 #
 # Runs, in order: build, ficusvet (the six repo-specific analyzers —
 # determinism, vvalias, errclass, heldlocks, lockorder, duraberr), go vet,
-# gofmt, the gates that keep encoding/gob out of non-test code,
-# container/list inside internal/lru,
+# gofmt, the gates that keep encoding/gob and container/list out of non-test
+# code,
 # whole-file writes in internal/physical behind atomicReplace, the directory
 # journal's append behind its one writer, the in-place reseal of an aux's seal
 # behind its two callers and fresh storage behind writeFresh, one metadata
@@ -19,7 +19,11 @@
 # directory instead of a whole subtree, a two-second fuzz smoke
 # of every decoder fuzz target (a package left with none fails), the gates that keep
 # timed benchmarks and mirrored Stats structs out of the root package, the
-# race-enabled test suite (it holds the RPC-economy gates — of the root
+# race-enabled test suite (it holds the allocation pins of the name path — of
+# internal/physical TestWarmLookupAllocs: a warm Lookup, a Getattr of a
+# directory and of a file, a Resolve of either's handle and a Handle; of
+# internal/ufsvn TestLookupReturnsTheInodesVnode; of internal/lru
+# TestPutAtCapacityAllocatesNothing — the RPC-economy gates — of the root
 # package TestRemoteReadRPCBudget, TestFirstAvailableAsksNobodyElse, and of
 # internal/logical TestLookupDoesNotPoll, TestWarmWalkAsksNothing,
 # TestWalkBelowAMovedParentAnswersAsFromTheRoot, and of internal/repl
@@ -72,10 +76,11 @@ echo "==> no encoding/gob outside tests"
 # recorded baseline of a test-only microbenchmark.
 test -z "$(grep -l '"encoding/gob"' $(git ls-files '*.go' | grep -v _test.go))"
 
-echo "==> no container/list outside internal/lru"
-# internal/lru is the one LRU (DESIGN.md §16); a second list-and-map cache
-# body starts with this import.
-test -z "$(grep -l '"container/list"' $(git ls-files '*.go' | grep -v _test.go | grep -v '^internal/lru/'))"
+echo "==> no container/list in non-test Go"
+# internal/lru is the one LRU (DESIGN.md §16), its entries in one slab linked
+# by index; a second list-and-map cache body, or this one going back to a
+# node allocated per entry, starts with this import.
+test -z "$(grep -l '"container/list"' $(git ls-files '*.go' | grep -v _test.go))"
 
 echo "==> one whole-file writer and one directory append in internal/physical"
 # atomicReplace is the one way a store file is replaced (DESIGN.md §10.3): its
@@ -139,8 +144,9 @@ test "$(sed -n '/^func (s \*stage) write(/,/^}/p' internal/ufs/stage.go | grep -
 test "$(cat $ufs | grep -c 'defer fs\.endCallLocked(&err)')" -eq 12
 
 echo "==> a file's attributes through the one cached aux reader in internal/physical"
-# Getattr's file arm — and through it Resolve, for the subject of every NFS
-# request — reads the aux through the aux cache (DESIGN.md §16), not the store.
+# Getattr's file arm — which the NFS server runs for the reply to every
+# lookup, create and getattr — reads the aux through the aux cache (DESIGN.md
+# §16), not the store.  (Resolve only looks the aux member up, as a lookup does.)
 test "$(sed -n '/^func (v \*pvnode) getattrLocked(/,/^}/p' internal/physical/pvnode.go | grep -c 'fileAuxLocked(')" -eq 1
 test "$(sed -n '/^func (v \*pvnode) getattrLocked(/,/^}/p' internal/physical/pvnode.go | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(')" -eq 0
 # So do FileInfo — and through it pullOne — for a file and a child
