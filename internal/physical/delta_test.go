@@ -67,7 +67,7 @@ func installDelta(l *Layer, fid ids.FileID, m *BlockManifest, missing []Block, n
 func baseOf(l *Layer, fids ...ids.FileID) DeltaBase {
 	base := DeltaBase{}
 	for _, fid := range fids {
-		l.AddToBase(base, RootPath(), fid)
+		l.PullRequestFor(RootPath(), fid, base)
 	}
 	return base
 }
@@ -196,11 +196,12 @@ func TestDeltaInstallCrashSweep(t *testing.T) {
 			t.Fatalf("%s: install reported success but old data survives", tag)
 		}
 		// Whatever survived, the next advertisement must be truthful: every
-		// address the recovered replica would offer reads back verified.
-		base2, held := baseOf(l2, fid), map[ids.FileID]*heldVersion{}
+		// address the recovered replica would offer (each a whole block, in
+		// either version) reads back verified.
+		base2, held := baseOf(l2, fid), map[ids.FileID]heldVersion{}
 		for _, addr := range base2.Have() {
 			l2.mu.Lock()
-			_, ok := l2.baseBlockLocked(base2, addr, held)
+			ok := l2.baseBlockLocked(base2, addr, make([]byte, ChecksumBlockSize), held)
 			l2.mu.Unlock()
 			if !ok {
 				t.Fatalf("%s: advertised block %s unreadable", tag, addr)
@@ -507,5 +508,84 @@ func TestOneSidecarPerStoredFile(t *testing.T) {
 	}
 	if len(problems) != 2 || !strings.Contains(problems[0], "unidentified container member") || !strings.Contains(problems[1], "unidentified container member") {
 		t.Fatalf("stray retired sidecars: check says %v", problems)
+	}
+}
+
+// TestDeltaPullDeviceReads pins the device reads of one delta pull of a
+// 16-block file whose new version changes block 0, with every buffer cache
+// cold and every aux cache warm.
+//
+//   - Serving it reads the one block it ships.  The store's metadata (the
+//     container's directory, the members' inodes) is read first by a FileInfo,
+//     so what the pull reads is data blocks alone.  Serving it from a
+//     whole-file read, as pulls did before they read by block, read all 16
+//     and the indirect block that maps blocks 10–15: 17 reads.
+//   - The install reads each of its 15 reused blocks once: 15 reads more than
+//     a whole-file install of the same version on an identical store, which
+//     runs the same commit (that commit frees the replaced blocks, so it reads
+//     their indirect block either way).  Reading the holder whole, as installs
+//     did before, cost 16 more.
+func TestDeltaPullDeviceReads(t *testing.T) {
+	var old []byte
+	for i := 0; i < 16; i++ {
+		old = append(old, blockOf(byte('a'+i))...)
+	}
+	newData := slices.Concat(blockOf('z'), old[ChecksumBlockSize:])
+	devS, lS, fid := newBlockLayer(t, old)
+	devD, lD, fidD := newBlockLayer(t, old)
+	devW, lW, fidW := newBlockLayer(t, old)
+	if fidD != fid || fidW != fid {
+		t.Fatal("the stores diverged before the pull")
+	}
+	root, _ := lS.Root()
+	f, _ := root.Lookup("f")
+	if _, err := f.WriteAt(blockOf('z'), 0); err != nil {
+		t.Fatal(err)
+	}
+	cold := func(l *Layer) { l.Store().(*ufsvn.VFS).FS().FlushCaches() }
+
+	// Serve.  (baseOf reads the aux and its seal: it warms the aux cache.)
+	baseOf(lS, fid)
+	base := baseOf(lD, fid)
+	st, err := lD.FileInfo(RootPath(), fid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := PullRequest{Dir: RootPath(), File: fid, LocalVV: st.Aux.VV, HasLocal: true}
+	cold(lS)
+	if _, err := lS.FileInfo(RootPath(), fid); err != nil {
+		t.Fatal(err)
+	}
+	r0 := devS.Stats().Reads
+	res, err := lS.PullBatchDelta([]PullRequest{req}, base.Have())
+	if err != nil || res[0].Status != PullData || len(res[0].Missing) != 1 {
+		t.Fatalf("delta answer: %+v %v", res, err)
+	}
+	if got := devS.Stats().Reads - r0; got != 1 {
+		t.Errorf("serving the delta pull read %d device blocks, want 1", got)
+	}
+
+	// Install, against a whole-file install of the same version.
+	baseOf(lW, fid)
+	cold(lD)
+	cold(lW)
+	r0 = devD.Stats().Reads
+	if err := lD.InstallPulled(RootPath(), fid, &res[0], base); err != nil {
+		t.Fatal(err)
+	}
+	deltaReads := devD.Stats().Reads - r0
+	r0 = devW.Stats().Reads
+	if err := installWhole(lW, fid, newData, res[0].Aux.VV, ComputeManifest(newData)); err != nil {
+		t.Fatal(err)
+	}
+	wholeReads := devW.Stats().Reads - r0
+	if got := deltaReads - wholeReads; got != 15 {
+		t.Errorf("the delta install read %d device blocks, the whole install %d: %d more, want the 15 it reuses", deltaReads, wholeReads, got)
+	}
+	if got := lD.BlockStats().BlocksReused; got != 15 {
+		t.Errorf("the install reused %d blocks, want 15", got)
+	}
+	if membersD, membersW := fileMembers(t, lD, fid), fileMembers(t, lW, fid); !bytes.Equal(membersD[0], newData) || !bytes.Equal(membersD[1], membersW[1]) {
+		t.Error("the delta install did not leave the new version")
 	}
 }

@@ -127,12 +127,13 @@ func inDir(path []string, what string, op func(l *Layer, dir vnode.Vnode, fids [
 }
 
 // fileAnswer is what the replication read path says of file fid in dirPath:
-// FileInfo, and what AddToBase would advertise of its version.
+// FileInfo, and the request a pull of it would send and what it would
+// advertise of its version.
 func fileAnswer(l *Layer, dirPath []ids.FileID, fid ids.FileID) string {
 	st, err := l.FileInfo(dirPath, fid)
 	base := DeltaBase{}
-	l.AddToBase(base, dirPath, fid)
-	return fmt.Sprintf("%s: info %+v %s; advertises %v", fid, st, errStr(err), base.Have())
+	req, local, rerr := l.PullRequestFor(dirPath, fid, base)
+	return fmt.Sprintf("%s: info %+v %s; request %v %v local %v %s; advertises %v", fid, st, errStr(err), req.HasLocal, req.LocalVV, local, errStr(rerr), base.Have())
 }
 
 // fileAnswers is fileAnswer of every live entry of every stored directory.
@@ -364,7 +365,7 @@ func (g *diffGen) op(path []string, name, name2 string) diffStep {
 // sidecar (WriteAt, Truncate, Setattr, installs, scrubs), against two layers on equal
 // disks, one of which has its caches flushed before every operation and so
 // answers from the store each time: results, errnos, handles, the directory
-// afterwards, FileInfo and AddToBase's advertisement of the files the
+// afterwards, FileInfo and PullRequestFor's request and advertisement of the files the
 // operation named, and every so often the whole tree, every entry's FileInfo
 // and advertisement and Check's findings, must be the same.  Whatever the
 // caches remember wrongly — a name rendered before the conflict that renames

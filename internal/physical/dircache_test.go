@@ -98,7 +98,7 @@ func TestDirImageIndexMatchesReference(t *testing.T) {
 // rendered fid alone; a file's Getattr that and its two member names; a
 // Resolve the parsed fid path, the vnode and, for a file, the aux member's
 // name; Handle its string.  The store's handles cost nothing here: it formats
-// a handle without allocating for the first hundred inodes.  The armed
+// each once, on its first call.  The armed
 // invariant re-encodes the entries on every hit, so it is disarmed here.
 func TestWarmLookupAllocs(t *testing.T) {
 	defer invariant.ForceForTest(false)()

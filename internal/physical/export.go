@@ -78,18 +78,8 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 		if vnode.AsErrno(err) != vnode.ENOENT {
 			return FileState{}, err
 		}
-		// Not a file here — it may be a child directory, whose attributes
-		// live inside its own container.
-		sub, serr := cont.Lookup(memberName(prefixDir, fid))
-		if serr != nil {
-			return FileState{}, ErrNotStored
-		}
-		daux, _, serr := l.fileAuxLocked(sub, dirAttrName, false)
-		if serr != nil {
-			return FileState{}, serr
-		}
-		daux.VV = daux.VV.Clone()
-		return FileState{Aux: daux}, nil
+		daux, err := l.childDirAuxLocked(cont, fid)
+		return FileState{Aux: daux}, err
 	}
 	aux.VV = aux.VV.Clone()
 	df, err := cont.Lookup(memberName(prefixData, fid))
@@ -103,28 +93,40 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 	return FileState{Aux: aux, Size: da.Size}, nil
 }
 
+// childDirAuxLocked reads the attributes of fid as a child directory of
+// container cont, which stores no file fid: they live inside the child's own
+// container, and are read through the aux cache.  The vector is cloned.
+// ErrNotStored when cont stores no such directory either.
+func (l *Layer) childDirAuxLocked(cont vnode.Vnode, fid ids.FileID) (Aux, error) {
+	sub, err := cont.Lookup(memberName(prefixDir, fid))
+	if err != nil {
+		return Aux{}, ErrNotStored
+	}
+	daux, _, err := l.fileAuxLocked(sub, dirAttrName, false)
+	if err != nil {
+		return Aux{}, err
+	}
+	daux.VV = daux.VV.Clone()
+	return daux, nil
+}
+
 // FileData returns the full contents and attributes of file fid in
-// directory dirPath.  It is the replication read path — what a conditional
-// pull ships to peers — so it verifies the data against its current seal
-// before serving: a quarantined or freshly failing replica answers ErrCorrupt
-// (transient — retry elsewhere, or once a pull has healed it) rather than
-// ever letting wrong bytes propagate.  A stale or missing seal cannot vouch
-// either way and the data is served optimistically.
+// directory dirPath, verified against its current seal: a quarantined or
+// freshly failing replica answers ErrCorrupt (transient — retry elsewhere, or
+// once a pull has healed it) rather than ever letting wrong bytes out.  A
+// stale or missing seal cannot vouch either way and the data is served
+// optimistically.
 func (l *Layer) FileData(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileState, error) {
-	data, st, _, err := l.readVerified(dirPath, fid)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	data, st, _, err := l.readVerifiedLocked(dirPath, fid)
 	return data, st, err
 }
 
-// readVerified is FileData, also returning the sealed manifest the bytes
-// were verified against (nil when no current seal could vouch for them).
-func (l *Layer) readVerified(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileState, *BlockManifest, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.readVerifiedLocked(dirPath, fid)
-}
-
-// readVerifiedLocked reads the aux and its seal through the aux cache, which
-// lends them: the vector is cloned, and the manifest returned is the cache's,
+// readVerifiedLocked is FileData, also returning the sealed manifest the
+// bytes were verified against (nil when no current seal could vouch for
+// them).  It reads the aux and its seal through the aux cache, which lends
+// them: the vector is cloned, and the manifest returned is the cache's,
 // read-only.
 func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileState, *BlockManifest, error) {
 	cont, err := l.containerOf(dirPath)
@@ -136,26 +138,44 @@ func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte
 		return nil, FileState{}, nil, mapNotStored(err)
 	}
 	if l.isQuarantinedLocked(fid) {
-		return nil, FileState{}, nil, fmt.Errorf("%w: file %s is quarantined", ErrCorrupt, fid)
+		return nil, FileState{}, nil, errQuarantined(fid)
 	}
 	df, err := cont.Lookup(memberName(prefixData, fid))
 	if err != nil {
 		return nil, FileState{}, nil, mapNotStored(err)
 	}
-	data, err := vnode.ReadFile(df)
+	data, m, err := l.readWholeLocked(df, fid, seal)
 	if err != nil {
 		return nil, FileState{}, nil, err
 	}
 	aux.VV = aux.VV.Clone()
-	st := FileState{Aux: aux, Size: uint64(len(data))}
-	if seal == nil {
-		return data, st, nil, nil
+	return data, FileState{Aux: aux, Size: uint64(len(data))}, m, nil
+}
+
+// readWholeLocked reads file fid's data member df whole and checks it against
+// seal, its current seal: bytes that fail it quarantine the copy and answer
+// ErrCorrupt.  With no seal the bytes are returned unvouched (a nil manifest).
+func (l *Layer) readWholeLocked(df vnode.Vnode, fid ids.FileID, seal *sidecar) ([]byte, *BlockManifest, error) {
+	data, err := vnode.ReadFile(df)
+	if err != nil || seal == nil {
+		return data, nil, err
 	}
 	if !seal.Verify(data) {
-		l.quarantineLocked(fid)
-		return nil, FileState{}, nil, fmt.Errorf("%w: file %s failed verification on read", ErrCorrupt, fid)
+		return nil, nil, l.convictLocked(fid)
 	}
-	return data, st, &seal.BlockManifest, nil
+	return data, &seal.BlockManifest, nil
+}
+
+// convictLocked quarantines fid, whose bytes failed their seal on a read, and
+// returns the ErrCorrupt that read answers.
+func (l *Layer) convictLocked(fid ids.FileID) error {
+	l.quarantineLocked(fid)
+	return fmt.Errorf("%w: file %s failed verification on read", ErrCorrupt, fid)
+}
+
+// errQuarantined is what a read of quarantined fid's bytes answers.
+func errQuarantined(fid ids.FileID) error {
+	return fmt.Errorf("%w: file %s is quarantined", ErrCorrupt, fid)
 }
 
 // mapNotStored reports a member that is not there as the file not stored.

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/ids"
+	"repro/internal/vnode"
 	"repro/internal/vv"
 )
 
@@ -97,41 +98,148 @@ type PullResult struct {
 	Missing []Block
 }
 
-func (l *Layer) pullOne(req *PullRequest) PullResult {
-	st, err := l.FileInfo(req.Dir, req.File)
+// pullOne answers one pull request; ad is the pull's advertisement, nil when
+// it advertised nothing.  The aux and its seal are read once, through the aux
+// cache, under one hold of l.mu, so the answer is the one version stored now
+// (it may have advanced since the puller last looked, and still dominates).
+// With a current seal and an advertisement the version is read block by block:
+// only the blocks the puller lacks (readMissingLocked).  Otherwise — no
+// advertisement, or a stale seal — it is read whole, and verified whole when a
+// seal vouches for it.
+func (l *Layer) pullOne(req *PullRequest, ad *advert) PullResult {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	cont, err := l.containerOf(req.Dir)
 	if err != nil {
-		if errors.Is(err, ErrNotStored) {
-			return PullResult{Status: PullNotStored}
-		}
-		return PullResult{Status: PullError, Err: err}
+		return pullFailed(err)
 	}
-	if st.Aux.Type.IsDir() {
-		return PullResult{Status: PullIsDir, Aux: st.Aux}
+	aux, seal, err := l.fileAuxLocked(cont, memberName(prefixAux, req.File), true)
+	if vnode.AsErrno(err) == vnode.ENOENT {
+		// Not a file here — it may be a child directory.
+		daux, err := l.childDirAuxLocked(cont, req.File)
+		if err != nil {
+			return pullFailed(err)
+		}
+		return PullResult{Status: PullIsDir, Aux: daux}
+	} else if err != nil {
+		return pullFailed(err)
+	}
+	// A copy without its data member is not stored, whatever its vector.
+	df, err := cont.Lookup(memberName(prefixData, req.File))
+	if err != nil {
+		return pullFailed(mapNotStored(err))
 	}
 	if req.HasLocal {
-		switch req.LocalVV.Compare(st.Aux.VV) {
+		switch req.LocalVV.Compare(aux.VV) {
 		case vv.Dominated:
 			// Remote (this side) dominates: ship.
 		case vv.Concurrent:
-			return PullResult{Status: PullConcurrent, RemoteVV: st.Aux.VV.Clone()}
+			return PullResult{Status: PullConcurrent, RemoteVV: aux.VV.Clone()}
 		default:
 			return PullResult{Status: PullStale}
 		}
 	}
-	// Ship the version that exists NOW: FileData re-reads the attributes
-	// with the data, so a file that advanced since the comparison above is
-	// shipped whole under its own (still dominating) vector.
-	data, dst, m, err := l.readVerified(req.Dir, req.File)
-	if err != nil {
-		if errors.Is(err, ErrNotStored) {
-			return PullResult{Status: PullNotStored}
+	if l.isQuarantinedLocked(req.File) {
+		return pullFailed(errQuarantined(req.File))
+	}
+	aux.VV = aux.VV.Clone()
+	r := PullResult{Status: PullData, Aux: aux}
+	if seal != nil && ad != nil {
+		r.Manifest, r.Size = &seal.BlockManifest, seal.Length
+		if r.Missing, err = l.readMissingLocked(df, req.File, seal, ad.ships(r.Manifest)); err != nil {
+			return pullFailed(err)
 		}
-		return PullResult{Status: PullError, Err: err}
+		return r
 	}
-	if m == nil {
-		m = ComputeManifest(data) // stale seal: vouch for the bytes as read
+	if r.Data, r.Manifest, err = l.readWholeLocked(df, req.File, seal); err != nil {
+		return pullFailed(err)
 	}
-	return PullResult{Status: PullData, Data: data, Aux: dst.Aux, Size: dst.Size, Manifest: m}
+	if r.Manifest == nil {
+		r.Manifest = ComputeManifest(r.Data) // stale seal: vouch for the bytes as read
+	}
+	r.Size = uint64(len(r.Data))
+	if ad != nil {
+		idx := ad.ships(r.Manifest)
+		r.Missing = make([]Block, len(idx))
+		for k, i := range idx {
+			r.Missing[k] = Block{Addr: r.Manifest.Blocks[i], Data: blockAt(r.Data, i)}
+		}
+		r.Data = nil
+		l.countShippedLocked(r.Missing)
+	}
+	return r
+}
+
+// readMissingLocked reads the blocks idx of file fid's data member df, sealed
+// by seal, into one buffer sized to them, each checked against its sealed
+// address.  A member that is not the sealed length, or a block that fails its
+// address, convicts the copy: it is quarantined and the read answers
+// ErrCorrupt.  Blocks it does not read are not checked: they are the
+// scrubber's to find.
+func (l *Layer) readMissingLocked(df vnode.Vnode, fid ids.FileID, seal *sidecar, idx []int) ([]Block, error) {
+	st, err := df.Getattr()
+	if err != nil {
+		return nil, err
+	}
+	if st.Size != seal.Length {
+		return nil, l.convictLocked(fid)
+	}
+	size := 0
+	for _, i := range idx {
+		size += blockLen(seal.Length, i)
+	}
+	buf := make([]byte, size)
+	out := make([]Block, len(idx))
+	off := 0
+	for k, i := range idx {
+		b := buf[off : off+blockLen(seal.Length, i) : off+blockLen(seal.Length, i)]
+		if err := readBlock(df, b, i); err != nil {
+			return nil, err
+		}
+		if HashBlock(b) != seal.Blocks[i] {
+			return nil, l.convictLocked(fid)
+		}
+		out[k] = Block{Addr: seal.Blocks[i], Data: b}
+		off += len(b)
+	}
+	l.countShippedLocked(out)
+	return out, nil
+}
+
+// countShippedLocked counts the blocks a delta answer ships.
+func (l *Layer) countShippedLocked(blocks []Block) {
+	for _, b := range blocks {
+		l.bstats.BlocksShipped++
+		l.bstats.BytesShipped += uint64(len(b.Data))
+	}
+}
+
+// pullFailed is the answer to a request this replica could not serve.
+func pullFailed(err error) PullResult {
+	if errors.Is(err, ErrNotStored) {
+		return PullResult{Status: PullNotStored}
+	}
+	return PullResult{Status: PullError, Err: err}
+}
+
+// advert is a pull's advertisement as the serving side reads it: the set of
+// addresses the puller holds, and scratch for one answer's choice.
+type advert struct {
+	have, sent map[BlockAddr]bool
+}
+
+// ships lists, in manifest order, the index of each block of m an answer
+// ships: each address absent from the advertisement, once.
+func (a *advert) ships(m *BlockManifest) []int {
+	clear(a.sent)
+	idx := make([]int, 0, len(m.Blocks))
+	for i, addr := range m.Blocks {
+		if !a.have[addr] && !a.sent[addr] {
+			a.sent[addr] = true
+			idx = append(idx, i)
+		}
+	}
+	return idx
 }
 
 // A pull may advertise block addresses the puller already holds.  The
@@ -153,8 +261,8 @@ type Block struct {
 // the request was built — in practice inside the versions the pull replaces.
 // It is a value that lives for one pull; nothing about it is stored, so it
 // may have gone stale by the time an answer arrives, and InstallPulled trusts
-// none of it: every holder is read back through the verified read at the
-// moment of use.
+// none of it: every block reused is read back and checked against its
+// holder's current seal at the moment of use.
 type DeltaBase map[BlockAddr][]baseBlock
 
 // baseBlock locates one holder of a base block: block number block of file
@@ -165,31 +273,57 @@ type baseBlock struct {
 	block int
 }
 
-// AddToBase offers fid's local version to base: its addresses join when the
-// file has a local copy, is not quarantined and is sealed under its current
-// aux vector.  Anything else adds nothing, and the version is replaced by
-// whole blocks.  Only the aux member is read, through the aux cache; nothing
-// is written.
-func (l *Layer) AddToBase(base DeltaBase, dirPath []ids.FileID, fid ids.FileID) {
+// PullRequestFor reads the local side of a pull of file fid in dirPath under
+// one hold of the layer's lock: the request to send, and local, the vector of
+// the local copy — nil when this replica stores none, and the request is
+// unconditional.  So is the request for a quarantined copy, whose bytes are
+// untrusted: even a peer holding the same version ships it.  With base
+// non-nil, a file copy that is not quarantined and is sealed under its current
+// vector offers its addresses to base; anything else offers none, and its
+// version is replaced by whole blocks.  Only the aux member is read, through
+// the aux cache (with base, its seal too); nothing is written.  An error other
+// than ErrNotStored is the entry's failure.
+func (l *Layer) PullRequestFor(dirPath []ids.FileID, fid ids.FileID, base DeltaBase) (req PullRequest, local vv.Vector, err error) {
+	req = PullRequest{Dir: dirPath, File: fid}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.isQuarantinedLocked(fid) {
-		return
-	}
 	cont, err := l.containerOf(dirPath)
 	if err != nil {
-		return
+		return req, nil, storedOrNot(err)
 	}
-	_, seal, err := l.fileAuxLocked(cont, memberName(prefixAux, fid), true)
-	if err != nil || seal == nil {
-		return
+	aux, seal, err := l.fileAuxLocked(cont, memberName(prefixAux, fid), base != nil)
+	if vnode.AsErrno(err) == vnode.ENOENT {
+		aux, err = l.childDirAuxLocked(cont, fid)
+	} else if err == nil {
+		aux.VV = aux.VV.Clone()
+		_, err = cont.Lookup(memberName(prefixData, fid))
+		err = mapNotStored(err)
 	}
-	for i, addr := range seal.Blocks {
-		// One mention per file, however often the block repeats inside it.
-		if hs := base[addr]; len(hs) == 0 || hs[len(hs)-1].fid != fid {
-			base[addr] = append(hs, baseBlock{dir: dirPath, fid: fid, block: i})
+	if err != nil {
+		return req, nil, storedOrNot(err)
+	}
+	if l.isQuarantinedLocked(fid) {
+		return req, aux.VV, nil
+	}
+	req.LocalVV, req.HasLocal = aux.VV, true
+	if base != nil && seal != nil {
+		for i, addr := range seal.Blocks {
+			// One mention per file, however often the block repeats inside it.
+			if hs := base[addr]; len(hs) == 0 || hs[len(hs)-1].fid != fid {
+				base[addr] = append(hs, baseBlock{dir: dirPath, fid: fid, block: i})
+			}
 		}
 	}
+	return req, aux.VV, nil
+}
+
+// storedOrNot reports a copy that is not stored as no error: its pull asks
+// unconditionally.
+func storedOrNot(err error) error {
+	if errors.Is(err, ErrNotStored) {
+		return nil
+	}
+	return err
 }
 
 // Have lists the base's distinct addresses, sorted: the advertisement of the
@@ -204,38 +338,69 @@ func (b DeltaBase) Have() []BlockAddr {
 	return out
 }
 
-// heldVersion is one base file as the verified read found it during an
-// install: its bytes and the current seal they hash to.
+// heldVersion is one base file as an install found it: its data member and
+// the current seal its reused blocks are checked against.  The zero value is
+// a holder that cannot serve.
 type heldVersion struct {
-	data []byte
-	m    *BlockManifest
+	df vnode.Vnode
+	m  *BlockManifest
 }
 
-// baseBlockLocked reads the block addressed addr back out of a base file that
-// listed it.  Each holder is read once per install (held remembers it, nil for
-// one that cannot serve) through readVerifiedLocked, so a block is used only
-// if its holder's bytes hash to the holder's current seal right now and that
-// seal still lists the address at the same place; a holder failing its
-// current seal is quarantined there, like every other failed verified read,
-// and so drops out of the next advertisement.  A holder rewritten, removed or
-// quarantined since the base was built is simply a miss.
-func (l *Layer) baseBlockLocked(base DeltaBase, addr BlockAddr, held map[ids.FileID]*heldVersion) ([]byte, bool) {
+// holderLocked looks base file fid in dirPath up for an install's read-back:
+// its current seal, through the aux cache, and its data member, which must be
+// the sealed length — one that is not convicts the copy.  A holder that is not
+// stored, is quarantined or has no current seal cannot serve.
+func (l *Layer) holderLocked(dirPath []ids.FileID, fid ids.FileID) heldVersion {
+	if l.isQuarantinedLocked(fid) {
+		return heldVersion{}
+	}
+	cont, err := l.containerOf(dirPath)
+	if err != nil {
+		return heldVersion{}
+	}
+	_, seal, err := l.fileAuxLocked(cont, memberName(prefixAux, fid), true)
+	if err != nil || seal == nil {
+		return heldVersion{}
+	}
+	df, err := cont.Lookup(memberName(prefixData, fid))
+	if err != nil {
+		return heldVersion{}
+	}
+	if st, err := df.Getattr(); err != nil || st.Size != seal.Length {
+		if err == nil {
+			l.quarantineLocked(fid)
+		}
+		return heldVersion{}
+	}
+	return heldVersion{df: df, m: &seal.BlockManifest}
+}
+
+// baseBlockLocked fills dst with the block addressed addr, read back out of a
+// base file that listed it.  Each holder is looked up once per install (held
+// remembers it), and only the block itself is read, straight into dst, and
+// hashed: it is used only if its holder's current seal still lists the address
+// at the same place, for a block of dst's size, and the bytes read hash to it.
+// A block that fails its address convicts its holder, which drops out of the
+// next advertisement.  A holder rewritten, removed or quarantined since the
+// base was built is simply a miss.
+func (l *Layer) baseBlockLocked(base DeltaBase, addr BlockAddr, dst []byte, held map[ids.FileID]heldVersion) bool {
 	for _, h := range base[addr] {
 		v, seen := held[h.fid]
 		if !seen {
-			if data, _, m, err := l.readVerifiedLocked(h.dir, h.fid); err == nil && m != nil {
-				v = &heldVersion{data: data, m: m}
-			}
+			v = l.holderLocked(h.dir, h.fid)
 			held[h.fid] = v
 		}
-		if v == nil {
+		if v.df == nil || h.block >= len(v.m.Blocks) || v.m.Blocks[h.block] != addr || blockLen(v.m.Length, h.block) != len(dst) {
 			continue
 		}
-		if h.block < len(v.m.Blocks) && v.m.Blocks[h.block] == addr {
-			return blockAt(v.data, h.block), true
+		if err := readBlock(v.df, dst, h.block); err == nil && HashBlock(dst) == addr {
+			return true
+		} else if err == nil {
+			l.quarantineLocked(h.fid)
 		}
+		held[h.fid] = heldVersion{}
 	}
-	return nil, false
+	return false
 }
 
 // ErrMissingBlock reports a delta install that could not be assembled: the
@@ -288,39 +453,16 @@ func (l *Layer) BlockStats() BlockStats {
 // (PullError); the call itself never fails, so one unreadable file cannot
 // starve the rest of a batch.
 func (l *Layer) PullBatchDelta(reqs []PullRequest, have []BlockAddr) ([]PullResult, error) {
+	var ad *advert
+	if len(have) > 0 {
+		ad = &advert{have: make(map[BlockAddr]bool, len(have)), sent: make(map[BlockAddr]bool)}
+		for _, a := range have {
+			ad.have[a] = true
+		}
+	}
 	out := make([]PullResult, len(reqs))
 	for i := range reqs {
-		out[i] = l.pullOne(&reqs[i])
+		out[i] = l.pullOne(&reqs[i], ad)
 	}
-	if len(have) == 0 {
-		return out, nil
-	}
-	haveSet := make(map[BlockAddr]bool, len(have))
-	for _, a := range have {
-		haveSet[a] = true
-	}
-	var shipped, shippedBytes uint64
-	for i := range out {
-		r := &out[i]
-		if r.Status != PullData {
-			continue
-		}
-		sent := make(map[BlockAddr]bool)
-		for bi, addr := range r.Manifest.Blocks {
-			if haveSet[addr] || sent[addr] {
-				continue
-			}
-			b := blockAt(r.Data, bi)
-			r.Missing = append(r.Missing, Block{Addr: addr, Data: b})
-			sent[addr] = true
-			shipped++
-			shippedBytes += uint64(len(b))
-		}
-		r.Data = nil
-	}
-	l.mu.Lock()
-	l.bstats.BlocksShipped += shipped
-	l.bstats.BytesShipped += shippedBytes
-	l.mu.Unlock()
 	return out, nil
 }

@@ -271,9 +271,10 @@ func (l *Layer) InstallFileVersion(dirPath []ids.FileID, fid ids.FileID, kind Ki
 // advertised (nil when it advertised nothing).  r.Manifest is the serving
 // replica's word for exactly this version, and nothing touches disk unless
 // the bytes agree with it: a whole-file answer's Data is verified block by
-// block; a delta answer (Data nil) is assembled from the shipped blocks, each
-// of which must hash to its address, plus blocks read back — and re-verified
-// — from the base files (baseBlockLocked).  A mismatch (damage in flight, or
+// block; a delta answer (Data nil) is assembled in one buffer from the
+// shipped blocks, each of which must hash to its address, plus the blocks it
+// reuses, each read back from a base file into its slot and checked against
+// that file's seal (baseBlockLocked).  A mismatch (damage in flight, or
 // a serving replica whose own verification was bypassed) is rejected with
 // ErrCorrupt and, under FICUS_INVARIANTS=1, is an invariant violation.  An
 // answer without a manifest has nothing to be verified against and is refused
@@ -307,30 +308,33 @@ func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResul
 	}
 	var reused, reusedBytes uint64
 	if data == nil {
-		// Assemble the full version: shipped blocks win (they are the bytes
-		// the server actually sent); everything else must come from the base.
-		// Each block must also have the size its position implies, or the
-		// sealed addresses would not be those of the file's 4 KiB chunks.
-		parts := make([][]byte, len(m.Blocks))
-		held := make(map[ids.FileID]*heldVersion)
-		for i, addr := range m.Blocks {
-			b, shipped := recv[addr]
-			if !shipped {
-				var ok bool
-				if b, ok = l.baseBlockLocked(base, addr, held); !ok {
-					return fmt.Errorf("%w (file %s, block %s)", ErrMissingBlock, fid, addr)
-				}
-				reused++
-				reusedBytes += uint64(len(b))
+		// Assemble the full version in one buffer: shipped blocks win (they
+		// are the bytes the server actually sent); everything else is read
+		// from the base straight into its slot.  Each block must also have
+		// the size its position implies, or the sealed addresses would not be
+		// those of the file's 4 KiB chunks.  The buffer is sized by the
+		// manifest only once every block it names is at hand.
+		for _, addr := range m.Blocks {
+			if _, shipped := recv[addr]; !shipped && len(base[addr]) == 0 {
+				return fmt.Errorf("%w (file %s, block %s)", ErrMissingBlock, fid, addr)
 			}
-			if want := min(m.Length-uint64(i)*ChecksumBlockSize, ChecksumBlockSize); uint64(len(b)) != want {
-				return rejectInstall(fid, "block %d is %d bytes, manifest position needs %d", i, len(b), want)
-			}
-			parts[i] = b
 		}
-		data = make([]byte, 0, m.Length) // now backed by blocks actually held
-		for _, b := range parts {
-			data = append(data, b...)
+		data = make([]byte, m.Length)
+		held := make(map[ids.FileID]heldVersion)
+		for i, addr := range m.Blocks {
+			slot := data[i*ChecksumBlockSize:][:blockLen(m.Length, i)]
+			if b, shipped := recv[addr]; shipped {
+				if len(b) != len(slot) {
+					return rejectInstall(fid, "block %d is %d bytes, manifest position needs %d", i, len(b), len(slot))
+				}
+				copy(slot, b)
+				continue
+			}
+			if !l.baseBlockLocked(base, addr, slot, held) {
+				return fmt.Errorf("%w (file %s, block %s)", ErrMissingBlock, fid, addr)
+			}
+			reused++
+			reusedBytes += uint64(len(slot))
 		}
 	}
 	if err := l.commitFileVersionLocked(cont, fid, &r.Aux, data, m); err != nil {

@@ -36,7 +36,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/ids"
 	"repro/internal/vnode"
@@ -117,6 +119,23 @@ func blockCount(length uint64) uint64 {
 func blockAt(data []byte, i int) []byte {
 	off := i * ChecksumBlockSize
 	return data[off:min(off+ChecksumBlockSize, len(data))]
+}
+
+// blockLen is the size of block i of a version length bytes long.
+func blockLen(length uint64, i int) int {
+	return int(min(length-uint64(i)*ChecksumBlockSize, ChecksumBlockSize))
+}
+
+// readBlock reads block i of data member f into b, the block's size.
+func readBlock(f vnode.Vnode, b []byte, i int) error {
+	n, err := f.ReadAt(b, int64(i)*ChecksumBlockSize)
+	if n == len(b) {
+		return nil
+	}
+	if err == nil || errors.Is(err, io.EOF) {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // ComputeManifest summarizes data.

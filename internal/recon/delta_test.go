@@ -171,6 +171,73 @@ func TestRotInBaseBlockNeverInstalls(t *testing.T) {
 	checkClean(t, local)
 }
 
+// TestPullVerifiesWhatItShips: a pull convicts only the blocks it reads.  The
+// serving side of a delta pull reads and checks the blocks it ships, not the
+// ones the puller advertised, so rot in a shipped block quarantines the
+// origin's copy and the pull fails transiently with nothing installed, while
+// rot in an advertised block is never read: the pull installs the right bytes,
+// from the puller's own copy, and the origin's next scrub finds the rot.
+func TestPullVerifiesWhatItShips(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		rotAt   uint64 // offset of the flipped byte in the origin's new version
+		shipped bool   // whether that block is one the pull ships
+	}{
+		{"shipped", 2*physical.ChecksumBlockSize + 100, true},
+		{"advertised", 100, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			local, remote := newReplica(t, 1), newReplica(t, 2)
+			find := func(ids.ReplicaID) Peer { return remote }
+			write(t, remote, "f", blk('a')+blk('b'))
+			reconcileBoth(t, local, remote)
+			fid := fidOf(t, remote, "f")
+			write(t, remote, "f", blk('a')+blk('b')+blk('c'))
+			announce(t, local, remote, "f")
+			if err := remote.CorruptData(physical.RootPath(), fid, tc.rotAt); err != nil {
+				t.Fatal(err)
+			}
+
+			stats, err := Propagate(local, find, quickRetry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := read(t, local, "f")
+			if tc.shipped {
+				if stats.FilesPulled != 0 || stats.Failures != 1 {
+					t.Fatalf("pull of a rotten shipped block: stats=%v, want one transient failure", stats)
+				}
+				if !remote.IsQuarantined(fid) {
+					t.Fatal("the origin shipped past a block that fails its address")
+				}
+				if pend := local.PendingVersions(); len(pend) != 1 || pend[0].Attempts != 1 {
+					t.Fatalf("entry must stay pending under backoff: %+v", pend)
+				}
+				if got != blk('a')+blk('b') {
+					t.Fatalf("the failed pull touched the local copy: %d bytes", len(got))
+				}
+				return
+			}
+			if stats.FilesPulled != 1 || stats.Failures != 0 {
+				t.Fatalf("pull past a rotten advertised block: stats=%v, want it installed", stats)
+			}
+			if got != blk('a')+blk('b')+blk('c') {
+				t.Fatalf("installed %d bytes, want the new version", len(got))
+			}
+			if remote.IsQuarantined(fid) || remote.IntegrityStats().CorruptionsDetected != 0 {
+				t.Fatal("the origin convicted a block it did not read")
+			}
+			if err := remote.ScrubPass(); err != nil {
+				t.Fatal(err)
+			}
+			if !remote.IsQuarantined(fid) || remote.IntegrityStats().CorruptionsDetected != 1 {
+				t.Fatalf("the origin's scrub missed the rot: %v", remote.IntegrityStats())
+			}
+			checkClean(t, local)
+		})
+	}
+}
+
 // TestSharedBlockWithinOneRequest: two files of one batch share a block, and
 // the file that held it is replaced first.  x = [s,1] -> [n] and
 // y = [2] -> [2,s]: the one advertisement claims s (from x), so the origin

@@ -38,11 +38,11 @@ type entryOutcome struct {
 
 // pullAndApply is the one way a replica obtains file versions from a peer;
 // update propagation, directory reconciliation and the restart rescan all
-// come through here.  It builds one conditional pull from the local vectors
-// of items, issues it to src, and applies each answer: a shipped version is
-// installed through the single-file atomic commit, every other answer is
-// classified for the caller, which owns the bookkeeping (stats, conflict
-// log, daemon queues).  Outcomes are positional.
+// come through here.  It builds one conditional pull from the local side of
+// each item (one physical.PullRequestFor each), issues it to src, and applies
+// each answer: a shipped version is installed through the single-file atomic
+// commit, every other answer is classified for the caller, which owns the
+// bookkeeping (stats, conflict log, daemon queues).  Outcomes are positional.
 //
 // A quarantined local copy is also the repair: its bytes are untrusted, so
 // its request is unconditional and even a peer holding the very same
@@ -55,29 +55,23 @@ type entryOutcome struct {
 // base as its vector is read (reads only), the base's addresses are the
 // pull's advertisement, and installs read unshipped blocks back out of the
 // base files.  A local copy that cannot vouch for its bytes (quarantined,
-// stale seal) adds nothing and is replaced by whole blocks; the install path
-// re-verifies everything regardless.
+// stale seal) adds nothing and is replaced by whole blocks; the install
+// checks every block it reuses against its holder's seal regardless.
 func pullAndApply(local *physical.Layer, src Peer, items []pullItem, advertise bool) []entryOutcome {
 	outcomes := make([]entryOutcome, len(items))
-	base := physical.DeltaBase{}
+	var base physical.DeltaBase
+	if advertise {
+		base = physical.DeltaBase{}
+	}
 	reqs := make([]physical.PullRequest, 0, len(items))
 	reqIdx := make([]int, 0, len(items))
 	for i, it := range items {
-		req := physical.PullRequest{Dir: it.dir, File: it.file}
-		linfo, err := local.FileInfo(it.dir, it.file)
-		switch {
-		case err == nil:
-			outcomes[i].localVV = linfo.Aux.VV
-			if !local.IsQuarantined(it.file) {
-				req.LocalVV, req.HasLocal = linfo.Aux.VV, true
-			}
-			if advertise && !linfo.Aux.Type.IsDir() {
-				local.AddToBase(base, it.dir, it.file)
-			}
-		case !errors.Is(err, physical.ErrNotStored):
+		req, localVV, err := local.PullRequestFor(it.dir, it.file, base)
+		if err != nil {
 			outcomes[i].err = err
 			continue
 		}
+		outcomes[i].localVV = localVV
 		reqs = append(reqs, req)
 		reqIdx = append(reqIdx, i)
 	}

@@ -210,6 +210,20 @@ func decodeRequest(b []byte) (*request, error) {
 	return &req, nil
 }
 
+// inPlace reads a length-prefixed payload without copying it: a slice of the
+// response buffer, which the receiver owns (see the pool note below), capped
+// at its length so an append to one payload reallocates instead of writing
+// over the next field.  An empty payload is nil.
+func inPlace(d *wire.Decoder) []byte {
+	b := d.Take(d.Count(1))
+	if len(b) == 0 {
+		return nil
+	}
+	return b[:len(b):len(b)]
+}
+
+// decodeResponse decodes a response.  File data and shipped blocks are
+// handed out in place (inPlace); the message buffer must not be reused.
 func decodeResponse(b []byte) (*response, error) {
 	d := wire.NewDecoder(b)
 	d.Version(wireVersion)
@@ -233,7 +247,7 @@ func decodeResponse(b []byte) (*response, error) {
 	resp.VV = d.VV()
 	resp.Aux = decodeAux(d)
 	resp.Size = d.U64()
-	resp.Data = d.Bytes()
+	resp.Data = inPlace(d)
 	if n := d.Count(4); n > 0 {
 		resp.Replicas = make([]ids.ReplicaID, n)
 		for i := range resp.Replicas {
@@ -250,7 +264,7 @@ func decodeResponse(b []byte) (*response, error) {
 			p.Status = d.U8()
 			p.Class = d.U8()
 			p.Err = d.Str()
-			p.Data = d.Bytes()
+			p.Data = inPlace(d)
 			p.Aux = decodeAux(d)
 			p.Size = d.U64()
 			p.RemoteVV = d.VV()
@@ -261,7 +275,7 @@ func decodeResponse(b []byte) (*response, error) {
 				p.Missing = make([]physical.Block, m)
 				for j := range p.Missing {
 					copy(p.Missing[j].Addr[:], d.Take(physical.BlockAddrSize))
-					p.Missing[j].Data = d.Bytes()
+					p.Missing[j].Data = inPlace(d)
 				}
 			}
 		}

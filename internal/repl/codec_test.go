@@ -277,7 +277,48 @@ func FuzzDecodeResponse(f *testing.F) {
 		if enc := resp.encode(nil); !bytes.Equal(enc, b) {
 			t.Fatalf("re-encoding differs:\n%x\n%x", b, enc)
 		}
+		// Payloads are handed out in place, each capped at its length, so an
+		// append cannot write over the bytes that follow it in the buffer.
+		capped := func(what string, p []byte) {
+			if cap(p) != len(p) {
+				t.Fatalf("%s: cap %d, len %d", what, cap(p), len(p))
+			}
+		}
+		capped("Data", resp.Data)
+		for i := range resp.Pulls {
+			capped("Pulls[i].Data", resp.Pulls[i].Data)
+			for j := range resp.Pulls[i].Missing {
+				capped("Pulls[i].Missing[j].Data", resp.Pulls[i].Missing[j].Data)
+			}
+		}
 	})
+}
+
+// TestDecodedBlocksDoNotOverlap: the decoder hands shipped blocks out as
+// slices of the one response buffer; appending to one block must leave the
+// next block's bytes, and the buffer, as they were.
+func TestDecodedBlocksDoNotOverlap(t *testing.T) {
+	a, b := []byte("first block"), []byte("second block")
+	w := deltaAnswer()
+	w.Missing = []physical.Block{{Addr: physical.HashBlock(a), Data: a}, {Addr: physical.HashBlock(b), Data: b}}
+	w.Data = nil
+	buf := (&response{Pulls: []wirePull{w}}).encode(nil)
+	wantBuf := bytes.Clone(buf)
+	resp, err := decodeResponse(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := resp.Pulls[0].Missing
+	if !bytes.Equal(got[0].Data, a) || !bytes.Equal(got[1].Data, b) {
+		t.Fatalf("decoded blocks %q %q", got[0].Data, got[1].Data)
+	}
+	grown := append(got[0].Data, "XXXXXXXXXXXXXXXXXXXXXXXX"...)
+	if !bytes.Equal(got[1].Data, b) || !bytes.Equal(buf, wantBuf) {
+		t.Fatalf("an append to block 0 wrote over what follows it: block 1 reads %q", got[1].Data)
+	}
+	if !bytes.Equal(grown[:len(a)], a) {
+		t.Fatalf("the appended block lost its own bytes: %q", grown)
+	}
 }
 
 // gobResponse mirrors the pre-codec wire struct so the microbench can

@@ -23,7 +23,7 @@ func TestPullBatchDeltaOverWire(t *testing.T) {
 	}
 	// A advertises the sealed manifest of the version it is about to replace.
 	base := physical.DeltaBase{}
-	r.lA.AddToBase(base, physical.RootPath(), fid)
+	r.lA.PullRequestFor(physical.RootPath(), fid, base)
 	have := base.Have()
 	if len(have) != 2 {
 		t.Fatalf("advertisement: %d blocks, want 2", len(have))
@@ -62,7 +62,7 @@ func TestPullBatchDeltaOverWire(t *testing.T) {
 	}
 	// The installed version is what the next pull of the file advertises.
 	next := physical.DeltaBase{}
-	r.lA.AddToBase(next, physical.RootPath(), fid)
+	r.lA.PullRequestFor(physical.RootPath(), fid, next)
 	if n := len(next.Have()); n != 3 {
 		t.Fatalf("advertisement after install: %d blocks, want 3", n)
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync/atomic"
 
 	"repro/internal/ufs"
 	"repro/internal/vnode"
@@ -27,7 +28,7 @@ type VFS struct {
 func New(fs *ufs.FS) *VFS {
 	v := &VFS{fs: fs, vns: make([]vn, fs.NumInodes())}
 	for i := range v.vns {
-		v.vns[i] = vn{vfs: v, ino: ufs.Ino(i)}
+		v.vns[i].vfs, v.vns[i].ino = v, ufs.Ino(i)
 	}
 	return v
 }
@@ -59,13 +60,24 @@ func (v *VFS) Resolve(handle string) (vnode.Vnode, error) {
 }
 
 type vn struct {
-	vfs *VFS
-	ino ufs.Ino
+	vfs    *VFS
+	ino    ufs.Ino
+	handle atomic.Pointer[string] // the inode number in decimal, made on first use
 }
 
 func (v *vn) child(ino ufs.Ino) vnode.Vnode { return &v.vfs.vns[ino] }
 
-func (v *vn) Handle() string { return strconv.FormatUint(uint64(v.ino), 10) }
+// Handle is the inode number in decimal.  It is formatted once, on the first
+// call, and every later call returns that string: the physical layer keys its
+// caches by it on every lookup.
+func (v *vn) Handle() string {
+	if h := v.handle.Load(); h != nil {
+		return *h
+	}
+	h := strconv.FormatUint(uint64(v.ino), 10)
+	v.handle.Store(&h)
+	return h
+}
 
 func (v *vn) Lookup(name string) (vnode.Vnode, error) {
 	ino, err := v.vfs.fs.Lookup(v.ino, name)
@@ -137,7 +149,7 @@ func (v *vn) Getattr() (vnode.Attr, error) {
 		Size:   st.Size,
 		Mtime:  st.Mtime,
 		Ctime:  st.Ctime,
-		FileID: strconv.FormatUint(uint64(st.Ino), 10),
+		FileID: v.Handle(),
 	}, nil
 }
 
@@ -191,7 +203,7 @@ func (v *vn) Readdir() ([]vnode.Dirent, error) {
 		}
 		out = append(out, vnode.Dirent{
 			Name:   e.Name,
-			FileID: strconv.FormatUint(uint64(e.Ino), 10),
+			FileID: v.vfs.vns[e.Ino].Handle(),
 			Type:   mapType(st.Type),
 		})
 	}

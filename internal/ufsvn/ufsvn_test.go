@@ -2,6 +2,8 @@ package ufsvn
 
 import (
 	"errors"
+	"fmt"
+	"strconv"
 	"testing"
 
 	"repro/internal/disk"
@@ -154,5 +156,36 @@ func TestLookupReturnsTheInodesVnode(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("a warm Lookup allocates %v times, want 0", n)
+	}
+}
+
+// TestHandleIsMadeOnce pins Handle: the string is formatted on the first call
+// for an inode, and a repeat call returns it without allocating — also above
+// inode 99, where formatting a number allocates.  Getattr's FileID is the same
+// string.
+func TestHandleIsMadeOnce(t *testing.T) {
+	defer invariant.ForceForTest(false)()
+	fs := newVFS(t)
+	root, _ := fs.Root()
+	var f vnode.Vnode
+	for i := 0; i < 120; i++ {
+		var err error
+		if f, err = root.Create(fmt.Sprintf("f%d", i), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := f.Handle()
+	if n, err := strconv.Atoi(h); err != nil || n < 100 {
+		t.Fatalf("handle %q: want an inode above 99", h)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if f.Handle() != h {
+			t.Fatal("the handle changed")
+		}
+	}); n != 0 {
+		t.Errorf("a repeat Handle allocates %v times, want 0", n)
+	}
+	if a, err := f.Getattr(); err != nil || a.FileID != h {
+		t.Fatalf("Getattr FileID %q (%v), want the handle %q", a.FileID, err, h)
 	}
 }

@@ -14,7 +14,9 @@
 # under internal/), internal/ufs's metadata
 # blocks behind the end-of-call flush, a physical file's attributes — for
 # Getattr and for the replication read path — and its seal, for the verified
-# read and a pull's advertisement, behind the one cached aux reader, one NFS
+# read, a pull's advertisement, its answer and an install's read-back, behind
+# the one cached aux reader, an install that reads back only the blocks it
+# reuses, one NFS
 # read-reply encoder, a directory notice that merges its one
 # directory instead of a whole subtree, a two-second fuzz smoke
 # of every decoder fuzz target (a package left with none fails), the gates that keep
@@ -149,19 +151,35 @@ echo "==> a file's attributes through the one cached aux reader in internal/phys
 # §16), not the store.  (Resolve only looks the aux member up, as a lookup does.)
 test "$(sed -n '/^func (v \*pvnode) getattrLocked(/,/^}/p' internal/physical/pvnode.go | grep -c 'fileAuxLocked(')" -eq 1
 test "$(sed -n '/^func (v \*pvnode) getattrLocked(/,/^}/p' internal/physical/pvnode.go | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(')" -eq 0
-# So do FileInfo — and through it pullOne — for a file and a child
-# directory, and AddToBase for a pull's advertisement.
-test "$(sed -n '/^func (l \*Layer) fileInfoLocked(/,/^}/p' internal/physical/export.go | grep -c 'fileAuxLocked(')" -eq 2
-test "$(sed -n '/^func (l \*Layer) fileInfoLocked(/,/^}/p' internal/physical/export.go | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(')" -eq 0
-test "$(sed -n '/^func (l \*Layer) AddToBase(/,/^}/p' internal/physical/pull.go | grep -c 'fileAuxLocked(')" -eq 1
-test "$(sed -n '/^func (l \*Layer) AddToBase(/,/^}/p' internal/physical/pull.go | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(')" -eq 0
-# The verified read and AddToBase take the seal from that same cached read
-# of the aux member, and from nothing else.
-for fn in 'l \*Layer) readVerifiedLocked' 'l \*Layer) AddToBase'; do
-	body=$(sed -n "/^func ($fn(/,/^}/p" $phys)
-	test "$(echo "$body" | grep -c 'fileAuxLocked(.*, true)')" -eq 1
-	test "$(echo "$body" | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(\|decodeAuxMember(\|decodeSidecar(\|Lookup(prefixAux')" -eq 0
+# So do FileInfo, for a file and (through childDirAuxLocked) a child
+# directory, and PullRequestFor, for the local side of a pull: its request and
+# its advertisement.
+test "$(sed -n '/^func (l \*Layer) fileInfoLocked(/,/^}/p' internal/physical/export.go | grep -c 'fileAuxLocked(')" -eq 1
+test "$(sed -n '/^func (l \*Layer) fileInfoLocked(/,/^}/p' internal/physical/export.go | grep -c 'childDirAuxLocked(')" -eq 1
+test "$(sed -n '/^func (l \*Layer) childDirAuxLocked(/,/^}/p' internal/physical/export.go | grep -c 'fileAuxLocked(')" -eq 1
+test "$(sed -n '/^func (l \*Layer) PullRequestFor(/,/^}/p' internal/physical/pull.go | grep -c 'fileAuxLocked(')" -eq 1
+for fn in 'l \*Layer) fileInfoLocked' 'l \*Layer) childDirAuxLocked' 'l \*Layer) PullRequestFor'; do
+	test "$(sed -n "/^func ($fn(/,/^}/p" $phys | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(\|decodeAuxMember(\|decodeSidecar(\|Lookup(prefixAux')" -eq 0
 done
+# The verified read, a pull's answer (pullOne) and the holder lookup of an
+# install's read-back (holderLocked, for baseBlockLocked) each take the aux and
+# its seal from exactly one cached read of the aux member, and from nothing
+# else: no second read through FileInfo or the verified read.
+for fn in 'l \*Layer) readVerifiedLocked' 'l \*Layer) pullOne' 'l \*Layer) holderLocked'; do
+	body=$(sed -n "/^func ($fn(/,/^}/p" $phys | tail -n +2)
+	test "$(echo "$body" | grep -c 'fileAuxLocked(.*, true)')" -eq 1
+	test "$(echo "$body" | grep -c 'fileAuxLocked(')" -eq 1
+	test "$(echo "$body" | grep -c 'readAuxFile(\|openAuxFile(\|loadAux(\|decodeAuxMember(\|decodeSidecar(\|Lookup(prefixAux\|FileInfo(\|fileInfoLocked(\|readVerified')" -eq 0
+done
+
+echo "==> an install reads back only the blocks it reuses in internal/physical"
+# baseBlockLocked reads each reused block alone, into its slot, and hashes it
+# against its holder's seal entry (DESIGN.md §13): neither it nor its holder
+# lookup reads a holder whole.
+for fn in 'l \*Layer) baseBlockLocked' 'l \*Layer) holderLocked'; do
+	test "$(sed -n "/^func ($fn(/,/^}/p" $phys | grep -c 'vnode\.ReadFile(\|readVerifiedLocked(')" -eq 0
+done
+test "$(sed -n '/^func (l \*Layer) baseBlockLocked(/,/^}/p' internal/physical/pull.go | grep -c 'holderLocked(')" -eq 1
 
 echo "==> one read-reply encoder in internal/nfs"
 # The server reads straight into the reply (DESIGN.md §9.2): Server.read is
