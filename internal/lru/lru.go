@@ -46,15 +46,18 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 }
 
 // Put stores v under k, replacing any previous value, marks it most recently
-// used, and evicts least recently used entries beyond the capacity.
-func (c *Cache[K, V]) Put(k K, v V) {
+// used, and evicts the least recently used entry beyond the capacity.  It
+// returns the value it displaced — the one k held, or the evicted entry's —
+// so a caller that owns its values sees each one leave without a walk.
+func (c *Cache[K, V]) Put(k K, v V) (old V, displaced bool) {
 	if i, ok := c.byKey[k]; ok {
+		old = c.nodes[i].val
 		c.nodes[i].val = v
 		c.moveToFront(i)
-		return
+		return old, true
 	}
 	if c.capacity <= 0 {
-		return
+		return old, false
 	}
 	var i int32
 	switch {
@@ -68,17 +71,23 @@ func (c *Cache[K, V]) Put(k K, v V) {
 		i = c.tail
 		c.unlink(i)
 		delete(c.byKey, c.nodes[i].key)
+		old, displaced = c.nodes[i].val, true
 	}
 	c.nodes[i].key, c.nodes[i].val = k, v
 	c.byKey[k] = i
 	c.pushFront(i)
+	return old, displaced
 }
 
-// Drop removes k if present.
-func (c *Cache[K, V]) Drop(k K) {
-	if i, ok := c.byKey[k]; ok {
-		c.remove(i)
+// Drop removes k if present and returns the value it held.
+func (c *Cache[K, V]) Drop(k K) (old V, dropped bool) {
+	i, ok := c.byKey[k]
+	if !ok {
+		return old, false
 	}
+	old = c.nodes[i].val
+	c.remove(i)
+	return old, true
 }
 
 // DropFunc removes every entry for which drop returns true, visiting entries

@@ -154,28 +154,34 @@ func (m *recencyList) get(k int) (int, bool) {
 	return e[1], true
 }
 
-// put stores k at the front and returns the key it evicted, if any.
-func (m *recencyList) put(k, v int) (victim int, evicted bool) {
-	m.drop(k)
+// put stores k at the front and returns the value it displaced — k's own or
+// the evicted entry's — and the key it evicted, if any.
+func (m *recencyList) put(k, v int) (old int, displaced bool, victim int, evicted bool) {
+	old, displaced = m.drop(k)
 	m.ents = append([][2]int{{k, v}}, m.ents...)
 	if len(m.ents) <= m.capacity {
-		return 0, false
+		return old, displaced, 0, false
 	}
-	victim = m.ents[len(m.ents)-1][0]
+	last := m.ents[len(m.ents)-1]
 	m.ents = m.ents[:len(m.ents)-1]
-	return victim, true
+	return last[1], true, last[0], true
 }
 
-func (m *recencyList) drop(k int) {
-	if i := m.find(k); i >= 0 {
-		m.ents = append(m.ents[:i:i], m.ents[i+1:]...)
+func (m *recencyList) drop(k int) (old int, dropped bool) {
+	i := m.find(k)
+	if i < 0 {
+		return 0, false
 	}
+	old = m.ents[i][1]
+	m.ents = append(m.ents[:i:i], m.ents[i+1:]...)
+	return old, true
 }
 
 // TestDifferentialAgainstSliceModel runs random Get, Put, Drop, DropFunc and
 // Flush sequences against the recency list and checks, after every step, the
 // values answered, which keys are members, the victim of each eviction, the
-// order DropFunc visits in and the recency order left behind.  Capacity 1
+// value each Put displaced and each Drop removed, the order DropFunc visits in
+// and the recency order left behind.  Capacity 1
 // exercises the slot an eviction hands straight to the new entry on every Put.
 func TestDifferentialAgainstSliceModel(t *testing.T) {
 	for _, capacity := range []int{1, 3, 8} {
@@ -194,8 +200,8 @@ func TestDifferentialAgainstSliceModel(t *testing.T) {
 				}
 			case op < 85:
 				before := keys(c)
-				c.Put(k, step)
-				victim, evicted := m.put(k, step)
+				old, displaced := c.Put(k, step)
+				wantOld, wantDisplaced, victim, evicted := m.put(k, step)
 				var gone []int
 				for _, b := range before {
 					if _, ok := c.byKey[b]; !ok {
@@ -205,9 +211,14 @@ func TestDifferentialAgainstSliceModel(t *testing.T) {
 				if want := []int{victim}; evicted != (len(gone) > 0) || (evicted && !reflect.DeepEqual(gone, want)) {
 					t.Fatalf("cap %d step %d: Put(%d) evicted %v; model evicted %d (%v)", capacity, step, k, gone, victim, evicted)
 				}
+				if old != wantOld || displaced != wantDisplaced {
+					t.Fatalf("cap %d step %d: Put(%d) displaced %d, %v; model %d, %v", capacity, step, k, old, displaced, wantOld, wantDisplaced)
+				}
 			case op < 93:
-				c.Drop(k)
-				m.drop(k)
+				old, dropped := c.Drop(k)
+				if wantOld, wantDropped := m.drop(k); old != wantOld || dropped != wantDropped {
+					t.Fatalf("cap %d step %d: Drop(%d) = %d, %v; model %d, %v", capacity, step, k, old, dropped, wantOld, wantDropped)
+				}
 			case op < 99:
 				mod := rng.Intn(4) + 2
 				var visited, want []int

@@ -59,49 +59,73 @@ func (c *cache[K, V]) drop(k K) { c.lru.Drop(k) }
 // end), while the read path gets the locality wins the paper's dual-mapping
 // design relies on (§2.6).
 //
-// One rule makes it copy-free: a block in the cache is never written to.
+// One rule makes it copy-free: a block in the cache is never written to, and
+// a block it lends is valid until the call that borrowed it releases fs.mu.
 // read lends the cached slice itself, so a reader may only look; a caller
-// that means to change a block takes a private copy first (bytes.Clone at the
-// read-modify-write sites) and hands it to write, which takes ownership — the
-// caller must not touch the buffer again.  A lent slice therefore stays a
-// faithful snapshot of the block as it was read, even after the block is
-// rewritten or evicted.  Mutating cached blocks in place would save the copy
-// but make every slice a reader holds change under it; the rule that would
-// replace this one (who may hold what across which call) is neither as short
-// nor checkable.  This one is checked in a cache made under FICUS_INVARIANTS:
-// each block is cached with a checksum, compared on every hit and before the
-// block is replaced or evicted.
+// that means to change a block takes a private copy first (clone) and hands
+// it to write, which takes ownership — the caller must not touch the buffer
+// again.  Every exported call runs under fs.mu and none returns a lent slice
+// (readAtLocked copies out, a scan makes the names it keeps strings), so no
+// lent slice outlives its call.
+//
+// That bound is what lets the cache reuse its blocks, as a BSD getblk reuses
+// the least recently used buffer.  A block the cache lets go of — replaced by
+// a newer write of its number, evicted, dropped after a failed write or when
+// the call frees it, or not kept because caching is off — and a staged block
+// a call frees unwritten are retired; endCallLocked makes the retired blocks
+// spares as the call ends, and take hands out a spare before it allocates.  A
+// read-only call's retirees wait for the next mutating call's end, which
+// fs.mu orders after it.  Retired and spare blocks together never outnumber
+// the cache's capacity.  zeroBlock is never retired.
+//
+// Both halves are checked in a cache made under FICUS_INVARIANTS: each block
+// is cached with a checksum, compared on every hit and as the block is
+// displaced; and a block that becomes a spare is filled with poison, checked
+// intact when take hands it out again, so a write through a slice kept past
+// its call is caught, and a read through one reads poison.
 type bufferCache struct {
 	cache[uint32, cachedBlock]
 	dev     *disk.Device
 	checked bool
+
+	retired, spare [][]byte
+	pool           int // the most blocks retired and spare together: the capacity
 }
 
-// cachedBlock is a block and, in a checked cache, its checksum as cached.
+// cachedBlock is a block, its number and, in a checked cache, its checksum
+// as cached.
 type cachedBlock struct {
 	data []byte
+	bn   uint32
 	sum  uint32
 }
 
+// poisonByte fills every spare block of a checked cache.
+const poisonByte = 0xa5
+
 func newBufferCache(dev *disk.Device, capacity int, enabled bool) *bufferCache {
-	return &bufferCache{cache: newCache[uint32, cachedBlock](capacity, enabled), dev: dev, checked: invariant.Enabled()}
+	return &bufferCache{
+		cache: newCache[uint32, cachedBlock](capacity, enabled),
+		dev:   dev, checked: invariant.Enabled(), pool: capacity,
+	}
 }
 
-func (c *bufferCache) checkUnwritten(bn uint32, b cachedBlock) {
+func (c *bufferCache) checkUnwritten(b cachedBlock) {
 	if c.checked {
-		invariant.Checkf(b.sum == crc32.ChecksumIEEE(b.data), "ufs: cached block %d was written to while lent", bn)
+		invariant.Checkf(b.sum == crc32.ChecksumIEEE(b.data), "ufs: cached block %d was written to while lent", b.bn)
 	}
 }
 
 // read lends block bn, from the cache or, on a miss, from the device through
-// it.  The caller must not write to the slice.
+// it.  The caller must not write to the slice, nor use it after its call.
 func (c *bufferCache) read(bn uint32) ([]byte, error) {
 	if b, ok := c.get(bn); ok {
-		c.checkUnwritten(bn, b)
+		c.checkUnwritten(b)
 		return b.data, nil
 	}
-	p := make([]byte, BlockSize)
+	p := c.take()
 	if err := c.dev.Read(int(bn), p); err != nil {
+		c.retire(p)
 		return nil, err
 	}
 	c.insert(bn, p)
@@ -109,7 +133,7 @@ func (c *bufferCache) read(bn uint32) ([]byte, error) {
 }
 
 // write stores data as block bn, writing through to the device, and takes
-// ownership of data.
+// ownership of data.  A failed write leaves data with the caller.
 func (c *bufferCache) write(bn uint32, data []byte) error {
 	if err := c.dev.Write(int(bn), data); err != nil {
 		// Failed writes must not populate the cache: the bytes never
@@ -121,28 +145,86 @@ func (c *bufferCache) write(bn uint32, data []byte) error {
 	return nil
 }
 
+// drop forgets block bn, retiring what the cache held.
+func (c *bufferCache) drop(bn uint32) {
+	if old, ok := c.lru.Drop(bn); ok {
+		c.letGo(old)
+	}
+}
+
 // insert caches data itself as block bn.
 func (c *bufferCache) insert(bn uint32, data []byte) {
 	if !c.enabled {
+		c.retire(data)
 		return
 	}
-	b := cachedBlock{data: data}
+	b := cachedBlock{data: data, bn: bn}
 	if c.checked {
-		// The put replaces block bn or may evict the coldest one, the last a
-		// walk visits: check both while they are still here.
-		var coldest uint32
-		var cold cachedBlock
-		c.lru.DropFunc(func(k uint32, old cachedBlock) bool {
-			if k == bn {
-				c.checkUnwritten(k, old)
-			}
-			coldest, cold = k, old
-			return false
-		})
-		c.checkUnwritten(coldest, cold)
 		b.sum = crc32.ChecksumIEEE(data)
 	}
-	c.put(bn, b)
+	if old, ok := c.lru.Put(bn, b); ok {
+		c.letGo(old)
+	}
+}
+
+// letGo retires a block the cache held, checking it was not written to.
+func (c *bufferCache) letGo(b cachedBlock) {
+	c.checkUnwritten(b)
+	c.retire(b.data)
+}
+
+// take returns a block for the caller to fill: a spare, or a new one when
+// none is left.  What it holds is garbage.
+func (c *bufferCache) take() []byte {
+	n := len(c.spare)
+	if n == 0 {
+		return make([]byte, BlockSize)
+	}
+	b := c.spare[n-1]
+	c.spare[n-1] = nil
+	c.spare = c.spare[:n-1]
+	if c.checked {
+		invariant.Checkf(isPoison(b), "ufs: a spare block was written to after the call that borrowed it")
+	}
+	return b
+}
+
+// clone returns a block from take holding a copy of src.
+func (c *bufferCache) clone(src []byte) []byte {
+	b := c.take()
+	copy(b, src)
+	return b
+}
+
+// retire lets go of b; it becomes a spare when the call ends (recycle).
+func (c *bufferCache) retire(b []byte) {
+	if &b[0] != &zeroBlock[0] && len(c.retired)+len(c.spare) < c.pool {
+		c.retired = append(c.retired, b)
+	}
+}
+
+// recycle makes the retired blocks spares.  endCallLocked calls it just
+// before it releases fs.mu, when no slice lent before can be used any more.
+func (c *bufferCache) recycle() {
+	for i, b := range c.retired {
+		if c.checked {
+			for j := range b {
+				b[j] = poisonByte
+			}
+		}
+		c.spare = append(c.spare, b)
+		c.retired[i] = nil
+	}
+	c.retired = c.retired[:0]
+}
+
+func isPoison(b []byte) bool {
+	for _, v := range b {
+		if v != poisonByte {
+			return false
+		}
+	}
+	return true
 }
 
 // inodeCache holds decoded inodes.  Because it sits above the buffer cache

@@ -2,6 +2,7 @@ package ufs
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/disk"
@@ -191,6 +192,75 @@ func TestWarmReadAtAllocatesNoBlock(t *testing.T) {
 	}
 }
 
+// TestBlockSourcesAllocateNothing pins the buffer pool: in an 8-block cache
+// and a 16-block file, where every call below misses or evicts, each takes the
+// blocks it fills from the spares earlier calls retired.  Before the cache
+// reused its blocks the same calls made 2 (whole-block WriteAt), 3 (5-byte
+// WriteAt), 1 (read miss) and 6 (Create + Remove) allocations.
+func TestBlockSourcesAllocateNothing(t *testing.T) {
+	fs, err := Mkfs(disk.New(1024), 256, &Options{BufferCacheBlocks: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ino, _ := fs.Create(fs.Root(), "f")
+	const fileBlocks = 16
+	if err := fs.WriteFile(ino, make([]byte, fileBlocks*BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	block, five := make([]byte, BlockSize), []byte("hello")
+	// Calls cycle through blocks 1 to 15, twice the cache, so each misses; the
+	// refills below write block 0.
+	next := 0
+	nextOff := func() int64 { next = next%(fileBlocks-1) + 1; return int64(next) * BlockSize }
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"whole-block WriteAt", func() {
+			if _, err := fs.WriteAt(ino, block, nextOff()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"5-byte WriteAt", func() {
+			if _, err := fs.WriteAt(ino, five, nextOff()+100); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Create + Remove", func() {
+			if _, err := fs.Create(fs.Root(), "g"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Remove(fs.Root(), "g"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if n := testing.AllocsPerRun(100, tc.call); n != 0 {
+			t.Errorf("a %s made %v allocations, want 0", tc.name, n)
+		}
+	}
+
+	// A read-only call's retirees wait for the next mutating call's end, so a
+	// run of misses draws the spares down: measure each miss alone, after a
+	// write has refilled them.
+	for i := 0; i < 4; i++ {
+		if _, err := fs.WriteAt(ino, block, 0); err != nil {
+			t.Fatal(err)
+		}
+		before := fs.CacheStats().BufferMisses
+		if n := testing.AllocsPerRun(1, func() {
+			if _, err := fs.ReadAt(ino, block, nextOff()); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("a read miss made %v allocations, want 0", n)
+		}
+		if misses := fs.CacheStats().BufferMisses - before; misses < 2 {
+			t.Fatalf("two ReadAt calls missed %d times, want a miss each", misses)
+		}
+	}
+}
+
 // TestLookupMissAllocatesNoName: a lookup the DNLC cannot answer scans every
 // slot of the directory, and compares each name where it lies.
 func TestLookupMissAllocatesNoName(t *testing.T) {
@@ -232,4 +302,49 @@ func TestWriteToLentBlockFiresInvariant(t *testing.T) {
 		blk[0] ^= 0xff
 	}()
 	fs.bc.read(fs.sb.ITableStart)
+}
+
+// TestWriteToRetiredBlockFiresInvariant breaks the lending rule's bound — a
+// lent block is valid only until its call ends — and expects the armed check
+// to say so when the block, recycled by a later call, is handed out again.
+func TestWriteToRetiredBlockFiresInvariant(t *testing.T) {
+	defer invariant.ForceForTest(true)()
+	fs, err := Mkfs(disk.New(1024), 256, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ino, _ := fs.Create(fs.Root(), "f")
+	if _, err := fs.WriteAt(ino, make([]byte, BlockSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	// Borrow the file's block as a call does, and keep it past the call.
+	fs.mu.Lock()
+	din, err := fs.readInodeLocked(ino)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := fs.st.read(din.Direct[0])
+	fs.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewriting the block retires the kept slice; the call's end recycles it.
+	if _, err := fs.WriteAt(ino, make([]byte, BlockSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(fs.bc.spare, func(b []byte) bool { return &b[0] == &kept[0] }) {
+		t.Fatal("the rewritten block was not recycled")
+	}
+	if kept[0] != poisonByte {
+		t.Fatalf("a recycled block reads %#x, want the poison %#x", kept[0], poisonByte)
+	}
+	kept[0] ^= 0xff
+	defer func() {
+		if _, ok := recover().(*invariant.Violation); !ok {
+			t.Fatal("handing out a block written to after its call raised no violation")
+		}
+	}()
+	// A write of more blocks than there are spares takes every spare.
+	g, _ := fs.Create(fs.Root(), "g")
+	fs.WriteAt(g, make([]byte, (len(fs.bc.spare)+1)*BlockSize), 0)
 }

@@ -16,6 +16,7 @@ import (
 //   - every directory's ".." names a directory that names it
 //   - link counts match the number of directory references
 //   - every allocated inode is reachable from the root
+//   - no inode's size is above the largest file
 func (fs *FS) Check() ([]string, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -39,6 +40,9 @@ func (fs *FS) Check() ([]string, error) {
 		}
 		if !used {
 			continue
+		}
+		if din.Size > maxFileSize {
+			problems = append(problems, fmt.Sprintf("%s: above the largest file", din.debugString(Ino(i))))
 		}
 		if err := fs.walkBlocks(&din, func(bn uint32) { blockRefs[bn]++ }); err != nil {
 			return nil, err

@@ -1,9 +1,6 @@
 package ufs
 
-import (
-	"bytes"
-	"encoding/binary"
-)
+import "encoding/binary"
 
 // Dirent is one directory entry as returned by Readdir.
 type Dirent struct {
@@ -54,7 +51,7 @@ func (fs *FS) dirInitLocked(dir, parent Ino) error {
 	if din.Type != TypeDir {
 		return ErrNotDir
 	}
-	blk := make([]byte, BlockSize)
+	blk := fs.bc.clone(zeroBlock)
 	encodeSlot(blk[0:], dir, ".")
 	encodeSlot(blk[dirSlotSize:], parent, "..")
 	bn, err := fs.blockmapLocked(&din, 0, true)
@@ -187,11 +184,10 @@ func (fs *FS) dirAddLocked(dir Ino, name string, child Ino) error {
 	if err != nil {
 		return err
 	}
-	blk, err := fs.st.read(bn)
+	blk, err := fs.st.copyOf(bn)
 	if err != nil {
 		return err
 	}
-	blk = bytes.Clone(blk)
 	encodeSlot(blk[off:], child, name)
 	if err := fs.st.write(bn, blk); err != nil {
 		return err
@@ -240,11 +236,10 @@ func (fs *FS) dirRepointLocked(dir Ino, name string, child Ino) (Ino, error) {
 	if err != nil {
 		return 0, err
 	}
-	blk, err := fs.st.read(bn)
+	blk, err := fs.st.copyOf(bn)
 	if err != nil {
 		return 0, err
 	}
-	blk = bytes.Clone(blk)
 	if child == 0 {
 		encodeSlot(blk[off:], 0, "")
 	} else {

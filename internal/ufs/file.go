@@ -1,7 +1,6 @@
 package ufs
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 )
@@ -131,12 +130,9 @@ func (fs *FS) writeAtLocked(ino Ino, p []byte, off int64) (int, error) {
 		}
 		var blk []byte
 		if boff == 0 && chunk == BlockSize {
-			blk = make([]byte, BlockSize)
-		} else {
-			if blk, err = fs.st.read(bn); err != nil {
-				break
-			}
-			blk = bytes.Clone(blk)
+			blk = fs.bc.take()
+		} else if blk, err = fs.st.copyOf(bn); err != nil {
+			break
 		}
 		copy(blk[boff:], p[written:written+chunk])
 		tried = true

@@ -1,7 +1,6 @@
 package ufs
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -83,7 +82,9 @@ func (fs *FS) readInodeFromDisk(ino Ino) (dinode, error) {
 	return din, nil
 }
 
-// readInodeLocked returns the inode, failing if it is free.
+// readInodeLocked returns the inode, failing if it is free or says it is
+// larger than any inode can map: no writer gives it such a size, and every
+// reader that sizes a buffer from it trusts this check.
 func (fs *FS) readInodeLocked(ino Ino) (dinode, error) {
 	din, err := fs.ic.get(ino)
 	if err != nil {
@@ -91,6 +92,9 @@ func (fs *FS) readInodeLocked(ino Ino) (dinode, error) {
 	}
 	if din.Type == TypeFree {
 		return dinode{}, fmt.Errorf("%w: inode %d is free", ErrBadInode, ino)
+	}
+	if din.Size > maxFileSize {
+		return dinode{}, fmt.Errorf("%w: inode %d has size %d, above the largest file", ErrBadInode, ino, din.Size)
 	}
 	return din, nil
 }
@@ -201,7 +205,7 @@ func (fs *FS) setSlotLocked(ibn, idx, bn uint32) error {
 // blockmapLocked refuses a write there: the size reaches here unchecked from
 // the NFS wire, and whoever reads the file back sizes a buffer from it.
 func (fs *FS) itruncateLocked(ino Ino, size uint64) error {
-	if size > MaxFileBlocks*BlockSize {
+	if size > maxFileSize {
 		return ErrFileTooBig
 	}
 	din, err := fs.ic.get(ino)
@@ -227,11 +231,10 @@ func (fs *FS) itruncateLocked(ino Ino, size uint64) error {
 			return err
 		}
 		if bn != 0 {
-			blk, err := fs.st.read(bn)
+			blk, err := fs.st.copyOf(bn)
 			if err != nil {
 				return err
 			}
-			blk = bytes.Clone(blk)
 			clear(blk[tail:])
 			if err := fs.st.write(bn, blk); err != nil {
 				return err

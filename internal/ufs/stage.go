@@ -1,7 +1,6 @@
 package ufs
 
 import (
-	"bytes"
 	"slices"
 
 	"repro/internal/invariant"
@@ -43,13 +42,21 @@ func (s *stage) modify(bn uint32) ([]byte, error) {
 	if blk, ok := s.blocks[bn]; ok {
 		return blk, nil
 	}
+	blk, err := s.copyOf(bn)
+	if err == nil {
+		s.blocks[bn] = blk
+	}
+	return blk, err
+}
+
+// copyOf returns a private copy of block bn as the call sees it, in a block
+// from the buffer cache's pool, for the caller to change and write.
+func (s *stage) copyOf(bn uint32) ([]byte, error) {
 	blk, err := s.read(bn)
 	if err != nil {
 		return nil, err
 	}
-	blk = bytes.Clone(blk)
-	s.blocks[bn] = blk
-	return blk, nil
+	return s.bc.clone(blk), nil
 }
 
 // write writes data or directory block bn through, taking ownership of blk.
@@ -74,7 +81,10 @@ func (s *stage) write(bn uint32, blk []byte) error {
 // nothing on the device will point at them.
 func (s *stage) flush(from uint32, freed []uint32) error {
 	for _, bn := range freed {
-		delete(s.blocks, bn)
+		if blk, ok := s.blocks[bn]; ok {
+			s.bc.retire(blk)
+			delete(s.blocks, bn)
+		}
 		delete(s.fresh, bn)
 	}
 	order := s.order[:0]
@@ -129,11 +139,13 @@ func (fs *FS) flushLocked() error {
 }
 
 // endCallLocked ends an exported mutating call: it flushes what the call
-// staged, then releases fs.mu.  A failed flush is the call's error unless the
-// call already had one.
+// staged, makes the blocks retired since the last call's end spares (no slice
+// lent before can be used after the unlock), then releases fs.mu.  A failed
+// flush is the call's error unless the call already had one.
 func (fs *FS) endCallLocked(err *error) {
 	if ferr := fs.flushLocked(); ferr != nil && *err == nil {
 		*err = ferr
 	}
+	fs.bc.recycle()
 	fs.mu.Unlock()
 }

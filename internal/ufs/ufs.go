@@ -51,6 +51,8 @@ const (
 	dirSlotsPerBlock = BlockSize / dirSlotSize
 	// MaxFileBlocks is the largest file in blocks.
 	MaxFileBlocks = NDirect + PtrsPerBlock + PtrsPerBlock*PtrsPerBlock
+	// maxFileSize is the largest file in bytes.
+	maxFileSize = MaxFileBlocks * BlockSize
 
 	magic     = 0xf1c05001
 	rootIno   = 1

@@ -648,9 +648,25 @@ func TestSetMode(t *testing.T) {
 
 // TestModelBasedRandomOps drives the file system with random operations and
 // cross-checks every observation against a trivial in-memory model, then
-// runs fsck.  This is the package's main correctness property test.
+// runs fsck and reads everything back through a fresh mount of the device.
+// This is the package's main correctness property test.  It runs at the
+// default buffer-cache capacity and at 4 blocks, where every call evicts and
+// so every block source draws recycled buffers.
 func TestModelBasedRandomOps(t *testing.T) {
-	fs := newTestFS(t, 4096)
+	for _, tc := range []struct {
+		name   string
+		blocks int
+	}{{"default-cache", 0}, {"4-block-cache", 4}} {
+		t.Run(tc.name, func(t *testing.T) { modelBasedRandomOps(t, tc.blocks) })
+	}
+}
+
+func modelBasedRandomOps(t *testing.T, cacheBlocks int) {
+	dev := disk.New(4096)
+	fs, err := Mkfs(dev, 512, &Options{BufferCacheBlocks: cacheBlocks})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(12345))
 
 	type mfile struct {
@@ -760,24 +776,46 @@ func TestModelBasedRandomOps(t *testing.T) {
 			}
 		}
 	}
-	// Final sweep: every model file matches; directory listing matches.
-	ents, err := fs.Readdir(fs.Root())
+	// Final sweep: every model file matches and the directory listing
+	// matches, through the running FS and through a fresh mount of its device.
+	checkClean(t, fs)
+	remounted, err := Mount(dev, &Options{BufferCacheBlocks: cacheBlocks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != len(model) {
-		t.Fatalf("%d entries on disk, %d in model", len(ents), len(model))
-	}
-	for name, m := range model {
-		got, err := fs.ReadFile(inoOf(name))
+	for _, view := range []struct {
+		name string
+		fs   *FS
+	}{{"running", fs}, {"remounted", remounted}} {
+		ents, err := view.fs.Readdir(view.fs.Root())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, m.data) {
-			t.Fatalf("final: %q diverged", name)
+		listed := map[string]bool{}
+		for _, e := range ents {
+			listed[e.Name] = true
+		}
+		if len(listed) != len(model) {
+			t.Fatalf("%s: %d entries on disk, %d in model", view.name, len(listed), len(model))
+		}
+		for name, m := range model {
+			if !listed[name] {
+				t.Fatalf("%s: %q not listed", view.name, name)
+			}
+			ino, err := view.fs.Lookup(view.fs.Root(), name)
+			if err != nil {
+				t.Fatalf("%s: lookup %q: %v", view.name, name, err)
+			}
+			got, err := view.fs.ReadFile(ino)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, m.data) {
+				t.Fatalf("%s: final: %q diverged", view.name, name)
+			}
 		}
 	}
-	checkClean(t, fs)
+	checkClean(t, remounted)
 }
 
 func TestCheckDetectsCorruption(t *testing.T) {

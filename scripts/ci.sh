@@ -19,13 +19,17 @@
 # reuses, one NFS
 # read-reply encoder, a directory notice that merges its one
 # directory instead of a whole subtree, a two-second fuzz smoke
-# of every decoder fuzz target (a package left with none fails), the gates that keep
+# of every fuzz target — the decoders' and internal/ufs's on-disk inode — (a
+# package left with none fails), the gates that keep
 # timed benchmarks and mirrored Stats structs out of the root package, the
 # race-enabled test suite (it holds the allocation pins of the name path — of
 # internal/physical TestWarmLookupAllocs: a warm Lookup, a Getattr of a
 # directory and of a file, a Resolve of either's handle and a Handle; of
 # internal/ufsvn TestLookupReturnsTheInodesVnode; of internal/lru
-# TestPutAtCapacityAllocatesNothing — the RPC-economy gates — of the root
+# TestPutAtCapacityAllocatesNothing; of internal/ufs
+# TestLookupMissAllocatesNoName — and of the buffer cache's block sources —
+# internal/ufs TestWarmReadAtAllocatesNoBlock and
+# TestBlockSourcesAllocateNothing — the RPC-economy gates — of the root
 # package TestRemoteReadRPCBudget, TestFirstAvailableAsksNobodyElse, and of
 # internal/logical TestLookupDoesNotPoll, TestWarmWalkAsksNothing,
 # TestWalkBelowAMovedParentAnswersAsFromTheRoot, and of internal/repl
@@ -201,8 +205,9 @@ echo "==> fuzz smoke: every Fuzz* target, 2s each"
 # The seed corpora already run under go test; this catches an oracle that
 # only holds on the seeds.  go test -fuzz takes one target of one package.
 # A listed package with no target fails: these targets are half of what pins
-# the wire formats (the goldens are the other half).
-for pkg in wire repl nfs core physical; do
+# the wire formats (the goldens are the other half), and internal/ufs's holds
+# every reader to a corrupt inode.
+for pkg in wire repl nfs core physical ufs; do
 	targets=$(go test -list '^Fuzz' "./internal/$pkg" | grep '^Fuzz' || true)
 	if [ -z "$targets" ]; then
 		echo "no Fuzz target in internal/$pkg" >&2
