@@ -14,8 +14,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/physical"
-	"repro/internal/recon"
-	"repro/internal/retry"
 	"repro/internal/vnode"
 	"repro/internal/workload"
 )
@@ -253,7 +251,7 @@ func TestE14HedgedPulls(t *testing.T) {
 			// Each of host 1's passes pulls from its one origin, host 0, so a
 			// pass's makespan is that pull's effective latency.
 			var ticks []uint64
-			cfg := recon.PropagateConfig{Policy: retry.Default(), HedgeAfter: tc.hedge}
+			c.Host(1).ConfigureSlowPeers(SlowPeerConfig{HedgeAfter: tc.hedge})
 			for r := 0; r < rounds; r++ {
 				if err := m0.WriteFile(fmt.Sprintf("/e14-%d", r), []byte(fmt.Sprintf("tail %d", r))); err != nil {
 					t.Fatal(err)
@@ -261,7 +259,7 @@ func TestE14HedgedPulls(t *testing.T) {
 				if _, err := c.Host(2).PropagateOnce(); err != nil {
 					t.Fatal(err)
 				}
-				s, err := c.Host(1).PropagateOnceCfg(cfg)
+				s, err := c.Host(1).PropagateOnce()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -780,19 +780,13 @@ func (h *Host) hedgeFinder(local *physical.Layer) func(ids.ReplicaID) recon.Peer
 }
 
 // PropagateOnce runs one pass of the update propagation daemon over every
-// local replica, pulling announced versions from their origins (§3.2).
-// Per-entry transient failures are absorbed into the returned Stats
-// (Deferred/Failures); only permanent, corruption-class errors surface.
+// local replica, pulling announced versions from their origins (§3.2), with
+// the hedging and backpressure of the host's slow-peer settings
+// (ConfigureSlowPeers).  Per-entry transient failures are absorbed into the
+// returned Stats (Deferred/Failures); only permanent, corruption-class errors
+// surface.  A down host's daemons do not run: the pass is a no-op.  Any
+// post-restart rescan obligation is paid first, before the pull pass.
 func (h *Host) PropagateOnce() (recon.Stats, error) {
-	return h.PropagateOnceCfg(recon.PropagateConfig{Policy: retry.Default()})
-}
-
-// PropagateOnceCfg is PropagateOnce under an explicit propagation
-// configuration (worker count, retry policy, hedging and backpressure) —
-// used by the experiments to compare pipeline shapes.  A down host's daemons do not run:
-// the pass is a no-op.  Any post-restart rescan obligation is paid first,
-// before the pull pass.
-func (h *Host) PropagateOnceCfg(cfg recon.PropagateConfig) (recon.Stats, error) {
 	if h.Down() {
 		return recon.Stats{}, nil
 	}
@@ -800,20 +794,12 @@ func (h *Host) PropagateOnceCfg(cfg recon.PropagateConfig) (recon.Stats, error) 
 	h.mu.Lock()
 	sc := h.slowCfg
 	h.mu.Unlock()
-	if cfg.HedgeAfter == 0 {
-		cfg.HedgeAfter = sc.HedgeAfter
-	}
-	if cfg.TickBudget == 0 {
-		cfg.TickBudget = sc.TickBudget
-	}
-	if cfg.PeerInflight == 0 {
-		cfg.PeerInflight = sc.PeerInflight
-	}
+	cfg := recon.PropagateConfig{Policy: retry.Default(), HedgeAfter: sc.HedgeAfter, TickBudget: sc.TickBudget, PeerInflight: sc.PeerInflight}
 	total := h.recoveryRescan()
 	var err error
 	for _, layer := range h.LocalReplicas() {
 		lcfg := cfg
-		if lcfg.HedgeAfter > 0 && lcfg.FindHedge == nil {
+		if lcfg.HedgeAfter > 0 {
 			lcfg.FindHedge = h.hedgeFinder(layer)
 		}
 		var stats recon.Stats

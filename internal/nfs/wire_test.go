@@ -5,9 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/simnet"
+	"repro/internal/ufs"
+	"repro/internal/ufsvn"
 	"repro/internal/vnode"
 )
 
@@ -96,6 +100,42 @@ func TestReadReplyIsAResponse(t *testing.T) {
 				t.Fatalf("n=%d eof=%v: the read reply differs from Response.encode", n, eof)
 			}
 		}
+	}
+}
+
+// TestServedReadCopiesItsDataOnce: the server reads a file's bytes straight
+// into the reply it sends, so serving a read allocates the reply and little
+// else — not a data buffer and then a reply to copy it into.
+func TestServedReadCopiesItsDataOnce(t *testing.T) {
+	const n = 64 << 10
+	fs, err := ufs.Mkfs(disk.New(4096), 1024, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := ufsvn.New(fs)
+	root, _ := base.Root()
+	f, err := root.Create("f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vnode.WriteFile(f, bytes.Repeat([]byte("ficus"), n/5+1)); err != nil {
+		t.Fatal(err)
+	}
+	s := &Server{fs: base, res: base}
+	frame := (&Request{Op: OpRead, Handle: f.Handle(), Len: n}).encode()
+	if resp, err := s.handle(frame); err != nil || len(resp) < n {
+		t.Fatalf("read reply of %d bytes: %v", len(resp), err)
+	}
+	var before, after runtime.MemStats
+	const runs = 50
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		s.handle(frame)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > n+n/2 {
+		t.Errorf("serving a %d-byte read allocates %d bytes, want the reply (%d) and less than half of it again", n, got, n+readReplyRoom+readReplyTail)
 	}
 }
 

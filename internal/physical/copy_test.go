@@ -1,0 +1,130 @@
+package physical
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"repro/internal/disk"
+	"repro/internal/ufs"
+	"repro/internal/ufsvn"
+	"repro/internal/vnode"
+)
+
+// TestWarmCopyReadersReadNothing: the readers of a stored file copy take its
+// aux and seal from the aux cache (copyLocked), so once the caches are warm a
+// file's Getattr, FileInfo, the local side of a pull and a pull answered
+// stale read no byte of the store — each asks only for the members and their
+// stamps.  A reader that goes back to the store's bytes (openAuxFile) reads
+// the aux on every call.
+func TestWarmCopyReadersReadNothing(t *testing.T) {
+	fs, err := ufs.Mkfs(disk.New(8192), 2048, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := 0
+	l, err := Format(vnode.NewHook(ufsvn.New(fs), func(op string) {
+		if op == "read" {
+			reads++
+		}
+	}), testVol, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := l.Root()
+	f, err := root.Create("f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vnode.WriteFile(f, make([]byte, 3*ChecksumBlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	fid := mustFid(t, f)
+	st, err := l.FileInfo(RootPath(), fid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what string
+		op   func() error
+	}{
+		{"file Getattr", func() error { _, err := f.Getattr(); return err }},
+		{"FileInfo", func() error { _, err := l.FileInfo(RootPath(), fid); return err }},
+		{"PullRequestFor", func() error { _, _, err := l.PullRequestFor(RootPath(), fid, nil); return err }},
+		{"PullRequestFor with a base", func() error { _, _, err := l.PullRequestFor(RootPath(), fid, DeltaBase{}); return err }},
+		{"a pull answered stale", func() error {
+			res, _ := l.PullBatchDelta([]PullRequest{{Dir: RootPath(), File: fid, LocalVV: st.Aux.VV, HasLocal: true}}, nil)
+			if res[0].Status != PullStale {
+				t.Fatalf("pull answered %v, want stale", res[0].Status)
+			}
+			return nil
+		}},
+	} {
+		if err := c.op(); err != nil { // warms the caches
+			t.Fatalf("%s: %v", c.what, err)
+		}
+		reads = 0
+		if err := c.op(); err != nil {
+			t.Fatalf("%s: %v", c.what, err)
+		}
+		if reads != 0 {
+			t.Errorf("warm %s made %d store reads, want 0", c.what, reads)
+		}
+	}
+}
+
+// TestHalfStoredCopyIsNotStored: a copy whose aux is there but whose data
+// member is not — what a crash between the two can leave — is not stored, and
+// every reader of a stored copy says so in its own terms.
+func TestHalfStoredCopyIsNotStored(t *testing.T) {
+	l, _ := newLayer(t, 1)
+	root, _ := l.Root()
+	f, err := root.Create("f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vnode.WriteFile(f, []byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	fid := mustFid(t, f)
+	cont, err := l.containerOf(RootPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cont.Remove(memberName(prefixData, fid)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what string
+		ask  func() (notStored bool, answer any)
+	}{
+		{"FileInfo", func() (bool, any) {
+			_, err := l.FileInfo(RootPath(), fid)
+			return errors.Is(err, ErrNotStored), err
+		}},
+		{"FileData", func() (bool, any) {
+			_, _, err := l.FileData(RootPath(), fid)
+			return errors.Is(err, ErrNotStored), err
+		}},
+		{"PullRequestFor", func() (bool, any) { // an unconditional request
+			req, local, err := l.PullRequestFor(RootPath(), fid, DeltaBase{})
+			return err == nil && local == nil && !req.HasLocal, fmt.Sprint(req.HasLocal, local, err)
+		}},
+		{"the pull answer", func() (bool, any) {
+			res, _ := l.PullBatchDelta([]PullRequest{{Dir: RootPath(), File: fid}}, nil)
+			return res[0].Status == PullNotStored, res[0].Status
+		}},
+		{"Getattr", func() (bool, any) {
+			_, err := f.Getattr()
+			return vnode.AsErrno(err) == vnode.ENOSTOR, err
+		}},
+		{"StoresFile", func() (bool, any) {
+			stored := l.StoresFile(RootPath(), fid)
+			return !stored, stored
+		}},
+	} {
+		if notStored, answer := c.ask(); !notStored {
+			t.Errorf("%s of a copy without its data member answered %v, want not stored", c.what, answer)
+		}
+	}
+}

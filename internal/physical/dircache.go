@@ -139,6 +139,31 @@ func (l *Layer) fileAuxLocked(cont vnode.Vnode, name string, seal bool) (Aux, *s
 	return a, sc, err
 }
 
+// fileCopy is a stored file copy as copyLocked finds it: its aux and seal, lent
+// by the aux cache, and its data member.
+type fileCopy struct {
+	aux  Aux
+	seal *sidecar
+	df   vnode.Vnode
+}
+
+// copyLocked finds the copy of file fid stored in container cont: its aux
+// through the aux cache (with seal, its current seal too), then its data
+// member.  An aux that is not there is the store's ENOENT, passed through so
+// that a caller can try fid as a child directory; a data member that is not
+// there is ErrNotStored, whatever the aux says.
+func (l *Layer) copyLocked(cont vnode.Vnode, fid ids.FileID, seal bool) (fileCopy, error) {
+	aux, sc, err := l.fileAuxLocked(cont, memberName(prefixAux, fid), seal)
+	if err != nil {
+		return fileCopy{}, err
+	}
+	df, err := cont.Lookup(memberName(prefixData, fid))
+	if err != nil {
+		return fileCopy{}, mapNotStored(err)
+	}
+	return fileCopy{aux: aux, seal: sc, df: df}, nil
+}
+
 // FlushCaches empties the layer's caches; the next calls read the store.
 func (l *Layer) FlushCaches() {
 	l.mu.Lock()

@@ -71,26 +71,21 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 	if err != nil {
 		return FileState{}, err
 	}
-	// The aux is read through the aux cache, which lends it: the vector is
-	// cloned, so no caller can reach the cached map.
-	aux, _, err := l.fileAuxLocked(cont, memberName(prefixAux, fid), false)
-	if err != nil {
-		if vnode.AsErrno(err) != vnode.ENOENT {
-			return FileState{}, err
-		}
+	c, err := l.copyLocked(cont, fid, false)
+	if vnode.AsErrno(err) == vnode.ENOENT {
 		daux, err := l.childDirAuxLocked(cont, fid)
 		return FileState{Aux: daux}, err
+	} else if err != nil {
+		return FileState{}, err
 	}
-	aux.VV = aux.VV.Clone()
-	df, err := cont.Lookup(memberName(prefixData, fid))
-	if err != nil {
-		return FileState{}, mapNotStored(err)
-	}
-	da, err := df.Getattr()
+	da, err := c.df.Getattr()
 	if err != nil {
 		return FileState{}, err
 	}
-	return FileState{Aux: aux, Size: da.Size}, nil
+	// The aux cache lends the aux: the vector is cloned, so no caller can
+	// reach the cached map.
+	c.aux.VV = c.aux.VV.Clone()
+	return FileState{Aux: c.aux, Size: da.Size}, nil
 }
 
 // childDirAuxLocked reads the attributes of fid as a child directory of
@@ -133,23 +128,19 @@ func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte
 	if err != nil {
 		return nil, FileState{}, nil, err
 	}
-	aux, seal, err := l.fileAuxLocked(cont, memberName(prefixAux, fid), true)
+	c, err := l.copyLocked(cont, fid, true)
 	if err != nil {
 		return nil, FileState{}, nil, mapNotStored(err)
 	}
 	if l.isQuarantinedLocked(fid) {
 		return nil, FileState{}, nil, errQuarantined(fid)
 	}
-	df, err := cont.Lookup(memberName(prefixData, fid))
-	if err != nil {
-		return nil, FileState{}, nil, mapNotStored(err)
-	}
-	data, m, err := l.readWholeLocked(df, fid, seal)
+	data, m, err := l.readWholeLocked(c.df, fid, c.seal)
 	if err != nil {
 		return nil, FileState{}, nil, err
 	}
-	aux.VV = aux.VV.Clone()
-	return data, FileState{Aux: aux, Size: uint64(len(data))}, m, nil
+	c.aux.VV = c.aux.VV.Clone()
+	return data, FileState{Aux: c.aux, Size: uint64(len(data))}, m, nil
 }
 
 // readWholeLocked reads file fid's data member df whole and checks it against

@@ -113,7 +113,7 @@ func (l *Layer) pullOne(req *PullRequest, ad *advert) PullResult {
 	if err != nil {
 		return pullFailed(err)
 	}
-	aux, seal, err := l.fileAuxLocked(cont, memberName(prefixAux, req.File), true)
+	c, err := l.copyLocked(cont, req.File, true)
 	if vnode.AsErrno(err) == vnode.ENOENT {
 		// Not a file here — it may be a child directory.
 		daux, err := l.childDirAuxLocked(cont, req.File)
@@ -124,11 +124,7 @@ func (l *Layer) pullOne(req *PullRequest, ad *advert) PullResult {
 	} else if err != nil {
 		return pullFailed(err)
 	}
-	// A copy without its data member is not stored, whatever its vector.
-	df, err := cont.Lookup(memberName(prefixData, req.File))
-	if err != nil {
-		return pullFailed(mapNotStored(err))
-	}
+	aux, seal, df := c.aux, c.seal, c.df
 	if req.HasLocal {
 		switch req.LocalVV.Compare(aux.VV) {
 		case vv.Dominated:
@@ -291,13 +287,12 @@ func (l *Layer) PullRequestFor(dirPath []ids.FileID, fid ids.FileID, base DeltaB
 	if err != nil {
 		return req, nil, storedOrNot(err)
 	}
-	aux, seal, err := l.fileAuxLocked(cont, memberName(prefixAux, fid), base != nil)
+	c, err := l.copyLocked(cont, fid, base != nil)
+	aux := c.aux
 	if vnode.AsErrno(err) == vnode.ENOENT {
 		aux, err = l.childDirAuxLocked(cont, fid)
 	} else if err == nil {
 		aux.VV = aux.VV.Clone()
-		_, err = cont.Lookup(memberName(prefixData, fid))
-		err = mapNotStored(err)
 	}
 	if err != nil {
 		return req, nil, storedOrNot(err)
@@ -306,8 +301,8 @@ func (l *Layer) PullRequestFor(dirPath []ids.FileID, fid ids.FileID, base DeltaB
 		return req, aux.VV, nil
 	}
 	req.LocalVV, req.HasLocal = aux.VV, true
-	if base != nil && seal != nil {
-		for i, addr := range seal.Blocks {
+	if base != nil && c.seal != nil {
+		for i, addr := range c.seal.Blocks {
 			// One mention per file, however often the block repeats inside it.
 			if hs := base[addr]; len(hs) == 0 || hs[len(hs)-1].fid != fid {
 				base[addr] = append(hs, baseBlock{dir: dirPath, fid: fid, block: i})
@@ -358,21 +353,17 @@ func (l *Layer) holderLocked(dirPath []ids.FileID, fid ids.FileID) heldVersion {
 	if err != nil {
 		return heldVersion{}
 	}
-	_, seal, err := l.fileAuxLocked(cont, memberName(prefixAux, fid), true)
-	if err != nil || seal == nil {
+	c, err := l.copyLocked(cont, fid, true)
+	if err != nil || c.seal == nil {
 		return heldVersion{}
 	}
-	df, err := cont.Lookup(memberName(prefixData, fid))
-	if err != nil {
-		return heldVersion{}
-	}
-	if st, err := df.Getattr(); err != nil || st.Size != seal.Length {
+	if st, err := c.df.Getattr(); err != nil || st.Size != c.seal.Length {
 		if err == nil {
 			l.quarantineLocked(fid)
 		}
 		return heldVersion{}
 	}
-	return heldVersion{df: df, m: &seal.BlockManifest}
+	return heldVersion{df: c.df, m: &c.seal.BlockManifest}
 }
 
 // baseBlockLocked fills dst with the block addressed addr, read back out of a

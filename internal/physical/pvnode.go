@@ -555,21 +555,15 @@ func (v *pvnode) getattrLocked() (vnode.Attr, error) {
 	if err != nil {
 		return vnode.Attr{}, mapStoreErr(err)
 	}
-	aux, _, err := v.l.fileAuxLocked(cont, memberName(prefixAux, v.fid), false)
+	c, err := v.l.copyLocked(cont, v.fid, false)
 	if err != nil {
-		if vnode.AsErrno(err) == vnode.ENOENT {
-			return vnode.Attr{}, vnode.ENOSTOR
-		}
-		return vnode.Attr{}, err
+		return vnode.Attr{}, mapStoreErr(mapNotStored(err))
 	}
-	df, err := cont.Lookup(memberName(prefixData, v.fid))
+	da, err := c.df.Getattr()
 	if err != nil {
 		return vnode.Attr{}, err
 	}
-	da, err := df.Getattr()
-	if err != nil {
-		return vnode.Attr{}, err
-	}
+	aux := c.aux
 	t := vnode.VReg
 	if aux.Type == KSymlink {
 		t = vnode.VLnk

@@ -41,8 +41,8 @@ func (fs *FS) Check() ([]string, error) {
 		if !used {
 			continue
 		}
-		if din.Size > maxFileSize {
-			problems = append(problems, fmt.Sprintf("%s: above the largest file", din.debugString(Ino(i))))
+		if err := din.refusal(Ino(i)); err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", din.debugString(Ino(i)), err))
 		}
 		if err := fs.walkBlocks(&din, func(bn uint32) { blockRefs[bn]++ }); err != nil {
 			return nil, err
@@ -74,7 +74,7 @@ func (fs *FS) Check() ([]string, error) {
 
 	// Pass 3: walk the directory tree from the root.
 	links := parentLinks{namedBy: make(map[Ino][]Ino)}
-	linkRefs, reachable, err := fs.walkTreeLocked(func(dir Ino, e Dirent, din dinode) (bool, error) {
+	linkRefs, reachable, _, err := fs.walkTreeLocked(func(dir Ino, e Dirent, din dinode) (bool, error) {
 		if din.Type == TypeFree {
 			problems = append(problems, fmt.Sprintf("dir %d: entry %q points at free inode %d", dir, e.Name, e.Ino))
 			return false, nil
@@ -115,8 +115,10 @@ func (fs *FS) Check() ([]string, error) {
 // and returns how many entries name each inode (what its nlink should be) and
 // which inodes are reachable.  keep is asked about every entry, with the
 // inode it names; an entry it does not keep is neither counted nor followed.
-// Check and recoverLocked differ only in their keep.
-func (fs *FS) walkTreeLocked(keep func(dir Ino, e Dirent, din dinode) (bool, error)) (linkRefs map[Ino]uint16, reachable map[Ino]bool, err error) {
+// Check and recoverLocked differ only in their keep.  A kept entry naming an
+// inode readInodeLocked refuses is counted, and the inode reachable, but a
+// directory among them is not walked; blind reports that there was one.
+func (fs *FS) walkTreeLocked(keep func(dir Ino, e Dirent, din dinode) (bool, error)) (linkRefs map[Ino]uint16, reachable map[Ino]bool, blind bool, err error) {
 	linkRefs = make(map[Ino]uint16)
 	reachable = make(map[Ino]bool)
 	var walk func(dir Ino) error
@@ -149,7 +151,9 @@ func (fs *FS) walkTreeLocked(keep func(dir Ino, e Dirent, din dinode) (bool, err
 				linkRefs[e.Ino]++
 			default:
 				linkRefs[e.Ino]++
-				if din.Type == TypeDir {
+				refused := din.refusal(e.Ino) != nil
+				blind = blind || refused
+				if din.Type == TypeDir && !refused {
 					if err := walk(e.Ino); err != nil {
 						return err
 					}
@@ -160,7 +164,8 @@ func (fs *FS) walkTreeLocked(keep func(dir Ino, e Dirent, din dinode) (bool, err
 		}
 		return nil
 	}
-	return linkRefs, reachable, walk(rootIno)
+	err = walk(rootIno)
+	return linkRefs, reachable, blind, err
 }
 
 // parentLinks collects, along walkTreeLocked, the directories that name each

@@ -3,6 +3,7 @@ package ufs
 import (
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -88,13 +89,18 @@ func setInodeSlot(tb testing.TB, dev *disk.Device, ino Ino, slot [InodeSize]byte
 // largest file would allocate that much.)
 func FuzzInodeSlot(f *testing.F) {
 	dev, file := fuzzImage(f)
+	// The input's n picks inode 1+n.
 	for ino := Ino(1); ino <= file+3; ino++ {
 		slot := inodeSlot(f, dev, ino)
-		f.Add(uint8(ino), slot[:])
+		f.Add(uint8(ino-1), slot[:])
 	}
 	huge := inodeSlot(f, dev, file)
 	binary.BigEndian.PutUint64(huge[8:], 1<<62)
-	f.Add(uint8(file), huge[:])
+	f.Add(uint8(file-1), huge[:])
+	d := lookupOn(f, dev, "d")
+	wide := inodeSlot(f, dev, d)
+	binary.BigEndian.PutUint64(wide[8:], maxFileSize)
+	f.Add(uint8(d-1), wide[:])
 	f.Fuzz(func(t *testing.T, n uint8, b []byte) {
 		d := dev.Snapshot()
 		var slot [InodeSize]byte
@@ -119,6 +125,60 @@ func FuzzInodeSlot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// lookupOn is the inode name names in the root of the file system on dev.
+func lookupOn(tb testing.TB, dev *disk.Device, name string) Ino {
+	tb.Helper()
+	fs, err := Mount(dev.Snapshot(), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ino, err := fs.Lookup(fs.Root(), name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ino
+}
+
+// TestCorruptDirectoryInodeMounts: a directory inode readInodeLocked refuses
+// — here one claiming the largest file's size, more slots than a directory
+// can map — stops neither a mount nor Check.  Recovery leaves it as it found
+// it: the entry naming it stays, the file inside it keeps its inode, no link
+// count is lowered and no block of either loses its bit; Check reports it.
+func TestCorruptDirectoryInodeMounts(t *testing.T) {
+	dev, file := fuzzImage(t)
+	d := lookupOn(t, dev, "d")
+	slot := inodeSlot(t, dev, d)
+	binary.BigEndian.PutUint64(slot[8:], maxFileSize)
+	setInodeSlot(t, dev, d, slot)
+	fs, err := Mount(dev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs, err := fs.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probs) == 0 || !strings.Contains(probs[0], "above the largest directory") {
+		t.Fatalf("Check found %q, want the directory's size first", probs)
+	}
+	// Its "." and ".." went uncounted, and so did the file, but no link count
+	// was lowered and no inode reclaimed to match.
+	for _, p := range probs[1:] {
+		if !strings.Contains(p, " references") && !strings.Contains(p, "unreachable from root") {
+			t.Errorf("Check found %q beside the directory", p)
+		}
+	}
+	if got, err := fs.Lookup(fs.Root(), "d"); err != nil || got != d {
+		t.Fatalf("the entry naming the directory: %d %v", got, err)
+	}
+	if _, err := fs.Readdir(d); !errors.Is(err, ErrBadInode) {
+		t.Fatalf("Readdir of the directory: %v, want ErrBadInode", err)
+	}
+	if got, err := fs.ReadFile(file); err != nil || len(got) != 2*BlockSize {
+		t.Fatalf("the file inside the directory: %d bytes, %v", len(got), err)
+	}
 }
 
 // TestCorruptInodeSizeIsRefused: writers refuse a size past the largest file,

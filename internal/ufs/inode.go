@@ -82,21 +82,32 @@ func (fs *FS) readInodeFromDisk(ino Ino) (dinode, error) {
 	return din, nil
 }
 
-// readInodeLocked returns the inode, failing if it is free or says it is
-// larger than any inode can map: no writer gives it such a size, and every
-// reader that sizes a buffer from it trusts this check.
+// readInodeLocked returns the inode, failing as refusal does.
 func (fs *FS) readInodeLocked(ino Ino) (dinode, error) {
 	din, err := fs.ic.get(ino)
 	if err != nil {
 		return dinode{}, err
 	}
-	if din.Type == TypeFree {
-		return dinode{}, fmt.Errorf("%w: inode %d is free", ErrBadInode, ino)
-	}
-	if din.Size > maxFileSize {
-		return dinode{}, fmt.Errorf("%w: inode %d has size %d, above the largest file", ErrBadInode, ino, din.Size)
+	if err := din.refusal(ino); err != nil {
+		return dinode{}, err
 	}
 	return din, nil
+}
+
+// refusal says why inode ino, din, is not to be read, or nil: it is free, or
+// it says it is larger than any inode of its type can map.  No writer gives it
+// such a size, and every reader that sizes a buffer from it, or scans a
+// directory's slots, trusts this check.
+func (din *dinode) refusal(ino Ino) error {
+	switch {
+	case din.Type == TypeFree:
+		return fmt.Errorf("%w: inode %d is free", ErrBadInode, ino)
+	case din.Size > maxFileSize:
+		return fmt.Errorf("%w: inode %d has size %d, above the largest file", ErrBadInode, ino, din.Size)
+	case din.Type == TypeDir && din.Size > maxDirSize:
+		return fmt.Errorf("%w: directory %d has size %d, above the largest directory", ErrBadInode, ino, din.Size)
+	}
+	return nil
 }
 
 // writeInodeLocked stages the inode for the call's flush and refreshes the

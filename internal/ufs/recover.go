@@ -28,12 +28,19 @@ package ufs
 // directory that names it, reclaim inodes unreachable from the root, reset
 // link counts to the surviving reference counts, and rebuild both allocation
 // bitmaps from the inode table.  After it runs, Check reports a clean volume.
+//
+// An inode readInodeLocked refuses — bit rot, a foreign writer — is none of
+// those states, and recovery leaves it for Check to report: the entry naming
+// it stays, and it is neither walked, reclaimed nor relinked.  What it owns is
+// unknown, so with one on the device no block bit is cleared; and what a
+// refused directory names is unknown, so with one in the tree no inode is
+// reclaimed and no link count lowered.
 func (fs *FS) recoverLocked() error {
 	// Pass 1: walk the tree from the root, dropping entries that name free
 	// inodes and collecting reference counts and reachability, then repoint
 	// every stale "..", moving the reference it counted.
 	links := parentLinks{namedBy: make(map[Ino][]Ino)}
-	linkRefs, reachable, err := fs.walkTreeLocked(func(dir Ino, e Dirent, din dinode) (bool, error) {
+	linkRefs, reachable, blind, err := fs.walkTreeLocked(func(dir Ino, e Dirent, din dinode) (bool, error) {
 		if din.Type != TypeFree {
 			links.see(dir, e, din)
 			return true, nil
@@ -55,6 +62,7 @@ func (fs *FS) recoverLocked() error {
 	// Pass 2: reclaim unreachable inodes, reset stale link counts, and
 	// rebuild the inode bitmap from the table.  The clock resumes past every
 	// stamp on the device, so no stamp is ever given out twice.
+	refused := make(map[Ino]bool)
 	for i := uint32(1); i < fs.sb.NInodes; i++ {
 		ino := Ino(i)
 		din, err := fs.ic.get(ino)
@@ -62,18 +70,22 @@ func (fs *FS) recoverLocked() error {
 			return err
 		}
 		fs.clock = max(fs.clock, din.Mtime, din.Ctime)
-		if din.Type != TypeFree {
-			if !reachable[ino] {
-				if err := fs.writeInodeLocked(ino, dinode{}); err != nil {
-					return err
-				}
-				fs.ic.drop(ino)
-				din = dinode{}
-			} else if din.Nlink != linkRefs[ino] {
-				din.Nlink = linkRefs[ino]
-				if err := fs.writeInodeLocked(ino, din); err != nil {
-					return err
-				}
+		switch {
+		case din.Type == TypeFree:
+		case din.refusal(ino) != nil:
+			refused[ino] = true
+		case !reachable[ino] && blind:
+			// Perhaps named inside a refused directory: kept.
+		case !reachable[ino]:
+			if err := fs.writeInodeLocked(ino, dinode{}); err != nil {
+				return err
+			}
+			fs.ic.drop(ino)
+			din = dinode{}
+		case din.Nlink < linkRefs[ino] || !blind && din.Nlink != linkRefs[ino]:
+			din.Nlink = linkRefs[ino]
+			if err := fs.writeInodeLocked(ino, din); err != nil {
+				return err
 			}
 		}
 		want := din.Type != TypeFree
@@ -97,7 +109,7 @@ func (fs *FS) recoverLocked() error {
 		if err != nil {
 			return err
 		}
-		if din.Type == TypeFree {
+		if din.Type == TypeFree || refused[Ino(i)] {
 			continue
 		}
 		if err := fs.walkBlocks(&din, func(bn uint32) { refs[bn] = true }); err != nil {
@@ -109,7 +121,7 @@ func (fs *FS) recoverLocked() error {
 		if err != nil {
 			return err
 		}
-		if used != refs[bn] {
+		if used != refs[bn] && (refs[bn] || len(refused) == 0) {
 			if err := fs.blkMap.set(bn, refs[bn]); err != nil {
 				return err
 			}

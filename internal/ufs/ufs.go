@@ -53,6 +53,8 @@ const (
 	MaxFileBlocks = NDirect + PtrsPerBlock + PtrsPerBlock*PtrsPerBlock
 	// maxFileSize is the largest file in bytes.
 	maxFileSize = MaxFileBlocks * BlockSize
+	// maxDirSize is the largest directory in bytes: whole slots only.
+	maxDirSize = MaxFileBlocks * dirSlotsPerBlock * dirSlotSize
 
 	magic     = 0xf1c05001
 	rootIno   = 1

@@ -146,27 +146,39 @@ func TestStrictness(t *testing.T) {
 	}
 }
 
+// bytesPerCall is what f allocates per call, averaged over runs calls made on
+// one P — testing.AllocsPerRun's method, for bytes.  TotalAlloc is the whole
+// process's: measured around a single call, whatever another goroutine
+// allocates meanwhile lands in it.
+func bytesPerCall(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestCountCapNeverAllocates: an element count the remaining bytes cannot
 // back fails before anything is sized from it.
 func TestCountCapNeverAllocates(t *testing.T) {
-	huge := []byte{0xff, 0xff, 0xff, 0xff, 0x7f} // ~34 billion
+	in := append([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}, make([]byte, 64)...) // a count of ~34 billion
 	for name, read := range map[string]func(*Decoder){
 		"Count": func(d *Decoder) { d.Count(1) },
 		"Bytes": func(d *Decoder) { d.Bytes() },
 		"Str":   func(d *Decoder) { _ = d.Str() },
 		"Path":  func(d *Decoder) { d.Path() },
 	} {
-		d := NewDecoder(append(append([]byte(nil), huge...), make([]byte, 64)...))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		read(d)
-		runtime.ReadMemStats(&after)
-		if d.Err() == nil {
+		d := NewDecoder(in)
+		if read(d); d.Err() == nil {
 			t.Errorf("%s: absurd count accepted", name)
 		}
-		// The error value is the only thing the refusal builds.
-		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<10 {
-			t.Errorf("%s: %d bytes allocated on the refusal path", name, got)
+		// The decoder and the error value are all the refusal builds.
+		if got := bytesPerCall(100, func() { read(NewDecoder(in)) }); got > 1<<10 {
+			t.Errorf("%s: %d bytes allocated per refusal", name, got)
 		}
 	}
 	// Count(minSize) divides: 5 elements of 12 bytes need 60, not 5.
