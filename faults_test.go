@@ -192,12 +192,12 @@ func TestChaosBatchedPropagationUnderFaults(t *testing.T) {
 	}
 }
 
-// TestPropagationDeterministicUnderFaults pins the concurrency contract of
-// the batched propagation pipeline: with the same cluster seed, the same
-// injected fault rates, and the same workload, two runs must produce the
-// exact same per-host recon.Stats sequence — worker-pool scheduling and
-// per-link fault draws may interleave differently in time, but must never
-// change any observable outcome.
+// TestPropagationDeterministicUnderFaults pins the determinism of the
+// batched propagation pass: with the same cluster seed, the same injected
+// fault rates, and the same workload, two runs must produce the exact same
+// per-host recon.Stats sequence — a pass pulls its origins one after
+// another and every fault draw comes from its link's seeded RNG, so nothing
+// but the seed decides an outcome.
 func TestPropagationDeterministicUnderFaults(t *testing.T) {
 	const hosts = 3
 	run := func() []recon.Stats {

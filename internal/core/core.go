@@ -58,7 +58,6 @@ type ReplicaLoc struct {
 type StorageOptions struct {
 	DiskBlocks int // default 16384
 	Inodes     int // default 4096
-	UFS        *ufs.Options
 }
 
 func (o *StorageOptions) withDefaults() StorageOptions {
@@ -72,7 +71,6 @@ func (o *StorageOptions) withDefaults() StorageOptions {
 	if o.Inodes > 0 {
 		v.Inodes = o.Inodes
 	}
-	v.UFS = o.UFS
 	return v
 }
 
@@ -200,7 +198,7 @@ func nfsService(vr ids.VolumeReplicaHandle) string { return "nfs:" + vr.String()
 func (h *Host) provision(vol ids.VolumeHandle, rid ids.ReplicaID, opts *StorageOptions) (*localReplica, error) {
 	o := opts.withDefaults()
 	dev := disk.New(o.DiskBlocks)
-	fs, err := ufs.Mkfs(dev, o.Inodes, o.UFS)
+	fs, err := ufs.Mkfs(dev, o.Inodes, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -558,7 +556,7 @@ type SlowPeerConfig struct {
 	HedgeAfter uint64
 	// TickBudget bounds one propagation pass's virtual makespan.  0 = off.
 	TickBudget uint64
-	// PeerInflight caps concurrent pulls per peer host within a pass.
+	// PeerInflight caps the pulls per peer host within one wave of a pass.
 	// 0 = uncapped.
 	PeerInflight int
 }
@@ -591,8 +589,6 @@ func (h *Host) PropagationStats() recon.Stats {
 // Reconciliation and GC pass gated=false: correctness there depends on
 // actual reachability (a skipped peer must mean an unreachable peer), so
 // they pay an explicit Ping, which is also what revives a recovered peer.
-// Propagate calls the finder from worker goroutines; everything here is
-// mutex-protected.
 func (h *Host) peerFinder(local *physical.Layer, gated bool) recon.PeerFinder {
 	return func(origin ids.ReplicaID) recon.Peer {
 		h.mu.Lock()

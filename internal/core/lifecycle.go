@@ -116,7 +116,7 @@ func (h *Host) Restart() error {
 // remount brings one crashed replica back from its device.
 func remount(cr *crashedReplica) (*localReplica, error) {
 	cr.dev.ClearFault()
-	fs, err := ufs.Mount(cr.dev, cr.opts.UFS)
+	fs, err := ufs.Mount(cr.dev, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -363,6 +363,18 @@ func sweepOps() []sweepOp {
 			}
 			return rootCompacted(l)
 		}},
+		// An op whose first id is past the batch meta reserves commits meta
+		// anew before it allocates.
+		{name: "CreateCommitsMeta", prep: exhaustIDBatch, run: func(l *Layer, root vnode.Vnode) error {
+			high := metaHigh(l)
+			if _, err := root.Create("new", true); err != nil {
+				return err
+			}
+			if metaHigh(l) == high {
+				return errors.New("the op reserved no id batch: meta was not rewritten")
+			}
+			return nil
+		}},
 		{name: "InstallFirstCopy", prep: func(l *Layer, _ vnode.Vnode) error {
 			return l.AppendEntry(RootPath(), Entry{Name: "far", Child: sweepFar, Kind: KFile})
 		}, run: func(l *Layer, _ vnode.Vnode) error {
@@ -409,6 +421,28 @@ func fillRootJournal(l *Layer, _ vnode.Vnode) error {
 		}
 	}
 	return errors.New("the root journal never reached its compaction threshold")
+}
+
+// exhaustIDBatch allocates ids until the sequencer has used up the batch
+// meta reserves, so the next id allocated rewrites meta.
+func exhaustIDBatch(l *Layer, _ vnode.Vnode) error {
+	for i := 0; i <= idBatch; i++ {
+		id, err := l.NextID()
+		if err != nil {
+			return err
+		}
+		if id.Seq == metaHigh(l) {
+			return nil
+		}
+	}
+	return errors.New("the sequencer never reached meta's high-water mark")
+}
+
+// metaHigh is the id high-water mark meta last recorded.
+func metaHigh(l *Layer) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.idHigh
 }
 
 // rootCompacted fails unless the root directory's journal is a bare snapshot.

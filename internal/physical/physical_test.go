@@ -715,33 +715,41 @@ func TestLocalOverwriteIsSixDeviceWrites(t *testing.T) {
 // DESIGN.md §10.3's fixture — a fresh store, five 5 000-byte files and a
 // subdirectory, then the one op — to the table there.  The directory's share
 // is a block and the inode for the append, and as much again for attr; the
-// rest is the storage the op makes or reclaims.
+// rest is the storage the op makes or reclaims.  A first install — a pulled
+// version of a file the root names and this replica stores no copy of —
+// writes its data and aux in place (writeFresh), the aux last: nothing
+// vouches for the copy until the aux lands, so a shadow would save nothing.
 func TestNamingOpDeviceWrites(t *testing.T) {
 	for _, op := range []struct {
-		name string
-		want uint64
-		run  func(root vnode.Vnode) error
+		name      string
+		want      uint64
+		prep, run func(l *Layer, root vnode.Vnode) error
 	}{
-		{"Create", 14, func(root vnode.Vnode) error { _, err := root.Create("new", true); return err }},
-		{"Symlink", 17, func(root vnode.Vnode) error { return root.Symlink("sym", "f0") }},
-		{"Mkdir", 21, func(root vnode.Vnode) error { _, err := root.Mkdir("newdir"); return err }},
-		{"Link", 6, func(root vnode.Vnode) error {
+		{name: "Create", want: 14, run: func(_ *Layer, root vnode.Vnode) error { _, err := root.Create("new", true); return err }},
+		{name: "Symlink", want: 17, run: func(_ *Layer, root vnode.Vnode) error { return root.Symlink("sym", "f0") }},
+		{name: "Mkdir", want: 21, run: func(_ *Layer, root vnode.Vnode) error { _, err := root.Mkdir("newdir"); return err }},
+		{name: "Link", want: 6, run: func(_ *Layer, root vnode.Vnode) error {
 			f, err := root.Lookup("f0")
 			if err != nil {
 				return err
 			}
 			return root.Link("f0b", f)
 		}},
-		{"Remove", 12, func(root vnode.Vnode) error { return root.Remove("f2") }},
-		{"Rmdir", 4, func(root vnode.Vnode) error { return root.Rmdir("sub") }},
-		{"Rename within a directory", 4, func(root vnode.Vnode) error { return root.Rename("f3", root, "f3r") }},
-		{"Rename over an existing name", 12, func(root vnode.Vnode) error { return root.Rename("f3", root, "f4") }},
-		{"Rename across directories", 16, func(root vnode.Vnode) error {
+		{name: "Remove", want: 12, run: func(_ *Layer, root vnode.Vnode) error { return root.Remove("f2") }},
+		{name: "Rmdir", want: 4, run: func(_ *Layer, root vnode.Vnode) error { return root.Rmdir("sub") }},
+		{name: "Rename within a directory", want: 4, run: func(_ *Layer, root vnode.Vnode) error { return root.Rename("f3", root, "f3r") }},
+		{name: "Rename over an existing name", want: 12, run: func(_ *Layer, root vnode.Vnode) error { return root.Rename("f3", root, "f4") }},
+		{name: "Rename across directories", want: 16, run: func(_ *Layer, root vnode.Vnode) error {
 			sub, err := root.Lookup("sub")
 			if err != nil {
 				return err
 			}
 			return root.Rename("f3", sub, "f3m")
+		}},
+		{name: "Install of a first copy", want: 14, prep: func(l *Layer, _ vnode.Vnode) error {
+			return l.AppendEntry(RootPath(), Entry{Name: "far", Child: fid(5, 88), Kind: KFile})
+		}, run: func(l *Layer, _ vnode.Vnode) error {
+			return l.InstallFileVersion(RootPath(), fid(5, 88), KFile, bytes.Repeat([]byte("x"), 5000), vv.Vector{5: 1}, 1)
 		}},
 	} {
 		l, dev := newLayer(t, 1)
@@ -761,13 +769,78 @@ func TestNamingOpDeviceWrites(t *testing.T) {
 		if _, err := root.Mkdir("sub"); err != nil {
 			t.Fatal(err)
 		}
+		if op.prep != nil {
+			if err := op.prep(l, root); err != nil {
+				t.Fatalf("%s: prep: %v", op.name, err)
+			}
+		}
 		before := dev.Stats().Writes
-		if err := op.run(root); err != nil {
+		if err := op.run(l, root); err != nil {
 			t.Fatalf("%s: %v", op.name, err)
 		}
 		if got := dev.Stats().Writes - before; got != op.want {
 			t.Errorf("%s made %d device writes, want %d", op.name, got, op.want)
 		}
+	}
+}
+
+// TestResealUnderTheHeadersVectorReplacesTheAux: a seal under the vector the
+// aux header already holds is never written in place, because its first
+// block alone would make the old addresses current (resealInPlace).  The
+// scrubber's reseal of an unverifiable copy replaces the aux through a shadow
+// and a rename, and an install under the stored vector — a repair —
+// replaces both the data and the aux that way.
+func TestResealUnderTheHeadersVectorReplacesTheAux(t *testing.T) {
+	fs, err := ufs.Mkfs(disk.New(8192), 2048, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string]int{}
+	l, err := Format(vnode.NewHook(ufsvn.New(fs), func(op string) { ops[op]++ }), testVol, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := l.Root()
+	f, err := root.Create("f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("d"), 3*ChecksumBlockSize)
+	if err := vnode.WriteFile(f, data); err != nil {
+		t.Fatal(err)
+	}
+	fid := mustFid(t, f)
+	st, err := l.FileInfo(RootPath(), fid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what      string
+		prep, run func() error
+		shadows   int
+	}{
+		{what: "the scrubber's reseal of an unverifiable copy", shadows: 1,
+			prep: func() error { return staleSeal("/f")(l, root) },
+			run:  l.ScrubPass},
+		{what: "an install under the stored vector", shadows: 2,
+			run: func() error { return l.InstallFileVersion(RootPath(), fid, KFile, data, st.Aux.VV, 1) }},
+	} {
+		if c.prep != nil {
+			if err := c.prep(); err != nil {
+				t.Fatalf("%s: %v", c.what, err)
+			}
+		}
+		clear(ops)
+		if err := c.run(); err != nil {
+			t.Fatalf("%s: %v", c.what, err)
+		}
+		if ops["create"] != c.shadows || ops["rename"] != c.shadows {
+			t.Errorf("%s created %d members and renamed %d, want a shadow and a rename for each of %d members",
+				c.what, ops["create"], ops["rename"], c.shadows)
+		}
+	}
+	if got := l.IntegrityStats().Resealed; got != 1 {
+		t.Errorf("the scrubber resealed %d copies, want 1", got)
 	}
 }
 

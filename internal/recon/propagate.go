@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/physical"
@@ -43,12 +42,12 @@ type AddrKeyer interface {
 
 // PropagateConfig tunes one propagation pass.
 type PropagateConfig struct {
-	// Policy classifies per-entry errors and spaces the retries of failed
-	// entries across later passes.  Zero value: retry.Default().
+	// Policy spaces the retries of failed entries across later passes.
+	// Zero value: retry.Default().
 	Policy retry.Policy
-	// Workers bounds how many origins are pulled concurrently (default 4).
-	// Results are always applied in sorted origin order, so the worker
-	// count affects wall time only, never the outcome.
+	// Workers is how many origins one wave holds (default 4).  A wave is
+	// virtual-time accounting: its origins are pulled one after another,
+	// and the wave costs the pass what its costliest pull cost.
 	Workers int
 
 	// HedgeAfter enables hedged pulls: when an origin's pull costs more
@@ -66,9 +65,9 @@ type PropagateConfig struct {
 	// the next pass (counted in Stats.BudgetDeferred).  The first wave
 	// always runs, so a pass makes progress under any budget.  0 = no bound.
 	TickBudget uint64
-	// PeerInflight caps how many origins may pull from the same peer host
-	// concurrently (per wave) — backpressure that keeps one slow host from
-	// absorbing the whole worker pool.  0 = no cap.
+	// PeerInflight caps how many of one wave's origins may pull from the
+	// same peer host — backpressure that keeps one slow host from filling
+	// the wave.  0 = no cap.
 	PeerInflight int
 }
 
@@ -92,15 +91,15 @@ func PropagateOnce(local *physical.Layer, find PeerFinder) (Stats, error) {
 //
 // Due entries are grouped by origin: each origin is consulted once via the
 // finder and pulled with a single conditional pull that advertises the blocks
-// of the versions it replaces, so only missing blocks ship.  Origins run in
-// waves through a bounded worker pool under the backpressure knobs (TickBudget,
-// PeerInflight), optionally hedged (HedgeAfter/FindHedge); but every state
-// change to the local replica's daemon machinery — drops, deferrals,
-// conflict reports, stats, the error join — is applied by a sequential
-// reduce in sorted origin order, preserving entry order within each origin.
-// Virtual time, seeded latency draws, and deterministic wave packing mean
-// two passes over the same state produce identical Stats, conflict logs,
-// and backoff schedules regardless of worker interleaving.
+// of the versions it replaces, so only missing blocks ship.  The origins are
+// pulled one after another on the caller's goroutine, in waves that account
+// virtual time under the backpressure knobs (TickBudget, PeerInflight),
+// optionally hedged (HedgeAfter/FindHedge); every state change to the local
+// replica's daemon machinery — drops, deferrals, conflict reports, stats,
+// the error join — is then applied by a reduce in sorted origin order,
+// preserving entry order within each origin.  Virtual time, seeded latency
+// draws and deterministic wave packing mean two passes over the same state
+// produce identical Stats, conflict logs and backoff schedules.
 //
 // Partial operation is the normal status: a failure on one entry never
 // starves the rest of the pass.  Failed entries stay in the new-version
@@ -161,47 +160,46 @@ func Propagate(local *physical.Layer, find PeerFinder, cfg PropagateConfig) (Sta
 	}
 	waves := packWaves(runnable, workers, cfg.PeerInflight, func(i int) string { return peerKeyOf(peers[i]) })
 
-	// Pull each wave on the worker pool.  Workers only read remote state
-	// and install file versions (individually atomic and commutative across
-	// distinct files); all daemon bookkeeping waits for the reduce below.
-	// The pass's virtual makespan is the sum over waves of the costliest
-	// origin in each wave; once it exceeds the tick budget the remaining
-	// waves are skipped — their entries stay due for the next pass.
+	// Pull the waves in order, each wave's origins one after another, on
+	// this goroutine; the pulls only read remote state and install file
+	// versions, and all daemon bookkeeping waits for the reduce below.  A
+	// wave is virtual-time accounting: the pass's virtual makespan is the sum
+	// over waves of the costliest origin in each, and once it reaches the
+	// tick budget the remaining waves are skipped — their entries stay due
+	// for the next pass.
 	results := make([]originResult, len(origins))
 	overBudget := false
 	for _, wave := range waves {
-		if overBudget {
-			for _, i := range wave {
-				results[i].budgetSkipped = true
-			}
-			continue
-		}
-		var wg sync.WaitGroup
-		for _, i := range wave {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i] = runOrigin(local, peers[i], byOrigin[origins[i]], cfg)
-			}(i)
-		}
-		wg.Wait()
 		var waveMax uint64
 		for _, i := range wave {
-			if results[i].cost > waveMax {
-				waveMax = results[i].cost
+			res := &results[i]
+			if overBudget {
+				res.budgetSkipped = true
+				continue
 			}
+			src := &hedgedSource{Peer: peers[i], after: cfg.HedgeAfter, res: res}
+			if cfg.HedgeAfter > 0 && cfg.FindHedge != nil {
+				if b := cfg.FindHedge(origins[i]); b != nil && !samePeer(b, peers[i]) {
+					src.backup = b
+				}
+			}
+			entries := byOrigin[origins[i]]
+			items := make([]pullItem, len(entries))
+			for k, nv := range entries {
+				items[k] = pullItem{dir: nv.Dir, file: nv.File}
+			}
+			res.outcomes = pullAndApply(local, src, items, true)
+			waveMax = max(waveMax, res.cost)
 		}
 		stats.PassTicks += waveMax
-		if cfg.TickBudget > 0 && stats.PassTicks >= cfg.TickBudget {
-			overBudget = true
-		}
+		overBudget = cfg.TickBudget > 0 && stats.PassTicks >= cfg.TickBudget
 	}
 
 	// Deterministic merge: sorted origin order, entry order within each.
 	fail := func(nv physical.NewVersion, err error) {
 		stats.Failures++
 		local.DeferPending(nv.File, now+cfg.Policy.Backoff(nv.Attempts+1, propagationKey(nv)))
-		if !cfg.Policy.IsTransient(err) {
+		if !retry.Transient(err) {
 			errs = append(errs, fmt.Errorf("propagate %v from replica %d: %w", nv.File, nv.Origin, err))
 		}
 	}
@@ -216,7 +214,7 @@ func Propagate(local *physical.Layer, find PeerFinder, cfg PropagateConfig) (Sta
 			stats.BudgetDeferred += len(entries)
 			continue
 		}
-		if res.peer == nil {
+		if peers[oi] == nil {
 			// Origin unreachable (or health-gated): no attempt made.
 			for _, nv := range entries {
 				stats.Deferred++
@@ -270,8 +268,7 @@ func Propagate(local *physical.Layer, find PeerFinder, cfg PropagateConfig) (Sta
 // packWaves packs origin indices (already in sorted-origin order) into
 // waves of at most workers origins with at most perPeer origins per peer
 // key.  An origin that does not fit the current wave is considered for the
-// next; packing depends only on the input order and the caps, so it is
-// deterministic under any goroutine interleaving.
+// next; packing depends only on the input order and the caps.
 func packWaves(idxs []int, workers, perPeer int, key func(int) string) [][]int {
 	var waves [][]int
 	pending := idxs
@@ -331,10 +328,8 @@ func propagationKey(nv physical.NewVersion) uint64 {
 	return nv.File.Seq ^ uint64(nv.File.Issuer)<<32 ^ uint64(nv.Origin)<<48
 }
 
-// originResult carries one origin's pull results back to the reduce.  A nil
-// peer means the finder had no route to the origin.
+// originResult carries one origin's pull results to the reduce.
 type originResult struct {
-	peer     Peer // the origin source the finder resolved (nil: unreachable)
 	src      Peer // the source whose answers were applied (hedging may differ)
 	outcomes []entryOutcome
 
@@ -355,23 +350,6 @@ func (hedgeInconclusiveError) Error() string {
 }
 
 func (hedgeInconclusiveError) Transient() bool { return true }
-
-// runOrigin pulls one origin's due entries on a worker goroutine.
-func runOrigin(local *physical.Layer, peer Peer, entries []physical.NewVersion, cfg PropagateConfig) originResult {
-	res := originResult{peer: peer, src: peer}
-	src := &hedgedSource{Peer: peer, after: cfg.HedgeAfter, res: &res}
-	if cfg.HedgeAfter > 0 && cfg.FindHedge != nil {
-		if b := cfg.FindHedge(entries[0].Origin); b != nil && !samePeer(b, peer) {
-			src.backup = b
-		}
-	}
-	items := make([]pullItem, len(entries))
-	for i, nv := range entries {
-		items[i] = pullItem{dir: nv.Dir, file: nv.File}
-	}
-	res.outcomes = pullAndApply(local, src, items, true)
-	return res
-}
 
 // hedgedSource is one origin's pull source under the hedging config: a Peer
 // whose pull is a deterministic virtual-time race.  The primary pull runs

@@ -75,8 +75,8 @@ func (e *deadlineError) Is(target error) bool { //ficusvet:ignore errclass
 func (e *deadlineError) Unwrap() error { return e.cause }
 
 // peerError is a failure that happened at the peer, rebuilt from the wire:
-// the class tag decides transience, so retry.Policy.IsTransient classifies
-// a remote transient failure exactly as it would a local one.
+// the class tag decides transience, so retry.Transient classifies a remote
+// transient failure exactly as it would a local one.
 type peerError struct {
 	msg       string
 	transient bool

@@ -58,23 +58,12 @@ type Policy struct {
 	BaseBackoff uint64
 	// MaxBackoff caps the exponential growth.
 	MaxBackoff uint64
-	// Classify overrides the transient-vs-permanent decision; nil means
-	// the package-level Transient.
-	Classify func(error) bool
 }
 
 // Default returns the stack's standard policy: three in-call attempts,
 // backoff 1, 2, 4, ... ticks capped at 8.
 func Default() Policy {
 	return Policy{MaxAttempts: 3, BaseBackoff: 1, MaxBackoff: 8}
-}
-
-// IsTransient classifies err under the policy.
-func (p Policy) IsTransient(err error) bool {
-	if p.Classify != nil {
-		return p.Classify(err)
-	}
-	return Transient(err)
 }
 
 // Backoff returns how many virtual ticks to wait after the attempt-th
@@ -120,7 +109,7 @@ func (p Policy) Do(op func() error) error {
 	}
 	var err error
 	for i := 0; i < attempts; i++ {
-		if err = op(); err == nil || !p.IsTransient(err) {
+		if err = op(); err == nil || !Transient(err) {
 			return err
 		}
 	}

@@ -149,8 +149,8 @@ type linkFaults struct {
 	// rng drives every probabilistic RPC fault decision on this link.  It
 	// is seeded deterministically from (network seed, from, to), so the
 	// fault sequence a link suffers depends only on that link's own call
-	// order — concurrent callers on *distinct* links (the propagation
-	// pipeline's per-origin workers) cannot perturb each other's draws.
+	// order — adding, dropping or reordering traffic on other links leaves
+	// this link's draws where they were.
 	rng *rand.Rand
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // cache is what the three UFS caches share: the one LRU (internal/lru), a
-// switch, and hit/miss counters.  While it is off every get misses without
+// switch set at Mkfs or Mount (Options.DisableCaches), and hit/miss counters.  While it is off every get misses without
 // being counted and put keeps nothing, so experiment E3's cache-off row
 // sees every access reach the device and CacheStats stays at zero.
 type cache[K comparable, V any] struct {
@@ -21,13 +21,6 @@ type cache[K comparable, V any] struct {
 
 func newCache[K comparable, V any](capacity int, enabled bool) cache[K, V] {
 	return cache[K, V]{lru: lru.New[K, V](capacity), enabled: enabled}
-}
-
-func (c *cache[K, V]) setEnabled(on bool) {
-	c.enabled = on
-	if !on {
-		c.flush()
-	}
 }
 
 func (c *cache[K, V]) flush() { c.lru.Flush() }

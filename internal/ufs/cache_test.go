@@ -152,25 +152,6 @@ func TestFlushCachesPreservesData(t *testing.T) {
 	}
 }
 
-func TestSetCachesEnabledToggle(t *testing.T) {
-	dev := disk.New(1024)
-	fs, _ := Mkfs(dev, 256, nil)
-	fs.Create(fs.Root(), "f")
-	fs.SetCachesEnabled(false)
-	dev.ResetStats()
-	fs.Lookup(fs.Root(), "f")
-	if dev.Stats().Total() == 0 {
-		t.Fatal("disabled caches served from memory")
-	}
-	fs.SetCachesEnabled(true)
-	fs.Lookup(fs.Root(), "f") // repopulate
-	dev.ResetStats()
-	fs.Lookup(fs.Root(), "f")
-	if dev.Stats().Total() != 0 {
-		t.Fatal("re-enabled caches not serving")
-	}
-}
-
 // TestWarmReadAtAllocatesNoBlock pins the lending rule's point: a cache hit
 // hands out the cached block, it does not copy it.
 func TestWarmReadAtAllocatesNoBlock(t *testing.T) {

@@ -328,16 +328,6 @@ func (fs *FS) FlushCaches() {
 	fs.dnlc.flush()
 }
 
-// SetCachesEnabled enables or disables all caches at once; disabling also
-// flushes.
-func (fs *FS) SetCachesEnabled(on bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.bc.setEnabled(on)
-	fs.ic.setEnabled(on)
-	fs.dnlc.setEnabled(on)
-}
-
 // CacheStats reports hit/miss counters for the three caches.
 type CacheStats struct {
 	BufferHits, BufferMisses uint64

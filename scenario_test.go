@@ -138,8 +138,9 @@ var chaosRows = []row{
 		faults: FaultConfig{RPCFailRate: 0.05, ReplyLossRate: 0.05, DatagramLossRate: 0.10,
 			DatagramDupRate: 0.05, ReorderRate: 0.10},
 		latency: LatencyConfig{BaseTicks: 8, JitterTicks: 6, SpikeRate: 0.15, SpikeTicks: 150},
-		slow:    SlowPeerConfig{RPCDeadline: 60, TickBudget: 600},
-		gossip:  GossipConfig{Fanout: 2, TTL: 3}},
+		slow: SlowPeerConfig{RPCDeadline: 60, SlowAfter: 25, HedgeAfter: 30, TickBudget: 600,
+			PeerInflight: 2},
+		gossip: GossipConfig{Fanout: 2, TTL: 3}},
 }
 
 // slowEvents is the slow row's script: the link 1 -> 0 is persistently slow,
@@ -841,29 +842,34 @@ func TestChaos(t *testing.T) {
 	}
 }
 
-// TestChaosDeterministic: a row's list and run are pure functions of its
-// seed, and its printed replay row plays the same run — what makes shrinking
-// sound.
+// TestChaosDeterministic: at every listed seed of the rows that crash,
+// scrub, hedge and shed, a row's list and run are pure functions of its seed,
+// and its printed replay row plays the same run — what makes shrinking sound.
 func TestChaosDeterministic(t *testing.T) {
-	for _, name := range []string{"crash", "scrub", "composed"} {
-		t.Run(name, func(t *testing.T) {
-			r := row{base: name}.resolved()
-			const seed = 2
-			evs := r.list(seed)
-			if !slices.Equal(evs, r.list(seed)) {
-				t.Fatal("two draws of one seed differ")
-			}
-			a, err := play(&r, seed, evs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			replay := row{name: name + "-replay", base: name, seeds: []int64{seed}, events: evs}.resolved()
-			b, err := play(&replay, seed, replay.list(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a != b {
-				t.Fatalf("runs differ:\n%s\nvs\n%s", a, b)
+	for _, r := range chaosRows {
+		if !slices.Contains([]string{"crash", "scrub", "slow", "composed"}, r.name) {
+			continue
+		}
+		t.Run(r.name, func(t *testing.T) {
+			for _, seed := range r.seeds {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					evs := r.list(seed)
+					if !slices.Equal(evs, r.list(seed)) {
+						t.Fatal("two draws of one seed differ")
+					}
+					a, err := play(&r, seed, evs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					replay := row{name: r.name + "-replay", base: r.name, seeds: []int64{seed}, events: evs}.resolved()
+					b, err := play(&replay, seed, replay.list(seed))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a != b {
+						t.Fatalf("runs differ:\n%s\nvs\n%s", a, b)
+					}
+				})
 			}
 		})
 	}

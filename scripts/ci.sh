@@ -8,8 +8,6 @@
 #   - greps that keep deleted mechanisms deleted: encoding/gob and
 #     container/list in non-test code, a sidecar member, a new-version cache
 #     journal and a repair daemon;
-#   - one structural gate no test holds yet: the in-place reseal behind its
-#     two callers and fresh storage behind writeFresh, in internal/physical;
 #   - a two-second fuzz smoke of every fuzz target (a package left with none
 #     fails);
 #   - greps that keep timed benchmarks and mirrored Stats structs out of the
@@ -61,22 +59,6 @@ echo "==> no container/list in non-test Go"
 test -z "$(grep -l '"container/list"' $(git ls-files '*.go' | grep -v _test.go))"
 
 phys=$(git ls-files 'internal/physical/*.go' | grep -v _test.go)
-
-echo "==> one in-place reseal and one fresh-storage writer in internal/physical"
-# Only an update under a new vector may overwrite an aux's seal in place
-# (DESIGN.md §10.3): resealInPlace has two callers, updateFileLocked and
-# commitFileVersionLocked, once each, and sealLocked (atomicReplace of the
-# whole aux) one, the scrubber.  Storage no aux or attr vouches for yet skips
-# the shadow through writeFresh: createKind's data and aux, newContainerLocked's
-# empty dir and attr, and commitFileVersionLocked's first copy.  A reseal under
-# the vector the header already holds must never take an in-place arm.
-test "$(cat $phys | grep -v '^func ' | grep -c 'resealInPlace(')" -eq 2
-test "$(sed -n '/^func (v \*pvnode) updateFileLocked(/,/^}/p' internal/physical/pvnode.go | grep -c 'resealInPlace(')" -eq 1
-test "$(sed -n '/^func (l \*Layer) commitFileVersionLocked(/,/^}/p' internal/physical/shadow.go | grep -c 'resealInPlace(')" -eq 1
-test "$(cat $phys | grep -c '\.sealLocked(')" -eq 1
-test "$(sed -n '/^func (l \*Layer) scrubFileLocked(/,/^}/p' internal/physical/scrub.go | grep -c '\.sealLocked(')" -eq 1
-test "$(cat $phys | grep -v '^func \|^\s*//' | grep -c 'writeFresh')" -eq 5
-test "$(sed -n '/^func (l \*Layer) commitFileVersionLocked(/,/^}/p' internal/physical/shadow.go | grep -c 'put = writeFresh')" -eq 1
 
 echo "==> one metadata member per file copy in internal/physical"
 # A file copy is its data F<fid> and its aux A<fid>, whose tail is the seal
