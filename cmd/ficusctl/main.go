@@ -34,9 +34,10 @@
 //	                                     latency profile for one directed link
 //	hang <host>                          RPCs to the host run but never answer
 //	unhang <host>                        undo hang
-//	slowcfg <deadline> <slowafter> <hedgeafter> [tickbudget] [inflight]
+//	slowcfg <deadline> <slowafter> <hedgeafter> [tickbudget]
 //	                                     per-RPC deadlines, Slow threshold,
-//	                                     hedged pulls, pass backpressure
+//	                                     hedged pulls, a propagation pass's
+//	                                     tick budget
 //	gossipcfg <fanout> <ttl> [reconpeers]
 //	                                     epidemic update notification: rumor
 //	                                     fanout and relay hop budget, plus the
@@ -77,6 +78,7 @@
 // Example:
 //
 //	echo 'write 0 /hello world
+//	settle
 //	partition 0;1,2
 //	write 0 /hello from-zero
 //	write 1 /hello from-one
@@ -576,10 +578,10 @@ func (c *controller) exec(line string) error {
 		if err := need(3); err != nil {
 			return err
 		}
-		if len(args) > 5 {
-			return fmt.Errorf("slowcfg takes at most 5 values")
+		if len(args) > 4 {
+			return fmt.Errorf("slowcfg takes at most 4 values")
 		}
-		vals := make([]uint64, 5)
+		vals := make([]uint64, 4)
 		for i, a := range args {
 			v, err := strconv.ParseUint(a, 10, 64)
 			if err != nil {
@@ -588,11 +590,10 @@ func (c *controller) exec(line string) error {
 			vals[i] = v
 		}
 		c.cluster.ConfigureSlowPeers(ficus.SlowPeerConfig{
-			RPCDeadline:  vals[0],
-			SlowAfter:    vals[1],
-			HedgeAfter:   vals[2],
-			TickBudget:   vals[3],
-			PeerInflight: int(vals[4]),
+			RPCDeadline: vals[0],
+			SlowAfter:   vals[1],
+			HedgeAfter:  vals[2],
+			TickBudget:  vals[3],
 		})
 		return nil
 	case "gossipcfg":

@@ -23,9 +23,10 @@
 //     and no re-Lock of a mutex already held (self-deadlock).
 //
 //   - lockorder: the cross-package lock-acquisition graph (an edge means
-//     "acquired B while holding A") must stay acyclic, or the propagation
-//     workers, reconciliation and scrub daemons can deadlock against each
-//     other.
+//     "acquired B while holding A") must stay acyclic, or the propagation,
+//     reconciliation and scrub daemons and client operations, run from
+//     whatever goroutines the caller drives them on, can deadlock against
+//     each other.
 //
 //   - duraberr: on durable-write paths (device writes, seal/journal/
 //     shadow commits, renames) an error return must not be silently

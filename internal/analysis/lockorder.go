@@ -11,10 +11,11 @@ import (
 // LockOrder builds the module-wide lock-acquisition graph and rejects
 // cycles.  Nodes are lock classes — one per mutex field per type (e.g.
 // core.Host.mu) or per package-level mutex variable (e.g. repl.tracemu);
-// an edge A→B means some code path acquires B while holding A.  With the
-// propagation workers, the reconciliation and the scrub daemons all
-// interleaving over the same hosts, any cycle in this graph is a latent
-// deadlock that only needs the right two goroutines to line up.
+// an edge A→B means some code path acquires B while holding A.  The
+// propagation, reconciliation and scrub daemons and client operations may
+// each be driven from a goroutine of the caller's, all over the same hosts,
+// so any cycle in this graph is a latent deadlock that only needs the right
+// two goroutines to line up.
 //
 // The analysis is interprocedural over statically resolvable calls: each
 // function gets a summary of its direct acquisitions and call sites (each

@@ -554,11 +554,9 @@ type SlowPeerConfig struct {
 	// HedgeAfter enables hedged pulls past this many ticks (see
 	// recon.PropagateConfig.HedgeAfter).  0 = off.
 	HedgeAfter uint64
-	// TickBudget bounds one propagation pass's virtual makespan.  0 = off.
+	// TickBudget bounds the virtual ticks one propagation pass spends
+	// pulling.  0 = off.
 	TickBudget uint64
-	// PeerInflight caps the pulls per peer host within one wave of a pass.
-	// 0 = uncapped.
-	PeerInflight int
 }
 
 // ConfigureSlowPeers installs the host's slow-peer tolerance settings; they
@@ -790,7 +788,7 @@ func (h *Host) PropagateOnce() (recon.Stats, error) {
 	h.mu.Lock()
 	sc := h.slowCfg
 	h.mu.Unlock()
-	cfg := recon.PropagateConfig{Policy: retry.Default(), HedgeAfter: sc.HedgeAfter, TickBudget: sc.TickBudget, PeerInflight: sc.PeerInflight}
+	cfg := recon.PropagateConfig{Policy: retry.Default(), HedgeAfter: sc.HedgeAfter, TickBudget: sc.TickBudget}
 	total := h.recoveryRescan()
 	var err error
 	for _, layer := range h.LocalReplicas() {

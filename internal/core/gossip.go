@@ -36,8 +36,8 @@ import (
 	"repro/internal/simnet"
 )
 
-// defaultSuppressionCap bounds the per-host seen-rumor cache when
-// GossipConfig.SuppressionCap is zero.
+// defaultSuppressionCap bounds the per-host seen-rumor cache (FIFO
+// eviction).
 const defaultSuppressionCap = 8192
 
 // GossipConfig tunes a host's epidemic notification plane and its
@@ -52,9 +52,6 @@ type GossipConfig struct {
 	// its budget is exhausted.  0 means direct fanout only, no relay.
 	// Coverage needs roughly log_Fanout(n) hops plus slack for overlap.
 	TTL int
-	// SuppressionCap bounds the seen-rumor cache (FIFO eviction).
-	// 0 = defaultSuppressionCap.
-	SuppressionCap int
 	// ReconPeers caps how many peers one reconciliation pass visits per
 	// volume, in the anti-entropy scheduler's priority order.  0 = every
 	// known peer.
@@ -128,11 +125,7 @@ func (h *Host) markRumorLocked(k rumorKey) bool {
 	if _, ok := h.gossipSeen[k]; ok {
 		return false
 	}
-	cap := h.gossip.SuppressionCap
-	if cap <= 0 {
-		cap = defaultSuppressionCap
-	}
-	for len(h.gossipSeen) >= cap && len(h.gossipFIFO) > 0 {
+	for len(h.gossipSeen) >= defaultSuppressionCap && len(h.gossipFIFO) > 0 {
 		delete(h.gossipSeen, h.gossipFIFO[0])
 		h.gossipFIFO = h.gossipFIFO[1:]
 	}

@@ -70,11 +70,11 @@ func TestGossipPickDeterministic(t *testing.T) {
 }
 
 // TestRumorSuppression checks first-seen semantics and FIFO eviction at the
-// configured cap.
+// seen-rumor cap.
 func TestRumorSuppression(t *testing.T) {
 	c := newCluster(t, 1)
 	h := c.hosts[0]
-	h.ConfigureGossip(GossipConfig{Fanout: 1, SuppressionCap: 3})
+	const limit = defaultSuppressionCap
 
 	k := func(seq uint64) rumorKey { return rumorKey{src: "x", seq: seq} }
 	h.mu.Lock()
@@ -85,19 +85,23 @@ func TestRumorSuppression(t *testing.T) {
 	if h.markRumorLocked(k(1)) {
 		t.Fatal("duplicate rumor reported as fresh")
 	}
-	h.markRumorLocked(k(2))
-	h.markRumorLocked(k(3))
-	// Cap is 3: admitting a fourth evicts the oldest (seq 1), nothing else.
-	if !h.markRumorLocked(k(4)) {
-		t.Fatal("rumor 4 rejected")
+	for seq := uint64(2); seq <= limit; seq++ {
+		if !h.markRumorLocked(k(seq)) {
+			t.Fatalf("rumor %d rejected below the cap", seq)
+		}
+	}
+	// The cache is full: admitting one more evicts the oldest (seq 1),
+	// nothing else.
+	if !h.markRumorLocked(k(limit + 1)) {
+		t.Fatalf("rumor %d rejected", limit+1)
 	}
 	if !h.markRumorLocked(k(1)) {
 		t.Fatal("evicted rumor 1 still remembered")
 	}
-	if h.markRumorLocked(k(3)) {
-		t.Fatal("rumor 3 evicted too early")
+	if h.markRumorLocked(k(limit)) {
+		t.Fatalf("rumor %d evicted too early", limit)
 	}
-	if len(h.gossipSeen) > 3 || len(h.gossipFIFO) > 3 {
+	if len(h.gossipSeen) > limit || len(h.gossipFIFO) > limit {
 		t.Fatalf("cache overflow: %d seen, %d fifo", len(h.gossipSeen), len(h.gossipFIFO))
 	}
 }

@@ -1,7 +1,7 @@
 package recon
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"repro/internal/ids"
@@ -191,10 +191,9 @@ func TestSlowShedSwapsToBackup(t *testing.T) {
 	}
 }
 
-// TestTickBudgetDefersLaterWaves: with one worker each origin is its own
-// wave; once the first wave exhausts the budget, the second origin's
-// entries are left untouched — still due on the very next pass, with no
-// backoff penalty for work never attempted.
+// TestTickBudgetDefersLaterWaves: once the first origin's pull exhausts the
+// budget, the second origin's entries are left untouched — still due on the
+// very next pass, with no backoff penalty for work never attempted.
 func TestTickBudgetDefersLaterWaves(t *testing.T) {
 	local := newReplica(t, 1)
 	origin2 := newReplica(t, 2)
@@ -211,7 +210,6 @@ func TestTickBudgetDefersLaterWaves(t *testing.T) {
 	find := func(r ids.ReplicaID) Peer { return peers[r] }
 	cfg := PropagateConfig{
 		Policy:     retry.Policy{MaxAttempts: 1, BaseBackoff: 1, MaxBackoff: 8},
-		Workers:    1,
 		TickBudget: 40,
 	}
 	stats, err := Propagate(local, find, cfg)
@@ -222,7 +220,7 @@ func TestTickBudgetDefersLaterWaves(t *testing.T) {
 		t.Fatalf("stats %v: want 1 pulled, 1 budget-deferred", stats)
 	}
 	if stats.PassTicks != 50 {
-		t.Fatalf("PassTicks = %d, want the first wave's 50", stats.PassTicks)
+		t.Fatalf("PassTicks = %d, want the first pull's 50", stats.PassTicks)
 	}
 	pend := local.PendingVersions()
 	if len(pend) != 1 || pend[0].File != fidB {
@@ -244,7 +242,7 @@ func TestTickBudgetDefersLaterWaves(t *testing.T) {
 }
 
 // TestTickBudgetFirstWaveAlwaysRuns: a budget smaller than any single pull
-// still makes progress — the first wave is exempt, so a pass can never
+// still makes progress — the first pull is exempt, so a pass can never
 // starve entirely.
 func TestTickBudgetFirstWaveAlwaysRuns(t *testing.T) {
 	local, origin, _, _ := hedgedSetup(t, "f")
@@ -255,38 +253,56 @@ func TestTickBudgetFirstWaveAlwaysRuns(t *testing.T) {
 	}
 	stats, err := Propagate(local, func(ids.ReplicaID) Peer { return primary }, cfg)
 	if err != nil || stats.FilesPulled != 1 {
-		t.Fatalf("stats=%v err=%v: first wave must run under any budget", stats, err)
+		t.Fatalf("stats=%v err=%v: first pull must run under any budget", stats, err)
 	}
 }
 
-// TestPackWavesPeerInflightCap: wave packing is a pure function of input
-// order and the caps — origins sharing a peer host are spread across waves
-// once the per-peer in-flight cap is hit, and unkeyed (co-resident) origins
-// are never capped.
-func TestPackWavesPeerInflightCap(t *testing.T) {
-	keys := []string{"a", "a", "b", "b", ""}
-	key := func(i int) string { return keys[i] }
+// TestPassTicksSumsSerialPulls: a pass pulls its origins one after another,
+// so PassTicks is the sum of their pulls, and the budget is checked before
+// each origin — three origins on three hosts at 50 ticks each cost 150, and
+// a 60-tick budget admits the second pull (50 < 60) but not the third.
+func TestPassTicksSumsSerialPulls(t *testing.T) {
+	setup := func() (*physical.Layer, PeerFinder) {
+		local := newReplica(t, 1)
+		peers := map[ids.ReplicaID]*netPeer{}
+		for r := ids.ReplicaID(2); r <= 4; r++ {
+			origin := newReplica(t, r)
+			fid := mkRemoteFiles(t, origin, fmt.Sprintf("f%d", r))[0]
+			local.NoteNewVersion(physical.RootPath(), fid, r)
+			peers[r] = newNetPeer(origin, 50, fmt.Sprintf("h%d", r))
+		}
+		return local, func(r ids.ReplicaID) Peer { return peers[r] }
+	}
+	policy := retry.Policy{MaxAttempts: 1, BaseBackoff: 1, MaxBackoff: 8}
 
-	got := packWaves([]int{0, 1, 2, 3, 4}, 4, 1, key)
-	want := [][]int{{0, 2, 4}, {1, 3}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("packWaves perPeer=1: %v, want %v", got, want)
+	local, find := setup()
+	stats, err := Propagate(local, find, PropagateConfig{Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.FilesPulled != 3 || stats.PassTicks != 150 {
+		t.Fatalf("unbudgeted pass: stats %v, want 3 pulled in 150 ticks", stats)
 	}
 
-	got = packWaves([]int{0, 1, 2, 3, 4}, 2, 0, key)
-	want = [][]int{{0, 1}, {2, 3}, {4}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("packWaves workers=2: %v, want %v", got, want)
+	local, find = setup()
+	stats, err = Propagate(local, find, PropagateConfig{Policy: policy, TickBudget: 60})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	if got := packWaves(nil, 4, 1, key); len(got) != 0 {
-		t.Fatalf("packWaves(nil) = %v, want empty", got)
+	if stats.FilesPulled != 2 || stats.BudgetDeferred != 1 || stats.PassTicks != 100 {
+		t.Fatalf("budgeted pass: stats %v, want 2 pulled, 1 budget-deferred, 100 ticks", stats)
+	}
+	pend := local.PendingVersions()
+	if len(pend) != 1 || pend[0].Origin != 4 {
+		t.Fatalf("pending after budgeted pass: %+v, want origin 4's entry", pend)
+	}
+	if pend[0].Attempts != 0 || pend[0].NotBefore != 0 {
+		t.Fatalf("budget-deferred entry must carry no backoff penalty: %+v", pend[0])
 	}
 }
 
-// TestPropagateHedgedDeterministic: two identical runs with hedging, caps,
-// and a budget produce identical Stats — worker interleaving must never
-// leak into the outcome.
+// TestPropagateHedgedDeterministic: two identical runs with hedging and a
+// budget produce identical Stats.
 func TestPropagateHedgedDeterministic(t *testing.T) {
 	run := func() Stats {
 		local := newReplica(t, 1)
@@ -302,12 +318,10 @@ func TestPropagateHedgedDeterministic(t *testing.T) {
 		primary := newNetPeer(origin, 40, "h2")
 		backup := newNetPeer(backupL, 5, "h3")
 		cfg := PropagateConfig{
-			Policy:       retry.Policy{MaxAttempts: 1, BaseBackoff: 1, MaxBackoff: 8},
-			Workers:      2,
-			HedgeAfter:   10,
-			FindHedge:    func(ids.ReplicaID) Peer { return backup },
-			TickBudget:   1000,
-			PeerInflight: 1,
+			Policy:     retry.Policy{MaxAttempts: 1, BaseBackoff: 1, MaxBackoff: 8},
+			HedgeAfter: 10,
+			FindHedge:  func(ids.ReplicaID) Peer { return backup },
+			TickBudget: 1000,
 		}
 		stats, err := Propagate(local, func(ids.ReplicaID) Peer { return primary }, cfg)
 		if err != nil {

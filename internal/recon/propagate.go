@@ -34,8 +34,8 @@ type SlowReporter interface {
 }
 
 // AddrKeyer is an optional peer capability: a stable identity for the
-// peer's host, used by the per-peer in-flight cap.  Peers without one (the
-// co-resident layer) are never capped — local pulls cost no wire time.
+// peer's host, used to tell whether a hedge would reach the origin's own
+// host.  Peers without one (the co-resident layer) compare by replica.
 type AddrKeyer interface {
 	PeerKey() string
 }
@@ -45,9 +45,8 @@ type PropagateConfig struct {
 	// Policy spaces the retries of failed entries across later passes.
 	// Zero value: retry.Default().
 	Policy retry.Policy
-	// Workers is how many origins one wave holds (default 4).  A wave is
-	// virtual-time accounting: its origins are pulled one after another,
-	// and the wave costs the pass what its costliest pull cost.
+	// Workers is read by nothing: a pass pulls its origins one after
+	// another.  It stays only because the benchmark rig sets it.
 	Workers int
 
 	// HedgeAfter enables hedged pulls: when an origin's pull costs more
@@ -60,15 +59,11 @@ type PropagateConfig struct {
 	// origin's versions (never the origin itself); nil or a nil return
 	// disables hedging for that origin.
 	FindHedge func(ids.ReplicaID) Peer
-	// TickBudget bounds the virtual makespan of one pass: once the pull
-	// waves have consumed the budget, every remaining due entry is left for
-	// the next pass (counted in Stats.BudgetDeferred).  The first wave
-	// always runs, so a pass makes progress under any budget.  0 = no bound.
+	// TickBudget bounds the virtual time of one pass: once the pass's pulls
+	// have cost the budget, every remaining due entry is left for the next
+	// pass (counted in Stats.BudgetDeferred).  The first pull always runs,
+	// so a pass makes progress under any budget.  0 = no bound.
 	TickBudget uint64
-	// PeerInflight caps how many of one wave's origins may pull from the
-	// same peer host — backpressure that keeps one slow host from filling
-	// the wave.  0 = no cap.
-	PeerInflight int
 }
 
 // PropagateOnce runs one pass of the update propagation daemon under the
@@ -92,14 +87,13 @@ func PropagateOnce(local *physical.Layer, find PeerFinder) (Stats, error) {
 // Due entries are grouped by origin: each origin is consulted once via the
 // finder and pulled with a single conditional pull that advertises the blocks
 // of the versions it replaces, so only missing blocks ship.  The origins are
-// pulled one after another on the caller's goroutine, in waves that account
-// virtual time under the backpressure knobs (TickBudget, PeerInflight),
-// optionally hedged (HedgeAfter/FindHedge); every state change to the local
-// replica's daemon machinery — drops, deferrals, conflict reports, stats,
-// the error join — is then applied by a reduce in sorted origin order,
-// preserving entry order within each origin.  Virtual time, seeded latency
-// draws and deterministic wave packing mean two passes over the same state
-// produce identical Stats, conflict logs and backoff schedules.
+// pulled one after another in sorted order, optionally hedged
+// (HedgeAfter/FindHedge), and each pull's outcomes — drops, deferrals,
+// conflict reports, stats, the error join — are applied before the next
+// origin is pulled, in entry order.  PassTicks is the sum of the pulls'
+// virtual costs, checked against TickBudget before each origin.  Virtual
+// time and seeded latency draws mean two passes over the same state produce
+// identical Stats, conflict logs and backoff schedules.
 //
 // Partial operation is the normal status: a failure on one entry never
 // starves the rest of the pass.  Failed entries stay in the new-version
@@ -111,19 +105,15 @@ func PropagateOnce(local *physical.Layer, find PeerFinder) (Stats, error) {
 //
 // Directories are propagated by replaying operations, not by copying
 // ("simply copying directory contents is incorrect"), so a notification
-// about a directory merges that one directory from the origin (run in the
-// sequential reduce, since it mutates shared subtrees): one DirEntries, the
-// merge, and one pull of the files it names that this replica stores no copy
-// of.  A child directory not stored here yet is reconciled whole; a stored
-// file or child directory that changed has its own notice, and the periodic
-// reconciliation is the backstop for a notice that was lost.
+// about a directory merges that one directory from the origin: one
+// DirEntries, the merge, and one pull of the files it names that this
+// replica stores no copy of.  A child directory not stored here yet is
+// reconciled whole; a stored file or child directory that changed has its
+// own notice, and the periodic reconciliation is the backstop for a notice
+// that was lost.
 func Propagate(local *physical.Layer, find PeerFinder, cfg PropagateConfig) (Stats, error) {
 	if cfg.Policy.MaxAttempts == 0 && cfg.Policy.BaseBackoff == 0 {
 		cfg.Policy = retry.Default()
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 4
 	}
 	now := local.AdvanceDaemonTick()
 	var stats Stats
@@ -145,94 +135,64 @@ func Propagate(local *physical.Layer, find PeerFinder, cfg PropagateConfig) (Sta
 	}
 	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
 
-	// Resolve every origin's pull source up front, sequentially in sorted
-	// order (ungated finders probe; sequential resolution keeps the probes
-	// deterministic), then pack the reachable origins into waves: each wave
-	// holds at most `workers` origins and at most PeerInflight origins per
-	// peer host.
+	// Resolve every origin's pull source up front, in sorted order: ungated
+	// finders probe, and resolving before any pull keeps the probes' order
+	// independent of what the pulls cost.
 	peers := make([]Peer, len(origins))
-	runnable := make([]int, 0, len(origins))
 	for i, origin := range origins {
 		peers[i] = find(origin)
-		if peers[i] != nil {
-			runnable = append(runnable, i)
-		}
-	}
-	waves := packWaves(runnable, workers, cfg.PeerInflight, func(i int) string { return peerKeyOf(peers[i]) })
-
-	// Pull the waves in order, each wave's origins one after another, on
-	// this goroutine; the pulls only read remote state and install file
-	// versions, and all daemon bookkeeping waits for the reduce below.  A
-	// wave is virtual-time accounting: the pass's virtual makespan is the sum
-	// over waves of the costliest origin in each, and once it reaches the
-	// tick budget the remaining waves are skipped — their entries stay due
-	// for the next pass.
-	results := make([]originResult, len(origins))
-	overBudget := false
-	for _, wave := range waves {
-		var waveMax uint64
-		for _, i := range wave {
-			res := &results[i]
-			if overBudget {
-				res.budgetSkipped = true
-				continue
-			}
-			src := &hedgedSource{Peer: peers[i], after: cfg.HedgeAfter, res: res}
-			if cfg.HedgeAfter > 0 && cfg.FindHedge != nil {
-				if b := cfg.FindHedge(origins[i]); b != nil && !samePeer(b, peers[i]) {
-					src.backup = b
-				}
-			}
-			entries := byOrigin[origins[i]]
-			items := make([]pullItem, len(entries))
-			for k, nv := range entries {
-				items[k] = pullItem{dir: nv.Dir, file: nv.File}
-			}
-			res.outcomes = pullAndApply(local, src, items, true)
-			waveMax = max(waveMax, res.cost)
-		}
-		stats.PassTicks += waveMax
-		overBudget = cfg.TickBudget > 0 && stats.PassTicks >= cfg.TickBudget
 	}
 
-	// Deterministic merge: sorted origin order, entry order within each.
+	backOff := func(nv physical.NewVersion) {
+		local.DeferPending(nv.File, now+cfg.Policy.Backoff(nv.Attempts+1, propagationKey(nv)))
+	}
 	fail := func(nv physical.NewVersion, err error) {
 		stats.Failures++
-		local.DeferPending(nv.File, now+cfg.Policy.Backoff(nv.Attempts+1, propagationKey(nv)))
+		backOff(nv)
 		if !retry.Transient(err) {
 			errs = append(errs, fmt.Errorf("propagate %v from replica %d: %w", nv.File, nv.Origin, err))
 		}
 	}
-	for oi, origin := range origins {
+	for i, origin := range origins {
 		entries := byOrigin[origin]
-		res := results[oi]
-		if res.budgetSkipped {
-			// Tick budget exhausted before this origin's wave: leave the
-			// entries untouched (no attempt was made, so no backoff bump) —
-			// they are due again on the very next pass.  Partial progress,
-			// not starvation.
-			stats.BudgetDeferred += len(entries)
-			continue
-		}
-		if peers[oi] == nil {
+		if peers[i] == nil {
 			// Origin unreachable (or health-gated): no attempt made.
+			stats.Deferred += len(entries)
 			for _, nv := range entries {
-				stats.Deferred++
-				local.DeferPending(nv.File, now+cfg.Policy.Backoff(nv.Attempts+1, propagationKey(nv)))
+				backOff(nv)
 			}
 			continue
 		}
-		if res.shed {
+		if cfg.TickBudget > 0 && stats.PassTicks >= cfg.TickBudget {
+			// Tick budget spent: leave the entries untouched (no attempt was
+			// made, so no backoff bump) — they are due again on the very next
+			// pass.  Partial progress, not starvation.
+			stats.BudgetDeferred += len(entries)
+			continue
+		}
+		src := &hedgedSource{Peer: peers[i], after: cfg.HedgeAfter}
+		if cfg.HedgeAfter > 0 && cfg.FindHedge != nil {
+			if b := cfg.FindHedge(origin); b != nil && !samePeer(b, peers[i]) {
+				src.backup = b
+			}
+		}
+		items := make([]pullItem, len(entries))
+		for k, nv := range entries {
+			items[k] = pullItem{dir: nv.Dir, file: nv.File}
+		}
+		outcomes := pullAndApply(local, src, items, true)
+		stats.PassTicks += src.cost
+		if src.shed {
 			stats.SlowSheds++
 		}
-		if res.hedged {
+		if src.hedged {
 			stats.Hedges++
 		}
-		if res.hedgeWon {
+		if src.hedgeWon {
 			stats.HedgeWins++
 		}
-		for i, nv := range entries {
-			out := res.outcomes[i]
+		for k, nv := range entries {
+			out := outcomes[k]
 			switch out.kind {
 			case outInstalled:
 				stats.FilesPulled++
@@ -246,11 +206,11 @@ func Propagate(local *physical.Layer, find PeerFinder, cfg PropagateConfig) (Sta
 				local.DropPending(nv.File)
 			case outConflict:
 				stats.Conflicts++
-				reportConflict(local, nv.Dir, nv.File, out, res.src, "update propagation")
+				reportConflict(local, nv.Dir, nv.File, out, src.src, "update propagation")
 				local.DropPending(nv.File)
 			case outIsDir:
 				childPath := append(append([]ids.FileID(nil), nv.Dir...), nv.File)
-				sub, err := reconcile(local, res.src, childPath, notice)
+				sub, err := reconcile(local, src.src, childPath, notice)
 				stats.Add(sub)
 				if err != nil {
 					fail(nv, err)
@@ -263,32 +223,6 @@ func Propagate(local *physical.Layer, find PeerFinder, cfg PropagateConfig) (Sta
 		}
 	}
 	return stats, errors.Join(errs...)
-}
-
-// packWaves packs origin indices (already in sorted-origin order) into
-// waves of at most workers origins with at most perPeer origins per peer
-// key.  An origin that does not fit the current wave is considered for the
-// next; packing depends only on the input order and the caps.
-func packWaves(idxs []int, workers, perPeer int, key func(int) string) [][]int {
-	var waves [][]int
-	pending := idxs
-	for len(pending) > 0 {
-		wave := make([]int, 0, workers)
-		counts := make(map[string]int)
-		var rest []int
-		for _, i := range pending {
-			k := key(i)
-			if len(wave) < workers && (perPeer <= 0 || k == "" || counts[k] < perPeer) {
-				wave = append(wave, i)
-				counts[k]++
-			} else {
-				rest = append(rest, i)
-			}
-		}
-		waves = append(waves, wave)
-		pending = rest
-	}
-	return waves
 }
 
 func peerKeyOf(p Peer) string {
@@ -328,18 +262,6 @@ func propagationKey(nv physical.NewVersion) uint64 {
 	return nv.File.Seq ^ uint64(nv.File.Issuer)<<32 ^ uint64(nv.Origin)<<48
 }
 
-// originResult carries one origin's pull results to the reduce.
-type originResult struct {
-	src      Peer // the source whose answers were applied (hedging may differ)
-	outcomes []entryOutcome
-
-	cost          uint64 // effective virtual ticks of this origin's pull
-	shed          bool   // Slow primary swapped for a faster alternate
-	hedged        bool   // a backup pull was issued
-	hedgeWon      bool   // ...and answered first
-	budgetSkipped bool   // wave skipped by the tick budget; entries untouched
-}
-
 // hedgeInconclusiveError defers an entry whose only answer came from a
 // backup replica that had not yet seen the version it was asked about: the
 // backup's "stale" or "not stored" verdict proves nothing about the origin.
@@ -360,33 +282,37 @@ func (hedgeInconclusiveError) Transient() bool { return true }
 // loser's are discarded ("cancelled") — except that a backup's stale/not-
 // stored verdicts never override the origin's answer, and when only the
 // backup answered they defer the entry instead of dropping it.  What the race
-// came to is recorded in res.
+// came to is recorded in the source's result fields.
 type hedgedSource struct {
 	Peer          // the origin
 	backup Peer   // nil: nothing to hedge with
 	after  uint64 // HedgeAfter
-	res    *originResult
+
+	src      Peer   // the source whose answers were returned (hedging may differ)
+	cost     uint64 // effective virtual ticks of the pull
+	shed     bool   // Slow primary swapped for a faster alternate
+	hedged   bool   // a backup pull was issued
+	hedgeWon bool   // ...and answered first
 }
 
 func (h *hedgedSource) PullBatchDelta(reqs []physical.PullRequest, have []physical.BlockAddr) ([]physical.PullResult, error) {
-	res := h.res
 	primary, backup := h.Peer, h.backup
 	// Load shedding — the circuit-breaker half: a primary the health
 	// tracker rates Slow is swapped for a faster alternate up front, so a
 	// degrading peer loses traffic before it fails outright.
 	if backup != nil && isSlow(primary) && !isSlow(backup) {
 		primary, backup = backup, primary
-		res.shed = true
+		h.shed = true
 	}
 	resP, errP := pullFrom(primary, reqs, have)
 	costP := elapsedOf(primary)
-	res.cost, res.src = costP, primary
+	h.cost, h.src = costP, primary
 	if backup == nil || (errP == nil && costP <= h.after) {
 		return resP, errP
 	}
 
 	// Hedge: the backup pull starts, in virtual time, at tick HedgeAfter.
-	res.hedged = true
+	h.hedged = true
 	resB, errB := pullFrom(backup, reqs, have)
 	tB := h.after + elapsedOf(backup)
 	switch {
@@ -394,14 +320,14 @@ func (h *hedgedSource) PullBatchDelta(reqs []physical.PullRequest, have []physic
 		// The backup failed in transit: the primary's answer stands, or the
 		// batch waited out both sources.
 		if errP != nil {
-			res.cost = max(costP, tB)
+			h.cost = max(costP, tB)
 		}
 		return resP, errP
 	case errP == nil && tB >= costP:
 		return resP, nil // the primary still answered first
 	}
-	res.hedgeWon = true
-	res.cost, res.src = tB, backup
+	h.hedgeWon = true
+	h.cost, h.src = tB, backup
 	for k := range resB {
 		// Data, a directory verdict, and a concurrent-history verdict are
 		// facts about versions the backup holds; "stale" and "not stored" may

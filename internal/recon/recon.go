@@ -75,7 +75,7 @@ type Stats struct {
 	HedgeWins      int    // hedged pulls whose backup answered first
 	SlowSheds      int    // pulls redirected away from a Slow primary up front
 	BudgetDeferred int    // due entries left for the next pass by the tick budget
-	PassTicks      uint64 // virtual makespan of the pass's pull waves
+	PassTicks      uint64 // virtual ticks of the pass's pulls, summed
 }
 
 // Add accumulates.

@@ -137,24 +137,6 @@ func TestPullBatchReplayIdempotent(t *testing.T) {
 	}
 }
 
-// TestWithRetryReturnsCopy: deriving a client with a different policy must
-// not mutate the shared original.
-func TestWithRetryReturnsCopy(t *testing.T) {
-	r := newRig(t)
-	before := r.client.policy.MaxAttempts
-	c2 := r.client.WithRetry(retry.Policy{MaxAttempts: 1})
-	if c2 == r.client {
-		t.Fatal("WithRetry returned the receiver, not a copy")
-	}
-	if r.client.policy.MaxAttempts != before {
-		t.Fatalf("receiver policy mutated: MaxAttempts %d -> %d",
-			before, r.client.policy.MaxAttempts)
-	}
-	if c2.policy.MaxAttempts != 1 {
-		t.Fatalf("derived policy not applied: %d", c2.policy.MaxAttempts)
-	}
-}
-
 // TestErrorClassesCrossWire: remote errors reconstruct with their sentinel
 // identity and transience intact, so retry classification keeps working on
 // the far side of an RPC.

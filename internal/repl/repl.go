@@ -348,8 +348,8 @@ type Client struct {
 
 	// lastElapsed records the summed virtual ticks of the most recent
 	// operation's attempts — the latency sample the caller's health EWMA
-	// feeds on.  A pointer: WithRetry and WithDeadline copy the struct, and
-	// every copy must share the sample.
+	// feeds on.  A pointer: WithDeadline copies the struct, and every copy
+	// must share the sample.
 	lastElapsed *atomic.Uint64
 }
 
@@ -359,15 +359,6 @@ var _ recon.Peer = (*Client)(nil)
 // issuing calls from host, retrying under retry.Default().
 func NewClient(host *simnet.Host, addr simnet.Addr, vr ids.VolumeReplicaHandle) *Client {
 	return &Client{host: host, addr: addr, vr: vr, policy: retry.Default(), lastElapsed: new(atomic.Uint64)}
-}
-
-// WithRetry returns a copy of the client configured with a different retry
-// policy (MaxAttempts: 1 disables in-call retries).  The receiver is left
-// untouched, so a shared client never changes policy under other callers.
-func (c *Client) WithRetry(p retry.Policy) *Client {
-	cp := *c
-	cp.policy = p
-	return &cp
 }
 
 // WithDeadline returns a copy of the client whose every RPC attempt is

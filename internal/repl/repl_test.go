@@ -289,14 +289,17 @@ func TestClientRetryExhaustionStaysUnreachable(t *testing.T) {
 	}
 }
 
+// TestClientNoRetryAcrossPartition: a call across a partition gives up after
+// the policy's in-call attempts — no retry past them — and answers
+// ErrUnreachable.
 func TestClientNoRetryAcrossPartition(t *testing.T) {
 	r := newRig(t)
 	r.net.Partition([]simnet.Addr{"a"}, []simnet.Addr{"b"})
 	r.net.ResetStats()
-	if err := r.client.WithRetry(retry.Policy{MaxAttempts: 1}).Ping(); !errors.Is(err, ErrUnreachable) {
+	if err := r.client.Ping(); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("err = %v", err)
 	}
-	if s := r.net.Stats(); s.RPCs != 1 {
-		t.Fatalf("MaxAttempts=1 made %d calls", s.RPCs)
+	if s, want := r.net.Stats(), retry.Default().MaxAttempts; s.RPCs != uint64(want) {
+		t.Fatalf("partitioned Ping made %d calls, want %d", s.RPCs, want)
 	}
 }

@@ -604,15 +604,3 @@ func (fs *FS) Readdir(dir Ino) ([]Dirent, error) {
 	})
 	return out, err
 }
-
-// ReaddirAll lists dir's entries including "." and "..", for fsck.
-func (fs *FS) ReaddirAll(dir Ino) ([]Dirent, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var out []Dirent
-	err := fs.dirScanLocked(dir, func(_ uint64, ino Ino, name []byte) bool {
-		out = append(out, Dirent{Name: string(name), Ino: ino})
-		return false
-	})
-	return out, err
-}

@@ -118,9 +118,8 @@ var chaosRows = []row{
 		faults: FaultConfig{RPCFailRate: 0.05, ReplyLossRate: 0.05, DatagramLossRate: 0.10,
 			ReorderRate: 0.10}},
 	{name: "slow", seeds: []int64{7}, hosts: 4, owned: true, events: slowEvents(),
-		latency: LatencyConfig{BaseTicks: 8, JitterTicks: 6, SpikeRate: 0.15, SpikeTicks: 150},
-		slow: SlowPeerConfig{RPCDeadline: 60, SlowAfter: 25, HedgeAfter: 30, TickBudget: 600,
-			PeerInflight: 2},
+		latency:    LatencyConfig{BaseTicks: 8, JitterTicks: 6, SpikeRate: 0.15, SpikeTicks: 150},
+		slow:       SlowPeerConfig{RPCDeadline: 60, SlowAfter: 25, HedgeAfter: 30, TickBudget: 600},
 		keepFaults: true},
 	{name: "gossip", seeds: []int64{1, 2, 3}, hosts: 256, steps: 90, names: 4, owned: true,
 		writers: []int{0, 16, 48, 90, 128, 170, 200, 255}, maxDown: 12, lossyLinks: 8,
@@ -138,9 +137,8 @@ var chaosRows = []row{
 		faults: FaultConfig{RPCFailRate: 0.05, ReplyLossRate: 0.05, DatagramLossRate: 0.10,
 			DatagramDupRate: 0.05, ReorderRate: 0.10},
 		latency: LatencyConfig{BaseTicks: 8, JitterTicks: 6, SpikeRate: 0.15, SpikeTicks: 150},
-		slow: SlowPeerConfig{RPCDeadline: 60, SlowAfter: 25, HedgeAfter: 30, TickBudget: 600,
-			PeerInflight: 2},
-		gossip: GossipConfig{Fanout: 2, TTL: 3}},
+		slow:    SlowPeerConfig{RPCDeadline: 60, SlowAfter: 25, HedgeAfter: 30, TickBudget: 600},
+		gossip:  GossipConfig{Fanout: 2, TTL: 3}},
 }
 
 // slowEvents is the slow row's script: the link 1 -> 0 is persistently slow,
@@ -511,8 +509,9 @@ func (w *world) sideStep(e event) bool {
 }
 
 // propagate runs one propagation pass per host.  Under a tick budget the
-// check runs between waves, so a pass may overshoot by at most the final
-// wave it admitted: with three in-call attempts, a few deadlines at worst.
+// check runs before each origin's pull, so a pass may overshoot by at most
+// the last pull it admitted: with three in-call attempts, a few deadlines at
+// worst.
 func (w *world) propagate() {
 	for h := 0; h < w.r.hosts; h++ {
 		s, err := w.c.Host(h).PropagateOnce()
