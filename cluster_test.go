@@ -311,14 +311,14 @@ func TestLostFileNoticeConvergesAtReconcile(t *testing.T) {
 	if _, err := c.Host(1).PropagateOnce(); err != nil { // drops the notices settling made stale
 		t.Fatal(err)
 	}
-	c.SetLinkDatagramLoss(0, 1, 1)
+	c.InjectLinkFaults(0, 1, FaultConfig{DatagramLossRate: 1})
 	if err := m0.WriteFile("/d/x", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	if c.NetworkStats().DatagramsDropped == 0 {
 		t.Fatal("the update's notice was not dropped")
 	}
-	c.SetLinkDatagramLoss(0, 1, 0)
+	c.InjectLinkFaults(0, 1, FaultConfig{})
 	if err := m0.WriteFile("/d/y", []byte("y1")); err != nil {
 		t.Fatal(err)
 	}

@@ -24,14 +24,17 @@
 //	gc                                   collect tombstones (all replicas reachable)
 //	fsck                                 run UFS + Ficus consistency checks
 //	stats                                network traffic counters
-//	faults <rpc> <reply> [dgloss] [dgdup] [reorder]
-//	                                     program the fault plane (rates 0..1)
+//	faults <key>=<value>...              install a fault profile on every
+//	                                     link; unnamed keys are zero.  Rates
+//	                                     (0..1): rpc (request lost), reply
+//	                                     (reply lost), hang, dgloss, dgdup,
+//	                                     reorder, spikerate; virtual ticks per
+//	                                     RPC leg: base, jitter, spiketicks
+//	linkfaults <from> <to> <key>=<value>...
+//	                                     the same keys for one directed link:
+//	                                     a named key overrides the network's
+//	                                     value there, an unnamed one inherits it
 //	clearfaults                          remove all injected faults
-//	latency <base> <jitter> [spikerate] [spiketicks] [hangrate]
-//	                                     program the latency plane on every
-//	                                     link (virtual ticks; rates 0..1)
-//	linklatency <from> <to> <base> <jitter> [spikerate] [spiketicks] [hangrate]
-//	                                     latency profile for one directed link
 //	hang <host>                          RPCs to the host run but never answer
 //	unhang <host>                        undo hang
 //	slowcfg <deadline> <slowafter> <hedgeafter> [tickbudget]
@@ -200,6 +203,40 @@ func (c *controller) volume(name string) (ficus.Volume, error) {
 		return v, nil
 	}
 	return ficus.Volume{}, fmt.Errorf("unknown volume %q (create with newvol)", name)
+}
+
+// faultConfig parses key=value settings, one key per FaultConfig field;
+// a key not named stays zero.
+func faultConfig(args []string) (ficus.FaultConfig, error) {
+	var f ficus.FaultConfig
+	rates := map[string]*float64{
+		"rpc": &f.RPCFailRate, "reply": &f.ReplyLossRate, "hang": &f.HangRate,
+		"dgloss": &f.DatagramLossRate, "dgdup": &f.DatagramDupRate, "reorder": &f.ReorderRate,
+		"spikerate": &f.SpikeRate,
+	}
+	ticks := map[string]*uint64{"base": &f.BaseTicks, "jitter": &f.JitterTicks, "spiketicks": &f.SpikeTicks}
+	for _, a := range args {
+		key, val, ok := strings.Cut(a, "=")
+		if !ok {
+			return f, fmt.Errorf("bad setting %q (want key=value)", a)
+		}
+		if r, ok := rates[key]; ok {
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil || !(v >= 0 && v <= 1) {
+				return f, fmt.Errorf("bad rate %q (want 0..1)", a)
+			}
+			*r = v
+		} else if t, ok := ticks[key]; ok {
+			v, err := strconv.ParseUint(val, 10, 64)
+			if err != nil {
+				return f, fmt.Errorf("bad tick count %q", a)
+			}
+			*t = v
+		} else {
+			return f, fmt.Errorf("unknown fault key %q", key)
+		}
+	}
+	return f, nil
 }
 
 func (c *controller) exec(line string) error {
@@ -487,76 +524,32 @@ func (c *controller) exec(line string) error {
 			s.RPCHangs, s.RPCDeadlineMisses, s.RPCLatencySpikes, s.RPCVirtualTicks)
 		return nil
 	case "faults":
+		f, err := faultConfig(args)
+		if err != nil {
+			return err
+		}
+		c.cluster.InjectFaults(f)
+		return nil
+	case "linkfaults":
 		if err := need(2); err != nil {
 			return err
 		}
-		rates := make([]float64, 5)
-		for i, a := range args {
-			if i >= len(rates) {
-				return fmt.Errorf("faults takes at most %d rates", len(rates))
-			}
-			r, err := strconv.ParseFloat(a, 64)
-			if err != nil || r < 0 || r > 1 {
-				return fmt.Errorf("bad rate %q (want 0..1)", a)
-			}
-			rates[i] = r
+		from, err := c.host(args[0])
+		if err != nil {
+			return err
 		}
-		c.cluster.InjectFaults(ficus.FaultConfig{
-			RPCFailRate:      rates[0],
-			ReplyLossRate:    rates[1],
-			DatagramLossRate: rates[2],
-			DatagramDupRate:  rates[3],
-			ReorderRate:      rates[4],
-		})
+		to, err := c.host(args[1])
+		if err != nil {
+			return err
+		}
+		f, err := faultConfig(args[2:])
+		if err != nil {
+			return err
+		}
+		c.cluster.InjectLinkFaults(from, to, f)
 		return nil
 	case "clearfaults":
 		c.cluster.ClearFaults()
-		return nil
-	case "latency", "linklatency":
-		nHosts := 0
-		if cmd == "linklatency" {
-			nHosts = 2
-		}
-		if err := need(nHosts + 2); err != nil {
-			return err
-		}
-		var from, to int
-		var err error
-		if cmd == "linklatency" {
-			if from, err = c.host(args[0]); err != nil {
-				return err
-			}
-			if to, err = c.host(args[1]); err != nil {
-				return err
-			}
-		}
-		nums := args[nHosts:]
-		if len(nums) > 5 {
-			return fmt.Errorf("%s takes at most 5 values", cmd)
-		}
-		var l ficus.LatencyConfig
-		ticks := []*uint64{&l.BaseTicks, &l.JitterTicks, nil, &l.SpikeTicks, nil}
-		rates := []*float64{nil, nil, &l.SpikeRate, nil, &l.HangRate}
-		for i, a := range nums {
-			if ticks[i] != nil {
-				v, err := strconv.ParseUint(a, 10, 64)
-				if err != nil {
-					return fmt.Errorf("bad tick count %q", a)
-				}
-				*ticks[i] = v
-			} else {
-				r, err := strconv.ParseFloat(a, 64)
-				if err != nil || r < 0 || r > 1 {
-					return fmt.Errorf("bad rate %q (want 0..1)", a)
-				}
-				*rates[i] = r
-			}
-		}
-		if cmd == "linklatency" {
-			c.cluster.InjectLinkLatency(from, to, l)
-		} else {
-			c.cluster.InjectLatency(l)
-		}
 		return nil
 	case "hang", "unhang":
 		if err := need(1); err != nil {

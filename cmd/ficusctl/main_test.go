@@ -71,3 +71,31 @@ func TestSlowcfgArity(t *testing.T) {
 		t.Fatal("two values were accepted")
 	}
 }
+
+// TestFaultKeys: each key of faults and linkfaults lands in its own
+// FaultConfig field; an unknown key, a rate outside 0..1 and a malformed
+// setting are refused.
+func TestFaultKeys(t *testing.T) {
+	f, err := faultConfig(strings.Fields("rpc=0.1 reply=0.2 hang=0.3 dgloss=0.4 dgdup=0.5 reorder=0.6 " +
+		"base=7 jitter=8 spikerate=0.9 spiketicks=10"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ficus.FaultConfig{RPCFailRate: 0.1, ReplyLossRate: 0.2, HangRate: 0.3, DatagramLossRate: 0.4,
+		DatagramDupRate: 0.5, ReorderRate: 0.6, BaseTicks: 7, JitterTicks: 8, SpikeRate: 0.9, SpikeTicks: 10}
+	if f != want {
+		t.Fatalf("parsed %+v, want %+v", f, want)
+	}
+	c := newController(t)
+	for _, ok := range []string{"faults rpc=0.05 base=8", "linkfaults 1 0 base=40 jitter=10", "linkfaults 1 0", "faults"} {
+		if err := c.exec(ok); err != nil {
+			t.Fatalf("%q refused: %v", ok, err)
+		}
+	}
+	for _, bad := range []string{"faults bogus=1", "faults rpc=1.5", "faults reply=-0.1", "faults hang=NaN",
+		"faults rpc", "faults base=-1", "linkfaults 0 1 nope=1", "linkfaults 0 9 rpc=0.1", "linkfaults 0"} {
+		if err := c.exec(bad); err == nil {
+			t.Fatalf("%q accepted", bad)
+		}
+	}
+}

@@ -242,8 +242,8 @@ func TestE14HedgedPulls(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newTestCluster(t, 3, WithSeed(11))
-			c.InjectLatency(LatencyConfig{BaseTicks: 4, JitterTicks: 2})
-			c.InjectLinkLatency(1, 0, LatencyConfig{BaseTicks: 40, JitterTicks: 10, SpikeRate: 0.25, SpikeTicks: 400})
+			c.InjectFaults(FaultConfig{BaseTicks: 4, JitterTicks: 2})
+			c.InjectLinkFaults(1, 0, FaultConfig{BaseTicks: 40, JitterTicks: 10, SpikeRate: 0.25, SpikeTicks: 400})
 			m0, err := c.Mount(0)
 			if err != nil {
 				t.Fatal(err)

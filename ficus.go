@@ -349,74 +349,31 @@ func (c *Cluster) Resolve(conf Conflict, newData []byte) error {
 // Host returns low-level access to host i (for experiments).
 func (c *Cluster) Host(i int) *core.Host { return c.hosts[i] }
 
-// FaultConfig programs steady-state fault injection on the simulated
-// network.  All rates are probabilities in [0, 1] and draw from the
-// cluster's seeded RNG, so faulty runs stay deterministic.
-type FaultConfig struct {
-	// RPCFailRate is the chance an RPC request is lost before the remote
-	// handler runs (the caller sees an unreachable error).
-	RPCFailRate float64
-	// ReplyLossRate is the chance an RPC reply is lost after the handler
-	// ran: the remote side did the work, the caller sees failure — the
-	// at-most-once ambiguity retries must tolerate.
-	ReplyLossRate float64
-	// DatagramLossRate drops best-effort update notifications.
-	DatagramLossRate float64
-	// DatagramDupRate delivers a notification twice (at-least-once links).
-	DatagramDupRate float64
-	// ReorderRate shuffles the delivery order of a multicast's fan-out.
-	ReorderRate float64
+// FaultConfig programs the simulated network's fault plane: RPC request
+// loss, reply loss and hangs, datagram loss, duplication and reordering,
+// and per-leg virtual latency with a heavy tail.  Rates are probabilities
+// in [0, 1], latencies virtual ticks; every draw comes from a per-link RNG
+// seeded from the cluster's seed, so faulty runs stay deterministic and
+// none of it blocks real time.
+type FaultConfig = simnet.FaultProfile
+
+// InjectFaults installs f on every link; a link's own InjectLinkFaults
+// fields still override it there.  The replication stack is expected to
+// converge regardless: RPC callers retry idempotent pulls, propagation
+// backs off and re-queues failed entries, and reconciliation remains the
+// lossless safety net.
+func (c *Cluster) InjectFaults(f FaultConfig) { c.net.SetFaults(f) }
+
+// InjectLinkFaults installs f on the directed link from host `from` to
+// host `to`: its non-zero fields override InjectFaults' there, its zero
+// fields inherit them.  ReorderRate, a property of one multicast's fan-out,
+// counts only network-wide.
+func (c *Cluster) InjectLinkFaults(from, to int, f FaultConfig) {
+	c.net.SetLinkFaults(hostName(from), hostName(to), f)
 }
 
-// InjectFaults applies the fault plane configuration to every link.  The
-// replication stack is expected to converge regardless: RPC callers retry
-// idempotent pulls, propagation backs off and re-queues failed entries,
-// and reconciliation remains the lossless safety net.
-func (c *Cluster) InjectFaults(f FaultConfig) {
-	n := c.net
-	n.SetRPCFaultRate(f.RPCFailRate)
-	n.SetReplyLossRate(f.ReplyLossRate)
-	n.SetDatagramLossRate(f.DatagramLossRate)
-	n.SetDatagramDuplicateRate(f.DatagramDupRate)
-	n.SetDatagramReorderRate(f.ReorderRate)
-}
-
-// ClearFaults removes every injected fault, global and per-link — including
-// latency profiles and hang rates.
+// ClearFaults removes every injected fault, network-wide and per-link.
 func (c *Cluster) ClearFaults() { c.net.ClearFaults() }
-
-// LatencyConfig programs the network's virtual-latency plane.  Every RPC
-// leg (request and reply) draws base + jitter ticks from the cluster's
-// seeded per-link RNG; a spike adds SpikeTicks more with probability
-// SpikeRate per leg — the heavy tail.  HangRate is the chance an RPC is
-// accepted, executed remotely, and never answered: without an RPC deadline
-// the caller waits effectively forever in virtual time.  All of it is
-// deterministic under the seed; none of it blocks real time.
-type LatencyConfig struct {
-	BaseTicks   uint64  // per-leg base latency in virtual ticks
-	JitterTicks uint64  // uniform extra in [0, JitterTicks]
-	SpikeRate   float64 // probability of a latency spike per leg
-	SpikeTicks  uint64  // extra ticks when a spike fires
-	HangRate    float64 // probability an RPC hangs after the handler ran
-}
-
-// InjectLatency applies the latency profile to every link.
-func (c *Cluster) InjectLatency(l LatencyConfig) {
-	n := c.net
-	n.SetLatency(l.BaseTicks, l.JitterTicks)
-	n.SetLatencySpikes(l.SpikeRate, l.SpikeTicks)
-	n.SetHangRate(l.HangRate)
-}
-
-// InjectLinkLatency applies a latency profile to the directed link from
-// host `from` to host `to`, overriding the global profile there.
-func (c *Cluster) InjectLinkLatency(from, to int, l LatencyConfig) {
-	n := c.net
-	a, b := hostName(from), hostName(to)
-	n.SetLinkLatency(a, b, l.BaseTicks, l.JitterTicks)
-	n.SetLinkLatencySpikes(a, b, l.SpikeRate, l.SpikeTicks)
-	n.SetLinkHangRate(a, b, l.HangRate)
-}
 
 // HangHost makes host i a hung peer: every RPC sent TO it is accepted and
 // executed, but the reply never arrives — the failure mode a crashed host
@@ -425,16 +382,17 @@ func (c *Cluster) InjectLinkLatency(from, to int, l LatencyConfig) {
 func (c *Cluster) HangHost(i int) {
 	for j := range c.hosts {
 		if j != i {
-			c.net.SetLinkHangRate(hostName(j), hostName(i), 1)
+			c.InjectLinkFaults(j, i, FaultConfig{HangRate: 1})
 		}
 	}
 }
 
-// UnhangHost removes the hang injected by HangHost.
+// UnhangHost removes the hang injected by HangHost, and with it anything
+// else injected on the links to host i.
 func (c *Cluster) UnhangHost(i int) {
 	for j := range c.hosts {
 		if j != i {
-			c.net.SetLinkHangRate(hostName(j), hostName(i), 0)
+			c.InjectLinkFaults(j, i, FaultConfig{})
 		}
 	}
 }
@@ -491,14 +449,6 @@ func (c *Cluster) hostIndex(addr simnet.Addr) int {
 		}
 	}
 	return -1
-}
-
-// SetLinkDatagramLoss makes update-notification datagrams on the directed
-// link from -> to drop independently with probability rate, drawn from that
-// link's own seeded RNG — rumor loss for the gossip chaos runs, without
-// perturbing any other link's fault sequence.
-func (c *Cluster) SetLinkDatagramLoss(from, to int, rate float64) {
-	c.net.SetLinkDatagramLossRate(hostName(from), hostName(to), rate)
 }
 
 // SlowPeerConfig tunes the hosts' slow-peer tolerance: RPC deadlines, the

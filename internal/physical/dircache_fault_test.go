@@ -258,9 +258,24 @@ func TestStaleDirectoryHandles(t *testing.T) {
 		fmt.Sprintf("Lookup mine: err=%v", vnode.ENOSTOR),
 		fmt.Sprintf("Lookup theirs: err=%v", vnode.ENOSTOR),
 	}
+	// collectDir makes and collects a directory in the root: its tombstone
+	// dropped, the root's journal is compacted into a fresh inode, and the one
+	// its first copy held becomes the lowest free.  The two subtests that
+	// reuse an inode begin with it, so that x's container takes that inode
+	// and, once freed again, is the one y's container takes.
+	collectDir := func(l *Layer, root vnode.Vnode) {
+		_, err := root.Mkdir("w")
+		must(err)
+		must(root.Rmdir("w"))
+		ds, err := l.DirEntries(RootPath())
+		must(err)
+		_, err = l.DropTombstones(RootPath(), []ids.FileID{ds.Entries[0].EID})
+		must(err)
+	}
 	t.Run("RemovedCollectedInodeReused", func(t *testing.T) {
 		l, _ := newLayer(t, 1)
 		root, _ := l.Root()
+		collectDir(l, root)
 		x, err := root.Mkdir("x")
 		must(err)
 		_, err = x.Create("mine", true)
@@ -296,6 +311,7 @@ func TestStaleDirectoryHandles(t *testing.T) {
 	t.Run("ReclaimedByRecover", func(t *testing.T) {
 		l, _ := newLayer(t, 1)
 		root, _ := l.Root()
+		collectDir(l, root)
 		x, err := root.Mkdir("x")
 		must(err)
 		_, err = x.Create("mine", true)

@@ -215,9 +215,20 @@ func (l *Layer) Store() vnode.VFS { return l.store }
 
 // writeMetaLocked commits the metadata file,
 // "<vol>\n<replica-hex>\n<id-high-water-hex>\n", reserving ids up to high.
+// It is written in place, without a shadow: every field has a fixed width,
+// so the record's length never changes, and a rewrite changes only the
+// high-water mark, to a larger one.  A write torn after a prefix therefore
+// leaves a new prefix of that mark's hex digits before an old suffix: equal
+// to the old mark if the tear came before the first digit that differs,
+// larger otherwise.  Either way every id issued under the old mark stays at
+// or below the mark read back, so none is reissued.
 func (l *Layer) writeMetaLocked(high uint64) error {
 	data := fmt.Sprintf("%s\n%08x\n%016x\n", l.vol, uint32(l.replica), high)
-	if err := atomicReplace(l.root, metaFileName, []byte(data)); err != nil {
+	f, err := l.root.Create(metaFileName, false)
+	if err != nil {
+		return err
+	}
+	if _, err := f.WriteAt([]byte(data), 0); err != nil {
 		return err
 	}
 	l.idHigh = high

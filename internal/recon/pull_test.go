@@ -39,7 +39,7 @@ func faultyPeer(peer Peer, bad ids.FileID, err error) Peer {
 // TestPullAndApplyEveryStatus drives the one pull-and-apply with every
 // PullStatus a peer can answer and pins, once, what each comes to: the
 // outcome, and the Stats delta and conflict-log effect for an origin batch
-// (Propagate) and for a directory batch (ReconcileSubtree).  The file exists
+// (Propagate) and for a directory batch (ReconcileVolume).  The file exists
 // on both sides, the remote holds a newer version, and an older conflict on
 // the file is already logged: the two sides edited it concurrently, and the
 // remote's newer version is the owner's resolution.  Only an install of that
@@ -127,7 +127,7 @@ func TestPullAndApplyEveryStatus(t *testing.T) {
 			}
 
 			local, peer, _ = fixture(tc.rewrite)
-			stats, err = ReconcileSubtree(local, peer, physical.RootPath())
+			stats, err = ReconcileVolume(local, peer)
 			if stats != tc.reconcile || (err != nil) != (tc.kind == outFailed) || (tc.reconErr != nil && !errors.Is(err, tc.reconErr)) {
 				t.Fatalf("directory batch: stats %v err %v, want %v", stats, err, tc.reconcile)
 			}

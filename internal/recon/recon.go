@@ -117,13 +117,7 @@ func (s Stats) String() string {
 // remote peer, starting at the volume root ("executed periodically to
 // traverse an entire subgraph, not just a single node", §3.3).
 func ReconcileVolume(local *physical.Layer, remote Peer) (Stats, error) {
-	return ReconcileSubtree(local, remote, physical.RootPath())
-}
-
-// ReconcileSubtree reconciles the directory at dirPath and everything below
-// it.  The local replica must store dirPath.
-func ReconcileSubtree(local *physical.Layer, remote Peer, dirPath []ids.FileID) (Stats, error) {
-	return reconcile(local, remote, dirPath, wholeSubtree)
+	return reconcile(local, remote, physical.RootPath(), wholeSubtree)
 }
 
 // scope is how far below the directory it merges a reconciliation goes.

@@ -18,25 +18,29 @@
 // Beyond binary partitions the network carries a scriptable fault plane:
 // probabilistic RPC failure, per-link one-shot fault schedules, a
 // reply-loss mode in which the handler executes but the caller still sees
-// ErrUnreachable (the classic at-most-once ambiguity), and datagram
-// duplication and reordering.  Probabilistic RPC fault decisions draw from
-// a per-link RNG seeded from (network seed, link); datagram decisions draw
-// from the single network RNG.  A run with faults enabled is therefore
-// exactly as reproducible as one without — per link even under concurrent
-// callers on other links.
+// ErrUnreachable (the classic at-most-once ambiguity), and datagram loss,
+// duplication and reordering.  One FaultProfile programs it: SetFaults
+// installs a profile on every link, SetLinkFaults on one directed link,
+// whose non-zero fields override the network's field by field.  Every
+// link-level decision draws from a per-link RNG seeded from (network seed,
+// link); only a multicast's reordering, a property of one fan-out, draws
+// from the network RNG.  A run with faults enabled is therefore exactly as
+// reproducible as one without — per link even under concurrent callers on
+// other links.
 //
 // The fault plane also has a time dimension, measured in *virtual ticks*
 // (the same clock the daemons' backoff schedules use — no wall time):
 // per-link latency distributions (base + seeded jitter), probabilistic
-// latency spikes, scripted one-shot delays, and hung RPCs whose handler
-// runs but whose reply never arrives.  CallT attaches a deadline to one
-// call: a call whose virtual latency would exceed the deadline fails with
-// ErrDeadline after exactly deadline ticks, so a slow or hung peer costs a
-// bounded, accountable amount of virtual time instead of a stalled pass.
+// latency spikes, and hung RPCs whose handler runs but whose reply never
+// arrives.  CallT attaches a deadline to one call: a call whose virtual
+// latency would exceed the deadline fails with ErrDeadline after exactly
+// deadline ticks, so a slow or hung peer costs a bounded, accountable
+// amount of virtual time instead of a stalled pass.
 // Because latency is virtual, nothing ever blocks the simulation itself.
 package simnet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -118,184 +122,110 @@ const (
 	FaultHang
 )
 
+// FaultProfile is the fault plane in force on a link: probabilities in
+// [0, 1] and latencies in virtual ticks.  The zero value is a perfect link.
+// Every draw comes from the link's own seeded RNG, so faulty runs stay
+// deterministic.
+type FaultProfile struct {
+	// RPCFailRate is the chance an RPC request is lost before the remote
+	// handler runs: the caller sees ErrUnreachable.
+	RPCFailRate float64
+	// ReplyLossRate is the chance an RPC reply is lost after the handler
+	// ran: the remote side did the work, the caller sees failure — the
+	// at-most-once ambiguity retries must tolerate.
+	ReplyLossRate float64
+	// HangRate is the chance an RPC's handler runs and its reply never
+	// arrives (FaultHang).  Rate 1 models a stuck peer.
+	HangRate float64
+	// DatagramLossRate drops a datagram delivery, in addition to partition
+	// and down-host losses.
+	DatagramLossRate float64
+	// DatagramDupRate delivers a datagram twice, as UDP permits.
+	DatagramDupRate float64
+	// ReorderRate permutes the destination order of one multicast.  It is a
+	// property of a fan-out, not of a link: only the network's value counts.
+	ReorderRate float64
+	// BaseTicks is the latency of each RPC leg, request and reply.
+	BaseTicks uint64
+	// JitterTicks adds a uniform draw in [0, JitterTicks] to each leg.
+	JitterTicks uint64
+	// SpikeRate is the chance a leg costs SpikeTicks more: the heavy tail
+	// of a degraded link.
+	SpikeRate  float64
+	SpikeTicks uint64
+}
+
+// over returns p with each zero field taken from base: a link's non-zero
+// fields override the network's, field by field.
+func (p FaultProfile) over(base FaultProfile) FaultProfile {
+	return FaultProfile{
+		RPCFailRate:      cmp.Or(p.RPCFailRate, base.RPCFailRate),
+		ReplyLossRate:    cmp.Or(p.ReplyLossRate, base.ReplyLossRate),
+		HangRate:         cmp.Or(p.HangRate, base.HangRate),
+		DatagramLossRate: cmp.Or(p.DatagramLossRate, base.DatagramLossRate),
+		DatagramDupRate:  cmp.Or(p.DatagramDupRate, base.DatagramDupRate),
+		ReorderRate:      cmp.Or(p.ReorderRate, base.ReorderRate),
+		BaseTicks:        cmp.Or(p.BaseTicks, base.BaseTicks),
+		JitterTicks:      cmp.Or(p.JitterTicks, base.JitterTicks),
+		SpikeRate:        cmp.Or(p.SpikeRate, base.SpikeRate),
+		SpikeTicks:       cmp.Or(p.SpikeTicks, base.SpikeTicks),
+	}
+}
+
 // link identifies one directed sender->receiver pair.
 type link struct{ from, to Addr }
 
-// latencyProfile is one latency distribution: every call leg on the link
-// costs base + seeded-uniform jitter ticks, plus spikeTicks with probability
-// spikeRate (the heavy tail).  The zero value means instantaneous.
-type latencyProfile struct {
-	base       uint64
-	jitter     uint64
-	spikeRate  float64
-	spikeTicks uint64
-}
+// linkState is one directed link's own profile, fault script and RNG.
+type linkState struct {
+	faults FaultProfile // zero fields inherit the network's profile
+	script []FaultKind  // one-shot faults, consumed FIFO by matching calls
 
-func (p latencyProfile) active() bool {
-	return p.base > 0 || p.jitter > 0 || p.spikeRate > 0
-}
-
-// linkFaults is the per-link fault script and rates; zero value = no faults.
-type linkFaults struct {
-	failRate      float64     // probabilistic request loss
-	hangRate      float64     // probabilistic hung reply
-	dgramLossRate float64     // probabilistic datagram loss on this link
-	script        []FaultKind // one-shot faults, consumed FIFO by matching calls
-
-	lat       latencyProfile // overrides the network profile when latSet
-	latSet    bool
-	latScript []uint64 // one-shot extra request-leg delays, consumed FIFO
-
-	// rng drives every probabilistic RPC fault decision on this link.  It
-	// is seeded deterministically from (network seed, from, to), so the
-	// fault sequence a link suffers depends only on that link's own call
-	// order — adding, dropping or reordering traffic on other links leaves
-	// this link's draws where they were.
+	// rng drives every fault decision on this link.  It is seeded from
+	// (network seed, from, to), so the faults a link suffers depend only on
+	// that link's own traffic — adding, dropping or reordering traffic on
+	// other links leaves this link's draws where they were.
 	rng *rand.Rand
 }
 
 // Network connects hosts.  All methods are safe for concurrent use.
 type Network struct {
-	mu       sync.Mutex
-	hosts    map[Addr]*Host
-	group    map[Addr]int // partition group; hosts communicate iff equal
-	seed     int64
-	rng      *rand.Rand
-	lossRate float64 // additional datagram loss probability
-	stats    Stats
+	mu    sync.Mutex
+	hosts map[Addr]*Host
+	group map[Addr]int // partition group; hosts communicate iff equal
+	seed  int64
+	rng   *rand.Rand // multicast reordering only
+	stats Stats
 
-	// Fault plane (see SetRPCFaultRate etc.).
-	rpcFailRate   float64
-	replyLossRate float64
-	hangRate      float64
-	dupRate       float64
-	reorderRate   float64
-	lat           latencyProfile // network-wide latency; links may override
-	links         map[link]*linkFaults
+	faults FaultProfile // in force on every link, less what a link overrides
+	links  map[link]*linkState
 }
 
-// New creates an empty, fully connected network.  The seed drives datagram
-// loss decisions only, so runs are reproducible.
+// New creates an empty, fully connected network.  The seed drives every
+// fault decision, so runs are reproducible.
 func New(seed int64) *Network {
 	return &Network{
 		hosts: make(map[Addr]*Host),
 		group: make(map[Addr]int),
 		seed:  seed,
 		rng:   rand.New(rand.NewSource(seed)),
-		links: make(map[link]*linkFaults),
+		links: make(map[link]*linkState),
 	}
 }
 
-// SetDatagramLossRate makes every datagram delivery fail independently with
-// probability p, in addition to partition/down losses.
-func (n *Network) SetDatagramLossRate(p float64) {
+// SetFaults installs p on every link.  A link's own non-zero fields
+// (SetLinkFaults) still override it there.
+func (n *Network) SetFaults(p FaultProfile) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.lossRate = p
+	n.faults = p
 }
 
-// SetRPCFaultRate makes every RPC fail independently with probability p
-// before its handler runs (request lost in transit), on every link.
-func (n *Network) SetRPCFaultRate(p float64) {
+// SetLinkFaults installs p on the directed link from -> to: its non-zero
+// fields override the network's profile, its zero fields inherit it.
+func (n *Network) SetLinkFaults(from, to Addr, p FaultProfile) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.rpcFailRate = p
-}
-
-// SetReplyLossRate makes every RPC whose handler ran lose its reply with
-// probability p: the server state changes, the caller sees ErrUnreachable.
-func (n *Network) SetReplyLossRate(p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.replyLossRate = p
-}
-
-// SetDatagramDuplicateRate makes each delivered datagram arrive twice with
-// probability p (duplicate delivery, as UDP permits).
-func (n *Network) SetDatagramDuplicateRate(p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.dupRate = p
-}
-
-// SetDatagramReorderRate makes each multicast deliver to its destinations
-// in a random permutation with probability p (per multicast call).
-func (n *Network) SetDatagramReorderRate(p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.reorderRate = p
-}
-
-// SetHangRate makes every RPC whose handler ran hang its reply with
-// probability p: with a deadline the caller sees ErrDeadline at the
-// deadline, without one it is charged HangTicks.
-func (n *Network) SetHangRate(p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.hangRate = p
-}
-
-// SetLatency gives every call leg on every link a latency of base plus a
-// seeded-uniform jitter in [0, jitter] virtual ticks (per-link RNG, so
-// concurrent traffic on other links never shifts a link's draws).
-func (n *Network) SetLatency(base, jitter uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.lat.base, n.lat.jitter = base, jitter
-}
-
-// SetLatencySpikes adds ticks of extra delay to each call leg independently
-// with probability rate — the heavy tail of a degraded link.
-func (n *Network) SetLatencySpikes(rate float64, ticks uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.lat.spikeRate, n.lat.spikeTicks = rate, ticks
-}
-
-// SetLinkLatency overrides the network latency profile on the directed link
-// from -> to (the override replaces the whole profile for that link).
-func (n *Network) SetLinkLatency(from, to Addr, base, jitter uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	lf := n.linkFor(from, to)
-	lf.lat.base, lf.lat.jitter = base, jitter
-	lf.latSet = true
-}
-
-// SetLinkLatencySpikes sets the spike half of a per-link latency override.
-func (n *Network) SetLinkLatencySpikes(from, to Addr, rate float64, ticks uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	lf := n.linkFor(from, to)
-	lf.lat.spikeRate, lf.lat.spikeTicks = rate, ticks
-	lf.latSet = true
-}
-
-// SetLinkHangRate sets a hung-reply probability for the directed link
-// from -> to, in addition to the global rate.  Rate 1 models a stuck peer:
-// every request is accepted and executed, no reply ever returns.
-func (n *Network) SetLinkHangRate(from, to Addr, p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.linkFor(from, to).hangRate = p
-}
-
-// ScriptLatency appends one-shot extra delays to the directed link
-// from -> to: each subsequent matching RPC consumes the next delay, added
-// to its request leg.  Deterministic by construction.
-func (n *Network) ScriptLatency(from, to Addr, ticks ...uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	lf := n.linkFor(from, to)
-	lf.latScript = append(lf.latScript, ticks...)
-}
-
-// SetLinkRPCFaultRate sets a request-loss probability for the directed
-// link from -> to, in addition to the global rate.
-func (n *Network) SetLinkRPCFaultRate(from, to Addr, p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.linkFor(from, to).failRate = p
+	n.attachLocked(from, to).faults = p
 }
 
 // ScriptFaults appends one-shot faults to the directed link from -> to:
@@ -305,37 +235,25 @@ func (n *Network) SetLinkRPCFaultRate(from, to Addr, p float64) {
 func (n *Network) ScriptFaults(from, to Addr, kinds ...FaultKind) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	lf := n.linkFor(from, to)
-	lf.script = append(lf.script, kinds...)
+	l := n.attachLocked(from, to)
+	l.script = append(l.script, kinds...)
 }
 
-// ClearFaults removes every scripted and probabilistic fault (global and
-// per-link); partitions and host crashes are untouched.
+// ClearFaults removes every scripted and probabilistic fault (network-wide
+// and per-link); partitions and host crashes are untouched.
 func (n *Network) ClearFaults() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.rpcFailRate, n.replyLossRate, n.dupRate, n.reorderRate = 0, 0, 0, 0
-	n.lossRate, n.hangRate = 0, 0
-	n.lat = latencyProfile{}
-	n.links = make(map[link]*linkFaults)
+	n.faults = FaultProfile{}
+	n.links = make(map[link]*linkState)
 }
 
-func (n *Network) linkFor(from, to Addr) *linkFaults {
-	lf, ok := n.links[link{from, to}]
+// attachLocked returns the directed link's state, creating it on first use.
+// The RNG's seed hashes (network seed, from, to) through a splitmix64
+// finalizer, so each link replays its own independent, reproducible stream.
+func (n *Network) attachLocked(from, to Addr) *linkState {
+	l, ok := n.links[link{from, to}]
 	if !ok {
-		lf = &linkFaults{}
-		n.links[link{from, to}] = lf
-	}
-	return lf
-}
-
-// linkRNGLocked returns the directed link's private fault RNG, creating it
-// on first use.  The seed hashes (network seed, from, to) through a
-// splitmix64 finalizer, so each link replays its own independent,
-// reproducible stream.
-func (n *Network) linkRNGLocked(from, to Addr) *rand.Rand {
-	lf := n.linkFor(from, to)
-	if lf.rng == nil {
 		h := uint64(n.seed)
 		for _, b := range []byte(from) {
 			h = h*1099511628211 ^ uint64(b)
@@ -349,93 +267,65 @@ func (n *Network) linkRNGLocked(from, to Addr) *rand.Rand {
 		h ^= h >> 27
 		h *= 0x94d049bb133111eb
 		h ^= h >> 31
-		lf.rng = rand.New(rand.NewSource(int64(h)))
+		l = &linkState{rng: rand.New(rand.NewSource(int64(h)))}
+		n.links[link{from, to}] = l
 	}
-	return lf.rng
+	return l
 }
 
-// SetLinkDatagramLossRate makes datagram deliveries on the directed link
-// from -> to fail independently with probability p, in addition to any
-// network-wide loss rate.  Loss draws come from the link's own seeded RNG,
-// so one lossy link's rumor fate never perturbs another link's stream —
-// the property the gossip chaos runs rely on for per-seed reproducibility.
-func (n *Network) SetLinkDatagramLossRate(from, to Addr, p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.linkFor(from, to).dgramLossRate = p
-}
-
-// rpcFaultLocked decides the fate of one RPC about to be dispatched on
-// from -> to: scripted faults fire first (FIFO), then probabilistic ones.
-// Probabilistic draws — including the global rates — come from the link's
-// own seeded RNG, so concurrent traffic on other links never shifts this
-// link's fault sequence.  Returns (faulted, kind).
-func (n *Network) rpcFaultLocked(from, to Addr) (bool, FaultKind) {
-	if lf, ok := n.links[link{from, to}]; ok && len(lf.script) > 0 {
-		k := lf.script[0]
-		lf.script = lf.script[1:]
-		return true, k
-	}
-	anyRate := n.rpcFailRate > 0 || n.replyLossRate > 0 || n.hangRate > 0
-	if lf, ok := n.links[link{from, to}]; ok {
-		anyRate = anyRate || lf.failRate > 0 || lf.hangRate > 0
-	}
-	if !anyRate {
-		return false, 0
-	}
-	rng := n.linkRNGLocked(from, to)
-	lf := n.links[link{from, to}]
-	if lf.failRate > 0 && rng.Float64() < lf.failRate {
-		return true, FaultRequestLost
-	}
-	if n.rpcFailRate > 0 && rng.Float64() < n.rpcFailRate {
-		return true, FaultRequestLost
-	}
-	if n.replyLossRate > 0 && rng.Float64() < n.replyLossRate {
-		return true, FaultReplyLost
-	}
-	if lf.hangRate > 0 && rng.Float64() < lf.hangRate {
-		return true, FaultHang
-	}
-	if n.hangRate > 0 && rng.Float64() < n.hangRate {
-		return true, FaultHang
-	}
-	return false, 0
-}
-
-// latencyLocked draws the virtual latency of one call's request and reply
-// legs on from -> to.  The link's profile overrides the network's; scripted
-// one-shot delays land on the request leg.  Draws come from the link's own
-// seeded RNG — and only when a latency is actually configured, so latency-
-// free runs consume no draws and replay historical fault sequences exactly.
-func (n *Network) latencyLocked(from, to Addr) (reqLat, replyLat uint64) {
-	prof := n.lat
-	lf, haveLink := n.links[link{from, to}]
-	if haveLink && lf.latSet {
-		prof = lf.lat
-	}
-	if haveLink && len(lf.latScript) > 0 {
-		reqLat += lf.latScript[0]
-		lf.latScript = lf.latScript[1:]
-	}
-	if !prof.active() {
-		return reqLat, 0
-	}
-	rng := n.linkRNGLocked(from, to)
-	leg := func() uint64 {
-		d := prof.base
-		if prof.jitter > 0 {
-			d += uint64(rng.Int63n(int64(prof.jitter) + 1))
+// faultsLocked returns the directed link's state and the profile in force
+// on it.  A link is attached on first use only once some fault is in force,
+// so a fault-free network keeps no per-link state.
+func (n *Network) faultsLocked(from, to Addr) (*linkState, FaultProfile) {
+	l := n.links[link{from, to}]
+	if l == nil {
+		if n.faults == (FaultProfile{}) {
+			return nil, n.faults
 		}
-		if prof.spikeRate > 0 && rng.Float64() < prof.spikeRate {
-			d += prof.spikeTicks
+		l = n.attachLocked(from, to)
+	}
+	return l, l.faults.over(n.faults)
+}
+
+// rpcFateLocked decides one RPC on from -> to: whether and how it faults,
+// and the virtual latency of its request and reply legs.  Draws come from
+// the link's RNG in a fixed order — a scripted fault (FIFO, no draw), then
+// request loss, reply loss and hang, then the two legs — and only for what
+// is in force, so a link with nothing in force draws nothing.
+func (n *Network) rpcFateLocked(from, to Addr) (faulted bool, kind FaultKind, reqLat, replyLat uint64) {
+	l, p := n.faultsLocked(from, to)
+	if l == nil {
+		return false, 0, 0, 0
+	}
+	if len(l.script) > 0 {
+		faulted, kind = true, l.script[0]
+		l.script = l.script[1:]
+	}
+	rng := l.rng
+	if !faulted {
+		switch {
+		case p.RPCFailRate > 0 && rng.Float64() < p.RPCFailRate:
+			faulted, kind = true, FaultRequestLost
+		case p.ReplyLossRate > 0 && rng.Float64() < p.ReplyLossRate:
+			faulted, kind = true, FaultReplyLost
+		case p.HangRate > 0 && rng.Float64() < p.HangRate:
+			faulted, kind = true, FaultHang
+		}
+	}
+	leg := func() uint64 {
+		d := p.BaseTicks
+		if p.JitterTicks > 0 {
+			d += uint64(rng.Int63n(int64(p.JitterTicks) + 1))
+		}
+		if p.SpikeRate > 0 && rng.Float64() < p.SpikeRate {
+			d += p.SpikeTicks
 			n.stats.RPCLatencySpikes++
 		}
 		return d
 	}
-	reqLat += leg()
+	reqLat = leg()
 	replyLat = leg()
-	return reqLat, replyLat
+	return faulted, kind, reqLat, replyLat
 }
 
 // Host attaches (or returns) the host at addr.
@@ -626,8 +516,7 @@ func (h *Host) CallT(dst Addr, service string, req []byte, deadline uint64) ([]b
 	var kind FaultKind
 	var reqLat, replyLat uint64
 	if dst != h.addr {
-		faulted, kind = h.net.rpcFaultLocked(h.addr, dst)
-		reqLat, replyLat = h.net.latencyLocked(h.addr, dst)
+		faulted, kind, reqLat, replyLat = h.net.rpcFateLocked(h.addr, dst)
 	}
 	if faulted && kind == FaultRequestLost {
 		h.net.stats.RPCFailures++
@@ -705,7 +594,7 @@ func (h *Host) CallT(dst Addr, service string, req []byte, deadline uint64) ([]b
 // hints, which is exactly the contract of the paper's new-version cache.
 func (h *Host) Multicast(port string, payload []byte, dsts []Addr) {
 	h.net.mu.Lock()
-	if h.net.reorderRate > 0 && len(dsts) > 1 && h.net.rng.Float64() < h.net.reorderRate {
+	if r := h.net.faults.ReorderRate; r > 0 && len(dsts) > 1 && h.net.rng.Float64() < r {
 		shuffled := append([]Addr(nil), dsts...)
 		h.net.rng.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
@@ -719,17 +608,10 @@ func (h *Host) Multicast(port string, payload []byte, dsts []Addr) {
 		h.net.stats.Datagrams++
 		target, ok := h.net.hosts[dst]
 		deliverable := ok && !h.down && (dst == h.addr || h.net.connectedLocked(h.addr, dst))
-		if deliverable && h.net.lossRate > 0 && h.net.rng.Float64() < h.net.lossRate {
+		// Loss, then duplication, draw from the link's own RNG.
+		l, p := h.net.faultsLocked(h.addr, dst)
+		if deliverable && p.DatagramLossRate > 0 && l.rng.Float64() < p.DatagramLossRate {
 			deliverable = false
-		}
-		// Per-link loss draws from the link's own RNG, and only when that
-		// link is configured lossy — links without it replay their historical
-		// sequences untouched.
-		if deliverable {
-			if lf, ok := h.net.links[link{h.addr, dst}]; ok && lf.dgramLossRate > 0 &&
-				h.net.linkRNGLocked(h.addr, dst).Float64() < lf.dgramLossRate {
-				deliverable = false
-			}
 		}
 		var fn DatagramHandler
 		if deliverable {
@@ -741,7 +623,7 @@ func (h *Host) Multicast(port string, payload []byte, dsts []Addr) {
 			continue
 		}
 		copies := 1
-		if h.net.dupRate > 0 && h.net.rng.Float64() < h.net.dupRate {
+		if p.DatagramDupRate > 0 && l.rng.Float64() < p.DatagramDupRate {
 			copies = 2
 			h.net.stats.DatagramsDuplicated++
 		}

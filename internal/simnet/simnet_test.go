@@ -167,7 +167,7 @@ func TestDatagramLossRate(t *testing.T) {
 	a := n.Host("a")
 	delivered := 0
 	n.Host("b").HandleDatagram("p", func(Addr, []byte) { delivered++ })
-	n.SetDatagramLossRate(0.5)
+	n.SetFaults(FaultProfile{DatagramLossRate: 0.5})
 	for i := 0; i < 1000; i++ {
 		a.Multicast("p", nil, []Addr{"b"})
 	}
@@ -179,7 +179,7 @@ func TestDatagramLossRate(t *testing.T) {
 	a2 := n2.Host("a")
 	delivered2 := 0
 	n2.Host("b").HandleDatagram("p", func(Addr, []byte) { delivered2++ })
-	n2.SetDatagramLossRate(0.5)
+	n2.SetFaults(FaultProfile{DatagramLossRate: 0.5})
 	for i := 0; i < 1000; i++ {
 		a2.Multicast("p", nil, []Addr{"b"})
 	}
@@ -219,7 +219,7 @@ func TestRPCFaultRateAndDeterminism(t *testing.T) {
 		n := New(seed)
 		a := n.Host("a")
 		n.Host("b").HandleRPC("echo", func(req []byte) ([]byte, error) { return req, nil })
-		n.SetRPCFaultRate(0.3)
+		n.SetFaults(FaultProfile{RPCFailRate: 0.3})
 		for i := 0; i < 1000; i++ {
 			if _, err := a.Call("b", "echo", nil); err != nil {
 				if !errors.Is(err, ErrUnreachable) {
@@ -297,7 +297,7 @@ func TestLinkFaultRateIsPerLink(t *testing.T) {
 	for _, name := range []Addr{"b", "c"} {
 		n.Host(name).HandleRPC("echo", func(req []byte) ([]byte, error) { return req, nil })
 	}
-	n.SetLinkRPCFaultRate("a", "b", 1.0)
+	n.SetLinkFaults("a", "b", FaultProfile{RPCFailRate: 1.0})
 	if _, err := a.Call("b", "echo", nil); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("faulted link: %v", err)
 	}
@@ -314,8 +314,7 @@ func TestSelfCallExemptFromFaults(t *testing.T) {
 	n := New(1)
 	a := n.Host("a")
 	a.HandleRPC("echo", func(req []byte) ([]byte, error) { return req, nil })
-	n.SetRPCFaultRate(1.0)
-	n.SetReplyLossRate(1.0)
+	n.SetFaults(FaultProfile{RPCFailRate: 1.0, ReplyLossRate: 1.0})
 	if _, err := a.Call("a", "echo", nil); err != nil {
 		t.Fatalf("loopback faulted: %v", err)
 	}
@@ -326,7 +325,7 @@ func TestDatagramDuplication(t *testing.T) {
 	a := n.Host("a")
 	got := 0
 	n.Host("b").HandleDatagram("p", func(Addr, []byte) { got++ })
-	n.SetDatagramDuplicateRate(1.0)
+	n.SetFaults(FaultProfile{DatagramDupRate: 1.0})
 	a.Multicast("p", nil, []Addr{"b"})
 	if got != 2 {
 		t.Fatalf("deliveries %d, want 2 (duplicated)", got)
@@ -344,7 +343,7 @@ func TestDatagramReordering(t *testing.T) {
 		name := name
 		n.Host(name).HandleDatagram("p", func(Addr, []byte) { order = append(order, name) })
 	}
-	n.SetDatagramReorderRate(1.0)
+	n.SetFaults(FaultProfile{ReorderRate: 1.0})
 	permuted := false
 	for i := 0; i < 20 && !permuted; i++ {
 		order = order[:0]
@@ -368,7 +367,7 @@ func TestDatagramReordering(t *testing.T) {
 
 func TestLatencyBaseAndJitter(t *testing.T) {
 	n, a, _, _ := echoNet(t)
-	n.SetLatency(10, 5)
+	n.SetFaults(FaultProfile{BaseTicks: 10, JitterTicks: 5})
 	var min, max uint64 = 1 << 62, 0
 	for i := 0; i < 200; i++ {
 		_, el, err := a.CallT("b", "echo", []byte("x"), 0)
@@ -400,7 +399,7 @@ func TestLatencyDeterministicPerLink(t *testing.T) {
 		a := n.Host("a")
 		b := n.Host("b")
 		b.HandleRPC("echo", func(req []byte) ([]byte, error) { return req, nil })
-		n.SetLatency(3, 9)
+		n.SetFaults(FaultProfile{BaseTicks: 3, JitterTicks: 9})
 		var out []uint64
 		for i := 0; i < 50; i++ {
 			_, el, err := a.CallT("b", "echo", nil, 0)
@@ -421,8 +420,7 @@ func TestLatencyDeterministicPerLink(t *testing.T) {
 
 func TestLatencySpikes(t *testing.T) {
 	n, a, _, _ := echoNet(t)
-	n.SetLatency(1, 0)
-	n.SetLatencySpikes(0.2, 100)
+	n.SetFaults(FaultProfile{BaseTicks: 1, SpikeRate: 0.2, SpikeTicks: 100})
 	spiked := 0
 	for i := 0; i < 300; i++ {
 		_, el, err := a.CallT("b", "echo", nil, 0)
@@ -441,22 +439,9 @@ func TestLatencySpikes(t *testing.T) {
 	}
 }
 
-func TestScriptLatencyOneShot(t *testing.T) {
-	n, a, _, _ := echoNet(t)
-	n.ScriptLatency("a", "b", 40)
-	_, el, err := a.CallT("b", "echo", nil, 0)
-	if err != nil || el != 40 {
-		t.Fatalf("scripted call: elapsed %d err %v, want 40 nil", el, err)
-	}
-	_, el, err = a.CallT("b", "echo", nil, 0)
-	if err != nil || el != 0 {
-		t.Fatalf("post-script call: elapsed %d err %v, want 0 nil", el, err)
-	}
-}
-
 func TestDeadlineExceededBySlowLink(t *testing.T) {
 	n, a, _, _ := echoNet(t)
-	n.SetLinkLatency("a", "b", 30, 0)
+	n.SetLinkFaults("a", "b", FaultProfile{BaseTicks: 30})
 	_, el, err := a.CallT("b", "echo", nil, 25)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("want ErrDeadline, got %v", err)
@@ -505,7 +490,7 @@ func TestHangRunsHandlerButNeverReplies(t *testing.T) {
 
 func TestHangRateStuckPeer(t *testing.T) {
 	n, a, _, _ := echoNet(t)
-	n.SetLinkHangRate("a", "b", 1.0)
+	n.SetLinkFaults("a", "b", FaultProfile{HangRate: 1.0})
 	for i := 0; i < 5; i++ {
 		if _, _, err := a.CallT("b", "echo", nil, 10); !errors.Is(err, ErrDeadline) {
 			t.Fatalf("call %d: want ErrDeadline, got %v", i, err)
@@ -533,8 +518,7 @@ func TestLostRequestUnderDeadlineIsDeadline(t *testing.T) {
 
 func TestClearFaultsClearsLatency(t *testing.T) {
 	n, a, _, _ := echoNet(t)
-	n.SetLatency(10, 0)
-	n.SetHangRate(1.0)
+	n.SetFaults(FaultProfile{HangRate: 1.0, BaseTicks: 10})
 	n.ClearFaults()
 	_, el, err := a.CallT("b", "echo", nil, 5)
 	if err != nil || el != 0 {
@@ -548,7 +532,7 @@ func TestLinkDatagramLossRate(t *testing.T) {
 	deliveredB, deliveredC := 0, 0
 	n.Host("b").HandleDatagram("p", func(Addr, []byte) { deliveredB++ })
 	n.Host("c").HandleDatagram("p", func(Addr, []byte) { deliveredC++ })
-	n.SetLinkDatagramLossRate("a", "b", 0.5)
+	n.SetLinkFaults("a", "b", FaultProfile{DatagramLossRate: 0.5})
 	for i := 0; i < 1000; i++ {
 		a.Multicast("p", nil, []Addr{"b", "c"})
 	}
@@ -576,7 +560,7 @@ func TestLinkDatagramLossRate(t *testing.T) {
 	delivered2 := 0
 	n2.Host("b").HandleDatagram("p", func(Addr, []byte) { delivered2++ })
 	n2.Host("c").HandleDatagram("p", func(Addr, []byte) {})
-	n2.SetLinkDatagramLossRate("a", "b", 0.5)
+	n2.SetLinkFaults("a", "b", FaultProfile{DatagramLossRate: 0.5})
 	for i := 0; i < 1000; i++ {
 		a2.Multicast("p", nil, []Addr{"b", "c"})
 	}
@@ -593,5 +577,77 @@ func TestDatagramBytesAccounted(t *testing.T) {
 	a.Multicast("p", []byte("123"), []Addr{"b"})
 	if s := n.Stats(); s.DatagramBytes != 8 {
 		t.Fatalf("DatagramBytes = %d, want 8", s.DatagramBytes)
+	}
+}
+
+// TestLinkFaultsOverrideFieldByField: a link's non-zero fields override the
+// network's, its zero fields inherit them — also from a later SetFaults —
+// and ClearFaults clears both.
+func TestLinkFaultsOverrideFieldByField(t *testing.T) {
+	n, a, _, _ := echoNet(t)
+	call := func(dst Addr) (uint64, error) {
+		_, el, err := a.CallT(dst, "echo", nil, 0)
+		return el, err
+	}
+	n.SetFaults(FaultProfile{BaseTicks: 10})
+	n.SetLinkFaults("a", "b", FaultProfile{ReplyLossRate: 1})
+	n.SetLinkFaults("a", "c", FaultProfile{BaseTicks: 30})
+	if el, err := call("b"); !errors.Is(err, ErrUnreachable) || el != 20 {
+		t.Fatalf("a->b: elapsed %d err %v, want its reply lost after the network's 2x10 ticks", el, err)
+	}
+	if el, err := call("c"); err != nil || el != 60 {
+		t.Fatalf("a->c: elapsed %d err %v, want the link's 2x30 ticks", el, err)
+	}
+	n.SetFaults(FaultProfile{BaseTicks: 5})
+	if el, err := call("b"); !errors.Is(err, ErrUnreachable) || el != 10 {
+		t.Fatalf("a->b after SetFaults: elapsed %d err %v, want reply loss after 2x5 ticks", el, err)
+	}
+	if el, err := call("c"); err != nil || el != 60 {
+		t.Fatalf("a->c after SetFaults: elapsed %d err %v, want the override's 60", el, err)
+	}
+	n.ClearFaults()
+	for _, dst := range []Addr{"b", "c"} {
+		if el, err := call(dst); err != nil || el != 0 {
+			t.Fatalf("a->%s after ClearFaults: elapsed %d err %v", dst, el, err)
+		}
+	}
+}
+
+// TestLinkStreamIgnoresOtherLinks: the faults one link suffers, datagram
+// and RPC alike, do not move when another link carries more traffic under
+// faults of its own.
+func TestLinkStreamIgnoresOtherLinks(t *testing.T) {
+	run := func(busyC bool) []int {
+		n, a, _, _ := echoNet(t)
+		got := 0
+		n.Host("b").HandleDatagram("p", func(Addr, []byte) { got++ })
+		n.Host("c").HandleDatagram("p", func(Addr, []byte) {})
+		n.SetFaults(FaultProfile{RPCFailRate: 0.3, DatagramLossRate: 0.4, DatagramDupRate: 0.3})
+		dsts := []Addr{"b"}
+		if busyC {
+			n.SetLinkFaults("a", "c", FaultProfile{DatagramLossRate: 0.9, HangRate: 0.5})
+			dsts = []Addr{"c", "b", "c"}
+		}
+		var out []int
+		for i := 0; i < 300; i++ {
+			got = 0
+			a.Multicast("p", nil, dsts)
+			_, err := a.Call("b", "echo", nil)
+			if busyC {
+				a.Call("c", "echo", nil)
+			}
+			ok := 0
+			if err == nil {
+				ok = 1
+			}
+			out = append(out, got, ok)
+		}
+		return out
+	}
+	quiet, busy := run(false), run(true)
+	for i := range quiet {
+		if quiet[i] != busy[i] {
+			t.Fatalf("a->b outcome %d: %d with a->c idle, %d with a->c busy", i, quiet[i], busy[i])
+		}
 	}
 }

@@ -92,7 +92,7 @@ func TestCacheStatsCount(t *testing.T) {
 
 func TestBufferCacheEviction(t *testing.T) {
 	dev := disk.New(1024)
-	fs, err := Mkfs(dev, 128, &Options{BufferCacheBlocks: 4, InodeCacheEntries: 4, DNLCEntries: 4})
+	fs, err := Mkfs(dev, 128, &Options{sizes: cacheSizes{blocks: 4, inodes: 4, names: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestWarmReadAtAllocatesNoBlock(t *testing.T) {
 // reused its blocks the same calls made 2 (whole-block WriteAt), 3 (5-byte
 // WriteAt), 1 (read miss) and 6 (Create + Remove) allocations.
 func TestBlockSourcesAllocateNothing(t *testing.T) {
-	fs, err := Mkfs(disk.New(1024), 256, &Options{BufferCacheBlocks: 8})
+	fs, err := Mkfs(disk.New(1024), 256, &Options{sizes: cacheSizes{blocks: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@
 package ufs
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -170,37 +171,27 @@ type FS struct {
 	inoMap, blkMap bitmap // the two allocation bitmaps
 }
 
-// Options tunes cache sizes and enablement at mount time.
+// Cache capacities: blocks in the buffer cache, inodes in the inode cache,
+// names in the DNLC.
+const (
+	bufferCacheBlocks = 256
+	inodeCacheEntries = 256
+	dnlcEntries       = 512
+)
+
+// Options tunes the caches at mount time.
 type Options struct {
-	// BufferCacheBlocks is the buffer cache capacity (0 means default 256).
-	BufferCacheBlocks int
-	// InodeCacheEntries is the inode cache capacity (0 means default 256).
-	InodeCacheEntries int
-	// DNLCEntries is the name cache capacity (0 means default 512).
-	DNLCEntries int
 	// DisableCaches turns all three caches off; every access hits the
 	// device.  Used by the E3 ablation reproducing the AFS-prototype
 	// failure mode the paper cites (§2.6).
 	DisableCaches bool
+
+	// sizes, where non-zero, replaces a cache's capacity: this package's
+	// tests shrink the caches to force evictions.
+	sizes cacheSizes
 }
 
-func (o *Options) withDefaults() Options {
-	v := Options{BufferCacheBlocks: 256, InodeCacheEntries: 256, DNLCEntries: 512}
-	if o == nil {
-		return v
-	}
-	if o.BufferCacheBlocks > 0 {
-		v.BufferCacheBlocks = o.BufferCacheBlocks
-	}
-	if o.InodeCacheEntries > 0 {
-		v.InodeCacheEntries = o.InodeCacheEntries
-	}
-	if o.DNLCEntries > 0 {
-		v.DNLCEntries = o.DNLCEntries
-	}
-	v.DisableCaches = o.DisableCaches
-	return v
-}
+type cacheSizes struct{ blocks, inodes, names int }
 
 // Mkfs formats the device with room for at least ninodes inodes and mounts
 // the resulting empty file system.  The root directory is created as inode 1.
@@ -293,15 +284,18 @@ func Mount(dev *disk.Device, opts *Options) (*FS, error) {
 }
 
 func newFS(dev *disk.Device, sb superblock, opts *Options) *FS {
-	o := opts.withDefaults()
+	var o Options
+	if opts != nil {
+		o = *opts
+	}
 	fs := &FS{
 		dev:  dev,
 		sb:   sb,
-		bc:   newBufferCache(dev, o.BufferCacheBlocks, !o.DisableCaches),
-		dnlc: newNameCache(o.DNLCEntries, !o.DisableCaches),
+		bc:   newBufferCache(dev, cmp.Or(o.sizes.blocks, bufferCacheBlocks), !o.DisableCaches),
+		dnlc: newNameCache(cmp.Or(o.sizes.names, dnlcEntries), !o.DisableCaches),
 	}
 	fs.st = newStage(fs.bc, sb.DataStart)
-	fs.ic = newInodeCache(fs, o.InodeCacheEntries, !o.DisableCaches)
+	fs.ic = newInodeCache(fs, cmp.Or(o.sizes.inodes, inodeCacheEntries), !o.DisableCaches)
 	fs.inoMap = bitmap{st: fs.st, start: sb.InoBmapStart, n: sb.NInodes}
 	fs.blkMap = bitmap{st: fs.st, start: sb.BlkBmapStart, n: sb.NBlocks}
 	fs.rotor = sb.DataStart

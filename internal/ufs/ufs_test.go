@@ -663,7 +663,7 @@ func TestModelBasedRandomOps(t *testing.T) {
 
 func modelBasedRandomOps(t *testing.T, cacheBlocks int) {
 	dev := disk.New(4096)
-	fs, err := Mkfs(dev, 512, &Options{BufferCacheBlocks: cacheBlocks})
+	fs, err := Mkfs(dev, 512, &Options{sizes: cacheSizes{blocks: cacheBlocks}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -779,7 +779,7 @@ func modelBasedRandomOps(t *testing.T, cacheBlocks int) {
 	// Final sweep: every model file matches and the directory listing
 	// matches, through the running FS and through a fresh mount of its device.
 	checkClean(t, fs)
-	remounted, err := Mount(dev, &Options{BufferCacheBlocks: cacheBlocks})
+	remounted, err := Mount(dev, &Options{sizes: cacheSizes{blocks: cacheBlocks}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,6 @@ type row struct {
 	side         []int // side-volume holders; the first creates it
 	opts         []Option
 	faults       FaultConfig
-	latency      LatencyConfig
 	slow         SlowPeerConfig
 	gossip       GossipConfig
 	keepFaults   bool // faults stay on through convergence
@@ -118,7 +117,7 @@ var chaosRows = []row{
 		faults: FaultConfig{RPCFailRate: 0.05, ReplyLossRate: 0.05, DatagramLossRate: 0.10,
 			ReorderRate: 0.10}},
 	{name: "slow", seeds: []int64{7}, hosts: 4, owned: true, events: slowEvents(),
-		latency:    LatencyConfig{BaseTicks: 8, JitterTicks: 6, SpikeRate: 0.15, SpikeTicks: 150},
+		faults:     FaultConfig{BaseTicks: 8, JitterTicks: 6, SpikeRate: 0.15, SpikeTicks: 150},
 		slow:       SlowPeerConfig{RPCDeadline: 60, SlowAfter: 25, HedgeAfter: 30, TickBudget: 600},
 		keepFaults: true},
 	{name: "gossip", seeds: []int64{1, 2, 3}, hosts: 256, steps: 90, names: 4, owned: true,
@@ -135,10 +134,10 @@ var chaosRows = []row{
 			evPropagate: 2, evReconcile: 1, evPartition: 1, evHeal: 1, evCrash: 1, evRestart: 1,
 			evBitRot: 1, evScrub: 1, evHang: 1, evUnhang: 1},
 		faults: FaultConfig{RPCFailRate: 0.05, ReplyLossRate: 0.05, DatagramLossRate: 0.10,
-			DatagramDupRate: 0.05, ReorderRate: 0.10},
-		latency: LatencyConfig{BaseTicks: 8, JitterTicks: 6, SpikeRate: 0.15, SpikeTicks: 150},
-		slow:    SlowPeerConfig{RPCDeadline: 60, SlowAfter: 25, HedgeAfter: 30, TickBudget: 600},
-		gossip:  GossipConfig{Fanout: 2, TTL: 3}},
+			DatagramDupRate: 0.05, ReorderRate: 0.10,
+			BaseTicks: 8, JitterTicks: 6, SpikeRate: 0.15, SpikeTicks: 150},
+		slow:   SlowPeerConfig{RPCDeadline: 60, SlowAfter: 25, HedgeAfter: 30, TickBudget: 600},
+		gossip: GossipConfig{Fanout: 2, TTL: 3}},
 }
 
 // slowEvents is the slow row's script: the link 1 -> 0 is persistently slow,
@@ -334,7 +333,6 @@ func (w *world) setup(seed int64) {
 	w.c = c
 	c.ConfigureGossip(r.gossip)
 	c.ConfigureSlowPeers(r.slow)
-	c.InjectLatency(r.latency)
 	c.InjectFaults(r.faults)
 	for i, h := range r.side {
 		if i == 0 {
@@ -461,9 +459,9 @@ func (w *world) step(e event) {
 		c.UnhangHost(w.hung)
 		w.hung = -1
 	case evLinkLatency:
-		c.InjectLinkLatency(e.Host, e.Arg, LatencyConfig{BaseTicks: 40, JitterTicks: 10})
+		c.InjectLinkFaults(e.Host, e.Arg, FaultConfig{BaseTicks: 40, JitterTicks: 10})
 	case evLinkLoss:
-		c.SetLinkDatagramLoss(e.Host, e.Arg, 0.9)
+		c.InjectLinkFaults(e.Host, e.Arg, FaultConfig{DatagramLossRate: 0.9})
 	case evSide:
 		if !w.sideStep(e) {
 			return
@@ -539,7 +537,10 @@ func (w *world) reconcile() bool {
 // unchanged passes in a row, within 200 rounds.
 func (w *world) settle() {
 	quiet, limit := 1, 40
-	if w.r.keepFaults && w.r.faults != (FaultConfig{}) {
+	f := w.r.faults
+	rates := FaultConfig{RPCFailRate: f.RPCFailRate, ReplyLossRate: f.ReplyLossRate, HangRate: f.HangRate,
+		DatagramLossRate: f.DatagramLossRate, DatagramDupRate: f.DatagramDupRate, ReorderRate: f.ReorderRate}
+	if w.r.keepFaults && rates != (FaultConfig{}) {
 		quiet, limit = 3, 200
 	}
 	for round, unchanged := 0, 0; unchanged < quiet; round++ {
@@ -756,7 +757,7 @@ func (w *world) exercised() {
 		{r.has(evRestart), w.did[evRestart], "restarts"},
 		{r.has(evBitRot), integrity.CorruptionsDetected, "corruptions detected"},
 		{r.has(evBitRot), integrity.Repaired, "versions healed from a peer"},
-		{r.latency.SpikeRate > 0, ns.RPCLatencySpikes, "latency spikes"},
+		{r.faults.SpikeRate > 0, ns.RPCLatencySpikes, "latency spikes"},
 		{hang, ns.RPCHangs, "hung RPCs"},
 		{hang, ns.RPCDeadlineMisses, "deadline misses"},
 		// Peer health dies with a crash, so only a row without crashes
