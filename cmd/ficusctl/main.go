@@ -34,9 +34,9 @@
 //	                                     the same keys for one directed link:
 //	                                     a named key overrides the network's
 //	                                     value there, an unnamed one inherits it
-//	clearfaults                          remove all injected faults
+//	clearfaults                          remove all injected faults (a hang stays)
 //	hang <host>                          RPCs to the host run but never answer
-//	unhang <host>                        undo hang
+//	unhang <host>                        undo hang; the links' faults stay
 //	slowcfg <deadline> <slowafter> <hedgeafter> [tickbudget]
 //	                                     per-RPC deadlines, Slow threshold,
 //	                                     hedged pulls, a propagation pass's

@@ -99,3 +99,35 @@ func TestFaultKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestUnhangKeepsLinkFaults: a hang is the host's state, so lifting it leaves
+// the other faults on its links.  At seed 1 a write on host 0 propagated over
+// a link 1 -> 0 of 40 ticks a leg costs 160 virtual ticks.  After hang 0 and
+// unhang 0 the same write and propagation cost what they cost with no hang in
+// between: 80 ticks, the rewrite's one pull over the slow link.  (When unhang
+// cleared the link's profile they cost none.)
+func TestUnhangKeepsLinkFaults(t *testing.T) {
+	second := func(hang bool) uint64 {
+		c := newController(t)
+		run := func(lines ...string) uint64 {
+			t.Helper()
+			before := c.cluster.NetworkStats().RPCVirtualTicks
+			for _, l := range lines {
+				if err := c.exec(l); err != nil {
+					t.Fatalf("%q: %v", l, err)
+				}
+			}
+			return c.cluster.NetworkStats().RPCVirtualTicks - before
+		}
+		if got := run("linkfaults 1 0 base=40", "write 0 /a x", "propagate"); got != 160 {
+			t.Fatalf("the first write and propagation cost %d ticks, want 160", got)
+		}
+		if hang {
+			run("hang 0", "unhang 0")
+		}
+		return run("write 0 /a x", "propagate")
+	}
+	if got, want := second(true), second(false); got != want || want != 80 {
+		t.Fatalf("after hang and unhang the write and propagation cost %d ticks; with no hang %d, want 80", got, want)
+	}
+}

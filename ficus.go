@@ -372,30 +372,21 @@ func (c *Cluster) InjectLinkFaults(from, to int, f FaultConfig) {
 	c.net.SetLinkFaults(hostName(from), hostName(to), f)
 }
 
-// ClearFaults removes every injected fault, network-wide and per-link.
+// ClearFaults removes every injected fault, network-wide and per-link.  A
+// hang (HangHost) stays, as a crash does.
 func (c *Cluster) ClearFaults() { c.net.ClearFaults() }
 
 // HangHost makes host i a hung peer: every RPC sent TO it is accepted and
 // executed, but the reply never arrives — the failure mode a crashed host
 // cannot produce and deadlines exist for.  Datagrams and the host's own
-// outbound traffic still flow.  Undo with UnhangHost.
-func (c *Cluster) HangHost(i int) {
-	for j := range c.hosts {
-		if j != i {
-			c.InjectLinkFaults(j, i, FaultConfig{HangRate: 1})
-		}
-	}
-}
+// outbound traffic still flow.  The hang is the host's state, not a link's
+// fault: no link's profile changes, and ClearFaults leaves it.  Undo with
+// UnhangHost.
+func (c *Cluster) HangHost(i int) { c.net.Host(hostName(i)).SetHung(true) }
 
-// UnhangHost removes the hang injected by HangHost, and with it anything
-// else injected on the links to host i.
-func (c *Cluster) UnhangHost(i int) {
-	for j := range c.hosts {
-		if j != i {
-			c.InjectLinkFaults(j, i, FaultConfig{})
-		}
-	}
-}
+// UnhangHost lifts HangHost's hang; what else is injected on the links to
+// host i stays in force.
+func (c *Cluster) UnhangHost(i int) { c.net.Host(hostName(i)).SetHung(false) }
 
 // GossipConfig tunes the epidemic update-notification plane and the
 // anti-entropy scheduler's per-pass peer budget.  The zero value is the

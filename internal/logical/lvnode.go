@@ -153,6 +153,9 @@ func (v *lvnode) copies(yield func(candidate) bool) error {
 	return bestErr
 }
 
+// rankedCopies is how many copies candidates ranks without allocating.
+const rankedCopies = 8
+
 // candidates yields the copies in the selection policy's order, to a caller
 // about to use that order (Open, or an operation on a vnode that is not open):
 // MostRecent polls each copy's update count (exposed as Mtime, the version
@@ -166,7 +169,8 @@ func (v *lvnode) candidates(yield func(candidate) bool) error {
 	if v.l.policy != MostRecent {
 		return v.copies(yield)
 	}
-	var out []candidate
+	var buf [rankedCopies]candidate // out's room: only more copies than this spill to the heap
+	out := buf[:0]
 	err := v.copies(func(c candidate) bool { out = append(out, c); return true })
 	if len(out) > 1 {
 		kept, best := out[:0], 0

@@ -1,6 +1,10 @@
 package nfs
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/invariant"
+)
 
 func BenchmarkLookupOverWire(b *testing.B) {
 	root, err := newRig(b, &ClientOptions{DisableCaches: true}).client.Root()
@@ -54,4 +58,33 @@ func BenchmarkWrite4KOverWire(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRemoteRead times each round trip of a warm remote read over the
+// physical stack, and the four in a row ("file").  To profile the remote read
+// path: go test -run '^$' -bench RemoteRead -cpuprofile cpu.out -memprofile
+// mem.out ./internal/nfs
+func BenchmarkRemoteRead(b *testing.B) {
+	defer invariant.ForceForTest(false)()
+	rows := remoteRead(b)
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := r.op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("file", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, r := range rows {
+				if err := r.op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/lru"
 	"repro/internal/simnet"
 	"repro/internal/vnode"
+	"repro/internal/wire"
 )
 
 // ClientOptions tunes the client-side caches.  The defaults mirror SunOS:
@@ -50,6 +51,8 @@ type Client struct {
 	root  string                           // the server's root handle, once it has been asked for
 	attrs *lru.Cache[string, attrEntry]    // by handle
 	names *lru.Cache[nameKey, lookupEntry] // by directory handle and name
+
+	strs *wire.Interner // the reply handles and FileIDs it has decoded
 }
 
 // nameKey addresses one name in one directory: a probe builds no string.
@@ -82,6 +85,7 @@ func DialService(host *simnet.Host, addr simnet.Addr, service string, opts *Clie
 		opts:    o,
 		attrs:   lru.New[string, attrEntry](cacheEntries),
 		names:   lru.New[nameKey, lookupEntry](cacheEntries),
+		strs:    wire.NewInterner(internEntries),
 	}
 }
 
@@ -105,25 +109,26 @@ func (c *Client) fresh(stamp uint64) bool {
 	return c.clock-stamp < c.opts.AttrTTLOps
 }
 
-// call performs one RPC, mapping transport failures to EUNAVAIL so the
-// logical layer can treat "server partitioned away" as "replica
+// call performs one RPC and decodes its reply into *resp (nil: the reply is
+// not wanted past its error code), mapping transport failures to EUNAVAIL so
+// the logical layer can treat "server partitioned away" as "replica
 // inaccessible" and fail over.
-func (c *Client) call(req *Request) (*Response, error) {
+func (c *Client) call(req *Request, resp *Response) error {
 	respBytes, err := c.host.Call(c.server, c.service, req.encode())
 	if err != nil {
 		if errors.Is(err, simnet.ErrUnreachable) || errors.Is(err, simnet.ErrNoHost) {
-			return nil, vnode.EUNAVAIL
+			return vnode.EUNAVAIL
 		}
-		return nil, vnode.EIO
+		return vnode.EIO
 	}
-	resp, err := decodeResponse(respBytes)
-	if err != nil {
-		return nil, vnode.EIO
+	var discard Response
+	if resp == nil {
+		resp = &discard
 	}
-	if resp.Errno != 0 {
-		return nil, errnoOf(resp.Errno)
+	if err := decodeResponse(respBytes, resp, c.strs); err != nil {
+		return vnode.EIO
 	}
-	return resp, nil
+	return errnoOf(resp.Errno)
 }
 
 // Root fetches the server's root vnode, once: the handle never changes and holds
@@ -136,8 +141,8 @@ func (c *Client) Root() (vnode.Vnode, error) {
 	if h != "" {
 		return &cvnode{c: c, handle: h}, nil
 	}
-	resp, err := c.call(&Request{Op: OpRoot})
-	if err != nil {
+	var resp Response
+	if err := c.call(&Request{Op: OpRoot}, &resp); err != nil {
 		return nil, err
 	}
 	c.cacheAttr(resp.Handle, resp.Attr)
@@ -234,8 +239,8 @@ func (v *cvnode) Lookup(name string) (vnode.Vnode, error) {
 			return &cvnode{c: v.c, handle: h}, nil
 		}
 	}
-	resp, err := v.c.call(&Request{Op: OpLookup, Handle: v.handle, Name: name})
-	if err != nil {
+	var resp Response
+	if err := v.c.call(&Request{Op: OpLookup, Handle: v.handle, Name: name}, &resp); err != nil {
 		return nil, err
 	}
 	if plain {
@@ -247,8 +252,8 @@ func (v *cvnode) Lookup(name string) (vnode.Vnode, error) {
 
 func (v *cvnode) Create(name string, excl bool) (vnode.Vnode, error) {
 	v.c.tick()
-	resp, err := v.c.call(&Request{Op: OpCreate, Handle: v.handle, Name: name, Excl: excl})
-	if err != nil {
+	var resp Response
+	if err := v.c.call(&Request{Op: OpCreate, Handle: v.handle, Name: name, Excl: excl}, &resp); err != nil {
 		return nil, err
 	}
 	v.c.cacheLookup(v.handle, name, resp.Handle)
@@ -259,8 +264,8 @@ func (v *cvnode) Create(name string, excl bool) (vnode.Vnode, error) {
 
 func (v *cvnode) Mkdir(name string) (vnode.Vnode, error) {
 	v.c.tick()
-	resp, err := v.c.call(&Request{Op: OpMkdir, Handle: v.handle, Name: name})
-	if err != nil {
+	var resp Response
+	if err := v.c.call(&Request{Op: OpMkdir, Handle: v.handle, Name: name}, &resp); err != nil {
 		return nil, err
 	}
 	v.c.cacheLookup(v.handle, name, resp.Handle)
@@ -271,15 +276,15 @@ func (v *cvnode) Mkdir(name string) (vnode.Vnode, error) {
 
 func (v *cvnode) Symlink(name, target string) error {
 	v.c.tick()
-	_, err := v.c.call(&Request{Op: OpSymlink, Handle: v.handle, Name: name, Target: target})
+	err := v.c.call(&Request{Op: OpSymlink, Handle: v.handle, Name: name, Target: target}, nil)
 	v.c.invalidateAttr(v.handle)
 	return err
 }
 
 func (v *cvnode) Readlink() (string, error) {
 	v.c.tick()
-	resp, err := v.c.call(&Request{Op: OpReadlink, Handle: v.handle})
-	if err != nil {
+	var resp Response
+	if err := v.c.call(&Request{Op: OpReadlink, Handle: v.handle}, &resp); err != nil {
 		return "", err
 	}
 	return resp.Str, nil
@@ -299,8 +304,8 @@ func (v *cvnode) ReadAt(p []byte, off int64) (int, error) {
 	n := 0
 	for {
 		ask := min(len(p)-n, maxRead)
-		resp, err := v.c.call(&Request{Op: OpRead, Handle: v.handle, Off: off + int64(n), Len: uint32(ask)})
-		if err != nil {
+		var resp Response
+		if err := v.c.call(&Request{Op: OpRead, Handle: v.handle, Off: off + int64(n), Len: uint32(ask)}, &resp); err != nil {
 			return n, err
 		}
 		n += copy(p[n:], resp.Data)
@@ -315,8 +320,8 @@ func (v *cvnode) ReadAt(p []byte, off int64) (int, error) {
 
 func (v *cvnode) WriteAt(p []byte, off int64) (int, error) {
 	v.c.tick()
-	resp, err := v.c.call(&Request{Op: OpWrite, Handle: v.handle, Off: off, Data: p})
-	if err != nil {
+	var resp Response
+	if err := v.c.call(&Request{Op: OpWrite, Handle: v.handle, Off: off, Data: p}, &resp); err != nil {
 		return 0, err
 	}
 	v.c.invalidateAttr(v.handle)
@@ -325,14 +330,14 @@ func (v *cvnode) WriteAt(p []byte, off int64) (int, error) {
 
 func (v *cvnode) Truncate(size uint64) error {
 	v.c.tick()
-	_, err := v.c.call(&Request{Op: OpTruncate, Handle: v.handle, Size: size})
+	err := v.c.call(&Request{Op: OpTruncate, Handle: v.handle, Size: size}, nil)
 	v.c.invalidateAttr(v.handle)
 	return err
 }
 
 func (v *cvnode) Fsync() error {
 	v.c.tick()
-	_, err := v.c.call(&Request{Op: OpFsync, Handle: v.handle})
+	err := v.c.call(&Request{Op: OpFsync, Handle: v.handle}, nil)
 	return err
 }
 
@@ -341,8 +346,8 @@ func (v *cvnode) Getattr() (vnode.Attr, error) {
 	if a, ok := v.c.cachedAttr(v.handle); ok {
 		return a, nil
 	}
-	resp, err := v.c.call(&Request{Op: OpGetattr, Handle: v.handle})
-	if err != nil {
+	var resp Response
+	if err := v.c.call(&Request{Op: OpGetattr, Handle: v.handle}, &resp); err != nil {
 		return vnode.Attr{}, err
 	}
 	v.c.cacheAttr(v.handle, resp.Attr)
@@ -358,20 +363,20 @@ func (v *cvnode) Setattr(sa vnode.SetAttr) error {
 	if sa.Size != nil {
 		req.HasSize, req.Size = true, *sa.Size
 	}
-	_, err := v.c.call(req)
+	err := v.c.call(req, nil)
 	v.c.invalidateAttr(v.handle)
 	return err
 }
 
 func (v *cvnode) Access(mode uint16) error {
 	v.c.tick()
-	_, err := v.c.call(&Request{Op: OpAccess, Handle: v.handle, Mode: mode})
+	err := v.c.call(&Request{Op: OpAccess, Handle: v.handle, Mode: mode}, nil)
 	return err
 }
 
 func (v *cvnode) Remove(name string) error {
 	v.c.tick()
-	_, err := v.c.call(&Request{Op: OpRemove, Handle: v.handle, Name: name})
+	err := v.c.call(&Request{Op: OpRemove, Handle: v.handle, Name: name}, nil)
 	v.c.invalidateLookup(v.handle, name)
 	v.c.invalidateAttr(v.handle)
 	return err
@@ -379,7 +384,7 @@ func (v *cvnode) Remove(name string) error {
 
 func (v *cvnode) Rmdir(name string) error {
 	v.c.tick()
-	_, err := v.c.call(&Request{Op: OpRmdir, Handle: v.handle, Name: name})
+	err := v.c.call(&Request{Op: OpRmdir, Handle: v.handle, Name: name}, nil)
 	v.c.invalidateLookup(v.handle, name)
 	v.c.invalidateAttr(v.handle)
 	return err
@@ -391,7 +396,7 @@ func (v *cvnode) Link(name string, target vnode.Vnode) error {
 	if !ok || t.c != v.c {
 		return vnode.EXDEV
 	}
-	_, err := v.c.call(&Request{Op: OpLink, Handle: v.handle, Name: name, Handle2: t.handle})
+	err := v.c.call(&Request{Op: OpLink, Handle: v.handle, Name: name, Handle2: t.handle}, nil)
 	v.c.invalidateAttr(v.handle)
 	v.c.invalidateAttr(t.handle)
 	return err
@@ -403,7 +408,7 @@ func (v *cvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 	if !ok || d.c != v.c {
 		return vnode.EXDEV
 	}
-	_, err := v.c.call(&Request{Op: OpRename, Handle: v.handle, Name: oldName, Handle2: d.handle, Name2: newName})
+	err := v.c.call(&Request{Op: OpRename, Handle: v.handle, Name: oldName, Handle2: d.handle, Name2: newName}, nil)
 	v.c.invalidateLookup(v.handle, oldName)
 	v.c.invalidateLookup(d.handle, newName)
 	v.c.invalidateAttr(v.handle)
@@ -413,8 +418,8 @@ func (v *cvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 
 func (v *cvnode) Readdir() ([]vnode.Dirent, error) {
 	v.c.tick()
-	resp, err := v.c.call(&Request{Op: OpReaddir, Handle: v.handle})
-	if err != nil {
+	var resp Response
+	if err := v.c.call(&Request{Op: OpReaddir, Handle: v.handle}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Ents, nil

@@ -257,7 +257,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := decodeResponse(respBytes)
+	resp, err := decodeResp(respBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestEveryOpIsDispatched(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", op, err)
 		}
-		resp, err := decodeResponse(respBytes)
+		resp, err := decodeResp(respBytes)
 		if err != nil {
 			t.Fatalf("%s: %v", op, err)
 		}

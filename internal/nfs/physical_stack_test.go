@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/ids"
+	"repro/internal/invariant"
 	"repro/internal/physical"
 	"repro/internal/simnet"
 	"repro/internal/ufs"
@@ -19,21 +20,31 @@ import (
 // re-resolved statelessly per request, so this also exercises
 // physical.Resolve under every operation.
 func TestConformanceOverPhysicalLayer(t *testing.T) {
-	vol := ids.VolumeHandle{Allocator: 5, Volume: 5}
 	vntest.Run(t, vntest.Config{MaxName: physical.SubstrateMaxName - 1},
 		func(t *testing.T) vnode.VFS {
-			fs, err := ufs.Mkfs(disk.New(8192), 2048, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			phys, err := physical.Format(ufsvn.New(fs), vol, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			net := simnet.New(1)
-			Serve(net.Host("srv"), phys, phys)
-			return Dial(net.Host("cli"), "srv", &ClientOptions{DisableCaches: true})
+			c, _ := newPhysicalRig(t, &ClientOptions{DisableCaches: true})
+			return c
 		})
+}
+
+// physicalVol is the volume the physical rig's replica belongs to.
+var physicalVol = ids.VolumeHandle{Allocator: 5, Volume: 5}
+
+// newPhysicalRig is paper Figure 2's remote stack on one simulated network: a
+// client on host cli of a server on host srv exporting a Ficus physical layer
+// over UFS.
+func newPhysicalRig(t testing.TB, opts *ClientOptions) (*Client, *simnet.Network) {
+	fs, err := ufs.Mkfs(disk.New(8192), 2048, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys, err := physical.Format(ufsvn.New(fs), physicalVol, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := simnet.New(1)
+	Serve(net.Host("srv"), phys, phys)
+	return Dial(net.Host("cli"), "srv", opts), net
 }
 
 // TestEncodedLookupBypassesNameCache: a Lookup that carries an open or a
@@ -42,18 +53,7 @@ func TestConformanceOverPhysicalLayer(t *testing.T) {
 // (That each reaches the physical layer is the logical rig's and the root
 // package's test.)
 func TestEncodedLookupBypassesNameCache(t *testing.T) {
-	vol := ids.VolumeHandle{Allocator: 5, Volume: 5}
-	fs, err := ufs.Mkfs(disk.New(8192), 2048, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phys, err := physical.Format(ufsvn.New(fs), vol, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := simnet.New(1)
-	Serve(net.Host("srv"), phys, phys)
-	c := Dial(net.Host("cli"), "srv", nil)
+	c, net := newPhysicalRig(t, nil)
 	root, err := c.Root()
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +61,8 @@ func TestEncodedLookupBypassesNameCache(t *testing.T) {
 	if _, err := root.Create("f", true); err != nil {
 		t.Fatal(err)
 	}
-	open := physical.EncodeOpenLookup(true, vnode.OpenRead, vol, "f")
-	shut := physical.EncodeOpenLookup(false, vnode.OpenRead, vol, "f")
+	open := physical.EncodeOpenLookup(true, vnode.OpenRead, physicalVol, "f")
+	shut := physical.EncodeOpenLookup(false, vnode.OpenRead, physicalVol, "f")
 	const pairs = 4
 	net.ResetStats()
 	for i := 0; i < pairs; i++ {
@@ -87,5 +87,69 @@ func TestEncodedLookupBypassesNameCache(t *testing.T) {
 	}
 	if got := net.Stats().RPCs; got != 2*pairs {
 		t.Fatalf("the plain name, cached by Create, went to the wire: %d RPCs", got)
+	}
+}
+
+// remoteRead is a warm remote ReadFile's round trips over the physical rig,
+// one function each, in the order the logical layer makes them: Getattr, the
+// open encoded in a Lookup (§2.3), the read and the encoded close.  The client
+// caches nothing, so each is an RPC.
+func remoteRead(t testing.TB) []struct {
+	name   string
+	allocs float64 // the most a warm one may allocate
+	op     func() error
+} {
+	c, _ := newPhysicalRig(t, &ClientOptions{DisableCaches: true})
+	root, err := c.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := root.Create("f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vnode.WriteFile(f, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	open := physical.EncodeOpenLookup(true, vnode.OpenRead, physicalVol, "f")
+	shut := physical.EncodeOpenLookup(false, vnode.OpenRead, physicalVol, "f")
+	buf := make([]byte, 4096)
+	rows := []struct {
+		name   string
+		allocs float64
+		op     func() error
+	}{
+		// A Getattr allocates its request and its reply; an encoded open or
+		// close those and the client vnode it returns; a read its request and
+		// its reply, which carries the data.
+		{"getattr", 2, func() error { _, err := f.Getattr(); return err }},
+		{"open", 3, func() error { _, err := root.Lookup(open); return err }},
+		{"read", 2, func() error { _, err := f.ReadAt(buf, 0); return err }},
+		{"close", 3, func() error { _, err := root.Lookup(shut); return err }},
+	}
+	for _, r := range rows { // warm every layer's caches and tables
+		if err := r.op(); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+	}
+	return rows
+}
+
+// TestWarmRemoteRoundTripAllocs pins what a warm round trip of a remote read
+// allocates: its messages, and the vnode an encoded Lookup returns.  Nothing a
+// layer already holds — a handle, a name, a member name, a FileID, a physical
+// vnode, a decoded message's struct — is made again.  Invariants re-encode a
+// directory on every hit, so they are disarmed.
+func TestWarmRemoteRoundTripAllocs(t *testing.T) {
+	defer invariant.ForceForTest(false)()
+	for _, r := range remoteRead(t) {
+		n := testing.AllocsPerRun(100, func() {
+			if err := r.op(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > r.allocs {
+			t.Errorf("a warm %s round trip allocates %v times, want at most %v", r.name, n, r.allocs)
+		}
 	}
 }

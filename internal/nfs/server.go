@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/simnet"
 	"repro/internal/vnode"
+	"repro/internal/wire"
 )
 
 // Resolver recovers a vnode from a handle with no per-client state — the
@@ -19,8 +20,9 @@ type Resolver interface {
 // server, it keeps no record of which clients exist or which files they
 // have open; every request is self-contained.
 type Server struct {
-	fs  vnode.VFS
-	res Resolver
+	fs   vnode.VFS
+	res  Resolver
+	strs *wire.Interner // the request handles and names it has decoded
 }
 
 // Serve registers a server for fs on host's default Service port.  res must
@@ -32,21 +34,21 @@ func Serve(host *simnet.Host, fs vnode.VFS, res Resolver) *Server {
 // ServeOn registers a server on a named service port, letting one host
 // export several file systems (one per volume replica it stores).
 func ServeOn(host *simnet.Host, service string, fs vnode.VFS, res Resolver) *Server {
-	s := &Server{fs: fs, res: res}
+	s := &Server{fs: fs, res: res, strs: wire.NewInterner(internEntries)}
 	host.HandleRPC(service, s.handle)
 	return s
 }
 
 func (s *Server) handle(reqBytes []byte) ([]byte, error) {
-	req, err := decodeRequest(reqBytes)
-	if err != nil {
+	var req Request
+	if err := decodeRequest(reqBytes, &req, s.strs); err != nil {
 		resp := respErr(vnode.EINVAL)
 		return resp.encode(), nil
 	}
 	if req.Op == OpRead {
-		return s.read(req), nil
+		return s.read(&req), nil
 	}
-	resp := s.dispatch(req)
+	resp := s.dispatch(&req)
 	return resp.encode(), nil
 }
 

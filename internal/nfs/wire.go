@@ -106,6 +106,10 @@ const Service = "nfs"
 // cacheEntries bounds each of the client's two caches.
 const cacheEntries = 512
 
+// internEntries bounds the strings a server's or a client's interner holds:
+// the handles and names it decodes again and again (DESIGN.md §9.2).
+const internEntries = 4096
+
 // maxRead is the most bytes one read request may ask for.  The server sizes
 // its read buffer from the request, so a longer length fails to decode, like
 // any other malformed request.
@@ -138,15 +142,17 @@ func (r *Request) encode() []byte {
 	return wire.AppendBool(dst, r.HasSize)
 }
 
-func decodeRequest(b []byte) (*Request, error) {
+// decodeRequest decodes b into *r, which the caller holds, reading handles and
+// names through in (nil: no interning).  r keeps no view of b.
+func decodeRequest(b []byte, r *Request, in *wire.Interner) error {
 	d := wire.NewDecoder(b)
 	d.Version(wireVersion)
-	var r Request
+	*r = Request{}
 	r.Op = Op(d.U8())
-	r.Handle = d.Str()
-	r.Name = d.Str()
-	r.Name2 = d.Str()
-	r.Handle2 = d.Str()
+	r.Handle = d.StrIn(in)
+	r.Name = d.StrIn(in)
+	r.Name2 = d.StrIn(in)
+	r.Handle2 = d.StrIn(in)
 	r.Target = d.Str()
 	r.Excl = d.Bool()
 	r.Off = int64(d.U64())
@@ -159,9 +165,9 @@ func decodeRequest(b []byte) (*Request, error) {
 	r.Mode = d.U16()
 	r.HasSize = d.Bool()
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("nfs: bad request: %w", err)
+		return fmt.Errorf("nfs: bad request: %w", err)
 	}
-	return &r, nil
+	return nil
 }
 
 func encodeAttr(dst []byte, a vnode.Attr) []byte {
@@ -175,7 +181,7 @@ func encodeAttr(dst []byte, a vnode.Attr) []byte {
 	return wire.AppendString(dst, a.GraftVol)
 }
 
-func decodeAttr(d *wire.Decoder) vnode.Attr {
+func decodeAttr(d *wire.Decoder, in *wire.Interner) vnode.Attr {
 	return vnode.Attr{
 		Type:     vnode.VType(d.U8()),
 		Mode:     d.U16(),
@@ -183,7 +189,7 @@ func decodeAttr(d *wire.Decoder) vnode.Attr {
 		Size:     d.U64(),
 		Mtime:    d.U64(),
 		Ctime:    d.U64(),
-		FileID:   d.Str(),
+		FileID:   d.StrIn(in),
 		GraftVol: d.Str(),
 	}
 }
@@ -209,13 +215,16 @@ func (r *Response) encode() []byte {
 	return dst
 }
 
-func decodeResponse(b []byte) (*Response, error) {
+// decodeResponse decodes b into *r, which the caller holds, reading the handle
+// and the attributes' FileID through in (nil: no interning).  r.Data is a view
+// of b, which the caller owns and must not keep past its call.
+func decodeResponse(b []byte, r *Response, in *wire.Interner) error {
 	d := wire.NewDecoder(b)
 	d.Version(wireVersion)
-	var r Response
+	*r = Response{}
 	r.Errno = int(d.U32())
-	r.Handle = d.Str()
-	r.Attr = decodeAttr(d)
+	r.Handle = d.StrIn(in)
+	r.Attr = decodeAttr(d, in)
 	r.N = int(d.U32())
 	r.EOF = d.Bool()
 	if data := d.Take(d.Count(1)); len(data) > 0 {
@@ -234,9 +243,9 @@ func decodeResponse(b []byte) (*Response, error) {
 		}
 	}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("nfs: bad response: %w", err)
+		return fmt.Errorf("nfs: bad response: %w", err)
 	}
-	return &r, nil
+	return nil
 }
 
 // A read reply is built around its data, which the server reads straight into

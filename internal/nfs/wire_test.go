@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/ufs"
 	"repro/internal/ufsvn"
 	"repro/internal/vnode"
+	"repro/internal/wire"
 )
 
 func sampleRequest() *Request {
@@ -35,7 +37,7 @@ func sampleResponse() *Response {
 func TestCodecRoundTrip(t *testing.T) {
 	for _, req := range []*Request{sampleRequest(), {}} {
 		enc := req.encode()
-		dec, err := decodeRequest(enc)
+		dec, err := decodeReq(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +50,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	for _, resp := range []*Response{sampleResponse(), {}} {
 		enc := resp.encode()
-		dec, err := decodeResponse(enc)
+		dec, err := decodeResp(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,12 +146,12 @@ func TestServedReadCopiesItsDataOnce(t *testing.T) {
 func TestCodecRejectsCorruption(t *testing.T) {
 	reqEnc, respEnc := sampleRequest().encode(), sampleResponse().encode()
 	for n := 0; n < len(reqEnc); n++ {
-		if _, err := decodeRequest(reqEnc[:n]); err == nil {
+		if _, err := decodeReq(reqEnc[:n]); err == nil {
 			t.Fatalf("request truncated to %d bytes decoded", n)
 		}
 	}
 	for n := 0; n < len(respEnc); n++ {
-		if _, err := decodeResponse(respEnc[:n]); err == nil {
+		if _, err := decodeResp(respEnc[:n]); err == nil {
 			t.Fatalf("response truncated to %d bytes decoded", n)
 		}
 	}
@@ -157,17 +159,17 @@ func TestCodecRejectsCorruption(t *testing.T) {
 		if v == wireVersion {
 			continue
 		}
-		if _, err := decodeRequest(append([]byte{byte(v)}, reqEnc[1:]...)); err == nil {
+		if _, err := decodeReq(append([]byte{byte(v)}, reqEnc[1:]...)); err == nil {
 			t.Fatalf("request at version %d accepted", v)
 		}
-		if _, err := decodeResponse(append([]byte{byte(v)}, respEnc[1:]...)); err == nil {
+		if _, err := decodeResp(append([]byte{byte(v)}, respEnc[1:]...)); err == nil {
 			t.Fatalf("response at version %d accepted", v)
 		}
 	}
-	if _, err := decodeRequest(append(reqEnc[:len(reqEnc):len(reqEnc)], 0)); err == nil {
+	if _, err := decodeReq(append(reqEnc[:len(reqEnc):len(reqEnc)], 0)); err == nil {
 		t.Fatal("request with a trailing byte accepted")
 	}
-	if _, err := decodeResponse(append(respEnc[:len(respEnc):len(respEnc)], 0)); err == nil {
+	if _, err := decodeResp(append(respEnc[:len(respEnc):len(respEnc)], 0)); err == nil {
 		t.Fatal("response with a trailing byte accepted")
 	}
 }
@@ -220,7 +222,7 @@ func TestReadLengthIsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("length %d: %v", n, err)
 		}
-		resp, err := decodeResponse(respBytes)
+		resp, err := decodeResp(respBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +230,7 @@ func TestReadLengthIsBounded(t *testing.T) {
 			t.Fatalf("length %d answered errno %d, want EINVAL", n, resp.Errno)
 		}
 	}
-	if _, err := decodeRequest(readFrame(t, f.Handle(), maxRead)); err != nil {
+	if _, err := decodeReq(readFrame(t, f.Handle(), maxRead)); err != nil {
 		t.Fatalf("length maxRead refused: %v", err)
 	}
 	if got, err := vnode.ReadFile(f); err != nil || string(got) != "contents" {
@@ -262,13 +264,51 @@ func TestUndecodableResponseIsEIO(t *testing.T) {
 // The decoders are strict, so the oracle is exact: whatever decodes
 // re-encodes to the very bytes that were decoded.
 
+// decodeReq and decodeResp decode into a fresh value, interning nothing.
+func decodeReq(b []byte) (*Request, error) {
+	var r Request
+	return &r, decodeRequest(b, &r, nil)
+}
+
+func decodeResp(b []byte) (*Response, error) {
+	var r Response
+	return &r, decodeResponse(b, &r, nil)
+}
+
+// preloaded returns an interner holding every string that a length byte in b
+// frames: what a decode of b through it can find there already.
+func preloaded(b []byte) *wire.Interner {
+	in := wire.NewInterner(internEntries)
+	for i := range b {
+		if end := i + 1 + int(b[i]); end <= len(b) {
+			in.Intern(b[i+1 : end])
+		}
+	}
+	return in
+}
+
+// sameDecode fails t unless a decode through an interner gave what the plain
+// decode gave: an equal value and an equal error.
+func sameDecode(t *testing.T, plain, interned any, err, ierr error) {
+	t.Helper()
+	if fmt.Sprint(err) != fmt.Sprint(ierr) || !reflect.DeepEqual(plain, interned) {
+		t.Fatalf("decoded through an interner: %+v, %v\nwithout: %+v, %v", interned, ierr, plain, err)
+	}
+}
+
+// FuzzDecodeRequest and FuzzDecodeResponse decode every input twice, without
+// an interner and through one preloaded from the input, and want the same
+// answer; what decodes must re-encode to the input.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add(sampleRequest().encode())
 	f.Add((&Request{}).encode())
 	f.Add((&Request{Op: OpRead, Handle: "h", Len: maxRead}).encode())
 	f.Add([]byte("junk"))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		req, err := decodeRequest(b)
+		var req, ireq Request
+		err := decodeRequest(b, &req, nil)
+		ierr := decodeRequest(b, &ireq, preloaded(b))
+		sameDecode(t, req, ireq, err, ierr)
 		if err != nil {
 			return
 		}
@@ -287,7 +327,10 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(encodeReadReply(append(make([]byte, readReplyRoom), "read data\x00\x00"...), 9, true))
 	f.Add([]byte{wireVersion})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		resp, err := decodeResponse(b)
+		var resp, iresp Response
+		err := decodeResponse(b, &resp, nil)
+		ierr := decodeResponse(b, &iresp, preloaded(b))
+		sameDecode(t, resp, iresp, err, ierr)
 		if err != nil {
 			return
 		}

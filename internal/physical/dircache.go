@@ -11,8 +11,9 @@ import (
 
 // Bounds of the layer's three caches of what the store says (DESIGN.md §16):
 // conts, fid path → container; dirs, container → decoded directory; and auxs,
-// a file's aux member → its decoded attributes.
-const contCacheSize, dirCacheSize, auxCacheSize = 4096, 1024, 4096
+// a file's aux member → its decoded attributes.  And the bound of its vnode
+// table, which holds no store state: a node → its one vnode (pvnode.go).
+const contCacheSize, dirCacheSize, auxCacheSize, vnodeTableSize = 4096, 1024, 4096, 4096
 
 // auxEntry is a file's aux as decoded — its header, and once asked for its
 // seal (nil when it has no current one) — with the stamp of the store file it
@@ -147,24 +148,26 @@ type fileCopy struct {
 	df   vnode.Vnode
 }
 
-// copyLocked finds the copy of file fid stored in container cont: its aux
-// through the aux cache (with seal, its current seal too), then its data
-// member.  An aux that is not there is the store's ENOENT, passed through so
-// that a caller can try fid as a child directory; a data member that is not
-// there is ErrNotStored, whatever the aux says.
-func (l *Layer) copyLocked(cont vnode.Vnode, fid ids.FileID, seal bool) (fileCopy, error) {
-	aux, sc, err := l.fileAuxLocked(cont, memberName(prefixAux, fid), seal)
+// copyLocked finds the copy of the file whose members are m stored in
+// container cont: its aux through the aux cache (with seal, its current seal
+// too), then its data member.  An aux that is not there is the store's ENOENT,
+// passed through so that a caller can try the fid as a child directory; a data
+// member that is not there is ErrNotStored, whatever the aux says.
+func (l *Layer) copyLocked(cont vnode.Vnode, m members, seal bool) (fileCopy, error) {
+	aux, sc, err := l.fileAuxLocked(cont, m.stored, seal)
 	if err != nil {
 		return fileCopy{}, err
 	}
-	df, err := cont.Lookup(memberName(prefixData, fid))
+	df, err := cont.Lookup(m.data)
 	if err != nil {
 		return fileCopy{}, mapNotStored(err)
 	}
 	return fileCopy{aux: aux, seal: sc, df: df}, nil
 }
 
-// FlushCaches empties the layer's caches; the next calls read the store.
+// FlushCaches empties the layer's caches; the next calls read the store.  The
+// vnode table stays: it holds no store state, only which vnode stands for which
+// node.
 func (l *Layer) FlushCaches() {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -71,7 +71,7 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 	if err != nil {
 		return FileState{}, err
 	}
-	c, err := l.copyLocked(cont, fid, false)
+	c, err := l.copyLocked(cont, membersOf(KFile, fid), false)
 	if vnode.AsErrno(err) == vnode.ENOENT {
 		daux, err := l.childDirAuxLocked(cont, fid)
 		return FileState{Aux: daux}, err
@@ -128,7 +128,7 @@ func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte
 	if err != nil {
 		return nil, FileState{}, nil, err
 	}
-	c, err := l.copyLocked(cont, fid, true)
+	c, err := l.copyLocked(cont, membersOf(KFile, fid), true)
 	if err != nil {
 		return nil, FileState{}, nil, mapNotStored(err)
 	}

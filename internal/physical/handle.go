@@ -56,8 +56,26 @@ func ParseHandle(handle string) (kind Kind, dirPath []ids.FileID, fid ids.FileID
 // parseHandle is ParseHandle answering the whole fid path, the node's own fid
 // last, in one slice.
 func parseHandle(handle string) (Kind, []ids.FileID, error) {
-	if len(handle) < 1+handleFieldLen || (len(handle)-1)%handleFieldLen != 0 {
+	kind, _, ok := handleTail(handle)
+	if !ok {
 		return 0, nil, vnode.ESTALE
+	}
+	path := make([]ids.FileID, (len(handle)-1)/handleFieldLen)
+	for i := range path {
+		f, ok := handleField(handle[1+i*handleFieldLen : 1+(i+1)*handleFieldLen])
+		if !ok {
+			return 0, nil, vnode.ESTALE
+		}
+		path[i] = f
+	}
+	return kind, path, nil
+}
+
+// handleTail checks what of a handle a vnode table probe does not — its length,
+// its kind letter and its last field — and answers the kind and the node's fid.
+func handleTail(handle string) (Kind, ids.FileID, bool) {
+	if len(handle) < 1+handleFieldLen || (len(handle)-1)%handleFieldLen != 0 {
+		return 0, ids.FileID{}, false
 	}
 	var kind Kind
 	switch handle[0] {
@@ -68,16 +86,14 @@ func parseHandle(handle string) (Kind, []ids.FileID, error) {
 	case 'l':
 		kind = KSymlink
 	default:
-		return 0, nil, vnode.ESTALE
+		return 0, ids.FileID{}, false
 	}
-	path := make([]ids.FileID, (len(handle)-1)/handleFieldLen)
-	for i := range path {
-		field := handle[1+i*handleFieldLen : 1+(i+1)*handleFieldLen]
-		f, err := ids.ParseFileID(field[1:])
-		if field[0] != '|' || err != nil {
-			return 0, nil, vnode.ESTALE
-		}
-		path[i] = f
-	}
-	return kind, path, nil
+	f, ok := handleField(handle[len(handle)-handleFieldLen:])
+	return kind, f, ok
+}
+
+// handleField parses one "|<fid>" field of a handle.
+func handleField(field string) (ids.FileID, bool) {
+	f, err := ids.ParseFileID(field[1:])
+	return f, field[0] == '|' && err == nil
 }

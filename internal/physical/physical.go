@@ -105,6 +105,9 @@ type Layer struct {
 	conts *lru.Cache[string, vnode.Vnode] // fid path → the directory's container (dircache.go)
 	dirs  *lru.Cache[string, *dirImage]   // container's store handle → the directory, decoded
 	auxs  *lru.Cache[string, auxEntry]    // aux member's store handle → its attributes, decoded
+
+	rootv  *pvnode                       // the volume root's vnode (Root)
+	vnodes *lru.Cache[vnodeKey, *pvnode] // a node → its one vnode, identity only (pvnode.go)
 }
 
 type nvcKey struct {
@@ -158,7 +161,9 @@ func Format(store vnode.VFS, vol ids.VolumeHandle, replica ids.ReplicaID) (*Laye
 		conts:   lru.New[string, vnode.Vnode](contCacheSize),
 		dirs:    lru.New[string, *dirImage](dirCacheSize),
 		auxs:    lru.New[string, auxEntry](auxCacheSize),
+		vnodes:  lru.New[vnodeKey, *pvnode](vnodeTableSize),
 	}
+	l.rootv = l.newPvnode(KDir, nil, ids.RootFileID)
 	if err := l.writeMetaLocked(l.seq.Last()); err != nil {
 		return nil, err
 	}
@@ -181,15 +186,17 @@ func Open(store vnode.VFS) (*Layer, error) {
 		return nil, err
 	}
 	l := &Layer{
-		store: store,
-		root:  root,
-		nvc:   make(map[nvcKey]NewVersion),
-		opens: make(map[ids.FileID]int),
-		quar:  make(map[ids.FileID]bool),
-		conts: lru.New[string, vnode.Vnode](contCacheSize),
-		dirs:  lru.New[string, *dirImage](dirCacheSize),
-		auxs:  lru.New[string, auxEntry](auxCacheSize),
+		store:  store,
+		root:   root,
+		nvc:    make(map[nvcKey]NewVersion),
+		opens:  make(map[ids.FileID]int),
+		quar:   make(map[ids.FileID]bool),
+		conts:  lru.New[string, vnode.Vnode](contCacheSize),
+		dirs:   lru.New[string, *dirImage](dirCacheSize),
+		auxs:   lru.New[string, auxEntry](auxCacheSize),
+		vnodes: lru.New[vnodeKey, *pvnode](vnodeTableSize),
 	}
+	l.rootv = l.newPvnode(KDir, nil, ids.RootFileID)
 	if err := l.Recover(); err != nil {
 		return nil, err
 	}

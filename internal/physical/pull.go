@@ -113,7 +113,7 @@ func (l *Layer) pullOne(req *PullRequest, ad *advert) PullResult {
 	if err != nil {
 		return pullFailed(err)
 	}
-	c, err := l.copyLocked(cont, req.File, true)
+	c, err := l.copyLocked(cont, membersOf(KFile, req.File), true)
 	if vnode.AsErrno(err) == vnode.ENOENT {
 		// Not a file here — it may be a child directory.
 		daux, err := l.childDirAuxLocked(cont, req.File)
@@ -287,7 +287,7 @@ func (l *Layer) PullRequestFor(dirPath []ids.FileID, fid ids.FileID, base DeltaB
 	if err != nil {
 		return req, nil, storedOrNot(err)
 	}
-	c, err := l.copyLocked(cont, fid, base != nil)
+	c, err := l.copyLocked(cont, membersOf(KFile, fid), base != nil)
 	aux := c.aux
 	if vnode.AsErrno(err) == vnode.ENOENT {
 		aux, err = l.childDirAuxLocked(cont, fid)
@@ -353,7 +353,7 @@ func (l *Layer) holderLocked(dirPath []ids.FileID, fid ids.FileID) heldVersion {
 	if err != nil {
 		return heldVersion{}
 	}
-	c, err := l.copyLocked(cont, fid, true)
+	c, err := l.copyLocked(cont, membersOf(KFile, fid), true)
 	if err != nil || c.seal == nil {
 		return heldVersion{}
 	}

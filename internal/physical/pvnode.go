@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/ids"
+	"repro/internal/invariant"
 	"repro/internal/vnode"
 )
 
@@ -15,34 +16,86 @@ import (
 // directory's full fid path, always starting with the root fid), preserving
 // the parallel between the logical name space and on-disk layout (§2.6).
 // The paths are shared, never changed: a child's dirPath is its directory's
-// self.
+// self.  A pvnode is identity only — where the node's storage would be, never
+// what the store says — so it is immutable and the vnode table (vnodes) hands
+// out the same one for the same node.
 type pvnode struct {
 	l       *Layer
 	fid     ids.FileID
 	kind    Kind
 	dirPath []ids.FileID // fid path of the containing directory; empty for the root itself
 	self    []ids.FileID // a directory's own fid path, dirPath then fid; nil for any other kind
+	handle  string       // what Handle answers; it ends in the fid's rendering
+	members              // the node's member names in its container
 }
 
-// rootPath is the volume root's fid path.
-var rootPath = []ids.FileID{ids.RootFileID}
+// members are the names a node's storage goes by in its container (§2.6):
+// stored, the member whose presence says this replica stores the node — D<fid>,
+// a directory's container, or A<fid>, any other kind's aux — and data, F<fid>,
+// the data member of a kind that has one ("" for a directory).
+type members struct{ stored, data string }
 
-// Root returns the volume root directory vnode.
-func (l *Layer) Root() (vnode.Vnode, error) {
-	return &pvnode{l: l, fid: ids.RootFileID, kind: KDir, self: rootPath}, nil
+// membersOf builds the members of the node fid, of kind k, in one allocation.
+func membersOf(k Kind, fid ids.FileID) members {
+	if k.IsDir() {
+		return members{stored: memberName(prefixDir, fid)}
+	}
+	const n = 1 + ids.FileIDLen
+	var b [2 * n]byte
+	s := string(ids.AppendFileID(append(ids.AppendFileID(append(b[:0], prefixAux...), fid), prefixData...), fid))
+	return members{stored: s[:n], data: s[n:]}
 }
+
+// vnodeKey names a node in the vnode table: its kind, its fid, and its
+// directory's fid path as a handle spells it — a substring of the node's
+// handle, or of its directory's, so a probe builds no string.
+type vnodeKey struct {
+	dir  string
+	fid  ids.FileID
+	kind Kind
+}
+
+// newPvnode makes the vnode of the node fid, of kind k, in the directory whose
+// fid path is dirPath, with its handle and member names.
+func (l *Layer) newPvnode(k Kind, dirPath []ids.FileID, fid ids.FileID) *pvnode {
+	v := &pvnode{l: l, fid: fid, kind: k, dirPath: dirPath, handle: handleOf(k, dirPath, fid), members: membersOf(k, fid)}
+	if k.IsDir() {
+		v.self = append(dirPath[:len(dirPath):len(dirPath)], fid)
+	}
+	return v
+}
+
+// vnodeLocked returns the table's vnode for key, whose directory's fid path is
+// dirPath, making it on a miss.  The entry's key is a substring of its own
+// vnode's handle, so the table keeps no caller's string.
+func (l *Layer) vnodeLocked(key vnodeKey, dirPath []ids.FileID) *pvnode {
+	if v, ok := l.vnodes.Get(key); ok {
+		return v
+	}
+	v := l.newPvnode(key.kind, dirPath, key.fid)
+	key.dir = v.handle[1 : len(v.handle)-handleFieldLen]
+	l.vnodes.Put(key, v)
+	return v
+}
+
+// fileID is the fid's rendering, Attr.FileID: the tail of the handle.
+func (v *pvnode) fileID() string { return v.handle[len(v.handle)-ids.FileIDLen:] }
+
+// childKey is the table key of the child fid, of kind k, of directory v.
+func (v *pvnode) childKey(fid ids.FileID, k Kind) vnodeKey {
+	return vnodeKey{dir: v.handle[1:], fid: fid, kind: k}
+}
+
+// Root returns the volume root directory vnode, the same one every time.
+func (l *Layer) Root() (vnode.Vnode, error) { return l.rootv, nil }
 
 // Sync is a no-op: the substrate is write-through.
 func (l *Layer) Sync() error { return nil }
 
-// childOf returns the vnode of fid, of kind k, in directory v.  Only a
-// directory's own path is made; the rest is v's.
-func (v *pvnode) childOf(fid ids.FileID, k Kind) *pvnode {
-	c := &pvnode{l: v.l, fid: fid, kind: k, dirPath: v.self}
-	if k.IsDir() {
-		c.self = append(v.self[:len(v.self):len(v.self)], fid)
-	}
-	return c
+// childLocked returns the vnode of fid, of kind k, in directory v.  Caller holds
+// l.mu.
+func (v *pvnode) childLocked(fid ids.FileID, k Kind) *pvnode {
+	return v.l.vnodeLocked(v.childKey(fid, k), v.self)
 }
 
 // container returns the UFS directory holding this node's storage: its own
@@ -55,29 +108,38 @@ func (v *pvnode) container() (vnode.Vnode, error) {
 }
 
 // Handle encodes kind and fid path; Resolve reverses it.
-func (v *pvnode) Handle() string { return handleOf(v.kind, v.dirPath, v.fid) }
+func (v *pvnode) Handle() string { return v.handle }
 
 // Resolve recovers a vnode from a handle (the nfs.Resolver contract).  Before
 // it returns one it applies the test a lookup applies (storedLocked), so a
 // handle whose storage has gone is ESTALE, or ENOSTOR when this replica does
-// not store it; the root, which every replica stores, is not asked.
+// not store it; the root, which every replica stores, is not asked.  A handle
+// the vnode table knows is checked by its tail alone: the rest of it is the
+// key the entry was found by.
 func (l *Layer) Resolve(handle string) (vnode.Vnode, error) {
-	kind, path, err := parseHandle(handle)
-	if err != nil {
+	kind, fid, ok := handleTail(handle)
+	if !ok {
 		return nil, vnode.ESTALE
 	}
-	n := len(path) - 1
-	if n == 0 && path[0] == ids.RootFileID {
-		return l.Root()
+	if len(handle) == 1+handleFieldLen && fid == ids.RootFileID {
+		return l.rootv, nil
 	}
-	v := &pvnode{l: l, fid: path[n], kind: kind, dirPath: path[:n:n]}
-	if kind.IsDir() {
-		v.self = path
-	}
+	key := vnodeKey{dir: handle[1 : len(handle)-handleFieldLen], fid: fid, kind: kind}
 	l.mu.Lock()
-	err = v.storedLocked()
-	l.mu.Unlock()
-	switch vnode.AsErrno(err) {
+	defer l.mu.Unlock()
+	v, ok := l.vnodes.Get(key)
+	if !ok {
+		_, path, err := parseHandle(handle)
+		if err != nil {
+			return nil, vnode.ESTALE
+		}
+		n := len(path) - 1
+		v = l.vnodeLocked(key, path[:n:n])
+	}
+	if invariant.Enabled() && v.handle != handle {
+		invariant.Failf("physical: handle %q resolved to the vnode of %q", handle, v.handle)
+	}
+	switch vnode.AsErrno(v.storedLocked()) {
 	case vnode.EOK:
 		return v, nil
 	case vnode.ENOSTOR:
@@ -94,14 +156,14 @@ func (v *pvnode) storedLocked() error {
 	if err != nil || v.kind.IsDir() {
 		return mapStoreErr(err)
 	}
-	_, err = lookupMember(cont, prefixAux, v.fid)
+	_, err = lookupMember(cont, v.stored)
 	return err
 }
 
-// lookupMember looks up the member prefix names for fid in container cont;
-// one that is not there is not stored (ENOSTOR).
-func lookupMember(cont vnode.Vnode, prefix string, fid ids.FileID) (vnode.Vnode, error) {
-	m, err := cont.Lookup(memberName(prefix, fid))
+// lookupMember looks up the member name in container cont; one that is not
+// there is not stored (ENOSTOR).
+func lookupMember(cont vnode.Vnode, name string) (vnode.Vnode, error) {
+	m, err := cont.Lookup(name)
 	if vnode.AsErrno(err) == vnode.ENOENT {
 		return nil, vnode.ENOSTOR
 	}
@@ -143,14 +205,11 @@ func (v *pvnode) lookupLocked(name string) (vnode.Vnode, error) {
 // container is cont, verifying local storage: a directory's container, any
 // other kind's aux member.
 func (v *pvnode) childVnodeLocked(cont vnode.Vnode, e Entry) (vnode.Vnode, error) {
-	prefix := prefixAux
-	if e.Kind.IsDir() {
-		prefix = prefixDir
-	}
-	if _, err := lookupMember(cont, prefix, e.Child); err != nil {
+	c := v.childLocked(e.Child, e.Kind)
+	if _, err := lookupMember(cont, c.stored); err != nil {
 		return nil, err
 	}
-	return v.childOf(e.Child, e.Kind), nil
+	return c, nil
 }
 
 // encodedLookup executes an open or close shipped through Lookup (§2.3).
@@ -231,17 +290,18 @@ func (v *pvnode) createKind(name string, excl bool, kind Kind, data string) (vno
 	// Storage first — the data file, then its aux with its seal — then the
 	// entry: a crash in between leaves members no live entry names, which
 	// Recover reclaims, never a dangling entry.  So none of them needs a shadow.
-	if err := writeFresh(cont, memberName(prefixData, fid), []byte(data)); err != nil {
+	c := v.childLocked(fid, kind)
+	if err := writeFresh(cont, c.data, []byte(data)); err != nil {
 		return nil, err
 	}
 	aux := Aux{Type: kind, Nlink: 1, VV: v.l.bumpVV(nil)}
-	if err := writeAuxFile(writeFresh, cont, memberName(prefixAux, fid), &aux, ComputeManifest([]byte(data))); err != nil {
+	if err := writeAuxFile(writeFresh, cont, c.stored, &aux, ComputeManifest([]byte(data))); err != nil {
 		return nil, err
 	}
 	if _, err := v.l.commitDirLocked(cont, d, []Entry{{EID: eid, Name: name, Child: fid, Kind: kind}}, v.l.bumpVV); err != nil {
 		return nil, err
 	}
-	return v.childOf(fid, kind), nil
+	return c, nil
 }
 
 func (v *pvnode) Mkdir(name string) (vnode.Vnode, error) {
@@ -286,7 +346,7 @@ func (v *pvnode) mkdirKind(name string, kind Kind, graftVol ids.VolumeHandle) (v
 	if _, err := v.l.commitDirLocked(cont, d, []Entry{{EID: eid, Name: name, Child: fid, Kind: kind}}, v.l.bumpVV); err != nil {
 		return nil, err
 	}
-	return v.childOf(fid, kind), nil
+	return v.childLocked(fid, kind), nil
 }
 
 func checkName(name string) error {
@@ -342,7 +402,7 @@ func (v *pvnode) dataFile() (vnode.Vnode, error) {
 	if err != nil {
 		return nil, mapStoreErr(err)
 	}
-	return lookupMember(cont, prefixData, v.fid)
+	return lookupMember(cont, v.data)
 }
 
 func (v *pvnode) readAll() ([]byte, error) {
@@ -394,7 +454,7 @@ func (v *pvnode) updateFileLocked(df vnode.Vnode, lo, hi uint64, p []byte, off u
 	if err != nil {
 		return mapStoreErr(err)
 	}
-	af, aux, seal, err := openAuxFile(cont, memberName(prefixAux, v.fid))
+	af, aux, seal, err := openAuxFile(cont, v.stored)
 	if err != nil {
 		return err
 	}
@@ -544,7 +604,7 @@ func (v *pvnode) getattrLocked() (vnode.Attr, error) {
 			Nlink:  uint32(2 + d.live),
 			Size:   uint64(len(d.entries)),
 			Mtime:  aux.VV.Total(),
-			FileID: v.fid.String(),
+			FileID: v.fileID(),
 		}
 		if aux.Type == KGraft {
 			a.GraftVol = aux.GraftVol.String()
@@ -555,7 +615,7 @@ func (v *pvnode) getattrLocked() (vnode.Attr, error) {
 	if err != nil {
 		return vnode.Attr{}, mapStoreErr(err)
 	}
-	c, err := v.l.copyLocked(cont, v.fid, false)
+	c, err := v.l.copyLocked(cont, v.members, false)
 	if err != nil {
 		return vnode.Attr{}, mapStoreErr(mapNotStored(err))
 	}
@@ -575,7 +635,7 @@ func (v *pvnode) getattrLocked() (vnode.Attr, error) {
 		Size:   da.Size,
 		Mtime:  aux.VV.Total(),
 		Ctime:  da.Ctime,
-		FileID: v.fid.String(),
+		FileID: v.fileID(),
 	}, nil
 }
 
@@ -837,6 +897,8 @@ func (v *pvnode) Readdir() ([]vnode.Dirent, error) {
 		return nil, err
 	}
 	out := make([]vnode.Dirent, 0, d.live)
+	// A child the vnode table holds lends its fid's rendering; the table is
+	// only asked, not filled: a listing is no sign its entries will be used.
 	for _, e := range d.entries {
 		if !e.Live() {
 			continue
@@ -848,9 +910,15 @@ func (v *pvnode) Readdir() ([]vnode.Dirent, error) {
 		case KSymlink:
 			t = vnode.VLnk
 		}
+		fileID := ""
+		if c, ok := v.l.vnodes.Get(v.childKey(e.Child, e.Kind)); ok {
+			fileID = c.fileID()
+		} else {
+			fileID = e.Child.String()
+		}
 		out = append(out, vnode.Dirent{
 			Name:   d.nameOf(e),
-			FileID: e.Child.String(),
+			FileID: fileID,
 			Type:   t,
 			Value:  e.Value,
 		})

@@ -240,7 +240,7 @@ func (n *Network) ScriptFaults(from, to Addr, kinds ...FaultKind) {
 }
 
 // ClearFaults removes every scripted and probabilistic fault (network-wide
-// and per-link); partitions and host crashes are untouched.
+// and per-link); partitions, host crashes and hangs are untouched.
 func (n *Network) ClearFaults() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -287,13 +287,22 @@ func (n *Network) faultsLocked(from, to Addr) (*linkState, FaultProfile) {
 	return l, l.faults.over(n.faults)
 }
 
-// rpcFateLocked decides one RPC on from -> to: whether and how it faults,
-// and the virtual latency of its request and reply legs.  Draws come from
-// the link's RNG in a fixed order — a scripted fault (FIFO, no draw), then
-// request loss, reply loss and hang, then the two legs — and only for what
-// is in force, so a link with nothing in force draws nothing.
-func (n *Network) rpcFateLocked(from, to Addr) (faulted bool, kind FaultKind, reqLat, replyLat uint64) {
+// rpcFateLocked decides one RPC on from -> to, whose receiver is hung or
+// not: whether and how it faults, and the virtual latency of its request and
+// reply legs.  Draws come from the link's RNG in a fixed order — a scripted
+// fault (FIFO, no draw), then request loss, reply loss and hang, then the two
+// legs — and only for what is in force, so a link with nothing in force draws
+// nothing.  A hung receiver puts HangRate 1 in force on the link, for this
+// call, over whatever else the link's profile says: the hang takes its place
+// in the order and draws as a profile's HangRate would.
+func (n *Network) rpcFateLocked(from, to Addr, hung bool) (faulted bool, kind FaultKind, reqLat, replyLat uint64) {
 	l, p := n.faultsLocked(from, to)
+	if hung {
+		if l == nil {
+			l = n.attachLocked(from, to)
+		}
+		p.HangRate = 1
+	}
 	if l == nil {
 		return false, 0, 0, 0
 	}
@@ -432,6 +441,7 @@ type Host struct {
 	net      *Network
 	addr     Addr
 	down     bool
+	hung     bool // RPCs from other hosts run, and their replies never arrive
 	rpc      map[string]RPCHandler
 	datagram map[string]DatagramHandler
 }
@@ -445,6 +455,18 @@ func (h *Host) SetDown(down bool) {
 	h.net.mu.Lock()
 	defer h.net.mu.Unlock()
 	h.down = down
+}
+
+// SetHung makes the host a hung peer, or a live one again.  An RPC another
+// host sends it runs its handler, but the reply never arrives, as under a
+// HangRate of 1 on the link in (rpcFateLocked).  Datagrams and the host's own
+// calls still flow.  No link's profile is touched, so what else is injected
+// on the links in outlives the hang; ClearFaults leaves a hang, as it leaves
+// a crash.
+func (h *Host) SetHung(hung bool) {
+	h.net.mu.Lock()
+	defer h.net.mu.Unlock()
+	h.hung = hung
 }
 
 // Down reports whether the host is crashed.
@@ -516,7 +538,7 @@ func (h *Host) CallT(dst Addr, service string, req []byte, deadline uint64) ([]b
 	var kind FaultKind
 	var reqLat, replyLat uint64
 	if dst != h.addr {
-		faulted, kind, reqLat, replyLat = h.net.rpcFateLocked(h.addr, dst)
+		faulted, kind, reqLat, replyLat = h.net.rpcFateLocked(h.addr, dst, target.hung)
 	}
 	if faulted && kind == FaultRequestLost {
 		h.net.stats.RPCFailures++

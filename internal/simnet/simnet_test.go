@@ -505,6 +505,43 @@ func TestHangRateStuckPeer(t *testing.T) {
 	}
 }
 
+// TestHostHangLeavesLinkProfile: a hang is the host's state.  While it lasts
+// a call into the hung host runs and never answers, drawing from the link's
+// RNG as a HangRate of 1 in the link's profile would; lifting it leaves the
+// link's own profile in force, and ClearFaults does not lift it.
+func TestHostHangLeavesLinkProfile(t *testing.T) {
+	slow := FaultProfile{BaseTicks: 40, JitterTicks: 10}
+	hung, a, b, _ := echoNet(t)
+	hung.SetLinkFaults("a", "b", slow)
+	b.SetHung(true)
+	if _, el, err := a.CallT("b", "echo", nil, 0); !errors.Is(err, ErrUnreachable) || el != HangTicks {
+		t.Fatalf("a call into a hung host: elapsed %d err %v", el, err)
+	}
+	b.SetHung(false)
+	// The same calls on a network whose link carried the hang in its profile.
+	rate, ra, _, _ := echoNet(t)
+	rate.SetLinkFaults("a", "b", FaultProfile{BaseTicks: 40, JitterTicks: 10, HangRate: 1})
+	if _, _, err := ra.CallT("b", "echo", nil, 0); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("HangRate 1: %v", err)
+	}
+	rate.SetLinkFaults("a", "b", slow)
+	for i := 0; i < 5; i++ {
+		_, el, err := a.CallT("b", "echo", nil, 0)
+		_, want, _ := ra.CallT("b", "echo", nil, 0)
+		if err != nil || el < 80 || el > 100 || el != want {
+			t.Fatalf("call %d after the hang: elapsed %d err %v; the link's profile says 80..100, HangRate 1 drew %d", i, el, err, want)
+		}
+	}
+	b.SetHung(true)
+	hung.ClearFaults()
+	if _, _, err := a.CallT("b", "echo", nil, 10); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("ClearFaults lifted the hang: %v", err)
+	}
+	if s := hung.Stats(); s.RPCHangs != 2 || s.RPCFaultsInjected != 0 {
+		t.Fatalf("stats %+v", s)
+	}
+}
+
 func TestLostRequestUnderDeadlineIsDeadline(t *testing.T) {
 	n, a, _, _ := echoNet(t)
 	n.ScriptFaults("a", "b", FaultRequestLost, FaultReplyLost)

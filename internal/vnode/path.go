@@ -5,17 +5,23 @@ import (
 	"strings"
 )
 
-// SplitPath breaks a slash-separated path into components, ignoring empty
-// segments ("//", leading and trailing slashes) and "." segments.
-func SplitPath(path string) []string {
-	parts := strings.Split(path, "/")
-	out := parts[:0]
-	for _, p := range parts {
-		if p != "" && p != "." {
-			out = append(out, p)
+// NextName steps through a slash-separated path in place: it returns the
+// first component at or after byte i, skipping empty segments ("//", leading
+// and trailing slashes) and "." segments, and the index to step on from; name
+// is "" once none is left.  From i = 0 it visits the path's components in
+// order, slicing each out of path, so a walk builds no list of them.
+func NextName(path string, i int) (name string, next int) {
+	for i < len(path) {
+		j := strings.IndexByte(path[i:], '/')
+		if j < 0 {
+			j = len(path) - i
+		}
+		name, i = path[i:i+j], i+j+1
+		if name != "" && name != "." {
+			return name, i
 		}
 	}
-	return out
+	return "", len(path)
 }
 
 // Walk resolves a slash-separated path from dir by repeated Lookup, the way
@@ -23,7 +29,7 @@ func SplitPath(path string) []string {
 // is what lets autografting intercept graft points mid-walk, paper §4.4).
 func Walk(dir Vnode, path string) (Vnode, error) {
 	v := dir
-	for _, name := range SplitPath(path) {
+	for name, i := NextName(path, 0); name != ""; name, i = NextName(path, i) {
 		c, err := v.Lookup(name)
 		if err != nil {
 			return nil, err
@@ -36,34 +42,35 @@ func Walk(dir Vnode, path string) (Vnode, error) {
 // WalkParent resolves all but the last component and returns the parent
 // vnode plus the final name.  It fails with EINVAL for an empty path.
 func WalkParent(dir Vnode, path string) (Vnode, string, error) {
-	parts := SplitPath(path)
-	if len(parts) == 0 {
+	name, i := NextName(path, 0)
+	if name == "" {
 		return nil, "", EINVAL
 	}
-	parent, err := walkParts(dir, parts[:len(parts)-1])
-	if err != nil {
-		return nil, "", err
-	}
-	return parent, parts[len(parts)-1], nil
-}
-
-func walkParts(dir Vnode, parts []string) (Vnode, error) {
 	v := dir
-	for _, name := range parts {
+	for next, j := NextName(path, i); next != ""; next, j = NextName(path, j) {
 		c, err := v.Lookup(name)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
-		v = c
+		v, name = c, next
 	}
-	return v, nil
+	return v, name, nil
+}
+
+// LastName returns path's last component, "" when it has none.
+func LastName(path string) string {
+	last := ""
+	for name, i := NextName(path, 0); name != ""; name, i = NextName(path, i) {
+		last = name
+	}
+	return last
 }
 
 // MkdirAll creates every missing directory along path and returns the final
 // directory vnode.
 func MkdirAll(dir Vnode, path string) (Vnode, error) {
 	v := dir
-	for _, name := range SplitPath(path) {
+	for name, i := NextName(path, 0); name != ""; name, i = NextName(path, i) {
 		c, err := v.Lookup(name)
 		if err == ENOENT || AsErrno(err) == ENOENT {
 			c, err = v.Mkdir(name)

@@ -3,6 +3,7 @@ package vnode_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/disk"
@@ -127,7 +128,9 @@ func TestErrnoVocabulary(t *testing.T) {
 	}
 }
 
-func TestSplitPath(t *testing.T) {
+// TestNextName: stepping through a path visits its components in order,
+// without the empty and "." segments, and LastName is the last of them.
+func TestNextName(t *testing.T) {
 	cases := map[string][]string{
 		"":            nil,
 		"/":           nil,
@@ -138,16 +141,26 @@ func TestSplitPath(t *testing.T) {
 		"a/b/c/d/e/f": {"a", "b", "c", "d", "e", "f"},
 	}
 	for in, want := range cases {
-		got := vnode.SplitPath(in)
-		if len(got) != len(want) {
-			t.Errorf("SplitPath(%q) = %v, want %v", in, got, want)
-			continue
+		var got []string
+		for name, i := vnode.NextName(in, 0); name != ""; name, i = vnode.NextName(in, i) {
+			got = append(got, name)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("SplitPath(%q) = %v, want %v", in, got, want)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("NextName steps %q as %q, want %q", in, got, want)
 		}
+		last := ""
+		if len(want) > 0 {
+			last = want[len(want)-1]
+		}
+		if got := vnode.LastName(in); got != last {
+			t.Errorf("LastName(%q) = %q, want %q", in, got, last)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for name, i := vnode.NextName("/a/b/c", 0); name != ""; name, i = vnode.NextName("/a/b/c", i) {
+		}
+	}); n != 0 {
+		t.Fatalf("stepping through a path allocates %v times", n)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/vv"
@@ -226,6 +227,16 @@ func (d *Decoder) Bytes() []byte {
 // Str reads a length-prefixed string.
 func (d *Decoder) Str() string { return string(d.Take(d.Count(1))) }
 
+// StrIn reads a length-prefixed string through in, which hands back the
+// string it holds for bytes it has seen; a nil in is Str.
+func (d *Decoder) StrIn(in *Interner) string {
+	b := d.Take(d.Count(1))
+	if in == nil {
+		return string(b)
+	}
+	return in.Intern(b)
+}
+
 // FID reads a file id.
 func (d *Decoder) FID() ids.FileID {
 	return ids.FileID{Issuer: ids.ReplicaID(d.U32()), Seq: d.U64()}
@@ -267,4 +278,42 @@ func (d *Decoder) VV() vv.Vector {
 	}
 	d.b = d.b[used:]
 	return v
+}
+
+// ---- interning ---------------------------------------------------------
+
+// Interner keeps one string per byte sequence it is handed, so a decoder
+// that reads the same handle or name in message after message makes the
+// string once: the probe, m[string(b)], allocates nothing.  It is bounded:
+// a new string that finds it holding capacity strings empties it first.  A
+// string it hands out is an ordinary string, never a view of the message.  It
+// is safe for concurrent use.
+type Interner struct {
+	mu       sync.Mutex
+	capacity int
+	m        map[string]string
+}
+
+// NewInterner returns an empty interner holding at most capacity strings.
+func NewInterner(capacity int) *Interner {
+	return &Interner{capacity: capacity, m: make(map[string]string)}
+}
+
+// Intern returns a string equal to b: the one it holds, or b copied, which it
+// then holds.
+func (in *Interner) Intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if s, ok := in.m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(in.m) >= in.capacity {
+		clear(in.m)
+	}
+	in.m[s] = s
+	return s
 }

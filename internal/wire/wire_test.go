@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ids"
 	"repro/internal/vv"
@@ -50,13 +53,15 @@ func (m *everything) encode() []byte {
 	return dst
 }
 
-func decodeEverything(b []byte) (*everything, error) {
+// decodeEverything decodes b, reading the string through in (nil: no
+// interning).
+func decodeEverything(b []byte, in *Interner) (*everything, error) {
 	d := NewDecoder(b)
 	d.Version(everythingVersion)
 	m := &everything{A: d.U8(), B: d.U16(), C: d.U32(), D: d.U64(), E: d.Bool()}
 	copy(m.Raw[:], d.Take(len(m.Raw)))
 	m.Blob = d.Bytes()
-	m.S = d.Str()
+	m.S = d.StrIn(in)
 	m.F = d.FID()
 	m.P = d.Path()
 	m.Vol = d.Vol()
@@ -85,7 +90,7 @@ func sample() *everything {
 func TestRoundTrip(t *testing.T) {
 	for _, m := range []*everything{sample(), {V: vv.New()}} {
 		enc := m.encode()
-		got, err := decodeEverything(enc)
+		got, err := decodeEverything(enc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +108,7 @@ func TestRoundTrip(t *testing.T) {
 func TestTruncationAtEveryPrefix(t *testing.T) {
 	enc := sample().encode()
 	for n := 0; n < len(enc); n++ {
-		if _, err := decodeEverything(enc[:n]); err == nil {
+		if _, err := decodeEverything(enc[:n], nil); err == nil {
 			t.Fatalf("prefix of %d bytes (of %d) decoded", n, len(enc))
 		}
 	}
@@ -111,7 +116,7 @@ func TestTruncationAtEveryPrefix(t *testing.T) {
 
 func TestStrictness(t *testing.T) {
 	enc := (&everything{V: vv.New()}).encode()
-	if _, err := decodeEverything(enc); err != nil {
+	if _, err := decodeEverything(enc, nil); err != nil {
 		t.Fatal(err)
 	}
 	mutate := func(at int, with ...byte) []byte {
@@ -132,16 +137,16 @@ func TestStrictness(t *testing.T) {
 		"other version":              mutate(0, everythingVersion+1),
 	}
 	for name, b := range cases {
-		if _, err := decodeEverything(b); err == nil {
+		if _, err := decodeEverything(b, nil); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
 	// The same images with the defect repaired decode, so each case fails
 	// for the reason it names.
-	if m, err := decodeEverything(mutate(16, 1)); err != nil || !m.E {
+	if m, err := decodeEverything(mutate(16, 1), nil); err != nil || !m.E {
 		t.Errorf("bool byte 1: %+v %v", m, err)
 	}
-	if m, err := decodeEverything(mutate(46, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 3)); err != nil || m.V[9] != 3 {
+	if m, err := decodeEverything(mutate(46, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 3), nil); err != nil || m.V[9] != 3 {
 		t.Errorf("vector with one live counter: %+v %v", m, err)
 	}
 }
@@ -226,7 +231,23 @@ func FuzzDecoder(f *testing.F) {
 	f.Add((&everything{}).encode())
 	f.Add([]byte{everythingVersion})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := decodeEverything(b)
+		m, err := decodeEverything(b, nil)
+		// Again through an interner of two strings, preloaded with every
+		// string a length byte in b frames, so that it empties while it
+		// loads: the same value and the same error.
+		in := NewInterner(2)
+		for i := range b {
+			if end := i + 1 + int(b[i]); end <= len(b) {
+				in.Intern(b[i+1 : end])
+			}
+		}
+		mi, ierr := decodeEverything(b, in)
+		if fmt.Sprint(err) != fmt.Sprint(ierr) || !reflect.DeepEqual(m, mi) {
+			t.Fatalf("interned decode differs: %+v, %v\nplain: %+v, %v", mi, ierr, m, err)
+		}
+		if len(in.m) > 2 {
+			t.Fatalf("an interner of capacity 2 holds %d strings", len(in.m))
+		}
 		if err != nil {
 			return
 		}
@@ -234,4 +255,59 @@ func FuzzDecoder(f *testing.F) {
 			t.Fatalf("re-encoding differs:\n%x\n%x", b, enc)
 		}
 	})
+}
+
+// TestInternerEmptiesAtCapacity: an interner hands back the string it holds
+// for bytes it has seen, without allocating, and a new string that finds it
+// full empties it first.
+func TestInternerEmptiesAtCapacity(t *testing.T) {
+	in := NewInterner(2)
+	a := in.Intern([]byte("alpha"))
+	if got := in.Intern([]byte("alpha")); got != a || unsafe.StringData(got) != unsafe.StringData(a) {
+		t.Fatal("a second Intern of the same bytes made a new string")
+	}
+	buf := []byte("alpha")
+	if n := testing.AllocsPerRun(100, func() { in.Intern(buf) }); n != 0 {
+		t.Fatalf("a hit allocates %v times", n)
+	}
+	in.Intern([]byte("beta"))
+	if len(in.m) != 2 {
+		t.Fatalf("holds %d strings, want 2", len(in.m))
+	}
+	g := in.Intern([]byte("gamma"))
+	if g != "gamma" || len(in.m) != 1 {
+		t.Fatalf("at capacity Intern gave %q and left %d strings, want gamma and 1", g, len(in.m))
+	}
+	if got := in.Intern(nil); got != "" || len(in.m) != 1 {
+		t.Fatalf("the empty string is %q and was held", got)
+	}
+	d := NewDecoder(AppendString(nil, "gamma"))
+	if got := d.StrIn(in); unsafe.StringData(got) != unsafe.StringData(g) || d.Finish() != nil {
+		t.Fatalf("StrIn read %q, not the string the interner holds", got)
+	}
+}
+
+// TestInternerUnderConcurrentDecoders is for the race detector: a server's
+// interner is shared by the RPCs it serves at once.  Every decoder must read
+// back its own bytes while the others fill and empty the interner.
+func TestInternerUnderConcurrentDecoders(t *testing.T) {
+	in := NewInterner(4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				want := fmt.Sprintf("name-%d-%d", g, i%7)
+				if got := NewDecoder(AppendString(nil, want)).StrIn(in); got != want {
+					t.Errorf("decoded %q, want %q", got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if len(in.m) > 4 {
+		t.Fatalf("an interner of capacity 4 holds %d strings", len(in.m))
+	}
 }

@@ -63,10 +63,9 @@ func (m *Mount) Stat(path string) (FileInfo, error) {
 	if err != nil {
 		return FileInfo{}, err
 	}
-	parts := vnode.SplitPath(path)
-	name := "/"
-	if len(parts) > 0 {
-		name = parts[len(parts)-1]
+	name := vnode.LastName(path)
+	if name == "" {
+		name = "/"
 	}
 	return FileInfo{
 		Name:   name,
