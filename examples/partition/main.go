@@ -36,9 +36,9 @@ func main() {
 	}
 	fmt.Println("base state replicated: /paper.tex on both hosts")
 
-	// The network partitions — hosts [0, 1) on one side, the rest on the
-	// other.  Both hosts keep working.
-	cluster.PartitionSplit(1)
+	// The network partitions — host 0 on one side, host 1 on the other.
+	// Both hosts keep working.
+	cluster.Partition([]int{0}, []int{1})
 	fmt.Println("\n-- network partitioned --")
 
 	// Conflicting file update: both sides edit paper.tex.

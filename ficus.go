@@ -150,28 +150,6 @@ func (c *Cluster) Partition(groups ...[]int) {
 	c.net.Partition(addrGroups...)
 }
 
-// PartitionSplit cuts the cluster in two at index k: hosts [0, k) in one
-// group, hosts [k, n) in the other.  The hand-enumerated Partition call gets
-// unwieldy at hundreds of hosts; ranges and predicates are the large-cluster
-// ergonomics.
-func (c *Cluster) PartitionSplit(k int) {
-	c.PartitionFunc(func(i int) bool { return i < k })
-}
-
-// PartitionFunc splits the cluster in two by predicate: hosts where pred is
-// true form one group, the rest the other.
-func (c *Cluster) PartitionFunc(pred func(host int) bool) {
-	var a, b []int
-	for i := 0; i < c.NumHosts(); i++ {
-		if pred(i) {
-			a = append(a, i)
-		} else {
-			b = append(b, i)
-		}
-	}
-	c.Partition(a, b)
-}
-
 // Heal reconnects every host.
 func (c *Cluster) Heal() { c.net.Heal() }
 

@@ -1,18 +1,22 @@
 package ficus
 
 // One chaos scenario (DESIGN.md §7.1): every whole-system chaos gate is a
-// row of chaosRows, a cluster and an event list, scripted or drawn from the
-// row's seed before the run.  An event whose precondition fails is a no-op,
-// so any sub-list is a scenario; one oracle judges every run, and a failing
-// row prints the shrunk list that still fails as a row to paste.
+// row of chaosRows, a cluster and a list of steps — lines of the cluster
+// script (script.go), scripted or drawn from the row's seed before the run.
+// The world lowers each step to the line that runs; a step whose
+// precondition fails is skipped, so any sub-list is a scenario.  One oracle
+// judges every run, and a failing row prints the shrunk run that still
+// fails, as a row to paste and as a script for ficusctl.
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -22,60 +26,15 @@ import (
 	"repro/internal/vnode"
 )
 
-// evKind is what one event does; Host, Name and Arg are its operands.
-type evKind uint8
-
-const (
-	evWrite       evKind = iota // write Name on Host, stamped with Arg
-	evDeepWrite                 // the same, below a directory
-	evMkdir                     // MkdirAll Name on Host
-	evRead                      // read Name on Host
-	evRemove                    // remove Name on Host
-	evRename                    // rename Name to /f<Arg> on Host
-	evPropagate                 // one propagation pass on every host
-	evReconcile                 // one reconciliation pass on every host
-	evPartition                 // Name "split": hosts < Arg apart; "mod": hosts h%Arg == 0 apart
-	evHeal                      // reconnect every host
-	evCrash                     // power-fail Host while the row's maxDown allows
-	evRestart                   // reboot Host if it is down; Name "any": the first down host at or after Host
-	evBitRot                    // flip a bit at byte Arg of Host's copy of Name; never host 0
-	evScrub                     // one integrity pass on Host
-	evHang                      // Host stops answering RPCs, if no host hangs yet
-	evUnhang                    // the hung host answers again
-	evLinkLatency               // a persistently slow link Host -> Arg: 40 to 50 ticks a leg
-	evLinkLoss                  // datagram loss 0.9 on the link Host -> Arg
-	evSide                      // side volume, Name "write" from a holder, "add" Host, "drop" a holder
-	evCount
-)
-
-var kindNames = [evCount]string{
-	"evWrite", "evDeepWrite", "evMkdir", "evRead", "evRemove", "evRename",
-	"evPropagate", "evReconcile", "evPartition", "evHeal", "evCrash", "evRestart",
-	"evBitRot", "evScrub", "evHang", "evUnhang", "evLinkLatency", "evLinkLoss", "evSide",
-}
-
-func (k evKind) String() string { return kindNames[k] }
-
-// event is one step of a scenario.
-type event struct {
-	Kind evKind
-	Host int
-	Name string
-	Arg  int
-}
-
-// String renders e as the Go literal a replay row holds.
-func (e event) String() string { return fmt.Sprintf("{%v, %d, %q, %d}", e.Kind, e.Host, e.Name, e.Arg) }
-
-// mix weighs the event kinds a row's generator draws.
-type mix [evCount]int
+// mix weighs the generator's draws by name.
+type mix map[string]int
 
 // row is one chaos gate.  A replay row names a base row and carries only
-// seeds and events; every other field comes from the base.
+// seeds and a script; every other field comes from the base.
 type row struct {
 	name, base string
 	seeds      []int64
-	events     []event // scripted list; nil = drawn per seed from steps and mix
+	script     []string // scripted steps; nil = drawn per seed from steps and mix
 
 	hosts, steps int
 	mix          mix
@@ -98,25 +57,25 @@ type row struct {
 // end to replay a shrunk failure.
 var chaosRows = []row{
 	{name: "convergence", seeds: []int64{1, 2, 3, 4, 5, 6}, hosts: 3, steps: 120, names: 12, dirs: 4,
-		mix: mix{evWrite: 3, evMkdir: 1, evDeepWrite: 1, evRemove: 1, evRename: 1, evRead: 2,
-			evPartition: 1, evHeal: 1, evPropagate: 1}},
+		mix: mix{"write": 3, "mkdir": 1, "deepwrite": 1, "rm": 1, "mv": 1, "read": 2,
+			"partition": 1, "heal": 1, "propagate": 1}},
 	{name: "flaky-links", seeds: []int64{1, 2, 3, 4}, hosts: 3, steps: 100, names: 10, dirs: 1,
-		mix: mix{evWrite: 8, evMkdir: 2, evDeepWrite: 2, evRemove: 2, evRead: 2,
-			evPartition: 1, evHeal: 1, evPropagate: 2},
+		mix: mix{"write": 8, "mkdir": 2, "deepwrite": 2, "rm": 2, "read": 2,
+			"partition": 1, "heal": 1, "propagate": 2},
 		faults: FaultConfig{RPCFailRate: 0.05, ReplyLossRate: 0.05, DatagramLossRate: 0.25,
 			DatagramDupRate: 0.2, ReorderRate: 0.5},
 		keepFaults: true},
 	{name: "crash", seeds: []int64{1, 2, 3, 4, 5}, hosts: 3, steps: 150, names: 10, keep: 3,
-		mix: mix{evWrite: 4, evRead: 1, evRemove: 1, evPropagate: 2, evReconcile: 1,
-			evCrash: 2, evRestart: 1},
+		mix: mix{"write": 4, "read": 1, "rm": 1, "propagate": 2, "reconcile": 1,
+			"crash": 2, "restart": 1},
 		faults: FaultConfig{RPCFailRate: 0.05, ReplyLossRate: 0.05, DatagramLossRate: 0.10,
 			DatagramDupRate: 0.05, ReorderRate: 0.10}},
 	{name: "scrub", seeds: []int64{1, 2, 3}, hosts: 3, steps: 150, names: 10, keep: 4,
-		mix: mix{evWrite: 3, evRead: 1, evRemove: 1, evPropagate: 2, evReconcile: 1,
-			evBitRot: 2, evScrub: 1, evCrash: 1, evRestart: 2},
+		mix: mix{"write": 3, "read": 1, "rm": 1, "propagate": 2, "reconcile": 1,
+			"bitrot": 2, "scrub": 1, "crash": 1, "restart": 2},
 		faults: FaultConfig{RPCFailRate: 0.05, ReplyLossRate: 0.05, DatagramLossRate: 0.10,
 			ReorderRate: 0.10}},
-	{name: "slow", seeds: []int64{7}, hosts: 4, owned: true, events: slowEvents(),
+	{name: "slow", seeds: []int64{7}, hosts: 4, owned: true, script: slowScript(),
 		faults:     FaultConfig{BaseTicks: 8, JitterTicks: 6, SpikeRate: 0.15, SpikeTicks: 150},
 		slow:       SlowPeerConfig{RPCDeadline: 60, SlowAfter: 25, HedgeAfter: 30, TickBudget: 600},
 		keepFaults: true},
@@ -124,15 +83,15 @@ var chaosRows = []row{
 		writers: []int{0, 16, 48, 90, 128, 170, 200, 255}, maxDown: 12, lossyLinks: 8,
 		restartAny: true, side: []int{1, 33, 77, 130},
 		opts: []Option{WithPolicy(FirstAvailable), WithStorage(4096, 512)},
-		mix: mix{evWrite: 15, evSide: 6, evCrash: 3, evRestart: 3, evPartition: 2, evHeal: 1,
-			evPropagate: 3, evReconcile: 3},
+		mix: mix{"write": 15, "side": 6, "crash": 3, "restart": 3, "partition": 2, "heal": 1,
+			"propagate": 3, "reconcile": 3},
 		faults: FaultConfig{RPCFailRate: 0.02, DatagramLossRate: 0.15, DatagramDupRate: 0.05,
 			ReorderRate: 0.2},
 		gossip: GossipConfig{Fanout: 3, TTL: 6, ReconPeers: 2}},
 	{name: "composed", seeds: []int64{1, 2, 3}, hosts: 4, steps: 150, names: 10, dirs: 2, keep: 4,
-		mix: mix{evWrite: 4, evDeepWrite: 1, evMkdir: 1, evRead: 1, evRemove: 1, evRename: 1,
-			evPropagate: 2, evReconcile: 1, evPartition: 1, evHeal: 1, evCrash: 1, evRestart: 1,
-			evBitRot: 1, evScrub: 1, evHang: 1, evUnhang: 1},
+		mix: mix{"write": 4, "deepwrite": 1, "mkdir": 1, "read": 1, "rm": 1, "mv": 1,
+			"propagate": 2, "reconcile": 1, "partition": 1, "heal": 1, "crash": 1, "restart": 1,
+			"bitrot": 1, "scrub": 1, "hang": 1, "unhang": 1},
 		faults: FaultConfig{RPCFailRate: 0.05, ReplyLossRate: 0.05, DatagramLossRate: 0.10,
 			DatagramDupRate: 0.05, ReorderRate: 0.10,
 			BaseTicks: 8, JitterTicks: 6, SpikeRate: 0.15, SpikeTicks: 150},
@@ -140,26 +99,26 @@ var chaosRows = []row{
 		gossip: GossipConfig{Fanout: 2, TTL: 3}},
 }
 
-// slowEvents is the slow row's script: the link 1 -> 0 is persistently slow,
+// slowScript is the slow row's script: the link 1 -> 0 is persistently slow,
 // so host 1's pulls from host 0 cross the hedging threshold; three rounds of
 // distinct writes propagate; then host 3 hangs with its last write unpulled,
 // four passes run against it, and a reconciliation — never health-gated —
 // pays the deadline instead of waiting forever.
-func slowEvents() []event {
-	evs, pass := []event{{evLinkLatency, 1, "", 0}}, event{Kind: evPropagate}
-	write := func(h, s int) { evs = append(evs, event{evWrite, h, fmt.Sprintf("/h%d-s%d", h, s), s}) }
-	for s := 0; s < 3; s++ {
+func slowScript() []string {
+	s := []string{"linkfaults 1 0 base=40 jitter=10"}
+	write := func(h, i int) { s = append(s, fmt.Sprintf("write %d /h%[1]d-s%d h%[1]d s%[2]d", h, i)) }
+	for i := 0; i < 3; i++ {
 		for h := 0; h < 4; h++ {
-			write(h, s)
+			write(h, i)
 		}
-		evs = append(evs, pass)
+		s = append(s, "propagate")
 	}
 	write(3, 100)
-	evs = append(evs, event{Kind: evHang, Host: 3})
+	s = append(s, "hang 3")
 	for h := 0; h < 3; h++ {
 		write(h, 101)
 	}
-	return append(evs, pass, pass, pass, pass, event{Kind: evReconcile})
+	return append(s, "propagate", "propagate", "propagate", "propagate", "reconcile")
 }
 
 // resolved returns r with a replay row's fields taken from its base.
@@ -169,87 +128,124 @@ func (r row) resolved() row {
 	}
 	for _, b := range chaosRows {
 		if b.name == r.base {
-			b.name, b.base, b.seeds, b.events = r.name, r.base, r.seeds, r.events
+			b.name, b.base, b.seeds, b.script = r.name, r.base, r.seeds, r.script
 			return b
 		}
 	}
 	panic("chaos row " + r.name + ": no base row " + r.base)
 }
 
-// has reports whether r's events can include kind k.
-func (r *row) has(k evKind) bool {
-	return r.mix[k] > 0 || slices.ContainsFunc(r.events, func(e event) bool { return e.Kind == k })
+// has reports whether r's steps can include the draw or command name.
+func (r *row) has(name string) bool {
+	return r.mix[name] > 0 || slices.ContainsFunc(r.script, func(l string) bool { return command(l) == name })
 }
 
-// list returns the event list r plays under seed.
-func (r *row) list(seed int64) []event {
-	if r.events != nil {
-		return r.events
+// command returns a line's command.
+func command(line string) string { name, _, _ := strings.Cut(line, " "); return name }
+
+// gen draws one row's steps from its seed.
+type gen struct {
+	*rand.Rand
+	r *row
+}
+
+// file draws a file name for host h.
+func (g gen) file(h int) string {
+	if g.r.owned {
+		return fmt.Sprintf("/h%d-f%d", h, g.Intn(g.r.names))
 	}
-	rng := rand.New(rand.NewSource(seed))
-	var evs []event
+	return fmt.Sprintf("/f%d", g.Intn(g.r.names))
+}
+
+// draw is one entry of the generator's table: picked by its weight in the
+// row's mix, it renders the step for host h at step i.
+type draw struct {
+	name string
+	step func(g gen, h, i int) string
+}
+
+// draws is the generator's table, in draw order.  A side step, "<command>
+// <host> side", stands for a side-volume write, add or drop the world lowers.
+var draws = []draw{
+	{"write", func(g gen, h, i int) string {
+		if g.r.writers != nil {
+			h = g.r.writers[g.Intn(len(g.r.writers))]
+		}
+		return fmt.Sprintf("write %d %s h%[1]d s%[3]d", h, g.file(h), i)
+	}},
+	{"deepwrite", func(g gen, h, i int) string {
+		return fmt.Sprintf("write %d /d%d/f%d h%[1]d s%[4]d", h, g.Intn(g.r.dirs), g.Intn(g.r.names), i)
+	}},
+	{"mkdir", func(g gen, h, i int) string { return fmt.Sprintf("mkdir %d /d%d", h, g.Intn(g.r.dirs)) }},
+	{"read", func(g gen, h, i int) string { return fmt.Sprintf("read %d %s", h, g.file(h)) }},
+	{"rm", func(g gen, h, i int) string { return fmt.Sprintf("rm %d %s", h, g.file(h)) }},
+	{"mv", func(g gen, h, i int) string { return fmt.Sprintf("mv %d %s /f%d", h, g.file(h), g.Intn(g.r.names)) }},
+	{"propagate", func(g gen, h, i int) string { return "propagate" }},
+	{"reconcile", func(g gen, h, i int) string { return "reconcile" }},
+	{"partition", func(g gen, h, i int) string {
+		k, mod := 1+g.Intn(g.r.hosts-1), g.Intn(2) == 0 // hosts < k apart, or with mod hosts h%k == 0
+		if mod {
+			k = 2 + g.Intn(min(7, g.r.hosts-2))
+		}
+		var apart, rest []string
+		for h := 0; h < g.r.hosts; h++ {
+			if mod && h%k == 0 || !mod && h < k {
+				apart = append(apart, strconv.Itoa(h))
+			} else {
+				rest = append(rest, strconv.Itoa(h))
+			}
+		}
+		return "partition " + strings.Join(apart, ",") + ";" + strings.Join(rest, ",")
+	}},
+	{"heal", func(g gen, h, i int) string { return "heal" }},
+	{"crash", func(g gen, h, i int) string { return fmt.Sprintf("crash %d", h) }},
+	{"restart", func(g gen, h, i int) string { return fmt.Sprintf("restart %d", h) }},
+	{"bitrot", func(g gen, h, i int) string {
+		return fmt.Sprintf("bitrot %d %s %d", h, keepPath(g.Intn(g.r.keep)), g.Intn(8))
+	}},
+	{"scrub", func(g gen, h, i int) string { return fmt.Sprintf("scrub %d", h) }},
+	{"hang", func(g gen, h, i int) string { return fmt.Sprintf("hang %d", h) }},
+	{"unhang", func(g gen, h, i int) string { return "unhang" }},
+	{"side", func(g gen, h, i int) string {
+		return fmt.Sprintf("%s %d side", [...]string{"volwrite", "volwrite", "replicate", "drop"}[g.Intn(4)], h)
+	}},
+}
+
+// list returns the steps r plays under seed.
+func (r *row) list(seed int64) []string {
+	if r.script != nil {
+		return r.script
+	}
+	g := gen{rand.New(rand.NewSource(seed)), r}
+	var steps []string
 	for i := 0; i < r.lossyLinks; i++ {
-		evs = append(evs, event{evLinkLoss, rng.Intn(r.hosts), "", rng.Intn(r.hosts)})
+		steps = append(steps, fmt.Sprintf("linkfaults %d %d dgloss=0.9", g.Intn(r.hosts), g.Intn(r.hosts)))
 	}
 	total := 0
 	for _, w := range r.mix {
 		total += w
 	}
-	file := func(h int) string {
-		if r.owned {
-			return fmt.Sprintf("/h%d-f%d", h, rng.Intn(r.names))
+	for i := 0; i < r.steps; i++ {
+		h, n, d := g.Intn(r.hosts), g.Intn(total), 0
+		for ; n >= r.mix[draws[d].name]; d++ {
+			n -= r.mix[draws[d].name]
 		}
-		return fmt.Sprintf("/f%d", rng.Intn(r.names))
+		steps = append(steps, draws[d].step(g, h, i))
 	}
-	for step := 0; step < r.steps; step++ {
-		e := event{Host: rng.Intn(r.hosts)}
-		for n := rng.Intn(total); n >= r.mix[e.Kind]; e.Kind++ {
-			n -= r.mix[e.Kind]
-		}
-		switch e.Kind {
-		case evWrite:
-			if r.writers != nil {
-				e.Host = r.writers[rng.Intn(len(r.writers))]
-			}
-			e.Name, e.Arg = file(e.Host), step
-		case evDeepWrite:
-			e.Name, e.Arg = fmt.Sprintf("/d%d/f%d", rng.Intn(r.dirs), rng.Intn(r.names)), step
-		case evMkdir:
-			e.Name = fmt.Sprintf("/d%d", rng.Intn(r.dirs))
-		case evRead, evRemove:
-			e.Name = file(e.Host)
-		case evRename:
-			e.Name, e.Arg = file(e.Host), rng.Intn(r.names)
-		case evPartition:
-			e.Name, e.Arg = "split", 1+rng.Intn(r.hosts-1)
-			if rng.Intn(2) == 0 {
-				e.Name, e.Arg = "mod", 2+rng.Intn(min(7, r.hosts-2))
-			}
-		case evRestart:
-			if r.restartAny {
-				e.Name = "any"
-			}
-		case evBitRot:
-			e.Name, e.Arg = keepPath(rng.Intn(r.keep)), rng.Intn(8)
-		case evSide:
-			e.Name = [...]string{"write", "write", "add", "drop"}[rng.Intn(4)]
-		}
-		evs = append(evs, e)
-	}
-	return evs
+	return steps
 }
 
-// tolerated is the union of the error classes the row's planes let an event
+// tolerated is the union of the error classes the row's planes let a step
 // fail with: outcomes of racing a namespace, a partition, a crash or a hang —
 // never corruption.  A row whose only availability plane is a hang tolerates
 // nothing until the host hangs.
 func (w *world) tolerated() []error {
 	r := w.r
 	var errs []error
-	if !r.owned || r.has(evPartition) || r.has(evCrash) || r.faults.RPCFailRate+r.faults.ReplyLossRate > 0 || w.hung >= 0 {
+	if !r.owned || r.has("partition") || r.has("crash") || r.faults.RPCFailRate+r.faults.ReplyLossRate > 0 || w.hung() >= 0 {
 		errs = append(errs, ErrUnavailable, ErrNotExist, ErrConflict)
 	}
-	if !r.owned || r.has(evPartition) {
+	if !r.owned || r.has("partition") {
 		errs = append(errs, ErrExist, vnode.ENOTEMPTY, vnode.ESTALE, vnode.ENOSTOR)
 	}
 	if !r.owned {
@@ -258,10 +254,10 @@ func (w *world) tolerated() []error {
 	if r.faults.RPCFailRate > 0 || r.faults.ReplyLossRate > 0 {
 		errs = append(errs, simnet.ErrUnreachable, repl.ErrUnreachable)
 	}
-	if r.has(evCrash) {
+	if r.has("crash") {
 		errs = append(errs, core.ErrHostDown)
 	}
-	if r.has(evBitRot) {
+	if r.has("bitrot") {
 		errs = append(errs, core.ErrNoLocalReplica)
 	}
 	return errs
@@ -273,15 +269,18 @@ type failure struct{ check, msg string }
 
 func (f *failure) Error() string { return f.check + ": " + f.msg }
 
-// world is one run of a row: its cluster and what the events did to it.
+// world is one run of a row: its cluster, the interpreter its lines run on,
+// and the lines it ran.
 type world struct {
-	r       *row
-	c       *Cluster
-	mounts  []*Mount
-	side    Volume
-	holders map[int]bool
-	hung    int // the hung host, -1 for none
-	did     [evCount]uint64
+	r     *row
+	c     *Cluster
+	s     *interp
+	ran   []string // the row's setup, then the steps that ran, lowered
+	setup int      // how many lines of ran set the row up; -1 while they run
+}
+
+func newWorld(r *row, c *Cluster) *world {
+	return &world{r: r, c: c, s: newInterp(c, io.Discard), setup: -1}
 }
 
 func (w *world) fail(check, format string, args ...any) {
@@ -289,20 +288,13 @@ func (w *world) fail(check, format string, args ...any) {
 }
 
 func (w *world) tolerate(err error) {
-	for _, class := range w.tolerated() {
-		if errors.Is(err, class) {
-			return
-		}
-	}
-	if err != nil {
+	if err != nil && !slices.ContainsFunc(w.tolerated(), func(class error) bool { return errors.Is(err, class) }) {
 		w.fail("op", "unexpected error class: %v", err)
 	}
 }
 
-// play runs evs on a fresh cluster for r under seed and renders what it
-// converged to: host 0's tree and every host's counters.  A failed check
-// returns a *failure.
-func play(r *row, seed int64, evs []event) (out string, err error) {
+// catch runs f and returns the *failure it panics with.
+func catch(f func()) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			f, ok := p.(*failure)
@@ -312,212 +304,217 @@ func play(r *row, seed int64, evs []event) (out string, err error) {
 			err = f
 		}
 	}()
-	w := &world{r: r, mounts: make([]*Mount, r.hosts), holders: map[int]bool{}, hung: -1}
-	w.setup(seed)
-	for _, e := range evs {
-		w.step(e)
-	}
-	out = w.converge()
-	for h := 0; h < r.hosts; h++ {
-		out += fmt.Sprintf("\nhost %d: %#v %#v %#v", h, w.c.PropagationStatsFor(h), w.c.GossipStatsFor(h), w.c.IntegrityStatsFor(h))
-	}
-	return out, nil
+	f()
+	return nil
 }
 
-func (w *world) setup(seed int64) {
-	r := w.r
+// play runs steps on a fresh cluster for r under seed and renders what it
+// converged to (converge).  A failed check returns a *failure.
+func play(r *row, seed int64, steps []string) (w *world, out string, err error) {
 	c, err := NewCluster(r.hosts, append([]Option{WithSeed(seed)}, r.opts...)...)
 	if err != nil {
-		w.fail("setup", "%v", err)
+		return nil, "", &failure{"setup", err.Error()}
 	}
-	w.c = c
-	c.ConfigureGossip(r.gossip)
-	c.ConfigureSlowPeers(r.slow)
-	c.InjectFaults(r.faults)
+	w = newWorld(r, c)
+	err = catch(func() {
+		w.setUp()
+		for _, s := range steps {
+			w.step(s)
+		}
+		out = w.converge()
+	})
+	return w, out, err
+}
+
+// replay runs script, a row's run as play printed it, through RunScript on
+// a fresh cluster of hosts under seed, and judges it as play does.
+func replay(r *row, hosts int, seed int64, script string) (out string, err error) {
+	c, err := NewCluster(hosts, WithSeed(seed))
+	if err != nil {
+		return "", err
+	}
+	if err := c.RunScript(strings.NewReader(script), io.Discard); err != nil {
+		return "", err
+	}
+	w := newWorld(r, c)
+	w.ran = strings.Split(script, "\n")
+	err = catch(func() { out = w.converge() })
+	return out, err
+}
+
+// setUp plays the row's setup as lines: its gossip, slow-peer and fault
+// settings, the side volume, and the keep files, settled.
+func (w *world) setUp() {
+	r := w.r
+	var lines []string
+	if g := r.gossip; g != (GossipConfig{}) {
+		lines = append(lines, fmt.Sprintf("gossipcfg %d %d %d", g.Fanout, g.TTL, g.ReconPeers))
+	}
+	if s := r.slow; s != (SlowPeerConfig{}) {
+		lines = append(lines, fmt.Sprintf("slowcfg %d %d %d %d", s.RPCDeadline, s.SlowAfter, s.HedgeAfter, s.TickBudget))
+	}
+	if f := r.faults; f != (FaultConfig{}) {
+		lines = append(lines, fmt.Sprintf("faults rpc=%v reply=%v hang=%v dgloss=%v dgdup=%v reorder=%v spikerate=%v base=%d jitter=%d spiketicks=%d",
+			f.RPCFailRate, f.ReplyLossRate, f.HangRate, f.DatagramLossRate, f.DatagramDupRate, f.ReorderRate, f.SpikeRate,
+			f.BaseTicks, f.JitterTicks, f.SpikeTicks))
+	}
 	for i, h := range r.side {
-		if i == 0 {
-			w.side, err = c.NewVolume(h)
-		} else {
-			err = c.ReplicateVolume(w.side, h)
-		}
-		if err != nil {
-			w.fail("setup", "side replica on host %d: %v", h, err)
-		}
-		w.holders[h] = true
+		lines = append(lines, fmt.Sprintf([]string{"newvol %d", "replicate %d side"}[min(i, 1)], h))
+	}
+	for i := 0; i < r.keep; i++ {
+		lines = append(lines, fmt.Sprintf("write 0 %s %[1]s", keepPath(i)))
 	}
 	if r.keep > 0 {
-		m := w.mount(0)
-		for i := 0; i < r.keep; i++ {
-			if err := m.WriteFile(keepPath(i), []byte(keepPath(i))); err != nil {
-				w.fail("setup", "keep file: %v", err)
-			}
-		}
-		if err := c.Settle(20); err != nil {
-			w.fail("setup", "%v", err)
-		}
+		lines = append(lines, "settle")
 	}
+	for _, l := range lines {
+		w.step(l)
+	}
+	w.setup = len(w.ran)
 }
 
 // keepPath is keep file i's path, and its contents.
 func keepPath(i int) string { return fmt.Sprintf("/keep%d", i) }
 
-// mount returns host h's root-volume mount, taking a new one after a crash.
-func (w *world) mount(h int) *Mount {
-	if w.mounts[h] == nil {
-		m, err := w.c.Mount(h)
-		if err != nil {
-			w.tolerate(err)
-			return nil
-		}
-		w.mounts[h] = m
+// step lowers a step to the line that runs and runs it.  A failed setup
+// line, propagate, reconcile or restart fails the run; any other line may
+// fail only with a tolerated class.
+func (w *world) step(step string) {
+	line := w.lower(step)
+	if line == "" {
+		return
 	}
-	return w.mounts[h]
+	w.ran = append(w.ran, line)
+	cmd := command(line)
+	if cmd == "propagate" {
+		w.propagate()
+		return
+	}
+	err := w.s.exec(line)
+	if err != nil && w.setup < 0 {
+		w.fail("setup", "%s: %v", line, err)
+	}
+	if err != nil && (cmd == "reconcile" || cmd == "restart") {
+		w.fail(cmd, "%s: %v", line, err)
+	}
+	w.tolerate(err)
 }
 
-// step plays one event; it returns early, doing nothing, when the event's
-// precondition fails.
-func (w *world) step(e event) {
-	c, n := w.c, w.r.hosts
-	switch e.Kind {
-	case evWrite, evDeepWrite, evMkdir, evRead, evRemove, evRename:
-		m := w.mount(e.Host)
-		if m == nil {
-			return
-		}
-		var err error
-		switch e.Kind {
-		case evMkdir:
-			err = m.MkdirAll(e.Name)
-		case evRead:
-			_, err = m.ReadFile(e.Name)
-		case evRemove:
-			err = m.Remove(e.Name)
-		case evRename:
-			err = m.Rename(e.Name, fmt.Sprintf("/f%d", e.Arg))
-		default:
-			err = m.WriteFile(e.Name, []byte(fmt.Sprintf("h%d s%d", e.Host, e.Arg)))
-		}
-		w.tolerate(err)
-	case evPropagate:
-		w.propagate()
-	case evReconcile:
-		w.reconcile()
-	case evPartition:
-		k := max(e.Arg, 1)
-		if e.Name == "mod" {
-			c.PartitionFunc(func(h int) bool { return h%k == 0 })
-		} else {
-			c.PartitionSplit(k)
-		}
-	case evHeal:
-		c.Heal()
-	case evCrash:
+// lower returns the line a step runs as, or "" when its precondition fails:
+// a crash of a down host or past the row's maxDown, a restart of an up host
+// (under restartAny, of the first down host at or after it), bit rot on
+// host 0 (one replica of every keep file stays pristine), a second hang, an
+// unhang with none hung, or a side-volume step with no eligible holder.
+func (w *world) lower(step string) string {
+	c, n, f := w.c, w.r.hosts, strings.Fields(step)
+	h, _ := strconv.Atoi(f[min(1, len(f)-1)]) // the host a step names first
+	switch {
+	case f[len(f)-1] == "side":
+		return w.lowerSide(f[0], h)
+	case f[0] == "crash":
 		down := 0
-		for h := 0; h < n; h++ {
-			if c.HostDown(h) {
+		for i := 0; i < n; i++ {
+			if c.HostDown(i) {
 				down++
 			}
 		}
-		if c.HostDown(e.Host) || down >= cmp.Or(w.r.maxDown, n-1) {
-			return
+		if c.HostDown(h) || down >= cmp.Or(w.r.maxDown, n-1) {
+			return ""
 		}
-		c.CrashHost(e.Host)
-		w.mounts[e.Host] = nil
-	case evRestart:
-		h := e.Host
-		for i := 0; e.Name == "any" && i < n && !c.HostDown(h); i++ {
+	case f[0] == "restart":
+		for i := 0; w.r.restartAny && i < n && !c.HostDown(h); i++ {
 			h = (h + 1) % n
 		}
 		if !c.HostDown(h) {
-			return
+			return ""
 		}
-		if err := c.RestartHost(h); err != nil {
-			w.fail("restart", "host %d: %v", h, err)
-		}
-	case evBitRot:
-		if e.Host == 0 {
-			return
-		}
-		if err := c.InjectBitRot(e.Host, e.Name, uint64(e.Arg)); err != nil {
-			w.tolerate(err)
-			return
-		}
-	case evScrub:
-		if _, err := c.ScrubHost(e.Host); err != nil {
-			w.tolerate(err)
-		}
-	case evHang:
-		if w.hung >= 0 {
-			return
-		}
-		c.HangHost(e.Host)
-		w.hung = e.Host
-	case evUnhang:
-		if w.hung < 0 {
-			return
-		}
-		c.UnhangHost(w.hung)
-		w.hung = -1
-	case evLinkLatency:
-		c.InjectLinkFaults(e.Host, e.Arg, FaultConfig{BaseTicks: 40, JitterTicks: 10})
-	case evLinkLoss:
-		c.InjectLinkFaults(e.Host, e.Arg, FaultConfig{DatagramLossRate: 0.9})
-	case evSide:
-		if !w.sideStep(e) {
-			return
-		}
+		return fmt.Sprintf("restart %d", h)
+	case f[0] == "bitrot" && h == 0, f[0] == "hang" && w.hung() >= 0, f[0] == "unhang" && w.hung() < 0:
+		return ""
+	case f[0] == "unhang":
+		return fmt.Sprintf("unhang %d", w.hung())
 	}
-	w.did[e.Kind]++
+	return step
 }
 
-// sideStep plays a side-volume event, reporting whether its precondition
-// held: a write needs an up holder, an add an up host outside the set while
-// the creator is up to seed it, a drop more than two holders.
-func (w *world) sideStep(e event) bool {
+// lowerSide lowers a side-volume step drawn for host h: a write needs an up
+// holder, an add an up host outside the set while the creator is up to seed
+// it, a drop more than two holders.
+func (w *world) lowerSide(cmd string, h int) string {
 	c, first := w.c, w.r.side[0]
+	side, holders := w.holders()
 	var up []int // up holders, less the creator for a drop
-	for h := range w.holders {
-		if !c.HostDown(h) && (e.Name != "drop" || h != first) {
-			up = append(up, h)
+	for _, x := range holders {
+		if !c.HostDown(x) && (cmd != "drop" || x != first) {
+			up = append(up, x)
 		}
 	}
-	sort.Ints(up)
-	var err error
 	switch {
-	case e.Name == "write" && len(up) > 0:
-		h := up[e.Host%len(up)]
-		var m *Mount
-		if m, err = c.MountVolume(h, w.side); err == nil {
-			err = m.WriteFile(fmt.Sprintf("/side-h%d", h), []byte(fmt.Sprintf("h%d", e.Host)))
-		}
-	case e.Name == "add" && !w.holders[e.Host] && !c.HostDown(e.Host) && !c.HostDown(first):
-		if err = c.ReplicateVolume(w.side, e.Host); err == nil {
-			w.holders[e.Host] = true
-		}
-	case e.Name == "drop" && len(w.holders) > 2 && len(up) > 0:
-		h := up[e.Host%len(up)]
-		if err = c.DropReplica(w.side, h); err == nil {
-			delete(w.holders, h)
-		}
-	default:
-		return false
+	case cmd == "volwrite" && len(up) > 0:
+		x := up[h%len(up)]
+		return fmt.Sprintf("volwrite %d %v /side-h%[1]d h%[3]d", x, side, h)
+	case cmd == "replicate" && !slices.Contains(holders, h) && !c.HostDown(h) && !c.HostDown(first):
+		return fmt.Sprintf("replicate %v %d", side, h)
+	case cmd == "drop" && len(holders) > 2 && len(up) > 0:
+		return fmt.Sprintf("drop %v %d", side, up[h%len(up)])
 	}
-	w.tolerate(err)
-	return true
+	return ""
 }
 
-// propagate runs one propagation pass per host.  Under a tick budget the
+// holders returns the side volume — the cluster's one volume beside the
+// root — and the hosts holding a replica of it, in order.
+func (w *world) holders() (side Volume, hosts []int) {
+	for v, locs := range w.c.volumes {
+		if v != w.c.RootVolume() {
+			side = v
+			for _, l := range locs {
+				hosts = append(hosts, w.c.hostIndex(l.Addr))
+			}
+		}
+	}
+	sort.Ints(hosts)
+	return side, hosts
+}
+
+// hung returns the host the run's lines left hung, -1 for none.
+func (w *world) hung() (h int) {
+	h = -1
+	for _, l := range w.ran {
+		if f := strings.Fields(l); f[0] == "hang" {
+			h, _ = strconv.Atoi(f[1])
+		} else if f[0] == "unhang" {
+			h = -1
+		}
+	}
+	return h
+}
+
+// count returns how many lines of command cmd the run ran.
+func (w *world) count(cmd string) (n uint64) {
+	for _, l := range w.ran {
+		if command(l) == cmd {
+			n++
+		}
+	}
+	return n
+}
+
+// propagate runs one propagation pass on every host.  Under a tick budget the
 // check runs before each origin's pull, so a pass may overshoot by at most
 // the last pull it admitted: with three in-call attempts, a few deadlines at
 // worst.
 func (w *world) propagate() {
-	for h := 0; h < w.r.hosts; h++ {
-		s, err := w.c.Host(h).PropagateOnce()
-		if err != nil {
-			w.fail("propagate", "host %d: %v", h, err)
-		}
-		if b := w.r.slow.TickBudget; b > 0 && s.PassTicks > b+8*w.r.slow.RPCDeadline {
-			w.fail("ticks", "host %d: PassTicks %d exceeds budget bound %d", h, s.PassTicks, b+8*w.r.slow.RPCDeadline)
+	before := make([]uint64, w.r.hosts)
+	for h := range before {
+		before[h] = w.c.PropagationStatsFor(h).PassTicks
+	}
+	if err := w.s.exec("propagate"); err != nil {
+		w.fail("propagate", "%v", err)
+	}
+	bound := w.r.slow.TickBudget + 8*w.r.slow.RPCDeadline
+	for h, b := range before {
+		if t := w.c.PropagationStatsFor(h).PassTicks - b; w.r.slow.TickBudget > 0 && t > bound {
+			w.fail("ticks", "host %d: PassTicks %d exceeds budget bound %d", h, t, bound)
 		}
 	}
 }
@@ -577,13 +574,9 @@ func (w *world) trees(contents bool) (root, diff string) {
 	for h := range all {
 		all[h] = h
 	}
-	var side []int
-	for h := range w.holders {
-		side = append(side, h)
-	}
-	sort.Ints(side)
-	for i, hosts := range [][]int{all, side} {
-		vol := []Volume{w.c.RootVolume(), w.side}[i]
+	side, holders := w.holders()
+	for i, hosts := range [][]int{all, holders} {
+		vol := []Volume{w.c.RootVolume(), side}[i]
 		var ref string
 		for j, h := range hosts {
 			got, err := replicaTree(w.c, h, vol, contents)
@@ -604,7 +597,8 @@ func (w *world) trees(contents bool) (root, diff string) {
 	return root, ""
 }
 
-// converge is the oracle; it returns host 0's converged tree.
+// converge is the oracle.  It renders what the run converged to: host 0's
+// tree and every host's counters.
 func (w *world) converge() string {
 	c, r := w.c, w.r
 	for h := 0; h < r.hosts; h++ {
@@ -614,8 +608,8 @@ func (w *world) converge() string {
 			}
 		}
 	}
-	if w.hung >= 0 {
-		c.UnhangHost(w.hung)
+	if h := w.hung(); h >= 0 {
+		c.UnhangHost(h)
 	}
 	c.Heal()
 	if !r.keepFaults {
@@ -633,7 +627,7 @@ func (w *world) converge() string {
 	agree := func(contents bool) func() bool {
 		return func() bool { _, d := w.trees(contents); return d == "" }
 	}
-	if r.has(evBitRot) {
+	if r.has("bitrot") {
 		// Quarantine state and integrity counters are in memory, so a crash
 		// forgets them: one rot after the last reboot makes the final
 		// accounting independent of which detections survived.
@@ -701,6 +695,9 @@ func (w *world) converge() string {
 		w.fail("fsck", "%v %s", err, strings.Join(probs, "\n"))
 	}
 	w.exercised()
+	for h := 0; h < r.hosts; h++ {
+		before += fmt.Sprintf("\nhost %d: %#v %#v %#v", h, c.PropagationStatsFor(h), c.GossipStatsFor(h), c.IntegrityStatsFor(h))
+	}
 	return before
 }
 
@@ -742,7 +739,7 @@ func (w *world) exercised() {
 			w.fail("gossip", "host %d sent %d notices for %d rumors: origin cost above fanout", h, g.NoticesSent, g.RumorsOriginated)
 		}
 	}
-	hang := r.has(evHang)
+	hang := r.has("hang")
 	for _, p := range []struct {
 		on   bool
 		n    uint64
@@ -752,18 +749,18 @@ func (w *world) exercised() {
 		{r.faults.ReplyLossRate > 0, ns.RPCRepliesLost, "RPC replies lost"},
 		{r.faults.DatagramLossRate+r.faults.DatagramDupRate+r.faults.ReorderRate > 0,
 			ns.DatagramsDropped + ns.DatagramsDuplicated + ns.MulticastsReordered, "datagram faults"},
-		{r.has(evPartition), w.did[evPartition], "partitions"},
-		{r.has(evCrash), w.did[evCrash], "crashes"},
-		{r.has(evRestart), w.did[evRestart], "restarts"},
-		{r.has(evBitRot), integrity.CorruptionsDetected, "corruptions detected"},
-		{r.has(evBitRot), integrity.Repaired, "versions healed from a peer"},
+		{r.has("partition"), w.count("partition"), "partitions"},
+		{r.has("crash"), w.count("crash"), "crashes"},
+		{r.has("restart"), w.count("restart"), "restarts"},
+		{r.has("bitrot"), integrity.CorruptionsDetected, "corruptions detected"},
+		{r.has("bitrot"), integrity.Repaired, "versions healed from a peer"},
 		{r.faults.SpikeRate > 0, ns.RPCLatencySpikes, "latency spikes"},
 		{hang, ns.RPCHangs, "hung RPCs"},
 		{hang, ns.RPCDeadlineMisses, "deadline misses"},
 		// Peer health dies with a crash, so only a row without crashes
 		// can count on the misses it tracked.
-		{hang && !r.has(evCrash), uint64(misses), "tracked per-peer deadline misses"},
-		{r.has(evLinkLatency), uint64(hedges), "hedged pulls"},
+		{hang && !r.has("crash"), uint64(misses), "tracked per-peer deadline misses"},
+		{r.slow.HedgeAfter > 0 && r.has("linkfaults"), uint64(hedges), "hedged pulls"},
 		{r.gossip.Fanout > 0, gossip.NoticesSent, "notices sent"},
 		{r.gossip.TTL > 0, gossip.RumorsRelayed, "rumors relayed"},
 	} {
@@ -776,19 +773,19 @@ func (w *world) exercised() {
 // shrinkRuns bounds the reruns one shrink makes.
 const shrinkRuns = 64
 
-// shrink returns a sub-list of evs on which fails still holds: it drops
-// halves, then smaller chunks, then single events, keeping each drop after
+// shrink returns a sub-list of steps on which fails still holds: it drops
+// halves, then smaller chunks, then single steps, keeping each drop after
 // which the failure persists, until no single drop helps or shrinkRuns
 // reruns are spent.
-func shrink(evs []event, fails func([]event) bool) []event {
+func shrink(steps []string, fails func([]string) bool) []string {
 	runs := 0
-	for chunk := len(evs) / 2; chunk >= 1 && runs < shrinkRuns; {
+	for chunk := len(steps) / 2; chunk >= 1 && runs < shrinkRuns; {
 		dropped := false
-		for i := 0; i < len(evs) && runs < shrinkRuns; {
-			sub := append(evs[:i:i], evs[min(i+chunk, len(evs)):]...)
+		for i := 0; i < len(steps) && runs < shrinkRuns; {
+			sub := append(steps[:i:i], steps[min(i+chunk, len(steps)):]...)
 			runs++
 			if fails(sub) {
-				evs, dropped = sub, true
+				steps, dropped = sub, true
 			} else {
 				i += chunk
 			}
@@ -797,17 +794,26 @@ func shrink(evs []event, fails func([]event) bool) []event {
 			chunk /= 2
 		}
 	}
-	return evs
+	return steps
 }
 
-// replay renders evs as a row of chaosRows that replays them under seed.
-func (r *row) replay(seed int64, evs []event) string {
+// shrunk shrinks steps, on which r fails check under seed, and renders the
+// least run that still fails: its steps as a row of chaosRows and, for a row
+// without options, its lines as a script for ficusctl.
+func shrunk(r *row, seed int64, steps []string, check string) string {
+	least := shrink(steps, func(sub []string) bool {
+		_, _, err := play(r, seed, sub)
+		f, ok := err.(*failure)
+		return ok && f.check == check
+	})
+	w, _, _ := play(r, seed, least)
 	base := cmp.Or(r.base, r.name)
-	lines := []string{fmt.Sprintf("{name: \"%s-%d-min\", base: %q, seeds: []int64{%d}, events: []event{", base, seed, base, seed)}
-	for _, e := range evs {
-		lines = append(lines, fmt.Sprintf("\t%v,", e))
+	msg := fmt.Sprintf("%d of %d steps still fail %q; as a row of chaosRows:\n{name: \"%s-%d-min\", base: %q, seeds: []int64{%d}, script: %#v},",
+		len(least), len(steps), check, base, seed, base, seed, w.ran[w.setup:])
+	if r.opts == nil {
+		msg += fmt.Sprintf("\nas a script, run by ficusctl -hosts %d -seed %d -f <file>:\n%s", r.hosts, seed, strings.Join(w.ran, "\n"))
 	}
-	return strings.Join(append(lines, "}},"), "\n")
+	return msg
 }
 
 // TestChaos runs every row of chaosRows, each seed on a fresh cluster; under
@@ -821,21 +827,14 @@ func TestChaos(t *testing.T) {
 			}
 			for _, seed := range r.seeds {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					evs := r.list(seed)
-					_, err := play(&r, seed, evs)
+					steps := r.list(seed)
+					_, _, err := play(&r, seed, steps)
 					if err == nil {
 						return
 					}
 					// Record the failure before the reruns of the shrink.
 					t.Error(err)
-					check := err.(*failure).check
-					least := shrink(evs, func(sub []event) bool {
-						_, err := play(&r, seed, sub)
-						f, ok := err.(*failure)
-						return ok && f.check == check
-					})
-					t.Fatalf("%d of %d events still fail %q; as a row of chaosRows:\n%s",
-						len(least), len(evs), check, r.replay(seed, least))
+					t.Fatal(shrunk(&r, seed, steps, err.(*failure).check))
 				})
 			}
 		})
@@ -844,7 +843,8 @@ func TestChaos(t *testing.T) {
 
 // TestChaosDeterministic: at every listed seed of the rows that crash,
 // scrub, hedge and shed, a row's list and run are pure functions of its seed,
-// and its printed replay row plays the same run — what makes shrinking sound.
+// and the run replays to the same end both as the replay row and as the
+// ficusctl script a shrunk failure prints — what makes shrinking sound.
 func TestChaosDeterministic(t *testing.T) {
 	for _, r := range chaosRows {
 		if !slices.Contains([]string{"crash", "scrub", "slow", "composed"}, r.name) {
@@ -853,21 +853,22 @@ func TestChaosDeterministic(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			for _, seed := range r.seeds {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					evs := r.list(seed)
-					if !slices.Equal(evs, r.list(seed)) {
+					steps := r.list(seed)
+					if !slices.Equal(steps, r.list(seed)) {
 						t.Fatal("two draws of one seed differ")
 					}
-					a, err := play(&r, seed, evs)
+					w, a, err := play(&r, seed, steps)
 					if err != nil {
 						t.Fatal(err)
 					}
-					replay := row{name: r.name + "-replay", base: r.name, seeds: []int64{seed}, events: evs}.resolved()
-					b, err := play(&replay, seed, replay.list(seed))
-					if err != nil {
+					again := row{name: r.name + "-replay", base: r.name, seeds: []int64{seed}, script: w.ran[w.setup:]}.resolved()
+					_, b, errB := play(&again, seed, again.list(seed))
+					c, errC := replay(&r, r.hosts, seed, strings.Join(w.ran, "\n"))
+					if err := errors.Join(errB, errC); err != nil {
 						t.Fatal(err)
 					}
-					if a != b {
-						t.Fatalf("runs differ:\n%s\nvs\n%s", a, b)
+					if a != b || a != c {
+						t.Fatalf("runs differ:\n%s\nvs replay row\n%s\nvs script\n%s", a, b, c)
 					}
 				})
 			}
@@ -875,22 +876,54 @@ func TestChaosDeterministic(t *testing.T) {
 	}
 }
 
-// TestShrinkFindsThePair: a failure that needs events A and B, hidden in a
+// TestShrunkScriptReplays: for every row ficusctl can build (one without
+// options), a planted failure — host 0, restarted if down, removes a keep
+// file last; a row without keep files gets one — shrinks, and the script it
+// prints, run through RunScript on a cluster of the printed size and seed,
+// fails the same check of the oracle.
+func TestShrunkScriptReplays(t *testing.T) {
+	for _, r := range chaosRows {
+		if r.opts != nil {
+			continue
+		}
+		t.Run(r.name, func(t *testing.T) {
+			r.keep = max(r.keep, 1)
+			seed := r.seeds[0]
+			steps := append(r.list(seed), "restart 0", "rm 0 /keep0")
+			_, _, err := play(&r, seed, steps)
+			f, ok := err.(*failure)
+			if !ok {
+				t.Fatalf("the planted rm did not fail the run: %v", err)
+			}
+			msg := shrunk(&r, seed, steps, f.check)
+			_, script, ok := strings.Cut(msg, fmt.Sprintf("ficusctl -hosts %d -seed %d -f <file>:\n", r.hosts, seed))
+			if !ok {
+				t.Fatalf("no ficusctl line in %s", msg)
+			}
+			_, err = replay(&r, r.hosts, seed, script)
+			if g, ok := err.(*failure); !ok || g.check != f.check {
+				t.Fatalf("the run failed %v; its printed script fails %v:\n%s", f, err, msg)
+			}
+		})
+	}
+}
+
+// TestShrinkFindsThePair: a failure that needs steps A and B, hidden in a
 // list of 40, shrinks to exactly [A B] within the rerun budget.
 func TestShrinkFindsThePair(t *testing.T) {
-	var evs []event
+	var steps []string
 	for i := 0; i < 40; i++ {
-		evs = append(evs, event{evWrite, i % 3, fmt.Sprintf("/f%d", i), i})
+		steps = append(steps, fmt.Sprintf("write %d /f%d h%[1]d s%[2]d", i%3, i))
 	}
-	a, b := event{evCrash, 1, "", 0}, event{evBitRot, 2, "/keep0", 3}
-	evs[7], evs[29] = a, b
+	a, b := "crash 1", "bitrot 2 /keep0 3"
+	steps[7], steps[29] = a, b
 	runs := 0
-	got := shrink(evs, func(sub []event) bool {
+	got := shrink(steps, func(sub []string) bool {
 		runs++
 		return slices.Contains(sub, a) && slices.Contains(sub, b)
 	})
-	if !slices.Equal(got, []event{a, b}) {
-		t.Fatalf("shrank to %v, want [%v %v]", got, a, b)
+	if !slices.Equal(got, []string{a, b}) {
+		t.Fatalf("shrank to %q, want [%q %q]", got, a, b)
 	}
 	if runs > shrinkRuns {
 		t.Fatalf("%d reruns, budget %d", runs, shrinkRuns)
