@@ -30,6 +30,7 @@ import (
 	"repro/internal/lru"
 	"repro/internal/physical"
 	"repro/internal/vnode"
+	"repro/internal/wire"
 )
 
 // MaxName is the longest name component the logical layer accepts: the
@@ -84,6 +85,8 @@ type Layer struct {
 	locks  map[string]*fileMutex      // per-file concurrency control, held or awaited
 	clock  uint64                     // op counter driving cache expiry
 	rcache *lru.Cache[rcKey, rcEntry] // resolved-vnode cache (the layer's DNLC)
+
+	names *wire.Interner // the child paths and encoded opens and closes it renders
 }
 
 // fileMutex is one logical file's lock, kept while refs goroutines hold or await it.
@@ -140,6 +143,7 @@ func New(vol ids.VolumeHandle, replicas []Replica, opts Options) *Layer {
 		cacheTTL: ttl,
 		locks:    make(map[string]*fileMutex),
 		rcache:   lru.New[rcKey, rcEntry](4096), // entries also age out by TTL
+		names:    wire.NewInterner(internEntries),
 	}
 }
 
@@ -265,9 +269,27 @@ func (l *Layer) sendNotify(handle string, origin ids.ReplicaID) {
 	l.notify(dirPath, fid, origin)
 }
 
-// encodeOpen renders the open/close-over-lookup string (§2.3).
-func encodeOpen(open bool, f vnode.OpenFlags, issuer ids.VolumeHandle, name string) string {
-	return physical.EncodeOpenLookup(open, f, issuer, name)
+// internEntries bounds the strings a layer's interner holds: room for the
+// paths of a thousand files and the open and close names of each under every
+// mode it is opened with, before a new string empties it.
+const internEntries = 8192
+
+// encodeOpen renders the open/close-over-lookup string (§2.3) for name, whose
+// length checkLogicalName has bounded, on the stack, and reads it back through
+// the interner: the open or close of a file is made once, not per session.
+func (l *Layer) encodeOpen(open bool, f vnode.OpenFlags, name string) string {
+	var buf [physical.SubstrateMaxName]byte
+	return l.names.Intern(physical.AppendOpenLookup(buf[:0], open, f, l.vol, name))
+}
+
+// childPath is the path of the child name of the directory at path, joined on
+// the stack and read back through the interner like an encoded open.
+func (l *Layer) childPath(path, name string) string {
+	if path == "" {
+		return name
+	}
+	var buf [physical.SubstrateMaxName]byte // a longer path spills to the heap
+	return l.names.Intern(append(append(append(buf[:0], path...), '/'), name...))
 }
 
 // retriable reports whether an error on one replica justifies trying the

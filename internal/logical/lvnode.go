@@ -52,14 +52,6 @@ func splitPath(path string) (parent, name string) {
 	return path[:i], path[i+1:]
 }
 
-// childPath is the path of the child name of the directory at path.
-func childPath(path, name string) string {
-	if path == "" {
-		return name
-	}
-	return path + "/" + name
-}
-
 // resolve resolves path on replica r and caches the answer.  A miss looks
 // the last name up in the parent's resolution, itself cached or resolved the
 // same way, not from the replica root; cached reports that the answer rests on
@@ -270,7 +262,7 @@ func (v *lvnode) Lookup(name string) (vnode.Vnode, error) {
 	if name == "" || strings.IndexByte(name, '/') >= 0 {
 		return nil, vnode.ENOENT
 	}
-	child := &lvnode{l: v.l, path: childPath(v.path, name)}
+	child := &lvnode{l: v.l, path: v.l.childPath(v.path, name)}
 	// Graft interception (§4.4): if the child is a graft point and a hook
 	// is installed, return the grafted volume's root instead.
 	// Only Getattr tells a graft point, so with a hook the walk asks on until a
@@ -322,7 +314,7 @@ func (v *lvnode) makeChild(name string, op func(dir vnode.Vnode) (child vnode.Vn
 		if err != nil {
 			return "", err
 		}
-		v.l.cachePut(childPath(v.path, name), c.rep.ID, vn)
+		v.l.cachePut(v.l.childPath(v.path, name), c.rep.ID, vn)
 		if !changed {
 			return "", nil
 		}
@@ -331,7 +323,7 @@ func (v *lvnode) makeChild(name string, op func(dir vnode.Vnode) (child vnode.Vn
 	if err != nil {
 		return nil, err
 	}
-	return &lvnode{l: v.l, path: childPath(v.path, name)}, nil
+	return &lvnode{l: v.l, path: v.l.childPath(v.path, name)}, nil
 }
 
 // Create without excl reuses an existing regular file, as the layers below do,
@@ -409,7 +401,7 @@ func (v *lvnode) shipOpenClose(open bool, flags vnode.OpenFlags) error {
 		return nil
 	}
 	parent, name := splitPath(v.path)
-	enc := encodeOpen(open, flags, v.l.vol, name)
+	enc := v.l.encodeOpen(open, flags, name)
 	v.sess.Lock()
 	defer v.sess.Unlock()
 	var chose candidate
@@ -431,7 +423,10 @@ func (v *lvnode) shipOpenClose(open bool, flags vnode.OpenFlags) error {
 		}
 	} else if err == nil {
 		v.opens++
-		v.pin.CompareAndSwap(nil, &chose)
+		if v.pin.Load() == nil { // the pin is the one copy of chose on the heap
+			pinned := chose
+			v.pin.CompareAndSwap(nil, &pinned)
+		}
 	}
 	return err
 }
@@ -527,7 +522,7 @@ func (v *lvnode) Remove(name string) error {
 		return c.vn.Handle(), nil
 	})
 	if err == nil {
-		v.l.cacheDropSubtree(childPath(v.path, name))
+		v.l.cacheDropSubtree(v.l.childPath(v.path, name))
 	}
 	return err
 }
@@ -544,7 +539,7 @@ func (v *lvnode) Rmdir(name string) error {
 		return c.vn.Handle(), nil
 	})
 	if err == nil {
-		v.l.cacheDropSubtree(childPath(v.path, name))
+		v.l.cacheDropSubtree(v.l.childPath(v.path, name))
 	}
 	return err
 }
@@ -598,8 +593,8 @@ func (v *lvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 		return c.vn.Handle(), nil
 	})
 	if err == nil {
-		v.l.cacheDropSubtree(childPath(v.path, oldName))
-		v.l.cacheDropSubtree(childPath(d.path, newName))
+		v.l.cacheDropSubtree(v.l.childPath(v.path, oldName))
+		v.l.cacheDropSubtree(v.l.childPath(d.path, newName))
 	}
 	return err
 }

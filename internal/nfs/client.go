@@ -52,6 +52,8 @@ type Client struct {
 	attrs *lru.Cache[string, attrEntry]    // by handle
 	names *lru.Cache[nameKey, lookupEntry] // by directory handle and name
 
+	vnodes *lru.Cache[string, *cvnode] // by handle: its one vnode, identity only
+
 	strs *wire.Interner // the reply handles and FileIDs it has decoded
 }
 
@@ -85,6 +87,7 @@ func DialService(host *simnet.Host, addr simnet.Addr, service string, opts *Clie
 		opts:    o,
 		attrs:   lru.New[string, attrEntry](cacheEntries),
 		names:   lru.New[nameKey, lookupEntry](cacheEntries),
+		vnodes:  lru.New[string, *cvnode](cacheEntries),
 		strs:    wire.NewInterner(internEntries),
 	}
 }
@@ -112,23 +115,52 @@ func (c *Client) fresh(stamp uint64) bool {
 // call performs one RPC and decodes its reply into *resp (nil: the reply is
 // not wanted past its error code), mapping transport failures to EUNAVAIL so
 // the logical layer can treat "server partitioned away" as "replica
-// inaccessible" and fail over.
+// inaccessible" and fail over.  Both messages go back to wire's pool before it
+// returns, so resp.Data must not be read: a read uses exchange.
 func (c *Client) call(req *Request, resp *Response) error {
-	respBytes, err := c.host.Call(c.server, c.service, req.encode())
+	reply, err := c.exchange(req, resp)
+	wire.PutBuf(reply)
+	return err
+}
+
+// exchange is call that hands back the reply buffer, of which resp.Data is a
+// view, on success; the caller returns it to the pool once resp.Data is read.
+func (c *Client) exchange(req *Request, resp *Response) ([]byte, error) {
+	msg := req.encode()
+	reply, err := c.host.Call(c.server, c.service, msg)
+	wire.PutBuf(msg) // the server decodes a request into copies
 	if err != nil {
 		if errors.Is(err, simnet.ErrUnreachable) || errors.Is(err, simnet.ErrNoHost) {
-			return vnode.EUNAVAIL
+			return nil, vnode.EUNAVAIL
 		}
-		return vnode.EIO
+		return nil, vnode.EIO
 	}
 	var discard Response
 	if resp == nil {
 		resp = &discard
 	}
-	if err := decodeResponse(respBytes, resp, c.strs); err != nil {
-		return vnode.EIO
+	if err := decodeResponse(reply, resp, c.strs); err != nil {
+		wire.PutBuf(reply)
+		return nil, vnode.EIO
 	}
-	return errnoOf(resp.Errno)
+	if err := errnoOf(resp.Errno); err != nil {
+		wire.PutBuf(reply)
+		return nil, err
+	}
+	return reply, nil
+}
+
+// vnodeOf returns the client's one vnode for handle.  A cvnode is a handle
+// and nothing the server says, so the table hands out the same one every time.
+func (c *Client) vnodeOf(handle string) *cvnode {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.vnodes.Get(handle); ok {
+		return v
+	}
+	v := &cvnode{c: c, handle: handle}
+	c.vnodes.Put(handle, v)
+	return v
 }
 
 // Root fetches the server's root vnode, once: the handle never changes and holds
@@ -139,7 +171,7 @@ func (c *Client) Root() (vnode.Vnode, error) {
 	h := c.root
 	c.mu.Unlock()
 	if h != "" {
-		return &cvnode{c: c, handle: h}, nil
+		return c.vnodeOf(h), nil
 	}
 	var resp Response
 	if err := c.call(&Request{Op: OpRoot}, &resp); err != nil {
@@ -151,7 +183,7 @@ func (c *Client) Root() (vnode.Vnode, error) {
 		c.root = resp.Handle
 		c.mu.Unlock()
 	}
-	return &cvnode{c: c, handle: resp.Handle}, nil
+	return c.vnodeOf(resp.Handle), nil
 }
 
 // Sync is a no-op: the server's substrate is write-through and the client
@@ -221,7 +253,8 @@ func (c *Client) invalidateLookup(dir, name string) {
 	c.names.Drop(nameKey{dir, name})
 }
 
-// cvnode is a client-side vnode: a handle plus the client it belongs to.
+// cvnode is a client-side vnode: a handle plus the client it belongs to, one
+// per handle (vnodeOf).
 type cvnode struct {
 	c      *Client
 	handle string
@@ -236,7 +269,7 @@ func (v *cvnode) Lookup(name string) (vnode.Vnode, error) {
 	plain := !strings.HasPrefix(name, vnode.EncodedLookupPrefix)
 	if plain {
 		if h, ok := v.c.cachedLookup(v.handle, name); ok {
-			return &cvnode{c: v.c, handle: h}, nil
+			return v.c.vnodeOf(h), nil
 		}
 	}
 	var resp Response
@@ -247,7 +280,7 @@ func (v *cvnode) Lookup(name string) (vnode.Vnode, error) {
 		v.c.cacheLookup(v.handle, name, resp.Handle)
 	}
 	v.c.cacheAttr(resp.Handle, resp.Attr)
-	return &cvnode{c: v.c, handle: resp.Handle}, nil
+	return v.c.vnodeOf(resp.Handle), nil
 }
 
 func (v *cvnode) Create(name string, excl bool) (vnode.Vnode, error) {
@@ -259,7 +292,7 @@ func (v *cvnode) Create(name string, excl bool) (vnode.Vnode, error) {
 	v.c.cacheLookup(v.handle, name, resp.Handle)
 	v.c.cacheAttr(resp.Handle, resp.Attr)
 	v.c.invalidateAttr(v.handle) // directory changed
-	return &cvnode{c: v.c, handle: resp.Handle}, nil
+	return v.c.vnodeOf(resp.Handle), nil
 }
 
 func (v *cvnode) Mkdir(name string) (vnode.Vnode, error) {
@@ -271,7 +304,7 @@ func (v *cvnode) Mkdir(name string) (vnode.Vnode, error) {
 	v.c.cacheLookup(v.handle, name, resp.Handle)
 	v.c.cacheAttr(resp.Handle, resp.Attr)
 	v.c.invalidateAttr(v.handle)
-	return &cvnode{c: v.c, handle: resp.Handle}, nil
+	return v.c.vnodeOf(resp.Handle), nil
 }
 
 func (v *cvnode) Symlink(name, target string) error {
@@ -305,14 +338,17 @@ func (v *cvnode) ReadAt(p []byte, off int64) (int, error) {
 	for {
 		ask := min(len(p)-n, maxRead)
 		var resp Response
-		if err := v.c.call(&Request{Op: OpRead, Handle: v.handle, Off: off + int64(n), Len: uint32(ask)}, &resp); err != nil {
+		reply, err := v.c.exchange(&Request{Op: OpRead, Handle: v.handle, Off: off + int64(n), Len: uint32(ask)}, &resp)
+		if err != nil {
 			return n, err
 		}
 		n += copy(p[n:], resp.Data)
+		short := len(resp.Data) < ask
+		wire.PutBuf(reply) // resp.Data is not read past here
 		if resp.EOF {
 			return n, io.EOF
 		}
-		if n == len(p) || len(resp.Data) < ask {
+		if n == len(p) || short {
 			return n, nil
 		}
 	}

@@ -119,13 +119,13 @@ func remoteRead(t testing.TB) []struct {
 		allocs float64
 		op     func() error
 	}{
-		// A Getattr allocates its request and its reply; an encoded open or
-		// close those and the client vnode it returns; a read its request and
-		// its reply, which carries the data.
-		{"getattr", 2, func() error { _, err := f.Getattr(); return err }},
-		{"open", 3, func() error { _, err := root.Lookup(open); return err }},
-		{"read", 2, func() error { _, err := f.ReadAt(buf, 0); return err }},
-		{"close", 3, func() error { _, err := root.Lookup(shut); return err }},
+		// Warm, none allocates: both messages are lent by wire's pool and go
+		// back to it, the read's data is copied into buf, and the vnode an
+		// encoded open or close returns is the client's one for its handle.
+		{"getattr", 0, func() error { _, err := f.Getattr(); return err }},
+		{"open", 0, func() error { _, err := root.Lookup(open); return err }},
+		{"read", 0, func() error { _, err := f.ReadAt(buf, 0); return err }},
+		{"close", 0, func() error { _, err := root.Lookup(shut); return err }},
 	}
 	for _, r := range rows { // warm every layer's caches and tables
 		if err := r.op(); err != nil {
@@ -136,10 +136,10 @@ func remoteRead(t testing.TB) []struct {
 }
 
 // TestWarmRemoteRoundTripAllocs pins what a warm round trip of a remote read
-// allocates: its messages, and the vnode an encoded Lookup returns.  Nothing a
-// layer already holds — a handle, a name, a member name, a FileID, a physical
-// vnode, a decoded message's struct — is made again.  Invariants re-encode a
-// directory on every hit, so they are disarmed.
+// allocates: nothing.  Nothing a layer already holds — a handle, a name, a
+// member name, a FileID, a physical or client vnode, a decoded message's
+// struct, a message buffer — is made again.  Invariants re-encode a directory
+// on every hit, so they are disarmed.
 func TestWarmRemoteRoundTripAllocs(t *testing.T) {
 	defer invariant.ForceForTest(false)()
 	for _, r := range remoteRead(t) {

@@ -52,19 +52,23 @@ func (s *Server) handle(reqBytes []byte) ([]byte, error) {
 	return resp.encode(), nil
 }
 
-// read answers a read with its data read straight into the reply.
+// read answers a read with its data read straight into the reply, whose
+// buffer is lent by wire's pool like every other reply's.
 func (s *Server) read(req *Request) []byte {
 	v, errResp := s.subject(req)
 	if errResp != nil {
 		return errResp.encode()
 	}
-	buf := make([]byte, readReplyRoom+int(req.Len)+readReplyTail)
-	n, err := v.ReadAt(buf[readReplyRoom:readReplyRoom+int(req.Len)], req.Off)
+	ask := int(req.Len)
+	room := readReplyRoom(ask)
+	buf := wire.GetBuf(room + ask + readReplyTail)[:room+ask+readReplyTail]
+	n, err := v.ReadAt(buf[room:room+ask], req.Off)
 	if err != nil && !errors.Is(err, io.EOF) {
+		wire.PutBuf(buf)
 		resp := respErr(err)
 		return resp.encode()
 	}
-	return encodeReadReply(buf, n, err != nil)
+	return encodeReadReply(buf, room, n, err != nil)
 }
 
 func (s *Server) subject(req *Request) (vnode.Vnode, *Response) {

@@ -123,8 +123,9 @@ const wireVersion = 1
 // instead of one per op.  Every integer is fixed width: a counting metric
 // over these bytes cannot drift with the values carried.
 
+// encode writes the request into a buffer lent by wire's pool.
 func (r *Request) encode() []byte {
-	dst := make([]byte, 0, 48+len(r.Handle)+len(r.Name)+len(r.Name2)+len(r.Handle2)+len(r.Target)+len(r.Data))
+	dst := wire.GetBuf(48 + len(r.Handle) + len(r.Name) + len(r.Name2) + len(r.Handle2) + len(r.Target) + len(r.Data))
 	dst = wire.AppendU8(dst, wireVersion)
 	dst = wire.AppendU8(dst, byte(r.Op))
 	dst = wire.AppendString(dst, r.Handle)
@@ -194,8 +195,9 @@ func decodeAttr(d *wire.Decoder, in *wire.Interner) vnode.Attr {
 	}
 }
 
+// encode writes the response into a buffer lent by wire's pool.
 func (r *Response) encode() []byte {
-	dst := make([]byte, 0, 64+len(r.Handle)+len(r.Attr.FileID)+len(r.Data)+len(r.Str)+32*len(r.Ents))
+	dst := wire.GetBuf(64 + len(r.Handle) + len(r.Attr.FileID) + len(r.Data) + len(r.Str) + 32*len(r.Ents))
 	dst = wire.AppendU8(dst, wireVersion)
 	dst = wire.AppendU32(dst, uint32(r.Errno))
 	dst = wire.AppendString(dst, r.Handle)
@@ -217,7 +219,7 @@ func (r *Response) encode() []byte {
 
 // decodeResponse decodes b into *r, which the caller holds, reading the handle
 // and the attributes' FileID through in (nil: no interning).  r.Data is a view
-// of b, which the caller owns and must not keep past its call.
+// of b: it is read only until b goes back to the pool.
 func decodeResponse(b []byte, r *Response, in *wire.Interner) error {
 	d := wire.NewDecoder(b)
 	d.Version(wireVersion)
@@ -228,7 +230,7 @@ func decodeResponse(b []byte, r *Response, in *wire.Interner) error {
 	r.N = int(d.U32())
 	r.EOF = d.Bool()
 	if data := d.Take(d.Count(1)); len(data) > 0 {
-		r.Data = data // a view of b, which the caller owns: read data is copied once, into the reader's buffer
+		r.Data = data // a view of b: read data is copied once, into the reader's buffer
 	}
 	r.Str = d.Str()
 	// A directory entry is at least three empty strings(3) + type(1).
@@ -249,9 +251,20 @@ func decodeResponse(b []byte, r *Response, in *wire.Interner) error {
 }
 
 // A read reply is built around its data, which the server reads straight into
-// the reply buffer at readReplyRoom: the header goes in front once the count
-// is known, the empty fields after.  The bytes are Response.encode's.
-var readReplyRoom = len(readReplyHead(nil, maxRead, false))
+// the reply buffer behind room for the header: the header goes in front once
+// the count is known, the empty fields after.  The bytes are Response.encode's.
+
+// readReplyRoom is the room in front of the data of a reply to a read of at
+// most n bytes: the header of one that carries all n.  A full read's reply
+// therefore starts at the front of its buffer.
+func readReplyRoom(n int) int {
+	var head [readReplyHeadMax]byte
+	return len(readReplyHead(head[:0], n, false))
+}
+
+// readReplyHeadMax bounds a read reply's header: its fixed fields and the
+// longest uvarint count.
+const readReplyHeadMax = 64
 
 // readReplyHead appends what the reply to a read of n bytes carries before them.
 func readReplyHead(dst []byte, n int, eof bool) []byte {
@@ -269,15 +282,15 @@ func readReplyHead(dst []byte, n int, eof bool) []byte {
 const readReplyTail = 2
 
 // encodeReadReply finishes the reply to a read whose n bytes are at
-// buf[readReplyRoom:]; buf has room for readReplyTail more.  It returns, in
-// place, the encoding of the Response carrying N = n, EOF = eof and those
-// bytes as Data.
-func encodeReadReply(buf []byte, n int, eof bool) []byte {
-	var head [64]byte
+// buf[room:], where room is readReplyRoom of at least n; buf has room for
+// readReplyTail more.  It returns, in place, the encoding of the Response
+// carrying N = n, EOF = eof and those bytes as Data.
+func encodeReadReply(buf []byte, room, n int, eof bool) []byte {
+	var head [readReplyHeadMax]byte
 	h := readReplyHead(head[:0], n, eof)
-	start := readReplyRoom - len(h)
+	start := room - len(h)
 	copy(buf[start:], h)
-	out := wire.AppendString(buf[start:readReplyRoom+n], "")
+	out := wire.AppendString(buf[start:room+n], "")
 	return wire.AppendCount(out, 0)
 }
 

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/disk"
 	"repro/internal/simnet"
@@ -88,28 +89,38 @@ func TestCodecGoldenBytes(t *testing.T) {
 
 // TestReadReplyIsAResponse: the reply the server builds around data read in
 // place is, byte for byte, what Response.encode makes of the same fields —
-// at every length where the data's uvarint count grows a byte, and both ends.
+// at every length where the data's uvarint count grows a byte, and both ends,
+// whether the read filled its ask (the reply starts at the front of its
+// buffer) or came back short of the largest one.
 func TestReadReplyIsAResponse(t *testing.T) {
 	for _, n := range []int{0, 1, 127, 128, 4095, 4096, 16383, 16384, maxRead} {
-		for _, eof := range []bool{false, true} {
-			buf := make([]byte, readReplyRoom+n+readReplyTail)
-			data := buf[readReplyRoom : readReplyRoom+n]
-			for i := range data {
-				data[i] = byte(i*7 + n)
-			}
-			want := (&Response{N: n, EOF: eof, Data: bytes.Clone(data)}).encode()
-			if got := encodeReadReply(buf, n, eof); !bytes.Equal(got, want) {
-				t.Fatalf("n=%d eof=%v: the read reply differs from Response.encode", n, eof)
+		for _, ask := range []int{n, maxRead} {
+			for _, eof := range []bool{false, true} {
+				room := readReplyRoom(ask)
+				buf := make([]byte, room+ask+readReplyTail)
+				data := buf[room : room+n]
+				for i := range data {
+					data[i] = byte(i*7 + n)
+				}
+				want := (&Response{N: n, EOF: eof, Data: bytes.Clone(data)}).encode()
+				got := encodeReadReply(buf, room, n, eof)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("n=%d ask=%d eof=%v: the read reply differs from Response.encode", n, ask, eof)
+				}
+				if full := unsafe.SliceData(got) == unsafe.SliceData(buf); full != (n == ask) {
+					t.Fatalf("n=%d ask=%d: the reply starts at the front of its buffer: %v", n, ask, full)
+				}
 			}
 		}
 	}
 }
 
 // TestServedReadCopiesItsDataOnce: the server reads a file's bytes straight
-// into the reply it sends, so serving a read allocates the reply and little
-// else — not a data buffer and then a reply to copy it into.
+// into the reply it sends, in a buffer lent by wire's pool, so serving a read
+// whose reply goes back to the pool allocates under 1 KiB — not a data buffer,
+// not a reply to copy it into.
 func TestServedReadCopiesItsDataOnce(t *testing.T) {
-	const n = 64 << 10
+	const n = 32 << 10
 	fs, err := ufs.Mkfs(disk.New(4096), 1024, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -125,20 +136,30 @@ func TestServedReadCopiesItsDataOnce(t *testing.T) {
 	}
 	s := &Server{fs: base, res: base}
 	frame := (&Request{Op: OpRead, Handle: f.Handle(), Len: n}).encode()
-	if resp, err := s.handle(frame); err != nil || len(resp) < n {
-		t.Fatalf("read reply of %d bytes: %v", len(resp), err)
+	serve := func() {
+		resp, err := s.handle(frame)
+		if err != nil || len(resp) < n {
+			t.Fatalf("read reply of %d bytes: %v", len(resp), err)
+		}
+		wire.PutBuf(resp)
 	}
-	var before, after runtime.MemStats
-	const runs = 50
+	if got := bytesPerCall(50, serve); got > 1<<10 {
+		t.Errorf("serving a %d-byte read allocates %d bytes, want under 1 KiB beside its pooled reply", n, got)
+	}
+}
+
+// bytesPerCall is what f allocates per call, averaged over runs calls made on
+// one P after one to warm up — testing.AllocsPerRun's method, for bytes.
+func bytesPerCall(runs int, f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		s.handle(frame)
+		f()
 	}
 	runtime.ReadMemStats(&after)
-	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > n+n/2 {
-		t.Errorf("serving a %d-byte read allocates %d bytes, want the reply (%d) and less than half of it again", n, got, n+readReplyRoom+readReplyTail)
-	}
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // TestCodecRejectsCorruption: every truncation, any other version byte and
@@ -324,7 +345,7 @@ func FuzzDecodeRequest(f *testing.F) {
 func FuzzDecodeResponse(f *testing.F) {
 	f.Add(sampleResponse().encode())
 	f.Add((&Response{}).encode())
-	f.Add(encodeReadReply(append(make([]byte, readReplyRoom), "read data\x00\x00"...), 9, true))
+	f.Add(encodeReadReply(append(make([]byte, readReplyRoom(9)), "read data\x00\x00"...), readReplyRoom(9), 9, true))
 	f.Add([]byte{wireVersion})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var resp, iresp Response

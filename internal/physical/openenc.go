@@ -45,23 +45,23 @@ const (
 // EncodeOpenLookup renders an open or close of name (flags f) issued by the
 // logical layer serving volume issuer.
 func EncodeOpenLookup(open bool, f vnode.OpenFlags, issuer ids.VolumeHandle, name string) string {
+	var buf [SubstrateMaxName]byte // a longer name spills to the heap
+	return string(AppendOpenLookup(buf[:0], open, f, issuer, name))
+}
+
+// AppendOpenLookup appends EncodeOpenLookup's bytes to dst, so a caller with a
+// stack buffer renders the name without allocating.
+func AppendOpenLookup(dst []byte, open bool, f vnode.OpenFlags, issuer ids.VolumeHandle, name string) []byte {
 	op := opClose
 	if open {
 		op = opOpen
 	}
 	// Written out by hand, twice per file session on the read path; the
 	// bytes are those of Sprintf("%s%s:%08x:%s:%s", encPrefix, op, f, issuer, name).
-	var b strings.Builder
-	b.Grow(EncOverhead + len(name))
-	b.WriteString(encPrefix)
-	b.WriteString(op)
-	b.WriteByte(':')
-	var field [8 + 1 + ids.VolumeHandleLen + 1]byte
-	b.Write(ids.AppendHex(field[:0], uint64(f), 8))
-	b.WriteByte(':')
-	b.Write(append(ids.AppendVolumeHandle(field[:0], issuer), ':'))
-	b.WriteString(name)
-	return b.String()
+	dst = append(append(append(dst, encPrefix...), op...), ':')
+	dst = append(ids.AppendHex(dst, uint64(f), 8), ':')
+	dst = append(ids.AppendVolumeHandle(dst, issuer), ':')
+	return append(dst, name...)
 }
 
 // IsEncodedLookup reports whether a lookup name carries an open/close.

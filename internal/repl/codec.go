@@ -3,11 +3,11 @@
 // The layout is compact and fixed: big-endian fixed-width integers for ids
 // and sizes, uvarints for element counts, and the canonical vv encoding for
 // version vectors — anti-entropy generates many small messages, so the
-// fixed cost per message is what matters.  Requests are encoded into pooled
-// buffers (the bytes are fully consumed by the transport before Call
-// returns, so the buffer is safe to recycle); responses are encoded into
-// fresh buffers, sized once from their payloads, because ownership transfers
-// to the simnet delivery path.
+// fixed cost per message is what matters.  Requests are encoded into
+// buffers lent by wire's message pool (the server decodes a request into
+// copies before Call returns, so the buffer goes back as soon as it does);
+// responses are encoded into fresh buffers, sized once from their payloads,
+// and never returned: the client installs shipped data in place.
 //
 // Decoding is wire.Decoder's: sticky-error, strict, and every element count
 // capped against the bytes remaining before any allocation (fuzzed in
@@ -17,7 +17,6 @@ package repl
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/physical"
@@ -211,7 +210,7 @@ func decodeRequest(b []byte) (*request, error) {
 }
 
 // inPlace reads a length-prefixed payload without copying it: a slice of the
-// response buffer, which the receiver owns (see the pool note below), capped
+// response buffer, which the receiver owns (see the package comment), capped
 // at its length so an append to one payload reallocates instead of writing
 // over the next field.  An empty payload is nil.
 func inPlace(d *wire.Decoder) []byte {
@@ -284,24 +283,4 @@ func decodeResponse(b []byte) (*response, error) {
 		return nil, fmt.Errorf("repl: bad response: %w", err)
 	}
 	return &resp, nil
-}
-
-// ---- request buffer pool ----------------------------------------------
-
-// bufPool recycles request-encoding buffers.  Only the client request path
-// uses it: simnet copies the request bytes into the delivery before Call
-// returns, so the buffer can be recycled immediately after.  Response
-// buffers are NOT pooled — their bytes are handed to the transport and
-// owned by the receiving side.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
-
-func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-func putBuf(b *[]byte) {
-	const maxPooled = 1 << 16 // don't let one huge batch pin memory
-	if cap(*b) > maxPooled {
-		return
-	}
-	*b = (*b)[:0]
-	bufPool.Put(b)
 }

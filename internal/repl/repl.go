@@ -28,6 +28,7 @@ import (
 	"repro/internal/retry"
 	"repro/internal/simnet"
 	"repro/internal/vv"
+	"repro/internal/wire"
 )
 
 // Service is the simnet RPC service name.
@@ -383,14 +384,13 @@ func (c *Client) Replica() ids.ReplicaID { return c.vr.Replica }
 func (c *Client) call(req *request) (*response, error) {
 	req.Vol = c.vr.Vol
 	req.Replica = c.vr.Replica
-	buf := getBuf()
-	*buf = req.encode((*buf)[:0])
+	buf := req.encode(wire.GetBuf(0))
 	var respBytes []byte
 	var elapsed uint64
 	err := c.policy.Do(func() error {
 		var err error
 		var ticks uint64
-		respBytes, ticks, err = c.host.CallT(c.addr, Service, *buf, c.deadline)
+		respBytes, ticks, err = c.host.CallT(c.addr, Service, buf, c.deadline)
 		elapsed += ticks
 		if err != nil {
 			if errors.Is(err, simnet.ErrDeadline) {
@@ -400,7 +400,7 @@ func (c *Client) call(req *request) (*response, error) {
 		}
 		return nil
 	})
-	putBuf(buf)
+	wire.PutBuf(buf)
 	c.lastElapsed.Store(elapsed)
 	if err != nil {
 		return nil, err
@@ -474,18 +474,17 @@ func (c *Client) PullBatchDelta(reqs []physical.PullRequest, have []physical.Blo
 // idempotent probe, retried under the default policy).
 func ListReplicas(host *simnet.Host, addr simnet.Addr, vol ids.VolumeHandle) ([]ids.ReplicaID, error) {
 	req := request{Op: opListReplicas, Vol: vol}
-	buf := getBuf()
-	*buf = req.encode((*buf)[:0])
+	buf := req.encode(wire.GetBuf(0))
 	var respBytes []byte
 	err := retry.Default().Do(func() error {
 		var err error
-		respBytes, err = host.Call(addr, Service, *buf)
+		respBytes, err = host.Call(addr, Service, buf)
 		if err != nil {
 			return &unreachableError{cause: err}
 		}
 		return nil
 	})
-	putBuf(buf)
+	wire.PutBuf(buf)
 	if err != nil {
 		return nil, err
 	}

@@ -67,6 +67,33 @@ var (
 	ErrDeadline = errors.New("simnet: rpc deadline exceeded")
 )
 
+// callError is a call the network refused or failed: one value, whatever
+// befell it, that renders its text only when asked.  errors.Is finds its
+// cause, one of the four errors above.
+type callError struct {
+	cause           error
+	from, to        Addr
+	service         string // ErrNoService: the service asked for
+	what            string // what befell a call that was sent, "" for a refusal
+	ticks, deadline uint64 // a missed deadline's latency and deadline, when what names a leg
+}
+
+func (e *callError) Error() string {
+	switch {
+	case errors.Is(e.cause, ErrNoHost):
+		return fmt.Sprintf("%v: %s", e.cause, e.to)
+	case errors.Is(e.cause, ErrNoService):
+		return fmt.Sprintf("%v: %s on %s", e.cause, e.service, e.to)
+	case e.what == "":
+		return fmt.Sprintf("%v: %s -> %s", e.cause, e.from, e.to)
+	case e.ticks > 0:
+		return fmt.Sprintf("%v: %s -> %s (%s %d >= deadline %d)", e.cause, e.from, e.to, e.what, e.ticks, e.deadline)
+	}
+	return fmt.Sprintf("%v: %s -> %s (%s)", e.cause, e.from, e.to, e.what)
+}
+
+func (e *callError) Unwrap() error { return e.cause }
+
 // HangTicks is the virtual cost charged to a deadline-less caller whose
 // reply was hung by the fault plane: effectively "waited forever".  Callers
 // that attach deadlines never pay it.
@@ -521,18 +548,18 @@ func (h *Host) CallT(dst Addr, service string, req []byte, deadline uint64) ([]b
 	if !ok {
 		h.net.stats.RPCFailures++
 		h.net.mu.Unlock()
-		return nil, 0, fmt.Errorf("%w: %s", ErrNoHost, dst)
+		return nil, 0, &callError{cause: ErrNoHost, to: dst}
 	}
 	if h.down || (dst != h.addr && !h.net.connectedLocked(h.addr, dst)) {
 		h.net.stats.RPCFailures++
 		h.net.mu.Unlock()
-		return nil, 0, fmt.Errorf("%w: %s -> %s", ErrUnreachable, h.addr, dst)
+		return nil, 0, &callError{cause: ErrUnreachable, from: h.addr, to: dst}
 	}
 	fn, ok := target.rpc[service]
 	if !ok {
 		h.net.stats.RPCFailures++
 		h.net.mu.Unlock()
-		return nil, 0, fmt.Errorf("%w: %s on %s", ErrNoService, service, dst)
+		return nil, 0, &callError{cause: ErrNoService, to: dst, service: service}
 	}
 	var faulted bool
 	var kind FaultKind
@@ -548,11 +575,11 @@ func (h *Host) CallT(dst Addr, service string, req []byte, deadline uint64) ([]b
 			h.net.stats.RPCDeadlineMisses++
 			h.net.stats.RPCVirtualTicks += deadline
 			h.net.mu.Unlock()
-			return nil, deadline, fmt.Errorf("%w: %s -> %s (request lost)", ErrDeadline, h.addr, dst)
+			return nil, deadline, &callError{cause: ErrDeadline, from: h.addr, to: dst, what: "request lost"}
 		}
 		h.net.stats.RPCVirtualTicks += reqLat
 		h.net.mu.Unlock()
-		return nil, reqLat, fmt.Errorf("%w: %s -> %s (injected request loss)", ErrUnreachable, h.addr, dst)
+		return nil, reqLat, &callError{cause: ErrUnreachable, from: h.addr, to: dst, what: "injected request loss"}
 	}
 	if deadline > 0 && reqLat >= deadline {
 		// The request is still in flight when the caller gives up; the
@@ -561,7 +588,7 @@ func (h *Host) CallT(dst Addr, service string, req []byte, deadline uint64) ([]b
 		h.net.stats.RPCDeadlineMisses++
 		h.net.stats.RPCVirtualTicks += deadline
 		h.net.mu.Unlock()
-		return nil, deadline, fmt.Errorf("%w: %s -> %s (request leg %d >= deadline %d)", ErrDeadline, h.addr, dst, reqLat, deadline)
+		return nil, deadline, &callError{cause: ErrDeadline, from: h.addr, to: dst, what: "request leg", ticks: reqLat, deadline: deadline}
 	}
 	h.net.mu.Unlock()
 
@@ -576,26 +603,26 @@ func (h *Host) CallT(dst Addr, service string, req []byte, deadline uint64) ([]b
 		if deadline > 0 {
 			h.net.stats.RPCDeadlineMisses++
 			h.net.stats.RPCVirtualTicks += deadline
-			return nil, deadline, fmt.Errorf("%w: %s -> %s (reply hung)", ErrDeadline, h.addr, dst)
+			return nil, deadline, &callError{cause: ErrDeadline, from: h.addr, to: dst, what: "reply hung"}
 		}
 		h.net.stats.RPCVirtualTicks += HangTicks
-		return nil, HangTicks, fmt.Errorf("%w: %s -> %s (reply hung)", ErrUnreachable, h.addr, dst)
+		return nil, HangTicks, &callError{cause: ErrUnreachable, from: h.addr, to: dst, what: "reply hung"}
 	case faulted: // FaultReplyLost: the handler ran, the caller learns nothing
 		h.net.stats.RPCFailures++
 		h.net.stats.RPCRepliesLost++
 		if deadline > 0 {
 			h.net.stats.RPCDeadlineMisses++
 			h.net.stats.RPCVirtualTicks += deadline
-			return nil, deadline, fmt.Errorf("%w: %s -> %s (reply lost)", ErrDeadline, h.addr, dst)
+			return nil, deadline, &callError{cause: ErrDeadline, from: h.addr, to: dst, what: "reply lost"}
 		}
 		h.net.stats.RPCVirtualTicks += reqLat + replyLat
-		return nil, reqLat + replyLat, fmt.Errorf("%w: %s -> %s (injected reply loss)", ErrUnreachable, h.addr, dst)
+		return nil, reqLat + replyLat, &callError{cause: ErrUnreachable, from: h.addr, to: dst, what: "injected reply loss"}
 	case deadline > 0 && reqLat+replyLat >= deadline:
 		// The reply is still in flight at the deadline; it is discarded.
 		h.net.stats.RPCFailures++
 		h.net.stats.RPCDeadlineMisses++
 		h.net.stats.RPCVirtualTicks += deadline
-		return nil, deadline, fmt.Errorf("%w: %s -> %s (latency %d >= deadline %d)", ErrDeadline, h.addr, dst, reqLat+replyLat, deadline)
+		return nil, deadline, &callError{cause: ErrDeadline, from: h.addr, to: dst, what: "latency", ticks: reqLat + replyLat, deadline: deadline}
 	}
 	if err == nil {
 		h.net.stats.RPCBytes += uint64(len(req) + len(resp))

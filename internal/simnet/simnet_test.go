@@ -47,6 +47,41 @@ func TestRPCErrors(t *testing.T) {
 	_ = b
 }
 
+// TestRefusalsKeepTheirText: a refused or failed call is one value, which
+// errors.Is sees through to its cause and which renders the text a wrapped
+// fmt.Errorf did; a call refused at a partition allocates that one value.
+func TestRefusalsKeepTheirText(t *testing.T) {
+	n, a, _, _ := echoNet(t)
+	n.Partition([]Addr{"a", "b"}, []Addr{"c"})
+	n.SetLinkFaults("a", "b", FaultProfile{BaseTicks: 30})
+	_, noHost := a.Call("zz", "echo", nil)
+	_, noService := a.Call("b", "nope", nil)
+	_, cut := a.Call("c", "echo", nil)
+	_, _, leg := a.CallT("b", "echo", nil, 25)
+	_, _, slow := a.CallT("b", "echo", nil, 45)
+	n.ScriptFaults("a", "b", FaultHang)
+	_, _, hung := a.CallT("b", "echo", nil, 100)
+	for _, c := range []struct {
+		err   error
+		cause error
+		want  string
+	}{
+		{noHost, ErrNoHost, "simnet: no such host: zz"},
+		{noService, ErrNoService, "simnet: no such service: nope on b"},
+		{cut, ErrUnreachable, "simnet: host unreachable: a -> c"},
+		{leg, ErrDeadline, "simnet: rpc deadline exceeded: a -> b (request leg 30 >= deadline 25)"},
+		{slow, ErrDeadline, "simnet: rpc deadline exceeded: a -> b (latency 60 >= deadline 45)"},
+		{hung, ErrDeadline, "simnet: rpc deadline exceeded: a -> b (reply hung)"},
+	} {
+		if !errors.Is(c.err, c.cause) || c.err.Error() != c.want {
+			t.Errorf("got %v, want %q wrapping %v", c.err, c.want, c.cause)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { a.Call("c", "echo", nil) }); got > 1 {
+		t.Errorf("a call refused at a partition allocates %v times, want 1", got)
+	}
+}
+
 func TestPartitionBlocksRPC(t *testing.T) {
 	n, a, b, c := echoNet(t)
 	n.Partition([]Addr{"a", "b"}, []Addr{"c"})

@@ -17,9 +17,12 @@
 // Every image a decoder accepts therefore re-encodes to the same bytes,
 // which is the one oracle every format's fuzz target checks.
 //
-// The package imports only ids and vv; composite values (physical.Aux,
-// block addresses, vnode.Attr) are encodeX/decodeX(d *wire.Decoder)
-// helpers beside the format that carries them.
+// The package imports only ids, vv and invariant; composite values
+// (physical.Aux, block addresses, vnode.Attr) are encodeX/decodeX(d
+// *wire.Decoder) helpers beside the format that carries them.
+//
+// Messages are encoded into buffers lent by one bounded pool (GetBuf,
+// PutBuf), which the NFS and replication protocols share (DESIGN.md §9.2).
 package wire
 
 import (
@@ -27,8 +30,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/ids"
+	"repro/internal/invariant"
 	"repro/internal/vv"
 )
 
@@ -316,4 +321,74 @@ func (in *Interner) Intern(b []byte) string {
 	}
 	in.m[s] = s
 	return s
+}
+
+// ---- message buffers ---------------------------------------------------
+
+// The message pool lends buffers to encoders and takes them back once the
+// message has been read.  It is bounded twice: it holds at most pooledBufs
+// buffers, and a buffer larger than maxPooled is dropped when it is returned,
+// so one huge message pins no memory.  Whoever holds a buffer owns it until
+// PutBuf; nothing may read a view of it afterwards (DESIGN.md §9.2).  Under
+// FICUS_INVARIANTS=1 a returned buffer is overwritten with poison, so a view
+// kept past its return reads bytes no encoder writes, and a buffer returned
+// twice fails an invariant.
+const (
+	pooledBufs = 64
+	maxPooled  = 1 << 16
+	minBuf     = 256  // the least capacity a new buffer gets
+	poison     = 0xdb // what a returned buffer holds under invariants
+)
+
+var pool struct {
+	mu   sync.Mutex
+	free [][]byte // each at its full capacity
+}
+
+// GetBuf returns an empty buffer with room for at least n bytes: the
+// smallest such the pool holds, or a new one.
+func GetBuf(n int) []byte {
+	pool.mu.Lock()
+	best := -1
+	for i, b := range pool.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(pool.free[best])) {
+			best = i
+		}
+	}
+	if best >= 0 {
+		b := pool.free[best]
+		last := len(pool.free) - 1
+		pool.free[best], pool.free[last] = pool.free[last], nil
+		pool.free = pool.free[:last]
+		pool.mu.Unlock()
+		return b[:0]
+	}
+	pool.mu.Unlock()
+	return make([]byte, 0, max(n, minBuf))
+}
+
+// PutBuf returns b, which came from GetBuf (or grew from a buffer that did),
+// to the pool.  From here on b and every view of it belong to the pool.
+func PutBuf(b []byte) {
+	if cap(b) < minBuf || cap(b) > maxPooled {
+		return
+	}
+	b = b[:cap(b)]
+	if invariant.Enabled() {
+		for i := range b {
+			b[i] = poison
+		}
+	}
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	if invariant.Enabled() {
+		for _, f := range pool.free {
+			if unsafe.SliceData(f) == unsafe.SliceData(b) {
+				invariant.Failf("wire: a message buffer was returned twice")
+			}
+		}
+	}
+	if len(pool.free) < pooledBufs {
+		pool.free = append(pool.free, b)
+	}
 }

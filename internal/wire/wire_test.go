@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"repro/internal/ids"
+	"repro/internal/invariant"
 	"repro/internal/vv"
 )
 
@@ -309,5 +310,37 @@ func TestInternerUnderConcurrentDecoders(t *testing.T) {
 	wg.Wait()
 	if len(in.m) > 4 {
 		t.Fatalf("an interner of capacity 4 holds %d strings", len(in.m))
+	}
+}
+
+// TestMessagePool: a returned buffer is lent again, whole, and under
+// invariants it comes back poisoned and a second return of it fails; a buffer
+// over maxPooled is dropped, not kept.
+func TestMessagePool(t *testing.T) {
+	defer invariant.ForceForTest(true)()
+	b := append(GetBuf(5000), "message"...)
+	PutBuf(b)
+	for i, c := range b[:cap(b)] {
+		if c != poison {
+			t.Fatalf("byte %d of a returned buffer is %#x, not poison", i, c)
+		}
+	}
+	again := GetBuf(5000)
+	if unsafe.SliceData(again) != unsafe.SliceData(b) || cap(again) != cap(b) {
+		t.Fatal("a returned buffer was not lent again whole")
+	}
+	PutBuf(again)
+	func() {
+		defer func() {
+			if _, ok := recover().(*invariant.Violation); !ok {
+				t.Error("a buffer returned twice passed")
+			}
+		}()
+		PutBuf(again)
+	}()
+	huge := make([]byte, 0, maxPooled+1)
+	PutBuf(huge)
+	if got := GetBuf(maxPooled + 1); unsafe.SliceData(got) == unsafe.SliceData(huge) {
+		t.Fatal("a buffer over maxPooled was kept")
 	}
 }

@@ -4,7 +4,8 @@ import (
 	"errors"
 	"io"
 	"io/fs"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/vnode"
@@ -210,7 +211,7 @@ func (m *Mount) ReadDir(path string) ([]DirEntry, error) {
 	for i, e := range ents {
 		out[i] = DirEntry{Name: e.Name, IsDir: e.Type == vnode.VDir}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
 }
 

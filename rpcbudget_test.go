@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"repro/internal/invariant"
 )
 
 // remoteReadCluster is bench/'s remote_read in miniature, built without
@@ -130,5 +132,28 @@ func TestFirstAvailableAsksNobodyElse(t *testing.T) {
 	readAll(t, m, file, 16)
 	if got := c.Host(2).LocalReplica(side.h).TotalOpens(); got != 16 {
 		t.Fatalf("host 2 saw %d opens with host 1 cut off, want 16", got)
+	}
+}
+
+// TestWarmRemoteReadAllocs: a warm ReadFile through a mount with no local
+// replica allocates the slice it returns, the logical vnodes of its walk, one
+// per name, and the pin its open leaves on the last of them — nothing else.
+// Its messages are lent by wire's pool, the client vnodes and the encoded open
+// and close are the ones made before, and the data is copied once, from the
+// reply into the slice.  Invariants re-encode a directory on every hit, so
+// they are disarmed.
+func TestWarmRemoteReadAllocs(t *testing.T) {
+	defer invariant.ForceForTest(false)()
+	_, _, m, file := remoteReadCluster(t, MostRecent)
+	path, want := file(3)
+	const walk = 2 // "/d1/f3": the root's vnode is the mount's
+	got := testing.AllocsPerRun(200, func() {
+		data, err := m.ReadFile(path)
+		if err != nil || !bytes.Equal(data, want) {
+			t.Fatalf("read of %s: %d bytes, %v", path, len(data), err)
+		}
+	})
+	if got > 1+walk+1 {
+		t.Errorf("a warm remote ReadFile allocates %v times, want at most %d: its slice, %d lvnodes and a pin", got, 1+walk+1, walk)
 	}
 }
