@@ -677,11 +677,6 @@ func (c *Cluster) Mount(host int) (*Mount, error) {
 	return c.MountVolume(host, c.RootVolume())
 }
 
-// MountPolicy is Mount with an explicit replica-selection policy.
-func (c *Cluster) MountPolicy(host int, p Policy) (*Mount, error) {
-	return c.mountVol(host, c.RootVolume(), p)
-}
-
 // MountVolume mounts an arbitrary volume from host i.
 func (c *Cluster) MountVolume(host int, vol Volume) (*Mount, error) {
 	return c.mountVol(host, vol, c.policy)

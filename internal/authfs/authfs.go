@@ -91,29 +91,20 @@ func prefixMatch(prefix, path string) bool {
 	return strings.HasPrefix(path, prefix+"/")
 }
 
-// VFS is one credentialed view of the lower file system.
+// VFS is one credentialed view of the lower file system.  Root and Sync
+// forward unchecked (no rights are needed to flush).
 type VFS struct {
-	lower vnode.VFS
-	acl   *ACL
-	cred  Credential
+	vnode.Layer
+	acl  *ACL
+	cred Credential
 }
 
 // New wraps lower with access control under cred.
 func New(lower vnode.VFS, acl *ACL, cred Credential) *VFS {
-	return &VFS{lower: lower, acl: acl, cred: cred}
+	a := &VFS{acl: acl, cred: cred}
+	a.Layer = vnode.Layer{Lower: lower, Wrap: func(p vnode.Pass) vnode.Vnode { return &anode{Pass: p, fs: a} }}
+	return a
 }
-
-// Root returns the guarded root.
-func (a *VFS) Root() (vnode.Vnode, error) {
-	v, err := a.lower.Root()
-	if err != nil {
-		return nil, err
-	}
-	return &anode{fs: a, lower: v}, nil
-}
-
-// Sync forwards (no rights needed to flush).
-func (a *VFS) Sync() error { return a.lower.Sync() }
 
 func (a *VFS) check(path string, want Perm) error {
 	if a.acl.Allowed(a.cred.User, path, want) {
@@ -122,10 +113,12 @@ func (a *VFS) check(path string, want Perm) error {
 	return vnode.EPERM
 }
 
+// anode overrides each operation it checks; Handle, Close and Fsync pass
+// through unchecked.
 type anode struct {
-	fs    *VFS
-	lower vnode.Vnode
-	path  string
+	vnode.Pass
+	fs   *VFS
+	path string
 }
 
 func (v *anode) childPath(name string) string {
@@ -135,60 +128,45 @@ func (v *anode) childPath(name string) string {
 	return v.path + "/" + name
 }
 
-func (v *anode) wrap(lower vnode.Vnode, path string) vnode.Vnode {
-	return &anode{fs: v.fs, lower: lower, path: path}
-}
-
-func (v *anode) Handle() string { return v.lower.Handle() }
-
-func (v *anode) Lookup(name string) (vnode.Vnode, error) {
+// child checks want on name's path, runs op, and gives the vnode the base
+// wrapped for it that path.
+func (v *anode) child(name string, want Perm, op func(string) (vnode.Vnode, error)) (vnode.Vnode, error) {
 	p := v.childPath(name)
-	if err := v.fs.check(p, PermRead); err != nil {
+	if err := v.fs.check(p, want); err != nil {
 		return nil, err
 	}
-	c, err := v.lower.Lookup(name)
+	c, err := op(name)
 	if err != nil {
 		return nil, err
 	}
-	return v.wrap(c, p), nil
+	c.(*anode).path = p
+	return c, nil
+}
+
+func (v *anode) Lookup(name string) (vnode.Vnode, error) {
+	return v.child(name, PermRead, v.Pass.Lookup)
 }
 
 func (v *anode) Create(name string, excl bool) (vnode.Vnode, error) {
-	p := v.childPath(name)
-	if err := v.fs.check(p, PermWrite); err != nil {
-		return nil, err
-	}
-	c, err := v.lower.Create(name, excl)
-	if err != nil {
-		return nil, err
-	}
-	return v.wrap(c, p), nil
+	return v.child(name, PermWrite, func(name string) (vnode.Vnode, error) { return v.Pass.Create(name, excl) })
 }
 
 func (v *anode) Mkdir(name string) (vnode.Vnode, error) {
-	p := v.childPath(name)
-	if err := v.fs.check(p, PermWrite); err != nil {
-		return nil, err
-	}
-	c, err := v.lower.Mkdir(name)
-	if err != nil {
-		return nil, err
-	}
-	return v.wrap(c, p), nil
+	return v.child(name, PermWrite, v.Pass.Mkdir)
 }
 
 func (v *anode) Symlink(name, target string) error {
 	if err := v.fs.check(v.childPath(name), PermWrite); err != nil {
 		return err
 	}
-	return v.lower.Symlink(name, target)
+	return v.Pass.Symlink(name, target)
 }
 
 func (v *anode) Readlink() (string, error) {
 	if err := v.fs.check(v.path, PermRead); err != nil {
 		return "", err
 	}
-	return v.lower.Readlink()
+	return v.Pass.Readlink()
 }
 
 func (v *anode) Open(f vnode.OpenFlags) error {
@@ -199,46 +177,42 @@ func (v *anode) Open(f vnode.OpenFlags) error {
 	if err := v.fs.check(v.path, want); err != nil {
 		return err
 	}
-	return v.lower.Open(f)
+	return v.Pass.Open(f)
 }
-
-func (v *anode) Close(f vnode.OpenFlags) error { return v.lower.Close(f) }
 
 func (v *anode) ReadAt(p []byte, off int64) (int, error) {
 	if err := v.fs.check(v.path, PermRead); err != nil {
 		return 0, err
 	}
-	return v.lower.ReadAt(p, off)
+	return v.Pass.ReadAt(p, off)
 }
 
 func (v *anode) WriteAt(p []byte, off int64) (int, error) {
 	if err := v.fs.check(v.path, PermWrite); err != nil {
 		return 0, err
 	}
-	return v.lower.WriteAt(p, off)
+	return v.Pass.WriteAt(p, off)
 }
 
 func (v *anode) Truncate(size uint64) error {
 	if err := v.fs.check(v.path, PermWrite); err != nil {
 		return err
 	}
-	return v.lower.Truncate(size)
+	return v.Pass.Truncate(size)
 }
-
-func (v *anode) Fsync() error { return v.lower.Fsync() }
 
 func (v *anode) Getattr() (vnode.Attr, error) {
 	if err := v.fs.check(v.path, PermRead); err != nil {
 		return vnode.Attr{}, err
 	}
-	return v.lower.Getattr()
+	return v.Pass.Getattr()
 }
 
 func (v *anode) Setattr(sa vnode.SetAttr) error {
 	if err := v.fs.check(v.path, PermWrite); err != nil {
 		return err
 	}
-	return v.lower.Setattr(sa)
+	return v.Pass.Setattr(sa)
 }
 
 // Access answers the rights question directly from the ACL.
@@ -260,47 +234,45 @@ func (v *anode) Remove(name string) error {
 	if err := v.fs.check(v.childPath(name), PermWrite); err != nil {
 		return err
 	}
-	return v.lower.Remove(name)
+	return v.Pass.Remove(name)
 }
 
 func (v *anode) Rmdir(name string) error {
 	if err := v.fs.check(v.childPath(name), PermWrite); err != nil {
 		return err
 	}
-	return v.lower.Rmdir(name)
+	return v.Pass.Rmdir(name)
 }
 
+// Link and Rename check rights only against a peer of this layer; the
+// base answers EXDEV to any other.
 func (v *anode) Link(name string, target vnode.Vnode) error {
-	t, ok := target.(*anode)
-	if !ok || t.fs != v.fs {
-		return vnode.EXDEV
+	if t, ok := target.(*anode); ok && t.fs == v.fs {
+		if err := v.fs.check(v.childPath(name), PermWrite); err != nil {
+			return err
+		}
+		if err := v.fs.check(t.path, PermRead); err != nil {
+			return err
+		}
 	}
-	if err := v.fs.check(v.childPath(name), PermWrite); err != nil {
-		return err
-	}
-	if err := v.fs.check(t.path, PermRead); err != nil {
-		return err
-	}
-	return v.lower.Link(name, t.lower)
+	return v.Pass.Link(name, target)
 }
 
 func (v *anode) Rename(oldName string, dstDir vnode.Vnode, newName string) error {
-	d, ok := dstDir.(*anode)
-	if !ok || d.fs != v.fs {
-		return vnode.EXDEV
+	if d, ok := dstDir.(*anode); ok && d.fs == v.fs {
+		if err := v.fs.check(v.childPath(oldName), PermWrite); err != nil {
+			return err
+		}
+		if err := v.fs.check(d.childPath(newName), PermWrite); err != nil {
+			return err
+		}
 	}
-	if err := v.fs.check(v.childPath(oldName), PermWrite); err != nil {
-		return err
-	}
-	if err := v.fs.check(d.childPath(newName), PermWrite); err != nil {
-		return err
-	}
-	return v.lower.Rename(oldName, d.lower, newName)
+	return v.Pass.Rename(oldName, dstDir, newName)
 }
 
 func (v *anode) Readdir() ([]vnode.Dirent, error) {
 	if err := v.fs.check(v.path, PermRead); err != nil {
 		return nil, err
 	}
-	return v.lower.Readdir()
+	return v.Pass.Readdir()
 }

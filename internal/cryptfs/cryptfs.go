@@ -17,32 +17,23 @@ import (
 	"crypto/cipher"
 	"crypto/sha256"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/vnode"
 )
 
 // VFS wraps a lower file system with transparent data encryption.
 type VFS struct {
-	lower vnode.VFS
-	key   [32]byte
+	vnode.Layer
+	key [32]byte
 }
 
 // New derives a file-system key from secret and wraps lower.
 func New(lower vnode.VFS, secret []byte) *VFS {
-	return &VFS{lower: lower, key: sha256.Sum256(secret)}
+	c := &VFS{key: sha256.Sum256(secret)}
+	c.Layer = vnode.Layer{Lower: lower, Wrap: func(p vnode.Pass) vnode.Vnode { return &cnode{Pass: p, fs: c} }}
+	return c
 }
-
-// Root returns the wrapped root.
-func (c *VFS) Root() (vnode.Vnode, error) {
-	v, err := c.lower.Root()
-	if err != nil {
-		return nil, err
-	}
-	return &cnode{fs: c, lower: v}, nil
-}
-
-// Sync forwards to the lower layer.
-func (c *VFS) Sync() error { return c.lower.Sync() }
 
 // fileKey derives the per-file AES key from the layer key and the file's
 // stable identity, so renames do not re-key and distinct files never share
@@ -80,51 +71,34 @@ func (c *VFS) xorKeyStreamAt(fileID string, p []byte, off int64) error {
 	return nil
 }
 
+// cnode overrides what encryption changes: file data, symlink targets,
+// and the size updates that must write encrypted zeros.
 type cnode struct {
-	fs    *VFS
-	lower vnode.Vnode
-	// id caches the file's stable identity used for key derivation.
-	id string
+	vnode.Pass
+	fs *VFS
+	// id caches the file's stable identity used for key derivation; it is
+	// set at most once, by whichever Getattr first returns it.
+	id atomic.Pointer[string]
 }
 
-func (v *cnode) wrap(lower vnode.Vnode) vnode.Vnode { return &cnode{fs: v.fs, lower: lower} }
-
 func (v *cnode) fileID() (string, error) {
-	if v.id != "" {
-		return v.id, nil
+	if id := v.id.Load(); id != nil {
+		return *id, nil
 	}
-	a, err := v.lower.Getattr()
+	a, err := v.Getattr()
 	if err != nil {
 		return "", err
 	}
-	v.id = a.FileID
-	return v.id, nil
+	return a.FileID, nil
 }
 
-func (v *cnode) Handle() string { return v.lower.Handle() }
-
-func (v *cnode) Lookup(name string) (vnode.Vnode, error) {
-	c, err := v.lower.Lookup(name)
-	if err != nil {
-		return nil, err
+func (v *cnode) Getattr() (vnode.Attr, error) {
+	a, err := v.Pass.Getattr()
+	if err == nil && v.id.Load() == nil {
+		id := a.FileID
+		v.id.CompareAndSwap(nil, &id)
 	}
-	return v.wrap(c), nil
-}
-
-func (v *cnode) Create(name string, excl bool) (vnode.Vnode, error) {
-	c, err := v.lower.Create(name, excl)
-	if err != nil {
-		return nil, err
-	}
-	return v.wrap(c), nil
-}
-
-func (v *cnode) Mkdir(name string) (vnode.Vnode, error) {
-	c, err := v.lower.Mkdir(name)
-	if err != nil {
-		return nil, err
-	}
-	return v.wrap(c), nil
+	return a, err
 }
 
 // symlinkKeyID is the stable key-derivation identity for symlink targets.
@@ -141,11 +115,11 @@ func (v *cnode) Symlink(name, target string) error {
 	if err := v.fs.xorKeyStreamAt(symlinkKeyID, buf, 0); err != nil {
 		return err
 	}
-	return v.lower.Symlink(name, fmt.Sprintf("%x", buf))
+	return v.Pass.Symlink(name, fmt.Sprintf("%x", buf))
 }
 
 func (v *cnode) Readlink() (string, error) {
-	armored, err := v.lower.Readlink()
+	armored, err := v.Pass.Readlink()
 	if err != nil {
 		return "", err
 	}
@@ -159,15 +133,12 @@ func (v *cnode) Readlink() (string, error) {
 	return string(buf), nil
 }
 
-func (v *cnode) Open(f vnode.OpenFlags) error  { return v.lower.Open(f) }
-func (v *cnode) Close(f vnode.OpenFlags) error { return v.lower.Close(f) }
-
 func (v *cnode) ReadAt(p []byte, off int64) (int, error) {
 	id, err := v.fileID()
 	if err != nil {
 		return 0, err
 	}
-	n, rerr := v.lower.ReadAt(p, off)
+	n, rerr := v.Pass.ReadAt(p, off)
 	if n > 0 {
 		if err := v.fs.xorKeyStreamAt(id, p[:n], off); err != nil {
 			return 0, err
@@ -186,19 +157,19 @@ func (v *cnode) WriteAt(p []byte, off int64) (int, error) {
 	if err := v.fs.xorKeyStreamAt(id, enc, off); err != nil {
 		return 0, err
 	}
-	return v.lower.WriteAt(enc, off)
+	return v.Pass.WriteAt(enc, off)
 }
 
 // Truncate shrinks directly; growth is performed by writing encrypted
 // zeros over the extension, because a substrate hole reads as plaintext
 // zeros — which would decrypt to keystream garbage.
 func (v *cnode) Truncate(size uint64) error {
-	a, err := v.lower.Getattr()
+	a, err := v.Pass.Getattr()
 	if err != nil {
 		return err
 	}
 	if size <= a.Size {
-		return v.lower.Truncate(size)
+		return v.Pass.Truncate(size)
 	}
 	const chunk = 64 << 10
 	zeros := make([]byte, chunk)
@@ -215,16 +186,6 @@ func (v *cnode) Truncate(size uint64) error {
 	return nil
 }
 
-func (v *cnode) Fsync() error { return v.lower.Fsync() }
-
-func (v *cnode) Getattr() (vnode.Attr, error) {
-	a, err := v.lower.Getattr()
-	if err == nil && v.id == "" {
-		v.id = a.FileID
-	}
-	return a, err
-}
-
 func (v *cnode) Setattr(sa vnode.SetAttr) error {
 	if sa.Size != nil {
 		if err := v.Truncate(*sa.Size); err != nil {
@@ -235,26 +196,5 @@ func (v *cnode) Setattr(sa vnode.SetAttr) error {
 			return nil
 		}
 	}
-	return v.lower.Setattr(sa)
+	return v.Pass.Setattr(sa)
 }
-func (v *cnode) Access(mode uint16) error { return v.lower.Access(mode) }
-func (v *cnode) Remove(name string) error { return v.lower.Remove(name) }
-func (v *cnode) Rmdir(name string) error  { return v.lower.Rmdir(name) }
-
-func (v *cnode) Link(name string, target vnode.Vnode) error {
-	t, ok := target.(*cnode)
-	if !ok || t.fs != v.fs {
-		return vnode.EXDEV
-	}
-	return v.lower.Link(name, t.lower)
-}
-
-func (v *cnode) Rename(oldName string, dstDir vnode.Vnode, newName string) error {
-	d, ok := dstDir.(*cnode)
-	if !ok || d.fs != v.fs {
-		return vnode.EXDEV
-	}
-	return v.lower.Rename(oldName, d.lower, newName)
-}
-
-func (v *cnode) Readdir() ([]vnode.Dirent, error) { return v.lower.Readdir() }

@@ -2,6 +2,8 @@ package cryptfs
 
 import (
 	"bytes"
+	"io"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -208,5 +210,45 @@ func TestRenameKeepsKey(t *testing.T) {
 	got, err := vnode.ReadFile(g)
 	if err != nil || string(got) != "stable across rename" {
 		t.Fatalf("%q %v (key derivation must follow identity, not name)", got, err)
+	}
+}
+
+// TestConcurrentFirstReads: two goroutines read one freshly looked-up vnode
+// at once, so both find its file identity not yet known and fetch it.  The
+// vnode is safe for concurrent use, as every vnode must be: under -race
+// this test holds the identity cache to that, and both reads decrypt.
+func TestConcurrentFirstReads(t *testing.T) {
+	cfs := New(newUFS(t), []byte("key"))
+	root, _ := cfs.Root()
+	f, err := root.Create("f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("read by two at once")
+	if _, err := f.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	g, err := root.Lookup("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := [2][]byte{make([]byte, len(want)), make([]byte, len(want))}
+	errs := [2]error{}
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = g.ReadAt(got[i], 0)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil && errs[i] != io.EOF {
+			t.Fatalf("reader %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("reader %d read %q, want %q", i, got[i], want)
+		}
 	}
 }

@@ -152,3 +152,29 @@ func TestE9AutograftCosts(t *testing.T) {
 		t.Error("warm walk should still RPC to the remote volume replica")
 	}
 }
+
+// TestNullLayerCrossingAllocs holds the "storage for another vnode block"
+// half of the paper's §6 crossing cost: TouchOp through 8 null layers
+// allocates exactly 16 objects more than through none — one vnode block per
+// layer for each of the walk's two lookups, and none for the getattr.
+func TestNullLayerCrossingAllocs(t *testing.T) {
+	var allocs [2]float64
+	for i, depth := range []int{0, 8} {
+		root, err := BuildNullStack(depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := PrepareFile(root); err != nil {
+			t.Fatal(err)
+		}
+		allocs[i] = testing.AllocsPerRun(200, func() {
+			if err := TouchOp(root); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if extra := allocs[1] - allocs[0]; extra != 16 {
+		t.Fatalf("8 null layers add %v allocations to TouchOp (%v at depth 0, %v at depth 8), want 16",
+			extra, allocs[0], allocs[1])
+	}
+}

@@ -18,11 +18,7 @@
 // fsck-style tools all agree on the mapping.
 package ids
 
-import (
-	"errors"
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // AllocatorID names the host that allocated a volume id.  The paper suggests
 // an Internet host address would suffice.
@@ -160,59 +156,6 @@ type VolumeReplicaHandle struct {
 // String renders the volume replica handle as dotted hex.
 func (v VolumeReplicaHandle) String() string {
 	return fmt.Sprintf("%s.%08x", v.Vol, uint32(v.Replica))
-}
-
-// FileHandle names a logical file: <allocator-id, volume-id, file-id>.  The
-// logical layer maps client-supplied names to file handles and uses them to
-// communicate file identity to physical layers (paper §2.5).
-type FileHandle struct {
-	Vol  VolumeHandle
-	File FileID
-}
-
-// String renders the file handle as dotted hex.
-func (h FileHandle) String() string {
-	return fmt.Sprintf("%s.%s", h.Vol, h.File)
-}
-
-// ParseFileHandle decodes the form produced by FileHandle.String.
-func ParseFileHandle(s string) (FileHandle, error) {
-	i := strings.LastIndexByte(s, '.')
-	if i < 0 {
-		return FileHandle{}, errors.New("ids: file handle: missing separators")
-	}
-	vh, err := ParseVolumeHandle(s[:i])
-	if err != nil {
-		return FileHandle{}, err
-	}
-	fid, err := ParseFileID(s[i+1:])
-	if err != nil {
-		return FileHandle{}, err
-	}
-	return FileHandle{Vol: vh, File: fid}, nil
-}
-
-// ReplicaHandle fully specifies one physical replica of one file:
-// <allocator-id, volume-id, file-id, replica-id> (paper §4.2).
-type ReplicaHandle struct {
-	Vol     VolumeHandle
-	File    FileID
-	Replica ReplicaID
-}
-
-// FileHandle projects away the replica component.
-func (r ReplicaHandle) FileHandle() FileHandle {
-	return FileHandle{Vol: r.Vol, File: r.File}
-}
-
-// VolumeReplica projects the containing volume replica.
-func (r ReplicaHandle) VolumeReplica() VolumeReplicaHandle {
-	return VolumeReplicaHandle{Vol: r.Vol, Replica: r.Replica}
-}
-
-// String renders the replica handle as dotted hex.
-func (r ReplicaHandle) String() string {
-	return fmt.Sprintf("%s.%s.%08x", r.Vol, r.File, uint32(r.Replica))
 }
 
 // Sequencer issues file ids on behalf of one volume replica.  It is the

@@ -44,7 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 )
 
@@ -380,18 +379,6 @@ func (n *Network) Host(addr Addr) *Host {
 	n.hosts[addr] = h
 	n.group[addr] = 0
 	return h
-}
-
-// Addrs lists attached hosts in deterministic (sorted) order.
-func (n *Network) Addrs() []Addr {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]Addr, 0, len(n.hosts))
-	for a := range n.hosts {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Partition splits the network into the given groups; a host in no listed

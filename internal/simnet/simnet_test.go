@@ -242,8 +242,8 @@ func TestHostIdempotentAttach(t *testing.T) {
 	if n.Host("a") != n.Host("a") {
 		t.Fatal("Host not idempotent")
 	}
-	if len(n.Addrs()) != 1 {
-		t.Fatalf("addrs %v", n.Addrs())
+	if len(n.hosts) != 1 {
+		t.Fatalf("%d hosts attached, want 1", len(n.hosts))
 	}
 }
 

@@ -273,6 +273,35 @@ func (fs *FS) dirEmptyLocked(dir Ino) (bool, error) {
 	return empty, err
 }
 
+// nameFreeLocked is the prologue of a call that adds name to dir: dir must
+// be a directory and name must not be in it yet.
+func (fs *FS) nameFreeLocked(dir Ino, name string) error {
+	ddin, err := fs.readInodeLocked(dir)
+	if err != nil {
+		return err
+	}
+	if ddin.Type != TypeDir {
+		return ErrNotDir
+	}
+	if _, err := fs.dirLookupLocked(dir, name); err == nil {
+		return ErrExist
+	} else if err != ErrNotExist {
+		return err
+	}
+	return nil
+}
+
+// childLocked is the prologue of a call that removes name from dir: the
+// inode name denotes, and what it holds.
+func (fs *FS) childLocked(dir Ino, name string) (Ino, dinode, error) {
+	child, err := fs.dirLookupLocked(dir, name)
+	if err != nil {
+		return 0, dinode{}, err
+	}
+	cdin, err := fs.readInodeLocked(child)
+	return child, cdin, err
+}
+
 // Lookup resolves name within directory dir.
 func (fs *FS) Lookup(dir Ino, name string) (Ino, error) {
 	fs.mu.Lock()
@@ -293,16 +322,7 @@ func (fs *FS) Create(dir Ino, name string) (_ Ino, err error) {
 	if err := validName(name); err != nil {
 		return 0, err
 	}
-	ddin, err := fs.readInodeLocked(dir)
-	if err != nil {
-		return 0, err
-	}
-	if ddin.Type != TypeDir {
-		return 0, ErrNotDir
-	}
-	if _, err := fs.dirLookupLocked(dir, name); err == nil {
-		return 0, ErrExist
-	} else if err != ErrNotExist {
+	if err := fs.nameFreeLocked(dir, name); err != nil {
 		return 0, err
 	}
 	ino, err := fs.iallocLocked(TypeFile)
@@ -323,16 +343,7 @@ func (fs *FS) Mkdir(dir Ino, name string) (_ Ino, err error) {
 	if err := validName(name); err != nil {
 		return 0, err
 	}
-	ddin, err := fs.readInodeLocked(dir)
-	if err != nil {
-		return 0, err
-	}
-	if ddin.Type != TypeDir {
-		return 0, ErrNotDir
-	}
-	if _, err := fs.dirLookupLocked(dir, name); err == nil {
-		return 0, ErrExist
-	} else if err != ErrNotExist {
+	if err := fs.nameFreeLocked(dir, name); err != nil {
 		return 0, err
 	}
 	ino, err := fs.iallocLocked(TypeDir)
@@ -348,7 +359,7 @@ func (fs *FS) Mkdir(dir Ino, name string) (_ Ino, err error) {
 		return 0, err
 	}
 	// Parent gains a link via the child's "..".
-	ddin, err = fs.readInodeLocked(dir)
+	ddin, err := fs.readInodeLocked(dir)
 	if err != nil {
 		return 0, err
 	}
@@ -374,16 +385,7 @@ func (fs *FS) Link(dir Ino, name string, target Ino) (err error) {
 	if tdin.Type == TypeDir {
 		return ErrLinkedDir
 	}
-	ddin, err := fs.readInodeLocked(dir)
-	if err != nil {
-		return err
-	}
-	if ddin.Type != TypeDir {
-		return ErrNotDir
-	}
-	if _, err := fs.dirLookupLocked(dir, name); err == nil {
-		return ErrExist
-	} else if err != ErrNotExist {
+	if err := fs.nameFreeLocked(dir, name); err != nil {
 		return err
 	}
 	if err := fs.dirAddLocked(dir, name, target); err != nil {
@@ -402,11 +404,7 @@ func (fs *FS) Remove(dir Ino, name string) (err error) {
 	if err := validName(name); err != nil {
 		return err
 	}
-	child, err := fs.dirLookupLocked(dir, name)
-	if err != nil {
-		return err
-	}
-	cdin, err := fs.readInodeLocked(child)
+	child, cdin, err := fs.childLocked(dir, name)
 	if err != nil {
 		return err
 	}
@@ -431,11 +429,7 @@ func (fs *FS) Rmdir(dir Ino, name string) (err error) {
 	if err := validName(name); err != nil {
 		return err
 	}
-	child, err := fs.dirLookupLocked(dir, name)
-	if err != nil {
-		return err
-	}
-	cdin, err := fs.readInodeLocked(child)
+	child, cdin, err := fs.childLocked(dir, name)
 	if err != nil {
 		return err
 	}

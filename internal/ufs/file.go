@@ -215,16 +215,7 @@ func (fs *FS) Symlink(dir Ino, name, target string) (_ Ino, err error) {
 	if err := validName(name); err != nil {
 		return 0, err
 	}
-	ddin, err := fs.readInodeLocked(dir)
-	if err != nil {
-		return 0, err
-	}
-	if ddin.Type != TypeDir {
-		return 0, ErrNotDir
-	}
-	if _, err := fs.dirLookupLocked(dir, name); err == nil {
-		return 0, ErrExist
-	} else if err != ErrNotExist {
+	if err := fs.nameFreeLocked(dir, name); err != nil {
 		return 0, err
 	}
 	ino, err := fs.iallocLocked(TypeSymlink)

@@ -9,8 +9,9 @@
 // directory services.  Every Ficus layer — logical, NFS transport,
 // physical — both implements and consumes this interface, so layers can be
 // inserted, removed, or split across hosts without modifying their
-// neighbours.  The package also supplies the null (pass-through) layer and
-// an instrumented hook layer used by the layer-crossing-cost experiments
+// neighbours.  The package also supplies the pass-through vnode that
+// stackable layers are written on, and on it the null layer and an
+// instrumented hook layer used by the layer-crossing-cost experiments
 // (E1, E2).
 package vnode
 
@@ -145,7 +146,9 @@ type Vnode interface {
 	Remove(name string) error
 	// Rmdir removes an empty child directory.
 	Rmdir(name string) error
-	// Link adds a hard link to target under name.
+	// Link adds a hard link to target under name.  Like Rename's dstDir,
+	// target must belong to the same layer instance: a peer from anywhere
+	// else is EXDEV.
 	Link(name string, target Vnode) error
 	// Rename moves oldName in this directory to newName in dstDir (which
 	// must belong to the same layer instance).

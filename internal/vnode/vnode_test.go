@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/disk"
 	"repro/internal/ufs"
@@ -100,6 +101,57 @@ func TestNullLayerUnwrapsPeersForRename(t *testing.T) {
 	}
 	if _, err := d2.Lookup("g"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPassThroughRefusesLowerPeers: a vnode of the layer below belongs to
+// another layer instance, so a null and a hook vnode answer EXDEV when it
+// is Link's target or Rename's dstDir, instead of handing it down, and
+// nothing changes.
+func TestPassThroughRefusesLowerPeers(t *testing.T) {
+	for name, layer := range map[string]func(vnode.VFS) vnode.VFS{
+		"null": func(lower vnode.VFS) vnode.VFS { return vnode.NewNull(lower) },
+		"hook": func(lower vnode.VFS) vnode.VFS { return vnode.NewHook(lower, nil) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			lower := baseVFS(t)
+			lowerRoot, _ := lower.Root()
+			root, err := layer(lower).Root()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := lowerRoot.Create("f", true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := lowerRoot.Mkdir("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := root.Link("g", f); vnode.AsErrno(err) != vnode.EXDEV {
+				t.Errorf("Link to a lower vnode: %v, want EXDEV", err)
+			}
+			if err := root.Rename("f", d, "h"); vnode.AsErrno(err) != vnode.EXDEV {
+				t.Errorf("Rename into a lower vnode: %v, want EXDEV", err)
+			}
+			if _, err := root.Lookup("f"); err != nil {
+				t.Errorf("f after the refusals: %v", err)
+			}
+			for _, gone := range []string{"g", "d/h"} {
+				if _, err := vnode.Walk(root, gone); vnode.AsErrno(err) != vnode.ENOENT {
+					t.Errorf("%s after the refusals: %v, want ENOENT", gone, err)
+				}
+			}
+		})
+	}
+}
+
+// TestPassIsOneVnodeBlock: the pass-through vnode is the paper's "storage
+// for another vnode block" (§6) and no more — its layer pointer and the
+// vnode below, three words.
+func TestPassIsOneVnodeBlock(t *testing.T) {
+	if got, want := unsafe.Sizeof(vnode.Pass{}), 3*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Fatalf("vnode.Pass is %d bytes, want %d", got, want)
 	}
 }
 

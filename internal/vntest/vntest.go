@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sort"
 	"testing"
 
 	"repro/internal/vnode"
@@ -392,6 +393,44 @@ func Run(t *testing.T, cfg Config, mk func(t *testing.T) vnode.VFS) {
 		}
 	})
 
+	// A vnode of a second mount of the same stack is a peer from another
+	// layer instance: Link and Rename refuse it with EXDEV, on either side,
+	// and neither mount changes.
+	sub("ForeignPeerIsEXDEV", func(t *testing.T, root vnode.Vnode) {
+		other, err := mk(t).Root()
+		if err != nil {
+			t.Fatalf("second Root: %v", err)
+		}
+		f, err := root.Create("a", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		od, err := other.Mkdir("od")
+		if err != nil {
+			t.Fatal(err)
+		}
+		of, err := od.Create("b", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := [][]string{names(t, root), names(t, other), names(t, od)}
+		for what, err := range map[string]error{
+			"link to a foreign file":     root.Link("l", of),
+			"link from a foreign dir":    od.Link("l", f),
+			"rename into a foreign dir":  root.Rename("a", od, "moved"),
+			"rename from a foreign dir":  od.Rename("b", root, "moved"),
+			"rename into a foreign root": root.Rename("a", other, "a"),
+		} {
+			if vnode.AsErrno(err) != vnode.EXDEV {
+				t.Errorf("%s: %v, want EXDEV", what, err)
+			}
+		}
+		after := [][]string{names(t, root), names(t, other), names(t, od)}
+		if fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Fatalf("a refused peer changed the mounts: %v, then %v", before, after)
+		}
+	})
+
 	if cfg.MaxName > 0 {
 		sub("NameLengthLimit", func(t *testing.T, root vnode.Vnode) {
 			ok := make([]byte, cfg.MaxName)
@@ -407,4 +446,19 @@ func Run(t *testing.T, cfg Config, mk func(t *testing.T) vnode.VFS) {
 			}
 		})
 	}
+}
+
+// names lists dir's entries, sorted.
+func names(t *testing.T, dir vnode.Vnode) []string {
+	t.Helper()
+	ents, err := dir.Readdir()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, 0, len(ents))
+	for _, e := range ents {
+		out = append(out, e.Name)
+	}
+	sort.Strings(out)
+	return out
 }
