@@ -97,11 +97,13 @@ func TestClusterGCEndToEnd(t *testing.T) {
 // propagation by itself cannot recover a dropped new-version notice; that
 // is reconciliation's job (§3.3).
 func TestChaosBatchedPropagationUnderFaults(t *testing.T) {
-	const hosts = 3
+	const hosts, seeds = 3, 4
 	var faultsSeen, replaysSeen uint64
-	for seed := int64(1); seed <= 4; seed++ {
+	ran := 0
+	for seed := int64(1); seed <= seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			ran++
 			rng := rand.New(rand.NewSource(seed))
 			c, err := NewCluster(hosts, WithSeed(seed))
 			if err != nil {
@@ -187,7 +189,9 @@ func TestChaosBatchedPropagationUnderFaults(t *testing.T) {
 			}
 		})
 	}
-	if faultsSeen == 0 || replaysSeen == 0 {
+	// The totals are over every seed, so a -run filter that skipped one
+	// leaves nothing to judge.
+	if ran == seeds && (faultsSeen == 0 || replaysSeen == 0) {
 		t.Fatalf("fault plane idle across all seeds: faults=%d, lost replies=%d", faultsSeen, replaysSeen)
 	}
 }

@@ -15,8 +15,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -105,7 +107,7 @@ type Host struct {
 
 	mu        sync.Mutex
 	replicas  map[ids.VolumeReplicaHandle]*localReplica
-	locations map[ids.VolumeHandle]map[ids.ReplicaID]simnet.Addr
+	locations map[ids.VolumeHandle][]ReplicaLoc // each volume's rows, by replica id
 	grafts    map[ids.VolumeHandle]*graftEntry
 	nextVol   ids.VolumeID
 	clock     uint64 // graft-pruning idle clock
@@ -167,7 +169,7 @@ func NewHost(net *simnet.Network, addr simnet.Addr, alloc ids.AllocatorID) *Host
 		snHost:     net.Host(addr),
 		alloc:      alloc,
 		replicas:   make(map[ids.VolumeReplicaHandle]*localReplica),
-		locations:  make(map[ids.VolumeHandle]map[ids.ReplicaID]simnet.Addr),
+		locations:  make(map[ids.VolumeHandle][]ReplicaLoc),
 		grafts:     make(map[ids.VolumeHandle]*graftEntry),
 		crashed:    make(map[ids.VolumeReplicaHandle]*crashedReplica),
 		rescan:     make(map[ids.VolumeHandle]bool),
@@ -232,7 +234,7 @@ func (h *Host) CreateVolume(opts *StorageOptions) (ids.VolumeHandle, ids.Replica
 	}
 	h.mu.Lock()
 	h.replicas[lr.layer.VolumeReplica()] = lr
-	h.locations[vol] = map[ids.ReplicaID]simnet.Addr{rid: h.addr}
+	h.putLocLocked(vol, ReplicaLoc{ID: rid, Addr: h.addr})
 	h.mu.Unlock()
 	return vol, rid, nil
 }
@@ -261,11 +263,8 @@ func (h *Host) AddReplica(vol ids.VolumeHandle, rid ids.ReplicaID, seed ReplicaL
 	}
 	h.mu.Lock()
 	h.replicas[lr.layer.VolumeReplica()] = lr
-	if h.locations[vol] == nil {
-		h.locations[vol] = make(map[ids.ReplicaID]simnet.Addr)
-	}
-	h.locations[vol][rid] = h.addr
-	h.locations[vol][seed.ID] = seed.Addr
+	h.putLocLocked(vol, ReplicaLoc{ID: rid, Addr: h.addr})
+	h.putLocLocked(vol, seed)
 	h.mu.Unlock()
 	return nil
 }
@@ -281,9 +280,7 @@ func (h *Host) RemoveReplica(vr ids.VolumeReplicaHandle) error {
 	_, ok := h.replicas[vr]
 	if ok {
 		delete(h.replicas, vr)
-		if m := h.locations[vr.Vol]; m != nil {
-			delete(m, vr.Replica)
-		}
+		h.dropLocLocked(vr.Vol, vr.Replica)
 	}
 	h.mu.Unlock()
 	if !ok {
@@ -299,9 +296,7 @@ func (h *Host) RemoveReplica(vr ids.VolumeReplicaHandle) error {
 func (h *Host) ForgetLocation(vol ids.VolumeHandle, rid ids.ReplicaID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if m := h.locations[vol]; m != nil {
-		delete(m, rid)
-	}
+	h.dropLocLocked(vol, rid)
 }
 
 // SetLocations installs (or extends) the host's knowledge of where vol's
@@ -310,27 +305,108 @@ func (h *Host) ForgetLocation(vol ids.VolumeHandle, rid ids.ReplicaID) {
 func (h *Host) SetLocations(vol ids.VolumeHandle, locs []ReplicaLoc) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	m := h.locations[vol]
-	if m == nil {
-		m = make(map[ids.ReplicaID]simnet.Addr)
-		h.locations[vol] = m
-	}
 	for _, l := range locs {
-		m[l.ID] = l.Addr
+		h.putLocLocked(vol, l)
 	}
+}
+
+// putLocLocked places replica l.ID of vol at l.Addr, keeping vol's rows in
+// replica-id order.
+func (h *Host) putLocLocked(vol ids.VolumeHandle, l ReplicaLoc) {
+	rows := h.locations[vol]
+	if i, ok := locIndex(rows, l.ID); ok {
+		rows[i] = l
+	} else {
+		h.locations[vol] = slices.Insert(rows, i, l)
+	}
+}
+
+// dropLocLocked removes replica rid's row of vol, if there is one.
+func (h *Host) dropLocLocked(vol ids.VolumeHandle, rid ids.ReplicaID) {
+	if i, ok := locIndex(h.locations[vol], rid); ok {
+		h.locations[vol] = slices.Delete(h.locations[vol], i, i+1)
+	}
+}
+
+// locIndex finds replica rid's row among rows ordered by replica id, or
+// where it would go.
+func locIndex(rows []ReplicaLoc, rid ids.ReplicaID) (int, bool) {
+	return slices.BinarySearchFunc(rows, rid, func(l ReplicaLoc, rid ids.ReplicaID) int { return cmp.Compare(l.ID, rid) })
+}
+
+// replicaSet is one volume's replica table as one hold of h.mu saw it: the
+// rows in replica-id order, the replica each row names on this host, and
+// the daemon tick and RPC deadline a pull from them runs under.
+//
+// A row that names this host but no replica stored here (a stale location:
+// the replica was removed, or a graft table still names it) is unreachable
+// to every reader: nothing dials it, and the health tracker never hears of
+// it.
+type replicaSet struct {
+	vol      ids.VolumeHandle
+	self     simnet.Addr
+	locs     []ReplicaLoc
+	layers   []*physical.Layer // layers[i] is locs[i] co-resident, or nil
+	tick     uint64
+	deadline uint64
+}
+
+// replicaSet takes the snapshot of vol's replica table.
+func (h *Host) replicaSet(vol ids.VolumeHandle) replicaSet {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	rows := h.locations[vol]
+	s := replicaSet{vol: vol, self: h.addr, locs: make([]ReplicaLoc, len(rows)),
+		layers: make([]*physical.Layer, len(rows)), tick: h.daemonTick, deadline: h.slowCfg.RPCDeadline}
+	copy(s.locs, rows)
+	for i, l := range rows {
+		if lr := h.replicas[ids.VolumeReplicaHandle{Vol: vol, Replica: l.ID}]; lr != nil && l.Addr == h.addr {
+			s.layers[i] = lr.layer
+		}
+	}
+	return s
+}
+
+// reachable reports whether row i is stored here or at another host: a
+// stale location is not.
+func (s *replicaSet) reachable(i int) bool { return s.layers[i] != nil || s.locs[i].Addr != s.self }
+
+// pullSource builds a daemon's pull source for row i: the co-resident layer, or
+// a repl client under the RPC deadline.  A gated source is skipped while the
+// health tracker holds its host dead, until the cool-down ends, and is
+// wrapped so its pulls feed the tracker: the pull is the probe.  An ungated
+// source must answer a Ping first.  nil means unreachable.
+func (h *Host) pullSource(s *replicaSet, i int, gated bool) recon.Peer {
+	if s.layers[i] != nil {
+		return s.layers[i]
+	}
+	if !s.reachable(i) {
+		return nil
+	}
+	addr := s.locs[i].Addr
+	c := repl.NewClient(h.snHost, addr, ids.VolumeReplicaHandle{Vol: s.vol, Replica: s.locs[i].ID})
+	if s.deadline > 0 {
+		c = c.WithDeadline(s.deadline)
+	}
+	if gated {
+		if !h.health.ShouldProbe(string(addr), s.tick) {
+			return nil
+		}
+		return &healthPeer{c: c, h: h, now: s.tick}
+	}
+	if err := c.Ping(); err != nil {
+		if retry.Transient(err) {
+			h.health.Fail(string(addr), s.tick)
+		}
+		return nil
+	}
+	h.health.OK(string(addr))
+	return c
 }
 
 // Locations returns the known replica placement of vol, sorted by id.
 func (h *Host) Locations(vol ids.VolumeHandle) []ReplicaLoc {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	m := h.locations[vol]
-	out := make([]ReplicaLoc, 0, len(m))
-	for rid, addr := range m {
-		out = append(out, ReplicaLoc{ID: rid, Addr: addr})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return h.replicaSet(vol).locs
 }
 
 // LocalReplica returns the physical layer of a locally stored replica of
@@ -390,47 +466,26 @@ func (h *Host) UFS(vr ids.VolumeReplicaHandle) *ufs.FS {
 // paper Figures 1 and 2 ("the NFS layer is omitted when both layers are
 // co-resident").
 func (h *Host) Mount(vol ids.VolumeHandle, policy logical.Policy) (*logical.Layer, error) {
-	h.mu.Lock()
-	if h.down {
-		h.mu.Unlock()
+	if h.Down() {
 		return nil, ErrHostDown
 	}
-	locs := h.locations[vol]
-	if len(locs) == 0 {
-		h.mu.Unlock()
+	s := h.replicaSet(vol)
+	if len(s.locs) == 0 {
 		return nil, ErrUnknownVolume
 	}
-	type cand struct {
-		rid   ids.ReplicaID
-		addr  simnet.Addr
-		local *localReplica
+	// Local replicas first, then the remote ones, each by replica id: the
+	// FirstAvailable order.
+	replicas := make([]logical.Replica, 0, len(s.locs))
+	for i, l := range s.locs {
+		if s.layers[i] != nil {
+			replicas = append(replicas, logical.Replica{ID: l.ID, FS: s.layers[i]})
+		}
 	}
-	var cands []cand
-	for rid, addr := range locs {
-		c := cand{rid: rid, addr: addr}
-		if addr == h.addr {
-			c.local = h.replicas[ids.VolumeReplicaHandle{Vol: vol, Replica: rid}]
+	for i, l := range s.locs {
+		if s.layers[i] == nil && s.reachable(i) {
+			vr := ids.VolumeReplicaHandle{Vol: vol, Replica: l.ID}
+			replicas = append(replicas, logical.Replica{ID: l.ID, FS: nfs.DialService(h.snHost, l.Addr, nfsService(vr), nil)})
 		}
-		cands = append(cands, c)
-	}
-	h.mu.Unlock()
-	// Local replicas first, then by replica id: the FirstAvailable order.
-	sort.Slice(cands, func(i, j int) bool {
-		li, lj := cands[i].local != nil, cands[j].local != nil
-		if li != lj {
-			return li
-		}
-		return cands[i].rid < cands[j].rid
-	})
-	replicas := make([]logical.Replica, 0, len(cands))
-	for _, c := range cands {
-		if c.local != nil {
-			replicas = append(replicas, logical.Replica{ID: c.rid, FS: c.local.layer})
-			continue
-		}
-		vr := ids.VolumeReplicaHandle{Vol: vol, Replica: c.rid}
-		client := nfs.DialService(h.snHost, c.addr, nfsService(vr), nil)
-		replicas = append(replicas, logical.Replica{ID: c.rid, FS: client})
 	}
 	lay := logical.New(vol, replicas, logical.Options{
 		Policy: policy,
@@ -578,50 +633,20 @@ func (h *Host) PropagationStats() recon.Stats {
 }
 
 // peerFinder builds the propagation daemon's pull-source lookup for one
-// local replica.  Every remote contact feeds the health tracker.  With
-// gated set, peers the tracker considers dead are skipped without any
-// network traffic until their cool-down expires — the propagation daemon
-// uses this so a flapping or long-dead host is not hammered every pass —
-// and the peer is returned wrapped so the pulls themselves feed the
-// tracker: the pull is the probe, no separate Ping round trip.
-// Reconciliation and GC pass gated=false: correctness there depends on
-// actual reachability (a skipped peer must mean an unreachable peer), so
-// they pay an explicit Ping, which is also what revives a recovered peer.
+// local replica.  With gated set, peers the tracker considers dead are
+// skipped without any network traffic until their cool-down expires — the
+// propagation daemon uses this so a flapping or long-dead host is not
+// hammered every pass.  Reconciliation and GC pass gated=false: correctness
+// there depends on actual reachability (a skipped peer must mean an
+// unreachable peer), so they pay an explicit Ping, which is also what
+// revives a recovered peer.
 func (h *Host) peerFinder(local *physical.Layer, gated bool) recon.PeerFinder {
 	return func(origin ids.ReplicaID) recon.Peer {
-		h.mu.Lock()
-		addr, ok := h.locations[local.Volume()][origin]
-		now := h.daemonTick
-		deadline := h.slowCfg.RPCDeadline
-		var lr *localReplica
-		if ok && addr == h.addr {
-			lr = h.replicas[ids.VolumeReplicaHandle{Vol: local.Volume(), Replica: origin}]
+		s := h.replicaSet(local.Volume())
+		if i, ok := locIndex(s.locs, origin); ok {
+			return h.pullSource(&s, i, gated)
 		}
-		h.mu.Unlock()
-		if !ok {
-			return nil
-		}
-		if lr != nil {
-			return lr.layer
-		}
-		c := repl.NewClient(h.snHost, addr, ids.VolumeReplicaHandle{Vol: local.Volume(), Replica: origin})
-		if deadline > 0 {
-			c = c.WithDeadline(deadline)
-		}
-		if gated {
-			if !h.health.ShouldProbe(string(addr), now) {
-				return nil
-			}
-			return &healthPeer{c: c, h: h, now: now}
-		}
-		if err := c.Ping(); err != nil {
-			if retry.Transient(err) {
-				h.health.Fail(string(addr), now)
-			}
-			return nil
-		}
-		h.health.OK(string(addr))
-		return c
+		return nil
 	}
 }
 
@@ -672,7 +697,8 @@ func (p *healthPeer) SlowPeer() bool {
 	return p.h.health.State(string(p.c.Addr())) == retry.Slow
 }
 
-// PeerKey identifies the peer's host for the per-peer in-flight cap.
+// PeerKey identifies the peer's host, so that recon.samePeer holds back a
+// hedge to the origin's own host.
 func (p *healthPeer) PeerKey() string { return string(p.c.Addr()) }
 
 func (p *healthPeer) Replica() ids.ReplicaID { return p.c.Replica() }
@@ -705,71 +731,25 @@ func (h *Host) PeerHealthInfo(addr simnet.Addr) retry.HealthInfo {
 // not taken.
 func (h *Host) hedgeFinder(local *physical.Layer) func(ids.ReplicaID) recon.Peer {
 	return func(origin ids.ReplicaID) recon.Peer {
-		h.mu.Lock()
-		now := h.daemonTick
-		deadline := h.slowCfg.RPCDeadline
-		type cand struct {
-			rid  ids.ReplicaID
-			addr simnet.Addr
-			lr   *localReplica
-		}
-		var cands []cand
-		for rid, addr := range h.locations[local.Volume()] {
-			if rid == origin || rid == local.Replica() {
+		s := h.replicaSet(local.Volume())
+		best, bestRank, bestEWMA := -1, 0, uint64(0)
+		for i, l := range s.locs {
+			if l.ID == origin || l.ID == local.Replica() || !s.reachable(i) {
 				continue
 			}
-			c := cand{rid: rid, addr: addr}
-			if addr == h.addr {
-				c.lr = h.replicas[ids.VolumeReplicaHandle{Vol: local.Volume(), Replica: rid}]
-				if c.lr == nil {
-					continue // stale location entry for a removed local replica
-				}
+			rank, ewma := -1, uint64(0) // co-resident: free, always first
+			if s.layers[i] == nil {
+				info := h.health.Snapshot(string(l.Addr))
+				rank, ewma = int(info.State), info.EWMATicks
 			}
-			cands = append(cands, c)
-		}
-		h.mu.Unlock()
-		if len(cands) == 0 {
-			return nil
-		}
-		rank := func(c cand) (int, uint64) {
-			if c.lr != nil {
-				return -1, 0 // co-resident: free, always first
-			}
-			info := h.health.Snapshot(string(c.addr))
-			switch info.State {
-			case retry.Healthy:
-				return 0, info.EWMATicks
-			case retry.Slow:
-				return 1, info.EWMATicks
-			case retry.Suspect:
-				return 2, info.EWMATicks
-			default:
-				return 3, info.EWMATicks // dead: excluded below
+			if best < 0 || rank < bestRank || rank == bestRank && ewma < bestEWMA {
+				best, bestRank, bestEWMA = i, rank, ewma
 			}
 		}
-		sort.Slice(cands, func(i, j int) bool {
-			ri, ei := rank(cands[i])
-			rj, ej := rank(cands[j])
-			if ri != rj {
-				return ri < rj
-			}
-			if ei != ej {
-				return ei < ej
-			}
-			return cands[i].rid < cands[j].rid
-		})
-		best := cands[0]
-		if best.lr != nil {
-			return best.lr.layer
+		if best < 0 || bestRank == int(retry.Dead) {
+			return nil // no alternate, or every alternate is dead
 		}
-		if r, _ := rank(best); r >= 3 {
-			return nil // every alternate is dead; no useful hedge
-		}
-		c := repl.NewClient(h.snHost, best.addr, ids.VolumeReplicaHandle{Vol: local.Volume(), Replica: best.rid})
-		if deadline > 0 {
-			c = c.WithDeadline(deadline)
-		}
-		return &healthPeer{c: c, h: h, now: now}
+		return h.pullSource(&s, best, true)
 	}
 }
 
@@ -854,33 +834,19 @@ func (h *Host) CollectGarbage() (int, error) {
 		return 0, nil
 	}
 	total := 0
+next:
 	for _, layer := range h.LocalReplicas() {
-		h.mu.Lock()
-		locs := make(map[ids.ReplicaID]simnet.Addr, len(h.locations[layer.Volume()]))
-		for rid, addr := range h.locations[layer.Volume()] {
-			locs[rid] = addr
-		}
-		h.mu.Unlock()
-		peers := make([]recon.Peer, 0, len(locs))
-		complete := true
-		rids := make([]ids.ReplicaID, 0, len(locs))
-		for rid := range locs {
-			rids = append(rids, rid)
-		}
-		sort.Slice(rids, func(i, j int) bool { return rids[i] < rids[j] })
-		for _, rid := range rids {
-			if rid == layer.Replica() {
+		s := h.replicaSet(layer.Volume())
+		peers := make([]recon.Peer, 0, len(s.locs))
+		for i, l := range s.locs {
+			if l.ID == layer.Replica() {
 				continue
 			}
-			peer := h.peerFinder(layer, false)(rid)
+			peer := h.pullSource(&s, i, false)
 			if peer == nil {
-				complete = false
-				break
+				continue next
 			}
 			peers = append(peers, peer)
-		}
-		if !complete {
-			continue
 		}
 		n, err := recon.TombstoneGC(layer, peers)
 		total += n

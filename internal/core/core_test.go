@@ -8,6 +8,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/logical"
 	"repro/internal/physical"
+	"repro/internal/retry"
 	"repro/internal/simnet"
 	"repro/internal/vnode"
 )
@@ -484,5 +485,82 @@ func TestDeltaPropagationThroughHealthGate(t *testing.T) {
 	data, err := vnode.ReadFile(g)
 	if err != nil || len(data) != 3*bs || data[2*bs] != 'c' {
 		t.Fatalf("delta-installed file wrong: len=%d err=%v", len(data), err)
+	}
+}
+
+// TestStaleSelfLocationIsUnreachable: a location row that names this host
+// but no replica stored here is unreachable to every reader.  The mount,
+// the propagation and reconciliation passes and GC make no RPC to it (on a
+// one-host cluster every RPC would be one to self), the host's own address
+// records no failure, and GC still refuses the volume as incomplete.
+func TestStaleSelfLocationIsUnreachable(t *testing.T) {
+	c := newCluster(t, 1)
+	h := c.hosts[0]
+	root := c.mount(t, 0)
+	f, err := root.Create("f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vnode.WriteFile(f, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := root.Create("gone", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Remove("gone"); err != nil {
+		t.Fatal(err)
+	}
+	layer := h.LocalReplica(c.vol)
+	proot, err := layer.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := proot.Lookup("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dir, fid, err := physical.ParseHandle(pf.Handle())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	h.SetLocations(c.vol, []ReplicaLoc{{ID: 9, Addr: h.Addr()}})
+	before := c.net.Stats().RPCs
+	root = c.mount(t, 0)
+	g, err := root.Lookup("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := vnode.ReadFile(g); err != nil || string(data) != "kept" {
+		t.Fatalf("read through the mount = %q, %v", data, err)
+	}
+	layer.NoteNewVersion(dir, fid, 9)
+	stats, err := h.PropagateOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Deferred != 1 || len(layer.PendingVersions()) != 1 {
+		t.Fatalf("a notice from the stale replica: deferred %d, pending %d; want 1, 1", stats.Deferred, len(layer.PendingVersions()))
+	}
+	if _, err := h.ReconcileOnce(); err != nil {
+		t.Fatal(err)
+	}
+	n, err := h.CollectGarbage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Fatalf("GC collected %d tombstones with replica 9 unreachable", n)
+	}
+	if rpcs := c.net.Stats().RPCs - before; rpcs != 0 {
+		t.Fatalf("%d RPCs on a one-host cluster, want none to self", rpcs)
+	}
+	if info := h.PeerHealthInfo(h.Addr()); info.Fails != 0 || info.State != retry.Healthy {
+		t.Fatalf("own address's health = %+v, want no failure", info)
+	}
+
+	h.ForgetLocation(c.vol, 9)
+	if n, err := h.CollectGarbage(); err != nil || n != 1 {
+		t.Fatalf("GC without the stale row = %d, %v; want 1 tombstone", n, err)
 	}
 }

@@ -168,10 +168,10 @@ func rumorHash(src simnet.Addr, seq uint64) uint64 {
 func (h *Host) gossipPickLocked(vol ids.VolumeHandle, rumor uint64, excl map[simnet.Addr]bool, k int) []simnet.Addr {
 	seen := make(map[simnet.Addr]bool)
 	var cands []simnet.Addr
-	for _, addr := range h.locations[vol] {
-		if !seen[addr] && !excl[addr] {
-			seen[addr] = true
-			cands = append(cands, addr)
+	for _, l := range h.locations[vol] {
+		if !seen[l.Addr] && !excl[l.Addr] {
+			seen[l.Addr] = true
+			cands = append(cands, l.Addr)
 		}
 	}
 	if len(cands) == 0 {
@@ -210,22 +210,19 @@ type PeerPriority struct {
 // remote peers, highest priority first — what the next ReconcileOnce pass
 // would visit (truncated to ReconPeers if a budget is configured).
 func (h *Host) AntiEntropyPlan(vol ids.VolumeHandle) []PeerPriority {
-	local := h.LocalReplica(vol)
-	peers, now := h.schedPeers(vol, local)
-	order := h.sched.Order(vol, peers, now)
+	s, peers := h.schedPeers(vol, h.LocalReplica(vol))
+	order := h.sched.Order(vol, peers, s.tick)
 	out := make([]PeerPriority, 0, len(order))
-	h.mu.Lock()
-	locs := h.locations[vol]
 	for _, p := range order {
+		i, _ := locIndex(s.locs, p.Replica)
 		out = append(out, PeerPriority{
 			Replica:     p.Replica,
-			Addr:        locs[p.Replica],
+			Addr:        s.locs[i].Addr,
 			Health:      p.Health.String(),
 			LastSync:    p.LastSync,
 			LastAttempt: p.LastAttempt,
 			Score:       p.Score,
 		})
 	}
-	h.mu.Unlock()
 	return out
 }

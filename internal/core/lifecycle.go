@@ -21,7 +21,6 @@ import (
 	"repro/internal/physical"
 	"repro/internal/recon"
 	"repro/internal/retry"
-	"repro/internal/simnet"
 	"repro/internal/ufs"
 	"repro/internal/ufsvn"
 )
@@ -162,36 +161,26 @@ func (h *Host) Devices() []*disk.Device {
 	return out
 }
 
-// schedPeers snapshots vol's remote peers as anti-entropy scheduler input:
-// replica ids with the health tracker's current verdict (co-resident
-// replicas count as healthy), plus the host's current daemon tick.  Health
-// is read after h.mu is released — the tracker keeps its own lock.
-func (h *Host) schedPeers(vol ids.VolumeHandle, local *physical.Layer) ([]recon.SchedPeer, uint64) {
-	h.mu.Lock()
-	now := h.daemonTick
-	self := h.addr
-	type peerAddr struct {
-		rid  ids.ReplicaID
-		addr simnet.Addr
-	}
-	pas := make([]peerAddr, 0, len(h.locations[vol]))
-	for rid, addr := range h.locations[vol] {
-		if local != nil && rid == local.Replica() {
+// schedPeers turns vol's replica set, less the local replica, into
+// anti-entropy scheduler input: each peer's replica id and the health
+// tracker's verdict (a co-resident replica is healthy, a stale location
+// dead).  The set comes with them; its tick is the pass's.
+func (h *Host) schedPeers(vol ids.VolumeHandle, local *physical.Layer) (replicaSet, []recon.SchedPeer) {
+	s := h.replicaSet(vol)
+	peers := make([]recon.SchedPeer, 0, len(s.locs))
+	for i, l := range s.locs {
+		if local != nil && l.ID == local.Replica() {
 			continue
 		}
-		pas = append(pas, peerAddr{rid, addr})
-	}
-	h.mu.Unlock()
-	sort.Slice(pas, func(i, j int) bool { return pas[i].rid < pas[j].rid })
-	peers := make([]recon.SchedPeer, 0, len(pas))
-	for _, p := range pas {
 		st := retry.Healthy
-		if p.addr != self {
-			st = h.health.State(string(p.addr))
+		if !s.reachable(i) {
+			st = retry.Dead
+		} else if s.layers[i] == nil {
+			st = h.health.State(string(l.Addr))
 		}
-		peers = append(peers, recon.SchedPeer{Replica: p.rid, Health: st})
+		peers = append(peers, recon.SchedPeer{Replica: l.ID, Health: st})
 	}
-	return peers, now
+	return s, peers
 }
 
 // reconcileReplica reconciles one local replica against remote replicas of
@@ -204,7 +193,8 @@ func (h *Host) schedPeers(vol ids.VolumeHandle, local *physical.Layer) ([]recon.
 // pass as a sync.
 func (h *Host) reconcileReplica(layer *physical.Layer) recon.Stats {
 	vol := layer.Volume()
-	peers, now := h.schedPeers(vol, layer)
+	s, peers := h.schedPeers(vol, layer)
+	now := s.tick
 	remotes := len(peers)
 	order := h.sched.Order(vol, peers, now)
 	if b := h.GossipSettings().ReconPeers; b > 0 && b < len(order) {
