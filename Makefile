@@ -24,10 +24,11 @@ lint:
 # (TestRemoteReadRPCBudget, TestFirstAvailableAsksNobodyElse) and the session
 # tests of internal/logical are in it — then ten more rounds of the tests that
 # share one vnode between goroutines: readers while its pinned replica is cut
-# off and healed, and two first opens at once (DESIGN.md §3.1).
+# off and healed, two first opens at once, and walks that the layer's vnode
+# table hands a vnode mid-session (DESIGN.md §3.1).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestSharedOpenVnodeUnderChurn|TestConcurrentFirstOpensShareOnePin' ./internal/logical
+	$(GO) test -race -count=10 -run 'TestSharedOpenVnodeUnderChurn|TestConcurrentFirstOpensShareOnePin|TestWalksMidSession' ./internal/logical
 
 # invariants re-runs the suite with the runtime invariant checks armed
 # (internal/invariant; free when the env var is unset).

@@ -81,13 +81,21 @@ type Layer struct {
 	graft    GraftHook
 	cacheTTL uint64
 
-	mu     sync.Mutex
-	locks  map[string]*fileMutex      // per-file concurrency control, held or awaited
-	clock  uint64                     // op counter driving cache expiry
-	rcache *lru.Cache[rcKey, rcEntry] // resolved-vnode cache (the layer's DNLC)
+	mu        sync.Mutex
+	locks     map[string]*fileMutex       // per-file concurrency control, held or awaited
+	idleLocks []*fileMutex                // released ones, for the next lockFile of another file
+	clock     uint64                      // op counter driving cache expiry
+	rcache    *lru.Cache[rcKey, rcEntry]  // resolved-vnode cache (the layer's DNLC)
+	vnodes    *lru.Cache[string, *lvnode] // one logical vnode per path, handed out while no session holds it
 
 	names *wire.Interner // the child paths and encoded opens and closes it renders
 }
+
+// cacheEntries bounds the resolution cache and the vnode table alike.
+const cacheEntries = 4096
+
+// idleLockEntries bounds the released file locks a layer keeps for reuse.
+const idleLockEntries = 16
 
 // fileMutex is one logical file's lock, kept while refs goroutines hold or await it.
 type fileMutex struct {
@@ -142,7 +150,8 @@ func New(vol ids.VolumeHandle, replicas []Replica, opts Options) *Layer {
 		graft:    opts.Graft,
 		cacheTTL: ttl,
 		locks:    make(map[string]*fileMutex),
-		rcache:   lru.New[rcKey, rcEntry](4096), // entries also age out by TTL
+		rcache:   lru.New[rcKey, rcEntry](cacheEntries), // entries also age out by TTL
+		vnodes:   lru.New[string, *lvnode](cacheEntries),
 		names:    wire.NewInterner(internEntries),
 	}
 }
@@ -168,13 +177,18 @@ func (l *Layer) cacheGet(path string, rep ids.ReplicaID) (vnode.Vnode, bool) {
 	return e.vn, true
 }
 
+// cachePut keeps what is known of vn if the entry it replaces holds vn too: the
+// layers below hand out one vnode per copy, so a re-resolution that ages out
+// finds the same one.
 func (l *Layer) cachePut(path string, rep ids.ReplicaID, vn vnode.Vnode) {
 	if l.cacheTTL == 0 {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.rcache.Put(rcKey{path, rep}, rcEntry{vn: vn, stamp: l.clock})
+	k := rcKey{path, rep}
+	old, ok := l.rcache.Get(k)
+	l.rcache.Put(k, rcEntry{vn: vn, stamp: l.clock, plain: ok && old.plain && old.vn == vn})
 }
 
 // cachePlain reports whether vn is path's cached resolution on rep and known
@@ -223,7 +237,24 @@ func (l *Layer) Replicas() []Replica { return append([]Replica(nil), l.replicas.
 
 // Root returns the one-copy root vnode.
 func (l *Layer) Root() (vnode.Vnode, error) {
-	return &lvnode{l: l}, nil
+	return l.vnodeFor(""), nil
+}
+
+// vnodeFor is the vnode Root, a Lookup, a Create or a Mkdir hands out for
+// path: the table's, unless a session holds that one, which then keeps it to
+// itself and the walk gets a fresh vnode (DESIGN.md §3.1).
+func (l *Layer) vnodeFor(path string) *lvnode {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	v, ok := l.vnodes.Get(path)
+	if ok && v.opens.Load() == 0 && v.pin.Load() == nil {
+		return v
+	}
+	fresh := &lvnode{l: l, path: path}
+	if !ok {
+		l.vnodes.Put(path, fresh)
+	}
+	return fresh
 }
 
 // Sync is forwarded to every accessible replica.
@@ -234,12 +265,18 @@ func (l *Layer) Sync() error {
 	return nil
 }
 
-// lockFile takes the concurrency-control lock of a logical file; its entry goes with the last unlock.
+// lockFile takes the concurrency-control lock of a logical file; its entry goes
+// with the last unlock, to be reused for another file.
 func (l *Layer) lockFile(key string) *fileMutex {
 	l.mu.Lock()
 	m := l.locks[key]
 	if m == nil {
-		m = &fileMutex{l: l, key: key}
+		if n := len(l.idleLocks); n > 0 {
+			m, l.idleLocks = l.idleLocks[n-1], l.idleLocks[:n-1]
+		} else {
+			m = &fileMutex{l: l}
+		}
+		m.key = key
 		l.locks[key] = m
 	}
 	m.refs++
@@ -253,6 +290,9 @@ func (m *fileMutex) unlock() {
 	m.l.mu.Lock()
 	if m.refs--; m.refs == 0 {
 		delete(m.l.locks, m.key)
+		if len(m.l.idleLocks) < idleLockEntries { // nobody holds or awaits it now
+			m.l.idleLocks = append(m.l.idleLocks, m)
+		}
 	}
 	m.l.mu.Unlock()
 }

@@ -17,17 +17,21 @@ import (
 // stack; retriable failures (replica unreachable, file not stored there,
 // stale handle) fall over to the next replica — one-copy availability.
 // Selection is per open (DESIGN.md §3.1): from Open to the last Close the
-// operations go to the copy chosen at Open, with no resolve and no poll.
+// operations go to the copy chosen at Open, with no resolve and no poll.  The
+// layer keeps one per path and hands it to every walk that finds no session
+// holding it.
 type lvnode struct {
 	l    *Layer
 	path string // the names from the root joined by "/"; "" is the root
 
 	sess  sync.Mutex                // held across an Open or Close: the next Open finds this one's pin
-	opens int                       // under sess: Opens not yet matched by a Close
+	opens atomic.Int32              // written under sess: Opens not yet matched by a Close
 	pin   atomic.Pointer[candidate] // the copy chosen at Open; nil: select per operation
+	last  *candidate                // under sess: the latest pin, published again by an Open that chooses its copy
 }
 
-// candidate is one resolved replica copy of this logical file.
+// candidate is one resolved replica copy of this logical file.  One that is
+// published as a pin is never written again.
 type candidate struct {
 	rep Replica
 	vn  vnode.Vnode
@@ -125,13 +129,13 @@ func nextName(path string, end int) (string, int) {
 	return path[end : end+n], end + n
 }
 
-// copies yields this file's copy on each replica that resolves it, in
-// configuration order, touching replica i+1 only if yield wants more.  If it
+// copies yields the copy of the file at path on each replica that resolves it,
+// in configuration order, touching replica i+1 only if yield wants more.  If it
 // yields nothing it returns why: a definite answer (ENOENT) outranks EUNAVAIL.
-func (v *lvnode) copies(yield func(candidate) bool) error {
+func (l *Layer) copies(path string, yield func(candidate) bool) error {
 	bestErr := error(vnode.EUNAVAIL)
-	for _, r := range v.l.replicas {
-		vn, err := v.resolveOn(r)
+	for _, r := range l.replicas {
+		vn, _, err := l.resolve(path, r)
 		if err != nil {
 			if vnode.AsErrno(err) != vnode.EUNAVAIL && vnode.AsErrno(bestErr) == vnode.EUNAVAIL {
 				bestErr = err
@@ -157,13 +161,13 @@ const rankedCopies = 8
 // bind the name to different files, so MostRecent keeps the copies whose
 // FileID is the first answering copy's — the file FirstAvailable would use —
 // in configuration order, before it puts the newest first.
-func (v *lvnode) candidates(yield func(candidate) bool) error {
-	if v.l.policy != MostRecent {
-		return v.copies(yield)
+func (l *Layer) candidates(path string, yield func(candidate) bool) error {
+	if l.policy != MostRecent {
+		return l.copies(path, yield)
 	}
 	var buf [rankedCopies]candidate // out's room: only more copies than this spill to the heap
 	out := buf[:0]
-	err := v.copies(func(c candidate) bool { out = append(out, c); return true })
+	err := l.copies(path, func(c candidate) bool { out = append(out, c); return true })
 	if len(out) > 1 {
 		kept, best := out[:0], 0
 		var file string
@@ -226,7 +230,7 @@ func (v *lvnode) writeOp(fn func(c candidate) (notifyHandle string, err error)) 
 		v.pin.CompareAndSwap(pin, nil)
 	}
 	var last error
-	err := v.candidates(func(c candidate) (retry bool) {
+	err := v.l.candidates(v.path, func(c candidate) (retry bool) {
 		retry, last = v.try(c, fn)
 		return retry
 	})
@@ -262,7 +266,7 @@ func (v *lvnode) Lookup(name string) (vnode.Vnode, error) {
 	if name == "" || strings.IndexByte(name, '/') >= 0 {
 		return nil, vnode.ENOENT
 	}
-	child := &lvnode{l: v.l, path: v.l.childPath(v.path, name)}
+	path := v.l.childPath(v.path, name)
 	// Graft interception (§4.4): if the child is a graft point and a hook
 	// is installed, return the grafted volume's root instead.
 	// Only Getattr tells a graft point, so with a hook the walk asks on until a
@@ -275,30 +279,30 @@ func (v *lvnode) Lookup(name string) (vnode.Vnode, error) {
 	var a vnode.Attr
 	ask := func(c candidate) bool {
 		held = c
-		if v.l.cachePlain(child.path, c.rep.ID, c.vn) {
+		if v.l.cachePlain(path, c.rep.ID, c.vn) {
 			a = vnode.Attr{}
 			return false
 		}
 		var aerr error
 		if a, aerr = c.vn.Getattr(); aerr == nil && a.GraftVol == "" {
-			v.l.cacheMarkPlain(child.path, c.rep.ID, c.vn)
+			v.l.cacheMarkPlain(path, c.rep.ID, c.vn)
 		}
 		return aerr != nil
 	}
 	if v.l.graft == nil {
 		ask = func(candidate) bool { return false }
 	}
-	if err := child.copies(ask); err != nil {
+	if err := v.l.copies(path, ask); err != nil {
 		return nil, err
 	}
 	if a.GraftVol == "" {
-		return child, nil
+		return v.l.vnodeFor(path), nil
 	}
 	if target, perr := ids.ParseVolumeHandle(a.GraftVol); perr == nil {
-		_ = child.candidates(ask)
+		_ = v.l.candidates(path, ask)
 		return v.l.graft(target, held.vn)
 	}
-	return child, nil
+	return v.l.vnodeFor(path), nil
 }
 
 // makeChild is Create and Mkdir: op makes the child in one copy of this directory,
@@ -308,13 +312,14 @@ func (v *lvnode) makeChild(name string, op func(dir vnode.Vnode) (child vnode.Vn
 	if err := checkLogicalName(name); err != nil {
 		return nil, err
 	}
+	path := v.l.childPath(v.path, name)
 	defer v.l.lockFile(v.path).unlock()
 	err := v.writeOp(func(c candidate) (string, error) {
 		vn, changed, err := op(c.vn)
 		if err != nil {
 			return "", err
 		}
-		v.l.cachePut(v.l.childPath(v.path, name), c.rep.ID, vn)
+		v.l.cachePut(path, c.rep.ID, vn)
 		if !changed {
 			return "", nil
 		}
@@ -323,7 +328,7 @@ func (v *lvnode) makeChild(name string, op func(dir vnode.Vnode) (child vnode.Vn
 	if err != nil {
 		return nil, err
 	}
-	return &lvnode{l: v.l, path: v.l.childPath(v.path, name)}, nil
+	return v.l.vnodeFor(path), nil
 }
 
 // Create without excl reuses an existing regular file, as the layers below do,
@@ -395,7 +400,8 @@ func (v *lvnode) Close(flags vnode.OpenFlags) error {
 // policy once, goes to the chosen copy's own parent directory and pins the
 // vnode the open returned there — the file the replica counted the open
 // against, whatever this layer's resolution of the name said; the last
-// matching close follows it there and ends the pin.
+// matching close follows it there and ends the pin.  An open that chooses the
+// copy the previous session chose publishes that session's pin again.
 func (v *lvnode) shipOpenClose(open bool, flags vnode.OpenFlags) error {
 	if v.path == "" {
 		return nil
@@ -418,14 +424,20 @@ func (v *lvnode) shipOpenClose(open bool, flags vnode.OpenFlags) error {
 		return err
 	})
 	if !open {
-		if v.opens = max(v.opens-1, 0); v.opens == 0 {
+		if n := v.opens.Load(); n > 1 {
+			v.opens.Store(n - 1)
+		} else {
+			v.opens.Store(0)
 			v.pin.Store(nil)
 		}
 	} else if err == nil {
-		v.opens++
-		if v.pin.Load() == nil { // the pin is the one copy of chose on the heap
-			pinned := chose
-			v.pin.CompareAndSwap(nil, &pinned)
+		v.opens.Add(1)
+		if v.pin.Load() == nil {
+			if v.last == nil || *v.last != chose { // a pin on the heap per copy chosen, not per session
+				pinned := chose
+				v.last = &pinned
+			}
+			v.pin.CompareAndSwap(nil, v.last)
 		}
 	}
 	return err

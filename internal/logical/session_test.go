@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/ids"
+	"repro/internal/lru"
 	"repro/internal/nfs"
 	"repro/internal/physical"
 	"repro/internal/recon"
@@ -30,12 +31,14 @@ type call struct {
 	name string // the name looked up, when there is one
 }
 
-// countFS is a vnode.VFS that logs every call crossing it.
+// countFS is a vnode.VFS that logs every call crossing it.  Like the layers
+// it stands on, it hands out one vnode per vnode below.
 type countFS struct {
 	lower  vnode.VFS
 	onCall func(call) // if set, runs before each call is forwarded; it may block
 	mu     sync.Mutex
 	log    []call
+	vns    map[vnode.Vnode]*countVnode
 }
 
 func (f *countFS) note(op, name string) {
@@ -86,7 +89,17 @@ func (f *countFS) wrap(v vnode.Vnode, err error) (vnode.Vnode, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &countVnode{Vnode: v, fs: f}, nil
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.vns == nil {
+		f.vns = make(map[vnode.Vnode]*countVnode)
+	}
+	cv := f.vns[v]
+	if cv == nil {
+		cv = &countVnode{Vnode: v, fs: f}
+		f.vns[v] = cv
+	}
+	return cv, nil
 }
 
 // countVnode forwards everything; the operations these tests count are logged.
@@ -441,8 +454,11 @@ func TestLookupDoesNotPoll(t *testing.T) {
 // to be no graft point is not asked again while its resolution is cached — a
 // file id's graft-ness is fixed when it is made (§4.3) — so a warm walk of
 // a/b/f over two replicas reached through NFS, hook installed, sends nothing
-// at all.  And once f's resolution has aged out while its parent's has not,
-// re-resolving f is one Lookup RPC from the parent, not a walk from the root.
+// at all.  What it was told outlives the resolution it was told of: once every
+// resolution has aged out, the walk re-resolves to the same copies and asks
+// none of them again.  And once f's resolution has aged out while its
+// parent's has not, re-resolving f is one Lookup RPC from the parent, not a
+// walk from the root.
 func TestWarmWalkAsksNothing(t *testing.T) {
 	r := newSessionRig(t, 3)
 	r.populate(t, "v1")
@@ -464,6 +480,12 @@ func TestWarmWalkAsksNothing(t *testing.T) {
 	walk("a/b/f")
 	if rpcs := walk("a/b/f"); rpcs != 0 || r.counts[1].count("getattr") != 0 {
 		t.Errorf("a warm walk sent %d RPCs: %s", rpcs, r.counts[1].calls())
+	}
+	for range lay.cacheTTL {
+		lay.tick()
+	}
+	if walk("a/b/f"); r.counts[1].count("getattr") != 0 {
+		t.Errorf("re-resolving the aged-out walk asked its copies again: %s", r.counts[1].calls())
 	}
 	for range lay.cacheTTL {
 		lay.tick()
@@ -883,9 +905,80 @@ func TestSharedOpenVnodeUnderChurn(t *testing.T) {
 	}
 }
 
-// TestLayerKeepsNoGarbage: the per-file locks go with their last holder and
-// the resolution cache stays within its bound, however many names a layer
-// has seen.  (At the parent commit this left one mutex per path ever
+// TestWalksMidSession is the -race test of the vnode table (DESIGN.md §3.1):
+// four goroutines each walk to one file, open it, read it and close it, over
+// and over, while four more walk to it and read through whatever the walk
+// handed them — the table's vnode, idle or shared with a session, or one of
+// their own.  Every read returns one copy whole, and every open's close
+// reaches the replica that counted it: no replica is left counting an open.
+func TestWalksMidSession(t *testing.T) {
+	r := newSessionRig(t, 2)
+	r.populate(t, "copy-at-0")
+	r.physWrite(t, 1, "a/b/f", "copy-at-1")
+	fid := r.fidOf(t, 0, "a/b/f")
+	root := r.layer(MostRecent, nil)
+	opened := r.phys[0].TotalOpens() + r.phys[1].TotalOpens()
+	const rounds = 100
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		session := g%2 == 0
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, len("copy-at-0"))
+			for i := 0; i < rounds; i++ {
+				v, err := vnode.Walk(root, "a/b/f")
+				if err != nil {
+					t.Errorf("walk: %v", err)
+					return
+				}
+				if session {
+					if err := v.Open(vnode.OpenRead); err != nil {
+						t.Errorf("open: %v", err)
+						return
+					}
+				}
+				for k := 0; k < 3; k++ {
+					if _, err := v.ReadAt(buf, 0); err != nil {
+						t.Errorf("read: %v", err)
+						return
+					}
+					if !bytes.Equal(buf, []byte("copy-at-0")) && !bytes.Equal(buf, []byte("copy-at-1")) {
+						t.Errorf("read %q, neither copy", buf)
+						return
+					}
+				}
+				if session {
+					if err := v.Close(vnode.OpenRead); err != nil {
+						t.Errorf("close: %v", err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, p := range r.phys {
+		if n := p.OpenCount(fid); n != 0 {
+			t.Errorf("replica %d still counts %d opens", i, n)
+		}
+	}
+	if n := r.phys[0].TotalOpens() + r.phys[1].TotalOpens() - opened; n != 4*rounds {
+		t.Errorf("the replicas counted %d opens, want %d", n, 4*rounds)
+	}
+}
+
+// entries counts what c holds.
+func entries[K comparable, V any](c *lru.Cache[K, V]) int {
+	n := 0
+	c.DropFunc(func(K, V) bool { n++; return false })
+	return n
+}
+
+// TestLayerKeepsNoGarbage: the per-file locks go with their last holder, the
+// released ones kept for reuse stay few, and the resolution cache and the
+// vnode table stay within their bound, however many names a layer has seen.
+// (At the parent commit of the lock table this left one mutex per path ever
 // mutated — 10 033 of them.)
 func TestLayerKeepsNoGarbage(t *testing.T) {
 	if testing.Short() {
@@ -909,12 +1002,7 @@ func TestLayerKeepsNoGarbage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cached := func() int {
-		n := 0
-		lay.rcache.DropFunc(func(rcKey, rcEntry) bool { n++; return false })
-		return n
-	}
-	most := 0
+	most, mostVnodes := 0, 0
 	for i := 0; i < cycles; i++ {
 		name := fmt.Sprintf("f%d", i)
 		f, err := dir[i%dirs].Create(name, true)
@@ -932,13 +1020,20 @@ func TestLayerKeepsNoGarbage(t *testing.T) {
 			}
 		}
 		if i%100 == 99 {
-			most = max(most, cached())
+			most = max(most, entries(lay.rcache))
+			mostVnodes = max(mostVnodes, entries(lay.vnodes))
 		}
 	}
 	if n := len(lay.locks); n != 0 {
 		t.Errorf("%d file locks left behind with nobody holding one", n)
 	}
+	if n := len(lay.idleLocks); n > idleLockEntries {
+		t.Errorf("%d released file locks kept for reuse; the bound is %d", n, idleLockEntries)
+	}
 	if most > 4096 || most < 4000 {
 		t.Errorf("the resolution cache peaked at %d entries; its bound is 4096 and %d files stayed", most, cycles/2)
+	}
+	if mostVnodes > 4096 || mostVnodes < 4000 {
+		t.Errorf("the vnode table peaked at %d entries; its bound is 4096 and %d files stayed", mostVnodes, cycles/2)
 	}
 }

@@ -126,6 +126,9 @@ func remoteRead(t testing.TB) []struct {
 		{"open", 0, func() error { _, err := root.Lookup(open); return err }},
 		{"read", 0, func() error { _, err := f.ReadAt(buf, 0); return err }},
 		{"close", 0, func() error { _, err := root.Lookup(shut); return err }},
+		// The slice a listing returns, at the server and at the client: the
+		// names and FileIDs in it are the ones each side read before.
+		{"readdir", 2, func() error { _, err := root.Readdir(); return err }},
 	}
 	for _, r := range rows { // warm every layer's caches and tables
 		if err := r.op(); err != nil {

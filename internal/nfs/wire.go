@@ -217,9 +217,10 @@ func (r *Response) encode() []byte {
 	return dst
 }
 
-// decodeResponse decodes b into *r, which the caller holds, reading the handle
-// and the attributes' FileID through in (nil: no interning).  r.Data is a view
-// of b: it is read only until b goes back to the pool.
+// decodeResponse decodes b into *r, which the caller holds, reading the handle,
+// the attributes' FileID and each directory entry's name and FileID through in
+// (nil: no interning).  r.Data is a view of b: it is read only until b goes
+// back to the pool.
 func decodeResponse(b []byte, r *Response, in *wire.Interner) error {
 	d := wire.NewDecoder(b)
 	d.Version(wireVersion)
@@ -238,8 +239,8 @@ func decodeResponse(b []byte, r *Response, in *wire.Interner) error {
 		r.Ents = make([]vnode.Dirent, n)
 		for i := range r.Ents {
 			e := &r.Ents[i]
-			e.Name = d.Str()
-			e.FileID = d.Str()
+			e.Name = d.StrIn(in)
+			e.FileID = d.StrIn(in)
 			e.Type = vnode.VType(d.U8())
 			e.Value = d.Str()
 		}

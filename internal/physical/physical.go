@@ -34,7 +34,6 @@ import (
 	"repro/internal/lru"
 	"repro/internal/vnode"
 	"repro/internal/vv"
-	"repro/internal/wire"
 )
 
 // UFS names inside a directory container.
@@ -290,11 +289,19 @@ func (l *Layer) rootContainer() (vnode.Vnode, error) {
 // with the root fid) names, remembered or walked down to.  Store handles are bare
 // inode numbers, reused: what removes or moves a container flushes conts.
 func (l *Layer) containerOf(dirPath []ids.FileID) (vnode.Vnode, error) {
-	key := make([]byte, 0, 128)
+	var buf [8 * handleFieldLen]byte // a deeper path spills to the heap
+	key := buf[:0]
 	for _, fid := range dirPath {
-		key = wire.AppendFID(key, fid)
+		key = ids.AppendFileID(append(key, '|'), fid)
 	}
-	if c, ok := l.conts.Get(string(key)); ok {
+	return l.containerAt(string(key), dirPath)
+}
+
+// containerAt is containerOf with the fid path also spelled as a handle spells
+// it, the key conts keeps: a vnode's handle holds its own, so a warm one's
+// container makes no string.
+func (l *Layer) containerAt(key string, dirPath []ids.FileID) (vnode.Vnode, error) {
+	if c, ok := l.conts.Get(key); ok {
 		return c, nil
 	}
 	c := l.root
@@ -308,6 +315,6 @@ func (l *Layer) containerOf(dirPath []ids.FileID) (vnode.Vnode, error) {
 		}
 		c = next
 	}
-	l.conts.Put(string(key), c)
+	l.conts.Put(key, c)
 	return c, nil
 }

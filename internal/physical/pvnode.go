@@ -102,9 +102,9 @@ func (v *pvnode) childLocked(fid ids.FileID, k Kind) *pvnode {
 // container for directories, the parent's container for files.
 func (v *pvnode) container() (vnode.Vnode, error) {
 	if v.kind.IsDir() {
-		return v.l.containerOf(v.self)
+		return v.l.containerAt(v.handle[1:], v.self)
 	}
-	return v.l.containerOf(v.dirPath)
+	return v.l.containerAt(v.handle[1:len(v.handle)-handleFieldLen], v.dirPath)
 }
 
 // Handle encodes kind and fid path; Resolve reverses it.

@@ -136,24 +136,51 @@ func TestFirstAvailableAsksNobodyElse(t *testing.T) {
 }
 
 // TestWarmRemoteReadAllocs: a warm ReadFile through a mount with no local
-// replica allocates the slice it returns, the logical vnodes of its walk, one
-// per name, and the pin its open leaves on the last of them — nothing else.
-// Its messages are lent by wire's pool, the client vnodes and the encoded open
-// and close are the ones made before, and the data is copied once, from the
-// reply into the slice.  Invariants re-encode a directory on every hit, so
-// they are disarmed.
+// replica allocates the slice it returns — nothing else.  Its walk is handed
+// the logical layer's vnode for each path, its open publishes again the pin
+// the last session of that vnode left, its messages are lent by wire's pool,
+// the client vnodes and the encoded open and close are the ones made before,
+// and the data is copied once, from the reply into the slice.  Invariants
+// re-encode a directory on every hit, so they are disarmed.
 func TestWarmRemoteReadAllocs(t *testing.T) {
 	defer invariant.ForceForTest(false)()
 	_, _, m, file := remoteReadCluster(t, MostRecent)
 	path, want := file(3)
-	const walk = 2 // "/d1/f3": the root's vnode is the mount's
 	got := testing.AllocsPerRun(200, func() {
 		data, err := m.ReadFile(path)
 		if err != nil || !bytes.Equal(data, want) {
 			t.Fatalf("read of %s: %d bytes, %v", path, len(data), err)
 		}
 	})
-	if got > 1+walk+1 {
-		t.Errorf("a warm remote ReadFile allocates %v times, want at most %d: its slice, %d lvnodes and a pin", got, 1+walk+1, walk)
+	if got > 1 {
+		t.Errorf("a warm remote ReadFile allocates %v times, want at most 1: its slice", got)
+	}
+}
+
+// TestWarmLocalReadAllocs is its twin on one host, whose replica is
+// co-resident: a warm ReadFile allocates the slice it returns and nothing in
+// the logical, physical or UFS layers.
+func TestWarmLocalReadAllocs(t *testing.T) {
+	defer invariant.ForceForTest(false)()
+	c := newTestCluster(t, 1)
+	m, err := c.Mount(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte("f"), 8192)
+	if err := m.MkdirAll("/d/e"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteFile("/d/e/f", want); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		data, err := m.ReadFile("/d/e/f")
+		if err != nil || !bytes.Equal(data, want) {
+			t.Fatalf("read of /d/e/f: %d bytes, %v", len(data), err)
+		}
+	})
+	if got > 1 {
+		t.Errorf("a warm local ReadFile allocates %v times, want at most 1: its slice", got)
 	}
 }
