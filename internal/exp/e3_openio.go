@@ -182,11 +182,7 @@ func ficusOpenIOs(cachesOn bool, pads [2]int) (cold, warm uint64, err error) {
 	// Caches off means every locality cache off: the UFS's, the logical
 	// layer's resolution cache, and (flushed before each open below) the
 	// physical layer's decoded directories.
-	var lopts logical.Options
-	if !cachesOn {
-		lopts.CacheTTLOps = -1
-	}
-	lay := logical.New(ExpVol, []logical.Replica{{ID: 1, FS: phys}}, lopts)
+	lay := logical.New(ExpVol, []logical.Replica{{ID: 1, FS: phys}}, logical.Options{DisableCache: !cachesOn})
 	root, err := lay.Root()
 	if err != nil {
 		return 0, 0, err

@@ -94,6 +94,10 @@ type Layer struct {
 // cacheEntries bounds the resolution cache and the vnode table alike.
 const cacheEntries = 4096
 
+// rcacheTTL is how many layer operations a cached path resolution stays fresh
+// for (Options.DisableCache).
+const rcacheTTL = 128
+
 // idleLockEntries bounds the released file locks a layer keeps for reuse.
 const idleLockEntries = 16
 
@@ -122,24 +126,21 @@ type Options struct {
 	Policy Policy
 	Notify Notifier  // nil: no notifications sent
 	Graft  GraftHook // nil: graft points appear as ordinary directories
-	// CacheTTLOps bounds how many layer operations a cached path
-	// resolution stays fresh for (default 128; negative disables the
-	// cache).  The cache is the logical layer's DNLC: it keeps the vnodes
-	// the 1990 kernel would have held per open file, so repeated access
-	// does not re-walk the replica stacks.  Stale entries self-heal: an
-	// operation on a stale vnode fails retriably and triggers a fresh
-	// resolution.
-	CacheTTLOps int
+	// DisableCache turns off the resolution cache, the logical layer's
+	// DNLC: it keeps the vnodes the 1990 kernel would have held per open
+	// file, so repeated access does not re-walk the replica stacks.  A
+	// cached resolution stays fresh for rcacheTTL layer operations, and a
+	// stale one self-heals: an operation on it fails retriably and triggers
+	// a fresh resolution.
+	DisableCache bool
 }
 
 // New builds the logical layer for volume vol over the given replicas
 // (order is the FirstAvailable preference order; by convention a
 // co-resident replica comes first).
 func New(vol ids.VolumeHandle, replicas []Replica, opts Options) *Layer {
-	ttl := uint64(128)
-	if opts.CacheTTLOps > 0 {
-		ttl = uint64(opts.CacheTTLOps)
-	} else if opts.CacheTTLOps < 0 {
+	ttl := uint64(rcacheTTL)
+	if opts.DisableCache {
 		ttl = 0
 	}
 	return &Layer{

@@ -93,10 +93,17 @@ func decodeAuxMember(p []byte) (Aux, *sidecar, error) {
 }
 
 // auxFileSize is the fixed on-disk size of an aux header, and where a file's
-// seal starts.  Keeping the size constant makes every header update a
-// single-block in-place overwrite — atomic on the device — so crash recovery
-// never sees a torn attribute block.  It bounds the version vector at ~40
-// replica entries, far beyond the experiments' replication factors.
+// seal starts.  A fixed size makes every header update one overwrite in place,
+// inside the member's first device block, but that write is not atomic: a
+// crash can land any prefix of the block (disk.FaultAfterWritesTorn).  A tear
+// before the first byte that changes leaves the old header, one after the last
+// the new; one in between splices the two, which may not decode (Check reports
+// it and the copy wedges) or may decode to neither vector.  What holds is the
+// order: the header is the last write of every in-place sequence
+// (rewriteAuxLocked), so data and seal are whole before it is touched, and a
+// spliced vector that differs from the seal's leaves the copy unverifiable,
+// never vouched for.  ROADMAP item 16 is a header that survives its tear.  The
+// size bounds the version vector at ~40 replica entries.
 const auxFileSize = 512
 
 func auxBytes(a *Aux) ([]byte, error) {
@@ -123,46 +130,30 @@ func writeAuxFile(put func(vnode.Vnode, string, []byte) error, dir vnode.Vnode, 
 	return put(dir, name, img)
 }
 
-// writeAuxVnode overwrites the header of an already-resolved aux member,
-// leaving its seal as it is.
-func writeAuxVnode(f vnode.Vnode, a *Aux) error {
-	data, err := auxBytes(a)
-	if err != nil {
-		return err
-	}
-	_, err = f.WriteAt(data, 0)
-	return err
-}
-
-// openAuxFile loads the named aux member from container dir — its header and
-// current seal — returning its vnode as well for an in-place overwrite
-// (writeAuxVnode, resealInPlace).  An empty aux member (a crash between
-// creation and the first write) reads as "not stored": the file replica never
-// finished materializing.
-func openAuxFile(dir vnode.Vnode, name string) (vnode.Vnode, Aux, *sidecar, error) {
+// readAuxFile reads the aux member name of container dir from the store: its
+// header and current seal.  It is what the verifiers — Check, Recover, the
+// scrubber — read, since they check the bytes at rest, which no stamp vouches
+// for; every other reader goes through the aux cache (fileAuxLocked).
+func readAuxFile(dir vnode.Vnode, name string) (Aux, *sidecar, error) {
 	f, err := dir.Lookup(name)
 	if err != nil {
-		return nil, Aux{}, nil, err
+		return Aux{}, nil, err
 	}
 	st, err := f.Getattr()
 	if err != nil {
-		return nil, Aux{}, nil, err
+		return Aux{}, nil, err
 	}
-	a, sc, err := loadAux(f, st.Size, true)
-	if err != nil {
-		return nil, Aux{}, nil, err
-	}
-	return f, a, sc, nil
+	return loadAux(f, st.Size)
 }
 
-// loadAux reads and decodes aux member f, size bytes long: only the header's
-// block unless seal asks for the seal too.
-func loadAux(f vnode.Vnode, size uint64, seal bool) (Aux, *sidecar, error) {
+// loadAux reads and decodes aux member f, size bytes long: the aux cache's
+// miss path, and readAuxFile's.  Header and seal share the member's first
+// device block for any file under about 880 KiB.  An empty aux member (a crash
+// between creation and the first write) reads as "not stored": the file
+// replica never finished materializing.
+func loadAux(f vnode.Vnode, size uint64) (Aux, *sidecar, error) {
 	if size == 0 {
 		return Aux{}, nil, ErrNotStored
-	}
-	if !seal {
-		size = min(size, auxFileSize)
 	}
 	data := make([]byte, size)
 	n, err := f.ReadAt(data, 0)
@@ -170,10 +161,4 @@ func loadAux(f vnode.Vnode, size uint64, seal bool) (Aux, *sidecar, error) {
 		return Aux{}, nil, err
 	}
 	return decodeAuxMember(data[:n])
-}
-
-// readAuxFile is openAuxFile for a caller that only reads the header.
-func readAuxFile(dir vnode.Vnode, name string) (Aux, error) {
-	_, a, _, err := openAuxFile(dir, name)
-	return a, err
 }

@@ -58,7 +58,7 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 		report("unreadable directory contents file: %v", err)
 		return nil
 	}
-	if _, err := readAuxFile(cont, dirAttrName); err != nil {
+	if _, _, err := readAuxFile(cont, dirAttrName); err != nil {
 		report("unreadable directory attribute file: %v", err)
 	}
 
@@ -113,7 +113,7 @@ func (l *Layer) checkContainerLocked(cont vnode.Vnode, dirFid ids.FileID, path s
 			if !named[fid] {
 				report("orphaned aux file %q", m.Name)
 			}
-			aux, err := readAuxFile(cont, m.Name)
+			aux, _, err := readAuxFile(cont, m.Name)
 			if err != nil {
 				report("undecodable aux file %q: %v", m.Name, err)
 				continue

@@ -198,13 +198,17 @@ func TestCheckDetectsBadNlink(t *testing.T) {
 	f, _ := root.Create("f", true)
 	fid := mustFid(t, f)
 	cont, _ := l.containerOf(RootPath())
-	aux, err := readAuxFile(cont, prefixAux+fid.String())
+	aux, _, err := readAuxFile(cont, prefixAux+fid.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	aux.Nlink = 7
+	hdr, err := auxBytes(&aux)
+	if err != nil {
+		t.Fatal(err)
+	}
 	af, _ := cont.Lookup(prefixAux + fid.String())
-	if err := writeAuxVnode(af, &aux); err != nil {
+	if _, err := af.WriteAt(hdr, 0); err != nil {
 		t.Fatal(err)
 	}
 	probs, _ := l.Check()

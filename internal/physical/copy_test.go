@@ -11,12 +11,13 @@ import (
 	"repro/internal/vnode"
 )
 
-// TestWarmCopyReadersReadNothing: the readers of a stored file copy take its
-// aux and seal from the aux cache (copyLocked), so once the caches are warm a
-// file's Getattr, FileInfo, the local side of a pull and a pull answered
-// stale read no byte of the store — each asks only for the members and their
-// stamps.  A reader that goes back to the store's bytes (openAuxFile) reads
-// the aux on every call.
+// TestWarmCopyReadersReadNothing: every runtime reader of an aux member takes
+// it from the aux cache (fileAuxLocked), and its one in-place writer
+// (rewriteAuxLocked) records what it wrote there, so once the caches are warm
+// a file's Getattr, FileInfo, the local side of a pull, a pull answered stale,
+// a whole-block write, a Create, a Link, and a directory's Getattr and
+// DirEntries read no byte of the store — each asks only for the members and
+// their stamps.  A row with warm runs it first; one without runs op twice.
 func TestWarmCopyReadersReadNothing(t *testing.T) {
 	fs, err := ufs.Mkfs(disk.New(8192), 2048, nil)
 	if err != nil {
@@ -44,24 +45,45 @@ func TestWarmCopyReadersReadNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	names := 0
+	newName := func() string { names++; return fmt.Sprintf("n%d", names) }
+	writeBlock := func() error {
+		_, err := f.WriteAt(make([]byte, ChecksumBlockSize), ChecksumBlockSize)
+		return err
+	}
+	create := func() error { _, err := root.Create(newName(), true); return err }
 	for _, c := range []struct {
-		what string
-		op   func() error
+		what     string
+		warm, op func() error
 	}{
-		{"file Getattr", func() error { _, err := f.Getattr(); return err }},
-		{"FileInfo", func() error { _, err := l.FileInfo(RootPath(), fid); return err }},
-		{"PullRequestFor", func() error { _, _, err := l.PullRequestFor(RootPath(), fid, nil); return err }},
-		{"PullRequestFor with a base", func() error { _, _, err := l.PullRequestFor(RootPath(), fid, DeltaBase{}); return err }},
-		{"a pull answered stale", func() error {
+		{what: "file Getattr", op: func() error { _, err := f.Getattr(); return err }},
+		{what: "FileInfo", op: func() error { _, err := l.FileInfo(RootPath(), fid); return err }},
+		{what: "PullRequestFor", op: func() error { _, _, err := l.PullRequestFor(RootPath(), fid, nil); return err }},
+		{what: "PullRequestFor with a base", op: func() error { _, _, err := l.PullRequestFor(RootPath(), fid, DeltaBase{}); return err }},
+		{what: "a pull answered stale", op: func() error {
 			res, _ := l.PullBatchDelta([]PullRequest{{Dir: RootPath(), File: fid, LocalVV: st.Aux.VV, HasLocal: true}}, nil)
 			if res[0].Status != PullStale {
 				t.Fatalf("pull answered %v, want stale", res[0].Status)
 			}
 			return nil
 		}},
+		{what: "whole-block WriteAt after a WriteAt", op: writeBlock},
+		{what: "whole-block WriteAt after a Getattr", warm: func() error {
+			l.FlushCaches()
+			_, err := f.Getattr()
+			return err
+		}, op: writeBlock},
+		{what: "Create in a warm directory", op: create},
+		{what: "Link", op: func() error { return root.Link(newName(), f) }},
+		{what: "directory Getattr after a Create", warm: create, op: func() error { _, err := root.Getattr(); return err }},
+		{what: "DirEntries after a Create", warm: create, op: func() error { _, err := l.DirEntries(RootPath()); return err }},
 	} {
-		if err := c.op(); err != nil { // warms the caches
-			t.Fatalf("%s: %v", c.what, err)
+		warm := c.warm
+		if warm == nil {
+			warm = c.op
+		}
+		if err := warm(); err != nil {
+			t.Fatalf("%s: warming: %v", c.what, err)
 		}
 		reads = 0
 		if err := c.op(); err != nil {

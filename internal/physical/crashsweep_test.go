@@ -492,7 +492,7 @@ func staleSeal(path string) func(*Layer, vnode.Vnode) error {
 // plantSeal replaces fid's aux member in cont by its header and a tail sealing
 // m under sealed.
 func plantSeal(cont vnode.Vnode, fid ids.FileID, sealed vv.Vector, m *BlockManifest) error {
-	aux, err := readAuxFile(cont, prefixAux+fid.String())
+	aux, _, err := readAuxFile(cont, prefixAux+fid.String())
 	if err != nil {
 		return err
 	}
@@ -553,7 +553,7 @@ func checkStoreMembers(t *testing.T, l *Layer, tag string) {
 			if !ok || !strings.HasPrefix(e.Name, prefixAux) {
 				continue
 			}
-			_, aux, sc, err := openAuxFile(c, e.Name)
+			aux, sc, err := readAuxFile(c, e.Name)
 			if err != nil {
 				t.Errorf("%s: aux %s does not decode: %v", tag, e.Name, err)
 				continue

@@ -391,7 +391,7 @@ func TestRemoveDropsManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, seal, err := l.fileAuxLocked(cont, prefixAux+fid.String(), true); err != nil || seal == nil {
+	if _, e, err := l.fileAuxLocked(cont, prefixAux+fid.String()); err != nil || e.seal == nil {
 		t.Fatalf("stored file has no current seal: %v", err)
 	}
 	root, err := l.Root()
@@ -473,7 +473,7 @@ func TestOneSidecarPerStoredFile(t *testing.T) {
 			if strings.Join(prefixes, "") != prefixAux+prefixData {
 				t.Errorf("file %s is stored as members %q, want exactly A and F", fid, prefixes)
 			}
-			if _, seal, err := l2.fileAuxLocked(cont, prefixAux+fid, true); err != nil || seal == nil {
+			if _, e, err := l2.fileAuxLocked(cont, prefixAux+fid); err != nil || e.seal == nil {
 				t.Errorf("file %s has no current seal (%v)", fid, err)
 			}
 			files++

@@ -15,15 +15,34 @@ import (
 // table, which holds no store state: a node → its one vnode (pvnode.go).
 const contCacheSize, dirCacheSize, auxCacheSize, vnodeTableSize = 4096, 1024, 4096, 4096
 
-// auxEntry is a file's aux as decoded — its header, and once asked for its
-// seal (nil when it has no current one) — with the stamp of the store file it
-// was read from.  The store ticks Mtime or Ctime on every change of a file and
+// auxEntry is an aux member as decoded — its header and its current seal (nil
+// when it has none) — with the stamp of the store file it was read from or
+// written to.  The store ticks Mtime or Ctime on every change of a file and
 // never reuses a stamp, so a stamp that still matches vouches for the bytes.
 type auxEntry struct {
 	aux                Aux
 	seal               *sidecar
-	sealRead           bool
 	mtime, ctime, size uint64
+	sum                uint32 // of the encoded header and seal as recorded; FICUS_INVARIANTS only, 0 if not taken
+}
+
+// auxSum is the CRC-32 of header a and seal sc encoded.
+func auxSum(a *Aux, sc *sidecar) uint32 {
+	sum := crc32.ChecksumIEEE(a.encode())
+	if sc != nil {
+		sum = crc32.Update(sum, crc32.IEEETable, encodeSidecar(sc.Sealed, &sc.BlockManifest))
+	}
+	return sum
+}
+
+// checkLent fails an armed invariant when entry e, lent for store file key, no
+// longer encodes as it did when it was recorded: a borrower changed it — a
+// writer that moved the lent vector without cloning it, say.  Never checked
+// against a re-read: chaos-scrub garbles reads on purpose.
+func (e *auxEntry) checkLent(key string) {
+	if invariant.Enabled() && e.sum != 0 && auxSum(&e.aux, e.seal) != e.sum {
+		invariant.Failf("physical: a borrower changed the cached aux of store file %s", key)
+	}
 }
 
 // dirImage is one directory decoded.  The cache lends it: a reader, under
@@ -35,15 +54,14 @@ type dirImage struct {
 	least   map[string]ids.FileID // name → the least entry id among its live entries
 	byName  map[string]int        // nameOf(entries[i]) → i+1 (a miss reads 0); of two spelt alike, the first
 	live    int                   // how many entries are live
-	attr    *Aux                  // the directory's own attributes; nil until asked for (attrOf)
 	end     int                   // the contents file's length: where the next record goes
 	snap    int                   // the length of the entries' snapshot (commitDirLocked compacts past 2×)
 	sum     uint32                // of the encoded entries as cached; FICUS_INVARIANTS only
 }
 
 // newDirImage indexes entries, which it keeps, of a contents file end bytes long.
-func newDirImage(entries []Entry, attr *Aux, end int) *dirImage {
-	d := &dirImage{entries: entries, attr: attr, end: end, snap: snapshotLen(entries),
+func newDirImage(entries []Entry, end int) *dirImage {
+	d := &dirImage{entries: entries, end: end, snap: snapshotLen(entries),
 		least: make(map[string]ids.FileID, len(entries)), byName: make(map[string]int, len(entries))}
 	for _, e := range entries {
 		if id, ok := d.least[e.Name]; e.Live() && (!ok || eidLess(e.EID, id)) {
@@ -78,20 +96,6 @@ func (d *dirImage) nameOf(e Entry) string {
 // find returns the index of the live entry shown as name, or -1.
 func (d *dirImage) find(name string) int { return d.byName[name] - 1 }
 
-// attrOf returns the attributes of the directory in container cont, read on
-// first use: a lookup does not need them, and the paper's cold open (§6) has
-// four I/Os to spend, not five.
-func (d *dirImage) attrOf(cont vnode.Vnode) (*Aux, error) {
-	if d.attr != nil {
-		return d.attr, nil
-	}
-	a, err := readAuxFile(cont, dirAttrName)
-	if err == nil {
-		d.attr = &a
-	}
-	return d.attr, err
-}
-
 // dirLocked lends the image of the directory in container cont.  The key is
 // the container's store handle: a moved container keeps it, and one made on a
 // removed one's inode starts by dropping it (newContainerLocked).
@@ -103,7 +107,7 @@ func (l *Layer) dirLocked(cont vnode.Vnode) (*dirImage, error) {
 		if err != nil {
 			return nil, err
 		}
-		d = newDirImage(entries, nil, size)
+		d = newDirImage(entries, size)
 		l.dirs.Put(key, d)
 	} else if invariant.Enabled() && crc32.ChecksumIEEE(encodeEntries(d.entries)) != d.sum {
 		// Never checked against a re-read: chaos-scrub garbles reads on purpose.
@@ -112,49 +116,102 @@ func (l *Layer) dirLocked(cont vnode.Vnode) (*dirImage, error) {
 	return d, nil
 }
 
-// fileAuxLocked reads the aux member name of container cont through the aux
-// cache: its header and, with seal, its current seal (sidecar.go).  The key is
-// the member's store handle, its inode — so an install by rename, a link or
-// unlink and a reused inode all change the key or the stamp, and no writer
-// needs to drop an entry; the caller must not change the results, whose vector
-// and blocks are lent.  A hit still asks the store for the member and its
-// stamp, both answered from the store's caches; it skips the block read and the
-// decode.  Without seal only the header's block is read.
-func (l *Layer) fileAuxLocked(cont vnode.Vnode, name string, seal bool) (Aux, *sidecar, error) {
+// fileAuxLocked is the one runtime reader of an aux member: a file's A<fid> or
+// a directory's attr, name in container cont.  It returns the member's store
+// vnode, for an in-place rewrite (rewriteAuxLocked), and its header and seal
+// through the aux cache, lent: the caller must not change them, and a writer
+// clones the vector before it moves it.  The key is the member's store handle,
+// its inode — so an install by rename, a link or unlink and a reused inode all
+// change the key or the stamp, and no writer needs to drop an entry.  A hit
+// still asks the store for the member and its stamp, both answered from the
+// store's caches; it skips the block read and the decode.
+func (l *Layer) fileAuxLocked(cont vnode.Vnode, name string) (vnode.Vnode, auxEntry, error) {
 	f, err := cont.Lookup(name)
 	if err != nil {
-		return Aux{}, nil, err
+		return nil, auxEntry{}, err
 	}
 	st, err := f.Getattr()
 	if err != nil {
-		return Aux{}, nil, err
+		return nil, auxEntry{}, err
 	}
 	key := f.Handle()
-	if e, ok := l.auxs.Get(key); ok && e.mtime == st.Mtime && e.ctime == st.Ctime && e.size == st.Size && (e.sealRead || !seal) {
-		return e.aux, e.seal, nil
+	if e, ok := l.auxs.Get(key); ok && e.mtime == st.Mtime && e.ctime == st.Ctime && e.size == st.Size {
+		e.checkLent(key)
+		return f, e, nil
 	}
-	a, sc, err := loadAux(f, st.Size, seal)
-	if err == nil {
-		l.auxs.Put(key, auxEntry{aux: a, seal: sc, sealRead: seal, mtime: st.Mtime, ctime: st.Ctime, size: st.Size})
+	a, sc, err := loadAux(f, st.Size)
+	if err != nil {
+		return nil, auxEntry{}, err
 	}
-	return a, sc, err
+	return f, l.recordAuxLocked(key, a, sc, st), nil
 }
 
-// fileCopy is a stored file copy as copyLocked finds it: its aux and seal, lent
-// by the aux cache, and its data member.
+// recordAuxLocked caches header a and seal sc as what store file key holds
+// while its stamp is st's.
+func (l *Layer) recordAuxLocked(key string, a Aux, sc *sidecar, st vnode.Attr) auxEntry {
+	e := auxEntry{aux: a, seal: sc, mtime: st.Mtime, ctime: st.Ctime, size: st.Size}
+	if invariant.Enabled() {
+		e.sum = auxSum(&a, sc)
+	}
+	l.auxs.Put(key, e)
+	return e
+}
+
+// rewriteAuxLocked is the one in-place writer of an aux member: af, whose
+// entry cur fileAuxLocked lent.  With m, it first reseals the tail under aux's
+// vector (resealInPlace), then runs apply, if any — a local update's change of
+// the data, which the seal now covers — and overwrites the header with aux
+// last, so at no crash offset does a seal vouch for bytes it does not cover.
+// Without m the seal stays, current only if it is sealed under aux's vector.
+// Once every write has landed it records what it wrote under the stamp it
+// reads back: the same stamp check validates the record, so a writer that did
+// not record would cost a miss, never a wrong answer.  aux's vector is the
+// cache's from then on.
+func (l *Layer) rewriteAuxLocked(af vnode.Vnode, cur auxEntry, aux *Aux, m *BlockManifest, apply func() error) error {
+	key := af.Handle()
+	cur.checkLent(key)
+	e := auxEntry{aux: *aux, seal: cur.seal}
+	if m != nil {
+		if err := resealInPlace(af, cur.seal, aux.VV, m); err != nil {
+			return err
+		}
+		e.seal = &sidecar{Sealed: e.aux.VV, BlockManifest: *m}
+	} else if e.seal != nil && !e.seal.Sealed.Equal(aux.VV) {
+		e.seal = nil
+	}
+	if apply != nil {
+		if err := apply(); err != nil {
+			return err
+		}
+	}
+	hdr, err := auxBytes(aux)
+	if err != nil {
+		return err
+	}
+	if _, err := af.WriteAt(hdr, 0); err != nil {
+		return err
+	}
+	if st, err := af.Getattr(); err == nil {
+		l.recordAuxLocked(key, e.aux, e.seal, st)
+	}
+	return nil
+}
+
+// fileCopy is a stored file copy as copyLocked finds it: its aux member and
+// that member's entry, lent by the aux cache, and its data member.
 type fileCopy struct {
-	aux  Aux
-	seal *sidecar
-	df   vnode.Vnode
+	af vnode.Vnode
+	auxEntry
+	df vnode.Vnode
 }
 
 // copyLocked finds the copy of the file whose members are m stored in
-// container cont: its aux through the aux cache (with seal, its current seal
-// too), then its data member.  An aux that is not there is the store's ENOENT,
-// passed through so that a caller can try the fid as a child directory; a data
-// member that is not there is ErrNotStored, whatever the aux says.
-func (l *Layer) copyLocked(cont vnode.Vnode, m members, seal bool) (fileCopy, error) {
-	aux, sc, err := l.fileAuxLocked(cont, m.stored, seal)
+// container cont: its aux through the aux cache, then its data member.  An aux
+// that is not there is the store's ENOENT, passed through so that a caller can
+// try the fid as a child directory; a data member that is not there is
+// ErrNotStored, whatever the aux says.
+func (l *Layer) copyLocked(cont vnode.Vnode, m members) (fileCopy, error) {
+	af, e, err := l.fileAuxLocked(cont, m.stored)
 	if err != nil {
 		return fileCopy{}, err
 	}
@@ -162,7 +219,7 @@ func (l *Layer) copyLocked(cont vnode.Vnode, m members, seal bool) (fileCopy, er
 	if err != nil {
 		return fileCopy{}, mapNotStored(err)
 	}
-	return fileCopy{aux: aux, seal: sc, df: df}, nil
+	return fileCopy{af: af, auxEntry: e, df: df}, nil
 }
 
 // FlushCaches empties the layer's caches; the next calls read the store.  The

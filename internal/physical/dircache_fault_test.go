@@ -17,10 +17,29 @@ import (
 
 // nameAnswers is everything the naming calls of l say about the tree, one line
 // an answer: per directory DirEntries, Getattr and Readdir, per name Lookup
-// and the child's Getattr.  Errors are answers too.
+// and the child's Getattr, and per file its current seal.  Errors are answers
+// too.
 func nameAnswers(l *Layer) []string {
 	var out []string
 	say := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
+	// The seal's vector and length, as the advertisement of a pull with a base
+	// (PullRequestFor) reads them.
+	sealOf := func(dirPath []ids.FileID, fid ids.FileID) string {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		cont, err := l.containerOf(dirPath)
+		if err != nil {
+			return err.Error()
+		}
+		c, err := l.copyLocked(cont, membersOf(KFile, fid))
+		switch {
+		case err != nil:
+			return err.Error()
+		case c.seal == nil:
+			return "none"
+		}
+		return fmt.Sprintf("%s/%d", c.seal.Sealed, c.seal.Length)
+	}
 	var walk func(dir vnode.Vnode, dirPath []ids.FileID, path string)
 	walk = func(dir vnode.Vnode, dirPath []ids.FileID, path string) {
 		ds, err := l.DirEntries(dirPath)
@@ -40,6 +59,8 @@ func nameAnswers(l *Layer) []string {
 			say("Getattr %s%s: %+v handle=%s err=%v", path, de.Name, a, child.Handle(), err)
 			if fid, perr := ids.ParseFileID(de.FileID); perr == nil && de.Type == vnode.VDir && err == nil {
 				walk(child, append(slices.Clone(dirPath), fid), path+de.Name+"/")
+			} else if perr == nil && de.Type != vnode.VDir {
+				say("Seal %s%s: %s", path, de.Name, sealOf(dirPath, fid))
 			}
 		}
 		_, err = dir.Lookup("no-such-name")
@@ -67,8 +88,8 @@ func firstDiff(got, want []string, gotIs, wantIs string) string {
 	return ""
 }
 
-// faultOps are the operations that commit directories, each on the sweep
-// fixture (buildSweepBase).
+// faultOps are the operations that commit directories, and the file writers,
+// which rewrite an aux in place, each on the sweep fixture (buildSweepBase).
 func faultOps() []sweepOp {
 	walkTo := func(root vnode.Vnode, path string) vnode.Vnode {
 		v, err := vnode.Walk(root, path)
@@ -77,6 +98,10 @@ func faultOps() []sweepOp {
 		}
 		return v
 	}
+	onF0 := func(do func(l *Layer, f vnode.Vnode) error) func(*Layer, vnode.Vnode) error {
+		return func(l *Layer, root vnode.Vnode) error { return do(l, walkTo(root, "/f0")) }
+	}
+	mode := uint16(0o600)
 	tombstones := func(l *Layer, dirPath []ids.FileID) (dead []ids.FileID) {
 		ds, err := l.DirEntries(dirPath)
 		if err != nil {
@@ -135,6 +160,27 @@ func faultOps() []sweepOp {
 				_, err := l.DropTombstones(RootPath(), tombstones(l, RootPath()))
 				return err
 			}},
+		{name: "WriteAt", run: onF0(func(_ *Layer, f vnode.Vnode) error {
+			_, err := f.WriteAt([]byte("WRITE"), 4094)
+			return err
+		})},
+		{name: "Truncate", run: onF0(func(_ *Layer, f vnode.Vnode) error { return f.Truncate(100) })},
+		{name: "Setattr", run: onF0(func(_ *Layer, f vnode.Vnode) error { return f.Setattr(vnode.SetAttr{Mode: &mode}) })},
+		{name: "InstallOverStoredCopy", run: onF0(func(l *Layer, f vnode.Vnode) error {
+			a, err := f.Getattr()
+			if err != nil {
+				return err
+			}
+			fid, err := ids.ParseFileID(a.FileID)
+			if err != nil {
+				return err
+			}
+			st, err := l.FileInfo(RootPath(), fid)
+			if err != nil {
+				return err
+			}
+			return l.InstallFileVersion(RootPath(), fid, KFile, sweepPayload('z'), st.Aux.VV.Clone().Bump(2), st.Aux.Nlink)
+		})},
 	}
 }
 

@@ -185,19 +185,18 @@ func (l *Layer) writeDirLocked(cont vnode.Vnode, d *dirImage, entries []Entry, r
 			return nil, err
 		}
 	}
-	attr := d.attr
 	if advance != nil {
-		af, aux, _, err := openAuxFile(cont, dirAttrName)
+		af, attr, err := l.fileAuxLocked(cont, dirAttrName)
 		if err != nil {
 			return nil, err
 		}
-		aux.VV = advance(aux.VV)
-		if err := writeAuxVnode(af, &aux); err != nil {
+		aux := attr.aux
+		aux.VV = advance(aux.VV.Clone()) // the cache lends the vector
+		if err := l.rewriteAuxLocked(af, attr, &aux, nil, nil); err != nil {
 			return nil, err
 		}
-		attr = &aux
 	}
-	next := newDirImage(entries, attr, end)
+	next := newDirImage(entries, end)
 	l.dirs.Put(key, next)
 	return next, nil
 }

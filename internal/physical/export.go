@@ -43,11 +43,11 @@ func (l *Layer) DirEntries(dirPath []ids.FileID) (DirState, error) {
 	if err != nil {
 		return DirState{}, err
 	}
-	attr, err := d.attrOf(cont)
+	_, attr, err := l.fileAuxLocked(cont, dirAttrName)
 	if err != nil {
 		return DirState{}, err
 	}
-	aux := *attr // the caller's to keep and change: copies, not the image
+	aux := attr.aux // the caller's to keep and change: copies, not the cache's
 	aux.VV = aux.VV.Clone()
 	return DirState{Entries: slices.Clone(d.entries), VV: aux.VV, Aux: aux}, nil
 }
@@ -71,7 +71,7 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 	if err != nil {
 		return FileState{}, err
 	}
-	c, err := l.copyLocked(cont, membersOf(KFile, fid), false)
+	c, err := l.copyLocked(cont, membersOf(KFile, fid))
 	if vnode.AsErrno(err) == vnode.ENOENT {
 		daux, err := l.childDirAuxLocked(cont, fid)
 		return FileState{Aux: daux}, err
@@ -97,10 +97,11 @@ func (l *Layer) childDirAuxLocked(cont vnode.Vnode, fid ids.FileID) (Aux, error)
 	if err != nil {
 		return Aux{}, ErrNotStored
 	}
-	daux, _, err := l.fileAuxLocked(sub, dirAttrName, false)
+	_, e, err := l.fileAuxLocked(sub, dirAttrName)
 	if err != nil {
 		return Aux{}, err
 	}
+	daux := e.aux
 	daux.VV = daux.VV.Clone()
 	return daux, nil
 }
@@ -128,7 +129,7 @@ func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte
 	if err != nil {
 		return nil, FileState{}, nil, err
 	}
-	c, err := l.copyLocked(cont, membersOf(KFile, fid), true)
+	c, err := l.copyLocked(cont, membersOf(KFile, fid))
 	if err != nil {
 		return nil, FileState{}, nil, mapNotStored(err)
 	}
@@ -305,12 +306,13 @@ func (l *Layer) settleChildLocked(cont vnode.Vnode, entries []Entry, child ids.F
 	if n == 0 {
 		return l.removeStorageLocked(cont, child)
 	}
-	af, aux, _, err := openAuxFile(cont, memberName(prefixAux, child))
-	if err != nil || int(aux.Nlink) == n {
+	af, e, err := l.fileAuxLocked(cont, memberName(prefixAux, child))
+	if err != nil || int(e.aux.Nlink) == n {
 		return nil // not stored here (or not readable: Check's to report), or already right
 	}
+	aux := e.aux
 	aux.Nlink = uint32(n)
-	return writeAuxVnode(af, &aux)
+	return l.rewriteAuxLocked(af, e, &aux, nil, nil)
 }
 
 // unshareLocked gives cont its own copy of file fid's members while they are

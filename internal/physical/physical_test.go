@@ -338,7 +338,7 @@ func TestLinkCountIsRecounted(t *testing.T) {
 	skew := func(l *Layer, n uint32) {
 		t.Helper()
 		cont, _ := l.rootContainer()
-		aux, err := readAuxFile(cont, prefixAux+fid.String())
+		aux, _, err := readAuxFile(cont, prefixAux+fid.String())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,7 +113,7 @@ func (l *Layer) pullOne(req *PullRequest, ad *advert) PullResult {
 	if err != nil {
 		return pullFailed(err)
 	}
-	c, err := l.copyLocked(cont, membersOf(KFile, req.File), true)
+	c, err := l.copyLocked(cont, membersOf(KFile, req.File))
 	if vnode.AsErrno(err) == vnode.ENOENT {
 		// Not a file here — it may be a child directory.
 		daux, err := l.childDirAuxLocked(cont, req.File)
@@ -277,7 +277,7 @@ type baseBlock struct {
 // non-nil, a file copy that is not quarantined and is sealed under its current
 // vector offers its addresses to base; anything else offers none, and its
 // version is replaced by whole blocks.  Only the aux member is read, through
-// the aux cache (with base, its seal too); nothing is written.  An error other
+// the aux cache, header and seal at once; nothing is written.  An error other
 // than ErrNotStored is the entry's failure.
 func (l *Layer) PullRequestFor(dirPath []ids.FileID, fid ids.FileID, base DeltaBase) (req PullRequest, local vv.Vector, err error) {
 	req = PullRequest{Dir: dirPath, File: fid}
@@ -287,7 +287,7 @@ func (l *Layer) PullRequestFor(dirPath []ids.FileID, fid ids.FileID, base DeltaB
 	if err != nil {
 		return req, nil, storedOrNot(err)
 	}
-	c, err := l.copyLocked(cont, membersOf(KFile, fid), base != nil)
+	c, err := l.copyLocked(cont, membersOf(KFile, fid))
 	aux := c.aux
 	if vnode.AsErrno(err) == vnode.ENOENT {
 		aux, err = l.childDirAuxLocked(cont, fid)
@@ -353,7 +353,7 @@ func (l *Layer) holderLocked(dirPath []ids.FileID, fid ids.FileID) heldVersion {
 	if err != nil {
 		return heldVersion{}
 	}
-	c, err := l.copyLocked(cont, membersOf(KFile, fid), true)
+	c, err := l.copyLocked(cont, membersOf(KFile, fid))
 	if err != nil || c.seal == nil {
 		return heldVersion{}
 	}

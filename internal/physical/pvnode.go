@@ -441,40 +441,40 @@ func (v *pvnode) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // updateFileLocked is every local mutation of a stored file — an update this
-// replica originated, so its version vector is bumped (§3.1) — in the order
-// an install uses: the aux's seal is written, under the bumped vector, over the
-// image the file is about to hold (nextManifestLocked: its bytes cut or
-// zero-extended to the size in [lo, hi] nearest their own, p laid over them at
-// off); apply then overwrites the data file df in place; the aux header commits
+// replica originated, so its version vector is bumped (§3.1) — written in place
+// by rewriteAuxLocked: the aux's seal, under the bumped vector, over the image
+// the file is about to hold (nextManifestLocked: its bytes cut or zero-extended
+// to the size in [lo, hi] nearest their own, p laid over them at off); then
+// apply, handed the data member, changes it in place; the aux header commits
 // last.  Between the first step and the last the seal is stale — unverifiable,
 // the scrubber reseals — so at no crash offset does a seal vouch for bytes it
 // does not cover.
-func (v *pvnode) updateFileLocked(df vnode.Vnode, lo, hi uint64, p []byte, off uint64, apply func() error) error {
+func (v *pvnode) updateFileLocked(lo, hi uint64, p []byte, off uint64, apply func(df vnode.Vnode) error) error {
+	// An update reseals from the bytes it keeps: over a quarantined replica it
+	// would seal known damage into a fresh version.  Fail over instead.
+	if v.l.isQuarantinedLocked(v.fid) {
+		return vnode.ENOSTOR
+	}
 	cont, err := v.container()
 	if err != nil {
 		return mapStoreErr(err)
 	}
-	af, aux, seal, err := openAuxFile(cont, v.stored)
+	c, err := v.l.copyLocked(cont, v.members)
 	if err != nil {
-		return err
+		return mapStoreErr(mapNotStored(err))
 	}
-	da, err := df.Getattr()
+	da, err := c.df.Getattr()
 	if err != nil {
 		return err
 	}
 	// Only a current seal can vouch for the bytes kept.
-	m, err := v.nextManifestLocked(df, seal, da.Size, min(max(da.Size, lo), hi), p, off)
+	m, err := v.nextManifestLocked(c.df, c.seal, da.Size, min(max(da.Size, lo), hi), p, off)
 	if err != nil {
 		return err
 	}
-	aux.VV = v.l.bumpVV(aux.VV)
-	if err := resealInPlace(af, seal, aux.VV, m); err != nil {
-		return err
-	}
-	if err := apply(); err != nil {
-		return err
-	}
-	return writeAuxVnode(af, &aux)
+	aux := c.aux
+	aux.VV = v.l.bumpVV(aux.VV.Clone()) // the cache lends the vector
+	return v.l.rewriteAuxLocked(c.af, c.auxEntry, &aux, m, func() error { return apply(c.df) })
 }
 
 // nextManifestLocked summarises the image df, old bytes long, is about to
@@ -545,17 +545,8 @@ func (v *pvnode) WriteAt(p []byte, off int64) (int, error) {
 	}
 	v.l.mu.Lock()
 	defer v.l.mu.Unlock()
-	// Writing over quarantined bytes would seal damage into a fresh version
-	// (a partial write reads back what it did not cover); fail over instead.
-	if v.l.isQuarantinedLocked(v.fid) {
-		return 0, vnode.ENOSTOR
-	}
-	df, err := v.dataFile()
-	if err != nil {
-		return 0, err
-	}
 	n := 0
-	err = v.updateFileLocked(df, uint64(off)+uint64(len(p)), math.MaxUint64, p, uint64(off), func() (err error) {
+	err := v.updateFileLocked(uint64(off)+uint64(len(p)), math.MaxUint64, p, uint64(off), func(df vnode.Vnode) (err error) {
 		n, err = df.WriteAt(p, off)
 		return err
 	})
@@ -571,14 +562,7 @@ func (v *pvnode) Truncate(size uint64) error {
 	}
 	v.l.mu.Lock()
 	defer v.l.mu.Unlock()
-	if v.l.isQuarantinedLocked(v.fid) {
-		return vnode.ENOSTOR
-	}
-	df, err := v.dataFile()
-	if err != nil {
-		return err
-	}
-	return v.updateFileLocked(df, size, size, nil, 0, func() error { return df.Truncate(size) })
+	return v.updateFileLocked(size, size, nil, 0, func(df vnode.Vnode) error { return df.Truncate(size) })
 }
 
 func (v *pvnode) Fsync() error { return v.l.store.Sync() }
@@ -595,10 +579,11 @@ func (v *pvnode) getattrLocked() (vnode.Attr, error) {
 		if err != nil {
 			return vnode.Attr{}, err
 		}
-		aux, err := d.attrOf(cont)
+		_, attr, err := v.l.fileAuxLocked(cont, dirAttrName)
 		if err != nil {
 			return vnode.Attr{}, err
 		}
+		aux := attr.aux
 		a := vnode.Attr{
 			Type:   vnode.VDir,
 			Nlink:  uint32(2 + d.live),
@@ -615,7 +600,7 @@ func (v *pvnode) getattrLocked() (vnode.Attr, error) {
 	if err != nil {
 		return vnode.Attr{}, mapStoreErr(err)
 	}
-	c, err := v.l.copyLocked(cont, v.members, false)
+	c, err := v.l.copyLocked(cont, v.members)
 	if err != nil {
 		return vnode.Attr{}, mapStoreErr(mapNotStored(err))
 	}
@@ -648,17 +633,8 @@ func (v *pvnode) Setattr(sa vnode.SetAttr) error {
 	if sa.Mode != nil && !v.kind.IsDir() {
 		v.l.mu.Lock()
 		defer v.l.mu.Unlock()
-		// The update reseals the file from stored data; on a quarantined
-		// replica that would launder known-bad bytes.
-		if v.l.isQuarantinedLocked(v.fid) {
-			return vnode.ENOSTOR
-		}
-		df, err := v.dataFile()
-		if err != nil {
-			return err
-		}
-		return v.updateFileLocked(df, 0, math.MaxUint64, nil, 0,
-			func() error { return df.Setattr(vnode.SetAttr{Mode: sa.Mode}) })
+		return v.updateFileLocked(0, math.MaxUint64, nil, 0,
+			func(df vnode.Vnode) error { return df.Setattr(vnode.SetAttr{Mode: sa.Mode}) })
 	}
 	return nil
 }

@@ -61,7 +61,7 @@ func (l *Layer) scrubContainerLocked(cont vnode.Vnode) error {
 
 // scrubFileLocked verifies or reseals one stored file replica.
 func (l *Layer) scrubFileLocked(cont vnode.Vnode, fid ids.FileID) {
-	_, aux, sc, err := openAuxFile(cont, memberName(prefixAux, fid))
+	aux, sc, err := readAuxFile(cont, memberName(prefixAux, fid))
 	if err != nil {
 		return // not stored here, or mid-materialization; nothing to vouch for
 	}

@@ -127,7 +127,7 @@ func walkContainers(cont vnode.Vnode, visit func(vnode.Vnode, []vnode.Dirent) er
 	return nil
 }
 
-// unfinished reports whether err, from readAuxFile, says the aux was never
+// unfinished reports whether err, from an aux read, says the aux was never
 // written.  Storage is created aux-last — a data file before its aux, a
 // container's contents file before its attr — so what an absent or empty aux
 // belongs to never finished materialising.
@@ -214,7 +214,7 @@ func (l *Layer) recoverContainerLocked(c vnode.Vnode, ents []vnode.Dirent) error
 			continue // Check reports unparsable names; leave for inspection
 		}
 		seen[fid] = true
-		if _, err := readAuxFile(c, memberName(prefixAux, fid)); unfinished(err) {
+		if _, _, err := readAuxFile(c, memberName(prefixAux, fid)); unfinished(err) {
 			if err := l.removeStorageLocked(c, fid); err != nil {
 				return err
 			}
@@ -244,7 +244,7 @@ func (l *Layer) recoverContainerLocked(c vnode.Vnode, ents []vnode.Dirent) error
 			if err := c.Rename(e.Name, home, e.Name); err != nil {
 				return err
 			}
-		} else if _, err := readAuxFile(sub, dirAttrName); countAnyRefs(entries, fid) == 0 || unfinished(err) {
+		} else if _, _, err := readAuxFile(sub, dirAttrName); countAnyRefs(entries, fid) == 0 || unfinished(err) {
 			if err := removeTree(c, e.Name); err != nil {
 				return err
 			}
@@ -359,45 +359,40 @@ func rejectInstall(fid ids.FileID, format string, args ...any) error {
 func (l *Layer) commitFileVersionLocked(cont vnode.Vnode, fid ids.FileID, attrs *Aux, data []byte, m *BlockManifest) error {
 	name := memberName(prefixAux, fid)
 	aux := Aux{Type: attrs.Type, Nlink: max(attrs.Nlink, 1), VV: attrs.VV.Clone()}
-	af, old, seal, err := openAuxFile(cont, name)
+	af, old, err := l.fileAuxLocked(cont, name)
 	// Per-replica counter monotonicity: the caller has decided the new
 	// vector dominates (or is a conflict resolution merged+bumped above)
 	// the stored one, so no component — in particular not our own update
 	// counter, which only we originate — may move backwards.
 	if invariant.Enabled() && err == nil {
-		invariant.Checkf(attrs.VV.DominatesOrEqual(old.VV),
+		invariant.Checkf(attrs.VV.DominatesOrEqual(old.aux.VV),
 			"physical: installing version vector %s that does not dominate stored %s for file %s (replica %d counter would regress)",
-			attrs.VV, old.VV, fid, l.replica)
+			attrs.VV, old.aux.VV, fid, l.replica)
 	}
-	// A first copy (no aux yet) is written in place: Recover drops it until 3.
-	put := atomicReplace
-	if unfinished(err) {
-		put = writeFresh
-	}
-	// 1. Over a stored copy whose header holds another vector, seal the new
-	// one in the aux's tail.  It is stale until 3 lands, so every crash window
-	// in between reads as "unverifiable" — the scrubber reseals — never as a
-	// false mismatch.
-	inPlace := err == nil && !old.VV.Equal(aux.VV)
-	if inPlace {
-		if err := resealInPlace(af, seal, aux.VV, m); err != nil {
-			return err
-		}
-	}
-	// 2. Atomically substitute the complete new version for the original.
-	if err := put(cont, memberName(prefixData, fid), data); err != nil {
-		return err
-	}
-	// 3. Record the new version vector: over the header, or — a first copy,
-	// the vector the header already holds (a repair), a header that does not
-	// decode — with the seal as one whole member, which no seal may be written
-	// under in place.  A crash between 2 and 3 leaves new data under the old
-	// vector; the next propagation re-pulls and re-installs — safe because
+	// 1. Over a stored copy whose header holds another vector, the new version
+	// is written in place (rewriteAuxLocked): its seal in the aux's tail, stale
+	// until the header lands, so every crash window in between reads as
+	// "unverifiable" — the scrubber reseals — never as a false mismatch; 2. the
+	// complete new version atomically substituted for the original; 3. the new
+	// vector over the header.  A crash between 2 and 3 leaves new data under the
+	// old vector; the next propagation re-pulls and re-installs — safe because
 	// installation is idempotent.
-	if inPlace {
-		err = writeAuxVnode(af, &aux)
+	if err == nil && !old.aux.VV.Equal(aux.VV) {
+		err = l.rewriteAuxLocked(af, old, &aux, m, func() error {
+			return atomicReplace(cont, memberName(prefixData, fid), data)
+		})
 	} else {
-		err = writeAuxFile(put, cont, name, &aux, m)
+		// A first copy (no aux yet) is written in place: Recover drops it until
+		// its aux lands.  Otherwise — the vector the header already holds (a
+		// repair), a header that does not decode — data, then aux and seal as
+		// one whole member, which no seal may be written under in place.
+		put := atomicReplace
+		if unfinished(err) {
+			put = writeFresh
+		}
+		if err = put(cont, memberName(prefixData, fid), data); err == nil {
+			err = writeAuxFile(put, cont, name, &aux, m)
+		}
 	}
 	if err != nil {
 		return err
