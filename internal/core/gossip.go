@@ -29,8 +29,9 @@ package core
 // first-seen semantics under at-least-once links.
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/simnet"
@@ -166,11 +167,10 @@ func rumorHash(src simnet.Addr, seq uint64) uint64 {
 // partial-replica-set property: rumors for a volume travel exclusively among
 // the hosts storing it.
 func (h *Host) gossipPickLocked(vol ids.VolumeHandle, rumor uint64, excl map[simnet.Addr]bool, k int) []simnet.Addr {
-	seen := make(map[simnet.Addr]bool)
-	var cands []simnet.Addr
-	for _, l := range h.locations[vol] {
-		if !seen[l.Addr] && !excl[l.Addr] {
-			seen[l.Addr] = true
+	locs := h.locations[vol]
+	cands := make([]simnet.Addr, 0, len(locs))
+	for _, l := range locs {
+		if !excl[l.Addr] {
 			cands = append(cands, l.Addr)
 		}
 	}
@@ -179,19 +179,21 @@ func (h *Host) gossipPickLocked(vol ids.VolumeHandle, rumor uint64, excl map[sim
 	}
 	self := addrHash(h.addr)
 	scoreOf := func(a simnet.Addr) uint64 { return mix64(rumor ^ self ^ addrHash(a)) }
-	sort.Slice(cands, func(i, j int) bool {
-		si, sj := scoreOf(cands[i]), scoreOf(cands[j])
-		if si != sj {
-			return si < sj
+	slices.SortFunc(cands, func(a, b simnet.Addr) int {
+		if c := cmp.Compare(scoreOf(a), scoreOf(b)); c != 0 {
+			return c
 		}
-		return cands[i] < cands[j]
+		return cmp.Compare(a, b)
 	})
+	// A host holding two replicas of vol is listed twice; its copies share a
+	// score, so they sit side by side.
+	cands = slices.Compact(cands)
 	if k > 0 && k < len(cands) {
 		cands = cands[:k]
 	}
 	// Deterministic send order by address (the scores are already
 	// deterministic; sorting by address keeps wire traces readable).
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+	slices.Sort(cands)
 	return cands
 }
 

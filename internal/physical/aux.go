@@ -57,13 +57,14 @@ type Aux struct {
 	GraftVol ids.VolumeHandle
 }
 
-// encode: kind(1) nlink(4) graftAlloc(4) graftVol(4) vv(...)
-func (a *Aux) encode() []byte {
-	out := make([]byte, 0, 16+12*len(a.VV))
-	out = wire.AppendU8(out, byte(a.Type))
-	out = wire.AppendU32(out, a.Nlink)
-	out = wire.AppendVol(out, a.GraftVol)
-	return a.VV.AppendBinary(out)
+// encode: kind(1) nlink(4) graftAlloc(4) graftVol(4) vv(4+12n)
+func (a *Aux) encode() []byte { return a.appendTo(make([]byte, 0, 17+12*len(a.VV))) }
+
+func (a *Aux) appendTo(dst []byte) []byte {
+	dst = wire.AppendU8(dst, byte(a.Type))
+	dst = wire.AppendU32(dst, a.Nlink)
+	dst = wire.AppendVol(dst, a.GraftVol)
+	return a.VV.AppendBinary(dst)
 }
 
 func decodeAux(p []byte) (Aux, error) {
@@ -106,26 +107,35 @@ func decodeAuxMember(p []byte) (Aux, *sidecar, error) {
 // size bounds the version vector at ~40 replica entries.
 const auxFileSize = 512
 
-func auxBytes(a *Aux) ([]byte, error) {
-	enc := a.encode()
-	if len(enc) > auxFileSize {
-		return nil, fmt.Errorf("physical: aux block overflow: %d bytes (version vector too wide)", len(enc))
+// auxBytes is header a as the auxFileSize-byte block it is written as.
+func auxBytes(a *Aux) ([]byte, error) { return auxImage(a, nil) }
+
+// auxImage is the image of a whole aux member: header a encoded straight into
+// its auxFileSize-byte block, then, unless m is nil (a directory's attr), the
+// seal of m under a's vector — one allocation, sized for both.
+func auxImage(a *Aux, m *BlockManifest) ([]byte, error) {
+	n := auxFileSize
+	if m != nil {
+		n += sidecarLen(a.VV, m)
 	}
-	out := make([]byte, auxFileSize)
-	copy(out, enc)
-	return out, nil
+	img := a.appendTo(make([]byte, 0, n))
+	if len(img) > auxFileSize {
+		return nil, fmt.Errorf("physical: aux block overflow: %d bytes (version vector too wide)", len(img))
+	}
+	img = img[:auxFileSize] // the padding: make zeroed it
+	if m != nil {
+		img = appendSidecar(img, a.VV, m)
+	}
+	return img, nil
 }
 
 // writeAuxFile commits, by put (writeFresh or atomicReplace), a whole aux
 // member as the named UFS file in container dir: header a then, unless m is nil
 // (a directory's attr), the seal of m under a's vector.
 func writeAuxFile(put func(vnode.Vnode, string, []byte) error, dir vnode.Vnode, name string, a *Aux, m *BlockManifest) error {
-	img, err := auxBytes(a)
+	img, err := auxImage(a, m)
 	if err != nil {
 		return err
-	}
-	if m != nil {
-		img = append(img, encodeSidecar(a.VV, m)...)
 	}
 	return put(dir, name, img)
 }

@@ -1,0 +1,39 @@
+package physical
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/ids"
+	"repro/internal/vv"
+)
+
+// TestAuxImageAllocatesOnce: a whole aux member — an 8-entry header encoded
+// straight into its block, and its seal after it — is one allocation, and the
+// same bytes as the header block and the seal encoded apart.
+func TestAuxImageAllocatesOnce(t *testing.T) {
+	v := vv.New()
+	for r := ids.ReplicaID(1); r <= 8; r++ {
+		v[r*3] = uint64(r) * 1000
+	}
+	a := Aux{Type: KFile, Nlink: 2, VV: v, GraftVol: ids.VolumeHandle{Allocator: 1, Volume: 7}}
+	m := ComputeManifest(bytes.Repeat([]byte("seal"), 5000))
+	img, err := auxImage(&a, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := auxBytes(&a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(hdr, encodeSidecar(a.VV, m)...); !bytes.Equal(img, want) {
+		t.Fatalf("aux image differs from header block + seal:\n%x\n%x", img, want)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := auxImage(&a, m); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("encoding an 8-entry aux header with its seal allocates %v times, want at most 1", n)
+	}
+}

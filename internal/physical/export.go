@@ -1,7 +1,9 @@
 package physical
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/vnode"
 	"repro/internal/vv"
+	"repro/internal/wire"
 )
 
 // This file is the replication-control surface of the physical layer: the
@@ -136,7 +139,7 @@ func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte
 	if l.isQuarantinedLocked(fid) {
 		return nil, FileState{}, nil, errQuarantined(fid)
 	}
-	data, m, err := l.readWholeLocked(c.df, fid, c.seal)
+	data, m, err := l.readWholeLocked(c.df, fid, c.seal, false)
 	if err != nil {
 		return nil, FileState{}, nil, err
 	}
@@ -144,16 +147,38 @@ func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte
 	return data, FileState{Aux: c.aux, Size: uint64(len(data))}, m, nil
 }
 
-// readWholeLocked reads file fid's data member df whole and checks it against
-// seal, its current seal: bytes that fail it quarantine the copy and answer
-// ErrCorrupt.  With no seal the bytes are returned unvouched (a nil manifest).
-func (l *Layer) readWholeLocked(df vnode.Vnode, fid ids.FileID, seal *sidecar) ([]byte, *BlockManifest, error) {
-	data, err := vnode.ReadFile(df)
-	if err != nil || seal == nil {
-		return data, nil, err
+// readWholeLocked reads file fid's data member df whole — into a buffer lent by
+// wire's pool when lend is set, which the caller owns until it returns it — and
+// checks it against seal, its current seal: bytes that fail it quarantine the
+// copy and answer ErrCorrupt.  With no seal the bytes are returned unvouched (a
+// nil manifest).
+func (l *Layer) readWholeLocked(df vnode.Vnode, fid ids.FileID, seal *sidecar, lend bool) ([]byte, *BlockManifest, error) {
+	st, err := df.Getattr()
+	if err != nil {
+		return nil, nil, err
 	}
-	if !seal.Verify(data) {
-		return nil, nil, l.convictLocked(fid)
+	var data []byte
+	if lend {
+		data = wire.GetBuf(int(st.Size))[:st.Size]
+	} else {
+		data = make([]byte, st.Size)
+	}
+	n, err := df.ReadAt(data, 0)
+	data = data[:n]
+	if errors.Is(err, io.EOF) {
+		err = nil
+	}
+	if err == nil && seal != nil && !seal.Verify(data) {
+		err = l.convictLocked(fid)
+	}
+	switch {
+	case err != nil:
+		if lend {
+			wire.PutBuf(data)
+		}
+		return nil, nil, err
+	case seal == nil:
+		return data, nil, nil
 	}
 	return data, &seal.BlockManifest, nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/vnode"
 	"repro/internal/vv"
+	"repro/internal/wire"
 )
 
 // The conditional pull: the one way a replica learns a file version from a
@@ -96,6 +97,24 @@ type PullResult struct {
 	// only the blocks absent from the advertisement travel, in Missing, and
 	// the puller reassembles the version in InstallPulled.
 	Missing []Block
+
+	// lent is the buffer wire's pool lent the serving layer to read the
+	// answer's bytes into: Data and Missing are views of it.  Release returns
+	// it.  An answer rebuilt from a message holds none.
+	lent []byte
+}
+
+// Release returns the buffer a served answer's bytes were read into to wire's
+// pool, once the answer has been encoded (the repl server) or installed
+// (recon's pullAndApply): from then on Data and Missing are views of the
+// pool's bytes, and nothing may read them (DESIGN.md §9.2).  A second Release
+// of the same answer, or one of an answer that borrowed nothing, does nothing.
+// An answer dropped without a Release leaves its buffer to the collector.
+func (r *PullResult) Release() {
+	if r.lent != nil {
+		wire.PutBuf(r.lent)
+		r.lent = nil
+	}
 }
 
 // pullOne answers one pull request; ad is the pull's advertisement, nil when
@@ -142,14 +161,15 @@ func (l *Layer) pullOne(req *PullRequest, ad *advert) PullResult {
 	r := PullResult{Status: PullData, Aux: aux}
 	if seal != nil && ad != nil {
 		r.Manifest, r.Size = &seal.BlockManifest, seal.Length
-		if r.Missing, err = l.readMissingLocked(df, req.File, seal, ad.ships(r.Manifest)); err != nil {
+		if r.Missing, r.lent, err = l.readMissingLocked(df, req.File, seal, ad.ships(r.Manifest)); err != nil {
 			return pullFailed(err)
 		}
 		return r
 	}
-	if r.Data, r.Manifest, err = l.readWholeLocked(df, req.File, seal); err != nil {
+	if r.Data, r.Manifest, err = l.readWholeLocked(df, req.File, seal, true); err != nil {
 		return pullFailed(err)
 	}
+	r.lent = r.Data
 	if r.Manifest == nil {
 		r.Manifest = ComputeManifest(r.Data) // stale seal: vouch for the bytes as read
 	}
@@ -167,39 +187,42 @@ func (l *Layer) pullOne(req *PullRequest, ad *advert) PullResult {
 }
 
 // readMissingLocked reads the blocks idx of file fid's data member df, sealed
-// by seal, into one buffer sized to them, each checked against its sealed
-// address.  A member that is not the sealed length, or a block that fails its
-// address, convicts the copy: it is quarantined and the read answers
-// ErrCorrupt.  Blocks it does not read are not checked: they are the
-// scrubber's to find.
-func (l *Layer) readMissingLocked(df vnode.Vnode, fid ids.FileID, seal *sidecar, idx []int) ([]Block, error) {
+// by seal, into one buffer sized to them and lent by wire's pool, each checked
+// against its sealed address; it returns the blocks and the buffer they are
+// views of, which the caller owns until it returns it.  A member that is not
+// the sealed length, or a block that fails its address, convicts the copy: it
+// is quarantined and the read answers ErrCorrupt.  Blocks it does not read are
+// not checked: they are the scrubber's to find.
+func (l *Layer) readMissingLocked(df vnode.Vnode, fid ids.FileID, seal *sidecar, idx []int) ([]Block, []byte, error) {
 	st, err := df.Getattr()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if st.Size != seal.Length {
-		return nil, l.convictLocked(fid)
+		return nil, nil, l.convictLocked(fid)
 	}
 	size := 0
 	for _, i := range idx {
 		size += blockLen(seal.Length, i)
 	}
-	buf := make([]byte, size)
+	buf := wire.GetBuf(size)[:size]
 	out := make([]Block, len(idx))
 	off := 0
 	for k, i := range idx {
 		b := buf[off : off+blockLen(seal.Length, i) : off+blockLen(seal.Length, i)]
 		if err := readBlock(df, b, i); err != nil {
-			return nil, err
+			wire.PutBuf(buf)
+			return nil, nil, err
 		}
 		if HashBlock(b) != seal.Blocks[i] {
-			return nil, l.convictLocked(fid)
+			wire.PutBuf(buf)
+			return nil, nil, l.convictLocked(fid)
 		}
 		out[k] = Block{Addr: seal.Blocks[i], Data: b}
 		off += len(b)
 	}
 	l.countShippedLocked(out)
-	return out, nil
+	return out, buf, nil
 }
 
 // countShippedLocked counts the blocks a delta answer ships.
@@ -218,11 +241,21 @@ func pullFailed(err error) PullResult {
 	return PullResult{Status: PullError, Err: err}
 }
 
-// advert is a pull's advertisement as the serving side reads it: the set of
-// addresses the puller holds, and scratch for one answer's choice.
+// advert is a pull's advertisement as the serving side reads it: the
+// addresses the puller holds, sorted, and scratch for one answer's choice.
 type advert struct {
-	have, sent map[BlockAddr]bool
+	have []BlockAddr
+	sent map[BlockAddr]bool
 }
+
+// holds reports whether the advertisement lists addr.
+func (a *advert) holds(addr BlockAddr) bool {
+	_, found := slices.BinarySearchFunc(a.have, addr, compareAddrs)
+	return found
+}
+
+// compareAddrs orders block addresses bytewise: the order of an advertisement.
+func compareAddrs(a, b BlockAddr) int { return bytes.Compare(a[:], b[:]) }
 
 // ships lists, in manifest order, the index of each block of m an answer
 // ships: each address absent from the advertisement, once.
@@ -230,7 +263,7 @@ func (a *advert) ships(m *BlockManifest) []int {
 	clear(a.sent)
 	idx := make([]int, 0, len(m.Blocks))
 	for i, addr := range m.Blocks {
-		if !a.have[addr] && !a.sent[addr] {
+		if !a.sent[addr] && !a.holds(addr) {
 			a.sent[addr] = true
 			idx = append(idx, i)
 		}
@@ -259,14 +292,44 @@ type Block struct {
 // may have gone stale by the time an answer arrives, and InstallPulled trusts
 // none of it: every block reused is read back and checked against its
 // holder's current seal at the moment of use.
-type DeltaBase map[BlockAddr][]baseBlock
+//
+// Each address keeps its first holder inline; the rare further holders (the
+// same block inside another requested file) are chained behind it, in the
+// order the request was built.
+type DeltaBase map[BlockAddr]baseBlock
 
-// baseBlock locates one holder of a base block: block number block of file
-// fid in directory dir.
+// baseFile is one file whose blocks a DeltaBase offers: fid in directory dir.
+type baseFile struct {
+	dir []ids.FileID
+	fid ids.FileID
+}
+
+// baseBlock locates one holder of a base block: block number block of file.
+// next is the address's next holder, nil for the last.
 type baseBlock struct {
-	dir   []ids.FileID
-	fid   ids.FileID
+	file  *baseFile
 	block int
+	next  *baseBlock
+}
+
+// offer records block i of f as a holder of addr: after the address's holders
+// so far, and only once per file however often the block repeats inside it (a
+// file's mention is then the chain's last).
+func (b DeltaBase) offer(addr BlockAddr, f *baseFile, i int) {
+	first, ok := b[addr]
+	if !ok {
+		b[addr] = baseBlock{file: f, block: i}
+		return
+	}
+	last := &first
+	for last.next != nil {
+		last = last.next
+	}
+	if last.file.fid == f.fid {
+		return
+	}
+	last.next = &baseBlock{file: f, block: i}
+	b[addr] = first
 }
 
 // PullRequestFor reads the local side of a pull of file fid in dirPath under
@@ -302,11 +365,9 @@ func (l *Layer) PullRequestFor(dirPath []ids.FileID, fid ids.FileID, base DeltaB
 	}
 	req.LocalVV, req.HasLocal = aux.VV, true
 	if base != nil && c.seal != nil {
+		f := &baseFile{dir: dirPath, fid: fid}
 		for i, addr := range c.seal.Blocks {
-			// One mention per file, however often the block repeats inside it.
-			if hs := base[addr]; len(hs) == 0 || hs[len(hs)-1].fid != fid {
-				base[addr] = append(hs, baseBlock{dir: dirPath, fid: fid, block: i})
-			}
+			base.offer(addr, f, i)
 		}
 	}
 	return req, aux.VV, nil
@@ -329,7 +390,7 @@ func (b DeltaBase) Have() []BlockAddr {
 	for a := range b {
 		out = append(out, a)
 	}
-	slices.SortFunc(out, func(a, b BlockAddr) int { return bytes.Compare(a[:], b[:]) })
+	slices.SortFunc(out, compareAddrs)
 	return out
 }
 
@@ -375,11 +436,16 @@ func (l *Layer) holderLocked(dirPath []ids.FileID, fid ids.FileID) heldVersion {
 // next advertisement.  A holder rewritten, removed or quarantined since the
 // base was built is simply a miss.
 func (l *Layer) baseBlockLocked(base DeltaBase, addr BlockAddr, dst []byte, held map[ids.FileID]heldVersion) bool {
-	for _, h := range base[addr] {
-		v, seen := held[h.fid]
+	first, ok := base[addr]
+	if !ok {
+		return false
+	}
+	for h := &first; h != nil; h = h.next {
+		fid := h.file.fid
+		v, seen := held[fid]
 		if !seen {
-			v = l.holderLocked(h.dir, h.fid)
-			held[h.fid] = v
+			v = l.holderLocked(h.file.dir, fid)
+			held[fid] = v
 		}
 		if v.df == nil || h.block >= len(v.m.Blocks) || v.m.Blocks[h.block] != addr || blockLen(v.m.Length, h.block) != len(dst) {
 			continue
@@ -387,9 +453,9 @@ func (l *Layer) baseBlockLocked(base DeltaBase, addr BlockAddr, dst []byte, held
 		if err := readBlock(v.df, dst, h.block); err == nil && HashBlock(dst) == addr {
 			return true
 		} else if err == nil {
-			l.quarantineLocked(h.fid)
+			l.quarantineLocked(fid)
 		}
-		held[h.fid] = heldVersion{}
+		held[fid] = heldVersion{}
 	}
 	return false
 }
@@ -446,10 +512,11 @@ func (l *Layer) BlockStats() BlockStats {
 func (l *Layer) PullBatchDelta(reqs []PullRequest, have []BlockAddr) ([]PullResult, error) {
 	var ad *advert
 	if len(have) > 0 {
-		ad = &advert{have: make(map[BlockAddr]bool, len(have)), sent: make(map[BlockAddr]bool)}
-		for _, a := range have {
-			ad.have[a] = true
+		if !slices.IsSortedFunc(have, compareAddrs) { // not built by Have
+			have = slices.Clone(have)
+			slices.SortFunc(have, compareAddrs)
 		}
+		ad = &advert{have: have, sent: make(map[BlockAddr]bool)}
 	}
 	out := make([]PullResult, len(reqs))
 	for i := range reqs {

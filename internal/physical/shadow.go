@@ -9,6 +9,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/vnode"
 	"repro/internal/vv"
+	"repro/internal/wire"
 )
 
 // Ficus contains a single-file atomic commit service to support file update
@@ -280,7 +281,9 @@ func (l *Layer) InstallFileVersion(dirPath []ids.FileID, fid ids.FileID, kind Ki
 // answer without a manifest has nothing to be verified against and is refused
 // the same way.  (An empty version is the same answer either way and is
 // handled as a delta.)  Once assembled, both answer shapes run the same
-// commit.
+// commit.  The assembly buffer is lent by wire's pool and goes back once the
+// commit has written it: the store copies every write into its own cache.
+// Nothing of r is kept.
 func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResult, base DeltaBase) error {
 	m, data := r.Manifest, r.Data
 	if m == nil {
@@ -289,13 +292,10 @@ func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResul
 	if !m.wellFormed() {
 		return fmt.Errorf("%w: install of %s: manifest has %d blocks for length %d", ErrCorrupt, fid, len(m.Blocks), m.Length)
 	}
-	recv := make(map[BlockAddr][]byte, len(r.Missing))
 	for i := range r.Missing {
-		b := &r.Missing[i]
-		if HashBlock(b.Data) != b.Addr {
+		if b := &r.Missing[i]; HashBlock(b.Data) != b.Addr {
 			return rejectInstall(fid, "shipped block fails its address %s", b.Addr)
 		}
-		recv[b.Addr] = b.Data
 	}
 	if data != nil && !m.Verify(data) {
 		return rejectInstall(fid, "payload (%d bytes) does not match the shipped manifest (length %d)", len(data), m.Length)
@@ -312,22 +312,25 @@ func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResul
 		// are the bytes the server actually sent); everything else is read
 		// from the base straight into its slot.  Each block must also have
 		// the size its position implies, or the sealed addresses would not be
-		// those of the file's 4 KiB chunks.  The buffer is sized by the
-		// manifest only once every block it names is at hand.
+		// those of the file's 4 KiB chunks.  The buffer is taken only once
+		// every block the manifest names is at hand.
+		next := 0
 		for _, addr := range m.Blocks {
-			if _, shipped := recv[addr]; !shipped && len(base[addr]) == 0 {
+			if _, based := base[addr]; !based && shipped(r.Missing, addr, &next) == nil {
 				return fmt.Errorf("%w (file %s, block %s)", ErrMissingBlock, fid, addr)
 			}
 		}
-		data = make([]byte, m.Length)
+		data = wire.GetBuf(int(m.Length))[:m.Length]
+		defer wire.PutBuf(data)
 		held := make(map[ids.FileID]heldVersion)
+		next = 0
 		for i, addr := range m.Blocks {
 			slot := data[i*ChecksumBlockSize:][:blockLen(m.Length, i)]
-			if b, shipped := recv[addr]; shipped {
-				if len(b) != len(slot) {
-					return rejectInstall(fid, "block %d is %d bytes, manifest position needs %d", i, len(b), len(slot))
+			if b := shipped(r.Missing, addr, &next); b != nil {
+				if len(b.Data) != len(slot) {
+					return rejectInstall(fid, "block %d is %d bytes, manifest position needs %d", i, len(b.Data), len(slot))
 				}
-				copy(slot, b)
+				copy(slot, b.Data)
 				continue
 			}
 			if !l.baseBlockLocked(base, addr, slot, held) {
@@ -342,6 +345,21 @@ func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResul
 	}
 	l.bstats.BlocksReused += reused
 	l.bstats.BytesSaved += reusedBytes
+	return nil
+}
+
+// shipped finds the block a delta answer shipped for addr, nil when it shipped
+// none.  The server ships each address once, in manifest order, so a search
+// that starts at *next, just past the block last found, finds a shipped block
+// at its first look.
+func shipped(missing []Block, addr BlockAddr, next *int) *Block {
+	for k := range missing {
+		i := (*next + k) % len(missing)
+		if missing[i].Addr == addr {
+			*next = i + 1
+			return &missing[i]
+		}
+	}
 	return nil
 }
 

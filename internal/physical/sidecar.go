@@ -177,16 +177,24 @@ type sidecar struct {
 
 // encodeSidecar renders a seal tail sealing m under vector sealed.
 func encodeSidecar(sealed vv.Vector, m *BlockManifest) []byte {
-	out := make([]byte, 0, len(sidecarMagic)+2+4+12*len(sealed)+8+BlockAddrSize*len(m.Blocks))
-	out = append(out, sidecarMagic...)
-	out = wire.AppendU8(out, sidecarVersion)
-	out = wire.AppendU8(out, 0) // no flag is defined
-	out = sealed.AppendBinary(out)
-	out = wire.AppendU64(out, m.Length)
+	return appendSidecar(make([]byte, 0, sidecarLen(sealed, m)), sealed, m)
+}
+
+// sidecarLen is the length of the seal tail sealing m under sealed.
+func sidecarLen(sealed vv.Vector, m *BlockManifest) int {
+	return len(sidecarMagic) + 2 + 4 + 12*len(sealed) + 8 + BlockAddrSize*len(m.Blocks)
+}
+
+func appendSidecar(dst []byte, sealed vv.Vector, m *BlockManifest) []byte {
+	dst = append(dst, sidecarMagic...)
+	dst = wire.AppendU8(dst, sidecarVersion)
+	dst = wire.AppendU8(dst, 0) // no flag is defined
+	dst = sealed.AppendBinary(dst)
+	dst = wire.AppendU64(dst, m.Length)
 	for i := range m.Blocks {
-		out = append(out, m.Blocks[i][:]...)
+		dst = append(dst, m.Blocks[i][:]...)
 	}
-	return out
+	return dst
 }
 
 // decodeSidecar parses a seal tail strictly: bad magic, unknown version

@@ -80,3 +80,42 @@ func BenchmarkPropagateOneFile(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDeltaPullInstall propagates a one-block change to a 64 KiB file
+// of distinct blocks from a co-resident replica: the request and its base,
+// the serving side's block read, the delta install's assembly and its
+// commit.  With -memprofile it profiles the pull path (DESIGN.md §9.2, §13).
+func BenchmarkDeltaPullInstall(b *testing.B) {
+	a, bb := newReplica(b, 1), newReplica(b, 2)
+	root, _ := a.Root()
+	f, err := root.Create("big", true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, 64<<10)
+	for i := range data {
+		data[i] = byte(i / physical.ChecksumBlockSize)
+	}
+	if _, err := f.WriteAt(data, 0); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := ReconcileVolume(bb, a); err != nil {
+		b.Fatal(err)
+	}
+	av, _ := f.Getattr()
+	fid, _ := ids.ParseFileID(av.FileID)
+	find := func(ids.ReplicaID) Peer { return a }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := f.WriteAt([]byte{byte(i)}, int64(i%16)*physical.ChecksumBlockSize); err != nil {
+			b.Fatal(err)
+		}
+		bb.NoteNewVersion(physical.RootPath(), fid, 1)
+		b.StartTimer()
+		if stats, err := PropagateOnce(bb, find); err != nil || stats.FilesPulled != 1 {
+			b.Fatalf("%v %v", stats, err)
+		}
+	}
+}

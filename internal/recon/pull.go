@@ -57,6 +57,10 @@ type entryOutcome struct {
 // base files.  A local copy that cannot vouch for its bytes (quarantined,
 // stale seal) adds nothing and is replaced by whole blocks; the install
 // checks every block it reuses against its holder's seal regardless.
+//
+// Each answer is released once applied: a co-resident source (a
+// *physical.Layer) lends the bytes it read from wire's pool, and they go back
+// before the next entry's install takes a buffer of its own.
 func pullAndApply(local *physical.Layer, src Peer, items []pullItem, advertise bool) []entryOutcome {
 	outcomes := make([]entryOutcome, len(items))
 	var base physical.DeltaBase
@@ -85,6 +89,7 @@ func pullAndApply(local *physical.Layer, src Peer, items []pullItem, advertise b
 			continue
 		}
 		applyPull(local, base, &items[i], &results[k], &outcomes[i])
+		results[k].Release()
 	}
 	return outcomes
 }

@@ -4,10 +4,10 @@
 // and sizes, uvarints for element counts, and the canonical vv encoding for
 // version vectors — anti-entropy generates many small messages, so the
 // fixed cost per message is what matters.  Requests are encoded into
-// buffers lent by wire's message pool (the server decodes a request into
-// copies before Call returns, so the buffer goes back as soon as it does);
-// responses are encoded into fresh buffers, sized once from their payloads,
-// and never returned: the client installs shipped data in place.
+// buffers lent by wire's message pool, sized to them (the server decodes a
+// request into copies before Call returns, so the buffer goes back as soon as
+// it does); responses are encoded into fresh buffers, sized once from their
+// payloads, and never returned: the client installs shipped data in place.
 //
 // Decoding is wire.Decoder's: sticky-error, strict, and every element count
 // capped against the bytes remaining before any allocation (fuzzed in
@@ -149,6 +149,22 @@ func (r *response) encodedLen() int {
 	return n
 }
 
+// encodedLen is how many bytes request.encode appends for r, so a request is
+// encoded into a lent buffer it fits instead of growing the pool's smallest.
+// It is exact but for a version vector holding a zero counter, as
+// response.encodedLen is.
+func (r *request) encodedLen() int {
+	n := 2 + 8 + 4 + pathLen(len(r.Dir)) + 12 + countLen(len(r.Pulls))
+	for i := range r.Pulls {
+		p := &r.Pulls[i]
+		n += pathLen(len(p.Dir)) + 12 + 1 + vvLen(p.LocalVV)
+	}
+	return n + countLen(len(r.Have)) + physical.BlockAddrSize*len(r.Have)
+}
+
+// pathLen is the length of a directory path of n file ids.
+func pathLen(n int) int { return countLen(n) + 12*n }
+
 // countLen is the length of n as a uvarint count; stringLen, of a payload of
 // n bytes with its length in front.
 func countLen(n int) int  { return (bits.Len64(uint64(n)|1) + 6) / 7 }
@@ -181,7 +197,8 @@ func decodeAddrs(d *wire.Decoder) []physical.BlockAddr {
 	return addrs
 }
 
-func decodeRequest(b []byte) (*request, error) {
+// decodeRequest decodes a request; the server keeps it on its stack.
+func decodeRequest(b []byte) (request, error) {
 	d := wire.NewDecoder(b)
 	d.Version(wireVersion)
 	var req request
@@ -204,9 +221,9 @@ func decodeRequest(b []byte) (*request, error) {
 	}
 	req.Have = decodeAddrs(d)
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("repl: bad request: %w", err)
+		return request{}, fmt.Errorf("repl: bad request: %w", err)
 	}
-	return &req, nil
+	return req, nil
 }
 
 // inPlace reads a length-prefixed payload without copying it: a slice of the
@@ -221,9 +238,10 @@ func inPlace(d *wire.Decoder) []byte {
 	return b[:len(b):len(b)]
 }
 
-// decodeResponse decodes a response.  File data and shipped blocks are
-// handed out in place (inPlace); the message buffer must not be reused.
-func decodeResponse(b []byte) (*response, error) {
+// decodeResponse decodes a response, which the client keeps on its stack.  File
+// data and shipped blocks are handed out in place (inPlace); the message buffer
+// must not be reused.
+func decodeResponse(b []byte) (response, error) {
 	d := wire.NewDecoder(b)
 	d.Version(wireVersion)
 	var resp response
@@ -280,7 +298,7 @@ func decodeResponse(b []byte) (*response, error) {
 		}
 	}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("repl: bad response: %w", err)
+		return response{}, fmt.Errorf("repl: bad response: %w", err)
 	}
-	return &resp, nil
+	return resp, nil
 }

@@ -163,6 +163,10 @@ type response struct {
 	Data     []byte
 	Replicas []ids.ReplicaID
 	Pulls    []wirePull // opPullBatchDelta only; one per request entry
+
+	// served is what the layer answered a pull with, whose bytes Pulls points
+	// into: the server releases it once the reply is encoded.  Not encoded.
+	served []physical.PullResult
 }
 
 // wirePull is one pull answer on the wire: physical.PullResult with the
@@ -221,8 +225,12 @@ func (s *Server) handle(reqBytes []byte) ([]byte, error) {
 		bad := response{Class: classPermanent, Err: "bad request"}
 		return bad.encode(nil), nil
 	}
-	resp := s.dispatch(req)
-	return resp.encode(make([]byte, 0, resp.encodedLen())), nil
+	resp := s.dispatch(&req)
+	out := resp.encode(make([]byte, 0, resp.encodedLen()))
+	for i := range resp.served {
+		resp.served[i].Release()
+	}
+	return out, nil
 }
 
 func (s *Server) dispatch(req *request) response {
@@ -266,7 +274,7 @@ func (s *Server) dispatch(req *request) response {
 	case opPullBatchDelta:
 		// The layer answers per entry and never fails the whole batch.
 		results, _ := l.PullBatchDelta(req.Pulls, req.Have)
-		return response{Pulls: pullsToWire(results)}
+		return response{Pulls: pullsToWire(results), served: results}
 	default:
 		return response{Class: classPermanent, Err: "unknown op"}
 	}
@@ -290,7 +298,7 @@ func pullsToWire(results []physical.PullResult) []wirePull {
 // error reconstructed from its wire class.  The manifest is mandatory where
 // it enters: a PullData answer without one cannot be verified, so it becomes
 // a per-entry error and never reaches an install.
-func pullsFromWire(nreq int, resp *response) ([]physical.PullResult, error) {
+func pullsFromWire(nreq int, resp response) ([]physical.PullResult, error) {
 	if len(resp.Pulls) != nreq {
 		return nil, fmt.Errorf("repl: pull batch: sent %d entries, got %d answers", nreq, len(resp.Pulls))
 	}
@@ -381,10 +389,10 @@ func (c *Client) Addr() simnet.Addr { return c.addr }
 // Replica implements recon.Peer.
 func (c *Client) Replica() ids.ReplicaID { return c.vr.Replica }
 
-func (c *Client) call(req *request) (*response, error) {
+func (c *Client) call(req *request) (response, error) {
 	req.Vol = c.vr.Vol
 	req.Replica = c.vr.Replica
-	buf := req.encode(wire.GetBuf(0))
+	buf := req.encode(wire.GetBuf(req.encodedLen()))
 	var respBytes []byte
 	var elapsed uint64
 	err := c.policy.Do(func() error {
@@ -403,16 +411,13 @@ func (c *Client) call(req *request) (*response, error) {
 	wire.PutBuf(buf)
 	c.lastElapsed.Store(elapsed)
 	if err != nil {
-		return nil, err
+		return response{}, err
 	}
 	resp, err := decodeResponse(respBytes)
-	if err != nil {
-		return nil, err
+	if err == nil && resp.Class != classOK {
+		err = errFromClass(resp.Class, resp.Err)
 	}
-	if resp.Class != classOK {
-		return nil, errFromClass(resp.Class, resp.Err)
-	}
-	return resp, nil
+	return resp, err
 }
 
 // Ping verifies the peer host serves this volume replica.
@@ -474,7 +479,7 @@ func (c *Client) PullBatchDelta(reqs []physical.PullRequest, have []physical.Blo
 // idempotent probe, retried under the default policy).
 func ListReplicas(host *simnet.Host, addr simnet.Addr, vol ids.VolumeHandle) ([]ids.ReplicaID, error) {
 	req := request{Op: opListReplicas, Vol: vol}
-	buf := req.encode(wire.GetBuf(0))
+	buf := req.encode(wire.GetBuf(req.encodedLen()))
 	var respBytes []byte
 	err := retry.Default().Do(func() error {
 		var err error

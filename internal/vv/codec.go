@@ -3,7 +3,7 @@ package vv
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ids"
 )
@@ -14,15 +14,18 @@ import (
 // relies on this when deciding whether an auxiliary attribute file needs a
 // rewrite.
 
-// AppendBinary appends the canonical encoding of v to dst.
+// AppendBinary appends the canonical encoding of v to dst.  The replica ids
+// are sorted in a fixed array, so a vector of up to 32 entries costs no
+// allocation beyond dst's growth.
 func (v Vector) AppendBinary(dst []byte) []byte {
-	rs := make([]ids.ReplicaID, 0, len(v))
+	var fixed [32]ids.ReplicaID
+	rs := fixed[:0]
 	for r, n := range v {
 		if n > 0 {
 			rs = append(rs, r)
 		}
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
+	slices.Sort(rs)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rs)))
 	for _, r := range rs {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(r))
