@@ -305,11 +305,13 @@ type baseFile struct {
 }
 
 // baseBlock locates one holder of a base block: block number block of file.
-// next is the address's next holder, nil for the last.
+// next is the address's next holder, nil for the last; the inline first
+// holder also keeps last, the chain's last holder (nil while it is the only
+// one).
 type baseBlock struct {
-	file  *baseFile
-	block int
-	next  *baseBlock
+	file       *baseFile
+	block      int
+	next, last *baseBlock
 }
 
 // offer records block i of f as a holder of addr: after the address's holders
@@ -321,14 +323,15 @@ func (b DeltaBase) offer(addr BlockAddr, f *baseFile, i int) {
 		b[addr] = baseBlock{file: f, block: i}
 		return
 	}
-	last := &first
-	for last.next != nil {
-		last = last.next
+	tail := first.last
+	if tail == nil {
+		tail = &first
 	}
-	if last.file.fid == f.fid {
+	if tail.file.fid == f.fid {
 		return
 	}
-	last.next = &baseBlock{file: f, block: i}
+	tail.next = &baseBlock{file: f, block: i}
+	first.last = tail.next
 	b[addr] = first
 }
 

@@ -3,6 +3,7 @@ package physical
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/ids"
@@ -283,7 +284,7 @@ func (l *Layer) InstallFileVersion(dirPath []ids.FileID, fid ids.FileID, kind Ki
 // handled as a delta.)  Once assembled, both answer shapes run the same
 // commit.  The assembly buffer is lent by wire's pool and goes back once the
 // commit has written it: the store copies every write into its own cache.
-// Nothing of r is kept.
+// Nothing of r is kept; its Missing is left ordered by address.
 func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResult, base DeltaBase) error {
 	m, data := r.Manifest, r.Data
 	if m == nil {
@@ -297,6 +298,7 @@ func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResul
 			return rejectInstall(fid, "shipped block fails its address %s", b.Addr)
 		}
 	}
+	slices.SortFunc(r.Missing, func(a, b Block) int { return compareAddrs(a.Addr, b.Addr) })
 	if data != nil && !m.Verify(data) {
 		return rejectInstall(fid, "payload (%d bytes) does not match the shipped manifest (length %d)", len(data), m.Length)
 	}
@@ -314,19 +316,17 @@ func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResul
 		// the size its position implies, or the sealed addresses would not be
 		// those of the file's 4 KiB chunks.  The buffer is taken only once
 		// every block the manifest names is at hand.
-		next := 0
 		for _, addr := range m.Blocks {
-			if _, based := base[addr]; !based && shipped(r.Missing, addr, &next) == nil {
+			if _, based := base[addr]; !based && shipped(r.Missing, addr) == nil {
 				return fmt.Errorf("%w (file %s, block %s)", ErrMissingBlock, fid, addr)
 			}
 		}
 		data = wire.GetBuf(int(m.Length))[:m.Length]
 		defer wire.PutBuf(data)
 		held := make(map[ids.FileID]heldVersion)
-		next = 0
 		for i, addr := range m.Blocks {
 			slot := data[i*ChecksumBlockSize:][:blockLen(m.Length, i)]
-			if b := shipped(r.Missing, addr, &next); b != nil {
+			if b := shipped(r.Missing, addr); b != nil {
 				if len(b.Data) != len(slot) {
 					return rejectInstall(fid, "block %d is %d bytes, manifest position needs %d", i, len(b.Data), len(slot))
 				}
@@ -348,19 +348,14 @@ func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResul
 	return nil
 }
 
-// shipped finds the block a delta answer shipped for addr, nil when it shipped
-// none.  The server ships each address once, in manifest order, so a search
-// that starts at *next, just past the block last found, finds a shipped block
-// at its first look.
-func shipped(missing []Block, addr BlockAddr, next *int) *Block {
-	for k := range missing {
-		i := (*next + k) % len(missing)
-		if missing[i].Addr == addr {
-			*next = i + 1
-			return &missing[i]
-		}
+// shipped finds the block a delta answer shipped for addr in missing, which
+// is ordered by address, nil when it shipped none.
+func shipped(missing []Block, addr BlockAddr) *Block {
+	i, found := slices.BinarySearchFunc(missing, addr, func(b Block, a BlockAddr) int { return compareAddrs(b.Addr, a) })
+	if !found {
+		return nil
 	}
-	return nil
+	return &missing[i]
 }
 
 // rejectInstall refuses a pulled version whose bytes disagree with the

@@ -29,7 +29,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"unsafe"
 
@@ -329,61 +328,43 @@ func (in *Interner) Intern(b []byte) string {
 // The message pool lends buffers to encoders and takes them back once the
 // message has been read.  It is bounded twice: it holds at most pooledBufs
 // buffers, and a buffer larger than maxPooled is dropped when it is returned,
-// so one huge message pins no memory.  It keeps its buffers by capacity
-// class — class c holds those of minBuf<<c bytes up to twice that — and makes
-// a new buffer at the top of its class, so a lend or a return looks at a few
-// classes, not at every buffer held.  A buffer returned to a full pool takes
-// the place of one of the smallest class held, if that class is below its own.
-// Whoever holds a buffer owns it until PutBuf; nothing may read a view of it
-// afterwards (DESIGN.md §9.2).  Under FICUS_INVARIANTS=1 a returned buffer is
-// overwritten with poison, so a view kept past its return reads bytes no
-// encoder writes, and a buffer returned twice fails an invariant.
+// so one huge message pins no memory.  Whoever holds a buffer owns it until
+// PutBuf; nothing may read a view of it afterwards (DESIGN.md §9.2).  Under
+// FICUS_INVARIANTS=1 a returned buffer is overwritten with poison, so a view
+// kept past its return reads bytes no encoder writes, and a buffer returned
+// twice fails an invariant.
 const (
 	pooledBufs = 64
 	maxPooled  = 1 << 16
 	minBuf     = 256  // the least capacity a new buffer gets
-	classes    = 9    // minBuf<<(classes-1) == maxPooled
 	poison     = 0xdb // what a returned buffer holds under invariants
 )
 
 var pool struct {
 	mu   sync.Mutex
-	free [classes][][]byte // by class, each buffer at its full capacity
-	held int
+	free [][]byte // each at its full capacity
 }
 
-// classFor is the least class all of whose buffers hold n bytes, n <= maxPooled.
-func classFor(n int) int {
-	if n <= minBuf {
-		return 0
-	}
-	return bits.Len(uint(n-1)) - bits.Len(minBuf-1)
-}
-
-// classOf is the class of a buffer of capacity n, minBuf <= n <= maxPooled.
-func classOf(n int) int { return bits.Len(uint(n/minBuf)) - 1 }
-
-// GetBuf returns an empty buffer with room for at least n bytes: one the pool
-// holds in the least class that fits, or a new one, of at least minBuf bytes
-// and sized to the top of its class.
+// GetBuf returns an empty buffer with room for at least n bytes: the
+// smallest such the pool holds, or a new one.
 func GetBuf(n int) []byte {
-	if n > maxPooled {
-		return make([]byte, 0, n)
-	}
-	c := classFor(n)
 	pool.mu.Lock()
-	for ; c < classes; c++ {
-		if k := len(pool.free[c]) - 1; k >= 0 {
-			b := pool.free[c][k]
-			pool.free[c][k] = nil
-			pool.free[c] = pool.free[c][:k]
-			pool.held--
-			pool.mu.Unlock()
-			return b[:0]
+	best := -1
+	for i, b := range pool.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(pool.free[best])) {
+			best = i
 		}
 	}
+	if best >= 0 {
+		b := pool.free[best]
+		last := len(pool.free) - 1
+		pool.free[best], pool.free[last] = pool.free[last], nil
+		pool.free = pool.free[:last]
+		pool.mu.Unlock()
+		return b[:0]
+	}
 	pool.mu.Unlock()
-	return make([]byte, 0, minBuf<<classFor(n))
+	return make([]byte, 0, max(n, minBuf))
 }
 
 // PutBuf returns b, which came from GetBuf (or grew from a buffer that did),
@@ -398,32 +379,16 @@ func PutBuf(b []byte) {
 			b[i] = poison
 		}
 	}
-	c := classOf(cap(b))
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
 	if invariant.Enabled() {
-		for _, class := range pool.free {
-			for _, f := range class {
-				if unsafe.SliceData(f) == unsafe.SliceData(b) {
-					invariant.Failf("wire: a message buffer was returned twice")
-				}
+		for _, f := range pool.free {
+			if unsafe.SliceData(f) == unsafe.SliceData(b) {
+				invariant.Failf("wire: a message buffer was returned twice")
 			}
 		}
 	}
-	if pool.held < pooledBufs {
-		pool.free[c] = append(pool.free[c], b)
-		pool.held++
-		return
-	}
-	// Full: b displaces a buffer of the least class held below its own, so a
-	// pool that a burst of small messages filled still keeps the large buffers
-	// its callers come back for (a pull's blocks, a delta install's assembly).
-	for s := 0; s < c; s++ {
-		if k := len(pool.free[s]) - 1; k >= 0 {
-			pool.free[s][k] = nil
-			pool.free[s] = pool.free[s][:k]
-			pool.free[c] = append(pool.free[c], b)
-			return
-		}
+	if len(pool.free) < pooledBufs {
+		pool.free = append(pool.free, b)
 	}
 }

@@ -344,43 +344,3 @@ func TestMessagePool(t *testing.T) {
 		t.Fatal("a buffer over maxPooled was kept")
 	}
 }
-
-// TestFullPoolKeepsLargerBuffers: a pool filled with small buffers still
-// takes a larger one back, in place of the smallest it holds, so a burst of
-// small messages cannot leave every later large message to allocate.
-func TestFullPoolKeepsLargerBuffers(t *testing.T) {
-	var held [][]byte
-	for i := 0; i < pooledBufs; i++ { // empty the pool
-		held = append(held, GetBuf(0))
-	}
-	for i := 0; i < pooledBufs; i++ {
-		PutBuf(make([]byte, 0, minBuf))
-	}
-	big := make([]byte, 0, maxPooled)
-	PutBuf(big)
-	got := GetBuf(maxPooled)
-	if unsafe.SliceData(got) != unsafe.SliceData(big) {
-		t.Fatal("a full pool of small buffers dropped a larger one")
-	}
-	PutBuf(got)
-	for _, b := range held {
-		PutBuf(b)
-	}
-}
-
-// TestPoolClasses: GetBuf(n) searches from the least class every buffer of
-// which holds n bytes, and a returned buffer is filed in the class its
-// capacity falls in.
-func TestPoolClasses(t *testing.T) {
-	for n := 0; n <= maxPooled; n++ {
-		c := classFor(n)
-		if minBuf<<c < n || (c > 0 && minBuf<<(c-1) >= n) {
-			t.Fatalf("classFor(%d) = %d", n, c)
-		}
-	}
-	for c := 0; c < classes; c++ {
-		if lo, hi := minBuf<<c, min(minBuf<<(c+1)-1, maxPooled); classOf(lo) != c || classOf(hi) != c {
-			t.Fatalf("class %d: classOf(%d) = %d, classOf(%d) = %d", c, lo, classOf(lo), hi, classOf(hi))
-		}
-	}
-}
