@@ -168,11 +168,15 @@ func rumorHash(src simnet.Addr, seq uint64) uint64 {
 // the hosts storing it.
 func (h *Host) gossipPickLocked(vol ids.VolumeHandle, rumor uint64, excl map[simnet.Addr]bool, k int) []simnet.Addr {
 	locs := h.locations[vol]
-	cands := make([]simnet.Addr, 0, len(locs))
+	var cands []simnet.Addr // made at the first candidate: a volume with no other holder allocates nothing
 	for _, l := range locs {
-		if !excl[l.Addr] {
-			cands = append(cands, l.Addr)
+		if excl[l.Addr] {
+			continue
 		}
+		if cands == nil {
+			cands = make([]simnet.Addr, 0, len(locs))
+		}
+		cands = append(cands, l.Addr)
 	}
 	if len(cands) == 0 {
 		return nil

@@ -69,6 +69,24 @@ func TestGossipPickDeterministic(t *testing.T) {
 	}
 }
 
+// TestGossipPickAloneAllocatesNothing: a volume with no holder but this host
+// leaves no candidate once the host excludes itself, and picking none — what
+// every local update there asks — allocates nothing.
+func TestGossipPickAloneAllocatesNothing(t *testing.T) {
+	c := newCluster(t, 1)
+	h := c.hosts[0]
+	excl := map[simnet.Addr]bool{h.Addr(): true}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if n := testing.AllocsPerRun(100, func() {
+		if got := h.gossipPickLocked(c.vol, rumorHash(h.Addr(), 7), excl, 2); len(got) != 0 {
+			t.Fatalf("picked %v from a volume held only here", got)
+		}
+	}); n != 0 {
+		t.Errorf("an empty pick allocates %v times, want 0", n)
+	}
+}
+
 // TestRumorSuppression checks first-seen semantics and FIFO eviction at the
 // seen-rumor cap.
 func TestRumorSuppression(t *testing.T) {

@@ -107,9 +107,6 @@ func decodeAuxMember(p []byte) (Aux, *sidecar, error) {
 // size bounds the version vector at ~40 replica entries.
 const auxFileSize = 512
 
-// auxBytes is header a as the auxFileSize-byte block it is written as.
-func auxBytes(a *Aux) ([]byte, error) { return auxImage(a, nil) }
-
 // auxImage is the image of a whole aux member: header a encoded straight into
 // its auxFileSize-byte block, then, unless m is nil (a directory's attr), the
 // seal of m under a's vector — one allocation, sized for both.
@@ -118,11 +115,20 @@ func auxImage(a *Aux, m *BlockManifest) ([]byte, error) {
 	if m != nil {
 		n += sidecarLen(a.VV, m)
 	}
-	img := a.appendTo(make([]byte, 0, n))
+	return appendAuxImage(make([]byte, 0, n), a, m)
+}
+
+// appendAuxImage encodes the image auxImage returns into buf, which is empty
+// with room for it: a new one, or one lent by wire's pool, whose bytes are not
+// zero — so the header's padding is cleared here.
+func appendAuxImage(buf []byte, a *Aux, m *BlockManifest) ([]byte, error) {
+	img := a.appendTo(buf)
 	if len(img) > auxFileSize {
 		return nil, fmt.Errorf("physical: aux block overflow: %d bytes (version vector too wide)", len(img))
 	}
-	img = img[:auxFileSize] // the padding: make zeroed it
+	n := len(img)
+	img = img[:auxFileSize]
+	clear(img[n:])
 	if m != nil {
 		img = appendSidecar(img, a.VV, m)
 	}

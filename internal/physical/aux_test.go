@@ -8,6 +8,9 @@ import (
 	"repro/internal/vv"
 )
 
+// auxBytes is header a as the auxFileSize-byte block it is written as.
+func auxBytes(a *Aux) ([]byte, error) { return auxImage(a, nil) }
+
 // TestAuxImageAllocatesOnce: a whole aux member — an 8-entry header encoded
 // straight into its block, and its seal after it — is one allocation, and the
 // same bytes as the header block and the seal encoded apart.
@@ -35,5 +38,31 @@ func TestAuxImageAllocatesOnce(t *testing.T) {
 		}
 	}); n > 1 {
 		t.Errorf("encoding an 8-entry aux header with its seal allocates %v times, want at most 1", n)
+	}
+}
+
+// TestLentAuxImageIsTheSame: the in-place rewrite encodes the header into a
+// buffer lent by wire's pool, which holds whatever its last borrower left; the
+// padding is cleared, so the block is the same bytes as a zeroed one's.
+func TestLentAuxImageIsTheSame(t *testing.T) {
+	v := vv.New()
+	for r := ids.ReplicaID(1); r <= 3; r++ {
+		v[r] = uint64(r) * 7
+	}
+	a := Aux{Type: KFile, Nlink: 1, VV: v}
+	m := ComputeManifest(bytes.Repeat([]byte("x"), 9000))
+	for _, m := range []*BlockManifest{nil, m} {
+		want, err := auxImage(&a, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := bytes.Repeat([]byte{0xdb}, len(want))
+		got, err := appendAuxImage(dirty[:0], &a, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("with seal %v: a dirty buffer encodes\n%x\nnot\n%x", m != nil, got, want)
+		}
 	}
 }

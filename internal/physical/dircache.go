@@ -7,6 +7,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/invariant"
 	"repro/internal/vnode"
+	"repro/internal/wire"
 )
 
 // Bounds of the layer's three caches of what the store says (DESIGN.md §16):
@@ -46,9 +47,9 @@ func (e *auxEntry) checkLent(key string) {
 }
 
 // dirImage is one directory decoded.  The cache lends it: a reader, under
-// l.mu, must not change it, and a caller about to change the directory hands
+// l.mu, only looks, and a caller about to change the directory hands
 // commitDirLocked — the directory's one writer, and the image's — the entries
-// it changed.
+// it changed; that writer changes the image in place once its writes land.
 type dirImage struct {
 	entries []Entry
 	least   map[string]ids.FileID // name → the least entry id among its live entries
@@ -59,16 +60,27 @@ type dirImage struct {
 	sum     uint32                // of the encoded entries as cached; FICUS_INVARIANTS only
 }
 
-// newDirImage indexes entries, which it keeps, of a contents file end bytes long.
+// newDirImage indexes entries, which it keeps, of a contents file end bytes
+// long: the cache's miss path.
 func newDirImage(entries []Entry, end int) *dirImage {
-	d := &dirImage{entries: entries, end: end, snap: snapshotLen(entries),
+	d := &dirImage{entries: entries, end: end,
 		least: make(map[string]ids.FileID, len(entries)), byName: make(map[string]int, len(entries))}
-	for _, e := range entries {
+	d.index()
+	return d
+}
+
+// index derives the rest of d from its entries — least, byName, live, snap
+// and, armed, the sum — refilling the maps d already holds.
+func (d *dirImage) index() {
+	clear(d.least)
+	clear(d.byName)
+	d.live = 0
+	for _, e := range d.entries {
 		if id, ok := d.least[e.Name]; e.Live() && (!ok || eidLess(e.EID, id)) {
 			d.least[e.Name] = e.EID
 		}
 	}
-	for i, e := range entries {
+	for i, e := range d.entries {
 		if !e.Live() {
 			continue
 		}
@@ -77,10 +89,20 @@ func newDirImage(entries []Entry, end int) *dirImage {
 			d.byName[name] = i + 1
 		}
 	}
+	d.snap = snapshotLen(d.entries)
 	if invariant.Enabled() {
-		d.sum = crc32.ChecksumIEEE(encodeEntries(entries))
+		d.sum = crc32.ChecksumIEEE(encodeEntries(d.entries))
 	}
-	return d
+}
+
+// checkLent fails an armed invariant when the entries of d, lent for container
+// key, no longer encode as they did when they were recorded: a borrower
+// changed them.  Never checked against a re-read: chaos-scrub garbles reads
+// on purpose.
+func (d *dirImage) checkLent(key string) {
+	if invariant.Enabled() && crc32.ChecksumIEEE(encodeEntries(d.entries)) != d.sum {
+		invariant.Failf("physical: a borrower changed the cached entries of container %s", key)
+	}
 }
 
 // nameOf returns the client-visible name of live entry e.  Live entries sharing
@@ -109,9 +131,8 @@ func (l *Layer) dirLocked(cont vnode.Vnode) (*dirImage, error) {
 		}
 		d = newDirImage(entries, size)
 		l.dirs.Put(key, d)
-	} else if invariant.Enabled() && crc32.ChecksumIEEE(encodeEntries(d.entries)) != d.sum {
-		// Never checked against a re-read: chaos-scrub garbles reads on purpose.
-		invariant.Failf("physical: a borrower changed the cached entries of container %s", key)
+	} else {
+		d.checkLent(key)
 	}
 	return d, nil
 }
@@ -184,11 +205,13 @@ func (l *Layer) rewriteAuxLocked(af vnode.Vnode, cur auxEntry, aux *Aux, m *Bloc
 			return err
 		}
 	}
-	hdr, err := auxBytes(aux)
+	hdr, err := appendAuxImage(wire.GetBuf(auxFileSize), aux, nil)
 	if err != nil {
 		return err
 	}
-	if _, err := af.WriteAt(hdr, 0); err != nil {
+	_, err = af.WriteAt(hdr, 0)
+	wire.PutBuf(hdr)
+	if err != nil {
 		return err
 	}
 	if st, err := af.Getattr(); err == nil {

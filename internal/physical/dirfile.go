@@ -61,13 +61,24 @@ func appendRecord(dst []byte, entries []Entry) []byte {
 	at := len(dst)
 	dst = append(dst, make([]byte, 8)...)
 	for _, e := range entries {
-		dst = wire.AppendFID(dst, e.EID)
-		dst = wire.AppendFID(dst, e.Child)
-		dst = wire.AppendU8(dst, byte(e.Kind))
-		dst = wire.AppendBool(dst, e.Deleted)
-		dst = append(wire.AppendU16(dst, uint16(len(e.Name))), e.Name...)
-		dst = append(wire.AppendU16(dst, uint16(len(e.Value))), e.Value...)
+		dst = appendEntry(dst, e)
 	}
+	return sealRecord(dst, at)
+}
+
+// appendEntry appends entry e as a record holds it.
+func appendEntry(dst []byte, e Entry) []byte {
+	dst = wire.AppendFID(dst, e.EID)
+	dst = wire.AppendFID(dst, e.Child)
+	dst = wire.AppendU8(dst, byte(e.Kind))
+	dst = wire.AppendBool(dst, e.Deleted)
+	dst = append(wire.AppendU16(dst, uint16(len(e.Name))), e.Name...)
+	return append(wire.AppendU16(dst, uint16(len(e.Value))), e.Value...)
+}
+
+// sealRecord fills in the length and checksum of the record that starts at
+// dst[at], whose entries follow its 8 bytes to the end of dst.
+func sealRecord(dst []byte, at int) []byte {
 	body := dst[at+8:]
 	binary.BigEndian.PutUint32(dst[at:], uint32(len(body)))
 	binary.BigEndian.PutUint32(dst[at+4:], crc32.ChecksumIEEE(body))
@@ -80,15 +91,48 @@ func encodeEntries(entries []Entry) []byte {
 	return appendRecord(wire.AppendU8(append([]byte(nil), dirMagic...), dirVersion), entries)
 }
 
-// snapshotLen is len(encodeEntries(entries)), counted: the header, a record's 8
-// bytes, and per entry 30 (two ids, kind, tombstone, two lengths) and its strings.
-func snapshotLen(entries []Entry) int {
-	n := len(dirMagic) + 1 + 8*min(len(entries), 1)
+// appendSnapshot appends to dst the snapshot of entries with up upserted and
+// the tombstones drop names left out: what replaying the snapshot of entries
+// and then the record of up would hold, less those.  Both lists are in
+// entry-id order; of entries of up that share an id, the last is the one.
+func appendSnapshot(dst []byte, entries, up []Entry, drop map[ids.FileID]bool) []byte {
+	dst = wire.AppendU8(append(dst, dirMagic...), dirVersion)
+	at := len(dst)
+	dst = append(dst, make([]byte, 8)...)
+	for len(entries) > 0 || len(up) > 0 {
+		var e Entry
+		if len(up) == 0 || len(entries) > 0 && cmpEID(entries[0].EID, up[0].EID) < 0 {
+			e, entries = entries[0], entries[1:]
+		} else {
+			if len(entries) > 0 && entries[0].EID == up[0].EID {
+				entries = entries[1:]
+			}
+			if e, up = up[0], up[1:]; len(up) > 0 && up[0].EID == e.EID {
+				continue
+			}
+		}
+		if !e.Deleted || !drop[e.EID] {
+			dst = appendEntry(dst, e)
+		}
+	}
+	if len(dst) == at+8 {
+		return dst[:at] // no entry, no record
+	}
+	return sealRecord(dst, at)
+}
+
+// recordLen is len(appendRecord(nil, entries)), counted: a record's 8 bytes,
+// and per entry 30 (two ids, kind, tombstone, two lengths) and its strings.
+func recordLen(entries []Entry) int {
+	n := 8 * min(len(entries), 1)
 	for _, e := range entries {
 		n += 30 + len(e.Name) + len(e.Value)
 	}
 	return n
 }
+
+// snapshotLen is len(encodeEntries(entries)), counted: the header and the record.
+func snapshotLen(entries []Entry) int { return len(dirMagic) + 1 + recordLen(entries) }
 
 // replayEntries folds a contents file into its entries.
 func replayEntries(p []byte) ([]Entry, error) {
@@ -123,12 +167,18 @@ func replayEntries(p []byte) ([]Entry, error) {
 // upsertEntry puts e into entries, which are in entry-id order, in place of the
 // entry with its id or at its place in the order.
 func upsertEntry(entries []Entry, e Entry) []Entry {
-	i, found := slices.BinarySearchFunc(entries, e.EID, func(x Entry, id ids.FileID) int { return cmpEID(x.EID, id) })
+	i, found := searchEID(entries, e.EID)
 	if found {
 		entries[i] = e
 		return entries
 	}
 	return slices.Insert(entries, i, e)
+}
+
+// searchEID finds the entry with id among entries, which are in entry-id
+// order: its index, or where it would go.
+func searchEID(entries []Entry, id ids.FileID) (int, bool) {
+	return slices.BinarySearchFunc(entries, id, func(x Entry, id ids.FileID) int { return cmpEID(x.EID, id) })
 }
 
 // readDirFileLocked replays the contents file in container cont, size bytes
@@ -147,58 +197,72 @@ func (l *Layer) readDirFileLocked(cont vnode.Vnode) (entries []Entry, size int, 
 	return entries, len(data), err
 }
 
-// commitDirLocked is how a directory changes: one record of changed — the
-// entries an operation inserted or altered — is appended in one write at the
-// image's end, the operation's commit point.  Then advance, unless nil, moves
-// the directory's version vector in attr (bumpVV for a local mutation, a merge
-// for reconciliation).  A crash between the two leaves the new entries under
-// the old vector, which costs the next reconciliation a look at a directory it
-// would otherwise have skipped.
-func (l *Layer) commitDirLocked(cont vnode.Vnode, d *dirImage, changed []Entry, advance func(vv.Vector) vv.Vector) (*dirImage, error) {
-	entries := slices.Grow(slices.Clip(d.entries), len(changed))
-	for _, e := range changed {
-		entries = upsertEntry(entries, e)
-	}
-	rec := appendRecord(nil, changed)
-	// Past twice the directory's snapshot and one device block, it compacts.
-	return l.writeDirLocked(cont, d, entries, rec, d.end+len(rec) > max(2*d.snap, 4096), advance)
-}
-
-// writeDirLocked moves the directory imaged by d to entries by appending rec,
-// or, when compact, by atomicReplace of their snapshot (DropTombstones' way: no
-// record drops an entry).  d is dropped first and its successor cached only once
-// every write is down, so no failure leaves a stale cache.
-func (l *Layer) writeDirLocked(cont vnode.Vnode, d *dirImage, entries []Entry, rec []byte, compact bool, advance func(vv.Vector) vv.Vector) (*dirImage, error) {
+// commitDirLocked is how a directory changes, and the one writer of its image
+// d, lent by dirLocked: one record of changed — the entries an operation
+// inserted or altered — is appended in one write at the image's end, the
+// operation's commit point.  A journal that would pass twice its snapshot and
+// one device block is compacted instead, and so is one that loses the
+// tombstones drop names (DropTombstones; no record drops an entry): by
+// atomicReplace of the snapshot.  Either is written from a buffer lent by
+// wire's pool.  Then advance, unless nil, moves the directory's version vector
+// in attr (bumpVV for a local mutation, a merge for reconciliation).  A crash
+// between the two leaves the new entries under the old vector, which costs the
+// next reconciliation a look at a directory it would otherwise have skipped.
+//
+// d is dropped from the cache first, and only once every write has landed is
+// it changed, in place, and cached again: so no failure leaves a stale cache,
+// and a failed commit leaves d as it was.
+func (l *Layer) commitDirLocked(cont vnode.Vnode, d *dirImage, changed []Entry, drop map[ids.FileID]bool, advance func(vv.Vector) vv.Vector) error {
 	key := cont.Handle()
+	d.checkLent(key)
 	l.dirs.Drop(key)
-	end := d.end + len(rec)
-	if compact {
-		img := encodeEntries(entries)
-		if err := atomicReplace(cont, dirFileName, img); err != nil {
-			return nil, err
+	end := d.end + recordLen(changed)
+	if len(drop) > 0 || end > max(2*d.snap, 4096) {
+		up := changed
+		if len(changed) > 1 {
+			up = slices.Clone(changed)
+			slices.SortStableFunc(up, func(a, b Entry) int { return cmpEID(a.EID, b.EID) })
 		}
+		img := appendSnapshot(wire.GetBuf(snapshotLen(d.entries)+recordLen(changed)), d.entries, up, drop)
+		err := atomicReplace(cont, dirFileName, img)
 		end = len(img)
-	} else if len(rec) > 0 {
-		if f, err := cont.Lookup(dirFileName); err != nil {
-			return nil, err
-		} else if _, err := f.WriteAt(rec, int64(d.end)); err != nil {
-			return nil, err
+		wire.PutBuf(img)
+		if err != nil {
+			return err
+		}
+	} else if len(changed) > 0 {
+		f, err := cont.Lookup(dirFileName)
+		if err != nil {
+			return err
+		}
+		rec := appendRecord(wire.GetBuf(end-d.end), changed)
+		_, err = f.WriteAt(rec, int64(d.end))
+		wire.PutBuf(rec)
+		if err != nil {
+			return err
 		}
 	}
 	if advance != nil {
 		af, attr, err := l.fileAuxLocked(cont, dirAttrName)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		aux := attr.aux
 		aux.VV = advance(aux.VV.Clone()) // the cache lends the vector
 		if err := l.rewriteAuxLocked(af, attr, &aux, nil, nil); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	next := newDirImage(entries, end)
-	l.dirs.Put(key, next)
-	return next, nil
+	for _, e := range changed {
+		d.entries = upsertEntry(d.entries, e)
+	}
+	if len(drop) > 0 {
+		d.entries = slices.DeleteFunc(d.entries, func(e Entry) bool { return e.Deleted && drop[e.EID] })
+	}
+	d.end = end
+	d.index()
+	l.dirs.Put(key, d)
+	return nil
 }
 
 // bumpVV advances v by one update this replica originated (§3.1).

@@ -251,6 +251,8 @@ func (r MergeResult) Changed() bool { return r.Inserted > 0 || r.Deleted > 0 }
 //
 // Entries are identified by their globally unique entry id, so the merge is
 // a set union in which a tombstone for an entry id defeats its live form.
+// Each remote entry — remote is a replica's directory, holding each id once —
+// is found among the local ones by binary search over their id order.
 // The result is commutative, associative and idempotent: pairwise
 // reconciliation converges all replicas to the same directory no matter the
 // order of encounters.  Concurrent same-name insertions survive as distinct
@@ -268,25 +270,18 @@ func (l *Layer) ApplyDirMerge(dirPath []ids.FileID, remote DirState) (MergeResul
 	if err != nil {
 		return res, err
 	}
-	byEID := make(map[ids.FileID]int, len(d.entries))
-	for i, e := range d.entries {
-		byEID[e.EID] = i
-	}
-	merged := slices.Clone(d.entries)
 	var changed []Entry                  // what the merge inserts or tombstones, as it meets them
 	touched := make(map[ids.FileID]bool) // children whose live-name count may have changed
 	for _, re := range remote.Entries {
-		if i, ok := byEID[re.EID]; ok {
-			if re.Deleted && merged[i].Live() {
-				merged[i].Deleted = true
+		if i, ok := searchEID(d.entries, re.EID); ok {
+			if e := d.entries[i]; re.Deleted && e.Live() {
+				e.Deleted = true
 				res.Deleted++
-				changed = append(changed, merged[i])
-				touched[merged[i].Child] = true
+				changed = append(changed, e)
+				touched[e.Child] = true
 			}
 			continue
 		}
-		merged = append(merged, re)
-		byEID[re.EID] = len(merged) - 1
 		changed = append(changed, re)
 		// Also for an entry adopted already dead: local storage for its
 		// child may exist (the propagation daemon can install file data
@@ -298,13 +293,13 @@ func (l *Layer) ApplyDirMerge(dirPath []ids.FileID, remote DirState) (MergeResul
 	}
 	// The merged state covers both histories: vv := merge(local, remote).
 	covers := func(v vv.Vector) vv.Vector { return vv.Merge(v, remote.VV) }
-	if d, err = l.commitDirLocked(cont, d, changed, covers); err != nil {
+	if err := l.commitDirLocked(cont, d, changed, nil, covers); err != nil {
 		return res, err
 	}
 	// Settle each touched file as a local Remove or Link would: storage no
 	// live entry names any more is reclaimed, and a link count follows the
 	// number of live names (two partitioned renames of one file both survive,
-	// leaving it with two, §2.5 fn3).  The walk is in merged's order, not map
+	// leaving it with two, §2.5 fn3).  The walk is in entry order, not map
 	// order: the order of the store operations decides what the UFS caches
 	// hold, and so every counter that depends on them, and must be the same
 	// from run to run.
@@ -504,29 +499,26 @@ func (l *Layer) DropTombstones(dirPath []ids.FileID, eids []ids.FileID) (int, er
 	for _, e := range eids {
 		drop[e] = true
 	}
-	kept := make([]Entry, 0, len(d.entries))
 	var dropped []Entry
 	for _, e := range d.entries {
 		if e.Deleted && drop[e.EID] {
 			dropped = append(dropped, e)
-			continue
 		}
-		kept = append(kept, e)
 	}
 	if len(dropped) == 0 {
 		return 0, nil
 	}
-	if _, err := l.writeDirLocked(cont, d, kept, nil, true, nil); err != nil {
+	if err := l.commitDirLocked(cont, d, nil, drop, nil); err != nil {
 		return len(dropped), err
 	}
 	// Reclaim what the collected tombstones were the last to name: a file's
 	// leftover storage, and the container of a directory stored here.
 	for _, e := range dropped {
 		if !e.Kind.IsDir() {
-			if err := l.settleChildLocked(cont, kept, e.Child); err != nil {
+			if err := l.settleChildLocked(cont, d.entries, e.Child); err != nil {
 				return len(dropped), err
 			}
-		} else if countAnyRefs(kept, e.Child) == 0 {
+		} else if countAnyRefs(d.entries, e.Child) == 0 {
 			l.conts.Flush() // the container's inode is about to be free for reuse
 			if err := removeTree(cont, memberName(prefixDir, e.Child)); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
 				return len(dropped), err
@@ -593,8 +585,7 @@ func (l *Layer) AppendEntry(dirPath []ids.FileID, e Entry) error {
 		}
 		e.EID = eid
 	}
-	_, err = l.commitDirLocked(cont, d, []Entry{e}, l.bumpVV)
-	return err
+	return l.commitDirLocked(cont, d, []Entry{e}, nil, l.bumpVV)
 }
 
 // NextID allocates a fresh unique id from this replica's sequencer (for

@@ -298,7 +298,7 @@ func (v *pvnode) createKind(name string, excl bool, kind Kind, data string) (vno
 	if err := writeAuxFile(writeFresh, cont, c.stored, &aux, ComputeManifest([]byte(data))); err != nil {
 		return nil, err
 	}
-	if _, err := v.l.commitDirLocked(cont, d, []Entry{{EID: eid, Name: name, Child: fid, Kind: kind}}, v.l.bumpVV); err != nil {
+	if err := v.l.commitDirLocked(cont, d, []Entry{{EID: eid, Name: name, Child: fid, Kind: kind}}, nil, v.l.bumpVV); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -343,7 +343,7 @@ func (v *pvnode) mkdirKind(name string, kind Kind, graftVol ids.VolumeHandle) (v
 	if err := v.l.newContainerLocked(cont, fid, &aux); err != nil {
 		return nil, err
 	}
-	if _, err := v.l.commitDirLocked(cont, d, []Entry{{EID: eid, Name: name, Child: fid, Kind: kind}}, v.l.bumpVV); err != nil {
+	if err := v.l.commitDirLocked(cont, d, []Entry{{EID: eid, Name: name, Child: fid, Kind: kind}}, nil, v.l.bumpVV); err != nil {
 		return nil, err
 	}
 	return v.childLocked(fid, kind), nil
@@ -684,7 +684,7 @@ func (v *pvnode) removeEntry(name string, wantDir bool) error {
 		}
 	}
 	e.Deleted = true
-	if d, err = v.l.commitDirLocked(cont, d, []Entry{e}, v.l.bumpVV); err != nil || wantDir {
+	if err := v.l.commitDirLocked(cont, d, []Entry{e}, nil, v.l.bumpVV); err != nil || wantDir {
 		return err
 	}
 	return v.l.settleChildLocked(cont, d.entries, e.Child)
@@ -728,8 +728,7 @@ func (v *pvnode) Link(name string, target vnode.Vnode) error {
 		return err
 	}
 	// The entry first, then the link count recounted from it.
-	d, err = v.l.commitDirLocked(cont, d, []Entry{{EID: eid, Name: name, Child: t.fid, Kind: t.kind}}, v.l.bumpVV)
-	if err != nil {
+	if err := v.l.commitDirLocked(cont, d, []Entry{{EID: eid, Name: name, Child: t.fid, Kind: t.kind}}, nil, v.l.bumpVV); err != nil {
 		return err
 	}
 	return v.l.settleChildLocked(cont, d.entries, t.fid)
@@ -829,7 +828,7 @@ func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 		changed = append(changed, old)
 	}
 	changed = append(changed, Entry{EID: eid, Name: newName, Child: e.Child, Kind: e.Kind, Value: e.Value})
-	if dst, err = v.l.commitDirLocked(dstCont, dst, changed, v.l.bumpVV); err != nil {
+	if err := v.l.commitDirLocked(dstCont, dst, changed, nil, v.l.bumpVV); err != nil {
 		return err
 	}
 	if replaced >= 0 {
@@ -846,7 +845,7 @@ func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 			return err
 		}
 	}
-	if src, err = v.l.commitDirLocked(srcCont, src, []Entry{old}, v.l.bumpVV); err != nil || e.Kind.IsDir() {
+	if err := v.l.commitDirLocked(srcCont, src, []Entry{old}, nil, v.l.bumpVV); err != nil || e.Kind.IsDir() {
 		return err
 	}
 	// A source that still names the file keeps its copy, so the destination

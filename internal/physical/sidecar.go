@@ -257,9 +257,12 @@ func resealInPlace(af vnode.Vnode, cur *sidecar, sealed vv.Vector, m *BlockManif
 			return err
 		}
 	}
-	img := encodeSidecar(sealed, m)
-	if _, err := af.WriteAt(img, auxFileSize); err != nil {
+	n := sidecarLen(sealed, m)
+	img := appendSidecar(wire.GetBuf(n), sealed, m)
+	_, err := af.WriteAt(img, auxFileSize)
+	wire.PutBuf(img)
+	if err != nil {
 		return err
 	}
-	return af.Truncate(auxFileSize + uint64(len(img)))
+	return af.Truncate(auxFileSize + uint64(n))
 }

@@ -85,6 +85,9 @@ func AsErrno(err error) Errno {
 	if err == nil {
 		return EOK
 	}
+	if e, ok := err.(Errno); ok { // the common case, without the allocation errors.As costs
+		return e
+	}
 	var e Errno
 	if errors.As(err, &e) {
 		return e

@@ -180,6 +180,20 @@ func TestErrnoVocabulary(t *testing.T) {
 	}
 }
 
+// TestAsErrnoOfBareErrnoAllocatesNothing: the errors a layer passes up are
+// mostly bare Errno values, and mapping one costs no allocation (errors.As
+// takes its target's address, which escapes).
+func TestAsErrnoOfBareErrnoAllocatesNothing(t *testing.T) {
+	var err error = vnode.ENOENT
+	if n := testing.AllocsPerRun(100, func() {
+		if vnode.AsErrno(err) != vnode.ENOENT {
+			t.Fatal("bare errno lost")
+		}
+	}); n != 0 {
+		t.Errorf("AsErrno of a bare Errno allocates %v times, want 0", n)
+	}
+}
+
 // TestNextName: stepping through a path visits its components in order,
 // without the empty and "." segments, and LastName is the last of them.
 func TestNextName(t *testing.T) {
