@@ -13,8 +13,8 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint builds and runs ficusvet, the repo-specific suite of six analyzers
-# (determinism, vvalias, errclass, heldlocks, lockorder, duraberr — see
+# lint builds and runs ficusvet, the repo-specific suite of five analyzers
+# (determinism, errclass, heldlocks, lockorder, duraberr — see
 # DESIGN.md §8 and §12).
 lint:
 	$(GO) build -o /dev/null ./cmd/ficusvet

@@ -9,10 +9,6 @@
 //     chaos tests replay faults from a seed; one time.Now or unsorted
 //     range-over-map makes a failing run unreproducible.
 //
-//   - vvalias: vv.Vector is a map; storing a caller's vector without
-//     Clone aliases it, and a later Bump through either name silently
-//     corrupts Parker et al.'s dominance comparison.
-//
 //   - errclass: internal/retry classifies errors as transient or permanent
 //     with errors.Is/errors.As; wrapping without %w or comparing errors
 //     with == severs the chain and turns transient faults permanent.
@@ -116,7 +112,7 @@ func report(diags *[]Diagnostic, a *Analyzer, pkg *Package, pos token.Pos, forma
 // All returns every ficusvet analyzer.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Determinism, VVAlias, ErrClass,
+		Determinism, ErrClass,
 		HeldLocks, LockOrder, DurabErr,
 	}
 }

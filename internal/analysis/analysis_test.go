@@ -67,10 +67,6 @@ func TestDeterminismFixture(t *testing.T) {
 	runFixture(t, Determinism, "determinism", "sim", "clockok")
 }
 
-func TestVVAliasFixture(t *testing.T) {
-	runFixture(t, VVAlias, "vvalias", "store")
-}
-
 func TestErrClassFixture(t *testing.T) {
 	runFixture(t, ErrClass, "errclass", "recon")
 }

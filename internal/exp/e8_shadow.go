@@ -7,7 +7,6 @@ import (
 	"repro/internal/ufs"
 	"repro/internal/ufsvn"
 	"repro/internal/vnode"
-	"repro/internal/vv"
 )
 
 // E8 — paper §3.2 fn5: the single-file atomic commit "is not necessary for
@@ -80,7 +79,7 @@ func ShadowCommitCost(fileBlocks []int) ([]ShadowRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		newVV := vv.Merge(st.Aux.VV, nil).Bump(2)
+		newVV := st.Aux.VV.Bump(2)
 		dev.ResetStats()
 		if err := layer.InstallFileVersion(physical.RootPath(), fid, physical.KFile, data, newVV, 1); err != nil {
 			return nil, err

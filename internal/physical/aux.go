@@ -58,7 +58,7 @@ type Aux struct {
 }
 
 // encode: kind(1) nlink(4) graftAlloc(4) graftVol(4) vv(4+12n)
-func (a *Aux) encode() []byte { return a.appendTo(make([]byte, 0, 17+12*len(a.VV))) }
+func (a *Aux) encode() []byte { return a.appendTo(make([]byte, 0, 17+12*a.VV.Len())) }
 
 func (a *Aux) appendTo(dst []byte) []byte {
 	dst = wire.AppendU8(dst, byte(a.Type))

@@ -15,10 +15,11 @@ func auxBytes(a *Aux) ([]byte, error) { return auxImage(a, nil) }
 // straight into its block, and its seal after it — is one allocation, and the
 // same bytes as the header block and the seal encoded apart.
 func TestAuxImageAllocatesOnce(t *testing.T) {
-	v := vv.New()
+	c := map[ids.ReplicaID]uint64{}
 	for r := ids.ReplicaID(1); r <= 8; r++ {
-		v[r*3] = uint64(r) * 1000
+		c[r*3] = uint64(r) * 1000
 	}
+	v := vv.Of(c)
 	a := Aux{Type: KFile, Nlink: 2, VV: v, GraftVol: ids.VolumeHandle{Allocator: 1, Volume: 7}}
 	m := ComputeManifest(bytes.Repeat([]byte("seal"), 5000))
 	img, err := auxImage(&a, m)
@@ -45,10 +46,7 @@ func TestAuxImageAllocatesOnce(t *testing.T) {
 // buffer lent by wire's pool, which holds whatever its last borrower left; the
 // padding is cleared, so the block is the same bytes as a zeroed one's.
 func TestLentAuxImageIsTheSame(t *testing.T) {
-	v := vv.New()
-	for r := ids.ReplicaID(1); r <= 3; r++ {
-		v[r] = uint64(r) * 7
-	}
+	v := vv.Of(map[ids.ReplicaID]uint64{1: 7, 2: 14, 3: 21})
 	a := Aux{Type: KFile, Nlink: 1, VV: v}
 	m := ComputeManifest(bytes.Repeat([]byte("x"), 9000))
 	for _, m := range []*BlockManifest{nil, m} {

@@ -163,11 +163,11 @@ func BenchmarkInstallFileVersion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vvv := st.Aux.VV.Clone()
+	vvv := st.Aux.VV
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vvv.Bump(2)
+		vvv = vvv.Bump(2)
 		if err := l.InstallFileVersion(RootPath(), fid, KFile, data, vvv, 1); err != nil {
 			b.Fatal(err)
 		}

@@ -60,7 +60,7 @@ func TestCheckDetectsOrphanedStorage(t *testing.T) {
 	ghost := ids.FileID{Issuer: 9, Seq: 99}
 	df, _ := cont.Create(prefixData+ghost.String(), true)
 	vnode.WriteFile(df, []byte("orphan"))
-	aux := Aux{Type: KFile, Nlink: 1, VV: vv.New()}
+	aux := Aux{Type: KFile, Nlink: 1, VV: vv.Vector{}}
 	writeAuxFile(writeFresh, cont, prefixAux+ghost.String(), &aux, nil)
 	probs, err := l.Check()
 	if err != nil {

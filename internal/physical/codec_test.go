@@ -63,7 +63,7 @@ func TestDiskCodecGoldenBytes(t *testing.T) {
 	}
 
 	// An aux with a graft volume and a three-replica vector, padded to its block.
-	a := Aux{Type: KGraft, Nlink: 2, VV: vv.Vector{1: 4, 3: 9, 0x01020304: 0x1122334455667788}, GraftVol: ids.VolumeHandle{Allocator: 8, Volume: 0x0a0b0c0d}}
+	a := Aux{Type: KGraft, Nlink: 2, VV: vv.Of(map[ids.ReplicaID]uint64{1: 4, 3: 9, 0x01020304: 0x1122334455667788}), GraftVol: ids.VolumeHandle{Allocator: 8, Volume: 0x0a0b0c0d}}
 	const auxHex = "0400000002000000080a0b0c0d00000003000000010000000000000004000000030000000000000009010203041122334455667788"
 	check("aux", a.encode(), auxHex)
 	block, err := auxBytes(&a)
@@ -75,7 +75,7 @@ func TestDiskCodecGoldenBytes(t *testing.T) {
 	}
 
 	// Sidecars of 0, 1 and 3 blocks.
-	sealed := vv.Vector{1: 3, 7: 1}
+	sealed := vv.Of(map[ids.ReplicaID]uint64{1: 3, 7: 1})
 	for n, wantHex := range map[int]string{
 		0: "465344430100000000020000000100000000000000030000000700000000000000010000000000000000",
 		1: "46534443010000000002000000010000000000000003000000070000000000000001000000000000000508bb5e5d6eaac1049ede0893d30ed022",
@@ -185,22 +185,21 @@ func TestEntryCodecRejectsCorruption(t *testing.T) {
 // encoding.
 func TestAuxCodecRoundTripProperty(t *testing.T) {
 	f := func(kind byte, nlink uint32, counts []uint16, ga, gv uint32) bool {
-		a := Aux{
-			Type:  Kind(1 + kind%4),
-			Nlink: nlink,
-			VV:    make(map[ids.ReplicaID]uint64),
-			GraftVol: ids.VolumeHandle{
-				Allocator: ids.AllocatorID(ga),
-				Volume:    ids.VolumeID(gv),
-			},
-		}
+		vec := make(map[ids.ReplicaID]uint64)
 		for i, c := range counts {
 			if i >= 8 {
 				break
 			}
-			if c > 0 {
-				a.VV[ids.ReplicaID(i)] = uint64(c)
-			}
+			vec[ids.ReplicaID(i)] = uint64(c)
+		}
+		a := Aux{
+			Type:  Kind(1 + kind%4),
+			Nlink: nlink,
+			VV:    vv.Of(vec),
+			GraftVol: ids.VolumeHandle{
+				Allocator: ids.AllocatorID(ga),
+				Volume:    ids.VolumeID(gv),
+			},
 		}
 		buf, err := auxBytes(&a)
 		if err != nil {

@@ -378,7 +378,7 @@ func sweepOps() []sweepOp {
 		{name: "InstallFirstCopy", prep: func(l *Layer, _ vnode.Vnode) error {
 			return l.AppendEntry(RootPath(), Entry{Name: "far", Child: sweepFar, Kind: KFile})
 		}, run: func(l *Layer, _ vnode.Vnode) error {
-			return l.InstallFileVersion(RootPath(), sweepFar, KFile, sweepPayload('x'), vv.Vector{5: 1}, 1)
+			return l.InstallFileVersion(RootPath(), sweepFar, KFile, sweepPayload('x'), vv.Of(map[ids.ReplicaID]uint64{5: 1}), 1)
 		}},
 	}
 }
@@ -485,7 +485,7 @@ func staleSeal(path string) func(*Layer, vnode.Vnode) error {
 		if err != nil {
 			return err
 		}
-		return plantSeal(cont, fid, st.Aux.VV.Clone().Bump(2), ComputeManifest(sweepPayload('z')))
+		return plantSeal(cont, fid, st.Aux.VV.Bump(2), ComputeManifest(sweepPayload('z')))
 	}
 }
 
@@ -736,7 +736,7 @@ func TestTornResealNeverSplicesACurrentSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	installed := st.Aux.VV.Clone().Bump(1)
+	installed := st.Aux.VV.Bump(1)
 	if err := l.InstallFileVersion(RootPath(), fid, KFile, sweepPayload('b'), installed, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -744,7 +744,7 @@ func TestTornResealNeverSplicesACurrentSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plantSeal(cont, fid, installed.Clone().Bump(1), ComputeManifest(sweepPayload('c'))); err != nil {
+	if err := plantSeal(cont, fid, installed.Bump(1), ComputeManifest(sweepPayload('c'))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -771,7 +771,7 @@ func TestTornResealNeverSplicesACurrentSeal(t *testing.T) {
 	}{
 		{"WriteAt", func(_ *Layer, f vnode.Vnode) error { _, err := f.WriteAt([]byte("WRITE"), 10); return err }},
 		{"InstallOverStoredCopy", func(l *Layer, _ vnode.Vnode) error {
-			return l.InstallFileVersion(RootPath(), fid, KFile, sweepPayload('d'), installed.Clone().Bump(3), 1)
+			return l.InstallFileVersion(RootPath(), fid, KFile, sweepPayload('d'), installed.Bump(3), 1)
 		}},
 	} {
 		dev := base.Snapshot()

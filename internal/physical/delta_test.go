@@ -93,7 +93,7 @@ func nextVV(t *testing.T, l *Layer, fid ids.FileID) vv.Vector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.Aux.VV.Clone().Bump(2)
+	return st.Aux.VV.Bump(2)
 }
 
 // remount recovers the store (ufs mount + Open, which runs Recover) and

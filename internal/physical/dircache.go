@@ -140,12 +140,12 @@ func (l *Layer) dirLocked(cont vnode.Vnode) (*dirImage, error) {
 // fileAuxLocked is the one runtime reader of an aux member: a file's A<fid> or
 // a directory's attr, name in container cont.  It returns the member's store
 // vnode, for an in-place rewrite (rewriteAuxLocked), and its header and seal
-// through the aux cache, lent: the caller must not change them, and a writer
-// clones the vector before it moves it.  The key is the member's store handle,
-// its inode — so an install by rename, a link or unlink and a reused inode all
-// change the key or the stamp, and no writer needs to drop an entry.  A hit
-// still asks the store for the member and its stamp, both answered from the
-// store's caches; it skips the block read and the decode.
+// through the aux cache, lent: the caller must not change them, though it may
+// bump the vector, which builds a new one.  The key is the member's store
+// handle, its inode — so an install by rename, a link or unlink and a reused
+// inode all change the key or the stamp, and no writer needs to drop an entry.
+// A hit still asks the store for the member and its stamp, both answered from
+// the store's caches; it skips the block read and the decode.
 func (l *Layer) fileAuxLocked(cont vnode.Vnode, name string) (vnode.Vnode, auxEntry, error) {
 	f, err := cont.Lookup(name)
 	if err != nil {

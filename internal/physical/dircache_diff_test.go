@@ -279,9 +279,9 @@ func (g *diffGen) op(path []string, name, name2 string) diffStep {
 			if i < 0 {
 				return "no such file entry"
 			}
-			fid, to := ds.Entries[i].Child, vv.New()
+			fid, to := ds.Entries[i].Child, vv.Vector{}
 			if st, err := l.FileInfo(fids, fid); err == nil {
-				to = st.Aux.VV.Clone()
+				to = st.Aux.VV
 			}
 			err = l.InstallFileVersion(fids, fid, ds.Entries[i].Kind, data, to.Bump(2), 1)
 			return fmt.Sprintf("%s; %s", errStr(err), describe(dir.Lookup(name)))
@@ -313,7 +313,7 @@ func (g *diffGen) op(path []string, name, name2 string) diffStep {
 				}
 			}
 			ds.Entries = append(ds.Entries, theirs...)
-			ds.VV = ds.VV.Clone().Bump(2)
+			ds.VV = ds.VV.Bump(2)
 			res, err := l.ApplyDirMerge(fids, ds)
 			out := fmt.Sprintf("%+v %s", res, errStr(err))
 			for _, e := range theirs {

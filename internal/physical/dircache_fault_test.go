@@ -143,7 +143,7 @@ func faultOps() []sweepOp {
 			ds.Entries = append(ds.Entries,
 				Entry{EID: ids.FileID{Issuer: 2, Seq: 5}, Name: "f1", Child: ids.FileID{Issuer: 2, Seq: 4}, Kind: KFile},
 				Entry{EID: ids.FileID{Issuer: 2, Seq: 7}, Name: "theirs", Child: ids.FileID{Issuer: 2, Seq: 6}, Kind: KDir})
-			ds.VV = ds.VV.Clone().Bump(2)
+			ds.VV = ds.VV.Bump(2)
 			_, err = l.ApplyDirMerge(RootPath(), ds)
 			return err
 		}},
@@ -179,7 +179,7 @@ func faultOps() []sweepOp {
 			if err != nil {
 				return err
 			}
-			return l.InstallFileVersion(RootPath(), fid, KFile, sweepPayload('z'), st.Aux.VV.Clone().Bump(2), st.Aux.Nlink)
+			return l.InstallFileVersion(RootPath(), fid, KFile, sweepPayload('z'), st.Aux.VV.Bump(2), st.Aux.Nlink)
 		})},
 	}
 }

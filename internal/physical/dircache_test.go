@@ -13,6 +13,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/invariant"
 	"repro/internal/vnode"
+	"repro/internal/vv"
 )
 
 // refRenderedName and refFind are the definitions dirImage's index replaced:
@@ -273,9 +274,10 @@ func TestReadersRaceDirectoryMoves(t *testing.T) {
 }
 
 // TestFileInfoLendsNoCachedVector: FileInfo reads a file's aux, and a child
-// directory's attributes, through the aux cache, and what it returns is the
-// caller's: changing the returned vector leaves the next answer — FileInfo's,
-// and Getattr's, which reads the same cache — as it was.
+// directory's attributes, through the aux cache, and hands out the cached
+// vector itself.  Bumping or merging it builds a new vector, so the next
+// answer — FileInfo's, and Getattr's, which reads the same cache — is as it
+// was.
 func TestFileInfoLendsNoCachedVector(t *testing.T) {
 	l, _ := newLayer(t, 1)
 	root, _ := l.Root()
@@ -300,11 +302,14 @@ func TestFileInfoLendsNoCachedVector(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := st.Aux.VV.Clone()
-		st.Aux.VV[1] += 1000
-		st.Aux.VV[9] = 1
+		want := st.Aux.VV.String()
+		bumped := st.Aux.VV.Bump(1).Bump(9)
+		merged := vv.Merge(st.Aux.VV, vv.Of(map[ids.ReplicaID]uint64{1: 1000, 9: 1}))
+		if bumped.Counter(9) != 1 || merged.Counter(1) != 1000 {
+			t.Fatalf("%s: Bump gave %v, Merge gave %v", fid, bumped, merged)
+		}
 		again, err := l.FileInfo(RootPath(), fid)
-		if err != nil || !again.Aux.VV.Equal(want) {
+		if err != nil || again.Aux.VV.String() != want {
 			t.Fatalf("%s: FileInfo after changing a returned vector: %v %v, want %v", fid, again.Aux.VV, err, want)
 		}
 		if b, err := v.Getattr(); err != nil || b.Mtime != a.Mtime {

@@ -248,7 +248,7 @@ func (l *Layer) commitDirLocked(cont vnode.Vnode, d *dirImage, changed []Entry, 
 			return err
 		}
 		aux := attr.aux
-		aux.VV = advance(aux.VV.Clone()) // the cache lends the vector
+		aux.VV = advance(aux.VV)
 		if err := l.rewriteAuxLocked(af, attr, &aux, nil, nil); err != nil {
 			return err
 		}
@@ -266,12 +266,7 @@ func (l *Layer) commitDirLocked(cont vnode.Vnode, d *dirImage, changed []Entry, 
 }
 
 // bumpVV advances v by one update this replica originated (§3.1).
-func (l *Layer) bumpVV(v vv.Vector) vv.Vector {
-	if v == nil {
-		v = vv.New()
-	}
-	return v.Bump(l.replica)
-}
+func (l *Layer) bumpVV(v vv.Vector) vv.Vector { return v.Bump(l.replica) }
 
 // newContainerLocked creates directory fid's container under parent: the UFS
 // directory, an empty contents file, then aux as its attributes — last, so a

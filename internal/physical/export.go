@@ -50,9 +50,7 @@ func (l *Layer) DirEntries(dirPath []ids.FileID) (DirState, error) {
 	if err != nil {
 		return DirState{}, err
 	}
-	aux := attr.aux // the caller's to keep and change: copies, not the cache's
-	aux.VV = aux.VV.Clone()
-	return DirState{Entries: slices.Clone(d.entries), VV: aux.VV, Aux: aux}, nil
+	return DirState{Entries: slices.Clone(d.entries), VV: attr.aux.VV, Aux: attr.aux}, nil
 }
 
 // FileState is a file replica's reconciliation-relevant state.
@@ -85,15 +83,12 @@ func (l *Layer) fileInfoLocked(dirPath []ids.FileID, fid ids.FileID) (FileState,
 	if err != nil {
 		return FileState{}, err
 	}
-	// The aux cache lends the aux: the vector is cloned, so no caller can
-	// reach the cached map.
-	c.aux.VV = c.aux.VV.Clone()
 	return FileState{Aux: c.aux, Size: da.Size}, nil
 }
 
 // childDirAuxLocked reads the attributes of fid as a child directory of
 // container cont, which stores no file fid: they live inside the child's own
-// container, and are read through the aux cache.  The vector is cloned.
+// container, and are read through the aux cache.
 // ErrNotStored when cont stores no such directory either.
 func (l *Layer) childDirAuxLocked(cont vnode.Vnode, fid ids.FileID) (Aux, error) {
 	sub, err := cont.Lookup(memberName(prefixDir, fid))
@@ -104,9 +99,7 @@ func (l *Layer) childDirAuxLocked(cont vnode.Vnode, fid ids.FileID) (Aux, error)
 	if err != nil {
 		return Aux{}, err
 	}
-	daux := e.aux
-	daux.VV = daux.VV.Clone()
-	return daux, nil
+	return e.aux, nil
 }
 
 // FileData returns the full contents and attributes of file fid in
@@ -125,8 +118,7 @@ func (l *Layer) FileData(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileStat
 // readVerifiedLocked is FileData, also returning the sealed manifest the
 // bytes were verified against (nil when no current seal could vouch for
 // them).  It reads the aux and its seal through the aux cache, which lends
-// them: the vector is cloned, and the manifest returned is the cache's,
-// read-only.
+// them: the manifest returned is the cache's, read-only.
 func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileState, *BlockManifest, error) {
 	cont, err := l.containerOf(dirPath)
 	if err != nil {
@@ -143,7 +135,6 @@ func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte
 	if err != nil {
 		return nil, FileState{}, nil, err
 	}
-	c.aux.VV = c.aux.VV.Clone()
 	return data, FileState{Aux: c.aux, Size: uint64(len(data))}, m, nil
 }
 
@@ -229,7 +220,7 @@ func (l *Layer) EnsureDirStored(dirPath []ids.FileID, fid ids.FileID, aux Aux) e
 	} else if vnode.AsErrno(err) != vnode.ENOENT {
 		return err
 	}
-	return l.newContainerLocked(cont, fid, &Aux{Type: aux.Type, Nlink: 1, VV: vv.New(), GraftVol: aux.GraftVol})
+	return l.newContainerLocked(cont, fid, &Aux{Type: aux.Type, Nlink: 1, GraftVol: aux.GraftVol})
 }
 
 // MergeResult reports what ApplyDirMerge changed.
@@ -342,15 +333,16 @@ func (l *Layer) settleChildLocked(cont vnode.Vnode, entries []Entry, child ids.F
 // the other's vector without its bytes.  The aux goes last, so a shared aux
 // marks an unshare still to do.
 func (l *Layer) unshareLocked(cont vnode.Vnode, fid ids.FileID) error {
-	af, err := cont.Lookup(memberName(prefixAux, fid))
+	ms := membersOf(KFile, fid)
+	af, err := cont.Lookup(ms.stored)
 	if err != nil {
 		return nil // not stored here
 	}
 	if a, err := af.Getattr(); err != nil || a.Nlink < 2 {
 		return err
 	}
-	for _, p := range []string{prefixData, prefixAux} {
-		f, err := cont.Lookup(p + fid.String())
+	for _, name := range []string{ms.data, ms.stored} {
+		f, err := cont.Lookup(name)
 		if vnode.AsErrno(err) == vnode.ENOENT {
 			continue
 		} else if err != nil {
@@ -360,7 +352,7 @@ func (l *Layer) unshareLocked(cont vnode.Vnode, fid ids.FileID) error {
 		if err != nil {
 			return err
 		}
-		if err := atomicReplace(cont, p+fid.String(), data); err != nil {
+		if err := atomicReplace(cont, name, data); err != nil {
 			return err
 		}
 	}
@@ -371,8 +363,9 @@ func (l *Layer) unshareLocked(cont vnode.Vnode, fid ids.FileID) error {
 // aux — and whatever quarantine its bytes were under.  Absent members are
 // fine: a replica need not store the file.
 func (l *Layer) removeStorageLocked(cont vnode.Vnode, fid ids.FileID) error {
-	for _, p := range []string{prefixData, prefixAux} {
-		if err := cont.Remove(p + fid.String()); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
+	ms := membersOf(KFile, fid)
+	for _, name := range []string{ms.data, ms.stored} {
+		if err := cont.Remove(name); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
 			return err
 		}
 	}

@@ -18,8 +18,8 @@ func FuzzDecodeSidecar(f *testing.F) {
 	enc, _, _ := sampleSidecar()
 	f.Add(enc)
 	f.Add(flagBitSet(enc, 0)) // rejected: no flag is defined
-	f.Add(encodeSidecar(vv.New(), ComputeManifest(nil)))
-	f.Add(encodeSidecar(vv.Vector{2: 1}, &BlockManifest{Length: ^uint64(0)}))
+	f.Add(encodeSidecar(vv.Vector{}, ComputeManifest(nil)))
+	f.Add(encodeSidecar(vv.Of(map[ids.ReplicaID]uint64{2: 1}), &BlockManifest{Length: ^uint64(0)}))
 	f.Add([]byte("FSDC"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sc, err := decodeSidecar(b)
@@ -38,7 +38,7 @@ func FuzzDecodeSidecar(f *testing.F) {
 }
 
 func FuzzDecodeAux(f *testing.F) {
-	a := Aux{Type: KGraft, Nlink: 2, VV: vv.Vector{1: 4, 3: 9}, GraftVol: ids.VolumeHandle{Allocator: 8, Volume: 1}}
+	a := Aux{Type: KGraft, Nlink: 2, VV: vv.Of(map[ids.ReplicaID]uint64{1: 4, 3: 9}), GraftVol: ids.VolumeHandle{Allocator: 8, Volume: 1}}
 	block, err := auxBytes(&a)
 	if err != nil {
 		f.Fatal(err)
@@ -65,7 +65,7 @@ func FuzzDecodeAux(f *testing.F) {
 // the header decodes to the same Aux whatever follows it, and a seal comes
 // back only when the tail is a canonical one sealed under the header's vector.
 func FuzzAuxMemberTail(f *testing.F) {
-	a := Aux{Type: KFile, Nlink: 1, VV: vv.Vector{1: 4, 3: 9}}
+	a := Aux{Type: KFile, Nlink: 1, VV: vv.Of(map[ids.ReplicaID]uint64{1: 4, 3: 9})}
 	header, err := auxBytes(&a)
 	if err != nil {
 		f.Fatal(err)
@@ -73,9 +73,9 @@ func FuzzAuxMemberTail(f *testing.F) {
 	m := ComputeManifest([]byte("some data"))
 	current := encodeSidecar(a.VV, m)
 	f.Add(current)
-	f.Add(encodeSidecar(vv.Vector{1: 4, 3: 10}, m)) // stale
-	f.Add(current[:len(current)-1])                 // torn
-	f.Add(append(slices.Clone(current), 0))         // padded
+	f.Add(encodeSidecar(vv.Of(map[ids.ReplicaID]uint64{1: 4, 3: 10}), m)) // stale
+	f.Add(current[:len(current)-1])                                       // torn
+	f.Add(append(slices.Clone(current), 0))                               // padded
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		got, seal, err := decodeAuxMember(append(slices.Clone(header), tail...))

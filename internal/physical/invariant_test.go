@@ -41,7 +41,7 @@ func TestInstallRegressionFiresInvariant(t *testing.T) {
 	fid := mustFid(t, f)
 
 	// {2:1} silently discards replica 1's counter: a regression.
-	corrupt := vv.New().Bump(2)
+	corrupt := vv.Vector{}.Bump(2)
 	v := mustViolate(t, func() {
 		_ = l.InstallFileVersion(RootPath(), fid, KFile, []byte("v2"), corrupt, 1)
 	})
@@ -64,7 +64,7 @@ func TestInstallDominatingPassesInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newVV := st.Aux.VV.Clone().Bump(2)
+	newVV := st.Aux.VV.Bump(2)
 	if err := l.InstallFileVersion(RootPath(), fid, KFile, []byte("v2"), newVV, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestInvariantDisarmedIsFreeOfPanics(t *testing.T) {
 	f, _ := root.Create("f", true)
 	vnode.WriteFile(f, []byte("v1"))
 	fid := mustFid(t, f)
-	if err := l.InstallFileVersion(RootPath(), fid, KFile, []byte("v2"), vv.New().Bump(2), 1); err != nil {
+	if err := l.InstallFileVersion(RootPath(), fid, KFile, []byte("v2"), vv.Vector{}.Bump(2), 1); err != nil {
 		t.Fatal(err)
 	}
 	l.NoteNewVersion(RootPath(), fid, l.Replica())

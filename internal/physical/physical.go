@@ -169,7 +169,7 @@ func Format(store vnode.VFS, vol ids.VolumeHandle, replica ids.ReplicaID) (*Laye
 	// The fresh root has performed no updates: an empty version vector.
 	// (A creation bump here would make a newly added replica's root look
 	// more recent than its seed after the histories merge.)
-	if err := l.newContainerLocked(root, ids.RootFileID, &Aux{Type: KDir, Nlink: 1, VV: vv.New()}); err != nil {
+	if err := l.newContainerLocked(root, ids.RootFileID, &Aux{Type: KDir, Nlink: 1}); err != nil {
 		return nil, err
 	}
 	return l, nil

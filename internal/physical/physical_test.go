@@ -469,7 +469,7 @@ func TestInstallFileVersionShadowCommit(t *testing.T) {
 	fid := mustFid(t, f)
 	// A remote version that has seen our updates and advanced: dominates.
 	st0, _ := l.FileInfo(RootPath(), fid)
-	newVV := st0.Aux.VV.Clone().Bump(2).Bump(2)
+	newVV := st0.Aux.VV.Bump(2).Bump(2)
 	if err := l.InstallFileVersion(RootPath(), fid, KFile, []byte("new version"), newVV, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestInstallFileVersionShadowCommit(t *testing.T) {
 func TestInstallCreatesMissingStorage(t *testing.T) {
 	l, _ := newLayer(t, 1)
 	fid := ids.FileID{Issuer: 9, Seq: 77}
-	if err := l.InstallFileVersion(RootPath(), fid, KFile, []byte("fresh"), vv.New().Bump(9), 1); err != nil {
+	if err := l.InstallFileVersion(RootPath(), fid, KFile, []byte("fresh"), vv.Vector{}.Bump(9), 1); err != nil {
 		t.Fatal(err)
 	}
 	data, st, err := l.FileData(RootPath(), fid)
@@ -533,7 +533,7 @@ func TestShadowCommitCrashSafety(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.Aux.VV.Clone().Bump(2)
+		return st.Aux.VV.Bump(2)
 	}
 
 	dev, l, fid := setup()
@@ -749,7 +749,7 @@ func TestNamingOpDeviceWrites(t *testing.T) {
 		{name: "Install of a first copy", want: 14, prep: func(l *Layer, _ vnode.Vnode) error {
 			return l.AppendEntry(RootPath(), Entry{Name: "far", Child: fid(5, 88), Kind: KFile})
 		}, run: func(l *Layer, _ vnode.Vnode) error {
-			return l.InstallFileVersion(RootPath(), fid(5, 88), KFile, bytes.Repeat([]byte("x"), 5000), vv.Vector{5: 1}, 1)
+			return l.InstallFileVersion(RootPath(), fid(5, 88), KFile, bytes.Repeat([]byte("x"), 5000), vv.Of(map[ids.ReplicaID]uint64{5: 1}), 1)
 		}},
 	} {
 		l, dev := newLayer(t, 1)

@@ -149,7 +149,7 @@ func (l *Layer) pullOne(req *PullRequest, ad *advert) PullResult {
 		case vv.Dominated:
 			// Remote (this side) dominates: ship.
 		case vv.Concurrent:
-			return PullResult{Status: PullConcurrent, RemoteVV: aux.VV.Clone()}
+			return PullResult{Status: PullConcurrent, RemoteVV: aux.VV}
 		default:
 			return PullResult{Status: PullStale}
 		}
@@ -157,7 +157,6 @@ func (l *Layer) pullOne(req *PullRequest, ad *advert) PullResult {
 	if l.isQuarantinedLocked(req.File) {
 		return pullFailed(errQuarantined(req.File))
 	}
-	aux.VV = aux.VV.Clone()
 	r := PullResult{Status: PullData, Aux: aux}
 	if seal != nil && ad != nil {
 		r.Manifest, r.Size = &seal.BlockManifest, seal.Length
@@ -351,17 +350,15 @@ func (l *Layer) PullRequestFor(dirPath []ids.FileID, fid ids.FileID, base DeltaB
 	defer l.mu.Unlock()
 	cont, err := l.containerOf(dirPath)
 	if err != nil {
-		return req, nil, storedOrNot(err)
+		return req, vv.Vector{}, storedOrNot(err)
 	}
 	c, err := l.copyLocked(cont, membersOf(KFile, fid))
 	aux := c.aux
 	if vnode.AsErrno(err) == vnode.ENOENT {
 		aux, err = l.childDirAuxLocked(cont, fid)
-	} else if err == nil {
-		aux.VV = aux.VV.Clone()
 	}
 	if err != nil {
-		return req, nil, storedOrNot(err)
+		return req, vv.Vector{}, storedOrNot(err)
 	}
 	if l.isQuarantinedLocked(fid) {
 		return req, aux.VV, nil

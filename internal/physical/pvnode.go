@@ -9,6 +9,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/invariant"
 	"repro/internal/vnode"
+	"repro/internal/vv"
 )
 
 // pvnode is the physical layer's vnode: one Ficus file replica.  It locates
@@ -294,7 +295,7 @@ func (v *pvnode) createKind(name string, excl bool, kind Kind, data string) (vno
 	if err := writeFresh(cont, c.data, []byte(data)); err != nil {
 		return nil, err
 	}
-	aux := Aux{Type: kind, Nlink: 1, VV: v.l.bumpVV(nil)}
+	aux := Aux{Type: kind, Nlink: 1, VV: v.l.bumpVV(vv.Vector{})}
 	if err := writeAuxFile(writeFresh, cont, c.stored, &aux, ComputeManifest([]byte(data))); err != nil {
 		return nil, err
 	}
@@ -339,7 +340,7 @@ func (v *pvnode) mkdirKind(name string, kind Kind, graftVol ids.VolumeHandle) (v
 	if err != nil {
 		return nil, err
 	}
-	aux := Aux{Type: kind, Nlink: 1, VV: v.l.bumpVV(nil), GraftVol: graftVol}
+	aux := Aux{Type: kind, Nlink: 1, VV: v.l.bumpVV(vv.Vector{}), GraftVol: graftVol}
 	if err := v.l.newContainerLocked(cont, fid, &aux); err != nil {
 		return nil, err
 	}
@@ -473,7 +474,7 @@ func (v *pvnode) updateFileLocked(lo, hi uint64, p []byte, off uint64, apply fun
 		return err
 	}
 	aux := c.aux
-	aux.VV = v.l.bumpVV(aux.VV.Clone()) // the cache lends the vector
+	aux.VV = v.l.bumpVV(aux.VV)
 	return v.l.rewriteAuxLocked(c.af, c.auxEntry, &aux, m, func() error { return apply(c.df) })
 }
 
@@ -799,10 +800,10 @@ func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 	if err != nil {
 		return err
 	}
-	member := e.Child.String()
+	ms := membersOf(e.Kind, e.Child)
 	if !sameDir && !e.Kind.IsDir() {
-		for _, p := range []string{prefixData, prefixAux} {
-			m, err := srcCont.Lookup(p + member)
+		for _, name := range []string{ms.data, ms.stored} {
+			m, err := srcCont.Lookup(name)
 			if vnode.AsErrno(err) == vnode.ENOENT {
 				continue // not stored here
 			} else if err != nil {
@@ -810,7 +811,7 @@ func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 			}
 			// EEXIST: the destination holds its own copy already (the file
 			// has a name there); it keeps it.
-			if err := dstCont.Link(p+member, m); err != nil && vnode.AsErrno(err) != vnode.EEXIST {
+			if err := dstCont.Link(name, m); err != nil && vnode.AsErrno(err) != vnode.EEXIST {
 				return err
 			}
 		}
@@ -841,7 +842,7 @@ func (v *pvnode) Rename(oldName string, dstDir vnode.Vnode, newName string) erro
 	}
 	if e.Kind.IsDir() {
 		v.l.conts.Flush() // every fid path through the container changes
-		if err := srcCont.Rename(prefixDir+member, dstCont, prefixDir+member); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
+		if err := srcCont.Rename(ms.stored, dstCont, ms.stored); err != nil && vnode.AsErrno(err) != vnode.ENOENT {
 			return err
 		}
 	}

@@ -230,7 +230,7 @@ func TestVerifiedInstallClearsQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodVV := st.Aux.VV.Clone()
+	goodVV := st.Aux.VV
 	if err := l.CorruptData(RootPath(), fid, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestInstallRejectsMismatchedManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newVV := st.Aux.VV.Clone().Bump(2)
+	newVV := st.Aux.VV.Bump(2)
 	// The manifest advertises different bytes than the payload: damage in
 	// flight.  The install must refuse before touching disk.
 	wrong := ComputeManifest([]byte("what the server promised"))
@@ -297,7 +297,7 @@ func TestInstallMismatchFiresInvariant(t *testing.T) {
 	}
 	wrong := ComputeManifest([]byte("promised"))
 	mustViolate(t, func() {
-		_ = installWhole(l, fid, []byte("arrived"), vv.New().Bump(2), wrong)
+		_ = installWhole(l, fid, []byte("arrived"), vv.Vector{}.Bump(2), wrong)
 	})
 }
 
@@ -312,7 +312,7 @@ func TestInstallMatchingManifestPassesInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("v2")
-	if err := installWhole(l, fid, data, st.Aux.VV.Clone().Bump(2), ComputeManifest(data)); err != nil {
+	if err := installWhole(l, fid, data, st.Aux.VV.Bump(2), ComputeManifest(data)); err != nil {
 		t.Fatal(err)
 	}
 }

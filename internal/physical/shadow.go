@@ -265,7 +265,7 @@ func (l *Layer) recoverContainerLocked(c vnode.Vnode, ents []vnode.Dirent) error
 // installed under is computed here.
 func (l *Layer) InstallFileVersion(dirPath []ids.FileID, fid ids.FileID, kind Kind, data []byte, newVV vv.Vector, nlink uint32) error {
 	return l.InstallPulled(dirPath, fid, &PullResult{Status: PullData, Data: data, Manifest: ComputeManifest(data),
-		Aux: Aux{Type: kind, Nlink: nlink, VV: newVV.Clone()}}, nil)
+		Aux: Aux{Type: kind, Nlink: nlink, VV: newVV}}, nil)
 }
 
 // InstallPulled installs the version a pull answered with (r.Status is
@@ -371,7 +371,7 @@ func rejectInstall(fid ids.FileID, format string, args ...any) error {
 // data's manifest.  Caller holds l.mu.
 func (l *Layer) commitFileVersionLocked(cont vnode.Vnode, fid ids.FileID, attrs *Aux, data []byte, m *BlockManifest) error {
 	name := memberName(prefixAux, fid)
-	aux := Aux{Type: attrs.Type, Nlink: max(attrs.Nlink, 1), VV: attrs.VV.Clone()}
+	aux := Aux{Type: attrs.Type, Nlink: max(attrs.Nlink, 1), VV: attrs.VV}
 	af, old, err := l.fileAuxLocked(cont, name)
 	// Per-replica counter monotonicity: the caller has decided the new
 	// vector dominates (or is a conflict resolution merged+bumped above)

@@ -182,7 +182,7 @@ func encodeSidecar(sealed vv.Vector, m *BlockManifest) []byte {
 
 // sidecarLen is the length of the seal tail sealing m under sealed.
 func sidecarLen(sealed vv.Vector, m *BlockManifest) int {
-	return len(sidecarMagic) + 2 + 4 + 12*len(sealed) + 8 + BlockAddrSize*len(m.Blocks)
+	return len(sidecarMagic) + 2 + 4 + 12*sealed.Len() + 8 + BlockAddrSize*len(m.Blocks)
 }
 
 func appendSidecar(dst []byte, sealed vv.Vector, m *BlockManifest) []byte {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/ids"
 	"repro/internal/invariant"
 	"repro/internal/vnode"
 	"repro/internal/vv"
@@ -16,7 +17,7 @@ import (
 var sampleData = bytes.Repeat([]byte("ficus integrity "), 600) // ~9.4 KiB: 3 blocks
 
 func sampleSidecar() ([]byte, vv.Vector, *BlockManifest) {
-	sealed := vv.Vector{1: 4, 3: 9}
+	sealed := vv.Of(map[ids.ReplicaID]uint64{1: 4, 3: 9})
 	m := ComputeManifest(sampleData)
 	return encodeSidecar(sealed, m), sealed, m
 }
@@ -49,7 +50,7 @@ func TestSidecarRoundTrip(t *testing.T) {
 		t.Fatal("decode then encode changed the image")
 	}
 	// The empty file round-trips too: zero length, zero blocks.
-	encEmpty := encodeSidecar(vv.New(), ComputeManifest(nil))
+	encEmpty := encodeSidecar(vv.Vector{}, ComputeManifest(nil))
 	if sc, err := decodeSidecar(encEmpty); err != nil || sc.Length != 0 || len(sc.Blocks) != 0 {
 		t.Fatalf("empty sidecar: %+v %v", sc, err)
 	}
@@ -175,7 +176,7 @@ func TestInstallRejectsMalformedManifest(t *testing.T) {
 		{Length: 2 * ChecksumBlockSize, Blocks: []BlockAddr{one}},
 	} {
 		for _, data := range [][]byte{nil, []byte("x")} {
-			r := &PullResult{Status: PullData, Data: data, Manifest: m, Aux: Aux{Type: KFile, Nlink: 1, VV: vv.New().Bump(2)},
+			r := &PullResult{Status: PullData, Data: data, Manifest: m, Aux: Aux{Type: KFile, Nlink: 1, VV: vv.Vector{}.Bump(2)},
 				Missing: []Block{{Addr: one, Data: blockOf('x')}}}
 			err := l.InstallPulled(RootPath(), fid(2, 9), r, nil)
 			if !errors.Is(err, ErrCorrupt) {
@@ -187,7 +188,7 @@ func TestInstallRejectsMalformedManifest(t *testing.T) {
 	// sizes for their positions would seal addresses that are not those of
 	// the file's 4 KiB chunks.
 	a, b := blockOf('a')[:100], append(blockOf('b'), blockOf('b')[:100]...)
-	r := &PullResult{Status: PullData, Aux: Aux{Type: KFile, Nlink: 1, VV: vv.New().Bump(2)},
+	r := &PullResult{Status: PullData, Aux: Aux{Type: KFile, Nlink: 1, VV: vv.Vector{}.Bump(2)},
 		Manifest: &BlockManifest{Length: uint64(len(a) + len(b)), Blocks: []BlockAddr{HashBlock(a), HashBlock(b)}},
 		Missing:  []Block{{Addr: HashBlock(a), Data: a}, {Addr: HashBlock(b), Data: b}}}
 	if err := l.InstallPulled(RootPath(), fid(2, 9), r, nil); !errors.Is(err, ErrCorrupt) {

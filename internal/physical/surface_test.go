@@ -93,7 +93,7 @@ func TestEvictAndStoresFile(t *testing.T) {
 		t.Fatalf("ghost evict: %v", err)
 	}
 	// Re-install (as reconciliation would) restores storage.
-	if err := l.InstallFileVersion(RootPath(), fid, KFile, []byte("data"), vv.New().Bump(2), 1); err != nil {
+	if err := l.InstallFileVersion(RootPath(), fid, KFile, []byte("data"), vv.Vector{}.Bump(2), 1); err != nil {
 		t.Fatal(err)
 	}
 	if !l.StoresFile(RootPath(), fid) {
@@ -129,14 +129,14 @@ func TestClearConflictsFor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l.ReportConflict(Conflict{File: fid, Dir: RootPath(), LocalVV: st.Aux.VV, RemoteVV: created.Aux.VV.Clone().Bump(2)})
+		l.ReportConflict(Conflict{File: fid, Dir: RootPath(), LocalVV: st.Aux.VV, RemoteVV: created.Aux.VV.Bump(2)})
 		fids, locals = append(fids, fid), append(locals, st.Aux.VV)
 	}
 	resolution := vv.Merge(locals[0], l.Conflicts()[0].RemoteVV).Bump(1)
 	if err := l.InstallFileVersion(RootPath(), fids[0], KFile, []byte("resolved"), resolution, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.InstallFileVersion(RootPath(), fids[1], KFile, []byte("third"), locals[1].Clone().Bump(3), 1); err != nil {
+	if err := l.InstallFileVersion(RootPath(), fids[1], KFile, []byte("third"), locals[1].Bump(3), 1); err != nil {
 		t.Fatal(err)
 	}
 	got := l.Conflicts()

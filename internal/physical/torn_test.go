@@ -47,7 +47,7 @@ func TestShadowCommitTornWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.Aux.VV.Clone().Bump(2)
+		return st.Aux.VV.Bump(2)
 	}
 
 	dev, l, fid := setup()

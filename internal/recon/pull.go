@@ -32,7 +32,7 @@ type pullItem struct {
 type entryOutcome struct {
 	kind     outcomeKind
 	err      error     // outFailed
-	localVV  vv.Vector // the local vector the item was compared under (nil: no local copy)
+	localVV  vv.Vector // the local vector the item was compared under (empty: no local copy)
 	remoteVV vv.Vector // outConflict
 }
 
@@ -116,7 +116,7 @@ func applyPull(local *physical.Layer, base physical.DeltaBase, it *pullItem, r *
 			out.kind = outStale
 			return
 		case vv.Concurrent:
-			out.kind, out.remoteVV = outConflict, r.Aux.VV.Clone()
+			out.kind, out.remoteVV = outConflict, r.Aux.VV
 			return
 		}
 		// Install under the origin's manifest: a payload damaged in flight
@@ -140,7 +140,7 @@ func applyPull(local *physical.Layer, base physical.DeltaBase, it *pullItem, r *
 	case physical.PullNotStored:
 		out.kind = outNotStored
 	case physical.PullConcurrent:
-		out.kind, out.remoteVV = outConflict, r.RemoteVV.Clone()
+		out.kind, out.remoteVV = outConflict, r.RemoteVV
 	case physical.PullIsDir:
 		out.kind = outIsDir
 	case physical.PullError:
@@ -155,8 +155,8 @@ func reportConflict(local *physical.Layer, dir []ids.FileID, file ids.FileID, ou
 	local.ReportConflict(physical.Conflict{
 		File:     file,
 		Dir:      append([]ids.FileID(nil), dir...),
-		LocalVV:  out.localVV.Clone(),
-		RemoteVV: out.remoteVV.Clone(),
+		LocalVV:  out.localVV,
+		RemoteVV: out.remoteVV,
 		Remote:   remote.Replica(),
 		Note:     "concurrent update detected during " + during,
 	})

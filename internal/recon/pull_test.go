@@ -46,7 +46,7 @@ func faultyPeer(peer Peer, bad ids.FileID, err error) Peer {
 // version clears the conflict.
 func TestPullAndApplyEveryStatus(t *testing.T) {
 	boom := errors.New("peer-side failure")
-	theirs := vv.Vector{2: 9}
+	theirs := vv.Of(map[ids.ReplicaID]uint64{2: 9})
 	cases := []struct {
 		name    string
 		rewrite func(*physical.PullResult)

@@ -171,7 +171,7 @@ func countLen(n int) int  { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 func stringLen(n int) int { return countLen(n) + n }
 
 // vvLen bounds a version vector's canonical encoding; auxLen, encodeAux's.
-func vvLen(v vv.Vector) int     { return 4 + 12*len(v) }
+func vvLen(v vv.Vector) int     { return 4 + 12*v.Len() }
 func auxLen(a physical.Aux) int { return 1 + 4 + 8 + vvLen(a.VV) }
 
 // ---- decoding ----------------------------------------------------------

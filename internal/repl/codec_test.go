@@ -21,7 +21,7 @@ func sampleRequest() *request {
 		File:    ids.FileID{Issuer: 2, Seq: 77},
 		Pulls: []physical.PullRequest{
 			{Dir: []ids.FileID{ids.RootFileID}, File: ids.FileID{Issuer: 1, Seq: 2},
-				LocalVV: vv.Vector{1: 4, 2: 1}, HasLocal: true},
+				LocalVV: vv.Of(map[ids.ReplicaID]uint64{1: 4, 2: 1}), HasLocal: true},
 			{Dir: nil, File: ids.FileID{Issuer: 3, Seq: 8}},
 		},
 		Have: []physical.BlockAddr{physical.HashBlock([]byte("held block"))},
@@ -37,17 +37,17 @@ func sampleResponse() *response {
 			{EID: ids.FileID{Issuer: 2, Seq: 9}, Name: "gone", Child: ids.FileID{Issuer: 2, Seq: 10},
 				Kind: physical.KFile, Deleted: true},
 		},
-		VV:       vv.Vector{1: 7},
-		Aux:      physical.Aux{Type: physical.KGraft, Nlink: 2, VV: vv.Vector{2: 3}, GraftVol: ids.VolumeHandle{Allocator: 8, Volume: 1}},
+		VV:       vv.Of(map[ids.ReplicaID]uint64{1: 7}),
+		Aux:      physical.Aux{Type: physical.KGraft, Nlink: 2, VV: vv.Of(map[ids.ReplicaID]uint64{2: 3}), GraftVol: ids.VolumeHandle{Allocator: 8, Volume: 1}},
 		Size:     4096,
 		Data:     []byte("payload bytes"),
 		Replicas: []ids.ReplicaID{1, 2, 5},
 		Pulls: []wirePull{
 			{Status: byte(physical.PullData), Data: []byte("file contents"),
-				Aux: physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{1: 2, 3: 4}}, Size: 13,
+				Aux: physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Of(map[ids.ReplicaID]uint64{1: 2, 3: 4})}, Size: 13,
 				Manifest: physical.ComputeManifest([]byte("file contents"))},
 			{Status: byte(physical.PullStale)},
-			{Status: byte(physical.PullConcurrent), RemoteVV: vv.Vector{4: 4}},
+			{Status: byte(physical.PullConcurrent), RemoteVV: vv.Of(map[ids.ReplicaID]uint64{4: 4})},
 			{Status: byte(physical.PullError), Class: classPermanent, Err: "disk exploded"},
 			deltaAnswer(),
 		},
@@ -59,7 +59,7 @@ func sampleResponse() *response {
 func deltaAnswer() wirePull {
 	held, sent := []byte("held block"), []byte("shipped block")
 	return wirePull{Status: byte(physical.PullData),
-		Aux:  physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{1: 2}},
+		Aux:  physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Of(map[ids.ReplicaID]uint64{1: 2})},
 		Size: uint64(len(held) + len(sent)),
 		Manifest: &physical.BlockManifest{Length: uint64(len(held) + len(sent)),
 			Blocks: []physical.BlockAddr{physical.HashBlock(held), physical.HashBlock(sent)}},
@@ -71,7 +71,7 @@ func deltaAnswer() wirePull {
 func hugeManifestAnswer() *response {
 	return &response{Pulls: []wirePull{{
 		Status:   byte(physical.PullData),
-		Aux:      physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{2: 1}},
+		Aux:      physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Of(map[ids.ReplicaID]uint64{2: 1})},
 		Manifest: &physical.BlockManifest{Length: ^uint64(0)},
 	}}}
 }
@@ -127,7 +127,7 @@ func TestCodecResponseRoundTrip(t *testing.T) {
 		t.Fatalf("aux: %+v", dec.Aux)
 	}
 	if len(dec.Pulls) != 5 || string(dec.Pulls[0].Data) != "file contents" ||
-		dec.Pulls[3].Err != "disk exploded" || !dec.Pulls[2].RemoteVV.Equal(vv.Vector{4: 4}) {
+		dec.Pulls[3].Err != "disk exploded" || !dec.Pulls[2].RemoteVV.Equal(vv.Of(map[ids.ReplicaID]uint64{4: 4})) {
 		t.Fatalf("pulls: %+v", dec.Pulls)
 	}
 	// The whole-file answer travels with its verifier and no blocks.
@@ -184,10 +184,10 @@ func TestEncodedLenIsExact(t *testing.T) {
 	resps := []*response{sampleResponse(), hugeManifestAnswer(), {}}
 	for _, n := range []int{127, 128, 16383, 16384} {
 		big := bytes.Repeat([]byte{'x'}, n)
-		resp := &response{Err: string(big), Data: big, VV: vv.Vector{1: 2, 3: 4},
+		resp := &response{Err: string(big), Data: big, VV: vv.Of(map[ids.ReplicaID]uint64{1: 2, 3: 4}),
 			Entries:  make([]physical.Entry, n%256),
 			Replicas: make([]ids.ReplicaID, n%200),
-			Pulls: []wirePull{{Err: string(big[:n%300]), Data: big, RemoteVV: vv.Vector{2: 1},
+			Pulls: []wirePull{{Err: string(big[:n%300]), Data: big, RemoteVV: vv.Of(map[ids.ReplicaID]uint64{2: 1}),
 				Manifest: &physical.BlockManifest{Length: uint64(n), Blocks: make([]physical.BlockAddr, n%130)},
 				Missing:  []physical.Block{{Data: big}, {}}}}}
 		for i := range resp.Entries {

@@ -134,7 +134,7 @@ func TestManifestlessDataNeverInstalls(t *testing.T) {
 		resp := response{Pulls: make([]wirePull, len(req.Pulls))}
 		for i := range resp.Pulls {
 			resp.Pulls[i] = wirePull{Status: byte(physical.PullData), Data: []byte("whatever bytes arrived"), Size: 22,
-				Aux: physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{2: 1}}}
+				Aux: physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Of(map[ids.ReplicaID]uint64{2: 1})}}
 		}
 		return resp.encode(nil), nil
 	})
@@ -154,7 +154,7 @@ func TestManifestlessDataNeverInstalls(t *testing.T) {
 	}
 	// The layer refuses on its own account too, before touching disk.
 	err := r.lA.InstallPulled(physical.RootPath(), fid, &physical.PullResult{Status: physical.PullData, Data: []byte("x"),
-		Aux: physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Vector{2: 1}}}, nil)
+		Aux: physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Of(map[ids.ReplicaID]uint64{2: 1})}}, nil)
 	if !errors.Is(err, physical.ErrCorrupt) {
 		t.Fatalf("InstallPulled without a manifest: %v, want ErrCorrupt", err)
 	}

@@ -260,7 +260,7 @@ func TestRequestEncodedLenIsExact(t *testing.T) {
 			Pulls: make([]physical.PullRequest, n%130), Have: make([]physical.BlockAddr, n)}
 		for i := range req.Pulls {
 			req.Pulls[i] = physical.PullRequest{Dir: make([]ids.FileID, i%4), HasLocal: i%2 == 0,
-				LocalVV: vv.Vector{ids.ReplicaID(i + 1): uint64(i + 1)}}
+				LocalVV: vv.Of(map[ids.ReplicaID]uint64{ids.ReplicaID(i + 1): uint64(i + 1)})}
 		}
 		reqs = append(reqs, req)
 	}

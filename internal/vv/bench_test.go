@@ -7,16 +7,15 @@ import (
 )
 
 func benchVec(n int) Vector {
-	v := New()
+	m := map[ids.ReplicaID]uint64{}
 	for i := 0; i < n; i++ {
-		v[ids.ReplicaID(i)] = uint64(i + 1)
+		m[ids.ReplicaID(i)] = uint64(i + 1)
 	}
-	return v
+	return Of(m)
 }
 
 func BenchmarkCompare8(b *testing.B) {
-	x, y := benchVec(8), benchVec(8)
-	y.Bump(3)
+	x, y := benchVec(8), benchVec(8).Bump(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if x.Compare(y) != Dominated {
@@ -26,8 +25,7 @@ func BenchmarkCompare8(b *testing.B) {
 }
 
 func BenchmarkMerge8(b *testing.B) {
-	x, y := benchVec(8), benchVec(8)
-	y.Bump(3)
+	x, y := benchVec(8), benchVec(8).Bump(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Merge(x, y)
@@ -38,9 +36,8 @@ func BenchmarkCodecRoundTrip8(b *testing.B) {
 	v := benchVec(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc, _ := v.MarshalBinary()
-		var out Vector
-		if err := out.UnmarshalBinary(enc); err != nil {
+		enc := v.AppendBinary(nil)
+		if _, _, err := DecodeFrom(enc); err != nil {
 			b.Fatal(err)
 		}
 	}

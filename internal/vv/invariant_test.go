@@ -16,13 +16,13 @@ func TestCompareArmedAntisymmetry(t *testing.T) {
 		a, b Vector
 		want Order
 	}{
-		{New(), New(), Equal},
-		{New().Bump(1), New(), Dominates},
-		{New(), New().Bump(1), Dominated},
-		{New().Bump(1), New().Bump(2), Concurrent},
-		{New().Bump(1).Bump(2), New().Bump(1), Dominates},
-		{Merge(New().Bump(1), New().Bump(2)), New().Bump(2), Dominates},
-		{Vector{1: 3, 2: 1}, Vector{1: 1, 2: 3}, Concurrent},
+		{Vector{}, Vector{}, Equal},
+		{Vector{}.Bump(1), Vector{}, Dominates},
+		{Vector{}, Vector{}.Bump(1), Dominated},
+		{Vector{}.Bump(1), Vector{}.Bump(2), Concurrent},
+		{Vector{}.Bump(1).Bump(2), Vector{}.Bump(1), Dominates},
+		{Merge(Vector{}.Bump(1), Vector{}.Bump(2)), Vector{}.Bump(2), Dominates},
+		{vec(1, 3, 2, 1), vec(1, 1, 2, 3), Concurrent},
 	}
 	for _, c := range cases {
 		if got := c.a.Compare(c.b); got != c.want {

@@ -8,12 +8,17 @@
 // replica states are comparable when one vector dominates the other
 // componentwise; otherwise the replicas were updated concurrently while not
 // communicating and are in conflict.
+//
+// A Vector is an immutable value: Bump and Merge return a new vector and
+// leave their operands as they were, so a vector may be shared, stored and
+// handed on with no copy.
 package vv
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"repro/internal/ids"
 	"repro/internal/invariant"
@@ -47,31 +52,59 @@ func (o Order) String() string {
 	}
 }
 
+// entry is one replica's update counter.
+type entry struct {
+	r ids.ReplicaID
+	n uint64
+}
+
 // Vector is a version vector.  The zero value is the empty vector, which is
-// Equal to any vector of all-zero counters and Dominated by any vector with
-// a positive counter.
-type Vector map[ids.ReplicaID]uint64
+// Dominated by any vector with a positive counter.  Its entries are sorted by
+// replica id and hold no zero counter, so equal vectors hold equal entries;
+// no method writes into them once the vector is built.
+type Vector struct {
+	e []entry
+}
 
-// New returns an empty version vector.
-func New() Vector { return make(Vector) }
-
-// Clone returns a deep copy.  Clone of a nil vector is an empty vector.
-func (v Vector) Clone() Vector {
-	c := make(Vector, len(v))
-	for r, n := range v {
-		c[r] = n
+// Of returns the vector holding m's counters; zero counters are dropped.
+func Of(m map[ids.ReplicaID]uint64) Vector {
+	var v Vector
+	for r, n := range m {
+		if n > 0 {
+			v.e = append(v.e, entry{r, n})
+		}
 	}
-	return c
+	slices.SortFunc(v.e, func(a, b entry) int { return cmp.Compare(a.r, b.r) })
+	return v
+}
+
+// Len returns the number of replicas with a positive counter.
+func (v Vector) Len() int { return len(v.e) }
+
+// search returns the index of r's entry, or where it would be inserted, and
+// whether r has one.
+func (v Vector) search(r ids.ReplicaID) (int, bool) {
+	return slices.BinarySearchFunc(v.e, r, func(e entry, r ids.ReplicaID) int { return cmp.Compare(e.r, r) })
 }
 
 // Counter returns the update counter for one replica (0 when absent).
-func (v Vector) Counter(r ids.ReplicaID) uint64 { return v[r] }
+func (v Vector) Counter(r ids.ReplicaID) uint64 {
+	if i, ok := v.search(r); ok {
+		return v.e[i].n
+	}
+	return 0
+}
 
-// Bump records one update originated by replica r and returns the vector for
-// chaining.  Bump on a nil Vector panics; create with New or Clone first.
+// Bump returns v with one more update originated by replica r.
 func (v Vector) Bump(r ids.ReplicaID) Vector {
-	v[r]++
-	return v
+	i, ok := v.search(r)
+	e := make([]entry, len(v.e), len(v.e)+1)
+	copy(e, v.e)
+	if ok {
+		e[i].n++
+		return Vector{e}
+	}
+	return Vector{slices.Insert(e, i, entry{r, 1})}
 }
 
 // Compare determines the relationship of v to w.  With FICUS_INVARIANTS=1
@@ -99,21 +132,28 @@ func (o Order) mirror() Order {
 	}
 }
 
+// compare walks both sorted entry lists once.
 func (v Vector) compare(w Vector) Order {
 	vGreater, wGreater := false, false
-	for r, n := range v {
-		m := w[r]
-		if n > m {
+	i, j := 0, 0
+	for i < len(v.e) && j < len(w.e) {
+		a, b := v.e[i], w.e[j]
+		switch {
+		case a.r < b.r:
 			vGreater = true
-		} else if n < m {
+			i++
+		case a.r > b.r:
 			wGreater = true
+			j++
+		default:
+			vGreater = vGreater || a.n > b.n
+			wGreater = wGreater || a.n < b.n
+			i++
+			j++
 		}
 	}
-	for r, m := range w {
-		if _, ok := v[r]; !ok && m > 0 {
-			wGreater = true
-		}
-	}
+	vGreater = vGreater || i < len(v.e)
+	wGreater = wGreater || j < len(w.e)
 	switch {
 	case vGreater && wGreater:
 		return Concurrent
@@ -137,13 +177,25 @@ func (v Vector) DominatesOrEqual(w Vector) bool {
 // dominates both.  Reconciliation installs the merged vector after manual or
 // automatic conflict resolution so the resolution dominates both inputs.
 func Merge(v, w Vector) Vector {
-	m := v.Clone()
-	for r, n := range w {
-		if n > m[r] {
-			m[r] = n
+	m := make([]entry, 0, len(v.e)+len(w.e))
+	i, j := 0, 0
+	for i < len(v.e) && j < len(w.e) {
+		a, b := v.e[i], w.e[j]
+		switch {
+		case a.r < b.r:
+			m = append(m, a)
+			i++
+		case a.r > b.r:
+			m = append(m, b)
+			j++
+		default:
+			m = append(m, entry{a.r, max(a.n, b.n)})
+			i++
+			j++
 		}
 	}
-	return m
+	m = append(m, v.e[i:]...)
+	return Vector{append(m, w.e[j:]...)}
 }
 
 // Equal reports componentwise equality, treating absent counters as zero.
@@ -154,30 +206,22 @@ func (v Vector) Equal(w Vector) bool { return v.Compare(w) == Equal }
 // recent copy available" policy as a tiebreaker among comparable replicas.
 func (v Vector) Total() uint64 {
 	var t uint64
-	for _, n := range v {
-		t += n
+	for _, e := range v.e {
+		t += e.n
 	}
 	return t
 }
 
-// String renders the vector deterministically as {r1:n1 r2:n2 ...} with
-// replica ids sorted, omitting zero counters.
+// String renders the vector as {r1:n1 r2:n2 ...} in replica order.
 func (v Vector) String() string {
-	rs := make([]ids.ReplicaID, 0, len(v))
-	for r, n := range v {
-		if n > 0 {
-			rs = append(rs, r)
-		}
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, r := range rs {
+	b := []byte{'{'}
+	for i, e := range v.e {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		fmt.Fprintf(&b, "%d:%d", r, v[r])
+		b = strconv.AppendUint(b, uint64(e.r), 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, e.n, 10)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(b, '}'))
 }

@@ -9,13 +9,11 @@ import (
 )
 
 func vec(pairs ...uint64) Vector {
-	v := New()
+	m := map[ids.ReplicaID]uint64{}
 	for i := 0; i+1 < len(pairs); i += 2 {
-		if pairs[i+1] > 0 {
-			v[ids.ReplicaID(pairs[i])] = pairs[i+1]
-		}
+		m[ids.ReplicaID(pairs[i])] = pairs[i+1]
 	}
-	return v
+	return Of(m)
 }
 
 func TestCompareTable(t *testing.T) {
@@ -24,10 +22,10 @@ func TestCompareTable(t *testing.T) {
 		a, b Vector
 		want Order
 	}{
-		{"empty-empty", New(), New(), Equal},
-		{"nil-empty", nil, New(), Equal},
+		{"empty-empty", Vector{}, Vector{}, Equal},
+		{"nil-empty", Vector{}, Vector{e: []entry{}}, Equal},
 		{"equal", vec(1, 2, 2, 3), vec(1, 2, 2, 3), Equal},
-		{"zero-counter-ignored", vec(1, 2), Vector{1: 2, 9: 0}, Equal},
+		{"zero-counter-ignored", vec(1, 2), Of(map[ids.ReplicaID]uint64{1: 2, 9: 0}), Equal},
 		{"dominates", vec(1, 3, 2, 3), vec(1, 2, 2, 3), Dominates},
 		{"dominates-extra-replica", vec(1, 1, 2, 1), vec(1, 1), Dominates},
 		{"dominated", vec(1, 2), vec(1, 2, 2, 1), Dominated},
@@ -53,19 +51,16 @@ func TestCompareAntisymmetry(t *testing.T) {
 }
 
 func randVec(rng *rand.Rand) Vector {
-	v := New()
+	m := map[ids.ReplicaID]uint64{}
 	for r := 0; r < 4; r++ {
-		if n := rng.Intn(4); n > 0 {
-			v[ids.ReplicaID(r)] = uint64(n)
-		}
+		m[ids.ReplicaID(r)] = uint64(rng.Intn(4))
 	}
-	return v
+	return Of(m)
 }
 
 func TestBumpMakesDominating(t *testing.T) {
-	v := vec(1, 1, 2, 5)
-	before := v.Clone()
-	v.Bump(3)
+	before := vec(1, 1, 2, 5)
+	v := before.Bump(3)
 	if v.Compare(before) != Dominates {
 		t.Fatalf("bumped vector %v does not dominate %v", v, before)
 	}
@@ -95,9 +90,9 @@ func TestMergeProperties(t *testing.T) {
 			t.Fatalf("merge not idempotent for %v", a)
 		}
 		// Least upper bound: merge adds nothing beyond max of each counter.
-		for r, n := range m {
-			if max := maxU64(a[r], b[r]); n != max {
-				t.Fatalf("Merge(%v,%v)[%d]=%d, want %d", a, b, r, n, max)
+		for _, e := range m.e {
+			if max := maxU64(a.Counter(e.r), b.Counter(e.r)); e.n != max {
+				t.Fatalf("Merge(%v,%v)[%d]=%d, want %d", a, b, e.r, e.n, max)
 			}
 		}
 	}
@@ -112,23 +107,20 @@ func maxU64(a, b uint64) uint64 {
 
 func TestMergeDoesNotAliasInputs(t *testing.T) {
 	a, b := vec(1, 1), vec(2, 1)
-	m := Merge(a, b)
-	m.Bump(1)
+	Merge(a, b).Bump(1)
 	if a.Counter(1) != 1 || b.Counter(1) != 0 {
 		t.Fatal("Merge aliased its inputs")
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
+func TestBumpLeavesItsInput(t *testing.T) {
 	a := vec(1, 1)
-	c := a.Clone()
-	c.Bump(1)
-	if a.Counter(1) != 1 {
-		t.Fatal("Clone aliased its input")
+	if c := a.Bump(1); a.Counter(1) != 1 || c.Counter(1) != 2 {
+		t.Fatal("Bump changed its input")
 	}
-	var nilVec Vector
-	if c := nilVec.Clone(); c == nil || len(c) != 0 {
-		t.Fatal("Clone of nil vector should be empty non-nil vector")
+	var zero Vector
+	if c := zero.Bump(4); zero.Len() != 0 || c.Counter(4) != 1 {
+		t.Fatal("Bump of the zero vector should leave it empty")
 	}
 }
 
@@ -136,17 +128,17 @@ func TestTotal(t *testing.T) {
 	if got := vec(1, 2, 2, 3).Total(); got != 5 {
 		t.Fatalf("Total = %d, want 5", got)
 	}
-	if got := New().Total(); got != 0 {
+	if got := (Vector{}).Total(); got != 0 {
 		t.Fatalf("empty Total = %d, want 0", got)
 	}
 }
 
 func TestString(t *testing.T) {
-	v := Vector{3: 1, 1: 2, 9: 0}
+	v := Of(map[ids.ReplicaID]uint64{3: 1, 1: 2, 9: 0})
 	if got, want := v.String(), "{1:2 3:1}"; got != want {
 		t.Fatalf("String = %q, want %q", got, want)
 	}
-	if got := New().String(); got != "{}" {
+	if got := (Vector{}).String(); got != "{}" {
 		t.Fatalf("empty String = %q, want {}", got)
 	}
 }
@@ -164,24 +156,17 @@ func TestOrderString(t *testing.T) {
 
 func TestCodecRoundTrip(t *testing.T) {
 	f := func(counts []uint8) bool {
-		v := New()
+		m := map[ids.ReplicaID]uint64{}
 		for i, n := range counts {
 			if i >= 8 {
 				break
 			}
-			if n > 0 {
-				v[ids.ReplicaID(i)] = uint64(n)
-			}
+			m[ids.ReplicaID(i)] = uint64(n)
 		}
-		b, err := v.MarshalBinary()
-		if err != nil {
-			return false
-		}
-		var got Vector
-		if err := got.UnmarshalBinary(b); err != nil {
-			return false
-		}
-		return got.Equal(v)
+		v := Of(m)
+		b := v.AppendBinary(nil)
+		got, n, err := DecodeFrom(b)
+		return err == nil && n == len(b) && got.Equal(v)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -189,10 +174,9 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecCanonical(t *testing.T) {
-	a := Vector{1: 2, 5: 9}
-	b := Vector{5: 9, 1: 2, 7: 0}
-	ab, _ := a.MarshalBinary()
-	bb, _ := b.MarshalBinary()
+	a := Of(map[ids.ReplicaID]uint64{1: 2, 5: 9})
+	b := Of(map[ids.ReplicaID]uint64{5: 9, 1: 2, 7: 0})
+	ab, bb := a.AppendBinary(nil), b.AppendBinary(nil)
 	if string(ab) != string(bb) {
 		t.Fatalf("equal vectors encode differently: %x vs %x", ab, bb)
 	}
@@ -213,17 +197,16 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, err := DecodeFrom(bad); err == nil {
 		t.Error("non-canonical order: expected error")
 	}
-	var v Vector
-	good, _ := vec(1, 1).MarshalBinary()
-	if err := v.UnmarshalBinary(append(good, 0xff)); err == nil {
-		t.Error("trailing bytes: expected error")
+	// A zero counter is dropped; a vector of none decodes to the zero value.
+	zero := []byte{0, 0, 0, 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0}
+	if v, n, err := DecodeFrom(zero); err != nil || n != len(zero) || v.e != nil {
+		t.Errorf("zero counter: %v %d %v, want the zero vector", v, n, err)
 	}
 }
 
 func TestDecodeFromConsumesExactly(t *testing.T) {
 	v := vec(1, 1, 2, 2)
-	b, _ := v.MarshalBinary()
-	b = append(b, 0xaa, 0xbb)
+	b := append(v.AppendBinary(nil), 0xaa, 0xbb)
 	got, n, err := DecodeFrom(b)
 	if err != nil {
 		t.Fatal(err)
@@ -240,10 +223,9 @@ func TestVersionVectorDetectsConcurrentUpdateScenario(t *testing.T) {
 	// The paper's motivating scenario: two replicas of one file are updated
 	// while partitioned; upon reconnecting, the version vectors must flag a
 	// conflict rather than silently pick a winner.
-	a := New().Bump(1) // initial update propagated everywhere
-	b := a.Clone()
-	a.Bump(1) // partition: host 1 updates its replica
-	b.Bump(2) // ... while host 2 updates its replica
+	v := Vector{}.Bump(1) // initial update propagated everywhere
+	a := v.Bump(1)        // partition: host 1 updates its replica
+	b := v.Bump(2)        // ... while host 2 updates its replica
 	if a.Compare(b) != Concurrent {
 		t.Fatalf("partitioned updates not detected as concurrent: a=%v b=%v", a, b)
 	}

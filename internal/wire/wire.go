@@ -270,16 +270,16 @@ func (d *Decoder) Vol() ids.VolumeHandle {
 // than the bytes it consumed carried one.
 func (d *Decoder) VV() vv.Vector {
 	if d.err != nil {
-		return nil
+		return vv.Vector{}
 	}
 	v, used, err := vv.DecodeFrom(d.b)
 	if err != nil {
 		d.Fail("%v", err)
-		return nil
+		return vv.Vector{}
 	}
-	if used != 4+12*len(v) {
+	if used != 4+12*v.Len() {
 		d.Fail("version vector carries a zero counter")
-		return nil
+		return vv.Vector{}
 	}
 	d.b = d.b[used:]
 	return v

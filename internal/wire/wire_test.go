@@ -85,11 +85,11 @@ func sample() *everything {
 		F:   ids.FileID{Issuer: 2, Seq: 77},
 		P:   []ids.FileID{ids.RootFileID, {Issuer: 1, Seq: 5}},
 		Vol: ids.VolumeHandle{Allocator: 3, Volume: 9},
-		V:   vv.Vector{1: 4, 2: 1}, Reps: []uint32{1, 2, 5}}
+		V:   vv.Of(map[ids.ReplicaID]uint64{1: 4, 2: 1}), Reps: []uint32{1, 2, 5}}
 }
 
 func TestRoundTrip(t *testing.T) {
-	for _, m := range []*everything{sample(), {V: vv.New()}} {
+	for _, m := range []*everything{sample(), {V: vv.Vector{}}} {
 		enc := m.encode()
 		got, err := decodeEverything(enc, nil)
 		if err != nil {
@@ -116,7 +116,7 @@ func TestTruncationAtEveryPrefix(t *testing.T) {
 }
 
 func TestStrictness(t *testing.T) {
-	enc := (&everything{V: vv.New()}).encode()
+	enc := (&everything{V: vv.Vector{}}).encode()
 	if _, err := decodeEverything(enc, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestStrictness(t *testing.T) {
 	if m, err := decodeEverything(mutate(16, 1), nil); err != nil || !m.E {
 		t.Errorf("bool byte 1: %+v %v", m, err)
 	}
-	if m, err := decodeEverything(mutate(46, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 3), nil); err != nil || m.V[9] != 3 {
+	if m, err := decodeEverything(mutate(46, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 3), nil); err != nil || m.V.Counter(9) != 3 {
 		t.Errorf("vector with one live counter: %+v %v", m, err)
 	}
 }
@@ -212,7 +212,7 @@ func TestFirstErrorSticks(t *testing.T) {
 	left := d.Len()
 	if d.U8() != 0 || d.U16() != 0 || d.U32() != 0 || d.U64() != 0 || d.Bool() || d.Count(1) != 0 ||
 		d.Take(1) != nil || d.Bytes() != nil || d.Str() != "" || d.FID() != (ids.FileID{}) ||
-		d.Path() != nil || d.Vol() != (ids.VolumeHandle{}) || d.VV() != nil {
+		d.Path() != nil || d.Vol() != (ids.VolumeHandle{}) || d.VV().Len() != 0 {
 		t.Fatal("a read after the first failure returned a non-zero value")
 	}
 	d.Version(9)

@@ -3,8 +3,8 @@
 # this order, and any failure stops the gate:
 #
 #   - go build ./...;
-#   - ficusvet, the six repo-specific analyzers (determinism, vvalias,
-#     errclass, heldlocks, lockorder, duraberr), then go vet and gofmt;
+#   - ficusvet, the five repo-specific analyzers (determinism, errclass,
+#     heldlocks, lockorder, duraberr), then go vet and gofmt;
 #   - greps that keep deleted mechanisms deleted: encoding/gob and
 #     container/list in non-test code, a sidecar member, a new-version cache
 #     journal and a repair daemon;
