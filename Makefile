@@ -25,12 +25,12 @@ lint:
 # tests of internal/logical are in it — then ten more rounds of the tests that
 # share one vnode between goroutines: readers while its pinned replica is cut
 # off and healed, two first opens at once, and walks that the layer's vnode
-# table hands a vnode mid-session (DESIGN.md §3.1); and of the test that runs
-# pulls on several goroutines through the one pool of lent buffers, with the
-# poison armed (DESIGN.md §9.2).
+# table hands a vnode mid-session (DESIGN.md §3.1); and of the tests that run
+# pulls on several goroutines, and two file systems beside NFS reads, through
+# the one pool of lent buffers, with the poison armed (DESIGN.md §9.2).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestSharedOpenVnodeUnderChurn|TestConcurrentFirstOpensShareOnePin|TestWalksMidSession|TestConcurrentPullsOwnTheirBytes' ./internal/logical ./internal/repl
+	$(GO) test -race -count=10 -run 'TestSharedOpenVnodeUnderChurn|TestConcurrentFirstOpensShareOnePin|TestWalksMidSession|TestConcurrentPullsOwnTheirBytes|TestFileSystemsShareOnePool' ./internal/logical ./internal/repl ./internal/nfs
 
 # invariants re-runs the suite with the runtime invariant checks armed
 # (internal/invariant; free when the env var is unset).

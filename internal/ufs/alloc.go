@@ -10,7 +10,7 @@ const bitsPerBlock = BlockSize * 8
 
 // zeroBlock is what every freshly allocated block reads as until it is
 // written: cached blocks are never written to (cache.go), so any number of
-// them may share one buffer, which is never retired to the spares.
+// them may share one buffer, which is never retired to the buffer pool.
 var zeroBlock = make([]byte, BlockSize)
 
 // bitmap is one of the two allocation bitmaps: n bits, one per inode or per

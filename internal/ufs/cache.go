@@ -6,6 +6,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/invariant"
 	"repro/internal/lru"
+	"repro/internal/wire"
 )
 
 // cache is what the three UFS caches share: the one LRU (internal/lru), a
@@ -62,27 +63,27 @@ func (c *cache[K, V]) drop(k K) { c.lru.Drop(k) }
 // lent slice outlives its call.
 //
 // That bound is what lets the cache reuse its blocks, as a BSD getblk reuses
-// the least recently used buffer.  A block the cache lets go of — replaced by
+// the least recently used buffer.  Every block it fills comes from the tree's
+// one buffer pool (wire.GetBuf).  A block the cache lets go of — replaced by
 // a newer write of its number, evicted, dropped after a failed write or when
 // the call frees it, or not kept because caching is off — and a staged block
-// a call frees unwritten are retired; endCallLocked makes the retired blocks
-// spares as the call ends, and take hands out a spare before it allocates.  A
-// read-only call's retirees wait for the next mutating call's end, which
-// fs.mu orders after it.  Retired and spare blocks together never outnumber
-// the cache's capacity.  zeroBlock is never retired.
+// a call frees unwritten are retired; endCallLocked returns the retired
+// blocks to the pool (wire.PutBuf) as the call ends.  A read-only call's
+// retirees wait for the next mutating call's end, which fs.mu orders after
+// it.  At most the cache's capacity of blocks wait; zeroBlock is never
+// retired.
 //
-// Both halves are checked in a cache made under FICUS_INVARIANTS: each block
-// is cached with a checksum, compared on every hit and as the block is
-// displaced; and a block that becomes a spare is filled with poison, checked
-// intact when take hands it out again, so a write through a slice kept past
-// its call is caught, and a read through one reads poison.
+// Both halves are checked under FICUS_INVARIANTS: each block is cached with a
+// checksum, compared on every hit and as the block is displaced; and the pool
+// poisons a block it takes back and checks the poison intact when it lends
+// the block again, so a write through a slice kept past its call is caught,
+// and a read through one reads poison.
 type bufferCache struct {
 	cache[uint32, cachedBlock]
 	dev     *disk.Device
 	checked bool
 
-	retired, spare [][]byte
-	pool           int // the most blocks retired and spare together: the capacity
+	retired [][]byte // let go of since the last call's end; at most its capacity, the cache's
 }
 
 // cachedBlock is a block, its number and, in a checked cache, its checksum
@@ -93,13 +94,10 @@ type cachedBlock struct {
 	sum  uint32
 }
 
-// poisonByte fills every spare block of a checked cache.
-const poisonByte = 0xa5
-
 func newBufferCache(dev *disk.Device, capacity int, enabled bool) *bufferCache {
 	return &bufferCache{
 		cache: newCache[uint32, cachedBlock](capacity, enabled),
-		dev:   dev, checked: invariant.Enabled(), pool: capacity,
+		dev:   dev, checked: invariant.Enabled(), retired: make([][]byte, 0, capacity),
 	}
 }
 
@@ -166,21 +164,9 @@ func (c *bufferCache) letGo(b cachedBlock) {
 	c.retire(b.data)
 }
 
-// take returns a block for the caller to fill: a spare, or a new one when
-// none is left.  What it holds is garbage.
-func (c *bufferCache) take() []byte {
-	n := len(c.spare)
-	if n == 0 {
-		return make([]byte, BlockSize)
-	}
-	b := c.spare[n-1]
-	c.spare[n-1] = nil
-	c.spare = c.spare[:n-1]
-	if c.checked {
-		invariant.Checkf(isPoison(b), "ufs: a spare block was written to after the call that borrowed it")
-	}
-	return b
-}
+// take returns a block from the pool for the caller to fill.  What it holds
+// is garbage.
+func (c *bufferCache) take() []byte { return wire.GetBuf(BlockSize)[:BlockSize] }
 
 // clone returns a block from take holding a copy of src.
 func (c *bufferCache) clone(src []byte) []byte {
@@ -189,35 +175,22 @@ func (c *bufferCache) clone(src []byte) []byte {
 	return b
 }
 
-// retire lets go of b; it becomes a spare when the call ends (recycle).
+// retire lets go of b; it goes back to the pool when the call ends (recycle).
 func (c *bufferCache) retire(b []byte) {
-	if &b[0] != &zeroBlock[0] && len(c.retired)+len(c.spare) < c.pool {
+	if &b[0] != &zeroBlock[0] && len(c.retired) < cap(c.retired) {
 		c.retired = append(c.retired, b)
 	}
 }
 
-// recycle makes the retired blocks spares.  endCallLocked calls it just
-// before it releases fs.mu, when no slice lent before can be used any more.
+// recycle returns the retired blocks to the pool.  endCallLocked calls it
+// just before it releases fs.mu, when no slice lent before can be used any
+// more.
 func (c *bufferCache) recycle() {
 	for i, b := range c.retired {
-		if c.checked {
-			for j := range b {
-				b[j] = poisonByte
-			}
-		}
-		c.spare = append(c.spare, b)
+		wire.PutBuf(b)
 		c.retired[i] = nil
 	}
 	c.retired = c.retired[:0]
-}
-
-func isPoison(b []byte) bool {
-	for _, v := range b {
-		if v != poisonByte {
-			return false
-		}
-	}
-	return true
 }
 
 // inodeCache holds decoded inodes.  Because it sits above the buffer cache

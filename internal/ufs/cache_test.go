@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/invariant"
+	"repro/internal/wire"
 )
 
 // TestWarmLookupCostsNoIO reproduces the substrate half of paper §6:
@@ -287,7 +288,8 @@ func TestWriteToLentBlockFiresInvariant(t *testing.T) {
 
 // TestWriteToRetiredBlockFiresInvariant breaks the lending rule's bound — a
 // lent block is valid only until its call ends — and expects the armed check
-// to say so when the block, recycled by a later call, is handed out again.
+// to say so when the block, returned to the pool as a later call ends, is
+// lent again.
 func TestWriteToRetiredBlockFiresInvariant(t *testing.T) {
 	defer invariant.ForceForTest(true)()
 	fs, err := Mkfs(disk.New(1024), 256, nil)
@@ -309,23 +311,22 @@ func TestWriteToRetiredBlockFiresInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rewriting the block retires the kept slice; the call's end recycles it.
+	// Rewriting the block retires the kept slice; the call's end returns it to
+	// the pool, which poisons it.
 	if _, err := fs.WriteAt(ino, make([]byte, BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.ContainsFunc(fs.bc.spare, func(b []byte) bool { return &b[0] == &kept[0] }) {
-		t.Fatal("the rewritten block was not recycled")
-	}
-	if kept[0] != poisonByte {
-		t.Fatalf("a recycled block reads %#x, want the poison %#x", kept[0], poisonByte)
+	if i := slices.IndexFunc(kept, func(v byte) bool { return v != wire.Poison }); i >= 0 {
+		t.Fatalf("byte %d of a recycled block reads %#x, want the poison %#x", i, kept[i], wire.Poison)
 	}
 	kept[0] ^= 0xff
 	defer func() {
 		if _, ok := recover().(*invariant.Violation); !ok {
-			t.Fatal("handing out a block written to after its call raised no violation")
+			t.Fatal("lending a block written to after its call raised no violation")
 		}
 	}()
-	// A write of more blocks than there are spares takes every spare.
-	g, _ := fs.Create(fs.Root(), "g")
-	fs.WriteAt(g, make([]byte, (len(fs.bc.spare)+1)*BlockSize), 0)
+	// Lending more blocks than the pool can hold lends every block it holds.
+	for range 1 << 12 {
+		wire.GetBuf(BlockSize)
+	}
 }

@@ -139,8 +139,9 @@ func (fs *FS) flushLocked() error {
 }
 
 // endCallLocked ends an exported mutating call: it flushes what the call
-// staged, makes the blocks retired since the last call's end spares (no slice
-// lent before can be used after the unlock), then releases fs.mu.  A failed
+// staged, returns the blocks retired since the last call's end to the buffer
+// pool (no slice lent before can be used after the unlock), then releases
+// fs.mu.  A failed
 // flush is the call's error unless the call already had one.
 func (fs *FS) endCallLocked(err *error) {
 	if ferr := fs.flushLocked(); ferr != nil && *err == nil {

@@ -22,13 +22,17 @@
 // *wire.Decoder) helpers beside the format that carries them.
 //
 // Messages are encoded into buffers lent by one bounded pool (GetBuf,
-// PutBuf), which the NFS and replication protocols share (DESIGN.md §9.2).
+// PutBuf), filed by power-of-two capacity class.  It is the tree's one
+// buffer pool: the NFS and replication protocols, the physical layer's lent
+// reads and the UFS buffer cache's blocks all come from it (DESIGN.md §9.2).
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -323,48 +327,69 @@ func (in *Interner) Intern(b []byte) string {
 	return s
 }
 
-// ---- message buffers ---------------------------------------------------
+// ---- buffer pool -------------------------------------------------------
 
-// The message pool lends buffers to encoders and takes them back once the
-// message has been read.  It is bounded twice: it holds at most pooledBufs
-// buffers, and a buffer larger than maxPooled is dropped when it is returned,
-// so one huge message pins no memory.  Whoever holds a buffer owns it until
-// PutBuf; nothing may read a view of it afterwards (DESIGN.md §9.2).  Under
-// FICUS_INVARIANTS=1 a returned buffer is overwritten with poison, so a view
-// kept past its return reads bytes no encoder writes, and a buffer returned
-// twice fails an invariant.
+// The pool lends buffers — to message encoders and to the UFS buffer cache,
+// whose blocks they become — and takes them back once their bytes have been
+// read.  It files a buffer by capacity class, a power of two from minBuf to
+// maxPooled: GetBuf(n) pops from the least class that holds n bytes, or makes
+// a buffer of that class's size, and PutBuf files a buffer under the largest
+// class its capacity covers, so neither looks past one class.  It is bounded
+// twice: a class holds at most classBufs buffers, and a buffer over maxPooled
+// is made to measure and never kept, so one huge message pins no memory.
+// Whoever holds a buffer owns it until PutBuf; nothing may read or write a
+// view of it afterwards (DESIGN.md §9.2).
+//
+// Under FICUS_INVARIANTS=1 the pool checks that rule.  A returned buffer is
+// overwritten with Poison, so a view kept past its return reads bytes no
+// writer puts there; a buffer the pool keeps must still be all Poison when it
+// is lent again, so a write through such a view fails an invariant; and
+// returning a buffer the pool holds fails one too.  Only a buffer poisoned on its return
+// is checked, whether or not invariants are armed when it is lent.
 const (
-	pooledBufs = 64
-	maxPooled  = 1 << 16
-	minBuf     = 256  // the least capacity a new buffer gets
-	poison     = 0xdb // what a returned buffer holds under invariants
+	minShift, maxShift = 8, 16
+	minBuf             = 1 << minShift // the least class
+	maxPooled          = 1 << maxShift // the largest class
+	classBufs          = 256           // the most buffers one class holds
+
+	// Poison is what every byte of a buffer the pool holds reads under
+	// FICUS_INVARIANTS=1.
+	Poison = 0xdb
 )
 
 var pool struct {
-	mu   sync.Mutex
-	free [][]byte // each at its full capacity
+	mu       sync.Mutex
+	classes  [maxShift - minShift + 1][][]byte // each buffer at its full capacity
+	poisoned map[*byte]struct{}                // the held buffers PutBuf poisoned
 }
 
-// GetBuf returns an empty buffer with room for at least n bytes: the
-// smallest such the pool holds, or a new one.
+// GetBuf returns an empty buffer with room for at least n bytes.
 func GetBuf(n int) []byte {
-	pool.mu.Lock()
-	best := -1
-	for i, b := range pool.free {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(pool.free[best])) {
-			best = i
-		}
+	if n > maxPooled {
+		return make([]byte, 0, n)
 	}
-	if best >= 0 {
-		b := pool.free[best]
-		last := len(pool.free) - 1
-		pool.free[best], pool.free[last] = pool.free[last], nil
-		pool.free = pool.free[:last]
+	c := 0
+	if n > minBuf {
+		c = bits.Len(uint(n-1)) - minShift
+	}
+	pool.mu.Lock()
+	held := pool.classes[c]
+	if len(held) == 0 {
 		pool.mu.Unlock()
-		return b[:0]
+		return make([]byte, 0, minBuf<<c)
+	}
+	b := held[len(held)-1]
+	held[len(held)-1] = nil
+	pool.classes[c] = held[:len(held)-1]
+	_, poisoned := pool.poisoned[unsafe.SliceData(b)]
+	if poisoned {
+		delete(pool.poisoned, unsafe.SliceData(b))
 	}
 	pool.mu.Unlock()
-	return make([]byte, 0, max(n, minBuf))
+	if poisoned && slices.ContainsFunc(b, func(v byte) bool { return v != Poison }) {
+		invariant.Failf("wire: a buffer was written to after it was returned")
+	}
+	return b[:0]
 }
 
 // PutBuf returns b, which came from GetBuf (or grew from a buffer that did),
@@ -374,21 +399,26 @@ func PutBuf(b []byte) {
 		return
 	}
 	b = b[:cap(b)]
-	if invariant.Enabled() {
+	c := bits.Len(uint(cap(b))) - 1 - minShift
+	poisoned := invariant.Enabled()
+	if poisoned {
 		for i := range b {
-			b[i] = poison
+			b[i] = Poison
 		}
 	}
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
-	if invariant.Enabled() {
-		for _, f := range pool.free {
-			if unsafe.SliceData(f) == unsafe.SliceData(b) {
-				invariant.Failf("wire: a message buffer was returned twice")
-			}
+	if _, held := pool.poisoned[unsafe.SliceData(b)]; held {
+		invariant.Failf("wire: a buffer was returned twice")
+	}
+	if len(pool.classes[c]) == classBufs {
+		return
+	}
+	if poisoned {
+		if pool.poisoned == nil {
+			pool.poisoned = make(map[*byte]struct{})
 		}
+		pool.poisoned[unsafe.SliceData(b)] = struct{}{}
 	}
-	if len(pool.free) < pooledBufs {
-		pool.free = append(pool.free, b)
-	}
+	pool.classes[c] = append(pool.classes[c], b)
 }

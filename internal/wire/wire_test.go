@@ -313,15 +313,26 @@ func TestInternerUnderConcurrentDecoders(t *testing.T) {
 	}
 }
 
+// emptyPool lets go of every buffer the pool holds.
+func emptyPool() {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	clear(pool.classes[:])
+	clear(pool.poisoned)
+}
+
 // TestMessagePool: a returned buffer is lent again, whole, and under
 // invariants it comes back poisoned and a second return of it fails; a buffer
-// over maxPooled is dropped, not kept.
+// over maxPooled is dropped, not kept.  Each n is lent a buffer of its class,
+// the least power of two from minBuf that holds n bytes, and a returned
+// buffer is lent again for any n of the largest class its capacity covers.
 func TestMessagePool(t *testing.T) {
 	defer invariant.ForceForTest(true)()
+	emptyPool()
 	b := append(GetBuf(5000), "message"...)
 	PutBuf(b)
 	for i, c := range b[:cap(b)] {
-		if c != poison {
+		if c != Poison {
 			t.Fatalf("byte %d of a returned buffer is %#x, not poison", i, c)
 		}
 	}
@@ -343,4 +354,105 @@ func TestMessagePool(t *testing.T) {
 	if got := GetBuf(maxPooled + 1); unsafe.SliceData(got) == unsafe.SliceData(huge) {
 		t.Fatal("a buffer over maxPooled was kept")
 	}
+
+	// GetBuf(0) is a real call: an empty version's install asks for it.
+	emptyPool()
+	for _, tc := range []struct{ n, cap, least int }{
+		{0, 256, 0}, {1, 256, 0}, {256, 256, 0}, {257, 512, 257},
+		{4096, 4096, 2049}, {65536, 65536, 32769}, {65537, 65537, 65537},
+	} {
+		b := GetBuf(tc.n)
+		if len(b) != 0 || cap(b) != tc.cap {
+			t.Fatalf("GetBuf(%d) lent a buffer of length %d and capacity %d, want 0 and %d", tc.n, len(b), cap(b), tc.cap)
+		}
+		for _, n := range []int{tc.least, tc.cap} {
+			PutBuf(b)
+			got := GetBuf(n)
+			if kept := tc.cap <= maxPooled; kept != (unsafe.SliceData(got) == unsafe.SliceData(b)) {
+				t.Fatalf("a returned buffer of capacity %d, asked for %d bytes: lent again %v, want %v", tc.cap, n, !kept, kept)
+			}
+			b = got
+		}
+	}
+
+	// A buffer grown past its class is filed under the class it covers.
+	grown := append(GetBuf(4096), make([]byte, 5000)...)
+	if cap(grown) <= 4096 || cap(grown) >= 8192 {
+		t.Fatalf("a 5000-byte append grew a 4096-byte buffer to %d bytes", cap(grown))
+	}
+	PutBuf(grown)
+	if got := GetBuf(4097); unsafe.SliceData(got) == unsafe.SliceData(grown) {
+		t.Fatalf("a buffer of capacity %d was lent for 4097 bytes: it covers only the 4096-byte class", cap(grown))
+	}
+	if got := GetBuf(4096); unsafe.SliceData(got) != unsafe.SliceData(grown) || cap(got) != cap(grown) {
+		t.Fatalf("a buffer of capacity %d was not lent again whole for 4096 bytes", cap(grown))
+	}
+
+	// A class holds at most classBufs buffers.
+	emptyPool()
+	for range classBufs + 1 {
+		PutBuf(make([]byte, 0, 300))
+	}
+	if n := len(pool.classes[0]); n != classBufs {
+		t.Fatalf("the 256-byte class holds %d buffers, want %d", n, classBufs)
+	}
+	emptyPool()
+}
+
+// TestWriteAfterReturnFiresAtLend breaks the pool's rule — nothing writes
+// through a view of a buffer once it is returned — and expects the armed
+// check to say so when the pool lends the buffer again.
+func TestWriteAfterReturnFiresAtLend(t *testing.T) {
+	defer invariant.ForceForTest(true)()
+	emptyPool()
+	b := append(GetBuf(1000), "message"...)
+	PutBuf(b)
+	b[:cap(b)][700] = 'x'
+	defer func() {
+		if _, ok := recover().(*invariant.Violation); !ok {
+			t.Fatal("lending a buffer written to after its return raised no violation")
+		}
+		emptyPool()
+	}()
+	GetBuf(1000)
+}
+
+// TestUnpoisonedBufferIsLentUnchecked: a buffer returned with invariants off
+// was not poisoned, so arming them before it is lent again does not make its
+// old bytes a violation.
+func TestUnpoisonedBufferIsLentUnchecked(t *testing.T) {
+	emptyPool()
+	b := append(GetBuf(1000), "message"...)
+	restore := invariant.ForceForTest(false)
+	PutBuf(b)
+	invariant.ForceForTest(true)
+	defer restore()
+	if again := GetBuf(1000); unsafe.SliceData(again) != unsafe.SliceData(b) {
+		t.Fatal("a returned buffer was not lent again")
+	}
+	emptyPool()
+}
+
+// BenchmarkGetPutBuf lends and returns a buffer of each class in turn, with
+// the pool holding no other buffer, and with every class full: a lend and a
+// return each touch one class, so what the pool holds does not change what
+// they cost.
+func BenchmarkGetPutBuf(b *testing.B) {
+	defer invariant.ForceForTest(false)()
+	for _, held := range []int{0, classBufs} {
+		b.Run(fmt.Sprintf("held=%d", held*len(pool.classes)), func(b *testing.B) {
+			emptyPool()
+			for c := range pool.classes {
+				for range held {
+					PutBuf(make([]byte, 0, minBuf<<c))
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				PutBuf(GetBuf(minBuf << (i % len(pool.classes))))
+			}
+		})
+	}
+	emptyPool()
 }
