@@ -51,7 +51,9 @@ chaos:
 # faults, and every replica must converge from its durable on-disk state
 # (DESIGN.md §10) — and then the sweep that power-fails one replica at every
 # device write of every local mutating op (among them an append that
-# compacts the directory journal and a first install), the UFS sweeps that
+# compacts the directory journal and a first install) and the sweep that
+# power-fails a pulled version's install (the one install path, which
+# assembles the version before it commits) at every write, the UFS sweeps that
 # do the same to every exported mutating call and to a torn workload
 # (DESIGN.md §16), and the tests that hold the physical layer's caches
 # (DESIGN.md §16) to the store: a layer kept running across a failed device
@@ -59,7 +61,7 @@ chaos:
 # every op, and readers racing directory moves.
 chaos-crash:
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run '^TestChaos$$/^crash$$' -v .
-	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryLocalOp' ./internal/physical
+	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryLocalOp|TestDeltaInstallCrashSweep' ./internal/physical
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryCall|TestTornWriteAtEveryOffset' ./internal/ufs
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestLiveLayerAnswersAsStoreAfterDiskFault|TestStaleDirectoryHandles|TestCachedLayerMatchesFlushedLayer|TestReadersRaceDirectoryMoves' ./internal/physical
 

@@ -176,8 +176,8 @@ func TestE10BatchPropagation(t *testing.T) {
 		dominated bool
 		want      pullPass
 	}{
-		{"fresh", false, pullPass{pulled: nFiles, rpcs: 3, wireBytes: 41301, shipped: nFiles}},
-		{"all-dominated", true, pullPass{rpcs: 3, wireBytes: 24003}},
+		{"fresh", false, pullPass{pulled: nFiles, rpcs: 3, wireBytes: 35642, shipped: nFiles}},
+		{"all-dominated", true, pullPass{rpcs: 3, wireBytes: 21672}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := newPullBed(t, nFiles, contents, WithSeed(42))
@@ -211,9 +211,9 @@ func TestE13DeltaPropagation(t *testing.T) {
 		dominated bool
 		want      pullPass
 	}{
-		{"append-one-block", appendBlock, false, pullPass{pulled: nFiles, rpcs: 3, wireBytes: 606918, shipped: nFiles, reused: nFiles * baseBlocks}},
-		{"touch-metadata", touch, false, pullPass{pulled: nFiles, rpcs: 3, wireBytes: 78278, reused: nFiles * baseBlocks}},
-		{"all-dominated", appendBlock, true, pullPass{rpcs: 3, wireBytes: 44870}},
+		{"append-one-block", appendBlock, false, pullPass{pulled: nFiles, rpcs: 3, wireBytes: 603947, shipped: nFiles, reused: nFiles * baseBlocks}},
+		{"touch-metadata", touch, false, pullPass{pulled: nFiles, rpcs: 3, wireBytes: 77099, reused: nFiles * baseBlocks}},
+		{"all-dominated", appendBlock, true, pullPass{rpcs: 3, wireBytes: 43691}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := newPullBed(t, nFiles, tc.contents, WithSeed(42), WithStorage(65536, 16384))

@@ -20,23 +20,12 @@ import (
 type ClientOptions struct {
 	// DisableCaches turns the attribute and lookup caches off entirely.
 	DisableCaches bool
-	// AttrTTLOps is how many client operations an attribute cache entry
-	// stays fresh for (default 32).  NFS used wall-clock seconds; an
-	// operation count is the deterministic equivalent.
-	AttrTTLOps uint64
 }
 
-func (o *ClientOptions) withDefaults() ClientOptions {
-	v := ClientOptions{AttrTTLOps: 32}
-	if o == nil {
-		return v
-	}
-	if o.AttrTTLOps > 0 {
-		v.AttrTTLOps = o.AttrTTLOps
-	}
-	v.DisableCaches = o.DisableCaches
-	return v
-}
+// attrTTLOps is how many client operations a cached attribute or lookup
+// stays fresh for.  NFS used wall-clock seconds; an operation count is the
+// deterministic equivalent.
+const attrTTLOps = 32
 
 // Client is a vnode.VFS whose operations travel as RPCs to an NFS server.
 // From the stack's point of view it is just another layer (paper Fig. 2).
@@ -79,17 +68,19 @@ func Dial(host *simnet.Host, addr simnet.Addr, opts *ClientOptions) *Client {
 
 // DialService creates a client for a named service port at addr.
 func DialService(host *simnet.Host, addr simnet.Addr, service string, opts *ClientOptions) *Client {
-	o := opts.withDefaults()
-	return &Client{
+	c := &Client{
 		host:    host,
 		server:  addr,
 		service: service,
-		opts:    o,
 		attrs:   lru.New[string, attrEntry](cacheEntries),
 		names:   lru.New[nameKey, lookupEntry](cacheEntries),
 		vnodes:  lru.New[string, *cvnode](cacheEntries),
 		strs:    wire.NewInterner(internEntries),
 	}
+	if opts != nil {
+		c.opts = *opts
+	}
+	return c
 }
 
 // FlushCaches drops all cached attributes and lookups.
@@ -109,7 +100,7 @@ func (c *Client) tick() uint64 {
 }
 
 func (c *Client) fresh(stamp uint64) bool {
-	return c.clock-stamp < c.opts.AttrTTLOps
+	return c.clock-stamp < attrTTLOps
 }
 
 // call performs one RPC and decodes its reply into *resp (nil: the reply is

@@ -89,7 +89,7 @@ func TestOpenCloseNeverReachServer(t *testing.T) {
 // cache behaviour: after a server-side change, a client with a warm
 // attribute cache keeps reporting the old size until the entry ages out.
 func TestAttributeCacheServesStale(t *testing.T) {
-	r := newRig(t, &ClientOptions{AttrTTLOps: 1000})
+	r := newRig(t, nil)
 	root, _ := r.client.Root()
 	f, err := root.Create("f", true)
 	if err != nil {
@@ -126,8 +126,10 @@ func TestAttributeCacheServesStale(t *testing.T) {
 	}
 }
 
+// TestAttrCacheExpiryByOps: a cached attribute answers for attrTTLOps client
+// operations and no longer.
 func TestAttrCacheExpiryByOps(t *testing.T) {
-	r := newRig(t, &ClientOptions{AttrTTLOps: 3})
+	r := newRig(t, nil)
 	root, _ := r.client.Root()
 	f, _ := root.Create("f", true)
 	f.WriteAt([]byte("12345"), 0)
@@ -137,8 +139,15 @@ func TestAttrCacheExpiryByOps(t *testing.T) {
 	srvRoot, _ := r.server.Root()
 	sf, _ := srvRoot.Lookup("f")
 	sf.Truncate(0)
-	// Burn through the TTL with unrelated ops.
-	for i := 0; i < 5; i++ {
+	// Unrelated ops short of the TTL: the entry still answers.
+	for i := 0; i < attrTTLOps-3; i++ {
+		root.Readdir()
+	}
+	if a, _ := f.Getattr(); a.Size != 5 {
+		t.Fatalf("cache expired early: size %d", a.Size)
+	}
+	// Burn through the rest of the TTL.
+	for i := 0; i < 3; i++ {
 		root.Readdir()
 	}
 	if a, _ := f.Getattr(); a.Size != 0 {
@@ -149,7 +158,7 @@ func TestAttrCacheExpiryByOps(t *testing.T) {
 // TestLookupCacheServesStaleName shows the DNLC-style client cache
 // resolving a name that no longer exists server-side.
 func TestLookupCacheServesStaleName(t *testing.T) {
-	r := newRig(t, &ClientOptions{AttrTTLOps: 1000})
+	r := newRig(t, nil)
 	root, _ := r.client.Root()
 	if _, err := root.Create("f", true); err != nil {
 		t.Fatal(err)

@@ -124,10 +124,6 @@ func TestHalfStoredCopyIsNotStored(t *testing.T) {
 			_, err := l.FileInfo(RootPath(), fid)
 			return errors.Is(err, ErrNotStored), err
 		}},
-		{"FileData", func() (bool, any) {
-			_, _, err := l.FileData(RootPath(), fid)
-			return errors.Is(err, ErrNotStored), err
-		}},
 		{"PullRequestFor", func() (bool, any) { // an unconditional request
 			req, local, err := l.PullRequestFor(RootPath(), fid, DeltaBase{})
 			return err == nil && local.Len() == 0 && !req.HasLocal, fmt.Sprint(req.HasLocal, local, err)

@@ -49,10 +49,48 @@ func newBlockLayer(t *testing.T, data []byte) (*disk.Device, *Layer, ids.FileID)
 	return dev, l, mustFid(t, f)
 }
 
-// installWhole installs data as fid's next version the way a whole-file
-// pull answer arrives: m (may be nil) is the serving replica's manifest.
-func installWhole(l *Layer, fid ids.FileID, data []byte, newVV vv.Vector, m *BlockManifest) error {
-	return l.InstallPulled(RootPath(), fid, &PullResult{Status: PullData, Data: data, Manifest: m, Aux: Aux{Type: KFile, Nlink: 1, VV: newVV}}, nil)
+// installAll installs data as fid's next version the way the answer to a
+// pull that advertised nothing arrives: m (may be nil) is the serving
+// replica's manifest, and each of its addresses ships once, at its first
+// position, carrying data's bytes there — bytes damaged in flight when data
+// disagrees with m.
+func installAll(l *Layer, fid ids.FileID, data []byte, newVV vv.Vector, m *BlockManifest) error {
+	var missing []Block
+	if m != nil {
+		for i, addr := range m.Blocks {
+			if !slices.ContainsFunc(missing, func(b Block) bool { return b.Addr == addr }) {
+				missing = append(missing, Block{Addr: addr, Data: blockAt(data, i)})
+			}
+		}
+	}
+	return l.InstallPulled(RootPath(), fid, &PullResult{Status: PullData, Manifest: m, Missing: missing, Aux: Aux{Type: KFile, Nlink: 1, VV: newVV}}, nil)
+}
+
+// servedData is what the replication read path serves of file fid in dir: an
+// unconditional pull's answer, assembled from the blocks it ships, or the
+// entry's failure (ErrNotStored for a copy that is not stored).
+func servedData(l *Layer, dir []ids.FileID, fid ids.FileID) ([]byte, error) {
+	res, _ := l.PullBatchDelta([]PullRequest{{Dir: dir, File: fid}}, nil)
+	r := &res[0]
+	defer r.Release()
+	switch r.Status {
+	case PullData:
+	case PullNotStored:
+		return nil, ErrNotStored
+	case PullError:
+		return nil, r.Err
+	default:
+		return nil, fmt.Errorf("pull of %s answered %s", fid, r.Status)
+	}
+	data := make([]byte, r.Manifest.Length)
+	for i, addr := range r.Manifest.Blocks {
+		k := slices.IndexFunc(r.Missing, func(b Block) bool { return b.Addr == addr })
+		if k < 0 {
+			return nil, fmt.Errorf("pull of %s shipped no block %s", fid, addr)
+		}
+		copy(data[i*ChecksumBlockSize:], r.Missing[k].Data)
+	}
+	return data, nil
 }
 
 // installDelta installs fid's next version the way a delta pull answer
@@ -179,7 +217,7 @@ func TestDeltaInstallCrashSweep(t *testing.T) {
 		dev.ClearFault()
 
 		l2 := remount(t, dev, tag)
-		got, _, err := l2.FileData(RootPath(), fid)
+		got, err := servedData(l2, RootPath(), fid)
 		if err != nil {
 			t.Fatalf("%s: file lost: %v", tag, err)
 		}
@@ -227,6 +265,18 @@ var deltaShapes = []deltaShape{
 	{"repeated-block", slices.Concat(blockOf('a'), blockOf('b')), slices.Concat(blockOf('a'), blockOf('a'), blockOf('b'), blockOf('a'))},
 	{"touch", slices.Concat(blockOf('a'), []byte("tail")), slices.Concat(blockOf('a'), []byte("tail"))},
 	{"from-empty", nil, slices.Concat(blockOf('a'), []byte("tail"))},
+	{"one-block", slices.Concat(blockOf('a'), blockOf('b')), blockOf('b')},
+	{"seventeen-blocks", blockOf('a'), seventeenBlocks()},
+}
+
+// seventeenBlocks is a version of 17 distinct blocks: its answer to a pull
+// that advertised nothing is past the largest class of wire's pool.
+func seventeenBlocks() []byte {
+	var data []byte
+	for i := 0; i < 17; i++ {
+		data = append(data, blockOf(byte('A'+i))...)
+	}
+	return data
 }
 
 // randomVersion draws a version of up to five blocks from a four-letter
@@ -243,12 +293,13 @@ func randomVersion(rng *rand.Rand) []byte {
 	return data
 }
 
-// TestDeltaInstallEqualsWholeInstall: the answer's shape is a transfer
-// detail.  On two identical stores, installing new over old from the delta
-// answer (against the base the pull would advertise) and from the whole-file
-// answer must leave byte-identical data and aux members, cost the
-// same number of device writes, and pass fsck; and the delta must have read
-// every unshipped block back from the version it replaced.
+// TestDeltaInstallEqualsWholeInstall: what a pull advertises is a transfer
+// detail.  On two identical stores, installing new over old from the answer
+// to the advertisement of the version it replaces and from the answer to an
+// empty advertisement — which ships every block, each address once — must
+// leave byte-identical data and aux members, cost the same number of device
+// writes, and pass fsck; and the first must have read every unshipped block
+// back from the version it replaced.
 func TestDeltaInstallEqualsWholeInstall(t *testing.T) {
 	shapes := deltaShapes
 	rng := rand.New(rand.NewSource(17))
@@ -275,8 +326,15 @@ func TestDeltaInstallEqualsWholeInstall(t *testing.T) {
 		deltaWrites := devD.Stats().Writes - before
 
 		before = devW.Stats().Writes
-		// (Non-nil even when empty: nil data is what marks an answer as a delta.)
-		if err := installWhole(lW, fid, append([]byte{}, sh.new...), newVV, ComputeManifest(sh.new)); err != nil {
+		mAll, all := deltaAnswer(sh.new, nil)
+		distinct := map[BlockAddr]bool{}
+		for _, addr := range mAll.Blocks {
+			distinct[addr] = true
+		}
+		if len(all) != len(distinct) {
+			t.Fatalf("%s: an empty advertisement ships %d blocks, want all %d distinct", sh.name, len(all), len(distinct))
+		}
+		if err := installDelta(lW, fid, mAll, all, newVV, nil); err != nil {
 			t.Fatalf("%s: whole install: %v", sh.name, err)
 		}
 		if wholeWrites := devW.Stats().Writes - before; deltaWrites != wholeWrites {
@@ -288,7 +346,7 @@ func TestDeltaInstallEqualsWholeInstall(t *testing.T) {
 				t.Errorf("%s: delta and whole installs left different %s members", sh.name, member)
 			}
 		}
-		if got, _, err := lD.FileData(RootPath(), fid); err != nil || !bytes.Equal(got, sh.new) {
+		if got, err := servedData(lD, RootPath(), fid); err != nil || !bytes.Equal(got, sh.new) {
 			t.Errorf("%s: delta install serves %d bytes (%v), want the %d-byte new version", sh.name, len(got), err, len(sh.new))
 		}
 		reusable := 0
@@ -362,10 +420,10 @@ func TestStaleBaseIsBenign(t *testing.T) {
 		// x -> [s,1,c] against its own rewritten self misses the same way.
 		m, missing = deltaAnswer(slices.Concat(shared, blockOf('1'), blockOf('c')), base.Have())
 		refused(t, l, installDelta(l, fidX, m, missing, nextVV(t, l, fidX), base), fidX, fidY)
-		if got, _, err := l.FileData(RootPath(), fidX); err != nil || !bytes.Equal(got, slices.Concat(blockOf('z'), blockOf('1'))) {
+		if got, err := servedData(l, RootPath(), fidX); err != nil || !bytes.Equal(got, slices.Concat(blockOf('z'), blockOf('1'))) {
 			t.Fatalf("the rewritten holder changed: %v", err)
 		}
-		if got, _, err := l.FileData(RootPath(), fidY); err != nil || !bytes.Equal(got, blockOf('2')) {
+		if got, err := servedData(l, RootPath(), fidY); err != nil || !bytes.Equal(got, blockOf('2')) {
 			t.Fatalf("the target changed: %v", err)
 		}
 	})
@@ -376,7 +434,7 @@ func TestStaleBaseIsBenign(t *testing.T) {
 		}
 		m, missing := deltaAnswer(slices.Concat(blockOf('2'), shared), base.Have())
 		refused(t, l, installDelta(l, fidY, m, missing, nextVV(t, l, fidY), base), fidY)
-		if got, _, err := l.FileData(RootPath(), fidY); err != nil || !bytes.Equal(got, blockOf('2')) {
+		if got, err := servedData(l, RootPath(), fidY); err != nil || !bytes.Equal(got, blockOf('2')) {
 			t.Fatalf("the target changed: %v", err)
 		}
 	})
@@ -436,7 +494,7 @@ func TestOneSidecarPerStoredFile(t *testing.T) {
 	if err := installDelta(l, fidF, ComputeManifest(newData), missing, nextVV(t, l, fidF), baseOf(l, fidF)); err != nil {
 		t.Fatal(err)
 	}
-	if err := installWhole(l, fidG, blockOf('h'), nextVV(t, l, fidG), ComputeManifest(blockOf('h'))); err != nil {
+	if err := installAll(l, fidG, blockOf('h'), nextVV(t, l, fidG), ComputeManifest(blockOf('h'))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.WriteAt([]byte("local"), 0); err != nil {
@@ -517,9 +575,9 @@ func TestOneSidecarPerStoredFile(t *testing.T) {
 //
 //   - Serving it reads the one block it ships.  The store's metadata (the
 //     container's directory, the members' inodes) is read first by a FileInfo,
-//     so what the pull reads is data blocks alone.  Serving it from a
-//     whole-file read, as pulls did before they read by block, read all 16
-//     and the indirect block that maps blocks 10–15: 17 reads.
+//     so what the pull reads is data blocks alone.  Serving a pull that
+//     advertised nothing reads all 16 with one read, and the indirect block
+//     that maps blocks 10–15: 17 reads, those of one whole-file read.
 //   - The install reads each of its 15 reused blocks once: 15 reads more than
 //     a whole-file install of the same version on an identical store, which
 //     runs the same commit (that commit frees the replaced blocks, so it reads
@@ -564,6 +622,21 @@ func TestDeltaPullDeviceReads(t *testing.T) {
 	if got := devS.Stats().Reads - r0; got != 1 {
 		t.Errorf("serving the delta pull read %d device blocks, want 1", got)
 	}
+	// The same pull advertising nothing ships all 16 blocks, read as one run:
+	// the 17 reads of one whole-file read.
+	cold(lS)
+	if _, err := lS.FileInfo(RootPath(), fid); err != nil {
+		t.Fatal(err)
+	}
+	r0 = devS.Stats().Reads
+	all, err := lS.PullBatchDelta([]PullRequest{req}, nil)
+	if err != nil || all[0].Status != PullData || len(all[0].Missing) != 16 {
+		t.Fatalf("answer to an empty advertisement: %+v %v", all, err)
+	}
+	if got := devS.Stats().Reads - r0; got != 17 {
+		t.Errorf("serving every block read %d device blocks, want 17", got)
+	}
+	all[0].Release()
 
 	// Install, against a whole-file install of the same version.
 	baseOf(lW, fid)
@@ -575,7 +648,7 @@ func TestDeltaPullDeviceReads(t *testing.T) {
 	}
 	deltaReads := devD.Stats().Reads - r0
 	r0 = devW.Stats().Reads
-	if err := installWhole(lW, fid, newData, res[0].Aux.VV, ComputeManifest(newData)); err != nil {
+	if err := installAll(lW, fid, newData, res[0].Aux.VV, ComputeManifest(newData)); err != nil {
 		t.Fatal(err)
 	}
 	wholeReads := devW.Stats().Reads - r0

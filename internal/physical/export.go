@@ -1,9 +1,7 @@
 package physical
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -12,7 +10,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/vnode"
 	"repro/internal/vv"
-	"repro/internal/wire"
 )
 
 // This file is the replication-control surface of the physical layer: the
@@ -100,78 +97,6 @@ func (l *Layer) childDirAuxLocked(cont vnode.Vnode, fid ids.FileID) (Aux, error)
 		return Aux{}, err
 	}
 	return e.aux, nil
-}
-
-// FileData returns the full contents and attributes of file fid in
-// directory dirPath, verified against its current seal: a quarantined or
-// freshly failing replica answers ErrCorrupt (transient — retry elsewhere, or
-// once a pull has healed it) rather than ever letting wrong bytes out.  A
-// stale or missing seal cannot vouch either way and the data is served
-// optimistically.
-func (l *Layer) FileData(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileState, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	data, st, _, err := l.readVerifiedLocked(dirPath, fid)
-	return data, st, err
-}
-
-// readVerifiedLocked is FileData, also returning the sealed manifest the
-// bytes were verified against (nil when no current seal could vouch for
-// them).  It reads the aux and its seal through the aux cache, which lends
-// them: the manifest returned is the cache's, read-only.
-func (l *Layer) readVerifiedLocked(dirPath []ids.FileID, fid ids.FileID) ([]byte, FileState, *BlockManifest, error) {
-	cont, err := l.containerOf(dirPath)
-	if err != nil {
-		return nil, FileState{}, nil, err
-	}
-	c, err := l.copyLocked(cont, membersOf(KFile, fid))
-	if err != nil {
-		return nil, FileState{}, nil, mapNotStored(err)
-	}
-	if l.isQuarantinedLocked(fid) {
-		return nil, FileState{}, nil, errQuarantined(fid)
-	}
-	data, m, err := l.readWholeLocked(c.df, fid, c.seal, false)
-	if err != nil {
-		return nil, FileState{}, nil, err
-	}
-	return data, FileState{Aux: c.aux, Size: uint64(len(data))}, m, nil
-}
-
-// readWholeLocked reads file fid's data member df whole — into a buffer lent by
-// wire's pool when lend is set, which the caller owns until it returns it — and
-// checks it against seal, its current seal: bytes that fail it quarantine the
-// copy and answer ErrCorrupt.  With no seal the bytes are returned unvouched (a
-// nil manifest).
-func (l *Layer) readWholeLocked(df vnode.Vnode, fid ids.FileID, seal *sidecar, lend bool) ([]byte, *BlockManifest, error) {
-	st, err := df.Getattr()
-	if err != nil {
-		return nil, nil, err
-	}
-	var data []byte
-	if lend {
-		data = wire.GetBuf(int(st.Size))[:st.Size]
-	} else {
-		data = make([]byte, st.Size)
-	}
-	n, err := df.ReadAt(data, 0)
-	data = data[:n]
-	if errors.Is(err, io.EOF) {
-		err = nil
-	}
-	if err == nil && seal != nil && !seal.Verify(data) {
-		err = l.convictLocked(fid)
-	}
-	switch {
-	case err != nil:
-		if lend {
-			wire.PutBuf(data)
-		}
-		return nil, nil, err
-	case seal == nil:
-		return data, nil, nil
-	}
-	return data, &seal.BlockManifest, nil
 }
 
 // convictLocked quarantines fid, whose bytes failed their seal on a read, and

@@ -489,7 +489,8 @@ func TestInstallCreatesMissingStorage(t *testing.T) {
 	if err := l.InstallFileVersion(RootPath(), fid, KFile, []byte("fresh"), vv.Vector{}.Bump(9), 1); err != nil {
 		t.Fatal(err)
 	}
-	data, st, err := l.FileData(RootPath(), fid)
+	data, err := servedData(l, RootPath(), fid)
+	st, _ := l.FileInfo(RootPath(), fid)
 	if err != nil || string(data) != "fresh" || st.Aux.Type != KFile {
 		t.Fatalf("%q, %+v, %v", data, st, err)
 	}
@@ -563,7 +564,7 @@ func TestShadowCommitCrashSafety(t *testing.T) {
 		if err != nil {
 			t.Fatalf("crashAfter=%d: recovery mount: %v", crashAfter, err)
 		}
-		data, _, err := l2.FileData(RootPath(), fid)
+		data, err := servedData(l2, RootPath(), fid)
 		if err != nil {
 			t.Fatalf("crashAfter=%d: file lost: %v", crashAfter, err)
 		}

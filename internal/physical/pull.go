@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 
 	"repro/internal/ids"
@@ -28,7 +29,7 @@ type PullStatus byte
 // Per-entry outcomes of a conditional pull.
 const (
 	// PullData: the remote version dominates (or the puller stores no
-	// copy); the answer carries the full version for InstallPulled.
+	// copy); the answer carries the version for InstallPulled.
 	PullData PullStatus = iota + 1
 	// PullStale: the puller's vector dominates or equals — stale news,
 	// nothing shipped.
@@ -79,9 +80,7 @@ type PullRequest struct {
 // PullResult is the per-entry answer to a PullRequest.
 type PullResult struct {
 	Status   PullStatus
-	Data     []byte    // PullData only
 	Aux      Aux       // PullData (install attributes) and PullIsDir (kind)
-	Size     uint64    // PullData only
 	RemoteVV vv.Vector // PullConcurrent only
 	Err      error     // PullError only
 
@@ -93,22 +92,23 @@ type PullResult struct {
 	// committed.
 	Manifest *BlockManifest
 
-	// A delta answer (to a pull that advertised holdings) carries no Data:
-	// only the blocks absent from the advertisement travel, in Missing, and
-	// the puller reassembles the version in InstallPulled.
+	// Missing is the version's blocks absent from the pull's advertisement
+	// (PullData only), in manifest order, each address once: every distinct
+	// block when the pull advertised nothing.  The puller reassembles the
+	// version from them and its own base in InstallPulled.
 	Missing []Block
 
 	// lent is the buffer wire's pool lent the serving layer to read the
-	// answer's bytes into: Data and Missing are views of it.  Release returns
-	// it.  An answer rebuilt from a message holds none.
+	// answer's bytes into: Missing is a view of it.  Release returns it.  An
+	// answer rebuilt from a message holds none.
 	lent []byte
 }
 
 // Release returns the buffer a served answer's bytes were read into to wire's
 // pool, once the answer has been encoded (the repl server) or installed
-// (recon's pullAndApply): from then on Data and Missing are views of the
-// pool's bytes, and nothing may read them (DESIGN.md §9.2).  A second Release
-// of the same answer, or one of an answer that borrowed nothing, does nothing.
+// (recon's pullAndApply): from then on Missing is a view of the pool's bytes,
+// and nothing may read them (DESIGN.md §9.2).  A second Release of the same
+// answer, or one of an answer that borrowed nothing, does nothing.
 // An answer dropped without a Release leaves its buffer to the collector.
 func (r *PullResult) Release() {
 	if r.lent != nil {
@@ -117,14 +117,15 @@ func (r *PullResult) Release() {
 	}
 }
 
-// pullOne answers one pull request; ad is the pull's advertisement, nil when
-// it advertised nothing.  The aux and its seal are read once, through the aux
+// pullOne answers one pull request against ad, the pull's advertisement (which
+// may list nothing).  The aux and its seal are read once, through the aux
 // cache, under one hold of l.mu, so the answer is the one version stored now
 // (it may have advanced since the puller last looked, and still dominates).
-// With a current seal and an advertisement the version is read block by block:
-// only the blocks the puller lacks (readMissingLocked).  Otherwise — no
-// advertisement, or a stale seal — it is read whole, and verified whole when a
-// seal vouches for it.
+// A version that ships travels as its manifest plus the blocks ad lacks —
+// every block when it lists nothing.  With a current seal only those blocks
+// are read, each checked against its sealed address (readMissingLocked);
+// with a stale one the version is read whole and its manifest computed from
+// the bytes as read.
 func (l *Layer) pullOne(req *PullRequest, ad *advert) PullResult {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -158,39 +159,37 @@ func (l *Layer) pullOne(req *PullRequest, ad *advert) PullResult {
 		return pullFailed(errQuarantined(req.File))
 	}
 	r := PullResult{Status: PullData, Aux: aux}
-	if seal != nil && ad != nil {
-		r.Manifest, r.Size = &seal.BlockManifest, seal.Length
+	if seal != nil {
+		r.Manifest = &seal.BlockManifest
 		if r.Missing, r.lent, err = l.readMissingLocked(df, req.File, seal, ad.ships(r.Manifest)); err != nil {
 			return pullFailed(err)
 		}
-		return r
-	}
-	if r.Data, r.Manifest, err = l.readWholeLocked(df, req.File, seal, true); err != nil {
-		return pullFailed(err)
-	}
-	r.lent = r.Data
-	if r.Manifest == nil {
-		r.Manifest = ComputeManifest(r.Data) // stale seal: vouch for the bytes as read
-	}
-	r.Size = uint64(len(r.Data))
-	if ad != nil {
+	} else {
+		// A stale seal vouches for nothing: vouch for the bytes as read.
+		data, err := readWhole(df)
+		if err != nil {
+			return pullFailed(err)
+		}
+		r.Manifest, r.lent = ComputeManifest(data), data
 		idx := ad.ships(r.Manifest)
 		r.Missing = make([]Block, len(idx))
 		for k, i := range idx {
-			r.Missing[k] = Block{Addr: r.Manifest.Blocks[i], Data: blockAt(r.Data, i)}
+			r.Missing[k] = Block{Addr: r.Manifest.Blocks[i], Data: blockAt(data, i)}
 		}
-		r.Data = nil
+	}
+	if len(ad.have) > 0 {
 		l.countShippedLocked(r.Missing)
 	}
 	return r
 }
 
-// readMissingLocked reads the blocks idx of file fid's data member df, sealed
-// by seal, into one buffer sized to them and lent by wire's pool, each checked
-// against its sealed address; it returns the blocks and the buffer they are
-// views of, which the caller owns until it returns it.  A member that is not
-// the sealed length, or a block that fails its address, convicts the copy: it
-// is quarantined and the read answers ErrCorrupt.  Blocks it does not read are
+// readMissingLocked reads the blocks idx (ascending) of file fid's data member
+// df, sealed by seal, into one buffer sized to them and lent by wire's pool,
+// each run of consecutive blocks with one read, and checks each block against
+// its sealed address; it returns the blocks and the buffer they are views of,
+// which the caller owns until it returns it.  A member that is not the sealed
+// length, or a block that fails its address, convicts the copy: it is
+// quarantined and the read answers ErrCorrupt.  Blocks it does not read are
 // not checked: they are the scrubber's to find.
 func (l *Layer) readMissingLocked(df vnode.Vnode, fid ids.FileID, seal *sidecar, idx []int) ([]Block, []byte, error) {
 	st, err := df.Getattr()
@@ -207,24 +206,46 @@ func (l *Layer) readMissingLocked(df vnode.Vnode, fid ids.FileID, seal *sidecar,
 	buf := wire.GetBuf(size)[:size]
 	out := make([]Block, len(idx))
 	off := 0
-	for k, i := range idx {
-		b := buf[off : off+blockLen(seal.Length, i) : off+blockLen(seal.Length, i)]
-		if err := readBlock(df, b, i); err != nil {
+	for k := 0; k < len(idx); {
+		run, n := k+1, blockLen(seal.Length, idx[k])
+		for ; run < len(idx) && idx[run] == idx[run-1]+1; run++ {
+			n += blockLen(seal.Length, idx[run])
+		}
+		if err := readBlock(df, buf[off:off+n], idx[k]); err != nil {
 			wire.PutBuf(buf)
 			return nil, nil, err
 		}
-		if HashBlock(b) != seal.Blocks[i] {
-			wire.PutBuf(buf)
-			return nil, nil, l.convictLocked(fid)
+		for ; k < run; k++ {
+			i := idx[k]
+			b := buf[off : off+blockLen(seal.Length, i) : off+blockLen(seal.Length, i)]
+			if HashBlock(b) != seal.Blocks[i] {
+				wire.PutBuf(buf)
+				return nil, nil, l.convictLocked(fid)
+			}
+			out[k] = Block{Addr: seal.Blocks[i], Data: b}
+			off += len(b)
 		}
-		out[k] = Block{Addr: seal.Blocks[i], Data: b}
-		off += len(b)
 	}
-	l.countShippedLocked(out)
 	return out, buf, nil
 }
 
-// countShippedLocked counts the blocks a delta answer ships.
+// readWhole reads data member df whole, into a buffer lent by wire's pool,
+// which the caller owns until it returns it.
+func readWhole(df vnode.Vnode) ([]byte, error) {
+	st, err := df.Getattr()
+	if err != nil {
+		return nil, err
+	}
+	data := wire.GetBuf(int(st.Size))[:st.Size]
+	n, err := df.ReadAt(data, 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		wire.PutBuf(data)
+		return nil, err
+	}
+	return data[:n], nil
+}
+
+// countShippedLocked counts the blocks an answer to an advertisement ships.
 func (l *Layer) countShippedLocked(blocks []Block) {
 	for _, b := range blocks {
 		l.bstats.BlocksShipped++
@@ -244,7 +265,8 @@ func pullFailed(err error) PullResult {
 // addresses the puller holds, sorted, and scratch for one answer's choice.
 type advert struct {
 	have []BlockAddr
-	sent map[BlockAddr]bool
+	sent map[BlockAddr]bool // made by the first answer that ships
+	idx  []int
 }
 
 // holds reports whether the advertisement lists addr.
@@ -257,28 +279,32 @@ func (a *advert) holds(addr BlockAddr) bool {
 func compareAddrs(a, b BlockAddr) int { return bytes.Compare(a[:], b[:]) }
 
 // ships lists, in manifest order, the index of each block of m an answer
-// ships: each address absent from the advertisement, once.
+// ships: each address absent from the advertisement, once.  The list is
+// scratch of a's, good until the next call.
 func (a *advert) ships(m *BlockManifest) []int {
+	if a.sent == nil {
+		a.sent = make(map[BlockAddr]bool, len(m.Blocks))
+	}
 	clear(a.sent)
-	idx := make([]int, 0, len(m.Blocks))
+	a.idx = slices.Grow(a.idx[:0], len(m.Blocks))
 	for i, addr := range m.Blocks {
 		if !a.sent[addr] && !a.holds(addr) {
 			a.sent[addr] = true
-			idx = append(idx, i)
+			a.idx = append(a.idx, i)
 		}
 	}
-	return idx
+	return a.idx
 }
 
 // A pull may advertise block addresses the puller already holds.  The
-// serving side then answers PullData entries with the version's manifest plus
-// only the blocks absent from the advertisement, and the puller reassembles
-// the full version from its base + received blocks before running the exact
-// same commit a whole-file install uses.  An append-one-block update or a
+// serving side answers every PullData entry with the version's manifest plus
+// the blocks absent from the advertisement — all of them when it lists
+// nothing — and the puller reassembles the full version from its base and the
+// received blocks before it commits.  An append-one-block update or a
 // metadata touch therefore ships O(delta) bytes instead of O(file), and a
 // pass where the puller already dominates still ships zero data bytes.
 
-// Block pairs an address with its content: the wire unit of a delta pull.
+// Block pairs an address with its content: the unit a pull answer ships.
 type Block struct {
 	Addr BlockAddr
 	Data []byte
@@ -383,8 +409,8 @@ func storedOrNot(err error) error {
 }
 
 // Have lists the base's distinct addresses, sorted: the advertisement of the
-// pull the base was built for.  An empty base advertises nothing, which asks
-// for whole-file answers.
+// pull the base was built for.  An empty base advertises nothing, so every
+// block of a shipped version travels.
 func (b DeltaBase) Have() []BlockAddr {
 	out := make([]BlockAddr, 0, len(b))
 	for a := range b {
@@ -476,9 +502,9 @@ type BlockStats struct {
 	PoolBlocks      uint64
 	ManifestsSealed uint64
 
-	BlocksShipped uint64 // blocks this replica shipped because the puller lacked them
+	BlocksShipped uint64 // blocks this replica shipped to pulls that advertised holdings
 	BlocksReused  uint64 // blocks delta installs read back from their base
-	BytesShipped  uint64 // payload bytes of shipped blocks
+	BytesShipped  uint64 // payload bytes of those blocks
 	BytesSaved    uint64 // payload bytes delta installs did NOT pull over the wire
 }
 
@@ -503,21 +529,18 @@ func (l *Layer) BlockStats() BlockStats {
 }
 
 // PullBatchDelta answers a batch of conditional pull requests against this
-// replica.  With no advertisement (have is empty) a version that must ship
-// travels whole, as Data beside its Manifest; with one it travels as
-// (Manifest, Missing blocks) against the advertised holdings.  Serving never
-// writes to this replica's own store.  Failures are strictly per-entry
-// (PullError); the call itself never fails, so one unreadable file cannot
-// starve the rest of a batch.
+// replica; have is the addresses the puller advertises it holds.  A version that must ship
+// travels as its Manifest plus the Missing blocks the advertisement lacks;
+// an empty advertisement lacks every block.  Only answers to a non-empty one
+// count as shipped in BlockStats.  Serving never writes to this replica's own
+// store.  Failures are strictly per-entry (PullError); the call itself never
+// fails, so one unreadable file cannot starve the rest of a batch.
 func (l *Layer) PullBatchDelta(reqs []PullRequest, have []BlockAddr) ([]PullResult, error) {
-	var ad *advert
-	if len(have) > 0 {
-		if !slices.IsSortedFunc(have, compareAddrs) { // not built by Have
-			have = slices.Clone(have)
-			slices.SortFunc(have, compareAddrs)
-		}
-		ad = &advert{have: have, sent: make(map[BlockAddr]bool)}
+	if !slices.IsSortedFunc(have, compareAddrs) { // not built by Have
+		have = slices.Clone(have)
+		slices.SortFunc(have, compareAddrs)
 	}
+	ad := &advert{have: have}
 	out := make([]PullResult, len(reqs))
 	for i := range reqs {
 		out[i] = l.pullOne(&reqs[i], ad)

@@ -7,7 +7,11 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/ids"
+	"repro/internal/ufs"
+	"repro/internal/ufsvn"
+	"repro/internal/vnode"
 )
 
 // TestAdvertisementOrderDoesNotMatter: the serving side looks addresses up in
@@ -112,7 +116,7 @@ func TestDeltaInstallManyBlocks(t *testing.T) {
 	}
 	deltaReads := devD.Stats().Reads - r0
 	r0 = devW.Stats().Reads
-	if err := installWhole(lW, fid, newData, vvNew, m); err != nil {
+	if err := installAll(lW, fid, newData, vvNew, m); err != nil {
 		t.Fatal(err)
 	}
 	wholeReads := devW.Stats().Reads - r0
@@ -124,5 +128,60 @@ func TestDeltaInstallManyBlocks(t *testing.T) {
 	}
 	if members := fileMembers(t, lD, fid); !bytes.Equal(members[0], newData) {
 		t.Error("the delta install did not leave the new version")
+	}
+}
+
+// TestAnswerReadsEachRunOnce: serving an answer reads each run of
+// consecutive shipped blocks with one store read, so an answer that ships
+// every block reads the file once.
+func TestAnswerReadsEachRunOnce(t *testing.T) {
+	fs, err := ufs.Mkfs(disk.New(8192), 2048, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := 0
+	l, err := Format(vnode.NewHook(ufsvn.New(fs), func(op string) {
+		if op == "read" {
+			reads++
+		}
+	}), testVol, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := l.Root()
+	for _, c := range []struct {
+		name    string
+		data    []byte
+		held    []byte // a block the pull advertises, nil for none
+		shipped int
+		reads   int
+	}{
+		{"every block", slices.Concat(blockOf('a'), blockOf('b'), blockOf('c'), blockOf('d')[:9]), nil, 4, 1},
+		{"a hole in the middle", slices.Concat(blockOf('a'), blockOf('b'), blockOf('c'), blockOf('d')[:9]), blockOf('b'), 3, 2},
+		{"a repeated block", slices.Concat(blockOf('a'), blockOf('b'), blockOf('a'), blockOf('c')), nil, 3, 2},
+		{"nothing", nil, nil, 0, 0},
+	} {
+		f, err := root.Create(c.name, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vnode.WriteFile(f, c.data); err != nil {
+			t.Fatal(err)
+		}
+		req := []PullRequest{{Dir: RootPath(), File: mustFid(t, f)}}
+		var have []BlockAddr
+		if c.held != nil {
+			have = []BlockAddr{HashBlock(c.held)}
+		}
+		l.PullBatchDelta(req, nil) // warms the aux cache
+		reads = 0
+		res, _ := l.PullBatchDelta(req, have)
+		if res[0].Status != PullData || len(res[0].Missing) != c.shipped {
+			t.Fatalf("%s: answer %v shipping %d blocks, want %d", c.name, res[0].Status, len(res[0].Missing), c.shipped)
+		}
+		if reads != c.reads {
+			t.Errorf("%s: serving read the store %d times, want %d", c.name, reads, c.reads)
+		}
+		res[0].Release()
 	}
 }

@@ -7,9 +7,9 @@ package physical
 //
 //   - local reads answer ENOSTOR so the logical layer fails over to a
 //     replica that can serve the version (one-copy availability, §2.2);
-//   - the replication read path (FileData) answers ErrCorrupt, a TRANSIENT
-//     error, so a puller defers and re-arms its new-version cache entry
-//     instead of dropping it — corruption is never propagated;
+//   - the replication read path, a pull's answer, is ErrCorrupt: a
+//     TRANSIENT error, so a puller defers and re-arms its new-version cache
+//     entry instead of dropping it — corruption is never propagated;
 //   - a pull of the file, whichever pass runs it (propagation, a directory
 //     notice, reconciliation, the restart rescan), asks the peer
 //     unconditionally, so even a peer holding the very same version ships

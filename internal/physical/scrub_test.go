@@ -102,7 +102,7 @@ func TestScrubDetectsBitRotAndQuarantines(t *testing.T) {
 	}
 	// The replication read path answers ErrCorrupt — a TRANSIENT error, so
 	// pullers defer instead of dropping their new-version entries.
-	if _, _, err := l.FileData(RootPath(), fid); !errors.Is(err, ErrCorrupt) {
+	if _, err := servedData(l, RootPath(), fid); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("FileData on quarantined file: %v", err)
 	} else if !retry.Transient(err) {
 		t.Fatalf("ErrCorrupt must classify transient: %v", err)
@@ -161,7 +161,7 @@ func TestScrubReadDetectsCorruption(t *testing.T) {
 	if err := l.CorruptData(RootPath(), fid, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.FileData(RootPath(), fid); !errors.Is(err, ErrCorrupt) {
+	if _, err := servedData(l, RootPath(), fid); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("FileData served corrupt bytes: %v", err)
 	}
 	if !l.IsQuarantined(fid) {
@@ -242,7 +242,7 @@ func TestVerifiedInstallClearsQuarantine(t *testing.T) {
 	// A peer re-supplies the same version with a matching manifest: the
 	// install verifies, lands, and lifts the quarantine as a repair.
 	data := []byte("original")
-	if err := installWhole(l, fid, data, goodVV, ComputeManifest(data)); err != nil {
+	if err := installAll(l, fid, data, goodVV, ComputeManifest(data)); err != nil {
 		t.Fatal(err)
 	}
 	if l.IsQuarantined(fid) {
@@ -274,7 +274,7 @@ func TestInstallRejectsMismatchedManifest(t *testing.T) {
 	// The manifest advertises different bytes than the payload: damage in
 	// flight.  The install must refuse before touching disk.
 	wrong := ComputeManifest([]byte("what the server promised"))
-	err = installWhole(l, fid, []byte("what arrived"), newVV, wrong)
+	err = installAll(l, fid, []byte("what arrived"), newVV, wrong)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mismatched install: got %v, want ErrCorrupt", err)
 	}
@@ -297,7 +297,7 @@ func TestInstallMismatchFiresInvariant(t *testing.T) {
 	}
 	wrong := ComputeManifest([]byte("promised"))
 	mustViolate(t, func() {
-		_ = installWhole(l, fid, []byte("arrived"), vv.Vector{}.Bump(2), wrong)
+		_ = installAll(l, fid, []byte("arrived"), vv.Vector{}.Bump(2), wrong)
 	})
 }
 
@@ -312,7 +312,7 @@ func TestInstallMatchingManifestPassesInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("v2")
-	if err := installWhole(l, fid, data, st.Aux.VV.Bump(2), ComputeManifest(data)); err != nil {
+	if err := installAll(l, fid, data, st.Aux.VV.Bump(2), ComputeManifest(data)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -264,29 +264,32 @@ func (l *Layer) recoverContainerLocked(c vnode.Vnode, ents []vnode.Dirent) error
 // bytes are local (a conflict resolution, a test), so the manifest they are
 // installed under is computed here.
 func (l *Layer) InstallFileVersion(dirPath []ids.FileID, fid ids.FileID, kind Kind, data []byte, newVV vv.Vector, nlink uint32) error {
-	return l.InstallPulled(dirPath, fid, &PullResult{Status: PullData, Data: data, Manifest: ComputeManifest(data),
-		Aux: Aux{Type: kind, Nlink: nlink, VV: newVV}}, nil)
+	m := ComputeManifest(data)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	cont, err := l.containerOf(dirPath)
+	if err != nil {
+		return err
+	}
+	return l.commitFileVersionLocked(cont, fid, &Aux{Type: kind, Nlink: nlink, VV: newVV}, data, m)
 }
 
 // InstallPulled installs the version a pull answered with (r.Status is
-// PullData), whole-file or delta alike; base is the DeltaBase the pull
-// advertised (nil when it advertised nothing).  r.Manifest is the serving
-// replica's word for exactly this version, and nothing touches disk unless
-// the bytes agree with it: a whole-file answer's Data is verified block by
-// block; a delta answer (Data nil) is assembled in one buffer from the
-// shipped blocks, each of which must hash to its address, plus the blocks it
-// reuses, each read back from a base file into its slot and checked against
-// that file's seal (baseBlockLocked).  A mismatch (damage in flight, or
-// a serving replica whose own verification was bypassed) is rejected with
-// ErrCorrupt and, under FICUS_INVARIANTS=1, is an invariant violation.  An
-// answer without a manifest has nothing to be verified against and is refused
-// the same way.  (An empty version is the same answer either way and is
-// handled as a delta.)  Once assembled, both answer shapes run the same
-// commit.  The assembly buffer is lent by wire's pool and goes back once the
-// commit has written it: the store copies every write into its own cache.
-// Nothing of r is kept; its Missing is left ordered by address.
+// PullData); base is the DeltaBase the pull advertised (nil when it
+// advertised nothing).  r.Manifest is the serving replica's word for exactly
+// this version, and nothing touches disk unless the bytes agree with it: the
+// version is assembled in one buffer from the shipped blocks, each of which
+// must hash to its address, plus the blocks it reuses, each read back from a
+// base file into its slot and checked against that file's seal
+// (baseBlockLocked).  A mismatch (damage in flight, or a serving replica
+// whose own verification was bypassed) is rejected with ErrCorrupt and,
+// under FICUS_INVARIANTS=1, is an invariant violation.  An answer without a
+// manifest has nothing to be verified against and is refused the same way.
+// The assembly buffer is lent by wire's pool and goes back once the commit
+// has written it: the store copies every write into its own cache.  Nothing
+// of r is kept; its Missing is left ordered by address.
 func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResult, base DeltaBase) error {
-	m, data := r.Manifest, r.Data
+	m := r.Manifest
 	if m == nil {
 		return fmt.Errorf("%w: install of %s: no manifest to verify the version against", ErrCorrupt, fid)
 	}
@@ -299,46 +302,44 @@ func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResul
 		}
 	}
 	slices.SortFunc(r.Missing, func(a, b Block) int { return compareAddrs(a.Addr, b.Addr) })
-	if data != nil && !m.Verify(data) {
-		return rejectInstall(fid, "payload (%d bytes) does not match the shipped manifest (length %d)", len(data), m.Length)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	cont, err := l.containerOf(dirPath)
 	if err != nil {
 		return err
 	}
+	// Assemble the full version in one buffer: shipped blocks win (they are
+	// the bytes the server actually sent); everything else is read from the
+	// base straight into its slot.  Each block must also have the size its
+	// position implies, or the sealed addresses would not be those of the
+	// file's 4 KiB chunks.  The buffer is taken only once every block the
+	// manifest names is at hand.
+	for _, addr := range m.Blocks {
+		if _, based := base[addr]; !based && shipped(r.Missing, addr) == nil {
+			return fmt.Errorf("%w (file %s, block %s)", ErrMissingBlock, fid, addr)
+		}
+	}
+	data := wire.GetBuf(int(m.Length))[:m.Length]
+	defer wire.PutBuf(data)
+	var held map[ids.FileID]heldVersion // made on the first base read
 	var reused, reusedBytes uint64
-	if data == nil {
-		// Assemble the full version in one buffer: shipped blocks win (they
-		// are the bytes the server actually sent); everything else is read
-		// from the base straight into its slot.  Each block must also have
-		// the size its position implies, or the sealed addresses would not be
-		// those of the file's 4 KiB chunks.  The buffer is taken only once
-		// every block the manifest names is at hand.
-		for _, addr := range m.Blocks {
-			if _, based := base[addr]; !based && shipped(r.Missing, addr) == nil {
-				return fmt.Errorf("%w (file %s, block %s)", ErrMissingBlock, fid, addr)
+	for i, addr := range m.Blocks {
+		slot := data[i*ChecksumBlockSize:][:blockLen(m.Length, i)]
+		if b := shipped(r.Missing, addr); b != nil {
+			if len(b.Data) != len(slot) {
+				return rejectInstall(fid, "block %d is %d bytes, manifest position needs %d", i, len(b.Data), len(slot))
 			}
+			copy(slot, b.Data)
+			continue
 		}
-		data = wire.GetBuf(int(m.Length))[:m.Length]
-		defer wire.PutBuf(data)
-		held := make(map[ids.FileID]heldVersion)
-		for i, addr := range m.Blocks {
-			slot := data[i*ChecksumBlockSize:][:blockLen(m.Length, i)]
-			if b := shipped(r.Missing, addr); b != nil {
-				if len(b.Data) != len(slot) {
-					return rejectInstall(fid, "block %d is %d bytes, manifest position needs %d", i, len(b.Data), len(slot))
-				}
-				copy(slot, b.Data)
-				continue
-			}
-			if !l.baseBlockLocked(base, addr, slot, held) {
-				return fmt.Errorf("%w (file %s, block %s)", ErrMissingBlock, fid, addr)
-			}
-			reused++
-			reusedBytes += uint64(len(slot))
+		if held == nil {
+			held = make(map[ids.FileID]heldVersion)
 		}
+		if !l.baseBlockLocked(base, addr, slot, held) {
+			return fmt.Errorf("%w (file %s, block %s)", ErrMissingBlock, fid, addr)
+		}
+		reused++
+		reusedBytes += uint64(len(slot))
 	}
 	if err := l.commitFileVersionLocked(cont, fid, &r.Aux, data, m); err != nil {
 		return err
@@ -348,8 +349,8 @@ func (l *Layer) InstallPulled(dirPath []ids.FileID, fid ids.FileID, r *PullResul
 	return nil
 }
 
-// shipped finds the block a delta answer shipped for addr in missing, which
-// is ordered by address, nil when it shipped none.
+// shipped finds the block an answer shipped for addr in missing, which is
+// ordered by address, nil when it shipped none.
 func shipped(missing []Block, addr BlockAddr) *Block {
 	i, found := slices.BinarySearchFunc(missing, addr, func(b Block, a BlockAddr) int { return compareAddrs(b.Addr, a) })
 	if !found {

@@ -175,13 +175,10 @@ func TestInstallRejectsMalformedManifest(t *testing.T) {
 		{Length: 0, Blocks: []BlockAddr{one}},
 		{Length: 2 * ChecksumBlockSize, Blocks: []BlockAddr{one}},
 	} {
-		for _, data := range [][]byte{nil, []byte("x")} {
-			r := &PullResult{Status: PullData, Data: data, Manifest: m, Aux: Aux{Type: KFile, Nlink: 1, VV: vv.Vector{}.Bump(2)},
-				Missing: []Block{{Addr: one, Data: blockOf('x')}}}
-			err := l.InstallPulled(RootPath(), fid(2, 9), r, nil)
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("manifest {%d, %d blocks}, %d data bytes: %v, want ErrCorrupt", m.Length, len(m.Blocks), len(data), err)
-			}
+		r := &PullResult{Status: PullData, Manifest: m, Aux: Aux{Type: KFile, Nlink: 1, VV: vv.Vector{}.Bump(2)},
+			Missing: []Block{{Addr: one, Data: blockOf('x')}}}
+		if err := l.InstallPulled(RootPath(), fid(2, 9), r, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("manifest {%d, %d blocks}: %v, want ErrCorrupt", m.Length, len(m.Blocks), err)
 		}
 	}
 	// A delta answer whose blocks have the right addresses but the wrong
@@ -251,9 +248,17 @@ func TestSparseGrowthSealsWithoutMaterialisingZeros(t *testing.T) {
 		if err := grow.op(f, 64<<20); err != nil {
 			t.Fatalf("%s: %v", grow.name, err)
 		}
-		data, _, m, err := l.readVerifiedLocked(RootPath(), mustFid(t, f))
-		if err != nil || m == nil || len(data) != 10+64<<20 {
-			t.Fatalf("%s by 64 MiB: verified read-back: %d bytes, manifest %v, err %v", grow.name, len(data), m, err)
+		cont, err := l.rootContainer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := l.copyLocked(cont, membersOf(KFile, mustFid(t, f)))
+		if err != nil || c.seal == nil {
+			t.Fatalf("%s by 64 MiB: no current seal: %v", grow.name, err)
+		}
+		data, err := vnode.ReadFile(c.df)
+		if err != nil || len(data) != 10+64<<20 || !c.seal.Verify(data) {
+			t.Fatalf("%s by 64 MiB: verified read-back: %d bytes, err %v", grow.name, len(data), err)
 		}
 	}
 }

@@ -73,7 +73,7 @@ func TestShadowCommitTornWrites(t *testing.T) {
 		if err != nil {
 			t.Fatalf("crashAfter=%d: recovery mount: %v", crashAfter, err)
 		}
-		data, _, err := l2.FileData(RootPath(), fid)
+		data, err := servedData(l2, RootPath(), fid)
 		if err != nil {
 			t.Fatalf("crashAfter=%d: file lost: %v", crashAfter, err)
 		}

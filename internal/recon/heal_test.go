@@ -56,8 +56,8 @@ func healed(t *testing.T, local *physical.Layer, fid ids.FileID, want string) {
 	if s := local.IntegrityStats(); s.Repaired != 1 {
 		t.Fatalf("repaired = %d, want 1", s.Repaired)
 	}
-	data, _, err := local.FileData(physical.RootPath(), fid)
-	if err != nil || string(data) != want {
+	data, err := read(t, local, "f")
+	if err != nil || data != want {
 		t.Fatalf("healed bytes %q, %v; want %q", data, err, want)
 	}
 }

@@ -121,9 +121,10 @@ func applyPull(local *physical.Layer, base physical.DeltaBase, it *pullItem, r *
 		}
 		// Install under the origin's manifest: a payload damaged in flight
 		// (or served past a bypassed verification) is rejected before it
-		// touches disk.  A delta answer reassembles from base + shipped
-		// blocks first; a missing block is transient (a base file moved
-		// under us) and the entry retries with a fresh advertisement.
+		// touches disk.  The install reassembles the version from the
+		// shipped blocks and the base first; a missing block is transient (a
+		// base file moved under us) and the entry retries with a fresh
+		// advertisement.
 		err := local.InstallPulled(it.dir, it.file, r, base)
 		switch {
 		case err == nil:

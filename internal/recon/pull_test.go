@@ -162,8 +162,10 @@ func TestReconcileVerifiesAgainstManifest(t *testing.T) {
 	badFid := fidOf(t, remote, "bad")
 
 	peer := &scriptedPeer{Peer: remote, rewrite: func(r *physical.PullResult) {
-		if string(r.Data) == "new" {
-			r.Data = []byte("nEw")
+		for i := range r.Missing {
+			if string(r.Missing[i].Data) == "new" {
+				r.Missing[i].Data = []byte("nEw")
+			}
 		}
 	}}
 	stats, err := ReconcileVolume(local, peer)

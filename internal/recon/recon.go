@@ -38,9 +38,9 @@ type Peer interface {
 	// obtained from a peer: each request carries the puller's vector and is
 	// answered with exactly one physical.PullStatus, shipping the version
 	// only when it dominates.  have advertises block addresses the puller
-	// holds; when it is non-empty, shipped versions travel as (manifest,
-	// missing blocks) instead of whole.  Failures are per entry; an error
-	// means the exchange itself failed.
+	// holds; a shipped version travels as its manifest plus the blocks have
+	// lacks, every block when have is empty.  Failures are per entry; an
+	// error means the exchange itself failed.
 	PullBatchDelta(reqs []physical.PullRequest, have []physical.BlockAddr) ([]physical.PullResult, error)
 }
 
@@ -230,7 +230,7 @@ func reconcileDir(local *physical.Layer, remote Peer, dirPath []ids.FileID, sc s
 }
 
 // reconcileFiles compares one directory's file replicas with the remote's by
-// version vector, in one pull with no advertisement (versions ship whole),
+// version vector, in one pull with no advertisement (every block ships),
 // installing those the remote dominates.  Concurrent versions are a conflict:
 // reported to the owner, data untouched (the owner resolves).  Every answer
 // is applied, and the first failure is returned.

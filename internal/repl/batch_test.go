@@ -23,6 +23,18 @@ func localVVOf(t *testing.T, l *physical.Layer, fid ids.FileID) physical.PullReq
 	return physical.PullRequest{Dir: physical.RootPath(), File: fid, LocalVV: st.Aux.VV, HasLocal: true}
 }
 
+// assembled lays the blocks a pull answer ships out as its manifest lists
+// them: the whole version, for an answer to a pull that advertised nothing.
+func assembled(r *physical.PullResult) []byte {
+	var data []byte
+	for _, addr := range r.Manifest.Blocks {
+		if k := slices.IndexFunc(r.Missing, func(b physical.Block) bool { return b.Addr == addr }); k >= 0 {
+			data = append(data, r.Missing[k].Data...)
+		}
+	}
+	return data
+}
+
 // TestPullBatchConditionalSemantics drives one batch covering every
 // conditional-pull outcome and checks the whole batch costs a single RPC.
 func TestPullBatchConditionalSemantics(t *testing.T) {
@@ -79,18 +91,18 @@ func TestPullBatchConditionalSemantics(t *testing.T) {
 			t.Fatalf("entry %d: status %v, want %v", i, results[i].Status, w)
 		}
 	}
-	if string(results[0].Data) != "v2" || results[0].Aux.Type != physical.KFile {
-		t.Fatalf("dominated entry: %q %+v", results[0].Data, results[0].Aux)
+	if got := assembled(&results[0]); string(got) != "v2" || results[0].Aux.Type != physical.KFile {
+		t.Fatalf("dominated entry: %q %+v", got, results[0].Aux)
 	}
-	if results[1].Data != nil {
+	if results[1].Missing != nil || results[1].Manifest != nil {
 		t.Fatal("stale entry shipped bytes")
 	}
 	bi, _ := r.lB.FileInfo(physical.RootPath(), concFID)
 	if !results[2].RemoteVV.Equal(bi.Aux.VV) {
 		t.Fatalf("concurrent entry remote vv %v, want %v", results[2].RemoteVV, bi.Aux.VV)
 	}
-	if string(results[5].Data) != "new file" {
-		t.Fatalf("fresh entry: %q", results[5].Data)
+	if got := assembled(&results[5]); string(got) != "new file" {
+		t.Fatalf("fresh entry: %q", got)
 	}
 }
 

@@ -1,13 +1,17 @@
 // The repl protocol's wire format: two field sequences over internal/wire.
 //
-// The layout is compact and fixed: big-endian fixed-width integers for ids
-// and sizes, uvarints for element counts, and the canonical vv encoding for
-// version vectors — anti-entropy generates many small messages, so the
-// fixed cost per message is what matters.  Requests are encoded into
-// buffers lent by wire's message pool, sized to them (the server decodes a
-// request into copies before Call returns, so the buffer goes back as soon as
-// it does); responses are encoded into fresh buffers, sized once from their
-// payloads, and never returned: the client installs shipped data in place.
+// The layout is compact and fixed: big-endian fixed-width integers for ids,
+// sizes and block indices, uvarints for element counts, and the canonical vv
+// encoding for version vectors — anti-entropy generates many small messages,
+// so the fixed cost per message is what matters.  A pull answer has one
+// shape: the shipped version's manifest, then the blocks the advertisement
+// lacked, each its index in the manifest and its bytes (its address and
+// length are the manifest's).  Requests are encoded into buffers lent by
+// wire's message pool, sized to them (the server decodes a request into
+// copies before Call returns, so the buffer goes back as soon as it does);
+// responses are encoded into fresh buffers, sized once from their payloads,
+// and never returned: the client assembles shipped blocks from them in
+// place.
 //
 // Decoding is wire.Decoder's: sticky-error, strict, and every element count
 // capped against the bytes remaining before any allocation (fuzzed in
@@ -25,11 +29,11 @@ import (
 )
 
 // A wire version byte leads every message; any other version fails loudly
-// instead of misparsing.  Every pull answer carries the version's block
-// manifest, the receiver's verifier; a pull request carries the puller's
-// held-block advertisement (possibly empty), and an answer to a non-empty one
-// carries the missing blocks instead of full data.
-const wireVersion = 3
+// instead of misparsing.  A pull request carries the puller's held-block
+// advertisement (possibly empty); a pull answer that ships carries the
+// version's block manifest, the receiver's verifier, and the blocks the
+// advertisement lacks, each as its manifest index and its bytes.
+const wireVersion = 4
 
 // Error classes carried in responses so the client can rebuild an error of
 // the right kind (sentinel identity and transience survive the wire).
@@ -94,8 +98,6 @@ func (r *response) encode(dst []byte) []byte {
 	}
 	dst = r.VV.AppendBinary(dst)
 	dst = encodeAux(dst, r.Aux)
-	dst = wire.AppendU64(dst, r.Size)
-	dst = wire.AppendBytes(dst, r.Data)
 	dst = wire.AppendCount(dst, len(r.Replicas))
 	for _, rep := range r.Replicas {
 		dst = wire.AppendU32(dst, uint32(rep))
@@ -106,9 +108,7 @@ func (r *response) encode(dst []byte) []byte {
 		dst = wire.AppendU8(dst, p.Status)
 		dst = wire.AppendU8(dst, p.Class)
 		dst = wire.AppendString(dst, p.Err)
-		dst = wire.AppendBytes(dst, p.Data)
 		dst = encodeAux(dst, p.Aux)
-		dst = wire.AppendU64(dst, p.Size)
 		dst = p.RemoteVV.AppendBinary(dst)
 		dst = wire.AppendBool(dst, p.Manifest != nil)
 		if p.Manifest != nil {
@@ -116,12 +116,36 @@ func (r *response) encode(dst []byte) []byte {
 			dst = encodeAddrs(dst, p.Manifest.Blocks)
 		}
 		dst = wire.AppendCount(dst, len(p.Missing))
+		at := -1
 		for j := range p.Missing {
-			dst = append(dst, p.Missing[j].Addr[:]...)
-			dst = wire.AppendBytes(dst, p.Missing[j].Data)
+			at = shippedAt(p.Manifest, at, p.Missing[j].Addr)
+			dst = wire.AppendU32(dst, uint32(at))
+			dst = append(dst, p.Missing[j].Data...)
 		}
 	}
 	return dst
+}
+
+// shippedAt is the manifest index a shipped block with address addr travels
+// under, the block before it having travelled under prev (-1 for the first):
+// the first index past prev that holds addr, len(m.Blocks) when none does.
+// The serving side ships each address once, at its first index, in manifest
+// order, so this is that index.
+func shippedAt(m *physical.BlockManifest, prev int, addr physical.BlockAddr) int {
+	for i := prev + 1; i < len(m.Blocks); i++ {
+		if m.Blocks[i] == addr {
+			return i
+		}
+	}
+	return len(m.Blocks)
+}
+
+// blockLen is the size of block i of manifest m: a block is
+// ChecksumBlockSize bytes but the last, which holds what remains of Length.
+// (A manifest whose Length disagrees with its blocks is the install's to
+// refuse; here it only bounds each block at ChecksumBlockSize.)
+func blockLen(m *physical.BlockManifest, i int) int {
+	return int(min(m.Length-uint64(i)*physical.ChecksumBlockSize, physical.ChecksumBlockSize))
 }
 
 // encodedLen is how many bytes response.encode appends for r, so a reply is
@@ -133,17 +157,17 @@ func (r *response) encodedLen() int {
 		e := &r.Entries[i]
 		n += 12 + stringLen(len(e.Name)) + 12 + 2 + stringLen(len(e.Value))
 	}
-	n += vvLen(r.VV) + auxLen(r.Aux) + 8 + stringLen(len(r.Data))
+	n += vvLen(r.VV) + auxLen(r.Aux)
 	n += countLen(len(r.Replicas)) + 4*len(r.Replicas) + countLen(len(r.Pulls))
 	for i := range r.Pulls {
 		p := &r.Pulls[i]
-		n += 2 + stringLen(len(p.Err)) + stringLen(len(p.Data)) + auxLen(p.Aux) + 8 + vvLen(p.RemoteVV) + 1
+		n += 2 + stringLen(len(p.Err)) + auxLen(p.Aux) + vvLen(p.RemoteVV) + 1
 		if p.Manifest != nil {
 			n += 8 + countLen(len(p.Manifest.Blocks)) + physical.BlockAddrSize*len(p.Manifest.Blocks)
 		}
 		n += countLen(len(p.Missing))
 		for j := range p.Missing {
-			n += physical.BlockAddrSize + stringLen(len(p.Missing[j].Data))
+			n += 4 + len(p.Missing[j].Data)
 		}
 	}
 	return n
@@ -226,20 +250,42 @@ func decodeRequest(b []byte) (request, error) {
 	return req, nil
 }
 
-// inPlace reads a length-prefixed payload without copying it: a slice of the
-// response buffer, which the receiver owns (see the package comment), capped
-// at its length so an append to one payload reallocates instead of writing
-// over the next field.  An empty payload is nil.
-func inPlace(d *wire.Decoder) []byte {
-	b := d.Take(d.Count(1))
-	if len(b) == 0 {
+// decodeShipped reads the n blocks an answer under manifest m ships.  Each is
+// its manifest index and that block's bytes, whose address and length come
+// from m; the bytes are handed out in place, a slice of the response buffer,
+// which the receiver owns (see the package comment), capped at its length so
+// an append to one block reallocates instead of writing over the next field.
+// A block must travel under the index the encoder gives it (shippedAt): past
+// the previous block's, below len(m.Blocks), and the first index there that
+// holds its address.  A block with no manifest is refused.
+func decodeShipped(d *wire.Decoder, m *physical.BlockManifest, n int) []physical.Block {
+	if n == 0 {
 		return nil
 	}
-	return b[:len(b):len(b)]
+	if m == nil {
+		d.Fail("%d shipped blocks without a manifest", n)
+		return nil
+	}
+	blocks := make([]physical.Block, n)
+	at := -1
+	for j := range blocks {
+		i := d.U32()
+		if d.Err() != nil {
+			return nil
+		}
+		if uint64(i) >= uint64(len(m.Blocks)) || shippedAt(m, at, m.Blocks[i]) != int(i) {
+			d.Fail("shipped block index %d after %d in a manifest of %d blocks", i, at, len(m.Blocks))
+			return nil
+		}
+		at = int(i)
+		b := d.Take(blockLen(m, at))
+		blocks[j] = physical.Block{Addr: m.Blocks[at], Data: b[:len(b):len(b)]}
+	}
+	return blocks
 }
 
-// decodeResponse decodes a response, which the client keeps on its stack.  File
-// data and shipped blocks are handed out in place (inPlace); the message buffer
+// decodeResponse decodes a response, which the client keeps on its stack.
+// Shipped blocks are handed out in place (decodeShipped); the message buffer
 // must not be reused.
 func decodeResponse(b []byte) (response, error) {
 	d := wire.NewDecoder(b)
@@ -263,8 +309,6 @@ func decodeResponse(b []byte) (response, error) {
 	}
 	resp.VV = d.VV()
 	resp.Aux = decodeAux(d)
-	resp.Size = d.U64()
-	resp.Data = inPlace(d)
 	if n := d.Count(4); n > 0 {
 		resp.Replicas = make([]ids.ReplicaID, n)
 		for i := range resp.Replicas {
@@ -272,29 +316,21 @@ func decodeResponse(b []byte) (response, error) {
 		}
 	}
 	// A pull result is at least status(1) + class(1) + empty err(1) +
-	// empty data(1) + aux(13+4) + size(8) + empty vv(4) + manifest flag(1) +
-	// missing count(1).
-	if n := d.Count(35); n > 0 {
+	// aux(13+4) + empty vv(4) + manifest flag(1) + shipped count(1).
+	if n := d.Count(26); n > 0 {
 		resp.Pulls = make([]wirePull, n)
 		for i := range resp.Pulls {
 			p := &resp.Pulls[i]
 			p.Status = d.U8()
 			p.Class = d.U8()
 			p.Err = d.Str()
-			p.Data = inPlace(d)
 			p.Aux = decodeAux(d)
-			p.Size = d.U64()
 			p.RemoteVV = d.VV()
 			if d.Bool() {
 				p.Manifest = &physical.BlockManifest{Length: d.U64(), Blocks: decodeAddrs(d)}
 			}
-			if m := d.Count(physical.BlockAddrSize + 1); m > 0 {
-				p.Missing = make([]physical.Block, m)
-				for j := range p.Missing {
-					copy(p.Missing[j].Addr[:], d.Take(physical.BlockAddrSize))
-					p.Missing[j].Data = inPlace(d)
-				}
-			}
+			// A shipped block is at least its index(4).
+			p.Missing = decodeShipped(d, p.Manifest, d.Count(4))
 		}
 	}
 	if err := d.Finish(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -39,13 +40,12 @@ func sampleResponse() *response {
 		},
 		VV:       vv.Of(map[ids.ReplicaID]uint64{1: 7}),
 		Aux:      physical.Aux{Type: physical.KGraft, Nlink: 2, VV: vv.Of(map[ids.ReplicaID]uint64{2: 3}), GraftVol: ids.VolumeHandle{Allocator: 8, Volume: 1}},
-		Size:     4096,
-		Data:     []byte("payload bytes"),
 		Replicas: []ids.ReplicaID{1, 2, 5},
 		Pulls: []wirePull{
-			{Status: byte(physical.PullData), Data: []byte("file contents"),
-				Aux: physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Of(map[ids.ReplicaID]uint64{1: 2, 3: 4})}, Size: 13,
-				Manifest: physical.ComputeManifest([]byte("file contents"))},
+			{Status: byte(physical.PullData),
+				Aux:      physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Of(map[ids.ReplicaID]uint64{1: 2, 3: 4})},
+				Manifest: physical.ComputeManifest([]byte("file contents")),
+				Missing:  []physical.Block{{Addr: physical.HashBlock([]byte("file contents")), Data: []byte("file contents")}}},
 			{Status: byte(physical.PullStale)},
 			{Status: byte(physical.PullConcurrent), RemoteVV: vv.Of(map[ids.ReplicaID]uint64{4: 4})},
 			{Status: byte(physical.PullError), Class: classPermanent, Err: "disk exploded"},
@@ -55,15 +55,13 @@ func sampleResponse() *response {
 }
 
 // deltaAnswer is a pull answer to an advertisement: manifest plus the one
-// block the puller lacked, no whole-file data.
+// block the puller lacked, the version's short last block.
 func deltaAnswer() wirePull {
-	held, sent := []byte("held block"), []byte("shipped block")
+	held, sent := bytes.Repeat([]byte{'h'}, physical.ChecksumBlockSize), []byte("shipped block")
 	return wirePull{Status: byte(physical.PullData),
-		Aux:  physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Of(map[ids.ReplicaID]uint64{1: 2})},
-		Size: uint64(len(held) + len(sent)),
-		Manifest: &physical.BlockManifest{Length: uint64(len(held) + len(sent)),
-			Blocks: []physical.BlockAddr{physical.HashBlock(held), physical.HashBlock(sent)}},
-		Missing: []physical.Block{{Addr: physical.HashBlock(sent), Data: sent}}}
+		Aux:      physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Of(map[ids.ReplicaID]uint64{1: 2})},
+		Manifest: physical.ComputeManifest(append(held, sent...)),
+		Missing:  []physical.Block{{Addr: physical.HashBlock(sent), Data: sent}}}
 }
 
 // hugeManifestAnswer is the PR 13 seed: a manifest whose length is within a
@@ -116,7 +114,7 @@ func TestCodecResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Size != resp.Size || string(dec.Data) != string(resp.Data) || len(dec.Replicas) != 3 {
+	if len(dec.Replicas) != 3 {
 		t.Fatalf("fields: %+v", dec)
 	}
 	if len(dec.Entries) != 2 || dec.Entries[0].Name != "hello" || !dec.Entries[1].Deleted ||
@@ -126,20 +124,21 @@ func TestCodecResponseRoundTrip(t *testing.T) {
 	if !dec.Aux.VV.Equal(resp.Aux.VV) || dec.Aux.GraftVol != resp.Aux.GraftVol {
 		t.Fatalf("aux: %+v", dec.Aux)
 	}
-	if len(dec.Pulls) != 5 || string(dec.Pulls[0].Data) != "file contents" ||
-		dec.Pulls[3].Err != "disk exploded" || !dec.Pulls[2].RemoteVV.Equal(vv.Of(map[ids.ReplicaID]uint64{4: 4})) {
+	if len(dec.Pulls) != 5 || dec.Pulls[3].Err != "disk exploded" ||
+		!dec.Pulls[2].RemoteVV.Equal(vv.Of(map[ids.ReplicaID]uint64{4: 4})) {
 		t.Fatalf("pulls: %+v", dec.Pulls)
 	}
-	// The whole-file answer travels with its verifier and no blocks.
-	if m := dec.Pulls[0].Manifest; !m.Verify([]byte("file contents")) || dec.Pulls[0].Missing != nil {
-		t.Fatalf("whole-file answer: %+v", dec.Pulls[0])
+	// The answer to no advertisement travels as its verifier and every block.
+	if p := dec.Pulls[0]; !p.Manifest.Verify([]byte("file contents")) || len(p.Missing) != 1 ||
+		p.Missing[0].Addr != p.Manifest.Blocks[0] || string(p.Missing[0].Data) != "file contents" {
+		t.Fatalf("answer shipping every block: %+v", dec.Pulls[0])
 	}
 	if dec.Pulls[1].Manifest != nil || dec.Pulls[1].Missing != nil {
 		t.Fatalf("stale entry grew shipping fields: %+v", dec.Pulls[1])
 	}
-	// The delta answer travels as manifest + missing blocks, no data.
+	// The delta answer travels as manifest + missing blocks.
 	d, want := dec.Pulls[4], deltaAnswer()
-	if d.Data != nil || len(d.Manifest.Blocks) != 2 || d.Manifest.Blocks[1] != want.Manifest.Blocks[1] ||
+	if len(d.Manifest.Blocks) != 2 || d.Manifest.Blocks[1] != want.Manifest.Blocks[1] ||
 		len(d.Missing) != 1 || d.Missing[0].Addr != want.Missing[0].Addr || string(d.Missing[0].Data) != "shipped block" {
 		t.Fatalf("delta answer: %+v", d)
 	}
@@ -149,25 +148,23 @@ func TestCodecResponseRoundTrip(t *testing.T) {
 }
 
 // TestCodecGoldenBytes pins the layout: the images below were recorded from
-// sampleRequest and sampleResponse (every field, a whole-file answer and a
-// delta answer) before the codec moved onto internal/wire, so "the layout did
+// sampleRequest and sampleResponse (every field, an answer shipping every
+// block and a delta answer) when the wire version became 4, so "the layout did
 // not move" is a test and not only a benchmark's byte count.
 func TestCodecGoldenBytes(t *testing.T) {
 	const (
-		goldenRequest = "030500000003000000090000000202000000000000000000000001000000010000000000000005000000020000000000" +
+		goldenRequest = "040300000003000000090000000202000000000000000000000001000000010000000000000005000000020000000000" +
 			"00004d020100000000000000000000000100000001000000000000000201000000020000000100000000000000040000" +
 			"00020000000000000001000000000300000000000000080000000000010cce9289a9b8cd80c9a2aa2e6bfd659c"
-		goldenResponse = "030000020000000100000000000000020568656c6c6f0000000100000000000000030200017600000002000000000000" +
+		goldenResponse = "040000020000000100000000000000020568656c6c6f0000000100000000000000030200017600000002000000000000" +
 			"000904676f6e6500000002000000000000000a0101000000000100000001000000000000000704000000020000000800" +
-			"0000010000000100000002000000000000000300000000000010000d7061796c6f616420627974657303000000010000" +
-			"000200000005050100000d66696c6520636f6e74656e7473010000000100000000000000000000000200000001000000" +
-			"0000000002000000030000000000000004000000000000000d0000000001000000000000000d017bb6f9f7a47a63e684" +
-			"925af3608c059e0002000000000000000000000000000000000000000000000000000000000000000000000300000000" +
-			"00000000000000000000000000000000000000000000000000000001000000040000000000000004000006010d646973" +
-			"6b206578706c6f6465640000000000000000000000000000000000000000000000000000000000000000010000000100" +
-			"000001000000000000000000000001000000010000000000000002000000000000001700000000010000000000000017" +
-			"020cce9289a9b8cd80c9a2aa2e6bfd659c641aa84276691e4f6cd2f3885a77b8a501641aa84276691e4f6cd2f3885a77" +
-			"b8a50d7368697070656420626c6f636b"
+			"000001000000010000000200000000000000030300000001000000020000000505010000010000000100000000000000" +
+			"00000000020000000100000000000000020000000300000000000000040000000001000000000000000d017bb6f9f7a4" +
+			"7a63e684925af3608c059e010000000066696c6520636f6e74656e747302000000000000000000000000000000000000" +
+			"00000000000000030000000000000000000000000000000000000000000001000000040000000000000004000006010d" +
+			"6469736b206578706c6f6465640000000000000000000000000000000000000000000000010000010000000100000000" +
+			"00000000000000010000000100000000000000020000000001000000000000100d027bcf29418f5200f1539d158a17f7" +
+			"2a48641aa84276691e4f6cd2f3885a77b8a501000000017368697070656420626c6f636b"
 	)
 	if got := hex.EncodeToString(sampleRequest().encode(nil)); got != goldenRequest {
 		t.Errorf("request layout moved:\n got %s\nwant %s", got, goldenRequest)
@@ -184,12 +181,19 @@ func TestEncodedLenIsExact(t *testing.T) {
 	resps := []*response{sampleResponse(), hugeManifestAnswer(), {}}
 	for _, n := range []int{127, 128, 16383, 16384} {
 		big := bytes.Repeat([]byte{'x'}, n)
-		resp := &response{Err: string(big), Data: big, VV: vv.Of(map[ids.ReplicaID]uint64{1: 2, 3: 4}),
+		// A version of n+1 bytes, its last block distinct, shipping every block.
+		version := append(bytes.Clone(big), 'y')
+		m := physical.ComputeManifest(version)
+		var missing []physical.Block
+		for i, addr := range m.Blocks {
+			if i == 0 || i == len(m.Blocks)-1 {
+				missing = append(missing, physical.Block{Addr: addr, Data: version[i*physical.ChecksumBlockSize : min((i+1)*physical.ChecksumBlockSize, len(version))]})
+			}
+		}
+		resp := &response{Err: string(big), VV: vv.Of(map[ids.ReplicaID]uint64{1: 2, 3: 4}),
 			Entries:  make([]physical.Entry, n%256),
 			Replicas: make([]ids.ReplicaID, n%200),
-			Pulls: []wirePull{{Err: string(big[:n%300]), Data: big, RemoteVV: vv.Of(map[ids.ReplicaID]uint64{2: 1}),
-				Manifest: &physical.BlockManifest{Length: uint64(n), Blocks: make([]physical.BlockAddr, n%130)},
-				Missing:  []physical.Block{{Data: big}, {}}}}}
+			Pulls:    []wirePull{{Err: string(big[:n%300]), RemoteVV: vv.Of(map[ids.ReplicaID]uint64{2: 1}), Manifest: m, Missing: missing}}}
 		for i := range resp.Entries {
 			resp.Entries[i] = physical.Entry{Name: string(big[:i]), Value: string(big[:n%131])}
 		}
@@ -198,6 +202,66 @@ func TestEncodedLenIsExact(t *testing.T) {
 	for i, resp := range resps {
 		if got, want := resp.encodedLen(), len(resp.encode(nil)); got != want {
 			t.Errorf("response %d: encodedLen %d, encoding %d bytes", i, got, want)
+		}
+	}
+}
+
+// shippedImage is the image of a response whose one pull answer ships, under
+// manifest m, the bytes data[k] at index idx[k]: any indices, in any order,
+// which the encoder would never write.
+func shippedImage(m *physical.BlockManifest, idx []uint32, data ...[]byte) []byte {
+	enc := (&response{Pulls: []wirePull{{Status: byte(physical.PullData), Manifest: m}}}).encode(nil)
+	enc = wire.AppendCount(enc[:len(enc)-1], len(idx)) // over the empty shipped count
+	for k := range idx {
+		enc = append(wire.AppendU32(enc, idx[k]), data[k]...)
+	}
+	return enc
+}
+
+// badShipped is the shipped-block images the decoder refuses, each with why.
+func badShipped() []struct {
+	why   string
+	image []byte
+} {
+	full, tail := bytes.Repeat([]byte{'f'}, physical.ChecksumBlockSize), []byte("tail")
+	m := physical.ComputeManifest(append(bytes.Clone(full), tail...))  // [full, tail]
+	twice := physical.ComputeManifest(slices.Concat(full, full, tail)) // [full, full, tail]
+	return []struct {
+		why   string
+		image []byte
+	}{
+		{"an index at len(Blocks)", shippedImage(m, []uint32{2}, tail)},
+		{"an index far past len(Blocks)", shippedImage(m, []uint32{1 << 31}, tail)},
+		{"a repeated index", shippedImage(m, []uint32{1, 1}, tail, tail)},
+		{"a decreasing index", shippedImage(m, []uint32{1, 0}, tail, full)},
+		{"an address not at its first index", shippedImage(twice, []uint32{1}, full)},
+		{"a final short block", shippedImage(m, []uint32{1}, tail[:3])},
+		{"a block with no manifest", shippedImage(nil, []uint32{0}, tail)},
+	}
+}
+
+// TestDecodeRefusesBadShippedBlocks: a shipped block is its manifest index
+// and its bytes.  The decoder accepts each block only at the index the
+// encoder gives it and with the length its manifest position implies, so
+// every accepted image re-encodes to itself; the images of badShipped are
+// refused, and the well-formed image they were cut from is accepted.
+func TestDecodeRefusesBadShippedBlocks(t *testing.T) {
+	full, tail := bytes.Repeat([]byte{'f'}, physical.ChecksumBlockSize), []byte("tail")
+	m := physical.ComputeManifest(append(bytes.Clone(full), tail...))
+	good := shippedImage(m, []uint32{0, 1}, full, tail)
+	resp, err := decodeResponse(good)
+	if err != nil {
+		t.Fatalf("well-formed image refused: %v", err)
+	}
+	if got := resp.Pulls[0].Missing; len(got) != 2 || got[1].Addr != m.Blocks[1] || !bytes.Equal(got[1].Data, tail) {
+		t.Fatalf("decoded blocks: %+v", got)
+	}
+	if enc := resp.encode(nil); !bytes.Equal(enc, good) {
+		t.Fatal("re-encoding differs")
+	}
+	for _, c := range badShipped() {
+		if _, err := decodeResponse(c.image); err == nil {
+			t.Errorf("%s: decoded", c.why)
 		}
 	}
 }
@@ -263,12 +327,15 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 func FuzzDecodeResponse(f *testing.F) {
-	// sampleResponse carries a whole-file answer with its manifest and a
-	// delta answer.
+	// sampleResponse carries an answer shipping every block and a delta
+	// answer; badShipped, images the decoder refuses.
 	f.Add(sampleResponse().encode(nil))
 	f.Add(hugeManifestAnswer().encode(nil))
 	f.Add((&response{}).encode(nil))
 	f.Add([]byte{wireVersion})
+	for _, c := range badShipped() {
+		f.Add(c.image)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		resp, err := decodeResponse(b)
 		if err != nil {
@@ -284,9 +351,7 @@ func FuzzDecodeResponse(f *testing.F) {
 				t.Fatalf("%s: cap %d, len %d", what, cap(p), len(p))
 			}
 		}
-		capped("Data", resp.Data)
 		for i := range resp.Pulls {
-			capped("Pulls[i].Data", resp.Pulls[i].Data)
 			for j := range resp.Pulls[i].Missing {
 				capped("Pulls[i].Missing[j].Data", resp.Pulls[i].Missing[j].Data)
 			}
@@ -298,10 +363,10 @@ func FuzzDecodeResponse(f *testing.F) {
 // slices of the one response buffer; appending to one block must leave the
 // next block's bytes, and the buffer, as they were.
 func TestDecodedBlocksDoNotOverlap(t *testing.T) {
-	a, b := []byte("first block"), []byte("second block")
+	a, b := bytes.Repeat([]byte{'a'}, physical.ChecksumBlockSize), []byte("second block")
 	w := deltaAnswer()
+	w.Manifest = physical.ComputeManifest(append(bytes.Clone(a), b...))
 	w.Missing = []physical.Block{{Addr: physical.HashBlock(a), Data: a}, {Addr: physical.HashBlock(b), Data: b}}
-	w.Data = nil
 	buf := (&response{Pulls: []wirePull{w}}).encode(nil)
 	wantBuf := bytes.Clone(buf)
 	resp, err := decodeResponse(buf)
@@ -354,7 +419,7 @@ func BenchmarkCodecResponse(b *testing.B) {
 	})
 	// The old transport: a fresh gob encoder per message re-ships type
 	// metadata every call.
-	g := &gobResponse{Err: "", Entries: resp.Entries, VV: resp.VV, Aux: resp.Aux, Size: resp.Size, Data: resp.Data}
+	g := &gobResponse{Err: "", Entries: resp.Entries, VV: resp.VV, Aux: resp.Aux}
 	b.Run("gob-encode-baseline", func(b *testing.B) {
 		b.ReportAllocs()
 		var n int

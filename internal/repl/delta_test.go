@@ -42,7 +42,7 @@ func TestPullBatchDeltaOverWire(t *testing.T) {
 		t.Fatalf("delta batch cost %d RPCs, want 1", s.RPCs)
 	}
 	res := &results[0]
-	if res.Status != physical.PullData || res.Manifest == nil || res.Data != nil {
+	if res.Status != physical.PullData || res.Manifest == nil {
 		t.Fatalf("delta answer: %+v", res)
 	}
 	if len(res.Manifest.Blocks) != 3 {
@@ -71,13 +71,15 @@ func TestPullBatchDeltaOverWire(t *testing.T) {
 	}
 }
 
-// TestAdvertisementSelectsAnswerShape: there is one pull op, and the serving
-// side picks the answer's shape from its input — no advertisement, the
-// version ships whole beside its manifest; an advertisement, it ships as
-// manifest + missing blocks.  One RPC either way.
+// TestAdvertisementSelectsAnswerShape: there is one pull op and one answer
+// shape, the manifest plus the blocks the advertisement lacks; what the pull
+// advertises selects only which blocks ship.  No advertisement ships every
+// block, an advertisement of an unrelated block the same, and one that holds
+// the version's first block ships the rest.  One RPC each.
 func TestAdvertisementSelectsAnswerShape(t *testing.T) {
 	r := newRig(t)
-	fid := writeFile(t, r.lB, "f", "payload")
+	head := strings.Repeat("h", physical.ChecksumBlockSize)
+	fid := writeFile(t, r.lB, "f", head+"payload")
 	reqs := []physical.PullRequest{{Dir: physical.RootPath(), File: fid}}
 
 	r.net.ResetStats()
@@ -85,20 +87,27 @@ func TestAdvertisementSelectsAnswerShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if whole[0].Status != physical.PullData || string(whole[0].Data) != "payload" ||
-		!whole[0].Manifest.Verify([]byte("payload")) || whole[0].Missing != nil {
+	if whole[0].Status != physical.PullData || string(assembled(&whole[0])) != head+"payload" ||
+		!whole[0].Manifest.Verify([]byte(head+"payload")) || len(whole[0].Missing) != 2 {
 		t.Fatalf("answer to no advertisement: %+v", whole[0])
 	}
-	delta, err := r.client.PullBatchDelta(reqs, []physical.BlockAddr{physical.HashBlock([]byte("elsewhere"))})
+	other, err := r.client.PullBatchDelta(reqs, []physical.BlockAddr{physical.HashBlock([]byte("elsewhere"))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta[0].Status != physical.PullData || delta[0].Data != nil || delta[0].Manifest == nil ||
+	if other[0].Status != physical.PullData || string(assembled(&other[0])) != head+"payload" || len(other[0].Missing) != 2 {
+		t.Fatalf("answer to an advertisement of another block: %+v", other[0])
+	}
+	delta, err := r.client.PullBatchDelta(reqs, []physical.BlockAddr{physical.HashBlock([]byte(head))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta[0].Status != physical.PullData || delta[0].Manifest == nil ||
 		len(delta[0].Missing) != 1 || string(delta[0].Missing[0].Data) != "payload" {
 		t.Fatalf("answer to an advertisement: %+v", delta[0])
 	}
-	if s := r.net.Stats(); s.RPCs != 2 {
-		t.Fatalf("two pulls cost %d RPCs, want 2", s.RPCs)
+	if s := r.net.Stats(); s.RPCs != 3 {
+		t.Fatalf("three pulls cost %d RPCs, want 3", s.RPCs)
 	}
 }
 
@@ -107,7 +116,7 @@ func TestAdvertisementSelectsAnswerShape(t *testing.T) {
 func TestServerRefusesOtherWireVersions(t *testing.T) {
 	r := newRig(t)
 	enc := (&request{Op: opPing, Vol: testVol, Replica: 2}).encode(nil)
-	for _, v := range []byte{0, 2, wireVersion + 1, 255} {
+	for _, v := range []byte{0, 2, 3, wireVersion + 1, 255} {
 		raw, err := r.net.Host("a").Call("b", Service, append([]byte{v}, enc[1:]...))
 		if err != nil {
 			t.Fatal(err)
@@ -120,10 +129,12 @@ func TestServerRefusesOtherWireVersions(t *testing.T) {
 }
 
 // TestManifestlessDataNeverInstalls: a peer that answers a pull with data and
-// no manifest offers nothing to verify the bytes against.  The answer becomes
-// a per-entry error where it enters, nothing is installed, and the entry
-// stays pending under backoff.  (The bytes used to be installed and sealed as
-// good under the shipped vector.)
+// no manifest offers nothing to verify the bytes against.  The decoder
+// refuses shipped blocks without one, so such a peer can only answer PullData
+// with no manifest at all: the answer becomes a per-entry error where it
+// enters, nothing is installed, and the entry stays pending under backoff.
+// (The bytes used to be installed and sealed as good under the shipped
+// vector.)
 func TestManifestlessDataNeverInstalls(t *testing.T) {
 	r := newRig(t)
 	r.net.Host("evil").HandleRPC(Service, func(b []byte) ([]byte, error) {
@@ -133,7 +144,7 @@ func TestManifestlessDataNeverInstalls(t *testing.T) {
 		}
 		resp := response{Pulls: make([]wirePull, len(req.Pulls))}
 		for i := range resp.Pulls {
-			resp.Pulls[i] = wirePull{Status: byte(physical.PullData), Data: []byte("whatever bytes arrived"), Size: 22,
+			resp.Pulls[i] = wirePull{Status: byte(physical.PullData),
 				Aux: physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Of(map[ids.ReplicaID]uint64{2: 1})}}
 		}
 		return resp.encode(nil), nil
@@ -153,8 +164,10 @@ func TestManifestlessDataNeverInstalls(t *testing.T) {
 		t.Fatalf("entry must stay pending under backoff: %+v", pend)
 	}
 	// The layer refuses on its own account too, before touching disk.
-	err := r.lA.InstallPulled(physical.RootPath(), fid, &physical.PullResult{Status: physical.PullData, Data: []byte("x"),
-		Aux: physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Of(map[ids.ReplicaID]uint64{2: 1})}}, nil)
+	x := []byte("x")
+	err := r.lA.InstallPulled(physical.RootPath(), fid, &physical.PullResult{Status: physical.PullData,
+		Missing: []physical.Block{{Addr: physical.HashBlock(x), Data: x}},
+		Aux:     physical.Aux{Type: physical.KFile, Nlink: 1, VV: vv.Of(map[ids.ReplicaID]uint64{2: 1})}}, nil)
 	if !errors.Is(err, physical.ErrCorrupt) {
 		t.Fatalf("InstallPulled without a manifest: %v, want ErrCorrupt", err)
 	}

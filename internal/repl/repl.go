@@ -9,6 +9,12 @@
 // Ficus this traffic ran through customized user-level daemons; the
 // separation of data path and reconciliation path is faithful.)
 //
+// A file version moves by one op, the batched conditional pull
+// (opPullBatchDelta), whose answer has one shape: the version's block
+// manifest plus the blocks the puller's advertisement lacks — every block
+// when it advertises nothing.  The other ops are a ping, a directory's
+// entries and a host's replica list.
+//
 // Messages use the compact hand-rolled codec in codec.go.  Peer-side
 // failures travel with a class tag (transient / permanent / not-stored /
 // no-replica) and are rebuilt as errors of the matching kind client-side,
@@ -136,8 +142,6 @@ type opCode byte
 const (
 	opPing opCode = iota
 	opDirEntries
-	opFileInfo
-	opFileData
 	opListReplicas
 	opPullBatchDelta // the conditional pull, with the puller's held-block advertisement
 	opEnd            // one past the last op: a test sends every op below it to a server
@@ -159,8 +163,6 @@ type response struct {
 	Entries  []physical.Entry
 	VV       vv.Vector
 	Aux      physical.Aux
-	Size     uint64
-	Data     []byte
 	Replicas []ids.ReplicaID
 	Pulls    []wirePull // opPullBatchDelta only; one per request entry
 
@@ -175,15 +177,10 @@ type wirePull struct {
 	Status   byte
 	Class    byte
 	Err      string
-	Data     []byte
 	Aux      physical.Aux
-	Size     uint64
 	RemoteVV vv.Vector
 	Manifest *physical.BlockManifest // the shipped version's verifier
-
-	// Delta answers (to a non-empty advertisement): Data is nil and only the
-	// blocks the advertisement lacked travel.
-	Missing []physical.Block
+	Missing  []physical.Block        // the blocks the advertisement lacked, in manifest order
 }
 
 // Server exports the volume replicas registered on one host.
@@ -259,18 +256,6 @@ func (s *Server) dispatch(req *request) response {
 			return errResponse(err)
 		}
 		return response{Entries: ds.Entries, VV: ds.VV, Aux: ds.Aux}
-	case opFileInfo: // served only for bench/span.go; see Client.FileInfo
-		st, err := l.FileInfo(req.Dir, req.File)
-		if err != nil {
-			return errResponse(err)
-		}
-		return response{Aux: st.Aux, Size: st.Size}
-	case opFileData: // served only for bench/span.go; see Client.FileData
-		data, st, err := l.FileData(req.Dir, req.File)
-		if err != nil {
-			return errResponse(err)
-		}
-		return response{Data: data, Aux: st.Aux, Size: st.Size}
 	case opPullBatchDelta:
 		// The layer answers per entry and never fails the whole batch.
 		results, _ := l.PullBatchDelta(req.Pulls, req.Have)
@@ -285,7 +270,7 @@ func pullsToWire(results []physical.PullResult) []wirePull {
 	wps := make([]wirePull, len(results))
 	for i := range results {
 		r := &results[i]
-		wps[i] = wirePull{Status: byte(r.Status), Data: r.Data, Aux: r.Aux, Size: r.Size, RemoteVV: r.RemoteVV, Manifest: r.Manifest, Missing: r.Missing}
+		wps[i] = wirePull{Status: byte(r.Status), Aux: r.Aux, RemoteVV: r.RemoteVV, Manifest: r.Manifest, Missing: r.Missing}
 		if r.Err != nil {
 			wps[i].Class = classOf(r.Err)
 			wps[i].Err = r.Err.Error()
@@ -307,9 +292,7 @@ func pullsFromWire(nreq int, resp response) ([]physical.PullResult, error) {
 		w := &resp.Pulls[i]
 		out[i] = physical.PullResult{
 			Status:   physical.PullStatus(w.Status),
-			Data:     w.Data,
 			Aux:      w.Aux,
-			Size:     w.Size,
 			RemoteVV: w.RemoteVV,
 			Manifest: w.Manifest,
 			Missing:  w.Missing,
@@ -435,38 +418,76 @@ func (c *Client) DirEntries(dirPath []ids.FileID) (physical.DirState, error) {
 	return physical.DirState{Entries: resp.Entries, VV: resp.VV, Aux: resp.Aux}, nil
 }
 
-// FileInfo is the first half of the retired per-file pull.  Nothing in recon
-// or core calls it; the frozen bench/span.go compiles against it, which is
-// the only reason it (and opFileInfo) exists — the next benchmark PR deletes
-// both.
+// FileInfo, FileData and PullBatch are the retired per-file and
+// unadvertised pulls, rebuilt on the one pull op.  Nothing in recon or core calls them; the
+// frozen bench/span.go compiles against them, which is the only reason they
+// exist — the next benchmark PR deletes all three.
+
+// FileInfo is file fid's attributes and size, from an unconditional pull.
 func (c *Client) FileInfo(dirPath []ids.FileID, fid ids.FileID) (physical.FileState, error) {
-	resp, err := c.call(&request{Op: opFileInfo, Dir: dirPath, File: fid})
+	r, err := c.pullFile(dirPath, fid)
 	if err != nil {
 		return physical.FileState{}, err
 	}
-	return physical.FileState{Aux: resp.Aux, Size: resp.Size}, nil
+	st := physical.FileState{Aux: r.Aux}
+	if r.Manifest != nil {
+		st.Size = r.Manifest.Length
+	}
+	return st, nil
 }
 
-// FileData is the second half of the retired per-file pull; like FileInfo it
-// (and opFileData) exists only because bench/span.go compiles against it.
+// FileData is file fid's contents and attributes, assembled from an
+// unconditional pull and verified against its manifest.
 func (c *Client) FileData(dirPath []ids.FileID, fid ids.FileID) ([]byte, physical.FileState, error) {
-	resp, err := c.call(&request{Op: opFileData, Dir: dirPath, File: fid})
+	r, err := c.pullFile(dirPath, fid)
+	if err == nil && r.Status != physical.PullData {
+		err = physical.ErrNotStored
+	}
 	if err != nil {
 		return nil, physical.FileState{}, err
 	}
-	return resp.Data, physical.FileState{Aux: resp.Aux, Size: resp.Size}, nil
+	blocks := make(map[physical.BlockAddr][]byte, len(r.Missing))
+	for _, b := range r.Missing {
+		blocks[b.Addr] = b.Data
+	}
+	var data []byte
+	for _, addr := range r.Manifest.Blocks {
+		data = append(data, blocks[addr]...)
+	}
+	if !r.Manifest.Verify(data) {
+		return nil, physical.FileState{}, fmt.Errorf("%w: repl: pull of %s does not assemble", physical.ErrCorrupt, fid)
+	}
+	return data, physical.FileState{Aux: r.Aux, Size: r.Manifest.Length}, nil
 }
 
-// PullBatch exists only because bench/span.go compiles against it; the next
-// benchmark PR deletes it.
+// PullBatch is PullBatchDelta advertising nothing.
 func (c *Client) PullBatch(reqs []physical.PullRequest) ([]physical.PullResult, error) {
 	return c.PullBatchDelta(reqs, nil)
 }
 
+// pullFile pulls file fid unconditionally, advertising nothing: its answer,
+// with a not-stored or failed entry as the error.
+func (c *Client) pullFile(dirPath []ids.FileID, fid ids.FileID) (physical.PullResult, error) {
+	res, err := c.PullBatchDelta([]physical.PullRequest{{Dir: dirPath, File: fid}}, nil)
+	if err != nil {
+		return physical.PullResult{}, err
+	}
+	switch r := res[0]; r.Status {
+	case physical.PullNotStored:
+		return r, physical.ErrNotStored
+	case physical.PullError:
+		return r, r.Err
+	default:
+		return r, nil
+	}
+}
+
 // PullBatchDelta implements recon.Peer: one RPC answers the whole batch of
-// conditional pulls, advertising the block addresses this replica already
-// holds; per-entry errors are rebuilt from their wire class.  A transport
-// failure (after retries) fails the whole call.
+// conditional pulls, advertising have, the block addresses this replica
+// already holds.  Each version that ships arrives as its manifest plus the
+// blocks have lacks, all of them when have is empty; per-entry errors are
+// rebuilt from their wire class.  A transport failure (after retries) fails
+// the whole call.
 func (c *Client) PullBatchDelta(reqs []physical.PullRequest, have []physical.BlockAddr) ([]physical.PullResult, error) {
 	resp, err := c.call(&request{Op: opPullBatchDelta, Pulls: reqs, Have: have})
 	if err != nil {
