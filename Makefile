@@ -55,14 +55,15 @@ chaos:
 # power-fails a pulled version's install (the one install path, which
 # assembles the version before it commits) at every write, the UFS sweeps that
 # do the same to every exported mutating call and to a torn workload
-# (DESIGN.md §16), and the tests that hold the physical layer's caches
+# (DESIGN.md §16), the UFS slot differential (every name in the slot a model
+# gives it, every DNLC entry's slot as a scan finds it), and the tests that hold the physical layer's caches
 # (DESIGN.md §16) to the store: a layer kept running across a failed device
 # write, stale directory handles, a cached layer against one flushed before
 # every op, and readers racing directory moves.
 chaos-crash:
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run '^TestChaos$$/^crash$$' -v .
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryLocalOp|TestDeltaInstallCrashSweep' ./internal/physical
-	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryCall|TestTornWriteAtEveryOffset' ./internal/ufs
+	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestCrashAtEveryWriteOfEveryCall|TestTornWriteAtEveryOffset|TestDirSlotsMatchScan' ./internal/ufs
 	FICUS_INVARIANTS=1 $(GO) test -race -count=1 -run 'TestLiveLayerAnswersAsStoreAfterDiskFault|TestStaleDirectoryHandles|TestCachedLayerMatchesFlushedLayer|TestReadersRaceDirectoryMoves' ./internal/physical
 
 # chaos-scrub runs TestChaos's scrub row with invariants armed: at-rest bit

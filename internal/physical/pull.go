@@ -2,6 +2,7 @@ package physical
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -265,7 +266,6 @@ func pullFailed(err error) PullResult {
 // addresses the puller holds, sorted, and scratch for one answer's choice.
 type advert struct {
 	have []BlockAddr
-	sent map[BlockAddr]bool // made by the first answer that ships
 	idx  []int
 }
 
@@ -279,20 +279,24 @@ func (a *advert) holds(addr BlockAddr) bool {
 func compareAddrs(a, b BlockAddr) int { return bytes.Compare(a[:], b[:]) }
 
 // ships lists, in manifest order, the index of each block of m an answer
-// ships: each address absent from the advertisement, once.  The list is
-// scratch of a's, good until the next call.
+// ships: each address absent from the advertisement, once, at its first
+// position.  The indices are sorted by (address, index), the first of each
+// run of one address kept, and manifest order restored.  The list is scratch
+// of a's, good until the next call.
 func (a *advert) ships(m *BlockManifest) []int {
-	if a.sent == nil {
-		a.sent = make(map[BlockAddr]bool, len(m.Blocks))
+	if a.idx = a.idx[:0]; cap(a.idx) < len(m.Blocks) {
+		a.idx = make([]int, 0, len(m.Blocks))
 	}
-	clear(a.sent)
-	a.idx = slices.Grow(a.idx[:0], len(m.Blocks))
 	for i, addr := range m.Blocks {
-		if !a.sent[addr] && !a.holds(addr) {
-			a.sent[addr] = true
+		if !a.holds(addr) {
 			a.idx = append(a.idx, i)
 		}
 	}
+	slices.SortFunc(a.idx, func(i, j int) int {
+		return cmp.Or(compareAddrs(m.Blocks[i], m.Blocks[j]), cmp.Compare(i, j))
+	})
+	a.idx = slices.CompactFunc(a.idx, func(i, j int) bool { return m.Blocks[i] == m.Blocks[j] })
+	slices.Sort(a.idx)
 	return a.idx
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/ids"
+	"repro/internal/invariant"
 	"repro/internal/ufs"
 	"repro/internal/ufsvn"
 	"repro/internal/vnode"
@@ -183,5 +184,84 @@ func TestAnswerReadsEachRunOnce(t *testing.T) {
 			t.Errorf("%s: serving read the store %d times, want %d", c.name, reads, c.reads)
 		}
 		res[0].Release()
+	}
+}
+
+// TestShipsEachAddressOnceAtItsFirstPosition: an answer ships each address
+// the advertisement lacks once, at its first position in the manifest, in
+// manifest order — with the zero block and a non-zero block each repeated,
+// under an empty and a non-empty advertisement, and against a set-based
+// reading of the same rule over random manifests.
+func TestShipsEachAddressOnceAtItsFirstPosition(t *testing.T) {
+	zero, a, b, c := HashBlock(make([]byte, ChecksumBlockSize)), HashBlock(blockOf('a')), HashBlock(blockOf('b')), HashBlock(blockOf('c'))
+	m := &BlockManifest{Blocks: []BlockAddr{zero, a, zero, b, a, zero, c, b}}
+	for _, tc := range []struct {
+		name string
+		have []BlockAddr
+		want []int
+	}{
+		{"an empty advertisement", nil, []int{0, 1, 3, 6}},
+		{"one listing the zero block", []BlockAddr{zero}, []int{1, 3, 6}},
+		{"one listing a repeated block", []BlockAddr{a}, []int{0, 3, 6}},
+		{"one listing every block", []BlockAddr{zero, a, b, c}, []int{}},
+	} {
+		slices.SortFunc(tc.have, compareAddrs)
+		ad := &advert{have: tc.have}
+		if got := ad.ships(m); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: ships %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	pool := []BlockAddr{zero, a, b, c, HashBlock(blockOf('d')), HashBlock(blockOf('e'))}
+	ad := &advert{}
+	for range 500 {
+		m := &BlockManifest{}
+		for range rng.Intn(20) {
+			m.Blocks = append(m.Blocks, pool[rng.Intn(len(pool))])
+		}
+		ad.have = ad.have[:0]
+		for _, addr := range pool {
+			if rng.Intn(3) == 0 {
+				ad.have = append(ad.have, addr)
+			}
+		}
+		slices.SortFunc(ad.have, compareAddrs)
+		var want []int
+		seen := map[BlockAddr]bool{}
+		for i, addr := range m.Blocks {
+			if !seen[addr] && !slices.Contains(ad.have, addr) {
+				want = append(want, i)
+			}
+			seen[addr] = true
+		}
+		if got := ad.ships(m); !slices.Equal(got, want) {
+			t.Fatalf("manifest %d blocks, advertisement %d: ships %v, want %v", len(m.Blocks), len(ad.have), got, want)
+		}
+	}
+}
+
+// TestUnadvertisedPullAllocs pins what serving a warm one-file unadvertised
+// pull of a 16-block file allocates: the batch's answers, the file's member
+// names and container, the chosen indices and the shipped blocks — 5 objects,
+// none to choose the blocks (9 while a map per batch chose them).
+func TestUnadvertisedPullAllocs(t *testing.T) {
+	defer invariant.ForceForTest(false)()
+	var data []byte
+	for i := range 16 {
+		data = append(data, stampedBlock('v', i)...)
+	}
+	_, l, fid := newBlockLayer(t, data)
+	req := []PullRequest{{Dir: RootPath(), File: fid}}
+	pull := func() {
+		res, _ := l.PullBatchDelta(req, nil)
+		if res[0].Status != PullData || len(res[0].Missing) != 16 {
+			t.Fatalf("answer %v shipping %d blocks, want all 16", res[0].Status, len(res[0].Missing))
+		}
+		res[0].Release()
+	}
+	pull() // warms the aux cache
+	if n := testing.AllocsPerRun(50, pull); n > 5 {
+		t.Errorf("serving the pull allocates %v objects, want at most 5", n)
 	}
 }

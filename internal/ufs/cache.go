@@ -219,11 +219,15 @@ func (c *inodeCache) get(ino Ino) (dinode, error) {
 	return din, nil
 }
 
-// nameCache is the directory name lookup cache (DNLC).  Entries map
-// (directory inode, component name) to the child inode and are invalidated
-// on unlink/rename/rmdir of that name.
+// nameCache is the directory name lookup cache (DNLC).  An entry maps
+// (directory inode, component name) to the child inode and the slot that
+// holds the name (ncEntry), so a call that finds a name rewrites its slot
+// without walking the directory (dirFindLocked).  The slot is written with
+// its entry: a repointed slot replaces it, a freed one drops it.  There are no
+// negative entries: a name not there is found absent by a walk, which also
+// finds the slot an add of it takes.
 type nameCache struct {
-	cache[ncKey, Ino]
+	cache[ncKey, ncEntry]
 }
 
 type ncKey struct {
@@ -231,12 +235,17 @@ type ncKey struct {
 	name string
 }
 
+type ncEntry struct {
+	ino  Ino
+	slot uint64
+}
+
 func newNameCache(capacity int, enabled bool) *nameCache {
-	return &nameCache{newCache[ncKey, Ino](capacity, enabled)}
+	return &nameCache{newCache[ncKey, ncEntry](capacity, enabled)}
 }
 
 // dropDir removes every entry under a directory (used by rmdir of the
 // directory itself, where its children entries are already gone).
 func (c *nameCache) dropDir(dir Ino) {
-	c.lru.DropFunc(func(k ncKey, child Ino) bool { return k.dir == dir || child == dir })
+	c.lru.DropFunc(func(k ncKey, e ncEntry) bool { return k.dir == dir || e.ino == dir })
 }

@@ -1,6 +1,10 @@
 package ufs
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"repro/internal/invariant"
+)
 
 // Dirent is one directory entry as returned by Readdir.
 type Dirent struct {
@@ -110,76 +114,60 @@ func (fs *FS) dirScanLocked(dir Ino, fn func(idx uint64, ino Ino, name []byte) b
 	return nil
 }
 
-// dirLookupLocked finds name in dir (".", ".." included), using the DNLC.
-func (fs *FS) dirLookupLocked(dir Ino, name string) (Ino, error) {
-	if child, ok := fs.dnlc.get(ncKey{dir, name}); ok {
-		return child, nil
+// dirFindLocked is the one search of dir's slots: from the DNLC, or else with
+// one dirScanLocked pass, it returns the inode name denotes and the slot that
+// holds it — or, with ErrNotExist, the slot an add of name takes: the first
+// free slot, else the directory's end.  A name the pass finds is remembered
+// with its slot; a miss is not (the DNLC holds no negative entries).
+func (fs *FS) dirFindLocked(dir Ino, name string) (Ino, uint64, error) {
+	if e, ok := fs.dnlc.get(ncKey{dir, name}); ok {
+		return e.ino, e.slot, nil
 	}
 	var found Ino
-	err := fs.dirScanLocked(dir, func(_ uint64, ino Ino, n []byte) bool {
+	var at uint64 // the slot holding name, or the first free one
+	err := fs.dirScanLocked(dir, func(idx uint64, ino Ino, n []byte) bool {
 		if string(n) == name {
-			found = ino
+			found, at = ino, idx
 			return true
+		}
+		if idx == at {
+			at++ // no free slot below idx
 		}
 		return false
 	})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if found == 0 {
-		return 0, ErrNotExist
+		return 0, at, ErrNotExist
 	}
-	fs.dnlc.put(ncKey{dir, name}, found)
-	return found, nil
+	fs.dnlc.put(ncKey{dir, name}, ncEntry{found, at})
+	return found, at, nil
 }
 
-// dirAddLocked inserts an entry, reusing a free slot or extending the
-// directory.  The caller has verified that name does not already exist.
-func (fs *FS) dirAddLocked(dir Ino, name string, child Ino) error {
+// dirLookupLocked finds name in dir (".", ".." included).
+func (fs *FS) dirLookupLocked(dir Ino, name string) (Ino, error) {
+	ino, _, err := fs.dirFindLocked(dir, name)
+	return ino, err
+}
+
+// slotHolds reports whether directory slot p names ino as name; a free slot
+// holds ino 0 under any name.  Only the invariant checks read one slot alone.
+func slotHolds(p []byte, ino Ino, name string) bool {
+	if got := Ino(binary.BigEndian.Uint32(p)); got != ino || got == 0 {
+		return got == ino
+	}
+	return int(p[4]) == len(name) && string(p[5:5+len(name)]) == name
+}
+
+// dirAddLocked writes the entry name → child into slot, the slot
+// nameFreeLocked found free for it, extending the directory to cover it.
+func (fs *FS) dirAddLocked(dir Ino, slot uint64, name string, child Ino) error {
 	din, err := fs.readInodeLocked(dir)
 	if err != nil {
 		return err
 	}
-	nSlots := din.Size / dirSlotSize
-	freeIdx := uint64(1<<63 - 1)
-	foundFree := false
-	err = func() error {
-		for fbn := uint64(0); fbn*dirSlotsPerBlock < nSlots; fbn++ {
-			bn, err := fs.blockmapLocked(&din, fbn, false)
-			if err != nil {
-				return err
-			}
-			if bn == 0 {
-				freeIdx = fbn * dirSlotsPerBlock
-				foundFree = true
-				return nil
-			}
-			blk, err := fs.st.read(bn)
-			if err != nil {
-				return err
-			}
-			for s := 0; s < dirSlotsPerBlock; s++ {
-				idx := fbn*dirSlotsPerBlock + uint64(s)
-				if idx >= nSlots {
-					return nil
-				}
-				if ino, _ := decodeSlot(blk[s*dirSlotSize:]); ino == 0 {
-					freeIdx = idx
-					foundFree = true
-					return nil
-				}
-			}
-		}
-		return nil
-	}()
-	if err != nil {
-		return err
-	}
-	idx := nSlots
-	if foundFree {
-		idx = freeIdx
-	}
-	fbn, off := slotAddr(idx)
+	fbn, off := slotAddr(slot)
 	bn, err := fs.blockmapLocked(&din, fbn, true)
 	if err != nil {
 		return err
@@ -188,57 +176,54 @@ func (fs *FS) dirAddLocked(dir Ino, name string, child Ino) error {
 	if err != nil {
 		return err
 	}
+	// Past the directory's end a slot may hold what a call cut short wrote
+	// there: it is no entry.
+	if invariant.Enabled() && slot*dirSlotSize < din.Size && !slotHolds(blk[off:], 0, "") {
+		invariant.Failf("ufs: dir %d: slot %d, taken for %q, is not free", dir, slot, name)
+	}
 	encodeSlot(blk[off:], child, name)
 	if err := fs.st.write(bn, blk); err != nil {
 		return err
 	}
-	if end := (idx + 1) * dirSlotSize; end > din.Size {
+	if end := (slot + 1) * dirSlotSize; end > din.Size {
 		din.Size = end
 	}
 	din.Mtime = fs.tick()
 	if err := fs.writeInodeLocked(dir, din); err != nil {
 		return err
 	}
-	fs.dnlc.put(ncKey{dir, name}, child)
+	fs.dnlc.put(ncKey{dir, name}, ncEntry{child, slot})
 	return nil
 }
 
 // dirRemoveLocked deletes the entry for name, returning the child it named.
 func (fs *FS) dirRemoveLocked(dir Ino, name string) (Ino, error) {
-	return fs.dirRepointLocked(dir, name, 0)
+	old, slot, err := fs.dirFindLocked(dir, name)
+	if err == nil {
+		err = fs.dirRepointLocked(dir, slot, name, old, 0)
+	}
+	return old, err
 }
 
-// dirRepointLocked points dir's entry for name at child, or deletes it if
-// child is 0, and returns the inode the entry named.  It rewrites the slot in
-// place, so a name it repoints is never absent, even at a crash.
-func (fs *FS) dirRepointLocked(dir Ino, name string, child Ino) (Ino, error) {
+// dirRepointLocked points the entry name → old, which dirFindLocked found in
+// dir's slot, at child, or frees the slot if child is 0.  It rewrites the slot
+// in place, so a name it repoints is never absent, even at a crash.
+func (fs *FS) dirRepointLocked(dir Ino, slot uint64, name string, old, child Ino) error {
 	din, err := fs.readInodeLocked(dir)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var at uint64
-	var old Ino
-	err = fs.dirScanLocked(dir, func(idx uint64, ino Ino, n []byte) bool {
-		if string(n) == name {
-			at, old = idx, ino
-			return true
-		}
-		return false
-	})
-	if err != nil {
-		return 0, err
-	}
-	if old == 0 {
-		return 0, ErrNotExist
-	}
-	fbn, off := slotAddr(at)
+	fbn, off := slotAddr(slot)
 	bn, err := fs.blockmapLocked(&din, fbn, false)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	blk, err := fs.st.copyOf(bn)
 	if err != nil {
-		return 0, err
+		return err
+	}
+	if invariant.Enabled() && (bn == 0 || !slotHolds(blk[off:], old, name)) {
+		invariant.Failf("ufs: dir %d: slot %d does not hold %q → %d", dir, slot, name, old)
 	}
 	if child == 0 {
 		encodeSlot(blk[off:], 0, "")
@@ -246,18 +231,15 @@ func (fs *FS) dirRepointLocked(dir Ino, name string, child Ino) (Ino, error) {
 		encodeSlot(blk[off:], child, name)
 	}
 	if err := fs.st.write(bn, blk); err != nil {
-		return 0, err
-	}
-	din.Mtime = fs.tick()
-	if err := fs.writeInodeLocked(dir, din); err != nil {
-		return 0, err
+		return err
 	}
 	if child == 0 {
 		fs.dnlc.drop(ncKey{dir, name})
 	} else {
-		fs.dnlc.put(ncKey{dir, name}, child)
+		fs.dnlc.put(ncKey{dir, name}, ncEntry{child, slot})
 	}
-	return old, nil
+	din.Mtime = fs.tick()
+	return fs.writeInodeLocked(dir, din)
 }
 
 // dirEmptyLocked reports whether dir contains only "." and "..".
@@ -274,32 +256,28 @@ func (fs *FS) dirEmptyLocked(dir Ino) (bool, error) {
 }
 
 // nameFreeLocked is the prologue of a call that adds name to dir: dir must
-// be a directory and name must not be in it yet.
-func (fs *FS) nameFreeLocked(dir Ino, name string) error {
-	ddin, err := fs.readInodeLocked(dir)
-	if err != nil {
-		return err
+// be a directory and name must not be in it yet.  It returns the slot the add
+// takes.
+func (fs *FS) nameFreeLocked(dir Ino, name string) (uint64, error) {
+	_, slot, err := fs.dirFindLocked(dir, name)
+	switch err {
+	case nil:
+		return 0, ErrExist
+	case ErrNotExist:
+		return slot, nil
 	}
-	if ddin.Type != TypeDir {
-		return ErrNotDir
-	}
-	if _, err := fs.dirLookupLocked(dir, name); err == nil {
-		return ErrExist
-	} else if err != ErrNotExist {
-		return err
-	}
-	return nil
+	return 0, err
 }
 
 // childLocked is the prologue of a call that removes name from dir: the
-// inode name denotes, and what it holds.
-func (fs *FS) childLocked(dir Ino, name string) (Ino, dinode, error) {
-	child, err := fs.dirLookupLocked(dir, name)
+// inode name denotes, the slot that holds it, and what the inode holds.
+func (fs *FS) childLocked(dir Ino, name string) (Ino, uint64, dinode, error) {
+	child, slot, err := fs.dirFindLocked(dir, name)
 	if err != nil {
-		return 0, dinode{}, err
+		return 0, 0, dinode{}, err
 	}
 	cdin, err := fs.readInodeLocked(child)
-	return child, cdin, err
+	return child, slot, cdin, err
 }
 
 // Lookup resolves name within directory dir.
@@ -322,14 +300,15 @@ func (fs *FS) Create(dir Ino, name string) (_ Ino, err error) {
 	if err := validName(name); err != nil {
 		return 0, err
 	}
-	if err := fs.nameFreeLocked(dir, name); err != nil {
+	slot, err := fs.nameFreeLocked(dir, name)
+	if err != nil {
 		return 0, err
 	}
 	ino, err := fs.iallocLocked(TypeFile)
 	if err != nil {
 		return 0, err
 	}
-	if err := fs.dirAddLocked(dir, name, ino); err != nil {
+	if err := fs.dirAddLocked(dir, slot, name, ino); err != nil {
 		_ = fs.ifreeLocked(ino)
 		return 0, err
 	}
@@ -343,7 +322,8 @@ func (fs *FS) Mkdir(dir Ino, name string) (_ Ino, err error) {
 	if err := validName(name); err != nil {
 		return 0, err
 	}
-	if err := fs.nameFreeLocked(dir, name); err != nil {
+	slot, err := fs.nameFreeLocked(dir, name)
+	if err != nil {
 		return 0, err
 	}
 	ino, err := fs.iallocLocked(TypeDir)
@@ -354,7 +334,7 @@ func (fs *FS) Mkdir(dir Ino, name string) (_ Ino, err error) {
 		_ = fs.ifreeLocked(ino)
 		return 0, err
 	}
-	if err := fs.dirAddLocked(dir, name, ino); err != nil {
+	if err := fs.dirAddLocked(dir, slot, name, ino); err != nil {
 		_ = fs.ifreeLocked(ino)
 		return 0, err
 	}
@@ -385,10 +365,11 @@ func (fs *FS) Link(dir Ino, name string, target Ino) (err error) {
 	if tdin.Type == TypeDir {
 		return ErrLinkedDir
 	}
-	if err := fs.nameFreeLocked(dir, name); err != nil {
+	slot, err := fs.nameFreeLocked(dir, name)
+	if err != nil {
 		return err
 	}
-	if err := fs.dirAddLocked(dir, name, target); err != nil {
+	if err := fs.dirAddLocked(dir, slot, name, target); err != nil {
 		return err
 	}
 	tdin.Nlink++
@@ -404,14 +385,14 @@ func (fs *FS) Remove(dir Ino, name string) (err error) {
 	if err := validName(name); err != nil {
 		return err
 	}
-	child, cdin, err := fs.childLocked(dir, name)
+	child, slot, cdin, err := fs.childLocked(dir, name)
 	if err != nil {
 		return err
 	}
 	if cdin.Type == TypeDir {
 		return ErrIsDir
 	}
-	if _, err := fs.dirRemoveLocked(dir, name); err != nil {
+	if err := fs.dirRepointLocked(dir, slot, name, child, 0); err != nil {
 		return err
 	}
 	cdin.Nlink--
@@ -429,7 +410,7 @@ func (fs *FS) Rmdir(dir Ino, name string) (err error) {
 	if err := validName(name); err != nil {
 		return err
 	}
-	child, cdin, err := fs.childLocked(dir, name)
+	child, slot, cdin, err := fs.childLocked(dir, name)
 	if err != nil {
 		return err
 	}
@@ -443,7 +424,7 @@ func (fs *FS) Rmdir(dir Ino, name string) (err error) {
 	if !empty {
 		return ErrNotEmpty
 	}
-	if _, err := fs.dirRemoveLocked(dir, name); err != nil {
+	if err := fs.dirRepointLocked(dir, slot, name, child, 0); err != nil {
 		return err
 	}
 	if err := fs.ifreeLocked(child); err != nil {
@@ -471,7 +452,7 @@ func (fs *FS) Rename(sdir Ino, sname string, ddir Ino, dname string) (err error)
 	if err := validName(dname); err != nil {
 		return err
 	}
-	child, err := fs.dirLookupLocked(sdir, sname)
+	child, sslot, err := fs.dirFindLocked(sdir, sname)
 	if err != nil {
 		return err
 	}
@@ -502,8 +483,8 @@ func (fs *FS) Rename(sdir Ino, sname string, ddir Ino, dname string) (err error)
 		}
 	}
 	// An existing destination is repointed at child in place, so the name is
-	// never absent.
-	old, err := fs.dirLookupLocked(ddir, dname)
+	// never absent; an absent one is added at dslot.
+	old, dslot, err := fs.dirFindLocked(ddir, dname)
 	if err != nil && err != ErrNotExist {
 		return err
 	}
@@ -514,7 +495,7 @@ func (fs *FS) Rename(sdir Ino, sname string, ddir Ino, dname string) (err error)
 		}
 		if old == child {
 			// Same inode under both names: just drop the source entry.
-			if _, err := fs.dirRemoveLocked(sdir, sname); err != nil {
+			if err := fs.dirRepointLocked(sdir, sslot, sname, child, 0); err != nil {
 				return err
 			}
 			odin.Nlink--
@@ -537,8 +518,8 @@ func (fs *FS) Rename(sdir Ino, sname string, ddir Ino, dname string) (err error)
 		return err
 	}
 	if old == 0 {
-		err = fs.dirAddLocked(ddir, dname, child)
-	} else if _, err = fs.dirRepointLocked(ddir, dname, child); err == nil {
+		err = fs.dirAddLocked(ddir, dslot, dname, child)
+	} else if err = fs.dirRepointLocked(ddir, dslot, dname, old, child); err == nil {
 		if odin.Nlink--; odin.Nlink == 0 {
 			err = fs.ifreeLocked(old)
 		} else {
@@ -553,7 +534,7 @@ func (fs *FS) Rename(sdir Ino, sname string, ddir Ino, dname string) (err error)
 	if err := fs.flushLocked(); err != nil {
 		return err
 	}
-	if _, err := fs.dirRemoveLocked(sdir, sname); err != nil {
+	if err := fs.dirRepointLocked(sdir, sslot, sname, child, 0); err != nil {
 		return err
 	}
 	cdin.Nlink--
@@ -562,7 +543,11 @@ func (fs *FS) Rename(sdir Ino, sname string, ddir Ino, dname string) (err error)
 	}
 	// Fix ".." and parent link counts when a directory changes parents.
 	if cdin.Type == TypeDir && sdir != ddir {
-		if _, err := fs.dirRepointLocked(child, "..", ddir); err != nil {
+		up, uslot, err := fs.dirFindLocked(child, "..")
+		if err == nil {
+			err = fs.dirRepointLocked(child, uslot, "..", up, ddir)
+		}
+		if err != nil {
 			return err
 		}
 		sdin, err := fs.readInodeLocked(sdir)

@@ -215,7 +215,8 @@ func (fs *FS) Symlink(dir Ino, name, target string) (_ Ino, err error) {
 	if err := validName(name); err != nil {
 		return 0, err
 	}
-	if err := fs.nameFreeLocked(dir, name); err != nil {
+	slot, err := fs.nameFreeLocked(dir, name)
+	if err != nil {
 		return 0, err
 	}
 	ino, err := fs.iallocLocked(TypeSymlink)
@@ -225,7 +226,7 @@ func (fs *FS) Symlink(dir Ino, name, target string) (_ Ino, err error) {
 	if _, err := fs.writeAtLocked(ino, []byte(target), 0); err != nil {
 		return 0, err
 	}
-	if err := fs.dirAddLocked(dir, name, ino); err != nil {
+	if err := fs.dirAddLocked(dir, slot, name, ino); err != nil {
 		_ = fs.ifreeLocked(ino)
 		return 0, err
 	}

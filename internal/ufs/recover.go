@@ -52,7 +52,11 @@ func (fs *FS) recoverLocked() error {
 		return err
 	}
 	for _, s := range links.stale() {
-		if _, err := fs.dirRepointLocked(s.dir, "..", s.parent); err != nil {
+		up, slot, err := fs.dirFindLocked(s.dir, "..")
+		if err == nil {
+			err = fs.dirRepointLocked(s.dir, slot, "..", up, s.parent)
+		}
+		if err != nil {
 			return err
 		}
 		linkRefs[s.up]--
@@ -81,6 +85,7 @@ func (fs *FS) recoverLocked() error {
 				return err
 			}
 			fs.ic.drop(ino)
+			fs.dnlc.dropDir(ino)
 			din = dinode{}
 		case din.Nlink < linkRefs[ino] || !blind && din.Nlink != linkRefs[ino]:
 			din.Nlink = linkRefs[ino]

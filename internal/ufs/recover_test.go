@@ -124,15 +124,20 @@ func TestCheckAndRecoverAgreeOnDamagedTree(t *testing.T) {
 	}
 
 	fs.mu.Lock()
-	if err := fs.dirAddLocked(sub, "dangling", 40); err != nil {
-		t.Fatal(err)
+	add := func(name string, child Ino) {
+		slot, err := fs.nameFreeLocked(sub, name)
+		if err == nil {
+			err = fs.dirAddLocked(sub, slot, name, child)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+	add("dangling", 40)
 	if _, err := fs.dirRemoveLocked(sub, "."); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.dirAddLocked(sub, ".", other); err != nil {
-		t.Fatal(err)
-	}
+	add(".", other)
 	din, err := fs.readInodeLocked(file)
 	if err != nil {
 		t.Fatal(err)

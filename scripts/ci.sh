@@ -7,7 +7,7 @@
 #     heldlocks, lockorder, duraberr), then go vet and gofmt;
 #   - greps that keep deleted mechanisms deleted: encoding/gob and
 #     container/list in non-test code, a sidecar member, a new-version cache
-#     journal and a repair daemon;
+#     journal, a repair daemon and a second directory walk in internal/ufs;
 #   - a two-second fuzz smoke of every fuzz target (a package left with none
 #     fails);
 #   - greps that keep timed benchmarks and mirrored Stats structs out of the
@@ -78,6 +78,16 @@ echo "==> one pull repairs"
 # integrity plane keeps no repair daemon, queue, backoff or give-up verdict.
 internal=$(git ls-files 'internal/*.go' | grep -v _test.go | grep -v /testdata/)
 test -z "$(grep -lE 'QuarEntry|RepairDue|DeferRepair|NoteUnrepairable|GaveUp|Unrepairable|func Repair\(' $internal)"
+
+echo "==> one directory walk in internal/ufs"
+# A directory's slots are read by one scan, dirScanLocked, and searched by one
+# function over it, dirFindLocked, which answers where a name is or where an
+# add of it goes (DESIGN.md §16): exactly one decodeSlot call site, inside
+# dirScanLocked, so no second block walk creeps back in.
+ufs=$(git ls-files 'internal/ufs/*.go' | grep -v _test.go)
+sites=$(awk '/^func /{f=$0} /decodeSlot\(/ && !/^func / && !/^[ \t]*\/\//{print f}' $ufs)
+test "$(printf '%s\n' "$sites" | wc -l)" -eq 1
+printf '%s\n' "$sites" | grep -q '^func (fs \*FS) dirScanLocked('
 
 echo "==> fuzz smoke: every Fuzz* target, 2s each"
 # The seed corpora already run under go test; this catches an oracle that
